@@ -51,7 +51,10 @@ bench-diff:
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/tree
 	$(GO) test -run='^$$' -fuzz='^FuzzParseString$$' -fuzztime=$(FUZZTIME) ./internal/xmltree
+	$(GO) test -run='^$$' -fuzz='^FuzzBoundCascade$$' -fuzztime=$(FUZZTIME) ./internal/branch
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadIndex$$' -fuzztime=$(FUZZTIME) ./internal/search
 	$(GO) test -run='^$$' -fuzz='^FuzzManifest$$' -fuzztime=$(FUZZTIME) ./internal/segstore
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzTraceparentMiddleware$$' -fuzztime=$(FUZZTIME) ./internal/server
 
 ci: build vet test race hammer chaos fuzz

@@ -22,6 +22,7 @@ package treesim
 import (
 	"context"
 	"testing"
+	"time"
 
 	"treesim/internal/branch"
 	"treesim/internal/datagen"
@@ -190,17 +191,60 @@ func BenchmarkProfile(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorConstruction measures Algorithm 1 — the dataset-wide
-// inverted file build plus the scan that materializes all vectors —
-// demonstrating the linear O(Σ|Ti|) claim of Section 4.4.
+// BenchmarkVectorConstruction measures Algorithm 1 — profiling every tree
+// into the flat per-segment arrays plus the counting sort that builds the
+// inverted file over them — demonstrating the linear O(Σ|Ti|) claim of
+// Section 4.4.
 func BenchmarkVectorConstruction(b *testing.B) {
 	for _, n := range []int{100, 200, 400} {
 		spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
 		ts := datagen.New(spec, 3).Dataset(n, 10)
 		b.Run(intName(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				invfile.Build(branch.NewSpace(2), ts).Profiles()
+				invfile.Build(branch.NewSpace(2).ProfileAll(ts))
 			}
+		})
+	}
+}
+
+// BenchmarkFilterStage measures the filter stage alone, in ns per live
+// tree, for the two query kinds at growing dataset sizes on the paper's
+// default spec. The cascade's cost is one merge-join and two compares per
+// tree plus a positional bound for the few survivors, so ns/tree is flat
+// in n: the filter is linear with a small constant, not yet the ROADMAP
+// gate's sub-linear (that takes the postings sweep of
+// BenchmarkAblationPostingsVsMergeJoin in the serving path). k-NN includes
+// the full bounds it tightens lazily during refinement (Stats.FilterTime
+// counts them).
+func BenchmarkFilterStage(b *testing.B) {
+	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
+	for _, n := range []int{2000, 8000, 32000} {
+		ts := datagen.New(spec, 5).Dataset(n, n/10)
+		ix := search.NewIndex(ts, search.NewBiBranch(), search.WithShards(1), search.WithRefineWorkers(1))
+		queries := make([]*tree.Tree, 16)
+		for i := range queries {
+			queries[i] = ts[(i*997+42)%n]
+		}
+		run := func(name string, query func(q *tree.Tree) search.Stats) {
+			b.Run(name+"/"+intName(n), func(b *testing.B) {
+				var filter time.Duration
+				var pruned search.Funnel
+				for i := 0; i < b.N; i++ {
+					st := query(queries[i%len(queries)])
+					filter += st.FilterTime
+					pruned = st.Pruned
+				}
+				b.ReportMetric(float64(filter.Nanoseconds())/float64(b.N)/float64(n), "ns/tree")
+				b.ReportMetric(float64(pruned.Size+pruned.BDist)/float64(n), "cheap-pruned")
+			})
+		}
+		run("range-tau3", func(q *tree.Tree) search.Stats {
+			_, st, _ := ix.Range(context.Background(), q, 3)
+			return st
+		})
+		run("knn-k5", func(q *tree.Tree) search.Stats {
+			_, st, _ := ix.KNN(context.Background(), q, 5)
+			return st
 		})
 	}
 }
@@ -287,22 +331,36 @@ func BenchmarkAblationMatching(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationIFIvsDirect compares batch (inverted file) and per-tree
-// profile construction.
-func BenchmarkAblationIFIvsDirect(b *testing.B) {
+// BenchmarkAblationPostingsVsMergeJoin compares the two ways to get a
+// query's branch distance to every tree of a segment: one sweep over the
+// inverted lists of the query's branches (internal/invfile), or a
+// merge-join of the query's vector with each tree's (what the filter's
+// BDist tier runs).
+func BenchmarkAblationPostingsVsMergeJoin(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
-	ts := datagen.New(spec, 3).Dataset(200, 10)
-	b.Run("IFI", func(b *testing.B) {
+	ts := datagen.New(spec, 3).Dataset(2000, 200)
+	s := branch.NewSpace(2)
+	ps := s.ProfileAll(ts)
+	x := invfile.Build(ps)
+	q := s.QueryProfile(ts[42])
+	b.Run("Postings", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			invfile.Build(branch.NewSpace(2), ts).Profiles()
+			for _, bd := range x.BDists(q) {
+				sink += int(bd)
+			}
 		}
 	})
-	b.Run("Direct", func(b *testing.B) {
+	b.Run("MergeJoin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			branch.NewSpace(2).ProfileAll(ts)
+			for _, p := range ps {
+				sink += branch.BDist(q, p)
+			}
 		}
 	})
 }
+
+// sink keeps benchmark results alive.
+var sink int
 
 // BenchmarkAblationFilterVariants compares one range query under the
 // BiBranch filter family: plain per-candidate bounds, the pivot cascade,

@@ -91,6 +91,7 @@ FUZZTIME="${FUZZTIME:-10s}"
 echo "== go test -fuzz (fuzztime $FUZZTIME per target)"
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime="$FUZZTIME" ./internal/tree
 go test -run='^$' -fuzz='^FuzzParseString$' -fuzztime="$FUZZTIME" ./internal/xmltree
+go test -run='^$' -fuzz='^FuzzBoundCascade$' -fuzztime="$FUZZTIME" ./internal/branch
 go test -run='^$' -fuzz='^FuzzLoadIndex$' -fuzztime="$FUZZTIME" ./internal/search
 go test -run='^$' -fuzz='^FuzzManifest$' -fuzztime="$FUZZTIME" ./internal/segstore
 go test -run='^$' -fuzz='^FuzzParseTraceparent$' -fuzztime="$FUZZTIME" ./internal/obs

@@ -248,7 +248,9 @@ func makeFilter(spec string) (search.Filter, error) {
 // quality counters.
 func replay(spec string, f search.Filter, ts []*tree.Tree, recs []qlog.Record) (filterReport, error) {
 	buildStart := time.Now()
-	ix := search.NewIndex(ts, search.WithFilter(f))
+	// One refine worker keeps the replay's verified counts — the table's
+	// accessed fraction — independent of worker timing.
+	ix := search.NewIndex(ts, search.WithFilter(f), search.WithRefineWorkers(1))
 	fr := filterReport{
 		Filter:       ix.Filter().Name(),
 		Spec:         spec,

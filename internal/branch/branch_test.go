@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"treesim/internal/tree"
+	"treesim/internal/vector"
 )
 
 func paperT1() *tree.Tree { return tree.MustParse("a(b(c,d),b(c,d),e)") }
@@ -34,10 +35,20 @@ func TestNewSpaceRejectsQ1(t *testing.T) {
 	NewSpace(1)
 }
 
+// vectorOf materializes the sparse branch vector BRV_q(T) of Definition 3
+// from a profile's flat arrays.
+func vectorOf(p *Profile) *vector.Sparse {
+	b := vector.NewBuilder()
+	for i, d := range p.Dims() {
+		b.Add(d, p.Count(i))
+	}
+	return b.MustVector()
+}
+
 // branchSet returns the multiset of branch label-sequences of a profile.
 func branchSet(p *Profile) map[string]int {
 	out := make(map[string]int)
-	for _, e := range p.Vec.Elems() {
+	for _, e := range vectorOf(p).Elems() {
 		key := p.Space().Key(e.Dim)
 		out[join(KeyLabels(key))] = e.Count
 	}
@@ -142,9 +153,9 @@ func TestProfileCountsSumToSize(t *testing.T) {
 		s := NewSpace(q)
 		for _, tr := range []*tree.Tree{paperT1(), paperT2(), tree.MustParse("x"), tree.New(nil)} {
 			p := s.Profile(tr)
-			if p.Vec.Sum() != tr.Size() || p.Size != tr.Size() {
+			if vectorOf(p).Sum() != tr.Size() || p.Size != tr.Size() {
 				t.Errorf("q=%d %q: branch count %d, size %d, want %d",
-					q, tr, p.Vec.Sum(), p.Size, tr.Size())
+					q, tr, vectorOf(p).Sum(), p.Size, tr.Size())
 			}
 		}
 	}
@@ -170,7 +181,7 @@ func TestKeyLabelsRoundTrip(t *testing.T) {
 		{"label with spaces", "ε", "ε"},
 	}
 	for _, seq := range seqs {
-		got := KeyLabels(encodeKey(seq))
+		got := KeyLabels(string(appendKey(nil, seq)))
 		if len(got) != len(seq) {
 			t.Fatalf("KeyLabels(%v) = %v", seq, got)
 		}
@@ -233,37 +244,6 @@ func TestProfileAllParallelMatchesSerial(t *testing.T) {
 	if got := NewSpace(2).ProfileAllParallel(nil, 4); len(got) != 0 {
 		t.Error("empty parallel profiling broken")
 	}
-}
-
-func TestAssembleValidation(t *testing.T) {
-	s := NewSpace(2)
-	p := s.Profile(paperT1())
-	expectPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	expectPanic("wrong size", func() {
-		Assemble(s, p.Size+1, p.Vec, p.Pos)
-	})
-	expectPanic("missing position lists", func() {
-		Assemble(s, p.Size, p.Vec, p.Pos[:1])
-	})
-	truncated := make([][]Occurrence, len(p.Pos))
-	copy(truncated, p.Pos)
-	for i, occ := range truncated {
-		if len(occ) > 1 {
-			truncated[i] = occ[:1]
-			break
-		}
-	}
-	expectPanic("occurrence count mismatch", func() {
-		Assemble(s, p.Size, p.Vec, truncated)
-	})
 }
 
 func TestEditLowerBound(t *testing.T) {

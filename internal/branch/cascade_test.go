@@ -1,0 +1,247 @@
+package branch_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"treesim/internal/branch"
+	"treesim/internal/datagen"
+	"treesim/internal/editdist"
+	"treesim/internal/invfile"
+	"treesim/internal/tree"
+	"treesim/internal/vector"
+)
+
+// The reference the flat layout is held to: the pointer-per-vector,
+// pointer-per-occurrence-list profile the flat arrays replaced, built
+// straight from Space.Branches, with every derived quantity computed the
+// slow obvious way — L1 by the vector package, the positional matching by
+// augmenting paths only (never the greedy sweeps), SearchLBound by a linear
+// scan of pr (never the binary search).
+
+type refProfile struct {
+	size int
+	vec  *vector.Sparse
+	pos  [][]branch.Occurrence // parallel to vec.Elems()
+}
+
+func refOf(s *branch.Space, t *tree.Tree) *refProfile {
+	occs := make(map[vector.Dim][]branch.Occurrence)
+	b := vector.NewBuilder()
+	size := s.Branches(t, func(d vector.Dim, pre, post int32) {
+		b.Inc(d)
+		occs[d] = append(occs[d], branch.Occurrence{Pre: pre, Post: post})
+	})
+	p := &refProfile{size: size, vec: b.MustVector()}
+	for _, e := range p.vec.Elems() {
+		p.pos = append(p.pos, occs[e.Dim])
+	}
+	return p
+}
+
+func refBDist(a, b *refProfile) int { return vector.L1(a.vec, b.vec) }
+
+func refPosBDist(a, b *refProfile, pr int) int {
+	matched := 0
+	ae, be := a.vec.Elems(), b.vec.Elems()
+	for i, j := 0, 0; i < len(ae) && j < len(be); {
+		switch {
+		case ae[i].Dim < be[j].Dim:
+			i++
+		case ae[i].Dim > be[j].Dim:
+			j++
+		default:
+			matched += kuhn(a.pos[i], b.pos[j], pr)
+			i++
+			j++
+		}
+	}
+	return a.size + b.size - 2*matched
+}
+
+// kuhn is a maximum bipartite matching of occurrences whose preorder and
+// postorder positions both differ by at most pr.
+func kuhn(av, bv []branch.Occurrence, pr int) int {
+	near := func(x, y int32) bool { return x-y <= int32(pr) && y-x <= int32(pr) }
+	matchB := make([]int, len(bv))
+	for j := range matchB {
+		matchB[j] = -1
+	}
+	var try func(i int, seen []bool) bool
+	try = func(i int, seen []bool) bool {
+		for j, b := range bv {
+			if seen[j] || !near(av[i].Pre, b.Pre) || !near(av[i].Post, b.Post) {
+				continue
+			}
+			seen[j] = true
+			if matchB[j] < 0 || try(matchB[j], seen) {
+				matchB[j] = i
+				return true
+			}
+		}
+		return false
+	}
+	m := 0
+	for i := range av {
+		if try(i, make([]bool, len(bv))) {
+			m++
+		}
+	}
+	return m
+}
+
+func refSearchLBound(a, b *refProfile, f int) int {
+	pr := a.size - b.size
+	if pr < 0 {
+		pr = -pr
+	}
+	for refPosBDist(a, b, pr) > f*pr {
+		pr++
+	}
+	return pr
+}
+
+func refRangeLowerBound(a, b *refProfile, f, tau int) int {
+	return max((refPosBDist(a, b, tau)+f-1)/f, refSearchLBound(a, b, f))
+}
+
+// cascadePair builds the two trees of one fuzz case. Besides random trees
+// the shapes cover the degenerate cases of the positional matching: an
+// ancestor chain a(a(a(…))) (postorder descends along each occurrence
+// list), a star (one branch repeated across siblings), chain×star, and
+// single-label random trees, where occurrence lists are long and neither
+// ascending nor descending in postorder — the augmenting-path regime.
+func cascadePair(seed int64, shape, size, edits uint8) (*tree.Tree, *tree.Tree) {
+	n := 1 + int(size)%24
+	spec := datagen.Spec{FanoutMean: 2.5, FanoutStd: 1, SizeMean: float64(n), SizeStd: 2, Labels: 3, Decay: 0.1}
+	var t1 *tree.Tree
+	switch shape % 5 {
+	case 0:
+		t1 = datagen.New(spec, seed).Seed()
+	case 1:
+		root := tree.NewNode("a")
+		for cur, i := root, 1; i < n; i++ {
+			c := tree.NewNode("a")
+			cur.Children = []*tree.Node{c}
+			cur = c
+		}
+		t1 = tree.New(root)
+	case 2:
+		root := tree.NewNode("r")
+		for i := 0; i < n; i++ {
+			root.Children = append(root.Children, tree.NewNode("c"))
+		}
+		t1 = tree.New(root)
+	case 3:
+		root := tree.NewNode("a")
+		for cur, i := root, 0; i < 1+n/4; i++ {
+			next := tree.NewNode("a")
+			cur.Children = []*tree.Node{tree.NewNode("c"), next, tree.NewNode("c"), tree.NewNode("c")}
+			cur = next
+		}
+		t1 = tree.New(root)
+	default:
+		spec.Labels = 1
+		t1 = datagen.New(spec, seed).Seed()
+	}
+	g := datagen.New(spec, seed+1)
+	if edits%8 == 7 {
+		return t1, g.Seed() // an unrelated tree
+	}
+	return t1, g.RandomEdits(t1, int(edits)%8)
+}
+
+// FuzzBoundCascade holds the filter's tiers to their contract on one pair
+// of trees, for q ∈ {2,3,4}:
+//
+//   - soundness and order: max(||q|−|t||, ⌈BDist/f⌉) ≤ SearchLBound ≤ EDist
+//     (the two cheap tiers are not ordered between themselves);
+//   - the flat layout's BDist, PosBDist and SearchLBound equal the
+//     reference's, and a lookup-only query profile gives what an interned
+//     one gives;
+//   - the postings accumulator's BDist equals the merge-join's;
+//   - for every tau the cascade — size tier, BDist tier, then the
+//     one-probe RangeLowerBoundWithin — keeps exactly the pairs with
+//     RangeLowerBound ≤ tau and reports that bound for them, and never
+//     prunes a pair within tau.
+func FuzzBoundCascade(f *testing.F) {
+	for shape := uint8(0); shape < 5; shape++ {
+		f.Add(int64(shape)+1, shape, uint8(9), uint8(2))
+		f.Add(int64(shape)+11, shape, uint8(17), uint8(5))
+		f.Add(int64(shape)+21, shape, uint8(5), uint8(7))
+	}
+	f.Fuzz(checkCascade)
+}
+
+func checkCascade(t *testing.T, seed int64, shape, size, edits uint8) {
+	t1, t2 := cascadePair(seed, shape, size, edits)
+	ed := editdist.Distance(t1, t2)
+	for _, q := range []int{2, 3, 4} {
+		fac := branch.Factor(q)
+		s := branch.NewSpace(q)
+		b := s.Profile(t2)
+		// Before t1's branches are interned: the lookup-only profile
+		// must leave the space alone and bound exactly like the
+		// interned one does afterwards.
+		vocab := s.Size()
+		qp := s.QueryProfile(t1)
+		if s.Size() != vocab {
+			t.Fatalf("q=%d: QueryProfile grew the space %d -> %d", q, vocab, s.Size())
+		}
+		lookupBD, lookupLB := branch.BDist(qp, b), branch.SearchLBound(qp, b)
+		swept := invfile.Build([]*branch.Profile{b}).BDists(qp)
+		a := s.Profile(t1)
+		ra, rb := refOf(s, t1), refOf(s, t2)
+
+		bd, slb := branch.BDist(a, b), branch.SearchLBound(a, b)
+		if want := refBDist(ra, rb); bd != want || lookupBD != want {
+			t.Fatalf("q=%d: BDist flat %d, lookup %d, reference %d\n %s\n %s", q, bd, lookupBD, want, t1, t2)
+		}
+		if got := int(swept[0]); got != bd {
+			t.Fatalf("q=%d: accumulator BDist %d, merge-join %d\n %s\n %s", q, got, bd, t1, t2)
+		}
+		if want := refSearchLBound(ra, rb, fac); slb != want || lookupLB != want {
+			t.Fatalf("q=%d: SearchLBound flat %d, lookup %d, reference %d\n %s\n %s", q, slb, lookupLB, want, t1, t2)
+		}
+		ds := a.Size - b.Size
+		if ds < 0 {
+			ds = -ds
+		}
+		plain := (bd + fac - 1) / fac
+		if ds > slb || plain > slb || slb > ed {
+			t.Fatalf("q=%d: size %d, ⌈BDist/f⌉ %d, SearchLBound %d, EDist %d out of order\n %s\n %s",
+				q, ds, plain, slb, ed, t1, t2)
+		}
+
+		for tau := 0; tau <= max(a.Size, b.Size)+1; tau++ {
+			if got, want := branch.PosBDist(a, b, tau), refPosBDist(ra, rb, tau); got != want {
+				t.Fatalf("q=%d: PosBDist(%d) flat %d, reference %d\n %s\n %s", q, tau, got, want, t1, t2)
+			}
+			want := branch.RangeLowerBound(a, b, tau)
+			if ref := refRangeLowerBound(ra, rb, fac, tau); want != ref {
+				t.Fatalf("q=%d: RangeLowerBound(%d) flat %d, reference %d\n %s\n %s", q, tau, want, ref, t1, t2)
+			}
+			got, ok := branch.RangeLowerBoundWithin(qp, b, tau)
+			keep := ds <= tau && plain <= tau && ok
+			switch {
+			case keep != (want <= tau):
+				t.Fatalf("q=%d tau=%d: cascade keeps=%v but RangeLowerBound is %d\n %s\n %s", q, tau, keep, want, t1, t2)
+			case ok && got != want:
+				t.Fatalf("q=%d tau=%d: surviving bound %d, RangeLowerBound %d\n %s\n %s", q, tau, got, want, t1, t2)
+			case !ok && got <= tau:
+				t.Fatalf("q=%d tau=%d: pruned with bound %d ≤ tau\n %s\n %s", q, tau, got, t1, t2)
+			case !keep && ed <= tau:
+				t.Fatalf("q=%d tau=%d: cascade pruned a pair at distance %d\n %s\n %s", q, tau, ed, t1, t2)
+			}
+		}
+	}
+}
+
+// TestBoundCascadeRandom runs the fuzz property over a few hundred seeded
+// cases of every shape, so plain `go test` covers it without the fuzzer.
+func TestBoundCascadeRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		checkCascade(t, rng.Int63(), uint8(i), uint8(rng.Intn(256)), uint8(rng.Intn(256)))
+	}
+}

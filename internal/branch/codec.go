@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"treesim/internal/vector"
 )
@@ -56,23 +57,23 @@ func Write(w io.Writer, s *Space, ps []*Profile) error {
 		return err
 	}
 	for i, p := range ps {
-		if p.space != s {
+		if p.f.space != s {
 			return fmt.Errorf("branch: profile %d belongs to a different space", i)
 		}
 		if err := u32(p.Size); err != nil {
 			return err
 		}
-		if err := u32(p.Vec.NonZero()); err != nil {
+		if err := u32(p.NonZero()); err != nil {
 			return err
 		}
-		for ei, e := range p.Vec.Elems() {
-			if err := u32(int(e.Dim)); err != nil {
+		for ei, d := range p.Dims() {
+			if err := u32(int(d)); err != nil {
 				return err
 			}
-			if err := u32(e.Count); err != nil {
+			if err := u32(p.Count(ei)); err != nil {
 				return err
 			}
-			for _, occ := range p.Pos[ei] {
+			for _, occ := range p.Occurrences(ei) {
 				if err := binary.Write(bw, binary.LittleEndian, occ.Pre); err != nil {
 					return err
 				}
@@ -125,7 +126,7 @@ func Read(r io.Reader) (*Space, []*Profile, error) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, nil, err
 		}
-		if got := s.intern(string(buf)); int(got) != i {
+		if got := s.intern(buf); int(got) != i {
 			return nil, nil, fmt.Errorf("branch: duplicate key %d in stream", i)
 		}
 	}
@@ -134,11 +135,12 @@ func Read(r io.Reader) (*Space, []*Profile, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Untrusted counts never size an allocation directly: slices grow as
-	// bytes actually arrive (a lying length prefix then dies on EOF or a
-	// validation check, having cost only a small starter capacity), and
-	// counts with a structural bound are checked against it.
-	ps := make([]*Profile, 0, capAlloc(nProfiles))
+	// Untrusted counts never size an allocation directly: the flat store
+	// grows as bytes actually arrive (a lying length prefix then dies on
+	// EOF or a validation check, having cost only a small starter
+	// capacity), and counts with a structural bound are checked against it.
+	f := &flat{space: s, offs: []uint32{0}}
+	views := make([]Profile, 0, capAlloc(nProfiles))
 	for pi := 0; pi < nProfiles; pi++ {
 		size, err := u32()
 		if err != nil {
@@ -156,8 +158,7 @@ func Read(r io.Reader) (*Space, []*Profile, error) {
 			// sum to size, so nnz beyond size is corruption.
 			return nil, nil, fmt.Errorf("branch: profile %d has %d branch kinds but only %d nodes", pi, nnz, size)
 		}
-		elems := make([]vector.Elem, 0, capAlloc(nnz))
-		pos := make([][]Occurrence, 0, capAlloc(nnz))
+		lo, first := len(f.dims), len(f.occ)
 		for ei := 0; ei < nnz; ei++ {
 			dim, err := u32()
 			if err != nil {
@@ -166,6 +167,9 @@ func Read(r io.Reader) (*Space, []*Profile, error) {
 			if dim >= nKeys {
 				return nil, nil, fmt.Errorf("branch: profile %d references unknown dim %d", pi, dim)
 			}
+			if ei > 0 && vector.Dim(dim) <= f.dims[len(f.dims)-1] {
+				return nil, nil, fmt.Errorf("branch: profile %d: dimensions not strictly ascending at index %d", pi, ei)
+			}
 			count, err := u32()
 			if err != nil {
 				return nil, nil, err
@@ -173,8 +177,7 @@ func Read(r io.Reader) (*Space, []*Profile, error) {
 			if count == 0 || count > size {
 				return nil, nil, fmt.Errorf("branch: profile %d dim %d has bad count %d", pi, dim, count)
 			}
-			elems = append(elems, vector.Elem{Dim: vector.Dim(dim), Count: count})
-			occ := make([]Occurrence, 0, capAlloc(count))
+			f.dims = append(f.dims, vector.Dim(dim))
 			for oi := 0; oi < count; oi++ {
 				var o Occurrence
 				if err := binary.Read(br, binary.LittleEndian, &o.Pre); err != nil {
@@ -183,19 +186,22 @@ func Read(r io.Reader) (*Space, []*Profile, error) {
 				if err := binary.Read(br, binary.LittleEndian, &o.Post); err != nil {
 					return nil, nil, err
 				}
-				occ = append(occ, o)
+				f.occ = append(f.occ, o)
 			}
-			pos = append(pos, occ)
+			f.offs = append(f.offs, uint32(len(f.occ)))
 		}
-		vec, err := vector.FromSorted(elems)
-		if err != nil {
-			return nil, nil, fmt.Errorf("branch: profile %d: %w", pi, err)
+		if len(f.occ) > math.MaxUint32 {
+			return nil, nil, fmt.Errorf("branch: more than %d occurrences in one stream", uint32(math.MaxUint32))
 		}
-		if vec.Sum() != size {
-			return nil, nil, fmt.Errorf("branch: profile %d counts sum to %d, size says %d",
-				pi, vec.Sum(), size)
+		if sum := len(f.occ) - first; sum != size {
+			return nil, nil, fmt.Errorf("branch: profile %d counts sum to %d, size says %d", pi, sum, size)
 		}
-		ps = append(ps, Assemble(s, size, vec, pos))
+		views = append(views, Profile{Size: size, f: f, lo: uint32(lo), hi: uint32(len(f.dims))})
+	}
+	f.clip()
+	ps := make([]*Profile, len(views))
+	for i := range views {
+		ps[i] = &views[i]
 	}
 	return s, ps, nil
 }

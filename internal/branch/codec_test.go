@@ -2,6 +2,7 @@ package branch
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"treesim/internal/datagen"
@@ -41,17 +42,12 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%d profiles, want %d", len(ps2), len(ps))
 		}
 		for i := range ps {
-			if ps[i].Size != ps2[i].Size || !vector.Equal(ps[i].Vec, ps2[i].Vec) {
+			if ps[i].Size != ps2[i].Size || !vector.Equal(vectorOf(ps[i]), vectorOf(ps2[i])) {
 				t.Fatalf("profile %d vector changed", i)
 			}
-			for j := range ps[i].Pos {
-				if len(ps[i].Pos[j]) != len(ps2[i].Pos[j]) {
+			for j := 0; j < ps[i].NonZero(); j++ {
+				if !slices.Equal(ps[i].Occurrences(j), ps2[i].Occurrences(j)) {
 					t.Fatalf("profile %d dim %d positions changed", i, j)
-				}
-				for k := range ps[i].Pos[j] {
-					if ps[i].Pos[j][k] != ps2[i].Pos[j][k] {
-						t.Fatalf("profile %d dim %d occ %d changed", i, j, k)
-					}
 				}
 			}
 		}

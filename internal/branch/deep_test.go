@@ -30,8 +30,8 @@ func TestDeepTrees(t *testing.T) {
 	}
 	// A label-uniform path has exactly two distinct branches:
 	// (n, n, ε) ×(depth−1) and the leaf (n, ε, ε).
-	if p.Vec.NonZero() != 2 {
-		t.Fatalf("distinct branches = %d, want 2", p.Vec.NonZero())
+	if p.NonZero() != 2 {
+		t.Fatalf("distinct branches = %d, want 2", p.NonZero())
 	}
 
 	// A second path one node shorter is one delete away; bounds respect it.

@@ -1,7 +1,5 @@
 package branch
 
-import "treesim/internal/vector"
-
 // BDist returns the (q-level) binary branch distance of Definition 4: the
 // L1 distance of the two branch vectors. Complexity O(|T1| + |T2|).
 //
@@ -13,7 +11,32 @@ import "treesim/internal/vector"
 //	BDist(T1,T2) ≤ Factor(q) · EDist(T1,T2)
 func BDist(a, b *Profile) int {
 	sameSpace(a, b)
-	return vector.L1(a.Vec, b.Vec)
+	return a.Size + b.Size - 2*overlap(a, b)
+}
+
+// overlap returns the size of the multiset intersection of the two branch
+// vectors, Σ_d min(a[d], b[d]), by merging the sorted dimension arrays.
+// L1(a,b) = |a| + |b| − 2·overlap(a,b), which is also the form an inverted
+// file computes it in: one accumulator per tree, fed by the postings of the
+// query's branches.
+func overlap(a, b *Profile) int {
+	ad, bd := a.Dims(), b.Dims()
+	ao, bo := a.f.offs[a.lo:], b.f.offs[b.lo:]
+	ov := 0
+	i, j := 0, 0
+	for i < len(ad) && j < len(bd) {
+		switch {
+		case ad[i] < bd[j]:
+			i++
+		case ad[i] > bd[j]:
+			j++
+		default:
+			ov += int(min(ao[i+1]-ao[i], bo[j+1]-bo[j]))
+			i++
+			j++
+		}
+	}
+	return ov
 }
 
 // EditLowerBound converts a q-level binary branch distance into a lower

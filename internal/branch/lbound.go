@@ -21,23 +21,29 @@ package branch
 // Complexity: O((|T1|+|T2|) · log min(|T1|,|T2|)).
 func SearchLBound(a, b *Profile) int {
 	sameSpace(a, b)
-	f := Factor(a.Q())
-	prmin := a.Size - b.Size
-	if prmin < 0 {
-		prmin = -prmin
+	return searchFrom(a, b, Factor(a.Q()), sizeDiff(a, b), max(a.Size, b.Size))
+}
+
+// sizeDiff returns ||T1|−|T2||, the size lower bound and prmin of the
+// search.
+func sizeDiff(a, b *Profile) int {
+	if a.Size > b.Size {
+		return a.Size - b.Size
 	}
-	prmax := a.Size
-	if b.Size > prmax {
-		prmax = b.Size
-	}
-	if PosBDist(a, b, prmin) <= f*prmin {
-		return prmin
+	return b.Size - a.Size
+}
+
+// searchFrom returns the smallest pr in [lo, hi] with
+// PosBDist(a,b,pr) ≤ f·pr, given that the predicate holds at hi.
+func searchFrom(a, b *Profile, f, lo, hi int) int {
+	if lo >= hi || a.Size+b.Size-2*matched(a, b, lo) <= f*lo {
+		return lo
 	}
 	// Invariant: predicate fails at lo-1, holds at hi.
-	lo, hi := prmin+1, prmax
+	lo++
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if PosBDist(a, b, mid) <= f*mid {
+		if a.Size+b.Size-2*matched(a, b, mid) <= f*mid {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -56,9 +62,27 @@ func RangeLowerBound(a, b *Profile, tau int) int {
 	sameSpace(a, b)
 	f := Factor(a.Q())
 	atTau := (PosBDist(a, b, tau) + f - 1) / f
-	opt := SearchLBound(a, b)
-	if atTau > opt {
-		return atTau
+	return max(atTau, SearchLBound(a, b))
+}
+
+// RangeLowerBoundWithin decides RangeLowerBound(a,b,tau) ≤ tau with a
+// single PosBDist probe and reports the bound itself only for the pairs
+// that pass. The predicate PosBDist(pr) ≤ Factor(q)·pr is monotone in pr,
+// so SearchLBound(a,b) ≤ tau exactly when ||T1|−|T2|| ≤ tau and the
+// predicate holds at tau — which is also the ceil(PosBDist(tau)/Factor(q))
+// ≤ tau half of RangeLowerBound. When ok is false the returned value is
+// the failing half's bound, which exceeds tau; when ok is true it equals
+// RangeLowerBound(a,b,tau), found by searching [prmin, tau] only.
+func RangeLowerBoundWithin(a, b *Profile, tau int) (lb int, ok bool) {
+	sameSpace(a, b)
+	f := Factor(a.Q())
+	prmin := sizeDiff(a, b)
+	if prmin > tau {
+		return prmin, false
 	}
-	return opt
+	atTau := (PosBDist(a, b, tau) + f - 1) / f
+	if atTau > tau {
+		return atTau, false
+	}
+	return max(atTau, searchFrom(a, b, f, prmin, tau)), true
 }

@@ -30,22 +30,37 @@ package branch
 // everywhere.
 func PosBDist(a, b *Profile, pr int) int {
 	sameSpace(a, b)
-	matched := 0
-	ae, be := a.Vec.Elems(), b.Vec.Elems()
+	return a.Size + b.Size - 2*matched(a, b, pr)
+}
+
+// matched returns Σ_j |M'max(a,b,j,pr)| by merging the sorted dimension
+// arrays and matching the occurrence lists of each shared dimension.
+func matched(a, b *Profile, pr int) int {
+	ad, bd := a.Dims(), b.Dims()
+	ao, bo := a.f.offs[a.lo:], b.f.offs[b.lo:]
+	m := 0
 	i, j := 0, 0
-	for i < len(ae) && j < len(be) {
+	for i < len(ad) && j < len(bd) {
 		switch {
-		case ae[i].Dim < be[j].Dim:
+		case ad[i] < bd[j]:
 			i++
-		case ae[i].Dim > be[j].Dim:
+		case ad[i] > bd[j]:
 			j++
 		default:
-			matched += MatchSize(a.Pos[i], b.Pos[j], pr)
+			av, bv := a.f.occ[ao[i]:ao[i+1]], b.f.occ[bo[j]:bo[j+1]]
+			if len(av) == 1 && len(bv) == 1 {
+				// The common case, settled without a call.
+				if compatible(av[0], bv[0], pr) {
+					m++
+				}
+			} else {
+				m += MatchSize(av, bv, pr)
+			}
 			i++
 			j++
 		}
 	}
-	return a.Size + b.Size - 2*matched
+	return m
 }
 
 // MatchSize returns |M'max|: the maximum number of occurrence pairs (one

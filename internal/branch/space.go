@@ -71,23 +71,30 @@ func (s *Space) Size() int {
 func (s *Space) WindowLen() int { return (1 << uint(s.q)) - 1 }
 
 // intern returns the dimension of the branch encoded by key, assigning a
-// fresh dimension on first sight.
-func (s *Space) intern(key string) vector.Dim {
-	s.mu.RLock()
-	id, ok := s.ids[key]
-	s.mu.RUnlock()
-	if ok {
+// fresh dimension on first sight. The key bytes are copied only then.
+func (s *Space) intern(key []byte) vector.Dim {
+	if id, ok := s.lookup(key); ok {
 		return id
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id, ok := s.ids[key]; ok {
+	if id, ok := s.ids[string(key)]; ok {
 		return id
 	}
-	id = vector.Dim(len(s.keys))
-	s.keys = append(s.keys, key)
-	s.ids[key] = id
+	id := vector.Dim(len(s.keys))
+	k := string(key)
+	s.keys = append(s.keys, k)
+	s.ids[k] = id
 	return id
+}
+
+// lookup returns the dimension of the branch encoded by key, if the space
+// has interned it. It never modifies the space.
+func (s *Space) lookup(key []byte) (vector.Dim, bool) {
+	s.mu.RLock()
+	id, ok := s.ids[string(key)]
+	s.mu.RUnlock()
+	return id, ok
 }
 
 // Key returns the encoded key of dimension d. It panics if d was never
@@ -115,15 +122,14 @@ func KeyLabels(key string) []string {
 	return out
 }
 
-// encodeKey builds an unambiguous string key from a label sequence using
+// appendKey appends the unambiguous key of a label sequence to dst using
 // length prefixes ("<len>:<label>" per label), so labels containing any
 // byte sequence are handled.
-func encodeKey(seq []string) string {
-	var sb strings.Builder
+func appendKey(dst []byte, seq []string) []byte {
 	for _, l := range seq {
-		sb.WriteString(strconv.Itoa(len(l)))
-		sb.WriteByte(':')
-		sb.WriteString(l)
+		dst = strconv.AppendInt(dst, int64(len(l)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, l...)
 	}
-	return sb.String()
+	return dst
 }

@@ -31,8 +31,11 @@ func AblationPositional(cfg Config) *Table {
 	qs := cfg.sampleQueries(ts, rng)
 	k := cfg.k(len(ts))
 
-	pos := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: true})
-	plain := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: false})
+	// One refine worker: with several, how many candidates a k-NN query
+	// verifies before the k-th-best distance settles depends on timing,
+	// and the table compares exactly that count.
+	pos := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: true}, search.WithRefineWorkers(1))
+	plain := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: false}, search.WithRefineWorkers(1))
 
 	t := &Table{
 		Figure:  "Ablation: positional bound",

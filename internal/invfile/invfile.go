@@ -1,128 +1,108 @@
-// Package invfile implements the extended inverted file index (IFI) of
-// Algorithm 1. The vocabulary is the set of distinct q-level binary
-// branches of the whole dataset (the alphabet Γ, interned by a
-// branch.Space); the inverted list of each branch records, per tree, the
-// number of occurrences and the preorder/postorder positions at which the
-// branch occurs. Scanning the IFI emits the sparse branch vector and
-// position arrays of every tree — the batch counterpart of profiling trees
-// one by one, and the representation a disk-resident system would persist.
+// Package invfile implements the inverted file index (IFI) of Algorithm 1
+// as a scan structure over a segment's profiles. The vocabulary is the set of
+// distinct q-level binary branches of the segment (dimensions interned by
+// its branch.Space); the inverted list of each branch records, per tree
+// that contains it, the number of occurrences. One term-at-a-time sweep
+// over the lists of a query's branches then yields the branch-vector
+// overlap — hence BDist = |q| + |t| − 2·overlap — of every tree in the
+// segment, without opening the profile of a single tree. The search
+// filter does not build one yet — its BDist tier merge-joins per tree — so
+// today the package is exercised by its tests, FuzzBoundCascade and the
+// postings-vs-merge-join ablation benchmark (ROADMAP open item 2).
+//
+// The occurrence positions of Algorithm 1's extended lists stay with the
+// per-tree profiles (branch.Profile): the positional bound is only ever
+// computed pairwise, for the few trees the BDist tier leaves standing, so
+// it wants them grouped by tree, not by branch.
 package invfile
 
 import (
-	"fmt"
-	"sort"
-
 	"treesim/internal/branch"
-	"treesim/internal/tree"
 	"treesim/internal/vector"
 )
 
-// Posting is one entry of an inverted list: the occurrences of a branch in
-// one tree. Pre and Post are parallel, ordered by ascending Pre.
+// Posting is one entry of an inverted list: how often the list's branch
+// occurs in one tree of the segment.
 type Posting struct {
-	TreeID int32
-	Pre    []int32
-	Post   []int32
+	Tree  uint32 // segment-local position of the tree
+	Count uint32
 }
 
-// Count returns the number of occurrences of the branch in the tree.
-func (p *Posting) Count() int { return len(p.Pre) }
-
-// Index is the populated inverted file.
+// Index is the populated inverted file, in compressed sparse row layout:
+// the lists of all dimensions back to back in one array, each in ascending
+// tree order.
 type Index struct {
-	space    *branch.Space
-	postings map[vector.Dim][]*Posting
-	sizes    []int // node count per tree, indexed by TreeID
+	// sizes[t] is |T| of tree t, what a BDist accumulator starts from.
+	sizes []int32
+	// start[d] is where dimension d's list begins in posts; the final
+	// entry is the total, so list d is posts[start[d]:start[d+1]].
+	start []uint32
+	posts []Posting
 }
 
-// Build constructs the IFI over the dataset in one pass (Algorithm 1 lines
-// 1–5): each tree is traversed once and every branch occurrence is appended
-// to the tail of its inverted list, so construction is linear in the total
-// node count Σ|Ti|.
-func Build(space *branch.Space, ts []*tree.Tree) *Index {
-	x := &Index{
-		space:    space,
-		postings: make(map[vector.Dim][]*Posting),
-		sizes:    make([]int, len(ts)),
+// Build constructs the inverted file over a segment's profiles (position i
+// of the slice is tree i) by a counting sort over their Σ nnz coordinates:
+// one pass sizes the lists, one fills them. Visiting the trees in order
+// leaves every list sorted by tree.
+func Build(ps []*branch.Profile) *Index {
+	vocab, nnz := 0, 0
+	for _, p := range ps {
+		if ds := p.Dims(); len(ds) > 0 {
+			vocab = max(vocab, int(ds[len(ds)-1])+1)
+			nnz += len(ds)
+		}
 	}
-	for id, t := range ts {
-		x.sizes[id] = space.Branches(t, func(d vector.Dim, pre, post int32) {
-			list := x.postings[d]
-			if len(list) == 0 || list[len(list)-1].TreeID != int32(id) {
-				list = append(list, &Posting{TreeID: int32(id)})
-				x.postings[d] = list
-			}
-			p := list[len(list)-1]
-			p.Pre = append(p.Pre, pre)
-			p.Post = append(p.Post, post)
-		})
+	x := &Index{sizes: make([]int32, len(ps)), start: make([]uint32, vocab+1), posts: make([]Posting, nnz)}
+	for t, p := range ps {
+		x.sizes[t] = int32(p.Size)
+		for _, d := range p.Dims() {
+			x.start[d+1]++
+		}
+	}
+	for d := 0; d < vocab; d++ {
+		x.start[d+1] += x.start[d]
+	}
+	// next[d] walks from start[d] to start[d+1] as the list fills.
+	next := make([]uint32, vocab)
+	copy(next, x.start)
+	for t, p := range ps {
+		for i, d := range p.Dims() {
+			x.posts[next[d]] = Posting{Tree: uint32(t), Count: uint32(p.Count(i))}
+			next[d]++
+		}
 	}
 	return x
 }
 
-// Space returns the branch space (vocabulary interner) of the index.
-func (x *Index) Space() *branch.Space { return x.space }
-
 // Trees returns the number of indexed trees.
 func (x *Index) Trees() int { return len(x.sizes) }
 
-// Vocabulary returns the number of distinct branches with at least one
-// posting.
-func (x *Index) Vocabulary() int { return len(x.postings) }
-
-// TotalNodes returns Σ|Ti| over the indexed trees — the quantity the
-// linear time/space complexity claims of Section 4.4 are stated in.
-func (x *Index) TotalNodes() int {
-	s := 0
-	for _, n := range x.sizes {
-		s += n
+// PostingList returns the inverted list of dimension d in ascending tree
+// order (empty for a dimension no indexed tree contains). The slice is
+// shared; do not modify.
+func (x *Index) PostingList(d vector.Dim) []Posting {
+	if int(d)+1 >= len(x.start) {
+		return nil
 	}
-	return s
+	return x.posts[x.start[d]:x.start[d+1]]
 }
 
-// PostingList returns the inverted list of dimension d in tree-id order
-// (the append order of Build). The slice is shared; do not modify.
-func (x *Index) PostingList(d vector.Dim) []*Posting { return x.postings[d] }
-
-// Profiles scans the whole IFI and materializes the sparse branch vector
-// and position arrays of every indexed tree (Algorithm 1 lines 6–13). The
-// result is identical to profiling each tree individually with
-// Space.Profile.
-func (x *Index) Profiles() []*branch.Profile {
-	type acc struct {
-		elems []vector.Elem
-		pos   [][]branch.Occurrence
+// BDists returns the binary branch distance of every indexed tree to the
+// query: each tree's accumulator starts at |q| + |t| and one sweep over the
+// inverted lists of the query's dimensions takes off twice the multiset
+// intersection Σ_d min(q[d], t[d]). The cost is the total length of those
+// lists plus one pass over the sizes, not the size of the segment's
+// profiles. q must come from the space the indexed profiles were built in.
+func (x *Index) BDists(q *branch.Profile) []int32 {
+	acc := make([]int32, len(x.sizes))
+	for t, size := range x.sizes {
+		acc[t] = int32(q.Size) + size
 	}
-	accs := make([]acc, len(x.sizes))
-
-	dims := make([]vector.Dim, 0, len(x.postings))
-	for d := range x.postings {
-		dims = append(dims, d)
-	}
-	sort.Slice(dims, func(i, j int) bool { return dims[i] < dims[j] })
-
-	for _, d := range dims {
-		for _, p := range x.postings[d] {
-			a := &accs[p.TreeID]
-			a.elems = append(a.elems, vector.Elem{Dim: d, Count: p.Count()})
-			occ := make([]branch.Occurrence, p.Count())
-			for i := range occ {
-				occ[i] = branch.Occurrence{Pre: p.Pre[i], Post: p.Post[i]}
-			}
-			a.pos = append(a.pos, occ)
+	for i, d := range q.Dims() {
+		qc := uint32(q.Count(i))
+		for _, p := range x.PostingList(d) {
+			acc[p.Tree] -= 2 * int32(min(qc, p.Count))
 		}
 	}
-
-	out := make([]*branch.Profile, len(x.sizes))
-	for id := range accs {
-		// Dimensions were visited in ascending order, so each tree's
-		// coordinate list is already sorted and parallel to its position
-		// lists.
-		v, err := vector.FromSorted(accs[id].elems)
-		if err != nil {
-			panic(fmt.Sprintf("invfile: corrupt postings for tree %d: %v", id, err))
-		}
-		out[id] = branch.Assemble(x.space, x.sizes[id], v, accs[id].pos)
-	}
-	return out
+	return acc
 }

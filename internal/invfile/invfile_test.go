@@ -15,59 +15,59 @@ func dataset() []*tree.Tree {
 	return g.Dataset(40, 4)
 }
 
-// TestProfilesMatchDirect: scanning the IFI yields exactly the same
-// profiles as profiling each tree directly (Algorithm 1's two halves are
-// consistent).
+// TestProfilesMatchDirect: reading the inverted lists back by tree yields
+// exactly the branch vector of each directly profiled tree (Algorithm 1's
+// two halves are consistent).
 func TestProfilesMatchDirect(t *testing.T) {
 	ts := dataset()
 	for _, q := range []int{2, 3} {
 		space := branch.NewSpace(q)
 		direct := space.ProfileAll(ts)
-		x := Build(space, ts)
-		scanned := x.Profiles()
-		if len(scanned) != len(direct) {
-			t.Fatalf("q=%d: %d profiles, want %d", q, len(scanned), len(direct))
+		x := Build(direct)
+		scanned := make([]*vector.Builder, len(ts))
+		for i := range scanned {
+			scanned[i] = vector.NewBuilder()
 		}
-		for i := range direct {
-			if !vector.Equal(direct[i].Vec, scanned[i].Vec) {
+		for d := 0; d < space.Size(); d++ {
+			for _, p := range x.PostingList(vector.Dim(d)) {
+				scanned[p.Tree].Add(vector.Dim(d), int(p.Count))
+			}
+		}
+		for i, p := range direct {
+			want := vector.NewBuilder()
+			for j, d := range p.Dims() {
+				want.Add(d, p.Count(j))
+			}
+			if got := scanned[i].MustVector(); !vector.Equal(want.MustVector(), got) {
 				t.Fatalf("q=%d tree %d: vectors differ\n direct: %v\n scanned: %v",
-					q, i, direct[i].Vec, scanned[i].Vec)
-			}
-			if direct[i].Size != scanned[i].Size {
-				t.Fatalf("q=%d tree %d: sizes differ", q, i)
-			}
-			for j := range direct[i].Pos {
-				if len(direct[i].Pos[j]) != len(scanned[i].Pos[j]) {
-					t.Fatalf("q=%d tree %d dim %d: occurrence lists differ", q, i, j)
-				}
-				for k := range direct[i].Pos[j] {
-					if direct[i].Pos[j][k] != scanned[i].Pos[j][k] {
-						t.Fatalf("q=%d tree %d dim %d occ %d: %v vs %v",
-							q, i, j, k, direct[i].Pos[j][k], scanned[i].Pos[j][k])
-					}
-				}
+					q, i, want.MustVector(), got)
 			}
 		}
 	}
 }
 
-// TestDistancesMatch: branch distances computed through IFI-scanned
-// profiles agree with the direct ones.
+// TestDistancesMatch: branch distances computed through the postings
+// accumulator agree with the pairwise merge-join ones, for queries from
+// the dataset and for a lookup-only query profile with unseen branches.
 func TestDistancesMatch(t *testing.T) {
-	ts := dataset()[:12]
+	ts := dataset()
 	space := branch.NewSpace(2)
-	direct := space.ProfileAll(ts)
-	scanned := Build(branch.NewSpace(2), ts).Profiles()
-	for i := range ts {
-		for j := range ts {
-			want := branch.BDist(direct[i], direct[j])
-			got := branch.BDist(scanned[i], scanned[j])
-			if got != want {
-				t.Fatalf("BDist(%d,%d): scanned %d, direct %d", i, j, got, want)
-			}
-			if lb, lb2 := branch.SearchLBound(direct[i], direct[j]),
-				branch.SearchLBound(scanned[i], scanned[j]); lb != lb2 {
-				t.Fatalf("SearchLBound(%d,%d): scanned %d, direct %d", i, j, lb2, lb)
+	ps := space.ProfileAll(ts[:30])
+	x := Build(ps)
+	queries := append([]*branch.Profile{}, ps[:12]...)
+	for _, qt := range ts[30:] {
+		queries = append(queries, space.QueryProfile(qt))
+	}
+	queries = append(queries, space.QueryProfile(tree.MustParse("zz(zz(zz),b)")))
+	for qi, q := range queries {
+		acc := x.BDists(q)
+		if len(acc) != len(ps) {
+			t.Fatalf("accumulator has %d slots, want %d", len(acc), len(ps))
+		}
+		for j, p := range ps {
+			want := branch.BDist(q, p)
+			if got := int(acc[j]); got != want {
+				t.Fatalf("BDist(query %d, tree %d): accumulator %d, merge-join %d", qi, j, got, want)
 			}
 		}
 	}
@@ -76,7 +76,7 @@ func TestDistancesMatch(t *testing.T) {
 func TestIndexAccounting(t *testing.T) {
 	ts := dataset()
 	space := branch.NewSpace(2)
-	x := Build(space, ts)
+	x := Build(space.ProfileAll(ts))
 	if x.Trees() != len(ts) {
 		t.Errorf("Trees = %d, want %d", x.Trees(), len(ts))
 	}
@@ -84,56 +84,50 @@ func TestIndexAccounting(t *testing.T) {
 	for _, tr := range ts {
 		total += tr.Size()
 	}
-	if x.TotalNodes() != total {
-		t.Errorf("TotalNodes = %d, want %d", x.TotalNodes(), total)
-	}
-	if x.Vocabulary() == 0 || x.Vocabulary() != space.Size() {
-		t.Errorf("Vocabulary = %d, space = %d", x.Vocabulary(), space.Size())
-	}
-	// Postings cover all nodes exactly once.
+	// Every branch of the vocabulary has a list, and the postings cover
+	// all nodes exactly once.
 	covered := 0
 	for d := 0; d < space.Size(); d++ {
+		if len(x.PostingList(vector.Dim(d))) == 0 {
+			t.Errorf("dimension %d of the vocabulary has no postings", d)
+		}
 		for _, p := range x.PostingList(vector.Dim(d)) {
-			covered += p.Count()
-			if len(p.Pre) != len(p.Post) {
-				t.Fatal("pre/post lists not parallel")
+			if p.Count == 0 {
+				t.Fatalf("dim %d: empty posting for tree %d", d, p.Tree)
 			}
-			for k := 1; k < len(p.Pre); k++ {
-				if p.Pre[k] <= p.Pre[k-1] {
-					t.Fatal("posting Pre positions not ascending")
-				}
-			}
+			covered += int(p.Count)
 		}
 	}
 	if covered != total {
 		t.Errorf("postings cover %d occurrences, want %d", covered, total)
 	}
+	if got := x.PostingList(vector.Dim(space.Size() + 7)); len(got) != 0 {
+		t.Errorf("dimension beyond the vocabulary has %d postings", len(got))
+	}
 }
 
-func TestSpaceAccessorAndPostingOrder(t *testing.T) {
+func TestPostingOrder(t *testing.T) {
 	ts := dataset()
 	space := branch.NewSpace(2)
-	x := Build(space, ts)
-	if x.Space() != space {
-		t.Error("Space accessor broken")
-	}
-	// Postings are appended in tree order, so tree ids ascend per list.
+	x := Build(space.ProfileAll(ts))
+	// Postings are filled in tree order, so tree positions ascend per list.
 	for d := 0; d < space.Size(); d++ {
 		list := x.PostingList(vector.Dim(d))
 		for k := 1; k < len(list); k++ {
-			if list[k].TreeID <= list[k-1].TreeID {
-				t.Fatalf("dim %d: posting tree ids not ascending", d)
+			if list[k].Tree <= list[k-1].Tree {
+				t.Fatalf("dim %d: posting trees not ascending", d)
 			}
 		}
 	}
 }
 
 func TestEmptyDataset(t *testing.T) {
-	x := Build(branch.NewSpace(2), nil)
-	if x.Trees() != 0 || x.Vocabulary() != 0 || x.TotalNodes() != 0 {
+	x := Build(nil)
+	if x.Trees() != 0 || len(x.PostingList(0)) != 0 {
 		t.Error("empty dataset index should be empty")
 	}
-	if got := x.Profiles(); len(got) != 0 {
-		t.Error("empty dataset should yield no profiles")
+	q := branch.NewSpace(2).QueryProfile(tree.MustParse("a(b)"))
+	if got := x.BDists(q); len(got) != 0 {
+		t.Error("empty dataset should yield no distances")
 	}
 }

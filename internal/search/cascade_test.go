@@ -1,0 +1,242 @@
+package search
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"testing"
+
+	"treesim/internal/branch"
+	"treesim/internal/editdist"
+	"treesim/internal/tree"
+)
+
+// bruteKNN answers a k-NN query the way the engine did before the cascade:
+// the positional SearchLBound of every visible tree, a sort by (bound, id),
+// and sequential verification under the live k-th-best cutoff. It returns
+// the results, the candidate count and how many trees it verified.
+func bruteKNN(trees map[int]*tree.Tree, q *tree.Tree, k int) (res []Result, candidates, verified int) {
+	s := branch.NewSpace(2)
+	qp := s.Profile(q)
+	type bounded struct{ id, bound int }
+	var order []bounded
+	for id, t := range trees {
+		order = append(order, bounded{id, branch.SearchLBound(qp, s.Profile(t))})
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].bound != order[j].bound {
+			return order[i].bound < order[j].bound
+		}
+		return order[i].id < order[j].id
+	})
+	k = min(k, len(order))
+	cutoff := math.MaxInt
+	for _, o := range order {
+		if o.bound > cutoff {
+			break
+		}
+		verified++
+		d, within := editdist.DistanceWithin(q, trees[o.id], cutoff)
+		if !within {
+			continue
+		}
+		res = append(res, Result{ID: o.id, Dist: d})
+		sortResults(res)
+		if len(res) >= k {
+			res = res[:k]
+			cutoff = res[k-1].Dist
+		}
+	}
+	for _, o := range order {
+		if len(res) > 0 && o.bound <= res[len(res)-1].Dist {
+			candidates++
+		}
+	}
+	return res, candidates, verified
+}
+
+// bruteRange is the same for a range query: RangeLowerBound of every
+// visible tree, every candidate verified.
+func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int) (res []Result, candidates int) {
+	s := branch.NewSpace(2)
+	qp := s.Profile(q)
+	for id, t := range trees {
+		if branch.RangeLowerBound(qp, s.Profile(t), tau) > tau {
+			continue
+		}
+		candidates++
+		if d := editdist.Distance(q, t); d <= tau {
+			res = append(res, Result{ID: id, Dist: d})
+		}
+	}
+	sortResults(res)
+	return res, candidates
+}
+
+// TestCascadeMatchesFullBoundScan: the bound cascade — postings
+// accumulator, size and BDist tiers, positional bound for survivors only,
+// tightened lazily for k-NN — answers exactly like a scan that computes
+// the full positional bound for every tree: same results, same candidate
+// count and, with one worker, the same verifications, on every storage
+// layout (segments with an inverted file, sealed memtables and a live
+// memtable without one, a reloaded snapshot) with and without tombstones.
+// The funnel accounts for every tree the filter dropped.
+func TestCascadeMatchesFullBoundScan(t *testing.T) {
+	const n = 70
+	all := testDataset(n, 91)
+	opts := []IndexOption{NewBiBranch(), WithShards(1), WithRefineWorkers(1), WithCompactionThreshold(-1)}
+	layouts := map[string]func() *Index{
+		"one-segment": func() *Index { return NewIndex(all, opts...) },
+		"segments+memtable": func() *Index {
+			ix := NewIndex(all[:20], append(opts, WithMemtableSize(8))...)
+			for _, tr := range all[20:] {
+				ix.Insert(tr)
+			}
+			return ix
+		},
+		"compacted": func() *Index {
+			ix := NewIndex(all[:20], append(opts, WithMemtableSize(8))...)
+			for _, tr := range all[20:] {
+				ix.Insert(tr)
+			}
+			ix.Seal()
+			if !ix.Compact() {
+				t.Fatal("compaction did not run")
+			}
+			return ix
+		},
+	}
+	queries := append([]*tree.Tree{all[0], all[33], all[69]}, testDataset(3, 92)...)
+
+	for lname, build := range layouts {
+		for _, deleted := range [][]int{nil, {0, 7, 21, 33, 40, 68}} {
+			for _, reload := range []bool{false, true} {
+				name := fmt.Sprintf("%s/deleted=%d/reload=%v", lname, len(deleted), reload)
+				ix := build()
+				visible := make(map[int]*tree.Tree)
+				for id, tr := range all {
+					visible[id] = tr
+				}
+				for _, id := range deleted {
+					if !ix.Delete(id) {
+						t.Fatalf("%s: delete %d refused", name, id)
+					}
+					delete(visible, id)
+				}
+				if reload {
+					var buf bytes.Buffer
+					if err := SaveIndex(&buf, ix); err != nil {
+						t.Fatal(err)
+					}
+					var err error
+					if ix, err = LoadIndex(&buf, opts[1:]...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for qi, q := range queries {
+					for _, k := range []int{1, 5, 12} {
+						want, wantCands, wantVerified := bruteKNN(visible, q, k)
+						got, st, err := ix.KNN(context.Background(), q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: query %d k=%d = %v, want %v", name, qi, k, got, want)
+						}
+						if st.Candidates != wantCands || st.Verified != wantVerified {
+							t.Fatalf("%s: query %d k=%d: candidates %d verified %d, full-bound scan %d / %d",
+								name, qi, k, st.Candidates, st.Verified, wantCands, wantVerified)
+						}
+						if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
+							t.Fatalf("%s: query %d k=%d: funnel %+v sums to %d, dataset %d − candidates %d",
+								name, qi, k, st.Pruned, sum, st.Dataset, st.Candidates)
+						}
+					}
+					for _, tau := range []int{0, 2, 5} {
+						want, wantCands := bruteRange(visible, q, tau)
+						got, st, err := ix.Range(context.Background(), q, tau)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: query %d tau=%d = %v, want %v", name, qi, tau, got, want)
+						}
+						if st.Candidates != wantCands || st.Verified != wantCands {
+							t.Fatalf("%s: query %d tau=%d: candidates %d verified %d, full-bound scan %d",
+								name, qi, tau, st.Candidates, st.Verified, wantCands)
+						}
+						if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
+							t.Fatalf("%s: query %d tau=%d: funnel %+v sums to %d, dataset %d − candidates %d",
+								name, qi, tau, st.Pruned, sum, st.Dataset, st.Candidates)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFunnelEveryFilter: whatever the filter family and shard count, the
+// funnel sums to Dataset − Candidates; a filter without cheaper tiers
+// charges everything to its one bound, and the VP-tree's unvisited trees
+// are charged to the BDist tier.
+func TestFunnelEveryFilter(t *testing.T) {
+	ts := testDataset(80, 93)
+	for _, f := range shardFilters() {
+		for _, shards := range []int{1, 3} {
+			ix := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(shards))
+			for _, q := range []*tree.Tree{ts[5], ts[61]} {
+				_, ks, _ := ix.KNN(context.Background(), q, 4)
+				_, rs, _ := ix.Range(context.Background(), q, 3)
+				for op, st := range map[string]Stats{"knn": ks, "range": rs} {
+					if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
+						t.Errorf("%s S=%d %s: funnel %+v sums to %d, want %d", f.Name(), shards, op, st.Pruned, sum, st.Dataset-st.Candidates)
+					}
+					switch f.(type) {
+					case *Histo, *Seq, *None, *PivotBiBranch:
+						if st.Pruned.Size+st.Pruned.BDist != 0 {
+							t.Errorf("%s %s: single-bound filter charged cheap tiers: %+v", f.Name(), op, st.Pruned)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQueriesDoNotGrowTheSpace: a thousand queries full of labels the
+// dataset has never seen leave the filter's vocabulary where indexing put
+// it, and bound exactly as an interning query profile would.
+func TestQueriesDoNotGrowTheSpace(t *testing.T) {
+	ts := testDataset(40, 94)
+	f := NewBiBranch()
+	ix := NewIndex(ts, f)
+	vocab := f.Space().Size()
+	for i := 0; i < 1000; i++ {
+		q := tree.MustParse(fmt.Sprintf("fresh%d(b,novel%d(c),d)", i, i))
+		if _, _, err := ix.KNN(context.Background(), q, 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ix.Range(context.Background(), q, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.Space().Size(); got != vocab {
+		t.Fatalf("space grew from %d to %d dimensions under queries", vocab, got)
+	}
+
+	q := tree.MustParse("fresh(l1(l2,novel),l3)")
+	b := f.Query(q)
+	interned := f.Space().Profile(q) // grows the space; last, on purpose
+	for i, p := range f.Profiles() {
+		if got, want := b.(BDister).BDist(i), branch.BDist(interned, p); got != want {
+			t.Fatalf("tree %d: BDist %d through the lookup profile, %d interned", i, got, want)
+		}
+		if got, want := b.KNNBound(i), branch.SearchLBound(interned, p); got != want {
+			t.Fatalf("tree %d: bound %d through the lookup profile, %d interned", i, got, want)
+		}
+	}
+}

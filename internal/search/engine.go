@@ -12,6 +12,7 @@ import (
 
 	"treesim/internal/editdist"
 	"treesim/internal/obs"
+	"treesim/internal/segstore"
 	"treesim/internal/tree"
 )
 
@@ -20,24 +21,35 @@ import (
 // plus a frozen memtable snapshot — and flattens them into one global
 // position domain [0, n); positions ascend with dataset ids. The filter
 // stage partitions that domain into S contiguous shards (S = WithShards,
-// default GOMAXPROCS, clamped to the domain size) whose lower bounds are
-// computed concurrently on the index's shared worker pool, each position
-// bounded by its own segment's filter; the refine stage fans
-// exact-distance verifications over the same pool, with a k-NN query
-// propagating its current k-th-best distance across workers through an
-// atomic so late verifications prune harder. Tombstoned positions are
-// skipped before any bound is computed.
+// default GOMAXPROCS, clamped to the domain size) bounded concurrently on
+// the index's shared worker pool, each position by its own segment's
+// filter; the refine stage fans exact-distance verifications over the same
+// pool, with a k-NN query propagating its current k-th-best distance across
+// workers through an atomic so late verifications prune harder. Tombstoned
+// positions are skipped before any bound is computed.
+//
+// The filter is a bound cascade, cheapest tier first (see Bounder): the
+// size bound ||q|−|t||, then ⌈BDist/Factor⌉ — one merge-join of two flat
+// branch vectors per tree — and only for the trees both leave standing the
+// filter's full bound, the positional one. A range query stands a tree
+// down at tau; a k-NN query at the live k-th-best distance, so it computes
+// full bounds lazily, in cheap-bound order, while it verifies (see
+// knnScan). Every tier is a sound lower bound that the full
+// bound dominates, so a tree a cheap tier prunes the full bound would
+// prune too: candidates, their bounds, the verification order and the
+// results are what computing the full bound for every tree would give.
+// Stats.Pruned reports how many trees each tier eliminated.
 //
 // Results are shard- and segment-layout invariant by construction:
 //
-//   - every visible tree's bound is computed exactly once, into its own
-//     slot, and every per-segment bound is a sound lower bound of the
-//     same edit distance (differently-built filters only differ in
+//   - every visible tree is bounded exactly once per tier it reaches, into
+//     its own slot, and every per-segment bound is a sound lower bound of
+//     the same edit distance (differently-built filters only differ in
 //     tightness, never in soundness);
-//   - k-NN candidates are globally merged in ascending (bound, id) order,
-//     and the top-k heap breaks distance ties by id, so the answer is the
-//     unique k-minimal (dist, id) set no matter which worker verified
-//     what or how the dataset is cut into segments;
+//   - k-NN candidates are verified in ascending (bound, id) order, and the
+//     top-k heap breaks distance ties by id, so the answer is the unique
+//     k-minimal (dist, id) set no matter which worker verified what or how
+//     the dataset is cut into segments;
 //   - a verification is skipped only when its bound exceeds the atomic
 //     threshold, which never rises and ends at the final k-th distance —
 //     by the lower-bound property such a tree cannot be in the answer.
@@ -53,9 +65,9 @@ import (
 //
 // Stats.Verified (and therefore FalsePositives and Tightness) for k-NN can
 // vary with worker timing — opportunistic pruning means a fast machine may
-// verify a few candidates a slow one skips — but results, Candidates and
-// Results are deterministic. Range queries verify every candidate, so all
-// their counters are deterministic too.
+// verify a few candidates a slow one skips — but results, Candidates, the
+// funnel and Results are deterministic. Range queries verify every
+// candidate, so all their counters are deterministic too.
 
 // shardCount resolves the shard count for a domain of n items.
 func (ix *Index) shardCount(n int) int {
@@ -75,50 +87,6 @@ func (ix *Index) shardCount(n int) int {
 // shardRange returns the half-open range of shard s out of S over n items.
 func shardRange(n, S, s int) (lo, hi int) {
 	return s * n / S, (s + 1) * n / S
-}
-
-// sortByBound orders positions by ascending (bound, position). Positions
-// ascend with dataset ids, so this is the canonical (bound, id) order.
-func sortByBound(ids []int, bounds []int) {
-	sort.Slice(ids, func(x, y int) bool {
-		bx, by := bounds[ids[x]], bounds[ids[y]]
-		if bx != by {
-			return bx < by
-		}
-		return ids[x] < ids[y]
-	})
-}
-
-// mergeRuns merges per-shard (bound, position)-sorted runs into one
-// globally sorted order. Shard counts are small (≈ GOMAXPROCS), so a
-// linear scan over the run heads beats heap bookkeeping.
-func mergeRuns(runs [][]int, bounds []int) []int {
-	if len(runs) == 1 {
-		return runs[0]
-	}
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]int, 0, total)
-	heads := make([]int, len(runs))
-	for len(out) < total {
-		bestS := -1
-		bestID := 0
-		for s, r := range runs {
-			if heads[s] >= len(r) {
-				continue
-			}
-			id := r[heads[s]]
-			if bestS < 0 || bounds[id] < bounds[bestID] ||
-				(bounds[id] == bounds[bestID] && id < bestID) {
-				bestS, bestID = s, id
-			}
-		}
-		out = append(out, bestID)
-		heads[bestS]++
-	}
-	return out
 }
 
 // knn runs one k-NN query (Algorithm 2, sharded across segments).
@@ -141,34 +109,26 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, qc *queryConfig, 
 
 	start := time.Now()
 	fspan := span.StartChild("filter")
-	prims, order, bounds, err := ix.filterKNN(ctx, cut, q, fspan)
+	sc, err := ix.filterKNN(ctx, cut, q, fspan)
 	stats.FilterTime = time.Since(start)
 	if err != nil {
 		fspan.SetBool("canceled", true)
 		fspan.End()
 		return nil, stats, err
 	}
-	fspan.SetInt("candidates", int64(len(order)))
+	fspan.SetInt("candidates", int64(len(sc.heap)))
 	fspan.SetInt("segments", int64(len(cut.segs)))
 	fspan.End()
-	if ex != nil && len(order) > 0 {
-		// order is sorted by bound, so the distribution falls out of the
-		// nearest-rank positions directly.
-		n := len(order)
-		ex.Bounds = BoundDist{
-			Computed: n,
-			Min:      bounds[order[0]],
-			P50:      bounds[order[(n-1)/2]],
-			P99:      bounds[order[(n-1)*99/100]],
-			Max:      bounds[order[n-1]],
-		}
-	}
 
 	start = time.Now()
 	rspan := span.StartChild("refine")
-	out, err := ix.refineKNN(ctx, cut, q, k, order, bounds, prims, &stats, ex, rspan)
-	stats.RefineTime = time.Since(start)
-	rspan.SetInt("pruned", int64(len(order)-stats.Verified))
+	out, err := ix.refineKNN(ctx, cut, q, k, sc, &stats, ex, rspan)
+	// Full bounds are computed lazily, between verifications; their time
+	// is the filter's, not the refine stage's.
+	stats.FilterTime += sc.tightenTime
+	stats.RefineTime = time.Since(start) - sc.tightenTime
+	rspan.SetInt("pruned", int64(cut.live-stats.Verified))
+	sc.prims.report(fspan)
 	if err != nil {
 		rspan.SetInt("verified", int64(stats.Verified))
 		rspan.SetBool("canceled", true)
@@ -179,10 +139,11 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, qc *queryConfig, 
 	if len(out) > 0 {
 		// A tree is a candidate when its bound does not exceed the final
 		// k-th distance: no verification order could prune it unverified.
-		worst := out[len(out)-1].Dist
-		stats.Candidates = sort.Search(len(order), func(i int) bool {
-			return bounds[order[i]] > worst
-		})
+		stats.Candidates, stats.Pruned = sc.funnel(out[len(out)-1].Dist)
+	}
+	stats.Pruned.report(fspan)
+	if ex != nil {
+		ex.Bounds = sc.boundDist()
 	}
 	stats.FalsePositives = stats.Verified - len(out)
 	rspan.SetInt("verified", int64(stats.Verified))
@@ -191,87 +152,200 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, qc *queryConfig, 
 	return out, stats, nil
 }
 
-// filterKNN computes every visible tree's optimistic lower bound —
-// sharded when the index is configured for it — and returns the global
-// positions sorted by ascending (bound, id), plus the caller's per-segment
-// bounder set (reused for tightness sampling in the refine stage).
-func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, fspan *obs.Span) (*segBounders, []int, []int, error) {
-	n := cut.n
-	S := ix.shardCount(n)
-	bounds := make([]int, n)
-	prims := newSegBounders(cut, q)
-	// Materialized up front so the refine stage can read the set
-	// concurrently without lazy-init races.
-	prims.materialize()
+// knnScan is the cascade state of one k-NN query. The filter stage gives
+// every visible tree its two cheap bounds; the refine stage then consumes
+// positions in ascending (bound, id) order from a min-heap, replacing a
+// cheap bound by the filter's full bound only when it reaches the top —
+// so the expensive tier runs for exactly the trees whose cheap bound does
+// not exceed the live k-th-best distance. A full bound is never below the
+// cheap one it replaces, so a position is handed out for verification
+// only after every position with a smaller (full bound, id) has been:
+// verifications happen in the order a sort by full bound would give.
+type knnScan struct {
+	cut   *qcut
+	prims *segBounders
 
-	if S == 1 {
-		order := make([]int, 0, cut.live)
-		si := 0
-		for pos := 0; pos < n; pos++ {
-			if pos%ctxCheckEvery == 0 && ctx.Err() != nil {
-				return prims, nil, nil, ctx.Err()
-			}
-			for pos >= cut.starts[si+1] {
-				si++
-			}
-			local := pos - cut.starts[si]
-			if cut.tombs.Has(cut.segs[si].ID(local)) {
-				continue
-			}
-			bounds[pos] = prims.at(si).KNNBound(local)
-			order = append(order, pos)
-		}
-		sortByBound(order, bounds)
-		prims.report(fspan)
-		return prims, order, bounds, nil
+	// Per global position: the size-tier bound, the larger of the two
+	// cheap bounds (−1 for a tombstoned position) and the full bound (−1
+	// until tightened).
+	size, cheap, tight []int32
+
+	mu sync.Mutex
+	// heap holds the positions not yet handed out, keyed
+	// bound<<33 | tightened<<32 | position: among equal bounds cheap ones
+	// sort first, so a whole level is tightened before any of it is
+	// verified.
+	heap        []uint64
+	tightenTime time.Duration
+	canceled    bool // the context ended while a level was being tightened
+}
+
+const tightened = 1 << 32
+
+// filterKNN computes every visible tree's cheap bounds — sharded when the
+// index is configured for it — and heapifies the positions by them.
+func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, fspan *obs.Span) (*knnScan, error) {
+	n := cut.n
+	sc := &knnScan{
+		cut:   cut,
+		prims: newSegBounders(cut, q),
+		size:  make([]int32, n),
+		cheap: make([]int32, n),
+		tight: make([]int32, n),
 	}
 
-	// Sharded: each shard computes bounds for a contiguous position block
-	// into disjoint slots of the shared bounds slice and sorts its own
-	// run; runs are then merged. Bounders may keep per-query counters, so
-	// every shard profiles the query into bounders of its own (O(|q|) per
-	// touched segment, dwarfed by the per-shard O(n/S) bound pass).
-	runs := make([][]int, S)
+	// Each shard bounds a contiguous position block into disjoint slots
+	// and collects its block's heap keys. The cheap tiers only read, so
+	// every shard uses the one bounder set.
+	S := ix.shardCount(n)
+	runs := make([][]uint64, S)
 	var canceled atomic.Bool
 	ix.pool.run(S, func(s int) {
 		if canceled.Load() {
 			return
 		}
-		sb := prims
-		if s > 0 {
-			sb = newSegBounders(cut, q)
+		var sspan *obs.Span
+		if S > 1 {
+			sspan = fspan.StartChild(fmt.Sprintf("shard[%d]", s))
+			defer sspan.End()
 		}
-		sspan := fspan.StartChild(fmt.Sprintf("shard[%d]", s))
 		lo, hi := shardRange(n, S, s)
-		run := make([]int, 0, hi-lo)
+		run := make([]uint64, 0, hi-lo)
 		si := cut.segOf(lo)
 		for pos := lo; pos < hi; pos++ {
 			if (pos-lo)%ctxCheckEvery == 0 && (canceled.Load() || ctx.Err() != nil) {
 				canceled.Store(true)
 				sspan.SetBool("canceled", true)
-				sspan.End()
 				return
 			}
 			for pos >= cut.starts[si+1] {
 				si++
 			}
 			local := pos - cut.starts[si]
+			sc.tight[pos] = -1
 			if cut.tombs.Has(cut.segs[si].ID(local)) {
+				sc.cheap[pos] = -1
 				continue
 			}
-			bounds[pos] = sb.at(si).KNNBound(local)
-			run = append(run, pos)
+			sz, bd := sc.prims.at(si).CheapBounds(local)
+			c := max(sz, bd)
+			sc.size[pos], sc.cheap[pos] = int32(sz), int32(c)
+			run = append(run, uint64(c)<<33|uint64(pos))
 		}
-		sortByBound(run, bounds)
 		runs[s] = run
 		sspan.SetInt("bounds", int64(len(run)))
-		sb.report(sspan)
-		sspan.End()
 	})
 	if canceled.Load() || ctx.Err() != nil {
-		return prims, nil, nil, ctx.Err()
+		return nil, ctx.Err()
 	}
-	return prims, mergeRuns(runs, bounds), bounds, nil
+
+	sc.heap = runs[0]
+	for _, run := range runs[1:] {
+		sc.heap = append(sc.heap, run...)
+	}
+	for i := len(sc.heap)/2 - 1; i >= 0; i-- {
+		siftDown(sc.heap, i)
+	}
+	return sc, nil
+}
+
+// siftDown restores the min-heap order below index i.
+func siftDown(h []uint64, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		if r := l + 1; r < len(h) && h[r] < h[l] {
+			l = r
+		}
+		if h[i] <= h[l] {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
+}
+
+// next hands out the position to verify next, in ascending (full bound,
+// id) order, tightening cheap bounds as they surface. It reports false
+// once the smallest remaining bound exceeds thresh — bounds in the heap
+// only grow and the threshold only falls, so nothing left can enter the
+// answer — the heap is empty, or the context ended mid-level (canceled is
+// then set). Safe for concurrent use; tightening is serialized under the
+// scan's lock.
+func (sc *knnScan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound int, ok bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	for len(sc.heap) > 0 && !sc.canceled {
+		top := sc.heap[0]
+		if int64(top>>33) > thresh.Load() {
+			return 0, 0, false
+		}
+		if top&tightened != 0 {
+			last := len(sc.heap) - 1
+			sc.heap[0] = sc.heap[last]
+			sc.heap = sc.heap[:last]
+			siftDown(sc.heap, 0)
+			return int(uint32(top)), int(top >> 33), true
+		}
+		// The minimum is a cheap bound: tighten its whole level, which
+		// sorts ahead of everything else, as one timed batch.
+		t0 := time.Now()
+		for i := 0; len(sc.heap) > 0 && sc.heap[0]>>32 == top>>32; i++ {
+			if i%ctxCheckEvery == ctxCheckEvery-1 && ctx.Err() != nil {
+				sc.canceled = true
+				break
+			}
+			p := int(uint32(sc.heap[0]))
+			si, local, _ := sc.cut.locate(p)
+			tb := sc.prims.at(si).KNNBound(local)
+			sc.tight[p] = int32(tb)
+			sc.heap[0] = uint64(tb)<<33 | tightened | uint64(p)
+			siftDown(sc.heap, 0)
+		}
+		sc.tightenTime += time.Since(t0)
+	}
+	return 0, 0, false
+}
+
+// funnel classifies every visible tree against the final k-th distance:
+// pruned by the first tier whose bound exceeds it, or a candidate. Every
+// tree whose cheap bounds do not exceed worst was tightened before the
+// scan stopped (it sorted ahead of whatever stopped it), so its full
+// bound is known.
+func (sc *knnScan) funnel(worst int) (candidates int, f Funnel) {
+	for pos, c := range sc.cheap {
+		switch {
+		case c < 0: // tombstoned
+		case int(sc.size[pos]) > worst:
+			f.Size++
+		case int(c) > worst:
+			f.BDist++
+		case int(sc.tight[pos]) > worst:
+			f.Positional++
+		default:
+			candidates++
+		}
+	}
+	return candidates, f
+}
+
+// boundDist summarizes every visible tree's deciding bound: the full
+// bound where the scan computed it, the cheap bound that sufficed where
+// it did not.
+func (sc *knnScan) boundDist() BoundDist {
+	col := &explainCollector{bounds: make([]int, 0, sc.cut.live)}
+	for pos, c := range sc.cheap {
+		switch {
+		case c < 0:
+		case sc.tight[pos] >= 0:
+			col.addBound(int(sc.tight[pos]))
+		default:
+			col.addBound(int(c))
+		}
+	}
+	return col.boundDist()
 }
 
 // verifier is the refine stage's shared verification kernel: both query
@@ -360,62 +434,59 @@ func clampCutoff(v int64) int {
 
 // refineKNN verifies candidates in ascending-bound order on the worker
 // pool, maintaining the k-minimal (dist, id) heap under a mutex and the
-// current k-th distance in an atomic that only ever decreases. A worker
-// that meets a bound above the threshold stops the scan: the cursor hands
-// tasks out in ascending order, so everything not yet started bounds at
-// least as high and cannot enter the answer.
+// current k-th distance in an atomic that only ever decreases. Workers
+// draw positions from the scan until it reports that the smallest
+// remaining bound is above the threshold: everything not yet handed out
+// bounds at least as high and cannot enter the answer.
 //
 // The same threshold is the bounded verifier's cutoff: a candidate enters
 // the heap only with d < top.Dist, or d == top.Dist on an id tie-break, so
 // a distance proven > thresh can never change the answer, and while the
 // heap is short the threshold is MaxInt64 — every verification is exact.
-func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, order, bounds []int, prims *segBounders, stats *Stats, ex *Explain, rspan *obs.Span) ([]Result, error) {
+func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, sc *knnScan, stats *Stats, ex *Explain, rspan *obs.Span) ([]Result, error) {
 	var (
 		mu       sync.Mutex
 		h        = &maxHeap{}
-		stop     atomic.Bool
 		canceled atomic.Bool
 		thresh   atomic.Int64
 	)
 	thresh.Store(math.MaxInt64) // nothing prunes until the heap holds k
 	ver := ix.newVerifier(cut, q, func() int { return clampCutoff(thresh.Load()) })
 
-	ix.pool.run(len(order), func(j int) {
-		if stop.Load() || canceled.Load() {
-			return
-		}
-		pos := order[j]
-		if int64(bounds[pos]) > thresh.Load() {
-			stop.Store(true)
-			return
-		}
-		// A verification can cost milliseconds, so check the context on
-		// every task, not every ctxCheckEvery-th.
-		if ctx.Err() != nil {
-			canceled.Store(true)
-			return
-		}
-		si, local, gid, d, within := ver.verify(pos)
-		if !within {
-			return
-		}
-		mu.Lock()
-		sampleTightness(prims.at(si), stats, ex, local, gid, bounds[pos], d)
-		switch {
-		case h.Len() < k:
-			heap.Push(h, Result{ID: gid, Dist: d})
-			if h.Len() == k {
+	ix.pool.run(ix.pool.size, func(int) {
+		for !canceled.Load() {
+			pos, bound, ok := sc.next(ctx, &thresh)
+			if !ok {
+				return
+			}
+			// A verification can cost milliseconds, so check the context
+			// before every one.
+			if ctx.Err() != nil {
+				canceled.Store(true)
+				return
+			}
+			si, local, gid, d, within := ver.verify(pos)
+			if !within {
+				continue
+			}
+			mu.Lock()
+			sampleTightness(sc.prims.at(si), stats, ex, local, gid, bound, d)
+			switch {
+			case h.Len() < k:
+				heap.Push(h, Result{ID: gid, Dist: d})
+				if h.Len() == k {
+					thresh.Store(int64(h.top().Dist))
+				}
+			case d < h.top().Dist || (d == h.top().Dist && gid < h.top().ID):
+				h.items[0] = Result{ID: gid, Dist: d}
+				heap.Fix(h, 0)
 				thresh.Store(int64(h.top().Dist))
 			}
-		case d < h.top().Dist || (d == h.top().Dist && gid < h.top().ID):
-			h.items[0] = Result{ID: gid, Dist: d}
-			heap.Fix(h, 0)
-			thresh.Store(int64(h.top().Dist))
+			mu.Unlock()
 		}
-		mu.Unlock()
 	})
 	ver.finish(stats, rspan)
-	if canceled.Load() {
+	if canceled.Load() || sc.canceled {
 		return nil, ctx.Err()
 	}
 
@@ -441,24 +512,29 @@ func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, qc *queryCon
 
 	start := time.Now()
 	fspan := span.StartChild("filter")
-	prims, candidates, candBounds, col, err := ix.filterRange(ctx, cut, q, tau, fspan, ex != nil)
+	prims, rs, err := ix.filterRange(ctx, cut, q, tau, fspan, ex != nil)
 	stats.FilterTime = time.Since(start)
 	if err != nil {
 		fspan.SetBool("canceled", true)
 		fspan.End()
 		return nil, stats, err
 	}
-	stats.Candidates = len(candidates)
-	fspan.SetInt("candidates", int64(len(candidates)))
+	stats.Candidates = len(rs.cands)
+	// Whatever a candidate lister never enumerated lies outside the BDist
+	// ball of radius Factor·tau: pruned by the BDist tier without a visit.
+	rs.pruned.BDist += cut.live - rs.visited
+	stats.Pruned = rs.pruned
+	fspan.SetInt("candidates", int64(len(rs.cands)))
 	fspan.SetInt("segments", int64(len(cut.segs)))
+	stats.Pruned.report(fspan)
 	fspan.End()
 	if ex != nil {
-		ex.Bounds = col.boundDist()
+		ex.Bounds = rs.col.boundDist()
 	}
 
 	start = time.Now()
 	rspan := span.StartChild("refine")
-	out, err := ix.refineRange(ctx, cut, q, tau, candidates, candBounds, prims, &stats, ex, rspan)
+	out, err := ix.refineRange(ctx, cut, q, tau, rs.cands, rs.bounds, prims, &stats, ex, rspan)
 	stats.RefineTime = time.Since(start)
 	if err != nil {
 		rspan.SetInt("verified", int64(stats.Verified))
@@ -474,14 +550,24 @@ func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, qc *queryCon
 	return out, stats, nil
 }
 
-// filterRange computes range bounds over the candidate domain — every
+// rangeScan is what the range cascade produced over (a shard of) the
+// candidate domain: the surviving candidates with their bounds in domain
+// order, the funnel of the visible trees it visited and, when asked, their
+// deciding bounds.
+type rangeScan struct {
+	cands, bounds []int
+	visited       int
+	pruned        Funnel
+	col           *explainCollector
+}
+
+// filterRange runs the bound cascade over the candidate domain — every
 // visible position, or the sound superset the segments' CandidateListers
-// enumerate — sharded when configured, returning the surviving candidates
-// with their bounds (in deterministic domain order) and, when asked, the
-// collected bound distribution.
-func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, fspan *obs.Span, wantBounds bool) (*segBounders, []int, []int, *explainCollector, error) {
+// enumerate — sharded when configured: the size tier, then the
+// branch-distance tier, and the filter's range bound only for trees both
+// leave at or under tau.
+func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, fspan *obs.Span, wantBounds bool) (*segBounders, *rangeScan, error) {
 	prims := newSegBounders(cut, q)
-	prims.materialize()
 
 	// A segment's filter may enumerate a sound candidate superset directly
 	// (e.g. through a VP-tree in BDist space) without touching every tree
@@ -514,98 +600,101 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 		vspan.End()
 		domain = len(pool)
 	}
-	idAt := func(j int) int { return j }
-	if hasPool {
-		idAt = func(j int) int { return pool[j] }
-	}
 
 	S := ix.shardCount(domain)
-	var col *explainCollector
-	if wantBounds {
-		col = &explainCollector{bounds: make([]int, 0, domain)}
-	}
-
-	if S <= 1 {
-		var candidates, candBounds []int
-		for j := 0; j < domain; j++ {
-			if j%ctxCheckEvery == 0 && ctx.Err() != nil {
-				return prims, nil, nil, nil, ctx.Err()
-			}
-			pos := idAt(j)
-			si, local, gid := cut.locate(pos)
-			if cut.tombs.Has(gid) {
-				continue
-			}
-			rb := prims.at(si).RangeBound(local, tau)
-			col.addBound(rb)
-			if rb <= tau {
-				candidates = append(candidates, pos)
-				candBounds = append(candBounds, rb)
-			}
-		}
-		prims.report(fspan)
-		return prims, candidates, candBounds, col, nil
-	}
-
-	type shardOut struct {
-		cands, bnds []int
-		col         *explainCollector
-	}
-	outs := make([]shardOut, S)
+	outs := make([]rangeScan, S)
 	var canceled atomic.Bool
 	ix.pool.run(S, func(s int) {
 		if canceled.Load() {
 			return
 		}
-		sb := prims
-		if s > 0 {
-			sb = newSegBounders(cut, q)
+		sb := prims.forShard(s)
+		sspan := fspan
+		if S > 1 {
+			sspan = fspan.StartChild(fmt.Sprintf("shard[%d]", s))
+			defer sspan.End()
 		}
-		sspan := fspan.StartChild(fmt.Sprintf("shard[%d]", s))
 		lo, hi := shardRange(domain, S, s)
-		var o shardOut
+		o := &outs[s]
 		if wantBounds {
 			o.col = &explainCollector{bounds: make([]int, 0, hi-lo)}
 		}
+		// The segment under the cursor, re-resolved when a position leaves
+		// its range (an empty range forces the first resolve): this loop
+		// runs once per tree of the dataset, so it keeps the segment, its
+		// bounder and the counters in locals.
+		var (
+			segLo, segHi             int
+			sg                       *segstore.Segment
+			b                        Bounder
+			visited                  int
+			bySize, byBDist, byBound int
+		)
 		for j := lo; j < hi; j++ {
 			if (j-lo)%ctxCheckEvery == 0 && (canceled.Load() || ctx.Err() != nil) {
 				canceled.Store(true)
-				sspan.SetBool("canceled", true)
-				sspan.End()
+				if S > 1 {
+					sspan.SetBool("canceled", true)
+				}
 				return
 			}
-			pos := idAt(j)
-			si, local, gid := cut.locate(pos)
-			if cut.tombs.Has(gid) {
+			pos := j
+			if hasPool {
+				pos = pool[j]
+			}
+			if pos < segLo || pos >= segHi {
+				si := cut.segOf(pos)
+				segLo, segHi = cut.starts[si], cut.starts[si+1]
+				sg, b = cut.segs[si], sb.at(si)
+			}
+			local := pos - segLo
+			if cut.tombs != nil && cut.tombs.Has(sg.ID(local)) {
 				continue
 			}
-			rb := sb.at(si).RangeBound(local, tau)
-			o.col.addBound(rb)
-			if rb <= tau {
-				o.cands = append(o.cands, pos)
-				o.bnds = append(o.bnds, rb)
+			visited++
+			sz, bd := b.CheapBounds(local)
+			switch {
+			case sz > tau:
+				bySize++
+				o.col.addBound(sz)
+			case bd > tau:
+				byBDist++
+				o.col.addBound(bd)
+			default:
+				rb := b.RangeBound(local, tau)
+				o.col.addBound(rb)
+				if rb > tau {
+					byBound++
+				} else {
+					o.cands = append(o.cands, pos)
+					o.bounds = append(o.bounds, rb)
+				}
 			}
 		}
-		outs[s] = o
-		sspan.SetInt("bounds", int64(hi-lo))
+		o.visited = visited
+		o.pruned = Funnel{Size: bySize, BDist: byBDist, Positional: byBound}
+		if S > 1 {
+			sspan.SetInt("bounds", int64(hi-lo))
+		}
 		sb.report(sspan)
-		sspan.End()
 	})
 	if canceled.Load() || ctx.Err() != nil {
-		return prims, nil, nil, nil, ctx.Err()
+		return prims, nil, ctx.Err()
 	}
 
 	// Concatenating in shard order reproduces the sequential domain
 	// order, so the candidate list is byte-identical for every S.
-	var candidates, candBounds []int
-	for _, o := range outs {
-		candidates = append(candidates, o.cands...)
-		candBounds = append(candBounds, o.bnds...)
-		if col != nil && o.col != nil {
-			col.bounds = append(col.bounds, o.col.bounds...)
+	rs := &outs[0]
+	for _, o := range outs[1:] {
+		rs.cands = append(rs.cands, o.cands...)
+		rs.bounds = append(rs.bounds, o.bounds...)
+		rs.visited += o.visited
+		rs.pruned.add(o.pruned)
+		if rs.col != nil {
+			rs.col.bounds = append(rs.col.bounds, o.col.bounds...)
 		}
 	}
-	return prims, candidates, candBounds, col, nil
+	return prims, rs, nil
 }
 
 // refineRange verifies every candidate on the worker pool. There is no

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"treesim/internal/obs"
 )
 
 // Filter-quality introspection: EXPLAIN records. The paper's experiments
@@ -58,10 +60,47 @@ type TightnessSample struct {
 	Ratio float64 `json:"ratio"`
 }
 
-// BoundDist summarizes the distribution of the lower bounds the filter
-// computed for one query.
+// Funnel counts the trees each tier of the bound cascade pruned, in the
+// order the tiers run: a tree is charged to the first tier whose bound
+// rules it out — exceeds tau for a range query, the final k-th distance
+// for k-NN — so the counts do not depend on shard count, worker timing or
+// how many bounds a k-NN query got around to tightening. The three sum to
+// Dataset − Candidates.
+type Funnel struct {
+	// Size counts trees pruned on ||q|−|t|| alone.
+	Size int `json:"size"`
+	// BDist counts trees that passed the size tier and were pruned on
+	// ⌈BDist/Factor⌉ or, under the VP-tree filter, never enumerated from
+	// the BDist ball.
+	BDist int `json:"bdist"`
+	// Positional counts trees that passed both cheap tiers and were pruned
+	// by the filter's full bound: the positional bound of BiBranch, or the
+	// single bound of a filter that has no cheaper tier.
+	Positional int `json:"positional"`
+}
+
+// add accumulates another funnel's counts.
+func (f *Funnel) add(o Funnel) {
+	f.Size += o.Size
+	f.BDist += o.BDist
+	f.Positional += o.Positional
+}
+
+// report sets the funnel on the span that timed the filter.
+func (f Funnel) report(sp *obs.Span) {
+	sp.SetInt("pruned_size", int64(f.Size))
+	sp.SetInt("pruned_bdist", int64(f.BDist))
+	sp.SetInt("pruned_positional", int64(f.Positional))
+}
+
+// BoundDist summarizes the distribution of each bounded tree's deciding
+// bound: the bound of the cascade tier that pruned the tree, or its full
+// bound if no tier did. Every value is a sound lower bound (a range
+// query's, in the RangeBound sense); a tree pruned by a cheap tier never
+// gets a positional value, so the distribution describes what the filter
+// decided on, not how tight its best bound could have been.
 type BoundDist struct {
-	Computed int `json:"computed"` // bounds actually computed
+	Computed int `json:"computed"` // trees bounded
 	Min      int `json:"min"`
 	P50      int `json:"p50"`
 	P99      int `json:"p99"`
@@ -110,7 +149,10 @@ type Explain struct {
 	// cost.
 	DPCells     int64 `json:"dp_cells"`
 	DPCellsFull int64 `json:"dp_cells_full"`
-	// Bounds is the distribution of the computed lower bounds.
+	// Pruned is the filter's funnel: trees eliminated per cascade tier.
+	// Dataset − Pruned.Size − Pruned.BDist − Pruned.Positional = Candidates.
+	Pruned Funnel `json:"pruned"`
+	// Bounds is the distribution of the trees' deciding bounds.
 	Bounds BoundDist `json:"bounds"`
 	// Tightness holds up to tightnessCap verified-pair samples.
 	Tightness []TightnessSample `json:"tightness,omitempty"`
@@ -126,10 +168,10 @@ type Explain struct {
 // query runs; nil means "not asked", costing the query nothing beyond the
 // always-on Stats counters.
 type explainCollector struct {
-	bounds []int // every bound the filter computed
+	bounds []int // every bounded tree's deciding bound
 }
 
-// addBound records one computed lower bound.
+// addBound records one tree's deciding bound.
 func (c *explainCollector) addBound(b int) {
 	if c == nil {
 		return
@@ -197,6 +239,7 @@ func (e *Explain) finish(f Filter, st Stats) {
 	e.Verified = st.Verified
 	e.FalsePositives = st.FalsePositives
 	e.Results = st.Results
+	e.Pruned = st.Pruned
 	e.AccessedFraction = st.AccessedFraction()
 	e.RefineAborted = st.RefineAborted
 	e.PrecheckRejects = st.PrecheckRejects
@@ -222,6 +265,10 @@ func (e *Explain) String() string {
 	fmt.Fprintf(&b, "explain: %s%s filter=%s dataset=%d\n", e.Op, param, e.Filter, e.Dataset)
 	fmt.Fprintf(&b, "  candidates=%d verified=%d false_positives=%d results=%d accessed=%.4f\n",
 		e.Candidates, e.Verified, e.FalsePositives, e.Results, e.AccessedFraction)
+	afterSize := e.Dataset - e.Pruned.Size
+	afterBDist := afterSize - e.Pruned.BDist
+	fmt.Fprintf(&b, "  funnel: %d -size-> %d -bdist-> %d -positional-> %d\n",
+		e.Dataset, afterSize, afterBDist, afterBDist-e.Pruned.Positional)
 	fmt.Fprintf(&b, "  bounds: computed=%d min=%d p50=%d p99=%d max=%d\n",
 		e.Bounds.Computed, e.Bounds.Min, e.Bounds.P50, e.Bounds.P99, e.Bounds.Max)
 	fmt.Fprintf(&b, "  refine: aborted=%d precheck_rejects=%d dp_cells=%d/%d\n",

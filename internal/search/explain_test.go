@@ -158,6 +158,7 @@ func TestExplainString(t *testing.T) {
 	for _, want := range []string{
 		"explain: knn k=3 filter=BiBranch dataset=30\n",
 		"false_positives=", "accessed=0.",
+		"funnel: 30 -size-> ", " -bdist-> ", " -positional-> ",
 		"bounds: computed=30 ",
 		"refine: aborted=", " precheck_rejects=", " dp_cells=",
 		"stages: filter=Xµs refine=Xµs\n",
@@ -167,10 +168,10 @@ func TestExplainString(t *testing.T) {
 			t.Errorf("rendering lacks %q:\n%s", want, got)
 		}
 	}
-	// The whole layout: five-plus lines, each prefixed predictably.
+	// The whole layout: six-plus lines, each prefixed predictably.
 	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-	if len(lines) != 6 {
-		t.Errorf("rendering has %d lines, want 6:\n%s", len(lines), got)
+	if len(lines) != 7 {
+		t.Errorf("rendering has %d lines, want 7:\n%s", len(lines), got)
 	}
 }
 

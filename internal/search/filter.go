@@ -54,10 +54,21 @@ type snapshotter interface {
 }
 
 // Bounder computes edit-distance lower bounds between one query and the
-// indexed trees.
+// indexed trees, as the tiers of the engine's bound cascade: two cheap
+// bounds every tree gets, and the filter's full bound, which the engine
+// only asks for when the cheap ones leave a tree standing. Every tier is a
+// sound lower bound and the full bound dominates the cheap ones, so the
+// cascade decides exactly what computing the full bound for every tree
+// would.
 type Bounder interface {
-	// KNNBound returns a lower bound L ≤ EDist(query, tree i), used as the
-	// optimistic bound of Algorithm 2.
+	// CheapBounds returns the cheap tiers' lower bounds on EDist(query,
+	// tree i): the size bound ||q|−|t|| and the plain branch-distance bound
+	// ⌈BDist/Factor⌉, neither above KNNBound(i) nor — when it is at most
+	// tau — above RangeBound(i, tau). A filter without a cheaper tier
+	// returns zero for it.
+	CheapBounds(i int) (size, bdist int)
+	// KNNBound returns the filter's full lower bound L ≤ EDist(query, tree
+	// i), used as the optimistic bound of Algorithm 2.
 	KNNBound(i int) int
 	// RangeBound returns a value L such that L > tau implies
 	// EDist(query, tree i) > tau; range queries prune on it. For most
@@ -65,6 +76,13 @@ type Bounder interface {
 	// tighten it at a known threshold (Section 4.3).
 	RangeBound(i, tau int) int
 }
+
+// singleTier is embedded by the bounders of filters that have one bound
+// and nothing cheaper in front of it: both cheap tiers let every tree
+// through, and the filter's bound is the cascade's only tier.
+type singleTier struct{}
+
+func (singleTier) CheapBounds(int) (size, bdist int) { return 0, 0 }
 
 // BiBranch is the paper's filter: q-level binary branch vectors with,
 // optionally, the positional lower bound of Section 4.2–4.3.
@@ -92,7 +110,8 @@ func (f *BiBranch) Name() string {
 	return "BiBranch-nopos"
 }
 
-// Index implements Filter.
+// Index implements Filter: profiles the dataset into flat per-block
+// arrays.
 func (f *BiBranch) Index(ts []*tree.Tree) {
 	q := f.Q
 	if q == 0 {
@@ -124,9 +143,11 @@ func (f *BiBranch) Space() *branch.Space { return f.space }
 // Profiles exposes the dataset profiles built by Index.
 func (f *BiBranch) Profiles() []*branch.Profile { return f.profiles }
 
-// Query implements Filter.
+// Query implements Filter. The query is profiled by lookup only — a branch
+// no indexed tree contains needs no dimension — so queries never grow the
+// space.
 func (f *BiBranch) Query(q *tree.Tree) Bounder {
-	return &biBranchBounder{f: f, qp: f.space.Profile(q)}
+	return &biBranchBounder{f: f, qp: f.space.QueryProfile(q), factor: f.Factor()}
 }
 
 // Factor implements FactorReporter: the proven worst-case BDist/EDist
@@ -139,9 +160,12 @@ func (f *BiBranch) Factor() int {
 	return branch.Factor(q)
 }
 
+// biBranchBounder is read-only after Query, so one serves every shard of
+// a query.
 type biBranchBounder struct {
-	f  *BiBranch
-	qp *branch.Profile
+	f      *BiBranch
+	qp     *branch.Profile
+	factor int
 }
 
 // BDist implements BDister: the raw binary branch distance to tree i, the
@@ -150,18 +174,36 @@ func (b *biBranchBounder) BDist(i int) int {
 	return branch.BDist(b.qp, b.f.profiles[i])
 }
 
+// plain returns ⌈BDist/Factor⌉, the non-positional bound.
+func (b *biBranchBounder) plain(i int) int {
+	return (b.BDist(i) + b.factor - 1) / b.factor
+}
+
+// CheapBounds implements Bounder. The non-positional filter is the plain
+// branch-distance bound by definition (the ablation of DESIGN.md), so it
+// has no size tier: ⌈BDist/Factor⌉ does not dominate ||q|−|t||.
+func (b *biBranchBounder) CheapBounds(i int) (size, bdist int) {
+	if b.f.Positional {
+		if size = b.qp.Size - b.f.profiles[i].Size; size < 0 {
+			size = -size
+		}
+	}
+	return size, b.plain(i)
+}
+
 func (b *biBranchBounder) KNNBound(i int) int {
 	if b.f.Positional {
 		return branch.SearchLBound(b.qp, b.f.profiles[i])
 	}
-	return branch.BDistLowerBound(b.qp, b.f.profiles[i])
+	return b.plain(i)
 }
 
 func (b *biBranchBounder) RangeBound(i, tau int) int {
 	if b.f.Positional {
-		return branch.RangeLowerBound(b.qp, b.f.profiles[i], tau)
+		lb, _ := branch.RangeLowerBoundWithin(b.qp, b.f.profiles[i], tau)
+		return lb
 	}
-	return branch.BDistLowerBound(b.qp, b.f.profiles[i])
+	return b.plain(i)
 }
 
 // Histo is the histogram filtration baseline (Kailing et al.): the maximum
@@ -251,6 +293,7 @@ func (f *Histo) Query(q *tree.Tree) Bounder {
 }
 
 type histoBounder struct {
+	singleTier
 	f  *Histo
 	qp *histogram.Profile
 }
@@ -290,6 +333,7 @@ func (f *Seq) snapshotAt(n int) Filter { return &Seq{trees: f.trees[:n:n]} }
 func (f *Seq) Query(q *tree.Tree) Bounder { return &seqBounder{f: f, q: q} }
 
 type seqBounder struct {
+	singleTier
 	f *Seq
 	q *tree.Tree
 }
@@ -327,7 +371,7 @@ func (f *None) snapshotAt(int) Filter { return f }
 // Query implements Filter.
 func (*None) Query(*tree.Tree) Bounder { return noneBounder{} }
 
-type noneBounder struct{}
+type noneBounder struct{ singleTier }
 
 func (noneBounder) KNNBound(int) int        { return 0 }
 func (noneBounder) RangeBound(_, _ int) int { return 0 }

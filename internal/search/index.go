@@ -48,6 +48,9 @@ type Stats struct {
 	FalsePositives int           // verified candidates whose exact distance failed the predicate
 	FilterTime     time.Duration // time spent computing lower bounds
 	RefineTime     time.Duration // time spent computing exact distances
+	// Pruned is the filter's funnel: how many trees each tier of the bound
+	// cascade eliminated. It sums to Dataset − Candidates.
+	Pruned Funnel
 	// Bounded-verification breakdown (zero when the index runs full
 	// refine): of the Verified attempts, PrecheckRejects were disproven by
 	// an O(n) pre-check before any DP, and RefineAborted by the DP
@@ -89,6 +92,7 @@ func (s *Stats) Add(o Stats) {
 	s.FalsePositives += o.FalsePositives
 	s.FilterTime += o.FilterTime
 	s.RefineTime += o.RefineTime
+	s.Pruned.add(o.Pruned)
 	s.RefineAborted += o.RefineAborted
 	s.PrecheckRejects += o.PrecheckRejects
 	s.DPCells += o.DPCells

@@ -111,7 +111,7 @@ func (f *PivotBiBranch) Index(ts []*tree.Tree) {
 
 // Query implements Filter.
 func (f *PivotBiBranch) Query(q *tree.Tree) Bounder {
-	qp := f.inner.space.Profile(q)
+	qp := f.inner.space.QueryProfile(q)
 	qDist := make([]int, len(f.pivots))
 	for p, idx := range f.pivots {
 		qDist[p] = branch.BDist(qp, f.inner.profiles[idx])
@@ -120,7 +120,10 @@ func (f *PivotBiBranch) Query(q *tree.Tree) Bounder {
 	return &pivotBounder{f: f, qp: qp, qDist: qDist, factor: fac}
 }
 
+// pivotBounder runs its own two-stage cascade inside KNNBound and
+// RangeBound, so to the engine it is a single tier.
 type pivotBounder struct {
+	singleTier
 	f      *PivotBiBranch
 	qp     *branch.Profile
 	qDist  []int
@@ -191,7 +194,8 @@ func (b *pivotBounder) RangeBound(i, tau int) int {
 	}
 	b.stage2Evals++
 	if b.f.inner.Positional {
-		return branch.RangeLowerBound(b.qp, b.f.inner.profiles[i], tau)
+		lb, _ := branch.RangeLowerBoundWithin(b.qp, b.f.inner.profiles[i], tau)
+		return lb
 	}
 	return branch.BDistLowerBound(b.qp, b.f.inner.profiles[i])
 }

@@ -213,22 +213,26 @@ func (qc *qcut) treeOf(si, local int) *tree.Tree {
 	return payloadOf(qc.segs[si]).trees[local]
 }
 
-// segBounders is one goroutine's per-segment bounder set, materialized
-// lazily: a shard only profiles the query into the filters of segments it
-// actually touches.
+// segBounders is a query's per-segment bounder set: one query profile per
+// segment.
 type segBounders struct {
 	qc *qcut
 	q  *tree.Tree
 	bs []Bounder
 }
 
+// newSegBounders creates every segment's bounder up front, after which the
+// set is safe to share read-only across goroutines — except for bounders
+// that keep per-query counters, see forShard.
 func newSegBounders(qc *qcut, q *tree.Tree) *segBounders {
-	return &segBounders{qc: qc, q: q, bs: make([]Bounder, len(qc.segs))}
+	sb := &segBounders{qc: qc, q: q, bs: make([]Bounder, len(qc.segs))}
+	for si := range sb.bs {
+		sb.at(si)
+	}
+	return sb
 }
 
-// at returns the bounder for segment si, creating it on first use. Not
-// safe for concurrent use; materialize (or use a per-goroutine instance)
-// before sharing read-only.
+// at returns the bounder for segment si, creating it on first use.
 func (sb *segBounders) at(si int) Bounder {
 	if sb.bs[si] == nil {
 		sb.bs[si] = payloadOf(sb.qc.segs[si]).filter.Query(sb.q)
@@ -236,12 +240,28 @@ func (sb *segBounders) at(si int) Bounder {
 	return sb.bs[si]
 }
 
-// materialize creates every segment's bounder up front, after which the
-// set is safe to share read-only across goroutines.
-func (sb *segBounders) materialize() {
-	for si := range sb.bs {
-		sb.at(si)
+// forShard returns the set filter shard s computes range bounds with.
+// Read-only bounders are shared by every shard; a bounder that counts as
+// it bounds (an AttrReporter: the pivot screen, the VP-tree walk) is
+// private to a shard beyond the first, created when the shard first
+// touches its segment, so the counters never race.
+func (sb *segBounders) forShard(s int) *segBounders {
+	if s == 0 {
+		return sb
 	}
+	var own *segBounders
+	for si, b := range sb.bs {
+		if _, counts := b.(AttrReporter); counts {
+			if own == nil {
+				own = &segBounders{qc: sb.qc, q: sb.q, bs: append([]Bounder(nil), sb.bs...)}
+			}
+			own.bs[si] = nil
+		}
+	}
+	if own == nil {
+		return sb
+	}
+	return own
 }
 
 // report forwards per-query filter counters of every materialized bounder

@@ -215,24 +215,6 @@ func TestShardHammer(t *testing.T) {
 	}
 }
 
-// TestMergeRuns: the run merge reproduces a global (bound, id) sort.
-func TestMergeRuns(t *testing.T) {
-	bounds := []int{5, 1, 3, 1, 4, 0, 3, 2}
-	runs := [][]int{{1, 2, 0}, {5, 3}, {7, 6, 4}}
-	for _, r := range runs {
-		sortByBound(r, bounds)
-	}
-	got := mergeRuns(runs, bounds)
-	want := make([]int, len(bounds))
-	for i := range want {
-		want[i] = i
-	}
-	sortByBound(want, bounds)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mergeRuns = %v, want %v", got, want)
-	}
-}
-
 // TestDeprecatedWrappers: the old query-method names still answer exactly
 // like the new surface.
 func TestDeprecatedWrappers(t *testing.T) {

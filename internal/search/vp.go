@@ -81,6 +81,8 @@ type vpBounder struct {
 	distEvals int
 }
 
+func (b *vpBounder) CheapBounds(i int) (size, bdist int) { return b.inner.CheapBounds(i) }
+
 func (b *vpBounder) KNNBound(i int) int { return b.inner.KNNBound(i) }
 
 func (b *vpBounder) RangeBound(i, tau int) int { return b.inner.RangeBound(i, tau) }
@@ -105,12 +107,11 @@ func (b *vpBounder) ReportAttrs(sp *obs.Span) {
 // RangeCandidates implements CandidateLister: all trees within BDist
 // radius Factor(q)·tau of the query, found through the VP-tree.
 func (b *vpBounder) RangeCandidates(tau int) []int {
-	radius := branch.Factor(b.inner.qp.Q()) * tau
+	radius := b.inner.factor * tau
 	var out []int
-	profiles := b.f.inner.profiles
 	b.f.vt.Range(func(id int) int {
 		b.distEvals++
-		return branch.BDist(b.inner.qp, profiles[id])
+		return b.inner.BDist(id)
 	}, radius, func(id int) {
 		out = append(out, id)
 	})

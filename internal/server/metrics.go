@@ -207,16 +207,20 @@ type LatencySnapshot struct {
 
 // QuerySnapshot is the rendered aggregate over all similarity queries.
 type QuerySnapshot struct {
-	Count                uint64  `json:"count"`
-	VerifiedTotal        int     `json:"verified_total"`
-	DatasetTotal         int     `json:"dataset_total"`
-	ResultsTotal         int     `json:"results_total"`
-	CandidatesTotal      int     `json:"candidates_total"`
-	FalsePositivesTotal  int     `json:"false_positives_total"`
-	MeanAccessedFraction float64 `json:"mean_accessed_fraction"`
-	FalsePositiveRate    float64 `json:"false_positive_rate"`
-	FilterMicrosTotal    int64   `json:"filter_us_total"`
-	RefineMicrosTotal    int64   `json:"refine_us_total"`
+	Count               uint64 `json:"count"`
+	VerifiedTotal       int    `json:"verified_total"`
+	DatasetTotal        int    `json:"dataset_total"`
+	ResultsTotal        int    `json:"results_total"`
+	CandidatesTotal     int    `json:"candidates_total"`
+	FalsePositivesTotal int    `json:"false_positives_total"`
+	// FilterPrunedTotal is the filter's funnel summed over all queries:
+	// trees eliminated per bound-cascade tier (size, bdist, positional).
+	// With CandidatesTotal it accounts for every tree of DatasetTotal.
+	FilterPrunedTotal    search.Funnel `json:"filter_pruned_total"`
+	MeanAccessedFraction float64       `json:"mean_accessed_fraction"`
+	FalsePositiveRate    float64       `json:"false_positive_rate"`
+	FilterMicrosTotal    int64         `json:"filter_us_total"`
+	RefineMicrosTotal    int64         `json:"refine_us_total"`
 	// Bounded-verification counters: of the verification attempts, how
 	// many the refine stage cut short by a pre-check or an early DP abort,
 	// and the DP cells actually computed vs. what full verification of the
@@ -412,6 +416,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		ResultsTotal:         q.total.Results,
 		CandidatesTotal:      q.total.Candidates,
 		FalsePositivesTotal:  q.total.FalsePositives,
+		FilterPrunedTotal:    q.total.Pruned,
 		FilterMicrosTotal:    q.total.FilterTime.Microseconds(),
 		RefineMicrosTotal:    q.total.RefineTime.Microseconds(),
 		RefineAbortedTotal:   q.total.RefineAborted,

@@ -59,6 +59,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if snap.Queries.VerifiedTotal <= 0 || snap.Queries.VerifiedTotal > snap.Queries.DatasetTotal {
 		t.Errorf("verified %d out of range (dataset %d)", snap.Queries.VerifiedTotal, snap.Queries.DatasetTotal)
 	}
+	if p := snap.Queries.FilterPrunedTotal; p.Size+p.BDist+p.Positional+snap.Queries.CandidatesTotal != snap.Queries.DatasetTotal {
+		t.Errorf("funnel %+v + %d candidates does not account for the %d trees queried",
+			p, snap.Queries.CandidatesTotal, snap.Queries.DatasetTotal)
+	}
 	var accSum uint64
 	for _, c := range snap.Queries.AccessedBuckets {
 		accSum += c

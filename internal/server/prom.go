@@ -258,6 +258,11 @@ func (m *Metrics) WriteProm(w io.Writer, g PromGauges) error {
 		Sample(nil, float64(q.total.Results))
 	pw.Family("treesim_query_candidates_total", "counter", "Filter candidates across all queries.").
 		Sample(nil, float64(q.total.Candidates))
+	pruned := pw.Family("treesim_filter_pruned_total", "counter",
+		"Trees the filter pruned, by the bound-cascade tier that ruled them out; with treesim_query_candidates_total it accounts for every tree a query saw.")
+	pruned.Sample(obs.Labels{"tier": "size"}, float64(q.total.Pruned.Size))
+	pruned.Sample(obs.Labels{"tier": "bdist"}, float64(q.total.Pruned.BDist))
+	pruned.Sample(obs.Labels{"tier": "positional"}, float64(q.total.Pruned.Positional))
 	pw.Family("treesim_query_false_positives_total", "counter",
 		"Verified candidates whose exact distance failed the predicate, across all queries.").
 		Sample(nil, float64(q.total.FalsePositives))

@@ -271,6 +271,22 @@ func TestMetricsPromExposition(t *testing.T) {
 		t.Errorf("accessed_fraction count %v (found %v), want 4", v, ok)
 	}
 
+	// The filter funnel: one counter family, one series per cascade tier,
+	// which with the candidates accounts for every tree the four queries
+	// saw.
+	funnel := 0.0
+	for _, tier := range []string{"size", "bdist", "positional"} {
+		v, ok := byName("treesim_filter_pruned_total", map[string]string{"tier": tier})
+		if !ok {
+			t.Errorf("filter_pruned_total{tier=%s} missing", tier)
+		}
+		funnel += v
+	}
+	cands, _ := byName("treesim_query_candidates_total", nil)
+	if funnel <= 0 || funnel+cands != 4*40 {
+		t.Errorf("filter_pruned_total sums to %v with %v candidates, want %d trees accounted for", funnel, cands, 4*40)
+	}
+
 	// Bounded refine: the counter families must exist, and the queries
 	// above verified something, so touched cells are positive and never
 	// exceed the full-DP cost.

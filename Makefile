@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test race hammer chaos bench bench-server bench-diff fuzz ci
+.PHONY: build vet test race benchmark-test hammer chaos bench bench-server bench-diff fuzz ci
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark is its own module and compiles against internal/: build and
+# smoke-test it in tier-1 so an API break is not left to the next run.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 # Parallel-engine and storage-engine certificate: the shard invariance
 # tests and the compaction hammer (concurrent inserts, deletes, queries,
@@ -52,9 +57,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/tree
 	$(GO) test -run='^$$' -fuzz='^FuzzParseString$$' -fuzztime=$(FUZZTIME) ./internal/xmltree
 	$(GO) test -run='^$$' -fuzz='^FuzzBoundCascade$$' -fuzztime=$(FUZZTIME) ./internal/branch
+	$(GO) test -run='^$$' -fuzz='^FuzzDistanceWithin$$' -fuzztime=$(FUZZTIME) ./internal/editdist
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadIndex$$' -fuzztime=$(FUZZTIME) ./internal/search
 	$(GO) test -run='^$$' -fuzz='^FuzzManifest$$' -fuzztime=$(FUZZTIME) ./internal/segstore
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceparentMiddleware$$' -fuzztime=$(FUZZTIME) ./internal/server
 
-ci: build vet test race hammer chaos fuzz
+ci: build vet test race benchmark-test hammer chaos fuzz

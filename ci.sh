@@ -18,6 +18,13 @@ go test ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# The benchmark is its own module (benchmark/go.mod) and compiles against
+# internal/ — editdist.Distance/DistanceWithin/Metrics, search, server —
+# so tier-1 builds and smoke-tests it here rather than leaving an API break
+# to the next benchmark run.
+echo "== benchmark module: go test ./..."
+(cd benchmark && go test ./...)
+
 # Shard + compaction hammer: the parallel engine's exactness certificate
 # (forced over-sharding, shared worker pool, concurrent queries) and the
 # storage engine's epoch-snapshot certificate (concurrent inserts,
@@ -92,6 +99,7 @@ echo "== go test -fuzz (fuzztime $FUZZTIME per target)"
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime="$FUZZTIME" ./internal/tree
 go test -run='^$' -fuzz='^FuzzParseString$' -fuzztime="$FUZZTIME" ./internal/xmltree
 go test -run='^$' -fuzz='^FuzzBoundCascade$' -fuzztime="$FUZZTIME" ./internal/branch
+go test -run='^$' -fuzz='^FuzzDistanceWithin$' -fuzztime="$FUZZTIME" ./internal/editdist
 go test -run='^$' -fuzz='^FuzzLoadIndex$' -fuzztime="$FUZZTIME" ./internal/search
 go test -run='^$' -fuzz='^FuzzManifest$' -fuzztime="$FUZZTIME" ./internal/segstore
 go test -run='^$' -fuzz='^FuzzParseTraceparent$' -fuzztime="$FUZZTIME" ./internal/obs

@@ -2,40 +2,51 @@ package editdist
 
 import "treesim/internal/tree"
 
-// Threshold-bounded verification: a cutoff-aware variant of the
-// Zhang–Shasha program for callers that only need a yes/no against a known
-// threshold (the refine stage of similarity search: τ for range queries,
-// the running k-th-best for k-NN). Three mechanisms, in escalating cost:
+// Threshold-bounded verification: what makes the kernel (kernel.go)
+// cutoff-aware, for callers that only need a yes/no against a threshold
+// (refine: τ for range queries, the running k-th-best for k-NN). Three
+// mechanisms, in escalating cost:
 //
 //  1. O(n) pre-checks. Size delta, height delta, and label-histogram L1
 //     delta are each admissible lower bounds on the number of edit
 //     operations; scaled by the cost model's per-operation minimum they
-//     reject a pair before any DP memory is even allocated.
+//     reject a pair before the kernel is even taken from its pool.
 //
-//  2. Diagonal band. A forest-distance cell comparing prefixes whose
-//     sizes differ by more than band = cutoff/minOpCost nodes costs more
-//     than the cutoff in unmatched inserts or deletes alone, so each
-//     keyroot subproblem only fills the cells within that band of its
-//     diagonal (Ukkonen's trick, lifted to the tree DP).
+//  2. Two bands of width band = cutoff/minOpCost, the most nodes a mapping
+//     of cost ≤ cutoff can leave unmatched (inserts + deletes). Write
+//     li = lml(i), lj = lml(j), δ = li − lj for keyroot subproblem (i, j).
+//     (a) Diagonal: a forest-distance cell (x, y) whose prefixes differ in
+//     size by more than band costs more than the cutoff in unmatched nodes
+//     alone, so |(x−li) − (y−lj)| ≤ band (Ukkonen's trick, per subproblem).
+//     (b) Global positional: a Tai mapping preserves left-of and ancestor
+//     order, hence postorder. If it matches x to y, the nodes left of x
+//     (those before lml(x)) map among the nodes left of y, and the nodes at
+//     or before x in postorder among those at or before y; each pair of
+//     counts differs by unmatched nodes only, so |lml(x) − lml(y)| ≤ band
+//     and |x − y| ≤ band — the latter at every cell (x, y) the mapping's
+//     edit path crosses in any subproblem, since the mapping takes T1[1..x]
+//     and T2[1..y] onto each other. So a subproblem with |δ| > band is
+//     skipped outright, and inside one the offset o = (x−li) − (y−lj) ranges
+//     over [max(−band, −band−δ), min(band, band−δ)]: (a) and |o+δ| ≤ band.
 //
 //  3. Frontier-row abandoning. When every cell of a subproblem's frontier
 //     row exceeds the cutoff, every later cell of that subproblem does
 //     too: restricting an optimal Tai mapping of larger prefixes to the
 //     frontier row's prefix yields a valid, cheaper mapping measured by
-//     some cell of that row. The subproblem is abandoned and its untouched
-//     tree-distance entries keep the `unreachable` sentinel — which is
-//     exactly their meaning for the subproblems that read them later.
+//     some cell of that row. The subproblem is abandoned; the tree-distance
+//     entries it never wrote keep the `unreachable` sentinel.
 //
-// Soundness: band-confined values never underestimate (they minimize over
-// a subset of edit paths), and whenever the true distance is ≤ the cutoff
-// the optimal path stays inside the band (leaving it costs > cutoff on
-// non-decreasing path costs), so the computed value is exact. A computed
-// value > cutoff therefore proves the true distance > cutoff, but may
-// overshoot it — which is why bounded calls report `cutoff+1` as the
-// certified lower bound rather than the raw cell value. The band and the
-// pre-checks need a positive per-operation minimum cost (see MinOpCoster);
-// without one the band degenerates to the full matrix and only the — still
-// sound for any non-negative costs — row abandoning remains.
+// Soundness: the restricted program minimizes over a subset of edit paths
+// (each still a valid mapping), so it never underestimates; and the path of
+// a mapping of cost ≤ cutoff — through the root subproblem and, recursively,
+// that of every matched pair off the leftmost paths — crosses only cells
+// that satisfy (a) and (b) and hold values ≤ cutoff, so it survives both
+// bands and every frontier test: a true distance ≤ cutoff is computed
+// exactly. A computed value > cutoff therefore proves the true distance >
+// cutoff but may overshoot it, so bounded calls certify only `cutoff+1`.
+// The bands and the pre-checks need a positive per-operation minimum cost
+// (see MinOpCoster); without one the band is |T1|+|T2|, which restricts
+// nothing, and only row abandoning — sound for any costs ≥ 0 — remains.
 
 // unreachable is the sentinel for "no mapping at or below the cutoff
 // reaches this cell". It is far enough from the int ceiling that adding
@@ -43,19 +54,10 @@ import "treesim/internal/tree"
 // greater than every admissible cutoff.
 const unreachable = int(^uint(0)>>1) / 4 // math.MaxInt / 4
 
-// sat adds an operation cost onto a (possibly unreachable) DP value,
-// saturating so unreachable stays unreachable.
-func sat(v, cost int) int {
-	if v >= unreachable || v+cost >= unreachable {
-		return unreachable
-	}
-	return v + cost
-}
-
 // MinOpCoster is an optional CostModel capability: a uniform lower bound
 // (≥ 1) on the cost of every single edit operation — every insert, every
 // delete, and every relabel between distinct labels. Models reporting it
-// unlock the pre-checks and the diagonal band of the bounded distance;
+// unlock the pre-checks and the two bands of the bounded distance;
 // models without it still get frontier-row abandoning, which is sound for
 // any non-negative costs.
 type MinOpCoster interface {
@@ -127,95 +129,4 @@ func fullCells(a, b *decomp) int64 {
 		sb += int64(j - b.lml[j] + 1)
 	}
 	return sa * sb
-}
-
-// distBounded runs the band-limited, early-abandoning program over all
-// keyroot pairs (both trees non-empty). It returns the root cell — which
-// is the exact distance when ≤ cutoff, and otherwise only a witness that
-// the distance exceeds it (possibly the unreachable sentinel).
-func distBounded(a, b *decomp, c CostModel, cutoff, band int, m *Metrics) int {
-	// td starts at unreachable: a cell a subproblem never wrote (cut off by
-	// the band, or behind an abandoned frontier) is proven > cutoff, and
-	// the sentinel makes later subproblems treat it exactly that way.
-	td := make([][]int, a.n+1)
-	for i := range td {
-		row := make([]int, b.n+1)
-		for j := range row {
-			row[j] = unreachable
-		}
-		td[i] = row
-	}
-	fd := make([][]int, a.n+1)
-	for i := range fd {
-		fd[i] = make([]int, b.n+1)
-	}
-	var cells int64
-	for _, i := range a.keyroots {
-		for _, j := range b.keyroots {
-			treeDistBounded(a, b, i, j, c, td, fd, cutoff, band, &cells)
-		}
-	}
-	if m != nil {
-		m.Cells = cells
-	}
-	return td[a.n][b.n]
-}
-
-// treeDistBounded fills the in-band cells of one keyroot subproblem,
-// abandoning it as soon as an entire frontier row exceeds the cutoff (the
-// untouched td entries keep their unreachable sentinel). Reads outside the
-// band — or of fd scratch the band never wrote — go through read, which
-// substitutes the sentinel.
-func treeDistBounded(a, b *decomp, i, j int, c CostModel, td, fd [][]int, cutoff, band int, cells *int64) {
-	li, lj := a.lml[i], b.lml[j]
-	// A cell (r, cc) is in band when the two forest prefixes it compares
-	// differ by at most band nodes; anything farther off the diagonal
-	// costs more than the cutoff in unmatched inserts or deletes alone.
-	read := func(r, cc int) int {
-		if d := (r - li) - (cc - lj); d > band || d < -band {
-			return unreachable
-		}
-		return fd[r][cc]
-	}
-	fd[li-1][lj-1] = 0
-	for dj := lj; dj <= j && dj-lj < band; dj++ {
-		fd[li-1][dj] = sat(fd[li-1][dj-1], c.Insert(b.label[dj]))
-	}
-	for di := li; di <= i; di++ {
-		rowMin := unreachable
-		if di-li < band {
-			fd[di][lj-1] = sat(fd[di-1][lj-1], c.Delete(a.label[di]))
-			rowMin = fd[di][lj-1]
-		}
-		lo, hi := lj+(di-li)-band, lj+(di-li)+band
-		if lo < lj {
-			lo = lj
-		}
-		if hi > j {
-			hi = j
-		}
-		for dj := lo; dj <= hi; dj++ {
-			del := sat(read(di-1, dj), c.Delete(a.label[di]))
-			ins := sat(read(di, dj-1), c.Insert(b.label[dj]))
-			var v int
-			if a.lml[di] == li && b.lml[dj] == lj {
-				rel := sat(read(di-1, dj-1), c.Relabel(a.label[di], b.label[dj]))
-				v = min3(del, ins, rel)
-				td[di][dj] = v
-			} else {
-				sub := sat(read(a.lml[di]-1, b.lml[dj]-1), td[di][dj])
-				v = min3(del, ins, sub)
-			}
-			fd[di][dj] = v
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		if hi >= lo {
-			*cells += int64(hi - lo + 1)
-		}
-		if rowMin > cutoff {
-			return
-		}
-	}
 }

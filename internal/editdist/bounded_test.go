@@ -13,10 +13,30 @@ import (
 
 // checkWithin asserts the DistanceWithin contract for one (pair, cutoff):
 // agreement with the full distance when within, a certified lower bound
-// otherwise.
+// otherwise. On the way it holds the band-off kernel to its accounting:
+// the cells it counts are exactly the closed-form FullCells.
 func checkWithin(t *testing.T, t1, t2 *tree.Tree, cutoff int, opts ...Option) {
 	t.Helper()
-	full := Distance(t1, t2, opts...)
+	var m Metrics
+	full := Distance(t1, t2, append(opts[:len(opts):len(opts)], WithMetrics(&m))...)
+	if m.Cells != m.FullCells {
+		t.Fatalf("Distance(%q,%q) counted %d cells, FullCells is %d", t1, t2, m.Cells, m.FullCells)
+	}
+	checkWithinRef(t, t1, t2, cutoff, full, opts...)
+}
+
+// checkWithinRef is checkWithin against a reference distance computed by
+// the caller.
+func checkWithinRef(t *testing.T, t1, t2 *tree.Tree, cutoff, full int, opts ...Option) {
+	t.Helper()
+	// Zero the pooled tables: a cell the call reads without having written
+	// or initialised it then shows as an underestimate instead of hiding
+	// behind a plausible value left by the previous pair.
+	if k, _ := kernelPool.Get().(*kernel); k != nil {
+		clear(k.td[:cap(k.td)])
+		clear(k.fd[:cap(k.fd)])
+		kernelPool.Put(k)
+	}
 	d, ok := DistanceWithin(t1, t2, cutoff, opts...)
 	if full <= cutoff {
 		if !ok || d != full {
@@ -234,23 +254,42 @@ func TestDistanceWithinMetrics(t *testing.T) {
 	}
 }
 
-// TestDistanceWithinCellsGate is the DP-work regression gate: across a
-// fixed random workload with refine-realistic cutoffs, the bounded
-// program must touch well under half of the full program's cells.
+// TestDistanceWithinCellsGate is the DP-work regression gate: across fixed
+// workloads with refine-realistic cutoffs, the bounded program must touch
+// well under half of the full program's cells on small random pairs, and —
+// the global positional band's contribution — under 15 % on knn_bigtree's
+// 150-node within-cluster pairs at the cutoff its queries settle at.
 func TestDistanceWithinCellsGate(t *testing.T) {
 	spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1, SizeMean: 20, SizeStd: 6, Labels: 6, Decay: 0.1}
 	ts := datagen.New(spec, 23).Dataset(30, 5)
-	var touched, fullTotal int64
+	var small [][2]*tree.Tree
 	for i := 0; i < len(ts); i++ {
 		for j := i + 1; j < len(ts); j++ {
+			small = append(small, [2]*tree.Tree{ts[i], ts[j]})
+		}
+	}
+	for _, g := range []struct {
+		name     string
+		pairs    [][2]*tree.Tree
+		cutoff   int
+		maxShare float64
+	}{
+		{"small random pairs", small, 4, 0.50},
+		{"150-node cluster pairs", clusterPairs(t, bigSpec, 11, 8), 14, 0.15},
+	} {
+		var touched, fullTotal int64
+		for _, p := range g.pairs {
 			var m Metrics
-			DistanceWithin(ts[i], ts[j], 4, WithMetrics(&m))
+			DistanceWithin(p[0], p[1], g.cutoff, WithMetrics(&m))
 			touched += m.Cells
 			fullTotal += m.FullCells
 		}
-	}
-	if touched*2 >= fullTotal {
-		t.Fatalf("bounded τ=4 workload touched %d of %d full cells; want < 50%%", touched, fullTotal)
+		if share := float64(touched) / float64(fullTotal); share >= g.maxShare {
+			t.Errorf("%s, τ=%d: touched %d of %d full cells (%.1f%%); want < %.0f%%",
+				g.name, g.cutoff, touched, fullTotal, 100*share, 100*g.maxShare)
+		} else {
+			t.Logf("%s, τ=%d: %.1f%% of full cells", g.name, g.cutoff, 100*share)
+		}
 	}
 }
 
@@ -300,22 +339,37 @@ func benchPairs(n int) [][2]*tree.Tree {
 	return pairs
 }
 
-// BenchmarkDistanceWithin measures the bounded verifier at a
-// refine-realistic cutoff, reporting DP cells per verification alongside
-// time. Compare with BenchmarkDistanceFull for the saving.
+// BenchmarkDistanceWithin is the editdist rung: the verifier on small
+// refine-sized pairs at a realistic cutoff, and on knn_bigtree's 150-node
+// within-cluster pairs at a tight cutoff, at the cutoff its queries settle
+// at, and with none (a k-NN query's first k verifications). Each reports
+// DP cells per verification and time per cell beside ns/op and B/op.
 func BenchmarkDistanceWithin(b *testing.B) {
-	pairs := benchPairs(64)
-	var m Metrics
-	var cells, fullCells int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		DistanceWithin(p[0], p[1], 6, WithMetrics(&m))
-		cells += m.Cells
-		fullCells += m.FullCells
+	big := clusterPairs(b, bigSpec, 11, 8)
+	for _, bc := range []struct {
+		name   string
+		pairs  [][2]*tree.Tree
+		cutoff int
+	}{
+		{"small/τ=6", benchPairs(64), 6},
+		{"big/τ=3", big, 3},
+		{"big/τ=14", big, 14},
+		{"big/full", big, math.MaxInt},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var m Metrics
+			var cells int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := bc.pairs[i%len(bc.pairs)]
+				DistanceWithin(p[0], p[1], bc.cutoff, WithMetrics(&m))
+				cells += m.Cells
+			}
+			b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+		})
 	}
-	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
-	b.ReportMetric(float64(fullCells)/float64(b.N), "fullcells/op")
 }
 
 // BenchmarkDistanceFull is the unbounded baseline over the same workload.

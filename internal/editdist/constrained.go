@@ -117,7 +117,7 @@ func alignForests(f1, f2 []int, delT, insT []int, dt [][]int) int {
 	for i := 1; i <= m; i++ {
 		cur[0] = prev[0] + delT[f1[i-1]]
 		for j := 1; j <= n; j++ {
-			cur[j] = min3(
+			cur[j] = min(
 				prev[j]+delT[f1[i-1]],
 				cur[j-1]+insT[f2[j-1]],
 				prev[j-1]+dt[f1[i-1]][f2[j-1]],

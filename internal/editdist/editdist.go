@@ -9,8 +9,8 @@
 //
 // time and O(|T1|·|T2|) space. The entry points are options-based
 // (Distance, WithCost, WithCutoff); DistanceWithin is the cutoff-first
-// surface for threshold verification, backed by O(n) pre-checks, a
-// diagonal DP band and frontier-row early abandoning (see bounded.go).
+// surface for threshold verification, backed by O(n) pre-checks, two DP
+// bands and frontier-row early abandoning (see bounded.go, kernel.go).
 // The package also provides the classic string edit distance and the Guha
 // et al. preorder/postorder sequence lower bound (reference [15]), used as
 // an additional filter baseline, and an exponential brute-force distance
@@ -70,7 +70,7 @@ func Distance(t1, t2 *tree.Tree, opts ...Option) int {
 // DistanceWithin is the cutoff-first entry point for threshold
 // verification: it decides whether the edit distance between t1 and t2 is
 // at most cutoff, spending as little work as the decision allows
-// (pre-checks, diagonal band, early abandoning — see bounded.go). It
+// (pre-checks, two bands, early abandoning — see bounded.go). It
 // returns (d, true) with the exact distance d when d ≤ cutoff, and
 // (lb, false) with a certified lower bound lb > cutoff when the distance
 // is proven to exceed it.
@@ -90,118 +90,47 @@ func DistanceCost(t1, t2 *tree.Tree, c CostModel) int {
 	return Distance(t1, t2, WithCost(c))
 }
 
-// distance dispatches a folded configuration: empty-tree cases first, then
-// the unbounded or the bounded program. The boolean reports dist ≤ cutoff;
-// when false the returned value is a certified lower bound > cutoff.
+// distance runs a folded configuration: empty-tree and negative-cutoff
+// cases, the O(n) pre-checks, then the kernel. The boolean reports dist ≤
+// cutoff; when false the returned value is a certified lower bound > cutoff.
 func distance(t1, t2 *tree.Tree, cfg *config) (int, bool) {
 	a, b := decompose(t1), decompose(t2)
-	if cfg.metrics != nil {
-		*cfg.metrics = Metrics{FullCells: fullCells(a, b)}
+	m := cfg.metrics
+	if m == nil {
+		m = new(Metrics)
 	}
-	c := cfg.cost
+	*m = Metrics{FullCells: fullCells(a, b)}
+	c, cutoff := cfg.cost, cfg.cutoff
 	switch {
-	case a.n == 0 && b.n == 0:
-		return 0, 0 <= cfg.cutoff
-	case a.n == 0:
-		d := b.totalCost(c.Insert)
-		return d, d <= cfg.cutoff
-	case b.n == 0:
-		d := a.totalCost(c.Delete)
-		return d, d <= cfg.cutoff
-	}
-	cutoff := cfg.cutoff
-	if cutoff >= unreachable {
-		// No cutoff (or one too large to prune anything): the plain
-		// program, with every cell of every keyroot subproblem computed.
-		d := distFull(a, b, c, cfg.metrics)
+	case a.n == 0 || b.n == 0:
+		d := a.totalCost(c.Delete) + b.totalCost(c.Insert)
 		return d, d <= cutoff
-	}
-	if cutoff < 0 {
+	case cutoff < 0:
 		// Distances are non-negative, so nothing is within a negative
 		// cutoff; 0 is the trivial certified lower bound.
-		if cfg.metrics != nil {
-			cfg.metrics.Precheck = true
-		}
+		m.Precheck = true
 		return 0, false
 	}
-	cmin := minOpCost(c)
-	band := a.n + b.n // covers every cell: no restriction
-	if cmin >= 1 {
+	// No cutoff (or one too large to prune anything real) and models without
+	// a per-operation minimum keep the band that covers every cell.
+	band := a.n + b.n
+	if cmin := minOpCost(c); cmin >= 1 && cutoff < unreachable {
 		if lb := precheckBound(t1, t2, a, b, cmin); lb > cutoff {
-			if cfg.metrics != nil {
-				cfg.metrics.Precheck = true
-			}
+			m.Precheck = true
 			return lb, false
 		}
-		if w := cutoff / cmin; w < band {
-			band = w
-		}
+		band = min(band, cutoff/cmin)
 	}
-	d := distBounded(a, b, c, cutoff, band, cfg.metrics)
+	k := newKernel(a, b, c, cutoff, band)
+	d := k.run()
+	m.Cells = k.cells
+	k.release()
 	if d > cutoff {
-		// The band-confined value proves dist > cutoff but may overshoot
-		// the true distance, so certify only the tight integer bound.
-		if cfg.metrics != nil {
-			cfg.metrics.Aborted = true
-		}
+		// The value proves dist > cutoff but may overshoot it (bounded.go).
+		m.Aborted = true
 		return cutoff + 1, false
 	}
 	return d, true
-}
-
-// distFull runs the unbounded Zhang–Shasha program (both trees non-empty).
-func distFull(a, b *decomp, c CostModel, m *Metrics) int {
-	// td[i][j] = tree distance between subtree rooted at postorder node i
-	// of T1 and subtree rooted at postorder node j of T2 (1-based).
-	td := make([][]int, a.n+1)
-	for i := range td {
-		td[i] = make([]int, b.n+1)
-	}
-	// Forest distance scratch, reused across keyroot pairs.
-	fd := make([][]int, a.n+1)
-	for i := range fd {
-		fd[i] = make([]int, b.n+1)
-	}
-
-	for _, i := range a.keyroots {
-		for _, j := range b.keyroots {
-			treeDist(a, b, i, j, c, td, fd)
-		}
-	}
-	if m != nil {
-		m.Cells = m.FullCells
-	}
-	return td[a.n][b.n]
-}
-
-// treeDist fills td[i'][j'] for all i' on the leftmost path of keyroot i
-// and j' on the leftmost path of keyroot j, per Zhang–Shasha.
-func treeDist(a, b *decomp, i, j int, c CostModel, td, fd [][]int) {
-	li, lj := a.lml[i], b.lml[j]
-	fd[li-1][lj-1] = 0
-	for di := li; di <= i; di++ {
-		fd[di][lj-1] = fd[di-1][lj-1] + c.Delete(a.label[di])
-	}
-	for dj := lj; dj <= j; dj++ {
-		fd[li-1][dj] = fd[li-1][dj-1] + c.Insert(b.label[dj])
-	}
-	for di := li; di <= i; di++ {
-		for dj := lj; dj <= j; dj++ {
-			del := fd[di-1][dj] + c.Delete(a.label[di])
-			ins := fd[di][dj-1] + c.Insert(b.label[dj])
-			if a.lml[di] == li && b.lml[dj] == lj {
-				// Both prefixes are whole subtrees: this is also a tree
-				// distance.
-				rel := fd[di-1][dj-1] + c.Relabel(a.label[di], b.label[dj])
-				m := min3(del, ins, rel)
-				fd[di][dj] = m
-				td[di][dj] = m
-			} else {
-				sub := fd[a.lml[di]-1][b.lml[dj]-1] + td[di][dj]
-				fd[di][dj] = min3(del, ins, sub)
-			}
-		}
-	}
 }
 
 // decomp holds the postorder decomposition of a tree used by the DP.
@@ -261,14 +190,4 @@ func (d *decomp) totalCost(cost func(string) int) int {
 		s += cost(d.label[i])
 	}
 	return s
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

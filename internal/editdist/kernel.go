@@ -1,0 +1,187 @@
+package editdist
+
+import "sync"
+
+// kernel is the package's one Zhang–Shasha program: Distance,
+// DistanceWithin and EditScriptCost run it with different cutoffs and bands
+// (bounded.go says what the bands are and why they are sound). td and fd
+// are flat row-major (|T1|+1)×(|T2|+1) tables of stride w over 1-based
+// postorder indices, pooled with the per-pair cost and label-id arrays, so
+// a verification allocates nothing once the pool is warm.
+type kernel struct {
+	a, b   *decomp
+	cost   CostModel
+	unit   bool // UnitCost: relabel compares interned ids, no interface call
+	cutoff int
+	band   int   // cutoff / MinOpCost, or |T1|+|T2| for no restriction
+	w      int   // row stride of td and fd
+	cells  int64 // interior forest-distance cells filled so far
+
+	td, fd       []int            // td[x*w+y], fd[x*w+y]
+	dcost, icost []int            // Delete / Insert cost per node, ≤ unreachable
+	aid, bid     []int32          // interned labels, filled under UnitCost only
+	ids          map[string]int32 // the interning table, empty between pairs
+}
+
+// kernelPool recycles kernels; one whose tables exceed maxPooledCells (a
+// pair beyond ≈500×500 nodes) is left to the collector, not pinned here.
+var kernelPool sync.Pool
+
+const maxPooledCells = 1 << 18
+
+// newKernel prepares a pooled kernel for one pair: costs and label ids are
+// filled once so the cell loop never calls Insert or Delete, and td gets
+// the sentinel wherever a subproblem may read it — a cell reads td at its
+// own coordinates, and cells obey |x−y| ≤ band.
+func newKernel(a, b *decomp, c CostModel, cutoff, band int) *kernel {
+	k, _ := kernelPool.Get().(*kernel)
+	if k == nil {
+		k = &kernel{ids: make(map[string]int32)}
+	}
+	k.a, k.b, k.cost, k.cutoff, k.band, k.cells = a, b, c, cutoff, band, 0
+	k.w = b.n + 1
+	size := (a.n + 1) * k.w
+	k.td, k.fd = grow(k.td, size), grow(k.fd, size)
+	k.dcost, k.icost = grow(k.dcost, a.n+1), grow(k.icost, b.n+1)
+	for x := 1; x <= a.n; x++ {
+		k.dcost[x] = min(c.Delete(a.label[x]), unreachable)
+	}
+	for y := 1; y <= b.n; y++ {
+		k.icost[y] = min(c.Insert(b.label[y]), unreachable)
+	}
+	if _, k.unit = c.(UnitCost); k.unit {
+		k.aid, k.bid = k.intern(a.label, k.aid), k.intern(b.label, k.bid)
+	}
+	for x := 1; x <= a.n; x++ {
+		for y := max(1, x-band); y <= min(b.n, x+band); y++ {
+			k.td[x*k.w+y] = unreachable
+		}
+	}
+	k.td[size-1] = unreachable // the answer cell, whatever the band
+	return k
+}
+
+// release pools the kernel without the trees and, above the cap, not at all.
+func (k *kernel) release() {
+	k.a, k.b, k.cost = nil, nil, nil
+	clear(k.ids)
+	if cap(k.td) <= maxPooledCells {
+		kernelPool.Put(k)
+	}
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// intern maps labels[1:] to small ids shared by both trees of the pair.
+func (k *kernel) intern(labels []string, out []int32) []int32 {
+	out = grow(out, len(labels))
+	for x := 1; x < len(labels); x++ {
+		id, ok := k.ids[labels[x]]
+		if !ok {
+			id = int32(len(k.ids))
+			k.ids[labels[x]] = id
+		}
+		out[x] = id
+	}
+	return out
+}
+
+// run solves every keyroot subproblem the global band admits and returns
+// the root cell: the exact distance when ≤ cutoff, otherwise only a witness
+// that the distance exceeds it (possibly the unreachable sentinel).
+func (k *kernel) run() int {
+	for _, i := range k.a.keyroots {
+		li := k.a.lml[i]
+		for _, j := range k.b.keyroots {
+			if d := li - k.b.lml[j]; -k.band <= d && d <= k.band {
+				treeDist(k, i, j)
+			}
+		}
+	}
+	return k.td[len(k.td)-1]
+}
+
+// treeDist fills the in-window cells of keyroot subproblem (i, j) — fd for
+// the forest prefixes, td[x][y] where x and y lie on the leftmost paths of
+// i and j — and abandons it once a whole frontier row exceeds the cutoff.
+// The window is one offset interval [olo, ohi] ∋ 0 (bounded.go), so row
+// x's cells are a run [lo, hi] sliding right by one per row, and a cell's
+// only neighbours outside it are the one left of lo and the one above hi.
+// Both get the sentinel up front; that leaves one band test in the loop,
+// for the jump to (lml(x)−1, lml(y)−1). Every stored value is clamped to
+// the sentinel, so sums of two stay far from overflow.
+func treeDist(k *kernel, i, j int) {
+	a, b := k.a, k.b
+	li, lj := a.lml[i], b.lml[j]
+	olo, ohi := -k.band, k.band
+	if d := li - lj; d > 0 {
+		ohi -= d
+	} else {
+		olo -= d
+	}
+	w, fd, td, icost, blml := k.w, k.fd, k.td, k.icost, b.lml
+	// Row li−1: the empty prefix of T1 against prefixes of T2 — inserts.
+	row := (li - 1) * w
+	hi := min(j, lj-1-olo)
+	fd[row+lj-1] = 0
+	for y := lj; y <= hi; y++ {
+		fd[row+y] = min(fd[row+y-1]+icost[y], unreachable)
+	}
+	if hi < j {
+		fd[row+hi+1] = unreachable
+	}
+	// Past row li+(j−lj)+ohi the window has slid beyond column j.
+	for x, end := li, min(i, li+j-lj+ohi); x <= end; x++ {
+		prev := row
+		row += w
+		lo, hi := x-li+lj-ohi, min(j, x-li+lj-olo)
+		dc, rowMin := k.dcost[x], unreachable
+		if lo < lj {
+			// Column lj−1, the empty prefix of T2 (deletes), is in the window.
+			lo = lj
+			rowMin = min(fd[prev+lj-1]+dc, unreachable)
+			fd[row+lj-1] = rowMin
+		} else {
+			fd[row+lo-1] = unreachable
+		}
+		if hi < j {
+			fd[row+hi+1] = unreachable
+		}
+		// The jump cell (lx−1, l−1) is in the window iff qlo ≤ l ≤ qhi.
+		lx := a.lml[x]
+		spine, jump := lx == li, (lx-1)*w-1
+		qlo, qhi := lx-li+lj-ohi, lx-li+lj-olo
+		left := fd[row+lo-1]
+		for y := lo; y <= hi; y++ {
+			v := min(fd[prev+y]+dc, left+icost[y])
+			if l := blml[y]; spine && l == lj {
+				// Both prefixes are whole subtrees: also a tree distance.
+				rel := 0
+				if !k.unit {
+					rel = min(k.cost.Relabel(a.label[x], b.label[y]), unreachable)
+				} else if k.aid[x] != k.bid[y] {
+					rel = 1
+				}
+				v = min(v, fd[prev+y-1]+rel, unreachable)
+				td[row+y] = v
+			} else {
+				if qlo <= l && l <= qhi {
+					v = min(v, fd[jump+l]+td[row+y])
+				}
+				v = min(v, unreachable)
+			}
+			fd[row+y] = v
+			left = v
+			rowMin = min(rowMin, v)
+		}
+		k.cells += int64(hi - lo + 1)
+		if rowMin > k.cutoff {
+			return
+		}
+	}
+}

@@ -120,52 +120,36 @@ func EditScript(t1, t2 *tree.Tree) *Script {
 func EditScriptCost(t1, t2 *tree.Tree, c CostModel) *Script {
 	a, b := decompose(t1), decompose(t2)
 	s := &Script{}
-	switch {
-	case a.n == 0 && b.n == 0:
-		return s
-	case a.n == 0:
+	if a.n == 0 || b.n == 0 {
+		for i := 1; i <= a.n; i++ {
+			s.emit(Op{Kind: Delete, AIndex: i, ALabel: a.label[i], Cost: c.Delete(a.label[i])})
+		}
 		for j := 1; j <= b.n; j++ {
 			s.emit(Op{Kind: Insert, BIndex: j, BLabel: b.label[j], Cost: c.Insert(b.label[j])})
 		}
 		return s
-	case b.n == 0:
-		for i := 1; i <= a.n; i++ {
-			s.emit(Op{Kind: Delete, AIndex: i, ALabel: a.label[i], Cost: c.Delete(a.label[i])})
-		}
-		return s
 	}
 
-	// Phase 1: the full DP, filling the tree-distance matrix.
-	td := make([][]int, a.n+1)
-	for i := range td {
-		td[i] = make([]int, b.n+1)
-	}
-	fd := make([][]int, a.n+1)
-	for i := range fd {
-		fd[i] = make([]int, b.n+1)
-	}
-	for _, i := range a.keyroots {
-		for _, j := range b.keyroots {
-			treeDist(a, b, i, j, c, td, fd)
-		}
-	}
-
+	// Phase 1: the kernel with the band off fills the tree-distance table.
+	k := newKernel(a, b, c, noCutoff, a.n+b.n)
+	defer k.release()
+	k.run()
 	// Phase 2: recursive backtrace. Each call re-derives the forest
 	// distances for the subtree pair (i, j) and walks the optimal path,
-	// emitting operations; subtree matches that were solved in a
-	// different keyroot computation recurse.
+	// emitting operations; subtree matches solved elsewhere recurse.
+	fd, w := k.fd, k.w
 	var backtrace func(i, j int)
 	backtrace = func(i, j int) {
-		treeDist(a, b, i, j, c, td, fd)
+		treeDist(k, i, j)
 		li, lj := a.lml[i], b.lml[j]
 		di, dj := i, j
 		for di >= li || dj >= lj {
 			switch {
-			case di >= li && (dj < lj || fd[di][dj] == fd[di-1][dj]+c.Delete(a.label[di])):
-				s.emit(Op{Kind: Delete, AIndex: di, ALabel: a.label[di], Cost: c.Delete(a.label[di])})
+			case di >= li && (dj < lj || fd[di*w+dj] == fd[(di-1)*w+dj]+k.dcost[di]):
+				s.emit(Op{Kind: Delete, AIndex: di, ALabel: a.label[di], Cost: k.dcost[di]})
 				di--
-			case dj >= lj && (di < li || fd[di][dj] == fd[di][dj-1]+c.Insert(b.label[dj])):
-				s.emit(Op{Kind: Insert, BIndex: dj, BLabel: b.label[dj], Cost: c.Insert(b.label[dj])})
+			case dj >= lj && (di < li || fd[di*w+dj] == fd[di*w+dj-1]+k.icost[dj]):
+				s.emit(Op{Kind: Insert, BIndex: dj, BLabel: b.label[dj], Cost: k.icost[dj]})
 				dj--
 			case a.lml[di] == li && b.lml[dj] == lj:
 				// Both prefixes are whole subtrees: (di, dj) is mapped.
@@ -181,12 +165,11 @@ func EditScriptCost(t1, t2 *tree.Tree, c CostModel) *Script {
 			default:
 				// The cell came from an independently solved subtree
 				// pair: resolve it recursively, then jump across it.
-				// Recursion clobbers fd, so restore this forest's
-				// distances afterwards.
+				// Recursion clobbers fd, so refill this forest afterwards.
 				si, sj := di, dj
 				di, dj = a.lml[si]-1, b.lml[sj]-1
 				backtrace(si, sj)
-				treeDist(a, b, i, j, c, td, fd)
+				treeDist(k, i, j)
 			}
 		}
 	}

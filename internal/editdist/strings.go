@@ -21,7 +21,7 @@ func StringDistance(a, b []string) int {
 			if a[i-1] != b[j-1] {
 				sub++
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, sub)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, sub)
 		}
 		prev, cur = cur, prev
 	}

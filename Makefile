@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/tree
 	$(GO) test -run='^$$' -fuzz='^FuzzParseString$$' -fuzztime=$(FUZZTIME) ./internal/xmltree
 	$(GO) test -run='^$$' -fuzz='^FuzzBoundCascade$$' -fuzztime=$(FUZZTIME) ./internal/branch
+	$(GO) test -run='^$$' -fuzz='^FuzzProfileKernel$$' -fuzztime=$(FUZZTIME) ./internal/branch
 	$(GO) test -run='^$$' -fuzz='^FuzzDistanceWithin$$' -fuzztime=$(FUZZTIME) ./internal/editdist
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadIndex$$' -fuzztime=$(FUZZTIME) ./internal/search
 	$(GO) test -run='^$$' -fuzz='^FuzzManifest$$' -fuzztime=$(FUZZTIME) ./internal/segstore

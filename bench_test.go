@@ -179,18 +179,6 @@ func BenchmarkSearchLBound(b *testing.B) {
 	}
 }
 
-// BenchmarkProfile measures per-tree vector construction.
-func BenchmarkProfile(b *testing.B) {
-	for _, size := range []float64{25, 50, 100} {
-		t1, _ := syntheticPair(size, 7)
-		b.Run(sizeName(size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				branch.NewSpace(2).Profile(t1)
-			}
-		})
-	}
-}
-
 // BenchmarkVectorConstruction measures Algorithm 1 — profiling every tree
 // into the flat per-segment arrays plus the counting sort that builds the
 // inverted file over them — demonstrating the linear O(Σ|Ti|) claim of

@@ -99,6 +99,7 @@ echo "== go test -fuzz (fuzztime $FUZZTIME per target)"
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime="$FUZZTIME" ./internal/tree
 go test -run='^$' -fuzz='^FuzzParseString$' -fuzztime="$FUZZTIME" ./internal/xmltree
 go test -run='^$' -fuzz='^FuzzBoundCascade$' -fuzztime="$FUZZTIME" ./internal/branch
+go test -run='^$' -fuzz='^FuzzProfileKernel$' -fuzztime="$FUZZTIME" ./internal/branch
 go test -run='^$' -fuzz='^FuzzDistanceWithin$' -fuzztime="$FUZZTIME" ./internal/editdist
 go test -run='^$' -fuzz='^FuzzLoadIndex$' -fuzztime="$FUZZTIME" ./internal/search
 go test -run='^$' -fuzz='^FuzzManifest$' -fuzztime="$FUZZTIME" ./internal/segstore

@@ -181,7 +181,11 @@ func TestKeyLabelsRoundTrip(t *testing.T) {
 		{"label with spaces", "ε", "ε"},
 	}
 	for _, seq := range seqs {
-		got := KeyLabels(string(appendKey(nil, seq)))
+		var key []byte
+		for _, l := range seq {
+			key = appendLabel(key, l)
+		}
+		got := KeyLabels(string(key))
 		if len(got) != len(seq) {
 			t.Fatalf("KeyLabels(%v) = %v", seq, got)
 		}

@@ -1,12 +1,10 @@
 package branch
 
 import (
-	"cmp"
 	"runtime"
 	"slices"
 	"sync"
 
-	"treesim/internal/btree"
 	"treesim/internal/labels"
 	"treesim/internal/tree"
 	"treesim/internal/vector"
@@ -79,49 +77,134 @@ func (p *Profile) Occurrences(i int) []Occurrence {
 	return p.f.occ[p.f.offs[c]:p.f.offs[c+1]]
 }
 
-// visit enumerates the q-level binary branches of t in preorder of the
-// original tree, calling fn once per original node with the branch's
-// encoded key and the node's 1-based preorder and postorder positions. The
-// key bytes are only valid during the call. It returns |T|.
-func (s *Space) visit(t *tree.Tree, fn func(key []byte, pre, post int32)) int {
-	bt := btree.Normalized(t)
-	size := 0
+// scratch is the profiling kernel's reusable working memory: one tree
+// flattened to parallel arrays indexed by 0-based preorder position. first
+// and next are the left and right child links of the binary tree
+// representation B(T) (Section 2.3) with −1 standing for ε, so a branch
+// window is read off by index and B(T) itself is never built.
+type scratch struct {
+	label []string
+	first []int32 // first child in T: left child in B(T)
+	next  []int32 // next sibling in T: right child in B(T)
+	post  []int32 // 1-based postorder position in T
+	dim   []vector.Dim
+	stack []frame
+	miss  []int32  // nodes whose branch the read-locked pass did not find
+	key   []byte   // one rendered branch key
+	keys  []uint64 // dim<<32 | 1-based preorder position, sorted
+}
 
-	window := make([]string, 0, s.WindowLen())
-	var key []byte
-	var emit func(n *btree.Node, levels int)
-	emit = func(n *btree.Node, levels int) {
-		if levels == 0 {
-			return
-		}
-		if n == nil || n.Epsilon {
-			window = append(window, labels.EpsilonString)
-			emit(nil, levels-1)
-			emit(nil, levels-1)
-			return
-		}
-		window = append(window, n.Label)
-		emit(n.Left, levels-1)
-		emit(n.Right, levels-1)
-	}
+// frame is an inner node whose children the flatten pass is still visiting.
+type frame struct {
+	n    *tree.Node
+	at   int32 // n's index
+	last int32 // index of the child visited last
+	kid  int   // next child to visit
+}
 
-	// Visit original nodes in preorder of B(T) — which equals preorder of
-	// T — so per-branch occurrence sequences come out sorted by Pre.
-	var walk func(n *btree.Node)
-	walk = func(n *btree.Node) {
-		if n == nil || n.Epsilon {
-			return
-		}
-		size++
-		window = window[:0]
-		emit(n, s.q)
-		key = appendKey(key[:0], window)
-		fn(key, int32(n.Pre), int32(n.Post))
-		walk(n.Left)
-		walk(n.Right)
+// noDim marks a node whose branch has no dimension in the space.
+const noDim = ^vector.Dim(0)
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledNodes is the largest tree whose scratch release returns to the
+// pool: one giant query must not leave its megabytes under every later one.
+const maxPooledNodes = 1 << 16
+
+func (sc *scratch) release() {
+	if cap(sc.label) <= maxPooledNodes {
+		scratchPool.Put(sc)
 	}
-	walk(bt.Root)
-	return size
+}
+
+// push appends a node with no links yet and returns its index.
+func (sc *scratch) push(n *tree.Node) int32 {
+	sc.label = append(sc.label, n.Label)
+	sc.first = append(sc.first, -1)
+	sc.next = append(sc.next, -1)
+	sc.post = append(sc.post, 0)
+	return int32(len(sc.label) - 1)
+}
+
+// flatten loads t into the arrays in one preorder pass and returns |T|. The
+// pass keeps its own stack, so its depth costs heap, not goroutine stack.
+func (sc *scratch) flatten(t *tree.Tree) int {
+	sc.label, sc.first, sc.next, sc.post = sc.label[:0], sc.first[:0], sc.next[:0], sc.post[:0]
+	if t.IsEmpty() {
+		return 0
+	}
+	post := int32(0)
+	sc.stack = append(sc.stack[:0], frame{n: t.Root, at: sc.push(t.Root)})
+	for len(sc.stack) > 0 {
+		f := &sc.stack[len(sc.stack)-1]
+		if f.kid == len(f.n.Children) {
+			post++
+			sc.post[f.at] = post
+			sc.stack = sc.stack[:len(sc.stack)-1]
+			continue
+		}
+		c := f.n.Children[f.kid]
+		at := sc.push(c)
+		if f.kid == 0 {
+			sc.first[f.at] = at
+		} else {
+			sc.next[f.last] = at
+		}
+		f.kid, f.last = f.kid+1, at
+		if len(c.Children) == 0 {
+			post++
+			sc.post[at] = post
+		} else {
+			sc.stack = append(sc.stack, frame{n: c, at: at})
+		}
+	}
+	return len(sc.label)
+}
+
+// appendWindow appends the key of the perfect binary tree with the given
+// number of levels rooted at node i of B(T), in preorder, ε-padded below
+// the leaves (Definition 5). The recursion is levels deep.
+func (sc *scratch) appendWindow(dst []byte, i int32, levels int) []byte {
+	if i < 0 {
+		for n := 1<<uint(levels) - 1; n > 0; n-- {
+			dst = appendLabel(dst, labels.EpsilonString)
+		}
+		return dst
+	}
+	dst = appendLabel(dst, sc.label[i])
+	if levels == 1 {
+		return dst
+	}
+	dst = sc.appendWindow(dst, sc.first[i], levels-1)
+	return sc.appendWindow(dst, sc.next[i], levels-1)
+}
+
+// resolve fills sc.dim with the dimension of the branch rooted at each of
+// the n flattened nodes, in one pass under the space's read lock. What that
+// pass misses is interned in preorder under the write lock, or with lookup
+// set left at noDim and the space untouched.
+func (s *Space) resolve(sc *scratch, n int, lookup bool) {
+	sc.dim, sc.miss = slices.Grow(sc.dim[:0], n)[:n], sc.miss[:0]
+	s.mu.RLock()
+	for i := range sc.dim {
+		sc.key = sc.appendWindow(sc.key[:0], int32(i), s.q)
+		d, ok := s.ids[string(sc.key)]
+		if !ok {
+			d = noDim
+			sc.miss = append(sc.miss, int32(i))
+		}
+		sc.dim[i] = d
+	}
+	s.mu.RUnlock()
+	if lookup || len(sc.miss) == 0 {
+		return
+	}
+	s.mu.Lock()
+	for _, i := range sc.miss {
+		sc.key = sc.appendWindow(sc.key[:0], i, s.q)
+		sc.dim[i] = s.intern(sc.key)
+	}
+	s.mu.Unlock()
 }
 
 // Branches enumerates the q-level binary branches of t in preorder of the
@@ -133,69 +216,94 @@ func (s *Space) visit(t *tree.Tree, fn func(key []byte, pre, post int32)) int {
 //
 // Complexity: O(|T| · 2^q) time.
 func (s *Space) Branches(t *tree.Tree, fn func(d vector.Dim, pre, post int32)) int {
-	return s.visit(t, func(key []byte, pre, post int32) {
-		fn(s.intern(key), pre, post)
-	})
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	n := sc.flatten(t)
+	s.resolve(sc, n, false)
+	for i, d := range sc.dim {
+		fn(d, int32(i+1), sc.post[i])
+	}
+	return n
 }
 
-// rawOcc is one branch occurrence before grouping by dimension: the
-// dimension and preorder position packed into one sortable key (preorder
-// positions are unique within a tree, so the keys are too).
-type rawOcc struct {
-	key  uint64 // dim<<32 | pre
-	post int32
-}
-
-// profiler appends profiles to one flat store, reusing its scratch space
-// from tree to tree. Not safe for concurrent use.
+// profiler appends the profiles of a block of trees to one flat store,
+// reusing one scratch from tree to tree. Not safe for concurrent use.
 type profiler struct {
-	s   *Space
-	f   *flat
-	raw []rawOcc
+	s           *Space
+	f           *flat
+	sc          *scratch
+	done, total int // trees added so far, trees the block will hold
 }
 
 // add profiles t onto the end of the store. With lookup set, branches the
 // space has never seen are counted in Size but get no coordinate, and the
 // space is left untouched.
 func (pr *profiler) add(t *tree.Tree, lookup bool) Profile {
-	s, f := pr.s, pr.f
-	pr.raw = pr.raw[:0]
-	size := s.visit(t, func(key []byte, pre, post int32) {
-		var d vector.Dim
-		if lookup {
-			var ok bool
-			if d, ok = s.lookup(key); !ok {
-				return
-			}
-		} else {
-			d = s.intern(key)
+	s, f, sc := pr.s, pr.f, pr.sc
+	size := sc.flatten(t)
+	s.resolve(sc, size, lookup)
+	sc.keys = sc.keys[:0]
+	for i, d := range sc.dim {
+		if d != noDim {
+			sc.keys = append(sc.keys, uint64(d)<<32|uint64(i+1))
 		}
-		pr.raw = append(pr.raw, rawOcc{key: uint64(d)<<32 | uint64(uint32(pre)), post: post})
-	})
-	slices.SortFunc(pr.raw, func(a, b rawOcc) int { return cmp.Compare(a.key, b.key) })
+	}
+	slices.Sort(sc.keys)
+	coords := 0
+	for i, k := range sc.keys {
+		if i == 0 || k>>32 != sc.keys[i-1]>>32 {
+			coords++
+		}
+	}
 
+	pr.done++
+	f.dims = room(f.dims, coords, pr.done, pr.total)
+	f.offs = room(f.offs, coords+1, pr.done, pr.total)
+	f.occ = room(f.occ, len(sc.keys), pr.done, pr.total)
 	if len(f.offs) == 0 {
 		f.offs = append(f.offs, 0)
 	}
 	lo := uint32(len(f.dims))
-	for i, r := range pr.raw {
-		d := vector.Dim(r.key >> 32)
-		if i == 0 || d != f.dims[len(f.dims)-1] {
+	for i, k := range sc.keys {
+		if i == 0 || k>>32 != sc.keys[i-1]>>32 {
 			if i > 0 {
 				f.offs = append(f.offs, uint32(len(f.occ)))
 			}
-			f.dims = append(f.dims, d)
+			f.dims = append(f.dims, vector.Dim(k>>32))
 		}
-		f.occ = append(f.occ, Occurrence{Pre: int32(uint32(r.key)), Post: r.post})
+		pre := int32(uint32(k))
+		f.occ = append(f.occ, Occurrence{Pre: pre, Post: sc.post[pre-1]})
 	}
-	if len(pr.raw) > 0 {
+	if len(sc.keys) > 0 {
 		f.offs = append(f.offs, uint32(len(f.occ)))
 	}
 	return Profile{Size: size, f: f, lo: lo, hi: uint32(len(f.dims))}
 }
 
-// clip drops the spare capacity append growth left behind, so a long-lived
-// store costs exactly what it holds.
+// room returns s with capacity for n more elements. A new array is a
+// quarter larger than needed, or, once enough trees are done (this one
+// included) for their mean to stand for the block's, the size extrapolated
+// for the whole block plus 1/64: a block of like trees then gets each array
+// about once and about exactly, and trees sorted by size still cost only
+// amortised growth. The last tree of a block, so any single profile, gets
+// exactly what it needs.
+func room[T any](s []T, n, done, total int) []T {
+	need := len(s) + n
+	if need <= cap(s) {
+		return s
+	}
+	if done < total {
+		need += need / 4
+		if done >= 64 {
+			whole := uint64(len(s)+n) * uint64(total) / uint64(done)
+			need = max(need, int(whole+whole/64))
+		}
+	}
+	return append(make([]T, 0, need), s...)
+}
+
+// clip drops spare capacity beyond the 1/32 that is cheaper to keep than
+// to copy the store for, so a long-lived store costs about what it holds.
 func (f *flat) clip() {
 	f.dims = clipped(f.dims)
 	f.offs = clipped(f.offs)
@@ -203,7 +311,7 @@ func (f *flat) clip() {
 }
 
 func clipped[T any](s []T) []T {
-	if cap(s) == len(s) {
+	if cap(s)-len(s) <= len(s)/32 {
 		return s
 	}
 	return slices.Clone(s)
@@ -228,11 +336,17 @@ func (s *Space) QueryProfile(t *tree.Tree) *Profile {
 	return s.single(t, true)
 }
 
+// single profiles one tree into a store of its own, of exactly its size.
 func (s *Space) single(t *tree.Tree, lookup bool) *Profile {
-	pr := profiler{s: s, f: &flat{space: s}}
-	p := pr.add(t, lookup)
-	pr.f.clip()
-	return &p
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	one := &struct {
+		Profile
+		flat
+	}{flat: flat{space: s}}
+	pr := profiler{s: s, f: &one.flat, sc: sc, total: 1}
+	one.Profile = pr.add(t, lookup)
+	return &one.Profile
 }
 
 // ProfileAll profiles every tree of a dataset in order.
@@ -246,7 +360,8 @@ func (s *Space) ProfileAll(ts []*tree.Tree) []*Profile {
 // memory. The space's interner is safe for concurrent use, and dimension
 // assignment stays deterministic-per-space only in the sense that equal
 // branches get equal dimensions; the dimension *numbering* may differ
-// between runs, which never affects any distance.
+// between runs, which never affects any distance. With one worker it is
+// the order branches are first seen in, tree by tree in preorder.
 func (s *Space) ProfileAllParallel(ts []*tree.Tree, workers int) []*Profile {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -255,11 +370,7 @@ func (s *Space) ProfileAllParallel(ts []*tree.Tree, workers int) []*Profile {
 	views := make([]Profile, len(ts))
 	block := func(w int) {
 		lo, hi := w*len(ts)/workers, (w+1)*len(ts)/workers
-		nodes := 0
-		for _, t := range ts[lo:hi] {
-			nodes += t.Size()
-		}
-		pr := profiler{s: s, f: &flat{space: s, occ: make([]Occurrence, 0, nodes)}}
+		pr := profiler{s: s, f: &flat{space: s}, sc: new(scratch), total: hi - lo}
 		for i := lo; i < hi; i++ {
 			views[i] = pr.add(ts[i], false)
 		}

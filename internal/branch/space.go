@@ -71,13 +71,9 @@ func (s *Space) Size() int {
 func (s *Space) WindowLen() int { return (1 << uint(s.q)) - 1 }
 
 // intern returns the dimension of the branch encoded by key, assigning a
-// fresh dimension on first sight. The key bytes are copied only then.
+// fresh dimension on first sight. The key bytes are copied only then. The
+// caller holds the write lock or is the only user the space has yet.
 func (s *Space) intern(key []byte) vector.Dim {
-	if id, ok := s.lookup(key); ok {
-		return id
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if id, ok := s.ids[string(key)]; ok {
 		return id
 	}
@@ -86,15 +82,6 @@ func (s *Space) intern(key []byte) vector.Dim {
 	s.keys = append(s.keys, k)
 	s.ids[k] = id
 	return id
-}
-
-// lookup returns the dimension of the branch encoded by key, if the space
-// has interned it. It never modifies the space.
-func (s *Space) lookup(key []byte) (vector.Dim, bool) {
-	s.mu.RLock()
-	id, ok := s.ids[string(key)]
-	s.mu.RUnlock()
-	return id, ok
 }
 
 // Key returns the encoded key of dimension d. It panics if d was never
@@ -122,14 +109,11 @@ func KeyLabels(key string) []string {
 	return out
 }
 
-// appendKey appends the unambiguous key of a label sequence to dst using
-// length prefixes ("<len>:<label>" per label), so labels containing any
-// byte sequence are handled.
-func appendKey(dst []byte, seq []string) []byte {
-	for _, l := range seq {
-		dst = strconv.AppendInt(dst, int64(len(l)), 10)
-		dst = append(dst, ':')
-		dst = append(dst, l...)
-	}
-	return dst
+// appendLabel appends one label of a branch key to dst with a length
+// prefix ("<len>:<label>"), so a key is unambiguous whatever bytes its
+// labels contain.
+func appendLabel(dst []byte, l string) []byte {
+	dst = strconv.AppendInt(dst, int64(len(l)), 10)
+	dst = append(dst, ':')
+	return append(dst, l...)
 }

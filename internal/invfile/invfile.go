@@ -8,7 +8,7 @@
 // segment, without opening the profile of a single tree. The search
 // filter does not build one yet — its BDist tier merge-joins per tree — so
 // today the package is exercised by its tests, FuzzBoundCascade and the
-// postings-vs-merge-join ablation benchmark (ROADMAP open item 2).
+// postings-vs-merge-join ablation benchmark (ROADMAP open item 4).
 //
 // The occurrence positions of Algorithm 1's extended lists stay with the
 // per-tree profiles (branch.Profile): the positional bound is only ever

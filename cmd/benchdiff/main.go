@@ -1,26 +1,16 @@
-// Command benchdiff compares two benchmark reports (BENCH_server.json
-// from cmd/benchserver, or BENCH_filters.json from cmd/treesim-analyze)
-// and prints per-metric deltas, so a perf change shows up as numbers
-// rather than two JSON blobs to eyeball.
+// Command benchdiff compares two cmd/treesim-analyze reports
+// (BENCH_filters.json) and prints per-metric deltas, so a change in filter
+// quality shows up as numbers rather than two JSON blobs to eyeball.
 //
-//	benchdiff BENCH_server.json BENCH_server.new.json
+//	benchdiff BENCH_filters.json BENCH_filters.new.json
 //	benchdiff -threshold 0.1 old.json new.json
 //
 // Reports are flattened to dotted keys (arrays of objects key by their
 // "spec"/"filter"/"name" field when present, by index otherwise) and
 // every numeric metric present in both files is compared. Any latency
 // percentile key (containing "p99") that regressed by more than
-// -threshold exits 3 — usable as an advisory CI gate. Metadata keys
-// (timestamps, versions, seeds) are not numbers being measured and are
-// skipped.
-//
-// BENCH_server.json also carries the flight recorder's health under
-// trace_recorder.* (retained counts, adaptive threshold, measured
-// overhead per request) and the OTLP exporter's under otlp_export.*
-// (delivered batches and spans, drop count, measured export overhead
-// on the k-NN p50); the flattening picks both up like any other
-// numeric leaf, so recorder or exporter drift shows in the same diff.
-// None of those keys contain "p99", so they inform but never gate.
+// -threshold exits 3. Metadata keys (timestamps, versions, seeds) are not
+// numbers being measured and are skipped.
 package main
 
 import (

@@ -16,14 +16,11 @@ import "treesim/internal/tree"
 // serves as a cheap upper bound for the unrestricted distance (e.g. to
 // seed the k-NN pruning radius before any exact evaluation).
 
-// ConstrainedDistance returns the unit-cost constrained edit distance.
-func ConstrainedDistance(t1, t2 *tree.Tree) int {
-	return ConstrainedDistanceCost(t1, t2, UnitCost{})
-}
-
-// ConstrainedDistanceCost returns the constrained edit distance under an
-// arbitrary cost model.
-func ConstrainedDistanceCost(t1, t2 *tree.Tree, c CostModel) int {
+// ConstrainedDistance returns the constrained edit distance, unit-cost by
+// default. Of the options only WithCost applies: the program is already
+// O(|T1|·|T2|) and takes no cutoff.
+func ConstrainedDistance(t1, t2 *tree.Tree, opts ...Option) int {
+	c := applyOptions(opts).cost
 	a, b := indexTree(t1), indexTree(t2)
 	switch {
 	case a.n == 0 && b.n == 0:

@@ -126,13 +126,13 @@ func TestConstrainedWeightedCosts(t *testing.T) {
 	t1 := tree.MustParse("a(b)")
 	t2 := tree.MustParse("a(c,d)")
 	// Optimal: relabel b→c (3) + insert d (2) = 5.
-	if got := ConstrainedDistanceCost(t1, t2, c); got != 5 {
+	if got := ConstrainedDistance(t1, t2, WithCost(c)); got != 5 {
 		t.Errorf("weighted constrained = %d, want 5", got)
 	}
-	if got := ConstrainedDistanceCost(tree.New(nil), t2, c); got != 6 {
+	if got := ConstrainedDistance(tree.New(nil), t2, WithCost(c)); got != 6 {
 		t.Errorf("insert-all = %d, want 6", got)
 	}
-	if got := ConstrainedDistanceCost(t1, tree.New(nil), c); got != 10 {
+	if got := ConstrainedDistance(t1, tree.New(nil), WithCost(c)); got != 10 {
 		t.Errorf("delete-all = %d, want 10", got)
 	}
 }

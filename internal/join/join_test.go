@@ -94,7 +94,7 @@ func TestJoinCustomCost(t *testing.T) {
 	var want []Pair
 	for i := range ts {
 		for j := i + 1; j < len(ts); j++ {
-			if d := editdist.DistanceCost(ts[i], ts[j], c); d <= 4 {
+			if d := editdist.Distance(ts[i], ts[j], editdist.WithCost(c)); d <= 4 {
 				want = append(want, Pair{R: i, S: j, Dist: d})
 			}
 		}

@@ -11,63 +11,54 @@ import (
 // TestBoundedRefineInvariance is the bounded verification engine's
 // exactness certificate: across every filter family, several shard counts
 // and both query kinds, an index refining against the live cutoff returns
-// byte-identical results (and identical deterministic counters) to one
-// computing every distance in full. Verified counts attempts in both
-// modes, so for range queries even the attempt counter must match.
+// byte-identical results to the sequential-scan reference, which computes
+// every distance in full (unbounded editdist.Distance over every tree,
+// (dist, id) order). A range query verifies every candidate, so its
+// counters must add up too.
 func TestBoundedRefineInvariance(t *testing.T) {
 	ts := testDataset(90, 53)
 	queries := []*tree.Tree{ts[3], ts[60], testDataset(1, 77)[0]}
+	trees := make(map[int]*tree.Tree, len(ts))
+	for id, tr := range ts {
+		trees[id] = tr
+	}
 	for _, f := range shardFilters() {
 		for _, S := range []int{1, 3, 0} {
-			full := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(S), WithBoundedRefine(false))
-			bounded := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(S))
-			if full.BoundedRefine() || !bounded.BoundedRefine() {
-				t.Fatal("BoundedRefine accessor disagrees with the options")
-			}
+			ix := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(S))
 			for qi, q := range queries {
 				for _, k := range []int{1, 5, 12} {
-					want, _, err := full.KNN(context.Background(), q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, bstats, err := bounded.KNN(context.Background(), q, k)
+					want := bruteKNNAnswers(trees, q, k)
+					got, stats, err := ix.KNN(context.Background(), q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s S=%d q=%d k=%d: bounded %v, full %v", f.Name(), S, qi, k, got, want)
+						t.Fatalf("%s S=%d q=%d k=%d: bounded %v, full scan %v", f.Name(), S, qi, k, got, want)
 					}
-					if bstats.DPCells > bstats.DPCellsFull {
+					if stats.DPCells > stats.DPCellsFull {
 						t.Fatalf("%s S=%d q=%d k=%d: touched %d cells > full %d",
-							f.Name(), S, qi, k, bstats.DPCells, bstats.DPCellsFull)
+							f.Name(), S, qi, k, stats.DPCells, stats.DPCellsFull)
 					}
 				}
 				for _, tau := range []int{0, 2, 6} {
-					want, wstats, err := full.Range(context.Background(), q, tau)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, bstats, err := bounded.Range(context.Background(), q, tau)
+					want := bruteRangeAnswers(trees, q, tau)
+					got, stats, err := ix.Range(context.Background(), q, tau)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s S=%d q=%d tau=%d: bounded %v, full %v", f.Name(), S, qi, tau, got, want)
+						t.Fatalf("%s S=%d q=%d tau=%d: bounded %v, full scan %v", f.Name(), S, qi, tau, got, want)
 					}
-					if bstats.Verified != wstats.Verified ||
-						bstats.Candidates != wstats.Candidates ||
-						bstats.Results != wstats.Results ||
-						bstats.FalsePositives != wstats.FalsePositives {
-						t.Fatalf("%s S=%d q=%d tau=%d: stats %+v, want %+v",
-							f.Name(), S, qi, tau, bstats, wstats)
+					if stats.Verified != stats.Candidates ||
+						stats.Results != len(want) ||
+						stats.FalsePositives != stats.Verified-len(want) {
+						t.Fatalf("%s S=%d q=%d tau=%d: stats %+v do not add up to %d results",
+							f.Name(), S, qi, tau, stats, len(want))
 					}
-					if wstats.RefineAborted != 0 || wstats.PrecheckRejects != 0 {
-						t.Fatalf("full refine reported bounded counters: %+v", wstats)
-					}
-					if bstats.Verified > 0 && bstats.DPCells >= bstats.DPCellsFull &&
-						bstats.RefineAborted+bstats.PrecheckRejects > 0 {
+					if stats.Verified > 0 && stats.DPCells >= stats.DPCellsFull &&
+						stats.RefineAborted+stats.PrecheckRejects > 0 {
 						t.Fatalf("%s S=%d q=%d tau=%d: rejections without cell savings: %+v",
-							f.Name(), S, qi, tau, bstats)
+							f.Name(), S, qi, tau, stats)
 					}
 				}
 			}

@@ -19,34 +19,26 @@ import (
 // text encoding) plus the pre-built branch spaces and profiles, so loading
 // skips both tree parsing of external formats and re-profiling.
 //
-// Three on-disk versions exist:
+// On disk (all integers little-endian):
 //
-//	TSIX1 (legacy): magic "TSIX1\x00", then one payload.
-//	TSIX2 (legacy): magic "TSIX2\x00", u64 payload length, payload,
-//	                u32 CRC32C over the payload.
-//	TSIX3:          magic "TSIX3\x00", a checksummed segment manifest
-//	                (internal/segstore framing: u32 length, body,
-//	                u32 CRC32C), then one blob per manifest segment —
-//	                the payload bytes followed by a u32 CRC32C trailer.
+//	magic "TSIX3\x00"
+//	a checksummed segment manifest (internal/segstore framing: u32
+//	length, body, u32 CRC32C)
+//	one blob per manifest segment: the payload bytes followed by a u32
+//	CRC32C trailer
 //
-// The payload format is identical in all versions: u8 positional flag,
-// branch.Write blob, u32 tree count, then each tree as (u32 len,
-// canonical text bytes). All integers are little-endian. A TSIX1/2 file
-// is a single payload; a TSIX3 file carries one payload per storage
-// segment, preserving the segment layout, the dataset-id assignment and
-// the unresolved tombstones across restarts.
+// A payload is a u8 positional flag, a branch.Write blob, a u32 tree
+// count, then each tree as (u32 len, canonical text bytes). One payload
+// per storage segment preserves the segment layout, the dataset-id
+// assignment and the unresolved tombstones across restarts.
 //
-// SaveIndex writes TSIX3; LoadIndex reads all three. Checksums make
-// corruption a first-class, precisely reported condition: LoadIndex
-// distinguishes a truncated snapshot (ErrSnapshotTruncated — the file
-// ends before declared data) from a corrupt one (ErrSnapshotCorrupt —
-// checksum mismatch, or structural nonsense inside length-complete data).
+// Checksums make corruption a first-class, precisely reported condition:
+// LoadIndex and VerifySnapshot distinguish a truncated snapshot
+// (ErrSnapshotTruncated — the file ends before declared data) from a
+// corrupt one (ErrSnapshotCorrupt — any other magic, a checksum mismatch,
+// or structural nonsense inside length-complete data).
 
-var (
-	indexMagicV1 = [6]byte{'T', 'S', 'I', 'X', '1', 0}
-	indexMagicV2 = [6]byte{'T', 'S', 'I', 'X', '2', 0}
-	indexMagicV3 = [6]byte{'T', 'S', 'I', 'X', '3', 0}
-)
+var indexMagic = [6]byte{'T', 'S', 'I', 'X', '3', 0}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -96,7 +88,7 @@ func SaveIndex(w io.Writer, ix *Index) error {
 	m := &segstore.Manifest{NextID: cut.NextID, Tombstones: cut.Tombs.IDs(), Segments: metas}
 
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(indexMagicV3[:]); err != nil {
+	if _, err := bw.Write(indexMagic[:]); err != nil {
 		return err
 	}
 	if err := segstore.WriteManifest(bw, m); err != nil {
@@ -113,76 +105,7 @@ func SaveIndex(w io.Writer, ix *Index) error {
 	return bw.Flush()
 }
 
-// saveIndexV1 writes the legacy unchecksummed single-payload TSIX1
-// format. Kept (and exercised by tests) so the TSIX1-compatibility path
-// in LoadIndex is honest: snapshots from previous releases must keep
-// loading. Only single-segment, delete-free indexes fit the format.
-func saveIndexV1(w io.Writer, ix *Index) error {
-	f, profiles, trees, err := snapshotCut(ix)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(indexMagicV1[:]); err != nil {
-		return err
-	}
-	if err := encodePayload(bw, f, profiles, trees); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// saveIndexV2 writes the legacy checksummed single-payload TSIX2 format,
-// for the same compatibility honesty as saveIndexV1.
-func saveIndexV2(w io.Writer, ix *Index) error {
-	f, profiles, trees, err := snapshotCut(ix)
-	if err != nil {
-		return err
-	}
-	var payload bytes.Buffer
-	if err := encodePayload(&payload, f, profiles, trees); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(indexMagicV2[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(payload.Len())); err != nil {
-		return err
-	}
-	sum := crc32.Checksum(payload.Bytes(), castagnoli)
-	if _, err := bw.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, sum); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// snapshotCut extracts the single-payload serializable state for the
-// legacy formats, which cannot represent segment layouts or tombstones.
-func snapshotCut(ix *Index) (*BiBranch, []*branch.Profile, []*tree.Tree, error) {
-	f, ok := ix.filter.(*BiBranch)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("search: only BiBranch indexes can be saved (have %s)", ix.filter.Name())
-	}
-	cut := ix.store.Read()
-	if len(cut.Segments) > 1 || cut.Tombs.Len() > 0 {
-		return nil, nil, nil, errors.New("search: legacy snapshot formats require a single-segment index without deletes")
-	}
-	if len(cut.Segments) == 0 {
-		return f, nil, nil, nil
-	}
-	p := payloadOf(cut.Segments[0])
-	sf, ok := p.filter.(*BiBranch)
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("search: only BiBranch indexes can be saved (have %s)", p.filter.Name())
-	}
-	return sf, sf.profiles, p.trees, nil
-}
-
-// encodePayload writes the version-independent payload.
+// encodePayload writes one segment's payload.
 func encodePayload(w io.Writer, f *BiBranch, profiles []*branch.Profile, trees []*tree.Tree) error {
 	bw := bufio.NewWriter(w)
 	positional := byte(0)
@@ -210,93 +133,26 @@ func encodePayload(w io.Writer, f *BiBranch, profiles []*branch.Profile, trees [
 	return bw.Flush()
 }
 
-// LoadIndex deserializes an index saved by SaveIndex (TSIX3) or by a
-// previous release (TSIX1/TSIX2). Options configure the loaded index the
-// same way they configure NewIndex: cost model, shard count, worker pool,
-// memtable sizing. A filter option replaces the snapshot's BiBranch
-// filter and re-indexes the loaded dataset under it (collapsing a
-// segmented snapshot into one segment, with dataset ids and the id
-// high-water mark preserved). With no options the index uses unit edit
-// costs and the default execution shape.
+// LoadIndex deserializes an index saved by SaveIndex. Options configure
+// the loaded index the same way they configure NewIndex: cost model, shard
+// count, worker pool, memtable sizing. A filter option replaces the
+// snapshot's BiBranch filter and re-indexes the loaded dataset under it
+// (collapsing a segmented snapshot into one segment, with dataset ids and
+// the id high-water mark preserved). With no options the index uses unit
+// edit costs and the default execution shape.
 //
 // Errors satisfy errors.Is against ErrSnapshotTruncated (file ends early)
-// or ErrSnapshotCorrupt (checksum mismatch / structural damage) so
-// callers can report the failure mode precisely.
+// or ErrSnapshotCorrupt (wrong magic / checksum mismatch / structural
+// damage) so callers can report the failure mode precisely.
 func LoadIndex(r io.Reader, opts ...IndexOption) (*Index, error) {
-	var magic [6]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("search: reading magic: %w", err)
+	m, err := readHeader(r)
+	if err != nil {
+		return nil, err
 	}
 	cfg := applyIndexOpts(opts)
-	switch magic {
-	case indexMagicV1:
-		// Legacy format: no checksum, structural validation only.
-		f, ts, err := decodePayload(bufio.NewReader(r))
-		if err != nil {
-			return nil, err
-		}
-		return assembleSingle(cfg, f, ts), nil
-	case indexMagicV2:
-		f, ts, err := loadV2(r)
-		if err != nil {
-			return nil, err
-		}
-		return assembleSingle(cfg, f, ts), nil
-	case indexMagicV3:
-		return loadV3(r, cfg)
-	default:
-		return nil, fmt.Errorf("search: bad index magic %q (want TSIX1, TSIX2 or TSIX3)", magic)
-	}
-}
-
-// indexShell builds an Index around an already-indexed prototype filter,
-// with an empty store ready for Bootstrap.
-func indexShell(cfg indexConfig, proto Filter) *Index {
-	ix := &Index{
-		filter: proto,
-		cost:   cfg.cost,
-		shards: cfg.shards,
-		pool:   newWorkPool(cfg.refineWorkers),
-	}
-	ix.store = segstore.New(segstore.Config{
-		MemtableSize: cfg.memtableSize,
-		CompactAfter: cfg.compactAfter,
-	}, ix.segHooks())
-	return ix
-}
-
-// assembleSingle builds an index from a legacy single-payload snapshot.
-func assembleSingle(cfg indexConfig, f *BiBranch, ts []*tree.Tree) *Index {
-	proto := Filter(f)
-	if cfg.filter != nil {
-		proto = cfg.filter
-		proto.Index(ts)
-	}
-	ix := indexShell(cfg, proto)
-	if len(ts) > 0 {
-		base := &segstore.Segment{N: len(ts), Payload: &segPayload{trees: ts, filter: proto}}
-		ix.store.Bootstrap([]*segstore.Segment{base}, nil, len(ts))
-	}
-	return ix
-}
-
-// loadV3 reads the segmented format: manifest, then one checksummed
-// payload blob per segment.
-func loadV3(r io.Reader, cfg indexConfig) (*Index, error) {
-	m, err := segstore.ReadManifest(r)
-	if err != nil {
-		if errors.Is(err, segstore.ErrManifestTruncated) {
-			return nil, fmt.Errorf("search: %w: %v", ErrSnapshotTruncated, err)
-		}
-		return nil, fmt.Errorf("search: %w: %v", ErrSnapshotCorrupt, err)
-	}
 
 	segs := make([]*segstore.Segment, len(m.Segments))
 	for i, meta := range m.Segments {
-		if meta.BlobLen > maxPayload {
-			return nil, fmt.Errorf("search: %w: segment %d declares implausible payload length %d",
-				ErrSnapshotCorrupt, i, meta.BlobLen)
-		}
 		f, ts, err := loadBlob(r, int64(meta.BlobLen), i)
 		if err != nil {
 			return nil, err
@@ -332,6 +188,32 @@ func loadV3(r io.Reader, cfg indexConfig) (*Index, error) {
 	return ix, nil
 }
 
+// readHeader reads what precedes the segment blobs — the magic and the
+// manifest — and classifies what is wrong with it.
+func readHeader(r io.Reader) (*segstore.Manifest, error) {
+	var magic [6]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return nil, fmt.Errorf("search: %w: reading magic: %v", ErrSnapshotTruncated, err)
+	}
+	if magic != indexMagic {
+		return nil, fmt.Errorf("search: %w: bad magic %q (want %q)", ErrSnapshotCorrupt, magic, indexMagic)
+	}
+	m, err := segstore.ReadManifest(r)
+	if err != nil {
+		if errors.Is(err, segstore.ErrManifestTruncated) {
+			return nil, fmt.Errorf("search: %w: %v", ErrSnapshotTruncated, err)
+		}
+		return nil, fmt.Errorf("search: %w: %v", ErrSnapshotCorrupt, err)
+	}
+	for i, meta := range m.Segments {
+		if meta.BlobLen > maxPayload {
+			return nil, fmt.Errorf("search: %w: segment %d declares implausible payload length %d",
+				ErrSnapshotCorrupt, i, meta.BlobLen)
+		}
+	}
+	return m, nil
+}
+
 // assembleReindexed merges a segmented snapshot's live trees into one
 // segment under a replacement filter.
 func assembleReindexed(cfg indexConfig, m *segstore.Manifest, segs []*segstore.Segment) *Index {
@@ -361,7 +243,7 @@ func assembleReindexed(cfg indexConfig, m *segstore.Manifest, segs []*segstore.S
 	return ix
 }
 
-// loadBlob decodes one checksummed payload blob (TSIX3 segment), hashing
+// loadBlob decodes one segment's checksummed payload blob, hashing
 // exactly the declared bytes and classifying failures.
 func loadBlob(r io.Reader, blen int64, seg int) (*BiBranch, []*tree.Tree, error) {
 	cr := &countingHashReader{r: io.LimitReader(r, blen), h: crc32.New(castagnoli)}
@@ -415,132 +297,45 @@ func (c *countingHashReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func loadV2(r io.Reader) (*BiBranch, []*tree.Tree, error) {
-	var lenBuf [8]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, nil, fmt.Errorf("search: %w: reading payload length: %v", ErrSnapshotTruncated, err)
-	}
-	plen := binary.LittleEndian.Uint64(lenBuf[:])
-	if plen > maxPayload {
-		return nil, nil, fmt.Errorf("search: %w: implausible payload length %d", ErrSnapshotCorrupt, plen)
-	}
-
-	// Hash exactly the payload while decoding it. The hash taps the
-	// stream below the decoder's buffering and above the file, capped by
-	// the LimitReader at the payload boundary, so read-ahead can never
-	// swallow trailer bytes or hash past the payload.
-	cr := &countingHashReader{r: io.LimitReader(r, int64(plen)), h: crc32.New(castagnoli)}
-	br := bufio.NewReader(cr)
-	f, ts, derr := decodePayload(br)
-
-	var drained int64
-	if rest, err := io.Copy(io.Discard, br); err == nil {
-		drained = rest
-	}
-	if cr.n < int64(plen) {
-		return nil, nil, fmt.Errorf("search: %w: payload has %d of %d declared bytes",
-			ErrSnapshotTruncated, cr.n, plen)
-	}
-
-	var trailer [4]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return nil, nil, fmt.Errorf("search: %w: missing checksum trailer", ErrSnapshotTruncated)
-	}
-	want := binary.LittleEndian.Uint32(trailer[:])
-	if got := cr.h.Sum32(); got != want {
-		return nil, nil, fmt.Errorf("search: %w: payload checksum %08x, trailer says %08x",
-			ErrSnapshotCorrupt, got, want)
-	}
-	if derr != nil {
-		return nil, nil, fmt.Errorf("search: %w: %v", ErrSnapshotCorrupt, derr)
-	}
-	if drained > 0 {
-		return nil, nil, fmt.Errorf("search: %w: %d payload bytes beyond the index structure",
-			ErrSnapshotCorrupt, drained)
-	}
-	return f, ts, nil
-}
-
-// VerifySnapshot checks a snapshot's integrity — lengths and checksums —
-// without decoding it: cheap enough to run after every snapshot write,
-// before the rename publishes it. TSIX1 snapshots carry no checksum; they
-// verify vacuously.
+// VerifySnapshot checks a snapshot's integrity — magic, lengths and
+// checksums — without decoding it: cheap enough to run after every
+// snapshot write, before the rename publishes it.
 func VerifySnapshot(r io.Reader) error {
-	var magic [6]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return fmt.Errorf("search: %w: reading magic: %v", ErrSnapshotTruncated, err)
-	}
-	switch magic {
-	case indexMagicV1:
-		return nil
-	case indexMagicV2:
-		return verifyV2(r)
-	case indexMagicV3:
-		return verifyV3(r)
-	default:
-		return fmt.Errorf("search: %w: bad magic %q", ErrSnapshotCorrupt, magic)
-	}
-}
-
-func verifyV2(r io.Reader) error {
-	var lenBuf [8]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return fmt.Errorf("search: %w: reading payload length: %v", ErrSnapshotTruncated, err)
-	}
-	plen := binary.LittleEndian.Uint64(lenBuf[:])
-	if plen > maxPayload {
-		return fmt.Errorf("search: %w: implausible payload length %d", ErrSnapshotCorrupt, plen)
-	}
-	return verifyChecksummed(r, int64(plen), -1)
-}
-
-func verifyV3(r io.Reader) error {
-	m, err := segstore.ReadManifest(r)
+	m, err := readHeader(r)
 	if err != nil {
-		if errors.Is(err, segstore.ErrManifestTruncated) {
-			return fmt.Errorf("search: %w: %v", ErrSnapshotTruncated, err)
-		}
-		return fmt.Errorf("search: %w: %v", ErrSnapshotCorrupt, err)
+		return err
 	}
 	for i, meta := range m.Segments {
-		if meta.BlobLen > maxPayload {
-			return fmt.Errorf("search: %w: segment %d declares implausible payload length %d",
-				ErrSnapshotCorrupt, i, meta.BlobLen)
-		}
-		if err := verifyChecksummed(r, int64(meta.BlobLen), i); err != nil {
+		if err := verifyBlob(r, int64(meta.BlobLen), i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// verifyChecksummed hashes blen bytes and compares against the u32
-// trailer; seg < 0 means the single legacy payload.
-func verifyChecksummed(r io.Reader, blen int64, seg int) error {
-	where := "payload"
-	if seg >= 0 {
-		where = fmt.Sprintf("segment %d payload", seg)
-	}
+// verifyBlob hashes segment seg's blen payload bytes and compares against
+// the u32 trailer.
+func verifyBlob(r io.Reader, blen int64, seg int) error {
 	h := crc32.New(castagnoli)
 	n, err := io.Copy(h, io.LimitReader(r, blen))
 	if err != nil {
 		return fmt.Errorf("search: verifying snapshot: %w", err)
 	}
 	if n < blen {
-		return fmt.Errorf("search: %w: %s has %d of %d declared bytes", ErrSnapshotTruncated, where, n, blen)
+		return fmt.Errorf("search: %w: segment %d payload has %d of %d declared bytes", ErrSnapshotTruncated, seg, n, blen)
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return fmt.Errorf("search: %w: %s missing checksum trailer", ErrSnapshotTruncated, where)
+		return fmt.Errorf("search: %w: segment %d payload missing checksum trailer", ErrSnapshotTruncated, seg)
 	}
 	if want := binary.LittleEndian.Uint32(trailer[:]); h.Sum32() != want {
-		return fmt.Errorf("search: %w: %s checksum %08x, trailer says %08x",
-			ErrSnapshotCorrupt, where, h.Sum32(), want)
+		return fmt.Errorf("search: %w: segment %d payload checksum %08x, trailer says %08x",
+			ErrSnapshotCorrupt, seg, h.Sum32(), want)
 	}
 	return nil
 }
 
-// decodePayload reads the version-independent payload. br must be the
+// decodePayload reads one segment's payload. br must be the
 // single buffering layer over the source: branch.Read adopts a
 // *bufio.Reader as-is, so no read-ahead escapes the payload.
 //
@@ -583,7 +378,7 @@ func decodePayload(br *bufio.Reader) (*BiBranch, []*tree.Tree, error) {
 
 	trees := make([]*tree.Tree, n)
 	errs := make([]error, n)
-	forEach(int(n), 0, func(i int) {
+	forEach(int(n), func(i int) {
 		t, err := tree.Parse(string(blobs[i]))
 		if err != nil {
 			errs[i] = fmt.Errorf("search: tree %d: %w", i, err)

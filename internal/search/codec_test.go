@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -160,29 +161,6 @@ func TestLoadSegmentedWithFilterReplace(t *testing.T) {
 	}
 }
 
-// TestLoadTSIX2BackCompat: checksummed single-payload snapshots from the
-// previous release keep loading.
-func TestLoadTSIX2BackCompat(t *testing.T) {
-	ts := testDataset(25, 32)
-	ix := NewIndex(ts, NewBiBranch())
-	var buf bytes.Buffer
-	if err := saveIndexV2(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[:6]; string(got) != "TSIX2\x00" {
-		t.Fatalf("legacy writer produced magic %q", got)
-	}
-	loaded, err := LoadIndex(&buf)
-	if err != nil {
-		t.Fatalf("TSIX2 snapshot does not load: %v", err)
-	}
-	wantK, _, _ := ix.KNN(context.Background(), ts[4], 5)
-	gotK, _, _ := loaded.KNN(context.Background(), ts[4], 5)
-	if !reflect.DeepEqual(wantK, gotK) {
-		t.Fatalf("KNN differs through TSIX2 reload: %v vs %v", gotK, wantK)
-	}
-}
-
 func TestSaveRejectsOtherFilters(t *testing.T) {
 	ix := NewIndex(testDataset(5, 23), NewHisto())
 	var buf bytes.Buffer
@@ -191,37 +169,10 @@ func TestSaveRejectsOtherFilters(t *testing.T) {
 	}
 }
 
-// TestLoadTSIX1BackCompat: a snapshot in the previous release's format
-// (no checksum) must keep loading byte-for-byte.
-func TestLoadTSIX1BackCompat(t *testing.T) {
-	ts := testDataset(40, 25)
-	ix := NewIndex(ts, NewBiBranch())
-	var buf bytes.Buffer
-	if err := saveIndexV1(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Bytes()[:6]; string(got) != "TSIX1\x00" {
-		t.Fatalf("legacy writer produced magic %q", got)
-	}
-	loaded, err := LoadIndex(&buf)
-	if err != nil {
-		t.Fatalf("TSIX1 snapshot does not load: %v", err)
-	}
-	if loaded.Size() != ix.Size() {
-		t.Fatalf("loaded %d trees, want %d", loaded.Size(), ix.Size())
-	}
-	for _, q := range []*tree.Tree{ts[0], ts[17]} {
-		wantK, _, _ := ix.KNN(context.Background(), q, 5)
-		gotK, _, _ := loaded.KNN(context.Background(), q, 5)
-		if !reflect.DeepEqual(wantK, gotK) {
-			t.Fatalf("KNN differs through TSIX1 reload: %v vs %v", gotK, wantK)
-		}
-	}
-}
-
-// TestLoadClassifiesCorruptVsTruncated: TSIX2's contract — a bit flip
-// anywhere in the payload is reported as corrupt, a short file as
-// truncated, and neither ever loads.
+// TestLoadClassifiesCorruptVsTruncated: the loader's and the verifier's
+// contract — a bit flip anywhere in the payload and any magic but TSIX3's
+// are reported as corrupt, a short file (shorter than the magic included)
+// as truncated, and neither ever loads.
 func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
 	ix := NewIndex(testDataset(15, 26), NewBiBranch())
 	var buf bytes.Buffer
@@ -229,24 +180,35 @@ func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	payloadStart := 6 + 8 // magic + u64 length
+	payloadStart := 6 + 8 // past the magic, inside the manifest
+
+	check := func(what string, data []byte, want error) {
+		t.Helper()
+		if _, err := LoadIndex(bytes.NewReader(data)); !errors.Is(err, want) {
+			t.Errorf("LoadIndex, %s: err %v, want %v", what, err, want)
+		}
+		if err := VerifySnapshot(bytes.NewReader(data)); !errors.Is(err, want) {
+			t.Errorf("VerifySnapshot, %s: err %v, want %v", what, err, want)
+		}
+	}
 
 	// Bit flips across the payload and the trailer: always ErrSnapshotCorrupt.
 	for _, flip := range []int{payloadStart, payloadStart + 100, len(full) / 2, len(full) - 2} {
 		mut := append([]byte(nil), full...)
 		mut[flip] ^= 0x20
-		_, err := LoadIndex(bytes.NewReader(mut))
-		if !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Errorf("flip at %d: err %v, want ErrSnapshotCorrupt", flip, err)
-		}
+		check(fmt.Sprintf("flip at %d", flip), mut, ErrSnapshotCorrupt)
 	}
 
-	// Truncations: always ErrSnapshotTruncated.
-	for _, cut := range []int{7, payloadStart, payloadStart + 50, len(full) - 5, len(full) - 1} {
-		_, err := LoadIndex(bytes.NewReader(full[:cut]))
-		if !errors.Is(err, ErrSnapshotTruncated) {
-			t.Errorf("cut at %d: err %v, want ErrSnapshotTruncated", cut, err)
-		}
+	// Truncations, inside the magic too: always ErrSnapshotTruncated.
+	for _, cut := range []int{0, 1, 2, 3, 4, 5, 7, payloadStart, payloadStart + 50, len(full) - 5, len(full) - 1} {
+		check(fmt.Sprintf("cut at %d", cut), full[:cut], ErrSnapshotTruncated)
+	}
+
+	// The magics of formats this loader does not read: corrupt, whatever
+	// follows them.
+	for _, magic := range []string{"TSIX1\x00", "TSIX2\x00"} {
+		check(fmt.Sprintf("magic %q + garbage", magic), []byte(magic+"garbage"), ErrSnapshotCorrupt)
+		check(fmt.Sprintf("magic %q + a TSIX3 body", magic), append([]byte(magic), full[6:]...), ErrSnapshotCorrupt)
 	}
 }
 
@@ -267,14 +229,6 @@ func TestVerifySnapshot(t *testing.T) {
 	}
 	if err := VerifySnapshot(bytes.NewReader(full[:len(full)-7])); !errors.Is(err, ErrSnapshotTruncated) {
 		t.Fatal("truncation passed verification")
-	}
-	// TSIX1 has no checksum: verification is vacuous but not an error.
-	var v1 bytes.Buffer
-	if err := saveIndexV1(&v1, ix); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySnapshot(&v1); err != nil {
-		t.Fatalf("TSIX1 verification: %v", err)
 	}
 }
 

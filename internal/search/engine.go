@@ -54,14 +54,13 @@ import (
 //     threshold, which never rises and ends at the final k-th distance —
 //     by the lower-bound property such a tree cannot be in the answer.
 //
-// By default the refine stage is threshold-bounded: every verification
-// runs through editdist.DistanceWithin against the live cutoff (τ, or the
-// k-NN atomic threshold), so most false positives are disproven by an
-// O(n) pre-check or an early-abandoned banded DP instead of the full
-// program. This never changes results — a distance proven above the
-// cutoff can't enter the answer — only the work: see the verifier type
-// and the bounded-refine invariance tests. WithBoundedRefine(false)
-// restores full verification.
+// The refine stage is threshold-bounded: every verification runs through
+// editdist.DistanceWithin against the live cutoff (τ, or the k-NN atomic
+// threshold), so most false positives are disproven by an O(n) pre-check
+// or an early-abandoned banded DP instead of the full program. This never
+// changes results — a distance proven above the cutoff can't enter the
+// answer — only the work: see the verifier type and the bounded-refine
+// invariance tests, which hold it to an unbounded sequential scan.
 //
 // Stats.Verified (and therefore FalsePositives and Tightness) for k-NN can
 // vary with worker timing — opportunistic pruning means a fast machine may
@@ -361,7 +360,6 @@ type verifier struct {
 	cut     *qcut
 	q       *tree.Tree
 	cutoff  func() int
-	bounded bool
 	costOpt editdist.Option
 
 	verified    atomic.Int64
@@ -374,7 +372,6 @@ type verifier struct {
 func (ix *Index) newVerifier(cut *qcut, q *tree.Tree, cutoff func() int) *verifier {
 	return &verifier{
 		cut: cut, q: q, cutoff: cutoff,
-		bounded: ix.bounded,
 		costOpt: editdist.WithCost(ix.cost),
 	}
 }
@@ -389,18 +386,13 @@ func (v *verifier) verify(pos int) (si, local, gid, d int, within bool) {
 	t := v.cut.treeOf(si, local)
 	v.verified.Add(1)
 	var m editdist.Metrics
-	if v.bounded {
-		d, within = editdist.DistanceWithin(v.q, t, v.cutoff(), v.costOpt, editdist.WithMetrics(&m))
-		if !within {
-			if m.Precheck {
-				v.prechecked.Add(1)
-			} else {
-				v.aborted.Add(1)
-			}
+	d, within = editdist.DistanceWithin(v.q, t, v.cutoff(), v.costOpt, editdist.WithMetrics(&m))
+	if !within {
+		if m.Precheck {
+			v.prechecked.Add(1)
+		} else {
+			v.aborted.Add(1)
 		}
-	} else {
-		d = editdist.Distance(v.q, t, v.costOpt, editdist.WithMetrics(&m))
-		within = true
 	}
 	v.dpCells.Add(m.Cells)
 	v.dpCellsFull.Add(m.FullCells)
@@ -724,9 +716,7 @@ func (ix *Index) refineRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 		}
 		mu.Lock()
 		sampleTightness(prims.at(si), stats, ex, local, gid, candBounds[j], d)
-		if d <= tau {
-			out = append(out, Result{ID: gid, Dist: d})
-		}
+		out = append(out, Result{ID: gid, Dist: d})
 		mu.Unlock()
 	})
 	ver.finish(stats, rspan)

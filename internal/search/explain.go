@@ -109,7 +109,7 @@ type BoundDist struct {
 
 // Explain is the per-query filter-quality analysis: what the filter let
 // through, what the refine stage disproved, and how tight the bounds were.
-// It is computed inside the engine (KNNExplain/RangeExplain) so the CLI,
+// It is computed inside the engine (KNN/Range under WithExplain) so the CLI,
 // the server and the offline analyzer all report identical numbers.
 type Explain struct {
 	// Op is "knn" or "range".

@@ -259,7 +259,7 @@ func (f *Histo) Index(ts []*tree.Tree) {
 	// Per-tree profiling is independent once the folding configuration is
 	// fixed, so the build fans out like the query stages do.
 	f.profiles = make([]*histogram.Profile, len(ts))
-	forEach(len(ts), 0, func(i int) {
+	forEach(len(ts), func(i int) {
 		f.profiles[i] = histogram.NewProfileConfig(ts[i], f.cfg)
 	})
 }

@@ -17,7 +17,6 @@ import (
 type indexConfig struct {
 	filter        Filter
 	cost          editdist.CostModel
-	boundedRefine bool
 	shards        int
 	refineWorkers int
 	memtableSize  int
@@ -38,7 +37,7 @@ func (f indexOption) applyIndex(c *indexConfig) { f(c) }
 // skipped, so NewIndex(ts, nil) keeps its historical meaning: no filter,
 // i.e. the sequential scan.
 func applyIndexOpts(opts []IndexOption) indexConfig {
-	cfg := indexConfig{cost: defaultCost(), boundedRefine: true}
+	cfg := indexConfig{cost: defaultCost()}
 	for _, o := range opts {
 		if o == nil {
 			continue
@@ -63,20 +62,6 @@ func WithCostModel(m editdist.CostModel) IndexOption {
 			c.cost = m
 		}
 	})
-}
-
-// WithBoundedRefine selects how the refine stage verifies candidates.
-// Enabled (the default), every verification runs against the live cutoff —
-// τ for range queries, the running k-th-best for k-NN — through
-// editdist.DistanceWithin: O(n) pre-checks, a diagonal DP band and early
-// abandoning prove most false positives too far without paying the full
-// O(n²·h²) program. Results are identical either way (see the
-// bounded-refine invariance tests); only Stats' bounded-verification
-// breakdown and the refine latency change. Disabled, every verification
-// computes the full distance — the configuration benchserver's
-// bounded_refine dimension compares against.
-func WithBoundedRefine(enabled bool) IndexOption {
-	return indexOption(func(c *indexConfig) { c.boundedRefine = enabled })
 }
 
 // WithShards sets how many dataset shards a single query's filter stage

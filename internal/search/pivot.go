@@ -88,7 +88,7 @@ func (f *PivotBiBranch) Index(ts []*tree.Tree) {
 		// Pivot selection is sequential (each pivot depends on the last),
 		// but a pivot's distance row parallelizes across the dataset.
 		row := make([]int, len(ts))
-		forEach(len(ts), 0, func(i int) {
+		forEach(len(ts), func(i int) {
 			row[i] = branch.BDist(profiles[pivot], profiles[i])
 		})
 		f.pivots = append(f.pivots, pivot)

@@ -72,3 +72,8 @@ spawn:
 	work()
 	wg.Wait()
 }
+
+// forEach runs fn(i) for every i in [0, n) on up to GOMAXPROCS goroutines
+// of its own — index builds and snapshot decoding, which run outside any
+// index's pool.
+func forEach(n int, fn func(i int)) { newWorkPool(0).run(n, fn) }

@@ -190,8 +190,8 @@ func TestStats(t *testing.T) {
 func TestCustomCostModel(t *testing.T) {
 	ts := testDataset(30, 11)
 	c := costModel{}
-	seq := NewIndexCost(ts, NewNone(), c)
-	bib := NewIndexCost(ts, NewBiBranch(), c)
+	seq := NewIndex(ts, NewNone(), WithCostModel(c))
+	bib := NewIndex(ts, NewBiBranch(), WithCostModel(c))
 	q := ts[5]
 	want, _, _ := seq.Range(context.Background(), q, 6)
 	got, _, _ := bib.Range(context.Background(), q, 6)
@@ -312,6 +312,21 @@ func TestKNNDistancesExact(t *testing.T) {
 	for _, r := range res {
 		if want := editdist.Distance(q, ts[r.ID]); r.Dist != want {
 			t.Errorf("result %d: distance %d, want %d", r.ID, r.Dist, want)
+		}
+	}
+}
+
+// TestParallelProfilesMatchSerial: parallel index construction produces
+// distances identical to serial construction.
+func TestParallelProfilesMatchSerial(t *testing.T) {
+	ts := testDataset(100, 44)
+	ixP := NewIndex(ts, NewBiBranch()) // parallel build inside Index
+	ixS := NewIndex(ts, &BiBranch{Q: 2, Positional: true})
+	for _, q := range []*tree.Tree{ts[7], ts[77]} {
+		a, _, _ := ixP.KNN(context.Background(), q, 5)
+		b, _, _ := ixS.KNN(context.Background(), q, 5)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("parallel vs serial build differ: %v vs %v", a, b)
 		}
 	}
 }

@@ -215,43 +215,6 @@ func TestShardHammer(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers: the old query-method names still answer exactly
-// like the new surface.
-func TestDeprecatedWrappers(t *testing.T) {
-	ts := testDataset(30, 35)
-	ix := NewIndex(ts, NewBiBranch())
-	ctx := context.Background()
-	q := ts[9]
-
-	a, _, err := ix.KNN(ctx, q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := ix.KNNContext(ctx, q, 4)
-	if err != nil || !reflect.DeepEqual(a, b) {
-		t.Fatalf("KNNContext diverged: %v vs %v (%v)", b, a, err)
-	}
-	var ex *Explain
-	c, _, err := ix.KNN(ctx, q, 4, WithExplain(&ex))
-	if err != nil || ex == nil || !reflect.DeepEqual(a, c) {
-		t.Fatalf("WithExplain diverged: %v vs %v (ex=%v, %v)", c, a, ex, err)
-	}
-	d, _, ex2, err := ix.KNNExplain(ctx, q, 4)
-	if err != nil || ex2 == nil || !reflect.DeepEqual(a, d) {
-		t.Fatalf("KNNExplain diverged: %v vs %v (%v)", d, a, err)
-	}
-
-	ra, _, _ := ix.Range(ctx, q, 3)
-	rb, _, err := ix.RangeContext(ctx, q, 3)
-	if err != nil || !reflect.DeepEqual(ra, rb) {
-		t.Fatalf("RangeContext diverged: %v vs %v (%v)", rb, ra, err)
-	}
-	rc, _, rex, err := ix.RangeExplain(ctx, q, 3)
-	if err != nil || rex == nil || !reflect.DeepEqual(ra, rc) {
-		t.Fatalf("RangeExplain diverged: %v vs %v (%v)", rc, ra, err)
-	}
-}
-
 // TestIndexOptionAccessors: shard and worker settings survive construction
 // and are visible through the accessors.
 func TestIndexOptionAccessors(t *testing.T) {

@@ -81,6 +81,35 @@ func (s *Server) queryResponse(res []search.Result, stats search.Stats) QueryRes
 	return out
 }
 
+// runQuery answers one query of a /v1/knn, /v1/range or /v1/batch request:
+// op is "knn" (k applies) or "range" (tau applies). The EXPLAIN analysis
+// is computed only when a consumer will read it; without one the query
+// takes no option and nothing is allocated for it.
+func (s *Server) runQuery(ctx context.Context, op string, q *tree.Tree, k, tau int, explain bool) ([]search.Result, search.Stats, *search.Explain, error) {
+	var (
+		ex   **search.Explain
+		opts []search.QueryOption
+	)
+	if explain {
+		ex = new(*search.Explain)
+		opts = []search.QueryOption{search.WithExplain(ex)}
+	}
+	var (
+		res   []search.Result
+		stats search.Stats
+		err   error
+	)
+	if op == "knn" {
+		res, stats, err = s.ix.KNN(ctx, q, k, opts...)
+	} else {
+		res, stats, err = s.ix.Range(ctx, q, tau, opts...)
+	}
+	if ex == nil {
+		return res, stats, nil, err
+	}
+	return res, stats, *ex, err
+}
+
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	var req KNNRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -91,41 +120,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidArgument, "k must be positive", requestID(w))
 		return
 	}
-	q, err := parseTree("tree", req.Tree)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidTree, err.Error(), requestID(w))
-		return
-	}
-	var (
-		res   []search.Result
-		stats search.Stats
-		ex    *search.Explain
-	)
-	// EXPLAIN analysis runs at most once per request; setExplain hands the
-	// one record to every consumer — the ?explain=1 response below, the
-	// slow-query log's deferred record, and the flight recorder's retained
-	// trace — instead of each forcing its own analysis.
-	if wantExplain(r) || s.cfg.SlowQuery != nil {
-		res, stats, ex, err = s.ix.KNNExplain(r.Context(), q, req.K)
-	} else {
-		res, stats, err = s.ix.KNNContext(r.Context(), q, req.K)
-	}
-	if err != nil {
-		status, code, msg := ctxStatus(err)
-		writeError(w, status, code, msg, requestID(w))
-		return
-	}
-	s.metrics.ObserveQuery(stats)
-	s.recordQuery("knn", req.Tree, req.K, 0, stats)
-	setExplain(r.Context(), ex)
-	resp := s.queryResponse(res, stats)
-	if wantTrace(r) {
-		resp.Trace = traceSnapshot(r)
-	}
-	if wantExplain(r) {
-		resp.Explain = ex
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.serveQuery(w, r, "knn", req.Tree, req.K, 0)
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -138,29 +133,30 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidArgument, "tau must be non-negative", requestID(w))
 		return
 	}
-	q, err := parseTree("tree", req.Tree)
+	s.serveQuery(w, r, "range", req.Tree, 0, req.Tau)
+}
+
+// serveQuery is what /v1/knn and /v1/range do with a validated request:
+// parse the tree, run the query, feed the metrics, the query log and the
+// EXPLAIN consumers, and write the response.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, op, treeText string, k, tau int) {
+	q, err := parseTree("tree", treeText)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidTree, err.Error(), requestID(w))
 		return
 	}
-	var (
-		res   []search.Result
-		stats search.Stats
-		ex    *search.Explain
-	)
-	// Same EXPLAIN compute-once-and-share discipline as handleKNN.
-	if wantExplain(r) || s.cfg.SlowQuery != nil {
-		res, stats, ex, err = s.ix.RangeExplain(r.Context(), q, req.Tau)
-	} else {
-		res, stats, err = s.ix.RangeContext(r.Context(), q, req.Tau)
-	}
+	// EXPLAIN analysis runs at most once per request; setExplain hands the
+	// one record to every consumer — the ?explain=1 response below, the
+	// slow-query log's deferred record, and the flight recorder's retained
+	// trace — instead of each forcing its own analysis.
+	res, stats, ex, err := s.runQuery(r.Context(), op, q, k, tau, wantExplain(r) || s.cfg.SlowQuery != nil)
 	if err != nil {
 		status, code, msg := ctxStatus(err)
 		writeError(w, status, code, msg, requestID(w))
 		return
 	}
 	s.metrics.ObserveQuery(stats)
-	s.recordQuery("range", req.Tree, 0, req.Tau, stats)
+	s.recordQuery(op, treeText, k, tau, stats)
 	setExplain(r.Context(), ex)
 	resp := s.queryResponse(res, stats)
 	if wantTrace(r) {
@@ -267,14 +263,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				if qsp != nil {
 					qctx = obs.NewContext(ctx, qsp)
 				}
-				var res []search.Result
-				var stats search.Stats
-				var err error
-				if req.Op == "knn" {
-					res, stats, err = s.ix.KNNContext(qctx, qs[i], req.K)
-				} else {
-					res, stats, err = s.ix.RangeContext(qctx, qs[i], req.Tau)
-				}
+				res, stats, _, err := s.runQuery(qctx, req.Op, qs[i], req.K, req.Tau, false)
 				qsp.End()
 				if err != nil {
 					qerr.CompareAndSwap(nil, err)

@@ -87,6 +87,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	if snap.UptimeSeconds < 0 {
 		t.Errorf("uptime %v negative", snap.UptimeSeconds)
 	}
+
+	// After a workload big enough to reach them, both of the bounded
+	// verifier's cut-short paths have fired, it touched strictly fewer
+	// cells than full verification would, and the recorder kept traces.
+	driveRefineWorkload(t, hs.URL, ts)
+	snap = Snapshot{}
+	if code := getJSON(t, hs.URL+"/metrics", &snap); code != 200 {
+		t.Fatalf("metrics status %d", code)
+	}
+	if q := snap.Queries; q.RefineAbortedTotal < 1 || q.PrecheckRejectsTotal < 1 || q.DPCellsTotal >= q.DPCellsFullTotal {
+		t.Errorf("after the workload: %d aborted, %d pre-check rejects, %d of %d full cells; want >= 1, >= 1, strictly fewer",
+			q.RefineAbortedTotal, q.PrecheckRejectsTotal, q.DPCellsTotal, q.DPCellsFullTotal)
+	}
+	if snap.TraceRecorder.Retained <= 0 {
+		t.Errorf("flight recorder retained nothing: %+v", snap.TraceRecorder)
+	}
 }
 
 // TestMetricsObserve: direct unit check of the histogram bucketing edges.

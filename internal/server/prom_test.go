@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"treesim/internal/tree"
 )
 
 // promSample is one parsed exposition line.
@@ -219,16 +221,20 @@ func TestMetricsPromExposition(t *testing.T) {
 	}
 	postJSON(t, hs.URL+"/v1/range", RangeRequest{Tree: ts[0].String(), Tau: 1}, nil)
 
-	resp, err := http.Get(hs.URL + "/metrics?format=prom")
-	if err != nil {
-		t.Fatal(err)
+	scrape := func() ([]promSample, map[string]string) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + "/metrics?format=prom")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("content type %q, want text/plain", ct)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		return parseProm(t, string(body))
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q, want text/plain", ct)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	samples, types := parseProm(t, string(body))
+	samples, types := scrape()
 	checkHistograms(t, samples, types)
 
 	byName := func(name string, labels map[string]string) (float64, bool) {
@@ -363,6 +369,46 @@ func TestMetricsPromExposition(t *testing.T) {
 	}
 	if !foundEx {
 		t.Error("no treesim_request_latency_exemplar samples after traffic")
+	}
+
+	// After a workload big enough to reach them, both of the bounded
+	// verifier's cut-short paths have fired, it touched strictly fewer
+	// cells than full verification would, and the recorder kept traces.
+	driveRefineWorkload(t, hs.URL, ts)
+	samples, _ = scrape()
+	if v, _ := byName("treesim_refine_aborted_total", nil); v < 1 {
+		t.Errorf("refine_aborted_total %v after the workload, want >= 1", v)
+	}
+	if v, _ := byName("treesim_refine_precheck_rejects_total", nil); v < 1 {
+		t.Errorf("refine_precheck_rejects_total %v after the workload, want >= 1", v)
+	}
+	cells, _ = byName("treesim_refine_dp_cells_total", nil)
+	full, _ = byName("treesim_refine_dp_cells_full_total", nil)
+	if cells >= full {
+		t.Errorf("refine touched %v of %v full cells after the workload, want strictly fewer", cells, full)
+	}
+	retained := 0.0
+	for _, class := range []string{"error", "slow", "baseline"} {
+		v, _ := byName("treesim_trace_retained", map[string]string{"class": class})
+		retained += v
+	}
+	if retained <= 0 {
+		t.Error("flight recorder retained no trace after the workload")
+	}
+}
+
+// driveRefineWorkload issues 8 k-NN and 8 range queries drawn from the
+// dataset: enough verifications that both an O(n) pre-check and a DP early
+// abort reject at least one of them.
+func driveRefineWorkload(t *testing.T, url string, ts []*tree.Tree) {
+	t.Helper()
+	for _, q := range ts[:8] {
+		if code := postJSON(t, url+"/v1/knn", KNNRequest{Tree: q.String(), K: 3}, nil); code != 200 {
+			t.Fatalf("knn status %d", code)
+		}
+		if code := postJSON(t, url+"/v1/range", RangeRequest{Tree: q.String(), Tau: 2}, nil); code != 200 {
+			t.Fatalf("range status %d", code)
+		}
 	}
 }
 

@@ -11,9 +11,8 @@
 //	<base>-000001.log, <base>-000002.log, ...
 //
 // where <base> is the configured path with its extension stripped
-// ("index.wal" → "index-000001.log"). A pre-segmentation log at the exact
-// configured path is adopted as segment 1 on first open. Each segment is
-// self-framed:
+// ("index.wal" → "index-000001.log"); the configured path itself names no
+// file, and one found there is refused. Each segment is self-framed:
 //
 //	magic "TSWL1\x00"
 //	records, each: u32 payload length | u32 CRC32C(payload) | payload
@@ -181,9 +180,11 @@ func segSeq(path, name string) int64 {
 }
 
 // listSegments returns the existing segment files for path in ascending
-// sequence order.
+// sequence order. An entry at the bare path is an error: it is not a
+// segment, so the log would never read it, and whoever put it there
+// expects it to be read.
 func listSegments(fsys faultfs.FS, path string) ([]segment, error) {
-	dir := filepath.Dir(path)
+	dir, base := filepath.Dir(path), filepath.Base(path)
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -193,6 +194,9 @@ func listSegments(fsys faultfs.FS, path string) ([]segment, error) {
 	}
 	var segs []segment
 	for _, name := range names {
+		if name == base {
+			return nil, fmt.Errorf("wal: %s exists, but the log lives in segment files (%s, ...): move it away", path, segName(path, 1))
+		}
 		if seq := segSeq(path, name); seq > 0 {
 			segs = append(segs, segment{seq: seq, path: filepath.Join(dir, name)})
 		}
@@ -201,20 +205,8 @@ func listSegments(fsys faultfs.FS, path string) ([]segment, error) {
 	return segs, nil
 }
 
-// legacyExists reports whether a pre-segmentation log sits at the exact
-// configured path.
-func legacyExists(fsys faultfs.FS, path string) bool {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return false
-	}
-	f.Close()
-	return true
-}
-
 // Open opens (creating if absent) the segmented log rooted at path for
-// appending. A pre-segmentation single-file log at path is adopted as
-// segment 1 first. A torn or corrupt tail left by a crash is truncated
+// appending. A torn or corrupt tail left by a crash is truncated
 // away, so the returned log appends after the last valid record; segments
 // stranded beyond a mid-log tear (unreachable by Replay's stop-at-first-
 // tear contract) are removed so future appends stay replayable. Replay
@@ -224,19 +216,6 @@ func Open(path string, opts Options) (*Log, error) {
 	segs, err := listSegments(fsys, path)
 	if err != nil {
 		return nil, err
-	}
-	if legacyExists(fsys, path) {
-		if len(segs) > 0 {
-			return nil, fmt.Errorf("wal: both a legacy log %s and segment files exist — remove one", path)
-		}
-		adopted := segName(path, 1)
-		if err := fsys.Rename(path, adopted); err != nil {
-			return nil, fmt.Errorf("wal: adopting legacy log: %w", err)
-		}
-		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-			return nil, fmt.Errorf("wal: adopting legacy log: %w", err)
-		}
-		segs = []segment{{seq: 1, path: adopted}}
 	}
 	l := &Log{fs: fsys, path: path, opts: opts}
 	if len(segs) == 0 {
@@ -567,12 +546,11 @@ type ReplayResult struct {
 	fresh      bool  // file absent or empty (no complete header)
 }
 
-// Replay reads the log rooted at path — segment files in sequence order,
-// or a pre-segmentation single file still at the exact path — calling fn
-// for each valid record in order, and stops cleanly at the first torn or
-// corrupt record — the contract that makes the log safe to append to
-// without write barriers: a crash mid-append tears only the final
-// record, and recovery keeps everything acknowledged before it. A
+// Replay reads the log rooted at path — segment files in sequence order —
+// calling fn for each valid record in order, and stops cleanly at the
+// first torn or corrupt record — the contract that makes the log safe to
+// append to without write barriers: a crash mid-append tears only the
+// final record, and recovery keeps everything acknowledged before it. A
 // missing or empty log replays zero records. fn's error aborts the
 // replay and is returned wrapped; fn may retain payload only by copying
 // it.
@@ -583,12 +561,6 @@ func Replay(path string, fsys faultfs.FS, fn func(payload []byte) error) (Replay
 	segs, err := listSegments(fsys, path)
 	if err != nil {
 		return ReplayResult{}, err
-	}
-	if legacyExists(fsys, path) {
-		if len(segs) > 0 {
-			return ReplayResult{}, fmt.Errorf("wal: both a legacy log %s and segment files exist — remove one", path)
-		}
-		segs = []segment{{seq: 1, path: path}}
 	}
 	if len(segs) == 0 {
 		return ReplayResult{fresh: true, EndPos: pos(1, headerLen)}, nil

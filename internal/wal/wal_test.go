@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"treesim/internal/faultfs"
@@ -86,14 +87,14 @@ func TestReplayRejectsForeignFile(t *testing.T) {
 	}
 }
 
-// TestLegacySingleFileAdopted: a pre-segmentation log at the exact
-// configured path replays as-is and is renamed to segment 1 on Open, so
-// upgrades keep every record without a migration step.
-func TestLegacySingleFileAdopted(t *testing.T) {
+// TestFileAtBareLogPathRefused: the log lives in segment files only, so a
+// file at the configured path itself — a single-file log, say — is
+// refused by name instead of being silently left unread, and is left
+// where it was.
+func TestFileAtBareLogPathRefused(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "insert.wal")
-	// Build an old-format file: segment files are byte-identical to the
-	// pre-segmentation format, so write one and move it to the bare path.
+	// A segment file moved to the bare path: valid records, wrong place.
 	l, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -104,26 +105,21 @@ func TestLegacySingleFileAdopted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, res := collect(t, path)
-	if res.Records != 2 || string(got[0]) != "old-1" {
-		t.Fatalf("legacy replay %q (%+v)", got, res)
+	if _, err := Replay(path, nil, nil); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Replay with a file at the bare path: err %v, want one naming %s", err, path)
 	}
-
-	l, err = Open(path, Options{})
+	if l, err := Open(path, Options{}); err == nil || !strings.Contains(err.Error(), path) {
+		if l != nil {
+			l.Close()
+		}
+		t.Fatalf("Open with a file at the bare path: err %v, want one naming %s", err, path)
+	}
+	names, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Records() != 2 {
-		t.Fatalf("adopted log sees %d records, want 2", l.Records())
-	}
-	appendAll(t, l, "new-3")
-	l.Close()
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy file still present after adoption: %v", err)
-	}
-	got, res = collect(t, path)
-	if res.Records != 3 || string(got[2]) != "new-3" {
-		t.Fatalf("after adoption %q (%+v)", got, res)
+	if len(names) != 1 || names[0].Name() != filepath.Base(path) {
+		t.Fatalf("refusal changed the directory: %v", names)
 	}
 }
 

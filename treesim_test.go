@@ -77,10 +77,10 @@ func TestFacadeXML(t *testing.T) {
 func TestFacadeIndexCost(t *testing.T) {
 	spec, _ := ParseGeneratorSpec("N{3,0.5}N{12,2}L5D0.1")
 	data := GenerateDataset(spec, 25, 5, 12)
-	ix := NewIndexCost(data, NewBiBranchFilter(), UnitCost{})
+	ix := NewIndex(data, NewBiBranchFilter(), WithCostModel(UnitCost{}))
 	res, _, _ := ix.KNN(context.Background(), data[3], 2)
 	if len(res) != 2 || res[0].Dist != 0 {
-		t.Fatalf("NewIndexCost KNN: %v", res)
+		t.Fatalf("NewIndex WithCostModel KNN: %v", res)
 	}
 }
 
@@ -113,7 +113,7 @@ func TestFacadeDatasetIO(t *testing.T) {
 func TestFacadeCostModel(t *testing.T) {
 	t1 := MustParseTree("a(b)")
 	t2 := MustParseTree("a(c)")
-	if d := EditDistanceCost(t1, t2, UnitCost{}); d != 1 {
+	if d := EditDistance(t1, t2, WithEditCost(UnitCost{})); d != 1 {
 		t.Errorf("unit cost distance = %d", d)
 	}
 }

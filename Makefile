@@ -1,13 +1,14 @@
 # Tier-1 gate: ./ci.sh defines it and `make ci` runs it; the stage targets
 # run one stage of the same script (`make fuzz FUZZTIME=60s` for a longer
-# fuzz budget).
+# fuzz budget; `make loc` prints non-test Go lines per package and is not
+# part of the gate).
 
-.PHONY: ci build vet test race benchmark-test hammer chaos fuzz bench
+.PHONY: ci build vet test race benchmark-test hammer chaos fuzz loc bench
 
 ci:
 	./ci.sh
 
-build vet test race benchmark-test hammer chaos fuzz:
+build vet test race benchmark-test hammer chaos fuzz loc:
 	./ci.sh $@
 
 bench:

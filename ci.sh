@@ -4,6 +4,7 @@
 #
 #   ./ci.sh                      every stage, in order
 #   ./ci.sh hammer chaos         only the named stages
+#   ./ci.sh loc                  non-test Go lines per package (not a gate)
 #   FUZZTIME=60s ./ci.sh fuzz    the fuzz targets on a longer budget
 set -eu
 
@@ -74,6 +75,16 @@ for stage; do
         fuzz FuzzManifest ./internal/segstore
         fuzz FuzzParseTraceparent ./internal/obs
         fuzz FuzzTraceparentMiddleware ./internal/server
+        ;;
+    loc)
+        # The size of the system in the unit ROADMAP counts it in: non-test
+        # Go lines outside benchmark/, per package and in total. Not in the
+        # default list — it reports, it cannot fail.
+        echo "== non-test Go lines outside benchmark/"
+        find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -exec wc -l {} + |
+            awk '$2 != "total" { d = $2; sub("/[^/]*$", "", d); n[d] += $1; t += $1 }
+                 END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"
+                       close("sort -k2"); printf "%7d  total\n", t }'
         ;;
     *)
         echo "ci: unknown stage '$stage'" >&2

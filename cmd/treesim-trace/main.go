@@ -1,12 +1,11 @@
 // Command treesim-trace browses a running treesimd's flight recorder and
-// SLO table from the terminal — the operator's view of "what was slow and
-// why" without a tracing backend.
+// tail profiles from the terminal — the operator's view of "what was slow
+// and why" without a tracing backend.
 //
 //	treesim-trace list                          # retained traces, newest first
 //	treesim-trace list -endpoint /v1/knn -min 5ms -error -limit 10
 //	treesim-trace get r0000002a                 # one trace, span tree pretty-printed
 //	treesim-trace get 4bf92f3577b34da6a3ce929d0e0e4736   # same, by W3C trace id
-//	treesim-trace slo                           # per-endpoint burn-rate table
 //	treesim-trace profiles                      # tail-triggered CPU profiles
 //	treesim-trace profile p000003               # save one profile (pprof-gzip)
 //
@@ -23,7 +22,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -41,7 +39,6 @@ func usage(stderr io.Writer) int {
 commands:
   list [-endpoint E] [-min D] [-error] [-limit N]   list retained traces
   get <request-id | trace-id>                       print one trace's span tree
-  slo                                               print the SLO burn-rate table
   profiles                                          list tail-triggered CPU profiles
   profile <profile-id> [-o FILE]                    save one profile's pprof-gzip bytes`)
 	return 2
@@ -64,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runList(base, rest, stdout, stderr)
 	case "get":
 		return runGet(base, rest, stdout, stderr)
-	case "slo":
-		return runSLO(base, stdout, stderr)
 	case "profiles":
 		return runProfiles(base, stdout, stderr)
 	case "profile":
@@ -255,41 +250,5 @@ func runProfile(base string, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintf(stdout, "wrote %d bytes to %s (go tool pprof %s)\n", len(body), path, path)
-	return 0
-}
-
-func runSLO(base string, stdout, stderr io.Writer) int {
-	var slo server.SLOResponse
-	if err := getInto(base+"/debug/slo", &slo); err != nil {
-		fmt.Fprintf(stderr, "treesim-trace: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "objective: %v latency, %.4g target; windows fast=%v slow=%v\n",
-		time.Duration(slo.LatencyObjectiveS*float64(time.Second)), slo.Target,
-		time.Duration(slo.FastWindowS*float64(time.Second)),
-		time.Duration(slo.WindowS*float64(time.Second)))
-	if slo.Degraded {
-		fmt.Fprintf(stdout, "DEGRADED: read-only mode active (%s), entered %d time(s)\n",
-			slo.DegradedReason, slo.DegradedTotal)
-	}
-	if len(slo.Endpoints) == 0 {
-		fmt.Fprintln(stdout, "no traffic recorded")
-		return 0
-	}
-	eps := append([]obs.EndpointSLO(nil), slo.Endpoints...)
-	sort.Slice(eps, func(i, j int) bool { return eps[i].Endpoint < eps[j].Endpoint })
-	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ENDPOINT\tWINDOW\tREQUESTS\tERRORS\tSLOW\tBAD%\tBURN")
-	for _, e := range eps {
-		for _, w := range []struct {
-			name string
-			win  obs.SLOWindow
-		}{{"fast", e.Fast}, {"slow", e.Slow}} {
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%.2f%%\t%.2f\n",
-				e.Endpoint, w.name, w.win.Requests, w.win.Errors, w.win.Slow,
-				w.win.BadRatio*100, w.win.BurnRate)
-		}
-	}
-	tw.Flush()
 	return 0
 }

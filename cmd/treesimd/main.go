@@ -35,9 +35,10 @@
 // the threshold (0 logs every query) together with its EXPLAIN record,
 // ?trace=1 on the query endpoints returns the same breakdown inline,
 // ?explain=1 returns the per-query filter-quality analysis, GET /metrics
-// serves Prometheus text with ?format=prom, GET /version reports the
-// build, and -pprof mounts net/http/pprof on a separate loopback-only
-// listener. -qlog records served queries (sampled by -qlog-sample,
+// serves every metric family as JSON, or as Prometheus text with
+// ?format=prom (error-budget burn rates are a rate() over its request,
+// error and latency-bucket counters), GET /version reports the build, and
+// -pprof mounts net/http/pprof on a separate loopback-only listener. -qlog records served queries (sampled by -qlog-sample,
 // rotated beyond -qlog-max-bytes) to a JSONL workload log that
 // cmd/treesim-analyze replays offline against a matrix of filters.
 //
@@ -45,10 +46,8 @@
 // in a fixed ring (-trace-ring entries): every errored request, every
 // request slower than an adaptive tail threshold, and a sampled baseline
 // of normal traffic. The loopback-only GET /debug/traces lists them
-// (filter with ?endpoint=, ?min_us=, ?error=1), GET /debug/traces/{id}
-// fetches one, and GET /debug/slo serves per-endpoint error-budget burn
-// rates against the -slo-latency / -slo-target objectives; browse both
-// with cmd/treesim-trace.
+// (filter with ?endpoint=, ?min_us=, ?error=1) and GET /debug/traces/{id}
+// fetches one; browse them with cmd/treesim-trace.
 //
 // Distributed tracing: every request carries W3C trace-context — an
 // inbound traceparent header continues the caller's trace, otherwise a
@@ -123,8 +122,6 @@ type config struct {
 	memtable     int
 	compactAt    int
 	traceRing    int
-	sloLatency   time.Duration
-	sloTarget    float64
 	otlpEndpoint string
 	traceSample  float64
 	profileEvery time.Duration
@@ -164,8 +161,6 @@ func run(args []string, stderr io.Writer) int {
 	fs.IntVar(&c.memtable, "memtable-size", 0, "inserts absorbed by the mutable memtable segment before it seals (0 = default)")
 	fs.IntVar(&c.compactAt, "compact-threshold", 0, "sealed segments that trigger a background compaction (0 = default, negative = manual only)")
 	fs.IntVar(&c.traceRing, "trace-ring", 0, "retained traces in the flight recorder, served on /debug/traces (0 = 256, negative disables)")
-	fs.DurationVar(&c.sloLatency, "slo-latency", 0, "per-request latency objective for the SLO burn rate (0 = 100ms)")
-	fs.Float64Var(&c.sloTarget, "slo-target", 0, "good-request objective in (0,1) for the SLO burn rate (0 = 0.99)")
 	fs.StringVar(&c.otlpEndpoint, "otlp-endpoint", "", "POST finished traces as OTLP/JSON to this collector URL (e.g. http://localhost:4318/v1/traces); empty disables export")
 	fs.Float64Var(&c.traceSample, "trace-sample", 0, "head-sampling rate in [0,1] for exporting normal traces (errors and tail-retained traces always export)")
 	fs.DurationVar(&c.profileEvery, "profile-every", 0, "minimum spacing between tail-triggered CPU profiles (0 = 1m, negative disables)")
@@ -213,8 +208,6 @@ func run(args []string, stderr io.Writer) int {
 		WALMaxBytes:      c.walMaxBytes,
 		OmitTrees:        c.omitTrees,
 		TraceRing:        c.traceRing,
-		SLOLatency:       c.sloLatency,
-		SLOTarget:        c.sloTarget,
 		OTLPEndpoint:     c.otlpEndpoint,
 		TraceSample:      c.traceSample,
 		ProfileEvery:     c.profileEvery,

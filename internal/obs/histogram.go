@@ -114,43 +114,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// QuantileLower is Quantile without the interpolation: it returns the
-// lower bound of the bucket holding the rank. Interpolation can land
-// above every actual observation when the rank falls in a sparse, coarse
-// bucket; the lower edge never does, so a threshold derived from it
-// over-selects by at most one bucket's width instead of silently missing
-// the tail. Returns 0 on an empty snapshot.
-func (s HistogramSnapshot) QuantileLower(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		cum += float64(c)
-		if cum < rank {
-			continue
-		}
-		if i == 0 {
-			return 0
-		}
-		if i >= len(s.Bounds) {
-			break
-		}
-		return s.Bounds[i-1]
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // Snapshot copies the current state. Safe on nil (zero snapshot).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {

@@ -117,40 +117,3 @@ func TestHistogramSnapshotQuantile(t *testing.T) {
 		t.Errorf("overflow quantile = %v, want last bound 2", got)
 	}
 }
-
-// TestHistogramSnapshotQuantileLower: the conservative variant returns
-// the rank bucket's lower edge — never above any observation in or past
-// that bucket, which is what a tail-retention threshold needs.
-func TestHistogramSnapshotQuantileLower(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5) // bucket (0,1]
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1.5) // bucket (1,2]
-	}
-	s := h.Snapshot()
-	for _, tc := range []struct{ q, want float64 }{
-		{0.25, 0}, // rank 5 in the first bucket: lower edge 0
-		{0.5, 0},  // rank 10 exactly fills the first bucket
-		{0.75, 1}, // rank 15 in (1,2]: lower edge 1
-		{1.0, 1},  // max is in (1,2] too
-	} {
-		if got := s.QuantileLower(tc.q); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("QuantileLower(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	// Interpolated Quantile may exceed the true maximum (1.5); the lower
-	// variant never does — the property the flight recorder relies on.
-	if got := s.QuantileLower(0.99); got > 1.5 {
-		t.Errorf("QuantileLower(0.99) = %v exceeds the max observation", got)
-	}
-	if got := (HistogramSnapshot{}).QuantileLower(0.5); got != 0 {
-		t.Errorf("empty snapshot = %v, want 0", got)
-	}
-	over := NewHistogram([]float64{1, 2})
-	over.Observe(100)
-	if got := over.Snapshot().QuantileLower(0.5); got != 2 {
-		t.Errorf("overflow = %v, want last bound 2", got)
-	}
-}

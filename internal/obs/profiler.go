@@ -43,6 +43,7 @@ type TailProfiler struct {
 
 	wg     sync.WaitGroup
 	closed atomic.Bool
+	done   chan struct{} // closed with closed: ends an in-flight capture early
 }
 
 // ProfilerConfig sizes a TailProfiler. Zero values take defaults.
@@ -101,6 +102,7 @@ func NewTailProfiler(cfg ProfilerConfig) *TailProfiler {
 		stop:    cfg.Stop,
 		tokens:  float64(cfg.Burst),
 		lastRef: time.Now(),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -156,8 +158,15 @@ func (p *TailProfiler) capture(traceID, requestID, reason string) {
 		return
 	}
 	timer := time.NewTimer(p.cfg.Capture)
-	<-timer.C
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+	case <-p.done:
+	}
 	p.stop()
+	if p.closed.Load() {
+		return // shutting down: a partial profile answers for nothing, drop it
+	}
 	dur := time.Since(start)
 
 	p.mu.Lock()
@@ -253,12 +262,15 @@ func (p *TailProfiler) Stats() ProfilerStats {
 	}
 }
 
-// Close refuses new triggers and waits for an in-flight capture to
-// finish (at most one, bounded by cfg.Capture).
+// Close refuses new triggers, cuts an in-flight capture short (its
+// partial profile is discarded) and returns once the capture goroutine
+// has stopped the CPU profiler.
 func (p *TailProfiler) Close() {
 	if p == nil {
 		return
 	}
-	p.closed.Store(true)
+	if p.closed.CompareAndSwap(false, true) {
+		close(p.done)
+	}
 	p.wg.Wait()
 }

@@ -173,6 +173,32 @@ func TestProfilerCloseStopsTriggers(t *testing.T) {
 	}
 }
 
+// TestProfilerCloseCutsCaptureShort: Close does not wait out the capture
+// window — it stops the CPU profiler once, drops the partial profile and
+// returns.
+func TestProfilerCloseCutsCaptureShort(t *testing.T) {
+	fc := &fakeCapture{}
+	p := NewTailProfiler(ProfilerConfig{Capture: 10 * time.Second, Start: fc.start, Stop: fc.stop})
+	if !p.Trigger("t", "r", "slow") {
+		t.Fatal("trigger refused")
+	}
+	for fc.starts.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	t0 := time.Now()
+	p.Close()
+	if d := time.Since(t0); d > 50*time.Millisecond {
+		t.Errorf("Close took %v with a 10s capture in flight, want < 50ms", d)
+	}
+	if n := fc.stops.Load(); n != 1 {
+		t.Errorf("Stop called %d times, want exactly once", n)
+	}
+	if st := p.Stats(); st.Captured != 0 || st.Retained != 0 || len(p.List()) != 0 {
+		t.Errorf("partial profile was filed: %+v", st)
+	}
+	p.Close() // idempotent
+}
+
 func TestProfilerNilSafe(t *testing.T) {
 	var p *TailProfiler
 	if p.Trigger("t", "r", "slow") {

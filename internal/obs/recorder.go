@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,8 +15,7 @@ import (
 // quantile), and reservoir-samples a small baseline of normal requests
 // so slow traces have something to diff against. Everything else is
 // dropped before its span tree is ever snapshotted — the drop path is a
-// rolling-histogram observation plus a few atomics and allocates
-// nothing.
+// few atomics and allocates nothing.
 //
 // Retention classes are strictly ordered: a baseline trace never evicts
 // an error or slow trace, and an incoming error/slow trace evicts the
@@ -29,11 +29,10 @@ import (
 type Recorder struct {
 	capacity int
 	baseCap  int // reservoir target for baseline traces
-	quantile float64
 	floorNS  int64
 
-	lat       *RollingHistogram // all offered durations, feeding the threshold
-	threshold atomic.Int64      // cached quantile, ns; recomputed every recalcEvery offers
+	recent    [recentDurations]atomic.Int64 // the last offered durations, ns, feeding the threshold
+	threshold atomic.Int64                  // cached p99, ns; recomputed every recalcEvery offers
 	offers    atomic.Uint64
 	dropped   atomic.Uint64
 	baseSeen  atomic.Uint64 // normal (non-tail) requests seen, for the reservoir
@@ -43,13 +42,16 @@ type Recorder struct {
 	shards []recShard
 }
 
-// recalcEvery is how many offers share one cached threshold before it is
-// recomputed from the rolling histogram.
-const recalcEvery = 64
+// The slow threshold is the slowTail-th largest of the last
+// recentDurations offers — their 99th percentile.
+const (
+	recentDurations = 1024
+	slowTail        = recentDurations/100 + 1
+)
 
-// thresholdMinSamples is how many observations the rolling window needs
-// before the quantile is trusted over the configured floor.
-const thresholdMinSamples = 32
+// recalcEvery is how many offers share one cached threshold before it is
+// recomputed from the recent durations.
+const recalcEvery = 64
 
 // TraceClass says why a trace was retained.
 type TraceClass string
@@ -98,9 +100,7 @@ type RecorderConfig struct {
 	Capacity int           // total retained traces (default 256)
 	Shards   int           // ring shards (default 4)
 	Baseline int           // reservoir target for normal requests (default Capacity/8, min 1)
-	Window   time.Duration // rolling window feeding the adaptive threshold (default 1m)
-	Quantile float64       // latency quantile defining "slow" (default 0.99)
-	MinSlow  time.Duration // threshold floor while the window is cold or fast (default 1ms)
+	MinSlow  time.Duration // threshold floor while traffic is sparse or fast (default 1ms)
 }
 
 type recShard struct {
@@ -129,21 +129,13 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.Baseline > cfg.Capacity {
 		cfg.Baseline = cfg.Capacity
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Minute
-	}
-	if cfg.Quantile <= 0 || cfg.Quantile >= 1 {
-		cfg.Quantile = 0.99
-	}
 	if cfg.MinSlow <= 0 {
 		cfg.MinSlow = time.Millisecond
 	}
 	r := &Recorder{
 		capacity: cfg.Capacity,
 		baseCap:  cfg.Baseline,
-		quantile: cfg.Quantile,
 		floorNS:  cfg.MinSlow.Nanoseconds(),
-		lat:      NewRollingHistogram(DefDurationBuckets, cfg.Window, 12),
 		shards:   make([]recShard, cfg.Shards),
 	}
 	// Spread capacity over the shards, remainder to the first ones.
@@ -169,9 +161,9 @@ func (r *Recorder) Offer(req CompletedRequest) (TraceClass, bool) {
 		return "", false
 	}
 	n := r.offers.Add(1)
-	r.lat.Observe(req.Duration.Seconds())
-	if n%recalcEvery == 1 {
-		r.recalcThreshold()
+	r.recent[(n-1)%recentDurations].Store(req.Duration.Nanoseconds())
+	if n%recalcEvery == 0 {
+		r.recalcThreshold(n)
 	}
 	thr := r.threshold.Load()
 
@@ -288,23 +280,31 @@ func oldestOf(entries []*RetainedTrace, baselineOnly bool) int {
 	return best
 }
 
-// recalcThreshold refreshes the cached slow threshold from the rolling
-// quantile, floored at MinSlow. With a cold window the floor stands
-// alone, so early traffic is judged against an honest minimum rather
-// than a quantile of three requests. QuantileLower (the bucket's lower
-// edge, no interpolation) keeps the threshold at or below every true
-// tail observation: a recorder that over-retains by a bucket's width is
-// mildly wasteful, one that overshoots misses the very requests it
-// exists to keep.
-func (r *Recorder) recalcThreshold() {
-	snap := r.lat.Snapshot()
-	thr := r.floorNS
-	if snap.Count >= thresholdMinSamples {
-		if ns := int64(snap.QuantileLower(r.quantile) * 1e9); ns > thr {
-			thr = ns
+// recalcThreshold refreshes the cached slow threshold after the n-th
+// offer: the exact 99th percentile of the recent durations, floored at
+// MinSlow. An exact order statistic tracks the tail at any latency; a
+// bucketed estimate sits on a bucket edge, which for a workload whose
+// whole distribution fits inside one bucket is below every request. Until
+// the first recompute the floor stands alone, so early traffic is judged
+// against an honest minimum rather than a quantile of three requests.
+func (r *Recorder) recalcThreshold(n uint64) {
+	n = min(n, recentDurations)
+	// One pass keeps the k largest, ascending; few durations displace the
+	// smallest of them, so the re-sort of at most slowTail values is rare.
+	var buf [slowTail]int64
+	top, k := buf[:0], max(1, int(n)*slowTail/recentDurations)
+	for i := range r.recent[:n] {
+		v := r.recent[i].Load()
+		if len(top) < k {
+			top = append(top, v)
+		} else if v > top[0] {
+			top[0] = v
+		} else {
+			continue
 		}
+		slices.Sort(top)
 	}
-	r.threshold.Store(thr)
+	r.threshold.Store(max(r.floorNS, top[0]))
 }
 
 // Threshold returns the current adaptive slow threshold.

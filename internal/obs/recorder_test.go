@@ -123,6 +123,55 @@ func TestRecorderAdaptiveThreshold(t *testing.T) {
 	}
 }
 
+// TestRecorderSlowClassIsTheTail: "slow" means slower than ~99 % of recent
+// traffic at any latency, also when the whole distribution sits inside
+// one bucket of a coarse histogram (the two shapes are the benchmark's
+// range_scan and knn_bigtree request times, both of which a bucket-edge
+// threshold classed 100 % slow). Errors ride through untouched.
+func TestRecorderSlowClassIsTheTail(t *testing.T) {
+	for _, d := range []struct{ lo, hi time.Duration }{
+		{2000 * time.Microsecond, 2400 * time.Microsecond},
+		{6000 * time.Microsecond, 7500 * time.Microsecond},
+	} {
+		r := NewRecorder(RecorderConfig{Capacity: 256})
+		root := New("/v1/range")
+		root.End()
+		const offers, warm = 5000, recentDurations
+		slow, errs := 0, 0
+		x := uint64(0x2545f4914f6cdd1d)
+		for i := 0; i < offers; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			req := CompletedRequest{
+				RequestID: fmt.Sprintf("q%d", i), Endpoint: "/v1/range", Status: 200, Root: root,
+				Duration: d.lo + time.Duration(x%uint64(d.hi-d.lo)),
+			}
+			if i%500 == 499 {
+				req.Status, req.Error = 500, true
+				errs++
+			}
+			class, retained := r.Offer(req)
+			if req.Error && (class != TraceError || !retained) {
+				t.Fatalf("[%v,%v] errored offer %d: class %q retained %v", d.lo, d.hi, i, class, retained)
+			}
+			if i >= warm && class == TraceSlow {
+				slow++
+			}
+		}
+		if frac := float64(slow) / float64(offers-warm); frac < 0.005 || frac > 0.03 {
+			t.Errorf("[%v,%v]: %.1f%% of offers classed slow (threshold %v), want 0.5%%–3%%",
+				d.lo, d.hi, 100*frac, r.Threshold())
+		}
+		if thr := r.Threshold(); thr < d.lo || thr > d.hi {
+			t.Errorf("[%v,%v]: threshold %v outside the distribution", d.lo, d.hi, thr)
+		}
+		if got := len(r.List(TraceFilter{ErrorOnly: true})); got != errs {
+			t.Errorf("[%v,%v]: %d of %d errored requests retained", d.lo, d.hi, got, errs)
+		}
+	}
+}
+
 func TestRecorderBaselineReservoirBounded(t *testing.T) {
 	r := NewRecorder(RecorderConfig{Capacity: 32, Baseline: 4})
 	offerN(r, 5000, "b", 100*time.Microsecond, 200, false)

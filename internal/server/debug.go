@@ -9,8 +9,8 @@ import (
 	"treesim/internal/obs"
 )
 
-// Debug endpoints for the tail-latency flight recorder and the SLO
-// table. They expose raw span trees and per-request analysis, so they
+// Debug endpoints for the tail-latency flight recorder and the tail
+// profiler. They expose raw span trees and per-request analysis, so they
 // are loopback-only: an operator shells into the box (or port-forwards)
 // to use them, the same trust model as Go's net/http/pprof convention.
 
@@ -19,16 +19,6 @@ import (
 type DebugTracesResponse struct {
 	Stats  obs.RecorderStats    `json:"stats"`
 	Traces []*obs.RetainedTrace `json:"traces"`
-}
-
-// SLOResponse is the GET /debug/slo body: the burn-rate table plus the
-// degraded-mode view, so one fetch answers both "are we burning budget"
-// and "is the write path healthy".
-type SLOResponse struct {
-	obs.SLOReport
-	Degraded       bool   `json:"degraded"`
-	DegradedReason string `json:"degraded_reason,omitempty"`
-	DegradedTotal  uint64 `json:"degraded_total"`
 }
 
 // loopbackOnly gates a handler to connections from the local host. An
@@ -162,19 +152,4 @@ func (s *Server) handleDebugProfile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Disposition", "attachment; filename="+strconv.Quote(cp.ID+".pprof.gz"))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(cp.Bytes)
-}
-
-// handleDebugSLO serves the burn-rate table.
-func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
-	deg, reason := s.degradedState()
-	resp := SLOResponse{
-		SLOReport:      s.slo.Report(),
-		Degraded:       deg,
-		DegradedReason: reason,
-		DegradedTotal:  s.degradedTotal.Load(),
-	}
-	if resp.Endpoints == nil {
-		resp.Endpoints = []obs.EndpointSLO{}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -88,42 +88,6 @@ func TestDebugTracesListAndGet(t *testing.T) {
 	}
 }
 
-// TestDebugSLO: served traffic shows up in the burn-rate table with the
-// configured objectives.
-func TestDebugSLO(t *testing.T) {
-	cfg := quietConfig()
-	cfg.SLOTarget = 0.95
-	_, hs, ts := newTestServer(t, cfg, 30, 2)
-
-	for i := 0; i < 5; i++ {
-		postJSON(t, hs.URL+"/v1/knn", KNNRequest{Tree: ts[i].String(), K: 2}, nil)
-	}
-	var slo SLOResponse
-	if code := getJSON(t, hs.URL+"/debug/slo", &slo); code != 200 {
-		t.Fatalf("debug/slo status %d", code)
-	}
-	if slo.Target != 0.95 {
-		t.Fatalf("slo target %v, want 0.95", slo.Target)
-	}
-	if slo.Degraded {
-		t.Fatal("healthy server reports degraded on /debug/slo")
-	}
-	var knn *int
-	for i, e := range slo.Endpoints {
-		if e.Endpoint == "/v1/knn" {
-			knn = &i
-			break
-		}
-	}
-	if knn == nil {
-		t.Fatalf("no /v1/knn row in SLO table: %+v", slo.Endpoints)
-	}
-	e := slo.Endpoints[*knn]
-	if e.Slow.Requests != 5 || e.Fast.Requests != 5 {
-		t.Fatalf("slo windows %+v, want 5 requests in both", e)
-	}
-}
-
 // TestDebugLoopbackOnly: a non-loopback peer gets 403 with the forbidden
 // code on every debug endpoint, while loopback (the httptest transport)
 // passes.
@@ -132,7 +96,7 @@ func TestDebugLoopbackOnly(t *testing.T) {
 
 	// httptest.NewRequest's default RemoteAddr is 192.0.2.1:1234 —
 	// exactly the non-loopback peer the guard must refuse.
-	for _, path := range []string{"/debug/traces", "/debug/traces/r1", "/debug/slo"} {
+	for _, path := range []string{"/debug/traces", "/debug/traces/r1", "/debug/profiles"} {
 		r := httptest.NewRequest(http.MethodGet, path, nil)
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, r)
@@ -146,14 +110,14 @@ func TestDebugLoopbackOnly(t *testing.T) {
 	}
 
 	// The real loopback connection is allowed.
-	if code := getJSON(t, hs.URL+"/debug/slo", nil); code != 200 {
-		t.Fatalf("loopback /debug/slo status %d, want 200", code)
+	if code := getJSON(t, hs.URL+"/debug/profiles", nil); code != 200 {
+		t.Fatalf("loopback /debug/profiles status %d, want 200", code)
 	}
 }
 
 // TestDegradedRequestRetainedAsErrorTrace: a 503 not_durable write
-// produces a retained errored trace tagged degraded, and /debug/slo
-// reports the degraded window — the incident leaves evidence behind.
+// produces a retained errored trace tagged degraded, and /metrics counts
+// the 5xx against the endpoint — the incident leaves evidence behind.
 func TestDegradedRequestRetainedAsErrorTrace(t *testing.T) {
 	_, hs := startDegradable(t, &faultfs.Injector{FailWriteN: 2})
 
@@ -182,18 +146,8 @@ func TestDegradedRequestRetainedAsErrorTrace(t *testing.T) {
 		t.Fatalf("root span attrs %v missing degraded=true", tr.Trace.Attrs)
 	}
 
-	var slo SLOResponse
-	if code := getJSON(t, hs.URL+"/debug/slo", &slo); code != 200 {
-		t.Fatalf("debug/slo status %d", code)
-	}
-	if !slo.Degraded || slo.DegradedReason != "wal_append" || slo.DegradedTotal != 1 {
-		t.Fatalf("slo degraded view %+v, want degraded wal_append total 1",
-			[]any{slo.Degraded, slo.DegradedReason, slo.DegradedTotal})
-	}
-	for _, e := range slo.Endpoints {
-		if e.Endpoint == "/v1/trees" && e.Slow.Errors == 0 {
-			t.Fatalf("/v1/trees SLO row recorded no errors: %+v", e)
-		}
+	if got := scrapeJSON(t, hs.URL)[`treesim_http_errors_total{endpoint="/v1/trees"}`]; got != 1 {
+		t.Fatalf("http_errors_total{/v1/trees} = %v, want 1", got)
 	}
 }
 

@@ -125,14 +125,13 @@ func TestDegradedObservability(t *testing.T) {
 		t.Fatalf("degraded /readyz = %+v, want degraded/wal_append", ready)
 	}
 
-	var snap Snapshot
-	getJSON(t, hs.URL+"/metrics", &snap)
-	if snap.Degraded != 1 || snap.DegradedReason != "wal_append" || snap.DegradedTotal != 1 {
-		t.Fatalf("metrics degraded=%d reason=%q total=%d, want 1/wal_append/1",
-			snap.Degraded, snap.DegradedReason, snap.DegradedTotal)
+	doc := scrapeJSON(t, hs.URL)
+	if doc[`treesim_degraded{reason="wal_append"}`] != 1 || doc["treesim_degraded_total"] != 1 {
+		t.Fatalf("JSON metrics degraded{reason=wal_append}=%v total=%v, want 1/1",
+			doc[`treesim_degraded{reason="wal_append"}`], doc["treesim_degraded_total"])
 	}
-	if snap.WALSegments < 1 {
-		t.Fatalf("metrics wal_segments = %d, want >= 1", snap.WALSegments)
+	if doc["treesim_wal_segments"] < 1 {
+		t.Fatalf("metrics wal_segments = %v, want >= 1", doc["treesim_wal_segments"])
 	}
 
 	presp, err := http.Get(hs.URL + "/metrics?format=prom")

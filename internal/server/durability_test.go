@@ -125,12 +125,8 @@ func TestInsertSurvivesCrashBeforeSnapshot(t *testing.T) {
 	if ready.Status != "ready" || ready.ReplayedRecords != uint64(len(inserted)) {
 		t.Fatalf("readyz = %+v, want ready with %d replayed", ready, len(inserted))
 	}
-	var snap Snapshot
-	if code := getJSON(t, hs2.URL+"/metrics", &snap); code != 200 {
-		t.Fatalf("metrics status %d", code)
-	}
-	if snap.WALReplayedRecords != uint64(len(inserted)) {
-		t.Fatalf("metrics wal_replayed_records = %d, want %d", snap.WALReplayedRecords, len(inserted))
+	if got := scrapeJSON(t, hs2.URL)["treesim_wal_replayed_records"]; got != float64(len(inserted)) {
+		t.Fatalf("metrics wal_replayed_records = %v, want %d", got, len(inserted))
 	}
 	s2.wal.Close()
 

@@ -431,10 +431,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// wantsProm decides the /metrics representation. JSON stays the default
-// for backward compatibility; ?format=prom forces Prometheus text, as does
-// an Accept header asking for text/plain without application/json (what a
-// Prometheus scraper sends).
+// wantsProm decides the /metrics representation. JSON is the default;
+// ?format=prom forces Prometheus text, as does an Accept header asking for
+// text/plain without application/json (what a Prometheus scraper sends).
 func wantsProm(r *http.Request) bool {
 	switch r.URL.Query().Get("format") {
 	case "prom":
@@ -447,78 +446,11 @@ func wantsProm(r *http.Request) bool {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	deg, degReason := s.degradedState()
-	var walSegs int
-	var walBytes int64
-	if s.wal != nil {
-		walSegs = s.wal.Segments()
-		walBytes = s.wal.Bytes()
-	}
 	if wantsProm(r) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		st := s.ix.StoreStats()
-		_ = s.metrics.WriteProm(w, PromGauges{
-			Runtime:          obs.ReadRuntime(),
-			SLO:              s.slo.Report(),
-			Recorder:         s.recorder.Stats(),
-			Exporter:         s.exporter.Stats(),
-			Profiler:         s.profiler.Stats(),
-			IndexSize:        s.ix.Size(),
-			IndexLive:        st.Live,
-			IndexFilter:      s.ix.Filter().Name(),
-			InFlight:         s.sem.inflight(),
-			MaxInFlight:      cap(s.sem),
-			Inserts:          s.inserts.Load(),
-			Deletes:          s.deletes.Load(),
-			Snapshots:        s.snapshots.Load(),
-			WALRecords:       s.walRecords.Load(),
-			WALReplayed:      s.walReplayed.Load(),
-			WALSegments:      walSegs,
-			WALBytes:         walBytes,
-			SnapCRCFailures:  s.snapCRCFail.Load(),
-			Degraded:         deg,
-			DegradedReason:   degReason,
-			DegradedTotal:    s.degradedTotal.Load(),
-			StoreEpoch:       st.Epoch,
-			StoreSegments:    st.Segments,
-			StoreMemtableLen: st.MemtableLen,
-			StoreTombstones:  st.Tombstones,
-			StoreSeals:       st.Seals,
-			StoreCompactions: st.Compactions,
-		})
+		_ = s.metrics.reg.WriteProm(w)
 		return
 	}
-	snap := s.metrics.Snapshot()
-	st := s.ix.StoreStats()
-	snap.IndexSize = s.ix.Size()
-	snap.IndexLive = st.Live
-	snap.IndexFilter = s.ix.Filter().Name()
-	snap.InFlight = s.sem.inflight()
-	snap.MaxInFlight = cap(s.sem)
-	snap.Inserts = s.inserts.Load()
-	snap.Deletes = s.deletes.Load()
-	snap.Snapshots = s.snapshots.Load()
-	snap.WALRecords = s.walRecords.Load()
-	snap.WALReplayedRecords = s.walReplayed.Load()
-	snap.WALSegments = walSegs
-	snap.WALBytes = walBytes
-	snap.SnapshotCRCFailures = s.snapCRCFail.Load()
-	if deg {
-		snap.Degraded = 1
-	}
-	snap.DegradedReason = degReason
-	snap.DegradedTotal = s.degradedTotal.Load()
-	snap.StoreEpoch = st.Epoch
-	snap.StoreSegments = st.Segments
-	snap.StoreMemtableLen = st.MemtableLen
-	snap.StoreTombstones = st.Tombstones
-	snap.StoreSeals = st.Seals
-	snap.StoreCompactions = st.Compactions
-	snap.Runtime = runtimeJSON(obs.ReadRuntime())
-	snap.SLO = s.slo.Report()
-	snap.TraceRecorder = s.recorder.Stats()
-	snap.OTLPExport = otlpExportJSON(s.exporter.Stats())
-	snap.TailProfiler = s.profiler.Stats()
-	writeJSON(w, http.StatusOK, snap)
+	w.Header().Set("Content-Type", "application/json")
+	_ = s.metrics.reg.WriteJSON(w)
 }

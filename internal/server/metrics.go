@@ -1,77 +1,54 @@
 package server
 
 import (
-	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"treesim/internal/obs"
 	"treesim/internal/search"
+	"treesim/internal/segstore"
 )
 
-// Metrics is the server's expvar-style instrumentation: per-endpoint
-// request counters and latency histograms, plus the paper's own quality
-// measure aggregated over every similarity query served — the accessed
-// fraction (share of the dataset verified with an exact edit distance,
-// from search.Stats). Everything is rendered as one JSON document at
-// GET /metrics, or as Prometheus text exposition with ?format=prom (see
-// prom.go).
+// Metrics is the server's instrumentation, declared once in newMetrics:
+// every family GET /metrics serves — as JSON by default, as Prometheus
+// text with ?format=prom — is one registration there, next to where its
+// value comes from. Counters and histograms the request path updates are
+// fields here; everything another component already tracks (index, store,
+// WAL, degraded mode, runtime, recorder, exporter, profiler) is read from
+// that component at scrape time.
 type Metrics struct {
-	start time.Time
+	reg *obs.Registry
 
-	mu        sync.Mutex
-	endpoints map[string]*endpointStats
-	query     queryStats
+	// Per-endpoint families; instrument binds one endpointStats per route.
+	requests, errors, rejected, timeouts *obs.CounterVec
+	latency                              *obs.HistogramVec
 
-	// Duration histograms in seconds, backed by internal/obs (internally
-	// atomic — observed outside mu). WALAppend/WALFsync are handed to the
-	// write-ahead log at open; QueryFilter/QueryRefine split each
-	// similarity query into the paper's two stages; SnapshotWrite times
-	// whole snapshot publications.
-	WALAppend     *obs.Histogram
-	WALFsync      *obs.Histogram
-	QueryFilter   *obs.Histogram
-	QueryRefine   *obs.Histogram
-	SnapshotWrite *obs.Histogram
-	// Compaction times each segment-merge of the storage engine (filter
-	// rebuild included).
-	Compaction *obs.Histogram
+	// The paper's quality measure and the funnel around it, summed over
+	// every similarity query served.
+	queryMu  sync.Mutex
+	total    search.Stats
+	accessed *obs.Histogram // per-query accessed fraction: one observation per query
 
-	// Filter-quality histograms, fed from every similarity query.
-	// FilterCandidates buckets the per-query candidate count the filter
-	// let through; FalsePositiveRatio the share of verified candidates the
-	// exact distance then rejected (only queries that verified something).
-	// Tightness is a rolling (bounded-memory, ~10 min window) histogram of
-	// BDist/EDist ratios over verified pairs — live evidence for the
-	// paper's ≤ 4(q−1)+1 bound, from recent traffic rather than since
-	// process start.
+	// Duration histograms in seconds. WALAppend/WALFsync are handed to the
+	// write-ahead log at open.
+	WALAppend, WALFsync      *obs.Histogram
+	QueryFilter, QueryRefine *obs.Histogram
+	SnapshotWrite            *obs.Histogram
+	Compaction               *obs.Histogram
+
+	// Filter-quality histograms, fed from every similarity query; Tightness
+	// is a rolling ~10 min window, evidence from recent traffic for the
+	// paper's ≤ 4(q−1)+1 bound.
 	FilterCandidates   *obs.Histogram
 	FalsePositiveRatio *obs.Histogram
 	Tightness          *obs.RollingHistogram
-
-	// DPCellsPerVerify buckets, per query, the mean dynamic-programming
-	// cells paid per verification — the bounded refine engine's work
-	// gauge (a full Zhang–Shasha verification of two ~30-node trees costs
-	// thousands of cells; pre-checks and early aborts pull the mean down).
-	DPCellsPerVerify *obs.Histogram
+	DPCellsPerVerify   *obs.Histogram
 }
 
-// latencyBounds are the histogram bucket upper bounds.
-var latencyBounds = []time.Duration{
-	500 * time.Microsecond,
-	time.Millisecond,
-	2500 * time.Microsecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	500 * time.Millisecond,
-	time.Second,
-	2500 * time.Millisecond,
-}
+// latencyBounds are the request-latency bucket upper bounds, in seconds.
+var latencyBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 
 // accessedBounds bucket the per-query accessed fraction.
 var accessedBounds = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1}
@@ -86,78 +63,244 @@ var ratioBounds = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1}
 // Factor(q) = 4(q−1)+1, i.e. 5 at the default q=2.
 var tightnessBounds = []float64{0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5}
 
-// tightnessWindow is the rolling histogram's span (10 slots inside it).
-const tightnessWindow = 10 * time.Minute
-
 // dpCellsBounds bucket the mean DP cells per verification.
 var dpCellsBounds = []float64{16, 64, 256, 1024, 4096, 16384, 65536, 262144}
 
-type endpointStats struct {
-	requests uint64
-	errors   uint64 // 5xx
-	rejected uint64 // 429 (admission)
-	timeouts uint64 // 504 (query deadline)
-	buckets  []uint64
-	sum      time.Duration
-	// exemplars remembers, per latency bucket, the most recent request ID
-	// that landed there — the bridge from a histogram spike to a concrete
-	// retained trace (GET /debug/traces/{request_id}).
-	exemplars *obs.Exemplars
+// from adapts a component's stats call and a field of its result to the
+// func() float64 a func-gauge or func-counter reads at scrape time.
+func from[S any](read func() S, pick func(S) float64) func() float64 {
+	return func() float64 { return pick(read()) }
 }
 
-type queryStats struct {
-	count           uint64
-	total           search.Stats
-	accessedSum     float64 // sum of per-query accessed fractions (histogram _sum)
-	accessedBuckets []uint64
+func load(c *atomic.Uint64) func() float64 {
+	return func() float64 { return float64(c.Load()) }
 }
 
-// NewMetrics returns an empty registry.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		start:              time.Now(),
-		endpoints:          make(map[string]*endpointStats),
-		WALAppend:          obs.NewHistogram(obs.DefDurationBuckets),
-		WALFsync:           obs.NewHistogram(obs.DefDurationBuckets),
-		QueryFilter:        obs.NewHistogram(obs.DefDurationBuckets),
-		QueryRefine:        obs.NewHistogram(obs.DefDurationBuckets),
-		SnapshotWrite:      obs.NewHistogram(obs.DefDurationBuckets),
-		Compaction:         obs.NewHistogram(obs.DefDurationBuckets),
-		FilterCandidates:   obs.NewHistogram(candidateBounds),
-		FalsePositiveRatio: obs.NewHistogram(ratioBounds),
-		Tightness:          obs.NewRollingHistogram(tightnessBounds, tightnessWindow, 10),
-		DPCellsPerVerify:   obs.NewHistogram(dpCellsBounds),
-	}
-}
+// newMetrics declares every family of s's /metrics. s.recorder, s.exporter
+// and s.profiler must be set (or left nil: disabled components read as
+// zero); s.wal may appear later, it is read per scrape.
+func newMetrics(s *Server) *Metrics {
+	reg := obs.NewRegistry("treesim_")
+	m := &Metrics{reg: reg}
+	start := time.Now()
 
-// Observe records one finished request. rid (the request ID) becomes the
-// latency bucket's exemplar; pass "" to skip exemplar tracking.
-func (m *Metrics) Observe(endpoint string, status int, d time.Duration, rid string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.endpoints[endpoint]
-	if e == nil {
-		e = &endpointStats{
-			buckets:   make([]uint64, len(latencyBounds)+1),
-			exemplars: obs.NewExemplars(latencySecondsBounds),
+	reg.LabelledFunc("treesim_build_info", "gauge", "Constant 1, labeled with the binary's build identity.", func() []obs.Sample {
+		bi := Build()
+		return []obs.Sample{{Value: 1, Labels: obs.Labels{
+			"go_version": bi.GoVersion,
+			"revision":   bi.Revision,
+			"dirty":      strconv.FormatBool(bi.Dirty),
+		}}}
+	})
+	reg.GaugeFunc("treesim_uptime_seconds", "Seconds since the server started.",
+		func() float64 { return time.Since(start).Seconds() })
+	reg.GaugeFunc("treesim_index_size", "Id high-water mark of the live index (deleted ids stay burned).",
+		func() float64 { return float64(s.ix.Size()) })
+	store := func(pick func(segstore.Stats) float64) func() float64 { return from(s.ix.StoreStats, pick) }
+	reg.GaugeFunc("treesim_index_live", "Visible trees in the live index (tombstoned excluded).",
+		store(func(st segstore.Stats) float64 { return float64(st.Live) }))
+	reg.LabelledFunc("treesim_index_info", "gauge", "Constant 1, labeled with the active filter.", func() []obs.Sample {
+		return []obs.Sample{{Value: 1, Labels: obs.Labels{"filter": s.ix.Filter().Name()}}}
+	})
+	reg.GaugeFunc("treesim_store_epoch", "Storage-engine logical-state counter; advances on every insert, delete, seal and compaction.",
+		store(func(st segstore.Stats) float64 { return float64(st.Epoch) }))
+	reg.GaugeFunc("treesim_store_segments", "Sealed immutable segments (memtable excluded).",
+		store(func(st segstore.Stats) float64 { return float64(st.Segments) }))
+	reg.GaugeFunc("treesim_store_memtable_trees", "Trees in the mutable memtable segment.",
+		store(func(st segstore.Stats) float64 { return float64(st.MemtableLen) }))
+	reg.GaugeFunc("treesim_store_tombstones", "Unresolved tombstones (resolved at the next compaction).",
+		store(func(st segstore.Stats) float64 { return float64(st.Tombstones) }))
+	reg.CounterFunc("treesim_store_seals_total", "Memtable seals since process start.",
+		store(func(st segstore.Stats) float64 { return float64(st.Seals) }))
+	reg.CounterFunc("treesim_store_compactions_total", "Completed compactions since process start.",
+		store(func(st segstore.Stats) float64 { return float64(st.Compactions) }))
+	reg.GaugeFunc("treesim_inflight_requests", "Query requests currently admitted.",
+		func() float64 { return float64(s.sem.inflight()) })
+	reg.GaugeFunc("treesim_max_inflight_requests", "Admission limit for concurrent queries.",
+		func() float64 { return float64(cap(s.sem)) })
+	reg.CounterFunc("treesim_inserts_total", "Accepted tree inserts.", load(&s.inserts))
+	reg.CounterFunc("treesim_deletes_total", "Accepted tree deletes.", load(&s.deletes))
+	reg.CounterFunc("treesim_snapshots_total", "Snapshots published.", load(&s.snapshots))
+	reg.CounterFunc("treesim_wal_records_total", "WAL records appended by this process.", load(&s.walRecords))
+	reg.GaugeFunc("treesim_wal_replayed_records", "WAL records replayed during startup recovery.", load(&s.walReplayed))
+	reg.CounterFunc("treesim_snapshot_crc_failures_total", "Snapshots that failed checksum self-verification.", load(&s.snapCRCFail))
+	reg.GaugeFunc("treesim_wal_segments", "Segment files in the live write-ahead log.", func() float64 {
+		if s.wal == nil {
+			return 0
 		}
-		m.endpoints[endpoint] = e
+		return float64(s.wal.Segments())
+	})
+	reg.GaugeFunc("treesim_wal_bytes", "Total valid bytes across live WAL segments; growth means snapshots are falling behind the write rate.", func() float64 {
+		if s.wal == nil {
+			return 0
+		}
+		return float64(s.wal.Bytes())
+	})
+	reg.LabelledFunc("treesim_degraded", "gauge", "1 while the server is in degraded read-only mode (durable writes failing), labeled with the entry reason.", func() []obs.Sample {
+		if deg, reason := s.degradedState(); deg {
+			return []obs.Sample{{Value: 1, Labels: obs.Labels{"reason": reason}}}
+		}
+		return []obs.Sample{{Value: 0, Labels: obs.Labels{}}}
+	})
+	reg.CounterFunc("treesim_degraded_total", "Times the server entered degraded read-only mode.", load(&s.degradedTotal))
+
+	// Runtime telemetry, sampled from runtime/metrics per scrape.
+	rt := func(pick func(obs.RuntimeStats) float64) func() float64 { return from(obs.ReadRuntime, pick) }
+	reg.GaugeFunc("treesim_goroutines", "Live goroutines.",
+		rt(func(r obs.RuntimeStats) float64 { return float64(r.Goroutines) }))
+	reg.GaugeFunc("treesim_heap_bytes", "Bytes of live heap objects.",
+		rt(func(r obs.RuntimeStats) float64 { return float64(r.HeapBytes) }))
+	reg.CounterFunc("treesim_gc_cycles_total", "Completed GC cycles.",
+		rt(func(r obs.RuntimeStats) float64 { return float64(r.GCCycles) }))
+	reg.HistogramFunc("treesim_gc_pause_seconds", "Stop-the-world GC pause distribution since process start.",
+		func() obs.HistogramSnapshot { return obs.ReadRuntime().GCPause })
+	reg.HistogramFunc("treesim_sched_latency_seconds", "Scheduler latency: time goroutines spend runnable before running.",
+		func() obs.HistogramSnapshot { return obs.ReadRuntime().SchedLatency })
+
+	// Flight recorder.
+	rec := func(pick func(obs.RecorderStats) float64) func() float64 { return from(s.recorder.Stats, pick) }
+	reg.LabelledFunc("treesim_trace_retained", "gauge", "Traces currently retained in the flight recorder, by class.", func() []obs.Sample {
+		st := s.recorder.Stats()
+		return []obs.Sample{
+			{Value: float64(st.Errors), Labels: obs.Labels{"class": "error"}},
+			{Value: float64(st.Slow), Labels: obs.Labels{"class": "slow"}},
+			{Value: float64(st.Baseline), Labels: obs.Labels{"class": "baseline"}},
+		}
+	})
+	reg.CounterFunc("treesim_trace_offered_total", "Completed requests offered to the flight recorder.",
+		rec(func(st obs.RecorderStats) float64 { return float64(st.Offered) }))
+	reg.CounterFunc("treesim_trace_dropped_total", "Offers dropped without snapshotting (normal requests losing the reservoir draw).",
+		rec(func(st obs.RecorderStats) float64 { return float64(st.Dropped) }))
+	reg.GaugeFunc("treesim_trace_threshold_seconds", "Adaptive slow-trace retention threshold.",
+		rec(func(st obs.RecorderStats) float64 { return float64(st.ThresholdUS) / 1e6 }))
+
+	// OTLP trace export pipeline.
+	exp := func(pick func(obs.ExporterStats) float64) func() float64 { return from(s.exporter.Stats, pick) }
+	reg.GaugeFunc("treesim_otlp_queue_depth", "Span trees waiting in the exporter queue.",
+		exp(func(st obs.ExporterStats) float64 { return float64(st.Queued) }))
+	reg.CounterFunc("treesim_otlp_offered_total", "Span trees offered to the exporter.",
+		exp(func(st obs.ExporterStats) float64 { return float64(st.Offered) }))
+	reg.CounterFunc("treesim_otlp_batches_total", "OTLP/JSON batches delivered to the collector.",
+		exp(func(st obs.ExporterStats) float64 { return float64(st.Batches) }))
+	reg.CounterFunc("treesim_otlp_sent_spans_total", "Individual spans delivered to the collector.",
+		exp(func(st obs.ExporterStats) float64 { return float64(st.SentSpans) }))
+	reg.CounterFunc("treesim_otlp_dropped_total", "Span trees dropped (queue full or delivery retries exhausted).",
+		exp(func(st obs.ExporterStats) float64 { return float64(st.Dropped) }))
+	reg.CounterFunc("treesim_otlp_retries_total", "Batch delivery retries.",
+		exp(func(st obs.ExporterStats) float64 { return float64(st.Retries) }))
+	reg.HistogramFunc("treesim_otlp_batch_latency_seconds", "Wall time from first delivery attempt to a batch's 2xx, retries included.",
+		func() obs.HistogramSnapshot { return s.exporter.Stats().BatchLatency })
+
+	// Tail-triggered CPU profiler.
+	prof := func(pick func(obs.ProfilerStats) float64) func() float64 { return from(s.profiler.Stats, pick) }
+	reg.CounterFunc("treesim_profile_triggered_total", "Capture triggers from retained slow/errored traces.",
+		prof(func(st obs.ProfilerStats) float64 { return float64(st.Triggered) }))
+	reg.CounterFunc("treesim_profile_captured_total", "CPU profiles captured into the ring.",
+		prof(func(st obs.ProfilerStats) float64 { return float64(st.Captured) }))
+	reg.CounterFunc("treesim_profile_skipped_total", "Triggers absorbed by the rate limit or an in-flight capture.",
+		prof(func(st obs.ProfilerStats) float64 { return float64(st.Skipped) }))
+	reg.GaugeFunc("treesim_profile_retained", "Profiles currently held in the ring.",
+		prof(func(st obs.ProfilerStats) float64 { return float64(st.Retained) }))
+
+	// Per-endpoint request counters and latency. A scrape reads families in
+	// declaration order and Observe counts the request before its class, so
+	// with the classes declared first every scrape has requests ≥ errors +
+	// rejected + timeouts per endpoint.
+	m.errors = reg.CounterVec("treesim_http_errors_total", "5xx responses (excluding 504), by endpoint.", "endpoint")
+	m.rejected = reg.CounterVec("treesim_http_rejected_total", "429 admission rejections, by endpoint.", "endpoint")
+	m.timeouts = reg.CounterVec("treesim_http_timeouts_total", "504 query-deadline responses, by endpoint.", "endpoint")
+	m.requests = reg.CounterVec("treesim_http_requests_total", "Requests finished, by endpoint.", "endpoint")
+	m.latency = reg.HistogramVec("treesim_http_request_duration_seconds", "Request latency, by endpoint.", "endpoint", latencyBounds)
+
+	total := func(pick func(*search.Stats) float64) func() float64 {
+		return func() float64 {
+			m.queryMu.Lock()
+			defer m.queryMu.Unlock()
+			return pick(&m.total)
+		}
 	}
-	e.requests++
+	reg.CounterFunc("treesim_queries_total", "Similarity queries served (batch inner queries counted individually).",
+		func() float64 { return float64(m.accessed.Snapshot().Count) })
+	reg.CounterFunc("treesim_query_verified_total", "Exact edit-distance verifications across all queries.",
+		total(func(t *search.Stats) float64 { return float64(t.Verified) }))
+	reg.CounterFunc("treesim_query_results_total", "Result rows returned across all queries.",
+		total(func(t *search.Stats) float64 { return float64(t.Results) }))
+	reg.CounterFunc("treesim_query_candidates_total", "Filter candidates across all queries.",
+		total(func(t *search.Stats) float64 { return float64(t.Candidates) }))
+	reg.LabelledFunc("treesim_filter_pruned_total", "counter",
+		"Trees the filter pruned, by the bound-cascade tier that ruled them out; with treesim_query_candidates_total it accounts for every tree a query saw.",
+		func() []obs.Sample {
+			m.queryMu.Lock()
+			p := m.total.Pruned
+			m.queryMu.Unlock()
+			return []obs.Sample{
+				{Value: float64(p.Size), Labels: obs.Labels{"tier": "size"}},
+				{Value: float64(p.BDist), Labels: obs.Labels{"tier": "bdist"}},
+				{Value: float64(p.Positional), Labels: obs.Labels{"tier": "positional"}},
+			}
+		})
+	reg.CounterFunc("treesim_query_false_positives_total", "Verified candidates whose exact distance failed the predicate, across all queries.",
+		total(func(t *search.Stats) float64 { return float64(t.FalsePositives) }))
+	reg.CounterFunc("treesim_refine_aborted_total", "Verifications the band-limited DP abandoned after proving the distance exceeds the cutoff.",
+		total(func(t *search.Stats) float64 { return float64(t.RefineAborted) }))
+	reg.CounterFunc("treesim_refine_precheck_rejects_total", "Verifications rejected by O(n) pre-checks (size/height/label-histogram deltas) before any DP work.",
+		total(func(t *search.Stats) float64 { return float64(t.PrecheckRejects) }))
+	reg.CounterFunc("treesim_refine_dp_cells_total", "Dynamic-programming cells actually touched across all verifications.",
+		total(func(t *search.Stats) float64 { return float64(t.DPCells) }))
+	reg.CounterFunc("treesim_refine_dp_cells_full_total", "Dynamic-programming cells a full (uncut) verification of the same pairs would touch.",
+		total(func(t *search.Stats) float64 { return float64(t.DPCellsFull) }))
+	m.accessed = reg.Histogram("treesim_query_accessed_fraction",
+		"Per-query accessed fraction: share of the dataset verified with an exact distance (the paper's quality measure).", accessedBounds)
+
+	m.FilterCandidates = reg.Histogram("treesim_filter_candidates",
+		"Per-query candidate count the filter let through to verification.", candidateBounds)
+	m.FalsePositiveRatio = reg.Histogram("treesim_filter_false_positive_ratio",
+		"Per-query share of verified candidates rejected by the exact distance (queries that verified at least one).", ratioBounds)
+	m.Tightness = obs.NewRollingHistogram(tightnessBounds, 10*time.Minute, 10)
+	reg.HistogramFunc("treesim_filter_tightness_ratio",
+		"BDist/EDist over verified pairs in the last ~10 minutes; the paper bounds it by 4(q-1)+1.", m.Tightness.Snapshot)
+	m.DPCellsPerVerify = reg.Histogram("treesim_refine_dp_cells_per_verification",
+		"Per-query mean DP cells paid per verification under the bounded refine engine.", dpCellsBounds)
+
+	m.QueryFilter = reg.Histogram("treesim_query_filter_seconds", "Per-query filter-stage time (lower-bound computation).", obs.DefDurationBuckets)
+	m.QueryRefine = reg.Histogram("treesim_query_refine_seconds", "Per-query refine-stage time (exact edit distances).", obs.DefDurationBuckets)
+	m.WALAppend = reg.Histogram("treesim_wal_append_seconds", "WAL record append time, write plus policy fsync.", obs.DefDurationBuckets)
+	m.WALFsync = reg.Histogram("treesim_wal_fsync_seconds", "WAL fsync time per flush.", obs.DefDurationBuckets)
+	m.SnapshotWrite = reg.Histogram("treesim_snapshot_write_seconds", "Snapshot publication time (write, sync, verify, rename).", obs.DefDurationBuckets)
+	m.Compaction = reg.Histogram("treesim_compaction_seconds", "Segment compaction time (merge plus filter rebuild).", obs.DefDurationBuckets)
+	return m
+}
+
+// endpointStats are one route's children of the per-endpoint families,
+// resolved once when instrument registers the route.
+type endpointStats struct {
+	requests, errors, rejected, timeouts *atomic.Uint64
+	latency                              *obs.Histogram
+}
+
+func (m *Metrics) endpoint(name string) *endpointStats {
+	return &endpointStats{
+		requests: m.requests.With(name),
+		errors:   m.errors.With(name),
+		rejected: m.rejected.With(name),
+		timeouts: m.timeouts.With(name),
+		latency:  m.latency.With(name),
+	}
+}
+
+// Observe records one finished request: a handful of atomic adds, no
+// lock, no lookup, no allocation.
+func (e *endpointStats) Observe(status int, d time.Duration) {
+	e.requests.Add(1)
 	switch {
 	case status == 429:
-		e.rejected++
+		e.rejected.Add(1)
 	case status == 504:
-		e.timeouts++
+		e.timeouts.Add(1)
 	case status >= 500:
-		e.errors++
+		e.errors.Add(1)
 	}
-	e.sum += d
-	i := sort.Search(len(latencyBounds), func(i int) bool { return d <= latencyBounds[i] })
-	e.buckets[i]++
-	if rid != "" {
-		e.exemplars.Observe(d.Seconds(), rid)
-	}
+	e.latency.ObserveDuration(d)
 }
 
 // ObserveQuery folds one similarity query's stats into the aggregate.
@@ -173,296 +316,9 @@ func (m *Metrics) ObserveQuery(s search.Stats) {
 	for _, t := range s.Tightness {
 		m.Tightness.Observe(t)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.query.accessedBuckets == nil {
-		m.query.accessedBuckets = make([]uint64, len(accessedBounds)+1)
-	}
-	m.query.count++
-	m.query.total.Add(s)
-	f := s.AccessedFraction()
-	m.query.accessedSum += f
-	i := sort.Search(len(accessedBounds), func(i int) bool { return f <= accessedBounds[i] })
-	m.query.accessedBuckets[i]++
-}
-
-// EndpointSnapshot is the rendered state of one endpoint. Exemplars maps
-// latency bucket labels to the most recent request that landed there.
-type EndpointSnapshot struct {
-	Requests  uint64                   `json:"requests"`
-	Errors    uint64                   `json:"errors"`
-	Rejected  uint64                   `json:"rejected"`
-	Timeouts  uint64                   `json:"timeouts"`
-	LatencyUS LatencySnapshot          `json:"latency_us"`
-	Buckets   map[string]uint64        `json:"latency_buckets"`
-	Exemplars map[string]*obs.Exemplar `json:"latency_exemplars,omitempty"`
-}
-
-// LatencySnapshot summarizes an endpoint's latency histogram.
-type LatencySnapshot struct {
-	Count uint64 `json:"count"`
-	Sum   int64  `json:"sum"`
-	Mean  int64  `json:"mean"`
-}
-
-// QuerySnapshot is the rendered aggregate over all similarity queries.
-type QuerySnapshot struct {
-	Count               uint64 `json:"count"`
-	VerifiedTotal       int    `json:"verified_total"`
-	DatasetTotal        int    `json:"dataset_total"`
-	ResultsTotal        int    `json:"results_total"`
-	CandidatesTotal     int    `json:"candidates_total"`
-	FalsePositivesTotal int    `json:"false_positives_total"`
-	// FilterPrunedTotal is the filter's funnel summed over all queries:
-	// trees eliminated per bound-cascade tier (size, bdist, positional).
-	// With CandidatesTotal it accounts for every tree of DatasetTotal.
-	FilterPrunedTotal    search.Funnel `json:"filter_pruned_total"`
-	MeanAccessedFraction float64       `json:"mean_accessed_fraction"`
-	FalsePositiveRate    float64       `json:"false_positive_rate"`
-	FilterMicrosTotal    int64         `json:"filter_us_total"`
-	RefineMicrosTotal    int64         `json:"refine_us_total"`
-	// Bounded-verification counters: of the verification attempts, how
-	// many the refine stage cut short by a pre-check or an early DP abort,
-	// and the DP cells actually computed vs. what full verification of the
-	// same pairs would have cost.
-	RefineAbortedTotal   int               `json:"refine_aborted_total"`
-	PrecheckRejectsTotal int               `json:"precheck_rejects_total"`
-	DPCellsTotal         int64             `json:"dp_cells_total"`
-	DPCellsFullTotal     int64             `json:"dp_cells_full_total"`
-	AccessedBuckets      map[string]uint64 `json:"accessed_fraction_buckets"`
-}
-
-// Snapshot is the full /metrics document; the server adds the live gauges
-// (index size, in-flight requests) before marshaling.
-type Snapshot struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	// IndexSize is the id high-water mark; IndexLive the visible tree
-	// count (tombstoned trees excluded).
-	IndexSize   int    `json:"index_size"`
-	IndexLive   int    `json:"index_live"`
-	IndexFilter string `json:"index_filter"`
-	InFlight    int    `json:"inflight"`
-	MaxInFlight int    `json:"max_inflight"`
-	Inserts     uint64 `json:"inserts_total"`
-	Deletes     uint64 `json:"deletes_total"`
-	Snapshots   uint64 `json:"snapshots_total"`
-	// Storage-engine gauges: the epoch (logical-state counter; bumps on
-	// every insert, delete, seal and compaction), sealed segment count,
-	// memtable fill, unresolved tombstones, and the lifetime seal and
-	// compaction counters.
-	StoreEpoch       uint64 `json:"store_epoch"`
-	StoreSegments    int    `json:"store_segments"`
-	StoreMemtableLen int    `json:"store_memtable_len"`
-	StoreTombstones  int    `json:"store_tombstones"`
-	StoreSeals       uint64 `json:"store_seals_total"`
-	StoreCompactions uint64 `json:"store_compactions_total"`
-	// Durability gauges: WAL records appended by this process, records
-	// replayed during startup recovery, the segment count and total bytes
-	// of the live log (checkpoint health: growing bytes mean snapshots
-	// are falling behind), and snapshots that failed their checksum
-	// self-verification (and were therefore not published).
-	WALRecords          uint64 `json:"wal_records_total"`
-	WALReplayedRecords  uint64 `json:"wal_replayed_records"`
-	WALSegments         int    `json:"wal_segments"`
-	WALBytes            int64  `json:"wal_bytes"`
-	SnapshotCRCFailures uint64 `json:"snapshot_crc_failures"`
-	// Degraded read-only mode: 1 while durable writes are failing (with
-	// the entry reason), plus a lifetime entry counter.
-	Degraded       int                         `json:"degraded"`
-	DegradedReason string                      `json:"degraded_reason,omitempty"`
-	DegradedTotal  uint64                      `json:"degraded_total"`
-	Endpoints      map[string]EndpointSnapshot `json:"endpoints"`
-	Queries        QuerySnapshot               `json:"queries"`
-	// Duration histograms (seconds): WAL durability cost, per-stage query
-	// time, snapshot publication time.
-	WALAppendSeconds     HistogramJSON `json:"wal_append_seconds"`
-	WALFsyncSeconds      HistogramJSON `json:"wal_fsync_seconds"`
-	QueryFilterSeconds   HistogramJSON `json:"query_filter_seconds"`
-	QueryRefineSeconds   HistogramJSON `json:"query_refine_seconds"`
-	SnapshotWriteSeconds HistogramJSON `json:"snapshot_write_seconds"`
-	CompactionSeconds    HistogramJSON `json:"compaction_seconds"`
-	// Filter-quality histograms: per-query candidate counts, per-query
-	// false-positive ratios, and the rolling-window tightness ratios
-	// (BDist/EDist over recently verified pairs).
-	FilterCandidates   HistogramJSON `json:"filter_candidates"`
-	FilterFPRatio      HistogramJSON `json:"filter_false_positive_ratio"`
-	FilterTightness10m HistogramJSON `json:"filter_tightness_ratio_10m"`
-	// Bounded-refine work histogram: per-query mean DP cells per
-	// verification (the sum field is in cells, not seconds).
-	RefineDPCells HistogramJSON `json:"refine_dp_cells_per_verification"`
-	// Runtime telemetry (heap, goroutines, GC pauses, scheduler latency),
-	// the per-endpoint SLO burn-rate table, and the flight recorder's
-	// retention stats. Filled by the handler per scrape, like the gauges.
-	Runtime       RuntimeJSON       `json:"runtime"`
-	SLO           obs.SLOReport     `json:"slo"`
-	TraceRecorder obs.RecorderStats `json:"trace_recorder"`
-	// Trace-export pipeline health (queue depth, deliveries, drops) and
-	// the tail profiler's capture counters. Filled by the handler per
-	// scrape; zero when the subsystem is disabled.
-	OTLPExport   OTLPExportJSON    `json:"otlp_export"`
-	TailProfiler obs.ProfilerStats `json:"tail_profiler"`
-}
-
-// OTLPExportJSON renders obs.ExporterStats with the registry's
-// histogram bucket-label convention for the batch latency.
-type OTLPExportJSON struct {
-	Queued              int           `json:"queued"`
-	Offered             uint64        `json:"offered"`
-	Batches             uint64        `json:"batches"`
-	SentSpans           uint64        `json:"sent_spans"`
-	Dropped             uint64        `json:"dropped"`
-	Retries             uint64        `json:"retries"`
-	BatchLatencySeconds HistogramJSON `json:"batch_latency_seconds"`
-}
-
-func otlpExportJSON(st obs.ExporterStats) OTLPExportJSON {
-	return OTLPExportJSON{
-		Queued:              st.Queued,
-		Offered:             st.Offered,
-		Batches:             st.Batches,
-		SentSpans:           st.SentSpans,
-		Dropped:             st.Dropped,
-		Retries:             st.Retries,
-		BatchLatencySeconds: histogramSnapshotJSON(st.BatchLatency),
-	}
-}
-
-// RuntimeJSON renders obs.RuntimeStats with the registry's histogram
-// bucket-label convention.
-type RuntimeJSON struct {
-	HeapBytes           uint64        `json:"heap_bytes"`
-	Goroutines          uint64        `json:"goroutines"`
-	GCCycles            uint64        `json:"gc_cycles"`
-	GCPauseSeconds      HistogramJSON `json:"gc_pause_seconds"`
-	SchedLatencySeconds HistogramJSON `json:"sched_latency_seconds"`
-}
-
-func runtimeJSON(rs obs.RuntimeStats) RuntimeJSON {
-	return RuntimeJSON{
-		HeapBytes:           rs.HeapBytes,
-		Goroutines:          rs.Goroutines,
-		GCCycles:            rs.GCCycles,
-		GCPauseSeconds:      histogramSnapshotJSON(rs.GCPause),
-		SchedLatencySeconds: histogramSnapshotJSON(rs.SchedLatency),
-	}
-}
-
-// HistogramJSON is the JSON rendering of an obs.Histogram: bucket labels
-// follow the same le_<seconds> convention as the endpoint latency buckets.
-type HistogramJSON struct {
-	Count      uint64            `json:"count"`
-	SumSeconds float64           `json:"sum_seconds"`
-	Buckets    map[string]uint64 `json:"buckets"`
-}
-
-func histogramJSON(h *obs.Histogram) HistogramJSON {
-	return histogramSnapshotJSON(h.Snapshot())
-}
-
-func histogramSnapshotJSON(s obs.HistogramSnapshot) HistogramJSON {
-	out := HistogramJSON{Count: s.Count, SumSeconds: s.Sum, Buckets: make(map[string]uint64, len(s.Counts))}
-	for i, c := range s.Counts {
-		if i < len(s.Bounds) {
-			out.Buckets[bucketLabel(s.Bounds[i])] = c
-		} else {
-			out.Buckets["le_inf"] = c
-		}
-	}
-	return out
-}
-
-// Snapshot renders the counters; the caller fills the gauge fields.
-func (m *Metrics) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := Snapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		Endpoints:     make(map[string]EndpointSnapshot, len(m.endpoints)),
-	}
-	for name, e := range m.endpoints {
-		snap := EndpointSnapshot{
-			Requests: e.requests,
-			Errors:   e.errors,
-			Rejected: e.rejected,
-			Timeouts: e.timeouts,
-			Buckets:  make(map[string]uint64, len(e.buckets)),
-			LatencyUS: LatencySnapshot{
-				Count: e.requests,
-				Sum:   e.sum.Microseconds(),
-			},
-		}
-		if e.requests > 0 {
-			snap.LatencyUS.Mean = e.sum.Microseconds() / int64(e.requests)
-		}
-		for i, c := range e.buckets {
-			snap.Buckets[latencyBucketLabel(i)] = c
-		}
-		for i, ex := range e.exemplars.Snapshot() {
-			if ex == nil {
-				continue
-			}
-			if snap.Exemplars == nil {
-				snap.Exemplars = make(map[string]*obs.Exemplar)
-			}
-			snap.Exemplars[latencyBucketLabel(i)] = ex
-		}
-		out.Endpoints[name] = snap
-	}
-	q := m.query
-	out.Queries = QuerySnapshot{
-		Count:                q.count,
-		VerifiedTotal:        q.total.Verified,
-		DatasetTotal:         q.total.Dataset,
-		ResultsTotal:         q.total.Results,
-		CandidatesTotal:      q.total.Candidates,
-		FalsePositivesTotal:  q.total.FalsePositives,
-		FilterPrunedTotal:    q.total.Pruned,
-		FilterMicrosTotal:    q.total.FilterTime.Microseconds(),
-		RefineMicrosTotal:    q.total.RefineTime.Microseconds(),
-		RefineAbortedTotal:   q.total.RefineAborted,
-		PrecheckRejectsTotal: q.total.PrecheckRejects,
-		DPCellsTotal:         q.total.DPCells,
-		DPCellsFullTotal:     q.total.DPCellsFull,
-		AccessedBuckets:      make(map[string]uint64, len(q.accessedBuckets)),
-	}
-	out.Queries.MeanAccessedFraction = q.total.AccessedFraction()
-	out.Queries.FalsePositiveRate = q.total.FalsePositiveRate()
-	for i, c := range q.accessedBuckets {
-		out.Queries.AccessedBuckets[accessedBucketLabel(i)] = c
-	}
-	out.WALAppendSeconds = histogramJSON(m.WALAppend)
-	out.WALFsyncSeconds = histogramJSON(m.WALFsync)
-	out.QueryFilterSeconds = histogramJSON(m.QueryFilter)
-	out.QueryRefineSeconds = histogramJSON(m.QueryRefine)
-	out.SnapshotWriteSeconds = histogramJSON(m.SnapshotWrite)
-	out.CompactionSeconds = histogramJSON(m.Compaction)
-	out.FilterCandidates = histogramJSON(m.FilterCandidates)
-	out.FilterFPRatio = histogramJSON(m.FalsePositiveRatio)
-	out.FilterTightness10m = histogramSnapshotJSON(m.Tightness.Snapshot())
-	out.RefineDPCells = histogramJSON(m.DPCellsPerVerify)
-	return out
-}
-
-// bucketLabel renders a histogram upper bound as a stable, parseable
-// label: "le_" + the shortest exact decimal ("le_0.0025", "le_1"). Go
-// duration strings ("le_2.5ms") are illegal as Prometheus label parts and
-// unstable across formatting changes; everything numeric, in base units
-// (seconds for time), parses back with strconv.ParseFloat — as does the
-// "inf" of the overflow bucket.
-func bucketLabel(bound float64) string {
-	return "le_" + strconv.FormatFloat(bound, 'g', -1, 64)
-}
-
-func latencyBucketLabel(i int) string {
-	if i == len(latencyBounds) {
-		return "le_inf"
-	}
-	return bucketLabel(latencyBounds[i].Seconds())
-}
-
-func accessedBucketLabel(i int) string {
-	if i == len(accessedBounds) {
-		return "le_inf"
-	}
-	return bucketLabel(accessedBounds[i])
+	m.accessed.Observe(s.AccessedFraction())
+	s.Tightness = nil // summed into the rolling histogram above, not into total
+	m.queryMu.Lock()
+	m.total.Add(s)
+	m.queryMu.Unlock()
 }

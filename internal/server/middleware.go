@@ -55,6 +55,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // capping and — for query endpoints (limited=true) — semaphore admission
 // with 429 backpressure and the per-request deadline.
 func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) http.Handler {
+	stats := s.metrics.endpoint(endpoint)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rid := r.Header.Get("X-Request-Id")
@@ -118,10 +119,9 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 			span.SetInt("http.status_code", int64(sw.status))
 			span.End()
 			elapsed := time.Since(start)
-			s.metrics.Observe(endpoint, sw.status, elapsed, rid)
+			stats.Observe(sw.status, elapsed)
 			if strings.HasPrefix(endpoint, "/v1/") {
 				errStatus := sw.status >= 500
-				s.slo.Observe(endpoint, elapsed, errStatus)
 				var ex any
 				if holder != nil && holder.ex != nil {
 					ex = holder.ex

@@ -117,7 +117,7 @@ func TestPanicRecovery(t *testing.T) {
 	if !strings.Contains(buf.String(), "kaboom") {
 		t.Error("panic value missing from the log")
 	}
-	if got := s.Metrics().Snapshot().Endpoints["/boom"].Errors; got != 1 {
-		t.Errorf("endpoint error count %d, want 1", got)
+	if got, _ := gathered(t, s.metrics, "treesim_http_errors_total", "/boom"); got != 1 {
+		t.Errorf("endpoint error count %v, want 1", got)
 	}
 }

@@ -121,15 +121,6 @@ type Config struct {
 	// of normal baselines), browsable at GET /debug/traces. 0 means 256;
 	// negative disables the recorder entirely.
 	TraceRing int
-	// SLOLatency is the per-request latency objective for the SLO layer:
-	// a /v1/* request slower than this spends error budget even when it
-	// succeeds. 0 means 100ms.
-	SLOLatency time.Duration
-	// SLOTarget is the availability objective in (0,1): the fraction of
-	// /v1/* requests that must be good (no 5xx, within SLOLatency) for
-	// the burn rate on GET /debug/slo and /metrics to read 1.0. 0 means
-	// 0.99.
-	SLOTarget float64
 	// OTLPEndpoint, when set, enables the trace exporter: completed /v1/*
 	// span trees are batched as OTLP/JSON and POSTed there (a collector's
 	// /v1/traces URL). Empty disables export entirely.
@@ -195,7 +186,6 @@ type Server struct {
 	sem      limiter
 	mux      *http.ServeMux
 	recorder *obs.Recorder     // flight recorder; nil when Config.TraceRing < 0
-	slo      *obs.SLOTracker   // per-endpoint RED counters and burn rates
 	exporter *obs.Exporter     // OTLP/JSON trace export; nil when Config.OTLPEndpoint == ""
 	profiler *obs.TailProfiler // tail-triggered CPU profiles; nil when disabled
 
@@ -249,11 +239,9 @@ func New(ix *search.Index, cfg Config) *Server {
 		cfg:      cfg,
 		ix:       ix,
 		log:      cfg.Logger,
-		metrics:  NewMetrics(),
 		sem:      newLimiter(cfg.MaxInFlight),
 		fs:       cfg.FS,
 		stopSnap: make(chan struct{}),
-		slo:      obs.NewSLOTracker(obs.SLOConfig{Latency: cfg.SLOLatency, Target: cfg.SLOTarget}),
 	}
 	if cfg.TraceRing >= 0 {
 		s.recorder = obs.NewRecorder(obs.RecorderConfig{Capacity: cfg.TraceRing})
@@ -272,6 +260,7 @@ func New(ix *search.Index, cfg Config) *Server {
 			Capture: cfg.ProfileCapture,
 		})
 	}
+	s.metrics = newMetrics(s)
 	s.mux = http.NewServeMux()
 	s.mux.Handle("POST /v1/knn", s.instrument("/v1/knn", true, s.handleKNN))
 	s.mux.Handle("POST /v1/range", s.instrument("/v1/range", true, s.handleRange))
@@ -285,10 +274,9 @@ func New(ix *search.Index, cfg Config) *Server {
 	s.mux.Handle("GET /metrics", s.instrument("/metrics", false, s.handleMetrics))
 	s.mux.Handle("GET /version", s.instrument("/version", false, s.handleVersion))
 	// Debug surfaces (see debug.go) answer loopback callers only: retained
-	// traces carry full query trees and the SLO table is operator-facing.
+	// traces carry full query trees.
 	s.mux.Handle("GET /debug/traces", s.instrument("/debug/traces", false, s.loopbackOnly(s.handleDebugTraces)))
 	s.mux.Handle("GET /debug/traces/{id}", s.instrument("/debug/traces/{id}", false, s.loopbackOnly(s.handleDebugTrace)))
-	s.mux.Handle("GET /debug/slo", s.instrument("/debug/slo", false, s.loopbackOnly(s.handleDebugSLO)))
 	s.mux.Handle("GET /debug/profiles", s.instrument("/debug/profiles", false, s.loopbackOnly(s.handleDebugProfiles)))
 	s.mux.Handle("GET /debug/profiles/{id}", s.instrument("/debug/profiles/{id}", false, s.loopbackOnly(s.handleDebugProfile)))
 	// Compactions run on background goroutines inside the index; the hook
@@ -308,9 +296,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Index returns the served index.
 func (s *Server) Index() *search.Index { return s.ix }
-
-// Metrics returns the server's metrics registry.
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Recorder returns the flight recorder (nil when disabled).
 func (s *Server) Recorder() *obs.Recorder { return s.recorder }

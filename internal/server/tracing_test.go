@@ -290,12 +290,8 @@ func TestExportPipelineEndToEnd(t *testing.T) {
 		}
 	}
 
-	var snap Snapshot
-	if code := getJSON(t, hs.URL+"/metrics", &snap); code != 200 {
-		t.Fatalf("metrics status %d", code)
-	}
-	if snap.OTLPExport.Offered != 5 {
-		t.Fatalf("otlp_export.offered %d, want 5", snap.OTLPExport.Offered)
+	if got := scrapeJSON(t, hs.URL)["treesim_otlp_offered_total"]; got != 5 {
+		t.Fatalf("otlp_offered_total %v, want 5", got)
 	}
 
 	resp, err := http.Get(hs.URL + "/metrics?format=prom")

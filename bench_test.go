@@ -350,31 +350,6 @@ func BenchmarkAblationPostingsVsMergeJoin(b *testing.B) {
 // sink keeps benchmark results alive.
 var sink int
 
-// BenchmarkAblationFilterVariants compares one range query under the
-// BiBranch filter family: plain per-candidate bounds, the pivot cascade,
-// and the VP-tree candidate enumeration.
-func BenchmarkAblationFilterVariants(b *testing.B) {
-	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
-	ts := datagen.New(spec, 5).Dataset(400, 20)
-	q := ts[42]
-	variants := map[string]search.Filter{
-		"BiBranch": search.NewBiBranch(),
-		"Pivot":    search.NewPivotBiBranch(),
-		"VPTree":   search.NewVPBiBranch(),
-	}
-	for name, f := range variants {
-		ix := search.NewIndex(ts, search.WithFilter(f))
-		b.Run(name, func(b *testing.B) {
-			var verified int
-			for i := 0; i < b.N; i++ {
-				_, st, _ := ix.Range(context.Background(), q, 3)
-				verified = st.Verified
-			}
-			b.ReportMetric(float64(verified), "verified")
-		})
-	}
-}
-
 // BenchmarkDBLPGeneration measures the DBLP-like dataset substrate.
 func BenchmarkDBLPGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -78,13 +78,18 @@ for stage; do
         ;;
     loc)
         # The size of the system in the unit ROADMAP counts it in: non-test
-        # Go lines outside benchmark/, per package and in total. Not in the
-        # default list — it reports, it cannot fail.
+        # Go lines outside benchmark/, per package and in total, then the
+        # north star's comparison — the serving shell against the engine it
+        # serves. Not in the default list — it reports, it cannot fail.
         echo "== non-test Go lines outside benchmark/"
         find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -exec wc -l {} + |
             awk '$2 != "total" { d = $2; sub("/[^/]*$", "", d); n[d] += $1; t += $1 }
                  END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"
-                       close("sort -k2"); printf "%7d  total\n", t }'
+                       close("sort -k2"); printf "%7d  total\n", t
+                       i = "./internal/"
+                       printf "%7d  shell  = internal/obs + internal/server\n", n[i "obs"] + n[i "server"]
+                       printf "%7d  engine = internal/branch + internal/editdist + internal/search\n",
+                              n[i "branch"] + n[i "editdist"] + n[i "search"] }'
         ;;
     *)
         echo "ci: unknown stage '$stage'" >&2

@@ -12,8 +12,7 @@
 //
 // The dataset must be the one the recording server indexed (replayed
 // counters are sanity-checked against the recorded dataset size). Output:
-// a ranked table on stdout and a JSON report (-out) that cmd/benchdiff
-// can compare across code versions.
+// a ranked table on stdout and a JSON report (-out).
 package main
 
 import (
@@ -256,8 +255,8 @@ func replay(spec string, f search.Filter, ts []*tree.Tree, recs []qlog.Record) (
 		Spec:         spec,
 		IndexBuildUS: time.Since(buildStart).Microseconds(),
 	}
-	if lr, ok := f.(search.FactorReporter); ok {
-		fr.TightnessLimit = lr.Factor()
+	if bb, ok := f.(*search.BiBranch); ok {
+		fr.TightnessLimit = bb.Factor()
 	}
 
 	var (

@@ -40,7 +40,7 @@ func TestNewSpaceRejectsQ1(t *testing.T) {
 func vectorOf(p *Profile) *vector.Sparse {
 	b := vector.NewBuilder()
 	for i, d := range p.Dims() {
-		b.Add(d, p.Count(i))
+		b.Add(uint32(d), p.Count(i))
 	}
 	return b.MustVector()
 }
@@ -49,7 +49,7 @@ func vectorOf(p *Profile) *vector.Sparse {
 func branchSet(p *Profile) map[string]int {
 	out := make(map[string]int)
 	for _, e := range vectorOf(p).Elems() {
-		key := p.Space().Key(e.Dim)
+		key := p.Space().Key(Dim(e.Dim))
 		out[join(KeyLabels(key))] = e.Count
 	}
 	return out
@@ -153,9 +153,11 @@ func TestProfileCountsSumToSize(t *testing.T) {
 		s := NewSpace(q)
 		for _, tr := range []*tree.Tree{paperT1(), paperT2(), tree.MustParse("x"), tree.New(nil)} {
 			p := s.Profile(tr)
-			if vectorOf(p).Sum() != tr.Size() || p.Size != tr.Size() {
+			// The L1 distance to the zero vector is the sum of the counts.
+			sum := vector.L1(vectorOf(p), &vector.Sparse{})
+			if sum != tr.Size() || p.Size != tr.Size() {
 				t.Errorf("q=%d %q: branch count %d, size %d, want %d",
-					q, tr, vectorOf(p).Sum(), p.Size, tr.Size())
+					q, tr, sum, p.Size, tr.Size())
 			}
 		}
 	}

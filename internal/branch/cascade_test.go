@@ -26,9 +26,10 @@ type refProfile struct {
 }
 
 func refOf(s *branch.Space, t *tree.Tree) *refProfile {
-	occs := make(map[vector.Dim][]branch.Occurrence)
+	occs := make(map[uint32][]branch.Occurrence)
 	b := vector.NewBuilder()
-	size := s.Branches(t, func(d vector.Dim, pre, post int32) {
+	size := s.Branches(t, func(dim branch.Dim, pre, post int32) {
+		d := uint32(dim)
 		b.Inc(d)
 		occs[d] = append(occs[d], branch.Occurrence{Pre: pre, Post: post})
 	})

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"treesim/internal/vector"
 )
 
 // Binary serialization of a branch space and its dataset profiles, so a
@@ -167,7 +165,7 @@ func Read(r io.Reader) (*Space, []*Profile, error) {
 			if dim >= nKeys {
 				return nil, nil, fmt.Errorf("branch: profile %d references unknown dim %d", pi, dim)
 			}
-			if ei > 0 && vector.Dim(dim) <= f.dims[len(f.dims)-1] {
+			if ei > 0 && Dim(dim) <= f.dims[len(f.dims)-1] {
 				return nil, nil, fmt.Errorf("branch: profile %d: dimensions not strictly ascending at index %d", pi, ei)
 			}
 			count, err := u32()
@@ -177,7 +175,7 @@ func Read(r io.Reader) (*Space, []*Profile, error) {
 			if count == 0 || count > size {
 				return nil, nil, fmt.Errorf("branch: profile %d dim %d has bad count %d", pi, dim, count)
 			}
-			f.dims = append(f.dims, vector.Dim(dim))
+			f.dims = append(f.dims, Dim(dim))
 			for oi := 0; oi < count; oi++ {
 				var o Occurrence
 				if err := binary.Read(br, binary.LittleEndian, &o.Pre); err != nil {

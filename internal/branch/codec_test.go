@@ -34,7 +34,7 @@ func TestCodecRoundTrip(t *testing.T) {
 				s2.Q(), s2.Size(), q, s.Size())
 		}
 		for d := 0; d < s.Size(); d++ {
-			if s.Key(vector.Dim(d)) != s2.Key(vector.Dim(d)) {
+			if s.Key(Dim(d)) != s2.Key(Dim(d)) {
 				t.Fatalf("key %d changed", d)
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"treesim/internal/dblp"
 	"treesim/internal/labels"
 	"treesim/internal/tree"
-	"treesim/internal/vector"
 )
 
 // branchAt is one enumerated binary branch: its key text and the 1-based
@@ -118,7 +117,7 @@ func checkKernel(t *testing.T, tr *tree.Tree) {
 			t.Fatalf("q=%d %s: space holds %d branches, the tree has %d", q, tr, s.Size(), seen)
 		}
 		n := 0
-		s.Branches(tr, func(d vector.Dim, pre, post int32) {
+		s.Branches(tr, func(d Dim, pre, post int32) {
 			if b := ref[n]; s.Key(d) != b.key || pre != b.pre || post != b.post {
 				t.Fatalf("q=%d %s: Branches[%d] = (%q, %d, %d), reference %v", q, tr, n, s.Key(d), pre, post, b)
 			}
@@ -209,8 +208,8 @@ func TestBlockNumbering(t *testing.T) {
 		t.Fatalf("space holds %d branches, the dataset has %d", s.Size(), len(order))
 	}
 	for d, key := range order {
-		if s.Key(vector.Dim(d)) != key {
-			t.Fatalf("dimension %d is %q, first-seen order says %q", d, s.Key(vector.Dim(d)), key)
+		if s.Key(Dim(d)) != key {
+			t.Fatalf("dimension %d is %q, first-seen order says %q", d, s.Key(Dim(d)), key)
 		}
 	}
 	par := NewSpace(2)
@@ -267,7 +266,7 @@ func TestProfileAllocs(t *testing.T) {
 	const runs = 50
 	pr := profiler{s: s, sc: new(scratch), total: runs + 2, f: &flat{
 		space: s,
-		dims:  make([]vector.Dim, 0, (runs+2)*64),
+		dims:  make([]Dim, 0, (runs+2)*64),
 		offs:  make([]uint32, 0, (runs+2)*64),
 		occ:   make([]Occurrence, 0, (runs+2)*64),
 	}}

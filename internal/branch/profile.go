@@ -7,7 +7,6 @@ import (
 
 	"treesim/internal/labels"
 	"treesim/internal/tree"
-	"treesim/internal/vector"
 )
 
 // Occurrence is one occurrence of a binary branch: the 1-based preorder and
@@ -27,7 +26,7 @@ type flat struct {
 	space *Space
 	// dims holds the non-zero dimensions, strictly ascending within each
 	// profile's coordinate range.
-	dims []vector.Dim
+	dims []Dim
 	// offs has one entry per coordinate plus a final sentinel: the
 	// occurrences of coordinate c are occ[offs[c]:offs[c+1]], so a
 	// coordinate's count is the difference of two neighbours.
@@ -62,7 +61,7 @@ func (p *Profile) NonZero() int { return int(p.hi - p.lo) }
 
 // Dims returns the profile's non-zero dimensions in ascending order. The
 // slice is shared; callers must not modify it.
-func (p *Profile) Dims() []vector.Dim { return p.f.dims[p.lo:p.hi] }
+func (p *Profile) Dims() []Dim { return p.f.dims[p.lo:p.hi] }
 
 // Count returns the number of occurrences of the i-th non-zero dimension.
 func (p *Profile) Count(i int) int {
@@ -87,7 +86,7 @@ type scratch struct {
 	first []int32 // first child in T: left child in B(T)
 	next  []int32 // next sibling in T: right child in B(T)
 	post  []int32 // 1-based postorder position in T
-	dim   []vector.Dim
+	dim   []Dim
 	stack []frame
 	miss  []int32  // nodes whose branch the read-locked pass did not find
 	key   []byte   // one rendered branch key
@@ -103,7 +102,7 @@ type frame struct {
 }
 
 // noDim marks a node whose branch has no dimension in the space.
-const noDim = ^vector.Dim(0)
+const noDim = ^Dim(0)
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -215,7 +214,7 @@ func (s *Space) resolve(sc *scratch, n int, lookup bool) {
 // lists in.
 //
 // Complexity: O(|T| · 2^q) time.
-func (s *Space) Branches(t *tree.Tree, fn func(d vector.Dim, pre, post int32)) int {
+func (s *Space) Branches(t *tree.Tree, fn func(d Dim, pre, post int32)) int {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 	n := sc.flatten(t)
@@ -269,7 +268,7 @@ func (pr *profiler) add(t *tree.Tree, lookup bool) Profile {
 			if i > 0 {
 				f.offs = append(f.offs, uint32(len(f.occ)))
 			}
-			f.dims = append(f.dims, vector.Dim(k>>32))
+			f.dims = append(f.dims, Dim(k>>32))
 		}
 		pre := int32(uint32(k))
 		f.occ = append(f.occ, Occurrence{Pre: pre, Post: sc.post[pre-1]})

@@ -21,8 +21,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"treesim/internal/vector"
 )
 
 // MinQ is the smallest meaningful branch level. q=1 records single labels
@@ -34,6 +32,10 @@ const MinQ = 2
 // q=2 this is the constant 5 of Theorem 3.2.
 func Factor(q int) int { return 4*(q-1) + 1 }
 
+// Dim identifies a dimension of the branch vector space: an interned binary
+// branch.
+type Dim uint32
+
 // Space is the alphabet Γ of q-level binary branches observed in a dataset.
 // It interns each distinct branch into a dense vector dimension, so branch
 // vectors of different trees are directly comparable. A Space is safe for
@@ -42,7 +44,7 @@ type Space struct {
 	q  int
 	mu sync.RWMutex
 	// ids maps the encoded branch key to its dimension.
-	ids map[string]vector.Dim
+	ids map[string]Dim
 	// keys lists the branch keys by dimension, for debugging/inspection.
 	keys []string
 }
@@ -53,7 +55,7 @@ func NewSpace(q int) *Space {
 	if q < MinQ {
 		panic("branch: q must be >= 2")
 	}
-	return &Space{q: q, ids: make(map[string]vector.Dim, 256)}
+	return &Space{q: q, ids: make(map[string]Dim, 256)}
 }
 
 // Q returns the branch level of the space.
@@ -73,11 +75,11 @@ func (s *Space) WindowLen() int { return (1 << uint(s.q)) - 1 }
 // intern returns the dimension of the branch encoded by key, assigning a
 // fresh dimension on first sight. The key bytes are copied only then. The
 // caller holds the write lock or is the only user the space has yet.
-func (s *Space) intern(key []byte) vector.Dim {
+func (s *Space) intern(key []byte) Dim {
 	if id, ok := s.ids[string(key)]; ok {
 		return id
 	}
-	id := vector.Dim(len(s.keys))
+	id := Dim(len(s.keys))
 	k := string(key)
 	s.keys = append(s.keys, k)
 	s.ids[k] = id
@@ -86,7 +88,7 @@ func (s *Space) intern(key []byte) vector.Dim {
 
 // Key returns the encoded key of dimension d. It panics if d was never
 // issued by this space.
-func (s *Space) Key(d vector.Dim) string {
+func (s *Space) Key(d Dim) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.keys[d]

@@ -67,8 +67,8 @@ type MinOpCoster interface {
 // MinOpCost implements MinOpCoster: every UnitCost operation costs 1.
 func (UnitCost) MinOpCost() int { return 1 }
 
-// minOpCost resolves a model's per-operation minimum, 0 when unknown.
-func minOpCost(c CostModel) int {
+// MinOpCost resolves a model's per-operation minimum, 0 when unknown.
+func MinOpCost(c CostModel) int {
 	if m, ok := c.(MinOpCoster); ok {
 		if v := m.MinOpCost(); v >= 1 {
 			return v

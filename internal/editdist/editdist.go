@@ -106,7 +106,7 @@ func distance(t1, t2 *tree.Tree, cfg *config) (int, bool) {
 	// No cutoff (or one too large to prune anything real) and models without
 	// a per-operation minimum keep the band that covers every cell.
 	band := a.n + b.n
-	if cmin := minOpCost(c); cmin >= 1 && cutoff < unreachable {
+	if cmin := MinOpCost(c); cmin >= 1 && cutoff < unreachable {
 		if lb := precheckBound(t1, t2, a, b, cmin); lb > cutoff {
 			m.Precheck = true
 			return lb, false

@@ -96,53 +96,6 @@ func AblationQ(cfg Config) *Table {
 	return t
 }
 
-// AblationFilters compares the BiBranch filter family on range queries:
-// the plain per-candidate engine, the pivot cascade (stage-one bounds from
-// precomputed pivot distances), and the VP-tree candidate enumeration.
-// All three verify the same trees (they share the stage-two bound); the
-// difference is filter-phase time. The BiBranch column holds each
-// variant's accessed percentage, the Histo column the plain variant as
-// reference.
-func AblationFilters(cfg Config) *Table {
-	spec := syntheticSpec(4, 50, 8)
-	ts := datagen.New(spec, cfg.Seed).Dataset(cfg.DatasetSize, cfg.Seeds)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	avg := cfg.avgPairwiseDistance(ts, rng)
-	tau := int(avg*cfg.RangeFraction + 0.5)
-	if tau < 1 {
-		tau = 1
-	}
-	qs := cfg.sampleQueries(ts, rng)
-
-	ref := search.NewIndex(ts, search.NewBiBranch())
-	variants := []struct {
-		name string
-		f    search.Filter
-	}{
-		{"plain", search.NewBiBranch()},
-		{"pivot", search.NewPivotBiBranch()},
-		{"vptree", search.NewVPBiBranch()},
-	}
-	t := &Table{
-		Figure:  "Ablation: filter variants",
-		Title:   fmt.Sprintf("BiBranch engine variants, range queries at tau=%d (Histo column = plain reference)", tau),
-		Dataset: spec.String(),
-		XLabel:  "variant",
-	}
-	for _, v := range variants {
-		ix := search.NewIndex(ts, search.WithFilter(v.f))
-		t.Rows = append(t.Rows,
-			ablationRow(cfg, v.name, qs, func(q *tree.Tree) search.Stats {
-				_, st, _ := ix.Range(context.Background(), q, tau)
-				return st
-			}, func(q *tree.Tree) search.Stats {
-				_, st, _ := ref.Range(context.Background(), q, tau)
-				return st
-			}))
-	}
-	return t
-}
-
 // ablationRow runs the variant (→ BiBranch column) and the reference
 // (→ Histo column) over the query set and aggregates.
 func ablationRow(cfg Config, label string, qs []*tree.Tree,

@@ -138,21 +138,6 @@ func TestAblationTables(t *testing.T) {
 	}
 }
 
-func TestAblationFilters(t *testing.T) {
-	tbl := AblationFilters(UnitScale())
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("filter ablation rows: %d", len(tbl.Rows))
-	}
-	// All variants share the stage-two bound, so accessed percentages are
-	// identical to the plain reference.
-	for _, r := range tbl.Rows {
-		if r.BiBranchPct != r.HistoPct {
-			t.Errorf("variant %s verified %.2f%%, reference %.2f%% — cascade changed results",
-				r.X, r.BiBranchPct, r.HistoPct)
-		}
-	}
-}
-
 func TestIOCost(t *testing.T) {
 	cfg := UnitScale()
 	tbl, err := IOCost(cfg)

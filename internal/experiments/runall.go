@@ -52,8 +52,6 @@ func RunFormat(fig string, cfg Config, w io.Writer, format string) error {
 		return emit(AblationPositional(cfg))
 	case "ablation-q":
 		return emit(AblationQ(cfg))
-	case "ablation-filters":
-		return emit(AblationFilters(cfg))
 	case "io":
 		t, err := IOCost(cfg)
 		if err != nil {

@@ -16,10 +16,7 @@
 // it wants them grouped by tree, not by branch.
 package invfile
 
-import (
-	"treesim/internal/branch"
-	"treesim/internal/vector"
-)
+import "treesim/internal/branch"
 
 // Posting is one entry of an inverted list: how often the list's branch
 // occurs in one tree of the segment.
@@ -80,7 +77,7 @@ func (x *Index) Trees() int { return len(x.sizes) }
 // PostingList returns the inverted list of dimension d in ascending tree
 // order (empty for a dimension no indexed tree contains). The slice is
 // shared; do not modify.
-func (x *Index) PostingList(d vector.Dim) []Posting {
+func (x *Index) PostingList(d branch.Dim) []Posting {
 	if int(d)+1 >= len(x.start) {
 		return nil
 	}

@@ -29,18 +29,18 @@ func TestProfilesMatchDirect(t *testing.T) {
 			scanned[i] = vector.NewBuilder()
 		}
 		for d := 0; d < space.Size(); d++ {
-			for _, p := range x.PostingList(vector.Dim(d)) {
-				scanned[p.Tree].Add(vector.Dim(d), int(p.Count))
+			for _, p := range x.PostingList(branch.Dim(d)) {
+				scanned[p.Tree].Add(uint32(d), int(p.Count))
 			}
 		}
 		for i, p := range direct {
 			want := vector.NewBuilder()
 			for j, d := range p.Dims() {
-				want.Add(d, p.Count(j))
+				want.Add(uint32(d), p.Count(j))
 			}
 			if got := scanned[i].MustVector(); !vector.Equal(want.MustVector(), got) {
 				t.Fatalf("q=%d tree %d: vectors differ\n direct: %v\n scanned: %v",
-					q, i, want.MustVector(), got)
+					q, i, want.MustVector().Elems(), got.Elems())
 			}
 		}
 	}
@@ -88,10 +88,10 @@ func TestIndexAccounting(t *testing.T) {
 	// all nodes exactly once.
 	covered := 0
 	for d := 0; d < space.Size(); d++ {
-		if len(x.PostingList(vector.Dim(d))) == 0 {
+		if len(x.PostingList(branch.Dim(d))) == 0 {
 			t.Errorf("dimension %d of the vocabulary has no postings", d)
 		}
-		for _, p := range x.PostingList(vector.Dim(d)) {
+		for _, p := range x.PostingList(branch.Dim(d)) {
 			if p.Count == 0 {
 				t.Fatalf("dim %d: empty posting for tree %d", d, p.Tree)
 			}
@@ -101,7 +101,7 @@ func TestIndexAccounting(t *testing.T) {
 	if covered != total {
 		t.Errorf("postings cover %d occurrences, want %d", covered, total)
 	}
-	if got := x.PostingList(vector.Dim(space.Size() + 7)); len(got) != 0 {
+	if got := x.PostingList(branch.Dim(space.Size() + 7)); len(got) != 0 {
 		t.Errorf("dimension beyond the vocabulary has %d postings", len(got))
 	}
 }
@@ -112,7 +112,7 @@ func TestPostingOrder(t *testing.T) {
 	x := Build(space.ProfileAll(ts))
 	// Postings are filled in tree order, so tree positions ascend per list.
 	for d := 0; d < space.Size(); d++ {
-		list := x.PostingList(vector.Dim(d))
+		list := x.PostingList(branch.Dim(d))
 		for k := 1; k < len(list); k++ {
 			if list[k].Tree <= list[k-1].Tree {
 				t.Fatalf("dim %d: posting trees not ascending", d)

@@ -74,46 +74,6 @@ type HistogramSnapshot struct {
 	Sum    float64   `json:"sum"`
 }
 
-// Quantile estimates the q-quantile (clamped to [0,1]) from the bucketed
-// counts: it walks to the bucket holding the q·Count-th observation and
-// interpolates linearly between the bucket's bounds. Values in the +Inf
-// overflow bucket report the last finite bound — a floor, which is the
-// honest answer a bucketed histogram can give. Returns 0 on an empty
-// snapshot.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += float64(c)
-		if cum < rank {
-			continue
-		}
-		if i >= len(s.Bounds) {
-			break // overflow bucket: no upper bound to interpolate toward
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		hi := s.Bounds[i]
-		return lo + (hi-lo)*(rank-prev)/float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // Snapshot copies the current state. Safe on nil (zero snapshot).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {

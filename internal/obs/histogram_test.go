@@ -85,35 +85,3 @@ func TestHistogramBadBounds(t *testing.T) {
 	}()
 	NewHistogram([]float64{1, 1})
 }
-
-func TestHistogramSnapshotQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5) // bucket (0,1]
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1.5) // bucket (1,2]
-	}
-	s := h.Snapshot()
-	for _, tc := range []struct{ q, want float64 }{
-		{0.5, 1.0},  // rank 10: exactly fills the first bucket
-		{0.75, 1.5}, // rank 15: halfway through (1,2]
-		{0.25, 0.5}, // rank 5: halfway through (0,1]
-		{1.0, 2.0},  // max lands at the second bound
-		{-1, 0},     // clamped to the minimum
-	} {
-		if got := s.Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
-		t.Errorf("empty snapshot quantile = %v, want 0", got)
-	}
-	// Everything in the overflow bucket: the last finite bound is the
-	// only honest answer.
-	over := NewHistogram([]float64{1, 2})
-	over.Observe(100)
-	if got := over.Snapshot().Quantile(0.5); got != 2 {
-		t.Errorf("overflow quantile = %v, want last bound 2", got)
-	}
-}

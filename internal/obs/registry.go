@@ -84,8 +84,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, "gauge", help, false, scalar(fn))
 }
 
-// HistogramFunc declares a histogram whose snapshot comes from fn (a
-// RollingHistogram, the runtime's own distributions).
+// HistogramFunc declares a histogram whose snapshot comes from fn (the
+// runtime's own distributions).
 func (r *Registry) HistogramFunc(name, help string, fn func() HistogramSnapshot) {
 	r.register(name, "histogram", help, false, func() []Sample {
 		s := fn()

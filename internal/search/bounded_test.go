@@ -22,9 +22,9 @@ func TestBoundedRefineInvariance(t *testing.T) {
 	for id, tr := range ts {
 		trees[id] = tr
 	}
-	for _, f := range shardFilters() {
+	for _, f := range allFilters() {
 		for _, S := range []int{1, 3, 0} {
-			ix := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(S))
+			ix := NewIndex(ts, WithFilter(f.Fresh()), WithShards(S))
 			for qi, q := range queries {
 				for _, k := range []int{1, 5, 12} {
 					want := bruteKNNAnswers(trees, q, k)

@@ -180,14 +180,13 @@ func TestCascadeMatchesFullBoundScan(t *testing.T) {
 }
 
 // TestFunnelEveryFilter: whatever the filter family and shard count, the
-// funnel sums to Dataset − Candidates; a filter without cheaper tiers
-// charges everything to its one bound, and the VP-tree's unvisited trees
-// are charged to the BDist tier.
+// funnel sums to Dataset − Candidates, and a filter without cheaper tiers
+// charges everything to its one bound.
 func TestFunnelEveryFilter(t *testing.T) {
 	ts := testDataset(80, 93)
-	for _, f := range shardFilters() {
+	for _, f := range allFilters() {
 		for _, shards := range []int{1, 3} {
-			ix := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(shards))
+			ix := NewIndex(ts, WithFilter(f.Fresh()), WithShards(shards))
 			for _, q := range []*tree.Tree{ts[5], ts[61]} {
 				_, ks, _ := ix.KNN(context.Background(), q, 4)
 				_, rs, _ := ix.Range(context.Background(), q, 3)
@@ -196,7 +195,7 @@ func TestFunnelEveryFilter(t *testing.T) {
 						t.Errorf("%s S=%d %s: funnel %+v sums to %d, want %d", f.Name(), shards, op, st.Pruned, sum, st.Dataset-st.Candidates)
 					}
 					switch f.(type) {
-					case *Histo, *Seq, *None, *PivotBiBranch:
+					case *Histo, *Seq, *None:
 						if st.Pruned.Size+st.Pruned.BDist != 0 {
 							t.Errorf("%s %s: single-bound filter charged cheap tiers: %+v", f.Name(), op, st.Pruned)
 						}
@@ -232,7 +231,7 @@ func TestQueriesDoNotGrowTheSpace(t *testing.T) {
 	b := f.Query(q)
 	interned := f.Space().Profile(q) // grows the space; last, on purpose
 	for i, p := range f.Profiles() {
-		if got, want := b.(BDister).BDist(i), branch.BDist(interned, p); got != want {
+		if got, want := b.(*biBranchBounder).BDist(i), branch.BDist(interned, p); got != want {
 			t.Fatalf("tree %d: BDist %d through the lookup profile, %d interned", i, got, want)
 		}
 		if got, want := b.KNNBound(i), branch.SearchLBound(interned, p); got != want {

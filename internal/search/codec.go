@@ -138,8 +138,10 @@ func encodePayload(w io.Writer, f *BiBranch, profiles []*branch.Profile, trees [
 // count, worker pool, memtable sizing. A filter option replaces the
 // snapshot's BiBranch filter and re-indexes the loaded dataset under it
 // (collapsing a segmented snapshot into one segment, with dataset ids and
-// the id high-water mark preserved). With no options the index uses unit
-// edit costs and the default execution shape.
+// the id high-water mark preserved); so does a cost model that does not
+// report a per-operation minimum of at least 1, under which the filter is
+// None (see WithCostModel). With no options the index uses unit edit costs
+// and the default execution shape.
 //
 // Errors satisfy errors.Is against ErrSnapshotTruncated (file ends early)
 // or ErrSnapshotCorrupt (wrong magic / checksum mismatch / structural

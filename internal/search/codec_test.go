@@ -139,12 +139,12 @@ func TestLoadSegmentedWithFilterReplace(t *testing.T) {
 	if err := SaveIndex(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(&buf, WithFilter(NewPivotBiBranch()))
+	loaded, err := LoadIndex(&buf, WithFilter(NewHisto()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Filter().Name() != "BiBranch-pivot" {
-		t.Fatalf("filter %s, want BiBranch-pivot", loaded.Filter().Name())
+	if loaded.Filter().Name() != "Histo" {
+		t.Fatalf("filter %s, want Histo", loaded.Filter().Name())
 	}
 	if loaded.Size() != 30 || loaded.Live() != 29 {
 		t.Fatalf("size/live %d/%d, want 30/29", loaded.Size(), loaded.Live())

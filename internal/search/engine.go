@@ -127,7 +127,6 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, qc *queryConfig, 
 	stats.FilterTime += sc.tightenTime
 	stats.RefineTime = time.Since(start) - sc.tightenTime
 	rspan.SetInt("pruned", int64(cut.live-stats.Verified))
-	sc.prims.report(fspan)
 	if err != nil {
 		rspan.SetInt("verified", int64(stats.Verified))
 		rspan.SetBool("canceled", true)
@@ -162,7 +161,7 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, qc *queryConfig, 
 // verifications happen in the order a sort by full bound would give.
 type knnScan struct {
 	cut   *qcut
-	prims *segBounders
+	prims segBounders
 
 	// Per global position: the size-tier bound, the larger of the two
 	// cheap bounds (−1 for a tombstoned position) and the full bound (−1
@@ -226,7 +225,7 @@ func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, fspan *
 				sc.cheap[pos] = -1
 				continue
 			}
-			sz, bd := sc.prims.at(si).CheapBounds(local)
+			sz, bd := sc.prims[si].CheapBounds(local)
 			c := max(sz, bd)
 			sc.size[pos], sc.cheap[pos] = int32(sz), int32(c)
 			run = append(run, uint64(c)<<33|uint64(pos))
@@ -298,7 +297,7 @@ func (sc *knnScan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound i
 			}
 			p := int(uint32(sc.heap[0]))
 			si, local, _ := sc.cut.locate(p)
-			tb := sc.prims.at(si).KNNBound(local)
+			tb := sc.prims[si].KNNBound(local)
 			sc.tight[p] = int32(tb)
 			sc.heap[0] = uint64(tb)<<33 | tightened | uint64(p)
 			siftDown(sc.heap, 0)
@@ -462,7 +461,7 @@ func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, 
 				continue
 			}
 			mu.Lock()
-			sampleTightness(sc.prims.at(si), stats, ex, local, gid, bound, d)
+			sampleTightness(sc.prims[si], stats, ex, local, gid, bound, d)
 			switch {
 			case h.Len() < k:
 				heap.Push(h, Result{ID: gid, Dist: d})
@@ -512,9 +511,6 @@ func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, qc *queryCon
 		return nil, stats, err
 	}
 	stats.Candidates = len(rs.cands)
-	// Whatever a candidate lister never enumerated lies outside the BDist
-	// ball of radius Factor·tau: pruned by the BDist tier without a visit.
-	rs.pruned.BDist += cut.live - rs.visited
 	stats.Pruned = rs.pruned
 	fspan.SetInt("candidates", int64(len(rs.cands)))
 	fspan.SetInt("segments", int64(len(cut.segs)))
@@ -543,70 +539,34 @@ func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, qc *queryCon
 }
 
 // rangeScan is what the range cascade produced over (a shard of) the
-// candidate domain: the surviving candidates with their bounds in domain
-// order, the funnel of the visible trees it visited and, when asked, their
-// deciding bounds.
+// position domain: the surviving candidates with their bounds in position
+// order, the funnel of the visible trees and, when asked, their deciding
+// bounds.
 type rangeScan struct {
 	cands, bounds []int
-	visited       int
 	pruned        Funnel
 	col           *explainCollector
 }
 
-// filterRange runs the bound cascade over the candidate domain — every
-// visible position, or the sound superset the segments' CandidateListers
-// enumerate — sharded when configured: the size tier, then the
-// branch-distance tier, and the filter's range bound only for trees both
-// leave at or under tau.
-func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, fspan *obs.Span, wantBounds bool) (*segBounders, *rangeScan, error) {
+// filterRange runs the bound cascade over every visible position, sharded
+// when configured: the size tier, then the branch-distance tier, and the
+// filter's range bound only for trees both leave at or under tau.
+func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, fspan *obs.Span, wantBounds bool) (segBounders, *rangeScan, error) {
 	prims := newSegBounders(cut, q)
 
-	// A segment's filter may enumerate a sound candidate superset directly
-	// (e.g. through a VP-tree in BDist space) without touching every tree
-	// of the segment. The walks run once, before sharding; the bound pass
-	// over the pool is what shards. Segments without a lister contribute
-	// their full position range.
-	domain := cut.n
-	var pool []int
-	hasPool := false
-	for si := range cut.segs {
-		if _, ok := prims.at(si).(CandidateLister); ok {
-			hasPool = true
-			break
-		}
-	}
-	if hasPool {
-		vspan := fspan.StartChild("vptree")
-		for si, sg := range cut.segs {
-			if cl, ok := prims.at(si).(CandidateLister); ok {
-				for _, local := range cl.RangeCandidates(tau) {
-					pool = append(pool, cut.starts[si]+local)
-				}
-			} else {
-				for local := 0; local < sg.Len(); local++ {
-					pool = append(pool, cut.starts[si]+local)
-				}
-			}
-		}
-		vspan.SetInt("candidates", int64(len(pool)))
-		vspan.End()
-		domain = len(pool)
-	}
-
-	S := ix.shardCount(domain)
+	S := ix.shardCount(cut.n)
 	outs := make([]rangeScan, S)
 	var canceled atomic.Bool
 	ix.pool.run(S, func(s int) {
 		if canceled.Load() {
 			return
 		}
-		sb := prims.forShard(s)
 		sspan := fspan
 		if S > 1 {
 			sspan = fspan.StartChild(fmt.Sprintf("shard[%d]", s))
 			defer sspan.End()
 		}
-		lo, hi := shardRange(domain, S, s)
+		lo, hi := shardRange(cut.n, S, s)
 		o := &outs[s]
 		if wantBounds {
 			o.col = &explainCollector{bounds: make([]int, 0, hi-lo)}
@@ -619,31 +579,25 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 			segLo, segHi             int
 			sg                       *segstore.Segment
 			b                        Bounder
-			visited                  int
 			bySize, byBDist, byBound int
 		)
-		for j := lo; j < hi; j++ {
-			if (j-lo)%ctxCheckEvery == 0 && (canceled.Load() || ctx.Err() != nil) {
+		for pos := lo; pos < hi; pos++ {
+			if (pos-lo)%ctxCheckEvery == 0 && (canceled.Load() || ctx.Err() != nil) {
 				canceled.Store(true)
 				if S > 1 {
 					sspan.SetBool("canceled", true)
 				}
 				return
 			}
-			pos := j
-			if hasPool {
-				pos = pool[j]
-			}
 			if pos < segLo || pos >= segHi {
 				si := cut.segOf(pos)
 				segLo, segHi = cut.starts[si], cut.starts[si+1]
-				sg, b = cut.segs[si], sb.at(si)
+				sg, b = cut.segs[si], prims[si]
 			}
 			local := pos - segLo
 			if cut.tombs != nil && cut.tombs.Has(sg.ID(local)) {
 				continue
 			}
-			visited++
 			sz, bd := b.CheapBounds(local)
 			switch {
 			case sz > tau:
@@ -663,24 +617,21 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 				}
 			}
 		}
-		o.visited = visited
 		o.pruned = Funnel{Size: bySize, BDist: byBDist, Positional: byBound}
 		if S > 1 {
 			sspan.SetInt("bounds", int64(hi-lo))
 		}
-		sb.report(sspan)
 	})
 	if canceled.Load() || ctx.Err() != nil {
 		return prims, nil, ctx.Err()
 	}
 
-	// Concatenating in shard order reproduces the sequential domain
+	// Concatenating in shard order reproduces the sequential position
 	// order, so the candidate list is byte-identical for every S.
 	rs := &outs[0]
 	for _, o := range outs[1:] {
 		rs.cands = append(rs.cands, o.cands...)
 		rs.bounds = append(rs.bounds, o.bounds...)
-		rs.visited += o.visited
 		rs.pruned.add(o.pruned)
 		if rs.col != nil {
 			rs.col.bounds = append(rs.col.bounds, o.col.bounds...)
@@ -694,7 +645,7 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 // cutoff τ is the same for every candidate, the whole bounded-verification
 // breakdown — is deterministic; the final sort makes the result order
 // independent of worker timing.
-func (ix *Index) refineRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, candidates, candBounds []int, prims *segBounders, stats *Stats, ex *Explain, rspan *obs.Span) ([]Result, error) {
+func (ix *Index) refineRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, candidates, candBounds []int, prims segBounders, stats *Stats, ex *Explain, rspan *obs.Span) ([]Result, error) {
 	var (
 		mu       sync.Mutex
 		out      []Result
@@ -715,7 +666,7 @@ func (ix *Index) refineRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 			return
 		}
 		mu.Lock()
-		sampleTightness(prims.at(si), stats, ex, local, gid, candBounds[j], d)
+		sampleTightness(prims[si], stats, ex, local, gid, candBounds[j], d)
 		out = append(out, Result{ID: gid, Dist: d})
 		mu.Unlock()
 	})

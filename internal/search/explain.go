@@ -17,7 +17,7 @@ import (
 // replayable offline (cmd/treesim-analyze).
 
 // tightnessCap bounds how many tightness samples one query collects —
-// enough for the rolling histogram without measurably taxing the refine
+// enough for the tightness histogram without measurably taxing the refine
 // loop (each sample is one L1 distance between sparse vectors, orders of
 // magnitude cheaper than the edit distance already paid for the pair).
 const tightnessCap = 16
@@ -25,21 +25,6 @@ const tightnessCap = 16
 // statsTightnessCap bounds Stats.Tightness growth under Add, so
 // aggregating millions of queries keeps bounded memory.
 const statsTightnessCap = 4096
-
-// BDister is an optional Bounder capability: expose the raw binary branch
-// distance BDist(query, tree i). Filters that implement it give EXPLAIN its
-// tightness samples (BDist/EDist, empirically confirming Theorem 4.1's
-// factor bound); filters without a branch embedding simply produce none.
-type BDister interface {
-	BDist(i int) int
-}
-
-// FactorReporter is an optional Filter capability: the proven worst-case
-// BDist/EDist factor (4(q-1)+1 for q-level binary branches). EXPLAIN
-// reports it so a dashboard can plot observed tightness against the bound.
-type FactorReporter interface {
-	Factor() int
-}
 
 // TightnessSample is one verified pair's filter-quality datum: how the
 // lower bound and the branch distance compare to the exact edit distance
@@ -70,8 +55,7 @@ type Funnel struct {
 	// Size counts trees pruned on ||q|−|t|| alone.
 	Size int `json:"size"`
 	// BDist counts trees that passed the size tier and were pruned on
-	// ⌈BDist/Factor⌉ or, under the VP-tree filter, never enumerated from
-	// the BDist ball.
+	// ⌈BDist/Factor⌉.
 	BDist int `json:"bdist"`
 	// Positional counts trees that passed both cheap tiers and were pruned
 	// by the filter's full bound: the positional bound of BiBranch, or the
@@ -207,7 +191,7 @@ func sampleTightness(b Bounder, st *Stats, ex *Explain, local, gid, bound, exact
 	if exact <= 0 {
 		return
 	}
-	bd, ok := b.(BDister)
+	bd, ok := b.(*biBranchBounder)
 	if !ok {
 		return
 	}
@@ -247,8 +231,8 @@ func (e *Explain) finish(f Filter, st Stats) {
 	e.DPCellsFull = st.DPCellsFull
 	e.FilterUS = st.FilterTime.Microseconds()
 	e.RefineUS = st.RefineTime.Microseconds()
-	if fr, ok := f.(FactorReporter); ok {
-		e.TightnessLimit = fr.Factor()
+	if bb, ok := f.(*BiBranch); ok {
+		e.TightnessLimit = bb.Factor()
 	}
 }
 

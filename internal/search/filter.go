@@ -20,6 +20,9 @@ import (
 )
 
 // Filter preprocesses a dataset once and then produces a Bounder per query.
+// The interface is sealed to this package: the segmented store needs every
+// filter to grow by one tree, to be rebuilt over a compacted segment and to
+// freeze a prefix of itself, and the four families here all do.
 type Filter interface {
 	// Name identifies the filter in statistics and experiment output.
 	Name() string
@@ -27,29 +30,15 @@ type Filter interface {
 	Index(ts []*tree.Tree)
 	// Query preprocesses one query tree and returns its bounder.
 	Query(q *tree.Tree) Bounder
-}
-
-// Appender is an optional Filter capability: extend the indexed state with
-// one more tree (appended at the next dataset position). The segmented
-// store appends into the memtable's filter through it.
-type Appender interface {
+	// Append extends the indexed state with one more tree, at the next
+	// dataset position: an insert into the memtable.
 	Append(t *tree.Tree)
-}
-
-// Fresher is an optional Filter capability: produce an empty filter of the
-// same configuration, ready to Index a new dataset. The segmented store
-// uses it to rebuild per-segment filters at compaction time, which is what
-// makes globally-preprocessed filters (pivot tables, VP-trees) appendable:
-// the expensive global build happens per segment, off the write path.
-type Fresher interface {
+	// Fresh returns an empty filter of the same configuration, ready to
+	// Index a new dataset: a new memtable, or a compacted segment.
 	Fresh() Filter
-}
-
-// snapshotter is the internal capability of memtable filters: freeze the
-// first n indexed entries into a read-only filter sharing the underlying
-// space. The frozen filter must stay valid while the original keeps
-// appending (slice-header copies, never data copies — seals are O(1)).
-type snapshotter interface {
+	// snapshotAt freezes the first n indexed entries into a read-only
+	// filter that stays valid while the original keeps appending
+	// (slice-header copies, never data copies — seals are O(1)).
 	snapshotAt(n int) Filter
 }
 
@@ -121,13 +110,13 @@ func (f *BiBranch) Index(ts []*tree.Tree) {
 	f.profiles = f.space.ProfileAllParallel(ts, 0)
 }
 
-// Append implements Appender: profiles the new tree into the existing
+// Append implements Filter: profiles the new tree into the existing
 // space.
 func (f *BiBranch) Append(t *tree.Tree) {
 	f.profiles = append(f.profiles, f.space.Profile(t))
 }
 
-// Fresh implements Fresher.
+// Fresh implements Filter.
 func (f *BiBranch) Fresh() Filter { return &BiBranch{Q: f.Q, Positional: f.Positional} }
 
 // snapshotAt freezes the first n profiles. The branch space is shared —
@@ -150,8 +139,8 @@ func (f *BiBranch) Query(q *tree.Tree) Bounder {
 	return &biBranchBounder{f: f, qp: f.space.QueryProfile(q), factor: f.Factor()}
 }
 
-// Factor implements FactorReporter: the proven worst-case BDist/EDist
-// ratio 4(q-1)+1 (Theorem 4.1; 5 for the paper's standard q=2).
+// Factor returns the proven worst-case BDist/EDist ratio 4(q-1)+1
+// (Theorem 4.1; 5 for the paper's standard q=2).
 func (f *BiBranch) Factor() int {
 	q := f.Q
 	if q == 0 {
@@ -168,8 +157,8 @@ type biBranchBounder struct {
 	factor int
 }
 
-// BDist implements BDister: the raw binary branch distance to tree i, the
-// quantity the tightness metric relates to the exact edit distance.
+// BDist returns the raw binary branch distance to tree i, the quantity
+// the tightness metric relates to the exact edit distance.
 func (b *biBranchBounder) BDist(i int) int {
 	return branch.BDist(b.qp, b.f.profiles[i])
 }
@@ -216,8 +205,6 @@ type Histo struct {
 	// Config overrides the folding configuration; the zero value selects
 	// the equal-space rule at Index time.
 	Config histogram.Config
-	// Unbounded disables folding entirely (every label in its own bin).
-	Unbounded bool
 
 	cfg      histogram.Config
 	profiles []*histogram.Profile
@@ -228,21 +215,13 @@ type Histo struct {
 func NewHisto() *Histo { return &Histo{} }
 
 // Name implements Filter.
-func (f *Histo) Name() string {
-	if f.Unbounded {
-		return "Histo-unbounded"
-	}
-	return "Histo"
-}
+func (f *Histo) Name() string { return "Histo" }
 
 // Index implements Filter.
 func (f *Histo) Index(ts []*tree.Tree) {
-	switch {
-	case f.Unbounded:
-		f.cfg = histogram.Unbounded()
-	case f.Config != (histogram.Config{}):
+	if f.Config != (histogram.Config{}) {
 		f.cfg = f.Config
-	default:
+	} else {
 		// Equal-space rule: a branch vector has at most |T| non-zero
 		// dimensions and stores two positions per node, so its space is
 		// ≈ 3·|T| numbers; give the histograms the same total.
@@ -264,13 +243,13 @@ func (f *Histo) Index(ts []*tree.Tree) {
 	})
 }
 
-// Append implements Appender. The folding configuration chosen at Index
+// Append implements Filter. The folding configuration chosen at Index
 // time is kept, so bounds stay mutually consistent.
 func (f *Histo) Append(t *tree.Tree) {
 	f.profiles = append(f.profiles, histogram.NewProfileConfig(t, f.cfg))
 }
 
-// Fresh implements Fresher. The resolved folding configuration (not the
+// Fresh implements Filter. The resolved folding configuration (not the
 // zero Config that selects equal-space sizing) carries over, so a fresh
 // filter over an empty segment does not degenerate to zero dimensions.
 func (f *Histo) Fresh() Filter {
@@ -278,13 +257,13 @@ func (f *Histo) Fresh() Filter {
 	if f.cfg != (histogram.Config{}) {
 		cfg = f.cfg
 	}
-	return &Histo{Config: cfg, Unbounded: f.Unbounded}
+	return &Histo{Config: cfg}
 }
 
 // snapshotAt freezes the first n profiles (shared folding configuration,
 // capped profile slice).
 func (f *Histo) snapshotAt(n int) Filter {
-	return &Histo{Config: f.Config, Unbounded: f.Unbounded, cfg: f.cfg, profiles: f.profiles[:n:n]}
+	return &Histo{Config: f.Config, cfg: f.cfg, profiles: f.profiles[:n:n]}
 }
 
 // Query implements Filter.
@@ -320,10 +299,10 @@ func (f *Seq) Name() string { return "Seq" }
 // Index implements Filter.
 func (f *Seq) Index(ts []*tree.Tree) { f.trees = ts }
 
-// Append implements Appender.
+// Append implements Filter.
 func (f *Seq) Append(t *tree.Tree) { f.trees = append(f.trees, t) }
 
-// Fresh implements Fresher.
+// Fresh implements Filter.
 func (f *Seq) Fresh() Filter { return &Seq{} }
 
 // snapshotAt freezes the first n trees.
@@ -358,13 +337,13 @@ func (*None) Name() string { return "Sequential" }
 // Index implements Filter.
 func (*None) Index([]*tree.Tree) {}
 
-// Append implements Appender (no per-tree state).
+// Append implements Filter (no per-tree state).
 func (*None) Append(*tree.Tree) {}
 
-// Fresh implements Fresher.
+// Fresh implements Filter.
 func (*None) Fresh() Filter { return &None{} }
 
-// snapshotAt implements snapshotter (stateless, so the filter is its own
+// snapshotAt implements Filter (stateless, so the filter is its own
 // snapshot).
 func (f *None) snapshotAt(int) Filter { return f }
 

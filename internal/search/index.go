@@ -7,20 +7,9 @@ import (
 	"time"
 
 	"treesim/internal/editdist"
-	"treesim/internal/obs"
 	"treesim/internal/segstore"
 	"treesim/internal/tree"
 )
-
-// AttrReporter is an optional Bounder capability: annotate the query's
-// filter span with per-stage counters accumulated during the bound pass
-// (pivot-screen prunes, VP-tree distance evaluations). The engine calls it
-// once per bounder, after its bound pass, on the span that timed it — the
-// filter span itself when the query ran unsharded, each shard's child span
-// otherwise.
-type AttrReporter interface {
-	ReportAttrs(sp *obs.Span)
-}
 
 // Result is one answer of a similarity query.
 type Result struct {
@@ -32,7 +21,7 @@ type Result struct {
 // experiments is AccessedFraction — the share of the dataset whose real
 // edit distance had to be computed. Candidates, FalsePositives and
 // Tightness are the filter-quality counters behind EXPLAIN and the
-// server's rolling metrics; they are cheap enough to compute on every
+// server's metrics; they are cheap enough to compute on every
 // query.
 //
 // Results, Candidates and Dataset are deterministic for fixed inputs
@@ -65,7 +54,7 @@ type Stats struct {
 	DPCellsFull     int64
 	// Tightness holds sampled BDist/EDist ratios of verified pairs (capped
 	// per query), when the filter exposes a branch distance. Each ratio is
-	// provably ≤ the filter's Factor; the server feeds them into a rolling
+	// provably ≤ the filter's Factor; the server feeds them into a
 	// histogram.
 	Tightness []float64
 }
@@ -217,11 +206,10 @@ func (ix *Index) Epoch() uint64 { return ix.store.Epoch() }
 // memtable fill, tombstones, seal/compaction counters).
 func (ix *Index) StoreStats() segstore.Stats { return ix.store.Stats() }
 
-// Insert appends a tree, returning its dataset id. Every filter
-// configuration accepts inserts: the tree lands in the memtable segment
-// (with an appendable filter of the configured family), and globally
-// preprocessed structures are rebuilt per segment at the next compaction.
-// The error is always nil and remains in the signature for compatibility.
+// Insert appends a tree, returning its dataset id: the tree lands in the
+// memtable segment, whose filter of the configured family grows by one
+// Append. The error is always nil and remains in the signature for
+// compatibility.
 //
 // Insert is safe to call concurrently with queries — it never blocks on
 // them. When the insert fills the memtable, the memtable is sealed (O(1))
@@ -230,7 +218,7 @@ func (ix *Index) StoreStats() segstore.Stats { return ix.store.Stats() }
 func (ix *Index) Insert(t *tree.Tree) (int, error) {
 	id, sealed := ix.store.Insert(func(id int, mem any) {
 		m := mem.(*memPayload)
-		m.filter.(Appender).Append(t)
+		m.filter.Append(t)
 		m.trees = append(m.trees, t)
 	})
 	if sealed {

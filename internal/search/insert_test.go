@@ -12,61 +12,19 @@ import (
 // identically to an index built over the full dataset at once.
 func TestInsertMatchesRebuild(t *testing.T) {
 	all := testDataset(60, 51)
-	for _, mk := range []func() Filter{
-		func() Filter { return NewBiBranch() },
-		func() Filter { return NewHisto() },
-		func() Filter { return NewSeq() },
-		func() Filter { return NewNone() },
-	} {
-		incr := NewIndex(all[:30], WithFilter(mk()))
-		for _, tr := range all[30:] {
+	for _, f := range allFilters() {
+		incr := NewIndex(all[:30], WithFilter(f.Fresh()))
+		for i, tr := range all[30:] {
 			id, err := incr.Insert(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if incr.Tree(id) != tr {
-				t.Fatal("Insert returned wrong id")
+			if id != 30+i || incr.Tree(id) != tr {
+				t.Fatalf("%s: insert %d got id %d", f.Name(), 30+i, id)
 			}
 		}
-		full := NewIndex(all, WithFilter(mk()))
+		full := NewIndex(all, WithFilter(f))
 		for _, q := range []*tree.Tree{all[0], all[45], testDataset(1, 52)[0]} {
-			a, _, _ := incr.KNN(context.Background(), q, 4)
-			b, _, _ := full.KNN(context.Background(), q, 4)
-			if !sameDistances(a, b) {
-				t.Fatalf("%s: incremental KNN %v, rebuilt %v", incr.Filter().Name(), dists(a), dists(b))
-			}
-			ar, _, _ := incr.Range(context.Background(), q, 3)
-			br, _, _ := full.Range(context.Background(), q, 3)
-			if !reflect.DeepEqual(ar, br) {
-				t.Fatalf("%s: incremental Range differs", incr.Filter().Name())
-			}
-		}
-	}
-}
-
-// TestInsertAcceptedByGlobalFilters: pivot tables and VP-trees were once
-// rejected as not appendable; with segmented storage the inserts land in
-// a memtable with its own sound filter, so every configuration accepts
-// them — and answers must match a from-scratch rebuild without any
-// explicit compaction.
-func TestInsertAcceptedByGlobalFilters(t *testing.T) {
-	all := testDataset(40, 53)
-	for _, mk := range []func() Filter{
-		func() Filter { return NewPivotBiBranch() },
-		func() Filter { return NewVPBiBranch() },
-	} {
-		incr := NewIndex(all[:20], WithFilter(mk()), WithCompactionThreshold(-1))
-		for i, tr := range all[20:] {
-			id, err := incr.Insert(tr)
-			if err != nil {
-				t.Fatalf("%s rejected insert: %v", incr.Filter().Name(), err)
-			}
-			if id != 20+i {
-				t.Fatalf("%s: insert %d got id %d", incr.Filter().Name(), 20+i, id)
-			}
-		}
-		full := NewIndex(all, WithFilter(mk()))
-		for _, q := range []*tree.Tree{all[0], all[35], testDataset(1, 54)[0]} {
 			a, _, _ := incr.KNN(context.Background(), q, 4)
 			b, _, _ := full.KNN(context.Background(), q, 4)
 			if !sameDistances(a, b) {

@@ -35,7 +35,10 @@ func (f indexOption) applyIndex(c *indexConfig) { f(c) }
 
 // applyIndexOpts folds the options over the defaults. Nil options are
 // skipped, so NewIndex(ts, nil) keeps its historical meaning: no filter,
-// i.e. the sequential scan.
+// i.e. the sequential scan. Every filter's bound counts unit operations,
+// which bounds the distance from below only when no operation costs less
+// than 1: under a cost model that does not report such a minimum the
+// filter is None, whose bound 0 is sound for any non-negative costs.
 func applyIndexOpts(opts []IndexOption) indexConfig {
 	cfg := indexConfig{cost: defaultCost()}
 	for _, o := range opts {
@@ -43,6 +46,9 @@ func applyIndexOpts(opts []IndexOption) indexConfig {
 			continue
 		}
 		o.applyIndex(&cfg)
+	}
+	if editdist.MinOpCost(cfg.cost) < 1 {
+		cfg.filter = NewNone()
 	}
 	return cfg
 }
@@ -54,8 +60,11 @@ func WithFilter(f Filter) IndexOption {
 }
 
 // WithCostModel sets the refine stage's edit cost model. The filters'
-// lower bounds are proved for unit costs; a custom model is sound for
-// filtering as long as every operation costs at least 1.
+// lower bounds are proved for unit costs, so they hold for a custom model
+// only when every operation costs at least 1: a model that says so
+// (editdist.MinOpCoster reporting ≥ 1) keeps the configured filter; under
+// any other model the index answers by sequential scan (its filter is
+// None), which is exact for any non-negative costs.
 func WithCostModel(m editdist.CostModel) IndexOption {
 	return indexOption(func(c *indexConfig) {
 		if m != nil {
@@ -82,9 +91,8 @@ func WithRefineWorkers(n int) IndexOption {
 
 // WithMemtableSize sets how many inserts the mutable memtable segment
 // accepts before it is sealed into an immutable segment (0 means the
-// store default, segstore.DefaultMemtableSize). Smaller memtables bound
-// the per-query cost of the weaker memtable filter at the price of more
-// segments between compactions.
+// store default, segstore.DefaultMemtableSize). Smaller memtables mean
+// more segments between compactions.
 func WithMemtableSize(n int) IndexOption {
 	return indexOption(func(c *indexConfig) { c.memtableSize = n })
 }
@@ -99,12 +107,10 @@ func WithCompactionThreshold(n int) IndexOption {
 
 // The concrete filters are their own index options.
 
-func (f *BiBranch) applyIndex(c *indexConfig)      { c.filter = f }
-func (f *Histo) applyIndex(c *indexConfig)         { c.filter = f }
-func (f *Seq) applyIndex(c *indexConfig)           { c.filter = f }
-func (f *None) applyIndex(c *indexConfig)          { c.filter = f }
-func (f *PivotBiBranch) applyIndex(c *indexConfig) { c.filter = f }
-func (f *VPBiBranch) applyIndex(c *indexConfig)    { c.filter = f }
+func (f *BiBranch) applyIndex(c *indexConfig) { c.filter = f }
+func (f *Histo) applyIndex(c *indexConfig)    { c.filter = f }
+func (f *Seq) applyIndex(c *indexConfig)      { c.filter = f }
+func (f *None) applyIndex(c *indexConfig)     { c.filter = f }
 
 // queryConfig collects what the query options select.
 type queryConfig struct {

@@ -1,8 +1,10 @@
 package search
 
 import (
+	"bytes"
 	"container/heap"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -185,33 +187,91 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// TestCustomCostModel: filtering stays complete under a cost model where
-// every operation costs at least 1.
+// TestCustomCostModel: the filters' bounds count unit operations, so an
+// index keeps its filter only under a cost model that reports every
+// operation costs at least 1, and scans sequentially otherwise — either
+// way every family answers what the sequential scan answers. The dataset
+// holds relabel-only near-duplicates: at distance 0 under free relabels,
+// several unit operations away by any filter's bound.
 func TestCustomCostModel(t *testing.T) {
 	ts := testDataset(30, 11)
-	c := costModel{}
-	seq := NewIndex(ts, NewNone(), WithCostModel(c))
-	bib := NewIndex(ts, NewBiBranch(), WithCostModel(c))
-	q := ts[5]
-	want, _, _ := seq.Range(context.Background(), q, 6)
-	got, _, _ := bib.Range(context.Background(), q, 6)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("custom-cost range results differ: %v vs %v", got, want)
+	for i := 0; i < 6; i++ {
+		dup := ts[i].Clone()
+		for j, n := range dup.PreOrder() {
+			if j%2 == 0 {
+				n.Label = fmt.Sprintf("relabel%d", j)
+			}
+		}
+		ts = append(ts, dup)
+	}
+	for _, tc := range []struct {
+		model      editdist.CostModel
+		keepFilter bool
+	}{
+		{freeRelabels{}, false},
+		{twoPerOp{}, true},
+	} {
+		seq := NewIndex(ts, NewNone(), WithCostModel(tc.model))
+		for _, f := range allFilters() {
+			ix := NewIndex(ts, WithFilter(f.Fresh()), WithCostModel(tc.model))
+			want := "Sequential"
+			if tc.keepFilter {
+				want = f.Name()
+			}
+			if ix.Filter().Name() != want {
+				t.Fatalf("%T: %s index runs filter %s, want %s", tc.model, f.Name(), ix.Filter().Name(), want)
+			}
+			for _, q := range ts[:6] {
+				wantK, _, _ := seq.KNN(context.Background(), q, 3)
+				gotK, _, _ := ix.KNN(context.Background(), q, 3)
+				if !reflect.DeepEqual(gotK, wantK) {
+					t.Fatalf("%T %s: KNN %v, sequential scan %v", tc.model, f.Name(), gotK, wantK)
+				}
+				wantR, _, _ := seq.Range(context.Background(), q, 2)
+				gotR, _, _ := ix.Range(context.Background(), q, 2)
+				if !reflect.DeepEqual(gotR, wantR) {
+					t.Fatalf("%T %s: Range %v, sequential scan %v", tc.model, f.Name(), gotR, wantR)
+				}
+			}
+		}
+	}
+
+	// A snapshot is written under unit costs; loading it under a model
+	// without a minimum must not keep its BiBranch filter either.
+	var buf bytes.Buffer
+	if err := SaveIndex(&buf, NewIndex(ts, NewBiBranch())); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadIndex(&buf, WithCostModel(freeRelabels{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Filter().Name() != "Sequential" || loaded.Size() != len(ts) {
+		t.Fatalf("loaded under free relabels: filter %s, size %d", loaded.Filter().Name(), loaded.Size())
 	}
 }
 
-// costModel charges 2 for relabels and deletes, 1 for inserts — all ≥ 1,
-// so unit-cost lower bounds remain valid.
-type costModel struct{}
+// freeRelabels charges nothing for a relabel and reports no minimum: no
+// count of unit operations bounds its distances from below.
+type freeRelabels struct{}
 
-func (costModel) Relabel(a, b string) int {
+func (freeRelabels) Relabel(a, b string) int { return 0 }
+func (freeRelabels) Insert(string) int       { return 1 }
+func (freeRelabels) Delete(string) int       { return 1 }
+
+// twoPerOp charges at least 2 per operation and says so, so unit-cost
+// lower bounds remain valid.
+type twoPerOp struct{}
+
+func (twoPerOp) Relabel(a, b string) int {
 	if a == b {
 		return 0
 	}
 	return 2
 }
-func (costModel) Insert(string) int { return 1 }
-func (costModel) Delete(string) int { return 2 }
+func (twoPerOp) Insert(string) int { return 2 }
+func (twoPerOp) Delete(string) int { return 3 }
+func (twoPerOp) MinOpCost() int    { return 2 }
 
 func TestNilFilterDefaultsToSequential(t *testing.T) {
 	ts := testDataset(10, 12)
@@ -245,19 +305,10 @@ func dists(rs []Result) []int {
 }
 
 func TestFilterNames(t *testing.T) {
-	names := map[Filter]string{
-		NewBiBranch():                      "BiBranch",
-		&BiBranch{Q: 2, Positional: false}: "BiBranch-nopos",
-		NewHisto():                         "Histo",
-		&Histo{Unbounded: true}:            "Histo-unbounded",
-		NewSeq():                           "Seq",
-		NewNone():                          "Sequential",
-		NewPivotBiBranch():                 "BiBranch-pivot",
-		NewVPBiBranch():                    "BiBranch-vptree",
-	}
-	for f, want := range names {
-		if f.Name() != want {
-			t.Errorf("Name = %q, want %q", f.Name(), want)
+	want := []string{"BiBranch", "BiBranch-nopos", "BiBranch", "Histo", "Seq", "Sequential"}
+	for i, f := range allFilters() {
+		if f.Name() != want[i] {
+			t.Errorf("filter %d: Name = %q, want %q", i, f.Name(), want[i])
 		}
 	}
 }
@@ -272,17 +323,6 @@ func TestBiBranchDefaultQ(t *testing.T) {
 	}
 	if len(f.Profiles()) != 5 {
 		t.Errorf("Profiles() returned %d", len(f.Profiles()))
-	}
-}
-
-// TestHistoUnboundedCompleteness: the unbounded histogram variant is also
-// a complete filter.
-func TestHistoUnboundedCompleteness(t *testing.T) {
-	ts := testDataset(40, 31)
-	want, _, _ := NewIndex(ts, NewNone()).Range(context.Background(), ts[3], 4)
-	got, _, _ := NewIndex(ts, &Histo{Unbounded: true}).Range(context.Background(), ts[3], 4)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("unbounded Histo lost results")
 	}
 }
 

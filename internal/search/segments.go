@@ -3,7 +3,6 @@ package search
 import (
 	"time"
 
-	"treesim/internal/obs"
 	"treesim/internal/segstore"
 	"treesim/internal/tree"
 )
@@ -12,16 +11,10 @@ import (
 // segment payload is, how the memtable grows and freezes, and how
 // compaction rebuilds the index's configured filter per segment.
 //
-// Every sealed segment carries its own trees and its own fully-built
-// filter over them. The memtable instead carries an appendable filter
-// (the configured one when it supports Append, a plain BiBranch of the
-// same level for the pivot/VP cascades, the sequential scan as the
-// sound fallback) — so an insert is one profile append, and the
-// expensive global preprocessing of pivot tables and VP-trees happens
-// only at compaction, off the write path. Bounds from differently-built
-// filters are all sound lower bounds, so mixing them across segments
-// never costs exactness, only a little filter power until the next
-// compaction.
+// Every sealed segment carries its own trees and its own filter over
+// them; the memtable carries a fresh filter of the configured family that
+// grows by one Append per insert. A segment's filter is rebuilt with the
+// parallel index build only at compaction, off the write path.
 
 // segPayload is the payload of a sealed (immutable) segment.
 type segPayload struct {
@@ -33,36 +26,14 @@ type segPayload struct {
 // under the store's mutation lock; snapshots freeze prefix slices of it.
 type memPayload struct {
 	trees  []*tree.Tree
-	filter Filter // always an Appender and a snapshotter
-}
-
-// memFilterFor picks the memtable filter for a configured prototype.
-func memFilterFor(proto Filter) Filter {
-	switch p := proto.(type) {
-	case *PivotBiBranch:
-		return &BiBranch{Q: p.Q, Positional: p.Positional}
-	case *VPBiBranch:
-		return &BiBranch{Q: p.Q, Positional: p.Positional}
-	}
-	if fr, ok := proto.(Fresher); ok {
-		nf := fr.Fresh()
-		_, appends := nf.(Appender)
-		_, snaps := nf.(snapshotter)
-		if appends && snaps {
-			return nf
-		}
-	}
-	// A filter we cannot append into or freeze: the memtable degrades to
-	// the unfiltered scan (bound 0 is always sound); compaction restores
-	// full filtering.
-	return NewNone()
+	filter Filter
 }
 
 // segHooks builds the store hooks over the index's filter configuration.
 func (ix *Index) segHooks() segstore.Hooks {
 	return segstore.Hooks{
 		NewMem: func(base int) any {
-			f := memFilterFor(ix.filter)
+			f := ix.filter.Fresh()
 			f.Index(nil)
 			return &memPayload{filter: f}
 		},
@@ -70,7 +41,7 @@ func (ix *Index) segHooks() segstore.Hooks {
 			m := mem.(*memPayload)
 			return &segPayload{
 				trees:  m.trees[:n:n],
-				filter: m.filter.(snapshotter).snapshotAt(n),
+				filter: m.filter.snapshotAt(n),
 			}
 		},
 	}
@@ -96,14 +67,10 @@ type CompactionStats struct {
 // Compact merges every sealed segment (the memtable is untouched) into
 // one, rebuilding the configured filter over the survivors with the
 // parallel index build and dropping tombstoned entries. It reports false
-// when there was nothing to do, another compaction was in flight, or the
-// filter cannot be rebuilt (no Fresher). Safe to call concurrently with
-// everything else; queries switch to the merged segment atomically.
+// when there was nothing to do or another compaction was in flight. Safe
+// to call concurrently with everything else; queries switch to the merged
+// segment atomically.
 func (ix *Index) Compact() bool {
-	fr, ok := ix.filter.(Fresher)
-	if !ok {
-		return false
-	}
 	var cs CompactionStats
 	start := time.Now()
 	done := ix.store.Compact(func(segs []*segstore.Segment, tombs *segstore.Tombstones) *segstore.Segment {
@@ -124,7 +91,7 @@ func (ix *Index) Compact() bool {
 		if len(ids) == 0 {
 			return nil
 		}
-		nf := fr.Fresh()
+		nf := ix.filter.Fresh()
 		nf.Index(trees) // the parallel build is the merge kernel
 		out := &segstore.Segment{N: len(ids), IDs: ids, Payload: &segPayload{trees: trees, filter: nf}}
 		if ids[len(ids)-1]-ids[0] == len(ids)-1 {
@@ -214,64 +181,14 @@ func (qc *qcut) treeOf(si, local int) *tree.Tree {
 }
 
 // segBounders is a query's per-segment bounder set: one query profile per
-// segment.
-type segBounders struct {
-	qc *qcut
-	q  *tree.Tree
-	bs []Bounder
-}
+// segment, created up front. Every bounder is read-only after Query, so
+// the set is shared by all shards and refine workers.
+type segBounders []Bounder
 
-// newSegBounders creates every segment's bounder up front, after which the
-// set is safe to share read-only across goroutines — except for bounders
-// that keep per-query counters, see forShard.
-func newSegBounders(qc *qcut, q *tree.Tree) *segBounders {
-	sb := &segBounders{qc: qc, q: q, bs: make([]Bounder, len(qc.segs))}
-	for si := range sb.bs {
-		sb.at(si)
+func newSegBounders(qc *qcut, q *tree.Tree) segBounders {
+	sb := make(segBounders, len(qc.segs))
+	for si, sg := range qc.segs {
+		sb[si] = payloadOf(sg).filter.Query(q)
 	}
 	return sb
-}
-
-// at returns the bounder for segment si, creating it on first use.
-func (sb *segBounders) at(si int) Bounder {
-	if sb.bs[si] == nil {
-		sb.bs[si] = payloadOf(sb.qc.segs[si]).filter.Query(sb.q)
-	}
-	return sb.bs[si]
-}
-
-// forShard returns the set filter shard s computes range bounds with.
-// Read-only bounders are shared by every shard; a bounder that counts as
-// it bounds (an AttrReporter: the pivot screen, the VP-tree walk) is
-// private to a shard beyond the first, created when the shard first
-// touches its segment, so the counters never race.
-func (sb *segBounders) forShard(s int) *segBounders {
-	if s == 0 {
-		return sb
-	}
-	var own *segBounders
-	for si, b := range sb.bs {
-		if _, counts := b.(AttrReporter); counts {
-			if own == nil {
-				own = &segBounders{qc: sb.qc, q: sb.q, bs: append([]Bounder(nil), sb.bs...)}
-			}
-			own.bs[si] = nil
-		}
-	}
-	if own == nil {
-		return sb
-	}
-	return own
-}
-
-// report forwards per-query filter counters of every materialized bounder
-// to the span that timed the pass. With several segments of the same
-// filter family the last report per key wins — the span is diagnostic,
-// not an aggregate.
-func (sb *segBounders) report(sp *obs.Span) {
-	for _, b := range sb.bs {
-		if ar, ok := b.(AttrReporter); ok {
-			ar.ReportAttrs(sp)
-		}
-	}
 }

@@ -66,12 +66,6 @@ func TestSegmentLayoutInvariance(t *testing.T) {
 	}
 	queries := append([]*tree.Tree{all[0], all[27], all[50]}, testDataset(2, 72)...)
 
-	filters := map[string]func() Filter{
-		"BiBranch": func() Filter { return NewBiBranch() },
-		"Pivot":    func() Filter { return NewPivotBiBranch() },
-		"VP":       func() Filter { return NewVPBiBranch() },
-		"Histo":    func() Filter { return NewHisto() },
-	}
 	layouts := map[string]func(mk func() Filter, shards int) *Index{
 		"one-segment": func(mk func() Filter, shards int) *Index {
 			return NewIndex(all, WithFilter(mk()), WithShards(shards))
@@ -98,10 +92,11 @@ func TestSegmentLayoutInvariance(t *testing.T) {
 		},
 	}
 
-	for fname, mk := range filters {
+	for fi, f := range allFilters() {
+		mk := f.Fresh
 		for lname, build := range layouts {
 			for _, shards := range []int{1, 3} {
-				name := fmt.Sprintf("%s/%s/shards=%d", fname, lname, shards)
+				name := fmt.Sprintf("%s#%d/%s/shards=%d", f.Name(), fi, lname, shards)
 				ix := build(mk, shards)
 				for _, id := range deleted {
 					if !ix.Delete(id) {

@@ -14,13 +14,6 @@ import (
 // forced-sequential, a couple of odd splits, and the GOMAXPROCS default.
 var shardCounts = []int{1, 2, 7, 0}
 
-// shardFilters returns a fresh instance of every filter family, including
-// the global-structure ones (pivot tables, VP-tree) that exercise the
-// CandidateLister path.
-func shardFilters() []Filter {
-	return append(allFilters(), NewPivotBiBranch(), NewVPBiBranch())
-}
-
 // TestShardCountInvarianceKNN: k-NN answers — results including tie order,
 // and every execution-independent counter — are identical for every shard
 // count. Verified is deliberately not compared: opportunistic pruning makes
@@ -28,7 +21,7 @@ func shardFilters() []Filter {
 func TestShardCountInvarianceKNN(t *testing.T) {
 	ts := testDataset(80, 31)
 	queries := []*tree.Tree{ts[0], ts[41], testDataset(1, 99)[0]}
-	for _, f := range shardFilters() {
+	for _, f := range allFilters() {
 		base := NewIndex(ts, WithFilter(f), WithShards(1))
 		for _, q := range queries {
 			for _, k := range []int{1, 4, 11} {
@@ -37,7 +30,7 @@ func TestShardCountInvarianceKNN(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, s := range shardCounts[1:] {
-					ix := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(s), WithRefineWorkers(8))
+					ix := NewIndex(ts, WithFilter(f.Fresh()), WithShards(s), WithRefineWorkers(8))
 					got, stats, err := ix.KNN(context.Background(), q, k)
 					if err != nil {
 						t.Fatal(err)
@@ -62,7 +55,7 @@ func TestShardCountInvarianceKNN(t *testing.T) {
 func TestShardCountInvarianceRange(t *testing.T) {
 	ts := testDataset(80, 32)
 	queries := []*tree.Tree{ts[3], ts[77]}
-	for _, f := range shardFilters() {
+	for _, f := range allFilters() {
 		base := NewIndex(ts, WithFilter(f), WithShards(1))
 		for _, q := range queries {
 			for _, tau := range []int{0, 2, 5} {
@@ -71,7 +64,7 @@ func TestShardCountInvarianceRange(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, s := range shardCounts[1:] {
-					ix := NewIndex(ts, WithFilter(freshFilter(f)), WithShards(s), WithRefineWorkers(8))
+					ix := NewIndex(ts, WithFilter(f.Fresh()), WithShards(s), WithRefineWorkers(8))
 					got, stats, err := ix.Range(context.Background(), q, tau)
 					if err != nil {
 						t.Fatal(err)
@@ -89,26 +82,6 @@ func TestShardCountInvarianceRange(t *testing.T) {
 			}
 		}
 	}
-}
-
-// freshFilter rebuilds a filter of the same configuration so each index
-// gets its own instance (filters hold per-dataset state).
-func freshFilter(f Filter) Filter {
-	switch v := f.(type) {
-	case *BiBranch:
-		return &BiBranch{Q: v.Q, Positional: v.Positional}
-	case *Histo:
-		return &Histo{Config: v.Config, Unbounded: v.Unbounded}
-	case *Seq:
-		return NewSeq()
-	case *None:
-		return NewNone()
-	case *PivotBiBranch:
-		return &PivotBiBranch{Q: v.Q, Pivots: v.Pivots, Positional: v.Positional}
-	case *VPBiBranch:
-		return &VPBiBranch{Q: v.Q, Positional: v.Positional, Seed: v.Seed}
-	}
-	return f
 }
 
 // TestShardEdgeCases: clamping and degenerate domains behave identically

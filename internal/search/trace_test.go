@@ -92,60 +92,3 @@ func TestRangeSpansUntraced(t *testing.T) {
 		t.Fatalf("traced query changed results: %v/%v vs %v/%v", len(r1), s1.Verified, len(r2), s2.Verified)
 	}
 }
-
-// TestPivotStageAttrs: the pivot cascade reports its screen counters on
-// the filter span, and they account for every candidate it bounded.
-func TestPivotStageAttrs(t *testing.T) {
-	ts := traceDataset(t, 80)
-	ix := NewIndex(ts, NewPivotBiBranch(), WithShards(1))
-
-	root := obs.New("query")
-	_, _, err := ix.Range(obs.NewContext(context.Background(), root), ts[7], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := root.Snapshot()
-	filter, ok := childByName(snap, "filter")
-	if !ok {
-		t.Fatalf("no filter span in %+v", snap)
-	}
-	pruned, _ := filter.Attrs["pivot_pruned"].(int64)
-	evals, _ := filter.Attrs["stage2_evals"].(int64)
-	if pruned+evals != int64(len(ts)) {
-		t.Errorf("pivot_pruned %d + stage2_evals %d != dataset %d (attrs %v)",
-			pruned, evals, len(ts), filter.Attrs)
-	}
-	if filter.Attrs["pivots"] != int64(8) {
-		t.Errorf("pivots attr %v, want 8", filter.Attrs["pivots"])
-	}
-}
-
-// TestVPTreeSpan: the VP-tree candidate enumeration appears as a child of
-// the filter span with its candidate count and distance-evaluation attr.
-func TestVPTreeSpan(t *testing.T) {
-	ts := traceDataset(t, 100)
-	ix := NewIndex(ts, NewVPBiBranch(), WithShards(1))
-
-	root := obs.New("query")
-	res, stats, err := ix.Range(obs.NewContext(context.Background(), root), ts[5], 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := root.Snapshot()
-	filter, ok := childByName(snap, "filter")
-	if !ok {
-		t.Fatalf("no filter span in %+v", snap)
-	}
-	vp, ok := childByName(filter, "vptree")
-	if !ok {
-		t.Fatalf("no vptree span under filter: %+v", filter)
-	}
-	cands, _ := vp.Attrs["candidates"].(int64)
-	if cands < int64(len(res)) || cands < int64(stats.Verified) {
-		t.Errorf("vptree candidates %d below results %d / verified %d", cands, len(res), stats.Verified)
-	}
-	evals, _ := filter.Attrs["vptree_dist_evals"].(int64)
-	if evals <= 0 || evals > int64(len(ts)) {
-		t.Errorf("vptree_dist_evals %d out of (0, %d]", evals, len(ts))
-	}
-}

@@ -39,11 +39,10 @@ type Metrics struct {
 	Compaction               *obs.Histogram
 
 	// Filter-quality histograms, fed from every similarity query; Tightness
-	// is a rolling ~10 min window, evidence from recent traffic for the
-	// paper's ≤ 4(q−1)+1 bound.
+	// is the evidence from live traffic for the paper's ≤ 4(q−1)+1 bound.
 	FilterCandidates   *obs.Histogram
 	FalsePositiveRatio *obs.Histogram
-	Tightness          *obs.RollingHistogram
+	Tightness          *obs.Histogram
 	DPCellsPerVerify   *obs.Histogram
 }
 
@@ -256,9 +255,8 @@ func newMetrics(s *Server) *Metrics {
 		"Per-query candidate count the filter let through to verification.", candidateBounds)
 	m.FalsePositiveRatio = reg.Histogram("treesim_filter_false_positive_ratio",
 		"Per-query share of verified candidates rejected by the exact distance (queries that verified at least one).", ratioBounds)
-	m.Tightness = obs.NewRollingHistogram(tightnessBounds, 10*time.Minute, 10)
-	reg.HistogramFunc("treesim_filter_tightness_ratio",
-		"BDist/EDist over verified pairs in the last ~10 minutes; the paper bounds it by 4(q-1)+1.", m.Tightness.Snapshot)
+	m.Tightness = reg.Histogram("treesim_filter_tightness_ratio",
+		"BDist/EDist over verified pairs; the paper bounds it by 4(q-1)+1.", tightnessBounds)
 	m.DPCellsPerVerify = reg.Histogram("treesim_refine_dp_cells_per_verification",
 		"Per-query mean DP cells paid per verification under the bounded refine engine.", dpCellsBounds)
 
@@ -317,7 +315,7 @@ func (m *Metrics) ObserveQuery(s search.Stats) {
 		m.Tightness.Observe(t)
 	}
 	m.accessed.Observe(s.AccessedFraction())
-	s.Tightness = nil // summed into the rolling histogram above, not into total
+	s.Tightness = nil // observed into the histogram above, not summed into total
 	m.queryMu.Lock()
 	m.total.Add(s)
 	m.queryMu.Unlock()

@@ -210,29 +210,6 @@ func TestInsertAndGet(t *testing.T) {
 	}
 }
 
-// TestInsertAcceptedForGlobalFilter: pivot-table indexes once rejected
-// inserts; the segmented store made every filter configuration
-// appendable, so the insert lands and is immediately queryable.
-func TestInsertAcceptedForGlobalFilter(t *testing.T) {
-	ts := testDataset(20, 6)
-	ix := search.NewIndex(ts, search.NewPivotBiBranch())
-	s := New(ix, quietConfig())
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-	var ins InsertResponse
-	if code := postJSON(t, hs.URL+"/v1/trees", InsertRequest{Tree: "a(b,c)"}, &ins); code != 200 {
-		t.Fatalf("insert into pivot index: status %d, want 200", code)
-	}
-	if ins.ID != 20 || ix.Size() != 21 {
-		t.Fatalf("insert got id %d, index size %d", ins.ID, ix.Size())
-	}
-	var knn QueryResponse
-	postJSON(t, hs.URL+"/v1/knn", KNNRequest{Tree: "a(b,c)", K: 1}, &knn)
-	if len(knn.Results) != 1 || knn.Results[0].ID != 20 || knn.Results[0].Dist != 0 {
-		t.Fatalf("inserted tree not its own nearest neighbor: %+v", knn.Results)
-	}
-}
-
 // TestDeleteEndpoint: DELETE tombstones a tree, the id 404s afterwards,
 // queries stop returning it, and unknown or double deletes answer
 // not_found through the stable error envelope.

@@ -1,24 +1,20 @@
 // Package vector implements sparse non-negative integer vectors with the L1
-// (Manhattan) norm. The binary branch vectors of Definition 3 live in a
-// space whose dimensionality |Γ| is the number of distinct binary branches
-// in the whole dataset, but each individual tree touches at most |T|
-// dimensions, so vectors are stored sparsely as sorted (dimension, count)
-// pairs and distances are computed by list merging in O(nnz1 + nnz2).
+// (Manhattan) norm: the binary branch vectors of Definition 3, stored as
+// sorted (dimension, count) pairs, with distances computed by list merging
+// in O(nnz1 + nnz2). No serving code imports it — internal/branch keeps its
+// profiles in flat arrays — it is the plain reference that the tests of
+// internal/branch and internal/invfile build their oracles from.
 package vector
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
-// Dim identifies a dimension of the vector space (an interned binary
-// branch).
-type Dim uint32
-
-// Elem is one non-zero coordinate of a sparse vector.
+// Elem is one non-zero coordinate of a sparse vector; Dim is a branch.Dim
+// (an interned binary branch) as a plain integer.
 type Elem struct {
-	Dim   Dim
+	Dim   uint32
 	Count int
 }
 
@@ -28,56 +24,20 @@ type Sparse struct {
 	elems []Elem
 }
 
-// FromElems constructs a vector from (dimension, count) pairs. Pairs with
-// equal dimension are summed; pairs with zero resulting count are dropped;
-// negative resulting counts are rejected.
-func FromElems(elems []Elem) (*Sparse, error) {
-	b := NewBuilder()
-	for _, e := range elems {
-		b.Add(e.Dim, e.Count)
-	}
-	return b.Vector()
-}
-
-// FromSorted constructs a vector directly from coordinates that are
-// already in strictly ascending dimension order with positive counts,
-// without re-sorting. It rejects out-of-order, duplicate, and non-positive
-// entries. The slice is retained; callers must not modify it afterwards.
-func FromSorted(elems []Elem) (*Sparse, error) {
-	for i, e := range elems {
-		if e.Count <= 0 {
-			return nil, fmt.Errorf("vector: non-positive count %d at dimension %d", e.Count, e.Dim)
-		}
-		if i > 0 && elems[i-1].Dim >= e.Dim {
-			return nil, fmt.Errorf("vector: dimensions not strictly ascending at index %d", i)
-		}
-	}
-	return &Sparse{elems: elems}, nil
-}
-
-// FromMap constructs a vector from a dimension→count map.
-func FromMap(m map[Dim]int) (*Sparse, error) {
-	b := NewBuilder()
-	for d, c := range m {
-		b.Add(d, c)
-	}
-	return b.Vector()
-}
-
 // Builder accumulates counts per dimension and produces a Sparse.
 type Builder struct {
-	counts map[Dim]int
+	counts map[uint32]int
 }
 
 // NewBuilder returns an empty builder.
-func NewBuilder() *Builder { return &Builder{counts: make(map[Dim]int)} }
+func NewBuilder() *Builder { return &Builder{counts: make(map[uint32]int)} }
 
 // Add increments dimension d by delta (which may be negative during
 // accumulation, as long as the final count is non-negative).
-func (b *Builder) Add(d Dim, delta int) { b.counts[d] += delta }
+func (b *Builder) Add(d uint32, delta int) { b.counts[d] += delta }
 
 // Inc increments dimension d by one.
-func (b *Builder) Inc(d Dim) { b.counts[d]++ }
+func (b *Builder) Inc(d uint32) { b.counts[d]++ }
 
 // Vector finalizes the builder into an immutable Sparse. It fails if any
 // accumulated count is negative.
@@ -105,42 +65,9 @@ func (b *Builder) MustVector() *Sparse {
 	return v
 }
 
-// Zero is the empty (all-zero) vector.
-func Zero() *Sparse { return &Sparse{} }
-
-// Get returns the count at dimension d (zero if absent).
-func (v *Sparse) Get(d Dim) int {
-	i := sort.Search(len(v.elems), func(i int) bool { return v.elems[i].Dim >= d })
-	if i < len(v.elems) && v.elems[i].Dim == d {
-		return v.elems[i].Count
-	}
-	return 0
-}
-
-// NonZero returns the number of non-zero coordinates.
-func (v *Sparse) NonZero() int { return len(v.elems) }
-
-// Sum returns the sum of all counts — for a binary branch vector this is
-// the number of nodes |T| of the underlying tree.
-func (v *Sparse) Sum() int {
-	s := 0
-	for _, e := range v.elems {
-		s += e.Count
-	}
-	return s
-}
-
 // Elems returns the non-zero coordinates in ascending dimension order. The
 // returned slice is shared; callers must not modify it.
 func (v *Sparse) Elems() []Elem { return v.elems }
-
-// Range calls fn for every non-zero coordinate in ascending dimension
-// order.
-func (v *Sparse) Range(fn func(Dim, int)) {
-	for _, e := range v.elems {
-		fn(e.Dim, e.Count)
-	}
-}
 
 // L1 returns the L1 (Manhattan) distance between a and b, computed by
 // merging the two sorted coordinate lists in O(nnz(a)+nnz(b)).
@@ -171,27 +98,6 @@ func L1(a, b *Sparse) int {
 	return dist
 }
 
-// Overlap returns the size of the multiset intersection of a and b, i.e.
-// Σ_d min(a[d], b[d]). Note L1(a,b) = Sum(a)+Sum(b)-2·Overlap(a,b).
-func Overlap(a, b *Sparse) int {
-	ov := 0
-	i, j := 0, 0
-	for i < len(a.elems) && j < len(b.elems) {
-		ea, eb := a.elems[i], b.elems[j]
-		switch {
-		case ea.Dim < eb.Dim:
-			i++
-		case ea.Dim > eb.Dim:
-			j++
-		default:
-			ov += min(ea.Count, eb.Count)
-			i++
-			j++
-		}
-	}
-	return ov
-}
-
 // Equal reports whether a and b have identical coordinates.
 func Equal(a, b *Sparse) bool {
 	if len(a.elems) != len(b.elems) {
@@ -203,20 +109,6 @@ func Equal(a, b *Sparse) bool {
 		}
 	}
 	return true
-}
-
-// String renders the vector as "{dim:count, ...}" for debugging.
-func (v *Sparse) String() string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	for i, e := range v.elems {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%d:%d", e.Dim, e.Count)
-	}
-	sb.WriteByte('}')
-	return sb.String()
 }
 
 func abs(x int) int {

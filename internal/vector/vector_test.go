@@ -6,23 +6,12 @@ import (
 	"testing/quick"
 )
 
-func mustVec(t *testing.T, m map[Dim]int) *Sparse {
-	t.Helper()
-	v, err := FromMap(m)
-	if err != nil {
-		t.Fatal(err)
+func mustVec(m map[uint32]int) *Sparse {
+	b := NewBuilder()
+	for d, c := range m {
+		b.Add(d, c)
 	}
-	return v
-}
-
-func TestFromMapDropsZeros(t *testing.T) {
-	v := mustVec(t, map[Dim]int{1: 2, 2: 0, 5: 1})
-	if v.NonZero() != 2 {
-		t.Errorf("NonZero = %d, want 2", v.NonZero())
-	}
-	if v.Get(2) != 0 || v.Get(1) != 2 || v.Get(5) != 1 || v.Get(99) != 0 {
-		t.Error("Get returned wrong counts")
-	}
+	return b.MustVector()
 }
 
 func TestBuilderRejectsNegative(t *testing.T) {
@@ -41,30 +30,14 @@ func TestBuilderAccumulates(t *testing.T) {
 	b.Add(7, 3)
 	b.Add(1, 1)
 	v := b.MustVector()
-	if v.Get(7) != 5 || v.Get(1) != 1 || v.Sum() != 6 {
-		t.Errorf("bad accumulation: %v", v)
-	}
-}
-
-func TestFromSorted(t *testing.T) {
-	v, err := FromSorted([]Elem{{1, 2}, {4, 1}})
-	if err != nil || v.Get(1) != 2 || v.Get(4) != 1 {
-		t.Errorf("FromSorted failed: %v %v", v, err)
-	}
-	if _, err := FromSorted([]Elem{{4, 1}, {1, 2}}); err == nil {
-		t.Error("out-of-order accepted")
-	}
-	if _, err := FromSorted([]Elem{{1, 1}, {1, 2}}); err == nil {
-		t.Error("duplicate dim accepted")
-	}
-	if _, err := FromSorted([]Elem{{1, 0}}); err == nil {
-		t.Error("zero count accepted")
+	if !Equal(v, mustVec(map[uint32]int{1: 1, 7: 5})) {
+		t.Errorf("bad accumulation: %v", v.Elems())
 	}
 }
 
 func TestL1Known(t *testing.T) {
-	a := mustVec(t, map[Dim]int{1: 1, 2: 1, 4: 1, 6: 2, 9: 2, 10: 1})
-	b := mustVec(t, map[Dim]int{1: 1, 3: 1, 5: 1, 6: 2, 7: 1, 8: 1, 10: 2})
+	a := mustVec(map[uint32]int{1: 1, 2: 1, 4: 1, 6: 2, 9: 2, 10: 1})
+	b := mustVec(map[uint32]int{1: 1, 3: 1, 5: 1, 6: 2, 7: 1, 8: 1, 10: 2})
 	// The Fig. 3 vectors: distance 9.
 	if got := L1(a, b); got != 9 {
 		t.Errorf("L1 = %d, want 9", got)
@@ -72,21 +45,8 @@ func TestL1Known(t *testing.T) {
 	if L1(a, a) != 0 || L1(b, b) != 0 {
 		t.Error("self distance non-zero")
 	}
-	if L1(a, Zero()) != a.Sum() {
-		t.Error("distance to zero should be Sum")
-	}
-}
-
-func TestOverlapIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := func(seedA, seedB int64) bool {
-		a := randomVec(rand.New(rand.NewSource(seedA)))
-		b := randomVec(rand.New(rand.NewSource(seedB)))
-		// L1 = Sum(a)+Sum(b)−2·Overlap
-		return L1(a, b) == a.Sum()+b.Sum()-2*Overlap(a, b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
-		t.Error(err)
+	if L1(a, &Sparse{}) != 8 {
+		t.Error("distance to zero should be the sum of counts")
 	}
 }
 
@@ -94,7 +54,7 @@ func randomVec(rng *rand.Rand) *Sparse {
 	b := NewBuilder()
 	n := rng.Intn(20)
 	for i := 0; i < n; i++ {
-		b.Add(Dim(rng.Intn(15)), 1+rng.Intn(3))
+		b.Add(uint32(rng.Intn(15)), 1+rng.Intn(3))
 	}
 	return b.MustVector()
 }
@@ -112,48 +72,19 @@ func TestL1TriangleQuick(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	a := mustVec(t, map[Dim]int{1: 1, 2: 3})
-	b := mustVec(t, map[Dim]int{1: 1, 2: 3})
-	c := mustVec(t, map[Dim]int{1: 1, 2: 4})
-	d := mustVec(t, map[Dim]int{1: 1})
+	a := mustVec(map[uint32]int{1: 1, 2: 3})
+	b := mustVec(map[uint32]int{1: 1, 2: 3})
+	c := mustVec(map[uint32]int{1: 1, 2: 4})
+	d := mustVec(map[uint32]int{1: 1})
 	if !Equal(a, b) || Equal(a, c) || Equal(a, d) {
 		t.Error("Equal misbehaves")
 	}
 }
 
-func TestRangeAscending(t *testing.T) {
-	v := mustVec(t, map[Dim]int{9: 1, 1: 2, 5: 3})
-	var dims []Dim
-	v.Range(func(d Dim, c int) { dims = append(dims, d) })
-	if len(dims) != 3 || dims[0] != 1 || dims[1] != 5 || dims[2] != 9 {
-		t.Errorf("Range order: %v", dims)
-	}
-}
-
-func TestString(t *testing.T) {
-	v := mustVec(t, map[Dim]int{2: 1})
-	if got := v.String(); got != "{2:1}" {
-		t.Errorf("String = %q", got)
-	}
-	if got := Zero().String(); got != "{}" {
-		t.Errorf("Zero String = %q", got)
-	}
-}
-
 func TestElemsOrderedAndShared(t *testing.T) {
-	v := mustVec(t, map[Dim]int{5: 2, 1: 1})
+	v := mustVec(map[uint32]int{5: 2, 1: 1})
 	es := v.Elems()
 	if len(es) != 2 || es[0].Dim != 1 || es[1].Dim != 5 {
 		t.Errorf("Elems = %v", es)
-	}
-}
-
-func TestFromElemsMerges(t *testing.T) {
-	v, err := FromElems([]Elem{{1, 1}, {1, 2}, {3, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Get(1) != 3 || v.Get(3) != 1 {
-		t.Errorf("merge failed: %v", v)
 	}
 }

@@ -195,8 +195,10 @@ func NewIndex(ts []*Tree, opts ...IndexOption) *Index { return search.NewIndex(t
 // WithFilter selects the index's filter (nil means sequential scan).
 func WithFilter(f Filter) IndexOption { return search.WithFilter(f) }
 
-// WithCostModel sets the refine stage's edit cost model; filtering
-// remains exact as long as every operation costs at least 1.
+// WithCostModel sets the refine stage's edit cost model. The filter is
+// kept only for a model that reports every operation costs at least 1
+// (a MinOpCost method); otherwise the index scans sequentially, which is
+// exact for any non-negative costs.
 func WithCostModel(m CostModel) IndexOption { return search.WithCostModel(m) }
 
 // WithShards sets how many dataset shards a query's filter stage fans out
@@ -235,12 +237,6 @@ type SeqFilter = search.Seq
 // NoFilter disables filtering (sequential scan).
 type NoFilter = search.None
 
-// PivotFilter is the pivot-cascade variant of the BiBranch filter.
-type PivotFilter = search.PivotBiBranch
-
-// VPTreeFilter is the BiBranch filter with a vantage-point tree.
-type VPTreeFilter = search.VPBiBranch
-
 // NewBiBranchFilter returns the paper's filter: two-level binary branches
 // with the positional optimistic bound.
 func NewBiBranchFilter() *BiBranchFilter { return search.NewBiBranch() }
@@ -267,17 +263,6 @@ func NewSeqFilter() *SeqFilter { return search.NewSeq() }
 
 // NewNoFilter disables filtering (sequential scan).
 func NewNoFilter() *NoFilter { return search.NewNone() }
-
-// NewPivotFilter returns the pivot-cascade variant of the BiBranch filter:
-// precomputed distances to a few pivot trees give an O(#pivots) stage-one
-// bound per candidate (via BDist's triangle inequality) before the full
-// positional bound runs.
-func NewPivotFilter() *PivotFilter { return search.NewPivotBiBranch() }
-
-// NewVPTreeFilter returns the BiBranch filter with a vantage-point tree
-// over the BDist pseudometric: range queries enumerate a sound candidate
-// ball without touching every indexed vector.
-func NewVPTreeFilter() *VPTreeFilter { return search.NewVPBiBranch() }
 
 // Similarity joins.
 

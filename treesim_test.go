@@ -118,20 +118,6 @@ func TestFacadeCostModel(t *testing.T) {
 	}
 }
 
-func TestFacadeAdvancedFilters(t *testing.T) {
-	spec, _ := ParseGeneratorSpec("N{3,0.5}N{18,2}L6D0.05")
-	data := GenerateDataset(spec, 80, 8, 9)
-	base := NewIndex(data, NewNoFilter())
-	for _, f := range []Filter{NewPivotFilter(), NewVPTreeFilter()} {
-		ix := NewIndex(data, WithFilter(f))
-		wantR, _, _ := base.Range(context.Background(), data[7], 3)
-		gotR, _, _ := ix.Range(context.Background(), data[7], 3)
-		if len(gotR) != len(wantR) {
-			t.Fatalf("%T: range results differ", f)
-		}
-	}
-}
-
 func TestFacadeJoin(t *testing.T) {
 	spec, _ := ParseGeneratorSpec("N{3,0.5}N{12,2}L5D0.1")
 	data := GenerateDataset(spec, 40, 5, 10)

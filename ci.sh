@@ -4,7 +4,7 @@
 #
 #   ./ci.sh                      every stage, in order
 #   ./ci.sh hammer chaos         only the named stages
-#   ./ci.sh loc                  non-test Go lines per package (not a gate)
+#   ./ci.sh loc                  non-test Go lines per package, knobs (not a gate)
 #   FUZZTIME=60s ./ci.sh fuzz    the fuzz targets on a longer budget
 set -eu
 
@@ -80,7 +80,8 @@ for stage; do
         # The size of the system in the unit ROADMAP counts it in: non-test
         # Go lines outside benchmark/, per package and in total, then the
         # north star's comparison — the serving shell against the engine it
-        # serves. Not in the default list — it reports, it cannot fail.
+        # serves — and the number of values an operator can set. Not in the
+        # default list — it reports, it cannot fail.
         echo "== non-test Go lines outside benchmark/"
         find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -exec wc -l {} + |
             awk '$2 != "total" { d = $2; sub("/[^/]*$", "", d); n[d] += $1; t += $1 }
@@ -90,6 +91,10 @@ for stage; do
                        printf "%7d  shell  = internal/obs + internal/server\n", n[i "obs"] + n[i "server"]
                        printf "%7d  engine = internal/branch + internal/editdist + internal/search\n",
                               n[i "branch"] + n[i "editdist"] + n[i "search"] }'
+        flags=$(grep -c 'fs\.[A-Za-z0-9]*Var(' cmd/treesimd/main.go)
+        fields=$(awk '/^type Config struct/ { in_cfg = 1; next } in_cfg && /^}/ { exit }
+                      in_cfg && /^\t[A-Z][A-Za-z0-9]* / { n++ } END { print n }' internal/server/server.go)
+        printf '%7d  knobs  = %d treesimd flags + %d server.Config fields\n' $((flags + fields)) "$flags" "$fields"
         ;;
     *)
         echo "ci: unknown stage '$stage'" >&2

@@ -163,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if spec == "" {
 			continue
 		}
-		f, err := makeFilter(spec)
+		f, err := search.ParseFilter(spec, 2)
 		if err != nil {
 			fmt.Fprintf(stderr, "treesim-analyze: %v\n", err)
 			return 2
@@ -218,29 +218,6 @@ func loadDataset(c config) ([]*tree.Tree, error) {
 		return ts, nil
 	}
 	return nil, fmt.Errorf("need a dataset: -data, -xml or -index")
-}
-
-// makeFilter resolves one -filters token.
-func makeFilter(spec string) (search.Filter, error) {
-	switch spec {
-	case "bibranch":
-		return &search.BiBranch{Q: 2, Positional: true}, nil
-	case "bibranch-nopos":
-		return &search.BiBranch{Q: 2, Positional: false}, nil
-	case "histo":
-		return search.NewHisto(), nil
-	case "seq":
-		return search.NewSeq(), nil
-	case "none":
-		return search.NewNone(), nil
-	}
-	if q, ok := strings.CutPrefix(spec, "bibranch-q"); ok {
-		var level int
-		if _, err := fmt.Sscanf(q, "%d", &level); err == nil && level >= 2 {
-			return &search.BiBranch{Q: level, Positional: true}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown filter %q (want bibranch, bibranch-nopos, bibranch-qN, histo, seq or none)", spec)
 }
 
 // replay runs the whole workload through one filter and aggregates its

@@ -1,13 +1,11 @@
-// Command treesim-trace browses a running treesimd's flight recorder and
-// tail profiles from the terminal — the operator's view of "what was slow
-// and why" without a tracing backend.
+// Command treesim-trace browses a running treesimd's flight recorder from
+// the terminal — the operator's view of "what was slow and why" without a
+// tracing backend.
 //
 //	treesim-trace list                          # retained traces, newest first
 //	treesim-trace list -endpoint /v1/knn -min 5ms -error -limit 10
 //	treesim-trace get r0000002a                 # one trace, span tree pretty-printed
 //	treesim-trace get 4bf92f3577b34da6a3ce929d0e0e4736   # same, by W3C trace id
-//	treesim-trace profiles                      # tail-triggered CPU profiles
-//	treesim-trace profile p000003               # save one profile (pprof-gzip)
 //
 // The debug endpoints are loopback-only, so -addr defaults to
 // localhost; point it through a port-forward for a remote node. Every
@@ -38,9 +36,7 @@ func usage(stderr io.Writer) int {
 
 commands:
   list [-endpoint E] [-min D] [-error] [-limit N]   list retained traces
-  get <request-id | trace-id>                       print one trace's span tree
-  profiles                                          list tail-triggered CPU profiles
-  profile <profile-id> [-o FILE]                    save one profile's pprof-gzip bytes`)
+  get <request-id | trace-id>                       print one trace's span tree`)
 	return 2
 }
 
@@ -61,49 +57,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runList(base, rest, stdout, stderr)
 	case "get":
 		return runGet(base, rest, stdout, stderr)
-	case "profiles":
-		return runProfiles(base, stdout, stderr)
-	case "profile":
-		return runProfile(base, rest, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "treesim-trace: unknown command %q\n", cmd)
 		return usage(stderr)
 	}
 }
 
-// getRaw fetches url with a fresh W3C trace context on the request —
-// outbound calls are traced like any other client's — and returns the
-// 200 body, surfacing the server's error envelope on non-200.
-func getRaw(url string) ([]byte, error) {
+// getInto fetches url with a fresh W3C trace context on the request —
+// outbound calls are traced like any other client's — and decodes the 200
+// JSON body into out, surfacing the server's error envelope on non-200.
+func getInto(url string, out any) error {
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	req.Header.Set("traceparent", obs.NewTraceContext().Traceparent())
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var er server.ErrorResponse
 		if json.Unmarshal(body, &er) == nil && er.Error.Code != "" {
-			return nil, fmt.Errorf("%s: %s (%s)", resp.Status, er.Error.Message, er.Error.Code)
+			return fmt.Errorf("%s: %s (%s)", resp.Status, er.Error.Message, er.Error.Code)
 		}
-		return nil, fmt.Errorf("%s: %s", resp.Status, body)
-	}
-	return body, nil
-}
-
-// getInto fetches url and decodes the JSON body.
-func getInto(url string, out any) error {
-	body, err := getRaw(url)
-	if err != nil {
-		return err
+		return fmt.Errorf("%s: %s", resp.Status, body)
 	}
 	return json.Unmarshal(body, out)
 }
@@ -161,7 +144,7 @@ func runGet(base string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: treesim-trace get <request-id | trace-id>")
 		return 2
 	}
-	var tr server.DebugTraceResponse
+	var tr obs.RetainedTrace
 	if err := getInto(base+"/debug/traces/"+args[0], &tr); err != nil {
 		fmt.Fprintf(stderr, "treesim-trace: %v\n", err)
 		return 1
@@ -173,9 +156,6 @@ func runGet(base string, args []string, stdout, stderr io.Writer) int {
 	if tr.TraceID != "" {
 		fmt.Fprintf(stdout, "trace_id: %s\n", tr.TraceID)
 	}
-	if tr.ProfileID != "" {
-		fmt.Fprintf(stdout, "profile: %s (treesim-trace profile %s)\n", tr.ProfileID, tr.ProfileID)
-	}
 	obs.FprintSpanTree(stdout, tr.Trace)
 	if tr.Explain != nil {
 		enc := json.NewEncoder(stdout)
@@ -183,72 +163,5 @@ func runGet(base string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "explain:")
 		enc.Encode(tr.Explain)
 	}
-	return 0
-}
-
-func runProfiles(base string, stdout, stderr io.Writer) int {
-	var resp server.DebugProfilesResponse
-	if err := getInto(base+"/debug/profiles", &resp); err != nil {
-		fmt.Fprintf(stderr, "treesim-trace: %v\n", err)
-		return 1
-	}
-	st := resp.Stats
-	fmt.Fprintf(stdout, "profiler: %d retained (%d triggered, %d captured, %d skipped by rate limit)\n",
-		st.Retained, st.Triggered, st.Captured, st.Skipped)
-	if len(resp.Profiles) == 0 {
-		fmt.Fprintln(stdout, "no profiles captured")
-		return 0
-	}
-	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "PROFILE\tTRACE\tREQUEST\tREASON\tDURATION\tSIZE\tSTART")
-	for _, p := range resp.Profiles {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%v\t%dB\t%s\n",
-			p.ID, p.TraceID, p.RequestID, p.Reason,
-			time.Duration(p.DurationMS)*time.Millisecond, p.Size,
-			p.Start.Format(time.RFC3339))
-	}
-	tw.Flush()
-	return 0
-}
-
-func runProfile(base string, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("treesim-trace profile", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	out := fs.String("o", "", "output file (default <profile-id>.pprof.gz)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	// Accept flags on either side of the id: stdlib flag parsing stops
-	// at the first positional, so "profile p000001 -o f" needs a second
-	// pass over what follows the id.
-	rest := fs.Args()
-	if len(rest) == 0 {
-		fmt.Fprintln(stderr, "usage: treesim-trace profile <profile-id> [-o FILE]")
-		return 2
-	}
-	id := rest[0]
-	if len(rest) > 1 {
-		if err := fs.Parse(rest[1:]); err != nil {
-			return 2
-		}
-		if fs.NArg() != 0 {
-			fmt.Fprintln(stderr, "usage: treesim-trace profile <profile-id> [-o FILE]")
-			return 2
-		}
-	}
-	body, err := getRaw(base + "/debug/profiles/" + id)
-	if err != nil {
-		fmt.Fprintf(stderr, "treesim-trace: %v\n", err)
-		return 1
-	}
-	path := *out
-	if path == "" {
-		path = id + ".pprof.gz"
-	}
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		fmt.Fprintf(stderr, "treesim-trace: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %d bytes to %s (go tool pprof %s)\n", len(body), path, path)
 	return 0
 }

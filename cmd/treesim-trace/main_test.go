@@ -52,8 +52,9 @@ func jsonString(s string) string {
 	return b.String()
 }
 
-// TestListGetSLO: list and get against a live server — and slo, which
-// went with the server's /debug/slo, is an unknown command.
+// TestListGetSLO: list and get against a live server — and slo, profiles
+// and profile, which went with the server endpoints they read, are unknown
+// commands.
 func TestListGetSLO(t *testing.T) {
 	addr, ids := startServer(t)
 
@@ -83,8 +84,10 @@ func TestListGetSLO(t *testing.T) {
 		t.Fatalf("get of unknown id exit %d, want 1", code)
 	}
 
-	if code := run([]string{"-addr", addr, "slo"}, &out, &errb); code != 2 {
-		t.Fatalf("slo exit %d, want 2 (unknown command)", code)
+	for _, gone := range []string{"slo", "profiles", "profile"} {
+		if code := run([]string{"-addr", addr, gone}, &out, &errb); code != 2 {
+			t.Fatalf("%s exit %d, want 2 (unknown command)", gone, code)
+		}
 	}
 
 	// Filters pass through: -error hides the all-200 traffic.

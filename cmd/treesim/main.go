@@ -87,8 +87,8 @@ func (d *dataFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&d.index, "index", "", "saved index file (alternative to -data/-xml; see 'treesim index')")
 	fs.StringVar(&d.query, "query", "", "query tree in canonical text format")
 	fs.IntVar(&d.queryIndex, "query-index", -1, "use dataset tree i as the query")
-	fs.StringVar(&d.filter, "filter", "bibranch", "filter: bibranch, bibranch-nopos, histo, seq, none")
-	fs.IntVar(&d.q, "q", 2, "binary branch level (bibranch filters)")
+	fs.StringVar(&d.filter, "filter", "bibranch", "filter: bibranch, bibranch-nopos, bibranch-qN, histo, seq, none")
+	fs.IntVar(&d.q, "q", 2, "binary branch level (bibranch, bibranch-nopos)")
 }
 
 // buildIndex loads or builds the search index and resolves the query tree.
@@ -116,7 +116,7 @@ func (d *dataFlags) buildIndex() (*search.Index, *tree.Tree, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := d.makeFilter()
+	f, err := search.ParseFilter(d.filter, d.q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -174,23 +174,6 @@ func (d *dataFlags) load() ([]*tree.Tree, *tree.Tree, error) {
 		q = ts[d.queryIndex]
 	}
 	return ts, q, nil
-}
-
-func (d *dataFlags) makeFilter() (search.Filter, error) {
-	switch d.filter {
-	case "bibranch":
-		return &search.BiBranch{Q: d.q, Positional: true}, nil
-	case "bibranch-nopos":
-		return &search.BiBranch{Q: d.q, Positional: false}, nil
-	case "histo":
-		return search.NewHisto(), nil
-	case "seq":
-		return search.NewSeq(), nil
-	case "none":
-		return search.NewNone(), nil
-	default:
-		return nil, fmt.Errorf("unknown filter %q", d.filter)
-	}
 }
 
 func runKNN(args []string) error {
@@ -324,9 +307,16 @@ func runIndex(args []string) error {
 		return err
 	}
 
-	positional := df.filter != "bibranch-nopos"
+	flt, err := search.ParseFilter(df.filter, df.q)
+	if err != nil {
+		return err
+	}
+	bb, ok := flt.(*search.BiBranch)
+	if !ok {
+		return fmt.Errorf("filter %q cannot be saved: an index file holds a bibranch family", df.filter)
+	}
 	start := time.Now()
-	ix := search.NewIndex(ts, &search.BiBranch{Q: df.q, Positional: positional})
+	ix := search.NewIndex(ts, bb)
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
@@ -339,7 +329,7 @@ func runIndex(args []string) error {
 		return err
 	}
 	fmt.Printf("indexed %d trees (q=%d, positional=%v) into %s in %v\n",
-		ix.Size(), df.q, positional, *out, time.Since(start).Round(time.Millisecond))
+		ix.Size(), bb.Q, bb.Positional, *out, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

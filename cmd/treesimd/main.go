@@ -38,9 +38,11 @@
 // serves every metric family as JSON, or as Prometheus text with
 // ?format=prom (error-budget burn rates are a rate() over its request,
 // error and latency-bucket counters), GET /version reports the build, and
-// -pprof mounts net/http/pprof on a separate loopback-only listener. -qlog records served queries (sampled by -qlog-sample,
-// rotated beyond -qlog-max-bytes) to a JSONL workload log that
-// cmd/treesim-analyze replays offline against a matrix of filters.
+// -pprof mounts net/http/pprof on a separate loopback-only listener — the
+// one way to take a CPU profile of the daemon. -qlog records served
+// queries (sampled by -qlog-sample, rotated beyond -qlog-max-bytes) to a
+// JSONL workload log that cmd/treesim-analyze replays offline against a
+// matrix of filters.
 //
 // A flight recorder keeps the span trees of recent interesting requests
 // in a fixed ring (-trace-ring entries): every errored request, every
@@ -56,10 +58,7 @@
 // batched into OTLP/JSON and POSTed to that collector URL in the
 // background: errored and tail-retained traces always export,
 // caller-sampled traces (flag 01) export, and the rest are head-sampled
-// at -trace-sample by a deterministic hash of the trace ID. Tail-slow
-// and errored requests also trigger a short CPU profile (rate-limited
-// to one per -profile-every), retained in memory and served on the
-// loopback-only GET /debug/profiles, linked to traces by trace ID.
+// at -trace-sample by a deterministic hash of the trace ID.
 //
 // SIGINT/SIGTERM trigger a graceful drain: readiness flips to 503,
 // in-flight queries finish, a final snapshot is written, then the process
@@ -124,7 +123,6 @@ type config struct {
 	traceRing    int
 	otlpEndpoint string
 	traceSample  float64
-	profileEvery time.Duration
 	version      bool
 }
 
@@ -144,8 +142,8 @@ func run(args []string, stderr io.Writer) int {
 	fs.StringVar(&c.walPath, "wal", "", "write-ahead log path: inserts are logged before acknowledgment and replayed at startup")
 	fs.StringVar(&c.walSync, "wal-sync", "always", "WAL fsync policy: always (fsync per record) or never")
 	fs.Int64Var(&c.walMaxBytes, "wal-max-bytes", 0, "rotate the WAL to a new segment beyond this size (0 = 64MiB, negative disables rotation)")
-	fs.StringVar(&c.filter, "filter", "bibranch", "filter when building from -data/-xml: bibranch, bibranch-nopos")
-	fs.IntVar(&c.q, "q", 2, "binary branch level when building from -data/-xml")
+	fs.StringVar(&c.filter, "filter", "bibranch", "filter when building from -data/-xml: bibranch, bibranch-nopos, bibranch-qN")
+	fs.IntVar(&c.q, "q", 2, "binary branch level of bibranch and bibranch-nopos when building from -data/-xml")
 	fs.IntVar(&c.maxInFlight, "max-inflight", 64, "admitted concurrent query requests; beyond this the server answers 429")
 	fs.DurationVar(&c.timeout, "timeout", 10*time.Second, "per-query deadline (504 beyond it)")
 	fs.DurationVar(&c.drain, "drain", 15*time.Second, "graceful-shutdown drain budget")
@@ -163,7 +161,6 @@ func run(args []string, stderr io.Writer) int {
 	fs.IntVar(&c.traceRing, "trace-ring", 0, "retained traces in the flight recorder, served on /debug/traces (0 = 256, negative disables)")
 	fs.StringVar(&c.otlpEndpoint, "otlp-endpoint", "", "POST finished traces as OTLP/JSON to this collector URL (e.g. http://localhost:4318/v1/traces); empty disables export")
 	fs.Float64Var(&c.traceSample, "trace-sample", 0, "head-sampling rate in [0,1] for exporting normal traces (errors and tail-retained traces always export)")
-	fs.DurationVar(&c.profileEvery, "profile-every", 0, "minimum spacing between tail-triggered CPU profiles (0 = 1m, negative disables)")
 	fs.BoolVar(&c.version, "version", false, "print build information and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -210,7 +207,6 @@ func run(args []string, stderr io.Writer) int {
 		TraceRing:        c.traceRing,
 		OTLPEndpoint:     c.otlpEndpoint,
 		TraceSample:      c.traceSample,
-		ProfileEvery:     c.profileEvery,
 		Logger:           log,
 	}
 	if c.otlpEndpoint != "" {
@@ -387,16 +383,15 @@ func buildIndex(c config, ts []*tree.Tree, origin string) (*search.Index, string
 	if len(ts) == 0 {
 		return nil, "", errors.New("dataset is empty")
 	}
-	var positional bool
-	switch c.filter {
-	case "bibranch":
-		positional = true
-	case "bibranch-nopos":
-		positional = false
-	default:
-		return nil, "", fmt.Errorf("unknown filter %q (want bibranch or bibranch-nopos)", c.filter)
+	flt, err := search.ParseFilter(c.filter, c.q)
+	if err != nil {
+		return nil, "", err
 	}
-	ix := search.NewIndex(ts, &search.BiBranch{Q: c.q, Positional: positional},
+	bb, ok := flt.(*search.BiBranch)
+	if !ok {
+		return nil, "", fmt.Errorf("filter %q cannot be served: snapshots hold a bibranch family only", c.filter)
+	}
+	ix := search.NewIndex(ts, bb,
 		search.WithShards(c.shards), search.WithRefineWorkers(c.refineWork),
 		search.WithMemtableSize(c.memtable), search.WithCompactionThreshold(c.compactAt))
 	return ix, origin, nil

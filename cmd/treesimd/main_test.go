@@ -30,24 +30,29 @@ func writeTestData(t *testing.T) string {
 	return path
 }
 
-// TestRunErrors: startup failures exit non-zero with a clear message.
+// TestRunErrors: startup failures exit 1 and usage errors 2, each with a
+// clear message. The tail profiler's -profile-every went with it and is an
+// unknown flag like any other.
 func TestRunErrors(t *testing.T) {
 	data := writeTestData(t)
 	cases := []struct {
 		name string
 		args []string
+		code int
 		want string
 	}{
-		{"no source", nil, "need an index source"},
-		{"missing dataset", []string{"-data", filepath.Join(t.TempDir(), "nope.trees")}, "loading dataset"},
-		{"bad filter", []string{"-data", data, "-filter", "bogus"}, "unknown filter"},
-		{"bad flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
-		{"bad index file", []string{"-index", data}, "loading index"},
+		{"no source", nil, 1, "need an index source"},
+		{"missing dataset", []string{"-data", filepath.Join(t.TempDir(), "nope.trees")}, 1, "loading dataset"},
+		{"bad filter", []string{"-data", data, "-filter", "bogus"}, 1, "unknown filter"},
+		{"filter a snapshot cannot hold", []string{"-data", data, "-filter", "histo"}, 1, "cannot be served"},
+		{"bad flag", []string{"-definitely-not-a-flag"}, 2, "flag provided but not defined"},
+		{"retired flag", []string{"-data", data, "-profile-every", "1s"}, 2, "flag provided but not defined: -profile-every"},
+		{"bad index file", []string{"-index", data}, 1, "loading index"},
 	}
 	for _, c := range cases {
 		var stderr bytes.Buffer
-		if code := run(c.args, &stderr); code == 0 {
-			t.Errorf("%s: exit 0, want non-zero", c.name)
+		if code := run(c.args, &stderr); code != c.code {
+			t.Errorf("%s: exit %d, want %d", c.name, code, c.code)
 		}
 		if !strings.Contains(stderr.String(), c.want) {
 			t.Errorf("%s: stderr %q missing %q", c.name, stderr.String(), c.want)

@@ -95,7 +95,9 @@ func TestListenPprofLoopback(t *testing.T) {
 }
 
 // TestPprofEndpoint: -pprof serves the profile index on its own listener,
-// and the main API listener does not expose /debug/pprof/.
+// a CPU profile taken there while the API listener answers k-NN requests
+// comes back as pprof's gzip, and the main API listener does not expose
+// /debug/pprof/. It is the only way to take a CPU profile of the daemon.
 func TestPprofEndpoint(t *testing.T) {
 	data := writeTestData(t)
 	base, buf, exit := startServerLogged(t, []string{"-data", data, "-pprof", "127.0.0.1:0"})
@@ -122,6 +124,43 @@ func TestPprofEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 || !strings.Contains(string(body), "goroutine") {
 		t.Errorf("pprof index status %d body %q", resp.StatusCode, body)
+	}
+
+	stop := make(chan struct{})
+	var traffic sync.WaitGroup
+	traffic.Add(1)
+	go func() {
+		defer traffic.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Post(base+"/v1/knn", "application/json",
+				strings.NewReader(`{"tree":"a(b,c)","k":2}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Errorf("knn during profile: status %d", resp.StatusCode)
+				return
+			}
+		}
+	}()
+	resp, err = http.Get("http://" + paddr + "/debug/pprof/profile?seconds=1")
+	close(stop)
+	traffic.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || len(profile) < 2 || profile[0] != 0x1f || profile[1] != 0x8b {
+		t.Errorf("CPU profile: status %d, %d bytes, not gzip-framed: %q", resp.StatusCode, len(profile), profile[:min(len(profile), 80)])
 	}
 
 	if resp, err := http.Get(base + "/debug/pprof/"); err == nil {

@@ -32,7 +32,7 @@ type Recorder struct {
 	floorNS  int64
 
 	recent    [recentDurations]atomic.Int64 // the last offered durations, ns, feeding the threshold
-	threshold atomic.Int64                  // cached p99, ns; recomputed every recalcEvery offers
+	threshold atomic.Int64                  // cached p99, ns; 0 until the first recompute, then every recalcEvery offers
 	offers    atomic.Uint64
 	dropped   atomic.Uint64
 	baseSeen  atomic.Uint64 // normal (non-tail) requests seen, for the reservoir
@@ -146,7 +146,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 			r.shards[i].cap++
 		}
 	}
-	r.threshold.Store(r.floorNS)
 	r.rng.Store(0x9e3779b97f4a7c15) // fixed seed: the reservoir needs spread, not secrecy
 	return r
 }
@@ -154,8 +153,8 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 // Offer presents a completed request. It returns the retention class
 // and whether the trace was retained; when it was not, req.Root has not
 // been touched and nothing was allocated. Callers use the class to
-// chain tail reactions — the server triggers a profile capture on a
-// retained error or slow trace, never on a baseline sample.
+// chain tail reactions — the server always exports a retained error or
+// slow trace, never a baseline sample for being retained.
 func (r *Recorder) Offer(req CompletedRequest) (TraceClass, bool) {
 	if r == nil {
 		return "", false
@@ -171,7 +170,7 @@ func (r *Recorder) Offer(req CompletedRequest) (TraceClass, bool) {
 	switch {
 	case req.Error:
 		class = TraceError
-	case req.Duration.Nanoseconds() >= thr:
+	case thr > 0 && req.Duration.Nanoseconds() >= thr:
 		class = TraceSlow
 	default:
 		class = TraceBaseline
@@ -285,8 +284,9 @@ func oldestOf(entries []*RetainedTrace, baselineOnly bool) int {
 // MinSlow. An exact order statistic tracks the tail at any latency; a
 // bucketed estimate sits on a bucket edge, which for a workload whose
 // whole distribution fits inside one bucket is below every request. Until
-// the first recompute the floor stands alone, so early traffic is judged
-// against an honest minimum rather than a quantile of three requests.
+// the first recompute there is no threshold (it reads 0) and nothing is
+// classed slow: the floor alone is below every request of a workload whose
+// median is above it, and would retain the first recalcEvery−1 of them.
 func (r *Recorder) recalcThreshold(n uint64) {
 	n = min(n, recentDurations)
 	// One pass keeps the k largest, ascending; few durations displace the
@@ -305,14 +305,6 @@ func (r *Recorder) recalcThreshold(n uint64) {
 		slices.Sort(top)
 	}
 	r.threshold.Store(max(r.floorNS, top[0]))
-}
-
-// Threshold returns the current adaptive slow threshold.
-func (r *Recorder) Threshold() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return time.Duration(r.threshold.Load())
 }
 
 // rand draws from [0, max) via an atomic xorshift step.

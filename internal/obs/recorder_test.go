@@ -50,6 +50,8 @@ func TestRecorderRetentionProperty(t *testing.T) {
 	for _, order := range []string{"baseline-first", "tail-first", "interleaved"} {
 		t.Run(order, func(t *testing.T) {
 			r := NewRecorder(RecorderConfig{Capacity: capacity, Shards: 3, Baseline: 6})
+			// Nothing is classed slow before the first threshold exists.
+			offerN(r, recalcEvery, "warm", 100*time.Microsecond, 200, false)
 			tail := func(i int) {
 				// Half errors, half over-threshold (default floor is 1ms).
 				if i%2 == 0 {
@@ -103,14 +105,14 @@ func TestRecorderRetentionProperty(t *testing.T) {
 
 func TestRecorderAdaptiveThreshold(t *testing.T) {
 	r := NewRecorder(RecorderConfig{Capacity: 64, MinSlow: time.Millisecond})
-	if got := r.Threshold(); got != time.Millisecond {
-		t.Fatalf("cold threshold = %v, want the 1ms floor", got)
+	if got := r.Stats().ThresholdUS; got != 0 {
+		t.Fatalf("cold threshold = %dus, want none before the first recompute", got)
 	}
 	// A uniformly slow workload must raise the threshold above the floor
 	// once the rolling window has enough samples.
 	offerN(r, 200, "w", 20*time.Millisecond, 200, false)
-	if got := r.Threshold(); got < 10*time.Millisecond {
-		t.Fatalf("threshold after 200 × 20ms requests = %v, want it adapted above 10ms", got)
+	if got := r.Stats().ThresholdUS; got < 10_000 {
+		t.Fatalf("threshold after 200 × 20ms requests = %dus, want it adapted above 10ms", got)
 	}
 	// And a genuinely slow outlier is retained as class "slow".
 	offerN(r, 1, "spike-", 500*time.Millisecond, 200, false)
@@ -127,7 +129,10 @@ func TestRecorderAdaptiveThreshold(t *testing.T) {
 // traffic at any latency, also when the whole distribution sits inside
 // one bucket of a coarse histogram (the two shapes are the benchmark's
 // range_scan and knn_bigtree request times, both of which a bucket-edge
-// threshold classed 100 % slow). Errors ride through untouched.
+// threshold classed 100 % slow) — counted from the first offer: before the
+// first recompute there is no threshold and nothing is slow, where the 1 ms
+// floor alone retained every one of those requests. Errors ride through
+// untouched.
 func TestRecorderSlowClassIsTheTail(t *testing.T) {
 	for _, d := range []struct{ lo, hi time.Duration }{
 		{2000 * time.Microsecond, 2400 * time.Microsecond},
@@ -136,8 +141,8 @@ func TestRecorderSlowClassIsTheTail(t *testing.T) {
 		r := NewRecorder(RecorderConfig{Capacity: 256})
 		root := New("/v1/range")
 		root.End()
-		const offers, warm = 5000, recentDurations
-		slow, errs := 0, 0
+		const offers = 5000
+		slow, early, errs := 0, 0, 0
 		x := uint64(0x2545f4914f6cdd1d)
 		for i := 0; i < offers; i++ {
 			x ^= x << 13
@@ -155,15 +160,23 @@ func TestRecorderSlowClassIsTheTail(t *testing.T) {
 			if req.Error && (class != TraceError || !retained) {
 				t.Fatalf("[%v,%v] errored offer %d: class %q retained %v", d.lo, d.hi, i, class, retained)
 			}
-			if i >= warm && class == TraceSlow {
+			if class == TraceSlow {
 				slow++
+				if i < recalcEvery-1 {
+					early++
+				}
 			}
 		}
-		if frac := float64(slow) / float64(offers-warm); frac < 0.005 || frac > 0.03 {
-			t.Errorf("[%v,%v]: %.1f%% of offers classed slow (threshold %v), want 0.5%%–3%%",
-				d.lo, d.hi, 100*frac, r.Threshold())
+		thr := time.Duration(r.Stats().ThresholdUS) * time.Microsecond
+		if early != 0 {
+			t.Errorf("[%v,%v]: %d of the first %d offers classed slow with no threshold yet",
+				d.lo, d.hi, early, recalcEvery-1)
 		}
-		if thr := r.Threshold(); thr < d.lo || thr > d.hi {
+		if frac := float64(slow) / offers; frac < 0.005 || frac > 0.03 {
+			t.Errorf("[%v,%v]: %.1f%% of offers classed slow (threshold %v), want 0.5%%–3%%",
+				d.lo, d.hi, 100*frac, thr)
+		}
+		if thr < d.lo || thr > d.hi {
 			t.Errorf("[%v,%v]: threshold %v outside the distribution", d.lo, d.hi, thr)
 		}
 		if got := len(r.List(TraceFilter{ErrorOnly: true})); got != errs {
@@ -290,7 +303,6 @@ func TestRecorderHammer(t *testing.T) {
 				}
 				r.Get(fmt.Sprintf("w%d-0001", g))
 				_ = r.Stats()
-				_ = r.Threshold()
 			}
 		}(g)
 	}
@@ -321,8 +333,5 @@ func TestRecorderNilIsDisabled(t *testing.T) {
 	}
 	if st := r.Stats(); st != (RecorderStats{}) {
 		t.Fatalf("nil recorder stats = %+v", st)
-	}
-	if r.Threshold() != 0 {
-		t.Fatal("nil recorder threshold != 0")
 	}
 }

@@ -97,23 +97,6 @@ func (s *Span) TraceID() TraceID {
 	return s.traceID
 }
 
-// SpanID returns the span's own id (zero on nil).
-func (s *Span) SpanID() SpanID {
-	if s == nil {
-		return SpanID{}
-	}
-	return s.spanID
-}
-
-// TraceContext returns the propagation state an outbound call from this
-// span should carry: same trace, this span as parent.
-func (s *Span) TraceContext() TraceContext {
-	if s == nil {
-		return TraceContext{}
-	}
-	return TraceContext{TraceID: s.traceID, SpanID: s.spanID, Flags: FlagSampled, State: s.state}
-}
-
 // End freezes the span's duration. Later Ends are no-ops, so deferred and
 // explicit ends can coexist on error paths.
 func (s *Span) End() {
@@ -142,14 +125,6 @@ func (s *Span) Duration() time.Duration {
 	return time.Since(s.start)
 }
 
-// Name returns the span's name ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // SetAttr appends one annotation.
 func (s *Span) SetAttr(a Attr) {
 	if s == nil {
@@ -162,9 +137,6 @@ func (s *Span) SetAttr(a Attr) {
 
 // SetInt annotates the span with an integer value.
 func (s *Span) SetInt(key string, v int64) { s.SetAttr(Attr{Key: key, Value: v}) }
-
-// SetFloat annotates the span with a float value.
-func (s *Span) SetFloat(key string, v float64) { s.SetAttr(Attr{Key: key, Value: v}) }
 
 // SetStr annotates the span with a string value.
 func (s *Span) SetStr(key, v string) { s.SetAttr(Attr{Key: key, Value: v}) }
@@ -185,18 +157,6 @@ func NewContext(ctx context.Context, s *Span) context.Context {
 func FromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(ctxKey{}).(*Span)
 	return s
-}
-
-// StartChildContext starts a child of the context's active span and
-// returns a context carrying the child. Without an active span it returns
-// ctx unchanged and a nil (no-op) span.
-func StartChildContext(ctx context.Context, name string) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	c := parent.StartChild(name)
-	return NewContext(ctx, c), c
 }
 
 // SpanSnapshot is the exportable form of a span tree: JSON for ?trace=1

@@ -74,40 +74,25 @@ func TestNilSpan(t *testing.T) {
 	}
 	s.SetInt("k", 1)
 	s.SetStr("k", "v")
-	s.SetFloat("k", 1.5)
 	s.SetBool("k", true)
 	s.End()
-	if s.Duration() != 0 || s.Name() != "" {
-		t.Errorf("nil span has state: %v %q", s.Duration(), s.Name())
+	if s.Duration() != 0 {
+		t.Errorf("nil span has state: %v", s.Duration())
 	}
 	if snap := s.Snapshot(); snap.Name != "" || len(snap.Children) != 0 {
 		t.Errorf("nil snapshot %+v", snap)
 	}
 }
 
-// TestSpanContext: spans travel through contexts; StartChildContext is a
-// no-op without an active span.
+// TestSpanContext: spans travel through contexts.
 func TestSpanContext(t *testing.T) {
 	if FromContext(context.Background()) != nil {
 		t.Fatal("empty context has a span")
 	}
-	ctx, child := StartChildContext(context.Background(), "x")
-	if child != nil || FromContext(ctx) != nil {
-		t.Fatal("StartChildContext invented a span without a parent")
-	}
-
 	root := New("root")
-	ctx = NewContext(context.Background(), root)
+	ctx := NewContext(context.Background(), root)
 	if FromContext(ctx) != root {
 		t.Fatal("span did not round-trip the context")
-	}
-	ctx2, c := StartChildContext(ctx, "stage")
-	if c == nil || FromContext(ctx2) != c {
-		t.Fatal("child not active in derived context")
-	}
-	c.End()
-	if snap := root.Snapshot(); len(snap.Children) != 1 || snap.Children[0].Name != "stage" {
-		t.Fatalf("root children %+v", snap.Children)
 	}
 }
 

@@ -129,7 +129,7 @@ func FuzzParseTraceparent(f *testing.F) {
 			// The middleware's fallback path: a rejected header must leave
 			// NewRemote starting a usable fresh trace.
 			root := NewRemote("req", tc)
-			if root.TraceID().IsZero() || root.SpanID().IsZero() {
+			if root.TraceID().IsZero() || root.spanID.IsZero() {
 				t.Fatalf("fallback trace unusable for header %q", header)
 			}
 			return

@@ -213,7 +213,7 @@ func TestQueriesDoNotGrowTheSpace(t *testing.T) {
 	ts := testDataset(40, 94)
 	f := NewBiBranch()
 	ix := NewIndex(ts, f)
-	vocab := f.Space().Size()
+	vocab := f.space.Size()
 	for i := 0; i < 1000; i++ {
 		q := tree.MustParse(fmt.Sprintf("fresh%d(b,novel%d(c),d)", i, i))
 		if _, _, err := ix.KNN(context.Background(), q, 3); err != nil {
@@ -223,14 +223,14 @@ func TestQueriesDoNotGrowTheSpace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.Space().Size(); got != vocab {
+	if got := f.space.Size(); got != vocab {
 		t.Fatalf("space grew from %d to %d dimensions under queries", vocab, got)
 	}
 
 	q := tree.MustParse("fresh(l1(l2,novel),l3)")
 	b := f.Query(q)
-	interned := f.Space().Profile(q) // grows the space; last, on purpose
-	for i, p := range f.Profiles() {
+	interned := f.space.Profile(q) // grows the space; last, on purpose
+	for i, p := range f.profiles {
 		if got, want := b.(*biBranchBounder).BDist(i), branch.BDist(interned, p); got != want {
 			t.Fatalf("tree %d: BDist %d through the lookup profile, %d interned", i, got, want)
 		}

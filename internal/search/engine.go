@@ -89,7 +89,7 @@ func shardRange(n, S, s int) (lo, hi int) {
 }
 
 // knn runs one k-NN query (Algorithm 2, sharded across segments).
-func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, qc *queryConfig, ex *Explain) ([]Result, Stats, error) {
+func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]Result, Stats, error) {
 	cut := ix.cut()
 	stats := Stats{Dataset: cut.live}
 	if k <= 0 || cut.live == 0 {
@@ -104,7 +104,7 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, qc *queryConfig, 
 
 	// Stage spans hang off the caller's trace (nil span methods are
 	// no-ops, so untraced queries pay one nil check per stage).
-	span := qc.trace(ctx)
+	span := obs.FromContext(ctx)
 
 	start := time.Now()
 	fspan := span.StartChild("filter")
@@ -489,7 +489,7 @@ func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, 
 
 // rangeq runs one range query (filter-and-refine, sharded across
 // segments).
-func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, qc *queryConfig, ex *Explain) ([]Result, Stats, error) {
+func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, ex *Explain) ([]Result, Stats, error) {
 	cut := ix.cut()
 	stats := Stats{Dataset: cut.live}
 	if tau < 0 || cut.live == 0 {
@@ -499,7 +499,7 @@ func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, qc *queryCon
 		ex.Segments = len(cut.segs)
 	}
 
-	span := qc.trace(ctx)
+	span := obs.FromContext(ctx)
 
 	start := time.Now()
 	fspan := span.StartChild("filter")

@@ -13,6 +13,10 @@
 package search
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"treesim/internal/branch"
 	"treesim/internal/editdist"
 	"treesim/internal/histogram"
@@ -64,6 +68,30 @@ type Bounder interface {
 	// filters it coincides with KNNBound, but the positional filter can
 	// tighten it at a known threshold (Section 4.3).
 	RangeBound(i, tau int) int
+}
+
+// ParseFilter resolves a filter name as the command-line tools spell it:
+// bibranch, bibranch-nopos, bibranch-qN (N ≥ 2), histo, seq or none. q is
+// the branch level of the two bibranch spellings that do not carry one.
+func ParseFilter(name string, q int) (Filter, error) {
+	switch name {
+	case "bibranch":
+		return &BiBranch{Q: q, Positional: true}, nil
+	case "bibranch-nopos":
+		return &BiBranch{Q: q, Positional: false}, nil
+	case "histo":
+		return NewHisto(), nil
+	case "seq":
+		return NewSeq(), nil
+	case "none":
+		return NewNone(), nil
+	}
+	if level, ok := strings.CutPrefix(name, "bibranch-q"); ok {
+		if n, err := strconv.Atoi(level); err == nil && n >= branch.MinQ {
+			return &BiBranch{Q: n, Positional: true}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown filter %q (want bibranch, bibranch-nopos, bibranch-qN, histo, seq or none)", name)
 }
 
 // singleTier is embedded by the bounders of filters that have one bound
@@ -125,12 +153,6 @@ func (f *BiBranch) Fresh() Filter { return &BiBranch{Q: f.Q, Positional: f.Posit
 func (f *BiBranch) snapshotAt(n int) Filter {
 	return &BiBranch{Q: f.Q, Positional: f.Positional, space: f.space, profiles: f.profiles[:n:n]}
 }
-
-// Space exposes the branch space built by Index (nil before Index).
-func (f *BiBranch) Space() *branch.Space { return f.space }
-
-// Profiles exposes the dataset profiles built by Index.
-func (f *BiBranch) Profiles() []*branch.Profile { return f.profiles }
 
 // Query implements Filter. The query is profiled by lookup only — a branch
 // no indexed tree contains needs no dimension — so queries never grow the

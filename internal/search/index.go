@@ -196,12 +196,6 @@ func (ix *Index) Size() int { return ix.store.NextID() }
 // Live returns the number of visible (non-tombstoned) trees.
 func (ix *Index) Live() int { return ix.store.Stats().Live }
 
-// Epoch returns the index's logical-state counter: it advances with every
-// insert, delete, seal and compaction. Equal epochs imply an identical
-// visible dataset, so the epoch is the invalidation key for anything
-// cached per dataset state (query caches, prepared EXPLAIN baselines).
-func (ix *Index) Epoch() uint64 { return ix.store.Epoch() }
-
 // StoreStats snapshots the storage engine's gauges (segment count,
 // memtable fill, tombstones, seal/compaction counters).
 func (ix *Index) StoreStats() segstore.Stats { return ix.store.Stats() }
@@ -217,7 +211,7 @@ func (ix *Index) StoreStats() segstore.Stats { return ix.store.Stats() }
 // the configured threshold.
 func (ix *Index) Insert(t *tree.Tree) (int, error) {
 	id, sealed := ix.store.Insert(func(id int, mem any) {
-		m := mem.(*memPayload)
+		m := mem.(*segPayload)
 		m.filter.Append(t)
 		m.trees = append(m.trees, t)
 	})
@@ -263,12 +257,6 @@ func (ix *Index) Tree(i int) *tree.Tree {
 // Filter returns the index's configured filter prototype.
 func (ix *Index) Filter() Filter { return ix.filter }
 
-// Shards returns the configured shard count (0 means GOMAXPROCS).
-func (ix *Index) Shards() int { return ix.shards }
-
-// RefineWorkers returns the size of the index's worker pool.
-func (ix *Index) RefineWorkers() int { return ix.pool.size }
-
 // KNN returns the k nearest neighbors of q by tree edit distance,
 // implementing Algorithm 2 over the segmented store: lower bounds are
 // computed for every visible tree (sharded across the worker pool, each
@@ -289,7 +277,7 @@ func (ix *Index) KNN(ctx context.Context, q *tree.Tree, k int, opts ...QueryOpti
 		*qc.explain = nil
 		ex = &Explain{Op: "knn", K: k}
 	}
-	res, stats, err := ix.knn(ctx, q, k, &qc, ex)
+	res, stats, err := ix.knn(ctx, q, k, ex)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -311,7 +299,7 @@ func (ix *Index) Range(ctx context.Context, q *tree.Tree, tau int, opts ...Query
 		*qc.explain = nil
 		ex = &Explain{Op: "range", Tau: tau}
 	}
-	res, stats, err := ix.rangeq(ctx, q, tau, &qc, ex)
+	res, stats, err := ix.rangeq(ctx, q, tau, ex)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -1,11 +1,6 @@
 package search
 
-import (
-	"context"
-
-	"treesim/internal/editdist"
-	"treesim/internal/obs"
-)
+import "treesim/internal/editdist"
 
 // Functional options for the index and query surface. NewIndex takes
 // IndexOptions; KNN and Range take QueryOptions. Concrete filter values
@@ -115,7 +110,6 @@ func (f *None) applyIndex(c *indexConfig)     { c.filter = f }
 // queryConfig collects what the query options select.
 type queryConfig struct {
 	explain **Explain
-	span    *obs.Span
 }
 
 // QueryOption configures one KNN or Range call.
@@ -146,18 +140,4 @@ func applyQueryOpts(opts []QueryOption) queryConfig {
 // analysis costs one extra O(n) pass over already-computed bounds.
 func WithExplain(dst **Explain) QueryOption {
 	return queryOption(func(c *queryConfig) { c.explain = dst })
-}
-
-// WithTrace hangs the query's stage spans (filter, refine, per-shard
-// children) off sp instead of the span carried by the context.
-func WithTrace(sp *obs.Span) QueryOption {
-	return queryOption(func(c *queryConfig) { c.span = sp })
-}
-
-// trace resolves the span the query's stage children attach to.
-func (c *queryConfig) trace(ctx context.Context) *obs.Span {
-	if c.span != nil {
-		return c.span
-	}
-	return obs.FromContext(ctx)
 }

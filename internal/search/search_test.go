@@ -313,16 +313,38 @@ func TestFilterNames(t *testing.T) {
 	}
 }
 
+// TestParseFilter: the one name grammar the command-line tools share.
+func TestParseFilter(t *testing.T) {
+	for name, want := range map[string]Filter{
+		"bibranch":       &BiBranch{Q: 3, Positional: true},
+		"bibranch-nopos": &BiBranch{Q: 3},
+		"bibranch-q4":    &BiBranch{Q: 4, Positional: true},
+		"histo":          &Histo{},
+		"seq":            &Seq{},
+		"none":           &None{},
+	} {
+		got, err := ParseFilter(name, 3)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseFilter(%q, 3) = %#v, %v; want %#v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "bogus", "bibranch-q", "bibranch-q1", "bibranch-q3x", "BiBranch"} {
+		if f, err := ParseFilter(name, 2); err == nil {
+			t.Errorf("ParseFilter(%q) = %#v, want an error", name, f)
+		}
+	}
+}
+
 // TestBiBranchDefaultQ: the zero value of Q selects the paper's two-level
 // branches.
 func TestBiBranchDefaultQ(t *testing.T) {
 	f := &BiBranch{Positional: true}
 	f.Index(testDataset(5, 30))
-	if f.Space().Q() != 2 {
-		t.Errorf("default Q resolved to %d", f.Space().Q())
+	if f.space.Q() != 2 {
+		t.Errorf("default Q resolved to %d", f.space.Q())
 	}
-	if len(f.Profiles()) != 5 {
-		t.Errorf("Profiles() returned %d", len(f.Profiles()))
+	if len(f.profiles) != 5 {
+		t.Errorf("%d profiles, want 5", len(f.profiles))
 	}
 }
 

@@ -16,15 +16,11 @@ import (
 // grows by one Append per insert. A segment's filter is rebuilt with the
 // parallel index build only at compaction, off the write path.
 
-// segPayload is the payload of a sealed (immutable) segment.
+// segPayload is what a segment carries: its trees and the filter over
+// them. A sealed segment's payload is immutable; the memtable's is mutated
+// only under the store's mutation lock, and snapshots freeze prefix slices
+// of it.
 type segPayload struct {
-	trees  []*tree.Tree
-	filter Filter
-}
-
-// memPayload is the payload of the mutable memtable. It is mutated only
-// under the store's mutation lock; snapshots freeze prefix slices of it.
-type memPayload struct {
 	trees  []*tree.Tree
 	filter Filter
 }
@@ -35,10 +31,10 @@ func (ix *Index) segHooks() segstore.Hooks {
 		NewMem: func(base int) any {
 			f := ix.filter.Fresh()
 			f.Index(nil)
-			return &memPayload{filter: f}
+			return &segPayload{filter: f}
 		},
 		Snapshot: func(mem any, n int) any {
-			m := mem.(*memPayload)
+			m := mem.(*segPayload)
 			return &segPayload{
 				trees:  m.trees[:n:n],
 				filter: m.filter.snapshotAt(n),
@@ -47,8 +43,7 @@ func (ix *Index) segHooks() segstore.Hooks {
 	}
 }
 
-// payloadOf returns a segment's payload (sealed segments and memtable
-// snapshots both carry *segPayload).
+// payloadOf returns a segment's payload.
 func payloadOf(sg *segstore.Segment) *segPayload { return sg.Payload.(*segPayload) }
 
 // CompactionStats describes one finished compaction for observability

@@ -172,30 +172,30 @@ func TestSegmentedStatsAndExplain(t *testing.T) {
 // across pure queries.
 func TestEpochAdvancesOnWrites(t *testing.T) {
 	ix := NewIndex(testDataset(10, 74), NewBiBranch(), WithMemtableSize(4), WithCompactionThreshold(-1))
-	e0 := ix.Epoch()
+	e0 := ix.StoreStats().Epoch
 	ix.KNN(context.Background(), testDataset(1, 75)[0], 2)
-	if ix.Epoch() != e0 {
+	if ix.StoreStats().Epoch != e0 {
 		t.Fatal("query advanced the epoch")
 	}
 	ix.Insert(testDataset(1, 76)[0])
-	e1 := ix.Epoch()
+	e1 := ix.StoreStats().Epoch
 	if e1 <= e0 {
 		t.Fatal("insert did not advance the epoch")
 	}
 	ix.Delete(3)
-	e2 := ix.Epoch()
+	e2 := ix.StoreStats().Epoch
 	if e2 <= e1 {
 		t.Fatal("delete did not advance the epoch")
 	}
 	ix.Seal()
-	e3 := ix.Epoch()
+	e3 := ix.StoreStats().Epoch
 	if e3 <= e2 {
 		t.Fatal("seal did not advance the epoch")
 	}
 	if !ix.Compact() {
 		t.Fatal("compaction did not run")
 	}
-	if ix.Epoch() <= e3 {
+	if ix.StoreStats().Epoch <= e3 {
 		t.Fatal("compaction did not advance the epoch")
 	}
 }

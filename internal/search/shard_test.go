@@ -188,15 +188,14 @@ func TestShardHammer(t *testing.T) {
 	}
 }
 
-// TestIndexOptionAccessors: shard and worker settings survive construction
-// and are visible through the accessors.
+// TestIndexOptionAccessors: shard and worker settings survive construction.
 func TestIndexOptionAccessors(t *testing.T) {
 	ix := NewIndex(testDataset(5, 36), NewBiBranch(), WithShards(3), WithRefineWorkers(2))
-	if ix.Shards() != 3 {
-		t.Errorf("Shards() = %d, want 3", ix.Shards())
+	if ix.shards != 3 {
+		t.Errorf("shards = %d, want 3", ix.shards)
 	}
-	if ix.RefineWorkers() != 2 {
-		t.Errorf("RefineWorkers() = %d, want 2", ix.RefineWorkers())
+	if ix.pool.size != 2 {
+		t.Errorf("pool size = %d, want 2", ix.pool.size)
 	}
 }
 
@@ -208,7 +207,7 @@ func TestShardSpans(t *testing.T) {
 	ix := NewIndex(ts, NewBiBranch(), WithShards(4), WithRefineWorkers(4))
 
 	root := obs.New("query")
-	_, _, err := ix.KNN(context.Background(), ts[2], 3, WithTrace(root))
+	_, _, err := ix.KNN(obs.NewContext(context.Background(), root), ts[2], 3)
 	if err != nil {
 		t.Fatal(err)
 	}

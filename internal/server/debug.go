@@ -9,10 +9,10 @@ import (
 	"treesim/internal/obs"
 )
 
-// Debug endpoints for the tail-latency flight recorder and the tail
-// profiler. They expose raw span trees and per-request analysis, so they
-// are loopback-only: an operator shells into the box (or port-forwards)
-// to use them, the same trust model as Go's net/http/pprof convention.
+// Debug endpoints for the tail-latency flight recorder. They expose raw
+// span trees and per-request analysis, so they are loopback-only: an
+// operator shells into the box (or port-forwards) to use them, the same
+// trust model as Go's net/http/pprof convention.
 
 // DebugTracesResponse is the GET /debug/traces body: the recorder's
 // retention stats followed by the matching traces, newest first.
@@ -81,15 +81,6 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// DebugTraceResponse is the GET /debug/traces/{id} body: the retained
-// trace plus, when the tail profiler captured one for the same trace,
-// the profile's id — the link from "this request was slow" to "here is
-// the CPU evidence" (GET /debug/profiles/{profile_id}).
-type DebugTraceResponse struct {
-	*obs.RetainedTrace
-	ProfileID string `json:"profile_id,omitempty"`
-}
-
 // handleDebugTrace fetches one retained trace by request ID or hex
 // trace ID.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
@@ -105,51 +96,5 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 			"no retained trace for request or trace id "+strconv.Quote(id)+" (evicted or never retained)", requestID(w))
 		return
 	}
-	resp := DebugTraceResponse{RetainedTrace: tr}
-	if cp, ok := s.profiler.ByTraceID(tr.TraceID); ok {
-		resp.ProfileID = cp.ID
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// DebugProfilesResponse is the GET /debug/profiles body: capture stats
-// followed by the retained profiles, newest first, payloads omitted.
-type DebugProfilesResponse struct {
-	Stats    obs.ProfilerStats     `json:"stats"`
-	Profiles []obs.CapturedProfile `json:"profiles"`
-}
-
-// handleDebugProfiles lists tail-triggered CPU profiles.
-func (s *Server) handleDebugProfiles(w http.ResponseWriter, r *http.Request) {
-	if s.profiler == nil {
-		writeError(w, http.StatusNotFound, ErrCodeNotFound,
-			"tail profiler disabled (-profile-every < 0 or flight recorder off)", requestID(w))
-		return
-	}
-	resp := DebugProfilesResponse{Stats: s.profiler.Stats(), Profiles: s.profiler.List()}
-	if resp.Profiles == nil {
-		resp.Profiles = []obs.CapturedProfile{} // render as [], not null
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleDebugProfile serves one profile's pprof-gzip payload, ready for
-// `go tool pprof` straight off a curl.
-func (s *Server) handleDebugProfile(w http.ResponseWriter, r *http.Request) {
-	if s.profiler == nil {
-		writeError(w, http.StatusNotFound, ErrCodeNotFound,
-			"tail profiler disabled (-profile-every < 0 or flight recorder off)", requestID(w))
-		return
-	}
-	id := r.PathValue("id")
-	cp, ok := s.profiler.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrCodeNotFound,
-			"no profile "+strconv.Quote(id)+" (evicted or never captured)", requestID(w))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", "attachment; filename="+strconv.Quote(cp.ID+".pprof.gz"))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(cp.Bytes)
+	writeJSON(w, http.StatusOK, tr)
 }

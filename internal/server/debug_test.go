@@ -78,6 +78,16 @@ func TestDebugTracesListAndGet(t *testing.T) {
 	if one["request_id"] != id {
 		t.Fatalf("get returned id %v, want %s", one["request_id"], id)
 	}
+	// The tail profiler is gone: a trace links to no profile and the
+	// profile endpoints are unrouted (CPU profiles come from -pprof).
+	if _, ok := one["profile_id"]; ok {
+		t.Fatalf("retained trace still carries profile_id: %v", one)
+	}
+	for _, path := range []string{"/debug/profiles", "/debug/profiles/p000001"} {
+		if code := getJSON(t, hs.URL+path, nil); code != 404 {
+			t.Fatalf("%s status %d, want 404", path, code)
+		}
+	}
 	if code := getJSON(t, hs.URL+"/debug/traces/r00000000", nil); code != 404 {
 		t.Fatalf("unknown id status %d, want 404", code)
 	}
@@ -96,7 +106,7 @@ func TestDebugLoopbackOnly(t *testing.T) {
 
 	// httptest.NewRequest's default RemoteAddr is 192.0.2.1:1234 —
 	// exactly the non-loopback peer the guard must refuse.
-	for _, path := range []string{"/debug/traces", "/debug/traces/r1", "/debug/profiles"} {
+	for _, path := range []string{"/debug/traces", "/debug/traces/r1"} {
 		r := httptest.NewRequest(http.MethodGet, path, nil)
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, r)
@@ -110,8 +120,8 @@ func TestDebugLoopbackOnly(t *testing.T) {
 	}
 
 	// The real loopback connection is allowed.
-	if code := getJSON(t, hs.URL+"/debug/profiles", nil); code != 200 {
-		t.Fatalf("loopback /debug/profiles status %d, want 200", code)
+	if code := getJSON(t, hs.URL+"/debug/traces", nil); code != 200 {
+		t.Fatalf("loopback /debug/traces status %d, want 200", code)
 	}
 }
 

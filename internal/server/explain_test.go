@@ -29,8 +29,8 @@ func TestExplainKNN(t *testing.T) {
 	if ex.Op != "knn" || ex.K != 5 {
 		t.Errorf("explain op=%q k=%d, want knn/5", ex.Op, ex.K)
 	}
-	if ex.Filter != s.Index().Filter().Name() {
-		t.Errorf("explain filter %q, want %q", ex.Filter, s.Index().Filter().Name())
+	if ex.Filter != s.ix.Filter().Name() {
+		t.Errorf("explain filter %q, want %q", ex.Filter, s.ix.Filter().Name())
 	}
 	if ex.Dataset != 60 {
 		t.Errorf("explain dataset %d, want 60", ex.Dataset)

@@ -16,7 +16,7 @@ import (
 // text with ?format=prom — is one registration there, next to where its
 // value comes from. Counters and histograms the request path updates are
 // fields here; everything another component already tracks (index, store,
-// WAL, degraded mode, runtime, recorder, exporter, profiler) is read from
+// WAL, degraded mode, runtime, recorder, exporter) is read from
 // that component at scrape time.
 type Metrics struct {
 	reg *obs.Registry
@@ -75,9 +75,9 @@ func load(c *atomic.Uint64) func() float64 {
 	return func() float64 { return float64(c.Load()) }
 }
 
-// newMetrics declares every family of s's /metrics. s.recorder, s.exporter
-// and s.profiler must be set (or left nil: disabled components read as
-// zero); s.wal may appear later, it is read per scrape.
+// newMetrics declares every family of s's /metrics. s.recorder and
+// s.exporter must be set (or left nil: disabled components read as zero);
+// s.wal may appear later, it is read per scrape.
 func newMetrics(s *Server) *Metrics {
 	reg := obs.NewRegistry("treesim_")
 	m := &Metrics{reg: reg}
@@ -189,17 +189,6 @@ func newMetrics(s *Server) *Metrics {
 		exp(func(st obs.ExporterStats) float64 { return float64(st.Retries) }))
 	reg.HistogramFunc("treesim_otlp_batch_latency_seconds", "Wall time from first delivery attempt to a batch's 2xx, retries included.",
 		func() obs.HistogramSnapshot { return s.exporter.Stats().BatchLatency })
-
-	// Tail-triggered CPU profiler.
-	prof := func(pick func(obs.ProfilerStats) float64) func() float64 { return from(s.profiler.Stats, pick) }
-	reg.CounterFunc("treesim_profile_triggered_total", "Capture triggers from retained slow/errored traces.",
-		prof(func(st obs.ProfilerStats) float64 { return float64(st.Triggered) }))
-	reg.CounterFunc("treesim_profile_captured_total", "CPU profiles captured into the ring.",
-		prof(func(st obs.ProfilerStats) float64 { return float64(st.Captured) }))
-	reg.CounterFunc("treesim_profile_skipped_total", "Triggers absorbed by the rate limit or an in-flight capture.",
-		prof(func(st obs.ProfilerStats) float64 { return float64(st.Skipped) }))
-	reg.GaugeFunc("treesim_profile_retained", "Profiles currently held in the ring.",
-		prof(func(st obs.ProfilerStats) float64 { return float64(st.Retained) }))
 
 	// Per-endpoint request counters and latency. A scrape reads families in
 	// declaration order and Observe counts the request before its class, so

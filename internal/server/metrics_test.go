@@ -161,10 +161,6 @@ var metricFamilies = []struct{ name, typ, labels string }{
 	{"treesim_otlp_dropped_total", "counter", ""},
 	{"treesim_otlp_retries_total", "counter", ""},
 	{"treesim_otlp_batch_latency_seconds", "histogram", ""},
-	{"treesim_profile_triggered_total", "counter", ""},
-	{"treesim_profile_captured_total", "counter", ""},
-	{"treesim_profile_skipped_total", "counter", ""},
-	{"treesim_profile_retained", "gauge", ""},
 	{"treesim_http_requests_total", "counter", "endpoint"},
 	{"treesim_http_errors_total", "counter", "endpoint"},
 	{"treesim_http_rejected_total", "counter", "endpoint"},

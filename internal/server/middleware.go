@@ -138,14 +138,8 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 					Root:      span,
 					Explain:   ex,
 				})
-				tail := retained && class != obs.TraceBaseline
-				if tail {
-					// A retained slow/errored trace is exactly the evidence a
-					// profile explains; the profiler's token bucket absorbs
-					// tail storms.
-					s.profiler.Trigger(traceID, rid, string(class))
-				}
 				if s.exporter != nil {
+					tail := retained && class != obs.TraceBaseline
 					// Head sampling is deterministic in the trace ID, so the
 					// whole chain agrees without coordination; errors,
 					// recorder-retained tails and caller-sampled traces export

@@ -130,14 +130,11 @@ type Config struct {
 	// inbound traceparent carries the sampled flag are always exported;
 	// this rate applies to everything else. 0 exports only those classes.
 	TraceSample float64
-	// ProfileEvery is the tail profiler's token refill interval: at most
-	// one CPU profile capture per interval when the flight recorder
-	// retains a slow or errored trace. 0 means 1m; negative disables the
-	// profiler.
+	// ProfileEvery is never read: the tail profiler it configured is
+	// deleted. The field stays only because benchmark/oracle.go assigns it
+	// and benchmark/ was closed to the PR that deleted the profiler;
+	// ROADMAP item 1(d) deletes that assignment and this field together.
 	ProfileEvery time.Duration
-	// ProfileCapture is the CPU profile duration per capture. 0 means
-	// 500ms.
-	ProfileCapture time.Duration
 	// Logger receives structured request logs. Default: slog text
 	// handler on stderr.
 	Logger *slog.Logger
@@ -185,9 +182,8 @@ type Server struct {
 	metrics  *Metrics
 	sem      limiter
 	mux      *http.ServeMux
-	recorder *obs.Recorder     // flight recorder; nil when Config.TraceRing < 0
-	exporter *obs.Exporter     // OTLP/JSON trace export; nil when Config.OTLPEndpoint == ""
-	profiler *obs.TailProfiler // tail-triggered CPU profiles; nil when disabled
+	recorder *obs.Recorder // flight recorder; nil when Config.TraceRing < 0
+	exporter *obs.Exporter // OTLP/JSON trace export; nil when Config.OTLPEndpoint == ""
 
 	ready     atomic.Bool   // readyz: accepting traffic
 	reqSeq    atomic.Uint64 // request-ID counter
@@ -224,7 +220,6 @@ type Server struct {
 	snapCuts []int64
 
 	httpSrv  *http.Server
-	ln       net.Listener
 	bg       sync.WaitGroup
 	stopSnap chan struct{}
 	snapOnce sync.Once
@@ -252,14 +247,6 @@ func New(ix *search.Index, cfg Config) *Server {
 			Logger:   cfg.Logger,
 		})
 	}
-	// The profiler rides on the recorder's verdicts; without retained
-	// tails nothing ever triggers it.
-	if s.recorder != nil && cfg.ProfileEvery >= 0 {
-		s.profiler = obs.NewTailProfiler(obs.ProfilerConfig{
-			Every:   cfg.ProfileEvery,
-			Capture: cfg.ProfileCapture,
-		})
-	}
 	s.metrics = newMetrics(s)
 	s.mux = http.NewServeMux()
 	s.mux.Handle("POST /v1/knn", s.instrument("/v1/knn", true, s.handleKNN))
@@ -277,8 +264,6 @@ func New(ix *search.Index, cfg Config) *Server {
 	// traces carry full query trees.
 	s.mux.Handle("GET /debug/traces", s.instrument("/debug/traces", false, s.loopbackOnly(s.handleDebugTraces)))
 	s.mux.Handle("GET /debug/traces/{id}", s.instrument("/debug/traces/{id}", false, s.loopbackOnly(s.handleDebugTrace)))
-	s.mux.Handle("GET /debug/profiles", s.instrument("/debug/profiles", false, s.loopbackOnly(s.handleDebugProfiles)))
-	s.mux.Handle("GET /debug/profiles/{id}", s.instrument("/debug/profiles/{id}", false, s.loopbackOnly(s.handleDebugProfile)))
 	// Compactions run on background goroutines inside the index; the hook
 	// surfaces each one as a log line and a duration observation.
 	ix.OnCompaction(func(cs search.CompactionStats) {
@@ -294,23 +279,10 @@ func New(ix *search.Index, cfg Config) *Server {
 // Handler returns the server's full route tree (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Index returns the served index.
-func (s *Server) Index() *search.Index { return s.ix }
-
-// Recorder returns the flight recorder (nil when disabled).
-func (s *Server) Recorder() *obs.Recorder { return s.recorder }
-
-// Exporter returns the OTLP trace exporter (nil when disabled).
-func (s *Server) Exporter() *obs.Exporter { return s.exporter }
-
-// Profiler returns the tail profiler (nil when disabled).
-func (s *Server) Profiler() *obs.TailProfiler { return s.profiler }
-
 // Serve accepts connections on ln until Shutdown. It starts the periodic
 // snapshot loop and blocks like http.Server.Serve (returning
 // http.ErrServerClosed after a clean shutdown).
 func (s *Server) Serve(ln net.Listener) error {
-	s.ln = ln
 	s.httpSrv = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -318,24 +290,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.startSnapshotLoop()
 	s.log.Info("serving", "addr", ln.Addr().String(), "trees", s.ix.Size(), "filter", s.ix.Filter().Name())
 	return s.httpSrv.Serve(ln)
-}
-
-// ListenAndServe listens on addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Addr returns the bound address after Serve/ListenAndServe started
-// listening ("" before).
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Shutdown drains the server gracefully: readiness flips to 503 (load
@@ -369,7 +323,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if ferr := s.exporter.Close(ctx); ferr != nil && err == nil {
 		err = ferr
 	}
-	s.profiler.Close()
 	s.log.Info("shut down", "final_snapshot", s.cfg.SnapshotPath != "", "err", err)
 	return err
 }

@@ -83,7 +83,7 @@ func TestKNNRangeEquivalence(t *testing.T) {
 	queries := []*tree.Tree{ts[0], ts[33], testDataset(1, 2)[0]}
 	for _, q := range queries {
 		for _, k := range []int{1, 5} {
-			want, _, _ := s.Index().KNN(context.Background(), q, k)
+			want, _, _ := s.ix.KNN(context.Background(), q, k)
 			var got QueryResponse
 			if code := postJSON(t, hs.URL+"/v1/knn", KNNRequest{Tree: q.String(), K: k}, &got); code != 200 {
 				t.Fatalf("knn status %d", code)
@@ -95,7 +95,7 @@ func TestKNNRangeEquivalence(t *testing.T) {
 				if got.Results[i].ID != r.ID || got.Results[i].Dist != r.Dist {
 					t.Fatalf("knn k=%d result %d: got %+v, want %+v", k, i, got.Results[i], r)
 				}
-				if got.Results[i].Tree != s.Index().Tree(r.ID).String() {
+				if got.Results[i].Tree != s.ix.Tree(r.ID).String() {
 					t.Fatalf("knn result %d carries wrong tree text", i)
 				}
 			}
@@ -104,7 +104,7 @@ func TestKNNRangeEquivalence(t *testing.T) {
 			}
 		}
 		for _, tau := range []int{0, 3} {
-			want, _, _ := s.Index().Range(context.Background(), q, tau)
+			want, _, _ := s.ix.Range(context.Background(), q, tau)
 			var got QueryResponse
 			if code := postJSON(t, hs.URL+"/v1/range", RangeRequest{Tree: q.String(), Tau: tau}, &got); code != 200 {
 				t.Fatalf("range status %d", code)
@@ -134,7 +134,7 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 	for i, ql := range trees {
 		q := tree.MustParse(ql)
-		want, _, _ := s.Index().KNN(context.Background(), q, 3)
+		want, _, _ := s.ix.KNN(context.Background(), q, 3)
 		got := batch.Queries[i].Results
 		if len(got) != len(want) {
 			t.Fatalf("batch query %d: %d results, want %d", i, len(got), len(want))
@@ -151,7 +151,7 @@ func TestBatchEquivalence(t *testing.T) {
 		t.Fatalf("range batch status %d", code)
 	}
 	for i, ql := range trees {
-		want, _, _ := s.Index().Range(context.Background(), tree.MustParse(ql), 2)
+		want, _, _ := s.ix.Range(context.Background(), tree.MustParse(ql), 2)
 		if len(rbatch.Queries[i].Results) != len(want) {
 			t.Fatalf("range batch query %d: %d results, want %d", i, len(rbatch.Queries[i].Results), len(want))
 		}
@@ -205,8 +205,8 @@ func TestInsertAndGet(t *testing.T) {
 	if code := getJSON(t, hs.URL+"/v1/trees/abc", nil); code != 400 {
 		t.Fatalf("non-integer tree id: status %d, want 400", code)
 	}
-	if s.Index().Size() != 21 {
-		t.Fatalf("index size %d after insert, want 21", s.Index().Size())
+	if s.ix.Size() != 21 {
+		t.Fatalf("index size %d after insert, want 21", s.ix.Size())
 	}
 }
 
@@ -215,7 +215,7 @@ func TestInsertAndGet(t *testing.T) {
 // not_found through the stable error envelope.
 func TestDeleteEndpoint(t *testing.T) {
 	s, hs, ts := newTestServer(t, quietConfig(), 20, 8)
-	ix := s.Index()
+	ix := s.ix
 	target := ts[5]
 	del := func(id string) (int, ErrorResponse, DeleteResponse) {
 		req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/trees/"+id, nil)
@@ -428,17 +428,17 @@ func TestConcurrentTraffic(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got, want := s.Index().Size(), len(base)+len(extra); got != want {
+	if got, want := s.ix.Size(), len(base)+len(extra); got != want {
 		t.Fatalf("after concurrent traffic: index size %d, want %d", got, want)
 	}
 	// Served index answers like a clean rebuild over the same trees.
-	all := make([]*tree.Tree, s.Index().Size())
+	all := make([]*tree.Tree, s.ix.Size())
 	for i := range all {
-		all[i] = s.Index().Tree(i)
+		all[i] = s.ix.Tree(i)
 	}
 	clean := search.NewIndex(all, search.NewBiBranch())
 	for _, q := range queries {
-		a, _, _ := s.Index().KNN(context.Background(), q, 5)
+		a, _, _ := s.ix.KNN(context.Background(), q, 5)
 		b, _, _ := clean.KNN(context.Background(), q, 5)
 		for i := range a {
 			if a[i].Dist != b[i].Dist {

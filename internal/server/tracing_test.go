@@ -19,8 +19,7 @@ import (
 
 // Distributed-tracing tests: W3C traceparent propagation through the
 // middleware, the OTLP/JSON export pipeline against an in-process sink,
-// the tail-triggered profiler's debug surface, and a goroutine-leak
-// guard over the exporter and profiler workers.
+// and a goroutine-leak guard over the exporter's worker.
 
 // noLeaks fails the test if the goroutine count has not returned to its
 // starting baseline by the end of the test (after cleanups such as
@@ -192,7 +191,7 @@ func TestTraceparentContinuesTrace(t *testing.T) {
 	if retries := sink.retries[callerTrace]; len(retries) != 1 || retries[0] != "2" {
 		t.Fatalf("retry attr %v, want [\"2\"]", sink.retries[callerTrace])
 	}
-	if st := s.Exporter().Stats(); st.Dropped != 0 || st.Batches == 0 {
+	if st := s.exporter.Stats(); st.Dropped != 0 || st.Batches == 0 {
 		t.Fatalf("exporter stats %+v", st)
 	}
 }
@@ -302,7 +301,7 @@ func TestExportPipelineEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	for _, family := range []string{
 		"treesim_otlp_offered_total", "treesim_otlp_dropped_total",
-		"treesim_otlp_batch_latency_seconds", "treesim_profile_captured_total",
+		"treesim_otlp_batch_latency_seconds",
 	} {
 		if !bytes.Contains(prom, []byte(family)) {
 			t.Errorf("prom exposition missing %s", family)
@@ -316,96 +315,9 @@ func TestExportPipelineEndToEnd(t *testing.T) {
 	if batches < 1 || spans < 5 {
 		t.Fatalf("sink saw %d batches / %d spans, want >=1 / >=5", batches, spans)
 	}
-	if st := s.Exporter().Stats(); st.Dropped != 0 {
+	if st := s.exporter.Stats(); st.Dropped != 0 {
 		t.Fatalf("exporter dropped %d", st.Dropped)
 	}
-}
-
-// TestTailProfileLinkedToTrace: a request that fails its deadline is
-// retained as an error, triggers a CPU profile capture, and the
-// /debug/traces/{trace_id} entry links to the /debug/profiles payload.
-func TestTailProfileLinkedToTrace(t *testing.T) {
-	noLeaks(t)
-	cfg := quietConfig()
-	cfg.QueryTimeout = time.Nanosecond // every query 504s: deterministic error tail
-	cfg.ProfileCapture = 20 * time.Millisecond
-	// Fast token refill: runtime/pprof allows one CPU profile per process,
-	// so a capture can lose the profiler to another test's server in this
-	// binary; quick retries on fresh requests ride that out.
-	cfg.ProfileEvery = 20 * time.Millisecond
-	s, hs, _ := newTracingServer(t, cfg)
-	ts := testDataset(1, 7)
-	body, _ := json.Marshal(KNNRequest{Tree: ts[0].String(), K: 3})
-
-	// Fire deadline-failing requests until one of their triggers wins the
-	// CPU profiler and a capture lands. Every 504 is retained as an error
-	// trace, so whichever request the profile attributes itself to is
-	// still resolvable below.
-	deadline := time.Now().Add(20 * time.Second)
-	for s.Profiler().Stats().Captured == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("profiler never captured; stats %+v", s.Profiler().Stats())
-		}
-		req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/knn", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusGatewayTimeout {
-			t.Fatalf("status %d, want 504", resp.StatusCode)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	list0 := s.Profiler().List()
-	if len(list0) == 0 {
-		t.Fatal("captured but ring empty")
-	}
-	traceID := list0[len(list0)-1].TraceID // oldest capture's trace
-
-	// The trace resolves by trace ID and links its profile.
-	var tr DebugTraceResponse
-	if code := getJSON(t, hs.URL+"/debug/traces/"+traceID, &tr); code != 200 {
-		t.Fatalf("debug/traces/{trace_id} status %d", code)
-	}
-	if tr.TraceID != traceID || tr.Class != obs.TraceError {
-		t.Fatalf("retained trace %+v, want trace %s class error", tr.RetainedTrace, traceID)
-	}
-	if tr.ProfileID == "" {
-		t.Fatal("retained trace carries no profile_id")
-	}
-
-	var list DebugProfilesResponse
-	if code := getJSON(t, hs.URL+"/debug/profiles", &list); code != 200 {
-		t.Fatalf("debug/profiles status %d", code)
-	}
-	found := false
-	for _, cp := range list.Profiles {
-		found = found || cp.TraceID == traceID
-	}
-	if !found {
-		t.Fatalf("profile list %+v not linked to trace %s", list.Profiles, traceID)
-	}
-
-	// The payload is pprof-gzip bytes.
-	presp, err := http.Get(hs.URL + "/debug/profiles/" + tr.ProfileID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, _ := io.ReadAll(presp.Body)
-	presp.Body.Close()
-	if presp.StatusCode != 200 || len(payload) < 2 {
-		t.Fatalf("profile fetch status %d, %d bytes", presp.StatusCode, len(payload))
-	}
-	if payload[0] != 0x1f || payload[1] != 0x8b {
-		t.Fatalf("profile payload not gzip-framed: % x", payload[:2])
-	}
-	if code := getJSON(t, hs.URL+"/debug/profiles/p999999", nil); code != 404 {
-		t.Fatalf("unknown profile status %d, want 404", code)
-	}
-	shutdownServer(t, s)
 }
 
 // TestTraceSampleZeroExportsOnlyTails: with head sampling off, a normal
@@ -457,10 +369,9 @@ func TestTraceSampleZeroExportsOnlyTails(t *testing.T) {
 	}
 }
 
-// TestShutdownStopsTracingWorkers: a server with exporter and profiler
-// enabled tears both down on Shutdown — covered by noLeaks, plus the
-// explicit post-shutdown behavior: offers after close are dropped, not
-// hung.
+// TestShutdownStopsTracingWorkers: a server with the exporter enabled
+// tears it down on Shutdown — covered by noLeaks, plus the explicit
+// post-shutdown behavior: a second close returns at once.
 func TestShutdownStopsTracingWorkers(t *testing.T) {
 	noLeaks(t)
 	s, hs, _ := newTracingServer(t, quietConfig())
@@ -469,11 +380,8 @@ func TestShutdownStopsTracingWorkers(t *testing.T) {
 		t.Fatalf("knn status %d", code)
 	}
 	shutdownServer(t, s)
-	if s.Profiler().Trigger("t", "r", "slow") {
-		t.Error("profiler accepted a trigger after Shutdown")
-	}
 	// Close is idempotent through Shutdown's path.
-	if err := s.Exporter().Close(context.Background()); err != nil {
+	if err := s.exporter.Close(context.Background()); err != nil {
 		t.Errorf("second exporter close: %v", err)
 	}
 }

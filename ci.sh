@@ -17,7 +17,7 @@ fuzz() {
     go test -run='^$' -fuzz="^$1\$" -fuzztime="$FUZZTIME" "$2"
 }
 
-[ $# -gt 0 ] || set -- build vet test race benchmark-test hammer chaos fuzz
+[ $# -gt 0 ] || set -- build vet test race benchmark-test bench-smoke hammer chaos fuzz
 for stage; do
     case "$stage" in
     build)
@@ -43,6 +43,13 @@ for stage; do
         # than leaving an API break to the next benchmark run.
         echo "== benchmark module: go test ./..."
         (cd benchmark && go test ./...)
+        ;;
+    bench-smoke)
+        # One iteration of every case of the verifier's rung, so the
+        # benchmark a refine-path change is measured on always compiles and
+        # runs. A smoke stage: it gates on nothing the numbers say.
+        echo "== editdist rung: one iteration per case"
+        go test -run '^$' -bench 'DistanceWithin' -benchtime 1x ./internal/editdist
         ;;
     hammer)
         # Shard + compaction hammer: the parallel engine's exactness

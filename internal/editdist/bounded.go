@@ -1,6 +1,10 @@
 package editdist
 
-import "treesim/internal/tree"
+import (
+	"sync"
+
+	"treesim/internal/tree"
+)
 
 // Threshold-bounded verification: what makes the kernel (kernel.go)
 // cutoff-aware, for callers that only need a yes/no against a threshold
@@ -10,7 +14,10 @@ import "treesim/internal/tree"
 //  1. O(n) pre-checks. Size delta, height delta, and label-histogram L1
 //     delta are each admissible lower bounds on the number of edit
 //     operations; scaled by the cost model's per-operation minimum they
-//     reject a pair before the kernel is even taken from its pool.
+//     reject a pair before the kernel is even taken from its pool. The
+//     query side is computed once, by Prepare; the candidate side is one
+//     allocation-free walk (scratch.measure) that also sums the keyroot
+//     sizes FullCells needs, so a rejected candidate is never decomposed.
 //
 //  2. Two bands of width band = cutoff/minOpCost, the most nodes a mapping
 //     of cost ≤ cutoff can leave unmatched (inserts + deletes). Write
@@ -77,56 +84,134 @@ func MinOpCost(c CostModel) int {
 	return 0
 }
 
-// precheckBound returns the best O(n) admissible lower bound on the edit
-// distance: max of size delta, height delta, and half the label-histogram
-// L1 delta (rounded up), scaled by the per-operation minimum cost. Each is
-// a lower bound on the operation count — insert/delete change size and
-// height by at most one and histogram mass by one; relabel changes
-// neither size nor height and at most two units of mass.
-func precheckBound(t1, t2 *tree.Tree, a, b *decomp, cmin int) int {
-	lb := a.n - b.n
-	if lb < 0 {
-		lb = -lb
-	}
-	if hd := t1.Height() - t2.Height(); hd > lb {
-		lb = hd
-	} else if -hd > lb {
-		lb = -hd
-	}
-	counts := make(map[string]int, a.n)
-	for i := 1; i <= a.n; i++ {
-		counts[a.label[i]]++
-	}
-	for j := 1; j <= b.n; j++ {
-		counts[b.label[j]]--
-	}
-	l1 := 0
-	for _, v := range counts {
-		if v < 0 {
-			v = -v
-		}
-		l1 += v
-	}
-	if h := (l1 + 1) / 2; h > lb {
-		lb = h
-	}
-	if lb > 0 && cmin > unreachable/lb {
-		return unreachable
-	}
-	return cmin * lb
+// walk is what one pass over a candidate learns without decomposing it:
+// everything the pre-checks and Metrics.FullCells need.
+type walk struct {
+	n, height int
+	overlap   int   // Σ over labels of min(count in query, count in candidate)
+	keys      int64 // Σ over keyroots k of |subtree(k)|
 }
 
-// fullCells is how many interior forest-distance cells the unbounded
-// program computes: Σ over keyroot pairs of (i−lml(i)+1)·(j−lml(j)+1),
-// which factorizes into the product of the two trees' per-keyroot
-// special-subforest size sums.
-func fullCells(a, b *decomp) int64 {
-	var sa, sb int64
-	for _, i := range a.keyroots {
-		sa += int64(i - a.lml[i] + 1)
+// precheck returns the best O(n) admissible lower bound on the edit
+// distance from the query to a walked candidate: max of size delta,
+// height delta, and half the label-histogram L1 delta (rounded up), scaled
+// by the per-operation minimum cost. Each is a lower bound on the
+// operation count — insert/delete change size and height by at most one
+// and histogram mass by one; relabel changes neither size nor height and
+// at most two units of mass. L1 = |q| + |t| − 2·overlap.
+func (q *Query) precheck(w walk) int {
+	lb := max(abs(q.d.n-w.n), abs(q.height-w.height), (q.d.n+w.n-2*w.overlap+1)/2)
+	if lb > 0 && q.cmin > unreachable/lb {
+		return unreachable
 	}
-	for _, j := range b.keyroots {
-		sb += int64(j - b.lml[j] + 1)
+	return q.cmin * lb
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
 	}
-	return sa * sb
+	return x
+}
+
+// scratch is one Within call's working memory, pooled: the walk's stack,
+// the candidate's per-slot label counts, and the candidate's
+// decomposition, filled only for a pair that survives the pre-checks.
+type scratch struct {
+	stack   []frame
+	seen    []int32 // per query slot: the candidate's count so far; zero between calls
+	touched []int32 // the slots seen is non-zero at
+	t       decomp
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledNodes caps what a released scratch may hold: one giant tree or
+// query must not leave its buffers under every later call.
+const maxPooledNodes = 1 << 16
+
+// release pools the scratch without references into the trees it saw.
+func (s *scratch) release() {
+	clear(s.stack[:cap(s.stack)])
+	clear(s.t.label)
+	s.t.label = s.t.label[:0]
+	if max(cap(s.stack), cap(s.seen), cap(s.t.label)) <= maxPooledNodes {
+		scratchPool.Put(s)
+	}
+}
+
+// measure walks t once, iteratively, and returns its size, height, keyroot
+// subtree sizes and — when hist is set — its label overlap with the query.
+// Keyroots are the root and every node with a left sibling, and a
+// keyroot's i − lml(i) + 1 is its subtree size, so FullCells needs no
+// decomposition. Nothing is allocated once the pool is warm.
+func (s *scratch) measure(t *tree.Tree, q *Query, hist bool) (w walk) {
+	if t.IsEmpty() {
+		return w
+	}
+	if hist {
+		s.seen = grow(s.seen, len(q.count))
+		w.overlap = s.tally(q, t.Root.Label)
+	}
+	w.n, w.height = 1, 1
+	s.stack = append(s.stack[:0], frame{n: t.Root, keyroot: true})
+	for len(s.stack) > 0 {
+		f := &s.stack[len(s.stack)-1]
+		if f.kid == len(f.n.Children) {
+			if f.keyroot {
+				w.keys += int64(w.n - f.start)
+			}
+			s.stack = s.stack[:len(s.stack)-1]
+			continue
+		}
+		c, left := f.n.Children[f.kid], f.kid > 0
+		f.kid++
+		if hist {
+			w.overlap += s.tally(q, c.Label)
+		}
+		w.height = max(w.height, len(s.stack)+1)
+		if len(c.Children) > 0 {
+			s.stack = append(s.stack, frame{n: c, start: w.n, keyroot: left})
+		} else if left {
+			w.keys++
+		}
+		w.n++
+	}
+	if hist {
+		for _, slot := range s.touched {
+			s.seen[slot] = 0
+		}
+		s.touched = s.touched[:0]
+	}
+	return w
+}
+
+// tally counts one candidate label and returns 1 when it pairs with a
+// query occurrence not yet paired, so the returns sum to the overlap.
+func (s *scratch) tally(q *Query, label string) int {
+	slot, ok := q.slot[label]
+	if !ok {
+		return 0
+	}
+	c := s.seen[slot]
+	if c == 0 {
+		s.touched = append(s.touched, slot)
+	}
+	s.seen[slot] = c + 1
+	if c < q.count[slot] {
+		return 1
+	}
+	return 0
+}
+
+// decompose fills the scratch's decomposition with t, labelled by the
+// query's slots, for the kernel.
+func (s *scratch) decompose(t *tree.Tree, q *Query) *decomp {
+	d := &s.t
+	s.stack = d.load(t, s.stack)
+	d.id = grow(d.id, d.n+1)
+	for y := 1; y <= d.n; y++ {
+		d.id[y] = q.slotOf(d.label[y])
+	}
+	return d
 }

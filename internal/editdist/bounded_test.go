@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"treesim/internal/datagen"
+	"treesim/internal/dblp"
 	"treesim/internal/tree"
 )
 
@@ -29,15 +30,26 @@ func checkWithin(t *testing.T, t1, t2 *tree.Tree, cutoff int, opts ...Option) {
 // the caller.
 func checkWithinRef(t *testing.T, t1, t2 *tree.Tree, cutoff, full int, opts ...Option) {
 	t.Helper()
-	// Zero the pooled tables: a cell the call reads without having written
-	// or initialised it then shows as an underestimate instead of hiding
-	// behind a plausible value left by the previous pair.
+	zeroKernelPool()
+	d, ok := DistanceWithin(t1, t2, cutoff, opts...)
+	checkVerdict(t, t1, t2, cutoff, full, d, ok)
+}
+
+// zeroKernelPool zeroes the pooled tables: a cell a call reads without
+// having written or initialised it then shows as an underestimate instead
+// of hiding behind a plausible value left by the previous pair.
+func zeroKernelPool() {
 	if k, _ := kernelPool.Get().(*kernel); k != nil {
 		clear(k.td[:cap(k.td)])
 		clear(k.fd[:cap(k.fd)])
 		kernelPool.Put(k)
 	}
-	d, ok := DistanceWithin(t1, t2, cutoff, opts...)
+}
+
+// checkVerdict asserts DistanceWithin's contract on one answer (d, ok) for
+// a pair at the given cutoff whose true distance is full.
+func checkVerdict(t *testing.T, t1, t2 *tree.Tree, cutoff, full, d int, ok bool) {
+	t.Helper()
 	if full <= cutoff {
 		if !ok || d != full {
 			t.Fatalf("DistanceWithin(%q,%q,%d) = (%d,%v), want (%d,true)",
@@ -338,11 +350,16 @@ func benchPairs(n int) [][2]*tree.Tree {
 	return pairs
 }
 
-// BenchmarkDistanceWithin is the editdist rung: the verifier on small
-// refine-sized pairs at a realistic cutoff, and on knn_bigtree's 150-node
-// within-cluster pairs at a tight cutoff, at the cutoff its queries settle
-// at, and with none (a k-NN query's first k verifications). Each reports
-// DP cells per verification and time per cell beside ns/op and B/op.
+// BenchmarkDistanceWithin is the editdist rung; an op is one verified pair,
+// so ns/op and B/op are per pair. DistanceWithin (preparing the first tree
+// per pair) on small refine-sized pairs at a realistic cutoff, and on
+// knn_bigtree's 150-node within-cluster pairs at a tight cutoff, at the
+// cutoff its queries settle at, and with none (a k-NN query's first k
+// verifications); then what mixed_rw's refine stage does — one prepared
+// DBLP record against 10 000 records at τ=4, most of them rejected by the
+// pre-checks — and what preparing a record costs once per request. Each
+// verifying case reports DP cells per pair and, when there are any, time
+// per cell.
 func BenchmarkDistanceWithin(b *testing.B) {
 	big := clusterPairs(b, bigSpec, 11, 8)
 	for _, bc := range []struct {
@@ -356,18 +373,38 @@ func BenchmarkDistanceWithin(b *testing.B) {
 		{"big/full", big, math.MaxInt},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var m Metrics
-			var cells int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			benchVerify(b, func(i int, m *Metrics) {
 				p := bc.pairs[i%len(bc.pairs)]
-				DistanceWithin(p[0], p[1], bc.cutoff, WithMetrics(&m))
-				cells += m.Cells
-			}
-			b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+				DistanceWithin(p[0], p[1], bc.cutoff, WithMetrics(m))
+			})
 		})
+	}
+	recs := dblp.New(1).Dataset(10_000)
+	q := Prepare(recs[0])
+	b.Run("dblp/τ=4", func(b *testing.B) {
+		benchVerify(b, func(i int, m *Metrics) { q.Within(recs[i%len(recs)], 4, m) })
+	})
+	b.Run("prepare", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Prepare(recs[i%len(recs)])
+		}
+	})
+}
+
+// benchVerify times b.N verifications, the i-th reporting into m.
+func benchVerify(b *testing.B, verify func(i int, m *Metrics)) {
+	var m Metrics
+	var cells int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		verify(i, &m)
+		cells += m.Cells
+	}
+	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+	if cells > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
 	}
 }
 

@@ -11,6 +11,10 @@
 // (Distance, WithCost, WithCutoff); DistanceWithin is the cutoff-first
 // surface for threshold verification, backed by O(n) pre-checks, two DP
 // bands and frontier-row early abandoning (see bounded.go, kernel.go).
+// A caller verifying one tree against many prepares it once (Prepare) and
+// asks Query.Within per candidate: a candidate the pre-checks reject costs
+// one allocation-free walk and is never decomposed. Distance and
+// DistanceWithin are that same path for a single pair.
 // The package also provides the classic string edit distance and the Guha
 // et al. preorder/postorder sequence lower bound (reference [15]), used as
 // an additional filter baseline, and an exponential brute-force distance
@@ -62,8 +66,7 @@ func (UnitCost) Delete(string) int { return 1 }
 // that need to know which side the pair landed on should use
 // DistanceWithin.
 func Distance(t1, t2 *tree.Tree, opts ...Option) int {
-	cfg := applyOptions(opts)
-	d, _ := distance(t1, t2, &cfg)
+	d, _ := DistanceWithin(t1, t2, noCutoff, opts...)
 	return d
 }
 
@@ -73,29 +76,84 @@ func Distance(t1, t2 *tree.Tree, opts ...Option) int {
 // (pre-checks, two bands, early abandoning — see bounded.go). It
 // returns (d, true) with the exact distance d when d ≤ cutoff, and
 // (lb, false) with a certified lower bound lb > cutoff when the distance
-// is proven to exceed it.
+// is proven to exceed it. It is Prepare(t1, opts...).Within(t2, cutoff,
+// m) with m the WithMetrics sink.
 func DistanceWithin(t1, t2 *tree.Tree, cutoff int, opts ...Option) (int, bool) {
 	cfg := applyOptions(opts)
-	if cutoff < cfg.cutoff {
-		cfg.cutoff = cutoff
-	}
-	return distance(t1, t2, &cfg)
+	return prepare(t1, &cfg).Within(t2, cutoff, cfg.metrics)
 }
 
-// distance runs a folded configuration: empty-tree and negative-cutoff
-// cases, the O(n) pre-checks, then the kernel. The boolean reports dist ≤
-// cutoff; when false the returned value is a certified lower bound > cutoff.
-func distance(t1, t2 *tree.Tree, cfg *config) (int, bool) {
-	a, b := decompose(t1), decompose(t2)
-	m := cfg.metrics
+// Query is a tree prepared for verification against many candidates: its
+// decomposition, its height, a slot per distinct label with the label's
+// count, and the sum of its keyroot subtree sizes. It is read-only once
+// built, so any number of goroutines may call Within on it at once.
+type Query struct {
+	d      *decomp // d.id holds each node's label slot
+	height int
+	keys   int64 // Σ over keyroots k of |subtree(k)|: FullCells is this times the candidate's
+	slot   map[string]int32
+	count  []int32 // occurrences of each slot's label in the query
+	cost   CostModel
+	cmin   int // MinOpCost(cost)
+	cutoff int // the WithCutoff cap on every Within, noCutoff if none
+}
+
+// Prepare readies q for Within under the options' cost model (unit costs
+// by default); a WithCutoff option caps the cutoff of every Within call,
+// and the metrics sink is Within's argument, not an option here. It costs
+// one decomposition of q, which DistanceWithin pays per pair.
+func Prepare(q *tree.Tree, opts ...Option) *Query {
+	cfg := applyOptions(opts)
+	return prepare(q, &cfg)
+}
+
+func prepare(t *tree.Tree, cfg *config) *Query {
+	d := decompose(t)
+	q := &Query{
+		d: d, height: t.Height(), slot: make(map[string]int32, d.n), count: make([]int32, 0, d.n),
+		cost: cfg.cost, cmin: MinOpCost(cfg.cost), cutoff: cfg.cutoff,
+	}
+	d.id = make([]int32, d.n+1)
+	for i := 1; i <= d.n; i++ {
+		s, ok := q.slot[d.label[i]]
+		if !ok {
+			s = int32(len(q.count))
+			q.slot[d.label[i]] = s
+			q.count = append(q.count, 0)
+		}
+		q.count[s]++
+		d.id[i] = s
+	}
+	for _, k := range d.keyroots {
+		q.keys += int64(k - d.lml[k] + 1)
+	}
+	return q
+}
+
+// Within decides whether the edit distance from the query to t is at most
+// cutoff (or the Prepare-time WithCutoff, whichever is tighter), with
+// DistanceWithin's contract: (d, true) with the exact distance d ≤ cutoff,
+// or (lb, false) with a certified lower bound lb > cutoff. When m is not
+// nil it is overwritten with the call's accounting. One walk of t decides
+// the empty, negative-cutoff and pre-check cases; only a candidate that
+// survives them is decomposed, into pooled buffers, for the kernel.
+func (q *Query) Within(t *tree.Tree, cutoff int, m *Metrics) (int, bool) {
 	if m == nil {
 		m = new(Metrics)
 	}
-	*m = Metrics{FullCells: fullCells(a, b)}
-	c, cutoff := cfg.cost, cfg.cutoff
+	cutoff = min(cutoff, q.cutoff)
+	// No cutoff (or one too large to prune anything real) and models without
+	// a per-operation minimum keep the band that covers every cell, and skip
+	// the histogram the pre-checks would need.
+	screen := q.cmin >= 1 && 0 <= cutoff && cutoff < unreachable
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	w := s.measure(t, q, screen)
+	*m = Metrics{FullCells: q.keys * w.keys}
+	a, c := q.d, q.cost
 	switch {
-	case a.n == 0 || b.n == 0:
-		d := a.totalCost(c.Delete) + b.totalCost(c.Insert)
+	case a.n == 0 || w.n == 0:
+		d := a.totalCost(c.Delete) + s.decompose(t, q).totalCost(c.Insert)
 		return d, d <= cutoff
 	case cutoff < 0:
 		// Distances are non-negative, so nothing is within a negative
@@ -103,17 +161,15 @@ func distance(t1, t2 *tree.Tree, cfg *config) (int, bool) {
 		m.Precheck = true
 		return 0, false
 	}
-	// No cutoff (or one too large to prune anything real) and models without
-	// a per-operation minimum keep the band that covers every cell.
-	band := a.n + b.n
-	if cmin := MinOpCost(c); cmin >= 1 && cutoff < unreachable {
-		if lb := precheckBound(t1, t2, a, b, cmin); lb > cutoff {
+	band := a.n + w.n
+	if screen {
+		if lb := q.precheck(w); lb > cutoff {
 			m.Precheck = true
 			return lb, false
 		}
-		band = min(band, cutoff/cmin)
+		band = min(band, cutoff/q.cmin)
 	}
-	k := newKernel(a, b, c, cutoff, band)
+	k := newKernel(a, s.decompose(t, q), c, cutoff, band)
 	d := k.run()
 	m.Cells = k.cells
 	k.release()
@@ -125,53 +181,83 @@ func distance(t1, t2 *tree.Tree, cfg *config) (int, bool) {
 	return d, true
 }
 
+// slotOf is the query's slot for a label, −1 for a label it does not have.
+func (q *Query) slotOf(label string) int32 {
+	if s, ok := q.slot[label]; ok {
+		return s
+	}
+	return -1
+}
+
 // decomp holds the postorder decomposition of a tree used by the DP.
 type decomp struct {
 	n        int      // node count
 	label    []string // label[i] = label of postorder node i (1-based)
 	lml      []int    // lml[i]   = postorder index of leftmost leaf of i
 	keyroots []int    // ascending LR-keyroots
+	// id[i] is node i's label as a small integer, equal for equal labels
+	// across a query and its candidate: the query's slot, −1 for a
+	// candidate label the query lacks. The kernel compares these under
+	// UnitCost instead of strings.
+	id []int32
+}
+
+// frame is a node whose children a walk is still visiting; the walks keep
+// their own stack of them, so a tree's depth costs heap, not goroutine
+// stack.
+type frame struct {
+	n       *tree.Node
+	kid     int  // next child to visit
+	start   int  // nodes visited before n: its subtree size once it is done
+	first   int  // leftmost leaf of n's first child, once that is done
+	keyroot bool // n is the root or has a left sibling
 }
 
 // decompose computes postorder labels, leftmost-leaf indices and the
-// LR-keyroots (nodes that are the root or have a left sibling; equivalently
-// the highest node of each distinct leftmost path).
+// LR-keyroots of t (see load).
 func decompose(t *tree.Tree) *decomp {
-	d := &decomp{label: []string{""}, lml: []int{0}}
+	n := t.Size()
+	d := &decomp{label: make([]string, 0, n+1), lml: make([]int, 0, n+1), keyroots: make([]int, 0, n)}
+	d.load(t, nil)
+	return d
+}
+
+// load fills d with t's decomposition, reusing d's slices and the given
+// stack, and returns the stack for reuse. The keyroots are the nodes that
+// are the root or have a left sibling — equivalently the highest node of
+// each distinct leftmost path — recorded as the postorder walk finishes
+// them, so they come out ascending.
+func (d *decomp) load(t *tree.Tree, stack []frame) []frame {
+	d.n = 0
+	d.label, d.lml, d.keyroots = append(d.label[:0], ""), append(d.lml[:0], 0), d.keyroots[:0]
 	if t.IsEmpty() {
-		return d
+		return stack
 	}
-	var rec func(n *tree.Node) int // returns postorder index of n
-	rec = func(n *tree.Node) int {
-		first := 0
-		for k, ch := range n.Children {
-			idx := rec(ch)
-			if k == 0 {
-				first = d.lml[idx]
-			}
+	stack = append(stack[:0], frame{n: t.Root, keyroot: true})
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.kid < len(f.n.Children) {
+			c, left := f.n.Children[f.kid], f.kid > 0
+			f.kid++
+			stack = append(stack, frame{n: c, keyroot: left})
+			continue
 		}
 		d.n++
-		d.label = append(d.label, n.Label)
-		if len(n.Children) == 0 {
-			d.lml = append(d.lml, d.n)
-		} else {
-			d.lml = append(d.lml, first)
+		lml := d.n
+		if len(f.n.Children) > 0 {
+			lml = f.first
 		}
-		return d.n
-	}
-	rec(t.Root)
-	// Keyroots: for each distinct leftmost-leaf value keep the largest
-	// postorder index having it.
-	last := make(map[int]int, d.n)
-	for i := 1; i <= d.n; i++ {
-		last[d.lml[i]] = i
-	}
-	for i := 1; i <= d.n; i++ {
-		if last[d.lml[i]] == i {
-			d.keyroots = append(d.keyroots, i)
+		d.label = append(d.label, f.n.Label)
+		d.lml = append(d.lml, lml)
+		if f.keyroot {
+			d.keyroots = append(d.keyroots, d.n)
+		}
+		stack = stack[:len(stack)-1]
+		if p := len(stack) - 1; p >= 0 && stack[p].kid == 1 {
+			stack[p].first = lml // n was its parent's first child
 		}
 	}
-	return d
+	return stack
 }
 
 // totalCost sums a per-label cost over every node, e.g. the cost of

@@ -6,21 +6,19 @@ import "sync"
 // DistanceWithin and EditScriptCost run it with different cutoffs and bands
 // (bounded.go says what the bands are and why they are sound). td and fd
 // are flat row-major (|T1|+1)×(|T2|+1) tables of stride w over 1-based
-// postorder indices, pooled with the per-pair cost and label-id arrays, so
-// a verification allocates nothing once the pool is warm.
+// postorder indices, pooled with the per-pair cost arrays, so a
+// verification allocates nothing once the pool is warm.
 type kernel struct {
 	a, b   *decomp
 	cost   CostModel
-	unit   bool // UnitCost: relabel compares interned ids, no interface call
+	unit   bool // UnitCost: relabel compares the decomps' label ids, no interface call
 	cutoff int
 	band   int   // cutoff / MinOpCost, or |T1|+|T2| for no restriction
 	w      int   // row stride of td and fd
 	cells  int64 // interior forest-distance cells filled so far
 
-	td, fd       []int            // td[x*w+y], fd[x*w+y]
-	dcost, icost []int            // Delete / Insert cost per node, ≤ unreachable
-	aid, bid     []int32          // interned labels, filled under UnitCost only
-	ids          map[string]int32 // the interning table, empty between pairs
+	td, fd       []int // td[x*w+y], fd[x*w+y]
+	dcost, icost []int // Delete / Insert cost per node, ≤ unreachable
 }
 
 // kernelPool recycles kernels; one whose tables exceed maxPooledCells (a
@@ -29,14 +27,15 @@ var kernelPool sync.Pool
 
 const maxPooledCells = 1 << 18
 
-// newKernel prepares a pooled kernel for one pair: costs and label ids are
-// filled once so the cell loop never calls Insert or Delete, and td gets
-// the sentinel wherever a subproblem may read it — a cell reads td at its
-// own coordinates, and cells obey |x−y| ≤ band.
+// newKernel prepares a pooled kernel for one pair — a and b labelled by
+// one Query's slots (decomp.id) — filling costs once so the cell loop
+// never calls Insert or Delete, and giving td the sentinel wherever a
+// subproblem may read it: a cell reads td at its own coordinates, and
+// cells obey |x−y| ≤ band.
 func newKernel(a, b *decomp, c CostModel, cutoff, band int) *kernel {
 	k, _ := kernelPool.Get().(*kernel)
 	if k == nil {
-		k = &kernel{ids: make(map[string]int32)}
+		k = new(kernel)
 	}
 	k.a, k.b, k.cost, k.cutoff, k.band, k.cells = a, b, c, cutoff, band, 0
 	k.w = b.n + 1
@@ -49,9 +48,7 @@ func newKernel(a, b *decomp, c CostModel, cutoff, band int) *kernel {
 	for y := 1; y <= b.n; y++ {
 		k.icost[y] = min(c.Insert(b.label[y]), unreachable)
 	}
-	if _, k.unit = c.(UnitCost); k.unit {
-		k.aid, k.bid = k.intern(a.label, k.aid), k.intern(b.label, k.bid)
-	}
+	_, k.unit = c.(UnitCost)
 	for x := 1; x <= a.n; x++ {
 		for y := max(1, x-band); y <= min(b.n, x+band); y++ {
 			k.td[x*k.w+y] = unreachable
@@ -64,7 +61,6 @@ func newKernel(a, b *decomp, c CostModel, cutoff, band int) *kernel {
 // release pools the kernel without the trees and, above the cap, not at all.
 func (k *kernel) release() {
 	k.a, k.b, k.cost = nil, nil, nil
-	clear(k.ids)
 	if cap(k.td) <= maxPooledCells {
 		kernelPool.Put(k)
 	}
@@ -75,20 +71,6 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// intern maps labels[1:] to small ids shared by both trees of the pair.
-func (k *kernel) intern(labels []string, out []int32) []int32 {
-	out = grow(out, len(labels))
-	for x := 1; x < len(labels); x++ {
-		id, ok := k.ids[labels[x]]
-		if !ok {
-			id = int32(len(k.ids))
-			k.ids[labels[x]] = id
-		}
-		out[x] = id
-	}
-	return out
 }
 
 // run solves every keyroot subproblem the global band admits and returns
@@ -124,7 +106,7 @@ func treeDist(k *kernel, i, j int) {
 	} else {
 		olo -= d
 	}
-	w, fd, td, icost, blml := k.w, k.fd, k.td, k.icost, b.lml
+	w, fd, td, icost, blml, aid, bid := k.w, k.fd, k.td, k.icost, b.lml, a.id, b.id
 	// Row li−1: the empty prefix of T1 against prefixes of T2 — inserts.
 	row := (li - 1) * w
 	hi := min(j, lj-1-olo)
@@ -164,7 +146,7 @@ func treeDist(k *kernel, i, j int) {
 				rel := 0
 				if !k.unit {
 					rel = min(k.cost.Relabel(a.label[x], b.label[y]), unreachable)
-				} else if k.aid[x] != k.bid[y] {
+				} else if aid[x] != bid[y] {
 					rel = 1
 				}
 				v = min(v, fd[prev+y-1]+rel, unreachable)

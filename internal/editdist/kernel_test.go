@@ -129,8 +129,9 @@ func TestKernelZeroAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	p := clusterPairs(t, bigSpec, 3, 1)[0]
-	a, b := decompose(p[0]), decompose(p[1])
 	for _, c := range bandModels(1) {
+		q := Prepare(p[0], WithCost(c))
+		a, b := q.d, new(scratch).decompose(p[1], q)
 		for _, cutoff := range []int{14, noCutoff} {
 			run := func() {
 				k := newKernel(a, b, c, cutoff, min(cutoff, a.n+b.n))
@@ -163,26 +164,33 @@ func TestKernelAboveCapNotPooled(t *testing.T) {
 		if cap(k.td) > maxPooledCells || cap(k.fd) > maxPooledCells {
 			t.Fatalf("pool holds tables of %d cells, cap is %d", cap(k.td), maxPooledCells)
 		}
-		if k.a != nil || k.b != nil || k.cost != nil || len(k.ids) != 0 {
+		if k.a != nil || k.b != nil || k.cost != nil {
 			t.Fatal("pooled kernel still references its last pair")
 		}
 	}
 }
 
-// TestKernelPoolConcurrent: the pool is shared by the refine workers of one
-// query and by concurrent queries; goroutines verifying different pairs at
-// different cutoffs at once must each get the sequential answer.
+// TestKernelPoolConcurrent: the pools are shared by the refine workers of
+// one query and by concurrent queries, and a refine worker shares its
+// query's Query with the others; goroutines verifying different pairs at
+// different cutoffs at once — through DistanceWithin and through one
+// shared Query per first tree — must each get the sequential answer.
 func TestKernelPoolConcurrent(t *testing.T) {
 	pairs := append(clusterPairs(t, midSpec, 9, 4), benchPairs(8)...)
 	cutoffs := []int{3, 9, noCutoff}
 	type answer struct {
 		d  int
 		ok bool
+		m  Metrics
 	}
 	want := make([]answer, len(pairs)*len(cutoffs))
 	for i := range want {
 		p := pairs[i/len(cutoffs)]
-		want[i].d, want[i].ok = DistanceWithin(p[0], p[1], cutoffs[i%len(cutoffs)])
+		want[i].d, want[i].ok = DistanceWithin(p[0], p[1], cutoffs[i%len(cutoffs)], WithMetrics(&want[i].m))
+	}
+	queries := make([]*Query, len(pairs))
+	for i, p := range pairs {
+		queries[i] = Prepare(p[0])
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -191,11 +199,16 @@ func TestKernelPoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 3*len(want); n++ {
 				i := (n*7 + g*11) % len(want)
-				p := pairs[i/len(cutoffs)]
-				d, ok := DistanceWithin(p[0], p[1], cutoffs[i%len(cutoffs)])
-				if (answer{d, ok}) != want[i] {
-					t.Errorf("pair %d cutoff %d: concurrent (%d,%v), sequential %+v",
-						i/len(cutoffs), cutoffs[i%len(cutoffs)], d, ok, want[i])
+				p, cutoff := pairs[i/len(cutoffs)], cutoffs[i%len(cutoffs)]
+				var got answer
+				if n%2 == 0 {
+					got.d, got.ok = DistanceWithin(p[0], p[1], cutoff, WithMetrics(&got.m))
+				} else {
+					got.d, got.ok = queries[i/len(cutoffs)].Within(p[1], cutoff, &got.m)
+				}
+				if got != want[i] {
+					t.Errorf("pair %d cutoff %d: concurrent %+v, sequential %+v",
+						i/len(cutoffs), cutoff, got, want[i])
 					return
 				}
 			}
@@ -266,43 +279,53 @@ func (s *fuzzSrc) edits(t *tree.Tree, k int) *tree.Tree {
 	return out
 }
 
-// fuzzInput encodes a pair as independent random-attachment trees (the
-// decoder's shape 2 reproduces any tree from its preorder parent list)
-// followed by the cutoff and cost-scale bytes.
-func fuzzInput(t1, t2 *tree.Tree, cutoff, scale int) []byte {
-	enc := func(t *tree.Tree) []byte {
-		nodes := t.PreOrder()
-		out := []byte{byte(len(nodes) + 2*25)}
-		parent := map[*tree.Node]int{}
-		for i, n := range nodes {
-			for _, c := range n.Children {
-				parent[c] = i
-			}
-			out = append(out, byte(strings.Index("abc", n.Label)+3*parent[n]))
+// fuzzTree encodes a tree for the decoder's shape 2, random attachment,
+// which reproduces any tree from its preorder parent list.
+func fuzzTree(t *tree.Tree) []byte {
+	nodes := t.PreOrder()
+	out := []byte{byte(len(nodes) + 2*25)}
+	parent := map[*tree.Node]int{}
+	for i, n := range nodes {
+		for _, c := range n.Children {
+			parent[c] = i
 		}
-		return out
+		out = append(out, byte(strings.Index("abc", n.Label)+3*parent[n]))
 	}
-	in := append(enc(t1), 0) // mode 0: second tree independent
-	in = append(in, enc(t2)...)
-	return append(in, byte(cutoff), byte(scale))
+	return out
+}
+
+// fuzzInput encodes a pair as independent trees followed by the cutoff and
+// cost-scale bytes; a third tree, when given, follows those.
+func fuzzInput(t1, t2 *tree.Tree, cutoff, scale int, t3 ...*tree.Tree) []byte {
+	in := append(fuzzTree(t1), 0) // mode 0: second tree independent
+	in = append(in, fuzzTree(t2)...)
+	in = append(in, byte(cutoff), byte(scale))
+	for _, t := range t3 {
+		in = append(in, fuzzTree(t)...)
+	}
+	return in
 }
 
 // FuzzDistanceWithin checks the DistanceWithin contract — ok ⇔ distance ≤
 // cutoff, d exact when ok, cutoff < d ≤ distance otherwise — on decoded
 // pairs under all three cost regimes, against brute force when both trees
-// are small enough and against the band-off kernel otherwise.
+// are small enough and against the band-off kernel otherwise. A third
+// decoded tree (empty when the input runs out) is the second candidate of
+// one Query prepared from the first tree, asked about t2, t3 and t2 again:
+// each answer and its Metrics must equal a fresh DistanceWithin's, which
+// catches scratch state one call leaves to the next.
 func FuzzDistanceWithin(f *testing.F) {
 	labels := fuzzLabels
 	for _, s := range []int{5, 6} { // positions shift by τ and τ+1 at cutoff 5
 		for _, farLeft := range []bool{true, false} {
 			t1, t2 := shiftPair(s, farLeft)
 			f.Add(fuzzInput(t1, t2, 5, 0))
-			f.Add(fuzzInput(t2, t1, 5, 1))
+			f.Add(fuzzInput(t2, t1, 5, 1, t1))
 		}
 	}
-	f.Add(fuzzInput(chain(12, labels), star(12, labels), 9, 0))
-	f.Add(fuzzInput(star(7, labels), chain(6, labels), 3, 2))
-	f.Add(fuzzInput(leftHeavy(21), rightHeavy(21), 12, 0))
+	f.Add(fuzzInput(chain(12, labels), star(12, labels), 9, 0, chain(11, labels)))
+	f.Add(fuzzInput(star(7, labels), chain(6, labels), 3, 2, star(8, labels)))
+	f.Add(fuzzInput(leftHeavy(21), rightHeavy(21), 12, 0, leftHeavy(19)))
 	f.Add(fuzzInput(rightHeavy(7), leftHeavy(7), 4, 3))
 	// 24 nodes by random attachment, then mode 7: three decoded edits of
 	// the first tree; cutoff 3, scale 1.
@@ -317,14 +340,30 @@ func FuzzDistanceWithin(f *testing.F) {
 			t2 = s.edits(t1, (mode/2)%6)
 		}
 		cutoff, scale := s.next()%64, s.next()%4
+		t3 := s.tree()
 		for _, c := range bandModels(scale) {
-			var full int
-			if t1.Size() <= 7 && t2.Size() <= 7 {
-				full = BruteForce(t1, t2, c)
-			} else {
-				full = Distance(t1, t2, WithCost(c))
+			reference := func(t2 *tree.Tree) int {
+				if t1.Size() <= 7 && t2.Size() <= 7 {
+					return BruteForce(t1, t2, c)
+				}
+				return Distance(t1, t2, WithCost(c))
 			}
+			full := reference(t2)
 			checkWithinRef(t, t1, t2, cutoff, full, WithCost(c))
+			q := Prepare(t1, WithCost(c))
+			for _, cand := range []*tree.Tree{t2, t3, t2} {
+				var m, want Metrics
+				wd, wok := DistanceWithin(t1, cand, cutoff, WithCost(c), WithMetrics(&want))
+				zeroKernelPool()
+				d, ok := q.Within(cand, cutoff, &m)
+				if d != wd || ok != wok || m != want {
+					t.Fatalf("Query(%q).Within(%q, %d) = (%d, %v, %+v), DistanceWithin = (%d, %v, %+v)",
+						t1, cand, cutoff, d, ok, m, wd, wok, want)
+				}
+				if cand == t3 {
+					checkVerdict(t, t1, t3, cutoff, reference(t3), d, ok)
+				}
+			}
 		}
 	})
 }

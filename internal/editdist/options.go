@@ -3,9 +3,10 @@ package editdist
 import "math"
 
 // Functional options for the distance entry points, mirroring the style of
-// search.NewIndex: Distance and DistanceWithin take a variadic tail of
-// Options selecting the cost model, the cutoff, and an optional metrics
-// sink. The zero configuration is the paper's: unit costs, no cutoff.
+// search.NewIndex: Distance, DistanceWithin and Prepare take a variadic
+// tail of Options selecting the cost model, the cutoff, and an optional
+// metrics sink (which Prepare leaves to Within's argument). The zero
+// configuration is the paper's: unit costs, no cutoff.
 
 // noCutoff marks "no threshold": with this cutoff the entry points run the
 // plain, unbounded Zhang–Shasha program. Any cutoff at or above
@@ -21,7 +22,7 @@ type config struct {
 	metrics *Metrics
 }
 
-// Option configures one Distance or DistanceWithin call.
+// Option configures one Distance, DistanceWithin or Prepare call.
 type Option interface {
 	apply(*config)
 }

@@ -118,7 +118,9 @@ func EditScript(t1, t2 *tree.Tree) *Script {
 // model, by backtracing the Zhang–Shasha dynamic program. Its cost always
 // equals Distance(t1, t2, WithCost(c)).
 func EditScriptCost(t1, t2 *tree.Tree, c CostModel) *Script {
-	a, b := decompose(t1), decompose(t2)
+	q := Prepare(t1, WithCost(c))
+	a := q.d
+	b := new(scratch).decompose(t2, q)
 	s := &Script{}
 	if a.n == 0 || b.n == 0 {
 		for i := 1; i <= a.n; i++ {

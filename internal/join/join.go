@@ -6,7 +6,8 @@
 // edit distance τ. The nested-loop join evaluates |R|·|S| exact distances;
 // here the binary branch lower bound (Sections 3–4) prunes a pair unless
 // its optimistic bound is ≤ τ, and only survivors pay the Zhang–Shasha
-// distance. Results are exact.
+// distance, verified against the outer row's tree prepared once
+// (editdist.Prepare). Results are exact.
 package join
 
 import (
@@ -54,12 +55,13 @@ func SelfJoin(ts []*tree.Tree, tau int, opts Options) ([]Pair, Stats) {
 	var verified int64
 	parallelFor(len(ts), opts.Workers, func(i int) {
 		var local []Pair
+		q := editdist.Prepare(ts[i], editdist.WithCost(cost))
 		for j := i + 1; j < len(ts); j++ {
 			if branch.RangeLowerBound(profiles[i], profiles[j], tau) > tau {
 				continue
 			}
 			atomic.AddInt64(&verified, 1)
-			if d, ok := editdist.DistanceWithin(ts[i], ts[j], tau, editdist.WithCost(cost)); ok {
+			if d, ok := q.Within(ts[j], tau, nil); ok {
 				local = append(local, Pair{R: i, S: j, Dist: d})
 			}
 		}
@@ -97,12 +99,13 @@ func Join(rs, ss []*tree.Tree, tau int, opts Options) ([]Pair, Stats) {
 	var verified int64
 	parallelFor(len(rs), opts.Workers, func(i int) {
 		var local []Pair
+		q := editdist.Prepare(rs[i], editdist.WithCost(cost))
 		for j := range ss {
 			if branch.RangeLowerBound(rp[i], sp[j], tau) > tau {
 				continue
 			}
 			atomic.AddInt64(&verified, 1)
-			if d, ok := editdist.DistanceWithin(rs[i], ss[j], tau, editdist.WithCost(cost)); ok {
+			if d, ok := q.Within(ss[j], tau, nil); ok {
 				local = append(local, Pair{R: i, S: j, Dist: d})
 			}
 		}

@@ -54,13 +54,15 @@ import (
 //     threshold, which never rises and ends at the final k-th distance —
 //     by the lower-bound property such a tree cannot be in the answer.
 //
-// The refine stage is threshold-bounded: every verification runs through
-// editdist.DistanceWithin against the live cutoff (τ, or the k-NN atomic
-// threshold), so most false positives are disproven by an O(n) pre-check
-// or an early-abandoned banded DP instead of the full program. This never
-// changes results — a distance proven above the cutoff can't enter the
-// answer — only the work: see the verifier type and the bounded-refine
-// invariance tests, which hold it to an unbounded sequential scan.
+// The refine stage is threshold-bounded: the query is prepared once per
+// request (editdist.Prepare) and every verification is a Query.Within
+// against the live cutoff (τ, or the k-NN atomic threshold), so most false
+// positives are disproven by the O(n) pre-checks — one allocation-free walk
+// of the candidate, which is not decomposed — or by an early-abandoned
+// banded DP instead of the full program. This never changes results — a
+// distance proven above the cutoff can't enter the answer — only the work:
+// see the verifier type and the bounded-refine invariance tests, which
+// hold it to an unbounded sequential scan.
 //
 // Stats.Verified (and therefore FalsePositives and Tightness) for k-NN can
 // vary with worker timing — opportunistic pruning means a fast machine may
@@ -356,10 +358,9 @@ func (sc *knnScan) boundDist() BoundDist {
 // threshold only ever decreases, so a stale value is merely a looser
 // (still correct) cutoff.
 type verifier struct {
-	cut     *qcut
-	q       *tree.Tree
-	cutoff  func() int
-	costOpt editdist.Option
+	cut    *qcut
+	q      *editdist.Query
+	cutoff func() int
 
 	verified    atomic.Int64
 	aborted     atomic.Int64
@@ -368,11 +369,10 @@ type verifier struct {
 	dpCellsFull atomic.Int64
 }
 
+// newVerifier prepares the query once for every verification of the
+// request; the workers share it read-only.
 func (ix *Index) newVerifier(cut *qcut, q *tree.Tree, cutoff func() int) *verifier {
-	return &verifier{
-		cut: cut, q: q, cutoff: cutoff,
-		costOpt: editdist.WithCost(ix.cost),
-	}
+	return &verifier{cut: cut, q: editdist.Prepare(q, editdist.WithCost(ix.cost)), cutoff: cutoff}
 }
 
 // verify computes the edit distance between the query and the tree at
@@ -385,7 +385,7 @@ func (v *verifier) verify(pos int) (si, local, gid, d int, within bool) {
 	t := v.cut.treeOf(si, local)
 	v.verified.Add(1)
 	var m editdist.Metrics
-	d, within = editdist.DistanceWithin(v.q, t, v.cutoff(), v.costOpt, editdist.WithMetrics(&m))
+	d, within = v.q.Within(t, v.cutoff(), &m)
 	if !within {
 		if m.Precheck {
 			v.prechecked.Add(1)

@@ -48,38 +48,47 @@ func (t *Tree) IsEmpty() bool { return t == nil || t.Root == nil }
 
 // Size returns |T|, the number of nodes in the tree.
 func (t *Tree) Size() int {
-	if t.IsEmpty() {
-		return 0
-	}
-	return subtreeSize(t.Root)
-}
-
-func subtreeSize(n *Node) int {
-	s := 1
-	for _, c := range n.Children {
-		s += subtreeSize(c)
-	}
-	return s
+	size, _ := t.shape()
+	return size
 }
 
 // Height returns the number of nodes on the longest root-to-leaf path.
 // The empty tree has height 0; a single node has height 1.
 func (t *Tree) Height() int {
-	if t.IsEmpty() {
-		return 0
-	}
-	return nodeHeight(t.Root)
+	_, height := t.shape()
+	return height
 }
 
-// nodeHeight returns the height (in nodes) of the subtree rooted at n.
-func nodeHeight(n *Node) int {
-	h := 0
-	for _, c := range n.Children {
-		if ch := nodeHeight(c); ch > h {
-			h = ch
+// shape returns the node count and the height of the tree in one
+// depth-first walk. The walk keeps its own stack of inner nodes, so a
+// tree's depth costs heap (and nothing for trees up to 32 deep), not
+// goroutine stack.
+func (t *Tree) shape() (size, height int) {
+	if t.IsEmpty() {
+		return 0, 0
+	}
+	type frame struct {
+		n   *Node
+		kid int // next child to visit
+	}
+	var buf [32]frame
+	stack := append(buf[:0], frame{n: t.Root})
+	size, height = 1, 1
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.kid == len(f.n.Children) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		c := f.n.Children[f.kid]
+		f.kid++
+		size++
+		height = max(height, len(stack)+1)
+		if len(c.Children) > 0 {
+			stack = append(stack, frame{n: c})
 		}
 	}
-	return h + 1
+	return size, height
 }
 
 // Leaves returns the number of leaf nodes in the tree.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"treesim/internal/tree"
-	"treesim/internal/vector"
 )
 
 func paperT1() *tree.Tree { return tree.MustParse("a(b(c,d),b(c,d),e)") }
@@ -36,21 +35,21 @@ func TestNewSpaceRejectsQ1(t *testing.T) {
 }
 
 // vectorOf materializes the sparse branch vector BRV_q(T) of Definition 3
-// from a profile's flat arrays.
-func vectorOf(p *Profile) *vector.Sparse {
-	b := vector.NewBuilder()
+// from a profile's flat arrays, as a map from dimension to its non-zero
+// count.
+func vectorOf(p *Profile) map[Dim]int {
+	v := make(map[Dim]int, p.NonZero())
 	for i, d := range p.Dims() {
-		b.Add(uint32(d), p.Count(i))
+		v[d] += p.Count(i)
 	}
-	return b.MustVector()
+	return v
 }
 
 // branchSet returns the multiset of branch label-sequences of a profile.
 func branchSet(p *Profile) map[string]int {
 	out := make(map[string]int)
-	for _, e := range vectorOf(p).Elems() {
-		key := p.Space().Key(Dim(e.Dim))
-		out[join(KeyLabels(key))] = e.Count
+	for d, c := range vectorOf(p) {
+		out[join(KeyLabels(p.Space().Key(d)))] = c
 	}
 	return out
 }
@@ -153,8 +152,10 @@ func TestProfileCountsSumToSize(t *testing.T) {
 		s := NewSpace(q)
 		for _, tr := range []*tree.Tree{paperT1(), paperT2(), tree.MustParse("x"), tree.New(nil)} {
 			p := s.Profile(tr)
-			// The L1 distance to the zero vector is the sum of the counts.
-			sum := vector.L1(vectorOf(p), &vector.Sparse{})
+			sum := 0
+			for _, c := range vectorOf(p) {
+				sum += c
+			}
 			if sum != tr.Size() || p.Size != tr.Size() {
 				t.Errorf("q=%d %q: branch count %d, size %d, want %d",
 					q, tr, sum, p.Size, tr.Size())

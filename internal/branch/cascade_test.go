@@ -9,53 +9,69 @@ import (
 	"treesim/internal/editdist"
 	"treesim/internal/invfile"
 	"treesim/internal/tree"
-	"treesim/internal/vector"
 )
 
-// The reference the flat layout is held to: the pointer-per-vector,
-// pointer-per-occurrence-list profile the flat arrays replaced, built
-// straight from Space.Branches, with every derived quantity computed the
-// slow obvious way — L1 by the vector package, the positional matching by
-// augmenting paths only (never the greedy sweeps), SearchLBound by a linear
-// scan of pr (never the binary search).
+// The reference the flat layout is held to: a map from each branch to its
+// occurrence list, built straight from Space.Branches, with every derived
+// quantity computed the slow obvious way — L1 over the maps' counts, the
+// positional matching by augmenting paths only (never the greedy sweeps),
+// SearchLBound by a linear scan of pr (never the binary search).
 
 type refProfile struct {
 	size int
-	vec  *vector.Sparse
-	pos  [][]branch.Occurrence // parallel to vec.Elems()
+	pos  map[branch.Dim][]branch.Occurrence // a branch's count is its list's length
 }
 
 func refOf(s *branch.Space, t *tree.Tree) *refProfile {
-	occs := make(map[uint32][]branch.Occurrence)
-	b := vector.NewBuilder()
-	size := s.Branches(t, func(dim branch.Dim, pre, post int32) {
-		d := uint32(dim)
-		b.Inc(d)
-		occs[d] = append(occs[d], branch.Occurrence{Pre: pre, Post: post})
+	p := &refProfile{pos: make(map[branch.Dim][]branch.Occurrence)}
+	p.size = s.Branches(t, func(d branch.Dim, pre, post int32) {
+		p.pos[d] = append(p.pos[d], branch.Occurrence{Pre: pre, Post: post})
 	})
-	p := &refProfile{size: size, vec: b.MustVector()}
-	for _, e := range p.vec.Elems() {
-		p.pos = append(p.pos, occs[e.Dim])
-	}
 	return p
 }
 
-func refBDist(a, b *refProfile) int { return vector.L1(a.vec, b.vec) }
+// refBDist is the L1 distance of the two branch vectors.
+func refBDist(a, b *refProfile) int {
+	l1 := 0
+	for d, occ := range a.pos {
+		l1 += abs(len(occ) - len(b.pos[d]))
+	}
+	for d, occ := range b.pos {
+		if _, ok := a.pos[d]; !ok {
+			l1 += len(occ)
+		}
+	}
+	return l1
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// TestRefBDistPaperPair anchors the reference itself to the hand-computed
+// vectors of Fig. 3: L1 distance 9, 0 to itself, and T1's node count to
+// the empty tree.
+func TestRefBDistPaperPair(t *testing.T) {
+	s := branch.NewSpace(2)
+	t1 := refOf(s, tree.MustParse("a(b(c,d),b(c,d),e)"))
+	t2 := refOf(s, tree.MustParse("a(b(c,d,b(e)),c,d,e)"))
+	empty := refOf(s, tree.New(nil))
+	if d := refBDist(t1, t2); d != 9 || refBDist(t2, t1) != 9 {
+		t.Errorf("reference BDist(T1,T2) = %d, want 9 both ways", d)
+	}
+	if refBDist(t1, t1) != 0 || refBDist(t1, empty) != 8 {
+		t.Errorf("reference BDist: T1 to itself %d, to empty %d; want 0 and 8",
+			refBDist(t1, t1), refBDist(t1, empty))
+	}
+}
 
 func refPosBDist(a, b *refProfile, pr int) int {
 	matched := 0
-	ae, be := a.vec.Elems(), b.vec.Elems()
-	for i, j := 0, 0; i < len(ae) && j < len(be); {
-		switch {
-		case ae[i].Dim < be[j].Dim:
-			i++
-		case ae[i].Dim > be[j].Dim:
-			j++
-		default:
-			matched += kuhn(a.pos[i], b.pos[j], pr)
-			i++
-			j++
-		}
+	for d, occ := range a.pos {
+		matched += kuhn(occ, b.pos[d], pr)
 	}
 	return a.size + b.size - 2*matched
 }

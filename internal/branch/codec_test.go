@@ -2,12 +2,12 @@ package branch
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"testing"
 
 	"treesim/internal/datagen"
 	"treesim/internal/tree"
-	"treesim/internal/vector"
 )
 
 func codecDataset() []*tree.Tree {
@@ -42,7 +42,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%d profiles, want %d", len(ps2), len(ps))
 		}
 		for i := range ps {
-			if ps[i].Size != ps2[i].Size || !vector.Equal(vectorOf(ps[i]), vectorOf(ps2[i])) {
+			if ps[i].Size != ps2[i].Size || !maps.Equal(vectorOf(ps[i]), vectorOf(ps2[i])) {
 				t.Fatalf("profile %d vector changed", i)
 			}
 			for j := 0; j < ps[i].NonZero(); j++ {

@@ -8,8 +8,9 @@ import (
 
 // Threshold-bounded verification: what makes the kernel (kernel.go)
 // cutoff-aware, for callers that only need a yes/no against a threshold
-// (refine: τ for range queries, the running k-th-best for k-NN). Three
-// mechanisms, in escalating cost:
+// (refine: τ for range queries, the running k-th-best for k-NN), and what
+// lets a call with no threshold borrow one. Four mechanisms, the first
+// three in escalating cost:
 //
 //  1. O(n) pre-checks. Size delta, height delta, and label-histogram L1
 //     delta are each admissible lower bounds on the number of edit
@@ -43,6 +44,18 @@ import (
 //     some cell of that row. The subproblem is abandoned; the tree-distance
 //     entries it never wrote keep the `unreachable` sentinel.
 //
+//  4. The doubling search, for a call with no cutoff (Distance, and a k-NN
+//     query's first k verifications). It guesses a band k in operations —
+//     the larger of the pre-check's bound over cmin and the unit-cost
+//     string edit distance of the two postorder label sequences (Guha et
+//     al.: a Tai mapping preserves postorder, so it aligns those sequences
+//     with no more operations) — and runs the kernel at band k with the
+//     largest cutoff that band admits, (k+1)·cmin − 1, doubling k until a
+//     run returns a value within its cutoff. The candidate is decomposed
+//     once; only the kernel reruns. Past band (|q|+|t|)/searchSpan the
+//     failed runs would cost more than the band saves — unrelated pairs
+//     sit there — so the search hands the pair to the band-off program.
+//
 // Soundness: the restricted program minimizes over a subset of edit paths
 // (each still a valid mapping), so it never underestimates; and the path of
 // a mapping of cost ≤ cutoff — through the root subproblem and, recursively,
@@ -53,7 +66,12 @@ import (
 // cutoff but may overshoot it, so bounded calls certify only `cutoff+1`.
 // The bands and the pre-checks need a positive per-operation minimum cost
 // (see MinOpCoster); without one the band is |T1|+|T2|, which restricts
-// nothing, and only row abandoning — sound for any costs ≥ 0 — remains.
+// nothing, and only row abandoning — sound for any costs ≥ 0 — remains, and
+// a call with no cutoff is one band-off run. The search (4) returns only a
+// value some run certified within that run's cutoff, which the argument
+// above makes exact, or the band-off run's, which restricts nothing; its
+// guess only decides how many runs it takes, so its answers are the
+// band-off program's.
 
 // unreachable is the sentinel for "no mapping at or below the cutoff
 // reaches this cell". It is far enough from the int ceiling that adding
@@ -64,9 +82,9 @@ const unreachable = int(^uint(0)>>1) / 4 // math.MaxInt / 4
 // MinOpCoster is an optional CostModel capability: a uniform lower bound
 // (≥ 1) on the cost of every single edit operation — every insert, every
 // delete, and every relabel between distinct labels. Models reporting it
-// unlock the pre-checks and the two bands of the bounded distance;
-// models without it still get frontier-row abandoning, which is sound for
-// any non-negative costs.
+// unlock the pre-checks, the two bands of the bounded distance and the
+// doubling search of an unbounded one; models without it still get
+// frontier-row abandoning, which is sound for any non-negative costs.
 type MinOpCoster interface {
 	MinOpCost() int
 }
@@ -114,14 +132,86 @@ func abs(x int) int {
 	return x
 }
 
+// searchSpan sets where the doubling search stops: a band wider than
+// (|q|+|t|)/searchSpan costs enough of the full program that, on unrelated
+// pairs, the failed attempts before it would outweigh what it saves.
+const searchSpan = 8
+
+// search is mechanism 4 for a pair with no cutoff: starting from the
+// larger of the pre-check's and the postorder sequences' lower bounds, in
+// operations, it runs the kernel at band k with the largest cutoff that
+// band admits, (k+1)·cmin − 1, doubling k until a run certifies its cutoff.
+// It returns (d, true) with that run's exact distance, or false once the
+// band would pass top = (|q|+|t|)/searchSpan, the last band tried, leaving
+// the pair to the band-off program. Each run's cells are added to m.
+func (q *Query) search(s *scratch, b *decomp, lb int, m *Metrics) (int, bool) {
+	top := (q.d.n + b.n) / searchSpan
+	k := max(1, lb/q.cmin)
+	if k > top || q.cmin > unreachable/(top+1) {
+		return 0, false
+	}
+	for k = max(k, s.postorderDist(q.d, b, top)); k <= top; k = min(2*k, top) {
+		cutoff := (k+1)*q.cmin - 1
+		if d := q.run(b, cutoff, k, m); d <= cutoff {
+			return d, true
+		}
+		if k == top {
+			break
+		}
+	}
+	return 0, false
+}
+
+// postorderDist returns the unit-cost edit distance between the postorder
+// label sequences of a and b — Guha et al.'s lower bound on the number of
+// tree edit operations, since a Tai mapping preserves postorder — or k+1
+// when it exceeds k. It fills only the band |x−y| ≤ k, two rows at a time,
+// comparing the query's label slots, so labels b has and a lacks (slot −1)
+// never match.
+func (s *scratch) postorderDist(a, b *decomp, k int) int {
+	if abs(a.n-b.n) > k {
+		return k + 1
+	}
+	s.rows = grow(s.rows, 2*(b.n+2))
+	prev, cur := s.rows[:b.n+2], s.rows[b.n+2:]
+	for y := 0; y <= b.n; y++ {
+		prev[y] = min(y, k+1)
+	}
+	for x := 1; x <= a.n; x++ {
+		lo, hi := max(1, x-k), min(b.n, x+k)
+		cur[lo-1] = k + 1 // outside the band, or column 0 below
+		if lo == 1 {
+			cur[0] = min(x, k+1)
+		}
+		rowMin := cur[lo-1]
+		for y := lo; y <= hi; y++ {
+			v := prev[y-1]
+			if a.id[x] != b.id[y] {
+				v++
+			}
+			v = min(v, prev[y]+1, cur[y-1]+1, k+1)
+			cur[y] = v
+			rowMin = min(rowMin, v)
+		}
+		cur[hi+1] = k + 1 // the next row reads one cell past this one's band
+		if rowMin > k {
+			return k + 1
+		}
+		prev, cur = cur, prev
+	}
+	return prev[b.n]
+}
+
 // scratch is one Within call's working memory, pooled: the walk's stack,
-// the candidate's per-slot label counts, and the candidate's
-// decomposition, filled only for a pair that survives the pre-checks.
+// the candidate's per-slot label counts, the candidate's decomposition,
+// filled only for a pair that survives the pre-checks, and the search's
+// two sequence rows.
 type scratch struct {
 	stack   []frame
 	seen    []int32 // per query slot: the candidate's count so far; zero between calls
 	touched []int32 // the slots seen is non-zero at
 	t       decomp
+	rows    []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -135,7 +225,7 @@ func (s *scratch) release() {
 	clear(s.stack[:cap(s.stack)])
 	clear(s.t.label)
 	s.t.label = s.t.label[:0]
-	if max(cap(s.stack), cap(s.seen), cap(s.t.label)) <= maxPooledNodes {
+	if max(cap(s.stack), cap(s.seen), cap(s.t.label), cap(s.rows)/2) <= maxPooledNodes {
 		scratchPool.Put(s)
 	}
 }

@@ -3,6 +3,7 @@ package editdist
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,17 +14,43 @@ import (
 )
 
 // checkWithin asserts the DistanceWithin contract for one (pair, cutoff):
-// agreement with the full distance when within, a certified lower bound
-// otherwise. On the way it holds the band-off kernel to its accounting:
-// the cells it counts are exactly the closed-form FullCells.
+// agreement with the band-off program's distance when within, a certified
+// lower bound otherwise. On the way it holds Distance, the doubling search,
+// to the same distance and to its accounting (checkSearch).
 func checkWithin(t *testing.T, t1, t2 *tree.Tree, cutoff int, opts ...Option) {
 	t.Helper()
-	var m Metrics
-	full := Distance(t1, t2, append(opts[:len(opts):len(opts)], WithMetrics(&m))...)
-	if m.Cells != m.FullCells {
-		t.Fatalf("Distance(%q,%q) counted %d cells, FullCells is %d", t1, t2, m.Cells, m.FullCells)
-	}
+	c := applyOptions(opts).cost
+	full := EditScriptCost(t1, t2, c).Cost
+	checkSearch(t, t1, t2, c, full)
 	checkWithinRef(t, t1, t2, cutoff, full, opts...)
+}
+
+// checkSearch asserts the no-cutoff contract against the band-off
+// program's distance full: Distance returns it exactly, flags neither a
+// pre-check nor an abort, and counts at most searchCells worth of cells —
+// under a model without a per-operation minimum, which runs the band-off
+// program once, exactly the closed-form FullCells.
+func checkSearch(t *testing.T, t1, t2 *tree.Tree, c CostModel, full int) {
+	t.Helper()
+	var m Metrics
+	d := Distance(t1, t2, WithCost(c), WithMetrics(&m))
+	limit := m.FullCells
+	if MinOpCost(c) >= 1 {
+		limit = searchCells(t1.Size()+t2.Size(), m.FullCells)
+	}
+	if d != full || m.Precheck || m.Aborted || m.Cells > limit ||
+		(MinOpCost(c) == 0 && m.Cells != m.FullCells) {
+		t.Fatalf("%T: Distance(%q,%q) = %d with %+v; band-off program %d, cells at most %d",
+			c, t1, t2, d, m, full, limit)
+	}
+}
+
+// searchCells is the Metrics.Cells bound of options.go for a no-cutoff
+// call on trees of n nodes together: one banded run per doubling below band
+// n/searchSpan and one at it, none counting more than FullCells, then the
+// band-off run.
+func searchCells(n int, fullCells int64) int64 {
+	return int64(bits.Len(uint(n/searchSpan))+2) * fullCells
 }
 
 // checkWithinRef is checkWithin against a reference distance computed by
@@ -77,8 +104,8 @@ func TestDistanceWithinAgainstBruteForce(t *testing.T) {
 		t1 := smallRandomTree(rng, 7, alphabet)
 		t2 := smallRandomTree(rng, 7, alphabet)
 		bf := BruteForce(t1, t2, UnitCost{})
-		if full := Distance(t1, t2); full != bf {
-			t.Fatalf("trial %d: Distance(%q,%q) = %d, brute force = %d", trial, t1, t2, full, bf)
+		if full := EditScript(t1, t2).Cost; full != bf {
+			t.Fatalf("trial %d: band-off distance(%q,%q) = %d, brute force = %d", trial, t1, t2, full, bf)
 		}
 		for cutoff := 0; cutoff <= bf+3; cutoff++ {
 			checkWithin(t, t1, t2, cutoff)
@@ -133,7 +160,7 @@ func TestDistanceWithinRandomDatasets(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		t1 := ts[rng.Intn(len(ts))]
 		t2 := ts[rng.Intn(len(ts))]
-		full := Distance(t1, t2)
+		full := EditScript(t1, t2).Cost
 		for _, cutoff := range []int{0, 1, full / 2, full - 1, full, full + 1, full + 10} {
 			if cutoff < 0 {
 				continue
@@ -178,7 +205,7 @@ func TestDistanceWithinAdversarialShapes(t *testing.T) {
 	}
 	for _, t1 := range shapes {
 		for _, t2 := range shapes {
-			full := Distance(t1, t2)
+			full := EditScript(t1, t2).Cost
 			for _, cutoff := range []int{0, 2, full - 1, full, full + 1} {
 				if cutoff < 0 {
 					continue
@@ -200,16 +227,31 @@ func TestDistanceWithinAdversarialShapes(t *testing.T) {
 	}
 }
 
+// TestSearchIgnoresUncertifiedRuns: on this pair the search's first
+// banded run, at band and cutoff 2, returns 5 — more than its cutoff, and
+// more than the distance, 4. Only a certified value may be returned, so
+// the search must go on to the band-off run and answer 4.
+func TestSearchIgnoresUncertifiedRuns(t *testing.T) {
+	t1, t2 := tree.MustParse("a(a(a(a),a(a),a))"), tree.MustParse("a(a,a(a),a(a),c,a(b))")
+	q := Prepare(t1)
+	b := new(scratch).decompose(t2, q)
+	if d := q.run(b, 2, 2, new(Metrics)); d != 5 {
+		t.Fatalf("banded run at cutoff 2 = %d, want the overshoot 5", d)
+	}
+	checkSearch(t, t1, t2, UnitCost{}, 4)
+}
+
 // chainOf builds a single path carrying exactly the given labels, root
 // to leaf.
 func chainOf(labels []string) *tree.Tree {
 	return tree.MustParse(strings.Join(labels, "(") + strings.Repeat(")", len(labels)-1))
 }
 
-// TestDistanceWithinMetrics pins the accounting contract: full calls
-// touch exactly FullCells, bounded calls strictly fewer on prunable
-// pairs, and the Precheck/Aborted flags identify how a rejection was
-// proven.
+// TestDistanceWithinMetrics pins the accounting contract: a call with no
+// cutoff is exact, unflagged and — the search certifying a small cutoff —
+// touches fewer than FullCells on this close pair, bounded calls touch
+// strictly fewer on prunable pairs, and the Precheck/Aborted flags
+// identify how a rejection was proven.
 func TestDistanceWithinMetrics(t *testing.T) {
 	// Two chains with the same label multiset (two interior labels
 	// swapped): identical size, height and histogram defeat every
@@ -223,16 +265,15 @@ func TestDistanceWithinMetrics(t *testing.T) {
 	t1 := chainOf(labs1)
 	t2 := chainOf(labs2)
 
-	var full Metrics
-	d := Distance(t1, t2, WithMetrics(&full))
+	d := EditScript(t1, t2).Cost
 	if d == 0 {
 		t.Fatal("permuted chains at distance 0")
 	}
-	if full.Cells != full.FullCells || full.Cells == 0 {
-		t.Fatalf("full call: cells %d, full cells %d; want equal and non-zero", full.Cells, full.FullCells)
-	}
-	if full.Precheck || full.Aborted {
-		t.Fatalf("full call flagged precheck=%v aborted=%v", full.Precheck, full.Aborted)
+	checkSearch(t, t1, t2, UnitCost{}, d)
+	var full Metrics
+	Distance(t1, t2, WithMetrics(&full))
+	if full.Cells == 0 || full.Cells >= full.FullCells {
+		t.Fatalf("no cutoff: touched %d of %d cells, want strictly fewer (and some)", full.Cells, full.FullCells)
 	}
 
 	var m Metrics
@@ -270,7 +311,9 @@ func TestDistanceWithinMetrics(t *testing.T) {
 // workloads with refine-realistic cutoffs, the bounded program must touch
 // well under half of the full program's cells on small random pairs, and —
 // the global positional band's contribution — under 15 % on knn_bigtree's
-// 150-node within-cluster pairs at the cutoff its queries settle at.
+// 150-node within-cluster pairs at the cutoff its queries settle at, and
+// with no cutoff at all (a k-NN query's first k verifications), where the
+// doubling search does the bounding.
 func TestDistanceWithinCellsGate(t *testing.T) {
 	spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1, SizeMean: 20, SizeStd: 6, Labels: 6, Decay: 0.1}
 	ts := datagen.New(spec, 23).Dataset(30, 5)
@@ -280,14 +323,16 @@ func TestDistanceWithinCellsGate(t *testing.T) {
 			small = append(small, [2]*tree.Tree{ts[i], ts[j]})
 		}
 	}
+	big := clusterPairs(t, bigSpec, 11, 8)
 	for _, g := range []struct {
 		name     string
 		pairs    [][2]*tree.Tree
 		cutoff   int
 		maxShare float64
 	}{
-		{"small random pairs", small, 4, 0.50},
-		{"150-node cluster pairs", clusterPairs(t, bigSpec, 11, 8), 14, 0.15},
+		{"small random pairs, τ=4", small, 4, 0.50},
+		{"150-node cluster pairs, τ=14", big, 14, 0.15},
+		{"150-node cluster pairs, no cutoff", big, noCutoff, 0.15},
 	} {
 		var touched, fullTotal int64
 		for _, p := range g.pairs {
@@ -297,10 +342,10 @@ func TestDistanceWithinCellsGate(t *testing.T) {
 			fullTotal += m.FullCells
 		}
 		if share := float64(touched) / float64(fullTotal); share >= g.maxShare {
-			t.Errorf("%s, τ=%d: touched %d of %d full cells (%.1f%%); want < %.0f%%",
-				g.name, g.cutoff, touched, fullTotal, 100*share, 100*g.maxShare)
+			t.Errorf("%s: touched %d of %d full cells (%.1f%%); want < %.0f%%",
+				g.name, touched, fullTotal, 100*share, 100*g.maxShare)
 		} else {
-			t.Logf("%s, τ=%d: %.1f%% of full cells", g.name, g.cutoff, 100*share)
+			t.Logf("%s: %.1f%% of full cells", g.name, 100*share)
 		}
 	}
 }
@@ -350,27 +395,48 @@ func benchPairs(n int) [][2]*tree.Tree {
 	return pairs
 }
 
+// farPairs pairs the seed trees of distinct clusters of a benchmark
+// dataset spec: unrelated trees of the same size and label alphabet.
+func farPairs(tb testing.TB, spec string, seed int64, n int) [][2]*tree.Tree {
+	tb.Helper()
+	sp, err := datagen.ParseSpec(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := datagen.New(sp, seed)
+	pairs := make([][2]*tree.Tree, n)
+	for i := range pairs {
+		pairs[i] = [2]*tree.Tree{g.Seed(), g.Seed()}
+	}
+	return pairs
+}
+
 // BenchmarkDistanceWithin is the editdist rung; an op is one verified pair,
 // so ns/op and B/op are per pair. DistanceWithin (preparing the first tree
-// per pair) on small refine-sized pairs at a realistic cutoff, and on
-// knn_bigtree's 150-node within-cluster pairs at a tight cutoff, at the
-// cutoff its queries settle at, and with none (a k-NN query's first k
-// verifications); then what mixed_rw's refine stage does — one prepared
-// DBLP record against 10 000 records at τ=4, most of them rejected by the
-// pre-checks — and what preparing a record costs once per request. Each
-// verifying case reports DP cells per pair and, when there are any, time
-// per cell.
+// per pair) on small refine-sized pairs at a realistic cutoff and with none,
+// and on knn_bigtree's 150-node within-cluster pairs at a tight cutoff, at
+// the cutoff its queries settle at, and with none (a k-NN query's first k
+// verifications, where the doubling search runs); unrelated 150-node pairs
+// with no cutoff are the search's worst case, which its fall-back to the
+// band-off program holds near that program's cost. Then what mixed_rw's
+// refine stage does — one prepared DBLP record against 10 000 records at
+// τ=4, most of them rejected by the pre-checks — and what preparing a
+// record costs once per request. Each verifying case reports DP cells per
+// pair and, when there are any, time per cell.
 func BenchmarkDistanceWithin(b *testing.B) {
 	big := clusterPairs(b, bigSpec, 11, 8)
+	small := benchPairs(64)
 	for _, bc := range []struct {
 		name   string
 		pairs  [][2]*tree.Tree
 		cutoff int
 	}{
-		{"small/τ=6", benchPairs(64), 6},
+		{"small/τ=6", small, 6},
+		{"small/full", small, math.MaxInt},
 		{"big/τ=3", big, 3},
 		{"big/τ=14", big, 14},
 		{"big/full", big, math.MaxInt},
+		{"far/full", farPairs(b, bigSpec, 11, 16), math.MaxInt},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			benchVerify(b, func(i int, m *Metrics) {
@@ -406,18 +472,4 @@ func benchVerify(b *testing.B, verify func(i int, m *Metrics)) {
 	if cells > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
 	}
-}
-
-// BenchmarkDistanceFull is the unbounded baseline over the same workload.
-func BenchmarkDistanceFull(b *testing.B) {
-	pairs := benchPairs(64)
-	var m Metrics
-	var cells int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		Distance(p[0], p[1], WithMetrics(&m))
-		cells += m.Cells
-	}
-	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 }

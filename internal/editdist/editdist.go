@@ -10,7 +10,8 @@
 // time and O(|T1|·|T2|) space. The entry points are options-based
 // (Distance, WithCost, WithCutoff); DistanceWithin is the cutoff-first
 // surface for threshold verification, backed by O(n) pre-checks, two DP
-// bands and frontier-row early abandoning (see bounded.go, kernel.go).
+// bands and frontier-row early abandoning (see bounded.go, kernel.go);
+// with no cutoff the same kernel runs as a doubling search over cutoffs.
 // A caller verifying one tree against many prepares it once (Prepare) and
 // asks Query.Within per candidate: a candidate the pre-checks reject costs
 // one allocation-free walk and is never decomposed. Distance and
@@ -61,9 +62,10 @@ func (UnitCost) Delete(string) int { return 1 }
 //	d := editdist.Distance(t1, t2)                        // paper's unit costs
 //	d := editdist.Distance(t1, t2, editdist.WithCost(c))  // custom model
 //
-// With WithCutoff the computation is bounded: the result is exact whenever
-// it is ≤ the cutoff and otherwise only guaranteed to exceed it. Callers
-// that need to know which side the pair landed on should use
+// Without a cutoff the answer is exact, found by the doubling search of
+// bounded.go. With WithCutoff the computation is bounded: the result is
+// exact whenever it is ≤ the cutoff and otherwise only guaranteed to exceed
+// it. Callers that need to know which side the pair landed on should use
 // DistanceWithin.
 func Distance(t1, t2 *tree.Tree, opts ...Option) int {
 	d, _ := DistanceWithin(t1, t2, noCutoff, opts...)
@@ -136,16 +138,18 @@ func prepare(t *tree.Tree, cfg *config) *Query {
 // or (lb, false) with a certified lower bound lb > cutoff. When m is not
 // nil it is overwritten with the call's accounting. One walk of t decides
 // the empty, negative-cutoff and pre-check cases; only a candidate that
-// survives them is decomposed, into pooled buffers, for the kernel.
+// survives them is decomposed, into pooled buffers, for the kernel. With no
+// cutoff (one at or above `unreachable`) and a per-operation minimum, the
+// kernel runs the doubling search of bounded.go on that one decomposition.
 func (q *Query) Within(t *tree.Tree, cutoff int, m *Metrics) (int, bool) {
 	if m == nil {
 		m = new(Metrics)
 	}
 	cutoff = min(cutoff, q.cutoff)
-	// No cutoff (or one too large to prune anything real) and models without
-	// a per-operation minimum keep the band that covers every cell, and skip
-	// the histogram the pre-checks would need.
-	screen := q.cmin >= 1 && 0 <= cutoff && cutoff < unreachable
+	// Models without a per-operation minimum have neither pre-checks nor
+	// bands, so they skip the histogram and keep the band that covers every
+	// cell.
+	screen := q.cmin >= 1 && cutoff >= 0
 	s := scratchPool.Get().(*scratch)
 	defer s.release()
 	w := s.measure(t, q, screen)
@@ -161,24 +165,40 @@ func (q *Query) Within(t *tree.Tree, cutoff int, m *Metrics) (int, bool) {
 		m.Precheck = true
 		return 0, false
 	}
-	band := a.n + w.n
+	band, lb := a.n+w.n, 0 // a band of |q|+|t| restricts nothing
 	if screen {
-		if lb := q.precheck(w); lb > cutoff {
+		if lb = q.precheck(w); lb > cutoff {
 			m.Precheck = true
 			return lb, false
 		}
-		band = min(band, cutoff/q.cmin)
 	}
-	k := newKernel(a, s.decompose(t, q), c, cutoff, band)
-	d := k.run()
-	m.Cells = k.cells
-	k.release()
+	b := s.decompose(t, q)
+	switch {
+	case !screen:
+	case cutoff < unreachable:
+		band = min(band, cutoff/q.cmin)
+	default:
+		if d, ok := q.search(s, b, lb, m); ok {
+			return d, true
+		}
+	}
+	d := q.run(b, cutoff, band, m)
 	if d > cutoff {
 		// The value proves dist > cutoff but may overshoot it (bounded.go).
 		m.Aborted = true
 		return cutoff + 1, false
 	}
 	return d, true
+}
+
+// run is one kernel run of the query against the decomposed candidate b,
+// adding its cells to m: the root cell, exact when ≤ cutoff.
+func (q *Query) run(b *decomp, cutoff, band int, m *Metrics) int {
+	k := newKernel(q.d, b, q.cost, cutoff, band)
+	d := k.run()
+	m.Cells += k.cells
+	k.release()
+	return d
 }
 
 // slotOf is the query's slot for a label, −1 for a label it does not have.

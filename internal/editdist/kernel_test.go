@@ -112,7 +112,8 @@ func TestGlobalBandEveryCutoff(t *testing.T) {
 	for _, p := range pairs {
 		t.Run(p.name, func(t *testing.T) {
 			for _, c := range bandModels(1) {
-				full := Distance(p.t1, p.t2, WithCost(c))
+				full := EditScriptCost(p.t1, p.t2, c).Cost
+				checkSearch(t, p.t1, p.t2, c, full)
 				for cutoff := 0; cutoff <= full+2; cutoff++ {
 					checkWithinRef(t, p.t1, p.t2, cutoff, full, WithCost(c))
 				}
@@ -309,7 +310,8 @@ func fuzzInput(t1, t2 *tree.Tree, cutoff, scale int, t3 ...*tree.Tree) []byte {
 // FuzzDistanceWithin checks the DistanceWithin contract — ok ⇔ distance ≤
 // cutoff, d exact when ok, cutoff < d ≤ distance otherwise — on decoded
 // pairs under all three cost regimes, against brute force when both trees
-// are small enough and against the band-off kernel otherwise. A third
+// are small enough and against the band-off kernel otherwise; and holds
+// the no-cutoff search to the same reference (checkSearch). A third
 // decoded tree (empty when the input runs out) is the second candidate of
 // one Query prepared from the first tree, asked about t2, t3 and t2 again:
 // each answer and its Metrics must equal a fresh DistanceWithin's, which
@@ -346,9 +348,10 @@ func FuzzDistanceWithin(f *testing.F) {
 				if t1.Size() <= 7 && t2.Size() <= 7 {
 					return BruteForce(t1, t2, c)
 				}
-				return Distance(t1, t2, WithCost(c))
+				return EditScriptCost(t1, t2, c).Cost
 			}
 			full := reference(t2)
+			checkSearch(t, t1, t2, c, full)
 			checkWithinRef(t, t1, t2, cutoff, full, WithCost(c))
 			q := Prepare(t1, WithCost(c))
 			for _, cand := range []*tree.Tree{t2, t3, t2} {
@@ -361,7 +364,9 @@ func FuzzDistanceWithin(f *testing.F) {
 						t1, cand, cutoff, d, ok, m, wd, wok, want)
 				}
 				if cand == t3 {
-					checkVerdict(t, t1, t3, cutoff, reference(t3), d, ok)
+					full := reference(t3)
+					checkVerdict(t, t1, t3, cutoff, full, d, ok)
+					checkSearch(t, t1, t3, c, full)
 				}
 			}
 		}

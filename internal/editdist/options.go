@@ -9,7 +9,8 @@ import "math"
 // configuration is the paper's: unit costs, no cutoff.
 
 // noCutoff marks "no threshold": with this cutoff the entry points run the
-// plain, unbounded Zhang–Shasha program. Any cutoff at or above
+// doubling search (bounded.go), or the plain Zhang–Shasha program under a
+// model without a per-operation minimum. Any cutoff at or above
 // `unreachable` (math.MaxInt/4) is treated the same way — it cannot prune
 // anything a real dataset produces, and keeping the bounded machinery away
 // from the int ceiling avoids overflow in the band arithmetic.
@@ -70,18 +71,25 @@ func WithCutoff(cutoff int) Option {
 // Metrics reports what one bounded (or full) distance computation cost —
 // the refine-stage accounting the search engine aggregates per query.
 type Metrics struct {
-	// Cells is how many forest-distance DP cells were actually computed.
+	// Cells is how many forest-distance DP cells were actually computed,
+	// summed over every kernel run of the call. A bounded call runs the
+	// kernel at most once, so Cells ≤ FullCells. A call with no cutoff runs
+	// the doubling search: at most ⌊log₂((|q|+|t|)/8)⌋ + 2 banded runs, none
+	// above FullCells, and the band-off run only if they all fail — so
+	// Cells ≤ (⌊log₂((|q|+|t|)/8)⌋ + 3)·FullCells, and exactly FullCells
+	// under a model without a per-operation minimum.
 	Cells int64
-	// FullCells is how many cells the unbounded program computes for the
+	// FullCells is how many cells the band-off program computes for the
 	// same pair — the denominator for "DP work saved".
 	FullCells int64
 	// Precheck reports that an O(n) pre-check (size, height, or
 	// label-histogram delta) proved the distance exceeds the cutoff before
-	// any DP ran.
+	// any DP ran. An exact answer reports it false.
 	Precheck bool
 	// Aborted reports that the DP proved the distance exceeds the cutoff
 	// without computing it exactly (band restriction and/or frontier-row
-	// early abandoning).
+	// early abandoning). An exact answer reports it false, whatever runs of
+	// the search failed on the way.
 	Aborted bool
 }
 

@@ -87,7 +87,9 @@ func refFullCells(a, b *decomp) int64 {
 // refWithin is the verifier as a per-pair pipeline — both trees
 // decomposed, the reference pre-check and FullCells, labels interned for
 // the pair — around the same kernel: what DistanceWithin computed before
-// queries were prepared.
+// queries were prepared. With no cutoff and a per-operation minimum it is
+// the doubling search as a loop of its own bounded calls, seeded by the
+// unbanded StringDistance of the postorder labels, then the band-off run.
 func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) {
 	a, b := refDecompose(t1), refDecompose(t2)
 	m := Metrics{FullCells: refFullCells(a, b)}
@@ -100,12 +102,27 @@ func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) 
 		return 0, false, m
 	}
 	band := a.n + b.n
-	if cmin := MinOpCost(c); cmin >= 1 && cutoff < unreachable {
-		if lb := refPrecheckBound(t1, t2, a, b, cmin); lb > cutoff {
+	if cmin := MinOpCost(c); cmin >= 1 {
+		lb := refPrecheckBound(t1, t2, a, b, cmin)
+		if lb > cutoff {
 			m.Precheck = true
 			return lb, false, m
 		}
-		band = min(band, cutoff/cmin)
+		if cutoff < unreachable {
+			band = min(band, cutoff/cmin)
+		} else if top := band / searchSpan; max(1, lb/cmin) <= top && cmin <= unreachable/(top+1) {
+			seq := min(StringDistance(postLabels(t1), postLabels(t2)), top+1)
+			for k := max(1, lb/cmin, seq); k <= top; k = min(2*k, top) {
+				d, ok, tm := refWithin(t1, t2, (k+1)*cmin-1, c)
+				m.Cells += tm.Cells
+				if ok {
+					return d, true, m
+				}
+				if k == top {
+					break
+				}
+			}
+		}
 	}
 	ids := map[string]int32{}
 	for _, d := range []*decomp{a, b} {
@@ -121,7 +138,7 @@ func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) 
 	}
 	k := newKernel(a, b, c, cutoff, band)
 	d := k.run()
-	m.Cells = k.cells
+	m.Cells += k.cells
 	k.release()
 	if d > cutoff {
 		m.Aborted = true
@@ -172,9 +189,34 @@ func TestWithinMatchesReference(t *testing.T) {
 	t.Logf("%d (query, tree, cutoff, model) cases", pairs)
 }
 
+// TestPostorderDist: the search's banded sequence bound is the unbanded
+// StringDistance of the postorder labels, capped at k+1, for every k up to
+// past it — on pairs whose labels the query lacks too.
+func TestPostorderDist(t *testing.T) {
+	trees := []*tree.Tree{chain(9, fuzzLabels), star(9, fuzzLabels), leftHeavy(11), rightHeavy(8),
+		tree.MustParse("x(y,a(z))")}
+	for _, p := range benchPairs(6) {
+		trees = append(trees, p[0], p[1])
+	}
+	s := new(scratch)
+	for _, t1 := range trees {
+		q := Prepare(t1)
+		for _, t2 := range trees {
+			want := StringDistance(postLabels(t1), postLabels(t2))
+			b := s.decompose(t2, q)
+			for k := 0; k <= want+2; k++ {
+				if got := s.postorderDist(q.d, b, k); got != min(want, k+1) {
+					t.Fatalf("postorderDist(%q, %q, %d) = %d, want %d", t1, t2, k, got, min(want, k+1))
+				}
+			}
+		}
+	}
+}
+
 // TestWithinZeroAllocs: a prepared query allocates nothing per candidate
 // once the pools are warm — neither for a pair the pre-checks reject nor
-// for one the kernel decides, with or without a Metrics sink.
+// for one the kernel decides nor for one the search answers with no
+// cutoff, with or without a Metrics sink.
 func TestWithinZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -196,12 +238,13 @@ func TestWithinZeroAllocs(t *testing.T) {
 		t.Fatalf("workload has no rejected (%v) or surviving (%v) candidate", rejected, survivor)
 	}
 	for _, c := range []struct {
-		name string
-		t    *tree.Tree
-	}{{"rejected", rejected}, {"survivor", survivor}} {
+		name   string
+		t      *tree.Tree
+		cutoff int
+	}{{"rejected", rejected, 4}, {"survivor", survivor, 4}, {"searched", survivor, noCutoff}} {
 		var m Metrics
 		for _, sink := range []*Metrics{&m, nil} {
-			run := func() { q.Within(c.t, 4, sink) }
+			run := func() { q.Within(c.t, c.cutoff, sink) }
 			run()
 			if n := testing.AllocsPerRun(50, run); n != 0 {
 				t.Errorf("%s (sink %v): %v allocations per Within, want 0", c.name, sink != nil, n)

@@ -1,12 +1,12 @@
 package invfile
 
 import (
+	"maps"
 	"testing"
 
 	"treesim/internal/branch"
 	"treesim/internal/datagen"
 	"treesim/internal/tree"
-	"treesim/internal/vector"
 )
 
 func dataset() []*tree.Tree {
@@ -24,23 +24,22 @@ func TestProfilesMatchDirect(t *testing.T) {
 		space := branch.NewSpace(q)
 		direct := space.ProfileAll(ts)
 		x := Build(direct)
-		scanned := make([]*vector.Builder, len(ts))
+		scanned := make([]map[branch.Dim]int, len(ts))
 		for i := range scanned {
-			scanned[i] = vector.NewBuilder()
+			scanned[i] = map[branch.Dim]int{}
 		}
 		for d := 0; d < space.Size(); d++ {
 			for _, p := range x.PostingList(branch.Dim(d)) {
-				scanned[p.Tree].Add(uint32(d), int(p.Count))
+				scanned[p.Tree][branch.Dim(d)] += int(p.Count)
 			}
 		}
 		for i, p := range direct {
-			want := vector.NewBuilder()
+			want := map[branch.Dim]int{}
 			for j, d := range p.Dims() {
-				want.Add(uint32(d), p.Count(j))
+				want[d] += p.Count(j)
 			}
-			if got := scanned[i].MustVector(); !vector.Equal(want.MustVector(), got) {
-				t.Fatalf("q=%d tree %d: vectors differ\n direct: %v\n scanned: %v",
-					q, i, want.MustVector().Elems(), got.Elems())
+			if !maps.Equal(want, scanned[i]) {
+				t.Fatalf("q=%d tree %d: vectors differ\n direct: %v\n scanned: %v", q, i, want, scanned[i])
 			}
 		}
 	}

@@ -19,7 +19,7 @@ func nestedSelfJoin(ts []*tree.Tree, tau int) []Pair {
 	var out []Pair
 	for i := range ts {
 		for j := i + 1; j < len(ts); j++ {
-			if d := editdist.Distance(ts[i], ts[j]); d <= tau {
+			if d := editdist.EditScript(ts[i], ts[j]).Cost; d <= tau {
 				out = append(out, Pair{R: i, S: j, Dist: d})
 			}
 		}
@@ -65,7 +65,7 @@ func TestTwoSetJoinExact(t *testing.T) {
 	var want []Pair
 	for i := range rs {
 		for j := range ss {
-			if d := editdist.Distance(rs[i], ss[j]); d <= tau {
+			if d := editdist.EditScript(rs[i], ss[j]).Cost; d <= tau {
 				want = append(want, Pair{R: i, S: j, Dist: d})
 			}
 		}
@@ -94,7 +94,7 @@ func TestJoinCustomCost(t *testing.T) {
 	var want []Pair
 	for i := range ts {
 		for j := i + 1; j < len(ts); j++ {
-			if d := editdist.Distance(ts[i], ts[j], editdist.WithCost(c)); d <= 4 {
+			if d := editdist.EditScriptCost(ts[i], ts[j], c).Cost; d <= 4 {
 				want = append(want, Pair{R: i, S: j, Dist: d})
 			}
 		}

@@ -68,7 +68,7 @@ func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int) (res []Result, 
 			continue
 		}
 		candidates++
-		if d := editdist.Distance(q, t); d <= tau {
+		if d := fullDistance(q, t); d <= tau {
 			res = append(res, Result{ID: id, Dist: d})
 		}
 	}

@@ -59,8 +59,10 @@ import (
 // against the live cutoff (τ, or the k-NN atomic threshold), so most false
 // positives are disproven by the O(n) pre-checks — one allocation-free walk
 // of the candidate, which is not decomposed — or by an early-abandoned
-// banded DP instead of the full program. This never changes results — a
-// distance proven above the cutoff can't enter the answer — only the work:
+// banded DP instead of the full program, and a k-NN query's first k
+// distances, verified before any cutoff exists, come from banded runs of a
+// doubling search. This never changes results — a distance proven above
+// the cutoff can't enter the answer — only the work:
 // see the verifier type and the bounded-refine invariance tests, which
 // hold it to an unbounded sequential scan.
 //
@@ -353,10 +355,12 @@ func (sc *knnScan) boundDist() BoundDist {
 // bounded-verification logic — live cutoff, pre-checks, early abandoning,
 // DP-cell accounting — lives in exactly one place. cutoff returns the
 // threshold a distance must not exceed to matter for the answer: τ for
-// range queries, the current k-th-best for k-NN. It is read once per
-// verification, before the DP; for k-NN that read can be stale, but the
-// threshold only ever decreases, so a stale value is merely a looser
-// (still correct) cutoff.
+// range queries, the current k-th-best for k-NN — none, until k distances
+// are known, in which case Query.Within searches for a cutoff itself and
+// its cells count every run it takes. It is read once per verification,
+// before the DP; for k-NN that read can be stale, but the threshold only
+// ever decreases, so a stale value is merely a looser (still correct)
+// cutoff.
 type verifier struct {
 	cut    *qcut
 	q      *editdist.Query
@@ -432,8 +436,10 @@ func clampCutoff(v int64) int {
 //
 // The same threshold is the bounded verifier's cutoff: a candidate enters
 // the heap only with d < top.Dist, or d == top.Dist on an id tie-break, so
-// a distance proven > thresh can never change the answer, and while the
-// heap is short the threshold is MaxInt64 — every verification is exact.
+// a distance proven > thresh can never change the answer. While the heap
+// is short the threshold is MaxInt64, so every verification is exact, and
+// Query.Within finds each such distance by its doubling search over
+// banded runs rather than the band-off program.
 func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, sc *knnScan, stats *Stats, ex *Explain, rspan *obs.Span) ([]Result, error) {
 	var (
 		mu       sync.Mutex

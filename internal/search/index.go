@@ -45,9 +45,10 @@ type Stats struct {
 	// and RefineAborted by the DP abandoning early once the distance
 	// provably exceeded the live cutoff. DPCells is the
 	// dynamic-programming cells actually computed across the query's
-	// verifications; DPCellsFull is what the unbounded program would have
-	// computed for the same pairs — the gap is the refine work the cutoff
-	// saved.
+	// verifications, every run of a k-NN query's cutoff-free doubling
+	// searches included; DPCellsFull is what the band-off program would
+	// have computed for the same pairs — the gap is the refine work the
+	// cutoffs saved.
 	RefineAborted   int
 	PrecheckRejects int
 	DPCells         int64

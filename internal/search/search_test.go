@@ -372,7 +372,7 @@ func TestKNNDistancesExact(t *testing.T) {
 	q := testDataset(1, 14)[0]
 	res, _, _ := ix.KNN(context.Background(), q, 5)
 	for _, r := range res {
-		if want := editdist.Distance(q, ts[r.ID]); r.Dist != want {
+		if want := fullDistance(q, ts[r.ID]); r.Dist != want {
 			t.Errorf("result %d: distance %d, want %d", r.ID, r.Dist, want)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 func bruteAnswers(trees map[int]*tree.Tree, q *tree.Tree) []Result {
 	var out []Result
 	for id, t := range trees {
-		out = append(out, Result{ID: id, Dist: editdist.Distance(q, t)})
+		out = append(out, Result{ID: id, Dist: fullDistance(q, t)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dist != out[j].Dist {
@@ -26,6 +26,11 @@ func bruteAnswers(trees map[int]*tree.Tree, q *tree.Tree) []Result {
 	})
 	return out
 }
+
+// fullDistance is the ground-truth distance: the band-off Zhang–Shasha
+// program behind an edit script, not Distance, whose doubling search is
+// what the engine's first k-NN verifications run.
+func fullDistance(q, t *tree.Tree) int { return editdist.EditScript(q, t).Cost }
 
 func bruteKNNAnswers(trees map[int]*tree.Tree, q *tree.Tree, k int) []Result {
 	all := bruteAnswers(trees, q)

@@ -197,13 +197,16 @@ func BenchmarkVectorConstruction(b *testing.B) {
 
 // BenchmarkFilterStage measures the filter stage alone, in ns per live
 // tree, for the two query kinds at growing dataset sizes on the paper's
-// default spec. The cascade's cost is one merge-join and two compares per
-// tree plus a positional bound for the few survivors, so ns/tree is flat
-// in n: the filter is linear with a small constant, not yet the ROADMAP
-// gate's sub-linear (that takes the postings sweep of
-// BenchmarkAblationPostingsVsMergeJoin in the serving path). k-NN includes
-// the full bounds it tightens lazily during refinement (Stats.FilterTime
-// counts them).
+// default spec. A k-NN query has no threshold while it computes its cheap
+// keys, so it pays one full merge-join per tree; a range query stops each
+// tier at τ — a tree the size tier prunes gets no merge-join, and the
+// others' joins stop once BDist is out of Factor·τ's reach — so it pays a
+// few merge steps per tree. Either way the survivors get a positional
+// bound and ns/tree is flat in n: the filter is linear with a small
+// constant, not yet the ROADMAP gate's sub-linear (that takes the postings
+// sweep of BenchmarkAblationPostingsVsMergeJoin in the serving path). k-NN
+// includes the full bounds it tightens lazily during refinement
+// (Stats.FilterTime counts them).
 func BenchmarkFilterStage(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
 	for _, n := range []int{2000, 8000, 32000} {

@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.xmlDir, "xml", "", "directory of XML documents (alternative to -data)")
 	fs.StringVar(&c.index, "index", "", "saved index file; its trees become the dataset (alternative to -data/-xml)")
 	fs.StringVar(&c.filters, "filters", defaultFilters,
-		"comma-separated filter matrix: bibranch, bibranch-nopos, bibranch-qN, histo, seq, none")
+		"comma-separated filter matrix: bibranch, bibranch-nopos, bibranch-qN, histo, none")
 	fs.StringVar(&c.out, "out", "BENCH_filters.json", "JSON report path (empty disables)")
 	fs.IntVar(&c.limit, "limit", 0, "replay at most this many records (0 = all)")
 	if err := fs.Parse(args); err != nil {

@@ -10,7 +10,7 @@
 //
 // Datasets are line-format files (see cmd/treegen) or directories of XML
 // documents (-xml dir). Filters: bibranch (default; the paper's positional
-// binary branch bound), bibranch-nopos, histo, seq, none.
+// binary branch bound), bibranch-nopos, bibranch-qN, histo, none.
 //
 // For a long-lived server over the same engine, see cmd/treesimd.
 package main
@@ -87,7 +87,7 @@ func (d *dataFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&d.index, "index", "", "saved index file (alternative to -data/-xml; see 'treesim index')")
 	fs.StringVar(&d.query, "query", "", "query tree in canonical text format")
 	fs.IntVar(&d.queryIndex, "query-index", -1, "use dataset tree i as the query")
-	fs.StringVar(&d.filter, "filter", "bibranch", "filter: bibranch, bibranch-nopos, bibranch-qN, histo, seq, none")
+	fs.StringVar(&d.filter, "filter", "bibranch", "filter: bibranch, bibranch-nopos, bibranch-qN, histo, none")
 	fs.IntVar(&d.q, "q", 2, "binary branch level (bibranch, bibranch-nopos)")
 }
 

@@ -63,7 +63,7 @@ func TestRunKNNCommand(t *testing.T) {
 
 func TestRunKNNFilters(t *testing.T) {
 	data := writeTestData(t)
-	for _, f := range []string{"bibranch", "bibranch-nopos", "histo", "seq", "none"} {
+	for _, f := range []string{"bibranch", "bibranch-nopos", "histo", "none"} {
 		out := captureStdout(t, func() {
 			runKNN([]string{"-data", data, "-query-index", "0", "-k", "1", "-filter", f})
 		})
@@ -225,12 +225,15 @@ func TestBadTreeArgsError(t *testing.T) {
 	}
 }
 
-// TestUnknownFilterError: a bogus -filter name is a returned error.
+// TestUnknownFilterError: a bogus -filter name is a returned error, and so
+// is seq: the sequence bound is editdist.SequenceLowerBound, not a filter.
 func TestUnknownFilterError(t *testing.T) {
 	data := writeTestData(t)
-	err := runKNN([]string{"-data", data, "-query-index", "0", "-filter", "bogus"})
-	if err == nil || !contains(err.Error(), "unknown filter") {
-		t.Errorf("unknown filter: error %v", err)
+	for _, name := range []string{"bogus", "seq"} {
+		err := runKNN([]string{"-data", data, "-query-index", "0", "-filter", name})
+		if err == nil || !contains(err.Error(), "unknown filter") {
+			t.Errorf("-filter %s: error %v", name, err)
+		}
 	}
 }
 

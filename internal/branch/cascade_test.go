@@ -176,6 +176,9 @@ func cascadePair(seed int64, shape, size, edits uint8) (*tree.Tree, *tree.Tree) 
 //   - the flat layout's BDist, PosBDist and SearchLBound equal the
 //     reference's, and a lookup-only query profile gives what an interned
 //     one gives;
+//   - BDistWithin, from both profiles and at every limit 0…BDist+2, is
+//     within exactly when BDist ≤ limit, returns BDist then and otherwise
+//     a bound in (limit, BDist];
 //   - the postings accumulator's BDist equals the merge-join's;
 //   - for every tau the cascade — size tier, BDist tier, then the
 //     one-probe RangeLowerBoundWithin — keeps exactly the pairs with
@@ -213,6 +216,21 @@ func checkCascade(t *testing.T, seed int64, shape, size, edits uint8) {
 		bd, slb := branch.BDist(a, b), branch.SearchLBound(a, b)
 		if want := refBDist(ra, rb); bd != want || lookupBD != want {
 			t.Fatalf("q=%d: BDist flat %d, lookup %d, reference %d\n %s\n %s", q, bd, lookupBD, want, t1, t2)
+		}
+		// The lookup profile lacks t1's unknown branches as coordinates, so
+		// it exercises the early exit with Size above the counts' sum.
+		for name, p := range map[string]*branch.Profile{"interned": a, "lookup": qp} {
+			for limit := 0; limit <= bd+2; limit++ {
+				lb, ok := branch.BDistWithin(p, b, limit)
+				switch {
+				case ok != (bd <= limit):
+					t.Fatalf("q=%d %s: BDistWithin(%d) ok=%v, BDist %d\n %s\n %s", q, name, limit, ok, bd, t1, t2)
+				case ok && lb != bd:
+					t.Fatalf("q=%d %s: BDistWithin(%d) = %d within, BDist %d\n %s\n %s", q, name, limit, lb, bd, t1, t2)
+				case !ok && (lb <= limit || lb > bd):
+					t.Fatalf("q=%d %s: BDistWithin(%d) = %d outside (%d, %d]\n %s\n %s", q, name, limit, lb, limit, bd, t1, t2)
+				}
+			}
 		}
 		if got := int(swept[0]); got != bd {
 			t.Fatalf("q=%d: accumulator BDist %d, merge-join %d\n %s\n %s", q, got, bd, t1, t2)

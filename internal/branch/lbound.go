@@ -70,15 +70,21 @@ func RangeLowerBound(a, b *Profile, tau int) int {
 // that pass. The predicate PosBDist(pr) ≤ Factor(q)·pr is monotone in pr,
 // so SearchLBound(a,b) ≤ tau exactly when ||T1|−|T2|| ≤ tau and the
 // predicate holds at tau — which is also the ceil(PosBDist(tau)/Factor(q))
-// ≤ tau half of RangeLowerBound. When ok is false the returned value is
-// the failing half's bound, which exceeds tau; when ok is true it equals
-// RangeLowerBound(a,b,tau), found by searching [prmin, tau] only.
+// ≤ tau half of RangeLowerBound, which BDist > Factor(q)·tau already fails
+// (PosBDist ≥ BDist): BDistWithin tests that first. When ok is false the
+// returned value is the failing test's bound, which exceeds tau; when ok
+// is true it equals RangeLowerBound(a,b,tau), found by searching [prmin,
+// tau] only.
 func RangeLowerBoundWithin(a, b *Profile, tau int) (lb int, ok bool) {
 	sameSpace(a, b)
 	f := Factor(a.Q())
 	prmin := sizeDiff(a, b)
 	if prmin > tau {
 		return prmin, false
+	}
+	// BDist ≤ |a|+|b|: a cap there cannot stop the join, nor overflow.
+	if bd, ok := BDistWithin(a, b, f*min(tau, a.Size+b.Size)); !ok {
+		return (bd + f - 1) / f, false
 	}
 	atTau := (PosBDist(a, b, tau) + f - 1) / f
 	if atTau > tau {

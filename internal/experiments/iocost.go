@@ -79,7 +79,7 @@ func IOCost(cfg Config) (*Table, error) {
 			before := readsOf(store)
 			start := time.Now()
 			for i := range ts {
-				if branch.RangeLowerBound(qp, profiles[i], tau) > tau {
+				if _, ok := branch.RangeLowerBoundWithin(qp, profiles[i], tau); !ok {
 					continue
 				}
 				dt, err := store.Tree(i)

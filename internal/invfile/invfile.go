@@ -6,9 +6,13 @@
 // over the lists of a query's branches then yields the branch-vector
 // overlap — hence BDist = |q| + |t| − 2·overlap — of every tree in the
 // segment, without opening the profile of a single tree. The search
-// filter does not build one yet — its BDist tier merge-joins per tree — so
-// today the package is exercised by its tests, FuzzBoundCascade and the
-// postings-vs-merge-join ablation benchmark (ROADMAP open item 4).
+// filter does not build one yet — its BDist tier merge-joins per tree, and
+// a range query's join stops once Factor·τ is out of reach — so today the
+// package is exercised by its tests, FuzzBoundCascade and the
+// postings-vs-merge-join ablation benchmark (ROADMAP open item 2). What
+// the sweep would still buy: k-NN's cheap pass, which has no threshold
+// and so joins every tree in full, and on a range query about 15 ns/tree
+// for the sweep against about 75 for the early-exit filter stage.
 //
 // The occurrence positions of Algorithm 1's extended lists stay with the
 // per-tree profiles (branch.Profile): the positional bound is only ever

@@ -5,9 +5,10 @@
 // A similarity join at threshold τ returns every pair of trees within tree
 // edit distance τ. The nested-loop join evaluates |R|·|S| exact distances;
 // here the binary branch lower bound (Sections 3–4) prunes a pair unless
-// its optimistic bound is ≤ τ, and only survivors pay the Zhang–Shasha
-// distance, verified against the outer row's tree prepared once
-// (editdist.Prepare). Results are exact.
+// its optimistic bound is ≤ τ — decided by branch.RangeLowerBoundWithin,
+// whose size, branch-distance and positional tests each stop at τ — and
+// only survivors pay the Zhang–Shasha distance, verified against the outer
+// row's tree prepared once (editdist.Prepare). Results are exact.
 package join
 
 import (
@@ -57,7 +58,7 @@ func SelfJoin(ts []*tree.Tree, tau int, opts Options) ([]Pair, Stats) {
 		var local []Pair
 		q := editdist.Prepare(ts[i], editdist.WithCost(cost))
 		for j := i + 1; j < len(ts); j++ {
-			if branch.RangeLowerBound(profiles[i], profiles[j], tau) > tau {
+			if _, ok := branch.RangeLowerBoundWithin(profiles[i], profiles[j], tau); !ok {
 				continue
 			}
 			atomic.AddInt64(&verified, 1)
@@ -101,7 +102,7 @@ func Join(rs, ss []*tree.Tree, tau int, opts Options) ([]Pair, Stats) {
 		var local []Pair
 		q := editdist.Prepare(rs[i], editdist.WithCost(cost))
 		for j := range ss {
-			if branch.RangeLowerBound(rp[i], sp[j], tau) > tau {
+			if _, ok := branch.RangeLowerBoundWithin(rp[i], sp[j], tau); !ok {
 				continue
 			}
 			atomic.AddInt64(&verified, 1)

@@ -58,13 +58,24 @@ func bruteKNN(trees map[int]*tree.Tree, q *tree.Tree, k int) (res []Result, cand
 	return res, candidates, verified
 }
 
-// bruteRange is the same for a range query: RangeLowerBound of every
-// visible tree, every candidate verified.
-func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int) (res []Result, candidates int) {
+// bruteRange is the same for a range query: every visible tree goes
+// through the cascade's tiers computed in full — ||q|−|t||, then
+// ⌈BDist/Factor⌉, then RangeLowerBound — and is charged to the first whose
+// bound exceeds tau; every candidate is verified.
+func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int) (res []Result, candidates int, pruned Funnel) {
 	s := branch.NewSpace(2)
 	qp := s.Profile(q)
 	for id, t := range trees {
-		if branch.RangeLowerBound(qp, s.Profile(t), tau) > tau {
+		tp := s.Profile(t)
+		switch {
+		case max(qp.Size-tp.Size, tp.Size-qp.Size) > tau:
+			pruned.Size++
+			continue
+		case branch.BDistLowerBound(qp, tp) > tau:
+			pruned.BDist++
+			continue
+		case branch.RangeLowerBound(qp, tp, tau) > tau:
+			pruned.Positional++
 			continue
 		}
 		candidates++
@@ -73,31 +84,33 @@ func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int) (res []Result, 
 		}
 	}
 	sortResults(res)
-	return res, candidates
+	return res, candidates, pruned
 }
 
-// TestCascadeMatchesFullBoundScan: the bound cascade — postings
-// accumulator, size and BDist tiers, positional bound for survivors only,
-// tightened lazily for k-NN — answers exactly like a scan that computes
-// the full positional bound for every tree: same results, same candidate
-// count and, with one worker, the same verifications, on every storage
-// layout (segments with an inverted file, sealed memtables and a live
-// memtable without one, a reloaded snapshot) with and without tombstones.
-// The funnel accounts for every tree the filter dropped.
+// TestCascadeMatchesFullBoundScan: the bound cascade — size and BDist
+// tiers that stop at tau for a range query, positional bound for survivors
+// only, tightened lazily for k-NN — answers exactly like a scan that
+// computes the full positional bound for every tree: same results, same
+// candidate count and, with one worker, the same verifications, on every
+// storage layout (one indexed segment, sealed memtables and a live
+// memtable, a compacted segment, a reloaded snapshot) with and without
+// tombstones. The funnel accounts for every tree the filter dropped, and a
+// range query charges each tree to the same tier the full scan does. The
+// layouts with deleted ids also run at three shards, so a shard's
+// tombstone cursor starts mid-list.
 func TestCascadeMatchesFullBoundScan(t *testing.T) {
 	const n = 70
 	all := testDataset(n, 91)
-	opts := []IndexOption{NewBiBranch(), WithShards(1), WithRefineWorkers(1), WithCompactionThreshold(-1)}
-	layouts := map[string]func() *Index{
-		"one-segment": func() *Index { return NewIndex(all, opts...) },
-		"segments+memtable": func() *Index {
+	layouts := map[string]func(opts []IndexOption) *Index{
+		"one-segment": func(opts []IndexOption) *Index { return NewIndex(all, opts...) },
+		"segments+memtable": func(opts []IndexOption) *Index {
 			ix := NewIndex(all[:20], append(opts, WithMemtableSize(8))...)
 			for _, tr := range all[20:] {
 				ix.Insert(tr)
 			}
 			return ix
 		},
-		"compacted": func() *Index {
+		"compacted": func(opts []IndexOption) *Index {
 			ix := NewIndex(all[:20], append(opts, WithMemtableSize(8))...)
 			for _, tr := range all[20:] {
 				ix.Insert(tr)
@@ -113,67 +126,80 @@ func TestCascadeMatchesFullBoundScan(t *testing.T) {
 
 	for lname, build := range layouts {
 		for _, deleted := range [][]int{nil, {0, 7, 21, 33, 40, 68}} {
-			for _, reload := range []bool{false, true} {
-				name := fmt.Sprintf("%s/deleted=%d/reload=%v", lname, len(deleted), reload)
-				ix := build()
-				visible := make(map[int]*tree.Tree)
-				for id, tr := range all {
-					visible[id] = tr
-				}
-				for _, id := range deleted {
-					if !ix.Delete(id) {
-						t.Fatalf("%s: delete %d refused", name, id)
+			shardCounts := []int{1}
+			if deleted != nil {
+				shardCounts = append(shardCounts, 3)
+			}
+			for _, shards := range shardCounts {
+				for _, reload := range []bool{false, true} {
+					name := fmt.Sprintf("%s/deleted=%d/shards=%d/reload=%v", lname, len(deleted), shards, reload)
+					opts := []IndexOption{NewBiBranch(), WithShards(shards), WithRefineWorkers(1), WithCompactionThreshold(-1)}
+					ix := build(opts)
+					visible := make(map[int]*tree.Tree)
+					for id, tr := range all {
+						visible[id] = tr
 					}
-					delete(visible, id)
-				}
-				if reload {
-					var buf bytes.Buffer
-					if err := SaveIndex(&buf, ix); err != nil {
-						t.Fatal(err)
+					for _, id := range deleted {
+						if !ix.Delete(id) {
+							t.Fatalf("%s: delete %d refused", name, id)
+						}
+						delete(visible, id)
 					}
-					var err error
-					if ix, err = LoadIndex(&buf, opts[1:]...); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for qi, q := range queries {
-					for _, k := range []int{1, 5, 12} {
-						want, wantCands, wantVerified := bruteKNN(visible, q, k)
-						got, st, err := ix.KNN(context.Background(), q, k)
-						if err != nil {
+					if reload {
+						var buf bytes.Buffer
+						if err := SaveIndex(&buf, ix); err != nil {
 							t.Fatal(err)
 						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: query %d k=%d = %v, want %v", name, qi, k, got, want)
-						}
-						if st.Candidates != wantCands || st.Verified != wantVerified {
-							t.Fatalf("%s: query %d k=%d: candidates %d verified %d, full-bound scan %d / %d",
-								name, qi, k, st.Candidates, st.Verified, wantCands, wantVerified)
-						}
-						if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
-							t.Fatalf("%s: query %d k=%d: funnel %+v sums to %d, dataset %d − candidates %d",
-								name, qi, k, st.Pruned, sum, st.Dataset, st.Candidates)
-						}
-					}
-					for _, tau := range []int{0, 2, 5} {
-						want, wantCands := bruteRange(visible, q, tau)
-						got, st, err := ix.Range(context.Background(), q, tau)
-						if err != nil {
+						var err error
+						if ix, err = LoadIndex(&buf, opts[1:]...); err != nil {
 							t.Fatal(err)
 						}
-						if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: query %d tau=%d = %v, want %v", name, qi, tau, got, want)
-						}
-						if st.Candidates != wantCands || st.Verified != wantCands {
-							t.Fatalf("%s: query %d tau=%d: candidates %d verified %d, full-bound scan %d",
-								name, qi, tau, st.Candidates, st.Verified, wantCands)
-						}
-						if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
-							t.Fatalf("%s: query %d tau=%d: funnel %+v sums to %d, dataset %d − candidates %d",
-								name, qi, tau, st.Pruned, sum, st.Dataset, st.Candidates)
-						}
 					}
+					checkCascade(t, name, ix, visible, queries)
 				}
+			}
+		}
+	}
+}
+
+// checkCascade holds one index's k-NN and range answers, counters and
+// funnel to the full-bound scans over the visible trees.
+func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tree, queries []*tree.Tree) {
+	t.Helper()
+	for qi, q := range queries {
+		for _, k := range []int{1, 5, 12} {
+			want, wantCands, wantVerified := bruteKNN(visible, q, k)
+			got, st, err := ix.KNN(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: query %d k=%d = %v, want %v", name, qi, k, got, want)
+			}
+			if st.Candidates != wantCands || st.Verified != wantVerified {
+				t.Fatalf("%s: query %d k=%d: candidates %d verified %d, full-bound scan %d / %d",
+					name, qi, k, st.Candidates, st.Verified, wantCands, wantVerified)
+			}
+			if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
+				t.Fatalf("%s: query %d k=%d: funnel %+v sums to %d, dataset %d − candidates %d",
+					name, qi, k, st.Pruned, sum, st.Dataset, st.Candidates)
+			}
+		}
+		for _, tau := range []int{0, 2, 5} {
+			want, wantCands, wantPruned := bruteRange(visible, q, tau)
+			got, st, err := ix.Range(context.Background(), q, tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: query %d tau=%d = %v, want %v", name, qi, tau, got, want)
+			}
+			if st.Candidates != wantCands || st.Verified != wantCands {
+				t.Fatalf("%s: query %d tau=%d: candidates %d verified %d, full-bound scan %d",
+					name, qi, tau, st.Candidates, st.Verified, wantCands)
+			}
+			if st.Pruned != wantPruned {
+				t.Fatalf("%s: query %d tau=%d: funnel %+v, full-bound scan %+v", name, qi, tau, st.Pruned, wantPruned)
 			}
 		}
 	}
@@ -195,7 +221,7 @@ func TestFunnelEveryFilter(t *testing.T) {
 						t.Errorf("%s S=%d %s: funnel %+v sums to %d, want %d", f.Name(), shards, op, st.Pruned, sum, st.Dataset-st.Candidates)
 					}
 					switch f.(type) {
-					case *Histo, *Seq, *None:
+					case *Histo, *None:
 						if st.Pruned.Size+st.Pruned.BDist != 0 {
 							t.Errorf("%s %s: single-bound filter charged cheap tiers: %+v", f.Name(), op, st.Pruned)
 						}

@@ -219,29 +219,14 @@ func readHeader(r io.Reader) (*segstore.Manifest, error) {
 // assembleReindexed merges a segmented snapshot's live trees into one
 // segment under a replacement filter.
 func assembleReindexed(cfg indexConfig, m *segstore.Manifest, segs []*segstore.Segment) *Index {
-	tombs := segstore.NewTombstones(m.Tombstones)
-	var ids []int
-	var trees []*tree.Tree
-	for _, sg := range segs {
-		p := payloadOf(sg)
-		for i := 0; i < sg.Len(); i++ {
-			if id := sg.ID(i); !tombs.Has(id) {
-				ids = append(ids, id)
-				trees = append(trees, p.trees[i])
-			}
-		}
+	var merged []*segstore.Segment
+	if sg := mergeLive(segs, segstore.NewTombstones(m.Tombstones), cfg.filter); sg != nil {
+		merged = append(merged, sg)
+	} else {
+		cfg.filter.Index(nil)
 	}
-	cfg.filter.Index(trees)
 	ix := indexShell(cfg, cfg.filter)
-	if len(ids) == 0 {
-		ix.store.Bootstrap(nil, nil, m.NextID)
-		return ix
-	}
-	merged := &segstore.Segment{N: len(ids), IDs: ids, Payload: &segPayload{trees: trees, filter: cfg.filter}}
-	if ids[len(ids)-1]-ids[0] == len(ids)-1 {
-		merged.Base, merged.IDs = ids[0], nil
-	}
-	ix.store.Bootstrap([]*segstore.Segment{merged}, nil, m.NextID)
+	ix.store.Bootstrap(merged, nil, m.NextID)
 	return ix
 }
 

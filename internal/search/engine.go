@@ -26,7 +26,8 @@ import (
 // filter; the refine stage fans exact-distance verifications over the same
 // pool, with a k-NN query propagating its current k-th-best distance across
 // workers through an atomic so late verifications prune harder. Tombstoned
-// positions are skipped before any bound is computed.
+// positions are skipped, by a cursor over the sorted tombstone ids, before
+// any bound is computed.
 //
 // The filter is a bound cascade, cheapest tier first (see Bounder): the
 // size bound ||q|−|t||, then ⌈BDist/Factor⌉ — one merge-join of two flat
@@ -34,11 +35,14 @@ import (
 // filter's full bound, the positional one. A range query stands a tree
 // down at tau; a k-NN query at the live k-th-best distance, so it computes
 // full bounds lazily, in cheap-bound order, while it verifies (see
-// knnScan). Every tier is a sound lower bound that the full
-// bound dominates, so a tree a cheap tier prunes the full bound would
-// prune too: candidates, their bounds, the verification order and the
-// results are what computing the full bound for every tree would give.
-// Stats.Pruned reports how many trees each tier eliminated.
+// knnScan). The cheap tiers stop at a limit: a range query's tau, so a tree
+// the size tier prunes gets no merge-join and a merge-join stops once
+// Factor·tau is out of reach; k-NN has no threshold yet and gets exact
+// keys. Every tier is a sound lower bound that the full bound dominates, so
+// a tree a cheap tier prunes the full bound would prune too: candidates,
+// their bounds, the verification order and the results are what computing
+// the full bound for every tree would give. Stats.Pruned reports how many
+// trees each tier eliminated.
 //
 // Results are shard- and segment-layout invariant by construction:
 //
@@ -213,7 +217,8 @@ func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, fspan *
 		}
 		lo, hi := shardRange(n, S, s)
 		run := make([]uint64, 0, hi-lo)
-		si := cut.segOf(lo)
+		si, _, first := cut.locate(lo)
+		tombs := cut.tombs.From(first)
 		for pos := lo; pos < hi; pos++ {
 			if (pos-lo)%ctxCheckEvery == 0 && (canceled.Load() || ctx.Err() != nil) {
 				canceled.Store(true)
@@ -225,11 +230,11 @@ func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, fspan *
 			}
 			local := pos - cut.starts[si]
 			sc.tight[pos] = -1
-			if cut.tombs.Has(cut.segs[si].ID(local)) {
+			if tombs.Has(cut.segs[si].ID(local)) {
 				sc.cheap[pos] = -1
 				continue
 			}
-			sz, bd := sc.prims[si].CheapBounds(local)
+			sz, bd := sc.prims[si].CheapBounds(local, noLimit)
 			c := max(sz, bd)
 			sc.size[pos], sc.cheap[pos] = int32(sz), int32(c)
 			run = append(run, uint64(c)<<33|uint64(pos))
@@ -556,9 +561,14 @@ type rangeScan struct {
 
 // filterRange runs the bound cascade over every visible position, sharded
 // when configured: the size tier, then the branch-distance tier, and the
-// filter's range bound only for trees both leave at or under tau.
+// filter's range bound only for trees both leave at or under tau. The
+// cheap tiers stop at tau unless EXPLAIN wants the exact deciding bounds.
 func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, fspan *obs.Span, wantBounds bool) (segBounders, *rangeScan, error) {
 	prims := newSegBounders(cut, q)
+	limit := tau
+	if wantBounds {
+		limit = noLimit
+	}
 
 	S := ix.shardCount(cut.n)
 	outs := make([]rangeScan, S)
@@ -587,6 +597,8 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 			b                        Bounder
 			bySize, byBDist, byBound int
 		)
+		_, _, first := cut.locate(lo)
+		tombs := cut.tombs.From(first)
 		for pos := lo; pos < hi; pos++ {
 			if (pos-lo)%ctxCheckEvery == 0 && (canceled.Load() || ctx.Err() != nil) {
 				canceled.Store(true)
@@ -601,10 +613,10 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 				sg, b = cut.segs[si], prims[si]
 			}
 			local := pos - segLo
-			if cut.tombs != nil && cut.tombs.Has(sg.ID(local)) {
+			if tombs.Has(sg.ID(local)) {
 				continue
 			}
-			sz, bd := b.CheapBounds(local)
+			sz, bd := b.CheapBounds(local, limit)
 			switch {
 			case sz > tau:
 				bySize++

@@ -7,18 +7,18 @@
 //
 // Filters are pluggable. The paper's contribution is the BiBranch filter
 // (binary branch vectors with the positional SearchLBound optimistic
-// bound); Histo is the histogram baseline of Kailing et al.; Seq is the
-// preorder/postorder sequence bound of Guha et al.; None disables filtering
-// and degenerates to the sequential scan used as the timing baseline.
+// bound); Histo is the histogram baseline of Kailing et al.; None disables
+// filtering and degenerates to the sequential scan used as the timing
+// baseline.
 package search
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
 	"treesim/internal/branch"
-	"treesim/internal/editdist"
 	"treesim/internal/histogram"
 	"treesim/internal/tree"
 )
@@ -26,7 +26,7 @@ import (
 // Filter preprocesses a dataset once and then produces a Bounder per query.
 // The interface is sealed to this package: the segmented store needs every
 // filter to grow by one tree, to be rebuilt over a compacted segment and to
-// freeze a prefix of itself, and the four families here all do.
+// freeze a prefix of itself, and the three families here all do.
 type Filter interface {
 	// Name identifies the filter in statistics and experiment output.
 	Name() string
@@ -58,8 +58,10 @@ type Bounder interface {
 	// tree i): the size bound ||q|−|t|| and the plain branch-distance bound
 	// ⌈BDist/Factor⌉, neither above KNNBound(i) nor — when it is at most
 	// tau — above RangeBound(i, tau). A filter without a cheaper tier
-	// returns zero for it.
-	CheapBounds(i int) (size, bdist int)
+	// returns zero for it. Past limit a bound need not be exact: a size
+	// bound above it comes back with bdist zero, and a bdist above it may
+	// be any bound in (limit, ⌈BDist/Factor⌉]. noLimit asks for exact ones.
+	CheapBounds(i, limit int) (size, bdist int)
 	// KNNBound returns the filter's full lower bound L ≤ EDist(query, tree
 	// i), used as the optimistic bound of Algorithm 2.
 	KNNBound(i int) int
@@ -71,8 +73,8 @@ type Bounder interface {
 }
 
 // ParseFilter resolves a filter name as the command-line tools spell it:
-// bibranch, bibranch-nopos, bibranch-qN (N ≥ 2), histo, seq or none. q is
-// the branch level of the two bibranch spellings that do not carry one.
+// bibranch, bibranch-nopos, bibranch-qN (N ≥ 2), histo or none. q is the
+// branch level of the two bibranch spellings that do not carry one.
 func ParseFilter(name string, q int) (Filter, error) {
 	switch name {
 	case "bibranch":
@@ -81,8 +83,6 @@ func ParseFilter(name string, q int) (Filter, error) {
 		return &BiBranch{Q: q, Positional: false}, nil
 	case "histo":
 		return NewHisto(), nil
-	case "seq":
-		return NewSeq(), nil
 	case "none":
 		return NewNone(), nil
 	}
@@ -91,15 +91,18 @@ func ParseFilter(name string, q int) (Filter, error) {
 			return &BiBranch{Q: n, Positional: true}, nil
 		}
 	}
-	return nil, fmt.Errorf("unknown filter %q (want bibranch, bibranch-nopos, bibranch-qN, histo, seq or none)", name)
+	return nil, fmt.Errorf("unknown filter %q (want bibranch, bibranch-nopos, bibranch-qN, histo or none)", name)
 }
+
+// noLimit is the CheapBounds limit that asks for exact bounds.
+const noLimit = math.MaxInt
 
 // singleTier is embedded by the bounders of filters that have one bound
 // and nothing cheaper in front of it: both cheap tiers let every tree
 // through, and the filter's bound is the cascade's only tier.
 type singleTier struct{}
 
-func (singleTier) CheapBounds(int) (size, bdist int) { return 0, 0 }
+func (singleTier) CheapBounds(_, _ int) (size, bdist int) { return 0, 0 }
 
 // BiBranch is the paper's filter: q-level binary branch vectors with,
 // optionally, the positional lower bound of Section 4.2–4.3.
@@ -193,13 +196,19 @@ func (b *biBranchBounder) plain(i int) int {
 // CheapBounds implements Bounder. The non-positional filter is the plain
 // branch-distance bound by definition (the ablation of DESIGN.md), so it
 // has no size tier: ⌈BDist/Factor⌉ does not dominate ||q|−|t||.
-func (b *biBranchBounder) CheapBounds(i int) (size, bdist int) {
+func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist int) {
+	t := b.f.profiles[i]
 	if b.f.Positional {
-		if size = b.qp.Size - b.f.profiles[i].Size; size < 0 {
+		if size = b.qp.Size - t.Size; size < 0 {
 			size = -size
 		}
+		if size > limit {
+			return size, 0
+		}
 	}
-	return size, b.plain(i)
+	// BDist ≤ |q|+|t|: a cap there cannot stop the join, nor overflow.
+	d, _ := branch.BDistWithin(b.qp, t, min(limit, b.qp.Size+t.Size)*b.factor)
+	return size, (d + b.factor - 1) / b.factor
 }
 
 func (b *biBranchBounder) KNNBound(i int) int {
@@ -304,46 +313,6 @@ func (b *histoBounder) KNNBound(i int) int {
 }
 
 func (b *histoBounder) RangeBound(i, tau int) int { return b.KNNBound(i) }
-
-// Seq is the preorder/postorder label sequence lower bound of Guha et al.
-// (reference [15]). Its bound costs O(|T1|·|T2|) per pair — the same order
-// as the real distance, illustrating why a linear-time filter matters.
-type Seq struct {
-	trees []*tree.Tree
-}
-
-// NewSeq returns the sequence lower-bound filter.
-func NewSeq() *Seq { return &Seq{} }
-
-// Name implements Filter.
-func (f *Seq) Name() string { return "Seq" }
-
-// Index implements Filter.
-func (f *Seq) Index(ts []*tree.Tree) { f.trees = ts }
-
-// Append implements Filter.
-func (f *Seq) Append(t *tree.Tree) { f.trees = append(f.trees, t) }
-
-// Fresh implements Filter.
-func (f *Seq) Fresh() Filter { return &Seq{} }
-
-// snapshotAt freezes the first n trees.
-func (f *Seq) snapshotAt(n int) Filter { return &Seq{trees: f.trees[:n:n]} }
-
-// Query implements Filter.
-func (f *Seq) Query(q *tree.Tree) Bounder { return &seqBounder{f: f, q: q} }
-
-type seqBounder struct {
-	singleTier
-	f *Seq
-	q *tree.Tree
-}
-
-func (b *seqBounder) KNNBound(i int) int {
-	return editdist.SequenceLowerBound(b.q, b.f.trees[i])
-}
-
-func (b *seqBounder) RangeBound(i, tau int) int { return b.KNNBound(i) }
 
 // None disables filtering: every lower bound is zero, so every data tree is
 // verified with the real edit distance. Searching with None is the

@@ -104,7 +104,6 @@ func WithCompactionThreshold(n int) IndexOption {
 
 func (f *BiBranch) applyIndex(c *indexConfig) { c.filter = f }
 func (f *Histo) applyIndex(c *indexConfig)    { c.filter = f }
-func (f *Seq) applyIndex(c *indexConfig)      { c.filter = f }
 func (f *None) applyIndex(c *indexConfig)     { c.filter = f }
 
 // queryConfig collects what the query options select.

@@ -24,7 +24,6 @@ func allFilters() []Filter {
 		&BiBranch{Q: 2, Positional: false},
 		&BiBranch{Q: 3, Positional: true},
 		NewHisto(),
-		NewSeq(),
 		NewNone(),
 	}
 }
@@ -305,7 +304,7 @@ func dists(rs []Result) []int {
 }
 
 func TestFilterNames(t *testing.T) {
-	want := []string{"BiBranch", "BiBranch-nopos", "BiBranch", "Histo", "Seq", "Sequential"}
+	want := []string{"BiBranch", "BiBranch-nopos", "BiBranch", "Histo", "Sequential"}
 	for i, f := range allFilters() {
 		if f.Name() != want[i] {
 			t.Errorf("filter %d: Name = %q, want %q", i, f.Name(), want[i])
@@ -320,7 +319,6 @@ func TestParseFilter(t *testing.T) {
 		"bibranch-nopos": &BiBranch{Q: 3},
 		"bibranch-q4":    &BiBranch{Q: 4, Positional: true},
 		"histo":          &Histo{},
-		"seq":            &Seq{},
 		"none":           &None{},
 	} {
 		got, err := ParseFilter(name, 3)
@@ -328,7 +326,7 @@ func TestParseFilter(t *testing.T) {
 			t.Errorf("ParseFilter(%q, 3) = %#v, %v; want %#v", name, got, err, want)
 		}
 	}
-	for _, name := range []string{"", "bogus", "bibranch-q", "bibranch-q1", "bibranch-q3x", "BiBranch"} {
+	for _, name := range []string{"", "bogus", "seq", "bibranch-q", "bibranch-q1", "bibranch-q3x", "BiBranch"} {
 		if f, err := ParseFilter(name, 2); err == nil {
 			t.Errorf("ParseFilter(%q) = %#v, want an error", name, f)
 		}

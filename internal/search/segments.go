@@ -69,31 +69,15 @@ func (ix *Index) Compact() bool {
 	var cs CompactionStats
 	start := time.Now()
 	done := ix.store.Compact(func(segs []*segstore.Segment, tombs *segstore.Tombstones) *segstore.Segment {
-		var ids []int
-		var trees []*tree.Tree
-		for _, sg := range segs {
-			p := payloadOf(sg)
-			cs.InputTrees += sg.Len()
-			for i := 0; i < sg.Len(); i++ {
-				if id := sg.ID(i); !tombs.Has(id) {
-					ids = append(ids, id)
-					trees = append(trees, p.trees[i])
-				}
-			}
-		}
+		merged := mergeLive(segs, tombs, ix.filter.Fresh())
 		cs.Inputs = len(segs)
-		cs.Output = len(ids)
-		if len(ids) == 0 {
-			return nil
+		for _, sg := range segs {
+			cs.InputTrees += sg.Len()
 		}
-		nf := ix.filter.Fresh()
-		nf.Index(trees) // the parallel build is the merge kernel
-		out := &segstore.Segment{N: len(ids), IDs: ids, Payload: &segPayload{trees: trees, filter: nf}}
-		if ids[len(ids)-1]-ids[0] == len(ids)-1 {
-			// No holes: the compact contiguous representation.
-			out.Base, out.IDs = ids[0], nil
+		if merged != nil {
+			cs.Output = merged.N
 		}
-		return out
+		return merged
 	})
 	if done {
 		cs.Duration = time.Since(start)
@@ -102,6 +86,31 @@ func (ix *Index) Compact() bool {
 		}
 	}
 	return done
+}
+
+// mergeLive gathers the untombstoned entries of segs, ascending by id, into
+// one segment over which it indexes f; nil when none survive.
+func mergeLive(segs []*segstore.Segment, tombs *segstore.Tombstones, f Filter) *segstore.Segment {
+	var ids []int
+	var trees []*tree.Tree
+	for _, sg := range segs {
+		p := payloadOf(sg)
+		for i := 0; i < sg.Len(); i++ {
+			if id := sg.ID(i); !tombs.Has(id) {
+				ids = append(ids, id)
+				trees = append(trees, p.trees[i])
+			}
+		}
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	f.Index(trees) // the parallel build is the merge kernel
+	out := &segstore.Segment{N: len(ids), IDs: ids, Payload: &segPayload{trees: trees, filter: f}}
+	if ids[len(ids)-1]-ids[0] == len(ids)-1 {
+		out.Base, out.IDs = ids[0], nil // no holes: the contiguous form
+	}
+	return out
 }
 
 // maybeCompact runs a background compaction when the store's advisory

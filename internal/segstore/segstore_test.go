@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -355,6 +356,51 @@ func TestTombstonesCOW(t *testing.T) {
 	}
 	if b.Len() != 2 {
 		t.Fatal("Without mutated the receiver")
+	}
+
+	// The ids stay sorted and de-duplicated whatever order they arrive
+	// in, and every set handed out keeps exactly the ids it had.
+	sets := []*Tombstones{NewTombstones([]int{9, 2, 9, 5})}
+	want := [][]int{{2, 5, 9}}
+	for _, step := range []struct {
+		with    int
+		without []int
+		ids     []int
+	}{
+		{with: 7, ids: []int{2, 5, 7, 9}},
+		{with: 0, ids: []int{0, 2, 5, 7, 9}},
+		{with: 5, ids: []int{0, 2, 5, 7, 9}},
+		{with: 11, ids: []int{0, 2, 5, 7, 9, 11}},
+		{without: []int{5, 5, 0, 42}, ids: []int{2, 7, 9, 11}},
+		{with: 3, ids: []int{2, 3, 7, 9, 11}},
+	} {
+		cur := sets[len(sets)-1]
+		next := cur.Without(step.without)
+		if step.without == nil {
+			next = cur.With(step.with)
+		}
+		sets, want = append(sets, next), append(want, step.ids)
+		for i, s := range sets {
+			if got := s.IDs(); !slices.Equal(got, want[i]) {
+				t.Fatalf("set %d reads %v, want %v", i, got, want[i])
+			}
+		}
+	}
+	last := sets[len(sets)-1]
+	for id := -1; id <= 12; id++ {
+		if last.Has(id) != slices.Contains(want[len(want)-1], id) {
+			t.Fatalf("Has(%d) = %v on %v", id, last.Has(id), last.IDs())
+		}
+	}
+
+	// A cursor from any id sees exactly the tombstones at or above it.
+	for from := -1; from <= 12; from++ {
+		c := last.From(from)
+		for id := from; id <= 12; id++ {
+			if c.Has(id) != last.Has(id) {
+				t.Fatalf("cursor from %d: Has(%d) = %v", from, id, c.Has(id))
+			}
+		}
 	}
 }
 

@@ -1,67 +1,48 @@
 package segstore
 
-import "sort"
+import "slices"
 
-// Tombstones is an immutable set of deleted ids. Mutation returns a new
-// set (copy-on-write), so a published View's tombstones never change
-// under a reader; a nil *Tombstones is the valid empty set, letting the
-// hot Has path stay one nil check for delete-free workloads.
+// Tombstones is an immutable set of deleted ids, held as one strictly
+// ascending slice. Mutation returns a new set (copy-on-write), so a
+// published View's tombstones never change under a reader; a nil
+// *Tombstones is the valid empty set. A scan over ascending ids walks the
+// set with a Cursor instead of probing it per id.
 type Tombstones struct {
-	m map[int]struct{}
+	ids []int
 }
 
-// NewTombstones builds a set from ids (nil for an empty list).
+// NewTombstones builds a set from ids in any order, duplicates allowed (nil
+// for an empty list).
 func NewTombstones(ids []int) *Tombstones {
 	if len(ids) == 0 {
 		return nil
 	}
-	m := make(map[int]struct{}, len(ids))
-	for _, id := range ids {
-		m[id] = struct{}{}
-	}
-	return &Tombstones{m: m}
+	s := slices.Clone(ids)
+	slices.Sort(s)
+	return &Tombstones{ids: slices.Compact(s)}
 }
 
-// Has reports whether id is tombstoned.
+// Has reports whether id is tombstoned, by binary search.
 func (t *Tombstones) Has(id int) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.m[id]
+	_, ok := slices.BinarySearch(t.IDs(), id)
 	return ok
 }
 
 // Len returns the set size.
-func (t *Tombstones) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.m)
-}
+func (t *Tombstones) Len() int { return len(t.IDs()) }
 
-// IDs returns the tombstoned ids in ascending order.
+// IDs returns the tombstoned ids in ascending order. The slice is shared;
+// callers must not modify it.
 func (t *Tombstones) IDs() []int {
 	if t == nil {
 		return nil
 	}
-	out := make([]int, 0, len(t.m))
-	for id := range t.m {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return t.ids
 }
 
 // With returns the set plus id.
 func (t *Tombstones) With(id int) *Tombstones {
-	m := make(map[int]struct{}, t.Len()+1)
-	if t != nil {
-		for k := range t.m {
-			m[k] = struct{}{}
-		}
-	}
-	m[id] = struct{}{}
-	return &Tombstones{m: m}
+	return NewTombstones(append(slices.Clip(t.IDs()), id))
 }
 
 // Without returns the set minus ids (nil when it empties).
@@ -69,18 +50,29 @@ func (t *Tombstones) Without(ids []int) *Tombstones {
 	if t == nil || len(ids) == 0 {
 		return t
 	}
-	drop := make(map[int]struct{}, len(ids))
-	for _, id := range ids {
-		drop[id] = struct{}{}
+	drop := NewTombstones(ids)
+	return NewTombstones(slices.DeleteFunc(slices.Clone(t.ids), drop.Has))
+}
+
+// From returns a cursor over the set positioned at the first tombstoned id
+// ≥ id: where a scan over ascending ids starting at id begins.
+func (t *Tombstones) From(id int) Cursor {
+	ids := t.IDs()
+	i, _ := slices.BinarySearch(ids, id)
+	return Cursor{ids: ids[i:]}
+}
+
+// Cursor walks a tombstone set beside an ascending id sequence, so each
+// membership test is a compare against the next tombstone, not a search.
+type Cursor struct {
+	ids []int
+}
+
+// Has reports whether id is tombstoned. Successive calls must pass
+// non-decreasing ids.
+func (c *Cursor) Has(id int) bool {
+	for len(c.ids) > 0 && c.ids[0] < id {
+		c.ids = c.ids[1:]
 	}
-	m := make(map[int]struct{}, len(t.m))
-	for k := range t.m {
-		if _, gone := drop[k]; !gone {
-			m[k] = struct{}{}
-		}
-	}
-	if len(m) == 0 {
-		return nil
-	}
-	return &Tombstones{m: m}
+	return len(c.ids) > 0 && c.ids[0] == id
 }

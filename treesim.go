@@ -231,9 +231,6 @@ type BiBranchFilter = search.BiBranch
 // HistoFilter is the histogram filtration baseline of Kailing et al.
 type HistoFilter = search.Histo
 
-// SeqFilter is the sequence lower bound baseline of Guha et al.
-type SeqFilter = search.Seq
-
 // NoFilter disables filtering (sequential scan).
 type NoFilter = search.None
 
@@ -256,10 +253,6 @@ func NewBiBranchFilterQ(q int, positional bool) *BiBranchFilter {
 // NewHistoFilter returns the histogram filtration baseline of Kailing et
 // al. with the paper's equal-space sizing.
 func NewHistoFilter() *HistoFilter { return search.NewHisto() }
-
-// NewSeqFilter returns the preorder/postorder sequence lower bound filter
-// of Guha et al. (quadratic per pair; included as a baseline).
-func NewSeqFilter() *SeqFilter { return search.NewSeq() }
 
 // NewNoFilter disables filtering (sequential scan).
 func NewNoFilter() *NoFilter { return search.NewNone() }

@@ -43,7 +43,7 @@ func TestFacadeSearch(t *testing.T) {
 	data := GenerateDataset(spec, 100, 10, 7)
 	for _, f := range []Filter{
 		NewBiBranchFilter(), NewBiBranchFilterQ(3, false),
-		NewHistoFilter(), NewSeqFilter(), NewNoFilter(), nil,
+		NewHistoFilter(), NewNoFilter(), nil,
 	} {
 		ix := NewIndex(data, WithFilter(f))
 		res, stats, _ := ix.KNN(context.Background(), data[5], 3)

@@ -31,6 +31,7 @@ import (
 	"treesim/internal/experiments"
 	"treesim/internal/invfile"
 	"treesim/internal/search"
+	"treesim/internal/segstore"
 	"treesim/internal/tree"
 )
 
@@ -197,21 +198,25 @@ func BenchmarkVectorConstruction(b *testing.B) {
 
 // BenchmarkFilterStage measures the filter stage alone, in ns per live
 // tree, for the two query kinds at growing dataset sizes on the paper's
-// default spec. A k-NN query has no threshold while it computes its cheap
-// keys, so it pays one full merge-join per tree; a range query stops each
-// tier at τ — a tree the size tier prunes gets no merge-join, and the
-// others' joins stop once BDist is out of Factor·τ's reach — so it pays a
-// few merge steps per tree. Either way the survivors get a positional
-// bound and ns/tree is flat in n: the filter is linear with a small
-// constant, not yet the ROADMAP gate's sub-linear (that takes the postings
-// sweep of BenchmarkAblationPostingsVsMergeJoin in the serving path). k-NN
-// includes the full bounds it tightens lazily during refinement
-// (Stats.FilterTime counts them).
+// default spec. Over an indexed segment both kinds read every tree's BDist
+// off one sweep of the segment's postings, so the per-tree work left is
+// the size tier, a lookup and, for the few survivors, a positional bound:
+// a range query's at τ, a k-NN query's lazily during refinement
+// (Stats.FilterTime counts them). The -memtable rows hold the last 1 023
+// trees in the memtable, one insert short of the default seal, which
+// merge-joins per tree: a range query's joins stop once BDist is out of
+// Factor·τ's reach, a k-NN query's run in full.
 func BenchmarkFilterStage(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
 	for _, n := range []int{2000, 8000, 32000} {
 		ts := datagen.New(spec, 5).Dataset(n, n/10)
-		ix := search.NewIndex(ts, search.NewBiBranch(), search.WithShards(1), search.WithRefineWorkers(1))
+		opts := []search.IndexOption{search.WithShards(1), search.WithRefineWorkers(1)}
+		ix := search.NewIndex(ts, append(opts, search.NewBiBranch())...)
+		const inMem = segstore.DefaultMemtableSize - 1
+		mem := search.NewIndex(ts[:n-inMem], append(opts, search.NewBiBranch())...)
+		for _, t := range ts[n-inMem:] {
+			mem.Insert(t)
+		}
 		queries := make([]*tree.Tree, 16)
 		for i := range queries {
 			queries[i] = ts[(i*997+42)%n]
@@ -229,14 +234,19 @@ func BenchmarkFilterStage(b *testing.B) {
 				b.ReportMetric(float64(pruned.Size+pruned.BDist)/float64(n), "cheap-pruned")
 			})
 		}
-		run("range-tau3", func(q *tree.Tree) search.Stats {
-			_, st, _ := ix.Range(context.Background(), q, 3)
-			return st
-		})
-		run("knn-k5", func(q *tree.Tree) search.Stats {
-			_, st, _ := ix.KNN(context.Background(), q, 5)
-			return st
-		})
+		for _, layout := range []struct {
+			suffix string
+			ix     *search.Index
+		}{{"", ix}, {"-memtable", mem}} {
+			run("range-tau3"+layout.suffix, func(q *tree.Tree) search.Stats {
+				_, st, _ := layout.ix.Range(context.Background(), q, 3)
+				return st
+			})
+			run("knn-k5"+layout.suffix, func(q *tree.Tree) search.Stats {
+				_, st, _ := layout.ix.KNN(context.Background(), q, 5)
+				return st
+			})
+		}
 	}
 }
 
@@ -323,10 +333,11 @@ func BenchmarkAblationMatching(b *testing.B) {
 }
 
 // BenchmarkAblationPostingsVsMergeJoin compares the two ways to get a
-// query's branch distance to every tree of a segment: one sweep over the
-// inverted lists of the query's branches (internal/invfile), or a
-// merge-join of the query's vector with each tree's (what the filter's
-// BDist tier runs).
+// query's branch distance to every tree of a segment, in ns per tree: one
+// sweep over the packed inverted lists of the query's branches
+// (internal/invfile, what a sealed segment's BDist tier runs) and a pass
+// turning each overlap into BDist, or a merge-join of the query's vector
+// with each tree's (what the memtable's runs).
 func BenchmarkAblationPostingsVsMergeJoin(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
 	ts := datagen.New(spec, 3).Dataset(2000, 200)
@@ -334,12 +345,18 @@ func BenchmarkAblationPostingsVsMergeJoin(b *testing.B) {
 	ps := s.ProfileAll(ts)
 	x := invfile.Build(ps)
 	q := s.QueryProfile(ts[42])
+	perTree := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ps)), "ns/tree")
+	}
 	b.Run("Postings", func(b *testing.B) {
+		ov := make([]int32, len(ps))
 		for i := 0; i < b.N; i++ {
-			for _, bd := range x.BDists(q) {
-				sink += int(bd)
+			x.Overlaps(q, ov)
+			for t, o := range ov {
+				sink += q.Size + ps[t].Size - 2*int(o)
 			}
 		}
+		perTree(b)
 	})
 	b.Run("MergeJoin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -347,6 +364,7 @@ func BenchmarkAblationPostingsVsMergeJoin(b *testing.B) {
 				sink += branch.BDist(q, p)
 			}
 		}
+		perTree(b)
 	})
 }
 

@@ -2,6 +2,7 @@ package branch_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"treesim/internal/branch"
@@ -168,6 +169,10 @@ func cascadePair(seed int64, shape, size, edits uint8) (*tree.Tree, *tree.Tree) 
 	return t1, g.RandomEdits(t1, int(edits)%8)
 }
 
+// wideStar is r(c, …, c) with 40 leaves: its branch c(ε, c) occurs 39
+// times, more than a posting's count bits hold.
+var wideStar = tree.MustParse("r(" + strings.Repeat("c,", 39) + "c)")
+
 // FuzzBoundCascade holds the filter's tiers to their contract on one pair
 // of trees, for q ∈ {2,3,4}:
 //
@@ -179,7 +184,8 @@ func cascadePair(seed int64, shape, size, edits uint8) (*tree.Tree, *tree.Tree) 
 //   - BDistWithin, from both profiles and at every limit 0…BDist+2, is
 //     within exactly when BDist ≤ limit, returns BDist then and otherwise
 //     a bound in (limit, BDist];
-//   - the postings accumulator's BDist equals the merge-join's;
+//   - the postings sweep over an inverted file of several trees (t2, t1
+//     and a wide star) gives each of them the merge-join's BDist;
 //   - for every tau the cascade — size tier, BDist tier, then the
 //     one-probe RangeLowerBoundWithin — keeps exactly the pairs with
 //     RangeLowerBound ≤ tau and reports that bound for them, and never
@@ -209,8 +215,13 @@ func checkCascade(t *testing.T, seed int64, shape, size, edits uint8) {
 			t.Fatalf("q=%d: QueryProfile grew the space %d -> %d", q, vocab, s.Size())
 		}
 		lookupBD, lookupLB := branch.BDist(qp, b), branch.SearchLBound(qp, b)
-		swept := invfile.Build([]*branch.Profile{b}).BDists(qp)
 		a := s.Profile(t1)
+		// The inverted file holds several trees, so lists interleave them:
+		// a star whose branch repeats past a posting's count bits, and t1
+		// twice around t2.
+		indexed := []*branch.Profile{s.Profile(wideStar), a, b, s.Profile(t1)}
+		ov := make([]int32, len(indexed))
+		invfile.Build(indexed).Overlaps(qp, ov)
 		ra, rb := refOf(s, t1), refOf(s, t2)
 
 		bd, slb := branch.BDist(a, b), branch.SearchLBound(a, b)
@@ -232,8 +243,10 @@ func checkCascade(t *testing.T, seed int64, shape, size, edits uint8) {
 				}
 			}
 		}
-		if got := int(swept[0]); got != bd {
-			t.Fatalf("q=%d: accumulator BDist %d, merge-join %d\n %s\n %s", q, got, bd, t1, t2)
+		for i, p := range indexed {
+			if got, want := qp.Size+p.Size-2*int(ov[i]), branch.BDist(qp, p); got != want {
+				t.Fatalf("q=%d: swept BDist to indexed tree %d is %d, merge-join %d\n %s\n %s", q, i, got, want, t1, t2)
+			}
 		}
 		if want := refSearchLBound(ra, rb, fac); slb != want || lookupLB != want {
 			t.Fatalf("q=%d: SearchLBound flat %d, lookup %d, reference %d\n %s\n %s", q, slb, lookupLB, want, t1, t2)

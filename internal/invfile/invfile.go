@@ -5,14 +5,11 @@
 // that contains it, the number of occurrences. One term-at-a-time sweep
 // over the lists of a query's branches then yields the branch-vector
 // overlap — hence BDist = |q| + |t| − 2·overlap — of every tree in the
-// segment, without opening the profile of a single tree. The search
-// filter does not build one yet — its BDist tier merge-joins per tree, and
-// a range query's join stops once Factor·τ is out of reach — so today the
-// package is exercised by its tests, FuzzBoundCascade and the
-// postings-vs-merge-join ablation benchmark (ROADMAP open item 2). What
-// the sweep would still buy: k-NN's cheap pass, which has no threshold
-// and so joins every tree in full, and on a range query about 15 ns/tree
-// for the sweep against about 75 for the early-exit filter stage.
+// segment, without opening the profile of a single tree. Every sealed
+// segment of the search index carries one, built when the segment is
+// indexed, sealed, compacted or decoded from a snapshot, and its filter's
+// BDist tier reads the sweep; only the memtable, which grows by one tree
+// per insert, merge-joins per tree.
 //
 // The occurrence positions of Algorithm 1's extended lists stay with the
 // per-tree profiles (branch.Profile): the positional bound is only ever
@@ -20,90 +17,111 @@
 // it wants them grouped by tree, not by branch.
 package invfile
 
-import "treesim/internal/branch"
+import (
+	"fmt"
 
-// Posting is one entry of an inverted list: how often the list's branch
-// occurs in one tree of the segment.
-type Posting struct {
-	Tree  uint32 // segment-local position of the tree
-	Count uint32
-}
+	"treesim/internal/branch"
+)
+
+// A posting is one uint32: the tree's segment-local position in the high
+// bits and its occurrence count in the low countBits. A count too large
+// for them is stored as an escape — count bits zero — followed by one
+// entry holding the whole count. No posting has count zero, so the escape
+// is unambiguous; in practice counts stay far below the limit (a branch
+// repeats only across identical sibling subtrees), so a posting is 4 bytes.
+const (
+	countBits = 4
+	countMask = 1<<countBits - 1
+)
+
+// MaxTrees is the most trees one index can hold: a posting keeps
+// 32 − countBits bits for the tree's position.
+const MaxTrees = 1 << (32 - countBits)
 
 // Index is the populated inverted file, in compressed sparse row layout:
 // the lists of all dimensions back to back in one array, each in ascending
 // tree order.
 type Index struct {
-	// sizes[t] is |T| of tree t, what a BDist accumulator starts from.
-	sizes []int32
+	trees int
 	// start[d] is where dimension d's list begins in posts; the final
 	// entry is the total, so list d is posts[start[d]:start[d+1]].
 	start []uint32
-	posts []Posting
+	posts []uint32
 }
 
 // Build constructs the inverted file over a segment's profiles (position i
 // of the slice is tree i) by a counting sort over their Σ nnz coordinates:
 // one pass sizes the lists, one fills them. Visiting the trees in order
-// leaves every list sorted by tree.
+// leaves every list sorted by tree. It panics past MaxTrees profiles.
 func Build(ps []*branch.Profile) *Index {
-	vocab, nnz := 0, 0
+	if len(ps) > MaxTrees {
+		panic(fmt.Sprintf("invfile: %d trees, at most %d fit one index", len(ps), MaxTrees))
+	}
+	vocab := 0
 	for _, p := range ps {
 		if ds := p.Dims(); len(ds) > 0 {
 			vocab = max(vocab, int(ds[len(ds)-1])+1)
-			nnz += len(ds)
 		}
 	}
-	x := &Index{sizes: make([]int32, len(ps)), start: make([]uint32, vocab+1), posts: make([]Posting, nnz)}
-	for t, p := range ps {
-		x.sizes[t] = int32(p.Size)
-		for _, d := range p.Dims() {
-			x.start[d+1]++
+	x := &Index{trees: len(ps), start: make([]uint32, vocab+1)}
+	for _, p := range ps {
+		for i, d := range p.Dims() {
+			x.start[d+1] += entries(p.Count(i))
 		}
 	}
 	for d := 0; d < vocab; d++ {
 		x.start[d+1] += x.start[d]
 	}
+	x.posts = make([]uint32, x.start[vocab])
 	// next[d] walks from start[d] to start[d+1] as the list fills.
 	next := make([]uint32, vocab)
 	copy(next, x.start)
 	for t, p := range ps {
 		for i, d := range p.Dims() {
-			x.posts[next[d]] = Posting{Tree: uint32(t), Count: uint32(p.Count(i))}
-			next[d]++
+			c, at := uint32(p.Count(i)), next[d]
+			if c <= countMask {
+				x.posts[at] = uint32(t)<<countBits | c
+			} else {
+				x.posts[at], x.posts[at+1] = uint32(t)<<countBits, c
+			}
+			next[d] += entries(int(c))
 		}
 	}
 	return x
 }
 
-// Trees returns the number of indexed trees.
-func (x *Index) Trees() int { return len(x.sizes) }
-
-// PostingList returns the inverted list of dimension d in ascending tree
-// order (empty for a dimension no indexed tree contains). The slice is
-// shared; do not modify.
-func (x *Index) PostingList(d branch.Dim) []Posting {
-	if int(d)+1 >= len(x.start) {
-		return nil
+// entries is how many uint32s a posting of count c takes.
+func entries(c int) uint32 {
+	if c <= countMask {
+		return 1
 	}
-	return x.posts[x.start[d]:x.start[d+1]]
+	return 2
 }
 
-// BDists returns the binary branch distance of every indexed tree to the
-// query: each tree's accumulator starts at |q| + |t| and one sweep over the
-// inverted lists of the query's dimensions takes off twice the multiset
-// intersection Σ_d min(q[d], t[d]). The cost is the total length of those
-// lists plus one pass over the sizes, not the size of the segment's
-// profiles. q must come from the space the indexed profiles were built in.
-func (x *Index) BDists(q *branch.Profile) []int32 {
-	acc := make([]int32, len(x.sizes))
-	for t, size := range x.sizes {
-		acc[t] = int32(q.Size) + size
-	}
+// Overlaps sets ov[t], for every indexed tree t, to the multiset
+// intersection Σ_d min(q[d], t[d]) of its branch vector with the query's,
+// from one sweep over the inverted lists of the query's dimensions; then
+// BDist(q, t) = |q| + |t| − 2·ov[t]. The cost is the total length of those
+// lists plus clearing ov, not the size of the segment's profiles. ov must
+// have an entry per indexed tree; q must come from the space the indexed
+// profiles were built in.
+func (x *Index) Overlaps(q *branch.Profile, ov []int32) {
+	ov = ov[:x.trees]
+	clear(ov)
 	for i, d := range q.Dims() {
+		if int(d) >= len(x.start)-1 {
+			break // dimensions ascend: no later one has a list either
+		}
 		qc := uint32(q.Count(i))
-		for _, p := range x.PostingList(d) {
-			acc[p.Tree] -= 2 * int32(min(qc, p.Count))
+		list := x.posts[x.start[d]:x.start[d+1]]
+		for k := 0; k < len(list); k++ {
+			e := list[k]
+			c := e & countMask
+			if c == 0 {
+				k++
+				c = list[k]
+			}
+			ov[e>>countBits] += int32(min(qc, c))
 		}
 	}
-	return acc
 }

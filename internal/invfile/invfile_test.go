@@ -2,6 +2,7 @@ package invfile
 
 import (
 	"maps"
+	"math"
 	"testing"
 
 	"treesim/internal/branch"
@@ -9,15 +10,65 @@ import (
 	"treesim/internal/tree"
 )
 
+// star returns r(c, c, …, c) with n leaves: its branch c(ε, c) occurs n−1
+// times, so n ≥ countMask+2 needs an escaped posting.
+func star(n int) *tree.Tree {
+	root := tree.NewNode("r")
+	for i := 0; i < n; i++ {
+		root.Children = append(root.Children, tree.NewNode("c"))
+	}
+	return tree.New(root)
+}
+
+// dataset is random trees with stars around the escape threshold mixed in,
+// so lists hold one-entry and escaped postings side by side.
 func dataset() []*tree.Tree {
 	spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1, SizeMean: 15, SizeStd: 5, Labels: 5, Decay: 0.1}
-	g := datagen.New(spec, 23)
-	return g.Dataset(40, 4)
+	ts := datagen.New(spec, 23).Dataset(40, 4)
+	for i, n := range []int{40, 16, 17, 3, 18} {
+		ts = append(ts[:7*i+3], append([]*tree.Tree{star(n)}, ts[7*i+3:]...)...)
+	}
+	return ts
+}
+
+// posting is one decoded entry of an inverted list.
+type posting struct{ tree, count int }
+
+// list decodes dimension d's inverted list.
+func (x *Index) list(d branch.Dim) []posting {
+	if int(d) >= len(x.start)-1 {
+		return nil
+	}
+	var out []posting
+	raw := x.posts[x.start[d]:x.start[d+1]]
+	for k := 0; k < len(raw); k++ {
+		p := posting{tree: int(raw[k] >> countBits), count: int(raw[k] & countMask)}
+		if p.count == 0 {
+			k++
+			p.count = int(raw[k])
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// bdists is BDist of the query to every indexed tree through the sweep.
+func bdists(x *Index, q *branch.Profile, ps []*branch.Profile) []int {
+	ov := make([]int32, len(ps))
+	for i := range ov {
+		ov[i] = -7 // Overlaps must not depend on what ov held
+	}
+	x.Overlaps(q, ov)
+	out := make([]int, len(ps))
+	for i, p := range ps {
+		out[i] = q.Size + p.Size - 2*int(ov[i])
+	}
+	return out
 }
 
 // TestProfilesMatchDirect: reading the inverted lists back by tree yields
 // exactly the branch vector of each directly profiled tree (Algorithm 1's
-// two halves are consistent).
+// two halves are consistent), escaped counts included.
 func TestProfilesMatchDirect(t *testing.T) {
 	ts := dataset()
 	for _, q := range []int{2, 3} {
@@ -28,10 +79,17 @@ func TestProfilesMatchDirect(t *testing.T) {
 		for i := range scanned {
 			scanned[i] = map[branch.Dim]int{}
 		}
+		escaped := 0
 		for d := 0; d < space.Size(); d++ {
-			for _, p := range x.PostingList(branch.Dim(d)) {
-				scanned[p.Tree][branch.Dim(d)] += int(p.Count)
+			for _, p := range x.list(branch.Dim(d)) {
+				scanned[p.tree][branch.Dim(d)] += p.count
+				if p.count > countMask {
+					escaped++
+				}
 			}
+		}
+		if escaped == 0 {
+			t.Fatalf("q=%d: no posting took the escape", q)
 		}
 		for i, p := range direct {
 			want := map[branch.Dim]int{}
@@ -46,27 +104,26 @@ func TestProfilesMatchDirect(t *testing.T) {
 }
 
 // TestDistancesMatch: branch distances computed through the postings
-// accumulator agree with the pairwise merge-join ones, for queries from
-// the dataset and for a lookup-only query profile with unseen branches.
+// sweep agree with the pairwise merge-join ones, for queries from the
+// dataset, for lookup-only query profiles with unseen branches, and for
+// stars whose counts sit below, at and above the escape on either side.
 func TestDistancesMatch(t *testing.T) {
 	ts := dataset()
 	space := branch.NewSpace(2)
-	ps := space.ProfileAll(ts[:30])
+	ps := space.ProfileAll(ts[:34])
 	x := Build(ps)
 	queries := append([]*branch.Profile{}, ps[:12]...)
-	for _, qt := range ts[30:] {
+	for _, qt := range ts[34:] {
 		queries = append(queries, space.QueryProfile(qt))
+	}
+	for _, n := range []int{2, 15, 16, 17, 30, 60} {
+		queries = append(queries, space.QueryProfile(star(n)))
 	}
 	queries = append(queries, space.QueryProfile(tree.MustParse("zz(zz(zz),b)")))
 	for qi, q := range queries {
-		acc := x.BDists(q)
-		if len(acc) != len(ps) {
-			t.Fatalf("accumulator has %d slots, want %d", len(acc), len(ps))
-		}
-		for j, p := range ps {
-			want := branch.BDist(q, p)
-			if got := int(acc[j]); got != want {
-				t.Fatalf("BDist(query %d, tree %d): accumulator %d, merge-join %d", qi, j, got, want)
+		for j, got := range bdists(x, q, ps) {
+			if want := branch.BDist(q, ps[j]); got != want {
+				t.Fatalf("BDist(query %d, tree %d): sweep %d, merge-join %d", qi, j, got, want)
 			}
 		}
 	}
@@ -76,8 +133,8 @@ func TestIndexAccounting(t *testing.T) {
 	ts := dataset()
 	space := branch.NewSpace(2)
 	x := Build(space.ProfileAll(ts))
-	if x.Trees() != len(ts) {
-		t.Errorf("Trees = %d, want %d", x.Trees(), len(ts))
+	if x.trees != len(ts) {
+		t.Errorf("%d trees indexed, want %d", x.trees, len(ts))
 	}
 	total := 0
 	for _, tr := range ts {
@@ -87,21 +144,26 @@ func TestIndexAccounting(t *testing.T) {
 	// all nodes exactly once.
 	covered := 0
 	for d := 0; d < space.Size(); d++ {
-		if len(x.PostingList(branch.Dim(d))) == 0 {
+		if len(x.list(branch.Dim(d))) == 0 {
 			t.Errorf("dimension %d of the vocabulary has no postings", d)
 		}
-		for _, p := range x.PostingList(branch.Dim(d)) {
-			if p.Count == 0 {
-				t.Fatalf("dim %d: empty posting for tree %d", d, p.Tree)
+		for _, p := range x.list(branch.Dim(d)) {
+			if p.count == 0 {
+				t.Fatalf("dim %d: empty posting for tree %d", d, p.tree)
 			}
-			covered += int(p.Count)
+			covered += p.count
 		}
 	}
 	if covered != total {
 		t.Errorf("postings cover %d occurrences, want %d", covered, total)
 	}
-	if got := x.PostingList(branch.Dim(space.Size() + 7)); len(got) != 0 {
+	if got := x.list(branch.Dim(space.Size() + 7)); len(got) != 0 {
 		t.Errorf("dimension beyond the vocabulary has %d postings", len(got))
+	}
+	// The largest tree position still leaves its count bits intact, and
+	// one more would not fit in a posting.
+	if uint64(MaxTrees-1)<<countBits|countMask != math.MaxUint32 {
+		t.Errorf("MaxTrees %d does not fill a posting's tree bits", MaxTrees)
 	}
 }
 
@@ -111,9 +173,9 @@ func TestPostingOrder(t *testing.T) {
 	x := Build(space.ProfileAll(ts))
 	// Postings are filled in tree order, so tree positions ascend per list.
 	for d := 0; d < space.Size(); d++ {
-		list := x.PostingList(branch.Dim(d))
+		list := x.list(branch.Dim(d))
 		for k := 1; k < len(list); k++ {
-			if list[k].Tree <= list[k-1].Tree {
+			if list[k].tree <= list[k-1].tree {
 				t.Fatalf("dim %d: posting trees not ascending", d)
 			}
 		}
@@ -122,11 +184,9 @@ func TestPostingOrder(t *testing.T) {
 
 func TestEmptyDataset(t *testing.T) {
 	x := Build(nil)
-	if x.Trees() != 0 || len(x.PostingList(0)) != 0 {
+	if x.trees != 0 || len(x.list(0)) != 0 {
 		t.Error("empty dataset index should be empty")
 	}
 	q := branch.NewSpace(2).QueryProfile(tree.MustParse("a(b)"))
-	if got := x.BDists(q); len(got) != 0 {
-		t.Error("empty dataset should yield no distances")
-	}
+	x.Overlaps(q, nil) // nothing to sweep into, and nothing to sweep
 }

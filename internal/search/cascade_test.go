@@ -94,13 +94,17 @@ func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int) (res []Result, 
 // candidate count and, with one worker, the same verifications, on every
 // storage layout (one indexed segment, sealed memtables and a live
 // memtable, a compacted segment, a reloaded snapshot) with and without
-// tombstones. The funnel accounts for every tree the filter dropped, and a
-// range query charges each tree to the same tier the full scan does. The
-// layouts with deleted ids also run at three shards, so a shard's
-// tombstone cursor starts mid-list.
+// tombstones. Every sealed segment's BDist tier reads the postings sweep,
+// which checkSwept holds to the merge-join tree by tree; stars of 40 and
+// 17 identical leaves put escaped counts in the postings. The funnel
+// accounts for every tree the filter dropped, and a range query charges
+// each tree to the same tier the full scan does. The layouts with deleted
+// ids also run at three shards, so a shard's tombstone cursor starts
+// mid-list.
 func TestCascadeMatchesFullBoundScan(t *testing.T) {
 	const n = 70
 	all := testDataset(n, 91)
+	all[7], all[24], all[52] = star(40), star(17), star(3)
 	layouts := map[string]func(opts []IndexOption) *Index{
 		"one-segment": func(opts []IndexOption) *Index { return NewIndex(all, opts...) },
 		"segments+memtable": func(opts []IndexOption) *Index {
@@ -122,7 +126,7 @@ func TestCascadeMatchesFullBoundScan(t *testing.T) {
 			return ix
 		},
 	}
-	queries := append([]*tree.Tree{all[0], all[33], all[69]}, testDataset(3, 92)...)
+	queries := append([]*tree.Tree{all[0], all[33], all[69], all[7], star(25)}, testDataset(3, 92)...)
 
 	for lname, build := range layouts {
 		for _, deleted := range [][]int{nil, {0, 7, 21, 33, 40, 68}} {
@@ -155,6 +159,7 @@ func TestCascadeMatchesFullBoundScan(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+					checkSwept(t, name, ix, queries)
 					checkCascade(t, name, ix, visible, queries)
 				}
 			}
@@ -254,7 +259,7 @@ func TestQueriesDoNotGrowTheSpace(t *testing.T) {
 	}
 
 	q := tree.MustParse("fresh(l1(l2,novel),l3)")
-	b := f.Query(q)
+	b := f.Query(q, make([]int32, len(f.profiles)))
 	interned := f.space.Profile(q) // grows the space; last, on purpose
 	for i, p := range f.profiles {
 		if got, want := b.(*biBranchBounder).BDist(i), branch.BDist(interned, p); got != want {
@@ -262,6 +267,45 @@ func TestQueriesDoNotGrowTheSpace(t *testing.T) {
 		}
 		if got, want := b.KNNBound(i), branch.SearchLBound(interned, p); got != want {
 			t.Fatalf("tree %d: bound %d through the lookup profile, %d interned", i, got, want)
+		}
+	}
+}
+
+// star returns l0(l1, …, l1) with n leaves: its branch l1(ε, l1) occurs
+// n−1 times, so from 17 leaves on the count takes an escaped posting.
+func star(n int) *tree.Tree {
+	root := tree.NewNode("l0")
+	for i := 0; i < n; i++ {
+		root.Children = append(root.Children, tree.NewNode("l1"))
+	}
+	return tree.New(root)
+}
+
+// checkSwept holds one index's BDist tier to the merge-join: every sealed
+// segment carries postings and the memtable does not, and for every tree of
+// every segment the tier reads ⌈BDist/Factor⌉ off the query's sweep exactly
+// as branch.BDist computes it.
+func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
+	t.Helper()
+	sealed := len(ix.store.View().Segments)
+	cut := ix.cut()
+	acc := make([]int32, cut.n)
+	for qi, q := range queries {
+		prims := newSegBounders(cut, q, acc)
+		for si, sg := range cut.segs {
+			f := payloadOf(sg).filter.(*BiBranch)
+			if inMem := si >= sealed; (f.post == nil) != inMem {
+				t.Fatalf("%s: segment %d of %d (%d sealed) has postings %v", name, si, len(cut.segs), sealed, f.post != nil)
+			}
+			b := prims[si].(*biBranchBounder)
+			for i, p := range f.profiles {
+				want := branch.BDist(b.qp, p)
+				_, bd := b.CheapBounds(i, noLimit)
+				if got := b.BDist(i); got != want || bd != (want+b.factor-1)/b.factor {
+					t.Fatalf("%s: query %d, segment %d tree %d: BDist %d, tier %d; merge-join %d",
+						name, qi, si, i, got, bd, want)
+				}
+			}
 		}
 	}
 }

@@ -384,11 +384,14 @@ func decodePayload(br *bufio.Reader) (*BiBranch, []*tree.Tree, error) {
 		}
 	}
 
+	// The postings are derived, not stored: every decoded segment is a
+	// sealed one, and the snapshot bytes stay what they were.
 	f := &BiBranch{
 		Q:          space.Q(),
 		Positional: positional == 1,
 		space:      space,
 		profiles:   profiles,
+		post:       postingsOf(profiles),
 	}
 	return f, trees, nil
 }

@@ -30,19 +30,24 @@ import (
 // any bound is computed.
 //
 // The filter is a bound cascade, cheapest tier first (see Bounder): the
-// size bound ||q|−|t||, then ⌈BDist/Factor⌉ — one merge-join of two flat
-// branch vectors per tree — and only for the trees both leave standing the
-// filter's full bound, the positional one. A range query stands a tree
-// down at tau; a k-NN query at the live k-th-best distance, so it computes
-// full bounds lazily, in cheap-bound order, while it verifies (see
-// knnScan). The cheap tiers stop at a limit: a range query's tau, so a tree
-// the size tier prunes gets no merge-join and a merge-join stops once
-// Factor·tau is out of reach; k-NN has no threshold yet and gets exact
-// keys. Every tier is a sound lower bound that the full bound dominates, so
-// a tree a cheap tier prunes the full bound would prune too: candidates,
-// their bounds, the verification order and the results are what computing
-// the full bound for every tree would give. Stats.Pruned reports how many
-// trees each tier eliminated.
+// size bound ||q|−|t||, then ⌈BDist/Factor⌉, and only for the trees both
+// leave standing the filter's full bound, the positional one. BDist comes
+// from the paper's inverted file (Algorithm 1): before the shards start,
+// each sealed segment sweeps the postings of the query's branches once
+// into its range of a pooled per-query accumulator, which every later
+// reader of the tier — the shards, the funnel, EXPLAIN, the tightness
+// sample — looks up by position. Only the memtable, which has no postings,
+// merge-joins two flat branch vectors per tree. A range query stands a
+// tree down at tau; a k-NN query at the live k-th-best distance, so it
+// computes full bounds lazily, in cheap-bound order, while it verifies
+// (see knnScan). The cheap tiers stop at a limit: a range query's tau, so
+// the size tier decides alone where it can and a memtable merge-join stops
+// once Factor·tau is out of reach; k-NN has no threshold and gets exact
+// keys. Every tier is a sound lower bound that the full bound
+// dominates, so a tree a cheap tier prunes the full bound would prune too:
+// candidates, their bounds, the verification order and the results are
+// what computing the full bound for every tree would give. Stats.Pruned
+// reports how many trees each tier eliminated.
 //
 // Results are shard- and segment-layout invariant by construction:
 //
@@ -114,9 +119,14 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]R
 	// no-ops, so untraced queries pay one nil check per stage).
 	span := obs.FromContext(ctx)
 
+	// Every segment's postings sweep into the query's accumulator, which
+	// the bounders read until the last verification.
+	acc := getAcc(cut.n)
+	defer accPool.Put(acc)
+
 	start := time.Now()
 	fspan := span.StartChild("filter")
-	sc, err := ix.filterKNN(ctx, cut, q, fspan)
+	sc, err := ix.filterKNN(ctx, cut, q, *acc, fspan)
 	stats.FilterTime = time.Since(start)
 	if err != nil {
 		fspan.SetBool("canceled", true)
@@ -190,11 +200,11 @@ const tightened = 1 << 32
 
 // filterKNN computes every visible tree's cheap bounds — sharded when the
 // index is configured for it — and heapifies the positions by them.
-func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, fspan *obs.Span) (*knnScan, error) {
+func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, acc []int32, fspan *obs.Span) (*knnScan, error) {
 	n := cut.n
 	sc := &knnScan{
 		cut:   cut,
-		prims: newSegBounders(cut, q),
+		prims: newSegBounders(cut, q, acc),
 		size:  make([]int32, n),
 		cheap: make([]int32, n),
 		tight: make([]int32, n),
@@ -512,9 +522,12 @@ func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, ex *Explain)
 
 	span := obs.FromContext(ctx)
 
+	acc := getAcc(cut.n)
+	defer accPool.Put(acc)
+
 	start := time.Now()
 	fspan := span.StartChild("filter")
-	prims, rs, err := ix.filterRange(ctx, cut, q, tau, fspan, ex != nil)
+	prims, rs, err := ix.filterRange(ctx, cut, q, tau, *acc, fspan, ex != nil)
 	stats.FilterTime = time.Since(start)
 	if err != nil {
 		fspan.SetBool("canceled", true)
@@ -563,8 +576,8 @@ type rangeScan struct {
 // when configured: the size tier, then the branch-distance tier, and the
 // filter's range bound only for trees both leave at or under tau. The
 // cheap tiers stop at tau unless EXPLAIN wants the exact deciding bounds.
-func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, fspan *obs.Span, wantBounds bool) (segBounders, *rangeScan, error) {
-	prims := newSegBounders(cut, q)
+func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, acc []int32, fspan *obs.Span, wantBounds bool) (segBounders, *rangeScan, error) {
+	prims := newSegBounders(cut, q, acc)
 	limit := tau
 	if wantBounds {
 		limit = noLimit

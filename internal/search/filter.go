@@ -20,6 +20,7 @@ import (
 
 	"treesim/internal/branch"
 	"treesim/internal/histogram"
+	"treesim/internal/invfile"
 	"treesim/internal/tree"
 )
 
@@ -32,8 +33,10 @@ type Filter interface {
 	Name() string
 	// Index preprocesses the dataset (e.g. builds branch vectors).
 	Index(ts []*tree.Tree)
-	// Query preprocesses one query tree and returns its bounder.
-	Query(q *tree.Tree) Bounder
+	// Query preprocesses one query tree and returns its bounder. acc has
+	// an entry per indexed tree: working memory the bounder may keep until
+	// the query ends (BiBranch sweeps its postings into it).
+	Query(q *tree.Tree, acc []int32) Bounder
 	// Append extends the indexed state with one more tree, at the next
 	// dataset position: an insert into the memtable.
 	Append(t *tree.Tree)
@@ -42,8 +45,10 @@ type Filter interface {
 	Fresh() Filter
 	// snapshotAt freezes the first n indexed entries into a read-only
 	// filter that stays valid while the original keeps appending
-	// (slice-header copies, never data copies — seals are O(1)).
-	snapshotAt(n int) Filter
+	// (slice-header copies, never data copies). With seal set the
+	// snapshot becomes a sealed segment's filter for good, and builds
+	// what a sealed segment keeps: BiBranch's postings, O(n).
+	snapshotAt(n int, seal bool) Filter
 }
 
 // Bounder computes edit-distance lower bounds between one query and the
@@ -61,6 +66,9 @@ type Bounder interface {
 	// returns zero for it. Past limit a bound need not be exact: a size
 	// bound above it comes back with bdist zero, and a bdist above it may
 	// be any bound in (limit, ⌈BDist/Factor⌉]. noLimit asks for exact ones.
+	// A segment whose BDist was swept from postings (every sealed one)
+	// reads it off the query's accumulator, so its bdist is always exact;
+	// only the memtable's merge-join stops at limit.
 	CheapBounds(i, limit int) (size, bdist int)
 	// KNNBound returns the filter's full lower bound L ≤ EDist(query, tree
 	// i), used as the optimistic bound of Algorithm 2.
@@ -116,6 +124,20 @@ type BiBranch struct {
 
 	space    *branch.Space
 	profiles []*branch.Profile
+	// post is the inverted file over profiles (Algorithm 1) that a sealed
+	// segment's BDist tier sweeps; nil in the memtable, which grows by
+	// Append, merge-joins per tree instead.
+	post *invfile.Index
+}
+
+// postingsOf builds the inverted file over a sealed segment's profiles:
+// nil for an empty segment, or one too large for a posting's tree bits,
+// which then merge-joins per tree like the memtable.
+func postingsOf(ps []*branch.Profile) *invfile.Index {
+	if len(ps) == 0 || len(ps) > invfile.MaxTrees {
+		return nil
+	}
+	return invfile.Build(ps)
 }
 
 // NewBiBranch returns the standard configuration of the paper: two-level
@@ -131,7 +153,7 @@ func (f *BiBranch) Name() string {
 }
 
 // Index implements Filter: profiles the dataset into flat per-block
-// arrays.
+// arrays and builds the postings over them.
 func (f *BiBranch) Index(ts []*tree.Tree) {
 	q := f.Q
 	if q == 0 {
@@ -139,10 +161,11 @@ func (f *BiBranch) Index(ts []*tree.Tree) {
 	}
 	f.space = branch.NewSpace(q)
 	f.profiles = f.space.ProfileAllParallel(ts, 0)
+	f.post = postingsOf(f.profiles)
 }
 
 // Append implements Filter: profiles the new tree into the existing
-// space.
+// space. Only the memtable's filter grows, and it has no postings.
 func (f *BiBranch) Append(t *tree.Tree) {
 	f.profiles = append(f.profiles, f.space.Profile(t))
 }
@@ -153,15 +176,27 @@ func (f *BiBranch) Fresh() Filter { return &BiBranch{Q: f.Q, Positional: f.Posit
 // snapshotAt freezes the first n profiles. The branch space is shared —
 // it is internally synchronized and only ever grows — and the profile
 // slice is capped at n, so appends to the live filter never show through.
-func (f *BiBranch) snapshotAt(n int) Filter {
-	return &BiBranch{Q: f.Q, Positional: f.Positional, space: f.space, profiles: f.profiles[:n:n]}
+// A seal also builds the postings: under the store's lock, once per
+// MemtableSize inserts.
+func (f *BiBranch) snapshotAt(n int, seal bool) Filter {
+	g := &BiBranch{Q: f.Q, Positional: f.Positional, space: f.space, profiles: f.profiles[:n:n]}
+	if seal {
+		g.post = postingsOf(g.profiles)
+	}
+	return g
 }
 
 // Query implements Filter. The query is profiled by lookup only — a branch
 // no indexed tree contains needs no dimension — so queries never grow the
-// space.
-func (f *BiBranch) Query(q *tree.Tree) Bounder {
-	return &biBranchBounder{f: f, qp: f.space.QueryProfile(q), factor: f.Factor()}
+// space. Where the filter has postings, one sweep over the query's lists
+// leaves every tree's branch overlap in acc.
+func (f *BiBranch) Query(q *tree.Tree, acc []int32) Bounder {
+	b := &biBranchBounder{f: f, qp: f.space.QueryProfile(q), factor: f.Factor()}
+	if f.post != nil {
+		b.ov = acc[:len(f.profiles)]
+		f.post.Overlaps(b.qp, b.ov)
+	}
+	return b
 }
 
 // Factor returns the proven worst-case BDist/EDist ratio 4(q-1)+1
@@ -180,11 +215,19 @@ type biBranchBounder struct {
 	f      *BiBranch
 	qp     *branch.Profile
 	factor int
+	// ov[i] is the branch overlap with tree i, swept from the segment's
+	// postings; nil where the segment has none.
+	ov []int32
 }
 
-// BDist returns the raw binary branch distance to tree i, the quantity
-// the tightness metric relates to the exact edit distance.
+// BDist returns the raw binary branch distance to tree i — the BDist
+// tier's quantity, and what the tightness metric relates to the exact edit
+// distance: |q| + |t| − 2·overlap off the sweep, or a merge-join in a
+// segment without postings.
 func (b *biBranchBounder) BDist(i int) int {
+	if b.ov != nil {
+		return b.qp.Size + b.f.profiles[i].Size - 2*int(b.ov[i])
+	}
 	return branch.BDist(b.qp, b.f.profiles[i])
 }
 
@@ -206,8 +249,13 @@ func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist int) {
 			return size, 0
 		}
 	}
-	// BDist ≤ |q|+|t|: a cap there cannot stop the join, nor overflow.
-	d, _ := branch.BDistWithin(b.qp, t, min(limit, b.qp.Size+t.Size)*b.factor)
+	var d int
+	if b.ov != nil {
+		d = b.BDist(i)
+	} else {
+		// BDist ≤ |q|+|t|: a cap there cannot stop the join, nor overflow.
+		d, _ = branch.BDistWithin(b.qp, t, min(limit, b.qp.Size+t.Size)*b.factor)
+	}
 	return size, (d + b.factor - 1) / b.factor
 }
 
@@ -293,12 +341,12 @@ func (f *Histo) Fresh() Filter {
 
 // snapshotAt freezes the first n profiles (shared folding configuration,
 // capped profile slice).
-func (f *Histo) snapshotAt(n int) Filter {
+func (f *Histo) snapshotAt(n int, _ bool) Filter {
 	return &Histo{Config: f.Config, cfg: f.cfg, profiles: f.profiles[:n:n]}
 }
 
 // Query implements Filter.
-func (f *Histo) Query(q *tree.Tree) Bounder {
+func (f *Histo) Query(q *tree.Tree, _ []int32) Bounder {
 	return &histoBounder{f: f, qp: histogram.NewProfileConfig(q, f.cfg)}
 }
 
@@ -336,10 +384,10 @@ func (*None) Fresh() Filter { return &None{} }
 
 // snapshotAt implements Filter (stateless, so the filter is its own
 // snapshot).
-func (f *None) snapshotAt(int) Filter { return f }
+func (f *None) snapshotAt(int, bool) Filter { return f }
 
 // Query implements Filter.
-func (*None) Query(*tree.Tree) Bounder { return noneBounder{} }
+func (*None) Query(*tree.Tree, []int32) Bounder { return noneBounder{} }
 
 type noneBounder struct{ singleTier }
 

@@ -2,6 +2,8 @@ package search
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"testing"
 
 	"treesim/internal/tree"
@@ -29,8 +31,20 @@ func FuzzLoadIndex(f *testing.F) {
 	if err := SaveIndex(&v3seg, seg); err != nil {
 		f.Fatal(err)
 	}
+	// Stars among sealed segments: the postings built at decode hold
+	// escaped counts.
+	stars := NewIndex(append(testDataset(4, 44), star(40)), NewBiBranch(), WithMemtableSize(3), WithCompactionThreshold(-1))
+	for _, tr := range []*tree.Tree{star(17), testDataset(1, 45)[0], star(20)} {
+		stars.Insert(tr)
+	}
+	stars.Delete(1)
+	var v3stars bytes.Buffer
+	if err := SaveIndex(&v3stars, stars); err != nil {
+		f.Fatal(err)
+	}
 	f.Add(v3.Bytes())
 	f.Add(v3seg.Bytes())
+	f.Add(v3stars.Bytes())
 	// Magics the loader must reject whatever follows them: a well-formed
 	// body here, garbage below.
 	f.Add(append([]byte("TSIX1\x00"), v3.Bytes()[6:]...))
@@ -60,6 +74,7 @@ func FuzzLoadIndex(f *testing.F) {
 			t.Fatalf("round trip changed size/live: %d/%d -> %d/%d",
 				loaded.Size(), loaded.Live(), again.Size(), again.Live())
 		}
+		var visible []*tree.Tree
 		for i := 0; i < loaded.Size(); i++ {
 			lt, lok := loaded.TreeAt(i)
 			at, aok := again.TreeAt(i)
@@ -68,6 +83,22 @@ func FuzzLoadIndex(f *testing.F) {
 			}
 			if lok && !tree.Equal(at, lt) {
 				t.Fatalf("round trip changed tree %d", i)
+			}
+			if lok {
+				visible = append(visible, lt)
+			}
+		}
+		// The segments' postings are built at decode: the loaded index
+		// answers like one indexed afresh over its visible trees.
+		if len(visible) > 0 && len(visible) <= 64 {
+			fresh := NewIndex(visible, NewBiBranch())
+			q := visible[len(visible)/2]
+			got, _, _ := loaded.KNN(context.Background(), q, 3)
+			want, _, _ := fresh.KNN(context.Background(), q, 3)
+			gr, _, _ := loaded.Range(context.Background(), q, 2)
+			wr, _, _ := fresh.Range(context.Background(), q, 2)
+			if !reflect.DeepEqual(dists(got), dists(want)) || !reflect.DeepEqual(dists(gr), dists(wr)) {
+				t.Fatalf("loaded index answers k-NN %v, range %v; afresh %v, %v", dists(got), dists(gr), dists(want), dists(wr))
 			}
 		}
 	})

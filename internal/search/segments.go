@@ -1,6 +1,7 @@
 package search
 
 import (
+	"sync"
 	"time"
 
 	"treesim/internal/segstore"
@@ -13,8 +14,10 @@ import (
 //
 // Every sealed segment carries its own trees and its own filter over
 // them; the memtable carries a fresh filter of the configured family that
-// grows by one Append per insert. A segment's filter is rebuilt with the
-// parallel index build only at compaction, off the write path.
+// grows by one Append per insert. A seal freezes the memtable's filter
+// and builds what a sealed segment keeps (BiBranch's postings); a
+// segment's filter is rebuilt with the parallel index build only at
+// compaction, off the write path.
 
 // segPayload is what a segment carries: its trees and the filter over
 // them. A sealed segment's payload is immutable; the memtable's is mutated
@@ -33,11 +36,11 @@ func (ix *Index) segHooks() segstore.Hooks {
 			f.Index(nil)
 			return &segPayload{filter: f}
 		},
-		Snapshot: func(mem any, n int) any {
+		Snapshot: func(mem any, n int, seal bool) any {
 			m := mem.(*segPayload)
 			return &segPayload{
 				trees:  m.trees[:n:n],
-				filter: m.filter.snapshotAt(n),
+				filter: m.filter.snapshotAt(n, seal),
 			}
 		},
 	}
@@ -185,14 +188,32 @@ func (qc *qcut) treeOf(si, local int) *tree.Tree {
 }
 
 // segBounders is a query's per-segment bounder set: one query profile per
-// segment, created up front. Every bounder is read-only after Query, so
+// segment, created up front, each segment's postings swept into its range
+// of the query's accumulator. Every bounder is read-only after Query, so
 // the set is shared by all shards and refine workers.
 type segBounders []Bounder
 
-func newSegBounders(qc *qcut, q *tree.Tree) segBounders {
+func newSegBounders(qc *qcut, q *tree.Tree, acc []int32) segBounders {
 	sb := make(segBounders, len(qc.segs))
 	for si, sg := range qc.segs {
-		sb[si] = payloadOf(sg).filter.Query(q)
+		sb[si] = payloadOf(sg).filter.Query(q, acc[qc.starts[si]:qc.starts[si+1]])
 	}
 	return sb
+}
+
+// accPool recycles the queries' accumulators, one int32 per position of a
+// cut, so a sweep allocates nothing in the steady state. A query puts its
+// accumulator back when it returns, when no bounder reads it any more.
+var accPool sync.Pool
+
+// getAcc returns an accumulator of n entries. A new one has room for a
+// few more, so a dataset that grows by inserts does not outgrow every
+// pooled one at once.
+func getAcc(n int) *[]int32 {
+	if p, ok := accPool.Get().(*[]int32); ok && cap(*p) >= n {
+		*p = (*p)[:n]
+		return p
+	}
+	acc := make([]int32, n, n+n/8)
+	return &acc
 }

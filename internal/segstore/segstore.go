@@ -3,8 +3,9 @@
 // with deletes.
 //
 // Writes land in a small mutable memtable; when it reaches the configured
-// size it is sealed into an immutable segment in O(1) (the caller's
-// Snapshot hook freezes the payload without copying data). Deletes are
+// size it is sealed into an immutable segment (the caller's Snapshot hook
+// freezes the payload without copying data, and may build an index over
+// the sealed entries, in O(MemtableSize)). Deletes are
 // tombstones in an immutable copy-on-write set. Background compaction
 // merges every sealed segment into one, dropping tombstoned entries and
 // letting the caller rebuild expensive per-segment structures (filters)
@@ -63,16 +64,19 @@ func (c Config) compactAfter() int {
 	return c.CompactAfter
 }
 
-// Hooks are the payload callbacks the store calls under its mutation lock;
-// both must be O(1) (slice-header copies, not data copies).
+// Hooks are the payload callbacks the store calls under its mutation lock.
 type Hooks struct {
 	// NewMem creates an empty memtable payload whose first entry will get
-	// id base.
+	// id base. It must be O(1).
 	NewMem func(base int) any
 	// Snapshot freezes the first n entries of a memtable payload into an
 	// immutable payload safe for concurrent readers while the original
-	// keeps growing.
-	Snapshot func(mem any, n int) any
+	// keeps growing. seal is false for a reader's cut, which every query
+	// takes, so that call must be O(1) (slice-header copies, not data
+	// copies). seal is true when the payload becomes a sealed segment,
+	// once per MemtableSize inserts: that call may also build what the
+	// segment keeps for good, in O(n).
+	Snapshot func(mem any, n int, seal bool) any
 }
 
 // Segment is an immutable run of entries. IDs == nil means the ids are
@@ -275,7 +279,7 @@ func (s *Store) sealLocked() {
 	frozen := &Segment{
 		Base:    s.memBase,
 		N:       s.memLen,
-		Payload: s.hooks.Snapshot(s.mem, s.memLen),
+		Payload: s.hooks.Snapshot(s.mem, s.memLen, true),
 	}
 	v := s.view.Load()
 	segs := make([]*Segment, len(v.Segments)+1)
@@ -356,7 +360,7 @@ func (s *Store) Read() Cut {
 	v := s.view.Load()
 	var mem *Segment
 	if s.memLen > 0 {
-		mem = &Segment{Base: s.memBase, N: s.memLen, Payload: s.hooks.Snapshot(s.mem, s.memLen)}
+		mem = &Segment{Base: s.memBase, N: s.memLen, Payload: s.hooks.Snapshot(s.mem, s.memLen, false)}
 	}
 	nextID := s.nextID
 	s.mu.Unlock()

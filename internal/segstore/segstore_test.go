@@ -16,10 +16,38 @@ type memPayload struct {
 func testHooks() Hooks {
 	return Hooks{
 		NewMem: func(base int) any { return &memPayload{} },
-		Snapshot: func(mem any, n int) any {
+		Snapshot: func(mem any, n int, _ bool) any {
 			m := mem.(*memPayload)
 			return m.vals[:n:n]
 		},
+	}
+}
+
+// TestSnapshotSealFlag: the Snapshot hook hears seal=true once per seal —
+// a full memtable's or an explicit Seal's — and seal=false for every
+// reader's cut of a non-empty memtable, so only a seal pays for building.
+func TestSnapshotSealFlag(t *testing.T) {
+	var seals, cuts int
+	h := testHooks()
+	snap := h.Snapshot
+	h.Snapshot = func(mem any, n int, seal bool) any {
+		if seal {
+			seals++
+		} else {
+			cuts++
+		}
+		return snap(mem, n, seal)
+	}
+	s := New(Config{MemtableSize: 3}, h)
+	for i := 0; i < 4; i++ {
+		insertVal(s, i) // the third seals
+	}
+	s.Read()
+	s.Read()
+	s.Seal()
+	s.Read() // an empty memtable needs no snapshot
+	if seals != 2 || cuts != 2 {
+		t.Fatalf("%d seals and %d cuts, want 2 and 2", seals, cuts)
 	}
 }
 

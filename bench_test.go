@@ -198,19 +198,51 @@ func BenchmarkVectorConstruction(b *testing.B) {
 
 // BenchmarkFilterStage measures the filter stage alone, in ns per live
 // tree, for the two query kinds at growing dataset sizes on the paper's
-// default spec. Over an indexed segment both kinds read every tree's BDist
-// off one sweep of the segment's postings, so the per-tree work left is
-// the size tier, a lookup and, for the few survivors, a positional bound:
-// a range query's at τ, a k-NN query's lazily during refinement
+// default spec, and reports the candidates a query leaves. Over an indexed
+// segment both kinds read every tree's BDist and label overlap off one
+// sweep each of the segment's postings, so the per-tree work left is the
+// size tier, two lookups and, for the few survivors, a positional bound: a
+// range query's at τ, a k-NN query's lazily during refinement
 // (Stats.FilterTime counts them). The -memtable rows hold the last 1 023
 // trees in the memtable, one insert short of the default seal, which
-// merge-joins per tree: a range query's joins stop once BDist is out of
-// Factor·τ's reach, a k-NN query's run in full.
+// merge-joins per tree and has no label tier: a range query's joins stop
+// once BDist is out of Factor·τ's reach, a k-NN query's run in full. The
+// dblp rows are DBLP-like records queried by variants of records, as the
+// mixed_rw workload queries them: there the label tier, not BDist, decides
+// most trees.
 func BenchmarkFilterStage(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
+	opts := []search.IndexOption{search.WithShards(1), search.WithRefineWorkers(1)}
+	run := func(name string, n int, query func(q *tree.Tree) search.Stats, queries []*tree.Tree) {
+		b.Run(name+"/"+intName(n), func(b *testing.B) {
+			var filter time.Duration
+			var pruned search.Funnel
+			candidates := 0
+			for i := 0; i < b.N; i++ {
+				st := query(queries[i%len(queries)])
+				filter += st.FilterTime
+				pruned = st.Pruned
+				candidates += st.Candidates
+			}
+			b.ReportMetric(float64(filter.Nanoseconds())/float64(b.N)/float64(n), "ns/tree")
+			b.ReportMetric(float64(pruned.Size+pruned.BDist+pruned.Label)/float64(n), "cheap-pruned")
+			b.ReportMetric(float64(candidates)/float64(b.N), "candidates")
+		})
+	}
+	rangeq := func(ix *search.Index, tau int) func(q *tree.Tree) search.Stats {
+		return func(q *tree.Tree) search.Stats {
+			_, st, _ := ix.Range(context.Background(), q, tau)
+			return st
+		}
+	}
+	knn := func(ix *search.Index, k int) func(q *tree.Tree) search.Stats {
+		return func(q *tree.Tree) search.Stats {
+			_, st, _ := ix.KNN(context.Background(), q, k)
+			return st
+		}
+	}
 	for _, n := range []int{2000, 8000, 32000} {
 		ts := datagen.New(spec, 5).Dataset(n, n/10)
-		opts := []search.IndexOption{search.WithShards(1), search.WithRefineWorkers(1)}
 		ix := search.NewIndex(ts, append(opts, search.NewBiBranch())...)
 		const inMem = segstore.DefaultMemtableSize - 1
 		mem := search.NewIndex(ts[:n-inMem], append(opts, search.NewBiBranch())...)
@@ -221,33 +253,24 @@ func BenchmarkFilterStage(b *testing.B) {
 		for i := range queries {
 			queries[i] = ts[(i*997+42)%n]
 		}
-		run := func(name string, query func(q *tree.Tree) search.Stats) {
-			b.Run(name+"/"+intName(n), func(b *testing.B) {
-				var filter time.Duration
-				var pruned search.Funnel
-				for i := 0; i < b.N; i++ {
-					st := query(queries[i%len(queries)])
-					filter += st.FilterTime
-					pruned = st.Pruned
-				}
-				b.ReportMetric(float64(filter.Nanoseconds())/float64(b.N)/float64(n), "ns/tree")
-				b.ReportMetric(float64(pruned.Size+pruned.BDist)/float64(n), "cheap-pruned")
-			})
-		}
 		for _, layout := range []struct {
 			suffix string
 			ix     *search.Index
 		}{{"", ix}, {"-memtable", mem}} {
-			run("range-tau3"+layout.suffix, func(q *tree.Tree) search.Stats {
-				_, st, _ := layout.ix.Range(context.Background(), q, 3)
-				return st
-			})
-			run("knn-k5"+layout.suffix, func(q *tree.Tree) search.Stats {
-				_, st, _ := layout.ix.KNN(context.Background(), q, 5)
-				return st
-			})
+			run("range-tau3"+layout.suffix, n, rangeq(layout.ix, 3), queries)
+			run("knn-k5"+layout.suffix, n, knn(layout.ix, 5), queries)
 		}
 	}
+	const n = 10000
+	g := dblp.New(5)
+	ts := g.Dataset(n)
+	ix := search.NewIndex(ts, append(opts, search.NewBiBranch())...)
+	queries := make([]*tree.Tree, 16)
+	for i := range queries {
+		queries[i] = g.Variant(ts[(i*997+42)%n])
+	}
+	run("dblp-range-tau3", n, rangeq(ix, 3), queries)
+	run("dblp-knn-k10", n, knn(ix, 10), queries)
 }
 
 // BenchmarkKNNQuery compares one k-NN query under each filter on a fixed

@@ -45,6 +45,19 @@ func refBDist(a, b *refProfile) int {
 	return l1
 }
 
+// refLabelL1 is the L1 distance of the two trees' label histograms,
+// counted node by node.
+func refLabelL1(a, b *tree.Tree) int {
+	h := map[string]int{}
+	a.Walk(func(n *tree.Node) bool { h[n.Label]++; return true })
+	b.Walk(func(n *tree.Node) bool { h[n.Label]--; return true })
+	l1 := 0
+	for _, c := range h {
+		l1 += abs(c)
+	}
+	return l1
+}
+
 func abs(x int) int {
 	if x < 0 {
 		return -x
@@ -185,7 +198,9 @@ var wideStar = tree.MustParse("r(" + strings.Repeat("c,", 39) + "c)")
 //     within exactly when BDist ≤ limit, returns BDist then and otherwise
 //     a bound in (limit, BDist];
 //   - the postings sweep over an inverted file of several trees (t2, t1
-//     and a wide star) gives each of them the merge-join's BDist;
+//     and a wide star) gives each of them the merge-join's BDist, and its
+//     label sweep a bound ⌈L1'/2⌉ ≤ ⌈L1/2⌉ ≤ EDist, with L1 the exact
+//     label-histogram distance (Kailing et al.);
 //   - for every tau the cascade — size tier, BDist tier, then the
 //     one-probe RangeLowerBoundWithin — keeps exactly the pairs with
 //     RangeLowerBound ≤ tau and reports that bound for them, and never
@@ -202,6 +217,8 @@ func FuzzBoundCascade(f *testing.F) {
 func checkCascade(t *testing.T, seed int64, shape, size, edits uint8) {
 	t1, t2 := cascadePair(seed, shape, size, edits)
 	ed := editdist.Distance(t1, t2)
+	indexedTrees := []*tree.Tree{wideStar, t1, t2, t1}
+	dists := []int{editdist.Distance(t1, wideStar), 0, ed, 0}
 	for _, q := range []int{2, 3, 4} {
 		fac := branch.Factor(q)
 		s := branch.NewSpace(q)
@@ -221,7 +238,10 @@ func checkCascade(t *testing.T, seed int64, shape, size, edits uint8) {
 		// twice around t2.
 		indexed := []*branch.Profile{s.Profile(wideStar), a, b, s.Profile(t1)}
 		ov := make([]int32, len(indexed))
-		invfile.Build(indexed).Overlaps(qp, ov)
+		x := invfile.Build(indexed)
+		x.Overlaps(qp, ov)
+		lov := make([]int32, len(indexed))
+		base := x.LabelOverlaps(s.QueryLabels(t1, nil), lov)
 		ra, rb := refOf(s, t1), refOf(s, t2)
 
 		bd, slb := branch.BDist(a, b), branch.SearchLBound(a, b)
@@ -246,6 +266,12 @@ func checkCascade(t *testing.T, seed int64, shape, size, edits uint8) {
 		for i, p := range indexed {
 			if got, want := qp.Size+p.Size-2*int(ov[i]), branch.BDist(qp, p); got != want {
 				t.Fatalf("q=%d: swept BDist to indexed tree %d is %d, merge-join %d\n %s\n %s", q, i, got, want, t1, t2)
+			}
+			swept := max(0, (qp.Size+p.Size-2*int(base+lov[i])+1)/2)
+			exact := (refLabelL1(t1, indexedTrees[i]) + 1) / 2
+			if swept > exact || exact > dists[i] {
+				t.Fatalf("q=%d: indexed tree %d: swept label bound %d, exact %d, EDist %d\n %s\n %s",
+					q, i, swept, exact, dists[i], t1, indexedTrees[i])
 			}
 		}
 		if want := refSearchLBound(ra, rb, fac); slb != want || lookupLB != want {

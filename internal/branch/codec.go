@@ -124,6 +124,9 @@ func Read(r io.Reader) (*Space, []*Profile, error) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, nil, err
 		}
+		if _, ok := rootLabel(string(buf)); !ok {
+			return nil, nil, fmt.Errorf("branch: key %d does not start with a label", i)
+		}
 		if got := s.intern(buf); int(got) != i {
 			return nil, nil, fmt.Errorf("branch: duplicate key %d in stream", i)
 		}

@@ -335,6 +335,43 @@ func (s *Space) QueryProfile(t *tree.Tree) *Profile {
 	return s.single(t, true)
 }
 
+// LabelCount is one label of a tree and how many of its nodes carry it.
+type LabelCount struct {
+	Label Label
+	Count int32
+}
+
+// QueryLabels appends to dst the label histogram of t, ascending by label,
+// over the labels the space has interned, and leaves the space untouched.
+// It counts every node of t, whether or not the branch rooted there has a
+// dimension: a query branch the space never saw can still be rooted at a
+// label it knows, and that node can still match a node of a profiled tree.
+// Counting a QueryProfile's coordinates instead would miss those nodes. A
+// label left out — one no dimension had at the last Roots call — is carried
+// by no tree an inverted file was built over, so for those trees it can
+// match nothing.
+func (s *Space) QueryLabels(t *tree.Tree, dst []LabelCount) []LabelCount {
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	sc.flatten(t)
+	sc.keys = sc.keys[:0]
+	s.mu.RLock()
+	for _, l := range sc.label {
+		if id, ok := s.labelIDs[l]; ok {
+			sc.keys = append(sc.keys, uint64(id))
+		}
+	}
+	s.mu.RUnlock()
+	slices.Sort(sc.keys)
+	for i, k := range sc.keys {
+		if i == 0 || k != sc.keys[i-1] {
+			dst = append(dst, LabelCount{Label: Label(k)})
+		}
+		dst[len(dst)-1].Count++
+	}
+	return dst
+}
+
 // single profiles one tree into a store of its own, of exactly its size.
 func (s *Space) single(t *tree.Tree, lookup bool) *Profile {
 	sc := scratchPool.Get().(*scratch)

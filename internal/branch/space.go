@@ -18,6 +18,7 @@
 package branch
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,6 +37,10 @@ func Factor(q int) int { return 4*(q-1) + 1 }
 // branch.
 type Dim uint32
 
+// Label identifies a node label the space has seen at the root of a branch:
+// interned in the order the branches' dimensions were.
+type Label uint32
+
 // Space is the alphabet Γ of q-level binary branches observed in a dataset.
 // It interns each distinct branch into a dense vector dimension, so branch
 // vectors of different trees are directly comparable. A Space is safe for
@@ -47,6 +52,13 @@ type Space struct {
 	ids map[string]Dim
 	// keys lists the branch keys by dimension, for debugging/inspection.
 	keys []string
+	// root[d] is the label dimension d's branch is rooted at: the key's
+	// first label. Every node roots exactly one branch (Definition 2), so a
+	// tree's label histogram is its profile summed by root label. Roots
+	// extends it to the dimensions interned since its last call.
+	root []Label
+	// labelIDs interns the root labels.
+	labelIDs map[string]Label
 }
 
 // NewSpace returns an empty branch space at level q (q ≥ MinQ; q=2 is the
@@ -84,6 +96,49 @@ func (s *Space) intern(key []byte) Dim {
 	s.keys = append(s.keys, k)
 	s.ids[k] = id
 	return id
+}
+
+// rootLabel returns the first label of an encoded branch key: the label of
+// the node the branch is rooted at. ok is false when key does not start
+// with a well-formed "<len>:<label>".
+func rootLabel(key string) (l string, ok bool) {
+	n, i := 0, 0
+	for ; i < len(key) && '0' <= key[i] && key[i] <= '9'; i++ {
+		if n = 10*n + int(key[i]-'0'); n > len(key) {
+			return "", false
+		}
+	}
+	if i == 0 || i == len(key) || key[i] != ':' || n > len(key)-i-1 {
+		return "", false
+	}
+	return key[i+1 : i+1+n], true
+}
+
+// Roots returns the root label of every dimension interned so far, indexed
+// by Dim, and the number of labels among them: what an inverted file needs
+// to sum its profiles into label histograms. It interns the root labels of
+// the dimensions added since its last call, off the profiling path: only
+// trees an inverted file is built over need their labels known (see
+// QueryLabels). The slice is shared; callers must not modify it.
+func (s *Space) Roots() (root []Label, labels int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.labelIDs) == 0 {
+		// A first call labels a whole indexed dataset: size the map for
+		// it, about one label per two branches, rather than grow it.
+		s.labelIDs = make(map[string]Label, len(s.keys)/2)
+	}
+	s.root = slices.Grow(s.root, len(s.keys)-len(s.root))
+	for _, k := range s.keys[len(s.root):] {
+		l, _ := rootLabel(k)
+		id, ok := s.labelIDs[l]
+		if !ok {
+			id = Label(len(s.labelIDs))
+			s.labelIDs[l] = id
+		}
+		s.root = append(s.root, id)
+	}
+	return s.root, len(s.labelIDs)
 }
 
 // Key returns the encoded key of dimension d. It panics if d was never

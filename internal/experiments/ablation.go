@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"treesim/internal/datagen"
 	"treesim/internal/search"
@@ -31,11 +29,8 @@ func AblationPositional(cfg Config) *Table {
 	qs := cfg.sampleQueries(ts, rng)
 	k := cfg.k(len(ts))
 
-	// One refine worker: with several, how many candidates a k-NN query
-	// verifies before the k-th-best distance settles depends on timing,
-	// and the table compares exactly that count.
-	pos := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: true}, search.WithRefineWorkers(1))
-	plain := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: false}, search.WithRefineWorkers(1))
+	pos := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: true})
+	plain := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: false})
 
 	t := &Table{
 		Figure:  "Ablation: positional bound",
@@ -44,20 +39,8 @@ func AblationPositional(cfg Config) *Table {
 		XLabel:  "query",
 	}
 	t.Rows = append(t.Rows,
-		ablationRow(cfg, fmt.Sprintf("knn k=%d", k), qs, func(q *tree.Tree) search.Stats {
-			_, st, _ := pos.KNN(context.Background(), q, k)
-			return st
-		}, func(q *tree.Tree) search.Stats {
-			_, st, _ := plain.KNN(context.Background(), q, k)
-			return st
-		}),
-		ablationRow(cfg, fmt.Sprintf("range tau=%d", tau), qs, func(q *tree.Tree) search.Stats {
-			_, st, _ := pos.Range(context.Background(), q, tau)
-			return st
-		}, func(q *tree.Tree) search.Stats {
-			_, st, _ := plain.Range(context.Background(), q, tau)
-			return st
-		}),
+		cfg.ablationRow(fmt.Sprintf("knn k=%d", k), ts, qs, knnQuery(k), pos, plain),
+		cfg.ablationRow(fmt.Sprintf("range tau=%d", tau), ts, qs, rangeQuery(tau), pos, plain),
 	)
 	return t
 }
@@ -84,35 +67,21 @@ func AblationQ(cfg Config) *Table {
 	}
 	for _, q := range []int{2, 3, 4} {
 		ix := search.NewIndex(ts, &search.BiBranch{Q: q, Positional: true})
-		t.Rows = append(t.Rows,
-			ablationRow(cfg, fmt.Sprintf("%d", q), qs, func(qt *tree.Tree) search.Stats {
-				_, st, _ := ix.Range(context.Background(), qt, tau)
-				return st
-			}, func(qt *tree.Tree) search.Stats {
-				_, st, _ := ref.Range(context.Background(), qt, tau)
-				return st
-			}))
+		t.Rows = append(t.Rows, cfg.ablationRow(fmt.Sprintf("%d", q), ts, qs, rangeQuery(tau), ix, ref))
 	}
 	return t
 }
 
-// ablationRow runs the variant (→ BiBranch column) and the reference
-// (→ Histo column) over the query set and aggregates.
-func ablationRow(cfg Config, label string, qs []*tree.Tree,
-	variant, reference func(*tree.Tree) search.Stats) Row {
-	var va, ra search.Stats
-	for _, st := range cfg.forEachQuery(qs, variant) {
-		va.Add(st)
-	}
-	for _, st := range cfg.forEachQuery(qs, reference) {
-		ra.Add(st)
-	}
-	n := time.Duration(len(qs))
+// ablationRow measures the variant (→ BiBranch column) and the reference
+// (→ Histo column) over the query set, as a figure row measures its filters.
+func (c Config) ablationRow(label string, ts, qs []*tree.Tree, op query, variant, reference *search.Index) Row {
+	va := c.measure(variant, ts, qs, op)
+	ra := c.measure(reference, ts, qs, op)
 	return Row{
 		X:            label,
-		BiBranchPct:  100 * va.AccessedFraction(),
-		HistoPct:     100 * ra.AccessedFraction(),
-		BiBranchTime: va.Total() / n,
-		SeqTime:      ra.Total() / n,
+		BiBranchPct:  va.pct,
+		HistoPct:     ra.pct,
+		BiBranchTime: va.time,
+		SeqTime:      ra.time,
 	}
 }

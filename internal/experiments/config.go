@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"treesim/internal/editdist"
-	"treesim/internal/search"
 	"treesim/internal/tree"
 )
 
@@ -155,21 +154,19 @@ func (c Config) avgPairwiseDistance(ts []*tree.Tree, rng *rand.Rand) float64 {
 	return float64(total) / float64(len(pairs))
 }
 
-// forEachQuery runs fn over the queries with bounded parallelism and
-// returns the per-query stats in order.
-func (c Config) forEachQuery(qs []*tree.Tree, fn func(q *tree.Tree) search.Stats) []search.Stats {
-	out := make([]search.Stats, len(qs))
+// forEachQuery runs fn(i) for every query index i in [0, n) with bounded
+// parallelism.
+func (c Config) forEachQuery(n int, fn func(i int)) {
 	sem := make(chan struct{}, c.workers())
 	var wg sync.WaitGroup
-	for i, q := range qs {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, q *tree.Tree) {
+		go func(i int) {
 			defer wg.Done()
-			out[i] = fn(q)
+			fn(i)
 			<-sem
-		}(i, q)
+		}(i)
 	}
 	wg.Wait()
-	return out
 }

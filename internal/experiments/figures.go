@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"treesim/internal/datagen"
 	"treesim/internal/dblp"
@@ -37,79 +35,32 @@ func (c Config) rangeRow(x string, ts []*tree.Tree, rng *rand.Rand) Row {
 }
 
 func (c Config) rangeRowTau(x string, ts []*tree.Tree, tau int, rng *rand.Rand) Row {
-	qs := c.sampleQueries(ts, rng)
-	bib := search.NewIndex(ts, search.NewBiBranch())
-	his := search.NewIndex(ts, search.NewHisto())
-	seq := search.NewIndex(ts, search.NewNone())
-
-	var bibAgg, hisAgg, seqAgg search.Stats
-	for _, st := range c.forEachQuery(qs, func(q *tree.Tree) search.Stats {
-		_, st, _ := bib.Range(context.Background(), q, tau)
-		return st
-	}) {
-		bibAgg.Add(st)
-	}
-	for _, st := range c.forEachQuery(qs, func(q *tree.Tree) search.Stats {
-		_, st, _ := his.Range(context.Background(), q, tau)
-		return st
-	}) {
-		hisAgg.Add(st)
-	}
-	for _, st := range c.forEachQuery(qs, func(q *tree.Tree) search.Stats {
-		_, st, _ := seq.Range(context.Background(), q, tau)
-		return st
-	}) {
-		seqAgg.Add(st)
-	}
-
-	n := time.Duration(len(qs))
-	return Row{
-		X:            x,
-		Tau:          tau,
-		BiBranchPct:  100 * bibAgg.AccessedFraction(),
-		HistoPct:     100 * hisAgg.AccessedFraction(),
-		ResultPct:    100 * float64(seqAgg.Results) / float64(seqAgg.Dataset),
-		BiBranchTime: bibAgg.Total() / n,
-		SeqTime:      seqAgg.Total() / n,
-	}
+	row := c.row(x, ts, c.sampleQueries(ts, rng), rangeQuery(tau))
+	row.Tau = tau
+	return row
 }
 
 // knnRow runs the k-NN experiment on one dataset.
 func (c Config) knnRow(x string, ts []*tree.Tree, k int, rng *rand.Rand) Row {
-	qs := c.sampleQueries(ts, rng)
-	bib := search.NewIndex(ts, search.NewBiBranch())
-	his := search.NewIndex(ts, search.NewHisto())
-	seq := search.NewIndex(ts, search.NewNone())
+	row := c.row(x, ts, c.sampleQueries(ts, rng), knnQuery(k))
+	row.K = k
+	return row
+}
 
-	var bibAgg, hisAgg, seqAgg search.Stats
-	for _, st := range c.forEachQuery(qs, func(q *tree.Tree) search.Stats {
-		_, st, _ := bib.KNN(context.Background(), q, k)
-		return st
-	}) {
-		bibAgg.Add(st)
-	}
-	for _, st := range c.forEachQuery(qs, func(q *tree.Tree) search.Stats {
-		_, st, _ := his.KNN(context.Background(), q, k)
-		return st
-	}) {
-		hisAgg.Add(st)
-	}
-	for _, st := range c.forEachQuery(qs, func(q *tree.Tree) search.Stats {
-		_, st, _ := seq.KNN(context.Background(), q, k)
-		return st
-	}) {
-		seqAgg.Add(st)
-	}
-
-	n := time.Duration(len(qs))
+// row measures one figure row: the accessed percentages of BiBranch and
+// Histo and the result percentage from the replay, the CPU times of
+// BiBranch search and of the sequential scan from the engine.
+func (c Config) row(x string, ts, qs []*tree.Tree, op query) Row {
+	bib := c.measure(search.NewIndex(ts, search.NewBiBranch()), ts, qs, op)
+	his := c.measure(search.NewIndex(ts, search.NewHisto()), ts, qs, op)
+	seq := c.measure(search.NewIndex(ts, search.NewNone()), ts, qs, op)
 	return Row{
 		X:            x,
-		K:            k,
-		BiBranchPct:  100 * bibAgg.AccessedFraction(),
-		HistoPct:     100 * hisAgg.AccessedFraction(),
-		ResultPct:    100 * float64(seqAgg.Results) / float64(seqAgg.Dataset),
-		BiBranchTime: bibAgg.Total() / n,
-		SeqTime:      seqAgg.Total() / n,
+		BiBranchPct:  bib.pct,
+		HistoPct:     his.pct,
+		ResultPct:    seq.resultPct,
+		BiBranchTime: bib.time,
+		SeqTime:      seq.time,
 	}
 }
 

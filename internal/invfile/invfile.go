@@ -11,6 +11,22 @@
 // BDist tier reads the sweep; only the memtable, which grows by one tree
 // per insert, merge-joins per tree.
 //
+// Beside the branch lists sit label lists, for the label-histogram bound
+// of Kailing et al. (the paper's Histo baseline): one edit operation
+// changes the L1 distance of two label histograms by at most 2, so
+// ⌈(|q| + |t| − 2·overlap)/2⌉ lower-bounds the edit distance. Every node
+// roots exactly one branch (Definition 2), so a tree's label histogram is
+// its profile summed by each dimension's root label, and a label's list is
+// the branch lists of its dimensions merged by tree: no tree is walked,
+// and a label that roots a single branch shares that branch's list. Each
+// label keeps the shorter of its list and its complement: a label carried
+// by more than half of the segment's trees lists the trees that lack it,
+// and the sweep credits every other tree with the query's full count of
+// it — an upper bound on min(q_l, t_l), exact when the query carries the
+// label once, so the bound stays sound. On data with a few labels that
+// nearly every tree carries, the lists then hold a handful of entries
+// instead of about one per tree per label.
+//
 // The occurrence positions of Algorithm 1's extended lists stay with the
 // per-tree profiles (branch.Profile): the positional bound is only ever
 // computed pairwise, for the few trees the BDist tier leaves standing, so
@@ -19,6 +35,7 @@ package invfile
 
 import (
 	"fmt"
+	"slices"
 
 	"treesim/internal/branch"
 )
@@ -47,12 +64,35 @@ type Index struct {
 	// entry is the total, so list d is posts[start[d]:start[d+1]].
 	start []uint32
 	posts []uint32
+	// labels[l] locates label l's list (see labelList); lposts holds the
+	// lists that are not some branch's list.
+	labels []labelList
+	lposts []uint32
 }
 
+// labelList locates one label's list: posts[from:to] when the label roots
+// one branch and keeps that branch's list as its own, else
+// lposts[from:to]. A dense label, carried by more than half of the trees,
+// lists the trees that lack it as bare positions, local<<countBits; any
+// other label lists its carriers with their counts, as a branch list does.
+type labelList struct {
+	from, to uint32
+	kind     uint8
+}
+
+// The kinds of label list.
+const (
+	shared uint8 = iota // a branch's list, in posts
+	exact               // carriers and counts, in lposts
+	dense               // the trees that lack the label, in lposts
+)
+
 // Build constructs the inverted file over a segment's profiles (position i
-// of the slice is tree i) by a counting sort over their Σ nnz coordinates:
-// one pass sizes the lists, one fills them. Visiting the trees in order
-// leaves every list sorted by tree. It panics past MaxTrees profiles.
+// of the slice is tree i), all from one space, by a counting sort over their
+// Σ nnz coordinates: one pass sizes the lists, one fills them. Visiting the
+// trees in order leaves every list sorted by tree. The label lists are
+// derived from the branch lists (buildLabels). It panics past MaxTrees
+// profiles.
 func Build(ps []*branch.Profile) *Index {
 	if len(ps) > MaxTrees {
 		panic(fmt.Sprintf("invfile: %d trees, at most %d fit one index", len(ps), MaxTrees))
@@ -87,6 +127,7 @@ func Build(ps []*branch.Profile) *Index {
 			next[d] += entries(int(c))
 		}
 	}
+	x.buildLabels(ps)
 	return x
 }
 
@@ -96,6 +137,184 @@ func entries(c int) uint32 {
 		return 1
 	}
 	return 2
+}
+
+// buildLabels derives the label lists from the branch lists, grouped by
+// each dimension's root label: a label rooting one branch shares that
+// branch's list, and the lists of a label rooting several branches merge
+// by tree, their counts adding up. A label whose list would hold more than
+// half of the trees keeps its complement instead.
+func (x *Index) buildLabels(ps []*branch.Profile) {
+	if len(ps) == 0 {
+		return
+	}
+	root, labels := ps[0].Space().Roots()
+	vocab := len(x.start) - 1
+	// dims holds the dimensions grouped by root label, label l's from
+	// end[l−1] (0 for l = 0) up to end[l].
+	end := make([]uint32, labels+1)
+	for _, l := range root[:vocab] {
+		end[l+1]++
+	}
+	for l := 0; l < labels; l++ {
+		end[l+1] += end[l]
+	}
+	dims := make([]branch.Dim, vocab)
+	for d, l := range root[:vocab] {
+		dims[end[l]] = branch.Dim(d)
+		end[l]++
+	}
+	x.labels = make([]labelList, labels)
+	var m merger
+	from := uint32(0)
+	for l := range x.labels {
+		ds := dims[from:end[l]]
+		from = end[l]
+		ll := &x.labels[l]
+		ll.from = uint32(len(x.lposts))
+		switch {
+		case len(ds) == 0:
+			ll.kind = exact
+		case len(ds) > 1:
+			ll.kind = m.merge(x, ds)
+		case 2*postings(x.dimList(ds[0])) > x.trees:
+			ll.kind = dense
+			x.lposts = lacking(x.lposts, x.dimList(ds[0]), x.trees)
+		default:
+			ll.kind, ll.from = shared, x.start[ds[0]]
+			ll.to = x.start[ds[0]+1]
+			continue
+		}
+		ll.to = uint32(len(x.lposts))
+	}
+	if cap(x.lposts)-len(x.lposts) > len(x.lposts)/32 {
+		x.lposts = slices.Clone(x.lposts)
+	}
+}
+
+// dimList returns the branch list of dimension d.
+func (x *Index) dimList(d branch.Dim) []uint32 { return x.posts[x.start[d]:x.start[d+1]] }
+
+// merger merges the branch lists of a label that roots several branches
+// into x.lposts, reusing its buffers from label to label.
+type merger struct {
+	out   []uint32
+	pairs []uint64 // tree<<32 | count, for a short merge
+	sum   []uint32 // count by tree, for a long merge; zero between labels
+}
+
+// merge appends the list of the label whose dimensions are ds to x.lposts
+// and returns its kind. Short lists merge from sorted pairs; lists holding
+// a quarter as many postings as there are trees or more merge through a
+// per-tree array of counts, whose scan then costs less than the sort.
+func (m *merger) merge(x *Index, ds []branch.Dim) (kind uint8) {
+	total := 0
+	for _, d := range ds {
+		total += len(x.dimList(d))
+	}
+	if 4*total >= x.trees {
+		return m.long(x, ds)
+	}
+	m.pairs = m.pairs[:0]
+	for _, d := range ds {
+		each(x.dimList(d), func(t, c uint32) {
+			m.pairs = append(m.pairs, uint64(t)<<32|uint64(c))
+		})
+	}
+	slices.Sort(m.pairs)
+	m.out = m.out[:0]
+	for i := 0; i < len(m.pairs); {
+		t, c := uint32(m.pairs[i]>>32), uint32(0)
+		for ; i < len(m.pairs) && uint32(m.pairs[i]>>32) == t; i++ {
+			c += uint32(m.pairs[i])
+		}
+		m.out = appendPosting(m.out, t, c)
+	}
+	if 2*postings(m.out) > x.trees {
+		x.lposts = lacking(x.lposts, m.out, x.trees)
+		return dense
+	}
+	x.lposts = append(x.lposts, m.out...)
+	return exact
+}
+
+// long is merge for long lists.
+func (m *merger) long(x *Index, ds []branch.Dim) (kind uint8) {
+	if m.sum == nil {
+		m.sum = make([]uint32, x.trees)
+	}
+	for _, d := range ds {
+		each(x.dimList(d), func(t, c uint32) { m.sum[t] += c })
+	}
+	carriers := 0
+	for _, c := range m.sum {
+		if c > 0 {
+			carriers++
+		}
+	}
+	kind = exact
+	if 2*carriers > x.trees {
+		kind = dense
+	}
+	for t, c := range m.sum {
+		switch {
+		case c == 0 && kind == dense:
+			x.lposts = append(x.lposts, uint32(t)<<countBits)
+		case c > 0 && kind == exact:
+			x.lposts = appendPosting(x.lposts, uint32(t), c)
+		}
+		m.sum[t] = 0
+	}
+	return kind
+}
+
+// lacking appends to dst, as bare positions, the trees among the first n
+// that have no posting in list.
+func lacking(dst, list []uint32, n int) []uint32 {
+	next := uint32(0)
+	each(list, func(t, _ uint32) {
+		for ; next < t; next++ {
+			dst = append(dst, next<<countBits)
+		}
+		next = t + 1
+	})
+	for ; int(next) < n; next++ {
+		dst = append(dst, next<<countBits)
+	}
+	return dst
+}
+
+// each calls fn with the tree and count of every posting of list.
+func each(list []uint32, fn func(t, c uint32)) {
+	for k := 0; k < len(list); k++ {
+		e := list[k]
+		c := e & countMask
+		if c == 0 {
+			k++
+			c = list[k]
+		}
+		fn(e>>countBits, c)
+	}
+}
+
+// postings counts the postings of list: its entries less its escapes.
+func postings(list []uint32) int {
+	n := len(list)
+	for k := 0; k < len(list); k++ {
+		if list[k]&countMask == 0 {
+			n--
+			k++
+		}
+	}
+	return n
+}
+
+// appendPosting appends tree t with count c to a list.
+func appendPosting(dst []uint32, t, c uint32) []uint32 {
+	if c <= countMask {
+		return append(dst, t<<countBits|c)
+	}
+	return append(dst, t<<countBits, c)
 }
 
 // Overlaps sets ov[t], for every indexed tree t, to the multiset
@@ -124,4 +343,46 @@ func (x *Index) Overlaps(q *branch.Profile, ov []int32) {
 			ov[e>>countBits] += int32(min(qc, c))
 		}
 	}
+}
+
+// LabelOverlaps bounds, for every indexed tree t, the overlap
+// Σ_l min(q[l], t[l]) of its label histogram with the query's, ql (from
+// branch.Space.QueryLabels over the indexed profiles' space, ascending by
+// label), by base + lov[t], from one sweep over the lists of the query's
+// labels. An exact list adds min(q[l], t[l]) to each carrier. A dense
+// label adds q[l] to base, and its list takes q[l] back from each tree that
+// lacks the label, so every carrier is credited q[l] ≥ min(q[l], t[l]).
+// Keeping offsets from base spares the sweep a pass over every tree per
+// dense label; lov must have an entry per indexed tree.
+func (x *Index) LabelOverlaps(ql []branch.LabelCount, lov []int32) (base int32) {
+	lov = lov[:x.trees]
+	clear(lov)
+	for _, lc := range ql {
+		if int(lc.Label) >= len(x.labels) {
+			break // labels ascend: no later one has a list either
+		}
+		qc, ll := uint32(lc.Count), x.labels[lc.Label]
+		if ll.kind == dense {
+			base += int32(qc)
+			for _, e := range x.lposts[ll.from:ll.to] {
+				lov[e>>countBits] -= int32(qc)
+			}
+			continue
+		}
+		list := x.lposts
+		if ll.kind == shared {
+			list = x.posts
+		}
+		list = list[ll.from:ll.to]
+		for k := 0; k < len(list); k++ {
+			e := list[k]
+			c := e & countMask
+			if c == 0 {
+				k++
+				c = list[k]
+			}
+			lov[e>>countBits] += int32(min(qc, c))
+		}
+	}
+	return base
 }

@@ -14,17 +14,86 @@ import (
 	"treesim/internal/tree"
 )
 
-// bruteKNN answers a k-NN query the way the engine did before the cascade:
-// the positional SearchLBound of every visible tree, a sort by (bound, id),
-// and sequential verification under the live k-th-best cutoff. It returns
-// the results, the candidate count and how many trees it verified.
-func bruteKNN(trees map[int]*tree.Tree, q *tree.Tree, k int) (res []Result, candidates, verified int) {
+// labelHist is t's label histogram, counted node by node.
+func labelHist(t *tree.Tree) map[string]int {
+	h := map[string]int{}
+	t.Walk(func(n *tree.Node) bool {
+		h[n.Label]++
+		return true
+	})
+	return h
+}
+
+// labelBound is Kailing's bound ⌈L1/2⌉ for two trees of sizes a and b whose
+// label overlap is at most ov: L1 ≥ a + b − 2·ov.
+func labelBound(a, b, ov int) int { return max(0, (a+b-2*ov+1)/2) }
+
+// exactLabels is the label bound over the exact overlap Σ min(q_l, t_l) of
+// the query with every visible tree: the tightest any label sweep can be.
+func exactLabels(trees map[int]*tree.Tree, q *tree.Tree) map[int]int {
+	qh := labelHist(q)
+	out := make(map[int]int, len(trees))
+	for id, t := range trees {
+		ov := 0
+		for l, tc := range labelHist(t) {
+			ov += min(qh[l], tc)
+		}
+		out[id] = labelBound(q.Size(), t.Size(), ov)
+	}
+	return out
+}
+
+// sweptLabels is the label tier by its definition, for every tree of every
+// segment of the index's cut, tombstoned ones included: a label carried by
+// more than half of a swept segment's trees credits each carrier with the
+// query's full count of it, any other label min(q_l, t_l); a segment
+// without postings (the memtable) has no label tier and bounds 0.
+func sweptLabels(ix *Index, q *tree.Tree) map[int]int {
+	qh := labelHist(q)
+	out := map[int]int{}
+	for _, sg := range ix.cut().segs {
+		p := payloadOf(sg)
+		hs := make([]map[string]int, len(p.trees))
+		carriers := map[string]int{}
+		for i, t := range p.trees {
+			hs[i] = labelHist(t)
+			for l := range hs[i] {
+				carriers[l]++
+			}
+		}
+		swept := p.filter.(*BiBranch).post != nil
+		for i, t := range p.trees {
+			if !swept {
+				out[sg.ID(i)] = 0
+				continue
+			}
+			ov := 0
+			for l, tc := range hs[i] {
+				if 2*carriers[l] > len(p.trees) {
+					ov += qh[l]
+				} else {
+					ov += min(qh[l], tc)
+				}
+			}
+			out[sg.ID(i)] = labelBound(q.Size(), t.Size(), ov)
+		}
+	}
+	return out
+}
+
+// bruteKNN answers a k-NN query by Algorithm 2 over every visible tree's
+// key max(SearchLBound, label[id]) — the positional bound alone when label
+// is nil: a sort by (key, id), then sequential verification under the live
+// k-th-best cutoff. The positional bound dominates the size and BDist
+// tiers, so this is the engine's tightened key. It returns the results,
+// the candidate count and how many trees it verified.
+func bruteKNN(trees map[int]*tree.Tree, q *tree.Tree, k int, label map[int]int) (res []Result, candidates, verified int) {
 	s := branch.NewSpace(2)
 	qp := s.Profile(q)
 	type bounded struct{ id, bound int }
 	var order []bounded
 	for id, t := range trees {
-		order = append(order, bounded{id, branch.SearchLBound(qp, s.Profile(t))})
+		order = append(order, bounded{id, max(branch.SearchLBound(qp, s.Profile(t)), label[id])})
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].bound != order[j].bound {
@@ -59,10 +128,10 @@ func bruteKNN(trees map[int]*tree.Tree, q *tree.Tree, k int) (res []Result, cand
 }
 
 // bruteRange is the same for a range query: every visible tree goes
-// through the cascade's tiers computed in full — ||q|−|t||, then
-// ⌈BDist/Factor⌉, then RangeLowerBound — and is charged to the first whose
-// bound exceeds tau; every candidate is verified.
-func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int) (res []Result, candidates int, pruned Funnel) {
+// through the cascade's tiers computed in full — ||q|−|t||, ⌈BDist/Factor⌉,
+// label[id] (none when label is nil), then RangeLowerBound — and is charged
+// to the first whose bound exceeds tau; every candidate is verified.
+func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int, label map[int]int) (res []Result, candidates int, pruned Funnel) {
 	s := branch.NewSpace(2)
 	qp := s.Profile(q)
 	for id, t := range trees {
@@ -73,6 +142,9 @@ func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int) (res []Result, 
 			continue
 		case branch.BDistLowerBound(qp, tp) > tau:
 			pruned.BDist++
+			continue
+		case label[id] > tau:
+			pruned.Label++
 			continue
 		case branch.RangeLowerBound(qp, tp, tau) > tau:
 			pruned.Positional++
@@ -87,20 +159,22 @@ func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int) (res []Result, 
 	return res, candidates, pruned
 }
 
-// TestCascadeMatchesFullBoundScan: the bound cascade — size and BDist
-// tiers that stop at tau for a range query, positional bound for survivors
-// only, tightened lazily for k-NN — answers exactly like a scan that
-// computes the full positional bound for every tree: same results, same
-// candidate count and, with one worker, the same verifications, on every
-// storage layout (one indexed segment, sealed memtables and a live
-// memtable, a compacted segment, a reloaded snapshot) with and without
-// tombstones. Every sealed segment's BDist tier reads the postings sweep,
-// which checkSwept holds to the merge-join tree by tree; stars of 40 and
-// 17 identical leaves put escaped counts in the postings. The funnel
-// accounts for every tree the filter dropped, and a range query charges
-// each tree to the same tier the full scan does. The layouts with deleted
-// ids also run at three shards, so a shard's tombstone cursor starts
-// mid-list.
+// TestCascadeMatchesFullBoundScan: the bound cascade — size, BDist and
+// label tiers that stop at tau for a range query, positional bound for
+// survivors only, tightened lazily for k-NN — answers exactly like a scan
+// that computes, for every tree, the positional bound and the label tier by
+// its definition: same results, same candidate count and, with one worker,
+// the same verifications, on every storage layout (one indexed segment,
+// sealed memtables and a live memtable, a compacted segment, a reloaded
+// snapshot) with and without tombstones. Its candidates lie between those
+// of a scan over the exact label bound and of one over the positional bound
+// alone. Every sealed segment's BDist and label tiers read the postings
+// sweep, which checkSwept holds to the merge-join and to the label tier's
+// definition tree by tree; stars of 40 and 17 identical leaves put escaped
+// counts in the postings. The funnel accounts for every tree the filter
+// dropped, and a range query charges each tree to the same tier the full
+// scan does. The layouts with deleted ids also run at three shards, so a
+// shard's tombstone cursor starts mid-list.
 func TestCascadeMatchesFullBoundScan(t *testing.T) {
 	const n = 70
 	all := testDataset(n, 91)
@@ -126,7 +200,8 @@ func TestCascadeMatchesFullBoundScan(t *testing.T) {
 			return ix
 		},
 	}
-	queries := append([]*tree.Tree{all[0], all[33], all[69], all[7], star(25)}, testDataset(3, 92)...)
+	queries := append([]*tree.Tree{all[0], all[33], all[69], all[7], star(25), unknownBranches, unknownLabels}, testDataset(3, 92)...)
+	byLabel := 0
 
 	for lname, build := range layouts {
 		for _, deleted := range [][]int{nil, {0, 7, 21, 33, 40, 68}} {
@@ -160,20 +235,40 @@ func TestCascadeMatchesFullBoundScan(t *testing.T) {
 						}
 					}
 					checkSwept(t, name, ix, queries)
-					checkCascade(t, name, ix, visible, queries)
+					byLabel += checkCascade(t, name, ix, visible, queries)
 				}
 			}
 		}
 	}
+	if byLabel == 0 {
+		t.Fatal("the label tier pruned no tree on any layout: the test holds it to nothing")
+	}
+	t.Logf("label tier pruned %d trees", byLabel)
 }
+
+// unknownBranches roots every branch at or next to a label no indexed tree
+// has, so no branch of it has a dimension, while l1 and l2 are labels the
+// trees carry: the label tier must count them all the same.
+var unknownBranches = tree.MustParse("fresh0(l1(fresh1),fresh2,l2(fresh3),fresh4)")
+
+// unknownLabels carries no label any indexed tree has.
+var unknownLabels = tree.MustParse("fresh0(fresh1,fresh2(fresh3))")
 
 // checkCascade holds one index's k-NN and range answers, counters and
 // funnel to the full-bound scans over the visible trees.
-func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tree, queries []*tree.Tree) {
+// It returns how many trees the label tier pruned.
+func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tree, queries []*tree.Tree) (byLabel int) {
 	t.Helper()
+	s := branch.NewSpace(2)
 	for qi, q := range queries {
+		swept, exact := sweptLabels(ix, q), exactLabels(visible, q)
+		qp := s.Profile(q)
+		slb := map[int]int{}
+		for id, tr := range visible {
+			slb[id] = branch.SearchLBound(qp, s.Profile(tr))
+		}
 		for _, k := range []int{1, 5, 12} {
-			want, wantCands, wantVerified := bruteKNN(visible, q, k)
+			want, wantCands, wantVerified := bruteKNN(visible, q, k, swept)
 			got, st, err := ix.KNN(context.Background(), q, k)
 			if err != nil {
 				t.Fatal(err)
@@ -185,13 +280,28 @@ func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tr
 				t.Fatalf("%s: query %d k=%d: candidates %d verified %d, full-bound scan %d / %d",
 					name, qi, k, st.Candidates, st.Verified, wantCands, wantVerified)
 			}
-			if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
+			worst := want[len(want)-1].Dist
+			l1, pos := 0, 0
+			for id := range visible {
+				if max(slb[id], exact[id]) <= worst {
+					l1++
+				}
+				if slb[id] <= worst {
+					pos++
+				}
+			}
+			if st.Candidates < l1 || st.Candidates > pos {
+				t.Fatalf("%s: query %d k=%d: %d candidates, outside [%d exact-L1, %d positional-only]",
+					name, qi, k, st.Candidates, l1, pos)
+			}
+			if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Label + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
 				t.Fatalf("%s: query %d k=%d: funnel %+v sums to %d, dataset %d − candidates %d",
 					name, qi, k, st.Pruned, sum, st.Dataset, st.Candidates)
 			}
+			byLabel += st.Pruned.Label
 		}
 		for _, tau := range []int{0, 2, 5} {
-			want, wantCands, wantPruned := bruteRange(visible, q, tau)
+			want, wantCands, wantPruned := bruteRange(visible, q, tau, swept)
 			got, st, err := ix.Range(context.Background(), q, tau)
 			if err != nil {
 				t.Fatal(err)
@@ -206,13 +316,22 @@ func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tr
 			if st.Pruned != wantPruned {
 				t.Fatalf("%s: query %d tau=%d: funnel %+v, full-bound scan %+v", name, qi, tau, st.Pruned, wantPruned)
 			}
+			_, l1, _ := bruteRange(visible, q, tau, exact)
+			_, pos, _ := bruteRange(visible, q, tau, nil)
+			if st.Candidates < l1 || st.Candidates > pos {
+				t.Fatalf("%s: query %d tau=%d: %d candidates, outside [%d exact-L1, %d positional-only]",
+					name, qi, tau, st.Candidates, l1, pos)
+			}
+			byLabel += st.Pruned.Label
 		}
 	}
+	return byLabel
 }
 
 // TestFunnelEveryFilter: whatever the filter family and shard count, the
-// funnel sums to Dataset − Candidates, and a filter without cheaper tiers
-// charges everything to its one bound.
+// funnel sums to Dataset − Candidates, a filter without cheaper tiers
+// charges everything to its one bound, and the non-positional ablation
+// has no label tier.
 func TestFunnelEveryFilter(t *testing.T) {
 	ts := testDataset(80, 93)
 	for _, f := range allFilters() {
@@ -222,13 +341,17 @@ func TestFunnelEveryFilter(t *testing.T) {
 				_, ks, _ := ix.KNN(context.Background(), q, 4)
 				_, rs, _ := ix.Range(context.Background(), q, 3)
 				for op, st := range map[string]Stats{"knn": ks, "range": rs} {
-					if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
+					if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Label + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
 						t.Errorf("%s S=%d %s: funnel %+v sums to %d, want %d", f.Name(), shards, op, st.Pruned, sum, st.Dataset-st.Candidates)
 					}
-					switch f.(type) {
+					switch f := f.(type) {
 					case *Histo, *None:
-						if st.Pruned.Size+st.Pruned.BDist != 0 {
+						if st.Pruned.Size+st.Pruned.BDist+st.Pruned.Label != 0 {
 							t.Errorf("%s %s: single-bound filter charged cheap tiers: %+v", f.Name(), op, st.Pruned)
+						}
+					case *BiBranch:
+						if !f.Positional && st.Pruned.Size+st.Pruned.Label != 0 {
+							t.Errorf("%s %s: the ablation charged the size or label tier: %+v", f.Name(), op, st.Pruned)
 						}
 					}
 				}
@@ -259,7 +382,7 @@ func TestQueriesDoNotGrowTheSpace(t *testing.T) {
 	}
 
 	q := tree.MustParse("fresh(l1(l2,novel),l3)")
-	b := f.Query(q, make([]int32, len(f.profiles)))
+	b := f.Query(q, make([]int32, 2*len(f.profiles)))
 	interned := f.space.Profile(q) // grows the space; last, on purpose
 	for i, p := range f.profiles {
 		if got, want := b.(*biBranchBounder).BDist(i), branch.BDist(interned, p); got != want {
@@ -281,29 +404,43 @@ func star(n int) *tree.Tree {
 	return tree.New(root)
 }
 
-// checkSwept holds one index's BDist tier to the merge-join: every sealed
-// segment carries postings and the memtable does not, and for every tree of
-// every segment the tier reads ⌈BDist/Factor⌉ off the query's sweep exactly
-// as branch.BDist computes it.
+// checkSwept holds one index's BDist and label tiers to their definitions:
+// every sealed segment carries postings and the memtable does not, and for
+// every tree of every segment the BDist tier reads ⌈BDist/Factor⌉ off the
+// query's sweep exactly as branch.BDist computes it, while the label tier
+// reads what sweptLabels derives from the segment's trees — a sound bound,
+// never above the exact label bound — and is zero in the memtable.
 func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
 	t.Helper()
 	sealed := len(ix.store.View().Segments)
 	cut := ix.cut()
-	acc := make([]int32, cut.n)
+	acc := make([]int32, 2*cut.n)
 	for qi, q := range queries {
 		prims := newSegBounders(cut, q, acc)
+		swept := sweptLabels(ix, q)
+		qh := labelHist(q)
 		for si, sg := range cut.segs {
-			f := payloadOf(sg).filter.(*BiBranch)
+			p := payloadOf(sg)
+			f := p.filter.(*BiBranch)
 			if inMem := si >= sealed; (f.post == nil) != inMem {
 				t.Fatalf("%s: segment %d of %d (%d sealed) has postings %v", name, si, len(cut.segs), sealed, f.post != nil)
 			}
 			b := prims[si].(*biBranchBounder)
-			for i, p := range f.profiles {
-				want := branch.BDist(b.qp, p)
-				_, bd := b.CheapBounds(i, noLimit)
+			for i, pr := range f.profiles {
+				want := branch.BDist(b.qp, pr)
+				_, bd, lb := b.CheapBounds(i, noLimit)
 				if got := b.BDist(i); got != want || bd != (want+b.factor-1)/b.factor {
 					t.Fatalf("%s: query %d, segment %d tree %d: BDist %d, tier %d; merge-join %d",
 						name, qi, si, i, got, bd, want)
+				}
+				ov := 0
+				for l, tc := range labelHist(p.trees[i]) {
+					ov += min(qh[l], tc)
+				}
+				exact := labelBound(q.Size(), pr.Size, ov)
+				if wantLB := swept[sg.ID(i)]; lb != wantLB || lb > exact {
+					t.Fatalf("%s: query %d %s, segment %d tree %d: label tier %d, by definition %d, exact %d",
+						name, qi, q, si, i, lb, wantLB, exact)
 				}
 			}
 		}

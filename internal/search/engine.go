@@ -30,24 +30,30 @@ import (
 // any bound is computed.
 //
 // The filter is a bound cascade, cheapest tier first (see Bounder): the
-// size bound ||q|−|t||, then ⌈BDist/Factor⌉, and only for the trees both
-// leave standing the filter's full bound, the positional one. BDist comes
-// from the paper's inverted file (Algorithm 1): before the shards start,
-// each sealed segment sweeps the postings of the query's branches once
-// into its range of a pooled per-query accumulator, which every later
-// reader of the tier — the shards, the funnel, EXPLAIN, the tightness
-// sample — looks up by position. Only the memtable, which has no postings,
-// merge-joins two flat branch vectors per tree. A range query stands a
-// tree down at tau; a k-NN query at the live k-th-best distance, so it
-// computes full bounds lazily, in cheap-bound order, while it verifies
-// (see knnScan). The cheap tiers stop at a limit: a range query's tau, so
-// the size tier decides alone where it can and a memtable merge-join stops
-// once Factor·tau is out of reach; k-NN has no threshold and gets exact
-// keys. Every tier is a sound lower bound that the full bound
-// dominates, so a tree a cheap tier prunes the full bound would prune too:
-// candidates, their bounds, the verification order and the results are
-// what computing the full bound for every tree would give. Stats.Pruned
-// reports how many trees each tier eliminated.
+// size bound ||q|−|t||, then ⌈BDist/Factor⌉, then the label-histogram
+// bound ⌈L1/2⌉ of Kailing et al., and only for the trees all three leave
+// standing the filter's full bound, the positional one. BDist and the
+// label overlaps come from the paper's inverted file (Algorithm 1): before
+// the shards start, each sealed segment sweeps the postings of the query's
+// branches and of its labels once into its range of a pooled per-query
+// accumulator, which every later reader of the tiers — the shards, the
+// funnel, EXPLAIN, the tightness sample — looks up by position. Only the
+// memtable, which has no postings, merge-joins two flat branch vectors per
+// tree, and has no label tier. A range query stands a tree down at tau; a
+// k-NN query at the live k-th-best distance, so it computes full bounds
+// lazily, in cheap-bound order, while it verifies (see knnScan). The cheap
+// tiers stop at a limit: a range query's tau, so the size tier decides
+// alone where it can, a memtable merge-join stops once Factor·tau is out
+// of reach, and the label bound is read only for trees the first two
+// leave standing; k-NN has no threshold and gets exact keys. Every tier
+// is a sound lower bound, so no tier prunes a tree the answer holds, and
+// the full bound dominates the size and BDist tiers. The label tier may
+// exceed the full bound — on small trees with telling labels it often
+// does — so a tightened k-NN key is the larger of the two, and a range
+// candidate's bound likewise. The label tier prunes trees the positional
+// bound would have let through, so candidates and verifications are fewer
+// than a scan over the full bound alone would give; the results are the
+// same. Stats.Pruned reports how many trees each tier eliminated.
 //
 // Results are shard- and segment-layout invariant by construction:
 //
@@ -121,7 +127,7 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]R
 
 	// Every segment's postings sweep into the query's accumulator, which
 	// the bounders read until the last verification.
-	acc := getAcc(cut.n)
+	acc := getAcc(2 * cut.n)
 	defer accPool.Put(acc)
 
 	start := time.Now()
@@ -133,6 +139,7 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]R
 		fspan.End()
 		return nil, stats, err
 	}
+	defer scanPool.Put(sc.bufs)
 	fspan.SetInt("candidates", int64(len(sc.heap)))
 	fspan.SetInt("segments", int64(len(cut.segs)))
 	fspan.End()
@@ -169,22 +176,25 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]R
 }
 
 // knnScan is the cascade state of one k-NN query. The filter stage gives
-// every visible tree its two cheap bounds; the refine stage then consumes
+// every visible tree its three cheap bounds; the refine stage then consumes
 // positions in ascending (bound, id) order from a min-heap, replacing a
-// cheap bound by the filter's full bound only when it reaches the top —
-// so the expensive tier runs for exactly the trees whose cheap bound does
-// not exceed the live k-th-best distance. A full bound is never below the
-// cheap one it replaces, so a position is handed out for verification
-// only after every position with a smaller (full bound, id) has been:
-// verifications happen in the order a sort by full bound would give.
+// cheap key by the larger of it and the filter's full bound only when it
+// reaches the top — so the expensive tier runs for exactly the trees whose
+// cheap key does not exceed the live k-th-best distance. A tightened key
+// is never below the cheap one it replaces, so a position is handed out
+// for verification only after every position with a smaller (tightened
+// key, id) has been: verifications happen in the order a sort by tightened
+// key would give.
 type knnScan struct {
 	cut   *qcut
 	prims segBounders
+	bufs  *scanBufs // backs the per-position slices below
 
-	// Per global position: the size-tier bound, the larger of the two
-	// cheap bounds (−1 for a tombstoned position) and the full bound (−1
-	// until tightened).
-	size, cheap, tight []int32
+	// Per global position: the size-tier bound, the larger of it and the
+	// BDist tier's, the largest of the three cheap bounds (−1 for a
+	// tombstoned position) and the tightened key, the larger of that and
+	// the full bound (−1 until tightened).
+	size, bdist, cheap, tight []int32
 
 	mu sync.Mutex
 	// heap holds the positions not yet handed out, keyed
@@ -198,23 +208,48 @@ type knnScan struct {
 
 const tightened = 1 << 32
 
+// scanBufs is a k-NN scan's per-position memory, four int32 bounds and a
+// heap key per position, pooled like the accumulator so that a scan
+// allocates nothing per tree in the steady state. A query puts it back
+// when it returns.
+type scanBufs struct {
+	bounds []int32
+	keys   []uint64
+}
+
+var scanPool sync.Pool
+
+// getScanBufs returns the memory of a scan over n positions; like a new
+// accumulator, a new one has room for a few more.
+func getScanBufs(n int) *scanBufs {
+	b, ok := scanPool.Get().(*scanBufs)
+	if !ok || cap(b.keys) < n {
+		b = &scanBufs{bounds: make([]int32, 4*n, 4*(n+n/8)), keys: make([]uint64, n, n+n/8)}
+	}
+	b.bounds, b.keys = b.bounds[:4*n], b.keys[:n]
+	return b
+}
+
 // filterKNN computes every visible tree's cheap bounds — sharded when the
 // index is configured for it — and heapifies the positions by them.
 func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, acc []int32, fspan *obs.Span) (*knnScan, error) {
 	n := cut.n
+	bufs := getScanBufs(n)
 	sc := &knnScan{
 		cut:   cut,
 		prims: newSegBounders(cut, q, acc),
-		size:  make([]int32, n),
-		cheap: make([]int32, n),
-		tight: make([]int32, n),
+		bufs:  bufs,
+		size:  bufs.bounds[:n],
+		bdist: bufs.bounds[n : 2*n],
+		cheap: bufs.bounds[2*n : 3*n],
+		tight: bufs.bounds[3*n:],
 	}
 
-	// Each shard bounds a contiguous position block into disjoint slots
-	// and collects its block's heap keys. The cheap tiers only read, so
-	// every shard uses the one bounder set.
+	// Each shard bounds a contiguous position block into disjoint slots,
+	// its block's heap keys included, from the start of the block on. The
+	// cheap tiers only read, so every shard uses the one bounder set.
 	S := ix.shardCount(n)
-	runs := make([][]uint64, S)
+	keys, ends := bufs.keys, make([]int, S)
 	var canceled atomic.Bool
 	ix.pool.run(S, func(s int) {
 		if canceled.Load() {
@@ -226,7 +261,7 @@ func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, acc []i
 			defer sspan.End()
 		}
 		lo, hi := shardRange(n, S, s)
-		run := make([]uint64, 0, hi-lo)
+		end := lo
 		si, _, first := cut.locate(lo)
 		tombs := cut.tombs.From(first)
 		for pos := lo; pos < hi; pos++ {
@@ -244,22 +279,27 @@ func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, acc []i
 				sc.cheap[pos] = -1
 				continue
 			}
-			sz, bd := sc.prims[si].CheapBounds(local, noLimit)
-			c := max(sz, bd)
-			sc.size[pos], sc.cheap[pos] = int32(sz), int32(c)
-			run = append(run, uint64(c)<<33|uint64(pos))
+			sz, bd, lb := sc.prims[si].CheapBounds(local, noLimit)
+			c := max(sz, bd, lb)
+			sc.size[pos], sc.bdist[pos], sc.cheap[pos] = int32(sz), int32(max(sz, bd)), int32(c)
+			keys[end] = uint64(c)<<33 | uint64(pos)
+			end++
 		}
-		runs[s] = run
-		sspan.SetInt("bounds", int64(len(run)))
+		ends[s] = end
+		sspan.SetInt("bounds", int64(end-lo))
 	})
 	if canceled.Load() || ctx.Err() != nil {
+		scanPool.Put(bufs)
 		return nil, ctx.Err()
 	}
 
-	sc.heap = runs[0]
-	for _, run := range runs[1:] {
-		sc.heap = append(sc.heap, run...)
+	// Close the gaps the tombstones left between the blocks' keys.
+	m := ends[0]
+	for s := 1; s < S; s++ {
+		lo, _ := shardRange(n, S, s)
+		m += copy(keys[m:], keys[lo:ends[s]])
 	}
+	sc.heap = keys[:m]
 	for i := len(sc.heap)/2 - 1; i >= 0; i-- {
 		siftDown(sc.heap, i)
 	}
@@ -284,7 +324,7 @@ func siftDown(h []uint64, i int) {
 	}
 }
 
-// next hands out the position to verify next, in ascending (full bound,
+// next hands out the position to verify next, in ascending (tightened key,
 // id) order, tightening cheap bounds as they surface. It reports false
 // once the smallest remaining bound exceeds thresh — bounds in the heap
 // only grow and the threshold only falls, so nothing left can enter the
@@ -316,7 +356,7 @@ func (sc *knnScan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound i
 			}
 			p := int(uint32(sc.heap[0]))
 			si, local, _ := sc.cut.locate(p)
-			tb := sc.prims[si].KNNBound(local)
+			tb := max(sc.prims[si].KNNBound(local), int(sc.cheap[p]))
 			sc.tight[p] = int32(tb)
 			sc.heap[0] = uint64(tb)<<33 | tightened | uint64(p)
 			siftDown(sc.heap, 0)
@@ -337,8 +377,10 @@ func (sc *knnScan) funnel(worst int) (candidates int, f Funnel) {
 		case c < 0: // tombstoned
 		case int(sc.size[pos]) > worst:
 			f.Size++
-		case int(c) > worst:
+		case int(sc.bdist[pos]) > worst:
 			f.BDist++
+		case int(c) > worst:
+			f.Label++
 		case int(sc.tight[pos]) > worst:
 			f.Positional++
 		default:
@@ -522,7 +564,7 @@ func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, ex *Explain)
 
 	span := obs.FromContext(ctx)
 
-	acc := getAcc(cut.n)
+	acc := getAcc(2 * cut.n)
 	defer accPool.Put(acc)
 
 	start := time.Now()
@@ -573,9 +615,10 @@ type rangeScan struct {
 }
 
 // filterRange runs the bound cascade over every visible position, sharded
-// when configured: the size tier, then the branch-distance tier, and the
-// filter's range bound only for trees both leave at or under tau. The
-// cheap tiers stop at tau unless EXPLAIN wants the exact deciding bounds.
+// when configured: the size tier, then the branch-distance tier, then the
+// label tier, and the filter's range bound only for trees all three leave
+// at or under tau. The cheap tiers stop at tau unless EXPLAIN wants the
+// exact deciding bounds.
 func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, acc []int32, fspan *obs.Span, wantBounds bool) (segBounders, *rangeScan, error) {
 	prims := newSegBounders(cut, q, acc)
 	limit := tau
@@ -605,10 +648,10 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 		// runs once per tree of the dataset, so it keeps the segment, its
 		// bounder and the counters in locals.
 		var (
-			segLo, segHi             int
-			sg                       *segstore.Segment
-			b                        Bounder
-			bySize, byBDist, byBound int
+			segLo, segHi                      int
+			sg                                *segstore.Segment
+			b                                 Bounder
+			bySize, byBDist, byLabel, byBound int
 		)
 		_, _, first := cut.locate(lo)
 		tombs := cut.tombs.From(first)
@@ -629,7 +672,7 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 			if tombs.Has(sg.ID(local)) {
 				continue
 			}
-			sz, bd := b.CheapBounds(local, limit)
+			sz, bd, lb := b.CheapBounds(local, limit)
 			switch {
 			case sz > tau:
 				bySize++
@@ -637,8 +680,11 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 			case bd > tau:
 				byBDist++
 				o.col.addBound(bd)
+			case lb > tau:
+				byLabel++
+				o.col.addBound(lb)
 			default:
-				rb := b.RangeBound(local, tau)
+				rb := max(b.RangeBound(local, tau), lb)
 				o.col.addBound(rb)
 				if rb > tau {
 					byBound++
@@ -648,7 +694,7 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 				}
 			}
 		}
-		o.pruned = Funnel{Size: bySize, BDist: byBDist, Positional: byBound}
+		o.pruned = Funnel{Size: bySize, BDist: byBDist, Label: byLabel, Positional: byBound}
 		if S > 1 {
 			sspan.SetInt("bounds", int64(hi-lo))
 		}

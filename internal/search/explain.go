@@ -50,7 +50,7 @@ type TightnessSample struct {
 // order the tiers run: a tree is charged to the first tier whose bound
 // rules it out — exceeds tau for a range query, the final k-th distance
 // for k-NN — so the counts do not depend on shard count, worker timing or
-// how many bounds a k-NN query got around to tightening. The three sum to
+// how many bounds a k-NN query got around to tightening. The four sum to
 // Dataset − Candidates.
 type Funnel struct {
 	// Size counts trees pruned on ||q|−|t|| alone.
@@ -58,9 +58,12 @@ type Funnel struct {
 	// BDist counts trees that passed the size tier and were pruned on
 	// ⌈BDist/Factor⌉.
 	BDist int `json:"bdist"`
-	// Positional counts trees that passed both cheap tiers and were pruned
-	// by the filter's full bound: the positional bound of BiBranch, or the
-	// single bound of a filter that has no cheaper tier.
+	// Label counts trees that passed both and were pruned on the
+	// label-histogram bound ⌈L1/2⌉ of a swept segment.
+	Label int `json:"label"`
+	// Positional counts trees that passed the three cheap tiers and were
+	// pruned by the filter's full bound: the positional bound of BiBranch,
+	// or the single bound of a filter that has no cheaper tier.
 	Positional int `json:"positional"`
 }
 
@@ -68,6 +71,7 @@ type Funnel struct {
 func (f *Funnel) add(o Funnel) {
 	f.Size += o.Size
 	f.BDist += o.BDist
+	f.Label += o.Label
 	f.Positional += o.Positional
 }
 
@@ -75,6 +79,7 @@ func (f *Funnel) add(o Funnel) {
 func (f Funnel) report(sp *obs.Span) {
 	sp.SetInt("pruned_size", int64(f.Size))
 	sp.SetInt("pruned_bdist", int64(f.BDist))
+	sp.SetInt("pruned_label", int64(f.Label))
 	sp.SetInt("pruned_positional", int64(f.Positional))
 }
 
@@ -135,7 +140,8 @@ type Explain struct {
 	DPCells     int64 `json:"dp_cells"`
 	DPCellsFull int64 `json:"dp_cells_full"`
 	// Pruned is the filter's funnel: trees eliminated per cascade tier.
-	// Dataset − Pruned.Size − Pruned.BDist − Pruned.Positional = Candidates.
+	// Dataset − Pruned.Size − Pruned.BDist − Pruned.Label −
+	// Pruned.Positional = Candidates.
 	Pruned Funnel `json:"pruned"`
 	// Bounds is the distribution of the trees' deciding bounds.
 	Bounds BoundDist `json:"bounds"`
@@ -252,8 +258,9 @@ func (e *Explain) String() string {
 		e.Candidates, e.Verified, e.FalsePositives, e.Results, e.AccessedFraction)
 	afterSize := e.Dataset - e.Pruned.Size
 	afterBDist := afterSize - e.Pruned.BDist
-	fmt.Fprintf(&b, "  funnel: %d -size-> %d -bdist-> %d -positional-> %d\n",
-		e.Dataset, afterSize, afterBDist, afterBDist-e.Pruned.Positional)
+	afterLabel := afterBDist - e.Pruned.Label
+	fmt.Fprintf(&b, "  funnel: %d -size-> %d -bdist-> %d -label-> %d -positional-> %d\n",
+		e.Dataset, afterSize, afterBDist, afterLabel, afterLabel-e.Pruned.Positional)
 	fmt.Fprintf(&b, "  bounds: computed=%d min=%d p50=%d p99=%d max=%d\n",
 		e.Bounds.Computed, e.Bounds.Min, e.Bounds.P50, e.Bounds.P99, e.Bounds.Max)
 	fmt.Fprintf(&b, "  refine: aborted=%d precheck_rejects=%d dp_cells=%d/%d\n",

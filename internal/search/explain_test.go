@@ -161,7 +161,7 @@ func TestExplainString(t *testing.T) {
 	for _, want := range []string{
 		"explain: knn k=3 filter=BiBranch dataset=30\n",
 		"false_positives=", "accessed=0.",
-		"funnel: 30 -size-> ", " -bdist-> ", " -positional-> ",
+		"funnel: 30 -size-> ", " -bdist-> ", " -label-> ", " -positional-> ",
 		"bounds: computed=30 ",
 		"refine: aborted=", " precheck_rejects=", " dp_cells=",
 		"stages: filter=Xµs refine=Xµs\n",

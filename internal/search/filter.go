@@ -34,8 +34,9 @@ type Filter interface {
 	// Index preprocesses the dataset (e.g. builds branch vectors).
 	Index(ts []*tree.Tree)
 	// Query preprocesses one query tree and returns its bounder. acc has
-	// an entry per indexed tree: working memory the bounder may keep until
-	// the query ends (BiBranch sweeps its postings into it).
+	// two entries per indexed tree: working memory the bounder may keep
+	// until the query ends (BiBranch sweeps its branch postings into the
+	// first half and its label postings into the second).
 	Query(q *tree.Tree, acc []int32) Bounder
 	// Append extends the indexed state with one more tree, at the next
 	// dataset position: an insert into the memtable.
@@ -52,24 +53,26 @@ type Filter interface {
 }
 
 // Bounder computes edit-distance lower bounds between one query and the
-// indexed trees, as the tiers of the engine's bound cascade: two cheap
+// indexed trees, as the tiers of the engine's bound cascade: three cheap
 // bounds every tree gets, and the filter's full bound, which the engine
 // only asks for when the cheap ones leave a tree standing. Every tier is a
-// sound lower bound and the full bound dominates the cheap ones, so the
-// cascade decides exactly what computing the full bound for every tree
-// would.
+// sound lower bound, so no tier prunes a tree within the answer. The full
+// bound dominates the size and BDist tiers but not the label tier, which
+// may exceed it: the engine keys a tree by the largest bound it computed.
 type Bounder interface {
 	// CheapBounds returns the cheap tiers' lower bounds on EDist(query,
-	// tree i): the size bound ||q|−|t|| and the plain branch-distance bound
-	// ⌈BDist/Factor⌉, neither above KNNBound(i) nor — when it is at most
-	// tau — above RangeBound(i, tau). A filter without a cheaper tier
-	// returns zero for it. Past limit a bound need not be exact: a size
-	// bound above it comes back with bdist zero, and a bdist above it may
-	// be any bound in (limit, ⌈BDist/Factor⌉]. noLimit asks for exact ones.
-	// A segment whose BDist was swept from postings (every sealed one)
-	// reads it off the query's accumulator, so its bdist is always exact;
-	// only the memtable's merge-join stops at limit.
-	CheapBounds(i, limit int) (size, bdist int)
+	// tree i): the size bound ||q|−|t||, the plain branch-distance bound
+	// ⌈BDist/Factor⌉ and the label-histogram bound ⌈L1/2⌉ (Kailing et
+	// al.), the first two neither above KNNBound(i) nor — when at most tau
+	// — above RangeBound(i, tau). A filter without a tier returns zero for
+	// it. Past limit a bound need not be exact: a size bound above it comes
+	// back with bdist and label zero, a bdist above it with label zero, and
+	// may itself be any bound in (limit, ⌈BDist/Factor⌉]. noLimit asks for
+	// exact ones. A segment whose BDist was swept from postings (every
+	// sealed one) reads it off the query's accumulator, so its bdist is
+	// always exact; only the memtable's merge-join stops at limit. Only a
+	// swept segment has a label tier.
+	CheapBounds(i, limit int) (size, bdist, label int)
 	// KNNBound returns the filter's full lower bound L ≤ EDist(query, tree
 	// i), used as the optimistic bound of Algorithm 2.
 	KNNBound(i int) int
@@ -110,7 +113,7 @@ const noLimit = math.MaxInt
 // through, and the filter's bound is the cascade's only tier.
 type singleTier struct{}
 
-func (singleTier) CheapBounds(_, _ int) (size, bdist int) { return 0, 0 }
+func (singleTier) CheapBounds(_, _ int) (size, bdist, label int) { return 0, 0, 0 }
 
 // BiBranch is the paper's filter: q-level binary branch vectors with,
 // optionally, the positional lower bound of Section 4.2–4.3.
@@ -125,8 +128,8 @@ type BiBranch struct {
 	space    *branch.Space
 	profiles []*branch.Profile
 	// post is the inverted file over profiles (Algorithm 1) that a sealed
-	// segment's BDist tier sweeps; nil in the memtable, which grows by
-	// Append, merge-joins per tree instead.
+	// segment's BDist and label tiers sweep; nil in the memtable, which
+	// grows by Append, merge-joins per tree instead and has no label tier.
 	post *invfile.Index
 }
 
@@ -188,13 +191,25 @@ func (f *BiBranch) snapshotAt(n int, seal bool) Filter {
 
 // Query implements Filter. The query is profiled by lookup only — a branch
 // no indexed tree contains needs no dimension — so queries never grow the
-// space. Where the filter has postings, one sweep over the query's lists
-// leaves every tree's branch overlap in acc.
+// space. Where the filter has postings, one sweep over the query's branch
+// lists leaves every tree's branch overlap in the first half of acc, and
+// one over its label lists a bound on every tree's label overlap in the
+// second. The query's labels are counted off the query tree, node by
+// node, never off its profile: a branch the space never saw has no
+// coordinate there, but the label it is rooted at may be known, and
+// leaving it out would overstate the bound. The non-positional ablation
+// measures ⌈BDist/Factor⌉ alone and sweeps no labels.
 func (f *BiBranch) Query(q *tree.Tree, acc []int32) Bounder {
 	b := &biBranchBounder{f: f, qp: f.space.QueryProfile(q), factor: f.Factor()}
 	if f.post != nil {
-		b.ov = acc[:len(f.profiles)]
+		n := len(f.profiles)
+		b.ov = acc[:n]
 		f.post.Overlaps(b.qp, b.ov)
+		if f.Positional {
+			var buf [16]branch.LabelCount
+			b.lov = acc[n : 2*n]
+			b.lbase = f.post.LabelOverlaps(f.space.QueryLabels(q, buf[:0]), b.lov)
+		}
 	}
 	return b
 }
@@ -218,6 +233,11 @@ type biBranchBounder struct {
 	// ov[i] is the branch overlap with tree i, swept from the segment's
 	// postings; nil where the segment has none.
 	ov []int32
+	// lbase + lov[i] bounds the label overlap with tree i from above,
+	// swept from the segment's label postings; lov is nil where the
+	// segment has no label tier.
+	lov   []int32
+	lbase int32
 }
 
 // BDist returns the raw binary branch distance to tree i — the BDist
@@ -236,17 +256,25 @@ func (b *biBranchBounder) plain(i int) int {
 	return (b.BDist(i) + b.factor - 1) / b.factor
 }
 
+// label returns the label-histogram bound ⌈L1/2⌉ off the sweep, with the
+// label L1 ≥ |q| + |t| − 2·(lbase + lov[i]): one edit operation changes it
+// by at most 2.
+func (b *biBranchBounder) label(i int) int {
+	l1 := b.qp.Size + b.f.profiles[i].Size - 2*int(b.lbase+b.lov[i])
+	return max(0, (l1+1)/2)
+}
+
 // CheapBounds implements Bounder. The non-positional filter is the plain
 // branch-distance bound by definition (the ablation of DESIGN.md), so it
-// has no size tier: ⌈BDist/Factor⌉ does not dominate ||q|−|t||.
-func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist int) {
+// has neither a size nor a label tier: ⌈BDist/Factor⌉ dominates neither.
+func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist, label int) {
 	t := b.f.profiles[i]
 	if b.f.Positional {
 		if size = b.qp.Size - t.Size; size < 0 {
 			size = -size
 		}
 		if size > limit {
-			return size, 0
+			return size, 0, 0
 		}
 	}
 	var d int
@@ -256,7 +284,11 @@ func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist int) {
 		// BDist ≤ |q|+|t|: a cap there cannot stop the join, nor overflow.
 		d, _ = branch.BDistWithin(b.qp, t, min(limit, b.qp.Size+t.Size)*b.factor)
 	}
-	return size, (d + b.factor - 1) / b.factor
+	bdist = (d + b.factor - 1) / b.factor
+	if b.lov == nil || bdist > limit {
+		return size, bdist, 0
+	}
+	return size, bdist, b.label(i)
 }
 
 func (b *biBranchBounder) KNNBound(i int) int {

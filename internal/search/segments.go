@@ -196,19 +196,20 @@ type segBounders []Bounder
 func newSegBounders(qc *qcut, q *tree.Tree, acc []int32) segBounders {
 	sb := make(segBounders, len(qc.segs))
 	for si, sg := range qc.segs {
-		sb[si] = payloadOf(sg).filter.Query(q, acc[qc.starts[si]:qc.starts[si+1]])
+		sb[si] = payloadOf(sg).filter.Query(q, acc[2*qc.starts[si]:2*qc.starts[si+1]])
 	}
 	return sb
 }
 
-// accPool recycles the queries' accumulators, one int32 per position of a
-// cut, so a sweep allocates nothing in the steady state. A query puts its
-// accumulator back when it returns, when no bounder reads it any more.
+// accPool recycles the queries' accumulators, two int32s per position of a
+// cut (the branch and the label sweep), so a sweep allocates nothing in the
+// steady state. A query puts its accumulator back when it returns, when no
+// bounder reads it any more.
 var accPool sync.Pool
 
-// getAcc returns an accumulator of n entries. A new one has room for a
-// few more, so a dataset that grows by inserts does not outgrow every
-// pooled one at once.
+// getAcc returns an accumulator of n entries: 2·cut.n for a query. A new
+// one has room for a few more, so a dataset that grows by inserts does not
+// outgrow every pooled one at once.
 func getAcc(n int) *[]int32 {
 	if p, ok := accPool.Get().(*[]int32); ok && cap(*p) >= n {
 		*p = (*p)[:n]

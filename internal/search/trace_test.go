@@ -57,6 +57,14 @@ func TestKNNSpans(t *testing.T) {
 	if got := filter.Attrs["candidates"]; got != int64(60) {
 		t.Errorf("filter candidates %v, want 60", got)
 	}
+	for attr, want := range map[string]int{
+		"pruned_size": stats.Pruned.Size, "pruned_bdist": stats.Pruned.BDist,
+		"pruned_label": stats.Pruned.Label, "pruned_positional": stats.Pruned.Positional,
+	} {
+		if got := filter.Attrs[attr]; got != int64(want) {
+			t.Errorf("filter %s attr %v, funnel says %d", attr, got, want)
+		}
+	}
 	if got := refine.Attrs["verified"]; got != int64(stats.Verified) {
 		t.Errorf("refine verified attr %v, stats say %d", got, stats.Verified)
 	}

@@ -224,6 +224,7 @@ func newMetrics(s *Server) *Metrics {
 			return []obs.Sample{
 				{Value: float64(p.Size), Labels: obs.Labels{"tier": "size"}},
 				{Value: float64(p.BDist), Labels: obs.Labels{"tier": "bdist"}},
+				{Value: float64(p.Label), Labels: obs.Labels{"tier": "label"}},
 				{Value: float64(p.Positional), Labels: obs.Labels{"tier": "positional"}},
 			}
 		})

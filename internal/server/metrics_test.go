@@ -295,8 +295,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		// The funnel accounts for every tree every query saw: 4 queries
 		// over 40 trees, 16 over 41.
 		funnel := m["treesim_query_candidates_total"]
-		for _, tier := range []string{"size", "bdist", "positional"} {
-			funnel += m[`treesim_filter_pruned_total{tier="`+tier+`"}`]
+		for _, tier := range []string{"size", "bdist", "label", "positional"} {
+			v, ok := m[`treesim_filter_pruned_total{tier="`+tier+`"}`]
+			if !ok {
+				t.Errorf("%s: no treesim_filter_pruned_total{tier=%q}", name, tier)
+			}
+			funnel += v
 		}
 		if funnel != 4*40+16*41 {
 			t.Errorf("%s: pruned tiers + candidates = %v, want %d trees accounted for", name, funnel, 4*40+16*41)

@@ -20,7 +20,9 @@ package treesim
 // cmd/experiments -scale paper.
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"testing"
 	"time"
 
@@ -271,6 +273,43 @@ func BenchmarkFilterStage(b *testing.B) {
 	}
 	run("dblp-range-tau3", n, rangeq(ix, 3), queries)
 	run("dblp-knn-k10", n, knn(ix, 10), queries)
+}
+
+// BenchmarkSnapshot is the snapshot rung: SaveIndex and LoadIndex of a
+// one-segment BiBranch index on range_scan's shape at n = 8 000 and on
+// DBLP-like records at n = 10 000, reporting the snapshot's size. A load
+// parses every tree and builds each segment's profiles and postings.
+func BenchmarkSnapshot(b *testing.B) {
+	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
+	for _, c := range []struct {
+		name string
+		ts   []*tree.Tree
+	}{
+		{"range_scan-shape/8000", datagen.New(spec, 5).Dataset(8000, 800)},
+		{"dblp/10000", dblp.New(5).Dataset(10000)},
+	} {
+		ix := search.NewIndex(c.ts, search.NewBiBranch())
+		var snap bytes.Buffer
+		if err := search.SaveIndex(&snap, ix); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("save/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := search.SaveIndex(io.Discard, ix); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(snap.Len()), "snapshot-bytes")
+		})
+		b.Run("load/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := search.LoadIndex(bytes.NewReader(snap.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(snap.Len()), "snapshot-bytes")
+		})
+	}
 }
 
 // BenchmarkKNNQuery compares one k-NN query under each filter on a fixed

@@ -45,14 +45,14 @@ for stage; do
         (cd benchmark && go test ./...)
         ;;
     bench-smoke)
-        # One iteration of every case of the verifier's, the filter's and
-        # the join's rungs, and of the postings-vs-merge-join ablation, so
-        # the benchmark a refine-, filter- or join-path change is measured
-        # on always compiles and runs. A smoke stage: it gates on nothing
-        # the numbers say.
-        echo "== editdist, filter-stage, postings and self-join rungs: one iteration per case"
+        # One iteration of every case of the verifier's, the filter's, the
+        # snapshot's and the join's rungs, and of the postings-vs-merge-join
+        # ablation, so the benchmark a refine-, filter-, snapshot- or
+        # join-path change is measured on always compiles and runs. A smoke
+        # stage: it gates on nothing the numbers say.
+        echo "== editdist, filter-stage, postings, snapshot and self-join rungs: one iteration per case"
         go test -run '^$' -bench 'DistanceWithin' -benchtime 1x ./internal/editdist
-        go test -run '^$' -bench 'FilterStage|AblationPostingsVsMergeJoin' -benchtime 1x .
+        go test -run '^$' -bench 'FilterStage|AblationPostingsVsMergeJoin|Snapshot' -benchtime 1x .
         go test -run '^$' -bench 'SelfJoin' -benchtime 1x ./internal/join
         ;;
     hammer)

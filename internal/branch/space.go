@@ -99,19 +99,11 @@ func (s *Space) intern(key []byte) Dim {
 }
 
 // rootLabel returns the first label of an encoded branch key: the label of
-// the node the branch is rooted at. ok is false when key does not start
-// with a well-formed "<len>:<label>".
-func rootLabel(key string) (l string, ok bool) {
-	n, i := 0, 0
-	for ; i < len(key) && '0' <= key[i] && key[i] <= '9'; i++ {
-		if n = 10*n + int(key[i]-'0'); n > len(key) {
-			return "", false
-		}
-	}
-	if i == 0 || i == len(key) || key[i] != ':' || n > len(key)-i-1 {
-		return "", false
-	}
-	return key[i+1 : i+1+n], true
+// the node the branch is rooted at.
+func rootLabel(key string) string {
+	i := strings.IndexByte(key, ':')
+	n, _ := strconv.Atoi(key[:i])
+	return key[i+1 : i+1+n]
 }
 
 // Roots returns the root label of every dimension interned so far, indexed
@@ -130,7 +122,7 @@ func (s *Space) Roots() (root []Label, labels int) {
 	}
 	s.root = slices.Grow(s.root, len(s.keys)-len(s.root))
 	for _, k := range s.keys[len(s.root):] {
-		l, _ := rootLabel(k)
+		l := rootLabel(k)
 		id, ok := s.labelIDs[l]
 		if !ok {
 			id = Label(len(s.labelIDs))

@@ -7,7 +7,7 @@
 // overlap — hence BDist = |q| + |t| − 2·overlap — of every tree in the
 // segment, without opening the profile of a single tree. Every sealed
 // segment of the search index carries one, built when the segment is
-// indexed, sealed, compacted or decoded from a snapshot, and its filter's
+// indexed, sealed, compacted or loaded from a snapshot, and its filter's
 // BDist tier reads the sweep; only the memtable, which grows by one tree
 // per insert, merge-joins per tree.
 //

@@ -2,7 +2,6 @@ package search
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,22 +14,25 @@ import (
 	"treesim/internal/tree"
 )
 
-// Persistence of a BiBranch-filtered index: the dataset trees (canonical
-// text encoding) plus the pre-built branch spaces and profiles, so loading
-// skips both tree parsing of external formats and re-profiling.
+// Persistence of a BiBranch-filtered index: the filter configuration and
+// the dataset trees (canonical text encoding). A segment's branch space,
+// profiles and postings are derived from its trees, so they are not
+// stored: loading indexes every segment as a build or a compaction does.
 //
 // On disk (all integers little-endian):
 //
-//	magic "TSIX3\x00"
+//	magic "TSIX4\x00"
+//	the filter configuration: u32 q, u8 positional, then a u32 CRC32C
+//	of those five bytes
 //	a checksummed segment manifest (internal/segstore framing: u32
 //	length, body, u32 CRC32C)
 //	one blob per manifest segment: the payload bytes followed by a u32
 //	CRC32C trailer
 //
-// A payload is a u8 positional flag, a branch.Write blob, a u32 tree
-// count, then each tree as (u32 len, canonical text bytes). One payload
-// per storage segment preserves the segment layout, the dataset-id
-// assignment and the unresolved tombstones across restarts.
+// A payload is a u32 tree count, then each tree as (u32 len, canonical
+// text bytes). One payload per storage segment preserves the segment
+// layout, the dataset-id assignment and the unresolved tombstones across
+// restarts.
 //
 // Checksums make corruption a first-class, precisely reported condition:
 // LoadIndex and VerifySnapshot distinguish a truncated snapshot
@@ -38,14 +40,21 @@ import (
 // corrupt one (ErrSnapshotCorrupt — any other magic, a checksum mismatch,
 // or structural nonsense inside length-complete data).
 
-var indexMagic = [6]byte{'T', 'S', 'I', 'X', '3', 0}
+var indexMagic = [6]byte{'T', 'S', 'I', 'X', '4', 0}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// maxPayload caps a declared payload length (1 TiB) so a corrupt header
-// can neither overflow the int64 LimitReader nor promise absurd work;
-// real bounds come from the per-structure caps during decoding.
-const maxPayload = 1 << 40
+const (
+	// maxPayload caps a declared payload length (1 TiB) so a corrupt
+	// header can neither overflow the int64 LimitReader nor promise absurd
+	// work; real bounds come from the bytes that actually arrive.
+	maxPayload = 1 << 40
+	// maxQ caps a stored branch level: profiling costs 2^q per node, so a
+	// larger q is damage, not a configuration.
+	maxQ = 16
+	// configLen is the filter configuration's length with its checksum.
+	configLen = 4 + 1 + 4
+)
 
 // ErrSnapshotCorrupt reports a snapshot whose bytes are all present but
 // wrong: a checksum does not match, or a structurally invalid payload
@@ -57,7 +66,7 @@ var ErrSnapshotCorrupt = errors.New("snapshot corrupt")
 // not enough of it.
 var ErrSnapshotTruncated = errors.New("snapshot truncated")
 
-// SaveIndex serializes an index whose filter is a *BiBranch in the TSIX3
+// SaveIndex serializes an index whose filter is a *BiBranch in the TSIX4
 // segmented format. Other filters are cheap to rebuild from the dataset
 // and are not supported.
 //
@@ -66,88 +75,72 @@ var ErrSnapshotTruncated = errors.New("snapshot truncated")
 // segments plus a frozen memtable snapshot) and serializes from the
 // immutable cut without blocking anyone.
 func SaveIndex(w io.Writer, ix *Index) error {
-	if _, ok := ix.filter.(*BiBranch); !ok {
+	f, ok := ix.filter.(*BiBranch)
+	if !ok {
 		return fmt.Errorf("search: only BiBranch indexes can be saved (have %s)", ix.filter.Name())
 	}
 	cut := ix.store.Read()
 	blobs := make([][]byte, len(cut.Segments))
 	metas := make([]segstore.SegmentMeta, len(cut.Segments))
 	for i, sg := range cut.Segments {
-		p := payloadOf(sg)
-		f, ok := p.filter.(*BiBranch)
-		if !ok {
-			return fmt.Errorf("search: only BiBranch indexes can be saved (segment %d holds %s)", i, p.filter.Name())
-		}
-		var buf bytes.Buffer
-		if err := encodePayload(&buf, f, f.profiles, p.trees); err != nil {
-			return err
-		}
-		blobs[i] = buf.Bytes()
+		blobs[i] = encodePayload(payloadOf(sg).trees)
 		metas[i] = segstore.SegmentMeta{Base: sg.Base, N: sg.N, IDs: sg.IDs, BlobLen: uint64(len(blobs[i]))}
 	}
 	m := &segstore.Manifest{NextID: cut.NextID, Tombstones: cut.Tombs.IDs(), Segments: metas}
 
+	// A bufio.Writer's errors are sticky: Flush reports the first.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(indexMagic[:]); err != nil {
-		return err
-	}
+	bw.Write(indexMagic[:])
+	bw.Write(encodeConfig(f))
 	if err := segstore.WriteManifest(bw, m); err != nil {
 		return err
 	}
 	for _, b := range blobs {
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, crc32.Checksum(b, castagnoli)); err != nil {
-			return err
-		}
+		bw.Write(b)
+		bw.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(b, castagnoli)))
 	}
 	return bw.Flush()
 }
 
-// encodePayload writes one segment's payload.
-func encodePayload(w io.Writer, f *BiBranch, profiles []*branch.Profile, trees []*tree.Tree) error {
-	bw := bufio.NewWriter(w)
-	positional := byte(0)
+// encodeConfig encodes the filter configuration with its checksum.
+func encodeConfig(f *BiBranch) []byte {
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, configLen), uint32(f.level()))
 	if f.Positional {
-		positional = 1
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
 	}
-	if err := bw.WriteByte(positional); err != nil {
-		return err
-	}
-	if err := branch.Write(bw, f.space, profiles); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(trees))); err != nil {
-		return err
-	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// encodePayload encodes one segment's trees.
+func encodePayload(trees []*tree.Tree) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(trees)))
 	for _, t := range trees {
 		s := t.String()
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(s))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(s); err != nil {
-			return err
-		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
 	}
-	return bw.Flush()
+	return b
 }
 
-// LoadIndex deserializes an index saved by SaveIndex. Options configure
-// the loaded index the same way they configure NewIndex: cost model, shard
-// count, worker pool, memtable sizing. A filter option replaces the
-// snapshot's BiBranch filter and re-indexes the loaded dataset under it
-// (collapsing a segmented snapshot into one segment, with dataset ids and
-// the id high-water mark preserved); so does a cost model that does not
-// report a per-operation minimum of at least 1, under which the filter is
-// None (see WithCostModel). With no options the index uses unit edit costs
-// and the default execution shape.
+// LoadIndex deserializes an index saved by SaveIndex, indexing every
+// segment's trees under the stored filter configuration the way NewIndex
+// and compaction do. Options configure the loaded index the same way they
+// configure NewIndex: cost model, shard count, worker pool, memtable
+// sizing. A filter option replaces the snapshot's BiBranch filter and
+// indexes the loaded dataset under it instead (collapsing a segmented
+// snapshot into one segment, with dataset ids and the id high-water mark
+// preserved); so does a cost model that does not report a per-operation
+// minimum of at least 1, under which the filter is None (see
+// WithCostModel). With no options the index uses unit edit costs and the
+// default execution shape.
 //
 // Errors satisfy errors.Is against ErrSnapshotTruncated (file ends early)
 // or ErrSnapshotCorrupt (wrong magic / checksum mismatch / structural
 // damage) so callers can report the failure mode precisely.
 func LoadIndex(r io.Reader, opts ...IndexOption) (*Index, error) {
-	m, err := readHeader(r)
+	proto, m, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -155,65 +148,73 @@ func LoadIndex(r io.Reader, opts ...IndexOption) (*Index, error) {
 
 	segs := make([]*segstore.Segment, len(m.Segments))
 	for i, meta := range m.Segments {
-		f, ts, err := loadBlob(r, int64(meta.BlobLen), i)
+		ts, err := loadBlob(r, int64(meta.BlobLen), meta.N, i)
 		if err != nil {
 			return nil, err
 		}
-		if len(ts) != meta.N {
-			return nil, fmt.Errorf("search: %w: segment %d holds %d trees but the manifest says %d",
-				ErrSnapshotCorrupt, i, len(ts), meta.N)
-		}
-		segs[i] = &segstore.Segment{
-			Base:    meta.Base,
-			N:       meta.N,
-			IDs:     meta.IDs,
-			Payload: &segPayload{trees: ts, filter: f},
-		}
+		segs[i] = &segstore.Segment{Base: meta.Base, N: meta.N, IDs: meta.IDs, Payload: &segPayload{trees: ts}}
 	}
 
 	if cfg.filter != nil {
 		// Filter replacement collapses the snapshot to one segment over
-		// the live trees, re-indexed under the new filter. Ids and the
+		// the live trees, indexed under the new filter. Ids and the
 		// high-water mark survive; tombstones resolve here.
 		return assembleReindexed(cfg, m, segs), nil
 	}
 
-	var proto Filter
-	if len(segs) > 0 {
-		proto = payloadOf(segs[0]).filter
-	} else {
-		proto = NewBiBranch()
-		proto.Index(nil)
+	// Every loaded segment is a sealed one: its filter is built over its
+	// trees, profiles and postings both, as a compaction builds it.
+	for _, sg := range segs {
+		p := payloadOf(sg)
+		p.filter = proto.Fresh()
+		p.filter.Index(p.trees)
 	}
+	proto.Index(nil)
 	ix := indexShell(cfg, proto)
 	ix.store.Bootstrap(segs, m.Tombstones, m.NextID)
 	return ix, nil
 }
 
-// readHeader reads what precedes the segment blobs — the magic and the
-// manifest — and classifies what is wrong with it.
-func readHeader(r io.Reader) (*segstore.Manifest, error) {
+// readHeader reads what precedes the segment blobs — the magic, the
+// filter configuration and the manifest — and classifies what is wrong
+// with it.
+func readHeader(r io.Reader) (*BiBranch, *segstore.Manifest, error) {
 	var magic [6]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("search: %w: reading magic: %v", ErrSnapshotTruncated, err)
+		return nil, nil, fmt.Errorf("search: %w: reading magic: %v", ErrSnapshotTruncated, err)
 	}
 	if magic != indexMagic {
-		return nil, fmt.Errorf("search: %w: bad magic %q (want %q)", ErrSnapshotCorrupt, magic, indexMagic)
+		return nil, nil, fmt.Errorf("search: %w: bad magic %q (want %q)", ErrSnapshotCorrupt, magic, indexMagic)
 	}
+	var c [configLen]byte
+	if _, err := io.ReadFull(r, c[:]); err != nil {
+		return nil, nil, fmt.Errorf("search: %w: reading filter configuration: %v", ErrSnapshotTruncated, err)
+	}
+	if got, want := crc32.Checksum(c[:5], castagnoli), binary.LittleEndian.Uint32(c[5:]); got != want {
+		return nil, nil, fmt.Errorf("search: %w: filter configuration checksum %08x, trailer says %08x",
+			ErrSnapshotCorrupt, got, want)
+	}
+	q := binary.LittleEndian.Uint32(c[:4])
+	if q < branch.MinQ || q > maxQ || c[4] > 1 {
+		return nil, nil, fmt.Errorf("search: %w: implausible filter configuration q=%d positional=%d",
+			ErrSnapshotCorrupt, q, c[4])
+	}
+	proto := &BiBranch{Q: int(q), Positional: c[4] == 1}
+
 	m, err := segstore.ReadManifest(r)
 	if err != nil {
 		if errors.Is(err, segstore.ErrManifestTruncated) {
-			return nil, fmt.Errorf("search: %w: %v", ErrSnapshotTruncated, err)
+			return nil, nil, fmt.Errorf("search: %w: %v", ErrSnapshotTruncated, err)
 		}
-		return nil, fmt.Errorf("search: %w: %v", ErrSnapshotCorrupt, err)
+		return nil, nil, fmt.Errorf("search: %w: %v", ErrSnapshotCorrupt, err)
 	}
 	for i, meta := range m.Segments {
 		if meta.BlobLen > maxPayload {
-			return nil, fmt.Errorf("search: %w: segment %d declares implausible payload length %d",
+			return nil, nil, fmt.Errorf("search: %w: segment %d declares implausible payload length %d",
 				ErrSnapshotCorrupt, i, meta.BlobLen)
 		}
 	}
-	return m, nil
+	return proto, m, nil
 }
 
 // assembleReindexed merges a segmented snapshot's live trees into one
@@ -230,12 +231,13 @@ func assembleReindexed(cfg indexConfig, m *segstore.Manifest, segs []*segstore.S
 	return ix
 }
 
-// loadBlob decodes one segment's checksummed payload blob, hashing
-// exactly the declared bytes and classifying failures.
-func loadBlob(r io.Reader, blen int64, seg int) (*BiBranch, []*tree.Tree, error) {
+// loadBlob decodes segment seg's checksummed payload blob, which the
+// manifest says holds n trees, hashing exactly the declared bytes and
+// classifying failures.
+func loadBlob(r io.Reader, blen int64, n, seg int) ([]*tree.Tree, error) {
 	cr := &countingHashReader{r: io.LimitReader(r, blen), h: crc32.New(castagnoli)}
 	br := bufio.NewReader(cr)
-	f, ts, derr := decodePayload(br)
+	ts, derr := decodePayload(br, n)
 
 	// Drain whatever the decoder did not consume — on success this should
 	// be nothing; on error it completes the checksum so the failure can be
@@ -245,29 +247,29 @@ func loadBlob(r io.Reader, blen int64, seg int) (*BiBranch, []*tree.Tree, error)
 		drained = rest
 	}
 	if cr.n < blen {
-		return nil, nil, fmt.Errorf("search: %w: segment %d payload has %d of %d declared bytes",
+		return nil, fmt.Errorf("search: %w: segment %d payload has %d of %d declared bytes",
 			ErrSnapshotTruncated, seg, cr.n, blen)
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return nil, nil, fmt.Errorf("search: %w: segment %d missing checksum trailer", ErrSnapshotTruncated, seg)
+		return nil, fmt.Errorf("search: %w: segment %d missing checksum trailer", ErrSnapshotTruncated, seg)
 	}
 	want := binary.LittleEndian.Uint32(trailer[:])
 	if got := cr.h.Sum32(); got != want {
-		return nil, nil, fmt.Errorf("search: %w: segment %d payload checksum %08x, trailer says %08x",
+		return nil, fmt.Errorf("search: %w: segment %d payload checksum %08x, trailer says %08x",
 			ErrSnapshotCorrupt, seg, got, want)
 	}
 	// Checksum matched: the bytes are exactly what the writer produced, so
 	// any remaining failure is structural corruption (or a writer bug),
 	// not I/O damage.
 	if derr != nil {
-		return nil, nil, fmt.Errorf("search: %w: segment %d: %v", ErrSnapshotCorrupt, seg, derr)
+		return nil, fmt.Errorf("search: %w: segment %d: %v", ErrSnapshotCorrupt, seg, derr)
 	}
 	if drained > 0 {
-		return nil, nil, fmt.Errorf("search: %w: segment %d has %d payload bytes beyond the index structure",
+		return nil, fmt.Errorf("search: %w: segment %d has %d payload bytes beyond its trees",
 			ErrSnapshotCorrupt, seg, drained)
 	}
-	return f, ts, nil
+	return ts, nil
 }
 
 // countingHashReader hashes and counts everything read through it.
@@ -288,7 +290,7 @@ func (c *countingHashReader) Read(p []byte) (int, error) {
 // checksums — without decoding it: cheap enough to run after every
 // snapshot write, before the rename publishes it.
 func VerifySnapshot(r io.Reader) error {
-	m, err := readHeader(r)
+	_, m, err := readHeader(r)
 	if err != nil {
 		return err
 	}
@@ -322,76 +324,53 @@ func verifyBlob(r io.Reader, blen int64, seg int) error {
 	return nil
 }
 
-// decodePayload reads one segment's payload. br must be the
-// single buffering layer over the source: branch.Read adopts a
-// *bufio.Reader as-is, so no read-ahead escapes the payload.
+// decodePayload reads one segment's payload of n trees.
 //
-// The tree blobs are read sequentially (the stream dictates it) but
-// parsed in parallel: parsing dominates decode time on large snapshots
-// and each blob parses independently. The first error in dataset order
-// wins, keeping failure messages identical to the sequential decoder's.
-func decodePayload(br *bufio.Reader) (*BiBranch, []*tree.Tree, error) {
-	positional, err := br.ReadByte()
-	if err != nil {
-		return nil, nil, err
+// Only the manifest vouches for n, and a manifest can lie with valid
+// checksums, so n sizes no allocation: the slices grow as tree bytes
+// actually arrive, and a lying count dies on EOF having cost a small
+// starter capacity. The tree blobs are read sequentially (the stream
+// dictates it) but parsed in parallel: each parses independently. The
+// first error in dataset order wins, keeping failure messages identical
+// to a sequential decoder's.
+func decodePayload(br *bufio.Reader, n int) ([]*tree.Tree, error) {
+	var u32 [4]byte
+	if _, err := io.ReadFull(br, u32[:]); err != nil {
+		return nil, err
 	}
-	space, profiles, err := branch.Read(br)
-	if err != nil {
-		return nil, nil, err
+	if count := binary.LittleEndian.Uint32(u32[:]); int(count) != n {
+		return nil, fmt.Errorf("search: payload holds %d trees but the manifest says %d", count, n)
 	}
-
-	var n uint32
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, nil, err
-	}
-	if int(n) != len(profiles) {
-		return nil, nil, fmt.Errorf("search: %d trees but %d profiles", n, len(profiles))
-	}
-	blobs := make([][]byte, n)
-	for i := range blobs {
-		var l uint32
-		if err := binary.Read(br, binary.LittleEndian, &l); err != nil {
-			return nil, nil, err
+	blobs := make([][]byte, 0, min(n, 4096))
+	for i := 0; i < n; i++ {
+		if _, err := io.ReadFull(br, u32[:]); err != nil {
+			return nil, err
 		}
-		if l > 1<<26 {
-			return nil, nil, fmt.Errorf("search: tree %d implausibly large (%d bytes)", i, l)
+		l := int64(binary.LittleEndian.Uint32(u32[:]))
+		buf, err := io.ReadAll(io.LimitReader(br, l))
+		if err != nil {
+			return nil, err
 		}
-		buf := make([]byte, l)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, nil, err
+		if int64(len(buf)) < l {
+			return nil, fmt.Errorf("search: tree %d: %w", i, io.ErrUnexpectedEOF)
 		}
-		blobs[i] = buf
+		blobs = append(blobs, buf)
 	}
 
 	trees := make([]*tree.Tree, n)
 	errs := make([]error, n)
-	forEach(int(n), func(i int) {
+	forEach(n, func(i int) {
 		t, err := tree.Parse(string(blobs[i]))
 		if err != nil {
 			errs[i] = fmt.Errorf("search: tree %d: %w", i, err)
-			return
-		}
-		if t.Size() != profiles[i].Size {
-			errs[i] = fmt.Errorf("search: tree %d has %d nodes but profile says %d",
-				i, t.Size(), profiles[i].Size)
 			return
 		}
 		trees[i] = t
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-
-	// The postings are derived, not stored: every decoded segment is a
-	// sealed one, and the snapshot bytes stay what they were.
-	f := &BiBranch{
-		Q:          space.Q(),
-		Positional: positional == 1,
-		space:      space,
-		profiles:   profiles,
-		post:       postingsOf(profiles),
-	}
-	return f, trees, nil
+	return trees, nil
 }

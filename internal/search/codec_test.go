@@ -3,11 +3,15 @@ package search
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"treesim/internal/segstore"
 	"treesim/internal/tree"
 )
 
@@ -49,11 +53,17 @@ func TestSaveLoadIndexRoundTrip(t *testing.T) {
 
 func TestSaveLoadPreservesConfig(t *testing.T) {
 	ts := testDataset(20, 22)
-	for _, f := range []*BiBranch{
-		{Q: 2, Positional: true},
-		{Q: 3, Positional: false},
+	for _, c := range []struct {
+		ts []*tree.Tree
+		f  *BiBranch
+	}{
+		{ts, &BiBranch{Q: 2, Positional: true}},
+		{ts, &BiBranch{Q: 3, Positional: false}},
+		// No segment to take the configuration from: the header keeps it.
+		{nil, &BiBranch{Q: 4, Positional: false}},
 	} {
-		ix := NewIndex(ts, WithFilter(f))
+		f := c.f
+		ix := NewIndex(c.ts, WithFilter(f))
 		var buf bytes.Buffer
 		if err := SaveIndex(&buf, ix); err != nil {
 			t.Fatal(err)
@@ -70,7 +80,7 @@ func TestSaveLoadPreservesConfig(t *testing.T) {
 	}
 }
 
-// TestSaveLoadSegmentedRoundTrip: a TSIX3 snapshot of a multi-segment,
+// TestSaveLoadSegmentedRoundTrip: a TSIX4 snapshot of a multi-segment,
 // tombstoned index preserves the segment layout, the id assignment, the
 // tombstones and the id high-water mark exactly.
 func TestSaveLoadSegmentedRoundTrip(t *testing.T) {
@@ -89,8 +99,8 @@ func TestSaveLoadSegmentedRoundTrip(t *testing.T) {
 	if err := SaveIndex(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes()[:6]; string(got) != "TSIX3\x00" {
-		t.Fatalf("SaveIndex produced magic %q, want TSIX3", got)
+	if got := buf.Bytes()[:6]; string(got) != "TSIX4\x00" {
+		t.Fatalf("SaveIndex produced magic %q, want TSIX4", got)
 	}
 	loaded, err := LoadIndex(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -170,7 +180,7 @@ func TestSaveRejectsOtherFilters(t *testing.T) {
 }
 
 // TestLoadClassifiesCorruptVsTruncated: the loader's and the verifier's
-// contract — a bit flip anywhere in the payload and any magic but TSIX3's
+// contract — a bit flip anywhere in the payload and any magic but TSIX4's
 // are reported as corrupt, a short file (shorter than the magic included)
 // as truncated, and neither ever loads.
 func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
@@ -180,7 +190,7 @@ func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	payloadStart := 6 + 8 // past the magic, inside the manifest
+	payloadStart := 6 + configLen + 8 // past the magic and the filter configuration, inside the manifest
 
 	check := func(what string, data []byte, want error) {
 		t.Helper()
@@ -206,9 +216,9 @@ func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
 
 	// The magics of formats this loader does not read: corrupt, whatever
 	// follows them.
-	for _, magic := range []string{"TSIX1\x00", "TSIX2\x00"} {
+	for _, magic := range []string{"TSIX1\x00", "TSIX2\x00", "TSIX3\x00"} {
 		check(fmt.Sprintf("magic %q + garbage", magic), []byte(magic+"garbage"), ErrSnapshotCorrupt)
-		check(fmt.Sprintf("magic %q + a TSIX3 body", magic), append([]byte(magic), full[6:]...), ErrSnapshotCorrupt)
+		check(fmt.Sprintf("magic %q + a TSIX4 body", magic), append([]byte(magic), full[6:]...), ErrSnapshotCorrupt)
 	}
 }
 
@@ -229,6 +239,41 @@ func TestVerifySnapshot(t *testing.T) {
 	}
 	if err := VerifySnapshot(bytes.NewReader(full[:len(full)-7])); !errors.Is(err, ErrSnapshotTruncated) {
 		t.Fatal("truncation passed verification")
+	}
+	// The filter configuration has its own checksum: q=3 under q=2's
+	// checksum is caught before the manifest is read.
+	mut = append([]byte(nil), full...)
+	mut[6] = 3
+	if err := VerifySnapshot(bytes.NewReader(mut)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("configuration flip: %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// TestLoadBoundsLyingTreeCount: a snapshot whose checksums all match but
+// whose manifest and payload both declare 2³¹ trees, and which holds
+// none, fails cleanly without an allocation sized by the count.
+func TestLoadBoundsLyingTreeCount(t *testing.T) {
+	const n = 1 << 31
+	payload := binary.LittleEndian.AppendUint32(nil, n)
+	var buf bytes.Buffer
+	buf.Write(indexMagic[:])
+	buf.Write(encodeConfig(NewBiBranch()))
+	m := &segstore.Manifest{NextID: n, Segments: []segstore.SegmentMeta{{Base: 0, N: n, BlobLen: uint64(len(payload))}}}
+	if err := segstore.WriteManifest(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(payload)
+	buf.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(payload, castagnoli)))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadIndex(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotTruncated) {
+		t.Fatalf("lying count: %v, want ErrSnapshotCorrupt or ErrSnapshotTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("lying count allocated %d bytes, want at most 4 MiB", got)
 	}
 }
 

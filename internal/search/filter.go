@@ -158,11 +158,7 @@ func (f *BiBranch) Name() string {
 // Index implements Filter: profiles the dataset into flat per-block
 // arrays and builds the postings over them.
 func (f *BiBranch) Index(ts []*tree.Tree) {
-	q := f.Q
-	if q == 0 {
-		q = branch.MinQ
-	}
-	f.space = branch.NewSpace(q)
+	f.space = branch.NewSpace(f.level())
 	f.profiles = f.space.ProfileAllParallel(ts, 0)
 	f.post = postingsOf(f.profiles)
 }
@@ -216,12 +212,14 @@ func (f *BiBranch) Query(q *tree.Tree, acc []int32) Bounder {
 
 // Factor returns the proven worst-case BDist/EDist ratio 4(q-1)+1
 // (Theorem 4.1; 5 for the paper's standard q=2).
-func (f *BiBranch) Factor() int {
-	q := f.Q
-	if q == 0 {
-		q = branch.MinQ
+func (f *BiBranch) Factor() int { return branch.Factor(f.level()) }
+
+// level returns the branch level Q stands for: MinQ when Q is zero.
+func (f *BiBranch) level() int {
+	if f.Q == 0 {
+		return branch.MinQ
 	}
-	return branch.Factor(q)
+	return f.Q
 }
 
 // biBranchBounder is read-only after Query, so one serves every shard of

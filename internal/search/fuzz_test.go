@@ -11,13 +11,13 @@ import (
 
 // FuzzLoadIndex feeds arbitrary bytes to the snapshot loader. The
 // contract under corruption: fail cleanly — no panics, and no allocation
-// sized by an untrusted length prefix (the codec caps every claimed
-// count, so a 50-byte input can never demand gigabytes). When an input
-// does load, it must re-save and re-load into an equivalent index.
+// sized by an untrusted length prefix (the decoder grows its slices as
+// bytes arrive, so a 50-byte input can never demand gigabytes). When an
+// input does load, it must re-save and re-load into an equivalent index.
 func FuzzLoadIndex(f *testing.F) {
 	ix := NewIndex(testDataset(8, 41), NewBiBranch())
-	var v3 bytes.Buffer
-	if err := SaveIndex(&v3, ix); err != nil {
+	var v4 bytes.Buffer
+	if err := SaveIndex(&v4, ix); err != nil {
 		f.Fatal(err)
 	}
 	// A segmented snapshot with a tombstone: sealed segments, a memtable
@@ -27,29 +27,31 @@ func FuzzLoadIndex(f *testing.F) {
 		seg.Insert(tr)
 	}
 	seg.Delete(4)
-	var v3seg bytes.Buffer
-	if err := SaveIndex(&v3seg, seg); err != nil {
+	var v4seg bytes.Buffer
+	if err := SaveIndex(&v4seg, seg); err != nil {
 		f.Fatal(err)
 	}
-	// Stars among sealed segments: the postings built at decode hold
+	// Stars among sealed segments: the postings built at load hold
 	// escaped counts.
 	stars := NewIndex(append(testDataset(4, 44), star(40)), NewBiBranch(), WithMemtableSize(3), WithCompactionThreshold(-1))
 	for _, tr := range []*tree.Tree{star(17), testDataset(1, 45)[0], star(20)} {
 		stars.Insert(tr)
 	}
 	stars.Delete(1)
-	var v3stars bytes.Buffer
-	if err := SaveIndex(&v3stars, stars); err != nil {
+	var v4stars bytes.Buffer
+	if err := SaveIndex(&v4stars, stars); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v3.Bytes())
-	f.Add(v3seg.Bytes())
-	f.Add(v3stars.Bytes())
+	f.Add(v4.Bytes())
+	f.Add(v4seg.Bytes())
+	f.Add(v4stars.Bytes())
 	// Magics the loader must reject whatever follows them: a well-formed
 	// body here, garbage below.
-	f.Add(append([]byte("TSIX1\x00"), v3.Bytes()[6:]...))
-	f.Add(append([]byte("TSIX2\x00"), v3.Bytes()[6:]...))
-	f.Add(v3.Bytes()[:len(v3.Bytes())/2])
+	f.Add(append([]byte("TSIX1\x00"), v4.Bytes()[6:]...))
+	f.Add(append([]byte("TSIX2\x00"), v4.Bytes()[6:]...))
+	f.Add(append([]byte("TSIX3\x00"), v4.Bytes()[6:]...))
+	f.Add(v4.Bytes()[:len(v4.Bytes())/2])
+	f.Add([]byte("TSIX4\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte("TSIX3\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte("TSIX2\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte("TSIX1\x00garbage"))
@@ -88,7 +90,7 @@ func FuzzLoadIndex(f *testing.F) {
 				visible = append(visible, lt)
 			}
 		}
-		// The segments' postings are built at decode: the loaded index
+		// The segments' filters are built at load: the loaded index
 		// answers like one indexed afresh over its visible trees.
 		if len(visible) > 0 && len(visible) <= 64 {
 			fresh := NewIndex(visible, NewBiBranch())

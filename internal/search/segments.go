@@ -16,8 +16,8 @@ import (
 // them; the memtable carries a fresh filter of the configured family that
 // grows by one Append per insert. A seal freezes the memtable's filter
 // and builds what a sealed segment keeps (BiBranch's postings); a
-// segment's filter is rebuilt with the parallel index build only at
-// compaction, off the write path.
+// segment's filter is built with the parallel index build only at
+// compaction, off the write path, and at snapshot load.
 
 // segPayload is what a segment carries: its trees and the filter over
 // them. A sealed segment's payload is immutable; the memtable's is mutated

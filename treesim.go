@@ -324,12 +324,14 @@ func SaveDataset(w io.Writer, ts []*Tree) error { return dataset.Save(w, ts) }
 // LoadDataset reads trees in the native line format.
 func LoadDataset(r io.Reader) ([]*Tree, error) { return dataset.Load(r) }
 
-// SaveIndex serializes a BiBranch-filtered index (dataset plus pre-built
-// branch vectors) so it can be reloaded without re-profiling.
+// SaveIndex serializes a BiBranch-filtered index: its filter
+// configuration, its trees and its segment layout. Branch vectors and
+// postings are derived data and are not written.
 func SaveIndex(w io.Writer, ix *Index) error { return search.SaveIndex(w, ix) }
 
-// LoadIndex reloads an index saved with SaveIndex. Options configure the
-// loaded index like NewIndex's do.
+// LoadIndex reloads an index saved with SaveIndex, profiling every
+// segment's trees as NewIndex does. Options configure the loaded index
+// like NewIndex's do.
 func LoadIndex(r io.Reader, opts ...IndexOption) (*Index, error) {
 	return search.LoadIndex(r, opts...)
 }

@@ -48,8 +48,10 @@ for stage; do
         # One iteration of every case of the verifier's, the filter's, the
         # snapshot's and the join's rungs, and of the postings-vs-merge-join
         # ablation, so the benchmark a refine-, filter-, snapshot- or
-        # join-path change is measured on always compiles and runs. A smoke
-        # stage: it gates on nothing the numbers say.
+        # join-path change is measured on always compiles and runs. The
+        # regexes name benchmarks, not cases, so a case added to one —
+        # BenchmarkDistanceWithin's big/τ=d-1, say — runs here unasked. A
+        # smoke stage: it gates on nothing the numbers say.
         echo "== editdist, filter-stage, postings, snapshot and self-join rungs: one iteration per case"
         go test -run '^$' -bench 'DistanceWithin' -benchtime 1x ./internal/editdist
         go test -run '^$' -bench 'FilterStage|AblationPostingsVsMergeJoin|Snapshot' -benchtime 1x .

@@ -80,8 +80,9 @@ type filterReport struct {
 	// IndexBuildUS is the one-time cost of building this filter's index.
 	IndexBuildUS int64 `json:"index_build_us"`
 	// Bounded-verification counters over the replay: verifications cut
-	// short by the O(n) pre-checks or by a DP early abort, and the DP
-	// cells actually computed vs. what full verification would cost.
+	// short before the tree DP (an O(n) pre-check or the sequence bound)
+	// or by a DP early abort, and the DP cells actually computed vs. what
+	// full verification would cost.
 	RefineAborted   int   `json:"refine_aborted"`
 	PrecheckRejects int   `json:"precheck_rejects"`
 	DPCells         int64 `json:"dp_cells"`

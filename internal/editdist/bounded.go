@@ -9,8 +9,8 @@ import (
 // Threshold-bounded verification: what makes the kernel (kernel.go)
 // cutoff-aware, for callers that only need a yes/no against a threshold
 // (refine: τ for range queries, the running k-th-best for k-NN), and what
-// lets a call with no threshold borrow one. Four mechanisms, the first
-// three in escalating cost:
+// lets a call with no threshold borrow one. Four mechanisms and a step
+// between the first two, the first three in escalating cost:
 //
 //  1. O(n) pre-checks. Size delta, height delta, and label-histogram L1
 //     delta are each admissible lower bounds on the number of edit
@@ -19,6 +19,17 @@ import (
 //     query side is computed once, by Prepare; the candidate side is one
 //     allocation-free walk (scratch.measure) that also sums the keyroot
 //     sizes FullCells needs, so a rejected candidate is never decomposed.
+//
+//     The sequence bound (Guha et al.) follows on the decomposed
+//     candidate. A Tai mapping preserves ancestor and left-of order, hence
+//     both postorder and preorder, so it aligns each pair of label
+//     sequences with no more operations than the script has: each
+//     sequence distance lower-bounds the operation count. Computed over
+//     label slots by seqDist, capped at band (below) — at most
+//     |q|·(2·band+1) steps, O(band² + |q|) on close pairs — a distance
+//     above band rejects the pair at cutoff+1 before the kernel runs: the
+//     postorder pass first, the preorder one only if it passes. It counts
+//     as a pre-check (Metrics.Precheck).
 //
 //  2. Two bands of width band = cutoff/minOpCost, the most nodes a mapping
 //     of cost ≤ cutoff can leave unmatched (inserts + deletes). Write
@@ -46,15 +57,15 @@ import (
 //
 //  4. The doubling search, for a call with no cutoff (Distance, and a k-NN
 //     query's first k verifications). It guesses a band k in operations —
-//     the larger of the pre-check's bound over cmin and the unit-cost
-//     string edit distance of the two postorder label sequences (Guha et
-//     al.: a Tai mapping preserves postorder, so it aligns those sequences
-//     with no more operations) — and runs the kernel at band k with the
-//     largest cutoff that band admits, (k+1)·cmin − 1, doubling k until a
-//     run returns a value within its cutoff. The candidate is decomposed
-//     once; only the kernel reruns. Past band (|q|+|t|)/searchSpan the
-//     failed runs would cost more than the band saves — unrelated pairs
-//     sit there — so the search hands the pair to the band-off program.
+//     the largest of the pre-check's bound over cmin and the two sequence
+//     distances, the preorder one computed only while the postorder one
+//     leaves the search a band to try — and runs the kernel at band k
+//     with the largest cutoff that band admits, (k+1)·cmin − 1, doubling
+//     k until a run returns a value within its cutoff. The candidate is
+//     decomposed once; only the kernel reruns. Past band
+//     (|q|+|t|)/searchSpan the failed runs would cost more than the band
+//     saves — unrelated pairs sit there — so the search hands the pair to
+//     the band-off program.
 //
 // Soundness: the restricted program minimizes over a subset of edit paths
 // (each still a valid mapping), so it never underestimates; and the path of
@@ -64,6 +75,9 @@ import (
 // bands and every frontier test: a true distance ≤ cutoff is computed
 // exactly. A computed value > cutoff therefore proves the true distance >
 // cutoff but may overshoot it, so bounded calls certify only `cutoff+1`.
+// So does the sequence bound: a sequence distance above band means every
+// script has at least band+1 operations, costing at least
+// cmin·(cutoff/cmin + 1) > cutoff.
 // The bands and the pre-checks need a positive per-operation minimum cost
 // (see MinOpCoster); without one the band is |T1|+|T2|, which restricts
 // nothing, and only row abandoning — sound for any costs ≥ 0 — remains, and
@@ -138,7 +152,7 @@ func abs(x int) int {
 const searchSpan = 8
 
 // search is mechanism 4 for a pair with no cutoff: starting from the
-// larger of the pre-check's and the postorder sequences' lower bounds, in
+// largest of the pre-check's and the two label sequences' lower bounds, in
 // operations, it runs the kernel at band k with the largest cutoff that
 // band admits, (k+1)·cmin − 1, doubling k until a run certifies its cutoff.
 // It returns (d, true) with that run's exact distance, or false once the
@@ -150,7 +164,7 @@ func (q *Query) search(s *scratch, b *decomp, lb int, m *Metrics) (int, bool) {
 	if k > top || q.cmin > unreachable/(top+1) {
 		return 0, false
 	}
-	for k = max(k, s.postorderDist(q.d, b, top)); k <= top; k = min(2*k, top) {
+	for k = max(k, q.seqBound(s, b, top)); k <= top; k = min(2*k, top) {
 		cutoff := (k+1)*q.cmin - 1
 		if d := q.run(b, cutoff, k, m); d <= cutoff {
 			return d, true
@@ -162,56 +176,68 @@ func (q *Query) search(s *scratch, b *decomp, lb int, m *Metrics) (int, bool) {
 	return 0, false
 }
 
-// postorderDist returns the unit-cost edit distance between the postorder
-// label sequences of a and b — Guha et al.'s lower bound on the number of
-// tree edit operations, since a Tai mapping preserves postorder — or k+1
-// when it exceeds k. It fills only the band |x−y| ≤ k, two rows at a time,
-// comparing the query's label slots, so labels b has and a lacks (slot −1)
-// never match.
-func (s *scratch) postorderDist(a, b *decomp, k int) int {
-	if abs(a.n-b.n) > k {
+// seqBound is the sequence bound of the query against b in operations,
+// capped at k+1: the postorder sequences' distance and, only when that is
+// within k, the preorder sequences' too.
+func (q *Query) seqBound(s *scratch, b *decomp, k int) int {
+	post := s.seqDist(q.d.id[1:], b.id[1:], k)
+	if post > k {
+		return post
+	}
+	return max(post, s.seqDist(q.d.preid[1:], b.preid[1:], k))
+}
+
+// seqDist returns the unit-cost edit distance between two label-slot
+// sequences — over a pair's postorder (or preorder) slots, Guha et al.'s
+// lower bound on the number of tree edit operations, since a Tai mapping
+// preserves both orders — or k+1 when it exceeds k. It is the banded
+// program in diagonal-transition form (Ukkonen; Landau and Vishkin): for
+// e = 0, 1, …, k it keeps, on each diagonal y − x within ±e, the furthest
+// x that e operations reach — one step past a neighbour's, then slid along
+// equal labels — and stops at the first e that reaches (|a|, |b|). That
+// is O(k² + the slides) instead of |a|·(2k+1) cells. a is the query's
+// side, so a candidate label the query lacks (slot −1) never matches.
+func (s *scratch) seqDist(a, b []int32, k int) int {
+	m, n := len(a), len(b)
+	if abs(m-n) > k {
 		return k + 1
 	}
-	s.rows = grow(s.rows, 2*(b.n+2))
-	prev, cur := s.rows[:b.n+2], s.rows[b.n+2:]
-	for y := 0; y <= b.n; y++ {
-		prev[y] = min(y, k+1)
+	const none = -unreachable // a diagonal no e operations reach
+	s.diags = grow(s.diags, 2*k+3)
+	fr, off := s.diags, k+1 // fr[off+d]: the furthest x on diagonal d
+	for i := range fr {
+		fr[i] = none
 	}
-	for x := 1; x <= a.n; x++ {
-		lo, hi := max(1, x-k), min(b.n, x+k)
-		cur[lo-1] = k + 1 // outside the band, or column 0 below
-		if lo == 1 {
-			cur[0] = min(x, k+1)
-		}
-		rowMin := cur[lo-1]
-		for y := lo; y <= hi; y++ {
-			v := prev[y-1]
-			if a.id[x] != b.id[y] {
-				v++
+	fr[off] = -1 // so that e = 0 starts diagonal 0 at x = 0
+	for e := 0; e <= k; e++ {
+		lo, hi := max(-e, -m), min(e, n)
+		left := fr[off+lo-1] // diagonal d−1 before this round
+		for d := lo; d <= hi; d++ {
+			x := max(fr[off+d]+1, fr[off+d+1]+1, left)
+			left = fr[off+d]
+			x = min(x, m, n-d)
+			for x < m && x+d < n && a[x] == b[x+d] {
+				x++
 			}
-			v = min(v, prev[y]+1, cur[y-1]+1, k+1)
-			cur[y] = v
-			rowMin = min(rowMin, v)
+			fr[off+d] = x
 		}
-		cur[hi+1] = k + 1 // the next row reads one cell past this one's band
-		if rowMin > k {
-			return k + 1
+		if fr[off+n-m] >= m {
+			return e
 		}
-		prev, cur = cur, prev
 	}
-	return prev[b.n]
+	return k + 1
 }
 
 // scratch is one Within call's working memory, pooled: the walk's stack,
 // the candidate's per-slot label counts, the candidate's decomposition,
-// filled only for a pair that survives the pre-checks, and the search's
-// two sequence rows.
+// filled only for a pair that survives the pre-checks, and the sequence
+// bound's diagonals.
 type scratch struct {
 	stack   []frame
 	seen    []int32 // per query slot: the candidate's count so far; zero between calls
 	touched []int32 // the slots seen is non-zero at
 	t       decomp
-	rows    []int
+	diags   []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -225,7 +251,7 @@ func (s *scratch) release() {
 	clear(s.stack[:cap(s.stack)])
 	clear(s.t.label)
 	s.t.label = s.t.label[:0]
-	if max(cap(s.stack), cap(s.seen), cap(s.t.label), cap(s.rows)/2) <= maxPooledNodes {
+	if max(cap(s.stack), cap(s.seen), cap(s.t.label), cap(s.diags)/2) <= maxPooledNodes {
 		scratchPool.Put(s)
 	}
 }
@@ -303,5 +329,6 @@ func (s *scratch) decompose(t *tree.Tree, q *Query) *decomp {
 	for y := 1; y <= d.n; y++ {
 		d.id[y] = q.slotOf(d.label[y])
 	}
+	d.gatherPre()
 	return d
 }

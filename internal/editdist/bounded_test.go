@@ -247,27 +247,31 @@ func chainOf(labels []string) *tree.Tree {
 	return tree.MustParse(strings.Join(labels, "(") + strings.Repeat(")", len(labels)-1))
 }
 
+// mirrored returns a single-label tree and its mirror image: a(a(a),a)
+// against a(a,a(a)), each nested wrap times as the middle child of
+// a(a,·,a). Size, height, label histogram and both label sequences agree,
+// so neither a pre-check nor the sequence bound tells them apart, yet
+// their distance is 2: only the DP can prove it.
+func mirrored(wrap int) (*tree.Tree, *tree.Tree) {
+	t1, t2 := "a(a(a),a)", "a(a,a(a))"
+	for ; wrap > 0; wrap-- {
+		t1, t2 = "a(a,"+t1+",a)", "a(a,"+t2+",a)"
+	}
+	return tree.MustParse(t1), tree.MustParse(t2)
+}
+
 // TestDistanceWithinMetrics pins the accounting contract: a call with no
 // cutoff is exact, unflagged and — the search certifying a small cutoff —
 // touches fewer than FullCells on this close pair, bounded calls touch
 // strictly fewer on prunable pairs, and the Precheck/Aborted flags
 // identify how a rejection was proven.
 func TestDistanceWithinMetrics(t *testing.T) {
-	// Two chains with the same label multiset (two interior labels
-	// swapped): identical size, height and histogram defeat every
-	// pre-check, so the DP has to do the proving.
-	labs1 := make([]string, 16)
-	for i := range labs1 {
-		labs1[i] = []string{"a", "b", "c"}[i%3]
-	}
-	labs2 := append([]string(nil), labs1...)
-	labs2[5], labs2[9] = labs2[9], labs2[5]
-	t1 := chainOf(labs1)
-	t2 := chainOf(labs2)
-
+	// A single-label tree against its mirror image defeats every
+	// pre-check and the sequence bound, so the DP has to do the proving.
+	t1, t2 := mirrored(3)
 	d := EditScript(t1, t2).Cost
-	if d == 0 {
-		t.Fatal("permuted chains at distance 0")
+	if d != 2 {
+		t.Fatalf("mirrored pair at distance %d, want 2", d)
 	}
 	checkSearch(t, t1, t2, UnitCost{}, d)
 	var full Metrics
@@ -297,6 +301,24 @@ func TestDistanceWithinMetrics(t *testing.T) {
 		t.Fatalf("cutoff %d: touched %d of %d cells, want strictly fewer", d, w.Cells, w.FullCells)
 	}
 
+	// Two chains with the same label multiset (two interior labels
+	// swapped) pass every O(n) pre-check, but their label sequences
+	// differ: the sequence bound rejects them, counted as a pre-check,
+	// before the tree DP.
+	labs1 := make([]string, 16)
+	for i := range labs1 {
+		labs1[i] = []string{"a", "b", "c"}[i%3]
+	}
+	labs2 := append([]string(nil), labs1...)
+	labs2[5], labs2[9] = labs2[9], labs2[5]
+	var sq Metrics
+	if lb, ok := DistanceWithin(chainOf(labs1), chainOf(labs2), 1, WithMetrics(&sq)); ok || lb != 2 {
+		t.Fatalf("permuted chains at cutoff 1: (%d,%v), want (2,false)", lb, ok)
+	}
+	if !sq.Precheck || sq.Aborted || sq.Cells != 0 {
+		t.Fatalf("permuted chains: %+v, want a pre-check rejection with 0 cells", sq)
+	}
+
 	// A large size delta must be rejected by the pre-check, no DP at all.
 	var p Metrics
 	if _, ok := DistanceWithin(star(30, []string{"a"}), tree.MustParse("a"), 5, WithMetrics(&p)); ok {
@@ -313,7 +335,10 @@ func TestDistanceWithinMetrics(t *testing.T) {
 // the global positional band's contribution — under 15 % on knn_bigtree's
 // 150-node within-cluster pairs at the cutoff its queries settle at, and
 // with no cutoff at all (a k-NN query's first k verifications), where the
-// doubling search does the bounding.
+// doubling search does the bounding. At one below each pair's own distance
+// — the k-NN abort regime, where the sequence bound rejects most pairs
+// before the tree DP — the share must stay under 2.5 % (it is ≈ 0.8 %;
+// without the sequence bound, ≈ 4.8 %).
 func TestDistanceWithinCellsGate(t *testing.T) {
 	spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1, SizeMean: 20, SizeStd: 6, Labels: 6, Decay: 0.1}
 	ts := datagen.New(spec, 23).Dataset(30, 5)
@@ -324,20 +349,23 @@ func TestDistanceWithinCellsGate(t *testing.T) {
 		}
 	}
 	big := clusterPairs(t, bigSpec, 11, 8)
+	at := func(cutoff int) func(int) int { return func(int) int { return cutoff } }
+	below := belowDistance(big)
 	for _, g := range []struct {
 		name     string
 		pairs    [][2]*tree.Tree
-		cutoff   int
+		cutoff   func(i int) int
 		maxShare float64
 	}{
-		{"small random pairs, τ=4", small, 4, 0.50},
-		{"150-node cluster pairs, τ=14", big, 14, 0.15},
-		{"150-node cluster pairs, no cutoff", big, noCutoff, 0.15},
+		{"small random pairs, τ=4", small, at(4), 0.50},
+		{"150-node cluster pairs, τ=14", big, at(14), 0.15},
+		{"150-node cluster pairs, τ=d-1", big, func(i int) int { return below[i] }, 0.025},
+		{"150-node cluster pairs, no cutoff", big, at(noCutoff), 0.15},
 	} {
 		var touched, fullTotal int64
-		for _, p := range g.pairs {
+		for i, p := range g.pairs {
 			var m Metrics
-			DistanceWithin(p[0], p[1], g.cutoff, WithMetrics(&m))
+			DistanceWithin(p[0], p[1], g.cutoff(i), WithMetrics(&m))
 			touched += m.Cells
 			fullTotal += m.FullCells
 		}
@@ -348,6 +376,16 @@ func TestDistanceWithinCellsGate(t *testing.T) {
 			t.Logf("%s: %.1f%% of full cells", g.name, 100*share)
 		}
 	}
+}
+
+// belowDistance returns each pair's distance less one: the tightest
+// cutoff the pair fails, where a k-NN query's verifications abort.
+func belowDistance(pairs [][2]*tree.Tree) []int {
+	out := make([]int, len(pairs))
+	for i, p := range pairs {
+		out[i] = Distance(p[0], p[1]) - 1
+	}
+	return out
 }
 
 // TestDistanceOptions pins the option-folding surface: defaults, nil
@@ -415,7 +453,8 @@ func farPairs(tb testing.TB, spec string, seed int64, n int) [][2]*tree.Tree {
 // so ns/op and B/op are per pair. DistanceWithin (preparing the first tree
 // per pair) on small refine-sized pairs at a realistic cutoff and with none,
 // and on knn_bigtree's 150-node within-cluster pairs at a tight cutoff, at
-// the cutoff its queries settle at, and with none (a k-NN query's first k
+// the cutoff its queries settle at, at one below each pair's own distance
+// (the k-NN abort regime), and with none (a k-NN query's first k
 // verifications, where the doubling search runs); unrelated 150-node pairs
 // with no cutoff are the search's worst case, which its fall-back to the
 // band-off program holds near that program's cost. Then what mixed_rw's
@@ -445,6 +484,13 @@ func BenchmarkDistanceWithin(b *testing.B) {
 			})
 		})
 	}
+	below := belowDistance(big)
+	b.Run("big/τ=d-1", func(b *testing.B) {
+		benchVerify(b, func(i int, m *Metrics) {
+			p := big[i%len(big)]
+			DistanceWithin(p[0], p[1], below[i%len(big)], WithMetrics(m))
+		})
+	})
 	recs := dblp.New(1).Dataset(10_000)
 	q := Prepare(recs[0])
 	b.Run("dblp/τ=4", func(b *testing.B) {

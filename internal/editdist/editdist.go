@@ -9,17 +9,18 @@
 //
 // time and O(|T1|·|T2|) space. The entry points are options-based
 // (Distance, WithCost, WithCutoff); DistanceWithin is the cutoff-first
-// surface for threshold verification, backed by O(n) pre-checks, two DP
-// bands and frontier-row early abandoning (see bounded.go, kernel.go);
-// with no cutoff the same kernel runs as a doubling search over cutoffs.
+// surface for threshold verification, backed by O(n) pre-checks, a banded
+// sequence bound, two DP bands and frontier-row early abandoning (see
+// bounded.go, kernel.go); with no cutoff the same kernel runs as a
+// doubling search over cutoffs.
 // A caller verifying one tree against many prepares it once (Prepare) and
 // asks Query.Within per candidate: a candidate the pre-checks reject costs
 // one allocation-free walk and is never decomposed. Distance and
 // DistanceWithin are that same path for a single pair.
-// The package also provides the classic string edit distance and the Guha
-// et al. preorder/postorder sequence lower bound (reference [15]), used as
-// an additional filter baseline, and an exponential brute-force distance
-// over Tai mappings used to validate the dynamic program in tests.
+// The package also exports the Guha et al. preorder/postorder sequence
+// lower bound (reference [15]) as a baseline — the verifier runs it banded
+// before the tree DP — and an exponential brute-force distance over Tai
+// mappings used to validate the dynamic program in tests.
 package editdist
 
 import "treesim/internal/tree"
@@ -75,10 +76,10 @@ func Distance(t1, t2 *tree.Tree, opts ...Option) int {
 // DistanceWithin is the cutoff-first entry point for threshold
 // verification: it decides whether the edit distance between t1 and t2 is
 // at most cutoff, spending as little work as the decision allows
-// (pre-checks, two bands, early abandoning — see bounded.go). It
-// returns (d, true) with the exact distance d when d ≤ cutoff, and
-// (lb, false) with a certified lower bound lb > cutoff when the distance
-// is proven to exceed it. It is Prepare(t1, opts...).Within(t2, cutoff,
+// (pre-checks, the sequence bound, two bands, early abandoning — see
+// bounded.go). It returns (d, true) with the exact distance d when
+// d ≤ cutoff, and (lb, false) with a certified lower bound lb > cutoff
+// when the distance is proven to exceed it. It is Prepare(t1, opts...).Within(t2, cutoff,
 // m) with m the WithMetrics sink.
 func DistanceWithin(t1, t2 *tree.Tree, cutoff int, opts ...Option) (int, bool) {
 	cfg := applyOptions(opts)
@@ -126,6 +127,7 @@ func prepare(t *tree.Tree, cfg *config) *Query {
 		q.count[s]++
 		d.id[i] = s
 	}
+	d.gatherPre()
 	for _, k := range d.keyroots {
 		q.keys += int64(k - d.lml[k] + 1)
 	}
@@ -138,9 +140,10 @@ func prepare(t *tree.Tree, cfg *config) *Query {
 // or (lb, false) with a certified lower bound lb > cutoff. When m is not
 // nil it is overwritten with the call's accounting. One walk of t decides
 // the empty, negative-cutoff and pre-check cases; only a candidate that
-// survives them is decomposed, into pooled buffers, for the kernel. With no
-// cutoff (one at or above `unreachable`) and a per-operation minimum, the
-// kernel runs the doubling search of bounded.go on that one decomposition.
+// survives them is decomposed, into pooled buffers, for the sequence bound
+// and the kernel. With no cutoff (one at or above `unreachable`) and a
+// per-operation minimum, the kernel runs the doubling search of bounded.go
+// on that one decomposition.
 func (q *Query) Within(t *tree.Tree, cutoff int, m *Metrics) (int, bool) {
 	if m == nil {
 		m = new(Metrics)
@@ -177,6 +180,10 @@ func (q *Query) Within(t *tree.Tree, cutoff int, m *Metrics) (int, bool) {
 	case !screen:
 	case cutoff < unreachable:
 		band = min(band, cutoff/q.cmin)
+		if q.seqBound(s, b, band) > band {
+			m.Precheck = true
+			return cutoff + 1, false
+		}
 	default:
 		if d, ok := q.search(s, b, lb, m); ok {
 			return d, true
@@ -220,6 +227,11 @@ type decomp struct {
 	// candidate label the query lacks. The kernel compares these under
 	// UnitCost instead of strings.
 	id []int32
+	// pre[i] is node i's preorder index, and preid[p] the id of the p-th
+	// node in preorder: the two label sequences of the sequence bound are
+	// id[1:] and preid[1:].
+	pre   []int
+	preid []int32
 }
 
 // frame is a node whose children a walk is still visiting; the walks keep
@@ -237,7 +249,7 @@ type frame struct {
 // LR-keyroots of t (see load).
 func decompose(t *tree.Tree) *decomp {
 	n := t.Size()
-	d := &decomp{label: make([]string, 0, n+1), lml: make([]int, 0, n+1), keyroots: make([]int, 0, n)}
+	d := &decomp{label: make([]string, 0, n+1), lml: make([]int, 0, n+1), pre: make([]int, 0, n+1), keyroots: make([]int, 0, n)}
 	d.load(t, nil)
 	return d
 }
@@ -246,10 +258,13 @@ func decompose(t *tree.Tree) *decomp {
 // stack, and returns the stack for reuse. The keyroots are the nodes that
 // are the root or have a left sibling — equivalently the highest node of
 // each distinct leftmost path — recorded as the postorder walk finishes
-// them, so they come out ascending.
+// them, so they come out ascending. A node's preorder index is its depth
+// (its ancestors: the stack below it) plus its leftmost leaf's postorder
+// index (one more than the nodes left of it).
 func (d *decomp) load(t *tree.Tree, stack []frame) []frame {
 	d.n = 0
 	d.label, d.lml, d.keyroots = append(d.label[:0], ""), append(d.lml[:0], 0), d.keyroots[:0]
+	d.pre = append(d.pre[:0], 0)
 	if t.IsEmpty() {
 		return stack
 	}
@@ -269,6 +284,7 @@ func (d *decomp) load(t *tree.Tree, stack []frame) []frame {
 		}
 		d.label = append(d.label, f.n.Label)
 		d.lml = append(d.lml, lml)
+		d.pre = append(d.pre, lml+len(stack)-1)
 		if f.keyroot {
 			d.keyroots = append(d.keyroots, d.n)
 		}
@@ -278,6 +294,14 @@ func (d *decomp) load(t *tree.Tree, stack []frame) []frame {
 		}
 	}
 	return stack
+}
+
+// gatherPre fills preid from id through pre.
+func (d *decomp) gatherPre() {
+	d.preid = grow(d.preid, d.n+1)
+	for i := 1; i <= d.n; i++ {
+		d.preid[d.pre[i]] = d.id[i]
+	}
 }
 
 // totalCost sums a per-label cost over every node, e.g. the cost of

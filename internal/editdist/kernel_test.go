@@ -315,7 +315,9 @@ func fuzzInput(t1, t2 *tree.Tree, cutoff, scale int, t3 ...*tree.Tree) []byte {
 // decoded tree (empty when the input runs out) is the second candidate of
 // one Query prepared from the first tree, asked about t2, t3 and t2 again:
 // each answer and its Metrics must equal a fresh DistanceWithin's, which
-// catches scratch state one call leaves to the next.
+// catches scratch state one call leaves to the next. The sequence bound
+// the verifier rejects and seeds by must stay a lower bound: scaled by
+// the cheapest operation, never above either pair's distance.
 func FuzzDistanceWithin(f *testing.F) {
 	labels := fuzzLabels
 	for _, s := range []int{5, 6} { // positions shift by τ and τ+1 at cutoff 5
@@ -329,6 +331,8 @@ func FuzzDistanceWithin(f *testing.F) {
 	f.Add(fuzzInput(star(7, labels), chain(6, labels), 3, 2, star(8, labels)))
 	f.Add(fuzzInput(leftHeavy(21), rightHeavy(21), 12, 0, leftHeavy(19)))
 	f.Add(fuzzInput(rightHeavy(7), leftHeavy(7), 4, 3))
+	m1, m2 := mirrored(2) // only the DP tells these apart
+	f.Add(fuzzInput(m1, m2, 1, 0, m1))
 	// 24 nodes by random attachment, then mode 7: three decoded edits of
 	// the first tree; cutoff 3, scale 1.
 	f.Add([]byte{24 + 50, 1, 5, 9, 13, 17, 3, 7, 2, 0, 1, 4, 8, 11, 3, 6, 0, 2, 9, 1, 5, 7, 3, 1, 2, 7, 1, 9, 2, 0, 4, 1, 2, 2, 5, 3, 1})
@@ -351,6 +355,11 @@ func FuzzDistanceWithin(f *testing.F) {
 				return EditScriptCost(t1, t2, c).Cost
 			}
 			full := reference(t2)
+			// Every operation of the three models costs at least 1.
+			cmin := max(MinOpCost(c), 1)
+			if seq := SequenceLowerBound(t1, t2); cmin*seq > full {
+				t.Fatalf("%T: %d × sequence bound %d exceeds distance %d for %q vs %q", c, cmin, seq, full, t1, t2)
+			}
 			checkSearch(t, t1, t2, c, full)
 			checkWithinRef(t, t1, t2, cutoff, full, WithCost(c))
 			q := Prepare(t1, WithCost(c))
@@ -365,6 +374,9 @@ func FuzzDistanceWithin(f *testing.F) {
 				}
 				if cand == t3 {
 					full := reference(t3)
+					if seq := SequenceLowerBound(t1, t3); cmin*seq > full {
+						t.Fatalf("%T: %d × sequence bound %d exceeds distance %d for %q vs %q", c, cmin, seq, full, t1, t3)
+					}
 					checkVerdict(t, t1, t3, cutoff, full, d, ok)
 					checkSearch(t, t1, t3, c, full)
 				}

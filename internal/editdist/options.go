@@ -82,9 +82,11 @@ type Metrics struct {
 	// FullCells is how many cells the band-off program computes for the
 	// same pair — the denominator for "DP work saved".
 	FullCells int64
-	// Precheck reports that an O(n) pre-check (size, height, or
-	// label-histogram delta) proved the distance exceeds the cutoff before
-	// any DP ran. An exact answer reports it false.
+	// Precheck reports that the distance was proven to exceed the cutoff
+	// before the tree DP ran: by an O(n) pre-check (size, height, or
+	// label-histogram delta) or by the sequence bound (the postorder or
+	// preorder label sequences further apart than the band). An exact
+	// answer reports it false.
 	Precheck bool
 	// Aborted reports that the DP proved the distance exceeds the cutoff
 	// without computing it exactly (band restriction and/or frontier-row

@@ -87,9 +87,12 @@ func refFullCells(a, b *decomp) int64 {
 // refWithin is the verifier as a per-pair pipeline — both trees
 // decomposed, the reference pre-check and FullCells, labels interned for
 // the pair — around the same kernel: what DistanceWithin computed before
-// queries were prepared. With no cutoff and a per-operation minimum it is
-// the doubling search as a loop of its own bounded calls, seeded by the
-// unbanded StringDistance of the postorder labels, then the band-off run.
+// queries were prepared. A bounded call with a per-operation minimum
+// rejects, as a pre-check, a pair whose postorder or preorder label
+// sequences are further apart (by the unbanded StringDistance) than the
+// band. With no cutoff it is the doubling search as a loop of its own
+// bounded calls, seeded by the larger of those two distances, then the
+// band-off run.
 func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) {
 	a, b := refDecompose(t1), refDecompose(t2)
 	m := Metrics{FullCells: refFullCells(a, b)}
@@ -108,11 +111,15 @@ func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) 
 			m.Precheck = true
 			return lb, false, m
 		}
+		post, pre := refSeqBound(t1, t2)
 		if cutoff < unreachable {
 			band = min(band, cutoff/cmin)
+			if max(post, pre) > band {
+				m.Precheck = true
+				return cutoff + 1, false, m
+			}
 		} else if top := band / searchSpan; max(1, lb/cmin) <= top && cmin <= unreachable/(top+1) {
-			seq := min(StringDistance(postLabels(t1), postLabels(t2)), top+1)
-			for k := max(1, lb/cmin, seq); k <= top; k = min(2*k, top) {
+			for k := max(1, lb/cmin, min(max(post, pre), top+1)); k <= top; k = min(2*k, top) {
 				d, ok, tm := refWithin(t1, t2, (k+1)*cmin-1, c)
 				m.Cells += tm.Cells
 				if ok {
@@ -149,27 +156,38 @@ func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) 
 
 // TestWithinMatchesReference: one Query per (query tree, cost model),
 // reused against every tree of a mixed workload — DBLP records, refine-
-// sized random pairs, within-cluster range_scan pairs, degenerate shapes
-// and the empty tree — in shuffled order at every cutoff, gives the
-// reference pipeline's (d, ok, Metrics) exactly; and the iterative
-// decomposition equals the recursive one on every tree.
+// sized random pairs, within-cluster range_scan pairs, degenerate shapes,
+// a mirrored single-label pair only the DP tells apart, and the empty
+// tree — in shuffled order at every cutoff, gives the reference
+// pipeline's (d, ok, Metrics) exactly; and the iterative decomposition
+// equals the recursive one on every tree, its preorder indices putting the
+// labels in preorder.
 func TestWithinMatchesReference(t *testing.T) {
 	trees := dblp.New(3).Dataset(150)
 	for _, p := range append(benchPairs(12), clusterPairs(t, midSpec, 7, 3)...) {
 		trees = append(trees, p[0], p[1])
 	}
 	trees = append(trees, chain(9, fuzzLabels), star(9, fuzzLabels), leftHeavy(11), tree.New(nil))
+	queries := []*tree.Tree{trees[0], trees[97], trees[150], trees[len(trees)-7], trees[len(trees)-4], tree.New(nil)}
+	m1, m2 := mirrored(2)
+	trees, queries = append(trees, m1, m2), append(queries, m1)
 	for _, tr := range trees {
 		got, want := decompose(tr), refDecompose(tr)
 		if got.n != want.n || !slices.Equal(got.label, want.label) ||
 			!slices.Equal(got.lml, want.lml) || !slices.Equal(got.keyroots, want.keyroots) {
 			t.Fatalf("decompose(%q) = %+v, reference %+v", tr, got, want)
 		}
+		pre := make([]string, got.n+1)
+		for i := 1; i <= got.n; i++ {
+			pre[got.pre[i]] = got.label[i]
+		}
+		if want := labelsOf(tr.PreOrder()); !slices.Equal(pre[1:], want) {
+			t.Fatalf("decompose(%q) preorder labels %q, want %q", tr, pre[1:], want)
+		}
 	}
-	queries := []*tree.Tree{trees[0], trees[97], trees[150], trees[len(trees)-7], trees[len(trees)-4], tree.New(nil)}
 	cutoffs := []int{-1, 0, 2, 4, 6, math.MaxInt}
 	rng := rand.New(rand.NewSource(5))
-	pairs := 0
+	pairs, aborts := 0, 0
 	for _, c := range bandModels(1) {
 		for _, qt := range queries {
 			q := Prepare(qt, WithCost(c))
@@ -183,30 +201,48 @@ func TestWithinMatchesReference(t *testing.T) {
 						c, qt, tt, cutoff, d, ok, m, wd, wok, wm)
 				}
 				pairs++
+				if m.Aborted && MinOpCost(c) >= 1 {
+					aborts++
+				}
 			}
 		}
 	}
-	t.Logf("%d (query, tree, cutoff, model) cases", pairs)
+	if aborts == 0 {
+		t.Error("no DP abort under a model with a per-operation minimum: the reference's abort path went unchecked")
+	}
+	t.Logf("%d (query, tree, cutoff, model) cases, %d banded DP aborts", pairs, aborts)
 }
 
-// TestPostorderDist: the search's banded sequence bound is the unbanded
-// StringDistance of the postorder labels, capped at k+1, for every k up to
-// past it — on pairs whose labels the query lacks too.
+// TestPostorderDist: the banded sequence bound is the unbanded
+// StringDistance of the postorder labels, and of the preorder labels,
+// capped at k+1, for every k up to past it — on pairs whose labels the
+// query lacks too, on the empty tree, and on small trees over two labels,
+// whose sequences share long runs.
 func TestPostorderDist(t *testing.T) {
 	trees := []*tree.Tree{chain(9, fuzzLabels), star(9, fuzzLabels), leftHeavy(11), rightHeavy(8),
-		tree.MustParse("x(y,a(z))")}
+		tree.MustParse("x(y,a(z))"), tree.MustParse("a(b(c),d(e,f))"), tree.New(nil)}
 	for _, p := range benchPairs(6) {
 		trees = append(trees, p[0], p[1])
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 12; i++ {
+		trees = append(trees, smallRandomTree(rng, 10, []string{"a", "b"}))
 	}
 	s := new(scratch)
 	for _, t1 := range trees {
 		q := Prepare(t1)
 		for _, t2 := range trees {
-			want := StringDistance(postLabels(t1), postLabels(t2))
+			post, pre := refSeqBound(t1, t2)
 			b := s.decompose(t2, q)
-			for k := 0; k <= want+2; k++ {
-				if got := s.postorderDist(q.d, b, k); got != min(want, k+1) {
-					t.Fatalf("postorderDist(%q, %q, %d) = %d, want %d", t1, t2, k, got, min(want, k+1))
+			for _, c := range []struct {
+				order string
+				a, b  []int32
+				want  int
+			}{{"postorder", q.d.id[1:], b.id[1:], post}, {"preorder", q.d.preid[1:], b.preid[1:], pre}} {
+				for k := 0; k <= c.want+2; k++ {
+					if got := s.seqDist(c.a, c.b, k); got != min(c.want, k+1) {
+						t.Fatalf("%s seqDist(%q, %q, %d) = %d, want %d", c.order, t1, t2, k, got, min(c.want, k+1))
+					}
 				}
 			}
 		}

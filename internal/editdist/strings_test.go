@@ -8,6 +8,50 @@ import (
 	"treesim/internal/tree"
 )
 
+// StringDistance is the reference unit-cost Levenshtein distance between
+// two label sequences, in O(|a|·|b|) time and O(min) space: what the
+// banded seqDist must equal, capped at its band.
+func StringDistance(a, b []string) int {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	// b is the shorter sequence; one rolling row of length |b|+1.
+	prev := make([]int, len(b)+1)
+	cur := make([]int, len(b)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur[0] = i
+		for j := 1; j <= len(b); j++ {
+			sub := prev[j-1]
+			if a[i-1] != b[j-1] {
+				sub++
+			}
+			cur[j] = min(prev[j]+1, cur[j-1]+1, sub)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(b)]
+}
+
+// labelsOf returns the nodes' labels, in order: labelsOf(t.PreOrder()) and
+// labelsOf(t.PostOrder()) are the two sequences of the Guha et al. bound.
+func labelsOf(nodes []*tree.Node) []string {
+	out := make([]string, len(nodes))
+	for i, n := range nodes {
+		out[i] = n.Label
+	}
+	return out
+}
+
+// refSeqBound is the Guha et al. bound by the reference StringDistance: the
+// postorder and the preorder sequences' distances.
+func refSeqBound(t1, t2 *tree.Tree) (post, pre int) {
+	return StringDistance(labelsOf(t1.PostOrder()), labelsOf(t2.PostOrder())),
+		StringDistance(labelsOf(t1.PreOrder()), labelsOf(t2.PreOrder()))
+}
+
 func split(s string) []string {
 	if s == "" {
 		return nil

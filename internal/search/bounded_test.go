@@ -79,9 +79,13 @@ func TestBoundedRefineInvariance(t *testing.T) {
 // engine must actually exercise both cut-short paths — pre-check
 // rejections and DP early aborts — and touch strictly fewer cells than
 // full verification would. (The exact split is data-dependent; firing at
-// all is the regression being pinned.)
+// all is the regression being pinned.) Most false positives there are
+// disproven before the tree DP, by an O(n) pre-check or the sequence
+// bound, so the dataset also holds a(a,a(a)), the mirror image of the
+// range query a(a(a),a) at τ=1: size, height, label histogram and both
+// label sequences agree, the distance is 2, and only the DP can prove it.
 func TestBoundedRefineCountersFire(t *testing.T) {
-	ts := testDataset(200, 9)
+	ts := append(testDataset(200, 9), tree.MustParse("a(a,a(a))"))
 	ix := NewIndex(ts, NewBiBranch())
 	var agg Stats
 	for qi := 0; qi < 8; qi++ {
@@ -99,10 +103,29 @@ func TestBoundedRefineCountersFire(t *testing.T) {
 	if agg.PrecheckRejects == 0 {
 		t.Errorf("no pre-check rejections across the workload: %+v", agg)
 	}
+	_, st, err := ix.Range(context.Background(), tree.MustParse("a(a(a),a)"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RefineAborted != 1 {
+		t.Errorf("mirrored pair at τ=1: %d DP aborts, want 1: %+v", st.RefineAborted, st)
+	}
+	agg.Add(st)
 	if agg.RefineAborted == 0 {
 		t.Errorf("no DP early aborts across the workload: %+v", agg)
 	}
 	if agg.DPCells >= agg.DPCellsFull {
 		t.Errorf("bounded refine touched %d of %d full cells; want strictly fewer", agg.DPCells, agg.DPCellsFull)
+	}
+	// a(b,c) against a(c,b) passes every O(n) pre-check, but both label
+	// sequences are 2 apart: the sequence bound rejects the pair at τ=1
+	// with no DP, and it counts as a pre-check rejection.
+	_, st, err = NewIndex([]*tree.Tree{tree.MustParse("a(c,b)")}, NewNone()).
+		Range(context.Background(), tree.MustParse("a(b,c)"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Verified != 1 || st.PrecheckRejects != 1 || st.RefineAborted != 0 || st.DPCells != 0 {
+		t.Errorf("sequence-bound rejection: %+v, want one pre-check rejection and no DP cells", st)
 	}
 }

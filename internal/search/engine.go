@@ -72,11 +72,13 @@ import (
 // The refine stage is threshold-bounded: the query is prepared once per
 // request (editdist.Prepare) and every verification is a Query.Within
 // against the live cutoff (τ, or the k-NN atomic threshold), so most false
-// positives are disproven by the O(n) pre-checks — one allocation-free walk
-// of the candidate, which is not decomposed — or by an early-abandoned
-// banded DP instead of the full program, and a k-NN query's first k
-// distances, verified before any cutoff exists, come from banded runs of a
-// doubling search. This never changes results — a distance proven above
+// positives are disproven before the tree DP — by the O(n) pre-checks, one
+// allocation-free walk of the candidate, which is not decomposed, or by
+// the banded sequence bound on the decomposed candidate (Guha et al.) —
+// and most of the rest by an early-abandoned banded DP instead of the full
+// program; a k-NN query's first k distances, verified before any cutoff
+// exists, come from banded runs of a doubling search that the sequence
+// bound seeds. This never changes results — a distance proven above
 // the cutoff can't enter the answer — only the work:
 // see the verifier type and the bounded-refine invariance tests, which
 // hold it to an unbounded sequential scan.

@@ -41,14 +41,14 @@ type Stats struct {
 	// cascade eliminated. It sums to Dataset − Candidates.
 	Pruned Funnel
 	// Bounded-verification breakdown: of the Verified attempts,
-	// PrecheckRejects were disproven by an O(n) pre-check before any DP,
-	// and RefineAborted by the DP abandoning early once the distance
-	// provably exceeded the live cutoff. DPCells is the
-	// dynamic-programming cells actually computed across the query's
-	// verifications, every run of a k-NN query's cutoff-free doubling
-	// searches included; DPCellsFull is what the band-off program would
-	// have computed for the same pairs — the gap is the refine work the
-	// cutoffs saved.
+	// PrecheckRejects were disproven before the tree DP, by an O(n)
+	// pre-check or the sequence bound, and RefineAborted by the DP
+	// abandoning early once the distance provably exceeded the live
+	// cutoff. DPCells is the dynamic-programming cells actually computed
+	// across the query's verifications, every run of a k-NN query's
+	// cutoff-free doubling searches included; DPCellsFull is what the
+	// band-off program would have computed for the same pairs — the gap
+	// is the refine work the cutoffs saved.
 	RefineAborted   int
 	PrecheckRejects int
 	DPCells         int64

@@ -232,7 +232,7 @@ func newMetrics(s *Server) *Metrics {
 		total(func(t *search.Stats) float64 { return float64(t.FalsePositives) }))
 	reg.CounterFunc("treesim_refine_aborted_total", "Verifications the band-limited DP abandoned after proving the distance exceeds the cutoff.",
 		total(func(t *search.Stats) float64 { return float64(t.RefineAborted) }))
-	reg.CounterFunc("treesim_refine_precheck_rejects_total", "Verifications rejected by O(n) pre-checks (size/height/label-histogram deltas) before any DP work.",
+	reg.CounterFunc("treesim_refine_precheck_rejects_total", "Verifications rejected before the tree DP, by an O(n) pre-check (size/height/label-histogram deltas) or the sequence bound.",
 		total(func(t *search.Stats) float64 { return float64(t.PrecheckRejects) }))
 	reg.CounterFunc("treesim_refine_dp_cells_total", "Dynamic-programming cells actually touched across all verifications.",
 		total(func(t *search.Stats) float64 { return float64(t.DPCells) }))

@@ -216,10 +216,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("range status %d", code)
 	}
 	postJSON(t, hs.URL+"/v1/knn", KNNRequest{Tree: "a(b", K: 2}, nil)      // a client error: counted, not a 5xx
-	postJSON(t, hs.URL+"/v1/trees", InsertRequest{Tree: "m0(m1,m2)"}, nil) // the 41st tree
-	// Enough verifications that both of the bounded verifier's cut-short
-	// paths fire and the recorder keeps something.
+	postJSON(t, hs.URL+"/v1/trees", InsertRequest{Tree: "a(a,a(a))"}, nil) // the 41st tree
+	// Enough verifications that pre-check rejections fire and the recorder
+	// keeps something; then the 41st tree's mirror image at τ=1, a pair at
+	// distance 2 that passes every check before the tree DP, so a DP abort
+	// fires too.
 	driveRefineWorkload(t, hs.URL, ts)
+	if code := postJSON(t, hs.URL+"/v1/range", RangeRequest{Tree: "a(a(a),a)", Tau: 1}, nil); code != 200 {
+		t.Fatalf("range status %d", code)
+	}
 
 	prom, samples, types := scrapeProm(t, hs.URL)
 	doc := scrapeJSON(t, hs.URL)
@@ -280,20 +285,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		eq(`treesim_http_requests_total{endpoint="/v1/knn"}`, 12) // 3 + the bad one + 8
 		eq(`treesim_http_request_duration_seconds_count{endpoint="/v1/knn"}`, 12)
 		eq(`treesim_http_errors_total{endpoint="/v1/knn"}`, 0)
-		eq(`treesim_http_requests_total{endpoint="/v1/range"}`, 9)
-		eq("treesim_queries_total", 20)
-		eq("treesim_query_accessed_fraction_count", 20)
-		eq("treesim_query_refine_seconds_count", 20)
-		eq("treesim_filter_candidates_count", 20)
+		eq(`treesim_http_requests_total{endpoint="/v1/range"}`, 10)
+		eq("treesim_queries_total", 21)
+		eq("treesim_query_accessed_fraction_count", 21)
+		eq("treesim_query_refine_seconds_count", 21)
+		eq("treesim_filter_candidates_count", 21)
 		eq("treesim_index_size", 41)
 		eq("treesim_index_live", 41)
 		eq(`treesim_index_info{filter="BiBranch"}`, 1)
 		eq("treesim_inserts_total", 1)
 		eq("treesim_max_inflight_requests", float64(s.cfg.MaxInFlight))
 		eq("treesim_degraded", 0)
-		eq("treesim_trace_offered_total", 22)
+		eq("treesim_trace_offered_total", 23)
 		// The funnel accounts for every tree every query saw: 4 queries
-		// over 40 trees, 16 over 41.
+		// over 40 trees, 17 over 41.
 		funnel := m["treesim_query_candidates_total"]
 		for _, tier := range []string{"size", "bdist", "label", "positional"} {
 			v, ok := m[`treesim_filter_pruned_total{tier="`+tier+`"}`]
@@ -302,8 +307,8 @@ func TestMetricsEndpoint(t *testing.T) {
 			}
 			funnel += v
 		}
-		if funnel != 4*40+16*41 {
-			t.Errorf("%s: pruned tiers + candidates = %v, want %d trees accounted for", name, funnel, 4*40+16*41)
+		if funnel != 4*40+17*41 {
+			t.Errorf("%s: pruned tiers + candidates = %v, want %d trees accounted for", name, funnel, 4*40+17*41)
 		}
 		if v := m["treesim_query_verified_total"]; v <= 0 || v > funnel {
 			t.Errorf("%s: verified %v out of range (0, %v]", name, v, funnel)

@@ -234,8 +234,10 @@ func TestMetricsPromExposition(t *testing.T) {
 }
 
 // driveRefineWorkload issues 8 k-NN and 8 range queries drawn from the
-// dataset: enough verifications that both an O(n) pre-check and a DP early
-// abort reject at least one of them.
+// dataset: enough verifications that a check before the tree DP — an O(n)
+// pre-check or the sequence bound — rejects at least one of them. (A DP
+// early abort needs a pair those checks cannot see; TestMetricsEndpoint
+// adds one.)
 func driveRefineWorkload(t *testing.T, url string, ts []*tree.Tree) {
 	t.Helper()
 	for _, q := range ts[:8] {

@@ -107,9 +107,10 @@ func WithEditMetrics(m *EditMetrics) EditOption { return editdist.WithMetrics(m)
 func EditDistance(t1, t2 *Tree, opts ...EditOption) int { return editdist.Distance(t1, t2, opts...) }
 
 // EditDistanceWithin decides whether the edit distance is at most cutoff,
-// spending as little work as the decision allows (O(n) pre-checks, banded
-// DP, early abandoning). It returns the exact distance and true when
-// within, or a certified lower bound > cutoff and false when not.
+// spending as little work as the decision allows (O(n) pre-checks, the
+// banded sequence bound, banded DP, early abandoning). It returns the
+// exact distance and true when within, or a certified lower bound >
+// cutoff and false when not.
 func EditDistanceWithin(t1, t2 *Tree, cutoff int, opts ...EditOption) (int, bool) {
 	return editdist.DistanceWithin(t1, t2, cutoff, opts...)
 }

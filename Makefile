@@ -3,12 +3,12 @@
 # fuzz budget; `make loc` prints non-test Go lines per package and is not
 # part of the gate).
 
-.PHONY: ci build vet test race benchmark-test bench-smoke hammer chaos fuzz loc bench
+.PHONY: ci fmt build vet test race benchmark-test bench-smoke hammer chaos fuzz loc bench
 
 ci:
 	./ci.sh
 
-build vet test race benchmark-test bench-smoke hammer chaos fuzz loc:
+fmt build vet test race benchmark-test bench-smoke hammer chaos fuzz loc:
 	./ci.sh $@
 
 bench:

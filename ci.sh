@@ -17,9 +17,21 @@ fuzz() {
     go test -run='^$' -fuzz="^$1\$" -fuzztime="$FUZZTIME" "$2"
 }
 
-[ $# -gt 0 ] || set -- build vet test race benchmark-test bench-smoke hammer chaos fuzz
+[ $# -gt 0 ] || set -- fmt build vet test race benchmark-test bench-smoke hammer chaos fuzz
 for stage; do
     case "$stage" in
+    fmt)
+        # Every tracked Go file as gofmt prints it; outside a git checkout,
+        # every Go file under the root.
+        echo "== gofmt -l"
+        files=$(git ls-files '*.go' 2>/dev/null || find . -name '*.go')
+        unformatted=$(gofmt -l $files)
+        if [ -n "$unformatted" ]; then
+            echo "$unformatted"
+            echo "ci: gofmt would rewrite the files above" >&2
+            exit 1
+        fi
+        ;;
     build)
         echo "== go build ./..."
         go build ./...

@@ -31,22 +31,24 @@ import (
 //     postorder pass first, the preorder one only if it passes. It counts
 //     as a pre-check (Metrics.Precheck).
 //
-//  2. Two bands of width band = cutoff/minOpCost, the most nodes a mapping
-//     of cost ≤ cutoff can leave unmatched (inserts + deletes). Write
-//     li = lml(i), lj = lml(j), δ = li − lj for keyroot subproblem (i, j).
-//     (a) Diagonal: a forest-distance cell (x, y) whose prefixes differ in
-//     size by more than band costs more than the cutoff in unmatched nodes
-//     alone, so |(x−li) − (y−lj)| ≤ band (Ukkonen's trick, per subproblem).
-//     (b) Global positional: a Tai mapping preserves left-of and ancestor
-//     order, hence postorder. If it matches x to y, the nodes left of x
-//     (those before lml(x)) map among the nodes left of y, and the nodes at
-//     or before x in postorder among those at or before y; each pair of
-//     counts differs by unmatched nodes only, so |lml(x) − lml(y)| ≤ band
-//     and |x − y| ≤ band — the latter at every cell (x, y) the mapping's
-//     edit path crosses in any subproblem, since the mapping takes T1[1..x]
-//     and T2[1..y] onto each other. So a subproblem with |δ| > band is
-//     skipped outright, and inside one the offset o = (x−li) − (y−lj) ranges
-//     over [max(−band, −band−δ), min(band, band−δ)]: (a) and |o+δ| ≤ band.
+//  2. A region-count band (Touzet's k-relevance, CPM 2005) of width
+//     band = cutoff/minOpCost, the most nodes a mapping of cost ≤ cutoff
+//     can leave unmatched (inserts + deletes). A Tai mapping preserves
+//     left-of and ancestor order, hence postorder. Write li = lml(i),
+//     lj = lml(j), δ = li − lj for keyroot subproblem (i, j), which serves
+//     the matched pairs (x', y') with those leftmost leaves (the roots, for
+//     the root subproblem). When the mapping matches x' to y', its edit
+//     path crosses a cell (x, y) of the subproblem only where it keeps
+//     three regions apart: the nodes left of the leftmost leaves,
+//     T1[..li−1] and T2[..lj−1]; the forest prefixes T1[li..x] and
+//     T2[lj..y]; and the nodes after those in postorder, T1[x+1..] and
+//     T2[y+1..]. Each region's two sizes differ by its own unmatched nodes
+//     alone, so with o = (x−li) − (y−lj) and c = (|T1|−|T2|) − δ the cell
+//     obeys |δ| + |o| + |c−o| ≤ band (the prefix term alone is Ukkonen's
+//     diagonal band). As |o| + |c−o| ≥ |c|, a subproblem with |δ| + |c| >
+//     band is skipped outright, and inside one o ranges over
+//     [⌈(c−B)/2⌉, ⌊(c+B)/2⌋], B = band − |δ|. At band ≥ |T1|+|T2| that
+//     is every cell of every subproblem.
 //
 //  3. Frontier-row abandoning. When every cell of a subproblem's frontier
 //     row exceeds the cutoff, every later cell of that subproblem does
@@ -71,14 +73,16 @@ import (
 // (each still a valid mapping), so it never underestimates; and the path of
 // a mapping of cost ≤ cutoff — through the root subproblem and, recursively,
 // that of every matched pair off the leftmost paths — crosses only cells
-// that satisfy (a) and (b) and hold values ≤ cutoff, so it survives both
-// bands and every frontier test: a true distance ≤ cutoff is computed
-// exactly. A computed value > cutoff therefore proves the true distance >
-// cutoff but may overshoot it, so bounded calls certify only `cutoff+1`.
+// whose three regions balance within the band and that hold values ≤
+// cutoff, so it survives the band and every frontier test; and kernel.run
+// solves each such matched pair's subproblem before any that reads its
+// tree distance. A true distance ≤ cutoff is computed exactly. A computed
+// value > cutoff therefore proves the true distance > cutoff but may
+// overshoot it, so bounded calls certify only `cutoff+1`.
 // So does the sequence bound: a sequence distance above band means every
 // script has at least band+1 operations, costing at least
 // cmin·(cutoff/cmin + 1) > cutoff.
-// The bands and the pre-checks need a positive per-operation minimum cost
+// The band and the pre-checks need a positive per-operation minimum cost
 // (see MinOpCoster); without one the band is |T1|+|T2|, which restricts
 // nothing, and only row abandoning — sound for any costs ≥ 0 — remains, and
 // a call with no cutoff is one band-off run. The search (4) returns only a
@@ -96,9 +100,9 @@ const unreachable = int(^uint(0)>>1) / 4 // math.MaxInt / 4
 // MinOpCoster is an optional CostModel capability: a uniform lower bound
 // (≥ 1) on the cost of every single edit operation — every insert, every
 // delete, and every relabel between distinct labels. Models reporting it
-// unlock the pre-checks, the two bands of the bounded distance and the
-// doubling search of an unbounded one; models without it still get
-// frontier-row abandoning, which is sound for any non-negative costs.
+// unlock the pre-checks, the band of the bounded distance and the doubling
+// search of an unbounded one; models without it still get frontier-row
+// abandoning, which is sound for any non-negative costs.
 type MinOpCoster interface {
 	MinOpCost() int
 }

@@ -10,8 +10,8 @@
 // time and O(|T1|·|T2|) space. The entry points are options-based
 // (Distance, WithCost, WithCutoff); DistanceWithin is the cutoff-first
 // surface for threshold verification, backed by O(n) pre-checks, a banded
-// sequence bound, two DP bands and frontier-row early abandoning (see
-// bounded.go, kernel.go); with no cutoff the same kernel runs as a
+// sequence bound, a region-count DP band and frontier-row early abandoning
+// (see bounded.go, kernel.go); with no cutoff the same kernel runs as a
 // doubling search over cutoffs.
 // A caller verifying one tree against many prepares it once (Prepare) and
 // asks Query.Within per candidate: a candidate the pre-checks reject costs
@@ -76,7 +76,7 @@ func Distance(t1, t2 *tree.Tree, opts ...Option) int {
 // DistanceWithin is the cutoff-first entry point for threshold
 // verification: it decides whether the edit distance between t1 and t2 is
 // at most cutoff, spending as little work as the decision allows
-// (pre-checks, the sequence bound, two bands, early abandoning — see
+// (pre-checks, the sequence bound, a band, early abandoning — see
 // bounded.go). It returns (d, true) with the exact distance d when
 // d ≤ cutoff, and (lb, false) with a certified lower bound lb > cutoff
 // when the distance is proven to exceed it. It is Prepare(t1, opts...).Within(t2, cutoff,

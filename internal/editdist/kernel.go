@@ -4,21 +4,23 @@ import "sync"
 
 // kernel is the package's one Zhang–Shasha program: Distance,
 // DistanceWithin and EditScriptCost run it with different cutoffs and bands
-// (bounded.go says what the bands are and why they are sound). td and fd
+// (bounded.go says what the band is and why it is sound). td and fd
 // are flat row-major (|T1|+1)×(|T2|+1) tables of stride w over 1-based
 // postorder indices, pooled with the per-pair cost arrays, so a
 // verification allocates nothing once the pool is warm.
 type kernel struct {
-	a, b   *decomp
-	cost   CostModel
-	unit   bool // UnitCost: relabel compares the decomps' label ids, no interface call
-	cutoff int
-	band   int   // cutoff / MinOpCost, or |T1|+|T2| for no restriction
-	w      int   // row stride of td and fd
-	cells  int64 // interior forest-distance cells filled so far
+	a, b     *decomp
+	cost     CostModel
+	unit     bool // UnitCost: relabel compares the decomps' label ids, no interface call
+	cutoff   int
+	band     int   // cutoff / MinOpCost, or |T1|+|T2| for no restriction
+	dlo, dhi int   // the range of δ = lml(i) − lml(j), and of x − y, that the band admits
+	w        int   // row stride of td and fd
+	cells    int64 // interior forest-distance cells filled so far
 
 	td, fd       []int // td[x*w+y], fd[x*w+y]
 	dcost, icost []int // Delete / Insert cost per node, ≤ unreachable
+	keyAt        []int // keyAt[l]: T2's keyroot whose leftmost leaf is l, or 0
 }
 
 // kernelPool recycles kernels; one whose tables exceed maxPooledCells (a
@@ -31,13 +33,18 @@ const maxPooledCells = 1 << 18
 // one Query's slots (decomp.id) — filling costs once so the cell loop
 // never calls Insert or Delete, and giving td the sentinel wherever a
 // subproblem may read it: a cell reads td at its own coordinates, and
-// cells obey |x−y| ≤ band.
+// cells obey |x−y| + |(|T1|−|T2|) − (x−y)| ≤ band (at most bounded.go's
+// region count), so dlo ≤ x−y ≤ dhi.
 func newKernel(a, b *decomp, c CostModel, cutoff, band int) *kernel {
 	k, _ := kernelPool.Get().(*kernel)
 	if k == nil {
 		k = new(kernel)
 	}
 	k.a, k.b, k.cost, k.cutoff, k.band, k.cells = a, b, c, cutoff, band, 0
+	k.dlo, k.dhi = -((band - a.n + b.n) >> 1), (a.n-b.n+band)>>1
+	if abs(a.n-b.n) > band {
+		k.dhi = k.dlo - 1 // the sizes alone exceed the band: no cell is admissible
+	}
 	k.w = b.n + 1
 	size := (a.n + 1) * k.w
 	k.td, k.fd = grow(k.td, size), grow(k.fd, size)
@@ -49,8 +56,13 @@ func newKernel(a, b *decomp, c CostModel, cutoff, band int) *kernel {
 		k.icost[y] = min(c.Insert(b.label[y]), unreachable)
 	}
 	_, k.unit = c.(UnitCost)
+	k.keyAt = grow(k.keyAt, b.n+1)
+	clear(k.keyAt)
+	for _, j := range b.keyroots {
+		k.keyAt[b.lml[j]] = j
+	}
 	for x := 1; x <= a.n; x++ {
-		for y := max(1, x-band); y <= min(b.n, x+band); y++ {
+		for y := max(1, x-k.dhi); y <= min(b.n, x-k.dlo); y++ {
 			k.td[x*k.w+y] = unreachable
 		}
 	}
@@ -73,14 +85,18 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// run solves every keyroot subproblem the global band admits and returns
-// the root cell: the exact distance when ≤ cutoff, otherwise only a witness
-// that the distance exceeds it (possibly the unreachable sentinel).
+// run solves every keyroot subproblem the band admits and returns the root
+// cell: the exact distance when ≤ cutoff, otherwise only a witness that the
+// distance exceeds it (possibly the unreachable sentinel). Keyroots have
+// distinct leftmost leaves, so for each i it visits only the admissible
+// lj = lml(j), through keyAt, and in descending order: a keyroot inside
+// subtree(j) off j's leftmost path has a larger leftmost leaf, and (i, j)
+// reads the tree distances it writes.
 func (k *kernel) run() int {
 	for _, i := range k.a.keyroots {
 		li := k.a.lml[i]
-		for _, j := range k.b.keyroots {
-			if d := li - k.b.lml[j]; -k.band <= d && d <= k.band {
+		for lj := min(k.b.n, li-k.dlo); lj >= max(1, li-k.dhi); lj-- {
+			if j := k.keyAt[lj]; j != 0 {
 				treeDist(k, i, j)
 			}
 		}
@@ -91,21 +107,20 @@ func (k *kernel) run() int {
 // treeDist fills the in-window cells of keyroot subproblem (i, j) — fd for
 // the forest prefixes, td[x][y] where x and y lie on the leftmost paths of
 // i and j — and abandons it once a whole frontier row exceeds the cutoff.
-// The window is one offset interval [olo, ohi] ∋ 0 (bounded.go), so row
-// x's cells are a run [lo, hi] sliding right by one per row, and a cell's
-// only neighbours outside it are the one left of lo and the one above hi.
-// Both get the sentinel up front; that leaves one band test in the loop,
-// for the jump to (lml(x)−1, lml(y)−1). Every stored value is clamped to
-// the sentinel, so sums of two stay far from overflow.
+// The window is the offsets o = (x−li) − (y−lj) with |o| + |c−o| ≤
+// band − |δ|, where δ = li − lj and c = (|T1|−|T2|) − δ: bounded.go's
+// region count, the prefixes' and the after regions' share of it. That is
+// one interval [olo, ohi] ∋ 0, so row x's cells are a run [lo, hi] sliding
+// right by one per row, and a cell's only neighbours outside it are the one
+// left of lo and the one above hi. Both get the sentinel up front; that
+// leaves one band test in the loop, for the jump to (lml(x)−1, lml(y)−1).
+// Every stored value is clamped to the sentinel, so sums of two stay far
+// from overflow.
 func treeDist(k *kernel, i, j int) {
 	a, b := k.a, k.b
 	li, lj := a.lml[i], b.lml[j]
-	olo, ohi := -k.band, k.band
-	if d := li - lj; d > 0 {
-		ohi -= d
-	} else {
-		olo -= d
-	}
+	r, c := k.band-abs(li-lj), a.n-b.n-li+lj
+	olo, ohi := -((r - c) >> 1), (c+r)>>1
 	w, fd, td, icost, blml, aid, bid := k.w, k.fd, k.td, k.icost, b.lml, a.id, b.id
 	// Row li−1: the empty prefix of T1 against prefixes of T2 — inserts.
 	row := (li - 1) * w

@@ -54,7 +54,7 @@ func caterpillar(n int, left bool) string {
 	}
 }
 
-// shiftPair is the global band's boundary case: t1 carries a subtree of s
+// shiftPair is the band's boundary case: t1 carries a subtree of s
 // nodes as the first (or last) child of the root, t2 is t1 without it, so
 // every surviving node's postorder position (far left) or the root's
 // leftmost leaf (both) shifts by exactly s and the distance is s.
@@ -79,9 +79,10 @@ func bandModels(scale int) []CostModel {
 }
 
 // TestGlobalBandEveryCutoff sweeps every cutoff from 0 to past the distance
-// on the shapes where the global positional band cuts deepest or sits
-// exactly on its boundary, and on the benchmark's own within-cluster
-// pairs, under all three cost regimes.
+// on the shapes where the region-count band cuts deepest or sits exactly
+// on its boundary — among them one subtree moved from first to last child,
+// whose leftmost-leaf shift only the after regions balance — and on the
+// benchmark's own within-cluster pairs, under all three cost regimes.
 func TestGlobalBandEveryCutoff(t *testing.T) {
 	labels := fuzzLabels
 	type pair struct {
@@ -95,6 +96,10 @@ func TestGlobalBandEveryCutoff(t *testing.T) {
 			name := fmt.Sprintf("shift%d/left=%v", s, farLeft)
 			pairs = append(pairs, pair{name, t1, t2}, pair{name + "/rev", t2, t1})
 		}
+		first, _ := shiftPair(s, true)
+		last, _ := shiftPair(s, false)
+		name := fmt.Sprintf("moved%d", s)
+		pairs = append(pairs, pair{name, first, last}, pair{name + "/rev", last, first})
 	}
 	pairs = append(pairs,
 		pair{"chain×star", chain(14, labels), star(14, labels)},
@@ -112,7 +117,10 @@ func TestGlobalBandEveryCutoff(t *testing.T) {
 	for _, p := range pairs {
 		t.Run(p.name, func(t *testing.T) {
 			for _, c := range bandModels(1) {
-				full := EditScriptCost(p.t1, p.t2, c).Cost
+				full := textbookDistance(p.t1, p.t2, c)
+				if got := EditScriptCost(p.t1, p.t2, c).Cost; got != full {
+					t.Fatalf("%T: band-off program %d, textbook program %d", c, got, full)
+				}
 				checkSearch(t, p.t1, p.t2, c, full)
 				for cutoff := 0; cutoff <= full+2; cutoff++ {
 					checkWithinRef(t, p.t1, p.t2, cutoff, full, WithCost(c))
@@ -310,7 +318,7 @@ func fuzzInput(t1, t2 *tree.Tree, cutoff, scale int, t3 ...*tree.Tree) []byte {
 // FuzzDistanceWithin checks the DistanceWithin contract — ok ⇔ distance ≤
 // cutoff, d exact when ok, cutoff < d ≤ distance otherwise — on decoded
 // pairs under all three cost regimes, against brute force when both trees
-// are small enough and against the band-off kernel otherwise; and holds
+// are small enough and against the textbook program otherwise; and holds
 // the no-cutoff search to the same reference (checkSearch). A third
 // decoded tree (empty when the input runs out) is the second candidate of
 // one Query prepared from the first tree, asked about t2, t3 and t2 again:
@@ -320,13 +328,24 @@ func fuzzInput(t1, t2 *tree.Tree, cutoff, scale int, t3 ...*tree.Tree) []byte {
 // the cheapest operation, never above either pair's distance.
 func FuzzDistanceWithin(f *testing.F) {
 	labels := fuzzLabels
-	for _, s := range []int{5, 6} { // positions shift by τ and τ+1 at cutoff 5
+	// The region count's boundaries: sizes, or leftmost leaves (far left),
+	// differing by exactly the cutoff, and by one more.
+	for _, s := range []int{3, 5, 6} {
 		for _, farLeft := range []bool{true, false} {
 			t1, t2 := shiftPair(s, farLeft)
-			f.Add(fuzzInput(t1, t2, 5, 0))
-			f.Add(fuzzInput(t2, t1, 5, 1, t1))
+			f.Add(fuzzInput(t1, t2, min(s, 5), 0))
+			f.Add(fuzzInput(t2, t1, min(s, 5), 1, t1))
 		}
 	}
+	f.Add(fuzzInput(chain(12, labels), chain(8, labels), 4, 0, chain(9, labels)))
+	f.Add(fuzzInput(leftHeavy(17), leftHeavy(21), 4, 1, rightHeavy(17)))
+	// The same subtree as first and as last child: equal sizes, so the
+	// shifted leftmost leaves must balance in the after regions too.
+	first, _ := shiftPair(3, true)
+	last, _ := shiftPair(3, false)
+	d := textbookDistance(first, last, UnitCost{})
+	f.Add(fuzzInput(first, last, d, 0))
+	f.Add(fuzzInput(last, first, d-1, 0, first))
 	f.Add(fuzzInput(chain(12, labels), star(12, labels), 9, 0, chain(11, labels)))
 	f.Add(fuzzInput(star(7, labels), chain(6, labels), 3, 2, star(8, labels)))
 	f.Add(fuzzInput(leftHeavy(21), rightHeavy(21), 12, 0, leftHeavy(19)))
@@ -352,7 +371,7 @@ func FuzzDistanceWithin(f *testing.F) {
 				if t1.Size() <= 7 && t2.Size() <= 7 {
 					return BruteForce(t1, t2, c)
 				}
-				return EditScriptCost(t1, t2, c).Cost
+				return textbookDistance(t1, t2, c)
 			}
 			full := reference(t2)
 			// Every operation of the three models costs at least 1.

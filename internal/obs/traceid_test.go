@@ -57,11 +57,11 @@ func TestParseTraceIDStrict(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		strings.Repeat("0", 32),                // all-zero invalid per spec
-		strings.ToUpper(valid),                 // uppercase forbidden by the ABNF
-		valid[:31],                             // short
-		valid + "0",                            // long
-		"4bf92f3577b34da6a3ce929d0e0e473g",     // non-hex digit
+		strings.Repeat("0", 32),            // all-zero invalid per spec
+		strings.ToUpper(valid),             // uppercase forbidden by the ABNF
+		valid[:31],                         // short
+		valid + "0",                        // long
+		"4bf92f3577b34da6a3ce929d0e0e473g", // non-hex digit
 		"4bf92f3577b34da6-3ce929d0e0e4736xyz"[:32], // punctuation
 	} {
 		if _, ok := ParseTraceID(bad); ok {

@@ -41,21 +41,21 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"",
 		"00",
 		"00-" + tpTrace,
-		"00-" + tpTrace + "-" + tpParent,                       // missing flags
-		"ff-" + tpTrace + "-" + tpParent + "-01",               // version ff forbidden
-		"0-" + tpTrace + "-" + tpParent + "-01",                // one-digit version
-		"000-" + tpTrace + "-" + tpParent + "-01",              // three-digit version
-		"0g-" + tpTrace + "-" + tpParent + "-01",               // non-hex version
-		"00-" + strings.Repeat("0", 32) + "-" + tpParent + "-01", // all-zero trace id
-		"00-" + tpTrace + "-0000000000000000-01",               // all-zero parent id
+		"00-" + tpTrace + "-" + tpParent,         // missing flags
+		"ff-" + tpTrace + "-" + tpParent + "-01", // version ff forbidden
+		"0-" + tpTrace + "-" + tpParent + "-01",  // one-digit version
+		"000-" + tpTrace + "-" + tpParent + "-01",                 // three-digit version
+		"0g-" + tpTrace + "-" + tpParent + "-01",                  // non-hex version
+		"00-" + strings.Repeat("0", 32) + "-" + tpParent + "-01",  // all-zero trace id
+		"00-" + tpTrace + "-0000000000000000-01",                  // all-zero parent id
 		"00-" + strings.ToUpper(tpTrace) + "-" + tpParent + "-01", // uppercase trace id
-		"00-" + tpTrace[:30] + "-" + tpParent + "-01",          // short trace id
-		"00-" + tpTrace + "ab-" + tpParent + "-01",             // long trace id
-		"00-" + tpTrace + "-" + tpParent[:14] + "-01",          // short parent id
-		"00-" + tpTrace + "-" + tpParent + "-1",                // one-digit flags
-		"00-" + tpTrace + "-" + tpParent + "-0g",               // junk flags
-		"00-" + tpTrace + "-" + tpParent + "-01-extra",         // version 00 with 5 fields
-		"00_" + tpTrace + "_" + tpParent + "_01",               // wrong separator
+		"00-" + tpTrace[:30] + "-" + tpParent + "-01",             // short trace id
+		"00-" + tpTrace + "ab-" + tpParent + "-01",                // long trace id
+		"00-" + tpTrace + "-" + tpParent[:14] + "-01",             // short parent id
+		"00-" + tpTrace + "-" + tpParent + "-1",                   // one-digit flags
+		"00-" + tpTrace + "-" + tpParent + "-0g",                  // junk flags
+		"00-" + tpTrace + "-" + tpParent + "-01-extra",            // version 00 with 5 fields
+		"00_" + tpTrace + "_" + tpParent + "_01",                  // wrong separator
 	} {
 		if tc, err := ParseTraceparent(bad); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted: %+v", bad, tc)

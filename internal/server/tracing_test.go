@@ -210,13 +210,13 @@ func TestTraceparentMalformedFallsBack(t *testing.T) {
 	for _, header := range []string{
 		"",
 		"garbage",
-		"ff-" + inTrace + "-00f067aa0ba902b7-01",               // forbidden version
-		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01", // all-zero trace id
-		"00-" + inTrace + "-0000000000000000-01",               // all-zero parent id
+		"ff-" + inTrace + "-00f067aa0ba902b7-01", // forbidden version
+		"00-" + strings.Repeat("0", 32) + "-00f067aa0ba902b7-01",  // all-zero trace id
+		"00-" + inTrace + "-0000000000000000-01",                  // all-zero parent id
 		"00-" + strings.ToUpper(inTrace) + "-00f067aa0ba902b7-01", // uppercase hex
-		"00-" + inTrace[:20] + "-00f067aa0ba902b7-01",          // short trace id
-		"00-" + inTrace + "-00f067aa0ba902b7-zz",               // junk flags
-		"00-" + inTrace + "-00f067aa0ba902b7-01-extra",         // version 00, extra field
+		"00-" + inTrace[:20] + "-00f067aa0ba902b7-01",             // short trace id
+		"00-" + inTrace + "-00f067aa0ba902b7-zz",                  // junk flags
+		"00-" + inTrace + "-00f067aa0ba902b7-01-extra",            // version 00, extra field
 	} {
 		req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/knn", bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")

@@ -97,6 +97,7 @@ for stage; do
         fuzz FuzzProfileKernel ./internal/branch
         fuzz FuzzDistanceWithin ./internal/editdist
         fuzz FuzzLoadIndex ./internal/search
+        fuzz FuzzExactLabelTier ./internal/search
         fuzz FuzzManifest ./internal/segstore
         fuzz FuzzParseTraceparent ./internal/obs
         fuzz FuzzTraceparentMiddleware ./internal/server

@@ -25,7 +25,12 @@
 // it — an upper bound on min(q_l, t_l), exact when the query carries the
 // label once, so the bound stays sound. On data with a few labels that
 // nearly every tree carries, the lists then hold a handful of entries
-// instead of about one per tree per label.
+// instead of about one per tree per label. Beside its list a dense label
+// keeps a count column, one byte per tree saturating at 255, filled from
+// the carriers its list was derived from: for a query that carries the
+// label twice or more, Excess reads it for the few trees a caller asks
+// about and takes back what the sweep over-credited them, which makes the
+// overlap exact for every query label carried at most 255 times.
 //
 // The occurrence positions of Algorithm 1's extended lists stay with the
 // per-tree profiles (branch.Profile): the positional bound is only ever
@@ -68,16 +73,21 @@ type Index struct {
 	// lists that are not some branch's list.
 	labels []labelList
 	lposts []uint32
+	// cols holds the dense labels' count columns back to back, trees
+	// bytes each: a tree's count of the label, 255 standing for 255 or
+	// more, 0 for a tree that lacks it.
+	cols []uint8
 }
 
 // labelList locates one label's list: posts[from:to] when the label roots
 // one branch and keeps that branch's list as its own, else
 // lposts[from:to]. A dense label, carried by more than half of the trees,
-// lists the trees that lack it as bare positions, local<<countBits; any
-// other label lists its carriers with their counts, as a branch list does.
+// lists the trees that lack it as bare positions, local<<countBits, and
+// keeps its counts by tree in cols[col:col+trees]; any other label lists
+// its carriers with their counts, as a branch list does.
 type labelList struct {
-	from, to uint32
-	kind     uint8
+	from, to, col uint32
+	kind          uint8
 }
 
 // The kinds of label list.
@@ -143,7 +153,7 @@ func entries(c int) uint32 {
 // each dimension's root label: a label rooting one branch shares that
 // branch's list, and the lists of a label rooting several branches merge
 // by tree, their counts adding up. A label whose list would hold more than
-// half of the trees keeps its complement instead.
+// half of the trees keeps its complement instead, and a count column.
 func (x *Index) buildLabels(ps []*branch.Profile) {
 	if len(ps) == 0 {
 		return
@@ -180,17 +190,34 @@ func (x *Index) buildLabels(ps []*branch.Profile) {
 		case 2*postings(x.dimList(ds[0])) > x.trees:
 			ll.kind = dense
 			x.lposts = lacking(x.lposts, x.dimList(ds[0]), x.trees)
+			col := x.column()
+			each(x.dimList(ds[0]), func(t, c uint32) { col[t] = saturate(c) })
 		default:
 			ll.kind, ll.from = shared, x.start[ds[0]]
 			ll.to = x.start[ds[0]+1]
 			continue
 		}
 		ll.to = uint32(len(x.lposts))
+		if ll.kind == dense {
+			ll.col = uint32(len(x.cols) - x.trees)
+		}
 	}
 	if cap(x.lposts)-len(x.lposts) > len(x.lposts)/32 {
 		x.lposts = slices.Clone(x.lposts)
 	}
+	if cap(x.cols) > len(x.cols) {
+		x.cols = slices.Clone(x.cols)
+	}
 }
+
+// column appends a zeroed count column to x.cols and returns it.
+func (x *Index) column() []uint8 {
+	x.cols = append(x.cols, make([]uint8, x.trees)...)
+	return x.cols[len(x.cols)-x.trees:]
+}
+
+// saturate is count c as a count column holds it.
+func saturate(c uint32) uint8 { return uint8(min(c, 255)) }
 
 // dimList returns the branch list of dimension d.
 func (x *Index) dimList(d branch.Dim) []uint32 { return x.posts[x.start[d]:x.start[d+1]] }
@@ -198,7 +225,6 @@ func (x *Index) dimList(d branch.Dim) []uint32 { return x.posts[x.start[d]:x.sta
 // merger merges the branch lists of a label that roots several branches
 // into x.lposts, reusing its buffers from label to label.
 type merger struct {
-	out   []uint32
 	pairs []uint64 // tree<<32 | count, for a short merge
 	sum   []uint32 // count by tree, for a long merge; zero between labels
 }
@@ -206,7 +232,9 @@ type merger struct {
 // merge appends the list of the label whose dimensions are ds to x.lposts
 // and returns its kind. Short lists merge from sorted pairs; lists holding
 // a quarter as many postings as there are trees or more merge through a
-// per-tree array of counts, whose scan then costs less than the sort.
+// per-tree array of counts, whose scan then costs less than the sort. A
+// short merge is always exact: its label has fewer carriers than postings,
+// so fewer than half of the trees carry it.
 func (m *merger) merge(x *Index, ds []branch.Dim) (kind uint8) {
 	total := 0
 	for _, d := range ds {
@@ -222,19 +250,13 @@ func (m *merger) merge(x *Index, ds []branch.Dim) (kind uint8) {
 		})
 	}
 	slices.Sort(m.pairs)
-	m.out = m.out[:0]
 	for i := 0; i < len(m.pairs); {
 		t, c := uint32(m.pairs[i]>>32), uint32(0)
 		for ; i < len(m.pairs) && uint32(m.pairs[i]>>32) == t; i++ {
 			c += uint32(m.pairs[i])
 		}
-		m.out = appendPosting(m.out, t, c)
+		x.lposts = appendPosting(x.lposts, t, c)
 	}
-	if 2*postings(m.out) > x.trees {
-		x.lposts = lacking(x.lposts, m.out, x.trees)
-		return dense
-	}
-	x.lposts = append(x.lposts, m.out...)
 	return exact
 }
 
@@ -253,14 +275,18 @@ func (m *merger) long(x *Index, ds []branch.Dim) (kind uint8) {
 		}
 	}
 	kind = exact
+	var col []uint8
 	if 2*carriers > x.trees {
-		kind = dense
+		kind, col = dense, x.column()
 	}
 	for t, c := range m.sum {
 		switch {
-		case c == 0 && kind == dense:
-			x.lposts = append(x.lposts, uint32(t)<<countBits)
-		case c > 0 && kind == exact:
+		case kind == dense:
+			if c == 0 {
+				x.lposts = append(x.lposts, uint32(t)<<countBits)
+			}
+			col[t] = saturate(c)
+		case c > 0:
 			x.lposts = appendPosting(x.lposts, uint32(t), c)
 		}
 		m.sum[t] = 0
@@ -385,4 +411,45 @@ func (x *Index) LabelOverlaps(ql []branch.LabelCount, lov []int32) (base int32) 
 		}
 	}
 	return base
+}
+
+// A DenseCount is a dense label that a query carries 2 to 255 times: the
+// query's count and where the label's count column starts. It is the
+// only kind of query label whose swept credit can exceed min(q_l, t_l).
+type DenseCount struct {
+	col uint32
+	q   uint8
+}
+
+// DenseCounts appends to dst the labels of ql (as LabelOverlaps takes it)
+// that are dense here and that the query carries 2 to 255 times. A label
+// carried once is credited exactly by the sweep; one carried more than 255
+// times cannot be told apart by a saturated column and keeps its credit,
+// an over-credit and so still sound.
+func (x *Index) DenseCounts(ql []branch.LabelCount, dst []DenseCount) []DenseCount {
+	for _, lc := range ql {
+		if int(lc.Label) >= len(x.labels) {
+			break
+		}
+		if ll := x.labels[lc.Label]; ll.kind == dense && lc.Count >= 2 && lc.Count <= 255 {
+			dst = append(dst, DenseCount{col: ll.col, q: uint8(lc.Count)})
+		}
+	}
+	return dst
+}
+
+// Excess returns how much LabelOverlaps over-credited tree t on the dense
+// labels ds (from DenseCounts for the same query): Σ q_l − t_l over the
+// labels whose column reads 1 ≤ t_l < q_l. A column reading 0 is a tree
+// the label's list already debited, and one reading q_l or more — 255
+// included, which stands for at least 255 ≥ q_l — was credited exactly.
+// base + lov[t] − Excess is then the exact overlap Σ_l min(q_l, t_l)
+// whenever the query carries no label more than 255 times.
+func (x *Index) Excess(ds []DenseCount, t int) (ex int32) {
+	for _, d := range ds {
+		if c := x.cols[int(d.col)+t]; c != 0 && c < d.q {
+			ex += int32(d.q - c)
+		}
+	}
+	return ex
 }

@@ -204,10 +204,29 @@ func labelHist(t *tree.Tree) map[string]int {
 	return h
 }
 
+// mix returns r(c, …, c, y(z), b, …, y(z), b) with k leaves c and k pairs
+// y(z), b: labels c and y occur k times each, c rooting two branches and y
+// only y(z, b), so y's label list is that branch's list.
+func mix(k int) *tree.Tree {
+	root := tree.NewNode("r")
+	for i := 0; i < k; i++ {
+		root.Children = append(root.Children, tree.NewNode("c"))
+	}
+	for i := 0; i < k; i++ {
+		y := tree.NewNode("y")
+		y.Children = append(y.Children, tree.NewNode("z"))
+		root.Children = append(root.Children, y, tree.NewNode("b"))
+	}
+	return tree.New(root)
+}
+
 // TestLabelOverlapsMatchDefinition holds the label sweep to the label
 // tier's definition, computed from the trees themselves: a label carried
 // by more than half of the indexed trees credits each carrier with the
-// query's full count of it, any other label min(q_l, t_l). In the mixed
+// query's full count of it, any other label min(q_l, t_l); and it holds
+// the sweep less Excess to the exact overlap Σ_l min(q_l, t_l), but for a
+// dense label the query carries more than 255 times, which keeps the
+// swept credit. In the mixed
 // dataset the stars' label c sits in few trees, so its exact list holds
 // counts below, at and above the escape, each the sum of a tree's two
 // branches rooted at c; the random trees' labels sit in most trees and
@@ -215,10 +234,18 @@ func labelHist(t *tree.Tree) map[string]int {
 // dataset r roots one branch and sits in most trees, c roots two and sits
 // in all, and e sits in one. The queries include labels no indexed tree has
 // and a tree whose branches are all unknown to the space while two of its
-// labels are not.
+// labels are not. In the counts dataset the dense labels c (merged) and y
+// (shared) sit in trees at counts 1, 2, 15, 16, 17 (the posting escape),
+// 255, 256 and 300, and queries carry them once, twice and 300 times, so
+// columns saturate and DenseCounts leaves a label out.
 func TestLabelOverlapsMatchDefinition(t *testing.T) {
 	stars := []*tree.Tree{star(2), star(16), star(17), star(40), star(3), tree.MustParse("c(c)"), tree.MustParse("e(c,c)")}
-	for _, ts := range [][]*tree.Tree{dataset(), stars} {
+	var counts []*tree.Tree
+	for _, k := range []int{1, 2, 15, 16, 17, 255, 256, 300} {
+		counts = append(counts, mix(k))
+	}
+	counts = append(counts, tree.MustParse("e(f)"), tree.MustParse("e(c)"), star(40))
+	for _, ts := range [][]*tree.Tree{dataset(), stars, counts} {
 		checkLabelOverlaps(t, ts)
 	}
 }
@@ -250,26 +277,46 @@ func checkLabelOverlaps(t *testing.T, ts []*tree.Tree) {
 	}
 	queries = append(queries,
 		tree.MustParse("zz(zz(zz),b)"),
-		tree.MustParse("zz(l1(zz),zz,l2(zz),zz)"))
+		tree.MustParse("zz(l1(zz),zz,l2(zz),zz)"),
+		mix(1), mix(2), mix(300))
 	lov := make([]int32, len(ts))
+	corrected := 0
 	for qi, q := range queries {
 		for i := range lov {
 			lov[i] = -7 // LabelOverlaps must not depend on what lov held
 		}
 		qh := labelHist(q)
-		base := x.LabelOverlaps(space.QueryLabels(q, nil), lov)
+		ql := space.QueryLabels(q, nil)
+		base := x.LabelOverlaps(ql, lov)
+		ds := x.DenseCounts(ql, nil)
 		for i := range ts {
-			want := 0
+			swept, exact := 0, 0
 			for l, tc := range hs[i] {
-				if 2*carriers[l] > len(ts) {
-					want += qh[l]
+				dense := 2*carriers[l] > len(ts)
+				if dense {
+					swept += qh[l]
 				} else {
-					want += min(qh[l], tc)
+					swept += min(qh[l], tc)
+				}
+				if dense && qh[l] > 255 {
+					exact += qh[l]
+				} else {
+					exact += min(qh[l], tc)
 				}
 			}
-			if got := int(base + lov[i]); got != want {
-				t.Fatalf("query %d (%s), tree %d: swept label overlap %d, by definition %d", qi, q, i, got, want)
+			if got := int(base + lov[i]); got != swept {
+				t.Fatalf("query %d (%s), tree %d: swept label overlap %d, by definition %d", qi, q, i, got, swept)
+			}
+			ex := x.Excess(ds, i)
+			if got := int(base + lov[i] - ex); got != exact {
+				t.Fatalf("query %d (%s), tree %d: corrected label overlap %d, by definition %d", qi, q, i, got, exact)
+			}
+			if ex > 0 {
+				corrected++
 			}
 		}
+	}
+	if corrected == 0 {
+		t.Fatal("Excess corrected no tree: the dense columns go untested")
 	}
 }

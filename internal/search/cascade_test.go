@@ -7,10 +7,13 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"treesim/internal/branch"
+	"treesim/internal/dblp"
 	"treesim/internal/editdist"
+	"treesim/internal/obs"
 	"treesim/internal/tree"
 )
 
@@ -81,19 +84,49 @@ func sweptLabels(ix *Index, q *tree.Tree) map[int]int {
 	return out
 }
 
+// exactTier is the exact label tier by its definition, for every tree of
+// every segment of the index's cut, tombstoned ones included: the full
+// ⌈L1/2⌉ over Σ_l min(q_l, t_l) in a swept segment, 0 in a segment without
+// postings (the memtable), which has no label tier.
+func exactTier(ix *Index, q *tree.Tree) map[int]int {
+	qh := labelHist(q)
+	out := map[int]int{}
+	for _, sg := range ix.cut().segs {
+		p := payloadOf(sg)
+		swept := p.filter.(*BiBranch).post != nil
+		for i, t := range p.trees {
+			out[sg.ID(i)] = 0
+			if swept {
+				ov := 0
+				for l, tc := range labelHist(t) {
+					ov += min(qh[l], tc)
+				}
+				out[sg.ID(i)] = labelBound(q.Size(), t.Size(), ov)
+			}
+		}
+	}
+	return out
+}
+
 // bruteKNN answers a k-NN query by Algorithm 2 over every visible tree's
 // key max(SearchLBound, label[id]) — the positional bound alone when label
 // is nil: a sort by (key, id), then sequential verification under the live
 // k-th-best cutoff. The positional bound dominates the size and BDist
 // tiers, so this is the engine's tightened key. It returns the results,
-// the candidate count and how many trees it verified.
-func bruteKNN(trees map[int]*tree.Tree, q *tree.Tree, k int, label map[int]int) (res []Result, candidates, verified int) {
+// the candidate count, how many trees it verified and the funnel: each
+// tree charged, against the final k-th distance, to the first of
+// ||q|−|t||, ⌈BDist/Factor⌉, label[id] and SearchLBound that exceeds it.
+func bruteKNN(trees map[int]*tree.Tree, q *tree.Tree, k int, label map[int]int) (res []Result, candidates, verified int, pruned Funnel) {
 	s := branch.NewSpace(2)
 	qp := s.Profile(q)
-	type bounded struct{ id, bound int }
+	type bounded struct {
+		id, size, bdist, slb, bound int
+	}
 	var order []bounded
 	for id, t := range trees {
-		order = append(order, bounded{id, max(branch.SearchLBound(qp, s.Profile(t)), label[id])})
+		tp := s.Profile(t)
+		slb := branch.SearchLBound(qp, tp)
+		order = append(order, bounded{id, max(qp.Size-tp.Size, tp.Size-qp.Size), branch.BDistLowerBound(qp, tp), slb, max(slb, label[id])})
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].bound != order[j].bound {
@@ -119,12 +152,25 @@ func bruteKNN(trees map[int]*tree.Tree, q *tree.Tree, k int, label map[int]int) 
 			cutoff = res[k-1].Dist
 		}
 	}
+	if len(res) == 0 {
+		return res, 0, verified, pruned
+	}
+	worst := res[len(res)-1].Dist
 	for _, o := range order {
-		if len(res) > 0 && o.bound <= res[len(res)-1].Dist {
+		switch {
+		case o.size > worst:
+			pruned.Size++
+		case o.bdist > worst:
+			pruned.BDist++
+		case label[o.id] > worst:
+			pruned.Label++
+		case o.slb > worst:
+			pruned.Positional++
+		default:
 			candidates++
 		}
 	}
-	return res, candidates, verified
+	return res, candidates, verified, pruned
 }
 
 // bruteRange is the same for a range query: every visible tree goes
@@ -160,21 +206,23 @@ func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int, label map[int]i
 }
 
 // TestCascadeMatchesFullBoundScan: the bound cascade — size, BDist and
-// label tiers that stop at tau for a range query, positional bound for
-// survivors only, tightened lazily for k-NN — answers exactly like a scan
-// that computes, for every tree, the positional bound and the label tier by
-// its definition: same results, same candidate count and, with one worker,
-// the same verifications, on every storage layout (one indexed segment,
-// sealed memtables and a live memtable, a compacted segment, a reloaded
-// snapshot) with and without tombstones. Its candidates lie between those
-// of a scan over the exact label bound and of one over the positional bound
-// alone. Every sealed segment's BDist and label tiers read the postings
-// sweep, which checkSwept holds to the merge-join and to the label tier's
-// definition tree by tree; stars of 40 and 17 identical leaves put escaped
-// counts in the postings. The funnel accounts for every tree the filter
-// dropped, and a range query charges each tree to the same tier the full
-// scan does. The layouts with deleted ids also run at three shards, so a
-// shard's tombstone cursor starts mid-list.
+// swept label tiers that stop at tau for a range query, the exact label
+// tier and the positional bound for survivors only, both read lazily for
+// k-NN — answers exactly like a scan that computes, for every tree, the
+// positional bound and the exact label tier by its definition: same
+// results, same candidate count and, with one worker, the same
+// verifications, on every storage layout (one indexed segment, sealed
+// memtables and a live memtable, a compacted segment, a reloaded snapshot)
+// with and without tombstones. Its candidates lie between those of a scan
+// over the exact label bound on every tree and of one over the positional
+// bound alone, and equal the former's where no tree sits in the memtable.
+// Every sealed segment's BDist and label tiers read the postings sweep,
+// which checkSwept holds to the merge-join and to both label tiers'
+// definitions tree by tree; stars of 40 and 17 identical leaves put
+// escaped counts in the postings. The funnel accounts for every tree the
+// filter dropped, and both query kinds charge each tree to the same tier
+// the full scan does. The layouts with deleted ids also run at three
+// shards, so a shard's tombstone cursor starts mid-list.
 func TestCascadeMatchesFullBoundScan(t *testing.T) {
 	const n = 70
 	all := testDataset(n, 91)
@@ -201,7 +249,7 @@ func TestCascadeMatchesFullBoundScan(t *testing.T) {
 		},
 	}
 	queries := append([]*tree.Tree{all[0], all[33], all[69], all[7], star(25), unknownBranches, unknownLabels}, testDataset(3, 92)...)
-	byLabel := 0
+	byLabel, byExact := 0, 0
 
 	for lname, build := range layouts {
 		for _, deleted := range [][]int{nil, {0, 7, 21, 33, 40, 68}} {
@@ -235,15 +283,16 @@ func TestCascadeMatchesFullBoundScan(t *testing.T) {
 						}
 					}
 					checkSwept(t, name, ix, queries)
-					byLabel += checkCascade(t, name, ix, visible, queries)
+					l, e := checkCascade(t, name, ix, visible, queries)
+					byLabel, byExact = byLabel+l, byExact+e
 				}
 			}
 		}
 	}
-	if byLabel == 0 {
-		t.Fatal("the label tier pruned no tree on any layout: the test holds it to nothing")
+	if byLabel == 0 || byExact == 0 {
+		t.Fatalf("the label tiers pruned %d trees, %d of them past the swept bound: the test holds the tiers to nothing", byLabel, byExact)
 	}
-	t.Logf("label tier pruned %d trees", byLabel)
+	t.Logf("label tiers pruned %d trees, %d of them past the swept bound", byLabel, byExact)
 }
 
 // unknownBranches roots every branch at or next to a label no indexed tree
@@ -255,20 +304,30 @@ var unknownBranches = tree.MustParse("fresh0(l1(fresh1),fresh2,l2(fresh3),fresh4
 var unknownLabels = tree.MustParse("fresh0(fresh1,fresh2(fresh3))")
 
 // checkCascade holds one index's k-NN and range answers, counters and
-// funnel to the full-bound scans over the visible trees.
-// It returns how many trees the label tier pruned.
-func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tree, queries []*tree.Tree) (byLabel int) {
+// funnel to the full-bound scans over the visible trees. It returns how
+// many trees the label tier pruned and how many of them the swept label
+// bound alone would have let through.
+func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tree, queries []*tree.Tree) (byLabel, byExact int) {
 	t.Helper()
 	s := branch.NewSpace(2)
+	// Where no visible tree sits in the memtable, every one has the
+	// exact label tier.
+	wholeL1 := true
+	for _, sg := range ix.cut().segs[len(ix.store.View().Segments):] {
+		for i := 0; i < sg.Len(); i++ {
+			_, live := visible[sg.ID(i)]
+			wholeL1 = wholeL1 && !live
+		}
+	}
 	for qi, q := range queries {
-		swept, exact := sweptLabels(ix, q), exactLabels(visible, q)
+		swept, tier, exact := sweptLabels(ix, q), exactTier(ix, q), exactLabels(visible, q)
 		qp := s.Profile(q)
 		slb := map[int]int{}
 		for id, tr := range visible {
 			slb[id] = branch.SearchLBound(qp, s.Profile(tr))
 		}
 		for _, k := range []int{1, 5, 12} {
-			want, wantCands, wantVerified := bruteKNN(visible, q, k, swept)
+			want, wantCands, wantVerified, wantPruned := bruteKNN(visible, q, k, tier)
 			got, st, err := ix.KNN(context.Background(), q, k)
 			if err != nil {
 				t.Fatal(err)
@@ -290,18 +349,23 @@ func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tr
 					pos++
 				}
 			}
-			if st.Candidates < l1 || st.Candidates > pos {
-				t.Fatalf("%s: query %d k=%d: %d candidates, outside [%d exact-L1, %d positional-only]",
-					name, qi, k, st.Candidates, l1, pos)
+			if st.Candidates < l1 || st.Candidates > pos || (wholeL1 && st.Candidates != l1) {
+				t.Fatalf("%s: query %d k=%d: %d candidates, outside [%d exact-L1, %d positional-only] (whole segments %v)",
+					name, qi, k, st.Candidates, l1, pos, wholeL1)
 			}
 			if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Label + st.Pruned.Positional; sum != st.Dataset-st.Candidates {
 				t.Fatalf("%s: query %d k=%d: funnel %+v sums to %d, dataset %d − candidates %d",
 					name, qi, k, st.Pruned, sum, st.Dataset, st.Candidates)
 			}
+			if st.Pruned != wantPruned {
+				t.Fatalf("%s: query %d k=%d: funnel %+v, full-bound scan %+v", name, qi, k, st.Pruned, wantPruned)
+			}
+			_, _, _, sweptPruned := bruteKNN(visible, q, k, swept)
 			byLabel += st.Pruned.Label
+			byExact += st.Pruned.Label - sweptPruned.Label
 		}
 		for _, tau := range []int{0, 2, 5} {
-			want, wantCands, wantPruned := bruteRange(visible, q, tau, swept)
+			want, wantCands, wantPruned := bruteRange(visible, q, tau, tier)
 			got, st, err := ix.Range(context.Background(), q, tau)
 			if err != nil {
 				t.Fatal(err)
@@ -318,20 +382,26 @@ func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tr
 			}
 			_, l1, _ := bruteRange(visible, q, tau, exact)
 			_, pos, _ := bruteRange(visible, q, tau, nil)
-			if st.Candidates < l1 || st.Candidates > pos {
-				t.Fatalf("%s: query %d tau=%d: %d candidates, outside [%d exact-L1, %d positional-only]",
-					name, qi, tau, st.Candidates, l1, pos)
+			if st.Candidates < l1 || st.Candidates > pos || (wholeL1 && st.Candidates != l1) {
+				t.Fatalf("%s: query %d tau=%d: %d candidates, outside [%d exact-L1, %d positional-only] (whole segments %v)",
+					name, qi, tau, st.Candidates, l1, pos, wholeL1)
 			}
+			_, _, sweptPruned := bruteRange(visible, q, tau, swept)
 			byLabel += st.Pruned.Label
+			byExact += st.Pruned.Label - sweptPruned.Label
 		}
 	}
-	return byLabel
+	return byLabel, byExact
 }
 
 // TestFunnelEveryFilter: whatever the filter family and shard count, the
 // funnel sums to Dataset − Candidates, a filter without cheaper tiers
 // charges everything to its one bound, and the non-positional ablation
-// has no label tier.
+// has no label tier. On DBLP-like records, whose dense labels (author, the
+// record kinds) a query carries several times, the k-NN scan prunes trees
+// by the exact label tier when they surface to be tightened — their swept
+// keys are within the final k-th distance — and charges them to the label
+// tier in the funnel, EXPLAIN and the filter span alike.
 func TestFunnelEveryFilter(t *testing.T) {
 	ts := testDataset(80, 93)
 	for _, f := range allFilters() {
@@ -358,6 +428,52 @@ func TestFunnelEveryFilter(t *testing.T) {
 			}
 		}
 	}
+
+	g := dblp.New(7)
+	records := g.Dataset(400)
+	visible := map[int]*tree.Tree{}
+	for id, tr := range records {
+		visible[id] = tr
+	}
+	s := branch.NewSpace(2)
+	atTighten := 0
+	for _, shards := range []int{1, 3} {
+		ix := NewIndex(records, NewBiBranch(), WithShards(shards))
+		for qi := 0; qi < 4; qi++ {
+			q := g.Variant(records[qi*97])
+			root := obs.New("query")
+			var ex *Explain
+			got, st, err := ix.KNN(obs.NewContext(context.Background(), root), q, 10, WithExplain(&ex))
+			if err != nil {
+				t.Fatal(err)
+			}
+			root.End()
+			swept, tier := sweptLabels(ix, q), exactTier(ix, q)
+			want, _, _, wantPruned := bruteKNN(visible, q, 10, tier)
+			if !reflect.DeepEqual(dists(got), dists(want)) || st.Pruned != wantPruned {
+				t.Fatalf("dblp S=%d query %d: %v with funnel %+v, reference %v with %+v", shards, qi, dists(got), st.Pruned, dists(want), wantPruned)
+			}
+			worst := want[len(want)-1].Dist
+			qp := s.Profile(q)
+			for id, tr := range records {
+				tp := s.Profile(tr)
+				key := max(qp.Size-tp.Size, tp.Size-qp.Size, branch.BDistLowerBound(qp, tp), swept[id])
+				if key <= worst && tier[id] > worst {
+					atTighten++
+				}
+			}
+			filter, _ := childByName(root.Snapshot(), "filter")
+			funnel := fmt.Sprintf(" -label-> %d ", st.Dataset-st.Pruned.Size-st.Pruned.BDist-st.Pruned.Label)
+			if ex.Pruned != st.Pruned || filter.Attrs["pruned_label"] != int64(st.Pruned.Label) || !strings.Contains(ex.String(), funnel) {
+				t.Fatalf("dblp S=%d query %d: funnel %+v, EXPLAIN %+v, span pruned_label %v, rendering lacks %q:\n%s",
+					shards, qi, st.Pruned, ex.Pruned, filter.Attrs["pruned_label"], funnel, ex)
+			}
+		}
+	}
+	if atTighten == 0 {
+		t.Fatal("no DBLP tree was pruned by the exact label tier at tighten time")
+	}
+	t.Logf("%d DBLP trees pruned by the exact label tier at tighten time", atTighten)
 }
 
 // TestQueriesDoNotGrowTheSpace: a thousand queries full of labels the
@@ -407,9 +523,10 @@ func star(n int) *tree.Tree {
 // checkSwept holds one index's BDist and label tiers to their definitions:
 // every sealed segment carries postings and the memtable does not, and for
 // every tree of every segment the BDist tier reads ⌈BDist/Factor⌉ off the
-// query's sweep exactly as branch.BDist computes it, while the label tier
-// reads what sweptLabels derives from the segment's trees — a sound bound,
-// never above the exact label bound — and is zero in the memtable.
+// query's sweep exactly as branch.BDist computes it, while the cheap label
+// tier reads what sweptLabels derives from the segment's trees — a sound
+// bound, never above the exact label bound — and ExactLabel what exactTier
+// does; both are zero in the memtable.
 func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
 	t.Helper()
 	sealed := len(ix.store.View().Segments)
@@ -417,7 +534,7 @@ func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
 	acc := make([]int32, 2*cut.n)
 	for qi, q := range queries {
 		prims := newSegBounders(cut, q, acc)
-		swept := sweptLabels(ix, q)
+		swept, tier := sweptLabels(ix, q), exactTier(ix, q)
 		qh := labelHist(q)
 		for si, sg := range cut.segs {
 			p := payloadOf(sg)
@@ -441,6 +558,10 @@ func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
 				if wantLB := swept[sg.ID(i)]; lb != wantLB || lb > exact {
 					t.Fatalf("%s: query %d %s, segment %d tree %d: label tier %d, by definition %d, exact %d",
 						name, qi, q, si, i, lb, wantLB, exact)
+				}
+				if got, want := b.ExactLabel(i), tier[sg.ID(i)]; got != want || got < lb {
+					t.Fatalf("%s: query %d %s, segment %d tree %d: exact label tier %d, by definition %d, swept %d",
+						name, qi, q, si, i, got, want, lb)
 				}
 			}
 		}

@@ -31,29 +31,35 @@ import (
 //
 // The filter is a bound cascade, cheapest tier first (see Bounder): the
 // size bound ||q|−|t||, then ⌈BDist/Factor⌉, then the label-histogram
-// bound ⌈L1/2⌉ of Kailing et al., and only for the trees all three leave
-// standing the filter's full bound, the positional one. BDist and the
-// label overlaps come from the paper's inverted file (Algorithm 1): before
-// the shards start, each sealed segment sweeps the postings of the query's
-// branches and of its labels once into its range of a pooled per-query
-// accumulator, which every later reader of the tiers — the shards, the
-// funnel, EXPLAIN, the tightness sample — looks up by position. Only the
-// memtable, which has no postings, merge-joins two flat branch vectors per
-// tree, and has no label tier. A range query stands a tree down at tau; a
-// k-NN query at the live k-th-best distance, so it computes full bounds
-// lazily, in cheap-bound order, while it verifies (see knnScan). The cheap
-// tiers stop at a limit: a range query's tau, so the size tier decides
-// alone where it can, a memtable merge-join stops once Factor·tau is out
-// of reach, and the label bound is read only for trees the first two
-// leave standing; k-NN has no threshold and gets exact keys. Every tier
-// is a sound lower bound, so no tier prunes a tree the answer holds, and
-// the full bound dominates the size and BDist tiers. The label tier may
-// exceed the full bound — on small trees with telling labels it often
-// does — so a tightened k-NN key is the larger of the two, and a range
-// candidate's bound likewise. The label tier prunes trees the positional
-// bound would have let through, so candidates and verifications are fewer
-// than a scan over the full bound alone would give; the results are the
-// same. Stats.Pruned reports how many trees each tier eliminated.
+// bound ⌈L1/2⌉ of Kailing et al. as swept, and only for the trees all
+// three leave standing the label bound made exact and the filter's full
+// bound, the positional one. BDist and the label overlaps come from the
+// paper's inverted file (Algorithm 1): before the shards start, each
+// sealed segment sweeps the postings of the query's branches and of its
+// labels once into its range of a pooled per-query accumulator, which
+// every later reader of the tiers — the shards, the funnel, EXPLAIN, the
+// tightness sample — looks up by position. The sweep credits every
+// carrier of a dense label with the query's full count of it; the exact
+// label tier takes back the excess from the label's count column, for a
+// tree the cheap tiers leave standing. Only the memtable, which has no
+// postings, merge-joins two flat branch vectors per tree, and has no label
+// tier. A range query stands a tree down at tau; a k-NN query at the live
+// k-th-best distance, so it reads the exact label tier and the full bound
+// lazily, in cheap-bound order, while it verifies, and skips the full
+// bound where the exact label tier already exceeds the threshold (see
+// knnScan). The cheap tiers stop at a limit: a range query's tau, so the
+// size tier decides alone where it can, a memtable merge-join stops once
+// Factor·tau is out of reach, and the label bound is read only for trees
+// the first two leave standing; k-NN has no threshold and gets exact keys.
+// Every tier is a sound lower bound, so no tier prunes a tree the answer
+// holds, and the full bound dominates the size and BDist tiers. The label
+// tiers may exceed the full bound — on small trees with telling labels
+// they often do — so a tightened k-NN key is the largest of them, and a
+// range candidate's bound likewise. The label tiers prune trees the
+// positional bound would have let through, so candidates and
+// verifications are fewer than a scan over the full bound alone would
+// give; the results are the same. Stats.Pruned reports how many trees
+// each tier eliminated; both label tiers count as the label tier.
 //
 // Results are shard- and segment-layout invariant by construction:
 //
@@ -180,13 +186,14 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]R
 // knnScan is the cascade state of one k-NN query. The filter stage gives
 // every visible tree its three cheap bounds; the refine stage then consumes
 // positions in ascending (bound, id) order from a min-heap, replacing a
-// cheap key by the larger of it and the filter's full bound only when it
-// reaches the top — so the expensive tier runs for exactly the trees whose
-// cheap key does not exceed the live k-th-best distance. A tightened key
-// is never below the cheap one it replaces, so a position is handed out
-// for verification only after every position with a smaller (tightened
-// key, id) has been: verifications happen in the order a sort by tightened
-// key would give.
+// cheap key by the largest of it, the exact label tier and the filter's
+// full bound only when it reaches the top — so the expensive tiers run for
+// exactly the trees whose cheap key does not exceed the live k-th-best
+// distance, and the full bound only for those the exact label tier does
+// not put above it. A tightened key is never below the cheap one it
+// replaces, so a position is handed out for verification only after every
+// position with a smaller (tightened key, id) has been: verifications
+// happen in the order a sort by tightened key would give.
 type knnScan struct {
 	cut   *qcut
 	prims segBounders
@@ -194,8 +201,10 @@ type knnScan struct {
 
 	// Per global position: the size-tier bound, the larger of it and the
 	// BDist tier's, the largest of the three cheap bounds (−1 for a
-	// tombstoned position) and the tightened key, the larger of that and
-	// the full bound (−1 until tightened).
+	// tombstoned position), raised to the exact label tier when the
+	// position is tightened, and the tightened key, the larger of that and
+	// the full bound where the full bound was computed (−1 until
+	// tightened).
 	size, bdist, cheap, tight []int32
 
 	mu sync.Mutex
@@ -358,7 +367,12 @@ func (sc *knnScan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound i
 			}
 			p := int(uint32(sc.heap[0]))
 			si, local, _ := sc.cut.locate(p)
-			tb := max(sc.prims[si].KNNBound(local), int(sc.cheap[p]))
+			b := sc.prims[si]
+			tb := max(b.ExactLabel(local), int(sc.cheap[p]))
+			sc.cheap[p] = int32(tb)
+			if int64(tb) <= thresh.Load() {
+				tb = max(b.KNNBound(local), tb)
+			}
 			sc.tight[p] = int32(tb)
 			sc.heap[0] = uint64(tb)<<33 | tightened | uint64(p)
 			siftDown(sc.heap, 0)
@@ -371,8 +385,9 @@ func (sc *knnScan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound i
 // funnel classifies every visible tree against the final k-th distance:
 // pruned by the first tier whose bound exceeds it, or a candidate. Every
 // tree whose cheap bounds do not exceed worst was tightened before the
-// scan stopped (it sorted ahead of whatever stopped it), so its full
-// bound is known.
+// scan stopped (it sorted ahead of whatever stopped it), so its exact
+// label tier is known, and its full bound too unless that tier exceeded
+// the threshold of the moment, which is never below worst.
 func (sc *knnScan) funnel(worst int) (candidates int, f Funnel) {
 	for pos, c := range sc.cheap {
 		switch {
@@ -618,8 +633,9 @@ type rangeScan struct {
 
 // filterRange runs the bound cascade over every visible position, sharded
 // when configured: the size tier, then the branch-distance tier, then the
-// label tier, and the filter's range bound only for trees all three leave
-// at or under tau. The cheap tiers stop at tau unless EXPLAIN wants the
+// swept label tier and, for trees all three leave at or under tau, the
+// exact label tier and, where it stays there too, the filter's range
+// bound. The cheap tiers stop at tau unless EXPLAIN wants the
 // exact deciding bounds.
 func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, acc []int32, fspan *obs.Span, wantBounds bool) (segBounders, *rangeScan, error) {
 	prims := newSegBounders(cut, q, acc)
@@ -675,6 +691,9 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 				continue
 			}
 			sz, bd, lb := b.CheapBounds(local, limit)
+			if sz <= tau && bd <= tau && lb <= tau {
+				lb = b.ExactLabel(local)
+			}
 			switch {
 			case sz > tau:
 				bySize++

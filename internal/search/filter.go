@@ -54,11 +54,12 @@ type Filter interface {
 
 // Bounder computes edit-distance lower bounds between one query and the
 // indexed trees, as the tiers of the engine's bound cascade: three cheap
-// bounds every tree gets, and the filter's full bound, which the engine
-// only asks for when the cheap ones leave a tree standing. Every tier is a
-// sound lower bound, so no tier prunes a tree within the answer. The full
-// bound dominates the size and BDist tiers but not the label tier, which
-// may exceed it: the engine keys a tree by the largest bound it computed.
+// bounds every tree gets, then the exact label tier and the filter's full
+// bound, which the engine only asks for when the cheap ones leave a tree
+// standing. Every tier is a sound lower bound, so no tier prunes a tree
+// within the answer. The full bound dominates the size and BDist tiers but
+// not the label tiers, which may exceed it: the engine keys a tree by the
+// largest bound it computed.
 type Bounder interface {
 	// CheapBounds returns the cheap tiers' lower bounds on EDist(query,
 	// tree i): the size bound ||q|−|t||, the plain branch-distance bound
@@ -71,8 +72,18 @@ type Bounder interface {
 	// exact ones. A segment whose BDist was swept from postings (every
 	// sealed one) reads it off the query's accumulator, so its bdist is
 	// always exact; only the memtable's merge-join stops at limit. Only a
-	// swept segment has a label tier.
+	// swept segment has a label tier, and its cheap label bound credits
+	// every carrier of a dense label (see invfile) with the query's full
+	// count of it.
 	CheapBounds(i, limit int) (size, bdist, label int)
+	// ExactLabel returns the label tier with every label credited exactly:
+	// ⌈(|q| + |t| − 2·Σ_l min(q_l, t_l))/2⌉, never below CheapBounds'
+	// label, from the dense labels' count columns. It is exact unless the
+	// query carries a dense label more than 255 times, and then still a
+	// sound bound. It costs a column read per dense label the query carries
+	// twice or more, so the engine reads it only for the trees the cheap
+	// tiers leave standing. A filter without a label tier returns zero.
+	ExactLabel(i int) int
 	// KNNBound returns the filter's full lower bound L ≤ EDist(query, tree
 	// i), used as the optimistic bound of Algorithm 2.
 	KNNBound(i int) int
@@ -114,6 +125,8 @@ const noLimit = math.MaxInt
 type singleTier struct{}
 
 func (singleTier) CheapBounds(_, _ int) (size, bdist, label int) { return 0, 0, 0 }
+
+func (singleTier) ExactLabel(int) int { return 0 }
 
 // BiBranch is the paper's filter: q-level binary branch vectors with,
 // optionally, the positional lower bound of Section 4.2–4.3.
@@ -190,7 +203,8 @@ func (f *BiBranch) snapshotAt(n int, seal bool) Filter {
 // space. Where the filter has postings, one sweep over the query's branch
 // lists leaves every tree's branch overlap in the first half of acc, and
 // one over its label lists a bound on every tree's label overlap in the
-// second. The query's labels are counted off the query tree, node by
+// second; the dense labels the query carries twice or more are kept for
+// ExactLabel. The query's labels are counted off the query tree, node by
 // node, never off its profile: a branch the space never saw has no
 // coordinate there, but the label it is rooted at may be known, and
 // leaving it out would overstate the bound. The non-positional ablation
@@ -203,8 +217,10 @@ func (f *BiBranch) Query(q *tree.Tree, acc []int32) Bounder {
 		f.post.Overlaps(b.qp, b.ov)
 		if f.Positional {
 			var buf [16]branch.LabelCount
+			ql := f.space.QueryLabels(q, buf[:0])
 			b.lov = acc[n : 2*n]
-			b.lbase = f.post.LabelOverlaps(f.space.QueryLabels(q, buf[:0]), b.lov)
+			b.lbase = f.post.LabelOverlaps(ql, b.lov)
+			b.dense = f.post.DenseCounts(ql, b.denseBuf[:0])
 		}
 	}
 	return b
@@ -233,9 +249,13 @@ type biBranchBounder struct {
 	ov []int32
 	// lbase + lov[i] bounds the label overlap with tree i from above,
 	// swept from the segment's label postings; lov is nil where the
-	// segment has no label tier.
-	lov   []int32
-	lbase int32
+	// segment has no label tier. dense are the segment's dense labels the
+	// query carries 2 to 255 times, whose count columns correct that bound
+	// to the exact overlap; most queries have a few, so denseBuf holds them.
+	lov      []int32
+	lbase    int32
+	dense    []invfile.DenseCount
+	denseBuf [8]invfile.DenseCount
 }
 
 // BDist returns the raw binary branch distance to tree i — the BDist
@@ -254,11 +274,11 @@ func (b *biBranchBounder) plain(i int) int {
 	return (b.BDist(i) + b.factor - 1) / b.factor
 }
 
-// label returns the label-histogram bound ⌈L1/2⌉ off the sweep, with the
-// label L1 ≥ |q| + |t| − 2·(lbase + lov[i]): one edit operation changes it
-// by at most 2.
-func (b *biBranchBounder) label(i int) int {
-	l1 := b.qp.Size + b.f.profiles[i].Size - 2*int(b.lbase+b.lov[i])
+// label returns the label-histogram bound ⌈L1/2⌉ for a label overlap of at
+// most ov with tree i, L1 ≥ |q| + |t| − 2·ov: one edit operation changes
+// L1 by at most 2.
+func (b *biBranchBounder) label(i int, ov int32) int {
+	l1 := b.qp.Size + b.f.profiles[i].Size - 2*int(ov)
 	return max(0, (l1+1)/2)
 }
 
@@ -286,7 +306,16 @@ func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist, label int) {
 	if b.lov == nil || bdist > limit {
 		return size, bdist, 0
 	}
-	return size, bdist, b.label(i)
+	return size, bdist, b.label(i, b.lbase+b.lov[i])
+}
+
+// ExactLabel implements Bounder: the swept overlap less what it
+// over-credited tree i on the query's dense labels.
+func (b *biBranchBounder) ExactLabel(i int) int {
+	if b.lov == nil {
+		return 0
+	}
+	return b.label(i, b.lbase+b.lov[i]-b.f.post.Excess(b.dense, i))
 }
 
 func (b *biBranchBounder) KNNBound(i int) int {

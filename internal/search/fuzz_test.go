@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"treesim/internal/datagen"
 	"treesim/internal/tree"
 )
 
@@ -101,6 +102,63 @@ func FuzzLoadIndex(f *testing.F) {
 			wr, _, _ := fresh.Range(context.Background(), q, 2)
 			if !reflect.DeepEqual(dists(got), dists(want)) || !reflect.DeepEqual(dists(gr), dists(wr)) {
 				t.Fatalf("loaded index answers k-NN %v, range %v; afresh %v, %v", dists(got), dists(gr), dists(want), dists(wr))
+			}
+		}
+	})
+}
+
+// FuzzExactLabelTier holds the exact label tier to a brute histogram
+// ⌈L1/2⌉ over small random datasets, tree by tree. Each of the first trees
+// gets a bush of 2·grow[i] extra l1 leaves (0 to 510), and the query, a
+// copy of one of the trees, 0 to 399 more, so l1 is dense or not, its
+// count columns saturate and wrap around 255, and the query carries it
+// once, a few times or past 255 — the one case where the tier keeps the
+// swept credit of a dense label, q_l for every carrier.
+func FuzzExactLabelTier(f *testing.F) {
+	f.Add(int64(1), uint8(6), []byte{0, 1, 7, 8, 128, 150}, uint8(2), uint16(3))
+	f.Add(int64(2), uint8(9), []byte{200, 127, 128, 0, 0, 1}, uint8(0), uint16(130))
+	f.Add(int64(3), uint8(4), []byte{255, 255, 255}, uint8(3), uint16(300))
+	f.Add(int64(4), uint8(1), []byte{}, uint8(0), uint16(0))
+	f.Add(int64(5), uint8(3), []byte{150, 150, 150}, uint8(3), uint16(100))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, grow []byte, qi uint8, qgrow uint16) {
+		spec := datagen.Spec{FanoutMean: 2, FanoutStd: 1, SizeMean: 6, SizeStd: 3, Labels: 3, Decay: 0.1}
+		ts := datagen.New(spec, seed).Dataset(1+int(n%10), 2)
+		bush := func(tr *tree.Tree, k int) *tree.Tree {
+			tr = tr.Clone()
+			for ; k > 0; k-- {
+				tr.Root.Children = append(tr.Root.Children, tree.NewNode(datagen.Label(1)))
+			}
+			return tr
+		}
+		for i := 0; i < len(ts) && i < len(grow); i++ {
+			ts[i] = bush(ts[i], 2*int(grow[i]))
+		}
+		q := bush(ts[int(qi)%len(ts)], int(qgrow%400))
+
+		bf := NewBiBranch()
+		bf.Index(ts)
+		b := bf.Query(q, make([]int32, 2*len(ts)))
+		qh := labelHist(q)
+		hs := make([]map[string]int, len(ts))
+		carriers := map[string]int{}
+		for i, tr := range ts {
+			hs[i] = labelHist(tr)
+			for l := range hs[i] {
+				carriers[l]++
+			}
+		}
+		for i, tr := range ts {
+			ov := 0
+			for l, tc := range hs[i] {
+				if 2*carriers[l] > len(ts) && qh[l] > 255 {
+					ov += qh[l]
+				} else {
+					ov += min(qh[l], tc)
+				}
+			}
+			_, _, swept := b.CheapBounds(i, noLimit)
+			if got, want := b.ExactLabel(i), labelBound(q.Size(), tr.Size(), ov); got != want || got < swept {
+				t.Fatalf("tree %d: exact label tier %d, brute %d, swept %d\n q %s\n t %s", i, got, want, swept, q, tr)
 			}
 		}
 	})

@@ -201,13 +201,14 @@ func TestIndexOptionAccessors(t *testing.T) {
 
 // TestShardSpans: a query forced over several shards hangs shard[i]
 // children off its filter span, each reporting its bound count, and the
-// filter span still carries the global candidate total.
+// filter span still carries the global totals: every visible tree bounded,
+// and the query's candidates.
 func TestShardSpans(t *testing.T) {
 	ts := testDataset(50, 37)
 	ix := NewIndex(ts, NewBiBranch(), WithShards(4), WithRefineWorkers(4))
 
 	root := obs.New("query")
-	_, _, err := ix.KNN(obs.NewContext(context.Background(), root), ts[2], 3)
+	_, stats, err := ix.KNN(obs.NewContext(context.Background(), root), ts[2], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +224,11 @@ func TestShardSpans(t *testing.T) {
 	if filter == nil {
 		t.Fatalf("no filter span in %+v", snap)
 	}
-	if got := filter.Attrs["candidates"]; got != int64(len(ts)) {
-		t.Errorf("filter candidates %v, want %d", got, len(ts))
+	if got := filter.Attrs["bounded"]; got != int64(len(ts)) {
+		t.Errorf("filter bounded %v, want %d", got, len(ts))
+	}
+	if got := filter.Attrs["candidates"]; got != int64(stats.Candidates) {
+		t.Errorf("filter candidates %v, stats say %d", got, stats.Candidates)
 	}
 	total := int64(0)
 	shards := 0

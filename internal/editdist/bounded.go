@@ -191,24 +191,35 @@ func (q *Query) seqBound(s *scratch, b *decomp, k int) int {
 	return max(post, s.seqDist(q.d.preid[1:], b.preid[1:], k))
 }
 
-// seqDist returns the unit-cost edit distance between two label-slot
-// sequences — over a pair's postorder (or preorder) slots, Guha et al.'s
-// lower bound on the number of tree edit operations, since a Tai mapping
-// preserves both orders — or k+1 when it exceeds k. It is the banded
-// program in diagonal-transition form (Ukkonen; Landau and Vishkin): for
-// e = 0, 1, …, k it keeps, on each diagonal y − x within ±e, the furthest
-// x that e operations reach — one step past a neighbour's, then slid along
-// equal labels — and stops at the first e that reaches (|a|, |b|). That
-// is O(k² + the slides) instead of |a|·(2k+1) cells. a is the query's
-// side, so a candidate label the query lacks (slot −1) never matches.
+// seqDist is SeqDist on the scratch's diagonals.
 func (s *scratch) seqDist(a, b []int32, k int) int {
+	d, diags := SeqDist(a, b, k, s.diags)
+	s.diags = diags
+	return d
+}
+
+// SeqDist returns the unit-cost edit distance between two label-id
+// sequences — over a pair's postorder (or preorder) labels, Guha et al.'s
+// lower bound on the number of tree edit operations, since a Tai mapping
+// preserves both orders — or k+1 when it exceeds k. Equal ids match, so a
+// label one tree lacks must get an id the other never uses: a negative one,
+// on one side only. It is the banded program in diagonal-transition form
+// (Ukkonen; Landau and Vishkin): for e = 0, 1, …, k it keeps, on each
+// diagonal y − x within ±e, the furthest x that e operations reach — one
+// step past a neighbour's, then slid along equal labels — and stops at the
+// first e that reaches (|a|, |b|). That is O(k² + the slides) instead of
+// |a|·(2k+1) cells. A k at or above max(|a|, |b|), which no distance
+// exceeds, asks for the exact distance. diags is working memory, returned
+// grown for the next call.
+func SeqDist(a, b []int32, k int, diags []int) (int, []int) {
 	m, n := len(a), len(b)
 	if abs(m-n) > k {
-		return k + 1
+		return k + 1, diags
 	}
+	k = min(k, max(m, n))
 	const none = -unreachable // a diagonal no e operations reach
-	s.diags = grow(s.diags, 2*k+3)
-	fr, off := s.diags, k+1 // fr[off+d]: the furthest x on diagonal d
+	diags = grow(diags, 2*k+3)
+	fr, off := diags, k+1 // fr[off+d]: the furthest x on diagonal d
 	for i := range fr {
 		fr[i] = none
 	}
@@ -217,19 +228,19 @@ func (s *scratch) seqDist(a, b []int32, k int) int {
 		lo, hi := max(-e, -m), min(e, n)
 		left := fr[off+lo-1] // diagonal d−1 before this round
 		for d := lo; d <= hi; d++ {
-			x := max(fr[off+d]+1, fr[off+d+1]+1, left)
-			left = fr[off+d]
-			x = min(x, m, n-d)
-			for x < m && x+d < n && a[x] == b[x+d] {
+			here, end := fr[off+d], min(m, n-d)
+			x := min(max(here+1, fr[off+d+1]+1, left), end)
+			left = here
+			for x < end && a[x] == b[x+d] {
 				x++
 			}
 			fr[off+d] = x
 		}
 		if fr[off+n-m] >= m {
-			return e
+			return e, diags
 		}
 	}
-	return k + 1
+	return k + 1, diags
 }
 
 // scratch is one Within call's working memory, pooled: the walk's stack,

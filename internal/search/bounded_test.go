@@ -81,24 +81,36 @@ func TestBoundedRefineInvariance(t *testing.T) {
 // full verification would. (The exact split is data-dependent; firing at
 // all is the regression being pinned.) Most false positives there are
 // disproven before the tree DP, by an O(n) pre-check or the sequence
-// bound, so the dataset also holds a(a,a(a)), the mirror image of the
-// range query a(a(a),a) at τ=1: size, height, label histogram and both
-// label sequences agree, the distance is 2, and only the DP can prove it.
+// bound — under the positional filter by its sequence tier, before they
+// reach the verifier at all, so the workload also runs under the
+// non-positional ablation, which has no sequence tier and leaves them to
+// the verifier's pre-checks — and the dataset also holds a(a,a(a)), the
+// mirror image of the range query a(a(a),a) at τ=1: size, height, label
+// histogram and both label sequences agree, the distance is 2, and only
+// the DP can prove it.
 func TestBoundedRefineCountersFire(t *testing.T) {
 	ts := append(testDataset(200, 9), tree.MustParse("a(a,a(a))"))
 	ix := NewIndex(ts, NewBiBranch())
 	var agg Stats
-	for qi := 0; qi < 8; qi++ {
-		_, st, err := ix.KNN(context.Background(), ts[qi*20], 3)
-		if err != nil {
-			t.Fatal(err)
+	for _, f := range []Filter{NewBiBranch(), &BiBranch{Q: 2}} {
+		fx := NewIndex(ts, WithFilter(f))
+		var fagg Stats
+		for qi := 0; qi < 8; qi++ {
+			_, st, err := fx.KNN(context.Background(), ts[qi*20], 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fagg.Add(st)
+			_, st, err = fx.Range(context.Background(), ts[qi*20+7], 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fagg.Add(st)
 		}
-		agg.Add(st)
-		_, st, err = ix.Range(context.Background(), ts[qi*20+7], 2)
-		if err != nil {
-			t.Fatal(err)
+		if bb := f.(*BiBranch); bb.Positional && fagg.Pruned.Sequence == 0 {
+			t.Errorf("%s: no sequence-tier prunes across the workload: %+v", f.Name(), fagg)
 		}
-		agg.Add(st)
+		agg.Add(fagg)
 	}
 	if agg.PrecheckRejects == 0 {
 		t.Errorf("no pre-check rejections across the workload: %+v", agg)

@@ -226,6 +226,7 @@ func newMetrics(s *Server) *Metrics {
 				{Value: float64(p.BDist), Labels: obs.Labels{"tier": "bdist"}},
 				{Value: float64(p.Label), Labels: obs.Labels{"tier": "label"}},
 				{Value: float64(p.Positional), Labels: obs.Labels{"tier": "positional"}},
+				{Value: float64(p.Sequence), Labels: obs.Labels{"tier": "sequence"}},
 			}
 		})
 	reg.CounterFunc("treesim_query_false_positives_total", "Verified candidates whose exact distance failed the predicate, across all queries.",

@@ -43,7 +43,7 @@ func spanChild(sn obs.SpanSnapshot, name string) (obs.SpanSnapshot, bool) {
 
 // TestKNNTrace: ?trace=1 returns the span tree inline — filter and refine
 // stages under the request root, stage durations summing within the root,
-// and candidate/verified counts as attributes.
+// and the bounded, candidate and verified counts as attributes.
 func TestKNNTrace(t *testing.T) {
 	_, hs, ts := newTestServer(t, quietConfig(), 50, 50)
 
@@ -73,8 +73,11 @@ func TestKNNTrace(t *testing.T) {
 		t.Errorf("stages %d+%dus exceed root %dus", filter.DurUS, refine.DurUS, root.DurUS)
 	}
 	// JSON numbers decode as float64.
-	if c, _ := filter.Attrs["candidates"].(float64); c != 50 {
-		t.Errorf("filter candidates %v, want 50", filter.Attrs["candidates"])
+	if c, _ := filter.Attrs["bounded"].(float64); c != 50 {
+		t.Errorf("filter bounded %v, want 50", filter.Attrs["bounded"])
+	}
+	if c, _ := filter.Attrs["candidates"].(float64); int(c) != resp.Stats.Candidates {
+		t.Errorf("filter candidates %v, stats say %d", filter.Attrs["candidates"], resp.Stats.Candidates)
 	}
 	if v, _ := refine.Attrs["verified"].(float64); int(v) != resp.Stats.Verified {
 		t.Errorf("refine verified %v, stats say %d", refine.Attrs["verified"], resp.Stats.Verified)

@@ -200,35 +200,45 @@ func BenchmarkVectorConstruction(b *testing.B) {
 
 // BenchmarkFilterStage measures the filter stage alone, in ns per live
 // tree, for the two query kinds at growing dataset sizes on the paper's
-// default spec, and reports the candidates a query leaves. Over an indexed
-// segment both kinds read every tree's BDist and label overlap off one
-// sweep each of the segment's postings, so the per-tree work left is the
-// size tier, two lookups and, for the few survivors, a positional bound: a
-// range query's at τ, a k-NN query's lazily during refinement
-// (Stats.FilterTime counts them). The -memtable rows hold the last 1 023
-// trees in the memtable, one insert short of the default seal, which
-// merge-joins per tree and has no label tier: a range query's joins stop
-// once BDist is out of Factor·τ's reach, a k-NN query's run in full. The
-// dblp rows are DBLP-like records queried by variants of records, as the
-// mixed_rw workload queries them: there the label tier, not BDist, decides
-// most trees.
+// default spec, and reports per query what the filter leaves: the share
+// of the trees the cheap tiers prune, the candidates and the
+// verifications, each read once per query of the set outside the timed
+// loop. Over an indexed segment both kinds read every tree's BDist and
+// label overlap off one sweep each of the segment's postings, so the
+// per-tree work left is the size tier, two lookups and, for the few
+// survivors, a positional bound and the sequence tier: a range query's at
+// τ, a k-NN query's lazily during refinement (Stats.FilterTime counts
+// them). The -memtable rows hold the last 1 023 trees in the memtable, one
+// insert short of the default seal, which merge-joins per tree and has no
+// label tier: a range query's joins stop once BDist is out of Factor·τ's
+// reach, a k-NN query's run in full. The dblp rows are DBLP-like records
+// queried by variants of records, as the mixed_rw workload queries them:
+// there the label tier, not BDist, decides most trees, and the sequence
+// tier most of the trees the others leave, which verified reads.
 func BenchmarkFilterStage(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
 	opts := []search.IndexOption{search.WithShards(1), search.WithRefineWorkers(1)}
 	run := func(name string, n int, query func(q *tree.Tree) search.Stats, queries []*tree.Tree) {
 		b.Run(name+"/"+intName(n), func(b *testing.B) {
-			var filter time.Duration
-			var pruned search.Funnel
-			candidates := 0
-			for i := 0; i < b.N; i++ {
-				st := query(queries[i%len(queries)])
-				filter += st.FilterTime
-				pruned = st.Pruned
+			// Per query of the set, not per iteration: b.N cycles the set,
+			// so a mean over the iterations would move with b.N.
+			var cheap, candidates, verified int
+			for _, q := range queries {
+				st := query(q)
+				cheap += st.Pruned.Size + st.Pruned.BDist + st.Pruned.Label
 				candidates += st.Candidates
+				verified += st.Verified
 			}
+			b.ResetTimer()
+			var filter time.Duration
+			for i := 0; i < b.N; i++ {
+				filter += query(queries[i%len(queries)]).FilterTime
+			}
+			nq := float64(len(queries))
 			b.ReportMetric(float64(filter.Nanoseconds())/float64(b.N)/float64(n), "ns/tree")
-			b.ReportMetric(float64(pruned.Size+pruned.BDist+pruned.Label)/float64(n), "cheap-pruned")
-			b.ReportMetric(float64(candidates)/float64(b.N), "candidates")
+			b.ReportMetric(float64(cheap)/nq/float64(n), "cheap-pruned")
+			b.ReportMetric(float64(candidates)/nq, "candidates")
+			b.ReportMetric(float64(verified)/nq, "verified")
 		})
 	}
 	rangeq := func(ix *search.Index, tau int) func(q *tree.Tree) search.Stats {

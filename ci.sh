@@ -98,6 +98,7 @@ for stage; do
         fuzz FuzzDistanceWithin ./internal/editdist
         fuzz FuzzLoadIndex ./internal/search
         fuzz FuzzExactLabelTier ./internal/search
+        fuzz FuzzSequenceTier ./internal/search
         fuzz FuzzManifest ./internal/segstore
         fuzz FuzzParseTraceparent ./internal/obs
         fuzz FuzzTraceparentMiddleware ./internal/server

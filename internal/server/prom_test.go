@@ -234,10 +234,9 @@ func TestMetricsPromExposition(t *testing.T) {
 }
 
 // driveRefineWorkload issues 8 k-NN and 8 range queries drawn from the
-// dataset: enough verifications that a check before the tree DP — an O(n)
-// pre-check or the sequence bound — rejects at least one of them. (A DP
-// early abort needs a pair those checks cannot see; TestMetricsEndpoint
-// adds one.)
+// dataset: enough that the filter's sequence tier prunes at least one
+// tree. (A verifier pre-check rejection and a DP early abort need pairs
+// the filter lets through; TestMetricsEndpoint adds one of each.)
 func driveRefineWorkload(t *testing.T, url string, ts []*tree.Tree) {
 	t.Helper()
 	for _, q := range ts[:8] {

@@ -19,7 +19,9 @@
 // DistanceWithin are that same path for a single pair.
 // The package also exports the Guha et al. preorder/postorder sequence
 // lower bound (reference [15]) as a baseline — the verifier runs it banded
-// before the tree DP — and an exponential brute-force distance over Tai
+// before the tree DP — and its banded label-sequence distance, SeqDist,
+// which the search engine's sequence tier runs on sequences read off
+// branch profiles; and an exponential brute-force distance over Tai
 // mappings used to validate the dynamic program in tests.
 package editdist
 

@@ -113,6 +113,14 @@ func rootLabel(key string) string {
 // trees an inverted file is built over need their labels known (see
 // QueryLabels). The slice is shared; callers must not modify it.
 func (s *Space) Roots() (root []Label, labels int) {
+	// Once a dataset is labelled, a query finds nothing new to intern.
+	s.mu.RLock()
+	if len(s.root) == len(s.keys) {
+		root, labels = s.root, len(s.labelIDs)
+		s.mu.RUnlock()
+		return root, labels
+	}
+	s.mu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.labelIDs) == 0 {

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/figures.golden from this run")
+var update = flag.Bool("update", false, "rewrite the testdata/figures*.golden files from this run")
 
 // goldenTables renders the timing-free columns of Figs. 7–14 and both
 // ablations at cfg: every row's query parameter, BiBranch %, Histo % and
@@ -33,11 +33,29 @@ func goldenTables(cfg Config) string {
 // TestFiguresGolden pins what the paper's figures measure: a change to a
 // filter's bound, to the replay or to the datasets moves a percentage and
 // fails here, rather than drifting silently through EXPERIMENTS.md. Rewrite
-// the file with `go test -run FiguresGolden -update ./internal/experiments`
-// only when a figure is meant to move, and say why in the change.
+// the files with `go test -run FiguresGolden -update ./internal/experiments`
+// only when a figure is meant to move, and say why in the change. The quick
+// scale takes seconds, so it is skipped under the race detector.
 func TestFiguresGolden(t *testing.T) {
-	got := goldenTables(UnitScale())
-	path := filepath.Join("testdata", "figures.golden")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		file string
+	}{
+		{"unit", UnitScale(), "figures.golden"},
+		{"quick", QuickScale(), "figures_quick.golden"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "quick" && raceEnabled {
+				t.Skip("quick scale: skipped under -race")
+			}
+			checkGolden(t, goldenTables(tc.cfg), filepath.Join("testdata", tc.file))
+		})
+	}
+}
+
+func checkGolden(t *testing.T, got, path string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

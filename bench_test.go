@@ -322,19 +322,19 @@ func BenchmarkSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkKNNQuery compares one k-NN query under each filter on a fixed
-// synthetic dataset (index construction excluded).
+// BenchmarkKNNQuery compares one k-NN query under the filter and under the
+// sequential scan on a fixed synthetic dataset (index construction
+// excluded).
 func BenchmarkKNNQuery(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
 	ts := datagen.New(spec, 5).Dataset(300, 15)
 	q := ts[42]
-	filters := map[string]search.Filter{
+	filters := map[string]*search.BiBranch{
 		"BiBranch":   search.NewBiBranch(),
-		"Histo":      search.NewHisto(),
-		"Sequential": search.NewNone(),
+		"Sequential": nil,
 	}
 	for name, f := range filters {
-		ix := search.NewIndex(ts, search.WithFilter(f))
+		ix := search.NewIndex(ts, f)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ix.KNN(context.Background(), q, 3)

@@ -13,10 +13,14 @@
 // The dataset must be the one the recording server indexed (replayed
 // counters are sanity-checked against the recorded dataset size). Output:
 // a ranked table on stdout and a JSON report (-out).
+//
+// Every row but histo runs the serving engine, one refine worker. The
+// histogram baseline is not served: its row replays Algorithm 2 over its
+// bound as the figures do, so its counters and its timing columns are the
+// replay's own, without tightness, DP-cell or cut-short counters.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -29,6 +33,7 @@ import (
 	"time"
 
 	"treesim/internal/dataset"
+	"treesim/internal/experiments"
 	"treesim/internal/qlog"
 	"treesim/internal/search"
 	"treesim/internal/tree"
@@ -113,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.xmlDir, "xml", "", "directory of XML documents (alternative to -data)")
 	fs.StringVar(&c.index, "index", "", "saved index file; its trees become the dataset (alternative to -data/-xml)")
 	fs.StringVar(&c.filters, "filters", defaultFilters,
-		"comma-separated filter matrix: bibranch, bibranch-nopos, bibranch-qN, histo, none")
+		"comma-separated filter matrix: bibranch, bibranch-nopos, bibranch-qN, histo (replayed), none")
 	fs.StringVar(&c.out, "out", "BENCH_filters.json", "JSON report path (empty disables)")
 	fs.IntVar(&c.limit, "limit", 0, "replay at most this many records (0 = all)")
 	if err := fs.Parse(args); err != nil {
@@ -164,13 +169,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if spec == "" {
 			continue
 		}
-		f, err := search.ParseFilter(spec, 2)
-		if err != nil {
-			fmt.Fprintf(stderr, "treesim-analyze: %v\n", err)
-			return 2
+		var fr filterReport
+		var answer answerer
+		if spec == "histo" {
+			fr, answer = histoRow(ts)
+		} else {
+			f, err := search.ParseFilter(spec, 2)
+			if err != nil {
+				fmt.Fprintf(stderr, "treesim-analyze: %v\n", err)
+				return 2
+			}
+			fr, answer = engineRow(f, ts)
 		}
-		fr, err := replay(spec, f, ts, recs)
-		if err != nil {
+		fr.Spec = spec
+		if err := replay(&fr, answer, recs); err != nil {
 			fmt.Fprintf(stderr, "treesim-analyze: %s: %v\n", spec, err)
 			return 1
 		}
@@ -221,22 +233,40 @@ func loadDataset(c config) ([]*tree.Tree, error) {
 	return nil, fmt.Errorf("need a dataset: -data, -xml or -index")
 }
 
-// replay runs the whole workload through one filter and aggregates its
-// quality counters.
-func replay(spec string, f search.Filter, ts []*tree.Tree, recs []qlog.Record) (filterReport, error) {
-	buildStart := time.Now()
-	// One refine worker keeps the replay's verified counts — the table's
-	// accessed fraction — independent of worker timing.
-	ix := search.NewIndex(ts, search.WithFilter(f), search.WithRefineWorkers(1))
-	fr := filterReport{
-		Filter:       ix.Filter().Name(),
-		Spec:         spec,
-		IndexBuildUS: time.Since(buildStart).Microseconds(),
-	}
-	if bb, ok := f.(*search.BiBranch); ok {
-		fr.TightnessLimit = bb.Factor()
-	}
+// answerer answers one recorded query under one filter of the matrix.
+type answerer func(q *tree.Tree, op experiments.Query) (search.Stats, error)
 
+// engineRow indexes ts under f and answers through the engine. One refine
+// worker keeps the replay's verified counts — the table's accessed
+// fraction — independent of worker timing.
+func engineRow(f *search.BiBranch, ts []*tree.Tree) (filterReport, answerer) {
+	start := time.Now()
+	ix := search.NewIndex(ts, f, search.WithRefineWorkers(1))
+	fr := filterReport{
+		Filter:         ix.Filter().Name(),
+		IndexBuildUS:   time.Since(start).Microseconds(),
+		TightnessLimit: f.Factor(),
+	}
+	return fr, func(q *tree.Tree, op experiments.Query) (search.Stats, error) {
+		_, st, err := op.Engine(ix, q)
+		return st, err
+	}
+}
+
+// histoRow answers by the replay over the histogram baseline's bound.
+func histoRow(ts []*tree.Tree) (filterReport, answerer) {
+	start := time.Now()
+	bound := experiments.HistoBound(ts)
+	fr := filterReport{Filter: "Histo", IndexBuildUS: time.Since(start).Microseconds()}
+	return fr, func(q *tree.Tree, op experiments.Query) (search.Stats, error) {
+		_, st := op.Replay(ts, q, bound)
+		return st, nil
+	}
+}
+
+// replay runs the whole workload through one filter's answerer and
+// aggregates its quality counters into fr.
+func replay(fr *filterReport, answer answerer, recs []qlog.Record) error {
 	var (
 		verified, datasetScans, candidates, falsePos int
 		filterTime, refineTime                       time.Duration
@@ -244,25 +274,25 @@ func replay(spec string, f search.Filter, ts []*tree.Tree, recs []qlog.Record) (
 		tightN                                       int
 		totals                                       []int64
 	)
-	ctx := context.Background()
 	for _, r := range recs {
 		q, err := tree.Parse(r.Tree)
 		if err != nil || q.IsEmpty() {
 			fr.Errors++
 			continue
 		}
-		var stats search.Stats
+		var op experiments.Query
 		switch r.Op {
 		case "knn":
-			_, stats, err = ix.KNN(ctx, q, r.K)
+			op = experiments.Query{KNN: true, K: r.K}
 		case "range":
-			_, stats, err = ix.Range(ctx, q, r.Tau)
+			op = experiments.Query{Tau: r.Tau}
 		default:
 			fr.Errors++
 			continue
 		}
+		stats, err := answer(q, op)
 		if err != nil {
-			return fr, err
+			return err
 		}
 		fr.Queries++
 		verified += stats.Verified
@@ -282,7 +312,7 @@ func replay(spec string, f search.Filter, ts []*tree.Tree, recs []qlog.Record) (
 		totals = append(totals, (stats.FilterTime + stats.RefineTime).Microseconds())
 	}
 	if fr.Queries == 0 {
-		return fr, fmt.Errorf("no replayable records")
+		return fmt.Errorf("no replayable records")
 	}
 	if datasetScans > 0 {
 		fr.AccessedFraction = float64(verified) / float64(datasetScans)
@@ -300,7 +330,7 @@ func replay(spec string, f search.Filter, ts []*tree.Tree, recs []qlog.Record) (
 	sort.Slice(totals, func(i, j int) bool { return totals[i] < totals[j] })
 	fr.TotalP50US = totals[(len(totals)-1)/2]
 	fr.TotalP99US = totals[(len(totals)-1)*99/100]
-	return fr, nil
+	return nil
 }
 
 // printTable renders the per-filter comparison, best accessed fraction

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,6 +125,49 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	for _, f := range rep.Filters {
 		if !strings.Contains(table, f.Spec) {
 			t.Errorf("table lacks filter spec %s:\n%s", f.Spec, table)
+		}
+	}
+}
+
+// TestAnalyzeRowsPinned pins the histo, bibranch and none rows to what the
+// engine read for all three when it still served the histogram filter: the
+// histo row's replay must count what the engine's Histo index verified and
+// kept as candidates, query for query.
+func TestAnalyzeRowsPinned(t *testing.T) {
+	want := map[[2]int]map[string][3]float64{
+		{40, 12}: {
+			"histo":    {0.160417, 6.4167, 0.402597},
+			"bibranch": {0.108333, 4.3333, 0.115385},
+			"none":     {1.000000, 40.0000, 0.904167},
+		},
+		{200, 60}: {
+			"histo":    {0.077750, 15.5500, 0.702036},
+			"bibranch": {0.026250, 5.0833, 0.117460},
+			"none":     {1.000000, 200.0000, 0.976833},
+		},
+	}
+	for w, rows := range want {
+		dataPath, qlogPath := writeWorkload(t, w[0], w[1])
+		out := filepath.Join(t.TempDir(), "r.json")
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-qlog", qlogPath, "-data", dataPath, "-filters", "histo,bibranch,none", "-out", out},
+			&stdout, &stderr); code != 0 {
+			t.Fatalf("n=%d: exit %d: %s", w[0], code, stderr.String())
+		}
+		raw, _ := os.ReadFile(out)
+		var rep report
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range rep.Filters {
+			got := fmt.Sprintf("%.6f %.4f %.6f", f.AccessedFraction, f.CandidatesMean, f.FalsePositiveRate)
+			r := rows[f.Spec]
+			if want := fmt.Sprintf("%.6f %.4f %.6f", r[0], r[1], r[2]); got != want {
+				t.Errorf("n=%d %s: accessed, candidates, fp-rate %s; want %s", w[0], f.Spec, got, want)
+			}
+		}
+		if len(rep.Filters) != 3 {
+			t.Errorf("n=%d: %d rows, want 3", w[0], len(rep.Filters))
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // binary branch filter-and-refine engine.
 //
 //	treesim knn   -data data.trees -query 'a(b,c)' -k 5
-//	treesim knn   -data data.trees -query-index 17 -k 10 -filter histo
+//	treesim knn   -data data.trees -query-index 17 -k 10 -filter bibranch-q3
 //	treesim knn   -data data.trees -query 'a(b,c)' -k 5 -explain
 //	treesim range -data data.trees -query 'a(b,c)' -tau 3
 //	treesim dist  'a(b(c,d),b(c,d),e)' 'a(b(c,d,b(e)),c,d,e)'
@@ -10,7 +10,8 @@
 //
 // Datasets are line-format files (see cmd/treegen) or directories of XML
 // documents (-xml dir). Filters: bibranch (default; the paper's positional
-// binary branch bound), bibranch-nopos, bibranch-qN, histo, none.
+// binary branch bound), bibranch-nopos, bibranch-qN, none (the sequential
+// scan); treesim-analyze replays the paper's histogram baseline.
 //
 // For a long-lived server over the same engine, see cmd/treesimd.
 package main
@@ -87,7 +88,7 @@ func (d *dataFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&d.index, "index", "", "saved index file (alternative to -data/-xml; see 'treesim index')")
 	fs.StringVar(&d.query, "query", "", "query tree in canonical text format")
 	fs.IntVar(&d.queryIndex, "query-index", -1, "use dataset tree i as the query")
-	fs.StringVar(&d.filter, "filter", "bibranch", "filter: bibranch, bibranch-nopos, bibranch-qN, histo, none")
+	fs.StringVar(&d.filter, "filter", "bibranch", "filter: bibranch, bibranch-nopos, bibranch-qN, none")
 	fs.IntVar(&d.q, "q", 2, "binary branch level (bibranch, bibranch-nopos)")
 }
 
@@ -120,7 +121,7 @@ func (d *dataFlags) buildIndex() (*search.Index, *tree.Tree, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return search.NewIndex(ts, search.WithFilter(f)), q, nil
+	return search.NewIndex(ts, f), q, nil
 }
 
 // resolveQuery parses -query, or validates -query-index against a dataset
@@ -311,12 +312,11 @@ func runIndex(args []string) error {
 	if err != nil {
 		return err
 	}
-	bb, ok := flt.(*search.BiBranch)
-	if !ok {
+	if flt == nil {
 		return fmt.Errorf("filter %q cannot be saved: an index file holds a bibranch family", df.filter)
 	}
 	start := time.Now()
-	ix := search.NewIndex(ts, bb)
+	ix := search.NewIndex(ts, flt)
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
@@ -329,7 +329,7 @@ func runIndex(args []string) error {
 		return err
 	}
 	fmt.Printf("indexed %d trees (q=%d, positional=%v) into %s in %v\n",
-		ix.Size(), bb.Q, bb.Positional, *out, time.Since(start).Round(time.Millisecond))
+		ix.Size(), flt.Q, flt.Positional, *out, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

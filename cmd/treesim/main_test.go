@@ -63,12 +63,31 @@ func TestRunKNNCommand(t *testing.T) {
 
 func TestRunKNNFilters(t *testing.T) {
 	data := writeTestData(t)
-	for _, f := range []string{"bibranch", "bibranch-nopos", "histo", "none"} {
+	for _, f := range []string{"bibranch", "bibranch-nopos", "none"} {
 		out := captureStdout(t, func() {
 			runKNN([]string{"-data", data, "-query-index", "0", "-k", "1", "-filter", f})
 		})
 		if !contains(out, "dist=0") {
 			t.Errorf("filter %s: output missing result:\n%s", f, out)
+		}
+	}
+}
+
+// TestRunHistoFilterRefused: the histogram baseline is not served, so
+// -filter histo fails before any query runs, pointing at the tool that
+// replays it; a branch level outside [2, 16] fails the same way.
+func TestRunHistoFilterRefused(t *testing.T) {
+	data := writeTestData(t)
+	for _, args := range [][]string{{"-filter", "histo"}, {"-q", "1"}, {"-q", "17"}} {
+		var err error
+		out := captureStdout(t, func() {
+			err = runKNN(append([]string{"-data", data, "-query-index", "0", "-k", "1"}, args...))
+		})
+		if err == nil || out != "" {
+			t.Fatalf("%v: err %v, output %q; want an error and no output", args, err, out)
+		}
+		if args[0] == "-filter" && !strings.Contains(err.Error(), "treesim-analyze") {
+			t.Errorf("%v: error %q does not name treesim-analyze", args, err)
 		}
 	}
 }

@@ -44,7 +44,10 @@ func TestRunErrors(t *testing.T) {
 		{"no source", nil, 1, "need an index source"},
 		{"missing dataset", []string{"-data", filepath.Join(t.TempDir(), "nope.trees")}, 1, "loading dataset"},
 		{"bad filter", []string{"-data", data, "-filter", "bogus"}, 1, "unknown filter"},
-		{"filter a snapshot cannot hold", []string{"-data", data, "-filter", "histo"}, 1, "cannot be served"},
+		{"filter a snapshot cannot hold", []string{"-data", data, "-filter", "none"}, 1, "cannot be served"},
+		{"baseline not served", []string{"-data", data, "-filter", "histo"}, 1, "treesim-analyze"},
+		{"branch level too low", []string{"-data", data, "-q", "1"}, 1, "outside [2, 16]"},
+		{"branch level a snapshot cannot hold", []string{"-data", data, "-q", "17"}, 1, "outside [2, 16]"},
 		{"bad flag", []string{"-definitely-not-a-flag"}, 2, "flag provided but not defined"},
 		{"retired flag", []string{"-data", data, "-profile-every", "1s"}, 2, "flag provided but not defined: -profile-every"},
 		{"bad index file", []string{"-index", data}, 1, "loading index"},

@@ -45,7 +45,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Queries through the reloaded index match a sequential scan over the
 	// original data.
-	seq := NewIndex(data, NewNoFilter())
+	seq := NewIndex(data)
 	query := data[31]
 	wantK, _, _ := seq.KNN(context.Background(), query, 5)
 	gotK, stats, _ := ix.KNN(context.Background(), query, 5)

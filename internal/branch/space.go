@@ -25,8 +25,13 @@ import (
 )
 
 // MinQ is the smallest meaningful branch level. q=1 records single labels
-// only (no structure); the paper starts at q=2.
-const MinQ = 2
+// only (no structure); the paper starts at q=2. MaxQ is the largest level a
+// filter is configured with or a snapshot stores: profiling costs 2^q per
+// node, so a larger q is a mistake or damage, not a configuration.
+const (
+	MinQ = 2
+	MaxQ = 16
+)
 
 // Factor returns the per-edit-operation bound 4(q−1)+1 of Theorem 3.3: one
 // edit operation changes at most Factor(q) q-level binary branches. For

@@ -24,7 +24,7 @@ type Classifier struct {
 
 // New builds a classifier from parallel slices of training trees and class
 // labels. k is the neighborhood size; filter may be nil (sequential scan).
-func New(ts []*tree.Tree, classes []string, k int, filter search.Filter) (*Classifier, error) {
+func New(ts []*tree.Tree, classes []string, k int, filter *search.BiBranch) (*Classifier, error) {
 	if len(ts) != len(classes) {
 		return nil, fmt.Errorf("classify: %d trees but %d class labels", len(ts), len(classes))
 	}
@@ -35,7 +35,7 @@ func New(ts []*tree.Tree, classes []string, k int, filter search.Filter) (*Class
 		return nil, fmt.Errorf("classify: k must be positive, got %d", k)
 	}
 	return &Classifier{
-		ix:      search.NewIndex(ts, search.WithFilter(filter)),
+		ix:      search.NewIndex(ts, filter),
 		classes: classes,
 		k:       k,
 	}, nil

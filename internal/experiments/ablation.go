@@ -39,8 +39,8 @@ func AblationPositional(cfg Config) *Table {
 		XLabel:  "query",
 	}
 	t.Rows = append(t.Rows,
-		cfg.ablationRow(fmt.Sprintf("knn k=%d", k), ts, qs, knnQuery(k), pos, plain),
-		cfg.ablationRow(fmt.Sprintf("range tau=%d", tau), ts, qs, rangeQuery(tau), pos, plain),
+		cfg.ablationRow(fmt.Sprintf("knn k=%d", k), ts, qs, Query{KNN: true, K: k}, pos, plain),
+		cfg.ablationRow(fmt.Sprintf("range tau=%d", tau), ts, qs, Query{Tau: tau}, pos, plain),
 	)
 	return t
 }
@@ -67,16 +67,16 @@ func AblationQ(cfg Config) *Table {
 	}
 	for _, q := range []int{2, 3, 4} {
 		ix := search.NewIndex(ts, &search.BiBranch{Q: q, Positional: true})
-		t.Rows = append(t.Rows, cfg.ablationRow(fmt.Sprintf("%d", q), ts, qs, rangeQuery(tau), ix, ref))
+		t.Rows = append(t.Rows, cfg.ablationRow(fmt.Sprintf("%d", q), ts, qs, Query{Tau: tau}, ix, ref))
 	}
 	return t
 }
 
 // ablationRow measures the variant (→ BiBranch column) and the reference
 // (→ Histo column) over the query set, as a figure row measures its filters.
-func (c Config) ablationRow(label string, ts, qs []*tree.Tree, op query, variant, reference *search.Index) Row {
-	va := c.measure(variant, ts, qs, op)
-	ra := c.measure(reference, ts, qs, op)
+func (c Config) ablationRow(label string, ts, qs []*tree.Tree, op Query, variant, reference *search.Index) Row {
+	va := c.measure(variant, op.indexBound(variant), ts, qs, op)
+	ra := c.measure(reference, op.indexBound(reference), ts, qs, op)
 	return Row{
 		X:            label,
 		BiBranchPct:  va.pct,

@@ -6,7 +6,6 @@ import (
 
 	"treesim/internal/branch"
 	"treesim/internal/editdist"
-	"treesim/internal/histogram"
 	"treesim/internal/tree"
 )
 
@@ -27,14 +26,9 @@ func Fig15(cfg Config) *DistTable {
 	for i, s := range spaces {
 		profiles[i] = s.ProfileAll(ts)
 	}
-	// The histogram distance uses the same equal-space folding as the
-	// Histo search filter (Section 5's fairness rule).
-	nodes := 0
-	for _, t := range ts {
-		nodes += t.Size()
-	}
-	hcfg := histogram.EqualSpace(3 * nodes / len(ts))
-	hists := histogram.ProfileAllConfig(ts, hcfg)
+	// The histogram bound is the figures' Histo column's, under the
+	// equal-space rule (Section 5's fairness rule).
+	histo := HistoBound(ts)
 
 	const maxDist = 12
 	// counts[m][d] accumulates, per measure m, how many (query, data)
@@ -51,18 +45,18 @@ func Fig15(cfg Config) *DistTable {
 
 	type qprofiles struct {
 		bb [3]*branch.Profile
-		h  *histogram.Profile
+		h  func(i int) int
 		t  *tree.Tree
 	}
 	for _, q := range qs {
-		qp := qprofiles{t: q, h: histogram.NewProfileConfig(q, hcfg)}
+		qp := qprofiles{t: q, h: histo(q)}
 		for i, s := range spaces {
 			qp.bb[i] = s.Profile(q)
 		}
 		dists := cfg.forEachQueryIdx(len(ts), func(i int) [nMeasures]int {
 			var v [nMeasures]int
 			v[mEdit] = editdist.Distance(qp.t, ts[i])
-			v[mHisto] = histogram.LowerBound(qp.h, hists[i])
+			v[mHisto] = qp.h(i)
 			for s := 0; s < 3; s++ {
 				v[mBB2+s] = branch.BDistLowerBound(qp.bb[s], profiles[s][i])
 			}

@@ -35,25 +35,27 @@ func (c Config) rangeRow(x string, ts []*tree.Tree, rng *rand.Rand) Row {
 }
 
 func (c Config) rangeRowTau(x string, ts []*tree.Tree, tau int, rng *rand.Rand) Row {
-	row := c.row(x, ts, c.sampleQueries(ts, rng), rangeQuery(tau))
+	row := c.row(x, ts, c.sampleQueries(ts, rng), Query{Tau: tau})
 	row.Tau = tau
 	return row
 }
 
 // knnRow runs the k-NN experiment on one dataset.
 func (c Config) knnRow(x string, ts []*tree.Tree, k int, rng *rand.Rand) Row {
-	row := c.row(x, ts, c.sampleQueries(ts, rng), knnQuery(k))
+	row := c.row(x, ts, c.sampleQueries(ts, rng), Query{KNN: true, K: k})
 	row.K = k
 	return row
 }
 
 // row measures one figure row: the accessed percentages of BiBranch and
 // Histo and the result percentage from the replay, the CPU times of
-// BiBranch search and of the sequential scan from the engine.
-func (c Config) row(x string, ts, qs []*tree.Tree, op query) Row {
-	bib := c.measure(search.NewIndex(ts, search.NewBiBranch()), ts, qs, op)
-	his := c.measure(search.NewIndex(ts, search.NewHisto()), ts, qs, op)
-	seq := c.measure(search.NewIndex(ts, search.NewNone()), ts, qs, op)
+// BiBranch search and of the sequential scan from the engine. Histo is
+// not served, so its row is the replay alone.
+func (c Config) row(x string, ts, qs []*tree.Tree, op Query) Row {
+	bi, sq := search.NewIndex(ts, search.NewBiBranch()), search.NewIndex(ts)
+	bib := c.measure(bi, op.indexBound(bi), ts, qs, op)
+	his := c.measure(nil, HistoBound(ts), ts, qs, op)
+	seq := c.measure(sq, op.indexBound(sq), ts, qs, op)
 	return Row{
 		X:            x,
 		BiBranchPct:  bib.pct,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"treesim/internal/editdist"
+	"treesim/internal/histogram"
 	"treesim/internal/search"
 	"treesim/internal/tree"
 )
@@ -19,72 +20,103 @@ import (
 // on several workers at once, so its Stats.Verified measures the engine. A
 // figure replays the paper's algorithm sequentially over the filter's bound
 // for its percentages, and runs the engine only to time each query and to
-// check that the two answer alike.
+// check that the two answer alike. The histogram baseline has no engine:
+// its column is the replay alone, and treesim-analyze replays it the same
+// way.
 
-// query is one figure's query kind and parameter.
-type query struct {
-	knn    bool
-	k, tau int
+// Query is one replayed query: a k-NN query for K when KNN is set, a
+// range query at Tau otherwise.
+type Query struct {
+	KNN    bool
+	K, Tau int
 }
 
-func knnQuery(k int) query     { return query{knn: true, k: k} }
-func rangeQuery(tau int) query { return query{tau: tau} }
-
-// engine answers q through the serving index.
-func (op query) engine(ix *search.Index, q *tree.Tree) ([]search.Result, search.Stats) {
-	if op.knn {
-		res, st, _ := ix.KNN(context.Background(), q, op.k)
-		return res, st
+// Engine answers q through the serving index.
+func (op Query) Engine(ix *search.Index, q *tree.Tree) ([]search.Result, search.Stats, error) {
+	if op.KNN {
+		return ix.KNN(context.Background(), q, op.K)
 	}
-	res, st, _ := ix.Range(context.Background(), q, op.tau)
-	return res, st
+	return ix.Range(context.Background(), q, op.Tau)
 }
 
-// replay answers q by the paper's algorithm over the bound of f, a filter
-// indexed over ts, and counts the trees it verifies. A range query
-// verifies every tree whose range bound is at most tau. A k-NN query is
-// Algorithm 2: trees in ascending (bound, id) order, each verified under the
-// live k-th-best distance until the next bound exceeds it.
-func (op query) replay(f search.Filter, ts []*tree.Tree, q *tree.Tree) (accessed int, res []search.Result) {
-	b := f.Query(q, make([]int32, 2*len(ts)))
-	pq := editdist.Prepare(q)
-	if !op.knn {
-		for i, t := range ts {
-			if b.RangeBound(i, op.tau) > op.tau {
-				continue
-			}
-			accessed++
-			if d, ok := pq.Within(t, op.tau, nil); ok {
-				res = append(res, search.Result{ID: i, Dist: d})
-			}
+// Bound is one filter's bound over a dataset: for a query q, the lower
+// bound between q and tree i that the query prunes on.
+type Bound func(q *tree.Tree) func(i int) int
+
+// indexBound is the bound of ix's filter, over ix's dataset as one segment,
+// that op prunes on: the k-NN bound, or the range bound at op.Tau.
+func (op Query) indexBound(ix *search.Index) Bound {
+	f, n := ix.Filter(), ix.Size()
+	return func(q *tree.Tree) func(int) int {
+		b := f.Query(q, make([]int32, 2*n))
+		if op.KNN {
+			return b.KNNBound
 		}
-		sortResults(res)
-		return accessed, res
+		return func(i int) int { return b.RangeBound(i, op.Tau) }
 	}
+}
+
+// HistoBound is the histogram filter of Kailing et al. over ts under the
+// paper's equal-space rule, the same for both query kinds.
+func HistoBound(ts []*tree.Tree) Bound {
+	cfg := histogram.EqualSpaceFor(ts)
+	ps := histogram.ProfileAllConfig(ts, cfg)
+	return func(q *tree.Tree) func(int) int {
+		qp := histogram.NewProfileConfig(q, cfg)
+		return func(i int) int { return histogram.LowerBound(qp, ps[i]) }
+	}
+}
+
+// Replay answers q by the paper's Algorithm 2 over bound, a filter's bound
+// over ts: trees in ascending (bound, id) order, each verified under the
+// threshold until the next bound exceeds it — a k-NN query's k-th best
+// distance so far, or tau. Its Stats count as candidates the trees whose
+// bound does not exceed the final threshold; its filter time is the
+// bounds' and the sort's, its refine time the verifications'.
+func (op Query) Replay(ts []*tree.Tree, q *tree.Tree, bound Bound) (res []search.Result, st search.Stats) {
+	start := time.Now()
+	lb := bound(q)
 	order := make([]int, len(ts))
-	bound := make([]int, len(ts))
+	bounds := make([]int, len(ts))
 	for i := range ts {
-		order[i], bound[i] = i, b.KNNBound(i)
+		order[i], bounds[i] = i, lb(i)
 	}
-	sort.SliceStable(order, func(x, y int) bool { return bound[order[x]] < bound[order[y]] })
-	k, cutoff := min(op.k, len(ts)), math.MaxInt
+	sort.SliceStable(order, func(x, y int) bool { return bounds[order[x]] < bounds[order[y]] })
+	st.Dataset = len(ts)
+	k, cutoff := min(op.K, len(ts)), math.MaxInt
+	if !op.KNN {
+		cutoff = op.Tau
+	} else if k < 1 {
+		return nil, st
+	}
+	st.FilterTime = time.Since(start)
+	start = time.Now()
+	pq := editdist.Prepare(q)
 	for _, i := range order {
-		if bound[i] > cutoff {
+		if bounds[i] > cutoff {
 			break
 		}
-		accessed++
+		st.Verified++
 		d, ok := pq.Within(ts[i], cutoff, nil)
 		if !ok {
 			continue
 		}
 		res = append(res, search.Result{ID: i, Dist: d})
-		sortResults(res)
-		if len(res) >= k {
+		if op.KNN && len(res) >= k {
+			sortResults(res)
 			res = res[:k]
 			cutoff = res[k-1].Dist
 		}
 	}
-	return accessed, res
+	st.RefineTime = time.Since(start)
+	sortResults(res)
+	for _, b := range bounds {
+		if b <= cutoff {
+			st.Candidates++
+		}
+	}
+	st.Results, st.FalsePositives = len(res), st.Verified-len(res)
+	return res, st
 }
 
 // sortResults orders results by ascending (dist, id), the engine's answer
@@ -106,20 +138,25 @@ type series struct {
 	time           time.Duration
 }
 
-// measure runs every query through ix, an index over ts, and through the
-// replay over ix's filter. It panics when the two answer differently: the
-// figure would then be measuring a broken engine.
-func (c Config) measure(ix *search.Index, ts, qs []*tree.Tree, op query) series {
+// measure runs every query through the replay over bound, a filter's bound
+// over ts, and, unless ix is nil, through ix, an index over ts, for its
+// time. It panics when the two answer differently: the figure would then
+// be measuring a broken engine.
+func (c Config) measure(ix *search.Index, bound Bound, ts, qs []*tree.Tree, op Query) series {
 	accessed := make([]int, len(qs))
 	results := make([]int, len(qs))
 	times := make([]time.Duration, len(qs))
 	c.forEachQuery(len(qs), func(i int) {
-		got, st := op.engine(ix, qs[i])
-		n, want := op.replay(ix.Filter(), ts, qs[i])
+		want, rst := op.Replay(ts, qs[i], bound)
+		accessed[i], results[i] = rst.Verified, len(want)
+		if ix == nil {
+			return
+		}
+		got, st, _ := op.Engine(ix, qs[i])
 		if !slices.Equal(got, want) {
 			panic(fmt.Sprintf("experiments: %s answers %v under %+v, the replay %v", ix.Filter().Name(), got, op, want))
 		}
-		accessed[i], results[i], times[i] = n, len(want), st.Total()
+		times[i] = st.Total()
 	})
 	var s series
 	for i := range qs {

@@ -70,6 +70,17 @@ func EqualSpace(totalBins int) Config {
 	return Config{LabelBins: l, DegreeBins: d, HeightBins: h}
 }
 
+// EqualSpaceFor applies the equal-space rule to a dataset: a branch vector
+// of ≤ |T| dimensions stores two positions per node, ≈ 3·|T| numbers at
+// the dataset's average size (rounded down), and the histograms get that.
+func EqualSpaceFor(ts []*tree.Tree) Config {
+	total := 0
+	for _, t := range ts {
+		total += t.Size()
+	}
+	return EqualSpace(3 * (total / max(len(ts), 1)))
+}
+
 // Profile is the histogram summary of one tree.
 type Profile struct {
 	Size   int

@@ -33,7 +33,7 @@ func TestBoundedRefineInvariance(t *testing.T) {
 	searchRuns := int64(bits.Len(uint(2*largest/8)) + 2)
 	for _, f := range allFilters() {
 		for _, S := range []int{1, 3, 0} {
-			ix := NewIndex(ts, WithFilter(f.Fresh()), WithShards(S))
+			ix := NewIndex(ts, f.Fresh(), WithShards(S))
 			for qi, q := range queries {
 				for _, k := range []int{1, 5, 12} {
 					want := bruteKNNAnswers(trees, q, k)
@@ -92,8 +92,8 @@ func TestBoundedRefineCountersFire(t *testing.T) {
 	ts := append(testDataset(200, 9), tree.MustParse("a(a,a(a))"))
 	ix := NewIndex(ts, NewBiBranch())
 	var agg Stats
-	for _, f := range []Filter{NewBiBranch(), &BiBranch{Q: 2}} {
-		fx := NewIndex(ts, WithFilter(f))
+	for _, f := range []*BiBranch{NewBiBranch(), &BiBranch{Q: 2}} {
+		fx := NewIndex(ts, f)
 		var fagg Stats
 		for qi := 0; qi < 8; qi++ {
 			_, st, err := fx.KNN(context.Background(), ts[qi*20], 3)
@@ -107,7 +107,7 @@ func TestBoundedRefineCountersFire(t *testing.T) {
 			}
 			fagg.Add(st)
 		}
-		if bb := f.(*BiBranch); bb.Positional && fagg.Pruned.Sequence == 0 {
+		if f.Positional && fagg.Pruned.Sequence == 0 {
 			t.Errorf("%s: no sequence-tier prunes across the workload: %+v", f.Name(), fagg)
 		}
 		agg.Add(fagg)
@@ -132,7 +132,7 @@ func TestBoundedRefineCountersFire(t *testing.T) {
 	// a(b,c) against a(c,b) passes every O(n) pre-check, but both label
 	// sequences are 2 apart: the sequence bound rejects the pair at τ=1
 	// with no DP, and it counts as a pre-check rejection.
-	_, st, err = NewIndex([]*tree.Tree{tree.MustParse("a(c,b)")}, NewNone()).
+	_, st, err = NewIndex([]*tree.Tree{tree.MustParse("a(c,b)")}).
 		Range(context.Background(), tree.MustParse("a(b,c)"), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,7 @@ func sweptLabels(ix *Index, q *tree.Tree) map[int]int {
 				carriers[l]++
 			}
 		}
-		swept := p.filter.(*BiBranch).post != nil
+		swept := p.filter.post != nil
 		for i, t := range p.trees {
 			if !swept {
 				out[sg.ID(i)] = 0
@@ -94,7 +94,7 @@ func exactTier(ix *Index, q *tree.Tree) map[int]int {
 	out := map[int]int{}
 	for _, sg := range ix.cut().segs {
 		p := payloadOf(sg)
-		swept := p.filter.(*BiBranch).post != nil
+		swept := p.filter.post != nil
 		for i, t := range p.trees {
 			out[sg.ID(i)] = 0
 			if swept {
@@ -414,9 +414,8 @@ func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tr
 }
 
 // TestFunnelEveryFilter: whatever the filter family and shard count, the
-// funnel sums to Dataset − Candidates, a filter without cheaper tiers
-// charges everything to its one bound, and the non-positional ablation
-// has no label tier; neither has a sequence tier. On DBLP-like records,
+// funnel sums to Dataset − Candidates, the sequential scan prunes nothing,
+// and the non-positional ablation has no size, label or sequence tier. On DBLP-like records,
 // whose dense labels (author, the record kinds) a query carries several
 // times, the k-NN scan prunes trees by the exact label tier when they
 // surface to be tightened — their swept keys are within the final k-th
@@ -428,7 +427,7 @@ func TestFunnelEveryFilter(t *testing.T) {
 	ts := testDataset(80, 93)
 	for _, f := range allFilters() {
 		for _, shards := range []int{1, 3} {
-			ix := NewIndex(ts, WithFilter(f.Fresh()), WithShards(shards))
+			ix := NewIndex(ts, f.Fresh(), WithShards(shards))
 			for _, q := range []*tree.Tree{ts[5], ts[61]} {
 				_, ks, _ := ix.KNN(context.Background(), q, 4)
 				_, rs, _ := ix.Range(context.Background(), q, 3)
@@ -436,19 +435,16 @@ func TestFunnelEveryFilter(t *testing.T) {
 					if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Label + st.Pruned.Positional + st.Pruned.Sequence; sum != st.Dataset-st.Candidates {
 						t.Errorf("%s S=%d %s: funnel %+v sums to %d, want %d", f.Name(), shards, op, st.Pruned, sum, st.Dataset-st.Candidates)
 					}
-					switch f := f.(type) {
-					case *Histo, *None:
-						if st.Pruned.Size+st.Pruned.BDist+st.Pruned.Label != 0 {
-							t.Errorf("%s %s: single-bound filter charged cheap tiers: %+v", f.Name(), op, st.Pruned)
+					switch {
+					case f == nil:
+						if st.Pruned != (Funnel{}) {
+							t.Errorf("%s %s: the sequential scan pruned: %+v", f.Name(), op, st.Pruned)
 						}
-						if st.Pruned.Sequence != 0 {
-							t.Errorf("%s %s: single-bound filter charged the sequence tier: %+v", f.Name(), op, st.Pruned)
-						}
-					case *BiBranch:
-						if !f.Positional && st.Pruned.Size+st.Pruned.Label != 0 {
+					case !f.Positional:
+						if st.Pruned.Size+st.Pruned.Label != 0 {
 							t.Errorf("%s %s: the ablation charged the size or label tier: %+v", f.Name(), op, st.Pruned)
 						}
-						if !f.Positional && st.Pruned.Sequence != 0 {
+						if st.Pruned.Sequence != 0 {
 							t.Errorf("%s %s: the ablation charged the sequence tier: %+v", f.Name(), op, st.Pruned)
 						}
 					}
@@ -565,7 +561,7 @@ func TestQueriesDoNotGrowTheSpace(t *testing.T) {
 	b := f.Query(q, make([]int32, 2*len(f.profiles)))
 	interned := f.space.Profile(q) // grows the space; last, on purpose
 	for i, p := range f.profiles {
-		if got, want := b.(*biBranchBounder).BDist(i), branch.BDist(interned, p); got != want {
+		if got, want := b.BDist(i), branch.BDist(interned, p); got != want {
 			t.Fatalf("tree %d: BDist %d through the lookup profile, %d interned", i, got, want)
 		}
 		if got, want := b.KNNBound(i), branch.SearchLBound(interned, p); got != want {
@@ -605,11 +601,11 @@ func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
 		qh := labelHist(q)
 		for si, sg := range cut.segs {
 			p := payloadOf(sg)
-			f := p.filter.(*BiBranch)
+			f := p.filter
 			if inMem := si >= sealed; (f.post == nil) != inMem {
 				t.Fatalf("%s: segment %d of %d (%d sealed) has postings %v", name, si, len(cut.segs), sealed, f.post != nil)
 			}
-			b := prims[si].(*biBranchBounder)
+			b := prims[si]
 			for i, pr := range f.profiles {
 				want := branch.BDist(b.qp, pr)
 				_, bd, lb := b.CheapBounds(i, noLimit)

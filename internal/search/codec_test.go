@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"treesim/internal/branch"
 	"treesim/internal/segstore"
 	"treesim/internal/tree"
 )
@@ -61,9 +62,11 @@ func TestSaveLoadPreservesConfig(t *testing.T) {
 		{ts, &BiBranch{Q: 3, Positional: false}},
 		// No segment to take the configuration from: the header keeps it.
 		{nil, &BiBranch{Q: 4, Positional: false}},
+		// The largest level ParseFilter accepts is one a snapshot stores.
+		{ts[:2], &BiBranch{Q: branch.MaxQ, Positional: true}},
 	} {
 		f := c.f
-		ix := NewIndex(c.ts, WithFilter(f))
+		ix := NewIndex(c.ts, f)
 		var buf bytes.Buffer
 		if err := SaveIndex(&buf, ix); err != nil {
 			t.Fatal(err)
@@ -72,7 +75,7 @@ func TestSaveLoadPreservesConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lf := loaded.Filter().(*BiBranch)
+		lf := loaded.Filter()
 		if lf.Q != f.Q || lf.Positional != f.Positional {
 			t.Errorf("config lost: got Q=%d pos=%v, want Q=%d pos=%v",
 				lf.Q, lf.Positional, f.Q, f.Positional)
@@ -136,8 +139,8 @@ func TestSaveLoadSegmentedRoundTrip(t *testing.T) {
 }
 
 // TestLoadSegmentedWithFilterReplace: a filter option on LoadIndex
-// re-indexes a segmented snapshot under the new filter, keeping ids and
-// the high-water mark while resolving tombstones.
+// re-indexes a segmented snapshot under the new filter, keeping ids, the
+// high-water mark and the tombstones.
 func TestLoadSegmentedWithFilterReplace(t *testing.T) {
 	all := testDataset(30, 31)
 	ix := NewIndex(all[:10], NewBiBranch(), WithMemtableSize(5), WithCompactionThreshold(-1))
@@ -149,12 +152,12 @@ func TestLoadSegmentedWithFilterReplace(t *testing.T) {
 	if err := SaveIndex(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(&buf, WithFilter(NewHisto()))
+	loaded, err := LoadIndex(&buf, &BiBranch{Q: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Filter().Name() != "Histo" {
-		t.Fatalf("filter %s, want Histo", loaded.Filter().Name())
+	if loaded.Filter().Name() != "BiBranch-nopos" {
+		t.Fatalf("filter %s, want BiBranch-nopos", loaded.Filter().Name())
 	}
 	if loaded.Size() != 30 || loaded.Live() != 29 {
 		t.Fatalf("size/live %d/%d, want 30/29", loaded.Size(), loaded.Live())
@@ -172,10 +175,10 @@ func TestLoadSegmentedWithFilterReplace(t *testing.T) {
 }
 
 func TestSaveRejectsOtherFilters(t *testing.T) {
-	ix := NewIndex(testDataset(5, 23), NewHisto())
+	ix := NewIndex(testDataset(5, 23))
 	var buf bytes.Buffer
 	if err := SaveIndex(&buf, ix); err == nil {
-		t.Error("Histo index saved")
+		t.Error("sequential index saved")
 	}
 }
 

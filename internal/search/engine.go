@@ -30,7 +30,7 @@ import (
 // positions are skipped, by a cursor over the sorted tombstone ids, before
 // any bound is computed.
 //
-// The filter is a bound cascade, cheapest tier first (see Bounder): the
+// The filter is a bound cascade, cheapest tier first (see biBranchBounder): the
 // size bound ||q|−|t||, then ⌈BDist/Factor⌉, then the label-histogram
 // bound ⌈L1/2⌉ of Kailing et al. as swept; for the trees all three leave
 // standing the label bound made exact and the filter's full bound, the
@@ -926,7 +926,7 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 		var (
 			segLo, segHi                             int
 			sg                                       *segstore.Segment
-			b                                        Bounder
+			b                                        *biBranchBounder
 			bySize, byBDist, byLabel, byBound, bySeq int
 			seq                                      seqBuf
 		)

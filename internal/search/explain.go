@@ -62,8 +62,7 @@ type Funnel struct {
 	// label-histogram bound ⌈L1/2⌉ of a swept segment.
 	Label int `json:"label"`
 	// Positional counts trees that passed the three cheap tiers and were
-	// pruned by the filter's full bound: the positional bound of BiBranch,
-	// or the single bound of a filter that has no cheaper tier.
+	// pruned by the filter's full bound, the positional one.
 	Positional int `json:"positional"`
 	// Sequence counts trees that passed every bound of the filter and
 	// were pruned by Guha et al.'s sequence bound, read off the positional
@@ -202,14 +201,10 @@ func (c *explainCollector) boundDist() BoundDist {
 // sample set (capped) and, when ex is non-nil, the full EXPLAIN sample.
 // The bounder addresses trees by segment-local position (local) while the
 // sample reports the dataset id (gid). Pairs at exact distance 0 carry no
-// ratio and are skipped; filters without a branch embedding produce no
-// samples.
-func sampleTightness(b Bounder, st *Stats, ex *Explain, local, gid, bound, exact int) {
-	if exact <= 0 {
-		return
-	}
-	bd, ok := b.(*biBranchBounder)
-	if !ok {
+// ratio and are skipped; the sequential scan, which has no branch
+// embedding, produces no samples.
+func sampleTightness(b *biBranchBounder, st *Stats, ex *Explain, local, gid, bound, exact int) {
+	if exact <= 0 || b == nil {
 		return
 	}
 	full := ex != nil && len(ex.Tightness) < tightnessCap
@@ -217,7 +212,7 @@ func sampleTightness(b Bounder, st *Stats, ex *Explain, local, gid, bound, exact
 	if !full && !brief {
 		return
 	}
-	d := bd.BDist(local)
+	d := b.BDist(local)
 	ratio := float64(d) / float64(exact)
 	if brief {
 		st.Tightness = append(st.Tightness, ratio)
@@ -230,7 +225,7 @@ func sampleTightness(b Bounder, st *Stats, ex *Explain, local, gid, bound, exact
 }
 
 // finish fills the derived Explain fields from the final stats.
-func (e *Explain) finish(f Filter, st Stats) {
+func (e *Explain) finish(f *BiBranch, st Stats) {
 	if e == nil {
 		return
 	}
@@ -248,9 +243,7 @@ func (e *Explain) finish(f Filter, st Stats) {
 	e.DPCellsFull = st.DPCellsFull
 	e.FilterUS = st.FilterTime.Microseconds()
 	e.RefineUS = st.RefineTime.Microseconds()
-	if bb, ok := f.(*BiBranch); ok {
-		e.TightnessLimit = bb.Factor()
-	}
+	e.TightnessLimit = f.Factor()
 }
 
 // String renders the analysis for terminals (cmd/treesim -explain).

@@ -122,12 +122,13 @@ func TestTightnessWithinFactor(t *testing.T) {
 	}
 }
 
-// TestExplainFilterlessPaths: filters without a branch embedding produce
-// a valid explain with no tightness samples and no factor claim.
+// TestExplainFilterlessPaths: the sequential scan, chosen or forced by a
+// cost model without a minimum, has no branch embedding and produces a
+// valid explain with no tightness samples and no factor claim.
 func TestExplainFilterlessPaths(t *testing.T) {
 	ts := testDataset(20, 84)
-	for _, f := range []Filter{NewHisto(), NewNone()} {
-		ix := NewIndex(ts, WithFilter(f))
+	for _, ix := range []*Index{NewIndex(ts), NewIndex(ts, NewBiBranch(), WithCostModel(freeRelabels{}))} {
+		f := ix.Filter()
 		var ex *Explain
 		_, _, err := ix.KNN(context.Background(), ts[0], 3, WithExplain(&ex))
 		if err != nil {

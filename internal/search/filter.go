@@ -5,11 +5,10 @@
 // (refine). The lower-bound property guarantees completeness: no true
 // result is ever filtered out.
 //
-// Filters are pluggable. The paper's contribution is the BiBranch filter
-// (binary branch vectors with the positional SearchLBound optimistic
-// bound); Histo is the histogram baseline of Kailing et al.; None disables
-// filtering and degenerates to the sequential scan used as the timing
-// baseline.
+// The engine serves one filter, the paper's BiBranch, and calls it
+// directly. The nil *BiBranch is the sequential scan, the timing baseline.
+// The histogram filter of Kailing et al. is not served: the figures and
+// treesim-analyze replay Algorithm 2 over its bound.
 package search
 
 import (
@@ -22,132 +21,46 @@ import (
 
 	"treesim/internal/branch"
 	"treesim/internal/editdist"
-	"treesim/internal/histogram"
 	"treesim/internal/invfile"
 	"treesim/internal/tree"
 )
 
-// Filter preprocesses a dataset once and then produces a Bounder per query.
-// The interface is sealed to this package: the segmented store needs every
-// filter to grow by one tree, to be rebuilt over a compacted segment and to
-// freeze a prefix of itself, and the three families here all do.
-type Filter interface {
-	// Name identifies the filter in statistics and experiment output.
-	Name() string
-	// Index preprocesses the dataset (e.g. builds branch vectors).
-	Index(ts []*tree.Tree)
-	// Query preprocesses one query tree and returns its bounder. acc has
-	// two entries per indexed tree: working memory the bounder may keep
-	// until the query ends (BiBranch sweeps its branch postings into the
-	// first half and its label postings into the second).
-	Query(q *tree.Tree, acc []int32) Bounder
-	// Append extends the indexed state with one more tree, at the next
-	// dataset position: an insert into the memtable.
-	Append(t *tree.Tree)
-	// Fresh returns an empty filter of the same configuration, ready to
-	// Index a new dataset: a new memtable, or a compacted segment.
-	Fresh() Filter
-	// snapshotAt freezes the first n indexed entries into a read-only
-	// filter that stays valid while the original keeps appending
-	// (slice-header copies, never data copies). With seal set the
-	// snapshot becomes a sealed segment's filter for good, and builds
-	// what a sealed segment keeps: BiBranch's postings, O(n).
-	snapshotAt(n int, seal bool) Filter
-}
-
-// Bounder computes edit-distance lower bounds between one query and the
-// indexed trees, as the tiers of the engine's bound cascade: three cheap
-// bounds every tree gets, then the exact label tier and the filter's full
-// bound, which the engine only asks for when the cheap ones leave a tree
-// standing. Every tier is a sound lower bound, so no tier prunes a tree
-// within the answer. The full bound dominates the size and BDist tiers but
-// not the label tiers, which may exceed it: the engine keys a tree by the
-// largest bound it computed.
-type Bounder interface {
-	// CheapBounds returns the cheap tiers' lower bounds on EDist(query,
-	// tree i): the size bound ||q|−|t||, the plain branch-distance bound
-	// ⌈BDist/Factor⌉ and the label-histogram bound ⌈L1/2⌉ (Kailing et
-	// al.), the first two neither above KNNBound(i) nor — when at most tau
-	// — above RangeBound(i, tau). A filter without a tier returns zero for
-	// it. Past limit a bound need not be exact: a size bound above it comes
-	// back with bdist and label zero, a bdist above it with label zero, and
-	// may itself be any bound in (limit, ⌈BDist/Factor⌉]. noLimit asks for
-	// exact ones. A segment whose BDist was swept from postings (every
-	// sealed one) reads it off the query's accumulator, so its bdist is
-	// always exact; only the memtable's merge-join stops at limit. Only a
-	// swept segment has a label tier, and its cheap label bound credits
-	// every carrier of a dense label (see invfile) with the query's full
-	// count of it.
-	CheapBounds(i, limit int) (size, bdist, label int)
-	// ExactLabel returns the label tier with every label credited exactly:
-	// ⌈(|q| + |t| − 2·Σ_l min(q_l, t_l))/2⌉, never below CheapBounds'
-	// label, from the dense labels' count columns. It is exact unless the
-	// query carries a dense label more than 255 times, and then still a
-	// sound bound. It costs a column read per dense label the query carries
-	// twice or more, so the engine reads it only for the trees the cheap
-	// tiers leave standing. A filter without a label tier returns zero.
-	ExactLabel(i int) int
-	// KNNBound returns the filter's full lower bound L ≤ EDist(query, tree
-	// i), used as the optimistic bound of Algorithm 2.
-	KNNBound(i int) int
-	// RangeBound returns a value L such that L > tau implies
-	// EDist(query, tree i) > tau; range queries prune on it. For most
-	// filters it coincides with KNNBound, but the positional filter can
-	// tighten it at a known threshold (Section 4.3).
-	RangeBound(i, tau int) int
-	// Sequence returns the sequence tier, Guha et al.'s bound on the
-	// number of edit operations between the query and tree i, capped at
-	// k+1: exact when at most k, otherwise only k+1, which is still a
-	// lower bound. An operation costs at least 1 under every cost model a
-	// filter other than None serves, so it bounds the edit distance too.
-	// It is the last tier before verification and costs O(|t| + k²) and
-	// the slides along equal labels, so the engine asks for it only for
-	// the trees every other tier leaves standing, at the threshold of the
-	// moment. buf is the caller's working memory. Only the positional
-	// BiBranch has the tier; the others return zero.
-	Sequence(i, k int, buf *seqBuf) int
-}
-
 // ParseFilter resolves a filter name as the command-line tools spell it:
-// bibranch, bibranch-nopos, bibranch-qN (N ≥ 2), histo or none. q is the
-// branch level of the two bibranch spellings that do not carry one.
-func ParseFilter(name string, q int) (Filter, error) {
+// bibranch, bibranch-nopos, bibranch-qN, or none — the sequential scan,
+// which is the nil filter. q is the branch level of the two bibranch
+// spellings that do not carry one. Every spelling's level must lie in
+// [branch.MinQ, branch.MaxQ]: a snapshot stores no other.
+func ParseFilter(name string, q int) (*BiBranch, error) {
+	f := &BiBranch{Q: q, Positional: name != "bibranch-nopos"}
 	switch name {
-	case "bibranch":
-		return &BiBranch{Q: q, Positional: true}, nil
-	case "bibranch-nopos":
-		return &BiBranch{Q: q, Positional: false}, nil
-	case "histo":
-		return NewHisto(), nil
 	case "none":
-		return NewNone(), nil
-	}
-	if level, ok := strings.CutPrefix(name, "bibranch-q"); ok {
-		if n, err := strconv.Atoi(level); err == nil && n >= branch.MinQ {
-			return &BiBranch{Q: n, Positional: true}, nil
+		return nil, nil
+	case "bibranch", "bibranch-nopos":
+	default:
+		level, ok := strings.CutPrefix(name, "bibranch-q")
+		n, err := strconv.Atoi(level)
+		if !ok || err != nil {
+			return nil, fmt.Errorf("unknown filter %q (want bibranch, bibranch-nopos, bibranch-qN or none; "+
+				"treesim-analyze replays the histo baseline)", name)
 		}
+		f.Q = n
 	}
-	return nil, fmt.Errorf("unknown filter %q (want bibranch, bibranch-nopos, bibranch-qN, histo or none)", name)
+	if f.Q < branch.MinQ || f.Q > branch.MaxQ {
+		return nil, fmt.Errorf("filter %s: branch level q=%d outside [%d, %d]", name, f.Q, branch.MinQ, branch.MaxQ)
+	}
+	return f, nil
 }
 
 // noLimit is the CheapBounds limit that asks for exact bounds.
 const noLimit = math.MaxInt
 
-// singleTier is embedded by the bounders of filters that have one bound
-// and nothing cheaper in front of it: both cheap tiers let every tree
-// through, and the filter's bound is the cascade's only tier.
-type singleTier struct{}
-
-func (singleTier) CheapBounds(_, _ int) (size, bdist, label int) { return 0, 0, 0 }
-
-func (singleTier) ExactLabel(int) int { return 0 }
-
-func (singleTier) Sequence(_, _ int, _ *seqBuf) int { return 0 }
-
 // BiBranch is the paper's filter: q-level binary branch vectors with,
-// optionally, the positional lower bound of Section 4.2–4.3.
+// optionally, the positional lower bound of Section 4.2–4.3. The nil
+// *BiBranch is the sequential scan: it keeps nothing, and its bounder is
+// nil, whose every bound is zero.
 type BiBranch struct {
-	// Q is the branch level (≥ 2). The zero value means 2.
+	// Q is the branch level, in [branch.MinQ, branch.MaxQ]. The zero value
+	// means 2.
 	Q int
 	// Positional selects the positional optimistic bound (SearchLBound /
 	// RangeLowerBound); when false the plain ceil(BDist/Factor(q)) bound
@@ -176,37 +89,55 @@ func postingsOf(ps []*branch.Profile) *invfile.Index {
 // branches with the positional bound.
 func NewBiBranch() *BiBranch { return &BiBranch{Q: 2, Positional: true} }
 
-// Name implements Filter.
+// Name identifies the filter in statistics and experiment output; the nil
+// filter is "Sequential".
 func (f *BiBranch) Name() string {
-	if f.Positional {
+	switch {
+	case f == nil:
+		return "Sequential"
+	case f.Positional:
 		return "BiBranch"
 	}
 	return "BiBranch-nopos"
 }
 
-// Index implements Filter: profiles the dataset into flat per-block
-// arrays and builds the postings over them.
+// Index profiles a segment's dataset into flat per-block arrays and builds
+// the postings over them.
 func (f *BiBranch) Index(ts []*tree.Tree) {
+	if f == nil {
+		return
+	}
 	f.space = branch.NewSpace(f.level())
 	f.profiles = f.space.ProfileAllParallel(ts, 0)
 	f.post = postingsOf(f.profiles)
 }
 
-// Append implements Filter: profiles the new tree into the existing
-// space. Only the memtable's filter grows, and it has no postings.
+// Append profiles one more tree into the space: an insert into the
+// memtable, whose filter alone grows and has no postings.
 func (f *BiBranch) Append(t *tree.Tree) {
-	f.profiles = append(f.profiles, f.space.Profile(t))
+	if f != nil {
+		f.profiles = append(f.profiles, f.space.Profile(t))
+	}
 }
 
-// Fresh implements Filter.
-func (f *BiBranch) Fresh() Filter { return &BiBranch{Q: f.Q, Positional: f.Positional} }
+// Fresh returns an empty filter of the same configuration, ready to Index
+// a new dataset: a new memtable, or a compacted segment.
+func (f *BiBranch) Fresh() *BiBranch {
+	if f == nil {
+		return nil
+	}
+	return &BiBranch{Q: f.Q, Positional: f.Positional}
+}
 
-// snapshotAt freezes the first n profiles. The branch space is shared —
-// it is internally synchronized and only ever grows — and the profile
-// slice is capped at n, so appends to the live filter never show through.
-// A seal also builds the postings: under the store's lock, once per
-// MemtableSize inserts.
-func (f *BiBranch) snapshotAt(n int, seal bool) Filter {
+// snapshotAt freezes the first n profiles. The branch space is shared — it
+// is internally synchronized and only ever grows — and the profile slice
+// is capped at n, so appends to the live filter never show through. A seal
+// also builds the postings: under the store's lock, once per MemtableSize
+// inserts.
+func (f *BiBranch) snapshotAt(n int, seal bool) *BiBranch {
+	if f == nil {
+		return nil
+	}
 	g := &BiBranch{Q: f.Q, Positional: f.Positional, space: f.space, profiles: f.profiles[:n:n]}
 	if seal {
 		g.post = postingsOf(g.profiles)
@@ -214,18 +145,20 @@ func (f *BiBranch) snapshotAt(n int, seal bool) Filter {
 	return g
 }
 
-// Query implements Filter. The query is profiled by lookup only — a branch
-// no indexed tree contains needs no dimension — so queries never grow the
-// space. Where the filter has postings, one sweep over the query's branch
-// lists leaves every tree's branch overlap in the first half of acc, and
-// one over its label lists a bound on every tree's label overlap in the
-// second; the dense labels the query carries twice or more are kept for
-// ExactLabel. The query's labels are counted off the query tree, node by
-// node, never off its profile: a branch the space never saw has no
-// coordinate there, but the label it is rooted at may be known, and
-// leaving it out would overstate the bound. The non-positional ablation
-// measures ⌈BDist/Factor⌉ alone and sweeps no labels.
-func (f *BiBranch) Query(q *tree.Tree, acc []int32) Bounder {
+// Query returns the query's bounder, with acc, two entries per indexed
+// tree, as its working memory. The query is profiled by lookup only, so
+// queries never grow the space. Where the filter has postings, one sweep
+// over the query's branch lists leaves every tree's branch overlap in the
+// first half of acc, and one over its label lists a bound on every tree's
+// label overlap in the second; the dense labels the query carries twice or
+// more are kept for ExactLabel. The labels are counted off the query tree,
+// not its profile, which lacks the branches the space never saw although
+// their root labels may be known. The non-positional ablation sweeps no
+// labels.
+func (f *BiBranch) Query(q *tree.Tree, acc []int32) *biBranchBounder {
+	if f == nil {
+		return nil
+	}
 	b := &biBranchBounder{f: f, qp: f.space.QueryProfile(q), factor: f.Factor()}
 	if f.Positional {
 		b.seq = &querySeqs{space: f.space, q: q}
@@ -246,8 +179,14 @@ func (f *BiBranch) Query(q *tree.Tree, acc []int32) Bounder {
 }
 
 // Factor returns the proven worst-case BDist/EDist ratio 4(q-1)+1
-// (Theorem 4.1; 5 for the paper's standard q=2).
-func (f *BiBranch) Factor() int { return branch.Factor(f.level()) }
+// (Theorem 4.1; 5 for the paper's standard q=2); 0 for the nil filter,
+// which has no branch embedding.
+func (f *BiBranch) Factor() int {
+	if f == nil {
+		return 0
+	}
+	return branch.Factor(f.level())
+}
 
 // level returns the branch level Q stands for: MinQ when Q is zero.
 func (f *BiBranch) level() int {
@@ -257,8 +196,14 @@ func (f *BiBranch) level() int {
 	return f.Q
 }
 
-// biBranchBounder is read-only after Query, so one serves every shard of
-// a query.
+// biBranchBounder bounds the edit distance between one query and a
+// segment's trees by the tiers of the engine's cascade, each sound: three
+// cheap tiers every tree gets, then the exact label tier, the full bound
+// and the sequence tier for the trees the tiers before leave standing.
+// The full bound dominates the size and BDist tiers but not the label
+// tiers, so the engine keys a tree by the largest bound it computed. It is
+// read-only after Query but for the query's sequences, which a sync.Once
+// guards. The nil bounder, the sequential scan's, gives zero for every tier.
 type biBranchBounder struct {
 	f      *BiBranch
 	qp     *branch.Profile
@@ -332,10 +277,24 @@ func (b *biBranchBounder) label(i int, ov int32) int {
 	return max(0, (l1+1)/2)
 }
 
-// CheapBounds implements Bounder. The non-positional filter is the plain
-// branch-distance bound by definition (the ablation of DESIGN.md), so it
-// has neither a size nor a label tier: ⌈BDist/Factor⌉ dominates neither.
+// CheapBounds returns the cheap tiers' lower bounds on EDist(query, tree
+// i): the size bound ||q|−|t||, the plain branch-distance bound
+// ⌈BDist/Factor⌉ and the label-histogram bound ⌈L1/2⌉ (Kailing et al.),
+// the first two neither above KNNBound(i) nor — when at most tau — above
+// RangeBound(i, tau). Past limit a bound need not be exact: a size bound
+// above it comes back with bdist and label zero, a bdist above it with
+// label zero, and may itself be any bound in (limit, ⌈BDist/Factor⌉];
+// noLimit asks for exact ones. A segment with postings — a sealed one of
+// at most invfile.MaxTrees trees — reads BDist off the query's sweep, so
+// its bdist is exact; the memtable and a larger segment merge-join and
+// stop at limit. Only a segment with postings has a label tier, whose
+// cheap bound credits every carrier of a dense label (see invfile) with
+// the query's full count of it. The non-positional ablation is the plain
+// bound by definition, so it has neither a size nor a label tier.
 func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist, label int) {
+	if b == nil {
+		return 0, 0, 0
+	}
 	t := b.f.profiles[i]
 	if b.f.Positional {
 		if size = b.qp.Size - t.Size; size < 0 {
@@ -359,36 +318,58 @@ func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist, label int) {
 	return size, bdist, b.label(i, b.lbase+b.lov[i])
 }
 
-// ExactLabel implements Bounder: the swept overlap less what it
-// over-credited tree i on the query's dense labels.
+// ExactLabel returns the label tier with every label credited exactly,
+// ⌈(|q| + |t| − 2·Σ_l min(q_l, t_l))/2⌉: the swept overlap less what it
+// over-credited tree i on the query's dense labels, read off their count
+// columns (exact unless the query carries a dense label more than 255
+// times, and then still sound). It costs a column read per dense label the
+// query carries twice or more, so the engine reads it only for the trees
+// the cheap tiers leave standing. Without a label tier it is zero.
 func (b *biBranchBounder) ExactLabel(i int) int {
-	if b.lov == nil {
+	if b == nil || b.lov == nil {
 		return 0
 	}
 	return b.label(i, b.lbase+b.lov[i]-b.f.post.Excess(b.dense, i))
 }
 
+// KNNBound returns the filter's full lower bound L ≤ EDist(query, tree i),
+// the optimistic bound of Algorithm 2.
 func (b *biBranchBounder) KNNBound(i int) int {
-	if b.f.Positional {
+	switch {
+	case b == nil:
+		return 0
+	case b.f.Positional:
 		return branch.SearchLBound(b.qp, b.f.profiles[i])
 	}
 	return b.plain(i)
 }
 
+// RangeBound returns a value L such that L > tau implies EDist(query,
+// tree i) > tau; range queries prune on it. Without positions it is
+// KNNBound; the positional filter tightens it at a known threshold
+// (Section 4.3).
 func (b *biBranchBounder) RangeBound(i, tau int) int {
-	if b.f.Positional {
+	switch {
+	case b == nil:
+		return 0
+	case b.f.Positional:
 		lb, _ := branch.RangeLowerBoundWithin(b.qp, b.f.profiles[i], tau)
 		return lb
 	}
 	return b.plain(i)
 }
 
-// Sequence implements Bounder: the larger of the edit distances between
-// the query's and tree i's postorder and preorder label sequences, capped
-// at k+1, the tree's read off its profile; the preorder ones are read and
-// compared only when the postorder distance is within k.
+// Sequence returns the sequence tier, Guha et al.'s bound on the number of
+// edit operations between the query and tree i, capped at k+1: the larger
+// of the edit distances between their postorder and their preorder label
+// sequences, the tree's read off its profile, the preorder ones only when
+// the postorder distance is within k. An operation costs at least 1 under
+// every cost model the filter serves, so it bounds the edit distance too.
+// It costs O(|t| + k²) and the slides along equal labels, so the engine
+// asks for it last, at the threshold of the moment. buf is the caller's
+// working memory. The non-positional ablation has no such tier: zero.
 func (b *biBranchBounder) Sequence(i, k int, buf *seqBuf) int {
-	if b.seq == nil {
+	if b == nil || b.seq == nil {
 		return 0
 	}
 	qs, t := b.seq.load(), b.f.profiles[i]
@@ -404,123 +385,3 @@ func (b *biBranchBounder) Sequence(i, k int, buf *seqBuf) int {
 	buf.diags = diags
 	return max(post, pre)
 }
-
-// Histo is the histogram filtration baseline (Kailing et al.): the maximum
-// of the label, degree, height and size lower bounds. Following the
-// paper's equal-space rule, the three histograms together are given as
-// many dimensions as the average binary branch representation (the average
-// branch vector size plus two average tree sizes), unless an explicit
-// Config is set.
-type Histo struct {
-	// Config overrides the folding configuration; the zero value selects
-	// the equal-space rule at Index time.
-	Config histogram.Config
-
-	cfg      histogram.Config
-	profiles []*histogram.Profile
-}
-
-// NewHisto returns the histogram filter with the paper's equal-space
-// sizing.
-func NewHisto() *Histo { return &Histo{} }
-
-// Name implements Filter.
-func (f *Histo) Name() string { return "Histo" }
-
-// Index implements Filter.
-func (f *Histo) Index(ts []*tree.Tree) {
-	if f.Config != (histogram.Config{}) {
-		f.cfg = f.Config
-	} else {
-		// Equal-space rule: a branch vector has at most |T| non-zero
-		// dimensions and stores two positions per node, so its space is
-		// ≈ 3·|T| numbers; give the histograms the same total.
-		total := 0
-		for _, t := range ts {
-			total += t.Size()
-		}
-		avg := 0
-		if len(ts) > 0 {
-			avg = total / len(ts)
-		}
-		f.cfg = histogram.EqualSpace(3 * avg)
-	}
-	// Per-tree profiling is independent once the folding configuration is
-	// fixed, so the build fans out like the query stages do.
-	f.profiles = make([]*histogram.Profile, len(ts))
-	forEach(len(ts), func(i int) {
-		f.profiles[i] = histogram.NewProfileConfig(ts[i], f.cfg)
-	})
-}
-
-// Append implements Filter. The folding configuration chosen at Index
-// time is kept, so bounds stay mutually consistent.
-func (f *Histo) Append(t *tree.Tree) {
-	f.profiles = append(f.profiles, histogram.NewProfileConfig(t, f.cfg))
-}
-
-// Fresh implements Filter. The resolved folding configuration (not the
-// zero Config that selects equal-space sizing) carries over, so a fresh
-// filter over an empty segment does not degenerate to zero dimensions.
-func (f *Histo) Fresh() Filter {
-	cfg := f.Config
-	if f.cfg != (histogram.Config{}) {
-		cfg = f.cfg
-	}
-	return &Histo{Config: cfg}
-}
-
-// snapshotAt freezes the first n profiles (shared folding configuration,
-// capped profile slice).
-func (f *Histo) snapshotAt(n int, _ bool) Filter {
-	return &Histo{Config: f.Config, cfg: f.cfg, profiles: f.profiles[:n:n]}
-}
-
-// Query implements Filter.
-func (f *Histo) Query(q *tree.Tree, _ []int32) Bounder {
-	return &histoBounder{f: f, qp: histogram.NewProfileConfig(q, f.cfg)}
-}
-
-type histoBounder struct {
-	singleTier
-	f  *Histo
-	qp *histogram.Profile
-}
-
-func (b *histoBounder) KNNBound(i int) int {
-	return histogram.LowerBound(b.qp, b.f.profiles[i])
-}
-
-func (b *histoBounder) RangeBound(i, tau int) int { return b.KNNBound(i) }
-
-// None disables filtering: every lower bound is zero, so every data tree is
-// verified with the real edit distance. Searching with None is the
-// sequential scan baseline of the experiments.
-type None struct{}
-
-// NewNone returns the no-op filter.
-func NewNone() *None { return &None{} }
-
-// Name implements Filter.
-func (*None) Name() string { return "Sequential" }
-
-// Index implements Filter.
-func (*None) Index([]*tree.Tree) {}
-
-// Append implements Filter (no per-tree state).
-func (*None) Append(*tree.Tree) {}
-
-// Fresh implements Filter.
-func (*None) Fresh() Filter { return &None{} }
-
-// snapshotAt implements Filter (stateless, so the filter is its own
-// snapshot).
-func (f *None) snapshotAt(int, bool) Filter { return f }
-
-// Query implements Filter.
-func (*None) Query(*tree.Tree, []int32) Bounder { return noneBounder{} }
-
-type noneBounder struct{ singleTier }
-
-func (noneBounder) KNNBound(int) int        { return 0 }
-func (noneBounder) RangeBound(_, _ int) int { return 0 }

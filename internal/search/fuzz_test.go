@@ -206,9 +206,9 @@ func FuzzSequenceTier(f *testing.F) {
 		var buf seqBuf
 		for si, sg := range cut.segs {
 			p := payloadOf(sg)
-			bf := p.filter.(*BiBranch)
+			bf := p.filter
 			root, _ := bf.space.Roots()
-			b := prims[si].(*biBranchBounder)
+			b := prims[si]
 			for i, tr := range p.trees {
 				pr := bf.profiles[i]
 				ids, names := map[int32]string{}, map[string]int32{}

@@ -126,7 +126,7 @@ func (s Stats) String() string {
 // monotonically and never reused; results across any segment layout are
 // identical (see the segment-layout invariance tests).
 type Index struct {
-	filter Filter // the configured prototype (also the initial segment's filter)
+	filter *BiBranch // the configured prototype (also the initial segment's filter); nil: sequential scan
 	cost   editdist.CostModel
 
 	shards int       // WithShards; 0 = pool size
@@ -148,8 +148,7 @@ func defaultCost() editdist.CostModel { return editdist.UnitCost{} }
 // dataset once under the selected filter. Options pick the filter, the
 // cost model, the parallel execution shape, and the storage lifecycle:
 //
-//	ix := search.NewIndex(ts, search.NewBiBranch())          // filter as option
-//	ix := search.NewIndex(ts, search.WithFilter(f),          // interface-typed filter
+//	ix := search.NewIndex(ts, search.NewBiBranch(),
 //	    search.WithShards(4), search.WithRefineWorkers(8),
 //	    search.WithMemtableSize(512))
 //
@@ -157,9 +156,6 @@ func defaultCost() editdist.CostModel { return editdist.UnitCost{} }
 // sequential scan; with no cost option it uses unit edit costs.
 func NewIndex(ts []*tree.Tree, opts ...IndexOption) *Index {
 	cfg := applyIndexOpts(opts)
-	if cfg.filter == nil {
-		cfg.filter = NewNone()
-	}
 	// Build the prototype before the store: the memtable hook derives its
 	// filter from the (then fully resolved) prototype configuration.
 	cfg.filter.Index(ts)
@@ -173,7 +169,7 @@ func NewIndex(ts []*tree.Tree, opts ...IndexOption) *Index {
 
 // indexShell builds an Index around an already-indexed prototype filter,
 // with an empty store ready for Bootstrap.
-func indexShell(cfg indexConfig, proto Filter) *Index {
+func indexShell(cfg indexConfig, proto *BiBranch) *Index {
 	ix := &Index{
 		filter: proto,
 		cost:   cfg.cost,
@@ -255,8 +251,8 @@ func (ix *Index) Tree(i int) *tree.Tree {
 	return t
 }
 
-// Filter returns the index's configured filter prototype.
-func (ix *Index) Filter() Filter { return ix.filter }
+// Filter returns the index's filter prototype; nil is the sequential scan.
+func (ix *Index) Filter() *BiBranch { return ix.filter }
 
 // KNN returns the k nearest neighbors of q by tree edit distance,
 // implementing Algorithm 2 over the segmented store: lower bounds are

@@ -13,7 +13,7 @@ import (
 func TestInsertMatchesRebuild(t *testing.T) {
 	all := testDataset(60, 51)
 	for _, f := range allFilters() {
-		incr := NewIndex(all[:30], WithFilter(f.Fresh()))
+		incr := NewIndex(all[:30], f.Fresh())
 		for i, tr := range all[30:] {
 			id, err := incr.Insert(tr)
 			if err != nil {
@@ -23,7 +23,7 @@ func TestInsertMatchesRebuild(t *testing.T) {
 				t.Fatalf("%s: insert %d got id %d", f.Name(), 30+i, id)
 			}
 		}
-		full := NewIndex(all, WithFilter(f))
+		full := NewIndex(all, f)
 		for _, q := range []*tree.Tree{all[0], all[45], testDataset(1, 52)[0]} {
 			a, _, _ := incr.KNN(context.Background(), q, 4)
 			b, _, _ := full.KNN(context.Background(), q, 4)

@@ -3,14 +3,13 @@ package search
 import "treesim/internal/editdist"
 
 // Functional options for the index and query surface. NewIndex takes
-// IndexOptions; KNN and Range take QueryOptions. Concrete filter values
-// (*BiBranch, *Histo, ...) are themselves IndexOptions, so the common case
-// reads NewIndex(ts, NewBiBranch()) with no wrapper; interface-typed
-// filters go through WithFilter.
+// IndexOptions; KNN and Range take QueryOptions. A *BiBranch is itself an
+// IndexOption, the nil one included, so the common case reads
+// NewIndex(ts, NewBiBranch()) with no wrapper.
 
 // indexConfig collects what the index options select.
 type indexConfig struct {
-	filter        Filter
+	filter        *BiBranch
 	cost          editdist.CostModel
 	shards        int
 	refineWorkers int
@@ -30,10 +29,10 @@ func (f indexOption) applyIndex(c *indexConfig) { f(c) }
 
 // applyIndexOpts folds the options over the defaults. Nil options are
 // skipped, so NewIndex(ts, nil) keeps its historical meaning: no filter,
-// i.e. the sequential scan. Every filter's bound counts unit operations,
+// i.e. the sequential scan. The filter's bounds count unit operations,
 // which bounds the distance from below only when no operation costs less
 // than 1: under a cost model that does not report such a minimum the
-// filter is None, whose bound 0 is sound for any non-negative costs.
+// filter is nil, whose bound 0 is sound for any non-negative costs.
 func applyIndexOpts(opts []IndexOption) indexConfig {
 	cfg := indexConfig{cost: defaultCost()}
 	for _, o := range opts {
@@ -42,24 +41,21 @@ func applyIndexOpts(opts []IndexOption) indexConfig {
 		}
 		o.applyIndex(&cfg)
 	}
-	if editdist.MinOpCost(cfg.cost) < 1 {
-		cfg.filter = NewNone()
+	if cfg.sequential() {
+		cfg.filter = nil
 	}
 	return cfg
 }
 
-// WithFilter selects the index's filter (nil means None, the sequential
-// scan). Concrete filter values can also be passed directly as options.
-func WithFilter(f Filter) IndexOption {
-	return indexOption(func(c *indexConfig) { c.filter = f })
-}
+// sequential reports whether the cost model forces the sequential scan.
+func (c indexConfig) sequential() bool { return editdist.MinOpCost(c.cost) < 1 }
 
 // WithCostModel sets the refine stage's edit cost model. The filters'
 // lower bounds are proved for unit costs, so they hold for a custom model
 // only when every operation costs at least 1: a model that says so
 // (editdist.MinOpCoster reporting ≥ 1) keeps the configured filter; under
 // any other model the index answers by sequential scan (its filter is
-// None), which is exact for any non-negative costs.
+// nil), which is exact for any non-negative costs.
 func WithCostModel(m editdist.CostModel) IndexOption {
 	return indexOption(func(c *indexConfig) {
 		if m != nil {
@@ -100,11 +96,8 @@ func WithCompactionThreshold(n int) IndexOption {
 	return indexOption(func(c *indexConfig) { c.compactAfter = n })
 }
 
-// The concrete filters are their own index options.
-
+// applyIndex makes a filter, the nil one included, its own index option.
 func (f *BiBranch) applyIndex(c *indexConfig) { c.filter = f }
-func (f *Histo) applyIndex(c *indexConfig)    { c.filter = f }
-func (f *None) applyIndex(c *indexConfig)     { c.filter = f }
 
 // queryConfig collects what the query options select.
 type queryConfig struct {

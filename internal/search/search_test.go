@@ -18,13 +18,12 @@ func testDataset(n int, seed int64) []*tree.Tree {
 	return datagen.New(spec, seed).Dataset(n, 5)
 }
 
-func allFilters() []Filter {
-	return []Filter{
+func allFilters() []*BiBranch {
+	return []*BiBranch{
 		NewBiBranch(),
 		&BiBranch{Q: 2, Positional: false},
 		&BiBranch{Q: 3, Positional: true},
-		NewHisto(),
-		NewNone(),
+		nil, // the sequential scan
 	}
 }
 
@@ -33,7 +32,7 @@ func allFilters() []Filter {
 func TestKNNCompleteness(t *testing.T) {
 	ts := testDataset(60, 3)
 	queries := []*tree.Tree{ts[0], ts[17], ts[59], testDataset(1, 77)[0]}
-	base := NewIndex(ts, NewNone())
+	base := NewIndex(ts)
 	for _, k := range []int{1, 3, 7} {
 		for _, q := range queries {
 			want, wantStats, _ := base.KNN(context.Background(), q, k)
@@ -41,7 +40,7 @@ func TestKNNCompleteness(t *testing.T) {
 				t.Fatalf("sequential scan verified %d, want all %d", wantStats.Verified, len(ts))
 			}
 			for _, f := range allFilters() {
-				ix := NewIndex(ts, WithFilter(f))
+				ix := NewIndex(ts, f)
 				got, stats, _ := ix.KNN(context.Background(), q, k)
 				if !sameDistances(got, want) {
 					t.Fatalf("filter %s k=%d: distances %v, want %v",
@@ -60,12 +59,12 @@ func TestKNNCompleteness(t *testing.T) {
 func TestRangeCompleteness(t *testing.T) {
 	ts := testDataset(60, 4)
 	queries := []*tree.Tree{ts[2], ts[31], testDataset(1, 88)[0]}
-	base := NewIndex(ts, NewNone())
+	base := NewIndex(ts)
 	for _, tau := range []int{0, 1, 3, 6, 12} {
 		for _, q := range queries {
 			want, _, _ := base.Range(context.Background(), q, tau)
 			for _, f := range allFilters() {
-				got, stats, _ := NewIndex(ts, WithFilter(f)).Range(context.Background(), q, tau)
+				got, stats, _ := NewIndex(ts, f).Range(context.Background(), q, tau)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("filter %s tau=%d: results %v, want %v",
 						f.Name(), tau, got, want)
@@ -84,12 +83,12 @@ func TestRangeCompleteness(t *testing.T) {
 func TestBiBranchPrunes(t *testing.T) {
 	ts := testDataset(100, 5)
 	q := ts[10]
-	_, seq, _ := NewIndex(ts, NewNone()).KNN(context.Background(), q, 3)
+	_, seq, _ := NewIndex(ts).KNN(context.Background(), q, 3)
 	_, bib, _ := NewIndex(ts, NewBiBranch()).KNN(context.Background(), q, 3)
 	if bib.Verified >= seq.Verified {
 		t.Errorf("BiBranch verified %d, sequential %d — no pruning", bib.Verified, seq.Verified)
 	}
-	_, seqR, _ := NewIndex(ts, NewNone()).Range(context.Background(), q, 2)
+	_, seqR, _ := NewIndex(ts).Range(context.Background(), q, 2)
 	_, bibR, _ := NewIndex(ts, NewBiBranch()).Range(context.Background(), q, 2)
 	if bibR.Verified >= seqR.Verified {
 		t.Errorf("range: BiBranch verified %d, sequential %d", bibR.Verified, seqR.Verified)
@@ -210,9 +209,9 @@ func TestCustomCostModel(t *testing.T) {
 		{freeRelabels{}, false},
 		{twoPerOp{}, true},
 	} {
-		seq := NewIndex(ts, NewNone(), WithCostModel(tc.model))
+		seq := NewIndex(ts, WithCostModel(tc.model))
 		for _, f := range allFilters() {
-			ix := NewIndex(ts, WithFilter(f.Fresh()), WithCostModel(tc.model))
+			ix := NewIndex(ts, f.Fresh(), WithCostModel(tc.model))
 			want := "Sequential"
 			if tc.keepFilter {
 				want = f.Name()
@@ -304,7 +303,7 @@ func dists(rs []Result) []int {
 }
 
 func TestFilterNames(t *testing.T) {
-	want := []string{"BiBranch", "BiBranch-nopos", "BiBranch", "Histo", "Sequential"}
+	want := []string{"BiBranch", "BiBranch-nopos", "BiBranch", "Sequential"}
 	for i, f := range allFilters() {
 		if f.Name() != want[i] {
 			t.Errorf("filter %d: Name = %q, want %q", i, f.Name(), want[i])
@@ -313,22 +312,31 @@ func TestFilterNames(t *testing.T) {
 }
 
 // TestParseFilter: the one name grammar the command-line tools share.
+// "none" is the nil filter, and a level outside [MinQ, MaxQ] is refused
+// in every spelling, so a server never writes a snapshot it cannot load.
 func TestParseFilter(t *testing.T) {
-	for name, want := range map[string]Filter{
-		"bibranch":       &BiBranch{Q: 3, Positional: true},
-		"bibranch-nopos": &BiBranch{Q: 3},
-		"bibranch-q4":    &BiBranch{Q: 4, Positional: true},
-		"histo":          &Histo{},
-		"none":           &None{},
+	for name, want := range map[string]*BiBranch{
+		"bibranch":       {Q: 3, Positional: true},
+		"bibranch-nopos": {Q: 3},
+		"bibranch-q4":    {Q: 4, Positional: true},
+		"bibranch-q16":   {Q: 16, Positional: true},
+		"none":           nil,
 	} {
 		got, err := ParseFilter(name, 3)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("ParseFilter(%q, 3) = %#v, %v; want %#v", name, got, err, want)
 		}
 	}
-	for _, name := range []string{"", "bogus", "seq", "bibranch-q", "bibranch-q1", "bibranch-q3x", "BiBranch"} {
+	for _, name := range []string{"", "bogus", "seq", "histo", "bibranch-q", "bibranch-q1", "bibranch-q17", "bibranch-q3x", "BiBranch"} {
 		if f, err := ParseFilter(name, 2); err == nil {
 			t.Errorf("ParseFilter(%q) = %#v, want an error", name, f)
+		}
+	}
+	for _, q := range []int{0, 1, 17} {
+		for _, name := range []string{"bibranch", "bibranch-nopos"} {
+			if f, err := ParseFilter(name, q); err == nil {
+				t.Errorf("ParseFilter(%q, %d) = %#v, want an error", name, q, f)
+			}
 		}
 	}
 }

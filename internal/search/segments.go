@@ -25,7 +25,7 @@ import (
 // of it.
 type segPayload struct {
 	trees  []*tree.Tree
-	filter Filter
+	filter *BiBranch
 }
 
 // segHooks builds the store hooks over the index's filter configuration.
@@ -93,7 +93,7 @@ func (ix *Index) Compact() bool {
 
 // mergeLive gathers the untombstoned entries of segs, ascending by id, into
 // one segment over which it indexes f; nil when none survive.
-func mergeLive(segs []*segstore.Segment, tombs *segstore.Tombstones, f Filter) *segstore.Segment {
+func mergeLive(segs []*segstore.Segment, tombs *segstore.Tombstones, f *BiBranch) *segstore.Segment {
 	var ids []int
 	var trees []*tree.Tree
 	for _, sg := range segs {
@@ -187,27 +187,27 @@ func (qc *qcut) treeOf(si, local int) *tree.Tree {
 	return payloadOf(qc.segs[si]).trees[local]
 }
 
-// segBounders is a query's per-segment bounder set: one query profile per
-// segment, created up front, each segment's postings swept into its range
-// of the query's accumulator, and the query's label sequences once per
-// branch space, when a tree first reaches the sequence tier. Every bounder
-// is read-only after Query but for those sequences, which a sync.Once
-// guards, so the set is shared by all shards and refine workers.
-type segBounders []Bounder
+// segBounders is a query's per-segment bounder set, nil ones under the
+// sequential scan: one query profile per segment, created up front, each
+// segment's postings swept into its range of the query's accumulator, and
+// the query's label sequences once per branch space, when a tree first
+// reaches the sequence tier. The set is shared by all shards and refine
+// workers: every bounder is read-only but for those sequences.
+type segBounders []*biBranchBounder
 
 func newSegBounders(qc *qcut, q *tree.Tree, acc []int32) segBounders {
 	sb := make(segBounders, len(qc.segs))
 	for si, sg := range qc.segs {
-		sb[si] = payloadOf(sg).filter.Query(q, acc[2*qc.starts[si]:2*qc.starts[si+1]])
-		// Segments over one branch space share the query's side of the
-		// sequence tier, so it is computed once per space.
-		b, ok := sb[si].(*biBranchBounder)
-		if !ok || b.seq == nil {
+		b := payloadOf(sg).filter.Query(q, acc[2*qc.starts[si]:2*qc.starts[si+1]])
+		sb[si] = b
+		if b == nil || b.seq == nil {
 			continue
 		}
+		// Segments over one branch space share the query's side of the
+		// sequence tier, so it is computed once per space.
 		for _, o := range sb[:si] {
-			if ob, ok := o.(*biBranchBounder); ok && ob.seq != nil && ob.f.space == b.f.space {
-				b.seq = ob.seq
+			if o.seq != nil && o.f.space == b.f.space {
+				b.seq = o.seq
 				break
 			}
 		}

@@ -71,20 +71,20 @@ func TestSegmentLayoutInvariance(t *testing.T) {
 	}
 	queries := append([]*tree.Tree{all[0], all[27], all[50]}, testDataset(2, 72)...)
 
-	layouts := map[string]func(mk func() Filter, shards int) *Index{
-		"one-segment": func(mk func() Filter, shards int) *Index {
-			return NewIndex(all, WithFilter(mk()), WithShards(shards))
+	layouts := map[string]func(mk func() *BiBranch, shards int) *Index{
+		"one-segment": func(mk func() *BiBranch, shards int) *Index {
+			return NewIndex(all, mk(), WithShards(shards))
 		},
-		"multi-segment": func(mk func() Filter, shards int) *Index {
-			ix := NewIndex(all[:10], WithFilter(mk()), WithShards(shards),
+		"multi-segment": func(mk func() *BiBranch, shards int) *Index {
+			ix := NewIndex(all[:10], mk(), WithShards(shards),
 				WithMemtableSize(7), WithCompactionThreshold(-1))
 			for _, tr := range all[10:] {
 				ix.Insert(tr)
 			}
 			return ix
 		},
-		"compacted": func(mk func() Filter, shards int) *Index {
-			ix := NewIndex(all[:10], WithFilter(mk()), WithShards(shards),
+		"compacted": func(mk func() *BiBranch, shards int) *Index {
+			ix := NewIndex(all[:10], mk(), WithShards(shards),
 				WithMemtableSize(7), WithCompactionThreshold(-1))
 			for _, tr := range all[10:] {
 				ix.Insert(tr)

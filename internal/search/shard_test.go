@@ -22,7 +22,7 @@ func TestShardCountInvarianceKNN(t *testing.T) {
 	ts := testDataset(80, 31)
 	queries := []*tree.Tree{ts[0], ts[41], testDataset(1, 99)[0]}
 	for _, f := range allFilters() {
-		base := NewIndex(ts, WithFilter(f), WithShards(1))
+		base := NewIndex(ts, f, WithShards(1))
 		for _, q := range queries {
 			for _, k := range []int{1, 4, 11} {
 				want, wantStats, err := base.KNN(context.Background(), q, k)
@@ -30,7 +30,7 @@ func TestShardCountInvarianceKNN(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, s := range shardCounts[1:] {
-					ix := NewIndex(ts, WithFilter(f.Fresh()), WithShards(s), WithRefineWorkers(8))
+					ix := NewIndex(ts, f.Fresh(), WithShards(s), WithRefineWorkers(8))
 					got, stats, err := ix.KNN(context.Background(), q, k)
 					if err != nil {
 						t.Fatal(err)
@@ -56,7 +56,7 @@ func TestShardCountInvarianceRange(t *testing.T) {
 	ts := testDataset(80, 32)
 	queries := []*tree.Tree{ts[3], ts[77]}
 	for _, f := range allFilters() {
-		base := NewIndex(ts, WithFilter(f), WithShards(1))
+		base := NewIndex(ts, f, WithShards(1))
 		for _, q := range queries {
 			for _, tau := range []int{0, 2, 5} {
 				want, wantStats, err := base.Range(context.Background(), q, tau)
@@ -64,7 +64,7 @@ func TestShardCountInvarianceRange(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, s := range shardCounts[1:] {
-					ix := NewIndex(ts, WithFilter(f.Fresh()), WithShards(s), WithRefineWorkers(8))
+					ix := NewIndex(ts, f.Fresh(), WithShards(s), WithRefineWorkers(8))
 					got, stats, err := ix.Range(context.Background(), q, tau)
 					if err != nil {
 						t.Fatal(err)

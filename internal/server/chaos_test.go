@@ -90,7 +90,7 @@ func startChaosCell(t *testing.T) *chaosCell {
 		cfg: cfg, inj: &faultfs.Injector{},
 		acked: map[string]bool{}, deleted: map[int]bool{},
 	}
-	opts := append([]search.IndexOption{search.WithFilter(search.NewBiBranch())}, chaosIndexOpts()...)
+	opts := append([]search.IndexOption{search.NewBiBranch()}, chaosIndexOpts()...)
 	ix := search.NewIndex(testDataset(8, 7), opts...)
 	c.s = New(ix, cfg)
 	c.s.fs = c.inj

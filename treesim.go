@@ -160,9 +160,6 @@ func SearchLBound(a, b *BranchProfile) int { return branch.SearchLBound(a, b) }
 // Index is a similarity-searchable tree collection (filter-and-refine).
 type Index = search.Index
 
-// Filter produces edit-distance lower bounds for pruning.
-type Filter = search.Filter
-
 // Result is one similarity query answer: dataset position and exact
 // distance.
 type Result = search.Result
@@ -173,10 +170,10 @@ type Stats = search.Stats
 // Explain is the per-query filter-quality analysis (see WithExplain).
 type Explain = search.Explain
 
-// IndexOption configures NewIndex and LoadIndex; see WithFilter,
-// WithCostModel, WithShards, WithRefineWorkers, WithMemtableSize and
-// WithCompactionThreshold. Concrete filter values
-// returned by the New*Filter constructors are themselves IndexOptions.
+// IndexOption configures NewIndex and LoadIndex; see WithCostModel,
+// WithShards, WithRefineWorkers, WithMemtableSize and
+// WithCompactionThreshold. A *BiBranchFilter is itself an IndexOption;
+// the nil one selects the sequential scan.
 type IndexOption = search.IndexOption
 
 // QueryOption configures one KNN or Range call; see WithExplain.
@@ -192,9 +189,6 @@ type QueryOption = search.QueryOption
 // WithRefineWorkers shape intra-query parallelism — they never change
 // results.
 func NewIndex(ts []*Tree, opts ...IndexOption) *Index { return search.NewIndex(ts, opts...) }
-
-// WithFilter selects the index's filter (nil means sequential scan).
-func WithFilter(f Filter) IndexOption { return search.WithFilter(f) }
 
 // WithCostModel sets the refine stage's edit cost model. The filter is
 // kept only for a model that reports every operation costs at least 1
@@ -226,37 +220,24 @@ func WithCompactionThreshold(n int) IndexOption { return search.WithCompactionTh
 func WithExplain(dst **Explain) QueryOption { return search.WithExplain(dst) }
 
 // BiBranchFilter is the paper's filter: q-level binary branch vectors
-// with, optionally, the positional lower bound.
+// with, optionally, the positional lower bound. The nil *BiBranchFilter is
+// the sequential scan.
 type BiBranchFilter = search.BiBranch
-
-// HistoFilter is the histogram filtration baseline of Kailing et al.
-type HistoFilter = search.Histo
-
-// NoFilter disables filtering (sequential scan).
-type NoFilter = search.None
 
 // NewBiBranchFilter returns the paper's filter: two-level binary branches
 // with the positional optimistic bound.
 func NewBiBranchFilter() *BiBranchFilter { return search.NewBiBranch() }
 
-// NewBiBranchFilterQ returns a binary branch filter at level q ≥ 2,
+// NewBiBranchFilterQ returns a binary branch filter at level q in [2, 16],
 // optionally without the positional bound (plain ceil(BDist/factor)
-// filtering). It panics when q < 2: no binary branch structure of fewer
-// than two levels exists (Definition 2), and deferring the check used to
-// surface as a confusing failure deep inside index construction.
+// filtering). It panics outside that range, where no binary branch
+// structure exists (Definition 2) or no snapshot could store the level.
 func NewBiBranchFilterQ(q int, positional bool) *BiBranchFilter {
-	if q < 2 {
-		panic(fmt.Sprintf("treesim: binary branch level q must be >= 2 (got %d)", q))
+	if q < branch.MinQ || q > branch.MaxQ {
+		panic(fmt.Sprintf("treesim: binary branch level q must be in [%d, %d] (got %d)", branch.MinQ, branch.MaxQ, q))
 	}
 	return &search.BiBranch{Q: q, Positional: positional}
 }
-
-// NewHistoFilter returns the histogram filtration baseline of Kailing et
-// al. with the paper's equal-space sizing.
-func NewHistoFilter() *HistoFilter { return search.NewHisto() }
-
-// NewNoFilter disables filtering (sequential scan).
-func NewNoFilter() *NoFilter { return search.NewNone() }
 
 // Similarity joins.
 

@@ -41,11 +41,10 @@ func TestFacadeSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := GenerateDataset(spec, 100, 10, 7)
-	for _, f := range []Filter{
-		NewBiBranchFilter(), NewBiBranchFilterQ(3, false),
-		NewHistoFilter(), NewNoFilter(), nil,
+	for _, f := range []*BiBranchFilter{
+		NewBiBranchFilter(), NewBiBranchFilterQ(3, false), nil,
 	} {
-		ix := NewIndex(data, WithFilter(f))
+		ix := NewIndex(data, f)
 		res, stats, _ := ix.KNN(context.Background(), data[5], 3)
 		if len(res) != 3 || res[0].Dist != 0 {
 			t.Fatalf("KNN broken under %T: %v", f, res)
@@ -184,9 +183,10 @@ func TestFacadeTreeConstruction(t *testing.T) {
 
 // TestBiBranchFilterQValidation: levels below the proven minimum q=2 are a
 // construction-time panic, not a silently-wrong filter (the scaling factor
-// 4(q-1)+1 degenerates for q < 2 and the bound would be unsound).
+// 4(q-1)+1 degenerates for q < 2 and the bound would be unsound), and so
+// are levels above 16, which a snapshot cannot store.
 func TestBiBranchFilterQValidation(t *testing.T) {
-	for _, q := range []int{1, 0, -3} {
+	for _, q := range []int{1, 0, -3, 17} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -196,8 +196,10 @@ func TestBiBranchFilterQValidation(t *testing.T) {
 			NewBiBranchFilterQ(q, true)
 		}()
 	}
-	if f := NewBiBranchFilterQ(2, true); f == nil {
-		t.Fatal("NewBiBranchFilterQ(2) rejected a valid level")
+	for _, q := range []int{2, 16} {
+		if f := NewBiBranchFilterQ(q, true); f == nil {
+			t.Fatalf("NewBiBranchFilterQ(%d) rejected a valid level", q)
+		}
 	}
 }
 

@@ -214,7 +214,11 @@ func BenchmarkVectorConstruction(b *testing.B) {
 // reach, a k-NN query's run in full. The dblp rows are DBLP-like records
 // queried by variants of records, as the mixed_rw workload queries them:
 // there the label tier, not BDist, decides most trees, and the sequence
-// tier most of the trees the others leave, which verified reads.
+// tier most of the trees the others leave, which verified reads. The l2
+// rows are the default spec with two labels, N{4,0.5}N{50,2}L2, at
+// n = 2 000: a range query's label column decides most trees there, while
+// a k-NN query's cheap tiers leave nearly every tree standing, and its
+// lazy tiers, the positional bound first, are most of its filter.
 func BenchmarkFilterStage(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
 	opts := []search.IndexOption{search.WithShards(1), search.WithRefineWorkers(1)}
@@ -283,6 +287,16 @@ func BenchmarkFilterStage(b *testing.B) {
 	}
 	run("dblp-range-tau3", n, rangeq(ix, 3), queries)
 	run("dblp-knn-k10", n, knn(ix, 10), queries)
+
+	spec.Labels = 2
+	const n2 = 2000
+	ts = datagen.New(spec, 5).Dataset(n2, n2/10)
+	ix = search.NewIndex(ts, append(opts, search.NewBiBranch())...)
+	for i := range queries {
+		queries[i] = ts[(i*997+42)%n2]
+	}
+	run("l2-range-tau3", n2, rangeq(ix, 3), queries)
+	run("l2-knn-k10", n2, knn(ix, 10), queries)
 }
 
 // BenchmarkSnapshot is the snapshot rung: SaveIndex and LoadIndex of a

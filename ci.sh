@@ -99,6 +99,7 @@ for stage; do
         fuzz FuzzLoadIndex ./internal/search
         fuzz FuzzExactLabelTier ./internal/search
         fuzz FuzzSequenceTier ./internal/search
+        fuzz FuzzCheapLevels ./internal/search
         fuzz FuzzManifest ./internal/segstore
         fuzz FuzzParseTraceparent ./internal/obs
         fuzz FuzzTraceparentMiddleware ./internal/server

@@ -4,8 +4,10 @@ import (
 	"context"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"treesim/internal/obs"
 	"treesim/internal/tree"
 )
 
@@ -115,6 +117,62 @@ func TestQueryContextCanceled(t *testing.T) {
 	}
 	if res, _, err := ix.Range(ctx, q, 2); err != context.Canceled || res != nil {
 		t.Fatalf("Range on canceled ctx: res=%v err=%v", res, err)
+	}
+}
+
+// cancelAt is a context whose Err turns context.Canceled on its n-th call
+// and stays so: a cancellation that lands at a chosen check of a query.
+type cancelAt struct {
+	context.Context
+	n, calls atomic.Int64
+}
+
+func (c *cancelAt) Err() error {
+	if c.calls.Add(1) >= c.n.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestQueryContextCanceledMidSegment: a context that ends after the filter
+// pass has bounded the first 2·ctxCheckEvery trees of a sealed segment of
+// more than 3·ctxCheckEvery aborts both query kinds there — with
+// ctx.Err(), no results, a filter span marked canceled and no refine
+// stage. A pass that checked the context less often would finish, pass
+// the check after it, and be canceled in the refine stage.
+func TestQueryContextCanceledMidSegment(t *testing.T) {
+	ts := testDataset(3*ctxCheckEvery+5, 66)
+	ix := NewIndex(ts, NewBiBranch(), WithShards(1), WithRefineWorkers(1))
+	if segs := ix.cut().segs; len(segs) != 1 || segs[0].Len() != len(ts) {
+		t.Fatalf("want one sealed segment of %d trees, have %d segments", len(ts), len(segs))
+	}
+	q := ts[ctxCheckEvery+7]
+	for _, kind := range []string{"knn", "range"} {
+		root := obs.New("query")
+		ctx := &cancelAt{Context: obs.NewContext(context.Background(), root)}
+		ctx.n.Store(3) // the pass's first two checks pass, its third ends it
+		var (
+			res   []Result
+			stats Stats
+			err   error
+		)
+		if kind == "knn" {
+			res, stats, err = ix.KNN(ctx, q, 3)
+		} else {
+			res, stats, err = ix.Range(ctx, q, 2)
+		}
+		if err != context.Canceled || res != nil {
+			t.Fatalf("%s canceled mid-segment: res=%v err=%v", kind, res, err)
+		}
+		root.End()
+		spans := root.Snapshot().Children
+		if len(spans) != 1 || spans[0].Name != "filter" || spans[0].Attrs["canceled"] != true {
+			t.Fatalf("%s canceled mid-segment: want one canceled filter span, have %+v", kind, spans)
+		}
+		if stats.Verified != 0 || stats.Candidates != 0 {
+			t.Fatalf("%s canceled in the filter pass, yet verified %d and counted %d candidates",
+				kind, stats.Verified, stats.Candidates)
+		}
 	}
 }
 

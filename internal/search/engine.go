@@ -13,7 +13,6 @@ import (
 
 	"treesim/internal/editdist"
 	"treesim/internal/obs"
-	"treesim/internal/segstore"
 	"treesim/internal/tree"
 )
 
@@ -27,8 +26,8 @@ import (
 // filter; the refine stage fans exact-distance verifications over the same
 // pool, with a k-NN query propagating its current k-th-best distance across
 // workers through an atomic so late verifications prune harder. Tombstoned
-// positions are skipped, by a cursor over the sorted tombstone ids, before
-// any bound is computed.
+// positions are found once per run of positions, off the sorted tombstone
+// ids, and get no bound.
 //
 // The filter is a bound cascade, cheapest tier first (see biBranchBounder): the
 // size bound ||q|−|t||, then ⌈BDist/Factor⌉, then the label-histogram
@@ -43,21 +42,27 @@ import (
 // each sealed segment sweeps the postings of the query's branches and of
 // its labels once into its range of a pooled per-query accumulator, which
 // every later reader of the tiers — the shards, the lazy tiers, the
-// tightness sample — looks up by position. The sweep credits every
+// tightness sample — looks up by position. Both query kinds then run the
+// three cheap tiers as one pass (cheapPass): over a sealed segment, a
+// kernel reads the segment's size column and the two swept columns and
+// writes every tree's level and counts (biBranchBounder.levels), with no
+// call, pointer chase or tombstone probe per tree. The sweep credits every
 // carrier of a dense label with the query's full count of it; the exact
 // label tier takes back the excess from the label's count column, for a
 // tree the cheap tiers leave standing. Only the memtable, which has no
 // postings, merge-joins two flat branch vectors per tree, and has no label
 // tier; it has the sequence tier, which needs only the profiles. A range
-// query stands a tree down at tau. A k-NN query stands it down at the
-// live k-th-best distance, so its filter pass computes only the cheap
-// tiers, keeps each tree's largest and counts the trees per value of each,
+// query stands a tree down at tau: it reads its size, BDist and label
+// funnel off the pass's counts and takes only the trees whose level is at
+// most tau on to the later tiers. A k-NN query stands it down at the live
+// k-th-best distance, so its filter pass computes only the cheap tiers,
+// keeps each tree's largest and counts the trees per value of each,
 // and it reads every later tier lazily, while it verifies, only for the
 // trees whose key under the tiers before surfaces within the threshold
-// (see knnScan). The cheap tiers stop at a limit: a range query's tau, so
-// the size tier decides alone where it can, a memtable merge-join stops
-// once Factor·tau is out of reach, and the label bound is read only for
-// trees the first two leave standing; k-NN has no threshold and gets exact
+// (see knnScan). Over the columns every cheap bound is exact; in the
+// memtable, bounded tree by tree, they stop at a limit: a range query's
+// tau, so the size tier decides alone where it can and a merge-join stops
+// once Factor·tau is out of reach; k-NN has no threshold and gets exact
 // cheap bounds. Every tier is a sound lower bound, so no tier prunes a
 // tree the answer holds, and the full bound dominates the size and BDist
 // tiers. The label tiers may exceed the full bound — on small trees with
@@ -324,12 +329,18 @@ const (
 
 // add counts one more tree.
 func (h tierCounts) add(size, bdist, level int) tierCounts {
-	if n := 3*level + 3; n > len(h) {
-		h = append(h, make([]int32, n-len(h))...)
-	}
+	h = h.fit(level)
 	h[3*size+bySize]++
 	h[3*bdist+byBDist]++
 	h[3*level+byLevel]++
+	return h
+}
+
+// fit returns h with room for the counts of level.
+func (h tierCounts) fit(level int) tierCounts {
+	if n := 3*level + 3; n > len(h) {
+		h = append(h, make([]int32, n-len(h))...)
+	}
 	return h
 }
 
@@ -380,31 +391,18 @@ func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, acc []i
 			defer sspan.End()
 		}
 		lo, hi := shardRange(n, S, s)
-		h := bufs.hists[s]
-		si, _, first := cut.locate(lo)
-		tombs := cut.tombs.From(first)
-		for pos := lo; pos < hi; pos++ {
-			if (pos-lo)%ctxCheckEvery == 0 && (canceled.Load() || ctx.Err() != nil) {
+		p := cheapPass{cut: cut, prims: sc.prims, limit: noLimit, si: cut.segOf(lo), h: bufs.hists[s]}
+		for at := lo; at < hi; at += ctxCheckEvery {
+			if canceled.Load() || ctx.Err() != nil {
 				canceled.Store(true)
 				sspan.SetBool("canceled", true)
 				return
 			}
-			for pos >= cut.starts[si+1] {
-				si++
-			}
-			local := pos - cut.starts[si]
-			if tombs.Has(cut.segs[si].ID(local)) {
-				sc.cheap[pos] = -1
-				continue
-			}
-			sz, bd, lb := sc.prims[si].CheapBounds(local, noLimit)
-			bd = max(sz, bd)
-			c := max(bd, lb)
-			sc.cheap[pos] = int32(c)
-			h = h.add(sz, bd, c)
+			end := min(at+ctxCheckEvery, hi)
+			p.run(at, end, sc.cheap[at:end])
 		}
-		bufs.hists[s] = h
-		sspan.SetInt("bounds", int64(h.above(byLevel, -1)))
+		bufs.hists[s] = p.h
+		sspan.SetInt("bounds", int64(p.h.above(byLevel, -1)))
 	})
 	if canceled.Load() || ctx.Err() != nil {
 		scanPool.Put(bufs)
@@ -417,6 +415,58 @@ func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, acc []i
 	}
 	sc.hist = bufs.hists[0]
 	return sc, nil
+}
+
+// cheapPass is one shard's walk of the cheap tiers, the filter pass both
+// query kinds run: it bounds runs of positions segment by segment, over a
+// segment's columns where it has them (biBranchBounder.levels) and tree
+// by tree, by CheapBounds at limit, where it has none — the memtable, the
+// sequential scan — and takes each run's tombstoned positions out once,
+// off the sorted set, instead of probing it per position.
+type cheapPass struct {
+	cut   *qcut
+	prims segBounders
+	limit int
+	si    int        // the segment under the walk
+	h     tierCounts // the visible trees' counts
+	dead  []int      // the tombstoned locals of the run in hand
+}
+
+// run bounds positions [lo, hi) into h, writing each one's level to
+// out[pos−lo] and −1 for a tombstoned one. Successive runs ascend.
+func (p *cheapPass) run(lo, hi int, out []int32) {
+	for pos := lo; pos < hi; {
+		for pos >= p.cut.starts[p.si+1] {
+			p.si++
+		}
+		start, end := p.cut.starts[p.si], min(hi, p.cut.starts[p.si+1])
+		b := p.prims[p.si]
+		p.dead = p.cut.tombs.Locals(p.cut.segs[p.si], pos-start, end-start, p.dead[:0])
+		for _, d := range p.dead {
+			p.bound(b, pos-start, d, out[pos-lo:])
+			pos = start + d
+			out[pos-lo] = -1
+			pos++
+		}
+		p.bound(b, pos-start, end-start, out[pos-lo:])
+		pos = end
+	}
+}
+
+// bound bounds the visible locals [lo, hi) of bounder b's segment into h,
+// writing their levels to out.
+func (p *cheapPass) bound(b *biBranchBounder, lo, hi int, out []int32) {
+	if b.columns() {
+		p.h = b.levels(lo, hi, out, p.h)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		size, bdist, label := b.CheapBounds(i, p.limit)
+		bdist = max(size, bdist)
+		level := max(bdist, label)
+		out[i-lo] = int32(level)
+		p.h = p.h.add(size, bdist, level)
+	}
 }
 
 // siftDown restores the min-heap order below index i.
@@ -878,6 +928,25 @@ func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, ex *Explain)
 	return out, stats, nil
 }
 
+// deciding returns the cheap tier that stands tree i of bounder b's
+// segment down at tau: the first of its size, BDist and swept label tiers
+// above tau, exact.
+func deciding(b *biBranchBounder, i, tau int) int {
+	var size, bdist, label int
+	if b.columns() {
+		size, bdist, label = b.swept(i)
+	} else {
+		size, bdist, label = b.CheapBounds(i, noLimit)
+	}
+	switch {
+	case size > tau:
+		return size
+	case bdist > tau:
+		return bdist
+	}
+	return label
+}
+
 // rangeScan is what the range cascade produced over (a shard of) the
 // position domain: the surviving candidates with their bounds in position
 // order, the funnel of the visible trees and, when asked, their deciding
@@ -919,51 +988,42 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 		if wantBounds {
 			o.col = &explainCollector{bounds: make([]int, 0, hi-lo)}
 		}
-		// The segment under the cursor, re-resolved when a position leaves
-		// its range (an empty range forces the first resolve): this loop
-		// runs once per tree of the dataset, so it keeps the segment, its
-		// bounder and the counters in locals.
+		// The cheap tiers fill a block's levels; the trees they leave at or
+		// under tau go on, one by one, through the later tiers.
 		var (
-			segLo, segHi                             int
-			sg                                       *segstore.Segment
-			b                                        *biBranchBounder
-			bySize, byBDist, byLabel, byBound, bySeq int
-			seq                                      seqBuf
+			levels                  [ctxCheckEvery]int32
+			byLabel, byBound, bySeq int
+			seq                     seqBuf
 		)
-		_, _, first := cut.locate(lo)
-		tombs := cut.tombs.From(first)
-		for pos := lo; pos < hi; pos++ {
-			if (pos-lo)%ctxCheckEvery == 0 && (canceled.Load() || ctx.Err() != nil) {
+		p := cheapPass{cut: cut, prims: prims, limit: limit, si: cut.segOf(lo)}
+		for at := lo; at < hi; at += ctxCheckEvery {
+			if canceled.Load() || ctx.Err() != nil {
 				canceled.Store(true)
 				if S > 1 {
 					sspan.SetBool("canceled", true)
 				}
 				return
 			}
-			if pos < segLo || pos >= segHi {
-				si := cut.segOf(pos)
-				segLo, segHi = cut.starts[si], cut.starts[si+1]
-				sg, b = cut.segs[si], prims[si]
-			}
-			local := pos - segLo
-			if tombs.Has(sg.ID(local)) {
-				continue
-			}
-			sz, bd, lb := b.CheapBounds(local, limit)
-			if sz <= tau && bd <= tau && lb <= tau {
-				lb = b.ExactLabel(local)
-			}
-			switch {
-			case sz > tau:
-				bySize++
-				o.col.addBound(sz)
-			case bd > tau:
-				byBDist++
-				o.col.addBound(bd)
-			case lb > tau:
-				byLabel++
-				o.col.addBound(lb)
-			default:
+			end := min(at+ctxCheckEvery, hi)
+			p.run(at, end, levels[:end-at])
+			for j, c := range levels[:end-at] {
+				// A tombstoned tree has no bound, and one a cheap tier
+				// stands down matters further only to EXPLAIN.
+				if c < 0 || int(c) > tau && o.col == nil {
+					continue
+				}
+				si := cut.segOf(at + j)
+				b, local := prims[si], at+j-cut.starts[si]
+				if int(c) > tau {
+					o.col.addBound(deciding(b, local, tau))
+					continue
+				}
+				lb := b.ExactLabel(local)
+				if lb > tau {
+					byLabel++
+					o.col.addBound(lb)
+					continue
+				}
 				rb := max(b.RangeBound(local, tau), lb)
 				o.col.addBound(rb)
 				switch {
@@ -972,14 +1032,16 @@ func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau i
 				case b.Sequence(local, tau, &seq) > tau:
 					bySeq++
 				default:
-					o.cands = append(o.cands, pos)
+					o.cands = append(o.cands, at+j)
 					o.bounds = append(o.bounds, rb)
 				}
 			}
 		}
-		o.pruned = Funnel{Size: bySize, BDist: byBDist, Label: byLabel, Positional: byBound, Sequence: bySeq}
+		size, bdist := p.h.above(bySize, tau), p.h.above(byBDist, tau)
+		o.pruned = Funnel{Size: size, BDist: bdist - size, Label: p.h.above(byLevel, tau) - bdist + byLabel,
+			Positional: byBound, Sequence: bySeq}
 		if S > 1 {
-			sspan.SetInt("bounds", int64(hi-lo))
+			sspan.SetInt("bounds", int64(p.h.above(byLevel, -1)))
 		}
 	})
 	if canceled.Load() || ctx.Err() != nil {

@@ -14,6 +14,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -70,19 +71,28 @@ type BiBranch struct {
 	space    *branch.Space
 	profiles []*branch.Profile
 	// post is the inverted file over profiles (Algorithm 1) that a sealed
-	// segment's BDist and label tiers sweep; nil in the memtable, which
-	// grows by Append, merge-joins per tree instead and has no label tier.
-	post *invfile.Index
+	// segment's BDist and label tiers sweep, and sizes[i] is profiles[i].Size,
+	// the column the size tier reads beside the sweep; both nil in the
+	// memtable, which grows by Append, merge-joins per tree instead and has
+	// no label tier.
+	post  *invfile.Index
+	sizes []int32
 }
 
-// postingsOf builds the inverted file over a sealed segment's profiles:
-// nil for an empty segment, or one too large for a posting's tree bits,
-// which then merge-joins per tree like the memtable.
-func postingsOf(ps []*branch.Profile) *invfile.Index {
-	if len(ps) == 0 || len(ps) > invfile.MaxTrees {
-		return nil
+// seal builds what a sealed segment's filter keeps beside its profiles:
+// the inverted file its BDist and label tiers sweep, and the size column
+// its size tier reads, 4 bytes a tree — neither for an empty segment, or
+// one too large for a posting's tree bits, which then bounds tree by tree
+// like the memtable.
+func (f *BiBranch) seal() {
+	if len(f.profiles) == 0 || len(f.profiles) > invfile.MaxTrees {
+		return
 	}
-	return invfile.Build(ps)
+	f.post = invfile.Build(f.profiles)
+	f.sizes = make([]int32, len(f.profiles))
+	for i, p := range f.profiles {
+		f.sizes[i] = int32(p.Size)
+	}
 }
 
 // NewBiBranch returns the standard configuration of the paper: two-level
@@ -109,7 +119,7 @@ func (f *BiBranch) Index(ts []*tree.Tree) {
 	}
 	f.space = branch.NewSpace(f.level())
 	f.profiles = f.space.ProfileAllParallel(ts, 0)
-	f.post = postingsOf(f.profiles)
+	f.seal()
 }
 
 // Append profiles one more tree into the space: an insert into the
@@ -132,15 +142,15 @@ func (f *BiBranch) Fresh() *BiBranch {
 // snapshotAt freezes the first n profiles. The branch space is shared — it
 // is internally synchronized and only ever grows — and the profile slice
 // is capped at n, so appends to the live filter never show through. A seal
-// also builds the postings: under the store's lock, once per MemtableSize
-// inserts.
+// also builds the postings and the size column: under the store's lock,
+// once per MemtableSize inserts.
 func (f *BiBranch) snapshotAt(n int, seal bool) *BiBranch {
 	if f == nil {
 		return nil
 	}
 	g := &BiBranch{Q: f.Q, Positional: f.Positional, space: f.space, profiles: f.profiles[:n:n]}
 	if seal {
-		g.post = postingsOf(g.profiles)
+		g.seal()
 	}
 	return g
 }
@@ -277,20 +287,119 @@ func (b *biBranchBounder) label(i int, ov int32) int {
 	return max(0, (l1+1)/2)
 }
 
+// columns reports whether the bounder's segment has the cheap tiers'
+// columns — the size column, the branch overlaps and, but in the
+// non-positional ablation, the label overlaps — so that levels bounds it:
+// a sealed segment with postings.
+func (b *biBranchBounder) columns() bool { return b != nil && b.ov != nil }
+
+// colTiers is the cheap tiers' arithmetic over a segment's columns, with
+// the query's side of each bound folded into one constant: for a tree of
+// size ts whose branch overlap with the query is ov and whose swept label
+// overlap is lov, the size bound ||q|−|t||, ⌈BDist/Factor⌉ with BDist =
+// |q| + |t| − 2·ov, and ⌈L1/2⌉ over L1 ≥ |q| + |t| − 2·lov (one edit
+// operation changes L1 by at most 2). No step branches, so a loop over
+// the trees has no branch to mispredict.
+type colTiers struct {
+	qs    int    // |q|
+	bd    int    // |q| + Factor − 1
+	lb    int    // |q| − 2·lbase + 1, lbase the sweep's common label credit
+	recip uint64 // ⌈2^64/Factor⌉
+}
+
+// colTiers returns the query's side of the column arithmetic for the
+// bounder's segment.
+func (b *biBranchBounder) colTiers() colTiers {
+	qs := b.qp.Size
+	return colTiers{qs: qs, bd: qs + b.factor - 1, lb: qs - 2*int(b.lbase) + 1, recip: ^uint64(0)/uint64(b.factor) + 1}
+}
+
+// at returns one tree's three bounds. ⌈x/Factor⌉ is the high word of
+// recip·(x + Factor − 1), exact for every dividend below 2^32 (Lemire,
+// Kaser and Kurz, "Faster remainder by direct computation", 2019): a
+// branch distance is at most the two trees' sizes summed, and a size
+// column holds int32s.
+func (c colTiers) at(ts, ov, lov int) (size, bdist, label int) {
+	d := c.qs - ts
+	size = (d ^ d>>63) - d>>63
+	q, _ := bits.Mul64(c.recip, uint64(c.bd+ts-2*ov))
+	l := (c.lb + ts - 2*lov) >> 1
+	return size, int(q), l &^ (l >> 63)
+}
+
+// larger returns the larger of a and b without a branch, for a loop where
+// which one it is changes from tree to tree; a − b must not overflow.
+func larger(a, b int) int {
+	d := a - b
+	return a - d&(d>>63)
+}
+
+// levels is the cheap tiers over a segment's columns (see columns), the
+// one kernel of both query kinds' filter pass: for every tree i in
+// [lo, hi) it writes the tree's level — the largest of its size, BDist and
+// swept label tiers — to out[i−lo] and counts the three in h, which it
+// returns; no call, pointer chase or tombstone probe per tree. Every bound
+// is exact. The non-positional ablation has only the BDist tier.
+func (b *biBranchBounder) levels(lo, hi int, out []int32, h tierCounts) tierCounts {
+	sizes := b.f.sizes[lo:hi]
+	ov, out := b.ov[lo:hi][:len(sizes)], out[:len(sizes)]
+	c := b.colTiers()
+	if b.lov == nil {
+		for i, ts := range sizes {
+			_, bdist, _ := c.at(int(ts), int(ov[i]), 0)
+			out[i] = int32(bdist)
+			h = h.add(0, bdist, bdist)
+		}
+		return h
+	}
+	lov := b.lov[lo:hi][:len(sizes)]
+	// The counts grow outside the loop that fills them: a tree whose level
+	// they lack room for stops it, and the loop resumes at that tree.
+	for i := 0; i < len(sizes); {
+		for ; i < len(sizes); i++ {
+			size, bdist, label := c.at(int(sizes[i]), int(ov[i]), int(lov[i]))
+			bdist = larger(size, bdist)
+			level := larger(bdist, label)
+			out[i] = int32(level)
+			if 3*level+2 >= len(h) {
+				break
+			}
+			h[3*size+bySize]++
+			h[3*bdist+byBDist]++
+			h[3*level+byLevel]++
+		}
+		if i < len(sizes) {
+			h = h.fit(int(out[i]))
+		}
+	}
+	return h
+}
+
+// swept returns tree i's three cheap tiers off its segment's columns, as
+// levels computes them: for the one tree EXPLAIN wants the deciding tier of.
+func (b *biBranchBounder) swept(i int) (size, bdist, label int) {
+	if b.lov == nil {
+		_, bdist, _ = b.colTiers().at(int(b.f.sizes[i]), int(b.ov[i]), 0)
+		return 0, bdist, 0
+	}
+	return b.colTiers().at(int(b.f.sizes[i]), int(b.ov[i]), int(b.lov[i]))
+}
+
 // CheapBounds returns the cheap tiers' lower bounds on EDist(query, tree
-// i): the size bound ||q|−|t||, the plain branch-distance bound
-// ⌈BDist/Factor⌉ and the label-histogram bound ⌈L1/2⌉ (Kailing et al.),
+// i) tree by tree, which the engine asks for only in a segment without
+// columns — the memtable, and a sealed segment too large for postings —
+// where levels cannot run: the size bound ||q|−|t||, the plain
+// branch-distance bound ⌈BDist/Factor⌉ by a merge-join of the two branch
+// vectors, and, where the segment has a label tier, the label-histogram
+// bound ⌈L1/2⌉ (Kailing et al.) as swept (so the tests hold the columns
+// to it);
 // the first two neither above KNNBound(i) nor — when at most tau — above
 // RangeBound(i, tau). Past limit a bound need not be exact: a size bound
 // above it comes back with bdist and label zero, a bdist above it with
-// label zero, and may itself be any bound in (limit, ⌈BDist/Factor⌉];
-// noLimit asks for exact ones. A segment with postings — a sealed one of
-// at most invfile.MaxTrees trees — reads BDist off the query's sweep, so
-// its bdist is exact; the memtable and a larger segment merge-join and
-// stop at limit. Only a segment with postings has a label tier, whose
-// cheap bound credits every carrier of a dense label (see invfile) with
-// the query's full count of it. The non-positional ablation is the plain
-// bound by definition, so it has neither a size nor a label tier.
+// label zero, and may itself be any bound in (limit, ⌈BDist/Factor⌉]: the
+// join stops once Factor·limit is out of reach. noLimit asks for exact
+// ones. The non-positional ablation is the plain bound by definition, so
+// it has neither a size nor a label tier.
 func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist, label int) {
 	if b == nil {
 		return 0, 0, 0
@@ -304,13 +413,8 @@ func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist, label int) {
 			return size, 0, 0
 		}
 	}
-	var d int
-	if b.ov != nil {
-		d = b.BDist(i)
-	} else {
-		// BDist ≤ |q|+|t|: a cap there cannot stop the join, nor overflow.
-		d, _ = branch.BDistWithin(b.qp, t, min(limit, b.qp.Size+t.Size)*b.factor)
-	}
+	// BDist ≤ |q|+|t|: a cap there cannot stop the join, nor overflow.
+	d, _ := branch.BDistWithin(b.qp, t, min(limit, b.qp.Size+t.Size)*b.factor)
 	bdist = (d + b.factor - 1) / b.factor
 	if b.lov == nil || bdist > limit {
 		return size, bdist, 0

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"treesim/internal/datagen"
@@ -244,6 +245,160 @@ func FuzzSequenceTier(f *testing.F) {
 				capped := b.Sequence(i, int(k%8), &buf)
 				if (capped == int(k%8)+1) != (exact > int(k%8)) || exact <= int(k%8) && capped != exact {
 					t.Fatalf("segment %d tree %d: capped at %d the tier is %d, uncapped %d", si, i, k%8, capped, exact)
+				}
+			}
+		}
+	})
+}
+
+// FuzzCheapLevels holds the filter pass's cheap tiers, run per segment
+// over its columns, to their definition tree by tree. The index has every
+// kind of segment — the base one, sealed memtables, a compacted one that
+// lists its ids, a live memtable — and deletes at the first and last id
+// of sealed segments, on adjacent ids and in the memtable. At 1 and 3
+// shards, every visible position's k-NN level is the largest of its
+// CheapBounds — which merge-joins, so the sweep is checked against the
+// join — and every tombstoned one's −1; the k-NN counts are a per-tree
+// recount's; and the range pass at tau, with and without EXPLAIN's
+// deciding bounds, has the funnel, candidates and bounds of the cascade
+// run tree by tree.
+func FuzzCheapLevels(f *testing.F) {
+	f.Add(int64(1), uint8(30), uint8(2), uint8(3), uint8(2))
+	f.Add(int64(2), uint8(45), uint8(4), uint8(0), uint8(4))
+	f.Add(int64(3), uint8(12), uint8(0), uint8(5), uint8(0))
+	f.Add(int64(4), uint8(39), uint8(5), uint8(2), uint8(3))
+	f.Add(int64(108), uint8('4'), uint8(0xa1), uint8('S'), uint8('L')) // the exact label tier prunes
+	f.Fuzz(func(t *testing.T, seed int64, n, memtable, t8, dels uint8) {
+		spec := datagen.Spec{FanoutMean: 2, FanoutStd: 1, SizeMean: 7, SizeStd: 3, Labels: 4, Decay: 0.1}
+		g := datagen.New(spec, seed)
+		ts := g.Dataset(9+int(n%40), 3)
+		m := 2 + int(memtable%5)
+		ix := NewIndex(ts[:len(ts)/3], NewBiBranch(), WithMemtableSize(m), WithCompactionThreshold(-1))
+		insert := func(trees []*tree.Tree) {
+			for _, tr := range trees {
+				if _, err := ix.Insert(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// The first id of every other sealed segment with the one after it,
+		// adjacent, and the last id of the others.
+		edges := func() {
+			for i, sg := range ix.store.View().Segments {
+				if i%2 == 0 {
+					ix.Delete(sg.MinID())
+					ix.Delete(sg.MinID() + 1)
+				} else {
+					ix.Delete(sg.MaxID())
+				}
+			}
+		}
+		insert(ts[len(ts)/3 : 2*len(ts)/3])
+		for i := 0; i < int(dels%6); i++ {
+			ix.Delete(int(uint64(seed)>>(4*i)) % len(ts))
+		}
+		edges()
+		ix.Compact()
+		insert(ts[2*len(ts)/3:])
+		edges()
+		// A live memtable of m−1 trees, the first deleted when there are two.
+		ix.Seal()
+		insert(g.Dataset(m-1, 2))
+		if m > 2 {
+			ix.Delete(ix.Size() - (m - 1))
+		}
+		q := g.RandomEdits(ts[int(uint64(seed)%uint64(len(ts)))], 2)
+		if q.IsEmpty() {
+			q = tree.New(tree.NewNode(datagen.Label(0)))
+		}
+		tau := int(t8 % 6)
+
+		cut := ix.cut()
+		acc := make([]int32, 2*cut.n)
+		for _, shards := range []int{1, 3} {
+			ix.shards = shards
+			sc, err := ix.filterKNN(context.Background(), cut, q, acc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				hist       tierCounts
+				funnel     Funnel
+				cands      []int
+				candBounds []int
+				bounds     []int
+				seq        seqBuf
+			)
+			for pos := 0; pos < cut.n; pos++ {
+				si, local, id := cut.locate(pos)
+				b := sc.prims[si]
+				if cut.tombs.Has(id) {
+					if sc.cheap[pos] != -1 {
+						t.Fatalf("%d shards: tombstoned id %d (segment %d local %d) has level %d", shards, id, si, local, sc.cheap[pos])
+					}
+					continue
+				}
+				size, bdist, label := b.CheapBounds(local, noLimit)
+				if b.columns() {
+					if s, bd, l := b.swept(local); s != size || bd != bdist || l != label {
+						t.Fatalf("segment %d local %d: columns read %d %d %d, CheapBounds %d %d %d", si, local, s, bd, l, size, bdist, label)
+					}
+				}
+				level := max(size, bdist, label)
+				if int(sc.cheap[pos]) != level {
+					t.Fatalf("%d shards: id %d (segment %d local %d): level %d, CheapBounds %d %d %d",
+						shards, id, si, local, sc.cheap[pos], size, bdist, label)
+				}
+				hist = hist.add(size, max(size, bdist), level)
+
+				// The range cascade, tree by tree.
+				switch exact := b.ExactLabel(local); {
+				case size > tau:
+					funnel.Size++
+					bounds = append(bounds, size)
+				case bdist > tau:
+					funnel.BDist++
+					bounds = append(bounds, bdist)
+				case label > tau:
+					funnel.Label++
+					bounds = append(bounds, label)
+				case exact > tau:
+					funnel.Label++
+					bounds = append(bounds, exact)
+				default:
+					rb := max(b.RangeBound(local, tau), exact)
+					bounds = append(bounds, rb)
+					switch {
+					case rb > tau:
+						funnel.Positional++
+					case b.Sequence(local, tau, &seq) > tau:
+						funnel.Sequence++
+					default:
+						cands, candBounds = append(cands, pos), append(candBounds, rb)
+					}
+				}
+			}
+			if !reflect.DeepEqual(sc.hist, hist) {
+				t.Fatalf("%d shards: k-NN counts %v, recount %v", shards, sc.hist, hist)
+			}
+			scanPool.Put(sc.scanBufs)
+
+			slices.Sort(bounds)
+			for _, explain := range []bool{false, true} {
+				_, rs, err := ix.filterRange(context.Background(), cut, q, tau, acc, nil, explain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rs.pruned != funnel || !slices.Equal(rs.cands, cands) || !slices.Equal(rs.bounds, candBounds) {
+					t.Fatalf("%d shards, explain %v, tau %d: funnel %+v, candidates %v %v; tree by tree %+v, %v %v",
+						shards, explain, tau, rs.pruned, rs.cands, rs.bounds, funnel, cands, candBounds)
+				}
+				if explain {
+					got := rs.col.bounds
+					slices.Sort(got)
+					if !slices.Equal(got, bounds) {
+						t.Fatalf("%d shards, tau %d: deciding bounds %v, tree by tree %v", shards, tau, got, bounds)
+					}
 				}
 			}
 		}

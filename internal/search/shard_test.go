@@ -199,50 +199,70 @@ func TestIndexOptionAccessors(t *testing.T) {
 	}
 }
 
-// TestShardSpans: a query forced over several shards hangs shard[i]
-// children off its filter span, each reporting its bound count, and the
-// filter span still carries the global totals: every visible tree bounded,
-// and the query's candidates.
+// TestShardSpans: a query of either kind forced over several shards hangs
+// shard[i] children off its filter span, each reporting the visible trees
+// it bounded, and the filter span still carries the global totals: the
+// query's candidates and, for k-NN, every visible tree bounded. The index
+// has deletes, so the shards' bounds sum to Stats.Dataset, not to the
+// positions they cover.
 func TestShardSpans(t *testing.T) {
 	ts := testDataset(50, 37)
 	ix := NewIndex(ts, NewBiBranch(), WithShards(4), WithRefineWorkers(4))
+	for _, id := range []int{0, 5, 6, 7, 19, 33, 49} {
+		ix.Delete(id)
+	}
+	live := len(ts) - 7
 
-	root := obs.New("query")
-	_, stats, err := ix.KNN(obs.NewContext(context.Background(), root), ts[2], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	snap := root.Snapshot()
+	for _, kind := range []string{"knn", "range"} {
+		root := obs.New("query")
+		ctx := obs.NewContext(context.Background(), root)
+		var (
+			stats Stats
+			err   error
+		)
+		if kind == "knn" {
+			_, stats, err = ix.KNN(ctx, ts[2], 3)
+		} else {
+			_, stats, err = ix.Range(ctx, ts[2], 4)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		snap := root.Snapshot()
 
-	var filter *obs.SpanSnapshot
-	for i := range snap.Children {
-		if snap.Children[i].Name == "filter" {
-			filter = &snap.Children[i]
+		var filter *obs.SpanSnapshot
+		for i := range snap.Children {
+			if snap.Children[i].Name == "filter" {
+				filter = &snap.Children[i]
+			}
 		}
-	}
-	if filter == nil {
-		t.Fatalf("no filter span in %+v", snap)
-	}
-	if got := filter.Attrs["bounded"]; got != int64(len(ts)) {
-		t.Errorf("filter bounded %v, want %d", got, len(ts))
-	}
-	if got := filter.Attrs["candidates"]; got != int64(stats.Candidates) {
-		t.Errorf("filter candidates %v, stats say %d", got, stats.Candidates)
-	}
-	total := int64(0)
-	shards := 0
-	for _, c := range filter.Children {
-		if len(c.Name) >= 5 && c.Name[:5] == "shard" {
-			shards++
-			b, _ := c.Attrs["bounds"].(int64)
-			total += b
+		if filter == nil {
+			t.Fatalf("%s: no filter span in %+v", kind, snap)
 		}
-	}
-	if shards != 4 {
-		t.Fatalf("filter has %d shard children, want 4: %+v", shards, filter)
-	}
-	if total != int64(len(ts)) {
-		t.Errorf("shard bounds sum %d, want %d", total, len(ts))
+		if stats.Dataset != live {
+			t.Fatalf("%s: Stats.Dataset %d, want %d", kind, stats.Dataset, live)
+		}
+		if got, ok := filter.Attrs["bounded"]; kind == "knn" && got != int64(live) || kind == "range" && ok {
+			t.Errorf("%s: filter bounded %v, want %d for k-NN and none for range", kind, got, live)
+		}
+		if got := filter.Attrs["candidates"]; got != int64(stats.Candidates) {
+			t.Errorf("%s: filter candidates %v, stats say %d", kind, got, stats.Candidates)
+		}
+		total := int64(0)
+		shards := 0
+		for _, c := range filter.Children {
+			if len(c.Name) >= 5 && c.Name[:5] == "shard" {
+				shards++
+				b, _ := c.Attrs["bounds"].(int64)
+				total += b
+			}
+		}
+		if shards != 4 {
+			t.Fatalf("%s: filter has %d shard children, want 4: %+v", kind, shards, filter)
+		}
+		if total != int64(stats.Dataset) {
+			t.Errorf("%s: shard bounds sum %d, want Stats.Dataset %d", kind, total, stats.Dataset)
+		}
 	}
 }

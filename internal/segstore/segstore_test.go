@@ -421,14 +421,39 @@ func TestTombstonesCOW(t *testing.T) {
 		}
 	}
 
-	// A cursor from any id sees exactly the tombstones at or above it.
-	for from := -1; from <= 12; from++ {
-		c := last.From(from)
-		for id := from; id <= 12; id++ {
-			if c.Has(id) != last.Has(id) {
-				t.Fatalf("cursor from %d: Has(%d) = %v", from, id, c.Has(id))
+}
+
+// TestTombstonesLocals: over every run [lo, hi) of a segment, contiguous
+// or listing its ids, Locals finds exactly the positions whose ids the set
+// holds, ascending, after what dst held — with tombstones below the
+// segment's first id, at its first and last id, on adjacent ids, between
+// listed ids and past its MaxID.
+func TestTombstonesLocals(t *testing.T) {
+	tombs := NewTombstones([]int{1, 3, 10, 11, 14, 15, 16, 19, 20, 25, 40})
+	for _, sg := range []*Segment{
+		{Base: 10, N: 10},
+		{N: 7, IDs: []int{10, 12, 13, 15, 16, 18, 19}},
+		{N: 3, IDs: []int{2, 4, 30}},
+		{Base: 26, N: 4},
+	} {
+		for lo := 0; lo <= sg.N; lo++ {
+			for hi := lo; hi <= sg.N; hi++ {
+				var want []int
+				for i := lo; i < hi; i++ {
+					if tombs.Has(sg.ID(i)) {
+						want = append(want, i)
+					}
+				}
+				got := tombs.Locals(sg, lo, hi, []int{-1})
+				if got[0] != -1 || !slices.Equal(got[1:], want) {
+					t.Fatalf("segment %+v [%d, %d): Locals %v, want [-1] + %v", *sg, lo, hi, got, want)
+				}
 			}
 		}
+	}
+	var none *Tombstones
+	if got := none.Locals(&Segment{Base: 0, N: 5}, 0, 5, nil); len(got) != 0 {
+		t.Fatalf("the empty set found %v", got)
 	}
 }
 

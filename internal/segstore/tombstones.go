@@ -5,8 +5,9 @@ import "slices"
 // Tombstones is an immutable set of deleted ids, held as one strictly
 // ascending slice. Mutation returns a new set (copy-on-write), so a
 // published View's tombstones never change under a reader; a nil
-// *Tombstones is the valid empty set. A scan over ascending ids walks the
-// set with a Cursor instead of probing it per id.
+// *Tombstones is the valid empty set. A scan over a segment's positions
+// asks for the tombstoned ones of a run with Locals instead of probing the
+// set per id.
 type Tombstones struct {
 	ids []int
 }
@@ -54,25 +55,27 @@ func (t *Tombstones) Without(ids []int) *Tombstones {
 	return NewTombstones(slices.DeleteFunc(slices.Clone(t.ids), drop.Has))
 }
 
-// From returns a cursor over the set positioned at the first tombstoned id
-// ≥ id: where a scan over ascending ids starting at id begins.
-func (t *Tombstones) From(id int) Cursor {
-	ids := t.IDs()
-	i, _ := slices.BinarySearch(ids, id)
-	return Cursor{ids: ids[i:]}
-}
-
-// Cursor walks a tombstone set beside an ascending id sequence, so each
-// membership test is a compare against the next tombstone, not a search.
-type Cursor struct {
-	ids []int
-}
-
-// Has reports whether id is tombstoned. Successive calls must pass
-// non-decreasing ids.
-func (c *Cursor) Has(id int) bool {
-	for len(c.ids) > 0 && c.ids[0] < id {
-		c.ids = c.ids[1:]
+// Locals appends to dst, ascending, the local positions in [lo, hi) of
+// segment s whose ids the set holds: what a scan over a run of the
+// segment's positions skips, found by one search of the set and, where s
+// lists its ids, one of the run per tombstone inside it, instead of a
+// probe per position.
+func (t *Tombstones) Locals(s *Segment, lo, hi int, dst []int) []int {
+	if lo >= hi {
+		return dst
 	}
-	return len(c.ids) > 0 && c.ids[0] == id
+	ids := t.IDs()
+	i, _ := slices.BinarySearch(ids, s.ID(lo))
+	for last := s.ID(hi - 1); i < len(ids) && ids[i] <= last; i++ {
+		if s.IDs == nil {
+			dst = append(dst, ids[i]-s.Base)
+			continue
+		}
+		j, ok := slices.BinarySearch(s.IDs[lo:hi], ids[i])
+		if lo += j; ok {
+			dst = append(dst, lo)
+			lo++
+		}
+	}
+	return dst
 }

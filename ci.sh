@@ -77,7 +77,7 @@ for stage; do
         # writes) — run under the race detector on their own so a failure
         # names the engine, not a random package.
         echo "== shard + compaction hammer (-race)"
-        go test -race -count=2 -run 'Shard|Hammer' ./internal/search
+        go test -race -count=2 -run 'Shard|Hammer|ExplainBoundsRepeatable' ./internal/search
         ;;
     chaos)
         # Chaos matrix: every durability operation (insert, delete, seal,

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"treesim/internal/branch"
+	"treesim/internal/datagen"
 	"treesim/internal/dblp"
 	"treesim/internal/editdist"
 	"treesim/internal/obs"
@@ -608,7 +610,7 @@ func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
 			b := prims[si]
 			for i, pr := range f.profiles {
 				want := branch.BDist(b.qp, pr)
-				_, bd, lb := b.CheapBounds(i, noLimit)
+				_, bd, lb := b.CheapBounds(i)
 				if got := b.BDist(i); got != want || bd != (want+b.factor-1)/b.factor {
 					t.Fatalf("%s: query %d, segment %d tree %d: BDist %d, tier %d; merge-join %d",
 						name, qi, si, i, got, bd, want)
@@ -648,18 +650,25 @@ func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
 // threshold, and the funnel is then taken at distances below most keys:
 // each tree must be charged exactly once — to the tier whose key exceeds
 // the distance, or as a candidate when none does and its sequence tier
-// does not either — as a per-tree reference over the same bounds says.
-// Every other handed tree has its sequence tier read the way a refine
-// worker reads it, capped one above a threshold of 4, the highest distance
-// the funnel is taken at; the funnel reads the others' itself.
+// does not either — as a per-tree reference over the same bounds says; and
+// EXPLAIN's deciding bound of each tree must be that tier's bound, or its
+// tightened key when no tier prunes it, though the scan read every tree's
+// label and tightened keys. Every other handed tree has its sequence tier
+// read the way a refine worker reads it, capped one above a threshold of
+// 4, the highest distance the funnel is taken at; the funnel reads the
+// others' itself.
 func TestFunnelAfterThresholdFalls(t *testing.T) {
 	ts := testDataset(60, 95)
 	ix := NewIndex(ts, NewBiBranch(), WithShards(1), WithRefineWorkers(1))
 	s := branch.NewSpace(2)
-	for _, q := range []*tree.Tree{ts[4], ts[33], unknownLabels} {
+	// One more leaf on ts[2]: at 4 the exact label tier stands down a tree
+	// whose positional bound is higher still.
+	leaf := ts[2].Clone()
+	leaf.Root.Children = append(leaf.Root.Children, tree.NewNode(datagen.Label(1)))
+	for _, q := range []*tree.Tree{ts[4], ts[33], unknownLabels, leaf} {
 		cut := ix.cut()
 		acc := getAcc(2 * cut.n)
-		sc, err := ix.filterKNN(context.Background(), cut, q, *acc, nil)
+		sc, err := ix.filterPass(context.Background(), cut, q, *acc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -680,32 +689,50 @@ func TestFunnelAfterThresholdFalls(t *testing.T) {
 		if handed != len(ts) {
 			t.Fatalf("query %s: %d trees handed out at an unbounded threshold, want %d", q, handed, len(ts))
 		}
-		tier := exactTier(ix, q)
+		tier, swept := exactTier(ix, q), sweptLabels(ix, q)
 		qp := s.Profile(q)
 		for worst := 0; worst <= 4; worst++ {
-			var want Funnel
+			var (
+				want       Funnel
+				wantBounds []int
+			)
 			wantCands := 0
 			for id, tr := range ts {
 				tp := s.Profile(tr)
 				size := max(qp.Size-tp.Size, tp.Size-qp.Size)
 				bdist := max(size, branch.BDistLowerBound(qp, tp))
-				switch label := max(bdist, tier[id]); {
+				label := max(bdist, tier[id])
+				key := max(label, branch.SearchLBound(qp, tp))
+				switch {
 				case size > worst:
 					want.Size++
+					key = size
 				case bdist > worst:
 					want.BDist++
+					key = bdist
 				case label > worst:
 					want.Label++
-				case branch.SearchLBound(qp, tp) > worst:
+					key = label
+					if swept[id] > worst {
+						key = swept[id]
+					}
+				case key > worst:
 					want.Positional++
 				case editdist.SequenceLowerBound(q, tr) > worst:
 					want.Sequence++
 				default:
 					wantCands++
 				}
+				wantBounds = append(wantBounds, key)
 			}
 			if cands, f := sc.funnel(worst); f != want || cands != wantCands {
 				t.Fatalf("query %s at %d: funnel %+v with %d candidates, reference %+v with %d", q, worst, f, cands, want, wantCands)
+			}
+			got := sc.decidingBounds(worst)
+			slices.Sort(got)
+			slices.Sort(wantBounds)
+			if !slices.Equal(got, wantBounds) {
+				t.Fatalf("query %s at %d: deciding bounds %v, reference %v", q, worst, got, wantBounds)
 			}
 		}
 		scanPool.Put(sc.scanBufs)

@@ -42,37 +42,35 @@ import (
 // each sealed segment sweeps the postings of the query's branches and of
 // its labels once into its range of a pooled per-query accumulator, which
 // every later reader of the tiers — the shards, the lazy tiers, the
-// tightness sample — looks up by position. Both query kinds then run the
-// three cheap tiers as one pass (cheapPass): over a sealed segment, a
-// kernel reads the segment's size column and the two swept columns and
-// writes every tree's level and counts (biBranchBounder.levels), with no
-// call, pointer chase or tombstone probe per tree. The sweep credits every
-// carrier of a dense label with the query's full count of it; the exact
-// label tier takes back the excess from the label's count column, for a
-// tree the cheap tiers leave standing. Only the memtable, which has no
-// postings, merge-joins two flat branch vectors per tree, and has no label
-// tier; it has the sequence tier, which needs only the profiles. A range
-// query stands a tree down at tau: it reads its size, BDist and label
-// funnel off the pass's counts and takes only the trees whose level is at
-// most tau on to the later tiers. A k-NN query stands it down at the live
-// k-th-best distance, so its filter pass computes only the cheap tiers,
-// keeps each tree's largest and counts the trees per value of each,
-// and it reads every later tier lazily, while it verifies, only for the
-// trees whose key under the tiers before surfaces within the threshold
-// (see knnScan). Over the columns every cheap bound is exact; in the
-// memtable, bounded tree by tree, they stop at a limit: a range query's
-// tau, so the size tier decides alone where it can and a merge-join stops
-// once Factor·tau is out of reach; k-NN has no threshold and gets exact
-// cheap bounds. Every tier is a sound lower bound, so no tier prunes a
-// tree the answer holds, and the full bound dominates the size and BDist
-// tiers. The label tiers may exceed the full bound — on small trees with
-// telling labels they often do — so a tightened k-NN key is the largest of
-// them, and a range candidate's bound likewise. The label tiers prune
-// trees the positional bound would have let through, and the sequence
-// tier trees all of them would have, so candidates and verifications are
-// fewer than a scan over the full bound alone would give; the results are
-// the same. Stats.Pruned reports how many trees each tier eliminated;
-// both label tiers count as the label tier.
+// tightness sample — looks up by position. The filter pass runs the three
+// cheap tiers (cheapPass): over a sealed segment, a kernel reads the
+// segment's size column and the two swept columns and writes every tree's
+// level and counts (biBranchBounder.levels), with no call, pointer chase
+// or tombstone probe per tree. The sweep credits every carrier of a dense
+// label with the query's full count of it; the exact label tier takes
+// back the excess from the label's count column, for a tree the cheap
+// tiers leave standing. Only the memtable, which has no postings,
+// merge-joins two flat branch vectors per tree, and has no label tier; it
+// has the sequence tier, which needs only the profiles. Every cheap bound
+// is exact.
+//
+// Both query kinds are then one scan (Algorithm 2; see scan), which stands
+// a tree down at the threshold: a range query's tau, which never moves, or
+// a k-NN query's live k-th-best distance, which only falls. The filter pass
+// keeps each tree's largest cheap bound and counts the trees per value of
+// each, and the scan reads every later tier lazily, while it verifies,
+// only for the trees whose key under the tiers before surfaces within the
+// threshold. The full bound is the range bound at a fixed threshold, which
+// it tightens at tau (Section 4.3), and the k-NN bound otherwise. Every
+// tier is a sound lower bound, so no tier prunes a tree the answer holds,
+// and the full bound dominates the size and BDist tiers. The label tiers
+// may exceed the full bound — on small trees with telling labels they
+// often do — so a tightened key is the largest of them. The label tiers
+// prune trees the positional bound would have let through, and the
+// sequence tier trees all of them would have, so candidates and
+// verifications are fewer than a scan over the full bound alone would
+// give; the results are the same. Stats.Pruned reports how many trees each
+// tier eliminated; both label tiers count as the label tier.
 //
 // Results are shard- and segment-layout invariant by construction:
 //
@@ -80,14 +78,14 @@ import (
 //     its own slot, and every per-segment bound is a sound lower bound of
 //     the same edit distance (differently-built filters only differ in
 //     tightness, never in soundness);
-//   - k-NN candidates are verified in ascending (bound, id) order, and the
-//     top-k heap breaks distance ties by id, so the answer is the unique
-//     k-minimal (dist, id) set no matter which worker verified what or how
-//     the dataset is cut into segments;
+//   - candidates are verified in ascending (bound, id) order, and the
+//     top-k heap breaks distance ties by id, so a k-NN answer is the
+//     unique k-minimal (dist, id) set no matter which worker verified what
+//     or how the dataset is cut into segments;
 //   - a verification is skipped only when its bound, or its sequence tier,
-//     exceeds the atomic threshold, which never rises and ends at the
-//     final k-th distance — by the lower-bound property such a tree cannot
-//     be in the answer.
+//     exceeds the atomic threshold, which never rises and ends at tau or
+//     the final k-th distance — by the lower-bound property such a tree
+//     cannot be in the answer.
 //
 // The refine stage is threshold-bounded: the query is prepared once per
 // request (editdist.Prepare) and every verification is a Query.Within
@@ -107,8 +105,9 @@ import (
 // Stats.Verified (and therefore FalsePositives and Tightness) for k-NN can
 // vary with worker timing — opportunistic pruning means a fast machine may
 // verify a few candidates a slow one skips — but results, Candidates, the
-// funnel and Results are deterministic. Range queries verify every
-// candidate, so all their counters are deterministic too.
+// funnel, Results and EXPLAIN's bounds are deterministic. A range query's
+// threshold never moves, so it verifies the same trees at the same cutoff
+// whatever the timing, and all its counters are deterministic too.
 
 // shardCount resolves the shard count for a domain of n items.
 func (ix *Index) shardCount(n int) int {
@@ -130,16 +129,17 @@ func shardRange(n, S, s int) (lo, hi int) {
 	return s * n / S, (s + 1) * n / S
 }
 
-// knn runs one k-NN query (Algorithm 2, sharded across segments).
-func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]Result, Stats, error) {
+// query runs one query (Algorithm 2, sharded across segments): the k
+// nearest trees to q when k is positive, else every tree within tau of it,
+// none when tau is negative.
+func (ix *Index) query(ctx context.Context, q *tree.Tree, k, tau int, ex *Explain) ([]Result, Stats, error) {
 	cut := ix.cut()
 	stats := Stats{Dataset: cut.live}
-	if k <= 0 || cut.live == 0 {
+	fixed := k <= 0
+	if fixed && tau < 0 || cut.live == 0 {
 		return nil, stats, nil
 	}
-	if k > cut.live {
-		k = cut.live
-	}
+	k = min(k, cut.live)
 	if ex != nil {
 		ex.Segments = len(cut.segs)
 	}
@@ -155,7 +155,7 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]R
 
 	start := time.Now()
 	fspan := span.StartChild("filter")
-	sc, err := ix.filterKNN(ctx, cut, q, *acc, fspan)
+	sc, err := ix.filterPass(ctx, cut, q, *acc, fspan)
 	stats.FilterTime = time.Since(start)
 	if err != nil {
 		fspan.SetBool("canceled", true)
@@ -167,16 +167,21 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]R
 	fspan.SetInt("segments", int64(len(cut.segs)))
 	fspan.End()
 
+	// Nothing prunes a k-NN query until the heap holds k.
+	thresh := int64(math.MaxInt64)
+	if fixed {
+		sc.fixed, thresh = true, int64(tau)
+	}
 	start = time.Now()
 	rspan := span.StartChild("refine")
-	out, err := ix.refineKNN(ctx, cut, q, k, sc, &stats, ex, rspan)
+	out, err := ix.refine(ctx, cut, q, k, thresh, sc, &stats, ex, rspan)
 	// The last tiers are read lazily, between verifications; their time
 	// is the filter's, not the refine stage's. Workers read the sequence
 	// tier in parallel, so their lazy time summed can pass the stage's.
-	refine := time.Since(start)
-	lazy := min(sc.lazyTime, refine)
+	elapsed := time.Since(start)
+	lazy := min(sc.lazyTime, elapsed)
 	stats.FilterTime += lazy
-	stats.RefineTime = refine - lazy
+	stats.RefineTime = elapsed - lazy
 	rspan.SetInt("pruned", int64(cut.live-stats.Verified))
 	if err != nil {
 		rspan.SetInt("verified", int64(stats.Verified))
@@ -185,15 +190,19 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]R
 		return nil, stats, err
 	}
 	stats.Results = len(out)
-	if len(out) > 0 {
-		// A tree is a candidate when its bound does not exceed the final
-		// k-th distance: no verification order could prune it unverified.
-		stats.Candidates, stats.Pruned = sc.funnel(out[len(out)-1].Dist)
+	// A tree is a candidate when its bound does not exceed the final
+	// threshold, tau or the k-th distance: no verification order could
+	// prune it unverified. A k-NN answer holds k trees: every tree is
+	// verified, exactly, until it does.
+	worst := tau
+	if !fixed {
+		worst = out[len(out)-1].Dist
 	}
+	stats.Candidates, stats.Pruned = sc.funnel(worst)
 	fspan.SetInt("candidates", int64(stats.Candidates))
 	stats.Pruned.report(fspan)
 	if ex != nil {
-		ex.Bounds = sc.boundDist()
+		ex.Bounds = summarize(sc.decidingBounds(worst))
 	}
 	stats.FalsePositives = stats.Verified - len(out)
 	rspan.SetInt("verified", int64(stats.Verified))
@@ -202,35 +211,38 @@ func (ix *Index) knn(ctx context.Context, q *tree.Tree, k int, ex *Explain) ([]R
 	return out, stats, nil
 }
 
-// knnScan is the cascade state of one k-NN query. The filter stage keeps,
-// of every visible tree's three cheap bounds, only the largest — the
-// tree's level — and three histograms: how many visible trees there are at
-// each value of the size tier, of the larger of it and the BDist tier, and
-// of the level. The refine stage consumes positions in ascending (bound,
-// id) order, reading each tier only for the trees whose key under the
-// tiers before it surfaces within the live k-th-best distance. A level is
-// read when it is the lowest one unread and no key in the heap lies below
-// it: each of its trees, in position order, gets the exact label tier and,
-// where that does not exceed the threshold, goes into a heap keyed by it.
-// When such a key surfaces within the threshold, the tree gets the
-// filter's full bound and goes back in, keyed by the larger of the two:
-// its tightened key. When that surfaces within the threshold, the tree is
-// handed out, and the worker it goes to reads its sequence tier, outside
-// the lock, and verifies it only if that stays within the threshold too.
-// No key is below the one it replaces, and at an equal
-// key a level sorts ahead of a label key and that ahead of a tightened
-// one, so a position is handed out only after every position with a
-// smaller (tightened key, id) has been: verifications happen in the order
-// a sort by tightened key would give, while a tree costs nothing past the
-// tier whose key stopped it — above the last level read, no key and no
-// heap slot. A level is gathered only when it is to be read, so the scan
-// never pays for the level above the last one it reads. The funnel and
-// EXPLAIN read the histograms and the records of each lazy tier.
-type knnScan struct {
+// scan is the cascade state of one query of either kind. The filter stage
+// keeps, of every visible tree's three cheap bounds, only the largest —
+// the tree's level — and three histograms: how many visible trees there
+// are at each value of the size tier, of the larger of it and the BDist
+// tier, and of the level. The refine stage consumes positions in ascending
+// (bound, id) order, reading each tier only for the trees whose key under
+// the tiers before it surfaces within the threshold: tau, or the live
+// k-th-best distance. A level is read when it is the lowest one unread and
+// no key in the heap lies below it: each of its trees, in position order,
+// gets the exact label tier and, where that does not exceed the threshold,
+// goes into a heap keyed by it. When such a key surfaces within the
+// threshold, the tree gets the filter's full bound and goes back in, keyed
+// by the larger of the two: its tightened key. When that surfaces within
+// the threshold, the tree is handed out, and the worker it goes to reads
+// its sequence tier, outside the lock, and verifies it only if that stays
+// within the threshold too. No key is below the one it replaces, and at an
+// equal key a level sorts ahead of a label key and that ahead of a
+// tightened one, so a position is handed out only after every position
+// with a smaller (tightened key, id) has been: verifications happen in the
+// order a sort by tightened key would give, while a tree costs nothing
+// past the tier whose key stopped it — above the last level read, no key
+// and no heap slot. A level is gathered only when it is to be read, so the
+// scan never pays for the level above the last one it reads. The funnel
+// and EXPLAIN read the histograms and the records of each lazy tier.
+type scan struct {
 	cut   *qcut
 	prims segBounders
 	*scanBufs
 	hist tierCounts // the shards' counts, summed
+	// fixed marks a range query, whose threshold stays at tau: its full
+	// bound is the range bound at tau.
+	fixed bool
 
 	mu sync.Mutex
 	// pending holds the positions of the levels gathered but not yet
@@ -268,7 +280,7 @@ type handed struct {
 // tightened marks a heap key that includes the full bound.
 const tightened = 1 << 32
 
-// scanBufs is a k-NN scan's memory, pooled like the accumulator so that a
+// scanBufs is a scan's memory, pooled like the accumulator so that a
 // scan allocates nothing per tree in the steady state. A query puts it
 // back when it returns.
 type scanBufs struct {
@@ -369,13 +381,13 @@ func (h tierCounts) merge(o tierCounts) tierCounts {
 	return h
 }
 
-// filterKNN computes every visible tree's cheap bounds — sharded when the
+// filterPass computes every visible tree's cheap bounds — sharded when the
 // index is configured for it — into its level and the histograms.
-func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, acc []int32, fspan *obs.Span) (*knnScan, error) {
+func (ix *Index) filterPass(ctx context.Context, cut *qcut, q *tree.Tree, acc []int32, fspan *obs.Span) (*scan, error) {
 	n := cut.n
 	S := ix.shardCount(n)
 	bufs := getScanBufs(n, S, ix.pool.size)
-	sc := &knnScan{cut: cut, prims: newSegBounders(cut, q, acc), scanBufs: bufs}
+	sc := &scan{cut: cut, prims: newSegBounders(cut, q, acc), scanBufs: bufs}
 
 	// Each shard bounds a contiguous position block into disjoint slots
 	// and its own histograms. The cheap tiers only read, so every shard
@@ -391,7 +403,7 @@ func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, acc []i
 			defer sspan.End()
 		}
 		lo, hi := shardRange(n, S, s)
-		p := cheapPass{cut: cut, prims: sc.prims, limit: noLimit, si: cut.segOf(lo), h: bufs.hists[s]}
+		p := cheapPass{cut: cut, prims: sc.prims, si: cut.segOf(lo), h: bufs.hists[s]}
 		for at := lo; at < hi; at += ctxCheckEvery {
 			if canceled.Load() || ctx.Err() != nil {
 				canceled.Store(true)
@@ -417,16 +429,15 @@ func (ix *Index) filterKNN(ctx context.Context, cut *qcut, q *tree.Tree, acc []i
 	return sc, nil
 }
 
-// cheapPass is one shard's walk of the cheap tiers, the filter pass both
-// query kinds run: it bounds runs of positions segment by segment, over a
-// segment's columns where it has them (biBranchBounder.levels) and tree
-// by tree, by CheapBounds at limit, where it has none — the memtable, the
-// sequential scan — and takes each run's tombstoned positions out once,
-// off the sorted set, instead of probing it per position.
+// cheapPass is one shard's walk of the cheap tiers, the filter pass: it
+// bounds runs of positions segment by segment, over a segment's columns
+// where it has them (biBranchBounder.levels) and tree by tree, by
+// CheapBounds, where it has none — the memtable, the sequential scan — and
+// takes each run's tombstoned positions out once, off the sorted set,
+// instead of probing it per position.
 type cheapPass struct {
 	cut   *qcut
 	prims segBounders
-	limit int
 	si    int        // the segment under the walk
 	h     tierCounts // the visible trees' counts
 	dead  []int      // the tombstoned locals of the run in hand
@@ -461,7 +472,7 @@ func (p *cheapPass) bound(b *biBranchBounder, lo, hi int, out []int32) {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		size, bdist, label := b.CheapBounds(i, p.limit)
+		size, bdist, label := b.CheapBounds(i)
 		bdist = max(size, bdist)
 		level := max(bdist, label)
 		out[i-lo] = int32(level)
@@ -488,7 +499,7 @@ func siftDown(h []uint64, i int) {
 }
 
 // push adds a key to the heap.
-func (sc *knnScan) push(k uint64) {
+func (sc *scan) push(k uint64) {
 	h := append(sc.heap, k)
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -502,7 +513,8 @@ func (sc *knnScan) push(k uint64) {
 }
 
 // next hands out the position to verify next, in ascending (tightened key,
-// id) order, reading levels and the full bound as their keys surface, and
+// id) order, reading levels and the full bound — the range bound at a
+// fixed threshold, the k-NN bound otherwise — as their keys surface, and
 // the index of its record in handed, whose sequence tier the caller reads
 // (see sequence). It reports false once the smallest remaining key — the
 // lowest unread level or the heap's top — exceeds thresh — keys only grow
@@ -510,7 +522,7 @@ func (sc *knnScan) push(k uint64) {
 // tree is left, or the context ended mid-level (canceled is then set).
 // Safe for concurrent use; the lazy tiers are serialized under the scan's
 // lock.
-func (sc *knnScan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound, at int, ok bool) {
+func (sc *scan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound, at int, ok bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for !sc.canceled {
@@ -526,7 +538,13 @@ func (sc *knnScan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound, 
 		pos, bound = int(uint32(top)), int(top>>33)
 		if top&tightened == 0 {
 			si, local, _ := sc.cut.locate(pos)
-			key := max(sc.prims[si].KNNBound(local), bound)
+			var full int
+			if sc.fixed {
+				full = sc.prims[si].RangeBound(local, int(t))
+			} else {
+				full = sc.prims[si].KNNBound(local)
+			}
+			key := max(full, bound)
 			sc.full = append(sc.full, bounded{pos: int32(pos), label: int32(bound), key: int32(key)})
 			sc.heap[0] = uint64(key)<<33 | tightened | uint64(pos)
 			siftDown(sc.heap, 0)
@@ -546,12 +564,12 @@ func (sc *knnScan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound, 
 // position pos as record at, capped one above the live threshold, into
 // buf, the caller's own: outside the scan's lock, so workers read it in
 // parallel. It reports whether the tier stays within that threshold, and
-// so whether the tree is still worth verifying. Before the answer holds k
-// trees nothing can be pruned and the tier is not read; the funnel reads
-// it for those trees itself. After, the cap is never below the final k-th
-// distance, so the funnel can tell for every handed tree whether the tier
-// exceeds that distance.
-func (sc *knnScan) sequence(at, pos int, thresh *atomic.Int64, buf *seqBuf) bool {
+// so whether the tree is still worth verifying. Before a k-NN answer holds
+// k trees nothing can be pruned and the tier is not read; the funnel reads
+// it for those trees itself. After, and at a fixed threshold throughout,
+// the cap is never below the final threshold, so the funnel can tell for
+// every handed tree whether the tier exceeds it.
+func (sc *scan) sequence(at, pos int, thresh *atomic.Int64, buf *seqBuf) bool {
 	t := thresh.Load()
 	if t == math.MaxInt64 {
 		return true
@@ -567,7 +585,7 @@ func (sc *knnScan) sequence(at, pos int, thresh *atomic.Int64, buf *seqBuf) bool
 // lowest returns the lowest level with trees not yet tightened, −1 when
 // every level has been read. It gathers nothing: a level's trees are
 // gathered only when it is tightened.
-func (sc *knnScan) lowest() int {
+func (sc *scan) lowest() int {
 	if len(sc.pending) > 0 {
 		return int(sc.cheap[sc.pending[0]])
 	}
@@ -583,15 +601,16 @@ func (sc *knnScan) lowest() int {
 
 // gather collects the positions of the lowest level not yet gathered,
 // which lowest found to hold trees — with the next ones too while they all
-// hold at most gatherChunk trees — into pending, in (level, position)
+// hold at most gatherChunk trees and lie within thresh, above which no
+// level is ever read — into pending, in (level, position)
 // order: one pass over the levels copies their positions out without a
 // branch to mispredict — it writes every position and advances past those
 // in range — and, when it took several levels, a counting sort by level,
 // sized by the histogram, orders what it found.
-func (sc *knnScan) gather() {
+func (sc *scan) gather(thresh int64) {
 	lo, top := sc.read, sc.hist.levels()
 	hi, total := lo+1, sc.hist.at(byLevel, lo)
-	for hi < top && total+sc.hist.at(byLevel, hi) <= gatherChunk {
+	for hi < top && int64(hi) <= thresh && total+sc.hist.at(byLevel, hi) <= gatherChunk {
 		total += sc.hist.at(byLevel, hi)
 		hi++
 	}
@@ -634,9 +653,9 @@ const gatherChunk = 1024
 // tighten gives every tree of the lowest unread level its label key,
 // gathering it first if it is not pending yet, and pushes those within
 // thresh onto the heap; the others can never be handed out.
-func (sc *knnScan) tighten(ctx context.Context, level int, thresh int64) {
+func (sc *scan) tighten(ctx context.Context, level int, thresh int64) {
 	if len(sc.pending) == 0 {
-		sc.gather()
+		sc.gather(thresh)
 	}
 	n := sc.hist.at(byLevel, level)
 	for i, p := range sc.pending[:n] {
@@ -654,16 +673,17 @@ func (sc *knnScan) tighten(ctx context.Context, level int, thresh int64) {
 	sc.pending = sc.pending[n:]
 }
 
-// funnel classifies every visible tree against the final k-th distance:
-// pruned by the first tier whose bound exceeds it, or a candidate. The
-// histograms count the trees a cheap tier prunes. Every lazy tier was read
-// for every tree whose key under the tiers before it does not exceed
-// worst, since the scan never stops below the threshold of the moment,
-// which is never below worst: a tree of a level at most worst has its
-// label key, one whose label key is at most worst its tightened key, and
-// one whose tightened key is at most worst its sequence tier — read here,
-// capped at worst, for a tree whose worker read no threshold.
-func (sc *knnScan) funnel(worst int) (candidates int, f Funnel) {
+// funnel classifies every visible tree against the final threshold worst —
+// tau, or the final k-th distance: pruned by the first tier whose bound
+// exceeds it, or a candidate. The histograms count the trees a cheap tier
+// prunes. Every lazy tier was read for every tree whose key under the
+// tiers before it does not exceed worst, since the scan never stops below
+// the threshold of the moment, which is never below worst: a tree of a
+// level at most worst has its label key, one whose label key is at most
+// worst its tightened key, and one whose tightened key is at most worst
+// its sequence tier — read here, capped at worst, for a tree whose worker
+// read no threshold.
+func (sc *scan) funnel(worst int) (candidates int, f Funnel) {
 	size, bdist := sc.hist.above(bySize, worst), sc.hist.above(byBDist, worst)
 	f.Size, f.BDist, f.Label = size, bdist-size, sc.hist.above(byLevel, worst)-bdist
 	for _, t := range sc.labels {
@@ -694,33 +714,53 @@ func (sc *knnScan) funnel(worst int) (candidates int, f Funnel) {
 	return candidates, f
 }
 
-// boundDist summarizes every visible tree's deciding bound: its tightened
-// key where the scan computed one, its label key where it read only its
-// level, and its level where it read nothing else.
-func (sc *knnScan) boundDist() BoundDist {
-	col := &explainCollector{bounds: make([]int, 0, sc.cut.live)}
-	untightened := make([]int, sc.hist.levels())
-	for v := range untightened {
-		untightened[v] = sc.hist.at(byLevel, v)
-	}
-	keys := make(map[int32]int32, len(sc.full))
-	for _, b := range sc.full {
-		keys[b.pos] = b.key
-	}
+// decidingBounds returns every visible tree's deciding bound against the
+// final threshold worst, as funnel classifies the tree: for a level above
+// worst, the first cheap tier above it (see deciding); else its label key
+// where that exceeds worst; else its tightened key. The scan read the
+// label key of every tree whose level is at most worst and the tightened
+// key of every tree whose label key is, so no bound depends on how fast a
+// k-NN threshold fell.
+func (sc *scan) decidingBounds(worst int) []int {
+	bounds := make([]int, 0, sc.cut.live)
 	for _, t := range sc.labels {
-		untightened[sc.cheap[t.pos]]--
-		if key, ok := keys[t.pos]; ok {
-			col.addBound(int(key))
-		} else {
-			col.addBound(int(t.label))
+		if int(sc.cheap[t.pos]) <= worst && int(t.label) > worst {
+			bounds = append(bounds, int(t.label))
 		}
 	}
-	for v, c := range untightened {
-		for ; c > 0; c-- {
-			col.addBound(v)
+	for _, b := range sc.full {
+		if int(b.label) <= worst {
+			bounds = append(bounds, int(b.key))
 		}
 	}
-	return col.boundDist()
+	for si, b := range sc.prims {
+		start := sc.cut.starts[si]
+		for pos := start; pos < sc.cut.starts[si+1]; pos++ {
+			if int(sc.cheap[pos]) > worst {
+				bounds = append(bounds, deciding(b, pos-start, worst))
+			}
+		}
+	}
+	return bounds
+}
+
+// deciding returns the cheap tier that stands tree i of bounder b's
+// segment down at worst: the first of its size, BDist and swept label
+// tiers above worst, exact.
+func deciding(b *biBranchBounder, i, worst int) int {
+	var size, bdist, label int
+	if b.columns() {
+		size, bdist, label = b.swept(i)
+	} else {
+		size, bdist, label = b.CheapBounds(i)
+	}
+	switch {
+	case size > worst:
+		return size
+	case bdist > worst:
+		return bdist
+	}
+	return label
 }
 
 // verifier is the refine stage's shared verification kernel: both query
@@ -800,12 +840,14 @@ func clampCutoff(v int64) int {
 	return int(v)
 }
 
-// refineKNN verifies candidates in ascending-bound order on the worker
-// pool, maintaining the k-minimal (dist, id) heap under a mutex and the
-// current k-th distance in an atomic that only ever decreases. Workers
-// draw positions from the scan until it reports that the smallest
-// remaining bound is above the threshold: everything not yet handed out
-// bounds at least as high and cannot enter the answer.
+// refine verifies candidates in ascending-bound order on the worker pool,
+// from a threshold of t0: tau for a range query, which appends every
+// distance within it to the answer, or, for a k-NN query, none, which
+// maintains the k-minimal (dist, id) heap under a mutex and the current
+// k-th distance in an atomic that only ever decreases. Workers draw
+// positions from the scan until it reports that the smallest remaining
+// bound is above the threshold: everything not yet handed out bounds at
+// least as high and cannot enter the answer.
 //
 // The same threshold is the bounded verifier's cutoff: a candidate enters
 // the heap only with d < top.Dist, or d == top.Dist on an id tie-break, so
@@ -813,7 +855,7 @@ func clampCutoff(v int64) int {
 // is short the threshold is MaxInt64, so every verification is exact, and
 // Query.Within finds each such distance by its doubling search over
 // banded runs rather than the band-off program.
-func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, sc *knnScan, stats *Stats, ex *Explain, rspan *obs.Span) ([]Result, error) {
+func (ix *Index) refine(ctx context.Context, cut *qcut, q *tree.Tree, k int, t0 int64, sc *scan, stats *Stats, ex *Explain, rspan *obs.Span) ([]Result, error) {
 	var (
 		mu       sync.Mutex
 		h        = &maxHeap{}
@@ -821,7 +863,7 @@ func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, 
 		thresh   atomic.Int64
 		lazy     atomic.Int64 // nanoseconds in the lazy tiers
 	)
-	thresh.Store(math.MaxInt64) // nothing prunes until the heap holds k
+	thresh.Store(t0)
 	ver := ix.newVerifier(cut, q, func() int { return clampCutoff(thresh.Load()) })
 
 	ix.pool.run(ix.pool.size, func(w int) {
@@ -849,6 +891,9 @@ func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, 
 			mu.Lock()
 			sampleTightness(sc.prims[si], stats, ex, local, gid, bound, d)
 			switch {
+			case sc.fixed:
+				// The answer, in no order until the sort below.
+				h.items = append(h.items, Result{ID: gid, Dist: d})
 			case h.Len() < k:
 				heap.Push(h, Result{ID: gid, Dist: d})
 				if h.Len() == k {
@@ -868,236 +913,8 @@ func (ix *Index) refineKNN(ctx context.Context, cut *qcut, q *tree.Tree, k int, 
 		return nil, ctx.Err()
 	}
 
-	out := make([]Result, h.Len())
-	copy(out, h.items)
-	sortResults(out)
-	return out, nil
-}
-
-// rangeq runs one range query (filter-and-refine, sharded across
-// segments).
-func (ix *Index) rangeq(ctx context.Context, q *tree.Tree, tau int, ex *Explain) ([]Result, Stats, error) {
-	cut := ix.cut()
-	stats := Stats{Dataset: cut.live}
-	if tau < 0 || cut.live == 0 {
-		return nil, stats, nil
-	}
-	if ex != nil {
-		ex.Segments = len(cut.segs)
-	}
-
-	span := obs.FromContext(ctx)
-
-	acc := getAcc(2 * cut.n)
-	defer accPool.Put(acc)
-
-	start := time.Now()
-	fspan := span.StartChild("filter")
-	prims, rs, err := ix.filterRange(ctx, cut, q, tau, *acc, fspan, ex != nil)
-	stats.FilterTime = time.Since(start)
-	if err != nil {
-		fspan.SetBool("canceled", true)
-		fspan.End()
-		return nil, stats, err
-	}
-	stats.Candidates = len(rs.cands)
-	stats.Pruned = rs.pruned
-	fspan.SetInt("candidates", int64(len(rs.cands)))
-	fspan.SetInt("segments", int64(len(cut.segs)))
-	stats.Pruned.report(fspan)
-	fspan.End()
-	if ex != nil {
-		ex.Bounds = rs.col.boundDist()
-	}
-
-	start = time.Now()
-	rspan := span.StartChild("refine")
-	out, err := ix.refineRange(ctx, cut, q, tau, rs.cands, rs.bounds, prims, &stats, ex, rspan)
-	stats.RefineTime = time.Since(start)
-	if err != nil {
-		rspan.SetInt("verified", int64(stats.Verified))
-		rspan.SetBool("canceled", true)
-		rspan.End()
-		return nil, stats, err
-	}
-	stats.Results = len(out)
-	stats.FalsePositives = stats.Verified - len(out)
-	rspan.SetInt("verified", int64(stats.Verified))
-	rspan.SetInt("results", int64(len(out)))
-	rspan.End()
-	return out, stats, nil
-}
-
-// deciding returns the cheap tier that stands tree i of bounder b's
-// segment down at tau: the first of its size, BDist and swept label tiers
-// above tau, exact.
-func deciding(b *biBranchBounder, i, tau int) int {
-	var size, bdist, label int
-	if b.columns() {
-		size, bdist, label = b.swept(i)
-	} else {
-		size, bdist, label = b.CheapBounds(i, noLimit)
-	}
-	switch {
-	case size > tau:
-		return size
-	case bdist > tau:
-		return bdist
-	}
-	return label
-}
-
-// rangeScan is what the range cascade produced over (a shard of) the
-// position domain: the surviving candidates with their bounds in position
-// order, the funnel of the visible trees and, when asked, their deciding
-// bounds.
-type rangeScan struct {
-	cands, bounds []int
-	pruned        Funnel
-	col           *explainCollector
-}
-
-// filterRange runs the bound cascade over every visible position, sharded
-// when configured: the size tier, then the branch-distance tier, then the
-// swept label tier and, for trees all three leave at or under tau, the
-// exact label tier and, where it stays there too, the filter's range
-// bound and, last, the sequence tier at tau. The cheap tiers stop at tau
-// unless EXPLAIN wants the exact deciding bounds; the deciding bound of a
-// tree the sequence tier prunes is its range bound.
-func (ix *Index) filterRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, acc []int32, fspan *obs.Span, wantBounds bool) (segBounders, *rangeScan, error) {
-	prims := newSegBounders(cut, q, acc)
-	limit := tau
-	if wantBounds {
-		limit = noLimit
-	}
-
-	S := ix.shardCount(cut.n)
-	outs := make([]rangeScan, S)
-	var canceled atomic.Bool
-	ix.pool.run(S, func(s int) {
-		if canceled.Load() {
-			return
-		}
-		sspan := fspan
-		if S > 1 {
-			sspan = fspan.StartChild(fmt.Sprintf("shard[%d]", s))
-			defer sspan.End()
-		}
-		lo, hi := shardRange(cut.n, S, s)
-		o := &outs[s]
-		if wantBounds {
-			o.col = &explainCollector{bounds: make([]int, 0, hi-lo)}
-		}
-		// The cheap tiers fill a block's levels; the trees they leave at or
-		// under tau go on, one by one, through the later tiers.
-		var (
-			levels                  [ctxCheckEvery]int32
-			byLabel, byBound, bySeq int
-			seq                     seqBuf
-		)
-		p := cheapPass{cut: cut, prims: prims, limit: limit, si: cut.segOf(lo)}
-		for at := lo; at < hi; at += ctxCheckEvery {
-			if canceled.Load() || ctx.Err() != nil {
-				canceled.Store(true)
-				if S > 1 {
-					sspan.SetBool("canceled", true)
-				}
-				return
-			}
-			end := min(at+ctxCheckEvery, hi)
-			p.run(at, end, levels[:end-at])
-			for j, c := range levels[:end-at] {
-				// A tombstoned tree has no bound, and one a cheap tier
-				// stands down matters further only to EXPLAIN.
-				if c < 0 || int(c) > tau && o.col == nil {
-					continue
-				}
-				si := cut.segOf(at + j)
-				b, local := prims[si], at+j-cut.starts[si]
-				if int(c) > tau {
-					o.col.addBound(deciding(b, local, tau))
-					continue
-				}
-				lb := b.ExactLabel(local)
-				if lb > tau {
-					byLabel++
-					o.col.addBound(lb)
-					continue
-				}
-				rb := max(b.RangeBound(local, tau), lb)
-				o.col.addBound(rb)
-				switch {
-				case rb > tau:
-					byBound++
-				case b.Sequence(local, tau, &seq) > tau:
-					bySeq++
-				default:
-					o.cands = append(o.cands, at+j)
-					o.bounds = append(o.bounds, rb)
-				}
-			}
-		}
-		size, bdist := p.h.above(bySize, tau), p.h.above(byBDist, tau)
-		o.pruned = Funnel{Size: size, BDist: bdist - size, Label: p.h.above(byLevel, tau) - bdist + byLabel,
-			Positional: byBound, Sequence: bySeq}
-		if S > 1 {
-			sspan.SetInt("bounds", int64(p.h.above(byLevel, -1)))
-		}
-	})
-	if canceled.Load() || ctx.Err() != nil {
-		return prims, nil, ctx.Err()
-	}
-
-	// Concatenating in shard order reproduces the sequential position
-	// order, so the candidate list is byte-identical for every S.
-	rs := &outs[0]
-	for _, o := range outs[1:] {
-		rs.cands = append(rs.cands, o.cands...)
-		rs.bounds = append(rs.bounds, o.bounds...)
-		rs.pruned.add(o.pruned)
-		if rs.col != nil {
-			rs.col.bounds = append(rs.col.bounds, o.col.bounds...)
-		}
-	}
-	return prims, rs, nil
-}
-
-// refineRange verifies every candidate on the worker pool. There is no
-// early termination (the radius is fixed), so Verified — and, because the
-// cutoff τ is the same for every candidate, the whole bounded-verification
-// breakdown — is deterministic; the final sort makes the result order
-// independent of worker timing.
-func (ix *Index) refineRange(ctx context.Context, cut *qcut, q *tree.Tree, tau int, candidates, candBounds []int, prims segBounders, stats *Stats, ex *Explain, rspan *obs.Span) ([]Result, error) {
-	var (
-		mu       sync.Mutex
-		out      []Result
-		canceled atomic.Bool
-	)
-	ver := ix.newVerifier(cut, q, func() int { return tau })
-	ix.pool.run(len(candidates), func(j int) {
-		if canceled.Load() {
-			return
-		}
-		if ctx.Err() != nil {
-			canceled.Store(true)
-			return
-		}
-		si, local, gid, d, within := ver.verify(candidates[j])
-		if !within {
-			// Proven > τ; an inexact distance carries no tightness signal.
-			return
-		}
-		mu.Lock()
-		sampleTightness(prims[si], stats, ex, local, gid, candBounds[j], d)
-		out = append(out, Result{ID: gid, Dist: d})
-		mu.Unlock()
-	})
-	ver.finish(stats, rspan)
-	if canceled.Load() {
-		return nil, ctx.Err()
-	}
-	sortResults(out)
-	return out, nil
+	sortResults(h.items)
+	return h.items, nil
 }
 
 // sortResults orders results by ascending (dist, id) — the canonical

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -154,7 +155,7 @@ type Explain struct {
 	Pruned Funnel `json:"pruned"`
 	// Bounds is the distribution of the trees' deciding bounds.
 	Bounds BoundDist `json:"bounds"`
-	// Tightness holds up to tightnessCap verified-pair samples.
+	// Tightness holds up to tightnessCap verified-pair samples, by tree id.
 	Tightness []TightnessSample `json:"tightness,omitempty"`
 	// TightnessLimit is the filter's proven worst-case ratio (0 when the
 	// filter reports none); every sample's Ratio is ≤ it.
@@ -164,29 +165,14 @@ type Explain struct {
 	RefineUS int64 `json:"refine_us"`
 }
 
-// explainCollector accumulates the raw material for an Explain while a
-// query runs; nil means "not asked", costing the query nothing beyond the
-// always-on Stats counters.
-type explainCollector struct {
-	bounds []int // every bounded tree's deciding bound
-}
-
-// addBound records one tree's deciding bound.
-func (c *explainCollector) addBound(b int) {
-	if c == nil {
-		return
-	}
-	c.bounds = append(c.bounds, b)
-}
-
-// boundDist sorts the collected bounds and summarizes their distribution.
-func (c *explainCollector) boundDist() BoundDist {
-	if c == nil || len(c.bounds) == 0 {
+// summarize sorts the trees' deciding bounds, in place, and summarizes
+// their distribution; percentiles use the nearest-rank convention.
+func summarize(bs []int) BoundDist {
+	n := len(bs)
+	if n == 0 {
 		return BoundDist{}
 	}
-	bs := c.bounds
 	sort.Ints(bs)
-	n := len(bs)
 	return BoundDist{
 		Computed: n,
 		Min:      bs[0],
@@ -194,7 +180,6 @@ func (c *explainCollector) boundDist() BoundDist {
 		P99:      bs[(n-1)*99/100],
 		Max:      bs[n-1],
 	}
-	// Percentiles use the nearest-rank convention on the sorted bounds.
 }
 
 // sampleTightness records one verified pair into the always-on Stats
@@ -244,6 +229,7 @@ func (e *Explain) finish(f *BiBranch, st Stats) {
 	e.FilterUS = st.FilterTime.Microseconds()
 	e.RefineUS = st.RefineTime.Microseconds()
 	e.TightnessLimit = f.Factor()
+	slices.SortFunc(e.Tightness, func(a, b TightnessSample) int { return a.ID - b.ID })
 }
 
 // String renders the analysis for terminals (cmd/treesim -explain).

@@ -3,10 +3,13 @@ package search
 import (
 	"context"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
 	"treesim/internal/branch"
+	"treesim/internal/datagen"
+	"treesim/internal/tree"
 )
 
 // TestExplainKNNConsistency: KNN with WithExplain returns the same results as the
@@ -208,5 +211,36 @@ func TestStatsQualityCounters(t *testing.T) {
 	}
 	if len(total.Tightness) > statsTightnessCap {
 		t.Errorf("aggregated tightness grew to %d, cap is %d", len(total.Tightness), statsTightnessCap)
+	}
+}
+
+// TestExplainBoundsRepeatable: a k-NN query's EXPLAIN bounds classify every
+// tree against the final k-th distance, which no worker timing changes, so
+// one query list run again and again at 3 shards and 3 refine workers
+// reports equal Bounds.
+func TestExplainBoundsRepeatable(t *testing.T) {
+	// The workers must run in parallel for their timing to vary.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1, SizeMean: 16, SizeStd: 5, Labels: 8, Decay: 0.1}
+	g := datagen.New(spec, 7)
+	ts := g.Dataset(400, 40)
+	ix := NewIndex(ts, NewBiBranch(), WithShards(3), WithRefineWorkers(3))
+	queries := make([]*tree.Tree, 60)
+	for i := range queries {
+		queries[i] = g.RandomEdits(ts[i*5], i%4)
+	}
+	var first []BoundDist
+	for run := 0; run < 6; run++ {
+		for qi, q := range queries {
+			var ex *Explain
+			if _, _, err := ix.KNN(context.Background(), q, 5, WithExplain(&ex)); err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				first = append(first, ex.Bounds)
+			} else if ex.Bounds != first[qi] {
+				t.Fatalf("run %d, query %d: bounds %+v, first run %+v", run, qi, ex.Bounds, first[qi])
+			}
+		}
 	}
 }

@@ -13,7 +13,6 @@ package search
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -51,9 +50,6 @@ func ParseFilter(name string, q int) (*BiBranch, error) {
 	}
 	return f, nil
 }
-
-// noLimit is the CheapBounds limit that asks for exact bounds.
-const noLimit = math.MaxInt
 
 // BiBranch is the paper's filter: q-level binary branch vectors with,
 // optionally, the positional lower bound of Section 4.2–4.3. The nil
@@ -385,22 +381,17 @@ func (b *biBranchBounder) swept(i int) (size, bdist, label int) {
 	return b.colTiers().at(int(b.f.sizes[i]), int(b.ov[i]), int(b.lov[i]))
 }
 
-// CheapBounds returns the cheap tiers' lower bounds on EDist(query, tree
-// i) tree by tree, which the engine asks for only in a segment without
-// columns — the memtable, and a sealed segment too large for postings —
-// where levels cannot run: the size bound ||q|−|t||, the plain
+// CheapBounds returns the cheap tiers' exact lower bounds on EDist(query,
+// tree i) tree by tree, which the engine asks for only in a segment
+// without columns — the memtable, and a sealed segment too large for
+// postings — where levels cannot run: the size bound ||q|−|t||, the plain
 // branch-distance bound ⌈BDist/Factor⌉ by a merge-join of the two branch
 // vectors, and, where the segment has a label tier, the label-histogram
 // bound ⌈L1/2⌉ (Kailing et al.) as swept (so the tests hold the columns
-// to it);
-// the first two neither above KNNBound(i) nor — when at most tau — above
-// RangeBound(i, tau). Past limit a bound need not be exact: a size bound
-// above it comes back with bdist and label zero, a bdist above it with
-// label zero, and may itself be any bound in (limit, ⌈BDist/Factor⌉]: the
-// join stops once Factor·limit is out of reach. noLimit asks for exact
-// ones. The non-positional ablation is the plain bound by definition, so
-// it has neither a size nor a label tier.
-func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist, label int) {
+// to it); the first two neither above KNNBound(i) nor — when at most tau —
+// above RangeBound(i, tau). The non-positional ablation is the plain bound
+// by definition, so it has neither a size nor a label tier.
+func (b *biBranchBounder) CheapBounds(i int) (size, bdist, label int) {
 	if b == nil {
 		return 0, 0, 0
 	}
@@ -409,14 +400,9 @@ func (b *biBranchBounder) CheapBounds(i, limit int) (size, bdist, label int) {
 		if size = b.qp.Size - t.Size; size < 0 {
 			size = -size
 		}
-		if size > limit {
-			return size, 0, 0
-		}
 	}
-	// BDist ≤ |q|+|t|: a cap there cannot stop the join, nor overflow.
-	d, _ := branch.BDistWithin(b.qp, t, min(limit, b.qp.Size+t.Size)*b.factor)
-	bdist = (d + b.factor - 1) / b.factor
-	if b.lov == nil || bdist > limit {
+	bdist = (branch.BDist(b.qp, t) + b.factor - 1) / b.factor
+	if b.lov == nil {
 		return size, bdist, 0
 	}
 	return size, bdist, b.label(i, b.lbase+b.lov[i])

@@ -159,7 +159,7 @@ func FuzzExactLabelTier(f *testing.F) {
 					ov += min(qh[l], tc)
 				}
 			}
-			_, _, swept := b.CheapBounds(i, noLimit)
+			_, _, swept := b.CheapBounds(i)
 			if got, want := b.ExactLabel(i), labelBound(q.Size(), tr.Size(), ov); got != want || got < swept {
 				t.Fatalf("tree %d: exact label tier %d, brute %d, swept %d\n q %s\n t %s", i, got, want, swept, q, tr)
 			}
@@ -252,22 +252,24 @@ func FuzzSequenceTier(f *testing.F) {
 }
 
 // FuzzCheapLevels holds the filter pass's cheap tiers, run per segment
-// over its columns, to their definition tree by tree. The index has every
-// kind of segment — the base one, sealed memtables, a compacted one that
-// lists its ids, a live memtable — and deletes at the first and last id
-// of sealed segments, on adjacent ids and in the memtable. At 1 and 3
-// shards, every visible position's k-NN level is the largest of its
-// CheapBounds — which merge-joins, so the sweep is checked against the
-// join — and every tombstoned one's −1; the k-NN counts are a per-tree
-// recount's; and the range pass at tau, with and without EXPLAIN's
-// deciding bounds, has the funnel, candidates and bounds of the cascade
-// run tree by tree.
+// over its columns, to their definition tree by tree, and the scan of both
+// query kinds to the cascade run tree by tree. The index has every kind of
+// segment — the base one, sealed memtables, a compacted one that lists its
+// ids, a live memtable — and deletes at the first and last id of sealed
+// segments, on adjacent ids and in the memtable. At 1 and 3 shards, every
+// visible position's level is the largest of its CheapBounds — which
+// merge-joins, so the sweep is checked against the join — and every
+// tombstoned one's −1; the counts are a per-tree recount's; and a range
+// scan at tau and a k-NN scan, at its final k-th distance, have the
+// funnel, candidates and EXPLAIN's deciding bounds of the cascade run tree
+// by tree, the range scan the candidates' bounds too.
 func FuzzCheapLevels(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(2), uint8(3), uint8(2))
 	f.Add(int64(2), uint8(45), uint8(4), uint8(0), uint8(4))
 	f.Add(int64(3), uint8(12), uint8(0), uint8(5), uint8(0))
 	f.Add(int64(4), uint8(39), uint8(5), uint8(2), uint8(3))
 	f.Add(int64(108), uint8('4'), uint8(0xa1), uint8('S'), uint8('L')) // the exact label tier prunes
+	f.Add(int64(-290), uint8(0xc5), uint8('J'), uint8('F'), uint8(8))  // the range bound at tau decides, not the k-NN one
 	f.Fuzz(func(t *testing.T, seed int64, n, memtable, t8, dels uint8) {
 		spec := datagen.Spec{FanoutMean: 2, FanoutStd: 1, SizeMean: 7, SizeStd: 3, Labels: 4, Decay: 0.1}
 		g := datagen.New(spec, seed)
@@ -313,22 +315,16 @@ func FuzzCheapLevels(f *testing.F) {
 		}
 		tau := int(t8 % 6)
 
+		ctx := context.Background()
 		cut := ix.cut()
 		acc := make([]int32, 2*cut.n)
 		for _, shards := range []int{1, 3} {
 			ix.shards = shards
-			sc, err := ix.filterKNN(context.Background(), cut, q, acc, nil)
+			sc, err := ix.filterPass(ctx, cut, q, acc, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var (
-				hist       tierCounts
-				funnel     Funnel
-				cands      []int
-				candBounds []int
-				bounds     []int
-				seq        seqBuf
-			)
+			var hist tierCounts
 			for pos := 0; pos < cut.n; pos++ {
 				si, local, id := cut.locate(pos)
 				b := sc.prims[si]
@@ -338,7 +334,7 @@ func FuzzCheapLevels(f *testing.F) {
 					}
 					continue
 				}
-				size, bdist, label := b.CheapBounds(local, noLimit)
+				size, bdist, label := b.CheapBounds(local)
 				if b.columns() {
 					if s, bd, l := b.swept(local); s != size || bd != bdist || l != label {
 						t.Fatalf("segment %d local %d: columns read %d %d %d, CheapBounds %d %d %d", si, local, s, bd, l, size, bdist, label)
@@ -350,56 +346,105 @@ func FuzzCheapLevels(f *testing.F) {
 						shards, id, si, local, sc.cheap[pos], size, bdist, label)
 				}
 				hist = hist.add(size, max(size, bdist), level)
-
-				// The range cascade, tree by tree.
-				switch exact := b.ExactLabel(local); {
-				case size > tau:
-					funnel.Size++
-					bounds = append(bounds, size)
-				case bdist > tau:
-					funnel.BDist++
-					bounds = append(bounds, bdist)
-				case label > tau:
-					funnel.Label++
-					bounds = append(bounds, label)
-				case exact > tau:
-					funnel.Label++
-					bounds = append(bounds, exact)
-				default:
-					rb := max(b.RangeBound(local, tau), exact)
-					bounds = append(bounds, rb)
-					switch {
-					case rb > tau:
-						funnel.Positional++
-					case b.Sequence(local, tau, &seq) > tau:
-						funnel.Sequence++
-					default:
-						cands, candBounds = append(cands, pos), append(candBounds, rb)
-					}
-				}
 			}
 			if !reflect.DeepEqual(sc.hist, hist) {
-				t.Fatalf("%d shards: k-NN counts %v, recount %v", shards, sc.hist, hist)
+				t.Fatalf("%d shards: counts %v, recount %v", shards, sc.hist, hist)
 			}
 			scanPool.Put(sc.scanBufs)
 
-			slices.Sort(bounds)
-			for _, explain := range []bool{false, true} {
-				_, rs, err := ix.filterRange(context.Background(), cut, q, tau, acc, nil, explain)
+			// k = 0 is the range scan at tau.
+			ks := []int{0}
+			if cut.live > 0 {
+				ks = append(ks, min(1+tau, cut.live))
+			}
+			for _, k := range ks {
+				sc, err := ix.filterPass(ctx, cut, q, acc, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rs.pruned != funnel || !slices.Equal(rs.cands, cands) || !slices.Equal(rs.bounds, candBounds) {
-					t.Fatalf("%d shards, explain %v, tau %d: funnel %+v, candidates %v %v; tree by tree %+v, %v %v",
-						shards, explain, tau, rs.pruned, rs.cands, rs.bounds, funnel, cands, candBounds)
+				t0 := int64(math.MaxInt64)
+				if k == 0 {
+					sc.fixed, t0 = true, int64(tau)
 				}
-				if explain {
-					got := rs.col.bounds
-					slices.Sort(got)
-					if !slices.Equal(got, bounds) {
-						t.Fatalf("%d shards, tau %d: deciding bounds %v, tree by tree %v", shards, tau, got, bounds)
+				var st Stats
+				out, err := ix.refine(ctx, cut, q, k, t0, sc, &st, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				worst := tau
+				if k > 0 {
+					worst = out[len(out)-1].Dist
+				}
+
+				// The cascade, tree by tree.
+				var (
+					funnel                    Funnel
+					cands, candBounds, bounds []int
+					seq                       seqBuf
+				)
+				for pos := 0; pos < cut.n; pos++ {
+					si, local, id := cut.locate(pos)
+					if cut.tombs.Has(id) {
+						continue
+					}
+					b := sc.prims[si]
+					size, bdist, label := b.CheapBounds(local)
+					full := b.KNNBound(local)
+					if k == 0 {
+						full = b.RangeBound(local, tau)
+					}
+					switch exact := b.ExactLabel(local); {
+					case size > worst:
+						funnel.Size++
+						bounds = append(bounds, size)
+					case bdist > worst:
+						funnel.BDist++
+						bounds = append(bounds, bdist)
+					case label > worst:
+						funnel.Label++
+						bounds = append(bounds, label)
+					case exact > worst:
+						funnel.Label++
+						bounds = append(bounds, exact)
+					default:
+						key := max(full, exact)
+						bounds = append(bounds, key)
+						switch {
+						case key > worst:
+							funnel.Positional++
+						case b.Sequence(local, worst, &seq) > worst:
+							funnel.Sequence++
+						default:
+							cands, candBounds = append(cands, pos), append(candBounds, key)
+						}
 					}
 				}
+				got := sc.decidingBounds(worst)
+				slices.Sort(got)
+				slices.Sort(bounds)
+				if nc, f := sc.funnel(worst); f != funnel || nc != len(cands) || !slices.Equal(got, bounds) {
+					t.Fatalf("%d shards, k %d, threshold %d: funnel %+v, %d candidates, deciding bounds %v; tree by tree %+v, %v, %v",
+						shards, k, worst, f, nc, got, funnel, cands, bounds)
+				}
+				if k == 0 {
+					// A range scan verifies its candidates and nothing else.
+					var handed [][2]int
+					for _, h := range sc.handed {
+						if int(h.seq) <= tau {
+							handed = append(handed, [2]int{int(h.pos), int(h.key)})
+						}
+					}
+					slices.SortFunc(handed, func(x, y [2]int) int { return x[0] - y[0] })
+					if len(handed) != len(cands) || st.Verified != len(cands) {
+						t.Fatalf("%d shards, tau %d: %d verified of %v handed out; candidates %v", shards, tau, st.Verified, handed, cands)
+					}
+					for i, h := range handed {
+						if h[0] != cands[i] || h[1] != candBounds[i] {
+							t.Fatalf("%d shards, tau %d: handed out %v, candidates %v with bounds %v", shards, tau, handed, cands, candBounds)
+						}
+					}
+				}
+				scanPool.Put(sc.scanBufs)
 			}
 		}
 	})

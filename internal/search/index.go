@@ -274,7 +274,7 @@ func (ix *Index) KNN(ctx context.Context, q *tree.Tree, k int, opts ...QueryOpti
 		*qc.explain = nil
 		ex = &Explain{Op: "knn", K: k}
 	}
-	res, stats, err := ix.knn(ctx, q, k, ex)
+	res, stats, err := ix.query(ctx, q, k, -1, ex)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -296,7 +296,7 @@ func (ix *Index) Range(ctx context.Context, q *tree.Tree, tau int, opts ...Query
 		*qc.explain = nil
 		ex = &Explain{Op: "range", Tau: tau}
 	}
-	res, stats, err := ix.rangeq(ctx, q, tau, ex)
+	res, stats, err := ix.query(ctx, q, 0, tau, ex)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -202,7 +202,7 @@ func TestIndexOptionAccessors(t *testing.T) {
 // TestShardSpans: a query of either kind forced over several shards hangs
 // shard[i] children off its filter span, each reporting the visible trees
 // it bounded, and the filter span still carries the global totals: the
-// query's candidates and, for k-NN, every visible tree bounded. The index
+// query's candidates and every visible tree bounded. The index
 // has deletes, so the shards' bounds sum to Stats.Dataset, not to the
 // positions they cover.
 func TestShardSpans(t *testing.T) {
@@ -243,8 +243,8 @@ func TestShardSpans(t *testing.T) {
 		if stats.Dataset != live {
 			t.Fatalf("%s: Stats.Dataset %d, want %d", kind, stats.Dataset, live)
 		}
-		if got, ok := filter.Attrs["bounded"]; kind == "knn" && got != int64(live) || kind == "range" && ok {
-			t.Errorf("%s: filter bounded %v, want %d for k-NN and none for range", kind, got, live)
+		if got := filter.Attrs["bounded"]; got != int64(live) {
+			t.Errorf("%s: filter bounded %v, want %d", kind, got, live)
 		}
 		if got := filter.Attrs["candidates"]; got != int64(stats.Candidates) {
 			t.Errorf("%s: filter candidates %v, stats say %d", kind, got, stats.Candidates)

@@ -209,9 +209,8 @@ func BenchmarkVectorConstruction(b *testing.B) {
 // survivors, a positional bound and the sequence tier: a range query's at
 // τ, a k-NN query's lazily during refinement (Stats.FilterTime counts
 // them). The -memtable rows hold the last 1 023 trees in the memtable, one
-// insert short of the default seal, which merge-joins per tree and has no
-// label tier: a range query's joins stop once BDist is out of Factor·τ's
-// reach, a k-NN query's run in full. The dblp rows are DBLP-like records
+// insert short of the default seal, which merge-joins per tree, in full
+// for both kinds, and has no label tier. The dblp rows are DBLP-like records
 // queried by variants of records, as the mixed_rw workload queries them:
 // there the label tier, not BDist, decides most trees, and the sequence
 // tier most of the trees the others leave, which verified reads. The l2
@@ -423,35 +422,64 @@ func BenchmarkAblationMatching(b *testing.B) {
 // sweep over the packed inverted lists of the query's branches
 // (internal/invfile, what a sealed segment's BDist tier runs) and a pass
 // turning each overlap into BDist, or a merge-join of the query's vector
-// with each tree's (what the memtable's runs).
+// with each tree's (what the memtable's runs). The 2000 rows time one
+// query; the 8000 rows are range_scan's shape, n = 8 000 in clusters of
+// 10, cycling 16 queries a few random edits from dataset trees, as that
+// workload draws them. ns/posting divides a sweep's time by the postings
+// it reads, the cost the sweep's loop sets.
 func BenchmarkAblationPostingsVsMergeJoin(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
-	ts := datagen.New(spec, 3).Dataset(2000, 200)
-	s := branch.NewSpace(2)
-	ps := s.ProfileAll(ts)
-	x := invfile.Build(ps)
-	q := s.QueryProfile(ts[42])
-	perTree := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ps)), "ns/tree")
+	for _, c := range []struct{ n, clusters, queries int }{{2000, 200, 1}, {8000, 800, 16}} {
+		g := datagen.New(spec, 3)
+		ts := g.Dataset(c.n, c.clusters)
+		s := branch.NewSpace(2)
+		ps := s.ProfileAll(ts)
+		x := invfile.Build(ps)
+		carriers := make([]int, s.Size())
+		for _, p := range ps {
+			for _, d := range p.Dims() {
+				carriers[d]++
+			}
+		}
+		qs := []*branch.Profile{s.QueryProfile(ts[42])}
+		for i := 1; i < c.queries; i++ {
+			qs = append(qs, s.QueryProfile(g.RandomEdits(ts[(i*997+42)%c.n], i%4)))
+		}
+		postings := make([]int, len(qs)) // swept by each query
+		for i, q := range qs {
+			for _, d := range q.Dims() {
+				postings[i] += carriers[d]
+			}
+		}
+		perTree := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ps)), "ns/tree")
+		}
+		b.Run("Postings/"+intName(c.n), func(b *testing.B) {
+			ov := make([]int32, len(ps))
+			for i := 0; i < b.N; i++ {
+				q := qs[i%len(qs)]
+				x.Overlaps(q, ov)
+				for t, o := range ov {
+					sink += q.Size + ps[t].Size - 2*int(o)
+				}
+			}
+			perTree(b)
+			swept := 0
+			for i := 0; i < b.N; i++ {
+				swept += postings[i%len(qs)]
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(swept), "ns/posting")
+		})
+		b.Run("MergeJoin/"+intName(c.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q := qs[i%len(qs)]
+				for _, p := range ps {
+					sink += branch.BDist(q, p)
+				}
+			}
+			perTree(b)
+		})
 	}
-	b.Run("Postings", func(b *testing.B) {
-		ov := make([]int32, len(ps))
-		for i := 0; i < b.N; i++ {
-			x.Overlaps(q, ov)
-			for t, o := range ov {
-				sink += q.Size + ps[t].Size - 2*int(o)
-			}
-		}
-		perTree(b)
-	})
-	b.Run("MergeJoin", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, p := range ps {
-				sink += branch.BDist(q, p)
-			}
-		}
-		perTree(b)
-	})
 }
 
 // sink keeps benchmark results alive.

@@ -100,6 +100,7 @@ for stage; do
         fuzz FuzzExactLabelTier ./internal/search
         fuzz FuzzSequenceTier ./internal/search
         fuzz FuzzCheapLevels ./internal/search
+        fuzz FuzzSweep ./internal/invfile
         fuzz FuzzManifest ./internal/segstore
         fuzz FuzzParseTraceparent ./internal/obs
         fuzz FuzzTraceparentMiddleware ./internal/server

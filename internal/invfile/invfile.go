@@ -5,7 +5,11 @@
 // that contains it, the number of occurrences. One term-at-a-time sweep
 // over the lists of a query's branches then yields the branch-vector
 // overlap — hence BDist = |q| + |t| − 2·overlap — of every tree in the
-// segment, without opening the profile of a single tree. Every sealed
+// segment, without opening the profile of a single tree. A posting is one
+// word, its count saturating in four bits with the exact count kept aside,
+// so the sweep reads one word a posting: a branch the query carries once,
+// as it carries most, adds 1 to each tree on its list, and only a query
+// count above the four bits reads the exact counts. Every sealed
 // segment of the search index carries one, built when the segment is
 // indexed, sealed, compacted or loaded from a snapshot, and its filter's
 // BDist tier reads the sweep; only the memtable, which grows by one tree
@@ -39,18 +43,21 @@
 package invfile
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"treesim/internal/branch"
 )
 
 // A posting is one uint32: the tree's segment-local position in the high
-// bits and its occurrence count in the low countBits. A count too large
-// for them is stored as an escape — count bits zero — followed by one
-// entry holding the whole count. No posting has count zero, so the escape
-// is unambiguous; in practice counts stay far below the limit (a branch
-// repeats only across identical sibling subtrees), so a posting is 4 bytes.
+// bits and its occurrence count in the low countBits, saturating at
+// countMask, which stands for countMask or more. The exact counts of the
+// saturated postings sit beside the lists, in a side array; in practice
+// counts stay far below countMask (a branch repeats only across identical
+// sibling subtrees), so a sweep reads one word a posting and tests nothing
+// more, and the side arrays are empty.
 const (
 	countBits = 4
 	countMask = 1<<countBits - 1
@@ -73,11 +80,19 @@ type Index struct {
 	// lists that are not some branch's list.
 	labels []labelList
 	lposts []uint32
+	// sats and lsats are the side arrays of posts and lposts: the exact
+	// count of every posting whose word reads countMask, by the word's
+	// position, ascending.
+	sats, lsats []sat
 	// cols holds the dense labels' count columns back to back, trees
 	// bytes each: a tree's count of the label, 255 standing for 255 or
 	// more, 0 for a tree that lacks it.
 	cols []uint8
 }
+
+// sat is a saturated posting: its word's position in posts or lposts and
+// its exact count.
+type sat struct{ at, c uint32 }
 
 // labelList locates one label's list: posts[from:to] when the label roots
 // one branch and keeps that branch's list as its own, else
@@ -99,10 +114,10 @@ const (
 
 // Build constructs the inverted file over a segment's profiles (position i
 // of the slice is tree i), all from one space, by a counting sort over their
-// Σ nnz coordinates: one pass sizes the lists, one fills them. Visiting the
-// trees in order leaves every list sorted by tree. The label lists are
-// derived from the branch lists (buildLabels). It panics past MaxTrees
-// profiles.
+// Σ nnz coordinates: one pass sizes the lists, one fills them and notes the
+// saturated postings. Visiting the trees in order leaves every list sorted
+// by tree. The label lists are derived from the branch lists (buildLabels).
+// It panics past MaxTrees profiles.
 func Build(ps []*branch.Profile) *Index {
 	if len(ps) > MaxTrees {
 		panic(fmt.Sprintf("invfile: %d trees, at most %d fit one index", len(ps), MaxTrees))
@@ -115,8 +130,8 @@ func Build(ps []*branch.Profile) *Index {
 	}
 	x := &Index{trees: len(ps), start: make([]uint32, vocab+1)}
 	for _, p := range ps {
-		for i, d := range p.Dims() {
-			x.start[d+1] += entries(p.Count(i))
+		for _, d := range p.Dims() {
+			x.start[d+1]++
 		}
 	}
 	for d := 0; d < vocab; d++ {
@@ -128,26 +143,21 @@ func Build(ps []*branch.Profile) *Index {
 	copy(next, x.start)
 	for t, p := range ps {
 		for i, d := range p.Dims() {
-			c, at := uint32(p.Count(i)), next[d]
-			if c <= countMask {
-				x.posts[at] = uint32(t)<<countBits | c
-			} else {
-				x.posts[at], x.posts[at+1] = uint32(t)<<countBits, c
+			c := uint32(p.Count(i))
+			x.posts[next[d]] = word(uint32(t), c)
+			if c >= countMask {
+				x.sats = append(x.sats, sat{next[d], c})
 			}
-			next[d] += entries(int(c))
+			next[d]++
 		}
 	}
+	slices.SortFunc(x.sats, func(a, b sat) int { return cmp.Compare(a.at, b.at) })
 	x.buildLabels(ps)
 	return x
 }
 
-// entries is how many uint32s a posting of count c takes.
-func entries(c int) uint32 {
-	if c <= countMask {
-		return 1
-	}
-	return 2
-}
+// word is the posting of tree t with count c.
+func word(t, c uint32) uint32 { return t<<countBits | min(c, countMask) }
 
 // buildLabels derives the label lists from the branch lists, grouped by
 // each dimension's root label: a label rooting one branch shares that
@@ -187,11 +197,11 @@ func (x *Index) buildLabels(ps []*branch.Profile) {
 			ll.kind = exact
 		case len(ds) > 1:
 			ll.kind = m.merge(x, ds)
-		case 2*postings(x.dimList(ds[0])) > x.trees:
+		case 2*len(x.dimList(ds[0])) > x.trees:
 			ll.kind = dense
 			x.lposts = lacking(x.lposts, x.dimList(ds[0]), x.trees)
 			col := x.column()
-			each(x.dimList(ds[0]), func(t, c uint32) { col[t] = saturate(c) })
+			each(x.dimList(ds[0]), x.dimSats(ds[0]), func(t, c uint32) { col[t] = saturate(c) })
 		default:
 			ll.kind, ll.from = shared, x.start[ds[0]]
 			ll.to = x.start[ds[0]+1]
@@ -222,6 +232,20 @@ func saturate(c uint32) uint8 { return uint8(min(c, 255)) }
 // dimList returns the branch list of dimension d.
 func (x *Index) dimList(d branch.Dim) []uint32 { return x.posts[x.start[d]:x.start[d+1]] }
 
+// dimSats returns the saturated postings of dimension d's list.
+func (x *Index) dimSats(d branch.Dim) []sat { return satsIn(x.sats, x.start[d], x.start[d+1]) }
+
+// satsIn returns the entries of the side array sats for the words at
+// positions from to to: a list's saturated postings.
+func satsIn(sats []sat, from, to uint32) []sat {
+	i := sort.Search(len(sats), func(i int) bool { return sats[i].at >= from })
+	j := i
+	for j < len(sats) && sats[j].at < to {
+		j++
+	}
+	return sats[i:j]
+}
+
 // merger merges the branch lists of a label that roots several branches
 // into x.lposts, reusing its buffers from label to label.
 type merger struct {
@@ -245,7 +269,7 @@ func (m *merger) merge(x *Index, ds []branch.Dim) (kind uint8) {
 	}
 	m.pairs = m.pairs[:0]
 	for _, d := range ds {
-		each(x.dimList(d), func(t, c uint32) {
+		each(x.dimList(d), x.dimSats(d), func(t, c uint32) {
 			m.pairs = append(m.pairs, uint64(t)<<32|uint64(c))
 		})
 	}
@@ -255,7 +279,7 @@ func (m *merger) merge(x *Index, ds []branch.Dim) (kind uint8) {
 		for ; i < len(m.pairs) && uint32(m.pairs[i]>>32) == t; i++ {
 			c += uint32(m.pairs[i])
 		}
-		x.lposts = appendPosting(x.lposts, t, c)
+		x.appendPosting(t, c)
 	}
 	return exact
 }
@@ -266,7 +290,7 @@ func (m *merger) long(x *Index, ds []branch.Dim) (kind uint8) {
 		m.sum = make([]uint32, x.trees)
 	}
 	for _, d := range ds {
-		each(x.dimList(d), func(t, c uint32) { m.sum[t] += c })
+		each(x.dimList(d), x.dimSats(d), func(t, c uint32) { m.sum[t] += c })
 	}
 	carriers := 0
 	for _, c := range m.sum {
@@ -287,7 +311,7 @@ func (m *merger) long(x *Index, ds []branch.Dim) (kind uint8) {
 			}
 			col[t] = saturate(c)
 		case c > 0:
-			x.lposts = appendPosting(x.lposts, uint32(t), c)
+			x.appendPosting(uint32(t), c)
 		}
 		m.sum[t] = 0
 	}
@@ -298,49 +322,74 @@ func (m *merger) long(x *Index, ds []branch.Dim) (kind uint8) {
 // that have no posting in list.
 func lacking(dst, list []uint32, n int) []uint32 {
 	next := uint32(0)
-	each(list, func(t, _ uint32) {
-		for ; next < t; next++ {
+	for _, e := range list {
+		for t := e >> countBits; next < t; next++ {
 			dst = append(dst, next<<countBits)
 		}
-		next = t + 1
-	})
+		next++
+	}
 	for ; int(next) < n; next++ {
 		dst = append(dst, next<<countBits)
 	}
 	return dst
 }
 
-// each calls fn with the tree and count of every posting of list.
-func each(list []uint32, fn func(t, c uint32)) {
-	for k := 0; k < len(list); k++ {
-		e := list[k]
+// each calls fn with the tree and exact count of every posting of list,
+// reading the counts of its saturated postings, sats, in step.
+func each(list []uint32, sats []sat, fn func(t, c uint32)) {
+	for _, e := range list {
 		c := e & countMask
-		if c == 0 {
-			k++
-			c = list[k]
+		if c == countMask {
+			c, sats = sats[0].c, sats[1:]
 		}
 		fn(e>>countBits, c)
 	}
 }
 
-// postings counts the postings of list: its entries less its escapes.
-func postings(list []uint32) int {
-	n := len(list)
-	for k := 0; k < len(list); k++ {
-		if list[k]&countMask == 0 {
-			n--
-			k++
-		}
+// appendPosting appends tree t with count c to the exact label list
+// being built at the end of lposts.
+func (x *Index) appendPosting(t, c uint32) {
+	if c >= countMask {
+		x.lsats = append(x.lsats, sat{uint32(len(x.lposts)), c})
 	}
-	return n
+	x.lposts = append(x.lposts, word(t, c))
 }
 
-// appendPosting appends tree t with count c to a list.
-func appendPosting(dst []uint32, t, c uint32) []uint32 {
-	if c <= countMask {
-		return append(dst, t<<countBits|c)
+// sweep adds min(qc, c) to acc[t] for every posting (t, c) of the list
+// words[from:to], whose side array is sats. A count stored in a word is
+// exact below countMask and at most the true count at it, so for
+// qc ≤ countMask the word alone gives min(qc, c); only a larger qc reads
+// sats.
+func sweep(acc []int32, words []uint32, from, to uint32, sats []sat, qc uint32) {
+	list := words[from:to]
+	switch {
+	case qc == 1:
+		// Four postings an iteration: the loop's own overhead is a
+		// sizable share of a bare increment.
+		for len(list) >= 4 {
+			acc[list[0]>>countBits]++
+			acc[list[1]>>countBits]++
+			acc[list[2]>>countBits]++
+			acc[list[3]>>countBits]++
+			list = list[4:]
+		}
+		for _, e := range list {
+			acc[e>>countBits]++
+		}
+	case qc <= countMask:
+		for _, e := range list {
+			acc[e>>countBits] += int32(min(qc, e&countMask))
+		}
+	default:
+		// Every word's count is at most countMask < qc: credit it, then
+		// raise each saturated posting from countMask to min(qc, c).
+		for _, e := range list {
+			acc[e>>countBits] += int32(e & countMask)
+		}
+		for _, s := range satsIn(sats, from, to) {
+			acc[words[s.at]>>countBits] += int32(min(qc, s.c) - countMask)
+		}
 	}
-	return append(dst, t<<countBits, c)
 }
 
 // Overlaps sets ov[t], for every indexed tree t, to the multiset
@@ -357,17 +406,7 @@ func (x *Index) Overlaps(q *branch.Profile, ov []int32) {
 		if int(d) >= len(x.start)-1 {
 			break // dimensions ascend: no later one has a list either
 		}
-		qc := uint32(q.Count(i))
-		list := x.posts[x.start[d]:x.start[d+1]]
-		for k := 0; k < len(list); k++ {
-			e := list[k]
-			c := e & countMask
-			if c == 0 {
-				k++
-				c = list[k]
-			}
-			ov[e>>countBits] += int32(min(qc, c))
-		}
+		sweep(ov, x.posts, x.start[d], x.start[d+1], x.sats, uint32(q.Count(i)))
 	}
 }
 
@@ -395,19 +434,10 @@ func (x *Index) LabelOverlaps(ql []branch.LabelCount, lov []int32) (base int32) 
 			}
 			continue
 		}
-		list := x.lposts
 		if ll.kind == shared {
-			list = x.posts
-		}
-		list = list[ll.from:ll.to]
-		for k := 0; k < len(list); k++ {
-			e := list[k]
-			c := e & countMask
-			if c == 0 {
-				k++
-				c = list[k]
-			}
-			lov[e>>countBits] += int32(min(qc, c))
+			sweep(lov, x.posts, ll.from, ll.to, x.sats, qc)
+		} else {
+			sweep(lov, x.lposts, ll.from, ll.to, x.lsats, qc)
 		}
 	}
 	return base

@@ -1,8 +1,11 @@
 package invfile
 
 import (
+	"cmp"
 	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"treesim/internal/branch"
@@ -11,7 +14,7 @@ import (
 )
 
 // star returns r(c, c, …, c) with n leaves: its branch c(ε, c) occurs n−1
-// times, so n ≥ countMask+2 needs an escaped posting.
+// times, so n ≥ countMask+1 saturates a posting's count bits.
 func star(n int) *tree.Tree {
 	root := tree.NewNode("r")
 	for i := 0; i < n; i++ {
@@ -20,8 +23,8 @@ func star(n int) *tree.Tree {
 	return tree.New(root)
 }
 
-// dataset is random trees with stars around the escape threshold mixed in,
-// so lists hold one-entry and escaped postings side by side.
+// dataset is random trees with stars around countMask mixed in, so lists
+// hold exact and saturated postings side by side.
 func dataset() []*tree.Tree {
 	spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1, SizeMean: 15, SizeStd: 5, Labels: 5, Decay: 0.1}
 	ts := datagen.New(spec, 23).Dataset(40, 4)
@@ -34,18 +37,23 @@ func dataset() []*tree.Tree {
 // posting is one decoded entry of an inverted list.
 type posting struct{ tree, count int }
 
-// list decodes dimension d's inverted list.
+// list decodes dimension d's inverted list, taking the count of each word
+// that reads countMask from the side array entry at its position, or 0
+// where there is none.
 func (x *Index) list(d branch.Dim) []posting {
 	if int(d) >= len(x.start)-1 {
 		return nil
 	}
 	var out []posting
-	raw := x.posts[x.start[d]:x.start[d+1]]
-	for k := 0; k < len(raw); k++ {
-		p := posting{tree: int(raw[k] >> countBits), count: int(raw[k] & countMask)}
-		if p.count == 0 {
-			k++
-			p.count = int(raw[k])
+	for at := x.start[d]; at < x.start[d+1]; at++ {
+		e := x.posts[at]
+		p := posting{tree: int(e >> countBits), count: int(e & countMask)}
+		if p.count == countMask {
+			i, ok := slices.BinarySearchFunc(x.sats, at, func(s sat, at uint32) int { return cmp.Compare(s.at, at) })
+			p.count = 0
+			if ok {
+				p.count = int(x.sats[i].c)
+			}
 		}
 		out = append(out, p)
 	}
@@ -68,7 +76,7 @@ func bdists(x *Index, q *branch.Profile, ps []*branch.Profile) []int {
 
 // TestProfilesMatchDirect: reading the inverted lists back by tree yields
 // exactly the branch vector of each directly profiled tree (Algorithm 1's
-// two halves are consistent), escaped counts included.
+// two halves are consistent), saturated counts included.
 func TestProfilesMatchDirect(t *testing.T) {
 	ts := dataset()
 	for _, q := range []int{2, 3} {
@@ -79,17 +87,17 @@ func TestProfilesMatchDirect(t *testing.T) {
 		for i := range scanned {
 			scanned[i] = map[branch.Dim]int{}
 		}
-		escaped := 0
+		saturated := 0
 		for d := 0; d < space.Size(); d++ {
 			for _, p := range x.list(branch.Dim(d)) {
 				scanned[p.tree][branch.Dim(d)] += p.count
 				if p.count > countMask {
-					escaped++
+					saturated++
 				}
 			}
 		}
-		if escaped == 0 {
-			t.Fatalf("q=%d: no posting took the escape", q)
+		if saturated == 0 {
+			t.Fatalf("q=%d: no posting saturated its count bits", q)
 		}
 		for i, p := range direct {
 			want := map[branch.Dim]int{}
@@ -106,7 +114,7 @@ func TestProfilesMatchDirect(t *testing.T) {
 // TestDistancesMatch: branch distances computed through the postings
 // sweep agree with the pairwise merge-join ones, for queries from the
 // dataset, for lookup-only query profiles with unseen branches, and for
-// stars whose counts sit below, at and above the escape on either side.
+// stars whose counts sit below, at and above countMask on either side.
 func TestDistancesMatch(t *testing.T) {
 	ts := dataset()
 	space := branch.NewSpace(2)
@@ -132,9 +140,31 @@ func TestDistancesMatch(t *testing.T) {
 func TestIndexAccounting(t *testing.T) {
 	ts := dataset()
 	space := branch.NewSpace(2)
-	x := Build(space.ProfileAll(ts))
+	ps := space.ProfileAll(ts)
+	x := Build(ps)
 	if x.trees != len(ts) {
 		t.Errorf("%d trees indexed, want %d", x.trees, len(ts))
+	}
+	// Every branch list holds one word per posting, and the side array
+	// exactly the postings whose count reaches countMask, by the position
+	// of their word, with that count.
+	byDim := make([][]sat, space.Size())
+	carriers := make([]uint32, space.Size())
+	for _, p := range ps {
+		for j, d := range p.Dims() {
+			if c := p.Count(j); c >= countMask {
+				byDim[d] = append(byDim[d], sat{x.start[d] + carriers[d], uint32(c)})
+			}
+			carriers[d]++
+		}
+	}
+	for d, n := range carriers {
+		if got := len(x.dimList(branch.Dim(d))); got != int(n) {
+			t.Errorf("dim %d: %d words for %d postings", d, got, n)
+		}
+	}
+	if want := slices.Concat(byDim...); len(want) == 0 || !slices.Equal(x.sats, want) {
+		t.Errorf("side array %v, want %v", x.sats, want)
 	}
 	total := 0
 	for _, tr := range ts {
@@ -252,16 +282,7 @@ func TestLabelOverlapsMatchDefinition(t *testing.T) {
 
 func checkLabelOverlaps(t *testing.T, ts []*tree.Tree) {
 	t.Helper()
-	space := branch.NewSpace(2)
-	x := Build(space.ProfileAll(ts))
-	hs := make([]map[string]int, len(ts))
-	carriers := map[string]int{}
-	for i, tr := range ts {
-		hs[i] = labelHist(tr)
-		for l := range hs[i] {
-			carriers[l]++
-		}
-	}
+	_, carriers := labelCarriers(ts)
 	dense := 0
 	for _, c := range carriers {
 		if 2*c > len(ts) {
@@ -279,8 +300,34 @@ func checkLabelOverlaps(t *testing.T, ts []*tree.Tree) {
 		tree.MustParse("zz(zz(zz),b)"),
 		tree.MustParse("zz(l1(zz),zz,l2(zz),zz)"),
 		mix(1), mix(2), mix(300))
+	space := branch.NewSpace(2)
+	if checkLabelSweep(t, space, Build(space.ProfileAll(ts)), ts, queries) == 0 {
+		t.Fatal("Excess corrected no tree: the dense columns go untested")
+	}
+}
+
+// labelCarriers returns each tree's label histogram and, per label, how
+// many of the trees carry it.
+func labelCarriers(ts []*tree.Tree) ([]map[string]int, map[string]int) {
+	hs := make([]map[string]int, len(ts))
+	carriers := map[string]int{}
+	for i, tr := range ts {
+		hs[i] = labelHist(tr)
+		for l := range hs[i] {
+			carriers[l]++
+		}
+	}
+	return hs, carriers
+}
+
+// checkLabelSweep holds x's label sweep over ts, indexed in space, to the
+// label tier's definition for every query (see
+// TestLabelOverlapsMatchDefinition), with and without Excess, and returns
+// how many trees Excess corrected.
+func checkLabelSweep(t testing.TB, space *branch.Space, x *Index, ts, queries []*tree.Tree) (corrected int) {
+	t.Helper()
+	hs, carriers := labelCarriers(ts)
 	lov := make([]int32, len(ts))
-	corrected := 0
 	for qi, q := range queries {
 		for i := range lov {
 			lov[i] = -7 // LabelOverlaps must not depend on what lov held
@@ -316,7 +363,48 @@ func checkLabelOverlaps(t *testing.T, ts []*tree.Tree) {
 			}
 		}
 	}
-	if corrected == 0 {
-		t.Fatal("Excess corrected no tree: the dense columns go untested")
-	}
+	return corrected
+}
+
+// FuzzSweep holds both sweeps to their definitions on random forests from
+// datagen with stars and mixes mixed in whose counts straddle countMask and
+// 255, for queries that carry a branch and a label once, twice, countMask,
+// countMask+1 and far more times: Overlaps to branch.BDist tree by tree,
+// LabelOverlaps with and without Excess to the label-histogram definition.
+func FuzzSweep(f *testing.F) {
+	f.Add(int64(1), uint8(30), uint8(5))
+	f.Add(int64(2), uint8(8), uint8(1))
+	f.Add(int64(3), uint8(47), uint8(2))
+	f.Add(int64(4), uint8(0), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, n, labels uint8) {
+		spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1.5, SizeMean: 12, SizeStd: 6, Labels: 1 + int(labels%8), Decay: 0.2}
+		g := datagen.New(spec, seed)
+		ts := g.Dataset(1+int(n%48), 1+int(n%48)/4)
+		rng := rand.New(rand.NewSource(seed))
+		for _, k := range []int{countMask - 1, countMask, countMask + 1, countMask + 2, 255, 256} {
+			s := star(k + 1)
+			if rng.Intn(2) == 0 {
+				s = mix(k)
+			}
+			ts = slices.Insert(ts, rng.Intn(len(ts)+1), s)
+		}
+		queries := []*tree.Tree{ts[0], ts[len(ts)/2], g.Derive(ts[len(ts)-1]), g.Seed()}
+		for _, k := range []int{1, 2, countMask, countMask + 1, 300} {
+			queries = append(queries, star(k+1), mix(k))
+		}
+		for _, q := range []int{2, 3} {
+			space := branch.NewSpace(q)
+			ps := space.ProfileAll(ts)
+			x := Build(ps)
+			for qi, qt := range queries {
+				qp := space.QueryProfile(qt)
+				for i, got := range bdists(x, qp, ps) {
+					if want := branch.BDist(qp, ps[i]); got != want {
+						t.Fatalf("q=%d: BDist(query %d, tree %d): sweep %d, merge-join %d", q, qi, i, got, want)
+					}
+				}
+			}
+			checkLabelSweep(t, space, x, ts, queries)
+		}
+	})
 }

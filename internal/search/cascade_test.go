@@ -234,7 +234,7 @@ func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int, label map[int]i
 // Every sealed segment's BDist and label tiers read the postings sweep,
 // which checkSwept holds to the merge-join and to both label tiers'
 // definitions tree by tree; stars of 40 and 17 identical leaves put
-// escaped counts in the postings. The funnel accounts for every tree the
+// saturated counts in the postings. The funnel accounts for every tree the
 // filter dropped, and both query kinds charge each tree to the same tier
 // the full scan does. The layouts with deleted ids also run at three
 // shards, so a shard's tombstone cursor starts mid-list.
@@ -573,7 +573,8 @@ func TestQueriesDoNotGrowTheSpace(t *testing.T) {
 }
 
 // star returns l0(l1, …, l1) with n leaves: its branch l1(ε, l1) occurs
-// n−1 times, so from 17 leaves on the count takes an escaped posting.
+// n−1 times, so from 16 leaves on the count saturates a posting's count
+// bits.
 func star(n int) *tree.Tree {
 	root := tree.NewNode("l0")
 	for i := 0; i < n; i++ {

@@ -36,7 +36,7 @@ func FuzzLoadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	// Stars among sealed segments: the postings built at load hold
-	// escaped counts.
+	// saturated counts.
 	stars := NewIndex(append(testDataset(4, 44), star(40)), NewBiBranch(), WithMemtableSize(3), WithCompactionThreshold(-1))
 	for _, tr := range []*tree.Tree{star(17), testDataset(1, 45)[0], star(20)} {
 		stars.Insert(tr)

@@ -31,10 +31,9 @@
 // queries keep serving, writes get 503 not_durable with Retry-After,
 // and a background prober restores write service when the disk heals.
 //
-// Observability: -slow-query logs the span tree of any query at or above
-// the threshold (0 logs every query) together with its EXPLAIN record,
-// ?trace=1 on the query endpoints returns the same breakdown inline,
-// ?explain=1 returns the per-query filter-quality analysis, GET /metrics
+// Observability: every request logs one "request" line; ?trace=1 on the
+// query endpoints returns its span breakdown inline, ?explain=1 returns
+// the per-query filter-quality analysis, GET /metrics
 // serves every metric family as JSON, or as Prometheus text with
 // ?format=prom (error-budget burn rates are a rate() over its request,
 // error and latency-bucket counters), GET /version reports the build, and
@@ -47,18 +46,17 @@
 // A flight recorder keeps the span trees of recent interesting requests
 // in a fixed ring (-trace-ring entries): every errored request, every
 // request slower than an adaptive tail threshold, and a sampled baseline
-// of normal traffic. The loopback-only GET /debug/traces lists them
-// (filter with ?endpoint=, ?min_us=, ?error=1) and GET /debug/traces/{id}
-// fetches one; browse them with cmd/treesim-trace.
+// of normal traffic. An errored or slow request's "request" line goes out
+// at WARN with retained=error or retained=slow and the threshold, so the
+// log names the tail and its trace_id. The loopback-only GET
+// /debug/traces lists the ring (filter with ?endpoint=, ?min_us=,
+// ?error=1) and GET /debug/traces/{id} fetches one by request or trace
+// ID; browse them with cmd/treesim-trace.
 //
 // Distributed tracing: every request carries W3C trace-context — an
 // inbound traceparent header continues the caller's trace, otherwise a
 // fresh 128-bit trace ID is minted — and the ID is echoed in X-Trace-Id
-// and every log line. With -otlp-endpoint set, finished span trees are
-// batched into OTLP/JSON and POSTed to that collector URL in the
-// background: errored and tail-retained traces always export,
-// caller-sampled traces (flag 01) export, and the rest are head-sampled
-// at -trace-sample by a deterministic hash of the trace ID.
+// and the request's log line.
 //
 // SIGINT/SIGTERM trigger a graceful drain: readiness flips to 503,
 // in-flight queries finish, a final snapshot is written, then the process
@@ -111,7 +109,6 @@ type config struct {
 	drain        time.Duration
 	addrFile     string
 	omitTrees    bool
-	slowQuery    time.Duration
 	pprofAddr    string
 	qlogPath     string
 	qlogSample   float64
@@ -121,8 +118,6 @@ type config struct {
 	memtable     int
 	compactAt    int
 	traceRing    int
-	otlpEndpoint string
-	traceSample  float64
 	version      bool
 }
 
@@ -149,7 +144,6 @@ func run(args []string, stderr io.Writer) int {
 	fs.DurationVar(&c.drain, "drain", 15*time.Second, "graceful-shutdown drain budget")
 	fs.StringVar(&c.addrFile, "addr-file", "", "write the bound address to this file once listening (for scripts)")
 	fs.BoolVar(&c.omitTrees, "omit-trees", false, "leave tree text out of query results")
-	fs.DurationVar(&c.slowQuery, "slow-query", -1, "log the span tree of queries at or above this duration (0 logs every query; negative disables)")
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060); empty disables")
 	fs.StringVar(&c.qlogPath, "qlog", "", "record served queries to this JSONL workload log (replay with treesim-analyze); empty disables")
 	fs.Float64Var(&c.qlogSample, "qlog-sample", 1, "fraction of queries recorded to -qlog, deterministic in stream position (0,1]")
@@ -159,8 +153,6 @@ func run(args []string, stderr io.Writer) int {
 	fs.IntVar(&c.memtable, "memtable-size", 0, "inserts absorbed by the mutable memtable segment before it seals (0 = default)")
 	fs.IntVar(&c.compactAt, "compact-threshold", 0, "sealed segments that trigger a background compaction (0 = default, negative = manual only)")
 	fs.IntVar(&c.traceRing, "trace-ring", 0, "retained traces in the flight recorder, served on /debug/traces (0 = 256, negative disables)")
-	fs.StringVar(&c.otlpEndpoint, "otlp-endpoint", "", "POST finished traces as OTLP/JSON to this collector URL (e.g. http://localhost:4318/v1/traces); empty disables export")
-	fs.Float64Var(&c.traceSample, "trace-sample", 0, "head-sampling rate in [0,1] for exporting normal traces (errors and tail-retained traces always export)")
 	fs.BoolVar(&c.version, "version", false, "print build information and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -205,16 +197,7 @@ func run(args []string, stderr io.Writer) int {
 		WALMaxBytes:      c.walMaxBytes,
 		OmitTrees:        c.omitTrees,
 		TraceRing:        c.traceRing,
-		OTLPEndpoint:     c.otlpEndpoint,
-		TraceSample:      c.traceSample,
 		Logger:           log,
-	}
-	if c.otlpEndpoint != "" {
-		log.Info("otlp export enabled", "endpoint", c.otlpEndpoint, "sample", c.traceSample)
-	}
-	if c.slowQuery >= 0 {
-		threshold := c.slowQuery
-		scfg.SlowQuery = &threshold
 	}
 	if c.qlogPath != "" {
 		qw, err := qlog.Open(c.qlogPath, qlog.Options{SampleRate: c.qlogSample, MaxBytes: c.qlogMaxBytes})

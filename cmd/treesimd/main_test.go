@@ -31,8 +31,9 @@ func writeTestData(t *testing.T) string {
 }
 
 // TestRunErrors: startup failures exit 1 and usage errors 2, each with a
-// clear message. The tail profiler's -profile-every went with it and is an
-// unknown flag like any other.
+// clear message. Retired flags — the tail profiler's -profile-every, the
+// span-tree log's threshold and the trace exporter's endpoint and sampling
+// rate — are unknown flags like any other.
 func TestRunErrors(t *testing.T) {
 	data := writeTestData(t)
 	cases := []struct {
@@ -50,6 +51,9 @@ func TestRunErrors(t *testing.T) {
 		{"branch level a snapshot cannot hold", []string{"-data", data, "-q", "17"}, 1, "outside [2, 16]"},
 		{"bad flag", []string{"-definitely-not-a-flag"}, 2, "flag provided but not defined"},
 		{"retired flag", []string{"-data", data, "-profile-every", "1s"}, 2, "flag provided but not defined: -profile-every"},
+		{"retired span-tree log", []string{"-data", data, "-slow-query", "0"}, 2, "flag provided but not defined: -slow-query"},
+		{"retired exporter", []string{"-data", data, "-otlp-endpoint", "http://127.0.0.1:4318/v1/traces"}, 2, "flag provided but not defined: -otlp-endpoint"},
+		{"retired export sampling", []string{"-data", data, "-trace-sample", "1"}, 2, "flag provided but not defined: -trace-sample"},
 		{"bad index file", []string{"-index", data}, 1, "loading index"},
 	}
 	for _, c := range cases {

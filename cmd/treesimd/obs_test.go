@@ -174,53 +174,3 @@ func TestPprofEndpoint(t *testing.T) {
 		t.Fatalf("exit %d, want 0", code)
 	}
 }
-
-// TestSlowQueryFlag: -slow-query 0 makes every query emit a slow-query
-// record with its request ID and span tree; the default stays silent.
-func TestSlowQueryFlag(t *testing.T) {
-	data := writeTestData(t)
-	base, buf, exit := startServerLogged(t, []string{"-data", data, "-slow-query", "0"})
-
-	resp, err := http.Post(base+"/v1/knn", "application/json",
-		strings.NewReader(`{"tree":"a(b,c)","k":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rid := resp.Header.Get("X-Request-Id")
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("knn status %d", resp.StatusCode)
-	}
-	if code := sigterm(t, exit); code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-
-	log := buf.String()
-	if !strings.Contains(log, `msg="slow query"`) {
-		t.Fatalf("no slow-query record in log: %s", log)
-	}
-	if !strings.Contains(log, "request_id="+rid) {
-		t.Errorf("slow-query log lacks request id %s", rid)
-	}
-	if !strings.Contains(log, "trace.filter.dur_us=") {
-		t.Errorf("slow-query log lacks the span tree: %s", log)
-	}
-}
-
-// TestSlowQueryDefaultOff: without the flag no slow-query records appear.
-func TestSlowQueryDefaultOff(t *testing.T) {
-	data := writeTestData(t)
-	base, buf, exit := startServerLogged(t, []string{"-data", data})
-	resp, err := http.Post(base+"/v1/knn", "application/json",
-		strings.NewReader(`{"tree":"a(b,c)","k":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if code := sigterm(t, exit); code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	if strings.Contains(buf.String(), "slow query") {
-		t.Errorf("slow-query record without -slow-query: %s", buf.String())
-	}
-}

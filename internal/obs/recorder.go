@@ -63,7 +63,7 @@ const (
 )
 
 // RetainedTrace is one request the recorder kept. Entries are immutable
-// once inserted; List and Get hand out shared pointers.
+// once inserted; Offer, List and Get hand out shared pointers.
 type RetainedTrace struct {
 	RequestID   string       `json:"request_id"`
 	TraceID     string       `json:"trace_id,omitempty"` // hex W3C trace id
@@ -150,14 +150,14 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	return r
 }
 
-// Offer presents a completed request. It returns the retention class
-// and whether the trace was retained; when it was not, req.Root has not
-// been touched and nothing was allocated. Callers use the class to
-// chain tail reactions — the server always exports a retained error or
-// slow trace, never a baseline sample for being retained.
-func (r *Recorder) Offer(req CompletedRequest) (TraceClass, bool) {
+// Offer presents a completed request. It returns the retained entry, or
+// nil when the trace was dropped — then req.Root has not been touched and
+// nothing was allocated. Callers react to the entry's class: the server
+// logs a request retained as an error or slow trace at Warn, with the
+// entry's class and threshold, and a baseline sample like any request.
+func (r *Recorder) Offer(req CompletedRequest) *RetainedTrace {
 	if r == nil {
-		return "", false
+		return nil
 	}
 	n := r.offers.Add(1)
 	r.recent[(n-1)%recentDurations].Store(req.Duration.Nanoseconds())
@@ -180,7 +180,7 @@ func (r *Recorder) Offer(req CompletedRequest) (TraceClass, bool) {
 		seen := r.baseSeen.Add(1)
 		if seen > uint64(r.baseCap) && r.rand(seen) >= uint64(r.baseCap) {
 			r.dropped.Add(1)
-			return class, false
+			return nil
 		}
 	}
 
@@ -202,12 +202,12 @@ func (r *Recorder) Offer(req CompletedRequest) (TraceClass, bool) {
 	if class == TraceBaseline {
 		if !r.insertBaseline(home, ent) {
 			r.dropped.Add(1)
-			return class, false
+			return nil
 		}
-		return class, true
+		return ent
 	}
 	r.insertTail(home, ent)
-	return class, true
+	return ent
 }
 
 // insertBaseline adds a baseline trace: into the first shard (walking

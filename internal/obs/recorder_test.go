@@ -156,11 +156,11 @@ func TestRecorderSlowClassIsTheTail(t *testing.T) {
 				req.Status, req.Error = 500, true
 				errs++
 			}
-			class, retained := r.Offer(req)
-			if req.Error && (class != TraceError || !retained) {
-				t.Fatalf("[%v,%v] errored offer %d: class %q retained %v", d.lo, d.hi, i, class, retained)
+			tr := r.Offer(req)
+			if req.Error && (tr == nil || tr.Class != TraceError) {
+				t.Fatalf("[%v,%v] errored offer %d: retained %+v", d.lo, d.hi, i, tr)
 			}
-			if class == TraceSlow {
+			if tr != nil && tr.Class == TraceSlow {
 				slow++
 				if i < recalcEvery-1 {
 					early++
@@ -325,7 +325,7 @@ func TestRecorderHammer(t *testing.T) {
 
 func TestRecorderNilIsDisabled(t *testing.T) {
 	var r *Recorder
-	if _, kept := r.Offer(CompletedRequest{RequestID: "x"}); kept {
+	if r.Offer(CompletedRequest{RequestID: "x"}) != nil {
 		t.Fatal("nil recorder retained a trace")
 	}
 	if r.List(TraceFilter{}) != nil || r.Get("x") != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // FprintSpanTree renders a span tree as indented text, one line per span
@@ -20,13 +19,6 @@ import (
 // instead).
 func FprintSpanTree(w io.Writer, sn SpanSnapshot) {
 	fprintSpan(w, sn, 0, sn.DurUS)
-}
-
-// RenderSpanTree is FprintSpanTree into a string.
-func RenderSpanTree(sn SpanSnapshot) string {
-	var b strings.Builder
-	FprintSpanTree(&b, sn)
-	return b.String()
 }
 
 func fprintSpan(w io.Writer, sp SpanSnapshot, depth int, rootUS int64) {

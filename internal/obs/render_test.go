@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// renderSpanTree is FprintSpanTree into a string.
+func renderSpanTree(sn SpanSnapshot) string {
+	var b strings.Builder
+	FprintSpanTree(&b, sn)
+	return b.String()
+}
+
 func TestRenderSpanTree(t *testing.T) {
 	sn := SpanSnapshot{
 		Name:  "/v1/knn",
@@ -15,7 +22,7 @@ func TestRenderSpanTree(t *testing.T) {
 			{Name: "refine", DurUS: 1500, Attrs: map[string]any{"verified": int64(12)}},
 		},
 	}
-	out := RenderSpanTree(sn)
+	out := renderSpanTree(sn)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("rendered %d lines, want 3:\n%s", len(lines), out)
@@ -40,7 +47,7 @@ func TestRenderSpanTree(t *testing.T) {
 
 func TestRenderSpanTreeZeroRoot(t *testing.T) {
 	// A zero-duration root must not divide by zero.
-	out := RenderSpanTree(SpanSnapshot{Name: "noop"})
+	out := renderSpanTree(SpanSnapshot{Name: "noop"})
 	if !strings.Contains(out, "noop") || !strings.Contains(out, "0.0%") {
 		t.Fatalf("zero-duration render: %q", out)
 	}

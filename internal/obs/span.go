@@ -7,8 +7,8 @@
 // context, and the search engine hangs filter/refine child spans (with
 // candidate and verification counts as attributes) off whatever span the
 // context carries. The whole tree renders three ways: inline in a JSON
-// response (?trace=1), as structured slog attributes (the slow-query
-// log), and — aggregated through Histogram — as /metrics families.
+// response (?trace=1), as structured slog attributes (the snapshot
+// log line), and — aggregated through Histogram — as /metrics families.
 //
 // Every method is safe on a nil *Span and does nothing, so instrumented
 // code calls spans unconditionally; running without a tracing context
@@ -61,7 +61,7 @@ func New(name string) *Span {
 
 // NewRemote starts a root span that continues a caller's trace: same
 // trace id, parented under the caller's span, tracestate carried along
-// for export. An invalid context falls back to a fresh trace — the
+// into the snapshot. An invalid context falls back to a fresh trace — the
 // spec's rule for unusable headers.
 func NewRemote(name string, tc TraceContext) *Span {
 	if !tc.Valid() {
@@ -159,9 +159,10 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// SpanSnapshot is the exportable form of a span tree: JSON for ?trace=1
-// responses, slog groups (via LogValue) for the slow-query log. StartUS is
-// the span's start relative to the snapshot root.
+// SpanSnapshot is the serializable form of a span tree: JSON for ?trace=1
+// responses and retained traces, slog groups (via LogValue) for the
+// snapshot log line. StartUS is the span's start relative to the snapshot
+// root.
 type SpanSnapshot struct {
 	Name string `json:"name"`
 	// Hex W3C identities; ParentSpanID is empty on a root that started
@@ -224,8 +225,9 @@ func (s *Span) snapshot(base time.Time) SpanSnapshot {
 	return out
 }
 
-// LogValue renders the snapshot as nested slog groups, so a slow-query
-// record stays structured under both text and JSON handlers.
+// LogValue renders the snapshot as nested slog groups, so a logged span
+// tree (the "snapshot written" record) stays structured under both text
+// and JSON handlers.
 func (sn SpanSnapshot) LogValue() slog.Value {
 	attrs := make([]slog.Attr, 0, 2+len(sn.Attrs)+len(sn.Children))
 	attrs = append(attrs,

@@ -128,7 +128,7 @@ func TestSnapshotLogValue(t *testing.T) {
 
 	var buf bytes.Buffer
 	log := slog.New(slog.NewJSONHandler(&buf, nil))
-	log.Info("slow query", "request_id", "r42", "trace", root.Snapshot())
+	log.Info("snapshot written", "trees", 42, "trace", root.Snapshot())
 
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {

@@ -122,10 +122,6 @@ func (s *IDSource) SpanID() SpanID {
 	}
 }
 
-// Uint64 draws one raw value — the exporter uses it for backoff jitter,
-// keeping the whole package off the math/rand global.
-func (s *IDSource) Uint64() uint64 { return s.next() }
-
 // ids is the process-wide default source. The seed folds the start time
 // and pid so two processes started together diverge, but everything
 // after the seed is a deterministic function of it.
@@ -136,20 +132,3 @@ func NewTraceID() TraceID { return ids.TraceID() }
 
 // NewSpanID draws from the process default source.
 func NewSpanID() SpanID { return ids.SpanID() }
-
-// SampleTraceID is the head-sampling decision: deterministic in the
-// trace id, so every process that sees the same trace makes the same
-// call with the same rate — no coordination, no flapping mid-trace.
-// rate <= 0 samples nothing, rate >= 1 everything.
-func SampleTraceID(t TraceID, rate float64) bool {
-	if rate <= 0 {
-		return false
-	}
-	if rate >= 1 {
-		return true
-	}
-	// The low 8 bytes are uniform for generated ids; callers honoring the
-	// W3C randomness flag get the same property from remote ids.
-	v := binary.BigEndian.Uint64(t[8:])
-	return float64(v>>11)/float64(1<<53) < rate
-}

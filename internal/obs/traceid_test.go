@@ -83,40 +83,6 @@ func TestParseSpanIDStrict(t *testing.T) {
 	}
 }
 
-func TestSampleTraceID(t *testing.T) {
-	src := NewIDSource(99)
-	id := src.TraceID()
-	if SampleTraceID(id, 0) {
-		t.Error("rate 0 sampled")
-	}
-	if !SampleTraceID(id, 1) {
-		t.Error("rate 1 did not sample")
-	}
-	// Deterministic: the same id always gets the same verdict.
-	for i := 0; i < 10; i++ {
-		if SampleTraceID(id, 0.3) != SampleTraceID(id, 0.3) {
-			t.Fatal("sampling decision flapped for a fixed id")
-		}
-	}
-	// Statistically sane: over many ids the hit rate tracks the target.
-	const n = 20000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if SampleTraceID(src.TraceID(), 0.25) {
-			hits++
-		}
-	}
-	frac := float64(hits) / n
-	if frac < 0.22 || frac > 0.28 {
-		t.Errorf("sample rate 0.25 hit %.3f of ids", frac)
-	}
-	// A higher rate never samples fewer ids (monotone in rate).
-	id2 := src.TraceID()
-	if SampleTraceID(id2, 0.1) && !SampleTraceID(id2, 0.9) {
-		t.Error("sampling not monotone in rate")
-	}
-}
-
 func TestSpanIdentity(t *testing.T) {
 	root := New("req")
 	if root.TraceID().IsZero() || root.spanID.IsZero() {

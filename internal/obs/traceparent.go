@@ -20,8 +20,8 @@ import (
 // known fields are well-formed.
 
 // FlagSampled is the traceparent flags bit meaning "the caller sampled
-// this trace"; a server honoring it exports the trace regardless of its
-// own head-sampling rate.
+// this trace". Clients set it on the traces they start; the server parses
+// it but keeps a trace by the flight recorder's rules alone.
 const FlagSampled = 0x01
 
 // TraceContext is one hop's propagation state: the trace identity, the

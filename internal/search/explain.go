@@ -14,8 +14,9 @@ import (
 // positives, lower-bound tightness (the ≤ Factor(q) = 4(q-1)+1 gap between
 // the binary branch distance and the real edit distance) — not by raw
 // latency. An Explain captures exactly those quantities for one live query
-// so they are observable per request (?explain=1, the slow-query log) and
-// replayable offline (cmd/treesim-analyze).
+// so they are observable per request (?explain=1, and the flight
+// recorder's retained trace of such a request) and replayable offline
+// (cmd/treesim-analyze).
 
 // tightnessCap bounds how many tightness samples one query collects —
 // enough for the tightness histogram without measurably taxing the refine

@@ -1,13 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
-	"log/slog"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 
 	"treesim/internal/qlog"
 )
@@ -105,38 +101,45 @@ func TestExplainRange(t *testing.T) {
 	}
 }
 
-// TestSlowQueryExplain: a slow-query record carries the EXPLAIN analysis
-// even when the client did not ask for it.
-func TestSlowQueryExplain(t *testing.T) {
-	var buf syncBuffer
-	cfg := Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))}
-	threshold := time.Duration(0)
-	cfg.SlowQuery = &threshold
-	_, hs, ts := newTestServer(t, cfg, 40, 62)
+// TestRetainedTraceCarriesExplain: the EXPLAIN record a ?explain=1 query
+// computed rides into the flight recorder's retained trace, so
+// /debug/traces/{id} shows the filter's funnel next to the span tree; a
+// query without ?explain=1 computes none.
+func TestRetainedTraceCarriesExplain(t *testing.T) {
+	_, hs, ts := newTestServer(t, quietConfig(), 40, 62)
 
-	if code := postJSON(t, hs.URL+"/v1/knn", KNNRequest{Tree: ts[2].String(), K: 3}, nil); code != 200 {
+	var resp QueryResponse
+	if code := postJSON(t, hs.URL+"/v1/knn?explain=1", KNNRequest{Tree: ts[2].String(), K: 3}, &resp); code != 200 {
 		t.Fatalf("knn status %d", code)
 	}
-	var rec map[string]any
-	sc := bufio.NewScanner(strings.NewReader(buf.String()))
-	for sc.Scan() {
-		var r map[string]any
-		if json.Unmarshal(sc.Bytes(), &r) == nil && r["msg"] == "slow query" {
-			rec = r
-		}
+	var traces DebugTracesResponse
+	if code := getJSON(t, hs.URL+"/debug/traces", &traces); code != 200 || len(traces.Traces) != 1 {
+		t.Fatalf("debug/traces status %d, %d traces; want the one query retained", code, len(traces.Traces))
 	}
-	if rec == nil {
-		t.Fatalf("no slow-query record in log: %s", buf.String())
+	var rec map[string]any
+	if code := getJSON(t, hs.URL+"/debug/traces/"+traces.Traces[0].RequestID, &rec); code != 200 {
+		t.Fatalf("debug/traces/{id} status %d", code)
 	}
 	exm, ok := rec["explain"].(map[string]any)
 	if !ok {
-		t.Fatalf("slow-query record lacks explain: %v", rec)
+		t.Fatalf("retained trace lacks explain: %v", rec)
 	}
 	if op, _ := exm["op"].(string); op != "knn" {
-		t.Errorf("logged explain op %v, want knn", exm["op"])
+		t.Errorf("retained explain op %v, want knn", exm["op"])
 	}
-	if c, _ := exm["candidates"].(float64); c <= 0 {
-		t.Errorf("logged explain candidates %v, want > 0", exm["candidates"])
+	if c, _ := exm["candidates"].(float64); int(c) != resp.Explain.Candidates || c <= 0 {
+		t.Errorf("retained explain candidates %v, response's %d", exm["candidates"], resp.Explain.Candidates)
+	}
+
+	if code := postJSON(t, hs.URL+"/v1/knn", KNNRequest{Tree: ts[3].String(), K: 3}, nil); code != 200 {
+		t.Fatalf("knn status %d", code)
+	}
+	var latest DebugTracesResponse
+	if code := getJSON(t, hs.URL+"/debug/traces?limit=1", &latest); code != 200 || len(latest.Traces) != 1 {
+		t.Fatalf("debug/traces status %d, %d traces", code, len(latest.Traces))
+	}
+	if latest.Traces[0].Explain != nil {
+		t.Errorf("a query without ?explain=1 retained an EXPLAIN record: %v", latest.Traces[0].Explain)
 	}
 }
 

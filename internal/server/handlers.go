@@ -145,11 +145,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, op, treeText
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidTree, err.Error(), requestID(w))
 		return
 	}
-	// EXPLAIN analysis runs at most once per request; setExplain hands the
-	// one record to every consumer — the ?explain=1 response below, the
-	// slow-query log's deferred record, and the flight recorder's retained
-	// trace — instead of each forcing its own analysis.
-	res, stats, ex, err := s.runQuery(r.Context(), op, q, k, tau, wantExplain(r) || s.cfg.SlowQuery != nil)
+	// EXPLAIN analysis runs only for ?explain=1, at most once per request;
+	// setExplain hands the one record to both consumers — the response
+	// below and the flight recorder's retained trace.
+	res, stats, ex, err := s.runQuery(r.Context(), op, q, k, tau, wantExplain(r))
 	if err != nil {
 		status, code, msg := ctxStatus(err)
 		writeError(w, status, code, msg, requestID(w))

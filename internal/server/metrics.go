@@ -16,7 +16,7 @@ import (
 // text with ?format=prom — is one registration there, next to where its
 // value comes from. Counters and histograms the request path updates are
 // fields here; everything another component already tracks (index, store,
-// WAL, degraded mode, runtime, recorder, exporter) is read from
+// WAL, degraded mode, runtime, recorder) is read from
 // that component at scrape time.
 type Metrics struct {
 	reg *obs.Registry
@@ -75,9 +75,9 @@ func load(c *atomic.Uint64) func() float64 {
 	return func() float64 { return float64(c.Load()) }
 }
 
-// newMetrics declares every family of s's /metrics. s.recorder and
-// s.exporter must be set (or left nil: disabled components read as zero);
-// s.wal may appear later, it is read per scrape.
+// newMetrics declares every family of s's /metrics. s.recorder must be
+// set (or left nil: a disabled recorder reads as zero); s.wal may appear
+// later, it is read per scrape.
 func newMetrics(s *Server) *Metrics {
 	reg := obs.NewRegistry("treesim_")
 	m := &Metrics{reg: reg}
@@ -172,23 +172,6 @@ func newMetrics(s *Server) *Metrics {
 		rec(func(st obs.RecorderStats) float64 { return float64(st.Dropped) }))
 	reg.GaugeFunc("treesim_trace_threshold_seconds", "Adaptive slow-trace retention threshold.",
 		rec(func(st obs.RecorderStats) float64 { return float64(st.ThresholdUS) / 1e6 }))
-
-	// OTLP trace export pipeline.
-	exp := func(pick func(obs.ExporterStats) float64) func() float64 { return from(s.exporter.Stats, pick) }
-	reg.GaugeFunc("treesim_otlp_queue_depth", "Span trees waiting in the exporter queue.",
-		exp(func(st obs.ExporterStats) float64 { return float64(st.Queued) }))
-	reg.CounterFunc("treesim_otlp_offered_total", "Span trees offered to the exporter.",
-		exp(func(st obs.ExporterStats) float64 { return float64(st.Offered) }))
-	reg.CounterFunc("treesim_otlp_batches_total", "OTLP/JSON batches delivered to the collector.",
-		exp(func(st obs.ExporterStats) float64 { return float64(st.Batches) }))
-	reg.CounterFunc("treesim_otlp_sent_spans_total", "Individual spans delivered to the collector.",
-		exp(func(st obs.ExporterStats) float64 { return float64(st.SentSpans) }))
-	reg.CounterFunc("treesim_otlp_dropped_total", "Span trees dropped (queue full or delivery retries exhausted).",
-		exp(func(st obs.ExporterStats) float64 { return float64(st.Dropped) }))
-	reg.CounterFunc("treesim_otlp_retries_total", "Batch delivery retries.",
-		exp(func(st obs.ExporterStats) float64 { return float64(st.Retries) }))
-	reg.HistogramFunc("treesim_otlp_batch_latency_seconds", "Wall time from first delivery attempt to a batch's 2xx, retries included.",
-		func() obs.HistogramSnapshot { return s.exporter.Stats().BatchLatency })
 
 	// Per-endpoint request counters and latency. A scrape reads families in
 	// declaration order and Observe counts the request before its class, so

@@ -156,13 +156,6 @@ var metricFamilies = []struct{ name, typ, labels string }{
 	{"treesim_trace_offered_total", "counter", ""},
 	{"treesim_trace_dropped_total", "counter", ""},
 	{"treesim_trace_threshold_seconds", "gauge", ""},
-	{"treesim_otlp_queue_depth", "gauge", ""},
-	{"treesim_otlp_offered_total", "counter", ""},
-	{"treesim_otlp_batches_total", "counter", ""},
-	{"treesim_otlp_sent_spans_total", "counter", ""},
-	{"treesim_otlp_dropped_total", "counter", ""},
-	{"treesim_otlp_retries_total", "counter", ""},
-	{"treesim_otlp_batch_latency_seconds", "histogram", ""},
 	{"treesim_http_requests_total", "counter", "endpoint"},
 	{"treesim_http_errors_total", "counter", "endpoint"},
 	{"treesim_http_rejected_total", "counter", "endpoint"},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strings"
 	"time"
@@ -12,18 +13,18 @@ import (
 	"treesim/internal/search"
 )
 
-// explainHolder carries a query's EXPLAIN record from the handler back to
-// the middleware's deferred consumers — the slow-query log and the flight
-// recorder's retained trace. The handler and the defer run on the same
-// goroutine, so a plain field suffices; the analysis is computed at most
-// once per request and shared by everyone (?explain=1 included).
+// explainHolder carries a ?explain=1 query's EXPLAIN record from the
+// handler back to the middleware, which hands it to the flight recorder's
+// retained trace. The handler and the defer run on the same goroutine, so
+// a plain field suffices; the analysis is computed at most once per
+// request and shared by the response and the recorder.
 type explainHolder struct{ ex *search.Explain }
 
 type explainKey struct{}
 
 // setExplain hands the handler's EXPLAIN record (possibly nil) to the
-// middleware for slow-query logging. A no-op when the middleware did not
-// install a holder (slow-query log disabled).
+// middleware. A no-op when the middleware did not install a holder (an
+// endpoint outside admission control).
 func setExplain(ctx context.Context, ex *search.Explain) {
 	if h, ok := ctx.Value(explainKey{}).(*explainHolder); ok {
 		h.ex = ex
@@ -50,6 +51,25 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// maxRequestIDLen bounds a caller's X-Request-Id. The ID is echoed on the
+// response and kept in every retained trace, so an unbounded one would let
+// a client pin up to the header limit per ring slot.
+const maxRequestIDLen = 128
+
+// validRequestID reports whether a caller's X-Request-Id is adopted: 1 to
+// maxRequestIDLen bytes of printable ASCII, no spaces.
+func validRequestID(id string) bool {
+	if id == "" || len(id) > maxRequestIDLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; c <= ' ' || c > '~' {
+			return false
+		}
+	}
+	return true
+}
+
 // instrument wraps a handler with the server's middleware stack: request
 // ID assignment, panic recovery, structured logging, metrics, body-size
 // capping and — for query endpoints (limited=true) — semaphore admission
@@ -59,7 +79,7 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rid := r.Header.Get("X-Request-Id")
-		if rid == "" {
+		if !validRequestID(rid) {
 			rid = fmt.Sprintf("r%08x", s.reqSeq.Add(1))
 		}
 		w.Header().Set("X-Request-Id", rid)
@@ -67,15 +87,15 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 
 		// Every request gets a root span keyed by its request ID; handlers
 		// and the search engine hang stage children off it through the
-		// context. Snapshotting is deferred until someone asks (?trace=1,
-		// the slow-query log, or the OTLP exporter), so an unobserved trace
-		// costs only the root allocation.
+		// context. Snapshotting is deferred until someone asks (?trace=1 or
+		// the flight recorder retaining it), so an unobserved trace costs
+		// only the root allocation.
 		//
 		// An inbound W3C traceparent continues the caller's trace — same
 		// trace ID, root parented under the caller's span; a malformed one
 		// falls back to a fresh trace per the spec's restart rule. The
-		// trace ID echoes back on X-Trace-Id, so even unexported requests
-		// hand the caller a handle into /debug/traces.
+		// trace ID echoes back on X-Trace-Id, the caller's handle into
+		// /debug/traces.
 		tc, tperr := obs.ParseTraceparent(r.Header.Get("traceparent"))
 		if tperr == nil {
 			tc.State = r.Header.Get("tracestate")
@@ -91,10 +111,10 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 		}
 		r = r.WithContext(obs.NewContext(r.Context(), span))
 
-		// The slow-query log and the flight recorder both want the query's
-		// EXPLAIN record alongside the span tree; the holder lets the
-		// handler pass the one computed record upward without the
-		// middleware knowing which endpoint ran.
+		// The flight recorder keeps a ?explain=1 query's EXPLAIN record
+		// alongside the span tree; the holder lets the handler pass the one
+		// computed record upward without the middleware knowing which
+		// endpoint ran.
 		var holder *explainHolder
 		if limited {
 			holder = &explainHolder{}
@@ -111,7 +131,7 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 			}
 			// Tag the span before it freezes: a request that ran (or ended)
 			// inside a degraded read-only window is marked so its retained
-			// trace and slow-query record say so.
+			// trace says so.
 			degraded := s.degraded.Load()
 			if degraded {
 				span.SetBool("degraded", true)
@@ -120,68 +140,43 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 			span.End()
 			elapsed := time.Since(start)
 			stats.Observe(sw.status, elapsed)
-			if strings.HasPrefix(endpoint, "/v1/") {
-				errStatus := sw.status >= 500
-				var ex any
-				if holder != nil && holder.ex != nil {
-					ex = holder.ex
-				}
-				class, retained := s.recorder.Offer(obs.CompletedRequest{
-					RequestID: rid,
-					TraceID:   traceID,
-					Endpoint:  endpoint,
-					Status:    sw.status,
-					Error:     errStatus,
-					Degraded:  degraded,
-					Start:     start,
-					Duration:  elapsed,
-					Root:      span,
-					Explain:   ex,
-				})
-				if s.exporter != nil {
-					tail := retained && class != obs.TraceBaseline
-					// Head sampling is deterministic in the trace ID, so the
-					// whole chain agrees without coordination; errors,
-					// recorder-retained tails and caller-sampled traces export
-					// unconditionally.
-					export := errStatus || tail ||
-						(tperr == nil && tc.Sampled()) ||
-						obs.SampleTraceID(span.TraceID(), s.cfg.TraceSample)
-					if export {
-						// The span is ended and frozen; the exporter snapshots
-						// it on its own goroutine, so this is just a channel
-						// send on the request path.
-						s.exporter.Offer(obs.ExportTrace{Root: span, Start: start, Err: errStatus})
-					}
-				}
-			}
-			if limited && s.cfg.SlowQuery != nil && elapsed >= *s.cfg.SlowQuery {
-				snap := span.Snapshot()
-				args := []any{
-					"request_id", rid,
-					"trace_id", traceID,
-					"endpoint", endpoint,
-					"status", sw.status,
-					"dur_us", elapsed.Microseconds(),
-					"threshold_us", s.cfg.SlowQuery.Microseconds(),
-					"trace", snap,
-					// The same renderer the client and treesim-trace
-					// use, so a human greps one familiar shape.
-					"trace_tree", obs.RenderSpanTree(snap),
-				}
-				if holder != nil && holder.ex != nil {
-					args = append(args, "explain", holder.ex)
-				}
-				s.log.Warn("slow query", args...)
-			}
-			s.log.Info("request",
+			level := slog.LevelInfo
+			args := []any{
 				"request_id", rid,
 				"trace_id", traceID,
 				"method", r.Method,
 				"path", r.URL.Path,
 				"status", sw.status,
 				"dur_us", elapsed.Microseconds(),
-				"remote", r.RemoteAddr)
+				"remote", r.RemoteAddr,
+			}
+			if strings.HasPrefix(endpoint, "/v1/") {
+				var ex any
+				if holder != nil && holder.ex != nil {
+					ex = holder.ex
+				}
+				tr := s.recorder.Offer(obs.CompletedRequest{
+					RequestID: rid,
+					TraceID:   traceID,
+					Endpoint:  endpoint,
+					Status:    sw.status,
+					Error:     sw.status >= 500,
+					Degraded:  degraded,
+					Start:     start,
+					Duration:  elapsed,
+					Root:      span,
+					Explain:   ex,
+				})
+				// An errored or tail-slow request is the one an operator
+				// looks for: its access line goes out at Warn and names the
+				// class, and its trace_id opens the span tree at
+				// /debug/traces/{id}.
+				if tr != nil && tr.Class != obs.TraceBaseline {
+					level = slog.LevelWarn
+					args = append(args, "retained", tr.Class, "threshold_us", tr.ThresholdUS)
+				}
+			}
+			s.log.Log(r.Context(), level, "request", args...)
 		}()
 
 		if r.Body != nil {

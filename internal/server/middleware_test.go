@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"treesim/internal/obs"
 	"treesim/internal/search"
 )
 
@@ -59,25 +61,56 @@ func TestRequestIDAssigned(t *testing.T) {
 	}
 }
 
-// TestRequestIDPropagated: a caller-supplied X-Request-Id is preserved on
-// the response and in the log instead of a generated one.
+// TestRequestIDPropagated: a caller-supplied X-Request-Id of at most 128
+// bytes of printable ASCII is preserved on the response, in the log and in
+// the retained trace; an oversized one or one with a space or control
+// byte is replaced by a minted ID everywhere, so a client cannot pin
+// arbitrary bytes in the flight recorder's ring.
 func TestRequestIDPropagated(t *testing.T) {
-	var buf syncBuffer
-	cfg := Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))}
-	_, hs, _ := newTestServer(t, cfg, 10, 61)
-
-	req, _ := http.NewRequest("GET", hs.URL+"/healthz", nil)
-	req.Header.Set("X-Request-Id", "upstream-77")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Request-Id"); got != "upstream-77" {
-		t.Errorf("response request ID %q, want the caller's upstream-77", got)
-	}
-	if !strings.Contains(buf.String(), `"request_id":"upstream-77"`) {
-		t.Error("caller's request ID missing from the access log")
+	minted := regexp.MustCompile(`^r[0-9a-f]{8}$`)
+	body, _ := json.Marshal(KNNRequest{Tree: "a(b,c)", K: 1})
+	for _, c := range []struct {
+		name, id string
+		kept     bool
+	}{
+		{"plain", "upstream-77", true},
+		{"at the bound", strings.Repeat("x", maxRequestIDLen), true},
+		{"512 KiB", strings.Repeat("x", 512<<10), false},
+		{"one past the bound", strings.Repeat("x", maxRequestIDLen+1), false},
+		{"space", "upstream 77", false},
+		{"control byte", "upstream\x0177", false},
+		{"non-ASCII", "upstream-\u00e977", false},
+	} {
+		var buf syncBuffer
+		cfg := Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))}
+		s := New(search.NewIndex(testDataset(10, 61), search.NewBiBranch()), cfg)
+		// Straight into the handler: a real client refuses to send a
+		// control byte in a header, a raw connection does not.
+		req := httptest.NewRequest(http.MethodPost, "/v1/knn", bytes.NewReader(body))
+		req.Header.Set("X-Request-Id", c.id)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: knn status %d", c.name, rec.Code)
+		}
+		got := rec.Header().Get("X-Request-Id")
+		if c.kept && got != c.id {
+			t.Errorf("%s: response request ID %q, want the caller's", c.name, got)
+		}
+		if !c.kept && !minted.MatchString(got) {
+			t.Errorf("%s: response request ID %.40q, want a minted r%%08x", c.name, got)
+		}
+		traces := s.recorder.List(obs.TraceFilter{})
+		if len(traces) != 1 || traces[0].RequestID != got {
+			t.Errorf("%s: retained traces %d, want one under the response's ID", c.name, len(traces))
+		}
+		logged, _ := json.Marshal(got)
+		if !strings.Contains(buf.String(), `"request_id":`+string(logged)) {
+			t.Errorf("%s: response request ID missing from the access log", c.name)
+		}
+		if !c.kept && strings.Contains(buf.String(), c.id) {
+			t.Errorf("%s: rejected request ID reached the log", c.name)
+		}
 	}
 }
 

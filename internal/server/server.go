@@ -98,17 +98,9 @@ type Config struct {
 	// inserts to persist. Default 1m; negative disables the periodic
 	// loop (the final shutdown snapshot still happens).
 	SnapshotInterval time.Duration
-	// IncludeTrees selects whether query results carry the matched
-	// trees' text encodings (default true via zero-value trickery: set
-	// OmitTrees to leave them out).
+	// OmitTrees leaves the matched trees' text encodings out of query
+	// results; by default each result carries its tree.
 	OmitTrees bool
-	// SlowQuery, when non-nil, enables the slow-query log: any request to
-	// a query endpoint whose total time meets or exceeds the threshold
-	// logs its full span tree plus the query's EXPLAIN record (filter
-	// quality: candidates, false positives, bound distribution). A pointer
-	// so that *SlowQuery == 0 ("log every query") stays distinct from the
-	// nil default ("disabled").
-	SlowQuery *time.Duration
 	// QueryLog, when non-nil, records served knn/range queries (including
 	// batch inner queries) to a sampled, size-rotated JSONL workload log
 	// for offline replay by cmd/treesim-analyze. The server never fails a
@@ -118,18 +110,11 @@ type Config struct {
 	// TraceRing sizes the flight recorder: a ring of completed request
 	// traces retained by tail-based sampling (every errored request, every
 	// request slower than an adaptive latency quantile, plus a reservoir
-	// of normal baselines), browsable at GET /debug/traces. 0 means 256;
-	// negative disables the recorder entirely.
+	// of normal baselines), browsable at GET /debug/traces. A request
+	// retained as an error or slow trace logs its "request" line at Warn
+	// with retained=<class>. 0 means 256; negative disables the recorder
+	// entirely.
 	TraceRing int
-	// OTLPEndpoint, when set, enables the trace exporter: completed /v1/*
-	// span trees are batched as OTLP/JSON and POSTed there (a collector's
-	// /v1/traces URL). Empty disables export entirely.
-	OTLPEndpoint string
-	// TraceSample is the head-sampling rate in [0,1] for exported traces.
-	// Errored requests, flight-recorder-retained tails, and requests whose
-	// inbound traceparent carries the sampled flag are always exported;
-	// this rate applies to everything else. 0 exports only those classes.
-	TraceSample float64
 	// ProfileEvery is never read: the tail profiler it configured is
 	// deleted. The field stays only because benchmark/oracle.go assigns it
 	// and benchmark/ was closed to the PR that deleted the profiler;
@@ -183,7 +168,6 @@ type Server struct {
 	sem      limiter
 	mux      *http.ServeMux
 	recorder *obs.Recorder // flight recorder; nil when Config.TraceRing < 0
-	exporter *obs.Exporter // OTLP/JSON trace export; nil when Config.OTLPEndpoint == ""
 
 	ready     atomic.Bool   // readyz: accepting traffic
 	reqSeq    atomic.Uint64 // request-ID counter
@@ -241,12 +225,6 @@ func New(ix *search.Index, cfg Config) *Server {
 	if cfg.TraceRing >= 0 {
 		s.recorder = obs.NewRecorder(obs.RecorderConfig{Capacity: cfg.TraceRing})
 	}
-	if cfg.OTLPEndpoint != "" {
-		s.exporter = obs.NewExporter(obs.ExporterConfig{
-			Endpoint: cfg.OTLPEndpoint,
-			Logger:   cfg.Logger,
-		})
-	}
 	s.metrics = newMetrics(s)
 	s.mux = http.NewServeMux()
 	s.mux.Handle("POST /v1/knn", s.instrument("/v1/knn", true, s.handleKNN))
@@ -261,7 +239,7 @@ func New(ix *search.Index, cfg Config) *Server {
 	s.mux.Handle("GET /metrics", s.instrument("/metrics", false, s.handleMetrics))
 	s.mux.Handle("GET /version", s.instrument("/version", false, s.handleVersion))
 	// Debug surfaces (see debug.go) answer loopback callers only: retained
-	// traces carry full query trees.
+	// traces carry per-request timings, request IDs and EXPLAIN records.
 	s.mux.Handle("GET /debug/traces", s.instrument("/debug/traces", false, s.loopbackOnly(s.handleDebugTraces)))
 	s.mux.Handle("GET /debug/traces/{id}", s.instrument("/debug/traces/{id}", false, s.loopbackOnly(s.handleDebugTrace)))
 	// Compactions run on background goroutines inside the index; the hook
@@ -317,11 +295,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if cerr := s.wal.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
-	}
-	// Flush queued traces before the process goes away; the shutdown
-	// context bounds how long a slow collector can hold us.
-	if ferr := s.exporter.Close(ctx); ferr != nil && err == nil {
-		err = ferr
 	}
 	s.log.Info("shut down", "final_snapshot", s.cfg.SnapshotPath != "", "err", err)
 	return err

@@ -5,12 +5,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"treesim/internal/obs"
+	"treesim/internal/search"
 )
 
 // syncBuffer lets the server's logger and the test share a buffer under
@@ -115,78 +118,110 @@ func TestBatchTrace(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLog: with the threshold at zero every query is slow; the
-// log gets one structured record carrying the request ID and the span
-// tree with its stage breakdown.
-func TestSlowQueryLog(t *testing.T) {
-	var buf syncBuffer
-	cfg := Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))}
-	threshold := time.Duration(0)
-	cfg.SlowQuery = &threshold
-	_, hs, ts := newTestServer(t, cfg, 30, 52)
-
-	var resp QueryResponse
-	if code := postJSON(t, hs.URL+"/v1/knn", KNNRequest{Tree: ts[4].String(), K: 2}, &resp); code != 200 {
-		t.Fatalf("knn status %d", code)
-	}
-
-	var slow []map[string]any
-	sc := bufio.NewScanner(strings.NewReader(buf.String()))
-	for sc.Scan() {
-		var rec map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("log line %q: %v", sc.Text(), err)
+// TestRetainedRequestLogLine: a request the flight recorder retains as an
+// error or slow trace writes its one "request" line at WARN with
+// retained=<class> and threshold_us, and that line's trace_id opens the
+// trace at /debug/traces/{id}; a fast request, and any request outside
+// /v1/, logs at INFO with no retained attribute; with the recorder off
+// nothing carries it.
+func TestRetainedRequestLogLine(t *testing.T) {
+	probe := func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Query().Get("mode") {
+		case "fail":
+			writeError(w, http.StatusInternalServerError, ErrCodeInternal, "probe failure", requestID(w))
+			return
+		case "slow":
+			time.Sleep(50 * time.Millisecond)
 		}
-		if rec["msg"] == "slow query" {
-			slow = append(slow, rec)
+		writeJSON(w, http.StatusOK, struct{}{})
+	}
+	start := func(ring int) (string, *syncBuffer) {
+		buf := &syncBuffer{}
+		cfg := Config{Logger: slog.New(slog.NewJSONHandler(buf, nil)), TraceRing: ring}
+		s := New(search.NewIndex(testDataset(5, 53), search.NewBiBranch()), cfg)
+		mux := http.NewServeMux()
+		mux.Handle("/", s.Handler())
+		mux.Handle("GET /v1/probe", s.instrument("/v1/probe", true, probe))
+		hs := httptest.NewServer(mux)
+		t.Cleanup(hs.Close)
+		return hs.URL, buf
+	}
+	get := func(url string, want int) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", url, resp.StatusCode, want)
+		}
+		return resp.Header.Get("X-Request-Id")
+	}
+	// The recorder classes nothing slow before its first threshold
+	// recompute at the 64th offer, which takes the largest of those 64
+	// durations: an error first, 62 fast requests, then one 50ms request
+	// that is that largest.
+	drive := func(base string) (errRID, slowRID string, fast []string) {
+		errRID = get(base+"/v1/probe?mode=fail", http.StatusInternalServerError)
+		for i := 0; i < 62; i++ {
+			fast = append(fast, get(base+"/v1/probe", http.StatusOK))
+		}
+		slowRID = get(base+"/v1/probe?mode=slow", http.StatusOK)
+		return errRID, slowRID, append(fast, get(base+"/healthz", http.StatusOK))
+	}
+	requestLines := func(buf *syncBuffer) map[string][]map[string]any {
+		t.Helper()
+		lines := map[string][]map[string]any{}
+		sc := bufio.NewScanner(strings.NewReader(buf.String()))
+		for sc.Scan() {
+			var rec map[string]any
+			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+				t.Fatalf("log line %q: %v", sc.Text(), err)
+			}
+			if rec["msg"] == "request" {
+				rid, _ := rec["request_id"].(string)
+				lines[rid] = append(lines[rid], rec)
+			}
+		}
+		return lines
+	}
+
+	base, buf := start(0)
+	errRID, slowRID, fast := drive(base)
+	lines := requestLines(buf)
+	for rid, class := range map[string]string{errRID: "error", slowRID: "slow"} {
+		if len(lines[rid]) != 1 {
+			t.Fatalf("%s request %s: %d request lines, want 1", class, rid, len(lines[rid]))
+		}
+		rec := lines[rid][0]
+		if rec["level"] != "WARN" || rec["retained"] != class {
+			t.Errorf("%s request line: level %v retained %v, want WARN %s", class, rec["level"], rec["retained"], class)
+		}
+		if _, ok := rec["threshold_us"].(float64); !ok {
+			t.Errorf("%s request line lacks threshold_us: %v", class, rec)
+		}
+		traceID, _ := rec["trace_id"].(string)
+		var tr obs.RetainedTrace
+		if code := getJSON(t, base+"/debug/traces/"+traceID, &tr); code != 200 {
+			t.Fatalf("%s request's trace_id %q: /debug/traces status %d", class, traceID, code)
+		}
+		if tr.RequestID != rid || string(tr.Class) != class {
+			t.Errorf("trace %s: request %s class %s, want %s %s", traceID, tr.RequestID, tr.Class, rid, class)
 		}
 	}
-	if len(slow) != 1 {
-		t.Fatalf("%d slow-query records, want 1 (log: %s)", len(slow), buf.String())
-	}
-	rec := slow[0]
-	rid, _ := rec["request_id"].(string)
-	if rid == "" {
-		t.Errorf("slow-query record lacks request_id: %v", rec)
-	}
-	tree, _ := rec["trace_tree"].(string)
-	if !strings.Contains(tree, "filter") || !strings.Contains(tree, "refine") {
-		t.Errorf("trace_tree is not the rendered span tree: %q", tree)
-	}
-	trace, ok := rec["trace"].(map[string]any)
-	if !ok {
-		t.Fatalf("slow-query record lacks a structured trace: %v", rec)
-	}
-	filter, ok := trace["filter"].(map[string]any)
-	if !ok {
-		t.Fatalf("trace has no filter group: %v", trace)
-	}
-	if _, ok := filter["dur_us"]; !ok {
-		t.Errorf("filter group lacks dur_us: %v", filter)
-	}
-	if trace["request_id"] != rid {
-		t.Errorf("trace request_id %v != record request_id %q", trace["request_id"], rid)
+	for _, rid := range fast {
+		if len(lines[rid]) != 1 {
+			t.Fatalf("fast request %s: %d request lines, want 1", rid, len(lines[rid]))
+		}
+		if rec := lines[rid][0]; rec["level"] != "INFO" || rec["retained"] != nil {
+			t.Errorf("fast request line: level %v retained %v, want INFO and none", rec["level"], rec["retained"])
+		}
 	}
 
-	// A non-query endpoint never triggers the slow log, even at zero.
-	before := strings.Count(buf.String(), "slow query")
-	if code := getJSON(t, hs.URL+"/healthz", nil); code != 200 {
-		t.Fatalf("healthz status %d", code)
-	}
-	if after := strings.Count(buf.String(), "slow query"); after != before {
-		t.Error("healthz triggered the slow-query log")
-	}
-}
-
-// TestSlowQueryDisabled: the nil default logs nothing however slow.
-func TestSlowQueryDisabled(t *testing.T) {
-	var buf syncBuffer
-	cfg := Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))}
-	_, hs, ts := newTestServer(t, cfg, 20, 53)
-	if code := postJSON(t, hs.URL+"/v1/knn", KNNRequest{Tree: ts[0].String(), K: 2}, nil); code != 200 {
-		t.Fatalf("knn status %d", code)
-	}
-	if strings.Contains(buf.String(), "slow query") {
-		t.Error("slow-query log fired with SlowQuery unset")
+	base, buf = start(-1)
+	drive(base)
+	if strings.Contains(buf.String(), `"retained"`) || strings.Contains(buf.String(), `"level":"WARN"`) {
+		t.Errorf("recorder off, yet a line names a retained class: %s", buf.String())
 	}
 }

@@ -37,8 +37,12 @@ for stage; do
         go build ./...
         ;;
     vet)
+        # The benchmark is its own module (benchmark/go.mod), which ./...
+        # from the root does not reach.
         echo "== go vet ./..."
         go vet ./...
+        echo "== benchmark module: go vet ./..."
+        (cd benchmark && go vet ./...)
         ;;
     test)
         echo "== go test ./..."

@@ -10,7 +10,8 @@ import (
 // cutoff-aware, for callers that only need a yes/no against a threshold
 // (refine: τ for range queries, the running k-th-best for k-NN), and what
 // lets a call with no threshold borrow one. Four mechanisms and a step
-// between the first two, the first three in escalating cost:
+// between the first two, the first three in escalating cost; the first
+// ends, under UnitCost, with a certificate that can answer exactly:
 //
 //  1. O(n) pre-checks. Size delta, height delta, and label-histogram L1
 //     delta are each admissible lower bounds on the number of edit
@@ -30,6 +31,18 @@ import (
 //     above band rejects the pair at cutoff+1 before the kernel runs: the
 //     postorder pass first, the preorder one only if it passes. It counts
 //     as a pre-check (Metrics.Precheck).
+//
+//     The alignment certificate (certify.go) closes the step under
+//     UnitCost, when the band is below both sizes: the postorder pass
+//     keeps its frontiers, and when its distance c is within the band and
+//     at least the preorder one, certify walks the optimal alignments of
+//     the postorder sequences, depth first and within a budget of steps,
+//     for one whose aligned pairs keep ancestry. Such an alignment is a
+//     Tai mapping of cost c, and c lower-bounds the distance, so the call
+//     returns (c, true) with no kernel run (Metrics.Certified). A pair at
+//     its postorder distance always has one — its optimal mapping, read
+//     as an alignment — so only the budget, or a distance above c, leaves
+//     such a pair to the kernel.
 //
 //  2. A region-count band (Touzet's k-relevance, CPM 2005) of width
 //     band = cutoff/minOpCost, the most nodes a mapping of cost ≤ cutoff
@@ -61,13 +74,14 @@ import (
 //     query's first k verifications). It guesses a band k in operations —
 //     the largest of the pre-check's bound over cmin and the two sequence
 //     distances, the preorder one computed only while the postorder one
-//     leaves the search a band to try — and runs the kernel at band k
-//     with the largest cutoff that band admits, (k+1)·cmin − 1, doubling
-//     k until a run returns a value within its cutoff. The candidate is
-//     decomposed once; only the kernel reruns. Past band
-//     (|q|+|t|)/searchSpan the failed runs would cost more than the band
-//     saves — unrelated pairs sit there — so the search hands the pair to
-//     the band-off program.
+//     leaves the search a band to try (the postorder pass at the search's
+//     last band, which may certify the pair outright) — and runs the
+//     kernel at band k with the largest cutoff that band admits,
+//     (k+1)·cmin − 1, doubling k until a run returns a value within its
+//     cutoff. The candidate is decomposed once; only the kernel reruns.
+//     Past band (|q|+|t|)/searchSpan the failed runs would cost more than
+//     the band saves — unrelated pairs sit there — so the search hands the
+//     pair to the band-off program.
 //
 // Soundness: the restricted program minimizes over a subset of edit paths
 // (each still a valid mapping), so it never underestimates; and the path of
@@ -81,7 +95,9 @@ import (
 // overshoot it, so bounded calls certify only `cutoff+1`.
 // So does the sequence bound: a sequence distance above band means every
 // script has at least band+1 operations, costing at least
-// cmin·(cutoff/cmin + 1) > cutoff.
+// cmin·(cutoff/cmin + 1) > cutoff. A certified value is exact whatever the
+// cutoff: a Tai mapping of cost c is a script of cost c, the postorder
+// distance c bounds every script from below, and c ≤ band ≤ cutoff.
 // The band and the pre-checks need a positive per-operation minimum cost
 // (see MinOpCoster); without one the band is |T1|+|T2|, which restricts
 // nothing, and only row abandoning — sound for any costs ≥ 0 — remains, and
@@ -89,7 +105,7 @@ import (
 // value some run certified within that run's cutoff, which the argument
 // above makes exact, or the band-off run's, which restricts nothing; its
 // guess only decides how many runs it takes, so its answers are the
-// band-off program's.
+// band-off program's — or a certified value, which is the same.
 
 // unreachable is the sentinel for "no mapping at or below the cutoff
 // reaches this cell". It is far enough from the int ceiling that adding
@@ -168,7 +184,12 @@ func (q *Query) search(s *scratch, b *decomp, lb int, m *Metrics) (int, bool) {
 	if k > top || q.cmin > unreachable/(top+1) {
 		return 0, false
 	}
-	for k = max(k, q.seqBound(s, b, top)); k <= top; k = min(2*k, top) {
+	seq, exact := q.seqBound(s, b, top)
+	if exact {
+		m.Certified = true
+		return seq, true
+	}
+	for k = max(k, seq); k <= top; k = min(2*k, top) {
 		cutoff := (k+1)*q.cmin - 1
 		if d := q.run(b, cutoff, k, m); d <= cutoff {
 			return d, true
@@ -182,13 +203,22 @@ func (q *Query) search(s *scratch, b *decomp, lb int, m *Metrics) (int, bool) {
 
 // seqBound is the sequence bound of the query against b in operations,
 // capped at k+1: the postorder sequences' distance and, only when that is
-// within k, the preorder sequences' too.
-func (q *Query) seqBound(s *scratch, b *decomp, k int) int {
-	post := s.seqDist(q.d.id[1:], b.id[1:], k)
-	if post > k {
-		return post
+// within k, the preorder sequences' too. exact reports that the bound is
+// the pair's distance, by the alignment certificate (certify.go): tried
+// only where it pays (certifies) and the postorder distance is the larger.
+func (q *Query) seqBound(s *scratch, b *decomp, k int) (seq int, exact bool) {
+	cert := q.certifies(b.n, k)
+	var post int
+	if cert {
+		post = s.cert.alignDist(q.d.id[1:], b.id[1:], k)
+	} else {
+		post = s.seqDist(q.d.id[1:], b.id[1:], k)
 	}
-	return max(post, s.seqDist(q.d.preid[1:], b.preid[1:], k))
+	if post > k {
+		return post, false
+	}
+	pre := s.seqDist(q.d.preid[1:], b.preid[1:], k)
+	return max(post, pre), cert && post >= pre && s.cert.certify(q.d, b, post)
 }
 
 // seqDist is SeqDist on the scratch's diagonals.
@@ -217,7 +247,6 @@ func SeqDist(a, b []int32, k int, diags []int) (int, []int) {
 		return k + 1, diags
 	}
 	k = min(k, max(m, n))
-	const none = -unreachable // a diagonal no e operations reach
 	diags = grow(diags, 2*k+3)
 	fr, off := diags, k+1 // fr[off+d]: the furthest x on diagonal d
 	for i := range fr {
@@ -245,14 +274,15 @@ func SeqDist(a, b []int32, k int, diags []int) (int, []int) {
 
 // scratch is one Within call's working memory, pooled: the walk's stack,
 // the candidate's per-slot label counts, the candidate's decomposition,
-// filled only for a pair that survives the pre-checks, and the sequence
-// bound's diagonals.
+// filled only for a pair that survives the pre-checks, the sequence
+// bound's diagonals, and the alignment certificate's memory.
 type scratch struct {
 	stack   []frame
 	seen    []int32 // per query slot: the candidate's count so far; zero between calls
 	touched []int32 // the slots seen is non-zero at
 	t       decomp
 	diags   []int
+	cert    certScratch
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -266,7 +296,9 @@ func (s *scratch) release() {
 	clear(s.stack[:cap(s.stack)])
 	clear(s.t.label)
 	s.t.label = s.t.label[:0]
-	if max(cap(s.stack), cap(s.seen), cap(s.t.label), cap(s.diags)/2) <= maxPooledNodes {
+	c := &s.cert
+	if max(cap(s.stack), cap(s.seen), cap(s.t.label), cap(s.diags)/2, cap(c.partA), cap(c.partB), cap(c.path)/2) <= maxPooledNodes &&
+		cap(c.rows) <= maxPooledCells {
 		scratchPool.Put(s)
 	}
 }

@@ -383,12 +383,14 @@ func TestDistanceWithinMetrics(t *testing.T) {
 // TestDistanceWithinCellsGate is the DP-work regression gate: across fixed
 // workloads with refine-realistic cutoffs, the share of the full program's
 // cells the bounded program touches must stay under each row's bound. The
-// shares are ≈ 1.0 % on small random pairs at τ=4; on knn_bigtree's
-// 150-node within-cluster pairs, ≈ 2.4 % at the cutoff its queries settle
-// at, ≈ 3.0 % with no cutoff at all (a k-NN query's first k
+// shares are ≈ 0.0 % on small random pairs at τ=4, where the pre-checks
+// and the alignment certificate decide every pair; on knn_bigtree's
+// 150-node within-cluster pairs, ≈ 0.2 % at the cutoff its queries settle
+// at, ≈ 1.4 % with no cutoff at all (a k-NN query's first k
 // verifications, where the doubling search does the bounding) and ≈ 0.3 %
 // at one below each pair's own distance (the k-NN abort regime, where the
-// sequence bound rejects most pairs before the tree DP).
+// sequence bound rejects most pairs before the tree DP). Before the
+// certificate the first three were ≈ 1.0, 2.4 and 3.0 %.
 func TestDistanceWithinCellsGate(t *testing.T) {
 	spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1, SizeMean: 20, SizeStd: 6, Labels: 6, Decay: 0.1}
 	ts := datagen.New(spec, 23).Dataset(30, 5)
@@ -507,11 +509,15 @@ func farPairs(tb testing.TB, spec string, seed int64, n int) [][2]*tree.Tree {
 // (the k-NN abort regime), and with none (a k-NN query's first k
 // verifications, where the doubling search runs); unrelated 150-node pairs
 // with no cutoff are the search's worst case, which its fall-back to the
-// band-off program holds near that program's cost. Then what mixed_rw's
-// refine stage does — one prepared DBLP record against 10 000 records at
-// τ=4, most of them rejected by the pre-checks — and what preparing a
-// record costs once per request. Each verifying case reports DP cells per
-// pair and, when there are any, time per cell.
+// band-off program holds near that program's cost. The prepared rows verify
+// as the search engine does, each pair's first tree prepared once outside
+// the timer and Query.Within called per candidate, so they time the
+// verification alone. Then what mixed_rw's refine stage does — one
+// prepared DBLP record against 10 000 records at τ=4, most of them
+// rejected by the pre-checks — and what preparing a record costs once per
+// request. Each verifying case reports DP cells per pair, when there are
+// any, time per cell, and the pairs per op the alignment certificate
+// decided with no DP.
 func BenchmarkDistanceWithin(b *testing.B) {
 	big := clusterPairs(b, bigSpec, 11, 8)
 	small := benchPairs(64)
@@ -531,6 +537,26 @@ func BenchmarkDistanceWithin(b *testing.B) {
 			benchVerify(b, func(i int, m *Metrics) {
 				p := bc.pairs[i%len(bc.pairs)]
 				DistanceWithin(p[0], p[1], bc.cutoff, WithMetrics(m))
+			})
+		})
+	}
+	for _, bc := range []struct {
+		name   string
+		pairs  [][2]*tree.Tree
+		cutoff int
+	}{
+		{"prepared/big/τ=14", big, 14},
+		{"prepared/big/full", big, math.MaxInt},
+		{"prepared/small/full", small, math.MaxInt},
+	} {
+		qs := make([]*Query, len(bc.pairs))
+		for i, p := range bc.pairs {
+			qs[i] = Prepare(p[0])
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			benchVerify(b, func(i int, m *Metrics) {
+				i %= len(bc.pairs)
+				qs[i].Within(bc.pairs[i][1], bc.cutoff, m)
 			})
 		})
 	}
@@ -557,14 +583,18 @@ func BenchmarkDistanceWithin(b *testing.B) {
 // benchVerify times b.N verifications, the i-th reporting into m.
 func benchVerify(b *testing.B, verify func(i int, m *Metrics)) {
 	var m Metrics
-	var cells int64
+	var cells, certified int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		verify(i, &m)
 		cells += m.Cells
+		if m.Certified {
+			certified++
+		}
 	}
 	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+	b.ReportMetric(float64(certified)/float64(b.N), "certified/op")
 	if cells > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
 	}

@@ -12,7 +12,10 @@
 // surface for threshold verification, backed by O(n) pre-checks, a banded
 // sequence bound, a region-count DP band and frontier-row early abandoning
 // (see bounded.go, kernel.go); with no cutoff the same kernel runs as a
-// doubling search over cutoffs.
+// doubling search over cutoffs. Under unit costs the sequence bound can
+// also settle a pair exactly with no tree DP: when an optimal alignment of
+// the two postorder label sequences is a Tai mapping, its cost is the
+// distance (certify.go).
 // A caller verifying one tree against many prepares it once (Prepare) and
 // asks Query.Within per candidate: a candidate the pre-checks reject costs
 // one allocation-free walk and is never decomposed. Distance and
@@ -99,8 +102,9 @@ type Query struct {
 	slot   map[string]int32
 	count  []int32 // occurrences of each slot's label in the query
 	cost   CostModel
-	cmin   int // MinOpCost(cost)
-	cutoff int // the WithCutoff cap on every Within, noCutoff if none
+	cmin   int  // MinOpCost(cost)
+	unit   bool // cost is UnitCost: the alignment certificate applies
+	cutoff int  // the WithCutoff cap on every Within, noCutoff if none
 }
 
 // Prepare readies q for Within under the options' cost model (unit costs
@@ -117,6 +121,9 @@ func prepare(t *tree.Tree, cfg *config) *Query {
 	q := &Query{
 		d: d, height: t.Height(), slot: make(map[string]int32, d.n), count: make([]int32, 0, d.n),
 		cost: cfg.cost, cmin: MinOpCost(cfg.cost), cutoff: cfg.cutoff,
+	}
+	if _, q.unit = cfg.cost.(UnitCost); q.unit {
+		d.gatherParent(nil)
 	}
 	d.id = make([]int32, d.n+1)
 	for i := 1; i <= d.n; i++ {
@@ -143,9 +150,10 @@ func prepare(t *tree.Tree, cfg *config) *Query {
 // nil it is overwritten with the call's accounting. One walk of t decides
 // the empty, negative-cutoff and pre-check cases; only a candidate that
 // survives them is decomposed, into pooled buffers, for the sequence bound
-// and the kernel. With no cutoff (one at or above `unreachable`) and a
-// per-operation minimum, the kernel runs the doubling search of bounded.go
-// on that one decomposition.
+// and the kernel. Under UnitCost the sequence bound's alignment may
+// certify the distance outright (certify.go), and no kernel runs. With no
+// cutoff (one at or above `unreachable`) and a per-operation minimum, the
+// kernel runs the doubling search of bounded.go on that one decomposition.
 func (q *Query) Within(t *tree.Tree, cutoff int, m *Metrics) (int, bool) {
 	if m == nil {
 		m = new(Metrics)
@@ -182,9 +190,14 @@ func (q *Query) Within(t *tree.Tree, cutoff int, m *Metrics) (int, bool) {
 	case !screen:
 	case cutoff < unreachable:
 		band = min(band, cutoff/q.cmin)
-		if q.seqBound(s, b, band) > band {
+		seq, exact := q.seqBound(s, b, band)
+		if seq > band {
 			m.Precheck = true
 			return cutoff + 1, false
+		}
+		if exact {
+			m.Certified = true
+			return seq, true
 		}
 	default:
 		if d, ok := q.search(s, b, lb, m); ok {
@@ -234,6 +247,9 @@ type decomp struct {
 	// id[1:] and preid[1:].
 	pre   []int
 	preid []int32
+	// parent[i] is the postorder index of node i's parent, 0 for the
+	// root; filled by gatherParent for the alignment certificate only.
+	parent []int
 }
 
 // frame is a node whose children a walk is still visiting; the walks keep
@@ -294,6 +310,26 @@ func (d *decomp) load(t *tree.Tree, stack []frame) []frame {
 		if p := len(stack) - 1; p >= 0 && stack[p].kid == 1 {
 			stack[p].first = lml // n was its parent's first child
 		}
+	}
+	return stack
+}
+
+// gatherParent fills parent and returns stack, working memory, for reuse.
+// In postorder the subtrees finished inside node y's, [lml(y), y), are
+// its children's, so a stack of finished subtree roots pops them as y's.
+func (d *decomp) gatherParent(stack []int) []int {
+	d.parent = grow(d.parent, d.n+1)
+	stack = stack[:0]
+	for y := 1; y <= d.n; y++ {
+		for len(stack) > 0 && stack[len(stack)-1] >= d.lml[y] {
+			d.parent[stack[len(stack)-1]] = y
+			stack = stack[:len(stack)-1]
+		}
+		stack = append(stack, y)
+	}
+	d.parent[0] = 0
+	for _, r := range stack {
+		d.parent[r] = 0
 	}
 	return stack
 }

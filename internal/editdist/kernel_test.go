@@ -323,7 +323,8 @@ func fuzzInput(t1, t2 *tree.Tree, cutoff, scale int, t3 ...*tree.Tree) []byte {
 // decoded tree (empty when the input runs out) is the second candidate of
 // one Query prepared from the first tree, asked about t2, t3 and t2 again:
 // each answer and its Metrics must equal a fresh DistanceWithin's, which
-// catches scratch state one call leaves to the next. The sequence bound
+// catches scratch state one call leaves to the next — the certificate's
+// aligned pairs among it. The sequence bound
 // the verifier rejects and seeds by must stay a lower bound: scaled by
 // the cheapest operation, never above either pair's distance.
 func FuzzDistanceWithin(f *testing.F) {
@@ -352,6 +353,16 @@ func FuzzDistanceWithin(f *testing.F) {
 	f.Add(fuzzInput(rightHeavy(7), leftHeavy(7), 4, 3))
 	m1, m2 := mirrored(2) // only the DP tells these apart
 	f.Add(fuzzInput(m1, m2, 1, 0, m1))
+	// The alignment certificate: a leaf deleted, which it certifies at
+	// once; an inner node deleted amid a run of its label, which it
+	// certifies after walking back; the same in a longer run, whose
+	// mapping lies past its budget; and a pair whose preorder distance is
+	// the larger.
+	mp := tree.MustParse
+	f.Add(fuzzInput(mp("a(b(c,a),c(b),a)"), mp("a(b(c),c(b),a)"), 1, 0, mp("a(b(c,a),c(b,b),a)")))
+	f.Add(fuzzInput(mp("b(a,b(a,b),b,b)"), mp("b(a,a,b,b,b)"), 1, 0, mp("b(a,b(a,b,b),b)")))
+	f.Add(fuzzInput(mp("b(b(a,b(b(b))))"), mp("b(a,b(b(b)))"), 1, 0, mp("b(b(a,b(b)))")))
+	f.Add(fuzzInput(mp("a(b(b(a(b,a),b)),a)"), mp("a(b(b(b,a(b),b)),a)"), 2, 0))
 	// 24 nodes by random attachment, then mode 7: three decoded edits of
 	// the first tree; cutoff 3, scale 1.
 	f.Add([]byte{24 + 50, 1, 5, 9, 13, 17, 3, 7, 2, 0, 1, 4, 8, 11, 3, 6, 0, 2, 9, 1, 5, 7, 3, 1, 2, 7, 1, 9, 2, 0, 4, 1, 2, 2, 5, 3, 1})

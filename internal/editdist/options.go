@@ -88,6 +88,10 @@ type Metrics struct {
 	// preorder label sequences further apart than the band). An exact
 	// answer reports it false.
 	Precheck bool
+	// Certified reports that the exact distance was proven without the
+	// tree DP: an optimal alignment of the postorder label sequences was
+	// also a Tai mapping (UnitCost only; see certify.go), so Cells is 0.
+	Certified bool
 	// Aborted reports that the DP proved the distance exceeds the cutoff
 	// without computing it exactly (band restriction and/or frontier-row
 	// early abandoning). An exact answer reports it false, whatever runs of

@@ -90,7 +90,11 @@ func refFullCells(a, b *decomp) int64 {
 // queries were prepared. A bounded call with a per-operation minimum
 // rejects, as a pre-check, a pair whose postorder or preorder label
 // sequences are further apart (by the unbanded StringDistance) than the
-// band. With no cutoff it is the doubling search as a loop of its own
+// band. Under UnitCost, with the band below both sizes, a pair whose
+// postorder distance is within it and at least the preorder one is
+// certified at that distance when the reference traceback finds a mapping
+// (refCertify). With no cutoff it is that certificate at band
+// (|q|+|t|)/searchSpan, then the doubling search as a loop of its own
 // bounded calls, seeded by the larger of those two distances, then the
 // band-off run.
 func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) {
@@ -112,13 +116,25 @@ func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) 
 			return lb, false, m
 		}
 		post, pre := refSeqBound(t1, t2)
+		_, unit := c.(UnitCost)
+		certified := func(k int) bool {
+			return unit && k < min(a.n, b.n) && post <= k && post >= pre && refCertify(t1, t2, certifyBudget*(a.n+b.n))
+		}
 		if cutoff < unreachable {
 			band = min(band, cutoff/cmin)
 			if max(post, pre) > band {
 				m.Precheck = true
 				return cutoff + 1, false, m
 			}
+			if certified(band) {
+				m.Certified = true
+				return post, true, m
+			}
 		} else if top := band / searchSpan; max(1, lb/cmin) <= top && cmin <= unreachable/(top+1) {
+			if certified(top) {
+				m.Certified = true
+				return post, true, m
+			}
 			for k := max(1, lb/cmin, min(max(post, pre), top+1)); k <= top; k = min(2*k, top) {
 				d, ok, tm := refWithin(t1, t2, (k+1)*cmin-1, c)
 				m.Cells += tm.Cells
@@ -251,33 +267,41 @@ func TestPostorderDist(t *testing.T) {
 
 // TestWithinZeroAllocs: a prepared query allocates nothing per candidate
 // once the pools are warm — neither for a pair the pre-checks reject nor
-// for one the kernel decides nor for one the search answers with no
-// cutoff, with or without a Metrics sink.
+// for one the alignment certificate decides nor for one the kernel decides
+// nor for one the search answers with no cutoff, with or without a Metrics
+// sink.
 func TestWithinZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	recs := dblp.New(1).Dataset(300)
 	q := Prepare(recs[0])
-	var rejected, survivor *tree.Tree
+	var rejected, certified, survivor *tree.Tree
+	// At τ=4 the certificate decides every survivor of the pre-checks; at
+	// τ=12 the band spans the smaller record, the certificate is not
+	// tried, and the kernel decides.
 	for _, r := range recs[1:] {
-		var m Metrics
+		var m, wide Metrics
 		q.Within(r, 4, &m)
+		q.Within(r, 12, &wide)
 		switch {
 		case m.Precheck && rejected == nil:
 			rejected = r
-		case m.Cells > 0 && survivor == nil:
+		case m.Certified && certified == nil:
+			certified = r
+		}
+		if wide.Cells > 0 && survivor == nil {
 			survivor = r
 		}
 	}
-	if rejected == nil || survivor == nil {
-		t.Fatalf("workload has no rejected (%v) or surviving (%v) candidate", rejected, survivor)
+	if rejected == nil || certified == nil || survivor == nil {
+		t.Fatalf("workload has no rejected (%v), certified (%v) or kernel-decided (%v) candidate", rejected, certified, survivor)
 	}
 	for _, c := range []struct {
 		name   string
 		t      *tree.Tree
 		cutoff int
-	}{{"rejected", rejected, 4}, {"survivor", survivor, 4}, {"searched", survivor, noCutoff}} {
+	}{{"rejected", rejected, 4}, {"certified", certified, 4}, {"survivor", survivor, 12}, {"searched", survivor, noCutoff}} {
 		var m Metrics
 		for _, sink := range []*Metrics{&m, nil} {
 			run := func() { q.Within(c.t, c.cutoff, sink) }

@@ -14,5 +14,6 @@ func SequenceLowerBound(t1, t2 *tree.Tree) int {
 	q := Prepare(t1)
 	s := new(scratch)
 	b := s.decompose(t2, q)
-	return q.seqBound(s, b, q.d.n+b.n)
+	seq, _ := q.seqBound(s, b, q.d.n+b.n)
+	return seq
 }

@@ -119,6 +119,32 @@ func isLowerHex(s string) bool {
 	return true
 }
 
+// W3C Trace Context's limits on tracestate: at most 32 list-members, and
+// a receiver need not carry a value longer than 512 characters.
+const (
+	maxTraceStateLen     = 512
+	maxTraceStateMembers = 32
+)
+
+// TraceStateWithinLimits reports whether a tracestate header value is
+// within W3C's limits — at most 512 characters and 32 non-empty
+// list-members — and so may be carried; a server drops any other value
+// rather than hold it on a span. It allocates nothing.
+func TraceStateWithinLimits(state string) bool {
+	if len(state) > maxTraceStateLen {
+		return false
+	}
+	members := 0
+	for rest := state; rest != ""; {
+		var member string
+		member, rest, _ = strings.Cut(rest, ",")
+		if strings.TrimSpace(member) != "" {
+			members++
+		}
+	}
+	return members <= maxTraceStateMembers
+}
+
 // The tracestate vendor member this repo uses to carry the client's
 // retry counter: "treesim=retry:N". The server lifts it onto the root
 // span as a retry attribute, so a retried request reads as one trace

@@ -111,6 +111,37 @@ func TestRetryState(t *testing.T) {
 	}
 }
 
+// TestTraceStateWithinLimits pins W3C's tracestate limits at their
+// edges: 512 characters and 32 non-empty members pass, one more of either
+// fails, and empty members count for nothing.
+func TestTraceStateWithinLimits(t *testing.T) {
+	members := func(n int) string {
+		m := make([]string, n)
+		for i := range m {
+			m[i] = "v" + strings.Repeat("x", i%3) + "=1"
+		}
+		return strings.Join(m, ",")
+	}
+	for _, tt := range []struct {
+		name  string
+		state string
+		ok    bool
+	}{
+		{"empty", "", true},
+		{"ours", RetryState(3), true},
+		{"512 characters", "a=" + strings.Repeat("x", 510), true},
+		{"513 characters", "a=" + strings.Repeat("x", 511), false},
+		{"512 KiB", RetryState(1) + "," + strings.Repeat("x", 512<<10), false},
+		{"32 members", members(32), true},
+		{"33 members", members(33), false},
+		{"32 members among empty ones", ",, " + members(32) + " ,,\t,", true},
+	} {
+		if got := TraceStateWithinLimits(tt.state); got != tt.ok {
+			t.Errorf("%s: TraceStateWithinLimits = %v, want %v", tt.name, got, tt.ok)
+		}
+	}
+}
+
 // FuzzParseTraceparent asserts the parser's core property on arbitrary
 // input: it either rejects the header, or it returns a context whose
 // rendered form parses back to the identical identity — and it never

@@ -782,6 +782,7 @@ type verifier struct {
 	verified    atomic.Int64
 	aborted     atomic.Int64
 	prechecked  atomic.Int64
+	certified   atomic.Int64
 	dpCells     atomic.Int64
 	dpCellsFull atomic.Int64
 }
@@ -803,6 +804,9 @@ func (v *verifier) verify(pos int) (si, local, gid, d int, within bool) {
 	v.verified.Add(1)
 	var m editdist.Metrics
 	d, within = v.q.Within(t, v.cutoff(), &m)
+	if m.Certified {
+		v.certified.Add(1)
+	}
 	if !within {
 		if m.Precheck {
 			v.prechecked.Add(1)
@@ -819,17 +823,19 @@ func (v *verifier) verify(pos int) (si, local, gid, d int, within bool) {
 // refine span. dp_cells is the dynamic-programming work the refine stage
 // actually paid; dp_cells_full is what full verification of the same
 // pairs would have cost — the paper's accessed-fraction measure, made
-// cell-exact.
+// cell-exact; certified counts the exact answers that paid none.
 func (v *verifier) finish(stats *Stats, rspan *obs.Span) {
 	stats.Verified = int(v.verified.Load())
 	stats.RefineAborted = int(v.aborted.Load())
 	stats.PrecheckRejects = int(v.prechecked.Load())
+	stats.Certified = int(v.certified.Load())
 	stats.DPCells = v.dpCells.Load()
 	stats.DPCellsFull = v.dpCellsFull.Load()
 	rspan.SetInt("dp_cells", stats.DPCells)
 	rspan.SetInt("dp_cells_full", stats.DPCellsFull)
 	rspan.SetInt("aborted", int64(stats.RefineAborted))
 	rspan.SetInt("precheck_rejects", int64(stats.PrecheckRejects))
+	rspan.SetInt("certified", int64(stats.Certified))
 }
 
 // clampCutoff converts the k-NN atomic threshold to an editdist cutoff.

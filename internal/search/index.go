@@ -42,15 +42,19 @@ type Stats struct {
 	Pruned Funnel
 	// Bounded-verification breakdown: of the Verified attempts,
 	// PrecheckRejects were disproven before the tree DP, by an O(n)
-	// pre-check or the sequence bound, and RefineAborted by the DP
+	// pre-check or the sequence bound, RefineAborted by the DP
 	// abandoning early once the distance provably exceeded the live
-	// cutoff. DPCells is the dynamic-programming cells actually computed
-	// across the query's verifications, every run of a k-NN query's
-	// cutoff-free doubling searches included; DPCellsFull is what the
-	// band-off program would have computed for the same pairs — the gap
-	// is the refine work the cutoffs saved.
+	// cutoff, and Certified were answered exactly with no DP, by an
+	// alignment of the postorder label sequences that is also a tree
+	// mapping (editdist.Metrics.Certified). DPCells is the
+	// dynamic-programming cells actually computed across the query's
+	// verifications, every run of a k-NN query's cutoff-free doubling
+	// searches included; DPCellsFull is what the band-off program would
+	// have computed for the same pairs — the gap is the refine work the
+	// cutoffs and the certificate saved.
 	RefineAborted   int
 	PrecheckRejects int
+	Certified       int
 	DPCells         int64
 	DPCellsFull     int64
 	// Tightness holds sampled BDist/EDist ratios of verified pairs (capped
@@ -85,6 +89,7 @@ func (s *Stats) Add(o Stats) {
 	s.Pruned.add(o.Pruned)
 	s.RefineAborted += o.RefineAborted
 	s.PrecheckRejects += o.PrecheckRejects
+	s.Certified += o.Certified
 	s.DPCells += o.DPCells
 	s.DPCellsFull += o.DPCellsFull
 	if room := statsTightnessCap - len(s.Tightness); room > 0 {
@@ -106,9 +111,9 @@ func (s Stats) FalsePositiveRate() float64 {
 func (s Stats) String() string {
 	out := fmt.Sprintf("verified %d/%d (%.2f%%), %d candidates, %d false positives, filter %v, refine %v",
 		s.Verified, s.Dataset, 100*s.AccessedFraction(), s.Candidates, s.FalsePositives, s.FilterTime, s.RefineTime)
-	if s.RefineAborted > 0 || s.PrecheckRejects > 0 {
-		out += fmt.Sprintf(", bounded: %d aborted, %d precheck rejects, %d/%d dp cells",
-			s.RefineAborted, s.PrecheckRejects, s.DPCells, s.DPCellsFull)
+	if s.RefineAborted > 0 || s.PrecheckRejects > 0 || s.Certified > 0 {
+		out += fmt.Sprintf(", bounded: %d aborted, %d precheck rejects, %d certified, %d/%d dp cells",
+			s.RefineAborted, s.PrecheckRejects, s.Certified, s.DPCells, s.DPCellsFull)
 	}
 	return out
 }

@@ -84,14 +84,18 @@ func TestKNNSpans(t *testing.T) {
 	if got := refine.Attrs["results"]; got != int64(stats.Results) {
 		t.Errorf("refine results attr %v, stats say %d", got, stats.Results)
 	}
-	// pruned + verified covers the whole candidate order, and the DP work
-	// is at least |q|·|t_min| per verification (every tree has ≥1 node).
+	// pruned + verified covers the whole candidate order, and every
+	// verification either fills at least one DP cell (every tree has ≥1
+	// node) or is certified with none.
 	if got := refine.Attrs["pruned"]; got != int64(60-stats.Verified) {
 		t.Errorf("refine pruned attr %v, want %d", got, 60-stats.Verified)
 	}
+	if got := refine.Attrs["certified"]; got != int64(stats.Certified) {
+		t.Errorf("refine certified attr %v, stats say %d", got, stats.Certified)
+	}
 	cells, _ := refine.Attrs["dp_cells"].(int64)
-	if stats.Verified > 0 && cells < int64(stats.Verified) {
-		t.Errorf("dp_cells %d below verified count %d", cells, stats.Verified)
+	if stats.Verified > 0 && cells+int64(stats.Certified) < int64(stats.Verified) {
+		t.Errorf("dp_cells %d + certified %d below verified count %d", cells, stats.Certified, stats.Verified)
 	}
 }
 

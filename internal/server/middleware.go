@@ -95,10 +95,12 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 		// trace ID, root parented under the caller's span; a malformed one
 		// falls back to a fresh trace per the spec's restart rule. The
 		// trace ID echoes back on X-Trace-Id, the caller's handle into
-		// /debug/traces.
+		// /debug/traces. Its tracestate rides along only within W3C's
+		// limits (512 characters, 32 members): the root span, and any trace
+		// the flight recorder retains, must not hold a header of any size.
 		tc, tperr := obs.ParseTraceparent(r.Header.Get("traceparent"))
-		if tperr == nil {
-			tc.State = r.Header.Get("tracestate")
+		if state := r.Header.Get("tracestate"); tperr == nil && obs.TraceStateWithinLimits(state) {
+			tc.State = state
 		}
 		span := obs.NewRemote(endpoint, tc)
 		traceID := span.TraceID().String()

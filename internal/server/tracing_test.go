@@ -105,6 +105,66 @@ func TestTraceparentContinuesTrace(t *testing.T) {
 	}
 }
 
+// TestTracestateLimits: a tracestate past W3C's limits — a 512 KiB value,
+// or 33 members — is dropped: the request still answers 200 in the
+// caller's trace, but neither the ?trace=1 root nor the retained trace
+// keeps any state, and its retry member goes unread. A value within them
+// is carried, and its treesim=retry:N member read.
+func TestTracestateLimits(t *testing.T) {
+	noLeaks(t)
+	s, hs, _ := newTestServer(t, quietConfig(), 40, 1)
+	defer shutdownServer(t, s)
+	ts := testDataset(1, 7)
+	body, _ := json.Marshal(KNNRequest{Tree: ts[0].String(), K: 3})
+	many := make([]string, 32)
+	for i := range many {
+		many[i] = fmt.Sprintf("v%d=x", i)
+	}
+	for i, c := range []struct {
+		name, state string
+		kept        bool
+	}{
+		{"512 KiB", obs.RetryState(2) + ",big=" + strings.Repeat("x", 512<<10), false},
+		{"33 members", obs.RetryState(2) + "," + strings.Join(many, ","), false},
+		{"31 others and ours", strings.Join(many[:31], ",") + "," + obs.RetryState(2), true},
+	} {
+		trace := fmt.Sprintf("4bf92f3577b34da6a3ce929d0e0e%04x", i)
+		req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/knn?trace=1", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("traceparent", "00-"+trace+"-00f067aa0ba902b7-01")
+		req.Header.Set("tracestate", c.state)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr QueryResponse
+		derr := json.NewDecoder(resp.Body).Decode(&qr)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || derr != nil || qr.Trace == nil {
+			t.Fatalf("%s: status %d, decode %v, trace %v", c.name, resp.StatusCode, derr, qr.Trace != nil)
+		}
+		var tr obs.RetainedTrace
+		if code := getJSON(t, hs.URL+"/debug/traces/"+trace, &tr); code != 200 {
+			t.Fatalf("%s: /debug/traces/%s status %d", c.name, trace, code)
+		}
+		want, retry := "", "<nil>"
+		if c.kept {
+			want, retry = c.state, "2"
+		}
+		for src, root := range map[string]obs.SpanSnapshot{"?trace=1": *qr.Trace, "/debug/traces": tr.Trace} {
+			if root.TraceID != trace {
+				t.Errorf("%s: %s root in trace %q, want the caller's %s", c.name, src, root.TraceID, trace)
+			}
+			if root.TraceState != want {
+				t.Errorf("%s: %s root keeps %d bytes of tracestate, want %d", c.name, src, len(root.TraceState), len(want))
+			}
+			if got := fmt.Sprint(root.Attrs["retry"]); got != retry {
+				t.Errorf("%s: %s retry attr %s, want %s", c.name, src, got, retry)
+			}
+		}
+	}
+}
+
 // TestTraceparentMalformedFallsBack: the middleware answers 200 with a
 // fresh, valid trace for every malformed header shape the W3C spec
 // rejects — never the inbound identity, never an error.

@@ -168,7 +168,10 @@ func BenchmarkBDist(b *testing.B) {
 }
 
 // BenchmarkSearchLBound measures the positional optimistic bound
-// (O((|T1|+|T2|)·log min(|T1|,|T2|)), Section 4.4).
+// (O((|T1|+|T2|)·log min(|T1|,|T2|)), Section 4.4), in full and, in the
+// -capped rows, as a scan asks for it: from the ⌈BDist/5⌉ tier as its
+// floor, at a threshold equal to the bound, so the search must find the
+// bound exactly inside the capped window.
 func BenchmarkSearchLBound(b *testing.B) {
 	for _, size := range []float64{25, 50, 100} {
 		t1, t2 := syntheticPair(size, 7)
@@ -177,6 +180,12 @@ func BenchmarkSearchLBound(b *testing.B) {
 		b.Run(sizeName(size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				branch.SearchLBound(p1, p2)
+			}
+		})
+		floor, theta := branch.BDistLowerBound(p1, p2), branch.SearchLBound(p1, p2)
+		b.Run(sizeName(size)+"-capped", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				branch.SearchLBoundWithin(p1, p2, floor, theta)
 			}
 		})
 	}
@@ -217,7 +226,11 @@ func BenchmarkVectorConstruction(b *testing.B) {
 // rows are the default spec with two labels, N{4,0.5}N{50,2}L2, at
 // n = 2 000: a range query's label column decides most trees there, while
 // a k-NN query's cheap tiers leave nearly every tree standing, and its
-// lazy tiers, the positional bound first, are most of its filter.
+// lazy tiers, the positional bound first, are most of its filter. The
+// bigtree row is the knn_bigtree workload's shape, N{2,0.5}N{150,5}L8D0.05
+// at n = 500, and the fanout8 row N{8,1}N{50,2}L8D0.05 at n = 2 000, each
+// built and queried as that workload is: on both the positional search is
+// a large share of a k-NN query's lazy tiers.
 func BenchmarkFilterStage(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
 	opts := []search.IndexOption{search.WithShards(1), search.WithRefineWorkers(1)}
@@ -286,6 +299,36 @@ func BenchmarkFilterStage(b *testing.B) {
 	}
 	run("dblp-range-tau3", n, rangeq(ix, 3), queries)
 	run("dblp-knn-k10", n, knn(ix, 10), queries)
+
+	for _, c := range []struct {
+		name, spec string
+		n          int
+	}{
+		{"bigtree-knn-k5", "N{2,0.5}N{150,5}L8D0.05", 500},
+		{"fanout8-knn-k5", "N{8,1}N{50,2}L8D0.05", 2000},
+	} {
+		sp, err := datagen.ParseSpec(c.spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Clusters of a seed tree and nine derived from it, as the
+		// workload builds them, queried by trees up to three random edits
+		// from a member.
+		g := datagen.New(sp, 5)
+		ts := make([]*tree.Tree, 0, c.n)
+		for len(ts) < c.n {
+			s := g.Seed()
+			ts = append(ts, s)
+			for i := 1; i < 10; i++ {
+				ts = append(ts, g.Derive(s))
+			}
+		}
+		ix := search.NewIndex(ts, append(opts, search.NewBiBranch())...)
+		for i := range queries {
+			queries[i] = g.RandomEdits(ts[(i*997+42)%c.n], i%4)
+		}
+		run(c.name, c.n, knn(ix, 5), queries)
+	}
 
 	spec.Labels = 2
 	const n2 = 2000

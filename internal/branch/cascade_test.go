@@ -204,13 +204,22 @@ var wideStar = tree.MustParse("r(" + strings.Repeat("c,", 39) + "c)")
 //   - for every tau the cascade — size tier, BDist tier, then the
 //     one-probe RangeLowerBoundWithin — keeps exactly the pairs with
 //     RangeLowerBound ≤ tau and reports that bound for them, and never
-//     prunes a pair within tau.
+//     prunes a pair within tau;
+//   - from both profiles, the search's predicate holds at every pr exactly
+//     when PosBDist(pr) ≤ f·pr, and SearchLBoundWithin at every θ from 0
+//     to max(|a|,|b|)+1 and every floor among 0, ⌈BDist/f⌉ and those
+//     around SearchLBound is max(floor, SearchLBound) when that is at most
+//     θ, else a value in (θ, max(floor, SearchLBound)].
 func FuzzBoundCascade(f *testing.F) {
 	for shape := uint8(0); shape < 5; shape++ {
 		f.Add(int64(shape)+1, shape, uint8(9), uint8(2))
 		f.Add(int64(shape)+11, shape, uint8(17), uint8(5))
 		f.Add(int64(shape)+21, shape, uint8(5), uint8(7))
 	}
+	// A chain pair and a star pair at the largest size: long occurrence
+	// lists, and a size window the ceiling cuts short.
+	f.Add(int64(31), uint8(1), uint8(23), uint8(1))
+	f.Add(int64(32), uint8(2), uint8(23), uint8(3))
 	f.Fuzz(checkCascade)
 }
 
@@ -287,7 +296,26 @@ func checkCascade(t *testing.T, seed int64, shape, size, edits uint8) {
 				q, ds, plain, slb, ed, t1, t2)
 		}
 
-		for tau := 0; tau <= max(a.Size, b.Size)+1; tau++ {
+		top := max(a.Size, b.Size) + 1
+		for name, p := range map[string]*branch.Profile{"interned": a, "lookup": qp} {
+			for pr := 0; pr <= top; pr++ {
+				if got, want := branch.Holds(p, b, pr), branch.PosBDist(p, b, pr) <= fac*pr; got != want {
+					t.Fatalf("q=%d %s: holds(%d) = %v, PosBDist %d\n %s\n %s", q, name, pr, got, branch.PosBDist(p, b, pr), t1, t2)
+				}
+			}
+			for _, floor := range []int{0, plain, max(0, slb-1), slb, slb + 1} {
+				want := max(floor, slb)
+				for theta := 0; theta <= top; theta++ {
+					got := branch.SearchLBoundWithin(p, b, floor, theta)
+					if want <= theta && got != want || want > theta && (got <= theta || got > want) {
+						t.Fatalf("q=%d %s: SearchLBoundWithin(floor %d, θ %d) = %d, SearchLBound %d\n %s\n %s",
+							q, name, floor, theta, got, slb, t1, t2)
+					}
+				}
+			}
+		}
+
+		for tau := 0; tau <= top; tau++ {
 			if got, want := branch.PosBDist(a, b, tau), refPosBDist(ra, rb, tau); got != want {
 				t.Fatalf("q=%d: PosBDist(%d) flat %d, reference %d\n %s\n %s", q, tau, got, want, t1, t2)
 			}

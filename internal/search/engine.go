@@ -60,13 +60,16 @@ import (
 // keeps each tree's largest cheap bound and counts the trees per value of
 // each, and the scan reads every later tier lazily, while it verifies,
 // only for the trees whose key under the tiers before surfaces within the
-// threshold. The full bound is the range bound at a fixed threshold, which
-// it tightens at tau (Section 4.3), and the k-NN bound otherwise. Every
-// tier is a sound lower bound, so no tier prunes a tree the answer holds,
-// and the full bound dominates the size and BDist tiers. The label tiers
-// may exceed the full bound — on small trees with telling labels they
-// often do — so a tightened key is the largest of them. The label tiers
-// prune trees the positional bound would have let through, and the
+// threshold. The full bound is one call for both kinds, the positional
+// search at the threshold of the moment (biBranchBounder.Full): exact where
+// it is within that threshold, where it equals a range query's bound at
+// tau too (Section 4.3), and cut short above it, where no threshold, which
+// only falls, lets the tree back in. Every tier is a sound lower bound, so
+// no tier prunes a tree the answer holds, and the full bound dominates the
+// size and BDist tiers. The label tiers may exceed the full bound — on
+// small trees with telling labels they often do — so a tightened key is
+// the largest of them, and the positional search starts there. The label
+// tiers prune trees the positional bound would have let through, and the
 // sequence tier trees all of them would have, so candidates and
 // verifications are fewer than a scan over the full bound alone would
 // give; the results are the same. Stats.Pruned reports how many trees each
@@ -240,8 +243,9 @@ type scan struct {
 	prims segBounders
 	*scanBufs
 	hist tierCounts // the shards' counts, summed
-	// fixed marks a range query, whose threshold stays at tau: its full
-	// bound is the range bound at tau.
+	// fixed marks a range query, whose threshold stays at tau: its answer
+	// is every distance within it, and EXPLAIN's exact full bound the range
+	// bound at tau.
 	fixed bool
 
 	mu sync.Mutex
@@ -513,15 +517,14 @@ func (sc *scan) push(k uint64) {
 }
 
 // next hands out the position to verify next, in ascending (tightened key,
-// id) order, reading levels and the full bound — the range bound at a
-// fixed threshold, the k-NN bound otherwise — as their keys surface, and
-// the index of its record in handed, whose sequence tier the caller reads
-// (see sequence). It reports false once the smallest remaining key — the
-// lowest unread level or the heap's top — exceeds thresh — keys only grow
-// and the threshold only falls, so nothing left can enter the answer — no
-// tree is left, or the context ended mid-level (canceled is then set).
-// Safe for concurrent use; the lazy tiers are serialized under the scan's
-// lock.
+// id) order, reading levels and the full bound at the live threshold as
+// their keys surface, and the index of its record in handed, whose
+// sequence tier the caller reads (see sequence). It reports false once the
+// smallest remaining key — the lowest unread level or the heap's top —
+// exceeds thresh — keys only grow and the threshold only falls, so nothing
+// left can enter the answer — no tree is left, or the context ended
+// mid-level (canceled is then set). Safe for concurrent use; the lazy
+// tiers are serialized under the scan's lock.
 func (sc *scan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound, at int, ok bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -538,13 +541,8 @@ func (sc *scan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound, at 
 		pos, bound = int(uint32(top)), int(top>>33)
 		if top&tightened == 0 {
 			si, local, _ := sc.cut.locate(pos)
-			var full int
-			if sc.fixed {
-				full = sc.prims[si].RangeBound(local, int(t))
-			} else {
-				full = sc.prims[si].KNNBound(local)
-			}
-			key := max(full, bound)
+			// A k-NN threshold is unbounded until the heap holds k.
+			key := sc.prims[si].Full(local, bound, int(min(t, math.MaxInt32)))
 			sc.full = append(sc.full, bounded{pos: int32(pos), label: int32(bound), key: int32(key)})
 			sc.heap[0] = uint64(key)<<33 | tightened | uint64(pos)
 			siftDown(sc.heap, 0)
@@ -717,10 +715,11 @@ func (sc *scan) funnel(worst int) (candidates int, f Funnel) {
 // decidingBounds returns every visible tree's deciding bound against the
 // final threshold worst, as funnel classifies the tree: for a level above
 // worst, the first cheap tier above it (see deciding); else its label key
-// where that exceeds worst; else its tightened key. The scan read the
-// label key of every tree whose level is at most worst and the tightened
-// key of every tree whose label key is, so no bound depends on how fast a
-// k-NN threshold fell.
+// where that exceeds worst; else its tightened key, made exact where the
+// scan stopped its search above the threshold of the moment. The scan
+// read the label key of every tree whose level is at most worst and the
+// tightened key of every tree whose label key is, so no bound depends on
+// how fast a k-NN threshold fell.
 func (sc *scan) decidingBounds(worst int) []int {
 	bounds := make([]int, 0, sc.cut.live)
 	for _, t := range sc.labels {
@@ -729,9 +728,22 @@ func (sc *scan) decidingBounds(worst int) []int {
 		}
 	}
 	for _, b := range sc.full {
-		if int(b.label) <= worst {
-			bounds = append(bounds, int(b.key))
+		if int(b.label) > worst {
+			continue
 		}
+		key := int(b.key)
+		if key > worst {
+			// The scan stopped the positional search past the threshold
+			// of its moment; the few trees it stood down get the full
+			// bound exact.
+			si, local, _ := sc.cut.locate(int(b.pos))
+			full := sc.prims[si].KNNBound(local)
+			if sc.fixed {
+				full = sc.prims[si].RangeBound(local, worst)
+			}
+			key = max(full, int(b.label))
+		}
+		bounds = append(bounds, key)
 	}
 	for si, b := range sc.prims {
 		start := sc.cut.starts[si]

@@ -422,6 +422,25 @@ func (b *biBranchBounder) ExactLabel(i int) int {
 	return b.label(i, b.lbase+b.lov[i]-b.f.post.Excess(b.dense, i))
 }
 
+// Full returns the full bound the scan tightens tree i's key with at
+// threshold t, given key, the tree's key under the tiers before: the
+// larger of key and KNNBound(i) whenever that is at most t, else a value
+// in (t, max(key, KNNBound(i))] — the tree is out, and no threshold,
+// which only falls, lets it back in. At a range query's tau that is also
+// the key RangeBound(i, tau) gives, for RangeBound ≤ tau exactly when
+// KNNBound ≤ tau, and they are then equal (see branch.RangeLowerBound).
+// The positional search starts at key, which is at least the tree's
+// ⌈BDist/Factor⌉ tier, and stops at t.
+func (b *biBranchBounder) Full(i, key, t int) int {
+	switch {
+	case b == nil:
+		return key
+	case b.f.Positional:
+		return branch.SearchLBoundWithin(b.qp, b.f.profiles[i], key, t)
+	}
+	return max(key, b.plain(i))
+}
+
 // KNNBound returns the filter's full lower bound L ≤ EDist(query, tree i),
 // the optimistic bound of Algorithm 2.
 func (b *biBranchBounder) KNNBound(i int) int {

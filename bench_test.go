@@ -233,7 +233,6 @@ func BenchmarkVectorConstruction(b *testing.B) {
 // a large share of a k-NN query's lazy tiers.
 func BenchmarkFilterStage(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
-	opts := []search.IndexOption{search.WithShards(1), search.WithRefineWorkers(1)}
 	run := func(name string, n int, query func(q *tree.Tree) search.Stats, queries []*tree.Tree) {
 		b.Run(name+"/"+intName(n), func(b *testing.B) {
 			// Per query of the set, not per iteration: b.N cycles the set,
@@ -271,9 +270,9 @@ func BenchmarkFilterStage(b *testing.B) {
 	}
 	for _, n := range []int{2000, 8000, 32000} {
 		ts := datagen.New(spec, 5).Dataset(n, n/10)
-		ix := search.NewIndex(ts, append(opts, search.NewBiBranch())...)
+		ix := search.NewIndex(ts, search.NewBiBranch())
 		const inMem = segstore.DefaultMemtableSize - 1
-		mem := search.NewIndex(ts[:n-inMem], append(opts, search.NewBiBranch())...)
+		mem := search.NewIndex(ts[:n-inMem], search.NewBiBranch())
 		for _, t := range ts[n-inMem:] {
 			mem.Insert(t)
 		}
@@ -292,7 +291,7 @@ func BenchmarkFilterStage(b *testing.B) {
 	const n = 10000
 	g := dblp.New(5)
 	ts := g.Dataset(n)
-	ix := search.NewIndex(ts, append(opts, search.NewBiBranch())...)
+	ix := search.NewIndex(ts, search.NewBiBranch())
 	queries := make([]*tree.Tree, 16)
 	for i := range queries {
 		queries[i] = g.Variant(ts[(i*997+42)%n])
@@ -323,7 +322,7 @@ func BenchmarkFilterStage(b *testing.B) {
 				ts = append(ts, g.Derive(s))
 			}
 		}
-		ix := search.NewIndex(ts, append(opts, search.NewBiBranch())...)
+		ix := search.NewIndex(ts, search.NewBiBranch())
 		for i := range queries {
 			queries[i] = g.RandomEdits(ts[(i*997+42)%c.n], i%4)
 		}
@@ -333,7 +332,7 @@ func BenchmarkFilterStage(b *testing.B) {
 	spec.Labels = 2
 	const n2 = 2000
 	ts = datagen.New(spec, 5).Dataset(n2, n2/10)
-	ix = search.NewIndex(ts, append(opts, search.NewBiBranch())...)
+	ix = search.NewIndex(ts, search.NewBiBranch())
 	for i := range queries {
 		queries[i] = ts[(i*997+42)%n2]
 	}

@@ -75,14 +75,15 @@ for stage; do
         go test -run '^$' -bench 'SelfJoin' -benchtime 1x ./internal/join
         ;;
     hammer)
-        # Shard + compaction hammer: the parallel engine's exactness
-        # certificate (forced over-sharding, shared worker pool, concurrent
-        # queries) and the storage engine's epoch-snapshot certificate
-        # (concurrent inserts, deletes, queries, compactions, snapshot
-        # writes) — run under the race detector on their own so a failure
-        # names the engine, not a random package.
-        echo "== shard + compaction hammer (-race)"
-        go test -race -count=2 -run 'Shard|Hammer|ExplainBoundsRepeatable' ./internal/search
+        # Concurrent-query + compaction hammer: many queries on one index at
+        # once, each on its own goroutine, checked against a fresh index;
+        # the storage engine's epoch-snapshot certificate (concurrent
+        # inserts, deletes, queries, compactions, snapshot writes); and a
+        # k-NN list whose Stats must repeat run after run — under the race
+        # detector on their own so a failure names the engine, not a random
+        # package.
+        echo "== concurrent-query + compaction hammer (-race)"
+        go test -race -count=2 -run 'Hammer|ExplainBoundsRepeatable' ./internal/search
         ;;
     chaos)
         # Chaos matrix: every durability operation (insert, delete, seal,

@@ -14,10 +14,10 @@
 // counters are sanity-checked against the recorded dataset size). Output:
 // a ranked table on stdout and a JSON report (-out).
 //
-// Every row but histo runs the serving engine, one refine worker. The
-// histogram baseline is not served: its row replays Algorithm 2 over its
-// bound as the figures do, so its counters and its timing columns are the
-// replay's own, without tightness, DP-cell or cut-short counters.
+// Every row but histo runs the serving engine. The histogram baseline is
+// not served: its row replays Algorithm 2 over its bound as the figures
+// do, so its counters and its timing columns are the replay's own, without
+// tightness, DP-cell or cut-short counters.
 package main
 
 import (
@@ -236,12 +236,10 @@ func loadDataset(c config) ([]*tree.Tree, error) {
 // answerer answers one recorded query under one filter of the matrix.
 type answerer func(q *tree.Tree, op experiments.Query) (search.Stats, error)
 
-// engineRow indexes ts under f and answers through the engine. One refine
-// worker keeps the replay's verified counts — the table's accessed
-// fraction — independent of worker timing.
+// engineRow indexes ts under f and answers through the engine.
 func engineRow(f *search.BiBranch, ts []*tree.Tree) (filterReport, answerer) {
 	start := time.Now()
-	ix := search.NewIndex(ts, f, search.WithRefineWorkers(1))
+	ix := search.NewIndex(ts, f)
 	fr := filterReport{
 		Filter:         ix.Filter().Name(),
 		IndexBuildUS:   time.Since(start).Microseconds(),

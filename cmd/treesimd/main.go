@@ -113,8 +113,6 @@ type config struct {
 	qlogPath     string
 	qlogSample   float64
 	qlogMaxBytes int64
-	shards       int
-	refineWork   int
 	memtable     int
 	compactAt    int
 	traceRing    int
@@ -148,8 +146,6 @@ func run(args []string, stderr io.Writer) int {
 	fs.StringVar(&c.qlogPath, "qlog", "", "record served queries to this JSONL workload log (replay with treesim-analyze); empty disables")
 	fs.Float64Var(&c.qlogSample, "qlog-sample", 1, "fraction of queries recorded to -qlog, deterministic in stream position (0,1]")
 	fs.Int64Var(&c.qlogMaxBytes, "qlog-max-bytes", 0, "rotate the -qlog file beyond this size (0 = 64MiB, negative disables rotation)")
-	fs.IntVar(&c.shards, "shards", 0, "dataset shards per query's filter stage (0 = GOMAXPROCS, 1 = sequential)")
-	fs.IntVar(&c.refineWork, "refine-workers", 0, "index-wide worker pool size shared by all queries (0 = GOMAXPROCS)")
 	fs.IntVar(&c.memtable, "memtable-size", 0, "inserts absorbed by the mutable memtable segment before it seals (0 = default)")
 	fs.IntVar(&c.compactAt, "compact-threshold", 0, "sealed segments that trigger a background compaction (0 = default, negative = manual only)")
 	fs.IntVar(&c.traceRing, "trace-ring", 0, "retained traces in the flight recorder, served on /debug/traces (0 = 256, negative disables)")
@@ -306,15 +302,14 @@ func servePprof(ln net.Listener) {
 }
 
 // loadIndex resolves the index source: warm snapshot, saved index file, or
-// a dataset to build from. The parallelism options apply uniformly to all
+// a dataset to build from. The storage options apply uniformly to all
 // three paths.
 func loadIndex(c config) (*search.Index, string, error) {
-	par := []search.IndexOption{
-		search.WithShards(c.shards), search.WithRefineWorkers(c.refineWork),
+	opts := []search.IndexOption{
 		search.WithMemtableSize(c.memtable), search.WithCompactionThreshold(c.compactAt),
 	}
 	if c.snapshot != "" {
-		ix, gen, err := server.LoadSnapshotFallback(nil, c.snapshot, c.snapKeep, par...)
+		ix, gen, err := server.LoadSnapshotFallback(nil, c.snapshot, c.snapKeep, opts...)
 		switch {
 		case err == nil:
 			origin := "snapshot " + c.snapshot
@@ -338,7 +333,7 @@ func loadIndex(c config) (*search.Index, string, error) {
 			return nil, "", fmt.Errorf("opening index: %w", err)
 		}
 		defer f.Close()
-		ix, err := search.LoadIndex(f, par...)
+		ix, err := search.LoadIndex(f, opts...)
 		if err != nil {
 			return nil, "", fmt.Errorf("loading index %s: %w", c.indexFile, err)
 		}
@@ -374,7 +369,6 @@ func buildIndex(c config, ts []*tree.Tree, origin string) (*search.Index, string
 		return nil, "", fmt.Errorf("filter %q cannot be served: snapshots hold a bibranch family only", c.filter)
 	}
 	ix := search.NewIndex(ts, flt,
-		search.WithShards(c.shards), search.WithRefineWorkers(c.refineWork),
 		search.WithMemtableSize(c.memtable), search.WithCompactionThreshold(c.compactAt))
 	return ix, origin, nil
 }

@@ -15,9 +15,9 @@ import (
 )
 
 // "% accessed" is what the paper's algorithm verifies under one filter's own
-// bound, not what the serving engine happens to verify: the engine stacks
-// cheaper tiers in front of the filter's bound and verifies k-NN candidates
-// on several workers at once, so its Stats.Verified measures the engine. A
+// bound, not what the serving engine verifies: the engine stacks cheaper
+// tiers in front of the filter's bound, so its Stats.Verified measures the
+// engine. A
 // figure replays the paper's algorithm sequentially over the filter's bound
 // for its percentages, and runs the engine only to time each query and to
 // check that the two answer alike. The histogram baseline has no engine:

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Recorder is an in-process flight recorder: a fixed-size sharded ring
-// of completed request traces with tail-based retention. Every request
+// Recorder is an in-process flight recorder: a fixed-size ring of
+// completed request traces with tail-based retention. Every request
 // is offered on completion; the recorder always keeps errored requests
 // and requests slower than an adaptive threshold (a rolling latency
 // quantile), and reservoir-samples a small baseline of normal requests
@@ -21,7 +21,8 @@ import (
 // an error or slow trace, and an incoming error/slow trace evicts the
 // oldest baseline anywhere in the ring before it recycles one of its
 // own kind. Errored and over-threshold traces are therefore never lost
-// while a baseline sample survives.
+// while a baseline sample survives. The retained entries sit in one slice
+// under one mutex, taken only by a trace that is kept and by readers.
 //
 // Methods are safe for concurrent use and safe on a nil *Recorder
 // (disabled: Offer drops everything, List/Get find nothing), mirroring
@@ -39,7 +40,8 @@ type Recorder struct {
 	rng       atomic.Uint64 // xorshift state for reservoir admission
 	seq       atomic.Uint64 // insertion order, for oldest-first eviction
 
-	shards []recShard
+	mu      sync.Mutex
+	entries []*RetainedTrace // at most capacity
 }
 
 // The slow threshold is the slowTail-th largest of the last
@@ -98,27 +100,14 @@ type CompletedRequest struct {
 // RecorderConfig sizes a Recorder. Zero values take defaults.
 type RecorderConfig struct {
 	Capacity int           // total retained traces (default 256)
-	Shards   int           // ring shards (default 4)
 	Baseline int           // reservoir target for normal requests (default Capacity/8, min 1)
 	MinSlow  time.Duration // threshold floor while traffic is sparse or fast (default 1ms)
-}
-
-type recShard struct {
-	mu      sync.Mutex
-	entries []*RetainedTrace
-	cap     int
 }
 
 // NewRecorder returns a recorder with cfg's sizing.
 func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 256
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
-	if cfg.Shards > cfg.Capacity {
-		cfg.Shards = cfg.Capacity
 	}
 	if cfg.Baseline <= 0 {
 		cfg.Baseline = cfg.Capacity / 8
@@ -136,15 +125,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 		capacity: cfg.Capacity,
 		baseCap:  cfg.Baseline,
 		floorNS:  cfg.MinSlow.Nanoseconds(),
-		shards:   make([]recShard, cfg.Shards),
-	}
-	// Spread capacity over the shards, remainder to the first ones.
-	per, rem := cfg.Capacity/cfg.Shards, cfg.Capacity%cfg.Shards
-	for i := range r.shards {
-		r.shards[i].cap = per
-		if i < rem {
-			r.shards[i].cap++
-		}
 	}
 	r.rng.Store(0x9e3779b97f4a7c15) // fixed seed: the reservoir needs spread, not secrecy
 	return r
@@ -198,70 +178,33 @@ func (r *Recorder) Offer(req CompletedRequest) *RetainedTrace {
 		Explain:     req.Explain,
 		seq:         r.seq.Add(1),
 	}
-	home := int(ent.seq % uint64(len(r.shards)))
-	if class == TraceBaseline {
-		if !r.insertBaseline(home, ent) {
-			r.dropped.Add(1)
-			return nil
-		}
-		return ent
+	if !r.insert(ent) {
+		r.dropped.Add(1)
+		return nil
 	}
-	r.insertTail(home, ent)
 	return ent
 }
 
-// insertBaseline adds a baseline trace: into the first shard (walking
-// the ring from home) with free space or an older baseline to replace.
-// It never touches an error or slow entry; when the whole ring is tail
-// traces the insert is refused.
-func (r *Recorder) insertBaseline(home int, ent *RetainedTrace) bool {
-	for off := range r.shards {
-		sh := &r.shards[(home+off)%len(r.shards)]
-		sh.mu.Lock()
-		if len(sh.entries) < sh.cap {
-			sh.entries = append(sh.entries, ent)
-			sh.mu.Unlock()
-			return true
-		}
-		if i := oldestOf(sh.entries, true); i >= 0 {
-			sh.entries[i] = ent
-			sh.mu.Unlock()
-			return true
-		}
-		sh.mu.Unlock()
+// insert adds a retained trace to the ring. Order of preference: a free
+// slot, the oldest baseline, and for an error or slow trace, when the ring
+// is wall-to-wall tail traces, the oldest entry of any class. A baseline
+// never displaces a tail trace: it is refused instead.
+func (r *Recorder) insert(ent *RetainedTrace) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.entries) < r.capacity {
+		r.entries = append(r.entries, ent)
+		return true
 	}
-	return false
-}
-
-// insertTail adds an error/slow trace. Order of preference: free space
-// in the home shard, the oldest baseline in the home shard, the oldest
-// baseline in any other shard (walking the ring, one lock at a time),
-// and only when no baseline exists anywhere, the home shard's oldest
-// entry of any class.
-func (r *Recorder) insertTail(home int, ent *RetainedTrace) {
-	for off := range r.shards {
-		sh := &r.shards[(home+off)%len(r.shards)]
-		sh.mu.Lock()
-		if len(sh.entries) < sh.cap {
-			sh.entries = append(sh.entries, ent)
-			sh.mu.Unlock()
-			return
-		}
-		if i := oldestOf(sh.entries, true); i >= 0 {
-			sh.entries[i] = ent
-			sh.mu.Unlock()
-			return
-		}
-		sh.mu.Unlock()
+	i := oldestOf(r.entries, true)
+	if i < 0 && ent.Class != TraceBaseline {
+		i = oldestOf(r.entries, false)
 	}
-	// Ring is wall-to-wall errors and slow traces: recycle the oldest in
-	// the home shard (every shard holds at least one entry here).
-	sh := &r.shards[home]
-	sh.mu.Lock()
-	if i := oldestOf(sh.entries, false); i >= 0 {
-		sh.entries[i] = ent
+	if i < 0 {
+		return false
 	}
-	sh.mu.Unlock()
+	r.entries[i] = ent
+	return true
 }
 
 // oldestOf returns the index of the oldest entry (lowest seq), optionally
@@ -336,23 +279,20 @@ func (r *Recorder) List(f TraceFilter) []*RetainedTrace {
 	}
 	minUS := f.MinDur.Microseconds()
 	var out []*RetainedTrace
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if f.Endpoint != "" && e.Endpoint != f.Endpoint {
-				continue
-			}
-			if e.DurationUS < minUS {
-				continue
-			}
-			if f.ErrorOnly && e.Class != TraceError {
-				continue
-			}
-			out = append(out, e)
+	r.mu.Lock()
+	for _, e := range r.entries {
+		if f.Endpoint != "" && e.Endpoint != f.Endpoint {
+			continue
 		}
-		sh.mu.Unlock()
+		if e.DurationUS < minUS {
+			continue
+		}
+		if f.ErrorOnly && e.Class != TraceError {
+			continue
+		}
+		out = append(out, e)
 	}
+	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].seq > out[j].seq })
 	if f.Limit > 0 && len(out) > f.Limit {
 		out = out[:f.Limit]
@@ -368,16 +308,12 @@ func (r *Recorder) Get(id string) *RetainedTrace {
 	if r == nil || id == "" {
 		return nil
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.RequestID == id || (e.TraceID != "" && e.TraceID == id) {
-				sh.mu.Unlock()
-				return e
-			}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.entries {
+		if e.RequestID == id || (e.TraceID != "" && e.TraceID == id) {
+			return e
 		}
-		sh.mu.Unlock()
 	}
 	return nil
 }
@@ -405,21 +341,18 @@ func (r *Recorder) Stats() RecorderStats {
 		Dropped:     r.dropped.Load(),
 		ThresholdUS: r.threshold.Load() / 1e3,
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			st.Retained++
-			switch e.Class {
-			case TraceError:
-				st.Errors++
-			case TraceSlow:
-				st.Slow++
-			default:
-				st.Baseline++
-			}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.entries {
+		st.Retained++
+		switch e.Class {
+		case TraceError:
+			st.Errors++
+		case TraceSlow:
+			st.Slow++
+		default:
+			st.Baseline++
 		}
-		sh.mu.Unlock()
 	}
 	return st
 }

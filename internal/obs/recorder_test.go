@@ -25,7 +25,7 @@ func offerN(r *Recorder, n int, prefix string, d time.Duration, status int, isEr
 }
 
 func TestRecorderRetainsAllErrors(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Capacity: 32, Shards: 4, Baseline: 8})
+	r := NewRecorder(RecorderConfig{Capacity: 32, Baseline: 8})
 	// Interleave a flood of fast, healthy requests with 30 errors: every
 	// error must survive, however many baselines competed for the ring.
 	for i := 0; i < 30; i++ {
@@ -49,7 +49,7 @@ func TestRecorderRetentionProperty(t *testing.T) {
 	const capacity = 24
 	for _, order := range []string{"baseline-first", "tail-first", "interleaved"} {
 		t.Run(order, func(t *testing.T) {
-			r := NewRecorder(RecorderConfig{Capacity: capacity, Shards: 3, Baseline: 6})
+			r := NewRecorder(RecorderConfig{Capacity: capacity, Baseline: 6})
 			// Nothing is classed slow before the first threshold exists.
 			offerN(r, recalcEvery, "warm", 100*time.Microsecond, 200, false)
 			tail := func(i int) {
@@ -265,7 +265,7 @@ func TestRecorderDropIsAllocationFree(t *testing.T) {
 // TestRecorderHammer drives concurrent writers and readers; run under
 // -race it is the ring buffer's concurrency test.
 func TestRecorderHammer(t *testing.T) {
-	r := NewRecorder(RecorderConfig{Capacity: 64, Shards: 4, Baseline: 8})
+	r := NewRecorder(RecorderConfig{Capacity: 64, Baseline: 8})
 	const writers, readers, perWriter = 4, 3, 500
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {

@@ -10,13 +10,13 @@ import (
 )
 
 // TestBoundedRefineInvariance is the bounded verification engine's
-// exactness certificate: across every filter family, several shard counts
-// and both query kinds, an index refining against the live cutoff returns
-// byte-identical results to the sequential-scan reference, which computes
-// every distance in full (the band-off program over every tree, (dist, id)
-// order). A range query verifies every candidate, so its counters must add
-// up too. A k-NN query's first verifications run the doubling search,
-// whose cells may pass FullCells by the editdist.Metrics bound.
+// exactness certificate: across every filter family and both query kinds,
+// an index refining against the live cutoff returns byte-identical results
+// to the sequential-scan reference, which computes every distance in full
+// (the band-off program over every tree, (dist, id) order). A range query
+// verifies every candidate, so its counters must add up too. A k-NN query's
+// first verifications run the doubling search, whose cells may pass
+// FullCells by the editdist.Metrics bound.
 func TestBoundedRefineInvariance(t *testing.T) {
 	ts := testDataset(90, 53)
 	queries := []*tree.Tree{ts[3], ts[60], testDataset(1, 77)[0]}
@@ -32,43 +32,41 @@ func TestBoundedRefineInvariance(t *testing.T) {
 	// ⌊log₂((|q|+|t|)/8)⌋ + 3 runs per pair at most, none above FullCells.
 	searchRuns := int64(bits.Len(uint(2*largest/8)) + 2)
 	for _, f := range allFilters() {
-		for _, S := range []int{1, 3, 0} {
-			ix := NewIndex(ts, f.Fresh(), WithShards(S))
-			for qi, q := range queries {
-				for _, k := range []int{1, 5, 12} {
-					want := bruteKNNAnswers(trees, q, k)
-					got, stats, err := ix.KNN(context.Background(), q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s S=%d q=%d k=%d: bounded %v, full scan %v", f.Name(), S, qi, k, got, want)
-					}
-					if stats.DPCells > searchRuns*stats.DPCellsFull {
-						t.Fatalf("%s S=%d q=%d k=%d: touched %d cells > %d × full %d",
-							f.Name(), S, qi, k, stats.DPCells, searchRuns, stats.DPCellsFull)
-					}
+		ix := NewIndex(ts, f.Fresh())
+		for qi, q := range queries {
+			for _, k := range []int{1, 5, 12} {
+				want := bruteKNNAnswers(trees, q, k)
+				got, stats, err := ix.KNN(context.Background(), q, k)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, tau := range []int{0, 2, 6} {
-					want := bruteRangeAnswers(trees, q, tau)
-					got, stats, err := ix.Range(context.Background(), q, tau)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s S=%d q=%d tau=%d: bounded %v, full scan %v", f.Name(), S, qi, tau, got, want)
-					}
-					if stats.Verified != stats.Candidates ||
-						stats.Results != len(want) ||
-						stats.FalsePositives != stats.Verified-len(want) {
-						t.Fatalf("%s S=%d q=%d tau=%d: stats %+v do not add up to %d results",
-							f.Name(), S, qi, tau, stats, len(want))
-					}
-					if stats.Verified > 0 && stats.DPCells >= stats.DPCellsFull &&
-						stats.RefineAborted+stats.PrecheckRejects > 0 {
-						t.Fatalf("%s S=%d q=%d tau=%d: rejections without cell savings: %+v",
-							f.Name(), S, qi, tau, stats)
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s q=%d k=%d: bounded %v, full scan %v", f.Name(), qi, k, got, want)
+				}
+				if stats.DPCells > searchRuns*stats.DPCellsFull {
+					t.Fatalf("%s q=%d k=%d: touched %d cells > %d × full %d",
+						f.Name(), qi, k, stats.DPCells, searchRuns, stats.DPCellsFull)
+				}
+			}
+			for _, tau := range []int{0, 2, 6} {
+				want := bruteRangeAnswers(trees, q, tau)
+				got, stats, err := ix.Range(context.Background(), q, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s q=%d tau=%d: bounded %v, full scan %v", f.Name(), qi, tau, got, want)
+				}
+				if stats.Verified != stats.Candidates ||
+					stats.Results != len(want) ||
+					stats.FalsePositives != stats.Verified-len(want) {
+					t.Fatalf("%s q=%d tau=%d: stats %+v do not add up to %d results",
+						f.Name(), qi, tau, stats, len(want))
+				}
+				if stats.Verified > 0 && stats.DPCells >= stats.DPCellsFull &&
+					stats.RefineAborted+stats.PrecheckRejects > 0 {
+					t.Fatalf("%s q=%d tau=%d: rejections without cell savings: %+v",
+						f.Name(), qi, tau, stats)
 				}
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"treesim/internal/branch"
@@ -225,19 +224,17 @@ func bruteRange(trees map[int]*tree.Tree, q *tree.Tree, tau int, label map[int]i
 // tier and the positional bound for survivors only, both read lazily for
 // k-NN — answers exactly like a scan that computes, for every tree, the
 // positional bound and the exact label tier by its definition: same
-// results, same candidate count and, with one worker, the same
-// verifications, on every storage layout (one indexed segment, sealed
-// memtables and a live memtable, a compacted segment, a reloaded snapshot)
-// with and without tombstones. Its candidates lie between those of a scan
-// over the exact label bound on every tree and of one over the positional
-// bound alone, and equal the former's where no tree sits in the memtable.
-// Every sealed segment's BDist and label tiers read the postings sweep,
-// which checkSwept holds to the merge-join and to both label tiers'
-// definitions tree by tree; stars of 40 and 17 identical leaves put
-// saturated counts in the postings. The funnel accounts for every tree the
-// filter dropped, and both query kinds charge each tree to the same tier
-// the full scan does. The layouts with deleted ids also run at three
-// shards, so a shard's tombstone cursor starts mid-list.
+// results, same candidate count and the same verifications, on every
+// storage layout (one indexed segment, sealed memtables and a live
+// memtable, a compacted segment, a reloaded snapshot) with and without
+// tombstones. Its candidates lie between those of a scan over the exact
+// label bound on every tree and of one over the positional bound alone, and
+// equal the former's where no tree sits in the memtable. Every sealed
+// segment's BDist and label tiers read the postings sweep, which checkSwept
+// holds to the merge-join and to both label tiers' definitions tree by
+// tree; stars of 40 and 17 identical leaves put saturated counts in the
+// postings. The funnel accounts for every tree the filter dropped, and both
+// query kinds charge each tree to the same tier the full scan does.
 func TestCascadeMatchesFullBoundScan(t *testing.T) {
 	const n = 70
 	all := testDataset(n, 91)
@@ -268,39 +265,33 @@ func TestCascadeMatchesFullBoundScan(t *testing.T) {
 
 	for lname, build := range layouts {
 		for _, deleted := range [][]int{nil, {0, 7, 21, 33, 40, 68}} {
-			shardCounts := []int{1}
-			if deleted != nil {
-				shardCounts = append(shardCounts, 3)
-			}
-			for _, shards := range shardCounts {
-				for _, reload := range []bool{false, true} {
-					name := fmt.Sprintf("%s/deleted=%d/shards=%d/reload=%v", lname, len(deleted), shards, reload)
-					opts := []IndexOption{NewBiBranch(), WithShards(shards), WithRefineWorkers(1), WithCompactionThreshold(-1)}
-					ix := build(opts)
-					visible := make(map[int]*tree.Tree)
-					for id, tr := range all {
-						visible[id] = tr
-					}
-					for _, id := range deleted {
-						if !ix.Delete(id) {
-							t.Fatalf("%s: delete %d refused", name, id)
-						}
-						delete(visible, id)
-					}
-					if reload {
-						var buf bytes.Buffer
-						if err := SaveIndex(&buf, ix); err != nil {
-							t.Fatal(err)
-						}
-						var err error
-						if ix, err = LoadIndex(&buf, opts[1:]...); err != nil {
-							t.Fatal(err)
-						}
-					}
-					checkSwept(t, name, ix, queries)
-					l, e, sq := checkCascade(t, name, ix, visible, queries)
-					byLabel, byExact, bySeq = byLabel+l, byExact+e, bySeq+sq
+			for _, reload := range []bool{false, true} {
+				name := fmt.Sprintf("%s/deleted=%d/reload=%v", lname, len(deleted), reload)
+				opts := []IndexOption{NewBiBranch(), WithCompactionThreshold(-1)}
+				ix := build(opts)
+				visible := make(map[int]*tree.Tree)
+				for id, tr := range all {
+					visible[id] = tr
 				}
+				for _, id := range deleted {
+					if !ix.Delete(id) {
+						t.Fatalf("%s: delete %d refused", name, id)
+					}
+					delete(visible, id)
+				}
+				if reload {
+					var buf bytes.Buffer
+					if err := SaveIndex(&buf, ix); err != nil {
+						t.Fatal(err)
+					}
+					var err error
+					if ix, err = LoadIndex(&buf, opts[1:]...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkSwept(t, name, ix, queries)
+				l, e, sq := checkCascade(t, name, ix, visible, queries)
+				byLabel, byExact, bySeq = byLabel+l, byExact+e, bySeq+sq
 			}
 		}
 	}
@@ -415,7 +406,7 @@ func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tr
 	return byLabel, byExact, bySeq
 }
 
-// TestFunnelEveryFilter: whatever the filter family and shard count, the
+// TestFunnelEveryFilter: whatever the filter family, the
 // funnel sums to Dataset − Candidates, the sequential scan prunes nothing,
 // and the non-positional ablation has no size, label or sequence tier. On DBLP-like records,
 // whose dense labels (author, the record kinds) a query carries several
@@ -428,27 +419,25 @@ func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tr
 func TestFunnelEveryFilter(t *testing.T) {
 	ts := testDataset(80, 93)
 	for _, f := range allFilters() {
-		for _, shards := range []int{1, 3} {
-			ix := NewIndex(ts, f.Fresh(), WithShards(shards))
-			for _, q := range []*tree.Tree{ts[5], ts[61]} {
-				_, ks, _ := ix.KNN(context.Background(), q, 4)
-				_, rs, _ := ix.Range(context.Background(), q, 3)
-				for op, st := range map[string]Stats{"knn": ks, "range": rs} {
-					if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Label + st.Pruned.Positional + st.Pruned.Sequence; sum != st.Dataset-st.Candidates {
-						t.Errorf("%s S=%d %s: funnel %+v sums to %d, want %d", f.Name(), shards, op, st.Pruned, sum, st.Dataset-st.Candidates)
+		ix := NewIndex(ts, f.Fresh())
+		for _, q := range []*tree.Tree{ts[5], ts[61]} {
+			_, ks, _ := ix.KNN(context.Background(), q, 4)
+			_, rs, _ := ix.Range(context.Background(), q, 3)
+			for op, st := range map[string]Stats{"knn": ks, "range": rs} {
+				if sum := st.Pruned.Size + st.Pruned.BDist + st.Pruned.Label + st.Pruned.Positional + st.Pruned.Sequence; sum != st.Dataset-st.Candidates {
+					t.Errorf("%s %s: funnel %+v sums to %d, want %d", f.Name(), op, st.Pruned, sum, st.Dataset-st.Candidates)
+				}
+				switch {
+				case f == nil:
+					if st.Pruned != (Funnel{}) {
+						t.Errorf("%s %s: the sequential scan pruned: %+v", f.Name(), op, st.Pruned)
 					}
-					switch {
-					case f == nil:
-						if st.Pruned != (Funnel{}) {
-							t.Errorf("%s %s: the sequential scan pruned: %+v", f.Name(), op, st.Pruned)
-						}
-					case !f.Positional:
-						if st.Pruned.Size+st.Pruned.Label != 0 {
-							t.Errorf("%s %s: the ablation charged the size or label tier: %+v", f.Name(), op, st.Pruned)
-						}
-						if st.Pruned.Sequence != 0 {
-							t.Errorf("%s %s: the ablation charged the sequence tier: %+v", f.Name(), op, st.Pruned)
-						}
+				case !f.Positional:
+					if st.Pruned.Size+st.Pruned.Label != 0 {
+						t.Errorf("%s %s: the ablation charged the size or label tier: %+v", f.Name(), op, st.Pruned)
+					}
+					if st.Pruned.Sequence != 0 {
+						t.Errorf("%s %s: the ablation charged the sequence tier: %+v", f.Name(), op, st.Pruned)
 					}
 				}
 			}
@@ -463,56 +452,54 @@ func TestFunnelEveryFilter(t *testing.T) {
 	}
 	s := branch.NewSpace(2)
 	atTighten, bySeq := 0, map[string]int{}
-	for _, shards := range []int{1, 3} {
-		ix := NewIndex(records, NewBiBranch(), WithShards(shards))
-		for qi := 0; qi < 4; qi++ {
-			q := g.Variant(records[qi*97])
-			root := obs.New("query")
-			var ex *Explain
-			got, st, err := ix.KNN(obs.NewContext(context.Background(), root), q, 10, WithExplain(&ex))
-			if err != nil {
-				t.Fatal(err)
-			}
-			root.End()
-			swept, tier := sweptLabels(ix, q), exactTier(ix, q)
-			want, _, _, wantPruned := bruteKNN(visible, q, 10, tier)
-			if !reflect.DeepEqual(dists(got), dists(want)) || st.Pruned != wantPruned {
-				t.Fatalf("dblp S=%d query %d: %v with funnel %+v, reference %v with %+v", shards, qi, dists(got), st.Pruned, dists(want), wantPruned)
-			}
-			worst := want[len(want)-1].Dist
-			qp := s.Profile(q)
-			for id, tr := range records {
-				tp := s.Profile(tr)
-				key := max(qp.Size-tp.Size, tp.Size-qp.Size, branch.BDistLowerBound(qp, tp), swept[id])
-				if key <= worst && tier[id] > worst {
-					atTighten++
-				}
-			}
-			filter, _ := childByName(root.Snapshot(), "filter")
-			funnel := fmt.Sprintf(" -label-> %d ", st.Dataset-st.Pruned.Size-st.Pruned.BDist-st.Pruned.Label)
-			if ex.Pruned != st.Pruned || filter.Attrs["pruned_label"] != int64(st.Pruned.Label) || !strings.Contains(ex.String(), funnel) {
-				t.Fatalf("dblp S=%d query %d: funnel %+v, EXPLAIN %+v, span pruned_label %v, rendering lacks %q:\n%s",
-					shards, qi, st.Pruned, ex.Pruned, filter.Attrs["pruned_label"], funnel, ex)
-			}
-			checkSequenceReported(t, fmt.Sprintf("dblp S=%d knn query %d", shards, qi), st, ex, filter)
-			bySeq["knn"] += st.Pruned.Sequence
-
-			// The range query at the k-th distance less one: the tier
-			// prunes near misses there too, on every shard.
-			root = obs.New("query")
-			_, rs, err := ix.Range(obs.NewContext(context.Background(), root), q, max(worst-1, 0), WithExplain(&ex))
-			if err != nil {
-				t.Fatal(err)
-			}
-			root.End()
-			_, _, wantRange := bruteRange(visible, q, max(worst-1, 0), tier)
-			if rs.Pruned != wantRange {
-				t.Fatalf("dblp S=%d range query %d: funnel %+v, reference %+v", shards, qi, rs.Pruned, wantRange)
-			}
-			filter, _ = childByName(root.Snapshot(), "filter")
-			checkSequenceReported(t, fmt.Sprintf("dblp S=%d range query %d", shards, qi), rs, ex, filter)
-			bySeq["range"] += rs.Pruned.Sequence
+	ix := NewIndex(records, NewBiBranch())
+	for qi := 0; qi < 4; qi++ {
+		q := g.Variant(records[qi*97])
+		root := obs.New("query")
+		var ex *Explain
+		got, st, err := ix.KNN(obs.NewContext(context.Background(), root), q, 10, WithExplain(&ex))
+		if err != nil {
+			t.Fatal(err)
 		}
+		root.End()
+		swept, tier := sweptLabels(ix, q), exactTier(ix, q)
+		want, _, _, wantPruned := bruteKNN(visible, q, 10, tier)
+		if !reflect.DeepEqual(dists(got), dists(want)) || st.Pruned != wantPruned {
+			t.Fatalf("dblp query %d: %v with funnel %+v, reference %v with %+v", qi, dists(got), st.Pruned, dists(want), wantPruned)
+		}
+		worst := want[len(want)-1].Dist
+		qp := s.Profile(q)
+		for id, tr := range records {
+			tp := s.Profile(tr)
+			key := max(qp.Size-tp.Size, tp.Size-qp.Size, branch.BDistLowerBound(qp, tp), swept[id])
+			if key <= worst && tier[id] > worst {
+				atTighten++
+			}
+		}
+		filter, _ := childByName(root.Snapshot(), "filter")
+		funnel := fmt.Sprintf(" -label-> %d ", st.Dataset-st.Pruned.Size-st.Pruned.BDist-st.Pruned.Label)
+		if ex.Pruned != st.Pruned || filter.Attrs["pruned_label"] != int64(st.Pruned.Label) || !strings.Contains(ex.String(), funnel) {
+			t.Fatalf("dblp query %d: funnel %+v, EXPLAIN %+v, span pruned_label %v, rendering lacks %q:\n%s",
+				qi, st.Pruned, ex.Pruned, filter.Attrs["pruned_label"], funnel, ex)
+		}
+		checkSequenceReported(t, fmt.Sprintf("dblp knn query %d", qi), st, ex, filter)
+		bySeq["knn"] += st.Pruned.Sequence
+
+		// The range query at the k-th distance less one: the tier
+		// prunes near misses there too.
+		root = obs.New("query")
+		_, rs, err := ix.Range(obs.NewContext(context.Background(), root), q, max(worst-1, 0), WithExplain(&ex))
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		_, _, wantRange := bruteRange(visible, q, max(worst-1, 0), tier)
+		if rs.Pruned != wantRange {
+			t.Fatalf("dblp range query %d: funnel %+v, reference %+v", qi, rs.Pruned, wantRange)
+		}
+		filter, _ = childByName(root.Snapshot(), "filter")
+		checkSequenceReported(t, fmt.Sprintf("dblp range query %d", qi), rs, ex, filter)
+		bySeq["range"] += rs.Pruned.Sequence
 	}
 	if atTighten == 0 {
 		t.Fatal("no DBLP tree was pruned by the exact label tier at tighten time")
@@ -645,8 +632,8 @@ func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
 	}
 }
 
-// TestFunnelAfterThresholdFalls: under parallel refinement a tree can be
-// handed out while the threshold is high and the final k-th distance end
+// TestFunnelAfterThresholdFalls: a tree can be handed out while the
+// threshold is high and the final k-th distance end
 // up below its key. The scan here hands out every tree at an unbounded
 // threshold, and the funnel is then taken at distances below most keys:
 // each tree must be charged exactly once — to the tier whose key exceeds
@@ -655,12 +642,12 @@ func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
 // EXPLAIN's deciding bound of each tree must be that tier's bound, or its
 // tightened key when no tier prunes it, though the scan read every tree's
 // label and tightened keys. Every other handed tree has its sequence tier
-// read the way a refine worker reads it, capped one above a threshold of
+// read the way the refine stage reads it, capped one above a threshold of
 // 4, the highest distance the funnel is taken at; the funnel reads the
 // others' itself.
 func TestFunnelAfterThresholdFalls(t *testing.T) {
 	ts := testDataset(60, 95)
-	ix := NewIndex(ts, NewBiBranch(), WithShards(1), WithRefineWorkers(1))
+	ix := NewIndex(ts, NewBiBranch())
 	s := branch.NewSpace(2)
 	// One more leaf on ts[2]: at 4 the exact label tier stands down a tree
 	// whose positional bound is higher still.
@@ -669,21 +656,18 @@ func TestFunnelAfterThresholdFalls(t *testing.T) {
 	for _, q := range []*tree.Tree{ts[4], ts[33], unknownLabels, leaf} {
 		cut := ix.cut()
 		acc := getAcc(2 * cut.n)
-		sc, err := ix.filterPass(context.Background(), cut, q, *acc, nil)
+		sc, err := ix.filterPass(context.Background(), cut, q, *acc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var thresh, worker atomic.Int64
-		thresh.Store(math.MaxInt64)
-		worker.Store(4)
 		handed := 0
 		for {
-			pos, _, at, ok := sc.next(context.Background(), &thresh)
+			pos, _, ok := sc.next(context.Background(), math.MaxInt)
 			if !ok {
 				break
 			}
 			if handed%2 == 1 {
-				sc.sequence(at, pos, &worker, &sc.seqs[0])
+				sc.sequence(pos, 4)
 			}
 			handed++
 		}

@@ -8,6 +8,9 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"treesim/internal/branch"
 	"treesim/internal/segstore"
@@ -124,13 +127,12 @@ func encodePayload(trees []*tree.Tree) []byte {
 // LoadIndex deserializes an index saved by SaveIndex, indexing every
 // segment's trees under the stored filter configuration the way NewIndex
 // and compaction do. Options configure the loaded index the same way they
-// configure NewIndex: cost model, shard count, worker pool, memtable
-// sizing. A filter option replaces the snapshot's filter: every segment is
-// indexed under it instead. A nil one is no option, and the snapshot's
-// filter stays. Under a cost model that does not report a per-operation
-// minimum of at least 1 the index scans sequentially (see WithCostModel).
-// With no options the index uses unit edit costs and the default execution
-// shape.
+// configure NewIndex: cost model, memtable sizing, compaction threshold. A
+// filter option replaces the snapshot's filter: every segment is indexed
+// under it instead. A nil one is no option, and the snapshot's filter
+// stays. Under a cost model that does not report a per-operation minimum of
+// at least 1 the index scans sequentially (see WithCostModel). With no
+// options the index uses unit edit costs and the default execution shape.
 //
 // Errors satisfy errors.Is against ErrSnapshotTruncated (file ends early)
 // or ErrSnapshotCorrupt (wrong magic / checksum mismatch / structural
@@ -351,4 +353,25 @@ func decodePayload(br *bufio.Reader, n int) ([]*tree.Tree, error) {
 		}
 	}
 	return trees, nil
+}
+
+// forEach runs fn(i) for every i in [0, n) on up to GOMAXPROCS goroutines,
+// the caller's among them, handing the indices out in ascending order.
+func forEach(n int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"io"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,7 +143,7 @@ func (c *cancelAt) Err() error {
 // the check after it, and be canceled in the refine stage.
 func TestQueryContextCanceledMidSegment(t *testing.T) {
 	ts := testDataset(3*ctxCheckEvery+5, 66)
-	ix := NewIndex(ts, NewBiBranch(), WithShards(1), WithRefineWorkers(1))
+	ix := NewIndex(ts, NewBiBranch())
 	if segs := ix.cut().segs; len(segs) != 1 || segs[0].Len() != len(ts) {
 		t.Fatalf("want one sealed segment of %d trees, have %d segments", len(ts), len(segs))
 	}
@@ -191,5 +192,51 @@ func TestQueryContextComplete(t *testing.T) {
 	b, _, _ := ix.KNN(context.Background(), q, 4)
 	if !sameDistances(a, b) {
 		t.Fatalf("KNN under a live context %v != KNN %v", dists(a), dists(b))
+	}
+}
+
+// TestConcurrentQueriesHammer drives many concurrent k-NN and range
+// queries through one index, each on its own goroutine, so the pooled scan
+// and accumulator memory and the shared bounders race against each other;
+// run under -race this is the engine's data-race certificate. Results are
+// checked against a fresh index that no other query touches.
+func TestConcurrentQueriesHammer(t *testing.T) {
+	ts := testDataset(60, 34)
+	ix := NewIndex(ts, NewBiBranch())
+	fresh := NewIndex(ts, NewBiBranch())
+	queries := []*tree.Tree{ts[1], ts[30], ts[59], testDataset(1, 5)[0]}
+
+	wantK := make([][]Result, len(queries))
+	wantR := make([][]Result, len(queries))
+	for i, q := range queries {
+		wantK[i], _, _ = fresh.KNN(context.Background(), q, 5)
+		wantR[i], _, _ = fresh.Range(context.Background(), q, 3)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for it := 0; it < 10; it++ {
+				i := (w + it) % len(queries)
+				got, _, err := ix.KNN(context.Background(), queries[i], 5)
+				if err != nil || !reflect.DeepEqual(got, wantK[i]) {
+					errs <- "knn diverged under concurrency"
+					return
+				}
+				gotR, _, err := ix.Range(context.Background(), queries[i], 3)
+				if err != nil || !reflect.DeepEqual(gotR, wantR[i]) {
+					errs <- "range diverged under concurrency"
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

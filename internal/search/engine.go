@@ -3,12 +3,10 @@ package search
 import (
 	"container/heap"
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"treesim/internal/editdist"
@@ -16,18 +14,17 @@ import (
 	"treesim/internal/tree"
 )
 
-// The sharded parallel execution engine over the segmented store. A query
-// starts by taking a consistent cut of the store — the sealed segments
-// plus a frozen memtable snapshot — and flattens them into one global
-// position domain [0, n); positions ascend with dataset ids. The filter
-// stage partitions that domain into S contiguous shards (S = WithShards,
-// default GOMAXPROCS, clamped to the domain size) bounded concurrently on
-// the index's shared worker pool, each position by its own segment's
-// filter; the refine stage fans exact-distance verifications over the same
-// pool, with a k-NN query propagating its current k-th-best distance across
-// workers through an atomic so late verifications prune harder. Tombstoned
-// positions are found once per run of positions, off the sorted tombstone
-// ids, and get no bound.
+// The query engine over the segmented store: Algorithm 2, one sequential
+// filter-and-refine pass on the caller's goroutine. A query starts by
+// taking a consistent cut of the store — the sealed segments plus a frozen
+// memtable snapshot — and flattens them into one global position domain
+// [0, n); positions ascend with dataset ids. The filter stage bounds that
+// domain in one pass, each position by its own segment's filter; the
+// refine stage verifies the trees it hands out one after another, and a
+// k-NN query's k-th-best distance, which only falls, prunes every later
+// verification. Tombstoned positions are found once per run of positions,
+// off the sorted tombstone ids, and get no bound. Concurrent queries on one
+// Index each run on their own goroutine and share nothing they write.
 //
 // The filter is a bound cascade, cheapest tier first (see biBranchBounder): the
 // size bound ||q|−|t||, then ⌈BDist/Factor⌉, then the label-histogram
@@ -38,10 +35,10 @@ import (
 // branch, so the profile's occurrences and the space's root labels give
 // the postorder and preorder label sequences without walking the tree)
 // and capped one above the threshold. BDist and the label overlaps come
-// from the paper's inverted file (Algorithm 1): before the shards start,
+// from the paper's inverted file (Algorithm 1): before the filter pass,
 // each sealed segment sweeps the postings of the query's branches and of
 // its labels once into its range of a pooled per-query accumulator, which
-// every later reader of the tiers — the shards, the lazy tiers, the
+// every later reader of the tiers — the filter pass, the lazy tiers, the
 // tightness sample — looks up by position. The filter pass runs the three
 // cheap tiers (cheapPass): over a sealed segment, a kernel reads the
 // segment's size column and the two swept columns and writes every tree's
@@ -75,7 +72,7 @@ import (
 // give; the results are the same. Stats.Pruned reports how many trees each
 // tier eliminated; both label tiers count as the label tier.
 //
-// Results are shard- and segment-layout invariant by construction:
+// Results are segment-layout invariant by construction:
 //
 //   - every visible tree is bounded exactly once per tier it reaches, into
 //     its own slot, and every per-segment bound is a sound lower bound of
@@ -83,16 +80,16 @@ import (
 //     tightness, never in soundness);
 //   - candidates are verified in ascending (bound, id) order, and the
 //     top-k heap breaks distance ties by id, so a k-NN answer is the
-//     unique k-minimal (dist, id) set no matter which worker verified what
-//     or how the dataset is cut into segments;
+//     unique k-minimal (dist, id) set however the dataset is cut into
+//     segments;
 //   - a verification is skipped only when its bound, or its sequence tier,
-//     exceeds the atomic threshold, which never rises and ends at tau or
-//     the final k-th distance — by the lower-bound property such a tree
-//     cannot be in the answer.
+//     exceeds the threshold, which never rises and ends at tau or the
+//     final k-th distance — by the lower-bound property such a tree cannot
+//     be in the answer.
 //
 // The refine stage is threshold-bounded: the query is prepared once per
 // request (editdist.Prepare) and every verification is a Query.Within
-// against the live cutoff (τ, or the k-NN atomic threshold), so most of
+// against the live cutoff (τ, or the k-NN threshold), so most of
 // the false positives the filter leaves are disproven before the tree DP —
 // by the O(n) pre-checks, one allocation-free walk of the candidate, which
 // is not decomposed, or by the banded sequence bound on the decomposed
@@ -105,34 +102,11 @@ import (
 // answer — only the work: see the verifier type and the bounded-refine
 // invariance tests, which hold it to an unbounded sequential scan.
 //
-// Stats.Verified (and therefore FalsePositives and Tightness) for k-NN can
-// vary with worker timing — opportunistic pruning means a fast machine may
-// verify a few candidates a slow one skips — but results, Candidates, the
-// funnel, Results and EXPLAIN's bounds are deterministic. A range query's
-// threshold never moves, so it verifies the same trees at the same cutoff
-// whatever the timing, and all its counters are deterministic too.
+// One goroutine runs the whole query, so the order of its verifications,
+// and with it every counter it reports, is a function of the query and the
+// cut alone: the same inputs give the same Stats but for the two times.
 
-// shardCount resolves the shard count for a domain of n items.
-func (ix *Index) shardCount(n int) int {
-	s := ix.shards
-	if s <= 0 {
-		s = ix.pool.size
-	}
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-// shardRange returns the half-open range of shard s out of S over n items.
-func shardRange(n, S, s int) (lo, hi int) {
-	return s * n / S, (s + 1) * n / S
-}
-
-// query runs one query (Algorithm 2, sharded across segments): the k
+// query runs one query (Algorithm 2, across segments): the k
 // nearest trees to q when k is positive, else every tree within tau of it,
 // none when tau is negative.
 func (ix *Index) query(ctx context.Context, q *tree.Tree, k, tau int, ex *Explain) ([]Result, Stats, error) {
@@ -158,7 +132,7 @@ func (ix *Index) query(ctx context.Context, q *tree.Tree, k, tau int, ex *Explai
 
 	start := time.Now()
 	fspan := span.StartChild("filter")
-	sc, err := ix.filterPass(ctx, cut, q, *acc, fspan)
+	sc, err := ix.filterPass(ctx, cut, q, *acc)
 	stats.FilterTime = time.Since(start)
 	if err != nil {
 		fspan.SetBool("canceled", true)
@@ -171,20 +145,17 @@ func (ix *Index) query(ctx context.Context, q *tree.Tree, k, tau int, ex *Explai
 	fspan.End()
 
 	// Nothing prunes a k-NN query until the heap holds k.
-	thresh := int64(math.MaxInt64)
+	thresh := math.MaxInt
 	if fixed {
-		sc.fixed, thresh = true, int64(tau)
+		sc.fixed, thresh = true, tau
 	}
 	start = time.Now()
 	rspan := span.StartChild("refine")
 	out, err := ix.refine(ctx, cut, q, k, thresh, sc, &stats, ex, rspan)
 	// The last tiers are read lazily, between verifications; their time
-	// is the filter's, not the refine stage's. Workers read the sequence
-	// tier in parallel, so their lazy time summed can pass the stage's.
-	elapsed := time.Since(start)
-	lazy := min(sc.lazyTime, elapsed)
-	stats.FilterTime += lazy
-	stats.RefineTime = elapsed - lazy
+	// is the filter's, not the refine stage's.
+	stats.FilterTime += sc.lazyTime
+	stats.RefineTime = time.Since(start) - sc.lazyTime
 	rspan.SetInt("pruned", int64(cut.live-stats.Verified))
 	if err != nil {
 		rspan.SetInt("verified", int64(stats.Verified))
@@ -215,48 +186,46 @@ func (ix *Index) query(ctx context.Context, q *tree.Tree, k, tau int, ex *Explai
 }
 
 // scan is the cascade state of one query of either kind. The filter stage
-// keeps, of every visible tree's three cheap bounds, only the largest —
-// the tree's level — and three histograms: how many visible trees there
-// are at each value of the size tier, of the larger of it and the BDist
-// tier, and of the level. The refine stage consumes positions in ascending
-// (bound, id) order, reading each tier only for the trees whose key under
-// the tiers before it surfaces within the threshold: tau, or the live
-// k-th-best distance. A level is read when it is the lowest one unread and
-// no key in the heap lies below it: each of its trees, in position order,
-// gets the exact label tier and, where that does not exceed the threshold,
-// goes into a heap keyed by it. When such a key surfaces within the
-// threshold, the tree gets the filter's full bound and goes back in, keyed
-// by the larger of the two: its tightened key. When that surfaces within
-// the threshold, the tree is handed out, and the worker it goes to reads
-// its sequence tier, outside the lock, and verifies it only if that stays
-// within the threshold too. No key is below the one it replaces, and at an
-// equal key a level sorts ahead of a label key and that ahead of a
-// tightened one, so a position is handed out only after every position
-// with a smaller (tightened key, id) has been: verifications happen in the
-// order a sort by tightened key would give, while a tree costs nothing
-// past the tier whose key stopped it — above the last level read, no key
-// and no heap slot. A level is gathered only when it is to be read, so the
-// scan never pays for the level above the last one it reads. The funnel
-// and EXPLAIN read the histograms and the records of each lazy tier.
+// keeps, of every visible tree's three cheap bounds, only the largest — the
+// tree's level — and three histograms: how many visible trees there are at
+// each value of the size tier, of the larger of it and the BDist tier, and
+// of the level. The refine stage consumes positions in ascending (bound,
+// id) order, reading each tier only for the trees whose key under the tiers
+// before it surfaces within the threshold: tau, or the live k-th-best
+// distance. A level is read when it is the lowest one unread and no key in
+// the heap lies below it: each of its trees, in position order, gets the
+// exact label tier and, where that does not exceed the threshold, goes into
+// a heap keyed by it. When such a key surfaces within the threshold, the
+// tree gets the filter's full bound and goes back in, keyed by the larger
+// of the two: its tightened key. When that surfaces within the threshold,
+// the tree is handed out, its sequence tier is read, and it is verified
+// only if that stays within the threshold too. No key is below the one it
+// replaces, and at an equal key a level sorts ahead of a label key and that
+// ahead of a tightened one, so a position is handed out only after every
+// position with a smaller (tightened key, id) has been: verifications
+// happen in the order a sort by tightened key would give, while a tree
+// costs nothing past the tier whose key stopped it — above the last level
+// read, no key and no heap slot. A level is gathered only when it is to be
+// read, so the scan never pays for the level above the last one it reads.
+// The funnel and EXPLAIN read the histograms and the records of each lazy
+// tier.
 type scan struct {
 	cut   *qcut
 	prims segBounders
 	*scanBufs
-	hist tierCounts // the shards' counts, summed
 	// fixed marks a range query, whose threshold stays at tau: its answer
 	// is every distance within it, and EXPLAIN's exact full bound the range
 	// bound at tau.
 	fixed bool
 
-	mu sync.Mutex
 	// pending holds the positions of the levels gathered but not yet
 	// tightened, in (level, position) order; read is the lowest level not
 	// yet gathered.
 	pending []int32
 	read    int
-	// lazyTime is the time the refine workers spent on the lazy tiers,
-	// summed: gathering and tightening levels, the heap and the sequence
-	// tier — the filter's work, done between verifications.
+	// lazyTime is the time the refine stage spent on the lazy tiers:
+	// gathering and tightening levels, the heap and the sequence tier —
+	// the filter's work, done between verifications.
 	lazyTime time.Duration
 	canceled bool // the context ended while a level was being tightened
 }
@@ -275,8 +244,8 @@ type bounded struct {
 
 // handed is a tree whose tightened key surfaced within the threshold: its
 // position, that key and its sequence tier, capped one above the threshold
-// its worker read, or −1 when that was unbounded — the first k trees,
-// whose verification searches for its own cutoff.
+// it was read at, or −1 when that was unbounded — the first k trees, whose
+// verification searches for its own cutoff.
 type handed struct {
 	pos, key, seq int32
 }
@@ -290,7 +259,7 @@ const tightened = 1 << 32
 type scanBufs struct {
 	// cheap[pos] is position pos's level, −1 for a tombstoned position.
 	cheap []int32
-	hists []tierCounts // one per shard
+	hist  tierCounts // the visible trees' counts
 	// found, offs and sorted are gather's: the positions a pass found, the
 	// counting sort's offsets and its output.
 	found, offs, sorted []int32
@@ -298,21 +267,20 @@ type scanBufs struct {
 	// bound<<33 | tightened<<32 | position: a label key has the tightened
 	// bit clear, a tightened key set. labels records every tree whose level
 	// was read, full every tree whose full bound was computed and handed
-	// every tree handed out, with its sequence tier once its worker read it.
+	// every tree handed out, with its sequence tier once it was read.
 	heap   []uint64
 	labels []labelled
 	full   []bounded
 	handed []handed
-	// seqs holds the sequence tier's working memory, one per refine worker.
-	seqs []seqBuf
+	// seq is the sequence tier's working memory.
+	seq seqBuf
 }
 
 var scanPool sync.Pool
 
-// getScanBufs returns the memory of a scan over n positions in the given
-// number of shards, for the given number of refine workers; like a new
+// getScanBufs returns the memory of a scan over n positions; like a new
 // accumulator, a new one has room for a few more positions.
-func getScanBufs(n, shards, workers int) *scanBufs {
+func getScanBufs(n int) *scanBufs {
 	b, ok := scanPool.Get().(*scanBufs)
 	if !ok {
 		b = new(scanBufs)
@@ -320,13 +288,8 @@ func getScanBufs(n, shards, workers int) *scanBufs {
 	if cap(b.cheap) < n {
 		b.cheap = make([]int32, n, n+n/8)
 	}
-	b.cheap = b.cheap[:n]
-	b.hists = slices.Grow(b.hists[:0], shards)[:shards]
-	for s := range b.hists {
-		b.hists[s] = b.hists[s][:0]
-	}
+	b.cheap, b.hist = b.cheap[:n], b.hist[:0]
 	b.heap, b.labels, b.full, b.handed = b.heap[:0], b.labels[:0], b.full[:0], b.handed[:0]
-	b.seqs = slices.Grow(b.seqs[:0], workers)[:workers]
 	return b
 }
 
@@ -374,66 +337,25 @@ func (h tierCounts) above(tier, v int) (n int) {
 	return n
 }
 
-// merge adds another shard's counts.
-func (h tierCounts) merge(o tierCounts) tierCounts {
-	if len(o) > len(h) {
-		h = append(h, make([]int32, len(o)-len(h))...)
-	}
-	for i, c := range o {
-		h[i] += c
-	}
-	return h
-}
-
-// filterPass computes every visible tree's cheap bounds — sharded when the
-// index is configured for it — into its level and the histograms.
-func (ix *Index) filterPass(ctx context.Context, cut *qcut, q *tree.Tree, acc []int32, fspan *obs.Span) (*scan, error) {
-	n := cut.n
-	S := ix.shardCount(n)
-	bufs := getScanBufs(n, S, ix.pool.size)
+// filterPass computes every visible tree's cheap bounds into its level
+// and the histograms, checking the context every ctxCheckEvery positions.
+func (ix *Index) filterPass(ctx context.Context, cut *qcut, q *tree.Tree, acc []int32) (*scan, error) {
+	bufs := getScanBufs(cut.n)
 	sc := &scan{cut: cut, prims: newSegBounders(cut, q, acc), scanBufs: bufs}
-
-	// Each shard bounds a contiguous position block into disjoint slots
-	// and its own histograms. The cheap tiers only read, so every shard
-	// uses the one bounder set.
-	var canceled atomic.Bool
-	ix.pool.run(S, func(s int) {
-		if canceled.Load() {
-			return
+	p := cheapPass{cut: cut, prims: sc.prims, h: bufs.hist}
+	for at := 0; at < cut.n; at += ctxCheckEvery {
+		if ctx.Err() != nil {
+			scanPool.Put(bufs)
+			return nil, ctx.Err()
 		}
-		var sspan *obs.Span
-		if S > 1 {
-			sspan = fspan.StartChild(fmt.Sprintf("shard[%d]", s))
-			defer sspan.End()
-		}
-		lo, hi := shardRange(n, S, s)
-		p := cheapPass{cut: cut, prims: sc.prims, si: cut.segOf(lo), h: bufs.hists[s]}
-		for at := lo; at < hi; at += ctxCheckEvery {
-			if canceled.Load() || ctx.Err() != nil {
-				canceled.Store(true)
-				sspan.SetBool("canceled", true)
-				return
-			}
-			end := min(at+ctxCheckEvery, hi)
-			p.run(at, end, sc.cheap[at:end])
-		}
-		bufs.hists[s] = p.h
-		sspan.SetInt("bounds", int64(p.h.above(byLevel, -1)))
-	})
-	if canceled.Load() || ctx.Err() != nil {
-		scanPool.Put(bufs)
-		return nil, ctx.Err()
+		end := min(at+ctxCheckEvery, cut.n)
+		p.run(at, end, sc.cheap[at:end])
 	}
-
-	// Sum the shards' histograms into the first shard's.
-	for _, o := range bufs.hists[1:] {
-		bufs.hists[0] = bufs.hists[0].merge(o)
-	}
-	sc.hist = bufs.hists[0]
+	bufs.hist = p.h
 	return sc, nil
 }
 
-// cheapPass is one shard's walk of the cheap tiers, the filter pass: it
+// cheapPass is the filter pass's walk of the cheap tiers: it
 // bounds runs of positions segment by segment, over a segment's columns
 // where it has them (biBranchBounder.levels) and tree by tree, by
 // CheapBounds, where it has none — the memtable, the sequential scan — and
@@ -517,32 +439,28 @@ func (sc *scan) push(k uint64) {
 }
 
 // next hands out the position to verify next, in ascending (tightened key,
-// id) order, reading levels and the full bound at the live threshold as
-// their keys surface, and the index of its record in handed, whose
-// sequence tier the caller reads (see sequence). It reports false once the
-// smallest remaining key — the lowest unread level or the heap's top —
-// exceeds thresh — keys only grow and the threshold only falls, so nothing
-// left can enter the answer — no tree is left, or the context ended
-// mid-level (canceled is then set). Safe for concurrent use; the lazy
-// tiers are serialized under the scan's lock.
-func (sc *scan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound, at int, ok bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
+// id) order, reading levels and the full bound at the threshold t as their
+// keys surface, and records it last in handed, whose sequence tier the
+// caller reads (see sequence). It reports false once the smallest
+// remaining key — the lowest unread level or the heap's top — exceeds t —
+// keys only grow and the threshold only falls, so nothing left can enter
+// the answer — no tree is left, or the context ended mid-level (canceled
+// is then set).
+func (sc *scan) next(ctx context.Context, t int) (pos, bound int, ok bool) {
 	for !sc.canceled {
-		t := thresh.Load()
-		if level := sc.lowest(); level >= 0 && int64(level) <= t && (len(sc.heap) == 0 || uint64(level) <= sc.heap[0]>>33) {
+		if level := sc.lowest(); level >= 0 && level <= t && (len(sc.heap) == 0 || uint64(level) <= sc.heap[0]>>33) {
 			sc.tighten(ctx, level, t)
 			continue
 		}
-		if len(sc.heap) == 0 || int64(sc.heap[0]>>33) > t {
-			return 0, 0, 0, false
+		if len(sc.heap) == 0 || int(sc.heap[0]>>33) > t {
+			return 0, 0, false
 		}
 		top := sc.heap[0]
 		pos, bound = int(uint32(top)), int(top>>33)
 		if top&tightened == 0 {
 			si, local, _ := sc.cut.locate(pos)
 			// A k-NN threshold is unbounded until the heap holds k.
-			key := sc.prims[si].Full(local, bound, int(min(t, math.MaxInt32)))
+			key := sc.prims[si].Full(local, bound, min(t, math.MaxInt32))
 			sc.full = append(sc.full, bounded{pos: int32(pos), label: int32(bound), key: int32(key)})
 			sc.heap[0] = uint64(key)<<33 | tightened | uint64(pos)
 			siftDown(sc.heap, 0)
@@ -553,31 +471,27 @@ func (sc *scan) next(ctx context.Context, thresh *atomic.Int64) (pos, bound, at 
 		sc.heap = sc.heap[:last]
 		siftDown(sc.heap, 0)
 		sc.handed = append(sc.handed, handed{pos: int32(pos), key: int32(bound), seq: -1})
-		return pos, bound, len(sc.handed) - 1, true
+		return pos, bound, true
 	}
-	return 0, 0, 0, false
+	return 0, 0, false
 }
 
-// sequence reads the sequence tier of the tree next handed out at
-// position pos as record at, capped one above the live threshold, into
-// buf, the caller's own: outside the scan's lock, so workers read it in
-// parallel. It reports whether the tier stays within that threshold, and
-// so whether the tree is still worth verifying. Before a k-NN answer holds
-// k trees nothing can be pruned and the tier is not read; the funnel reads
-// it for those trees itself. After, and at a fixed threshold throughout,
-// the cap is never below the final threshold, so the funnel can tell for
-// every handed tree whether the tier exceeds it.
-func (sc *scan) sequence(at, pos int, thresh *atomic.Int64, buf *seqBuf) bool {
-	t := thresh.Load()
-	if t == math.MaxInt64 {
+// sequence reads the sequence tier of the tree just handed out at
+// position pos, capped one above the threshold t, into its handed record.
+// It reports whether the tier stays within t, and so whether the tree is
+// still worth verifying. Before a k-NN answer holds k trees nothing can be
+// pruned and the tier is not read; the funnel reads it for those trees
+// itself. After, and at a fixed threshold throughout, the cap is never
+// below the final threshold, so the funnel can tell for every handed tree
+// whether the tier exceeds it.
+func (sc *scan) sequence(pos, t int) bool {
+	if t == math.MaxInt {
 		return true
 	}
 	si, local, _ := sc.cut.locate(pos)
-	seq := sc.prims[si].Sequence(local, int(t), buf)
-	sc.mu.Lock()
-	sc.handed[at].seq = int32(seq)
-	sc.mu.Unlock()
-	return int64(seq) <= t
+	seq := sc.prims[si].Sequence(local, t, &sc.seq)
+	sc.handed[len(sc.handed)-1].seq = int32(seq)
+	return seq <= t
 }
 
 // lowest returns the lowest level with trees not yet tightened, −1 when
@@ -605,10 +519,10 @@ func (sc *scan) lowest() int {
 // branch to mispredict — it writes every position and advances past those
 // in range — and, when it took several levels, a counting sort by level,
 // sized by the histogram, orders what it found.
-func (sc *scan) gather(thresh int64) {
+func (sc *scan) gather(thresh int) {
 	lo, top := sc.read, sc.hist.levels()
 	hi, total := lo+1, sc.hist.at(byLevel, lo)
-	for hi < top && int64(hi) <= thresh && total+sc.hist.at(byLevel, hi) <= gatherChunk {
+	for hi < top && hi <= thresh && total+sc.hist.at(byLevel, hi) <= gatherChunk {
 		total += sc.hist.at(byLevel, hi)
 		hi++
 	}
@@ -651,7 +565,7 @@ const gatherChunk = 1024
 // tighten gives every tree of the lowest unread level its label key,
 // gathering it first if it is not pending yet, and pushes those within
 // thresh onto the heap; the others can never be handed out.
-func (sc *scan) tighten(ctx context.Context, level int, thresh int64) {
+func (sc *scan) tighten(ctx context.Context, level, thresh int) {
 	if len(sc.pending) == 0 {
 		sc.gather(thresh)
 	}
@@ -664,7 +578,7 @@ func (sc *scan) tighten(ctx context.Context, level int, thresh int64) {
 		si, local, _ := sc.cut.locate(int(p))
 		label := max(sc.prims[si].ExactLabel(local), level)
 		sc.labels = append(sc.labels, labelled{pos: p, label: int32(label)})
-		if int64(label) <= thresh {
+		if label <= thresh {
 			sc.push(uint64(label)<<33 | uint64(p))
 		}
 	}
@@ -679,8 +593,8 @@ func (sc *scan) tighten(ctx context.Context, level int, thresh int64) {
 // the threshold of the moment, which is never below worst: a tree of a
 // level at most worst has its label key, one whose label key is at most
 // worst its tightened key, and one whose tightened key is at most worst
-// its sequence tier — read here, capped at worst, for a tree whose worker
-// read no threshold.
+// its sequence tier — read here, capped at worst, for a tree handed out
+// before there was a threshold.
 func (sc *scan) funnel(worst int) (candidates int, f Funnel) {
 	size, bdist := sc.hist.above(bySize, worst), sc.hist.above(byBDist, worst)
 	f.Size, f.BDist, f.Label = size, bdist-size, sc.hist.above(byLevel, worst)-bdist
@@ -701,7 +615,7 @@ func (sc *scan) funnel(worst int) (candidates int, f Funnel) {
 		seq := int(h.seq)
 		if seq < 0 {
 			si, local, _ := sc.cut.locate(int(h.pos))
-			seq = sc.prims[si].Sequence(local, worst, &sc.seqs[0])
+			seq = sc.prims[si].Sequence(local, worst, &sc.seq)
 		}
 		if seq > worst {
 			f.Sequence++
@@ -775,59 +689,51 @@ func deciding(b *biBranchBounder, i, worst int) int {
 	return label
 }
 
-// verifier is the refine stage's shared verification kernel: both query
-// kinds funnel their exact-distance computations through it, so the
+// verifier is the refine stage's verification kernel: both query kinds
+// funnel their exact-distance computations through it, so the
 // bounded-verification logic — live cutoff, pre-checks, early abandoning,
-// DP-cell accounting — lives in exactly one place. cutoff returns the
-// threshold a distance must not exceed to matter for the answer: τ for
+// DP-cell accounting — lives in exactly one place. Each verification gets
+// the threshold a distance must not exceed to matter for the answer: τ for
 // range queries, the current k-th-best for k-NN — none, until k distances
 // are known, in which case Query.Within searches for a cutoff itself and
-// its cells count every run it takes. It is read once per verification,
-// before the DP; for k-NN that read can be stale, but the threshold only
-// ever decreases, so a stale value is merely a looser (still correct)
-// cutoff.
+// its cells count every run it takes.
 type verifier struct {
-	cut    *qcut
-	q      *editdist.Query
-	cutoff func() int
+	cut *qcut
+	q   *editdist.Query
 
-	verified    atomic.Int64
-	aborted     atomic.Int64
-	prechecked  atomic.Int64
-	certified   atomic.Int64
-	dpCells     atomic.Int64
-	dpCellsFull atomic.Int64
+	verified, aborted, prechecked, certified int
+	dpCells, dpCellsFull                     int64
 }
 
 // newVerifier prepares the query once for every verification of the
-// request; the workers share it read-only.
-func (ix *Index) newVerifier(cut *qcut, q *tree.Tree, cutoff func() int) *verifier {
-	return &verifier{cut: cut, q: editdist.Prepare(q, editdist.WithCost(ix.cost)), cutoff: cutoff}
+// request.
+func (ix *Index) newVerifier(cut *qcut, q *tree.Tree) *verifier {
+	return &verifier{cut: cut, q: editdist.Prepare(q, editdist.WithCost(ix.cost))}
 }
 
 // verify computes the edit distance between the query and the tree at
-// global position pos. within reports whether d is the exact distance
-// (it was ≤ the cutoff at verification time); when false, d is only a
-// certified lower bound — the tree is provably too far to matter, which
-// is all the engine needs.
-func (v *verifier) verify(pos int) (si, local, gid, d int, within bool) {
+// global position pos under cutoff. within reports whether d is the exact
+// distance (it was ≤ cutoff); when false, d is only a certified lower
+// bound — the tree is provably too far to matter, which is all the engine
+// needs.
+func (v *verifier) verify(pos, cutoff int) (si, local, gid, d int, within bool) {
 	si, local, gid = v.cut.locate(pos)
 	t := v.cut.treeOf(si, local)
-	v.verified.Add(1)
+	v.verified++
 	var m editdist.Metrics
-	d, within = v.q.Within(t, v.cutoff(), &m)
+	d, within = v.q.Within(t, cutoff, &m)
 	if m.Certified {
-		v.certified.Add(1)
+		v.certified++
 	}
 	if !within {
 		if m.Precheck {
-			v.prechecked.Add(1)
+			v.prechecked++
 		} else {
-			v.aborted.Add(1)
+			v.aborted++
 		}
 	}
-	v.dpCells.Add(m.Cells)
-	v.dpCellsFull.Add(m.FullCells)
+	v.dpCells += m.Cells
+	v.dpCellsFull += m.FullCells
 	return si, local, gid, d, within
 }
 
@@ -837,12 +743,12 @@ func (v *verifier) verify(pos int) (si, local, gid, d int, within bool) {
 // pairs would have cost — the paper's accessed-fraction measure, made
 // cell-exact; certified counts the exact answers that paid none.
 func (v *verifier) finish(stats *Stats, rspan *obs.Span) {
-	stats.Verified = int(v.verified.Load())
-	stats.RefineAborted = int(v.aborted.Load())
-	stats.PrecheckRejects = int(v.prechecked.Load())
-	stats.Certified = int(v.certified.Load())
-	stats.DPCells = v.dpCells.Load()
-	stats.DPCellsFull = v.dpCellsFull.Load()
+	stats.Verified = v.verified
+	stats.RefineAborted = v.aborted
+	stats.PrecheckRejects = v.prechecked
+	stats.Certified = v.certified
+	stats.DPCells = v.dpCells
+	stats.DPCellsFull = v.dpCellsFull
 	rspan.SetInt("dp_cells", stats.DPCells)
 	rspan.SetInt("dp_cells_full", stats.DPCellsFull)
 	rspan.SetInt("aborted", int64(stats.RefineAborted))
@@ -850,84 +756,63 @@ func (v *verifier) finish(stats *Stats, rspan *obs.Span) {
 	rspan.SetInt("certified", int64(stats.Certified))
 }
 
-// clampCutoff converts the k-NN atomic threshold to an editdist cutoff.
-func clampCutoff(v int64) int {
-	if v > int64(math.MaxInt) {
-		return math.MaxInt
-	}
-	return int(v)
-}
-
-// refine verifies candidates in ascending-bound order on the worker pool,
-// from a threshold of t0: tau for a range query, which appends every
-// distance within it to the answer, or, for a k-NN query, none, which
-// maintains the k-minimal (dist, id) heap under a mutex and the current
-// k-th distance in an atomic that only ever decreases. Workers draw
-// positions from the scan until it reports that the smallest remaining
-// bound is above the threshold: everything not yet handed out bounds at
-// least as high and cannot enter the answer.
+// refine verifies candidates in ascending-bound order from a threshold of
+// thresh: tau for a range query, which appends every distance within it to
+// the answer, or, for a k-NN query, none, which maintains the k-minimal
+// (dist, id) heap and lowers the threshold to its k-th distance. It draws
+// positions from the scan until the scan reports that the smallest
+// remaining bound is above the threshold: everything not yet handed out
+// bounds at least as high and cannot enter the answer.
 //
 // The same threshold is the bounded verifier's cutoff: a candidate enters
 // the heap only with d < top.Dist, or d == top.Dist on an id tie-break, so
 // a distance proven > thresh can never change the answer. While the heap
-// is short the threshold is MaxInt64, so every verification is exact, and
+// is short the threshold is MaxInt, so every verification is exact, and
 // Query.Within finds each such distance by its doubling search over
 // banded runs rather than the band-off program.
-func (ix *Index) refine(ctx context.Context, cut *qcut, q *tree.Tree, k int, t0 int64, sc *scan, stats *Stats, ex *Explain, rspan *obs.Span) ([]Result, error) {
-	var (
-		mu       sync.Mutex
-		h        = &maxHeap{}
-		canceled atomic.Bool
-		thresh   atomic.Int64
-		lazy     atomic.Int64 // nanoseconds in the lazy tiers
-	)
-	thresh.Store(t0)
-	ver := ix.newVerifier(cut, q, func() int { return clampCutoff(thresh.Load()) })
-
-	ix.pool.run(ix.pool.size, func(w int) {
-		for !canceled.Load() {
-			t0 := time.Now()
-			pos, bound, at, ok := sc.next(ctx, &thresh)
-			pass := ok && sc.sequence(at, pos, &thresh, &sc.seqs[w])
-			lazy.Add(int64(time.Since(t0)))
-			if !ok {
-				return
-			}
-			// A verification can cost milliseconds, so check the context
-			// before every one.
-			if ctx.Err() != nil {
-				canceled.Store(true)
-				return
-			}
-			if !pass {
-				continue
-			}
-			si, local, gid, d, within := ver.verify(pos)
-			if !within {
-				continue
-			}
-			mu.Lock()
-			sampleTightness(sc.prims[si], stats, ex, local, gid, bound, d)
-			switch {
-			case sc.fixed:
-				// The answer, in no order until the sort below.
-				h.items = append(h.items, Result{ID: gid, Dist: d})
-			case h.Len() < k:
-				heap.Push(h, Result{ID: gid, Dist: d})
-				if h.Len() == k {
-					thresh.Store(int64(h.top().Dist))
-				}
-			case d < h.top().Dist || (d == h.top().Dist && gid < h.top().ID):
-				h.items[0] = Result{ID: gid, Dist: d}
-				heap.Fix(h, 0)
-				thresh.Store(int64(h.top().Dist))
-			}
-			mu.Unlock()
+func (ix *Index) refine(ctx context.Context, cut *qcut, q *tree.Tree, k, thresh int, sc *scan, stats *Stats, ex *Explain, rspan *obs.Span) ([]Result, error) {
+	h := &maxHeap{}
+	ver := ix.newVerifier(cut, q)
+	canceled := false
+	for {
+		t0 := time.Now()
+		pos, bound, ok := sc.next(ctx, thresh)
+		pass := ok && sc.sequence(pos, thresh)
+		sc.lazyTime += time.Since(t0)
+		if !ok {
+			break
 		}
-	})
+		// A verification can cost milliseconds, so check the context
+		// before every one.
+		if ctx.Err() != nil {
+			canceled = true
+			break
+		}
+		if !pass {
+			continue
+		}
+		si, local, gid, d, within := ver.verify(pos, thresh)
+		if !within {
+			continue
+		}
+		sampleTightness(sc.prims[si], stats, ex, local, gid, bound, d)
+		switch {
+		case sc.fixed:
+			// The answer, in no order until the sort below.
+			h.items = append(h.items, Result{ID: gid, Dist: d})
+		case h.Len() < k:
+			heap.Push(h, Result{ID: gid, Dist: d})
+			if h.Len() == k {
+				thresh = h.top().Dist
+			}
+		case d < h.top().Dist || (d == h.top().Dist && gid < h.top().ID):
+			h.items[0] = Result{ID: gid, Dist: d}
+			heap.Fix(h, 0)
+			thresh = h.top().Dist
+		}
+	}
 	ver.finish(stats, rspan)
-	sc.lazyTime = time.Duration(lazy.Load())
-	if canceled.Load() || sc.canceled {
+	if canceled || sc.canceled {
 		return nil, ctx.Err()
 	}
 

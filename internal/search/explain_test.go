@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
@@ -214,32 +215,40 @@ func TestStatsQualityCounters(t *testing.T) {
 	}
 }
 
-// TestExplainBoundsRepeatable: a k-NN query's EXPLAIN bounds classify every
-// tree against the final k-th distance, which no worker timing changes, so
-// one query list run again and again at 3 shards and 3 refine workers
-// reports equal Bounds.
+// TestExplainBoundsRepeatable: a k-NN query runs on one goroutine, so one
+// query list run again and again reports equal EXPLAIN bounds and equal
+// Stats but for the two times — Verified, the bounded-verification
+// counters, DP cells, candidates and the funnel included — at GOMAXPROCS 3,
+// where a query that fanned its work out would vary with the timing.
 func TestExplainBoundsRepeatable(t *testing.T) {
-	// The workers must run in parallel for their timing to vary.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1, SizeMean: 16, SizeStd: 5, Labels: 8, Decay: 0.1}
 	g := datagen.New(spec, 7)
 	ts := g.Dataset(400, 40)
-	ix := NewIndex(ts, NewBiBranch(), WithShards(3), WithRefineWorkers(3))
+	ix := NewIndex(ts, NewBiBranch())
 	queries := make([]*tree.Tree, 60)
 	for i := range queries {
 		queries[i] = g.RandomEdits(ts[i*5], i%4)
 	}
-	var first []BoundDist
+	type counted struct {
+		bounds BoundDist
+		stats  Stats
+	}
+	var first []counted
 	for run := 0; run < 6; run++ {
 		for qi, q := range queries {
 			var ex *Explain
-			if _, _, err := ix.KNN(context.Background(), q, 5, WithExplain(&ex)); err != nil {
+			_, st, err := ix.KNN(context.Background(), q, 5, WithExplain(&ex))
+			if err != nil {
 				t.Fatal(err)
 			}
+			st.FilterTime, st.RefineTime = 0, 0
+			got := counted{ex.Bounds, st}
 			if run == 0 {
-				first = append(first, ex.Bounds)
-			} else if ex.Bounds != first[qi] {
-				t.Fatalf("run %d, query %d: bounds %+v, first run %+v", run, qi, ex.Bounds, first[qi])
+				first = append(first, got)
+			} else if !reflect.DeepEqual(got, first[qi]) {
+				t.Fatalf("run %d, query %d: bounds %+v, stats %+v; first run %+v, %+v",
+					run, qi, got.bounds, got.stats, first[qi].bounds, first[qi].stats)
 			}
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"treesim/internal/branch"
 	"treesim/internal/editdist"
@@ -208,8 +207,9 @@ func (f *BiBranch) level() int {
 // and the sequence tier for the trees the tiers before leave standing.
 // The full bound dominates the size and BDist tiers but not the label
 // tiers, so the engine keys a tree by the largest bound it computed. It is
-// read-only after Query but for the query's sequences, which a sync.Once
-// guards. The nil bounder, the sequential scan's, gives zero for every tier.
+// read-only after Query but for the query's sequences, loaded on first
+// use; one query's goroutine is its only reader. The nil bounder, the
+// sequential scan's, gives zero for every tier.
 type biBranchBounder struct {
 	f      *BiBranch
 	qp     *branch.Profile
@@ -237,7 +237,7 @@ type biBranchBounder struct {
 // tier. The root labels are taken then, after every tree the query sees
 // was profiled, so they cover each of those trees' dimensions.
 type querySeqs struct {
-	once      sync.Once
+	loaded    bool
 	space     *branch.Space
 	q         *tree.Tree
 	root      []branch.Label
@@ -245,10 +245,11 @@ type querySeqs struct {
 }
 
 func (s *querySeqs) load() *querySeqs {
-	s.once.Do(func() {
+	if !s.loaded {
 		s.root, _ = s.space.Roots()
 		s.post, s.pre = s.space.QuerySequences(s.q)
-	})
+		s.loaded = true
+	}
 	return s
 }
 

@@ -256,8 +256,8 @@ func FuzzSequenceTier(f *testing.F) {
 // query kinds to the cascade run tree by tree. The index has every kind of
 // segment — the base one, sealed memtables, a compacted one that lists its
 // ids, a live memtable — and deletes at the first and last id of sealed
-// segments, on adjacent ids and in the memtable. At 1 and 3 shards, every
-// visible position's level is the largest of its CheapBounds — which
+// segments, on adjacent ids and in the memtable. Every visible position's
+// level is the largest of its CheapBounds — which
 // merge-joins, so the sweep is checked against the join — and every
 // tombstoned one's −1; the counts are a per-tree recount's; and a range
 // scan at tau and a k-NN scan, at its final k-th distance, have the
@@ -318,134 +318,131 @@ func FuzzCheapLevels(f *testing.F) {
 		ctx := context.Background()
 		cut := ix.cut()
 		acc := make([]int32, 2*cut.n)
-		for _, shards := range []int{1, 3} {
-			ix.shards = shards
-			sc, err := ix.filterPass(ctx, cut, q, acc, nil)
+		sc, err := ix.filterPass(ctx, cut, q, acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hist tierCounts
+		for pos := 0; pos < cut.n; pos++ {
+			si, local, id := cut.locate(pos)
+			b := sc.prims[si]
+			if cut.tombs.Has(id) {
+				if sc.cheap[pos] != -1 {
+					t.Fatalf("tombstoned id %d (segment %d local %d) has level %d", id, si, local, sc.cheap[pos])
+				}
+				continue
+			}
+			size, bdist, label := b.CheapBounds(local)
+			if b.columns() {
+				if s, bd, l := b.swept(local); s != size || bd != bdist || l != label {
+					t.Fatalf("segment %d local %d: columns read %d %d %d, CheapBounds %d %d %d", si, local, s, bd, l, size, bdist, label)
+				}
+			}
+			level := max(size, bdist, label)
+			if int(sc.cheap[pos]) != level {
+				t.Fatalf("id %d (segment %d local %d): level %d, CheapBounds %d %d %d",
+					id, si, local, sc.cheap[pos], size, bdist, label)
+			}
+			hist = hist.add(size, max(size, bdist), level)
+		}
+		if !reflect.DeepEqual(sc.hist, hist) {
+			t.Fatalf("counts %v, recount %v", sc.hist, hist)
+		}
+		scanPool.Put(sc.scanBufs)
+
+		// k = 0 is the range scan at tau.
+		ks := []int{0}
+		if cut.live > 0 {
+			ks = append(ks, min(1+tau, cut.live))
+		}
+		for _, k := range ks {
+			sc, err := ix.filterPass(ctx, cut, q, acc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var hist tierCounts
+			t0 := math.MaxInt
+			if k == 0 {
+				sc.fixed, t0 = true, tau
+			}
+			var st Stats
+			out, err := ix.refine(ctx, cut, q, k, t0, sc, &st, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst := tau
+			if k > 0 {
+				worst = out[len(out)-1].Dist
+			}
+
+			// The cascade, tree by tree.
+			var (
+				funnel                    Funnel
+				cands, candBounds, bounds []int
+				seq                       seqBuf
+			)
 			for pos := 0; pos < cut.n; pos++ {
 				si, local, id := cut.locate(pos)
-				b := sc.prims[si]
 				if cut.tombs.Has(id) {
-					if sc.cheap[pos] != -1 {
-						t.Fatalf("%d shards: tombstoned id %d (segment %d local %d) has level %d", shards, id, si, local, sc.cheap[pos])
-					}
 					continue
 				}
+				b := sc.prims[si]
 				size, bdist, label := b.CheapBounds(local)
-				if b.columns() {
-					if s, bd, l := b.swept(local); s != size || bd != bdist || l != label {
-						t.Fatalf("segment %d local %d: columns read %d %d %d, CheapBounds %d %d %d", si, local, s, bd, l, size, bdist, label)
+				full := b.KNNBound(local)
+				if k == 0 {
+					full = b.RangeBound(local, tau)
+				}
+				switch exact := b.ExactLabel(local); {
+				case size > worst:
+					funnel.Size++
+					bounds = append(bounds, size)
+				case bdist > worst:
+					funnel.BDist++
+					bounds = append(bounds, bdist)
+				case label > worst:
+					funnel.Label++
+					bounds = append(bounds, label)
+				case exact > worst:
+					funnel.Label++
+					bounds = append(bounds, exact)
+				default:
+					key := max(full, exact)
+					bounds = append(bounds, key)
+					switch {
+					case key > worst:
+						funnel.Positional++
+					case b.Sequence(local, worst, &seq) > worst:
+						funnel.Sequence++
+					default:
+						cands, candBounds = append(cands, pos), append(candBounds, key)
 					}
 				}
-				level := max(size, bdist, label)
-				if int(sc.cheap[pos]) != level {
-					t.Fatalf("%d shards: id %d (segment %d local %d): level %d, CheapBounds %d %d %d",
-						shards, id, si, local, sc.cheap[pos], size, bdist, label)
-				}
-				hist = hist.add(size, max(size, bdist), level)
 			}
-			if !reflect.DeepEqual(sc.hist, hist) {
-				t.Fatalf("%d shards: counts %v, recount %v", shards, sc.hist, hist)
+			got := sc.decidingBounds(worst)
+			slices.Sort(got)
+			slices.Sort(bounds)
+			if nc, f := sc.funnel(worst); f != funnel || nc != len(cands) || !slices.Equal(got, bounds) {
+				t.Fatalf("k %d, threshold %d: funnel %+v, %d candidates, deciding bounds %v; tree by tree %+v, %v, %v",
+					k, worst, f, nc, got, funnel, cands, bounds)
+			}
+			if k == 0 {
+				// A range scan verifies its candidates and nothing else.
+				var handed [][2]int
+				for _, h := range sc.handed {
+					if int(h.seq) <= tau {
+						handed = append(handed, [2]int{int(h.pos), int(h.key)})
+					}
+				}
+				slices.SortFunc(handed, func(x, y [2]int) int { return x[0] - y[0] })
+				if len(handed) != len(cands) || st.Verified != len(cands) {
+					t.Fatalf("tau %d: %d verified of %v handed out; candidates %v", tau, st.Verified, handed, cands)
+				}
+				for i, h := range handed {
+					if h[0] != cands[i] || h[1] != candBounds[i] {
+						t.Fatalf("tau %d: handed out %v, candidates %v with bounds %v", tau, handed, cands, candBounds)
+					}
+				}
 			}
 			scanPool.Put(sc.scanBufs)
-
-			// k = 0 is the range scan at tau.
-			ks := []int{0}
-			if cut.live > 0 {
-				ks = append(ks, min(1+tau, cut.live))
-			}
-			for _, k := range ks {
-				sc, err := ix.filterPass(ctx, cut, q, acc, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t0 := int64(math.MaxInt64)
-				if k == 0 {
-					sc.fixed, t0 = true, int64(tau)
-				}
-				var st Stats
-				out, err := ix.refine(ctx, cut, q, k, t0, sc, &st, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				worst := tau
-				if k > 0 {
-					worst = out[len(out)-1].Dist
-				}
-
-				// The cascade, tree by tree.
-				var (
-					funnel                    Funnel
-					cands, candBounds, bounds []int
-					seq                       seqBuf
-				)
-				for pos := 0; pos < cut.n; pos++ {
-					si, local, id := cut.locate(pos)
-					if cut.tombs.Has(id) {
-						continue
-					}
-					b := sc.prims[si]
-					size, bdist, label := b.CheapBounds(local)
-					full := b.KNNBound(local)
-					if k == 0 {
-						full = b.RangeBound(local, tau)
-					}
-					switch exact := b.ExactLabel(local); {
-					case size > worst:
-						funnel.Size++
-						bounds = append(bounds, size)
-					case bdist > worst:
-						funnel.BDist++
-						bounds = append(bounds, bdist)
-					case label > worst:
-						funnel.Label++
-						bounds = append(bounds, label)
-					case exact > worst:
-						funnel.Label++
-						bounds = append(bounds, exact)
-					default:
-						key := max(full, exact)
-						bounds = append(bounds, key)
-						switch {
-						case key > worst:
-							funnel.Positional++
-						case b.Sequence(local, worst, &seq) > worst:
-							funnel.Sequence++
-						default:
-							cands, candBounds = append(cands, pos), append(candBounds, key)
-						}
-					}
-				}
-				got := sc.decidingBounds(worst)
-				slices.Sort(got)
-				slices.Sort(bounds)
-				if nc, f := sc.funnel(worst); f != funnel || nc != len(cands) || !slices.Equal(got, bounds) {
-					t.Fatalf("%d shards, k %d, threshold %d: funnel %+v, %d candidates, deciding bounds %v; tree by tree %+v, %v, %v",
-						shards, k, worst, f, nc, got, funnel, cands, bounds)
-				}
-				if k == 0 {
-					// A range scan verifies its candidates and nothing else.
-					var handed [][2]int
-					for _, h := range sc.handed {
-						if int(h.seq) <= tau {
-							handed = append(handed, [2]int{int(h.pos), int(h.key)})
-						}
-					}
-					slices.SortFunc(handed, func(x, y [2]int) int { return x[0] - y[0] })
-					if len(handed) != len(cands) || st.Verified != len(cands) {
-						t.Fatalf("%d shards, tau %d: %d verified of %v handed out; candidates %v", shards, tau, st.Verified, handed, cands)
-					}
-					for i, h := range handed {
-						if h[0] != cands[i] || h[1] != candBounds[i] {
-							t.Fatalf("%d shards, tau %d: handed out %v, candidates %v with bounds %v", shards, tau, handed, cands, candBounds)
-						}
-					}
-				}
-				scanPool.Put(sc.scanBufs)
-			}
 		}
 	})
 }

@@ -24,11 +24,9 @@ type Result struct {
 // server's metrics; they are cheap enough to compute on every
 // query.
 //
-// Results, Candidates and Dataset are deterministic for fixed inputs
-// regardless of sharding and worker count. Verified (and the counters
-// derived from it) is deterministic for range queries; for k-NN under
-// parallel refinement it can vary slightly with worker timing, because
-// the shared k-th-distance threshold prunes opportunistically.
+// Every field but FilterTime and RefineTime is deterministic for a fixed
+// index state: one goroutine runs a query, so the same query over the same
+// segments verifies the same trees in the same order, at the same cutoffs.
 type Stats struct {
 	Dataset        int           // visible dataset size (tombstoned trees excluded)
 	Candidates     int           // trees the filter could not prune (see Explain.Candidates)
@@ -125,17 +123,14 @@ func (s Stats) String() string {
 // tombstones, and background compaction merges segments back into one.
 //
 // An Index is safe for concurrent use, and reads don't block writes:
-// queries snapshot the segment list and fan the shard engine across
-// segments, so a long query never delays an insert and an insert never
-// invalidates a running query's view. Dataset ids are assigned
-// monotonically and never reused; results across any segment layout are
-// identical (see the segment-layout invariance tests).
+// queries snapshot the segment list and run the engine across its segments,
+// so a long query never delays an insert and an insert never invalidates a
+// running query's view. Each query runs on its caller's goroutine. Dataset
+// ids are assigned monotonically and never reused; results across any
+// segment layout are identical (see the segment-layout invariance tests).
 type Index struct {
 	filter *BiBranch // the configured prototype (also the initial segment's filter); nil: sequential scan
 	cost   editdist.CostModel
-
-	shards int       // WithShards; 0 = pool size
-	pool   *workPool // shared worker budget for shard + refine helpers
 
 	store        *segstore.Store
 	onCompaction atomic.Pointer[func(CompactionStats)]
@@ -151,10 +146,9 @@ func defaultCost() editdist.CostModel { return editdist.UnitCost{} }
 
 // NewIndex builds an index over the dataset, preprocessing the whole
 // dataset once under the selected filter. Options pick the filter, the
-// cost model, the parallel execution shape, and the storage lifecycle:
+// cost model and the storage lifecycle:
 //
 //	ix := search.NewIndex(ts, search.NewBiBranch(),
-//	    search.WithShards(4), search.WithRefineWorkers(8),
 //	    search.WithMemtableSize(512))
 //
 // With no filter option (or a nil one) the index degenerates to the
@@ -178,8 +172,6 @@ func indexShell(cfg indexConfig, proto *BiBranch) *Index {
 	ix := &Index{
 		filter: proto,
 		cost:   cfg.cost,
-		shards: cfg.shards,
-		pool:   newWorkPool(cfg.refineWorkers),
 	}
 	ix.store = segstore.New(segstore.Config{
 		MemtableSize: cfg.memtableSize,
@@ -266,12 +258,11 @@ func (ix *Index) Filter() *BiBranch { return ix.filter }
 
 // KNN returns the k nearest neighbors of q by tree edit distance,
 // implementing Algorithm 2 over the segmented store: lower bounds are
-// computed for every visible tree (sharded across the worker pool, each
-// segment bounded by its own filter), candidates are verified in
-// ascending bound order, and the scan stops as soon as the next bound
-// exceeds the current k-th distance. The result is sorted by ascending
-// distance (ties by ascending ID) and is identical for every shard,
-// worker and segment configuration.
+// computed for every visible tree (each segment bounded by its own
+// filter), candidates are verified in ascending bound order, and the scan
+// stops as soon as the next bound exceeds the current k-th distance. The
+// result is sorted by ascending distance (ties by ascending ID) and is
+// identical for every segment configuration.
 //
 // The scan checks ctx before every exact-distance verification (and
 // periodically during the cheap filter pass) and returns ctx.Err() with
@@ -321,7 +312,7 @@ func (ix *Index) Range(ctx context.Context, q *tree.Tree, tau int, opts ...Query
 // current k best candidates; the root is the worst of them (the pruning
 // key). Breaking distance ties by id makes the heap's final content the
 // unique k-minimal (dist, id) set, independent of insertion order — what
-// makes k-NN results shard-count invariant.
+// makes k-NN results segment-layout invariant.
 type maxHeap struct {
 	items []Result
 }

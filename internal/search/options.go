@@ -9,12 +9,10 @@ import "treesim/internal/editdist"
 
 // indexConfig collects what the index options select.
 type indexConfig struct {
-	filter        *BiBranch
-	cost          editdist.CostModel
-	shards        int
-	refineWorkers int
-	memtableSize  int
-	compactAfter  int
+	filter       *BiBranch
+	cost         editdist.CostModel
+	memtableSize int
+	compactAfter int
 }
 
 // IndexOption configures NewIndex and LoadIndex.
@@ -62,22 +60,6 @@ func WithCostModel(m editdist.CostModel) IndexOption {
 			c.cost = m
 		}
 	})
-}
-
-// WithShards sets how many dataset shards a single query's filter stage
-// fans out over. 0 (the default) means GOMAXPROCS at query time; 1 forces
-// the sequential path. The shard count never changes query results — see
-// the shard-count invariance tests.
-func WithShards(s int) IndexOption {
-	return indexOption(func(c *indexConfig) { c.shards = s })
-}
-
-// WithRefineWorkers bounds the index-wide worker pool that queries borrow
-// goroutines from: refine-stage verifications and filter-shard helpers
-// across all concurrent queries share it, so one heavy query cannot
-// monopolize the machine. 0 (the default) means GOMAXPROCS.
-func WithRefineWorkers(n int) IndexOption {
-	return indexOption(func(c *indexConfig) { c.refineWorkers = n })
 }
 
 // WithMemtableSize sets how many inserts the mutable memtable segment

@@ -191,8 +191,9 @@ func (qc *qcut) treeOf(si, local int) *tree.Tree {
 // sequential scan: one query profile per segment, created up front, each
 // segment's postings swept into its range of the query's accumulator, and
 // the query's label sequences once per branch space, when a tree first
-// reaches the sequence tier. The set is shared by all shards and refine
-// workers: every bounder is read-only but for those sequences.
+// reaches the sequence tier. The query's filter pass and refine stage read
+// it on the query's goroutine: every bounder is read-only but for those
+// sequences.
 type segBounders []*biBranchBounder
 
 func newSegBounders(qc *qcut, q *tree.Tree, acc []int32) segBounders {

@@ -53,8 +53,8 @@ func bruteRangeAnswers(trees map[int]*tree.Tree, q *tree.Tree, tau int) []Result
 // TestSegmentLayoutInvariance is the storage engine's core correctness
 // property: the physical layout of the dataset — one base segment, many
 // small segments before compaction, one merged segment after — never
-// changes a query's (dist, id) answers, for every filter family and
-// shard count, with tombstoned ids never appearing.
+// changes a query's (dist, id) answers, for every filter family, with
+// tombstoned ids never appearing.
 func TestSegmentLayoutInvariance(t *testing.T) {
 	const n = 60
 	all := testDataset(n, 71)
@@ -71,21 +71,19 @@ func TestSegmentLayoutInvariance(t *testing.T) {
 	}
 	queries := append([]*tree.Tree{all[0], all[27], all[50]}, testDataset(2, 72)...)
 
-	layouts := map[string]func(mk func() *BiBranch, shards int) *Index{
-		"one-segment": func(mk func() *BiBranch, shards int) *Index {
-			return NewIndex(all, mk(), WithShards(shards))
+	layouts := map[string]func(mk func() *BiBranch) *Index{
+		"one-segment": func(mk func() *BiBranch) *Index {
+			return NewIndex(all, mk())
 		},
-		"multi-segment": func(mk func() *BiBranch, shards int) *Index {
-			ix := NewIndex(all[:10], mk(), WithShards(shards),
-				WithMemtableSize(7), WithCompactionThreshold(-1))
+		"multi-segment": func(mk func() *BiBranch) *Index {
+			ix := NewIndex(all[:10], mk(), WithMemtableSize(7), WithCompactionThreshold(-1))
 			for _, tr := range all[10:] {
 				ix.Insert(tr)
 			}
 			return ix
 		},
-		"compacted": func(mk func() *BiBranch, shards int) *Index {
-			ix := NewIndex(all[:10], mk(), WithShards(shards),
-				WithMemtableSize(7), WithCompactionThreshold(-1))
+		"compacted": func(mk func() *BiBranch) *Index {
+			ix := NewIndex(all[:10], mk(), WithMemtableSize(7), WithCompactionThreshold(-1))
 			for _, tr := range all[10:] {
 				ix.Insert(tr)
 			}
@@ -100,42 +98,40 @@ func TestSegmentLayoutInvariance(t *testing.T) {
 	for fi, f := range allFilters() {
 		mk := f.Fresh
 		for lname, build := range layouts {
-			for _, shards := range []int{1, 3} {
-				name := fmt.Sprintf("%s#%d/%s/shards=%d", f.Name(), fi, lname, shards)
-				ix := build(mk, shards)
-				for _, id := range deleted {
-					if !ix.Delete(id) {
-						t.Fatalf("%s: delete %d refused", name, id)
-					}
+			name := fmt.Sprintf("%s#%d/%s", f.Name(), fi, lname)
+			ix := build(mk)
+			for _, id := range deleted {
+				if !ix.Delete(id) {
+					t.Fatalf("%s: delete %d refused", name, id)
 				}
-				if lname == "compacted" {
-					// Deleting after the first compaction and compacting again
-					// exercises tombstone resolution too.
-					if !ix.Compact() {
-						t.Fatalf("%s: second compaction did not run", name)
-					}
+			}
+			if lname == "compacted" {
+				// Deleting after the first compaction and compacting again
+				// exercises tombstone resolution too.
+				if !ix.Compact() {
+					t.Fatalf("%s: second compaction did not run", name)
 				}
-				if ix.Live() != n-len(deleted) {
-					t.Fatalf("%s: live %d, want %d", name, ix.Live(), n-len(deleted))
+			}
+			if ix.Live() != n-len(deleted) {
+				t.Fatalf("%s: live %d, want %d", name, ix.Live(), n-len(deleted))
+			}
+			for qi, q := range queries {
+				got, _, _ := ix.KNN(context.Background(), q, 5)
+				want := bruteKNNAnswers(visible, q, 5)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: query %d KNN = %v, want %v", name, qi, got, want)
 				}
-				for qi, q := range queries {
-					got, _, _ := ix.KNN(context.Background(), q, 5)
-					want := bruteKNNAnswers(visible, q, 5)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: query %d KNN = %v, want %v", name, qi, got, want)
-					}
-					gr, _, _ := ix.Range(context.Background(), q, 3)
-					wr := bruteRangeAnswers(visible, q, 3)
-					if len(gr) == 0 && len(wr) == 0 {
-						continue
-					}
-					if !reflect.DeepEqual(gr, wr) {
-						t.Fatalf("%s: query %d Range = %v, want %v", name, qi, gr, wr)
-					}
-					for _, r := range append(got, gr...) {
-						if tombed[r.ID] {
-							t.Fatalf("%s: tombstoned id %d in results", name, r.ID)
-						}
+				gr, _, _ := ix.Range(context.Background(), q, 3)
+				wr := bruteRangeAnswers(visible, q, 3)
+				if len(gr) == 0 && len(wr) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(gr, wr) {
+					t.Fatalf("%s: query %d Range = %v, want %v", name, qi, gr, wr)
+				}
+				for _, r := range append(got, gr...) {
+					if tombed[r.ID] {
+						t.Fatalf("%s: tombstoned id %d in results", name, r.ID)
 					}
 				}
 			}

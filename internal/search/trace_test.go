@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"treesim/internal/datagen"
@@ -32,9 +33,7 @@ func childByName(sn obs.SpanSnapshot, name string) (obs.SpanSnapshot, bool) {
 // pruned_* attributes and candidates add up to the dataset.
 func TestKNNSpans(t *testing.T) {
 	ts := traceDataset(t, 60)
-	// WithShards(1) pins the sequential span shape: sharded queries hang
-	// bounder attrs off shard[i] children instead of the filter span.
-	ix := NewIndex(ts, NewBiBranch(), WithShards(1))
+	ix := NewIndex(ts, NewBiBranch())
 
 	root := obs.New("query")
 	ctx := obs.NewContext(context.Background(), root)
@@ -115,5 +114,59 @@ func TestRangeSpansUntraced(t *testing.T) {
 	}
 	if len(r1) != len(r2) || s1.Verified != s2.Verified {
 		t.Fatalf("traced query changed results: %v/%v vs %v/%v", len(r1), s1.Verified, len(r2), s2.Verified)
+	}
+}
+
+// TestShardSpans: a query of either kind runs its filter pass in one
+// piece, so the filter span has no shard[i] children and itself carries
+// the totals: the visible trees bounded, the segments and the query's
+// candidates. The index has deletes, so bounded is Stats.Dataset, not the
+// positions the pass covers.
+func TestShardSpans(t *testing.T) {
+	ts := testDataset(50, 37)
+	ix := NewIndex(ts, NewBiBranch())
+	for _, id := range []int{0, 5, 6, 7, 19, 33, 49} {
+		ix.Delete(id)
+	}
+	live := len(ts) - 7
+
+	for _, kind := range []string{"knn", "range"} {
+		root := obs.New("query")
+		ctx := obs.NewContext(context.Background(), root)
+		var (
+			stats Stats
+			err   error
+		)
+		if kind == "knn" {
+			_, stats, err = ix.KNN(ctx, ts[2], 3)
+		} else {
+			_, stats, err = ix.Range(ctx, ts[2], 4)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+
+		filter, ok := childByName(root.Snapshot(), "filter")
+		if !ok {
+			t.Fatalf("%s: no filter span in %+v", kind, root.Snapshot())
+		}
+		if stats.Dataset != live {
+			t.Fatalf("%s: Stats.Dataset %d, want %d", kind, stats.Dataset, live)
+		}
+		if got := filter.Attrs["bounded"]; got != int64(live) {
+			t.Errorf("%s: filter bounded %v, want %d", kind, got, live)
+		}
+		if got := filter.Attrs["segments"]; got != int64(len(ix.cut().segs)) {
+			t.Errorf("%s: filter segments %v, want %d", kind, got, len(ix.cut().segs))
+		}
+		if got := filter.Attrs["candidates"]; got != int64(stats.Candidates) {
+			t.Errorf("%s: filter candidates %v, stats say %d", kind, got, stats.Candidates)
+		}
+		for _, c := range filter.Children {
+			if strings.HasPrefix(c.Name, "shard[") {
+				t.Fatalf("%s: filter span has a %s child: %+v", kind, c.Name, filter)
+			}
+		}
 	}
 }

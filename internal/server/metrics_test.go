@@ -502,35 +502,32 @@ func TestMetricsHammer(t *testing.T) {
 // TestSequenceTierMetric: on DBLP-like records, whose variants' near
 // misses the sequence tier prunes, treesim_filter_pruned_total{tier=
 // "sequence"} is the sum of the pruned.sequence every query's EXPLAIN
-// returned, k-NN and range alike, at one shard and at three, and it is
-// not zero.
+// returned, k-NN and range alike, and it is not zero.
 func TestSequenceTierMetric(t *testing.T) {
 	g := dblp.New(7)
 	records := g.Dataset(300)
-	for _, shards := range []int{1, 3} {
-		ix := search.NewIndex(records, search.NewBiBranch(), search.WithShards(shards))
-		hs := httptest.NewServer(New(ix, quietConfig()).Handler())
-		sum := 0
-		for qi := 0; qi < 4; qi++ {
-			q := g.Variant(records[qi*61]).String()
-			var kr, rr QueryResponse
-			if code := postJSON(t, hs.URL+"/v1/knn?explain=1", KNNRequest{Tree: q, K: 10}, &kr); code != 200 {
-				t.Fatalf("knn status %d", code)
-			}
-			if code := postJSON(t, hs.URL+"/v1/range?explain=1", RangeRequest{Tree: q, Tau: 2}, &rr); code != 200 {
-				t.Fatalf("range status %d", code)
-			}
-			for _, r := range []QueryResponse{kr, rr} {
-				if r.Explain == nil {
-					t.Fatal("no explain in an ?explain=1 response")
-				}
-				sum += r.Explain.Pruned.Sequence
-			}
+	ix := search.NewIndex(records, search.NewBiBranch())
+	hs := httptest.NewServer(New(ix, quietConfig()).Handler())
+	sum := 0
+	for qi := 0; qi < 4; qi++ {
+		q := g.Variant(records[qi*61]).String()
+		var kr, rr QueryResponse
+		if code := postJSON(t, hs.URL+"/v1/knn?explain=1", KNNRequest{Tree: q, K: 10}, &kr); code != 200 {
+			t.Fatalf("knn status %d", code)
 		}
-		got := scrapeJSON(t, hs.URL)[`treesim_filter_pruned_total{tier="sequence"}`]
-		hs.Close()
-		if got != float64(sum) || sum == 0 {
-			t.Fatalf("shards=%d: sequence tier metric %v, EXPLAIN funnels sum to %d (want equal, non-zero)", shards, got, sum)
+		if code := postJSON(t, hs.URL+"/v1/range?explain=1", RangeRequest{Tree: q, Tau: 2}, &rr); code != 200 {
+			t.Fatalf("range status %d", code)
 		}
+		for _, r := range []QueryResponse{kr, rr} {
+			if r.Explain == nil {
+				t.Fatal("no explain in an ?explain=1 response")
+			}
+			sum += r.Explain.Pruned.Sequence
+		}
+	}
+	got := scrapeJSON(t, hs.URL)[`treesim_filter_pruned_total{tier="sequence"}`]
+	hs.Close()
+	if got != float64(sum) || sum == 0 {
+		t.Fatalf("sequence tier metric %v, EXPLAIN funnels sum to %d (want equal, non-zero)", got, sum)
 	}
 }

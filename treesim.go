@@ -29,6 +29,10 @@
 //	ix := treesim.NewIndex(dataset, treesim.NewBiBranchFilter())
 //	top5, stats, err := ix.KNN(ctx, query, 5)
 //
+// A query runs on its caller's goroutine, filter to refine, so its answer
+// and every counter in its Stats but the two times are the same on every
+// run; an Index serves concurrent queries, inserts and deletes.
+//
 // See the examples directory for XML search, RNA structure retrieval,
 // clustering and similarity joins, and cmd/experiments for the paper's
 // full evaluation suite.
@@ -171,9 +175,8 @@ type Stats = search.Stats
 type Explain = search.Explain
 
 // IndexOption configures NewIndex and LoadIndex; see WithCostModel,
-// WithShards, WithRefineWorkers, WithMemtableSize and
-// WithCompactionThreshold. A *BiBranchFilter is itself an IndexOption;
-// the nil one selects the sequential scan.
+// WithMemtableSize and WithCompactionThreshold. A *BiBranchFilter is itself
+// an IndexOption; the nil one selects the sequential scan.
 type IndexOption = search.IndexOption
 
 // QueryOption configures one KNN or Range call; see WithExplain.
@@ -185,9 +188,8 @@ type QueryOption = search.QueryOption
 //	res, stats, err := ix.KNN(ctx, q, 5)
 //
 // With no filter option the index degenerates to the sequential scan;
-// with no cost option it uses unit edit costs. WithShards and
-// WithRefineWorkers shape intra-query parallelism — they never change
-// results.
+// with no cost option it uses unit edit costs. A query runs on its
+// caller's goroutine; an Index serves concurrent queries.
 func NewIndex(ts []*Tree, opts ...IndexOption) *Index { return search.NewIndex(ts, opts...) }
 
 // WithCostModel sets the refine stage's edit cost model. The filter is
@@ -195,14 +197,6 @@ func NewIndex(ts []*Tree, opts ...IndexOption) *Index { return search.NewIndex(t
 // (a MinOpCost method); otherwise the index scans sequentially, which is
 // exact for any non-negative costs.
 func WithCostModel(m CostModel) IndexOption { return search.WithCostModel(m) }
-
-// WithShards sets how many dataset shards a query's filter stage fans out
-// over (0 = GOMAXPROCS, 1 = sequential). Results are shard-invariant.
-func WithShards(s int) IndexOption { return search.WithShards(s) }
-
-// WithRefineWorkers bounds the index-wide pool of helper goroutines that
-// queries parallelize over (0 = GOMAXPROCS).
-func WithRefineWorkers(n int) IndexOption { return search.WithRefineWorkers(n) }
 
 // WithMemtableSize sets how many inserted trees the mutable memtable
 // segment absorbs before it is sealed into an immutable segment

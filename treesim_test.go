@@ -204,13 +204,19 @@ func TestBiBranchFilterQValidation(t *testing.T) {
 }
 
 // TestFacadeOptions: the functional-options surface reaches the engine —
-// shard and worker settings apply, WithExplain fills its destination, and
-// results match the default configuration.
+// storage settings apply, WithExplain fills its destination, and results
+// match the default configuration.
 func TestFacadeOptions(t *testing.T) {
 	spec, _ := ParseGeneratorSpec("N{3,0.5}N{14,2}L5D0.1")
 	data := GenerateDataset(spec, 40, 5, 17)
 	plain := NewIndex(data, NewBiBranchFilter())
-	sharded := NewIndex(data, NewBiBranchFilter(), WithShards(5), WithRefineWorkers(4))
+	configured := NewIndex(data[:30], NewBiBranchFilter(), WithMemtableSize(4), WithCompactionThreshold(-1))
+	for _, d := range data[30:] {
+		configured.Insert(d)
+	}
+	if st := configured.StoreStats(); st.Segments < 3 {
+		t.Fatalf("memtable size 4 over 10 inserts left %d segments, want sealed ones beside the base", st.Segments)
+	}
 
 	ctx := context.Background()
 	want, _, err := plain.KNN(ctx, data[8], 4)
@@ -218,7 +224,7 @@ func TestFacadeOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ex *Explain
-	got, _, err := sharded.KNN(ctx, data[8], 4, WithExplain(&ex))
+	got, _, err := configured.KNN(ctx, data[8], 4, WithExplain(&ex))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +233,7 @@ func TestFacadeOptions(t *testing.T) {
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("sharded KNN diverged: %v vs %v", got, want)
+			t.Fatalf("configured KNN diverged: %v vs %v", got, want)
 		}
 	}
 }

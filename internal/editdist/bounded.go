@@ -17,9 +17,10 @@ import (
 //     delta are each admissible lower bounds on the number of edit
 //     operations; scaled by the cost model's per-operation minimum they
 //     reject a pair before the kernel is even taken from its pool. The
-//     query side is computed once, by Prepare; the candidate side is one
-//     allocation-free walk (scratch.measure) that also sums the keyroot
-//     sizes FullCells needs, so a rejected candidate is never decomposed.
+//     query side is computed once, by Prepare; the candidate side comes
+//     with its decomposition into pooled buffers (scratch.decompose): load
+//     records its size, height and keyroot sizes, and the loop that labels
+//     it with the query's slots counts its label overlap with the query.
 //
 //     The sequence bound (Guha et al.) follows on the decomposed
 //     candidate. A Tai mapping preserves ancestor and left-of order, hence
@@ -136,23 +137,16 @@ func MinOpCost(c CostModel) int {
 	return 0
 }
 
-// walk is what one pass over a candidate learns without decomposing it:
-// everything the pre-checks and Metrics.FullCells need.
-type walk struct {
-	n, height int
-	overlap   int   // Σ over labels of min(count in query, count in candidate)
-	keys      int64 // Σ over keyroots k of |subtree(k)|
-}
-
 // precheck returns the best O(n) admissible lower bound on the edit
-// distance from the query to a walked candidate: max of size delta,
-// height delta, and half the label-histogram L1 delta (rounded up), scaled
-// by the per-operation minimum cost. Each is a lower bound on the
-// operation count — insert/delete change size and height by at most one
-// and histogram mass by one; relabel changes neither size nor height and
-// at most two units of mass. L1 = |q| + |t| − 2·overlap.
-func (q *Query) precheck(w walk) int {
-	lb := max(abs(q.d.n-w.n), abs(q.height-w.height), (q.d.n+w.n-2*w.overlap+1)/2)
+// distance from the query to a decomposed candidate b with the given label
+// overlap (Σ over labels of the smaller count): max of size delta, height
+// delta, and half the label-histogram L1 delta (rounded up), scaled by the
+// per-operation minimum cost. Each is a lower bound on the operation count
+// — insert/delete change size and height by at most one and histogram mass
+// by one; relabel changes neither size nor height and at most two units of
+// mass. L1 = |q| + |t| − 2·overlap.
+func (q *Query) precheck(b *decomp, overlap int) int {
+	lb := max(abs(q.d.n-b.n), abs(q.height-b.height), (q.d.n+b.n-2*overlap+1)/2)
 	if lb > 0 && q.cmin > unreachable/lb {
 		return unreachable
 	}
@@ -272,15 +266,14 @@ func SeqDist(a, b []int32, k int, diags []int) (int, []int) {
 	return k + 1, diags
 }
 
-// scratch is one Within call's working memory, pooled: the walk's stack,
-// the candidate's per-slot label counts, the candidate's decomposition,
-// filled only for a pair that survives the pre-checks, the sequence
-// bound's diagonals, and the alignment certificate's memory.
+// scratch is one Within call's working memory, pooled: load's stack, the
+// candidate's per-slot label counts, the candidate's decomposition, the
+// sequence bound's diagonals, and the alignment certificate's memory.
 type scratch struct {
 	stack   []frame
 	seen    []int32 // per query slot: the candidate's count so far; zero between calls
-	touched []int32 // the slots seen is non-zero at
 	t       decomp
+	overlap int // Σ over labels of min(count in query, count in t)
 	diags   []int
 	cert    certScratch
 }
@@ -303,79 +296,29 @@ func (s *scratch) release() {
 	}
 }
 
-// measure walks t once, iteratively, and returns its size, height, keyroot
-// subtree sizes and — when hist is set — its label overlap with the query.
-// Keyroots are the root and every node with a left sibling, and a
-// keyroot's i − lml(i) + 1 is its subtree size, so FullCells needs no
-// decomposition. Nothing is allocated once the pool is warm.
-func (s *scratch) measure(t *tree.Tree, q *Query, hist bool) (w walk) {
-	if t.IsEmpty() {
-		return w
-	}
-	if hist {
-		s.seen = grow(s.seen, len(q.count))
-		w.overlap = s.tally(q, t.Root.Label)
-	}
-	w.n, w.height = 1, 1
-	s.stack = append(s.stack[:0], frame{n: t.Root, keyroot: true})
-	for len(s.stack) > 0 {
-		f := &s.stack[len(s.stack)-1]
-		if f.kid == len(f.n.Children) {
-			if f.keyroot {
-				w.keys += int64(w.n - f.start)
-			}
-			s.stack = s.stack[:len(s.stack)-1]
-			continue
-		}
-		c, left := f.n.Children[f.kid], f.kid > 0
-		f.kid++
-		if hist {
-			w.overlap += s.tally(q, c.Label)
-		}
-		w.height = max(w.height, len(s.stack)+1)
-		if len(c.Children) > 0 {
-			s.stack = append(s.stack, frame{n: c, start: w.n, keyroot: left})
-		} else if left {
-			w.keys++
-		}
-		w.n++
-	}
-	if hist {
-		for _, slot := range s.touched {
-			s.seen[slot] = 0
-		}
-		s.touched = s.touched[:0]
-	}
-	return w
-}
-
-// tally counts one candidate label and returns 1 when it pairs with a
-// query occurrence not yet paired, so the returns sum to the overlap.
-func (s *scratch) tally(q *Query, label string) int {
-	slot, ok := q.slot[label]
-	if !ok {
-		return 0
-	}
-	c := s.seen[slot]
-	if c == 0 {
-		s.touched = append(s.touched, slot)
-	}
-	s.seen[slot] = c + 1
-	if c < q.count[slot] {
-		return 1
-	}
-	return 0
-}
-
 // decompose fills the scratch's decomposition with t, labelled by the
-// query's slots, for the kernel.
+// query's slots — −1 for a label the query lacks — in postorder (id) and
+// in preorder (preid), and sets overlap to its label overlap with the
+// query. Nothing is allocated once the pool is warm.
 func (s *scratch) decompose(t *tree.Tree, q *Query) *decomp {
 	d := &s.t
 	s.stack = d.load(t, s.stack)
-	d.id = grow(d.id, d.n+1)
+	d.id, d.preid = grow(d.id, d.n+1), grow(d.preid, d.n+1)
+	s.seen = grow(s.seen, len(q.count))
+	s.overlap = 0
 	for y := 1; y <= d.n; y++ {
-		d.id[y] = q.slotOf(d.label[y])
+		slot, ok := q.slot[d.label[y]]
+		if !ok {
+			slot = -1
+		} else if s.seen[slot]++; s.seen[slot] <= q.count[slot] {
+			s.overlap++ // pairs with a query occurrence not yet paired
+		}
+		d.id[y], d.preid[d.pre[y]] = slot, slot
 	}
-	d.gatherPre()
+	for _, slot := range d.id[1:] {
+		if slot >= 0 {
+			s.seen[slot] = 0
+		}
+	}
 	return d
 }

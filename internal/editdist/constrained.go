@@ -21,29 +21,26 @@ import "treesim/internal/tree"
 // O(|T1|·|T2|) and takes no cutoff.
 func ConstrainedDistance(t1, t2 *tree.Tree, opts ...Option) int {
 	c := applyOptions(opts).cost
-	a, b := indexTree(t1), indexTree(t2)
-	switch {
-	case a.n == 0 && b.n == 0:
-		return 0
-	case a.n == 0:
-		return b.wholeCost(c.Insert)
-	case b.n == 0:
-		return a.wholeCost(c.Delete)
+	a, b := decompose(t1), decompose(t2)
+	if a.n == 0 || b.n == 0 {
+		return a.totalCost(c.Delete) + b.totalCost(c.Insert)
 	}
+	akids, bkids := a.children(), b.children()
 
-	// Whole-subtree and whole-forest deletion/insertion costs.
-	delT := make([]int, a.n)
-	delF := make([]int, a.n)
-	for i := 0; i < a.n; i++ { // postorder: children before parents
-		for _, ic := range a.children[i] {
+	// Whole-subtree and whole-forest deletion/insertion costs, over the
+	// 1-based postorder indices: children before parents.
+	delT := make([]int, a.n+1)
+	delF := make([]int, a.n+1)
+	for i := 1; i <= a.n; i++ {
+		for _, ic := range akids[i] {
 			delF[i] += delT[ic]
 		}
 		delT[i] = delF[i] + c.Delete(a.label[i])
 	}
-	insT := make([]int, b.n)
-	insF := make([]int, b.n)
-	for j := 0; j < b.n; j++ {
-		for _, jc := range b.children[j] {
+	insT := make([]int, b.n+1)
+	insF := make([]int, b.n+1)
+	for j := 1; j <= b.n; j++ {
+		for _, jc := range bkids[j] {
 			insF[j] += insT[jc]
 		}
 		insT[j] = insF[j] + c.Insert(b.label[j])
@@ -51,27 +48,27 @@ func ConstrainedDistance(t1, t2 *tree.Tree, opts ...Option) int {
 
 	// dt[i][j]: constrained distance between the subtrees rooted at i, j.
 	// df[i][j]: constrained distance between their children forests.
-	dt := make([][]int, a.n)
-	df := make([][]int, a.n)
+	dt := make([][]int, a.n+1)
+	df := make([][]int, a.n+1)
 	for i := range dt {
-		dt[i] = make([]int, b.n)
-		df[i] = make([]int, b.n)
+		dt[i] = make([]int, b.n+1)
+		df[i] = make([]int, b.n+1)
 	}
 
-	for i := 0; i < a.n; i++ {
-		for j := 0; j < b.n; j++ {
+	for i := 1; i <= a.n; i++ {
+		for j := 1; j <= b.n; j++ {
 			// Forest distance.
-			best := alignForests(a.children[i], b.children[j], delT, insT, dt)
+			best := alignForests(akids[i], bkids[j], delT, insT, dt)
 			// F(i) maps entirely inside the children forest of one
 			// subtree of F(j) (that subtree's root and siblings are
 			// inserted)...
-			for _, jc := range b.children[j] {
+			for _, jc := range bkids[j] {
 				if v := insF[j] - insF[jc] + df[i][jc]; v < best {
 					best = v
 				}
 			}
 			// ...or symmetrically for F(j) inside F(i).
-			for _, ic := range a.children[i] {
+			for _, ic := range akids[i] {
 				if v := delF[i] - delF[ic] + df[ic][j]; v < best {
 					best = v
 				}
@@ -82,13 +79,13 @@ func ConstrainedDistance(t1, t2 *tree.Tree, opts ...Option) int {
 			best = df[i][j] + c.Relabel(a.label[i], b.label[j])
 			// Subtree i maps inside one child subtree of j (j's root
 			// inserted, j's other children inserted)...
-			for _, jc := range b.children[j] {
+			for _, jc := range bkids[j] {
 				if v := insT[j] - insT[jc] + dt[i][jc]; v < best {
 					best = v
 				}
 			}
 			// ...or subtree j inside one child subtree of i.
-			for _, ic := range a.children[i] {
+			for _, ic := range akids[i] {
 				if v := delT[i] - delT[ic] + dt[ic][j]; v < best {
 					best = v
 				}
@@ -96,7 +93,18 @@ func ConstrainedDistance(t1, t2 *tree.Tree, opts ...Option) int {
 			dt[i][j] = best
 		}
 	}
-	return dt[a.n-1][b.n-1] // roots are last in postorder
+	return dt[a.n][b.n] // roots are last in postorder
+}
+
+// children lists each node's children left to right, from gatherParent:
+// postorder visits siblings left to right.
+func (d *decomp) children() [][]int {
+	d.gatherParent(nil)
+	kids := make([][]int, d.n+1)
+	for y := 1; y < d.n; y++ { // the root, d.n, is nobody's child
+		kids[d.parent[y]] = append(kids[d.parent[y]], y)
+	}
+	return kids
 }
 
 // alignForests computes the order-preserving alignment of two subtree
@@ -123,41 +131,4 @@ func alignForests(f1, f2 []int, delT, insT []int, dt [][]int) int {
 		prev, cur = cur, prev
 	}
 	return prev[n]
-}
-
-// indexed is a postorder-indexed tree: node i's children (by index) and
-// label, children always preceding their parent.
-type indexed struct {
-	n        int
-	label    []string
-	children [][]int
-}
-
-func indexTree(t *tree.Tree) *indexed {
-	x := &indexed{}
-	if t.IsEmpty() {
-		return x
-	}
-	var rec func(n *tree.Node) int
-	rec = func(n *tree.Node) int {
-		var kids []int
-		for _, c := range n.Children {
-			kids = append(kids, rec(c))
-		}
-		idx := x.n
-		x.n++
-		x.label = append(x.label, n.Label)
-		x.children = append(x.children, kids)
-		return idx
-	}
-	rec(t.Root)
-	return x
-}
-
-func (x *indexed) wholeCost(cost func(string) int) int {
-	s := 0
-	for _, l := range x.label {
-		s += cost(l)
-	}
-	return s
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"treesim/internal/dblp"
 	"treesim/internal/tree"
 )
 
@@ -151,5 +152,33 @@ func TestConstrainedSandwich(t *testing.T) {
 		if !(ed <= cd) {
 			t.Fatalf("sandwich violated: ed=%d cd=%d", ed, cd)
 		}
+	}
+}
+
+// BenchmarkConstrainedDistance is the constrained distance's rung over the
+// pairs BenchmarkDistanceWithin verifies: small refine-sized pairs,
+// knn_bigtree's 150-node within-cluster pairs, and one DBLP record against
+// the others. An op is one pair, decompositions included.
+func BenchmarkConstrainedDistance(b *testing.B) {
+	recs := dblp.New(1).Dataset(1000)
+	records := make([][2]*tree.Tree, len(recs)-1)
+	for i := range records {
+		records[i] = [2]*tree.Tree{recs[0], recs[i+1]}
+	}
+	for _, bc := range []struct {
+		name  string
+		pairs [][2]*tree.Tree
+	}{
+		{"small", benchPairs(64)},
+		{"big", clusterPairs(b, bigSpec, 11, 8)},
+		{"dblp", records},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := bc.pairs[i%len(bc.pairs)]
+				ConstrainedDistance(p[0], p[1])
+			}
+		})
 	}
 }

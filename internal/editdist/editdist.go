@@ -17,9 +17,10 @@
 // the two postorder label sequences is a Tai mapping, its cost is the
 // distance (certify.go).
 // A caller verifying one tree against many prepares it once (Prepare) and
-// asks Query.Within per candidate: a candidate the pre-checks reject costs
-// one allocation-free walk and is never decomposed. Distance and
-// DistanceWithin are that same path for a single pair.
+// asks Query.Within per candidate: each candidate is read once, into a
+// pooled decomposition that also counts its labels against the query's,
+// and the pre-checks, the sequence bound and the kernel all read that.
+// Distance and DistanceWithin are that same path for a single pair.
 // The package also exports the Guha et al. preorder/postorder sequence
 // lower bound (reference [15]) as a baseline — the verifier runs it banded
 // before the tree DP — and its banded label-sequence distance, SeqDist,
@@ -28,7 +29,11 @@
 // mappings used to validate the dynamic program in tests.
 package editdist
 
-import "treesim/internal/tree"
+import (
+	"slices"
+
+	"treesim/internal/tree"
+)
 
 // CostModel assigns costs to the three edit operations. Costs must be
 // non-negative, and Relabel(a,a) must be 0 for the distance to satisfy the
@@ -119,13 +124,13 @@ func Prepare(q *tree.Tree, opts ...Option) *Query {
 func prepare(t *tree.Tree, cfg *config) *Query {
 	d := decompose(t)
 	q := &Query{
-		d: d, height: t.Height(), slot: make(map[string]int32, d.n), count: make([]int32, 0, d.n),
+		d: d, height: d.height, keys: d.keys, slot: make(map[string]int32, d.n), count: make([]int32, 0, d.n),
 		cost: cfg.cost, cmin: MinOpCost(cfg.cost), cutoff: cfg.cutoff,
 	}
 	if _, q.unit = cfg.cost.(UnitCost); q.unit {
 		d.gatherParent(nil)
 	}
-	d.id = make([]int32, d.n+1)
+	d.id, d.preid = make([]int32, d.n+1), make([]int32, d.n+1)
 	for i := 1; i <= d.n; i++ {
 		s, ok := q.slot[d.label[i]]
 		if !ok {
@@ -134,11 +139,7 @@ func prepare(t *tree.Tree, cfg *config) *Query {
 			q.count = append(q.count, 0)
 		}
 		q.count[s]++
-		d.id[i] = s
-	}
-	d.gatherPre()
-	for _, k := range d.keyroots {
-		q.keys += int64(k - d.lml[k] + 1)
+		d.id[i], d.preid[d.pre[i]] = s, s
 	}
 	return q
 }
@@ -147,10 +148,10 @@ func prepare(t *tree.Tree, cfg *config) *Query {
 // cutoff (or the Prepare-time WithCutoff, whichever is tighter), with
 // DistanceWithin's contract: (d, true) with the exact distance d ≤ cutoff,
 // or (lb, false) with a certified lower bound lb > cutoff. When m is not
-// nil it is overwritten with the call's accounting. One walk of t decides
-// the empty, negative-cutoff and pre-check cases; only a candidate that
-// survives them is decomposed, into pooled buffers, for the sequence bound
-// and the kernel. Under UnitCost the sequence bound's alignment may
+// nil it is overwritten with the call's accounting. t is read once, into a
+// pooled decomposition labelled by the query's slots, and everything after
+// reads that: the empty, negative-cutoff and pre-check cases, the sequence
+// bound and the kernel. Under UnitCost the sequence bound's alignment may
 // certify the distance outright (certify.go), and no kernel runs. With no
 // cutoff (one at or above `unreachable`) and a per-operation minimum, the
 // kernel runs the doubling search of bounded.go on that one decomposition.
@@ -159,18 +160,14 @@ func (q *Query) Within(t *tree.Tree, cutoff int, m *Metrics) (int, bool) {
 		m = new(Metrics)
 	}
 	cutoff = min(cutoff, q.cutoff)
-	// Models without a per-operation minimum have neither pre-checks nor
-	// bands, so they skip the histogram and keep the band that covers every
-	// cell.
-	screen := q.cmin >= 1 && cutoff >= 0
 	s := scratchPool.Get().(*scratch)
 	defer s.release()
-	w := s.measure(t, q, screen)
-	*m = Metrics{FullCells: q.keys * w.keys}
+	b := s.decompose(t, q)
+	*m = Metrics{FullCells: q.keys * b.keys}
 	a, c := q.d, q.cost
 	switch {
-	case a.n == 0 || w.n == 0:
-		d := a.totalCost(c.Delete) + s.decompose(t, q).totalCost(c.Insert)
+	case a.n == 0 || b.n == 0:
+		d := a.totalCost(c.Delete) + b.totalCost(c.Insert)
 		return d, d <= cutoff
 	case cutoff < 0:
 		// Distances are non-negative, so nothing is within a negative
@@ -178,14 +175,16 @@ func (q *Query) Within(t *tree.Tree, cutoff int, m *Metrics) (int, bool) {
 		m.Precheck = true
 		return 0, false
 	}
-	band, lb := a.n+w.n, 0 // a band of |q|+|t| restricts nothing
+	// Models without a per-operation minimum have neither pre-checks nor
+	// bands, so they keep the band that covers every cell.
+	screen := q.cmin >= 1
+	band, lb := a.n+b.n, 0 // a band of |q|+|t| restricts nothing
 	if screen {
-		if lb = q.precheck(w); lb > cutoff {
+		if lb = q.precheck(b, s.overlap); lb > cutoff {
 			m.Precheck = true
 			return lb, false
 		}
 	}
-	b := s.decompose(t, q)
 	switch {
 	case !screen:
 	case cutoff < unreachable:
@@ -223,20 +222,14 @@ func (q *Query) run(b *decomp, cutoff, band int, m *Metrics) int {
 	return d
 }
 
-// slotOf is the query's slot for a label, −1 for a label it does not have.
-func (q *Query) slotOf(label string) int32 {
-	if s, ok := q.slot[label]; ok {
-		return s
-	}
-	return -1
-}
-
 // decomp holds the postorder decomposition of a tree used by the DP.
 type decomp struct {
 	n        int      // node count
+	height   int      // nodes on the longest root-to-leaf path
 	label    []string // label[i] = label of postorder node i (1-based)
 	lml      []int    // lml[i]   = postorder index of leftmost leaf of i
 	keyroots []int    // ascending LR-keyroots
+	keys     int64    // Σ over keyroots k of |subtree(k)|
 	// id[i] is node i's label as a small integer, equal for equal labels
 	// across a query and its candidate: the query's slot, −1 for a
 	// candidate label the query lacks. The kernel compares these under
@@ -248,39 +241,44 @@ type decomp struct {
 	pre   []int
 	preid []int32
 	// parent[i] is the postorder index of node i's parent, 0 for the
-	// root; filled by gatherParent for the alignment certificate only.
+	// root; filled by gatherParent for the alignment certificate and the
+	// constrained distance.
 	parent []int
 }
 
-// frame is a node whose children a walk is still visiting; the walks keep
-// their own stack of them, so a tree's depth costs heap, not goroutine
-// stack.
+// frame is a node whose children load is still visiting; load keeps its
+// own stack of them, so a tree's depth costs heap, not goroutine stack.
 type frame struct {
 	n       *tree.Node
 	kid     int  // next child to visit
-	start   int  // nodes visited before n: its subtree size once it is done
 	first   int  // leftmost leaf of n's first child, once that is done
 	keyroot bool // n is the root or has a left sibling
 }
 
 // decompose computes postorder labels, leftmost-leaf indices and the
-// LR-keyroots of t (see load).
+// LR-keyroots of t (see load) into slices of its own, loaded through a
+// pooled scratch so that each is allocated once, at its length.
 func decompose(t *tree.Tree) *decomp {
-	n := t.Size()
-	d := &decomp{label: make([]string, 0, n+1), lml: make([]int, 0, n+1), pre: make([]int, 0, n+1), keyroots: make([]int, 0, n)}
-	d.load(t, nil)
-	return d
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	s.stack = s.t.load(t, s.stack)
+	b := &s.t
+	return &decomp{n: b.n, height: b.height, keys: b.keys, label: slices.Clone(b.label),
+		lml: slices.Clone(b.lml), keyroots: slices.Clone(b.keyroots), pre: slices.Clone(b.pre)}
 }
 
 // load fills d with t's decomposition, reusing d's slices and the given
-// stack, and returns the stack for reuse. The keyroots are the nodes that
-// are the root or have a left sibling — equivalently the highest node of
-// each distinct leftmost path — recorded as the postorder walk finishes
-// them, so they come out ascending. A node's preorder index is its depth
-// (its ancestors: the stack below it) plus its leftmost leaf's postorder
-// index (one more than the nodes left of it).
+// stack, and returns the stack for reuse. Outside the brute-force
+// reference it is the only reader of a tree's nodes in this package. The
+// keyroots are the nodes that are the root or have a left sibling —
+// equivalently the highest node of each distinct leftmost path — recorded
+// as the postorder walk finishes them, so they come out ascending; a
+// keyroot's subtree size is k − lml(k) + 1. A node's preorder index is its
+// ancestors (the stack below it) plus its leftmost leaf's postorder index
+// (one more than the nodes left of it), and its depth, which the height
+// maxes, is the stack with it.
 func (d *decomp) load(t *tree.Tree, stack []frame) []frame {
-	d.n = 0
+	d.n, d.height, d.keys = 0, 0, 0
 	d.label, d.lml, d.keyroots = append(d.label[:0], ""), append(d.lml[:0], 0), d.keyroots[:0]
 	d.pre = append(d.pre[:0], 0)
 	if t.IsEmpty() {
@@ -300,11 +298,13 @@ func (d *decomp) load(t *tree.Tree, stack []frame) []frame {
 		if len(f.n.Children) > 0 {
 			lml = f.first
 		}
+		d.height = max(d.height, len(stack))
 		d.label = append(d.label, f.n.Label)
 		d.lml = append(d.lml, lml)
 		d.pre = append(d.pre, lml+len(stack)-1)
 		if f.keyroot {
 			d.keyroots = append(d.keyroots, d.n)
+			d.keys += int64(d.n - lml + 1)
 		}
 		stack = stack[:len(stack)-1]
 		if p := len(stack) - 1; p >= 0 && stack[p].kid == 1 {
@@ -332,14 +332,6 @@ func (d *decomp) gatherParent(stack []int) []int {
 		d.parent[r] = 0
 	}
 	return stack
-}
-
-// gatherPre fills preid from id through pre.
-func (d *decomp) gatherPre() {
-	d.preid = grow(d.preid, d.n+1)
-	for i := 1; i <= d.n; i++ {
-		d.preid[d.pre[i]] = d.id[i]
-	}
 }
 
 // totalCost sums a per-label cost over every node, e.g. the cost of

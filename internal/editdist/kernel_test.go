@@ -179,11 +179,11 @@ func TestKernelAboveCapNotPooled(t *testing.T) {
 	}
 }
 
-// TestKernelPoolConcurrent: the pools are shared by the refine workers of
-// one query and by concurrent queries, and a refine worker shares its
-// query's Query with the others; goroutines verifying different pairs at
-// different cutoffs at once — through DistanceWithin and through one
-// shared Query per first tree — must each get the sequential answer.
+// TestKernelPoolConcurrent: a query verifies on one goroutine, but
+// concurrent queries share the pools, and a prepared Query may be shared
+// by goroutines too; goroutines verifying different pairs at different
+// cutoffs at once — through DistanceWithin and through one shared Query
+// per first tree — must each get the sequential answer.
 func TestKernelPoolConcurrent(t *testing.T) {
 	pairs := append(clusterPairs(t, midSpec, 9, 4), benchPairs(8)...)
 	cutoffs := []int{3, 9, noCutoff}

@@ -343,3 +343,22 @@ func TestPrepareHugeChain(t *testing.T) {
 		t.Fatalf("a scratch of %d frames / %d labels was pooled, cap is %d", cap(s.stack), cap(s.t.label), maxPooledNodes)
 	}
 }
+
+// TestConstrainedHugeChain: ConstrainedDistance reads its trees through
+// the same iterative decomposition, so with the goroutine stack capped at
+// 1 MiB a 10⁵-node chain against a 10-node chain of the same label is
+// n − 10 deletions, not a stack overflow.
+func TestConstrainedHugeChain(t *testing.T) {
+	const n = 100_000
+	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+	nodes, ptrs := make([]tree.Node, n), make([]*tree.Node, n)
+	for i := range nodes {
+		nodes[i].Label, ptrs[i] = "n", &nodes[i]
+	}
+	for i := range nodes {
+		nodes[i].Children = ptrs[i+1 : min(i+2, n)]
+	}
+	if d := ConstrainedDistance(tree.New(&nodes[0]), chain(10, []string{"n"})); d != n-10 {
+		t.Fatalf("ConstrainedDistance(chain %d, chain 10) = %d, want %d", n, d, n-10)
+	}
+}

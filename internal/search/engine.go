@@ -91,11 +91,11 @@ import (
 // request (editdist.Prepare) and every verification is a Query.Within
 // against the live cutoff (τ, or the k-NN threshold), so most of
 // the false positives the filter leaves are disproven before the tree DP —
-// by the O(n) pre-checks, one allocation-free walk of the candidate, which
-// is not decomposed, or by the banded sequence bound on the decomposed
-// candidate, which a k-NN threshold that fell since the tree was handed
-// out can make tighter than the filter's — and most of the rest by an
-// early-abandoned banded DP instead of the full program; a k-NN query's
+// by the O(n) pre-checks or the banded sequence bound, both read off one
+// allocation-free decomposition of the candidate, and either made tighter
+// than the filter's by a k-NN threshold that fell since the tree was
+// handed out — and most of the rest by an early-abandoned banded DP
+// instead of the full program; a k-NN query's
 // first k distances, verified before any cutoff exists, come from banded
 // runs of a doubling search that the sequence bound seeds. This never
 // changes results — a distance proven above the cutoff can't enter the

@@ -51,9 +51,10 @@ type TightnessSample struct {
 // Funnel counts the trees each tier of the bound cascade pruned, in the
 // order the tiers run: a tree is charged to the first tier whose bound
 // rules it out — exceeds tau for a range query, the final k-th distance
-// for k-NN — so the counts do not depend on shard count, worker timing or
-// how many bounds a k-NN query got around to tightening. The five sum to
-// Dataset − Candidates.
+// for k-NN — so the counts do not depend on how many bounds a k-NN query
+// got around to tightening, nor on the queries running beside it (each
+// runs on one goroutine; concurrent queries share only the pools). The
+// five sum to Dataset − Candidates.
 type Funnel struct {
 	// Size counts trees pruned on ||q|−|t|| alone.
 	Size int `json:"size"`

@@ -167,6 +167,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, op, treeText
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxDistCells caps (|t1|+1)·(|t2|+1) for POST /v1/dist. The distance
+// takes no context, so QueryTimeout cannot stop it, and its two DP tables
+// hold that many ints each: 2²² cells is 64 MiB of tables, where the body
+// limit alone would let two 10⁵-node chains (600 KB of text) ask for
+// about 150 GiB.
+const maxDistCells = 1 << 22
+
 func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	var req DistRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -181,6 +188,11 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	t2, err := parseTree("t2", req.T2)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidTree, err.Error(), requestID(w))
+		return
+	}
+	if n1, n2 := t1.Size(), t2.Size(); (n1+1)*(n2+1) > maxDistCells {
+		writeError(w, http.StatusBadRequest, ErrCodeInvalidArgument,
+			fmt.Sprintf("trees of %d and %d nodes need (|t1|+1)·(|t2|+1) = %d cells, over the limit of %d", n1, n2, (n1+1)*(n2+1), maxDistCells), requestID(w))
 		return
 	}
 	space := branch.NewSpace(branch.MinQ)

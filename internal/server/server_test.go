@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -172,6 +173,30 @@ func TestDistEndpoint(t *testing.T) {
 	}
 	if resp.LowerBound > resp.EditDistance || resp.LowerBound < 0 {
 		t.Fatalf("lower bound %d not in [0,%d]", resp.LowerBound, resp.EditDistance)
+	}
+}
+
+// TestDistCellCap: a pair whose DP tables would pass maxDistCells is 400
+// invalid_argument before any work — two 4 000-node chains, which would
+// take 300 MB — while a pair under the cap still gets its distance and a
+// lower bound.
+func TestDistCellCap(t *testing.T) {
+	_, hs, _ := newTestServer(t, quietConfig(), 10, 4)
+	chain := func(label string, n int) string {
+		return strings.Repeat(label+"(", n-1) + label + strings.Repeat(")", n-1)
+	}
+	var e ErrorResponse
+	big := DistRequest{T1: chain("a", 4000), T2: chain("b", 4000)}
+	if code := postJSON(t, hs.URL+"/v1/dist", big, &e); code != http.StatusBadRequest || e.Error.Code != ErrCodeInvalidArgument {
+		t.Fatalf("4000-node chains: status %d, code %q; want 400 %q", code, e.Error.Code, ErrCodeInvalidArgument)
+	}
+	var resp DistResponse
+	small := DistRequest{T1: chain("a", 1000), T2: chain("b", 1000)}
+	if code := postJSON(t, hs.URL+"/v1/dist", small, &resp); code != http.StatusOK {
+		t.Fatalf("1000-node chains: status %d", code)
+	}
+	if resp.EditDistance != 1000 || resp.LowerBound < 0 || resp.LowerBound > resp.EditDistance {
+		t.Fatalf("1000-node chains: distance %d, lower bound %d; want 1000 and a bound in [0, 1000]", resp.EditDistance, resp.LowerBound)
 	}
 }
 

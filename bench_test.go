@@ -342,25 +342,37 @@ func BenchmarkFilterStage(b *testing.B) {
 
 // BenchmarkSnapshot is the snapshot rung: SaveIndex and LoadIndex of a
 // one-segment BiBranch index on range_scan's shape at n = 8 000 and on
-// DBLP-like records at n = 10 000, reporting the snapshot's size. A load
-// parses every tree and builds each segment's profiles and postings.
+// DBLP-like records at n = 10 000, and of a fragmented store on the DBLP
+// shape, reporting the snapshot's size. The fragmented store is built the
+// way mixed_rw writes: the records inserted one by one at memtable 64
+// (compaction off, so 156 sealed segments and a memtable of 16), then
+// every tenth id deleted. A load parses every tree and builds the
+// profiles and postings of one segment over them.
 func BenchmarkSnapshot(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
+	recs := dblp.New(5).Dataset(10000)
+	frag := search.NewIndex(nil, search.NewBiBranch(), search.WithMemtableSize(64), search.WithCompactionThreshold(-1))
+	for _, t := range recs {
+		frag.Insert(t)
+	}
+	for id := 0; id < len(recs); id += 10 {
+		frag.Delete(id)
+	}
 	for _, c := range []struct {
 		name string
-		ts   []*tree.Tree
+		ix   *search.Index
 	}{
-		{"range_scan-shape/8000", datagen.New(spec, 5).Dataset(8000, 800)},
-		{"dblp/10000", dblp.New(5).Dataset(10000)},
+		{"range_scan-shape/8000", search.NewIndex(datagen.New(spec, 5).Dataset(8000, 800), search.NewBiBranch())},
+		{"dblp/10000", search.NewIndex(recs, search.NewBiBranch())},
+		{"dblp-fragmented/10000", frag},
 	} {
-		ix := search.NewIndex(c.ts, search.NewBiBranch())
 		var snap bytes.Buffer
-		if err := search.SaveIndex(&snap, ix); err != nil {
+		if err := search.SaveIndex(&snap, c.ix); err != nil {
 			b.Fatal(err)
 		}
 		b.Run("save/"+c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := search.SaveIndex(io.Discard, ix); err != nil {
+				if err := search.SaveIndex(io.Discard, c.ix); err != nil {
 					b.Fatal(err)
 				}
 			}

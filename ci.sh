@@ -107,7 +107,6 @@ for stage; do
         fuzz FuzzSequenceTier ./internal/search
         fuzz FuzzCheapLevels ./internal/search
         fuzz FuzzSweep ./internal/invfile
-        fuzz FuzzManifest ./internal/segstore
         fuzz FuzzParseTraceparent ./internal/obs
         fuzz FuzzTraceparentMiddleware ./internal/server
         ;;

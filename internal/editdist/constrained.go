@@ -54,11 +54,17 @@ func ConstrainedDistance(t1, t2 *tree.Tree, opts ...Option) int {
 		dt[i] = make([]int, b.n+1)
 		df[i] = make([]int, b.n+1)
 	}
+	// The forest alignment's two rows, sized by T2's widest child list.
+	w := 0
+	for _, kids := range bkids {
+		w = max(w, len(kids))
+	}
+	prev, cur := make([]int, w+1), make([]int, w+1)
 
 	for i := 1; i <= a.n; i++ {
 		for j := 1; j <= b.n; j++ {
 			// Forest distance.
-			best := alignForests(akids[i], bkids[j], delT, insT, dt)
+			best := alignForests(akids[i], bkids[j], delT, insT, dt, prev, cur)
 			// F(i) maps entirely inside the children forest of one
 			// subtree of F(j) (that subtree's root and siblings are
 			// inserted)...
@@ -110,11 +116,9 @@ func (d *decomp) children() [][]int {
 // alignForests computes the order-preserving alignment of two subtree
 // sequences, where substituting subtree ic for jc costs dt[ic][jc] and
 // gaps cost whole-subtree deletion/insertion — a string edit distance over
-// subtrees.
-func alignForests(f1, f2 []int, delT, insT []int, dt [][]int) int {
+// subtrees. prev and cur are its two rows, of at least len(f2)+1 entries.
+func alignForests(f1, f2 []int, delT, insT []int, dt [][]int, prev, cur []int) int {
 	m, n := len(f1), len(f2)
-	prev := make([]int, n+1)
-	cur := make([]int, n+1)
 	prev[0] = 0
 	for j := 1; j <= n; j++ {
 		prev[j] = prev[j-1] + insT[f2[j-1]]

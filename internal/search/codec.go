@@ -13,29 +13,26 @@ import (
 	"sync/atomic"
 
 	"treesim/internal/branch"
-	"treesim/internal/segstore"
 	"treesim/internal/tree"
 )
 
-// Persistence of a BiBranch-filtered index: the filter configuration and
-// the dataset trees (canonical text encoding). A segment's branch space,
-// profiles and postings are derived from its trees, so they are not
-// stored: loading indexes every segment as a build or a compaction does.
+// Persistence of a BiBranch-filtered index: the filter configuration, the
+// id high-water mark and the live trees with their dataset ids (canonical
+// text encoding). Everything else is derived from those trees, as
+// Algorithm 1 derives the index from the dataset: the branch space,
+// profiles and postings, and the store's segment layout and tombstones,
+// which are its history, not its data. Loading builds one sealed segment
+// over the trees, as a compaction does.
 //
 // On disk (all integers little-endian):
 //
-//	magic "TSIX4\x00"
-//	the filter configuration: u32 q, u8 positional, then a u32 CRC32C
-//	of those five bytes
-//	a checksummed segment manifest (internal/segstore framing: u32
-//	length, body, u32 CRC32C)
-//	one blob per manifest segment: the payload bytes followed by a u32
-//	CRC32C trailer
-//
-// A payload is a u32 tree count, then each tree as (u32 len, canonical
-// text bytes). One payload per storage segment preserves the segment
-// layout, the dataset-id assignment and the unresolved tombstones across
-// restarts.
+//	magic "TSIX5\x00"
+//	the header: u32 q, u8 positional, u64 next id, u64 body length, then
+//	a u32 CRC32C of those 21 bytes
+//	the body: per live tree, ascending by id, a uvarint id gap (the id
+//	minus one more than the previous id, the first tree's id itself),
+//	then (u32 len, canonical text bytes)
+//	a u32 CRC32C of the body
 //
 // Checksums make corruption a first-class, precisely reported condition:
 // LoadIndex and VerifySnapshot distinguish a truncated snapshot
@@ -43,22 +40,25 @@ import (
 // corrupt one (ErrSnapshotCorrupt — any other magic, a checksum mismatch,
 // or structural nonsense inside length-complete data).
 
-var indexMagic = [6]byte{'T', 'S', 'I', 'X', '4', 0}
+var indexMagic = [6]byte{'T', 'S', 'I', 'X', '5', 0}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const (
-	// maxPayload caps a declared payload length (1 TiB) so a corrupt
-	// header can neither overflow the int64 LimitReader nor promise absurd
-	// work; real bounds come from the bytes that actually arrive.
+	// maxPayload caps a declared body length (1 TiB) so a corrupt header
+	// can neither overflow the int64 LimitReader nor promise absurd work;
+	// real bounds come from the bytes that actually arrive.
 	maxPayload = 1 << 40
-	// configLen is the filter configuration's length with its checksum.
-	configLen = 4 + 1 + 4
+	// maxNextID caps the declared id high-water mark well below int
+	// overflow on any platform.
+	maxNextID = 1 << 40
+	// headerLen is the header's length with its checksum.
+	headerLen = 4 + 1 + 8 + 8 + 4
 )
 
 // ErrSnapshotCorrupt reports a snapshot whose bytes are all present but
-// wrong: a checksum does not match, or a structurally invalid payload
-// hides behind a matching length. Loaders must refuse to serve from it.
+// wrong: a checksum does not match, or a structurally invalid body hides
+// behind a matching length. Loaders must refuse to serve from it.
 var ErrSnapshotCorrupt = errors.New("snapshot corrupt")
 
 // ErrSnapshotTruncated reports a snapshot that ends early — the classic
@@ -66,9 +66,10 @@ var ErrSnapshotCorrupt = errors.New("snapshot corrupt")
 // not enough of it.
 var ErrSnapshotTruncated = errors.New("snapshot truncated")
 
-// SaveIndex serializes an index in the TSIX4 segmented format. A
-// sequential index has no filter configuration to store and is refused:
-// it is rebuilt from its dataset for free.
+// SaveIndex serializes an index in the TSIX5 format: its live trees only,
+// so a deleted tree's text leaves the next snapshot. A sequential index
+// has no filter configuration to store and is refused: it is rebuilt from
+// its dataset for free.
 //
 // SaveIndex is safe to call while the index serves queries, inserts and
 // deletes: it takes a consistent cut of the segmented store (sealed
@@ -80,176 +81,140 @@ func SaveIndex(w io.Writer, ix *Index) error {
 		return fmt.Errorf("search: only BiBranch indexes can be saved (have %s)", f.Name())
 	}
 	cut := ix.store.Read()
-	blobs := make([][]byte, len(cut.Segments))
-	metas := make([]segstore.SegmentMeta, len(cut.Segments))
-	for i, sg := range cut.Segments {
-		blobs[i] = encodePayload(payloadOf(sg).trees)
-		metas[i] = segstore.SegmentMeta{Base: sg.Base, N: sg.N, IDs: sg.IDs, BlobLen: uint64(len(blobs[i]))}
+	var body []byte
+	gapBase := 0 // one more than the previous tree's id
+	for _, sg := range cut.Segments {
+		for i, t := range payloadOf(sg).trees {
+			id := sg.ID(i)
+			if cut.Tombs.Has(id) {
+				continue
+			}
+			s := t.String()
+			body = binary.AppendUvarint(body, uint64(id-gapBase))
+			body = binary.LittleEndian.AppendUint32(body, uint32(len(s)))
+			body = append(body, s...)
+			gapBase = id + 1
+		}
 	}
-	m := &segstore.Manifest{NextID: cut.NextID, Tombstones: cut.Tombs.IDs(), Segments: metas}
 
 	// A bufio.Writer's errors are sticky: Flush reports the first.
 	bw := bufio.NewWriter(w)
 	bw.Write(indexMagic[:])
-	bw.Write(encodeConfig(f))
-	if err := segstore.WriteManifest(bw, m); err != nil {
-		return err
-	}
-	for _, b := range blobs {
-		bw.Write(b)
-		bw.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(b, castagnoli)))
-	}
+	bw.Write(encodeHeader(f, cut.NextID, len(body)))
+	bw.Write(body)
+	bw.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(body, castagnoli)))
 	return bw.Flush()
 }
 
-// encodeConfig encodes the filter configuration with its checksum.
-func encodeConfig(f *BiBranch) []byte {
-	b := binary.LittleEndian.AppendUint32(make([]byte, 0, configLen), uint32(f.level()))
+// encodeHeader encodes the filter configuration, the id high-water mark
+// and the body length with their checksum.
+func encodeHeader(f *BiBranch, next, bodyLen int) []byte {
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, headerLen), uint32(f.level()))
 	if f.Positional {
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(next))
+	b = binary.LittleEndian.AppendUint64(b, uint64(bodyLen))
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
-// encodePayload encodes one segment's trees.
-func encodePayload(trees []*tree.Tree) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(trees)))
-	for _, t := range trees {
-		s := t.String()
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
-		b = append(b, s...)
-	}
-	return b
-}
-
-// LoadIndex deserializes an index saved by SaveIndex, indexing every
-// segment's trees under the stored filter configuration the way NewIndex
-// and compaction do. Options configure the loaded index the same way they
-// configure NewIndex: cost model, memtable sizing, compaction threshold. A
-// filter option replaces the snapshot's filter: every segment is indexed
-// under it instead. A nil one is no option, and the snapshot's filter
-// stays. Under a cost model that does not report a per-operation minimum of
-// at least 1 the index scans sequentially (see WithCostModel). With no
-// options the index uses unit edit costs and the default execution shape.
+// LoadIndex deserializes an index saved by SaveIndex into one sealed
+// segment over the snapshot's live trees, indexed under the stored filter
+// configuration the way NewIndex and compaction index theirs; the id
+// high-water mark is kept, so the next insert gets the id it would have
+// got before the save. Options configure the loaded index the same way
+// they configure NewIndex: cost model, memtable sizing, compaction
+// threshold. A filter option replaces the snapshot's filter: the trees are
+// indexed under it instead. A nil one is no option, and the snapshot's
+// filter stays. Under a cost model that does not report a per-operation
+// minimum of at least 1 the index scans sequentially (see WithCostModel).
+// With no options the index uses unit edit costs and the default
+// execution shape.
 //
 // Errors satisfy errors.Is against ErrSnapshotTruncated (file ends early)
 // or ErrSnapshotCorrupt (wrong magic / checksum mismatch / structural
 // damage) so callers can report the failure mode precisely.
 func LoadIndex(r io.Reader, opts ...IndexOption) (*Index, error) {
-	proto, m, err := readHeader(r)
+	proto, next, blen, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	ids, trees, err := loadBody(r, blen, next)
 	if err != nil {
 		return nil, err
 	}
 	cfg := applyIndexOpts(opts)
-
-	segs := make([]*segstore.Segment, len(m.Segments))
-	for i, meta := range m.Segments {
-		ts, err := loadBlob(r, int64(meta.BlobLen), meta.N, i)
-		if err != nil {
-			return nil, err
-		}
-		segs[i] = &segstore.Segment{Base: meta.Base, N: meta.N, IDs: meta.IDs, Payload: &segPayload{trees: ts}}
-	}
-
 	if cfg.filter != nil || cfg.sequential() { // cfg.filter is nil when sequential
 		proto = cfg.filter
 	}
-	// Every loaded segment is a sealed one: its filter is built over its
-	// trees, profiles and postings both, as a compaction builds it.
-	for _, sg := range segs {
-		p := payloadOf(sg)
-		p.filter = proto.Fresh()
-		p.filter.Index(p.trees)
-	}
-	proto.Index(nil)
-	ix := indexShell(cfg, proto)
-	ix.store.Bootstrap(segs, m.Tombstones, m.NextID)
-	return ix, nil
+	return build(cfg, proto, ids, trees, next), nil
 }
 
-// readHeader reads what precedes the segment blobs — the magic, the
-// filter configuration and the manifest — and classifies what is wrong
-// with it.
-func readHeader(r io.Reader) (*BiBranch, *segstore.Manifest, error) {
+// readHeader reads what precedes the body — the magic and the header —
+// and classifies what is wrong with it. It returns the stored filter
+// configuration, the id high-water mark and the body length.
+func readHeader(r io.Reader) (*BiBranch, int, int64, error) {
 	var magic [6]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, nil, fmt.Errorf("search: %w: reading magic: %v", ErrSnapshotTruncated, err)
+		return nil, 0, 0, fmt.Errorf("search: %w: reading magic: %v", ErrSnapshotTruncated, err)
 	}
 	if magic != indexMagic {
-		return nil, nil, fmt.Errorf("search: %w: bad magic %q (want %q)", ErrSnapshotCorrupt, magic, indexMagic)
+		return nil, 0, 0, fmt.Errorf("search: %w: bad magic %q (want %q)", ErrSnapshotCorrupt, magic, indexMagic)
 	}
-	var c [configLen]byte
-	if _, err := io.ReadFull(r, c[:]); err != nil {
-		return nil, nil, fmt.Errorf("search: %w: reading filter configuration: %v", ErrSnapshotTruncated, err)
+	var h [headerLen]byte
+	if _, err := io.ReadFull(r, h[:]); err != nil {
+		return nil, 0, 0, fmt.Errorf("search: %w: reading header: %v", ErrSnapshotTruncated, err)
 	}
-	if got, want := crc32.Checksum(c[:5], castagnoli), binary.LittleEndian.Uint32(c[5:]); got != want {
-		return nil, nil, fmt.Errorf("search: %w: filter configuration checksum %08x, trailer says %08x",
+	le := binary.LittleEndian
+	if got, want := crc32.Checksum(h[:headerLen-4], castagnoli), le.Uint32(h[headerLen-4:]); got != want {
+		return nil, 0, 0, fmt.Errorf("search: %w: header checksum %08x, trailer says %08x",
 			ErrSnapshotCorrupt, got, want)
 	}
-	q := binary.LittleEndian.Uint32(c[:4])
-	if q < branch.MinQ || q > branch.MaxQ || c[4] > 1 {
-		return nil, nil, fmt.Errorf("search: %w: implausible filter configuration q=%d positional=%d",
-			ErrSnapshotCorrupt, q, c[4])
+	q, next, blen := le.Uint32(h[:4]), le.Uint64(h[5:13]), le.Uint64(h[13:21])
+	if q < branch.MinQ || q > branch.MaxQ || h[4] > 1 {
+		return nil, 0, 0, fmt.Errorf("search: %w: implausible filter configuration q=%d positional=%d",
+			ErrSnapshotCorrupt, q, h[4])
 	}
-	proto := &BiBranch{Q: int(q), Positional: c[4] == 1}
-
-	m, err := segstore.ReadManifest(r)
-	if err != nil {
-		if errors.Is(err, segstore.ErrManifestTruncated) {
-			return nil, nil, fmt.Errorf("search: %w: %v", ErrSnapshotTruncated, err)
-		}
-		return nil, nil, fmt.Errorf("search: %w: %v", ErrSnapshotCorrupt, err)
+	if next > maxNextID || blen > maxPayload {
+		return nil, 0, 0, fmt.Errorf("search: %w: implausible next id %d or body length %d",
+			ErrSnapshotCorrupt, next, blen)
 	}
-	for i, meta := range m.Segments {
-		if meta.BlobLen > maxPayload {
-			return nil, nil, fmt.Errorf("search: %w: segment %d declares implausible payload length %d",
-				ErrSnapshotCorrupt, i, meta.BlobLen)
-		}
-	}
-	return proto, m, nil
+	return &BiBranch{Q: int(q), Positional: h[4] == 1}, int(next), int64(blen), nil
 }
 
-// loadBlob decodes segment seg's checksummed payload blob, which the
-// manifest says holds n trees, hashing exactly the declared bytes and
-// classifying failures.
-func loadBlob(r io.Reader, blen int64, n, seg int) ([]*tree.Tree, error) {
+// loadBody decodes the checksummed body of blen bytes, hashing exactly the
+// declared bytes and classifying failures. It returns the trees and their
+// ids, every one below next.
+func loadBody(r io.Reader, blen int64, next int) ([]int, []*tree.Tree, error) {
 	cr := &countingHashReader{r: io.LimitReader(r, blen), h: crc32.New(castagnoli)}
 	br := bufio.NewReader(cr)
-	ts, derr := decodePayload(br, n)
+	ids, ts, derr := decodeBody(br, next)
 
-	// Drain whatever the decoder did not consume — on success this should
-	// be nothing; on error it completes the checksum so the failure can be
-	// classified.
-	var drained int64
-	if rest, err := io.Copy(io.Discard, br); err == nil {
-		drained = rest
-	}
+	// Drain whatever the decoder did not consume — on success this is
+	// nothing; on error it completes the checksum so the failure can be
+	// classified. A read error here shows as missing bytes below.
+	_, _ = io.Copy(io.Discard, br)
 	if cr.n < blen {
-		return nil, fmt.Errorf("search: %w: segment %d payload has %d of %d declared bytes",
-			ErrSnapshotTruncated, seg, cr.n, blen)
+		return nil, nil, fmt.Errorf("search: %w: body has %d of %d declared bytes",
+			ErrSnapshotTruncated, cr.n, blen)
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return nil, fmt.Errorf("search: %w: segment %d missing checksum trailer", ErrSnapshotTruncated, seg)
+		return nil, nil, fmt.Errorf("search: %w: body missing checksum trailer", ErrSnapshotTruncated)
 	}
-	want := binary.LittleEndian.Uint32(trailer[:])
-	if got := cr.h.Sum32(); got != want {
-		return nil, fmt.Errorf("search: %w: segment %d payload checksum %08x, trailer says %08x",
-			ErrSnapshotCorrupt, seg, got, want)
+	if got, want := cr.h.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
+		return nil, nil, fmt.Errorf("search: %w: body checksum %08x, trailer says %08x",
+			ErrSnapshotCorrupt, got, want)
 	}
 	// Checksum matched: the bytes are exactly what the writer produced, so
 	// any remaining failure is structural corruption (or a writer bug),
 	// not I/O damage.
 	if derr != nil {
-		return nil, fmt.Errorf("search: %w: segment %d: %v", ErrSnapshotCorrupt, seg, derr)
+		return nil, nil, fmt.Errorf("search: %w: %v", ErrSnapshotCorrupt, derr)
 	}
-	if drained > 0 {
-		return nil, fmt.Errorf("search: %w: segment %d has %d payload bytes beyond its trees",
-			ErrSnapshotCorrupt, seg, drained)
-	}
-	return ts, nil
+	return ids, ts, nil
 }
 
 // countingHashReader hashes and counts everything read through it.
@@ -270,89 +235,85 @@ func (c *countingHashReader) Read(p []byte) (int, error) {
 // checksums — without decoding it: cheap enough to run after every
 // snapshot write, before the rename publishes it.
 func VerifySnapshot(r io.Reader) error {
-	_, m, err := readHeader(r)
+	_, _, blen, err := readHeader(r)
 	if err != nil {
 		return err
 	}
-	for i, meta := range m.Segments {
-		if err := verifyBlob(r, int64(meta.BlobLen), i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// verifyBlob hashes segment seg's blen payload bytes and compares against
-// the u32 trailer.
-func verifyBlob(r io.Reader, blen int64, seg int) error {
 	h := crc32.New(castagnoli)
 	n, err := io.Copy(h, io.LimitReader(r, blen))
 	if err != nil {
 		return fmt.Errorf("search: verifying snapshot: %w", err)
 	}
 	if n < blen {
-		return fmt.Errorf("search: %w: segment %d payload has %d of %d declared bytes", ErrSnapshotTruncated, seg, n, blen)
+		return fmt.Errorf("search: %w: body has %d of %d declared bytes", ErrSnapshotTruncated, n, blen)
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return fmt.Errorf("search: %w: segment %d payload missing checksum trailer", ErrSnapshotTruncated, seg)
+		return fmt.Errorf("search: %w: body missing checksum trailer", ErrSnapshotTruncated)
 	}
 	if want := binary.LittleEndian.Uint32(trailer[:]); h.Sum32() != want {
-		return fmt.Errorf("search: %w: segment %d payload checksum %08x, trailer says %08x",
-			ErrSnapshotCorrupt, seg, h.Sum32(), want)
+		return fmt.Errorf("search: %w: body checksum %08x, trailer says %08x",
+			ErrSnapshotCorrupt, h.Sum32(), want)
 	}
 	return nil
 }
 
-// decodePayload reads one segment's payload of n trees.
+// decodeBody reads (id gap, tree) records until the body ends.
 //
-// Only the manifest vouches for n, and a manifest can lie with valid
-// checksums, so n sizes no allocation: the slices grow as tree bytes
-// actually arrive, and a lying count dies on EOF having cost a small
-// starter capacity. The tree blobs are read sequentially (the stream
-// dictates it) but parsed in parallel: each parses independently. The
-// first error in dataset order wins, keeping failure messages identical
-// to a sequential decoder's.
-func decodePayload(br *bufio.Reader, n int) ([]*tree.Tree, error) {
+// Only the bytes that arrive vouch for the body, so nothing is sized in
+// advance: the slices grow as tree bytes actually arrive, and a lying
+// length dies on EOF having cost what was read. The tree blobs are read
+// sequentially (the stream dictates it) but parsed in parallel: each
+// parses independently. The first error in dataset order wins, keeping
+// failure messages identical to a sequential decoder's.
+func decodeBody(br *bufio.Reader, next int) ([]int, []*tree.Tree, error) {
+	var ids []int
+	var blobs [][]byte
 	var u32 [4]byte
-	if _, err := io.ReadFull(br, u32[:]); err != nil {
-		return nil, err
-	}
-	if count := binary.LittleEndian.Uint32(u32[:]); int(count) != n {
-		return nil, fmt.Errorf("search: payload holds %d trees but the manifest says %d", count, n)
-	}
-	blobs := make([][]byte, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
+	id := -1
+	for {
+		gap, err := binary.ReadUvarint(br)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		if gap >= uint64(next-id-1) {
+			return nil, nil, fmt.Errorf("search: tree %d: id gap %d passes the next id %d", len(ids), gap, next)
+		}
+		id += int(gap) + 1
 		if _, err := io.ReadFull(br, u32[:]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		l := int64(binary.LittleEndian.Uint32(u32[:]))
 		buf, err := io.ReadAll(io.LimitReader(br, l))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if int64(len(buf)) < l {
-			return nil, fmt.Errorf("search: tree %d: %w", i, io.ErrUnexpectedEOF)
+			return nil, nil, fmt.Errorf("search: tree %d: %w", id, io.ErrUnexpectedEOF)
 		}
+		ids = append(ids, id)
 		blobs = append(blobs, buf)
 	}
 
-	trees := make([]*tree.Tree, n)
-	errs := make([]error, n)
-	forEach(n, func(i int) {
+	trees := make([]*tree.Tree, len(blobs))
+	errs := make([]error, len(blobs))
+	forEach(len(blobs), func(i int) {
 		t, err := tree.Parse(string(blobs[i]))
 		if err != nil {
-			errs[i] = fmt.Errorf("search: tree %d: %w", i, err)
+			errs[i] = fmt.Errorf("search: tree %d: %w", ids[i], err)
 			return
 		}
 		trees[i] = t
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return trees, nil
+	return ids, trees, nil
 }
 
 // forEach runs fn(i) for every i in [0, n) on up to GOMAXPROCS goroutines,

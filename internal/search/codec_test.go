@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"treesim/internal/branch"
-	"treesim/internal/segstore"
 	"treesim/internal/tree"
 )
 
@@ -83,9 +82,10 @@ func TestSaveLoadPreservesConfig(t *testing.T) {
 	}
 }
 
-// TestSaveLoadSegmentedRoundTrip: a TSIX4 snapshot of a multi-segment,
-// tombstoned index preserves the segment layout, the id assignment, the
-// tombstones and the id high-water mark exactly.
+// TestSaveLoadSegmentedRoundTrip: a TSIX5 snapshot of a multi-segment,
+// tombstoned index preserves the id assignment, the visible trees and the
+// id high-water mark exactly, and reloads as one segment with no
+// tombstones.
 func TestSaveLoadSegmentedRoundTrip(t *testing.T) {
 	all := testDataset(40, 28)
 	ix := NewIndex(all[:10], NewBiBranch(), WithMemtableSize(6), WithCompactionThreshold(-1))
@@ -102,8 +102,8 @@ func TestSaveLoadSegmentedRoundTrip(t *testing.T) {
 	if err := SaveIndex(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes()[:6]; string(got) != "TSIX4\x00" {
-		t.Fatalf("SaveIndex produced magic %q, want TSIX4", got)
+	if got := buf.Bytes()[:6]; string(got) != "TSIX5\x00" {
+		t.Fatalf("SaveIndex produced magic %q, want TSIX5", got)
 	}
 	loaded, err := LoadIndex(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -112,8 +112,8 @@ func TestSaveLoadSegmentedRoundTrip(t *testing.T) {
 	if loaded.Size() != 40 || loaded.Live() != 37 {
 		t.Fatalf("loaded size/live %d/%d, want 40/37", loaded.Size(), loaded.Live())
 	}
-	if a, b := ix.StoreStats(), loaded.StoreStats(); a.Segments != b.Segments || a.Tombstones != b.Tombstones {
-		t.Fatalf("layout changed in round trip: %+v vs %+v", a, b)
+	if st := loaded.StoreStats(); st.Segments != 1 || st.Tombstones != 0 || st.MemtableLen != 0 {
+		t.Fatalf("loaded layout %+v, want 1 segment, 0 tombstones, an empty memtable", st)
 	}
 	for i := 0; i < 40; i++ {
 		lt, lok := loaded.TreeAt(i)
@@ -139,8 +139,8 @@ func TestSaveLoadSegmentedRoundTrip(t *testing.T) {
 }
 
 // TestLoadSegmentedWithFilterReplace: a filter option on LoadIndex
-// re-indexes a segmented snapshot under the new filter, keeping ids, the
-// high-water mark and the tombstones.
+// indexes a snapshot of a segmented index under the new filter, keeping
+// ids, the high-water mark and the deletes.
 func TestLoadSegmentedWithFilterReplace(t *testing.T) {
 	all := testDataset(30, 31)
 	ix := NewIndex(all[:10], NewBiBranch(), WithMemtableSize(5), WithCompactionThreshold(-1))
@@ -183,7 +183,7 @@ func TestSaveRejectsOtherFilters(t *testing.T) {
 }
 
 // TestLoadClassifiesCorruptVsTruncated: the loader's and the verifier's
-// contract — a bit flip anywhere in the payload and any magic but TSIX4's
+// contract — a bit flip anywhere in the body and any magic but TSIX5's
 // are reported as corrupt, a short file (shorter than the magic included)
 // as truncated, and neither ever loads.
 func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
@@ -193,7 +193,7 @@ func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	payloadStart := 6 + configLen + 8 // past the magic and the filter configuration, inside the manifest
+	payloadStart := 6 + headerLen // past the magic and the header: the body's first byte
 
 	check := func(what string, data []byte, want error) {
 		t.Helper()
@@ -205,7 +205,7 @@ func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
 		}
 	}
 
-	// Bit flips across the payload and the trailer: always ErrSnapshotCorrupt.
+	// Bit flips across the body and the trailer: always ErrSnapshotCorrupt.
 	for _, flip := range []int{payloadStart, payloadStart + 100, len(full) / 2, len(full) - 2} {
 		mut := append([]byte(nil), full...)
 		mut[flip] ^= 0x20
@@ -219,9 +219,9 @@ func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
 
 	// The magics of formats this loader does not read: corrupt, whatever
 	// follows them.
-	for _, magic := range []string{"TSIX1\x00", "TSIX2\x00", "TSIX3\x00"} {
+	for _, magic := range []string{"TSIX1\x00", "TSIX2\x00", "TSIX3\x00", "TSIX4\x00"} {
 		check(fmt.Sprintf("magic %q + garbage", magic), []byte(magic+"garbage"), ErrSnapshotCorrupt)
-		check(fmt.Sprintf("magic %q + a TSIX4 body", magic), append([]byte(magic), full[6:]...), ErrSnapshotCorrupt)
+		check(fmt.Sprintf("magic %q + a TSIX5 body", magic), append([]byte(magic), full[6:]...), ErrSnapshotCorrupt)
 	}
 }
 
@@ -243,8 +243,8 @@ func TestVerifySnapshot(t *testing.T) {
 	if err := VerifySnapshot(bytes.NewReader(full[:len(full)-7])); !errors.Is(err, ErrSnapshotTruncated) {
 		t.Fatal("truncation passed verification")
 	}
-	// The filter configuration has its own checksum: q=3 under q=2's
-	// checksum is caught before the manifest is read.
+	// The header has its own checksum: q=3 under q=2's checksum is caught
+	// before the body is read.
 	mut = append([]byte(nil), full...)
 	mut[6] = 3
 	if err := VerifySnapshot(bytes.NewReader(mut)); !errors.Is(err, ErrSnapshotCorrupt) {
@@ -252,31 +252,154 @@ func TestVerifySnapshot(t *testing.T) {
 	}
 }
 
-// TestLoadBoundsLyingTreeCount: a snapshot whose checksums all match but
-// whose manifest and payload both declare 2³¹ trees, and which holds
-// none, fails cleanly without an allocation sized by the count.
+// frameSnapshot frames a hand-made body as a TSIX5 snapshot with every
+// checksum matching: what a snapshot that lies in its structure, not its
+// bytes, looks like.
+func frameSnapshot(f *BiBranch, next int, body []byte) []byte {
+	out := append(indexMagic[:], encodeHeader(f, next, len(body))...)
+	out = append(out, body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
+}
+
+// TestLoadBoundsLyingTreeCount: snapshots whose checksums all match but
+// which declare far more than they hold — one tree of 2³¹ bytes in a
+// 5-byte body, or a body of 1 TiB — fail cleanly without an allocation
+// sized by the declared length. (A TSIX5 body declares no tree count; its
+// lengths are what can lie.)
 func TestLoadBoundsLyingTreeCount(t *testing.T) {
-	const n = 1 << 31
-	payload := binary.LittleEndian.AppendUint32(nil, n)
+	lyingTree := frameSnapshot(NewBiBranch(), 1, []byte{0, 0, 0, 0, 0x80})
+	lyingBody := append(indexMagic[:], encodeHeader(NewBiBranch(), 1, maxPayload)...)
+	for _, c := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"tree length", lyingTree, ErrSnapshotCorrupt},
+		{"body length", lyingBody, ErrSnapshotTruncated},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadIndex(bytes.NewReader(c.data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, c.want) {
+			t.Fatalf("lying %s: %v, want %v", c.name, err, c.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Fatalf("lying %s allocated %d bytes, want at most 4 MiB", c.name, got)
+		}
+	}
+}
+
+// TestLoadRefusesIDsPastNext: a body whose id gaps pass the stored
+// high-water mark is corrupt, checksums matching or not.
+func TestLoadRefusesIDsPastNext(t *testing.T) {
+	tr := []byte("a(b)")
+	rec := func(gap uint64) []byte {
+		b := binary.AppendUvarint(nil, gap)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(tr)))
+		return append(b, tr...)
+	}
+	for _, c := range []struct {
+		name string
+		next int
+		body []byte
+	}{
+		{"gap to next", 3, rec(3)},
+		{"second tree at next", 2, append(rec(1), rec(0)...)},
+		{"gap past int", 3, rec(1 << 63)},
+		{"any tree, next 0", 0, rec(0)},
+	} {
+		if _, err := LoadIndex(bytes.NewReader(frameSnapshot(NewBiBranch(), c.next, c.body))); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: %v, want ErrSnapshotCorrupt", c.name, err)
+		}
+	}
+	ix, err := LoadIndex(bytes.NewReader(frameSnapshot(NewBiBranch(), 3, rec(2))))
+	if err != nil || ix.Size() != 3 || ix.Live() != 1 {
+		t.Fatalf("the last id below next: %v", err)
+	}
+}
+
+// TestSnapshotHoldsLiveTreesOnly: a deleted tree's text is not in the
+// snapshot, and the reload is the live dataset — the same ids, trees,
+// answers and high-water mark — in one segment with no tombstones.
+func TestSnapshotHoldsLiveTreesOnly(t *testing.T) {
+	all := testDataset(30, 32)
+	ix := NewIndex(all[:10], NewBiBranch(), WithMemtableSize(4), WithCompactionThreshold(-1))
+	for _, tr := range all[10:20] {
+		ix.Insert(tr)
+	}
+	const label = "deleted-label-8e4c"
+	doomed, _ := ix.Insert(tree.MustParse(label + "(x,y)"))
+	for _, tr := range all[20:] {
+		ix.Insert(tr)
+	}
+	for _, id := range []int{doomed, 2, 13, ix.Size() - 1} {
+		if !ix.Delete(id) {
+			t.Fatalf("delete %d refused", id)
+		}
+	}
+
 	var buf bytes.Buffer
-	buf.Write(indexMagic[:])
-	buf.Write(encodeConfig(NewBiBranch()))
-	m := &segstore.Manifest{NextID: n, Segments: []segstore.SegmentMeta{{Base: 0, N: n, BlobLen: uint64(len(payload))}}}
-	if err := segstore.WriteManifest(&buf, m); err != nil {
+	if err := SaveIndex(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	buf.Write(payload)
-	buf.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(payload, castagnoli)))
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := LoadIndex(bytes.NewReader(buf.Bytes()))
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotTruncated) {
-		t.Fatalf("lying count: %v, want ErrSnapshotCorrupt or ErrSnapshotTruncated", err)
+	if bytes.Contains(buf.Bytes(), []byte(label)) {
+		t.Fatalf("the snapshot holds deleted tree %d's text", doomed)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
-		t.Fatalf("lying count allocated %d bytes, want at most 4 MiB", got)
+	loaded, err := LoadIndex(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Size() != ix.Size() || loaded.Live() != ix.Live() {
+		t.Fatalf("loaded size/live %d/%d, want %d/%d", loaded.Size(), loaded.Live(), ix.Size(), ix.Live())
+	}
+	for i := 0; i < ix.Size(); i++ {
+		lt, lok := loaded.TreeAt(i)
+		ot, ook := ix.TreeAt(i)
+		if lok != ook || (lok && !tree.Equal(lt, ot)) {
+			t.Fatalf("tree %d changed in round trip (visible %v/%v)", i, ook, lok)
+		}
+	}
+	if st := loaded.StoreStats(); st.Segments != 1 || st.Tombstones != 0 {
+		t.Fatalf("loaded layout %+v, want 1 segment and 0 tombstones", st)
+	}
+	for _, q := range []*tree.Tree{all[0], all[17], tree.MustParse(label + "(x,y)")} {
+		wantK, _, _ := ix.KNN(context.Background(), q, 5)
+		gotK, _, _ := loaded.KNN(context.Background(), q, 5)
+		wantR, _, _ := ix.Range(context.Background(), q, 4)
+		gotR, _, _ := loaded.Range(context.Background(), q, 4)
+		if !reflect.DeepEqual(wantK, gotK) || !reflect.DeepEqual(wantR, gotR) {
+			t.Fatalf("answers differ after reload: k-NN %v vs %v, range %v vs %v", gotK, wantK, gotR, wantR)
+		}
+	}
+	if id, _ := loaded.Insert(all[5]); id != ix.Size() {
+		t.Fatalf("insert after reload got id %d, want %d", id, ix.Size())
+	}
+}
+
+// TestSnapshotAllDeleted: an index whose every tree is deleted saves an
+// empty body and reloads empty at its high-water mark.
+func TestSnapshotAllDeleted(t *testing.T) {
+	ix := NewIndex(testDataset(5, 33), NewBiBranch())
+	for id := 0; id < 5; id++ {
+		ix.Delete(id)
+	}
+	var buf bytes.Buffer
+	if err := SaveIndex(&buf, ix); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.Len(), 6+headerLen+4; got != want {
+		t.Fatalf("all-deleted snapshot is %d bytes, want %d", got, want)
+	}
+	loaded, err := LoadIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Size() != 5 || loaded.Live() != 0 || loaded.StoreStats().Segments != 0 {
+		t.Fatalf("loaded size/live/segments %d/%d/%d, want 5/0/0", loaded.Size(), loaded.Live(), loaded.StoreStats().Segments)
+	}
+	if id, _ := loaded.Insert(testDataset(1, 34)[0]); id != 5 {
+		t.Fatalf("insert after reload got id %d, want 5", id)
 	}
 }
 

@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"slices"
@@ -19,45 +20,52 @@ import (
 // bytes arrive, so a 50-byte input can never demand gigabytes). When an
 // input does load, it must re-save and re-load into an equivalent index.
 func FuzzLoadIndex(f *testing.F) {
-	ix := NewIndex(testDataset(8, 41), NewBiBranch())
-	var v4 bytes.Buffer
-	if err := SaveIndex(&v4, ix); err != nil {
-		f.Fatal(err)
+	save := func(ix *Index) []byte {
+		var buf bytes.Buffer
+		if err := SaveIndex(&buf, ix); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	// A segmented snapshot with a tombstone: sealed segments, a memtable
-	// snapshot, and a hole in the id space.
+	v5 := save(NewIndex(testDataset(8, 41), NewBiBranch()))
+	// An index with holes: sealed segments, a memtable snapshot, and
+	// deleted ids inside and at the end of the id space.
 	seg := NewIndex(testDataset(6, 42), NewBiBranch(), WithMemtableSize(3), WithCompactionThreshold(-1))
 	for _, tr := range testDataset(5, 43) {
 		seg.Insert(tr)
 	}
 	seg.Delete(4)
-	var v4seg bytes.Buffer
-	if err := SaveIndex(&v4seg, seg); err != nil {
-		f.Fatal(err)
-	}
-	// Stars among sealed segments: the postings built at load hold
-	// saturated counts.
+	seg.Delete(10)
+	// Stars among the trees: the postings built at load hold saturated
+	// counts.
 	stars := NewIndex(append(testDataset(4, 44), star(40)), NewBiBranch(), WithMemtableSize(3), WithCompactionThreshold(-1))
 	for _, tr := range []*tree.Tree{star(17), testDataset(1, 45)[0], star(20)} {
 		stars.Insert(tr)
 	}
 	stars.Delete(1)
-	var v4stars bytes.Buffer
-	if err := SaveIndex(&v4stars, stars); err != nil {
-		f.Fatal(err)
+	// Every tree deleted: an empty body under a high-water mark of 3.
+	gone := NewIndex(testDataset(3, 46), NewBiBranch())
+	for id := range 3 {
+		gone.Delete(id)
 	}
-	f.Add(v4.Bytes())
-	f.Add(v4seg.Bytes())
-	f.Add(v4stars.Bytes())
+	// Checksums all matching, a tree's id gap passes the high-water mark.
+	past := binary.AppendUvarint(nil, 2)
+	past = binary.LittleEndian.AppendUint32(past, 4)
+	past = frameSnapshot(NewBiBranch(), 2, append(past, "a(b)"...))
+
+	f.Add(v5)
+	f.Add(save(seg))
+	f.Add(save(stars))
+	f.Add(save(gone))
+	f.Add(past)
 	// Magics the loader must reject whatever follows them: a well-formed
 	// body here, garbage below.
-	f.Add(append([]byte("TSIX1\x00"), v4.Bytes()[6:]...))
-	f.Add(append([]byte("TSIX2\x00"), v4.Bytes()[6:]...))
-	f.Add(append([]byte("TSIX3\x00"), v4.Bytes()[6:]...))
-	f.Add(v4.Bytes()[:len(v4.Bytes())/2])
+	for _, magic := range []string{"TSIX1\x00", "TSIX2\x00", "TSIX3\x00", "TSIX4\x00"} {
+		f.Add(append([]byte(magic), v5[6:]...))
+	}
+	f.Add(v5[:len(v5)/2])
+	f.Add([]byte("TSIX5\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte("TSIX4\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add([]byte("TSIX3\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
-	f.Add([]byte("TSIX2\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
 	f.Add([]byte("TSIX1\x00garbage"))
 	f.Add([]byte{})
 
@@ -94,8 +102,8 @@ func FuzzLoadIndex(f *testing.F) {
 				visible = append(visible, lt)
 			}
 		}
-		// The segments' filters are built at load: the loaded index
-		// answers like one indexed afresh over its visible trees.
+		// The segment's filter is built at load: the loaded index answers
+		// like one indexed afresh over its visible trees.
 		if len(visible) > 0 && len(visible) <= 64 {
 			fresh := NewIndex(visible, NewBiBranch())
 			q := visible[len(visible)/2]

@@ -155,28 +155,31 @@ func defaultCost() editdist.CostModel { return editdist.UnitCost{} }
 // sequential scan; with no cost option it uses unit edit costs.
 func NewIndex(ts []*tree.Tree, opts ...IndexOption) *Index {
 	cfg := applyIndexOpts(opts)
-	// Build the prototype before the store: the memtable hook derives its
-	// filter from the (then fully resolved) prototype configuration.
-	cfg.filter.Index(ts)
-	ix := indexShell(cfg, cfg.filter)
-	if len(ts) > 0 {
-		base := &segstore.Segment{N: len(ts), Payload: &segPayload{trees: ts, filter: ix.filter}}
-		ix.store.Bootstrap([]*segstore.Segment{base}, nil, len(ts))
-	}
-	return ix
+	return build(cfg, cfg.filter, nil, ts, len(ts))
 }
 
-// indexShell builds an Index around an already-indexed prototype filter,
-// with an empty store ready for Bootstrap.
-func indexShell(cfg indexConfig, proto *BiBranch) *Index {
+// build indexes trees, whose dataset ids are ids (nil: 0, 1, …), under f
+// as one sealed segment, and returns an index over it whose next insert
+// gets id next. f becomes the index's prototype filter.
+func build(cfg indexConfig, f *BiBranch, ids []int, trees []*tree.Tree, next int) *Index {
+	// Index the prototype before the store exists: the memtable hook
+	// derives its filter from the (then fully resolved) prototype
+	// configuration.
+	var segs []*segstore.Segment
+	if len(trees) > 0 {
+		segs = []*segstore.Segment{newSegment(ids, trees, f)}
+	} else {
+		f.Index(nil)
+	}
 	ix := &Index{
-		filter: proto,
+		filter: f,
 		cost:   cfg.cost,
 	}
 	ix.store = segstore.New(segstore.Config{
 		MemtableSize: cfg.memtableSize,
 		CompactAfter: cfg.compactAfter,
 	}, ix.segHooks())
+	ix.store.Bootstrap(segs, next)
 	return ix
 }
 
@@ -223,11 +226,13 @@ func (ix *Index) Insert(t *tree.Tree) (int, error) {
 // Delete tombstones the tree with the given id so it no longer appears in
 // any query result. It reports false when the id was never assigned or is
 // already deleted. The tree's storage is reclaimed at the next
-// compaction; the id is never reused.
+// compaction, and its text is left out of every snapshot saved after the
+// delete; the id is never reused.
 func (ix *Index) Delete(id int) bool { return ix.store.Delete(id) }
 
 // Seal freezes the current memtable into an immutable segment regardless
-// of fill (used by tests and deterministic snapshots). It reports whether
+// of fill, for tests and benchmarks that fix a segment layout. A snapshot
+// does not keep the layout: a load builds one segment. It reports whether
 // anything was sealed.
 func (ix *Index) Seal() bool { return ix.store.Seal() }
 

@@ -108,12 +108,19 @@ func mergeLive(segs []*segstore.Segment, tombs *segstore.Tombstones, f *BiBranch
 	if len(ids) == 0 {
 		return nil
 	}
-	f.Index(trees) // the parallel build is the merge kernel
-	out := &segstore.Segment{N: len(ids), IDs: ids, Payload: &segPayload{trees: trees, filter: f}}
-	if ids[len(ids)-1]-ids[0] == len(ids)-1 {
-		out.Base, out.IDs = ids[0], nil // no holes: the contiguous form
+	return newSegment(ids, trees, f)
+}
+
+// newSegment indexes f over trees and wraps them as a sealed segment
+// holding ids, ascending (nil: 0, 1, …), in the contiguous form when they
+// have no holes. The parallel filter build is the merge kernel.
+func newSegment(ids []int, trees []*tree.Tree, f *BiBranch) *segstore.Segment {
+	f.Index(trees)
+	sg := &segstore.Segment{N: len(trees), IDs: ids, Payload: &segPayload{trees: trees, filter: f}}
+	if len(ids) > 0 && ids[len(ids)-1]-ids[0] == len(ids)-1 {
+		sg.Base, sg.IDs = ids[0], nil
 	}
-	return out
+	return sg
 }
 
 // maybeCompact runs a background compaction when the store's advisory

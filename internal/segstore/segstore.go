@@ -241,13 +241,13 @@ func New(cfg Config, hooks Hooks) *Store {
 	return s
 }
 
-// Bootstrap installs recovered state: sealed segments (oldest first,
-// strictly ascending id ranges), unresolved tombstone ids, and the
-// high-water id. It must run before any concurrent use.
-func (s *Store) Bootstrap(segs []*Segment, tombIDs []int, nextID int) {
+// Bootstrap installs a built or loaded dataset: sealed segments (oldest
+// first, strictly ascending id ranges) and the high-water id, with no
+// tombstones. It must run before any concurrent use.
+func (s *Store) Bootstrap(segs []*Segment, nextID int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.view.Store(&View{Segments: segs, Tombs: NewTombstones(tombIDs)})
+	s.view.Store(&View{Segments: segs})
 	s.nextID = nextID
 	s.memBase = nextID
 	s.memLen = 0

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"net/http"
@@ -356,4 +357,58 @@ func TestWALAppendFailureRefusesInsert(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSnapshotDropsDeletedTree: a tree deleted over HTTP is not in the
+// next snapshot, and a restart that replays the log the delete went to
+// skips its tombstone record: the snapshot already holds the delete.
+func TestSnapshotDropsDeletedTree(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	s, hs := startDurable(t, cfg, 20)
+
+	const label = "doomed8e4c"
+	insertTree(t, hs.URL, label+"(a,b)")
+	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/trees/20", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("delete: status %d", resp.StatusCode)
+	}
+	// The log as the delete left it: the snapshot below trims it.
+	logPath := wal.SegmentPath(cfg.WALPath, 1)
+	raw, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(cfg.SnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(snap, []byte(label)) {
+		t.Fatal("the snapshot holds the deleted tree's text")
+	}
+	hs.Close()
+	s.wal.Close()
+
+	// Put the trimmed segment back; the one the trim rotated to is empty.
+	if err := os.WriteFile(logPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, rec := restartDurable(t, cfg)
+	if rec.Replayed != 0 || rec.Skipped != 2 {
+		t.Fatalf("recovery %s, want the insert and the tombstone skipped", rec)
+	}
+	if _, ok := s2.ix.TreeAt(20); ok {
+		t.Fatal("deleted tree resurrected by replay")
+	}
+	if got, live := s2.ix.Size(), s2.ix.Live(); got != 21 || live != 20 {
+		t.Fatalf("recovered size/live %d/%d, want 21/20", got, live)
+	}
+	s2.wal.Close()
 }

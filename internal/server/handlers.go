@@ -112,7 +112,7 @@ func (s *Server) runQuery(ctx context.Context, op string, q *tree.Tree, k, tau i
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	var req KNNRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err.Error(), requestID(w))
 		return
 	}
@@ -125,7 +125,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	var req RangeRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err.Error(), requestID(w))
 		return
 	}
@@ -176,7 +176,7 @@ const maxDistCells = 1 << 22
 
 func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	var req DistRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err.Error(), requestID(w))
 		return
 	}
@@ -205,7 +205,7 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err.Error(), requestID(w))
 		return
 	}
@@ -304,7 +304,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req InsertRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err.Error(), requestID(w))
 		return
 	}

@@ -51,6 +51,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// Unwrap lets http.ResponseController reach the connection's deadlines.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // maxRequestIDLen bounds a caller's X-Request-Id. The ID is echoed on the
 // response and kept in every retained trace, so an unbounded one would let
 // a client pin up to the header limit per ring slot.
@@ -193,6 +196,13 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 			}
 			defer s.sem.release()
 			if s.cfg.QueryTimeout > 0 {
+				// The slot is held until the handler returns, and the query
+				// context does not bound reading the body: a client that
+				// trickles it in would hold the slot past the timeout. The
+				// read deadline does, until decodeJSON clears it. It fails
+				// only off a connection (a test's recorder), which has no
+				// body to wait for.
+				_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.cfg.QueryTimeout))
 				ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
 				defer cancel()
 				r = r.WithContext(ctx)
@@ -221,11 +231,16 @@ func writeError(w http.ResponseWriter, status int, code, msg, rid string) {
 func requestID(w http.ResponseWriter) string { return w.Header().Get("X-Request-Id") }
 
 // decodeJSON parses the request body into v, returning a client-facing
-// error message on failure.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
+// error message on failure. On success it clears the read deadline
+// admission set: left set, net/http's background read would cancel the
+// request context when it passes, and a query that outlives its timeout
+// would answer 499 instead of 504. On failure the deadline stays, so that
+// net/http's discard of an unread body after the handler cannot wait on a
+// slow client without one.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		return fmt.Errorf("invalid JSON body: %v", err)
 	}
+	_ = http.NewResponseController(w).SetReadDeadline(time.Time{}) // fails as admission's does
 	return nil
 }

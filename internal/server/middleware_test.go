@@ -4,13 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"treesim/internal/datagen"
 	"treesim/internal/obs"
 	"treesim/internal/search"
 )
@@ -152,5 +156,79 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if got, _ := gathered(t, s.metrics, "treesim_http_errors_total", "/boom"); got != 1 {
 		t.Errorf("endpoint error count %v, want 1", got)
+	}
+}
+
+// TestSlowBodyReleasesSlot: a client that declares a body and sends one
+// byte of it holds its admission slot only until QueryTimeout, not for as
+// long as it keeps the connection open, and is answered then.
+func TestSlowBodyReleasesSlot(t *testing.T) {
+	cfg := quietConfig()
+	cfg.MaxInFlight = 1
+	cfg.QueryTimeout = 200 * time.Millisecond
+	_, hs, ts := newTestServer(t, cfg, 20, 61)
+
+	conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/knn HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n{")
+
+	knn := KNNRequest{Tree: ts[0].String(), K: 1}
+	// Wait for the slow request to take the one slot...
+	deadline := time.Now().Add(5 * time.Second)
+	for postJSON(t, hs.URL+"/v1/knn", knn, nil) != http.StatusTooManyRequests {
+		if time.Now().After(deadline) {
+			t.Fatal("the slow request never took the slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// ...and for its read deadline to give it back, while the connection
+	// stays open.
+	held := time.Now()
+	for {
+		code := postJSON(t, hs.URL+"/v1/knn", knn, nil)
+		if code == http.StatusOK {
+			break
+		}
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("knn beside the slow body: status %d", code)
+		}
+		if time.Since(held) > 10*cfg.QueryTimeout {
+			t.Fatalf("the slow body still holds the slot %v after it was taken", time.Since(held))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * cfg.QueryTimeout))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("the slow client got no answer: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !resp.Close {
+		t.Fatalf("the slow client got status %d, close %v; want 400 and the connection closed", resp.StatusCode, resp.Close)
+	}
+}
+
+// TestSlowQueryTimesOutWith504: a query that outlives a QueryTimeout long
+// enough for its body to be read answers 504, not 499: the read deadline
+// that bounded the body does not cancel the query.
+func TestSlowQueryTimesOutWith504(t *testing.T) {
+	cfg := quietConfig()
+	cfg.QueryTimeout = 100 * time.Millisecond
+	spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1, SizeMean: 120, SizeStd: 10, Labels: 5, Decay: 0.1}
+	ts := datagen.New(spec, 62).Dataset(300, 5)
+	hs := httptest.NewServer(New(search.NewIndex(ts, search.NewBiBranch()), cfg).Handler())
+	defer hs.Close()
+
+	// Every tree verified, MaxBatch times over: far past the timeout.
+	req := BatchRequest{Op: "knn", K: len(ts)}
+	for range 64 {
+		req.Trees = append(req.Trees, ts[len(req.Trees)].String())
+	}
+	var out ErrorResponse
+	if code := postJSON(t, hs.URL+"/v1/batch", req, &out); code != http.StatusGatewayTimeout {
+		t.Fatalf("slow batch: status %d (%+v), want 504", code, out)
 	}
 }

@@ -301,13 +301,15 @@ func SaveDataset(w io.Writer, ts []*Tree) error { return dataset.Save(w, ts) }
 func LoadDataset(r io.Reader) ([]*Tree, error) { return dataset.Load(r) }
 
 // SaveIndex serializes a BiBranch-filtered index: its filter
-// configuration, its trees and its segment layout. Branch vectors and
-// postings are derived data and are not written.
+// configuration, its id high-water mark and its live trees with their
+// ids. Branch vectors, postings, the segment layout and deleted trees are
+// not written.
 func SaveIndex(w io.Writer, ix *Index) error { return search.SaveIndex(w, ix) }
 
-// LoadIndex reloads an index saved with SaveIndex, profiling every
-// segment's trees as NewIndex does. Options configure the loaded index
-// like NewIndex's do.
+// LoadIndex reloads an index saved with SaveIndex as one segment over
+// its live trees, profiled as NewIndex profiles a dataset; the next
+// insert gets the id it would have got before the save. Options configure
+// the loaded index like NewIndex's do.
 func LoadIndex(r io.Reader, opts ...IndexOption) (*Index, error) {
 	return search.LoadIndex(r, opts...)
 }

@@ -63,15 +63,15 @@ for stage; do
     bench-smoke)
         # One iteration of every case of the verifier's, the constrained
         # distance's, the filter's, the positional bound's, the snapshot's
-        # and the join's rungs, and of the postings-vs-merge-join ablation,
-        # so the benchmark a refine-, filter-, bound-, snapshot- or
-        # join-path change is measured on always compiles and runs. The
+        # and the join's rungs, and of every ablation, so the benchmark a
+        # refine-, filter-, bound-, snapshot- or join-path change is
+        # measured on always compiles and runs. The
         # regexes name benchmarks, not cases, so a case added to one —
         # BenchmarkDistanceWithin's big/τ=d-1, say — runs here unasked. A
         # smoke stage: it gates on nothing the numbers say.
-        echo "== editdist, constrained-distance, filter-stage, positional-bound, postings, snapshot and self-join rungs: one iteration per case"
+        echo "== editdist, constrained-distance, filter-stage, positional-bound, ablation, snapshot and self-join rungs: one iteration per case"
         go test -run '^$' -bench 'DistanceWithin|ConstrainedDistance' -benchtime 1x ./internal/editdist
-        go test -run '^$' -bench 'FilterStage|SearchLBound|AblationPostingsVsMergeJoin|Snapshot' -benchtime 1x .
+        go test -run '^$' -bench 'FilterStage|SearchLBound|Ablation|Snapshot' -benchtime 1x .
         go test -run '^$' -bench 'SelfJoin' -benchtime 1x ./internal/join
         ;;
     hammer)

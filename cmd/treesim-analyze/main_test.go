@@ -118,6 +118,11 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if bib.TightnessMean > 5 {
 		t.Errorf("BiBranch mean tightness %.3f exceeds the proven bound", bib.TightnessMean)
 	}
+	// The plain bound is replayed, as the histogram's is: named, counted,
+	// and without the engine's tightness samples.
+	if nopos := byName["bibranch-nopos"]; nopos.Filter != "BiBranch-nopos" || nopos.TightnessSamples != 0 {
+		t.Errorf("bibranch-nopos row %+v, want a replayed BiBranch-nopos row", nopos)
+	}
 
 	// The table ranks filters and mentions each one by its spec — the
 	// spec, not the filter name, because bibranch-q3/-q4 share a name.

@@ -10,8 +10,9 @@
 //
 // Datasets are line-format files (see cmd/treegen) or directories of XML
 // documents (-xml dir). Filters: bibranch (default; the paper's positional
-// binary branch bound), bibranch-nopos, bibranch-qN, none (the sequential
-// scan); treesim-analyze replays the paper's histogram baseline.
+// binary branch bound), bibranch-qN, none (the sequential scan);
+// treesim-analyze replays the baselines the paper improves on, the
+// histogram filter and the plain bound without positions (bibranch-nopos).
 //
 // For a long-lived server over the same engine, see cmd/treesimd.
 package main
@@ -88,8 +89,8 @@ func (d *dataFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&d.index, "index", "", "saved index file (alternative to -data/-xml; see 'treesim index')")
 	fs.StringVar(&d.query, "query", "", "query tree in canonical text format")
 	fs.IntVar(&d.queryIndex, "query-index", -1, "use dataset tree i as the query")
-	fs.StringVar(&d.filter, "filter", "bibranch", "filter: bibranch, bibranch-nopos, bibranch-qN, none")
-	fs.IntVar(&d.q, "q", 2, "binary branch level (bibranch, bibranch-nopos)")
+	fs.StringVar(&d.filter, "filter", "bibranch", "filter: bibranch, bibranch-qN, none")
+	fs.IntVar(&d.q, "q", 2, "binary branch level of bibranch")
 }
 
 // buildIndex loads or builds the search index and resolves the query tree.
@@ -328,8 +329,8 @@ func runIndex(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("indexed %d trees (q=%d, positional=%v) into %s in %v\n",
-		ix.Size(), flt.Q, flt.Positional, *out, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("indexed %d trees (q=%d) into %s in %v\n",
+		ix.Size(), flt.Q, *out, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

@@ -63,7 +63,7 @@ func TestRunKNNCommand(t *testing.T) {
 
 func TestRunKNNFilters(t *testing.T) {
 	data := writeTestData(t)
-	for _, f := range []string{"bibranch", "bibranch-nopos", "none"} {
+	for _, f := range []string{"bibranch", "bibranch-q3", "none"} {
 		out := captureStdout(t, func() {
 			runKNN([]string{"-data", data, "-query-index", "0", "-k", "1", "-filter", f})
 		})
@@ -73,12 +73,13 @@ func TestRunKNNFilters(t *testing.T) {
 	}
 }
 
-// TestRunHistoFilterRefused: the histogram baseline is not served, so
-// -filter histo fails before any query runs, pointing at the tool that
-// replays it; a branch level outside [2, 16] fails the same way.
+// TestRunHistoFilterRefused: the baselines the paper improves on are not
+// served, so -filter histo and -filter bibranch-nopos fail before any
+// query runs, pointing at the tool that replays them; a branch level
+// outside [2, 16] fails the same way.
 func TestRunHistoFilterRefused(t *testing.T) {
 	data := writeTestData(t)
-	for _, args := range [][]string{{"-filter", "histo"}, {"-q", "1"}, {"-q", "17"}} {
+	for _, args := range [][]string{{"-filter", "histo"}, {"-filter", "bibranch-nopos"}, {"-q", "1"}, {"-q", "17"}} {
 		var err error
 		out := captureStdout(t, func() {
 			err = runKNN(append([]string{"-data", data, "-query-index", "0", "-k", "1"}, args...))

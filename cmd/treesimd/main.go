@@ -135,8 +135,8 @@ func run(args []string, stderr io.Writer) int {
 	fs.StringVar(&c.walPath, "wal", "", "write-ahead log path: inserts are logged before acknowledgment and replayed at startup")
 	fs.StringVar(&c.walSync, "wal-sync", "always", "WAL fsync policy: always (fsync per record) or never")
 	fs.Int64Var(&c.walMaxBytes, "wal-max-bytes", 0, "rotate the WAL to a new segment beyond this size (0 = 64MiB, negative disables rotation)")
-	fs.StringVar(&c.filter, "filter", "bibranch", "filter when building from -data/-xml: bibranch, bibranch-nopos, bibranch-qN")
-	fs.IntVar(&c.q, "q", 2, "binary branch level (2-16) of bibranch and bibranch-nopos when building from -data/-xml")
+	fs.StringVar(&c.filter, "filter", "bibranch", "filter when building from -data/-xml: bibranch, bibranch-qN")
+	fs.IntVar(&c.q, "q", 2, "binary branch level (2-16) of bibranch when building from -data/-xml")
 	fs.IntVar(&c.maxInFlight, "max-inflight", 64, "admitted concurrent query requests; beyond this the server answers 429")
 	fs.DurationVar(&c.timeout, "timeout", 10*time.Second, "per-query deadline (504 beyond it)")
 	fs.DurationVar(&c.drain, "drain", 15*time.Second, "graceful-shutdown drain budget")

@@ -7,7 +7,6 @@ import (
 	"treesim/internal/btree"
 	"treesim/internal/datagen"
 	"treesim/internal/dblp"
-	"treesim/internal/labels"
 	"treesim/internal/tree"
 )
 
@@ -29,7 +28,7 @@ func refBranches(t *tree.Tree, q int) []branchAt {
 			return key
 		}
 		if n == nil || n.Epsilon {
-			key = appendLabel(key, labels.EpsilonString)
+			key = appendLabel(key, epsilon)
 			return window(window(key, nil, levels-1), nil, levels-1)
 		}
 		key = appendLabel(key, n.Label)
@@ -161,7 +160,7 @@ func shapeTrees() []*tree.Tree {
 	// Labels the key encoding must keep apart, a real node labeled like ε
 	// among them.
 	ts = append(ts, tree.MustParse("a(b(c,d),b(c,d),e)"),
-		tree.New(tree.NewNode("", tree.NewNode("1:a"), tree.NewNode(labels.EpsilonString, tree.NewNode("")), tree.NewNode("a:"))))
+		tree.New(tree.NewNode("", tree.NewNode("1:a"), tree.NewNode(epsilon, tree.NewNode("")), tree.NewNode("a:"))))
 	return ts
 }
 
@@ -221,7 +220,7 @@ func TestBlockNumbering(t *testing.T) {
 // fuzzTree decodes at most 64 nodes: each byte names a label and how many
 // levels to climb before attaching the node as the last child.
 func fuzzTree(data []byte) *tree.Tree {
-	names := [...]string{"a", "b", "c", "", labels.EpsilonString, "1:a", "a:", "bb"}
+	names := [...]string{"a", "b", "c", "", epsilon, "1:a", "a:", "bb"}
 	if len(data) == 0 {
 		return tree.New(nil)
 	}

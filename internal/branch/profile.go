@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"treesim/internal/labels"
 	"treesim/internal/tree"
 )
 
@@ -166,7 +165,7 @@ func (sc *scratch) flatten(t *tree.Tree) int {
 func (sc *scratch) appendWindow(dst []byte, i int32, levels int) []byte {
 	if i < 0 {
 		for n := 1<<uint(levels) - 1; n > 0; n-- {
-			dst = appendLabel(dst, labels.EpsilonString)
+			dst = appendLabel(dst, epsilon)
 		}
 		return dst
 	}

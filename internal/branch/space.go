@@ -171,6 +171,10 @@ func KeyLabels(key string) []string {
 	return out
 }
 
+// epsilon is the label a branch key gives the ε nodes that pad the binary
+// tree representation into a full binary tree (Section 3.2).
+const epsilon = "ε"
+
 // appendLabel appends one label of a branch key to dst with a length
 // prefix ("<len>:<label>"), so a key is unambiguous whatever bytes its
 // labels contain.

@@ -16,7 +16,9 @@ import (
 
 // AblationPositional compares the positional optimistic bound
 // (SearchLBound / RangeLowerBound) against plain ceil(BDist/5) filtering
-// on one synthetic dataset, for k-NN and range queries.
+// on one synthetic dataset, for k-NN and range queries. The plain bound is
+// not served: its column is the replay alone, as Histo's is in a figure,
+// with no time.
 func AblationPositional(cfg Config) *Table {
 	spec := syntheticSpec(4, 50, 8)
 	ts := datagen.New(spec, cfg.Seed).Dataset(cfg.DatasetSize, cfg.Seeds)
@@ -29,18 +31,23 @@ func AblationPositional(cfg Config) *Table {
 	qs := cfg.sampleQueries(ts, rng)
 	k := cfg.k(len(ts))
 
-	pos := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: true})
-	plain := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: false})
+	pos := search.NewIndex(ts, search.NewBiBranch())
+	plain := PlainBound(ts, 2)
+	row := func(label string, op Query) Row {
+		va := cfg.measure(pos, op.indexBound(pos), ts, qs, op)
+		ra := cfg.measure(nil, plain, ts, qs, op)
+		return Row{X: label, BiBranchPct: va.pct, HistoPct: ra.pct, BiBranchTime: va.time}
+	}
 
 	t := &Table{
 		Figure:  "Ablation: positional bound",
-		Title:   "SearchLBound (BiBranch column) vs plain ceil(BDist/5) (Histo column)",
+		Title:   "SearchLBound (BiBranch column) vs plain ceil(BDist/5) (Histo column, replayed)",
 		Dataset: spec.String(),
 		XLabel:  "query",
 	}
 	t.Rows = append(t.Rows,
-		cfg.ablationRow(fmt.Sprintf("knn k=%d", k), ts, qs, Query{KNN: true, K: k}, pos, plain),
-		cfg.ablationRow(fmt.Sprintf("range tau=%d", tau), ts, qs, Query{Tau: tau}, pos, plain),
+		row(fmt.Sprintf("knn k=%d", k), Query{KNN: true, K: k}),
+		row(fmt.Sprintf("range tau=%d", tau), Query{Tau: tau}),
 	)
 	return t
 }
@@ -58,7 +65,7 @@ func AblationQ(cfg Config) *Table {
 	}
 	qs := cfg.sampleQueries(ts, rng)
 
-	ref := search.NewIndex(ts, &search.BiBranch{Q: 2, Positional: true})
+	ref := search.NewIndex(ts, search.NewBiBranch())
 	t := &Table{
 		Figure:  "Ablation: branch level q",
 		Title:   "q-level filtering (BiBranch column) vs q=2 reference (Histo column), range queries",
@@ -66,7 +73,7 @@ func AblationQ(cfg Config) *Table {
 		XLabel:  "q",
 	}
 	for _, q := range []int{2, 3, 4} {
-		ix := search.NewIndex(ts, &search.BiBranch{Q: q, Positional: true})
+		ix := search.NewIndex(ts, &search.BiBranch{Q: q})
 		t.Rows = append(t.Rows, cfg.ablationRow(fmt.Sprintf("%d", q), ts, qs, Query{Tau: tau}, ix, ref))
 	}
 	return t

@@ -127,6 +127,13 @@ func TestAblationTables(t *testing.T) {
 			t.Errorf("%s: positional %.2f%% verified more than plain %.2f%%",
 				r.X, r.BiBranchPct, r.HistoPct)
 		}
+		// The plain bound is replayed, not served: it has no time.
+		if r.BiBranchTime <= 0 || r.SeqTime != 0 {
+			t.Errorf("%s: times %v / %v, want the engine's and none", r.X, r.BiBranchTime, r.SeqTime)
+		}
+	}
+	if out := pos.String(); strings.Contains(out, "x\n") {
+		t.Errorf("a replayed column rendered a speedup:\n%s", out)
 	}
 	qt := AblationQ(cfg)
 	if len(qt.Rows) != 3 {

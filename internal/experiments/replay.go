@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"treesim/internal/branch"
 	"treesim/internal/editdist"
 	"treesim/internal/histogram"
 	"treesim/internal/search"
@@ -20,8 +21,9 @@ import (
 // engine. A
 // figure replays the paper's algorithm sequentially over the filter's bound
 // for its percentages, and runs the engine only to time each query and to
-// check that the two answer alike. The histogram baseline has no engine:
-// its column is the replay alone, and treesim-analyze replays it the same
+// check that the two answer alike. The baselines the paper improves on —
+// the histogram filter and the plain branch bound — have no engine: their
+// columns are the replay alone, and treesim-analyze replays them the same
 // way.
 
 // Query is one replayed query: a k-NN query for K when KNN is set, a
@@ -64,6 +66,18 @@ func HistoBound(ts []*tree.Tree) Bound {
 	return func(q *tree.Tree) func(int) int {
 		qp := histogram.NewProfileConfig(q, cfg)
 		return func(i int) int { return histogram.LowerBound(qp, ps[i]) }
+	}
+}
+
+// PlainBound is the non-positional branch bound ⌈BDist/Factor(q)⌉ over ts,
+// profiled in a fresh space of level q: the bound the positional one of
+// Section 4.2–4.3 improves on, the same for both query kinds.
+func PlainBound(ts []*tree.Tree, q int) Bound {
+	space := branch.NewSpace(q)
+	ps := space.ProfileAllParallel(ts, 0)
+	return func(qt *tree.Tree) func(int) int {
+		qp := space.QueryProfile(qt)
+		return func(i int) int { return branch.BDistLowerBound(qp, ps[i]) }
 	}
 }
 

@@ -49,12 +49,12 @@ func (t *Table) Format(w io.Writer) {
 	fmt.Fprintf(tw, "%s\tBiBranch%%\tHisto%%\tResult%%\tBiBranch CPU\tSequential CPU\tspeedup\n", t.XLabel)
 	for _, r := range t.Rows {
 		speedup := "-"
-		if r.BiBranchTime > 0 {
+		if r.BiBranchTime > 0 && r.SeqTime > 0 {
 			speedup = fmt.Sprintf("%.1fx", float64(r.SeqTime)/float64(r.BiBranchTime))
 		}
 		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2f\t%s\t%s\t%s\n",
 			r.X, r.BiBranchPct, r.HistoPct, r.ResultPct,
-			round(r.BiBranchTime), round(r.SeqTime), speedup)
+			cpu(r.BiBranchTime), cpu(r.SeqTime), speedup)
 	}
 	tw.Flush()
 }
@@ -67,7 +67,7 @@ func (t *Table) String() string {
 }
 
 // CSV writes the table as comma-separated values (header row first) for
-// plotting tools. Times are in microseconds.
+// plotting tools. Times are in microseconds, empty for a replayed column.
 func (t *Table) CSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
@@ -82,8 +82,8 @@ func (t *Table) CSV(w io.Writer) error {
 			fmt.Sprintf("%.4f", r.BiBranchPct),
 			fmt.Sprintf("%.4f", r.HistoPct),
 			fmt.Sprintf("%.4f", r.ResultPct),
-			fmt.Sprintf("%d", r.BiBranchTime.Microseconds()),
-			fmt.Sprintf("%d", r.SeqTime.Microseconds()),
+			us(r.BiBranchTime),
+			us(r.SeqTime),
 			fmt.Sprintf("%d", r.Tau),
 			fmt.Sprintf("%d", r.K),
 		}
@@ -95,7 +95,23 @@ func (t *Table) CSV(w io.Writer) error {
 	return cw.Error()
 }
 
-func round(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
+// cpu renders a mean query time to 10µs, or "-" for a column that was
+// replayed, not timed.
+func cpu(d time.Duration) string {
+	if d == 0 {
+		return "-"
+	}
+	return d.Round(10 * time.Microsecond).String()
+}
+
+// us renders a mean query time in whole microseconds for CSV, or nothing
+// for a column that was replayed, not timed.
+func us(d time.Duration) string {
+	if d == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d", d.Microseconds())
+}
 
 // DistRow is one distance value of the Fig. 15 distribution plot.
 type DistRow struct {

@@ -52,9 +52,6 @@ type Config struct {
 	HeightBins int // height histogram bins; heights ≥ HeightBins−1 share the last bin
 }
 
-// Unbounded keeps every distinct label, degree and height in its own bin.
-func Unbounded() Config { return Config{} }
-
 // EqualSpace distributes a total dimension budget evenly across the three
 // histograms (with a floor of 2 bins each) — the way the paper equalizes
 // the space of the Histo baseline with the binary branch representation:
@@ -92,12 +89,6 @@ type Profile struct {
 	// HeightHist[h] counts nodes whose subtree height is h (leaf = 1, or
 	// the clamp bin).
 	HeightHist map[int]int
-}
-
-// NewProfile computes the unbounded histogram profile of t in one
-// traversal per histogram, O(|T|) total.
-func NewProfile(t *tree.Tree) *Profile {
-	return NewProfileConfig(t, Config{})
 }
 
 // NewProfileConfig computes the histogram profile with the given folding
@@ -191,13 +182,6 @@ func LowerBound(a, b *Profile) int {
 		m = v
 	}
 	return m
-}
-
-// HeightHistL1 returns the raw L1 distance of the node-height histograms.
-// It is *not* a lower bound of the edit distance (see the package comment);
-// it is exposed for the Fig. 15-style distance-distribution analysis.
-func HeightHistL1(a, b *Profile) int {
-	return l1Int(a.HeightHist, b.HeightHist)
 }
 
 func l1Str(a, b map[string]int) int {

@@ -12,7 +12,7 @@ func paperT1() *tree.Tree { return tree.MustParse("a(b(c,d),b(c,d),e)") }
 func paperT2() *tree.Tree { return tree.MustParse("a(b(c,d,b(e)),c,d,e)") }
 
 func TestProfileFields(t *testing.T) {
-	p := NewProfile(paperT1())
+	p := NewProfileConfig(paperT1(), Config{})
 	if p.Size != 8 || p.Height != 3 {
 		t.Errorf("Size=%d Height=%d, want 8, 3", p.Size, p.Height)
 	}
@@ -22,7 +22,7 @@ func TestProfileFields(t *testing.T) {
 }
 
 func TestBoundsPaperPair(t *testing.T) {
-	a, b := NewProfile(paperT1()), NewProfile(paperT2())
+	a, b := NewProfileConfig(paperT1(), Config{}), NewProfileConfig(paperT2(), Config{})
 	// Labels: T1 {a:1,b:2,c:2,d:2,e:1}, T2 {a:1,b:2,c:2,d:2,e:2} → L1=1 → ceil(1/2)=1.
 	if got := LabelBound(a, b); got != 1 {
 		t.Errorf("LabelBound = %d, want 1", got)
@@ -46,14 +46,14 @@ func TestBoundsPaperPair(t *testing.T) {
 }
 
 func TestLowerBoundIdentity(t *testing.T) {
-	p := NewProfile(paperT1())
+	p := NewProfileConfig(paperT1(), Config{})
 	if got := LowerBound(p, p); got != 0 {
 		t.Errorf("self lower bound = %d", got)
 	}
 }
 
 func TestLowerBoundSymmetric(t *testing.T) {
-	a, b := NewProfile(paperT1()), NewProfile(paperT2())
+	a, b := NewProfileConfig(paperT1(), Config{}), NewProfileConfig(paperT2(), Config{})
 	if LowerBound(a, b) != LowerBound(b, a) {
 		t.Error("LowerBound not symmetric")
 	}
@@ -73,7 +73,7 @@ func TestSoundness(t *testing.T) {
 			t2 = g.RandomEdits(t1, 1+trial%6)
 		}
 		ed := editdist.Distance(t1, t2)
-		a, b := NewProfile(t1), NewProfile(t2)
+		a, b := NewProfileConfig(t1, Config{}), NewProfileConfig(t2, Config{})
 		checks := []struct {
 			name string
 			got  int
@@ -108,7 +108,7 @@ func TestFoldingSoundAndContractive(t *testing.T) {
 		t1 := g.Seed()
 		t2 := g.RandomEdits(t1, 1+trial%5)
 		ed := editdist.Distance(t1, t2)
-		fullA, fullB := NewProfile(t1), NewProfile(t2)
+		fullA, fullB := NewProfileConfig(t1, Config{}), NewProfileConfig(t2, Config{})
 		fullBound := LowerBound(fullA, fullB)
 		for _, cfg := range cfgs {
 			a := NewProfileConfig(t1, cfg)
@@ -145,17 +145,6 @@ func TestFoldingPreservesMass(t *testing.T) {
 	}
 }
 
-func TestUnboundedConfig(t *testing.T) {
-	if Unbounded() != (Config{}) {
-		t.Error("Unbounded should be the zero config")
-	}
-	full := NewProfileConfig(paperT1(), Unbounded())
-	plain := NewProfile(paperT1())
-	if LowerBound(full, plain) != 0 {
-		t.Error("unbounded config differs from NewProfile")
-	}
-}
-
 func TestEqualSpaceSplit(t *testing.T) {
 	cfg := EqualSpace(30)
 	if cfg.LabelBins+cfg.DegreeBins+cfg.HeightBins != 30 {
@@ -167,14 +156,6 @@ func TestEqualSpaceSplit(t *testing.T) {
 	}
 }
 
-func TestHeightHistL1(t *testing.T) {
-	a, b := NewProfile(paperT1()), NewProfile(paperT2())
-	// T1 {1:5,2:2,3:1}; T2 {1:6,2:1,3:1,4:1} → |5−6|+|2−1|+0+1 = 3.
-	if got := HeightHistL1(a, b); got != 3 {
-		t.Errorf("HeightHistL1 = %d, want 3", got)
-	}
-}
-
 func TestProfileAll(t *testing.T) {
 	ps := ProfileAll([]*tree.Tree{paperT1(), paperT2()})
 	if len(ps) != 2 || ps[0].Size != 8 || ps[1].Size != 9 {
@@ -183,8 +164,8 @@ func TestProfileAll(t *testing.T) {
 }
 
 func TestEmptyTree(t *testing.T) {
-	e := NewProfile(tree.New(nil))
-	p := NewProfile(paperT1())
+	e := NewProfileConfig(tree.New(nil), Config{})
+	p := NewProfileConfig(paperT1(), Config{})
 	if got := LowerBound(e, p); got > paperT1().Size() {
 		t.Errorf("bound vs empty = %d exceeds |T| = %d", got, paperT1().Size())
 	}

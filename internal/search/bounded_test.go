@@ -79,10 +79,10 @@ func TestBoundedRefineInvariance(t *testing.T) {
 // full verification would. (The exact split is data-dependent; firing at
 // all is the regression being pinned.) Most false positives there are
 // disproven before the tree DP, by an O(n) pre-check or the sequence
-// bound — under the positional filter by its sequence tier, before they
-// reach the verifier at all, so the workload also runs under the
-// non-positional ablation, which has no sequence tier and leaves them to
-// the verifier's pre-checks — and the dataset also holds a(a,a(a)), the
+// bound — under the filter by its sequence tier, before they reach the
+// verifier at all, so the workload also runs under the sequential scan,
+// which has no tiers and leaves them to the verifier's pre-checks — and
+// the dataset also holds a(a,a(a)), the
 // mirror image of the range query a(a(a),a) at τ=1: size, height, label
 // histogram and both label sequences agree, the distance is 2, and only
 // the DP can prove it.
@@ -90,7 +90,7 @@ func TestBoundedRefineCountersFire(t *testing.T) {
 	ts := append(testDataset(200, 9), tree.MustParse("a(a,a(a))"))
 	ix := NewIndex(ts, NewBiBranch())
 	var agg Stats
-	for _, f := range []*BiBranch{NewBiBranch(), &BiBranch{Q: 2}} {
+	for _, f := range []*BiBranch{NewBiBranch(), nil} {
 		fx := NewIndex(ts, f)
 		var fagg Stats
 		for qi := 0; qi < 8; qi++ {
@@ -105,7 +105,7 @@ func TestBoundedRefineCountersFire(t *testing.T) {
 			}
 			fagg.Add(st)
 		}
-		if f.Positional && fagg.Pruned.Sequence == 0 {
+		if f != nil && fagg.Pruned.Sequence == 0 {
 			t.Errorf("%s: no sequence-tier prunes across the workload: %+v", f.Name(), fagg)
 		}
 		agg.Add(fagg)

@@ -107,14 +107,11 @@ func SaveIndex(w io.Writer, ix *Index) error {
 }
 
 // encodeHeader encodes the filter configuration, the id high-water mark
-// and the body length with their checksum.
+// and the body length with their checksum. The configuration is the branch
+// level and a positional byte, always 1: the engine serves no other bound.
 func encodeHeader(f *BiBranch, next, bodyLen int) []byte {
 	b := binary.LittleEndian.AppendUint32(make([]byte, 0, headerLen), uint32(f.level()))
-	if f.Positional {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	b = append(b, 1)
 	b = binary.LittleEndian.AppendUint64(b, uint64(next))
 	b = binary.LittleEndian.AppendUint64(b, uint64(bodyLen))
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
@@ -173,7 +170,7 @@ func readHeader(r io.Reader) (*BiBranch, int, int64, error) {
 			ErrSnapshotCorrupt, got, want)
 	}
 	q, next, blen := le.Uint32(h[:4]), le.Uint64(h[5:13]), le.Uint64(h[13:21])
-	if q < branch.MinQ || q > branch.MaxQ || h[4] > 1 {
+	if q < branch.MinQ || q > branch.MaxQ || h[4] != 1 {
 		return nil, 0, 0, fmt.Errorf("search: %w: implausible filter configuration q=%d positional=%d",
 			ErrSnapshotCorrupt, q, h[4])
 	}
@@ -181,7 +178,7 @@ func readHeader(r io.Reader) (*BiBranch, int, int64, error) {
 		return nil, 0, 0, fmt.Errorf("search: %w: implausible next id %d or body length %d",
 			ErrSnapshotCorrupt, next, blen)
 	}
-	return &BiBranch{Q: int(q), Positional: h[4] == 1}, int(next), int64(blen), nil
+	return &BiBranch{Q: int(q)}, int(next), int64(blen), nil
 }
 
 // loadBody decodes the checksummed body of blen bytes, hashing exactly the

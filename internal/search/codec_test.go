@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,12 +58,12 @@ func TestSaveLoadPreservesConfig(t *testing.T) {
 		ts []*tree.Tree
 		f  *BiBranch
 	}{
-		{ts, &BiBranch{Q: 2, Positional: true}},
-		{ts, &BiBranch{Q: 3, Positional: false}},
+		{ts, &BiBranch{Q: 2}},
+		{ts, &BiBranch{Q: 3}},
 		// No segment to take the configuration from: the header keeps it.
-		{nil, &BiBranch{Q: 4, Positional: false}},
+		{nil, &BiBranch{Q: 4}},
 		// The largest level ParseFilter accepts is one a snapshot stores.
-		{ts[:2], &BiBranch{Q: branch.MaxQ, Positional: true}},
+		{ts[:2], &BiBranch{Q: branch.MaxQ}},
 	} {
 		f := c.f
 		ix := NewIndex(c.ts, f)
@@ -75,9 +76,8 @@ func TestSaveLoadPreservesConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 		lf := loaded.Filter()
-		if lf.Q != f.Q || lf.Positional != f.Positional {
-			t.Errorf("config lost: got Q=%d pos=%v, want Q=%d pos=%v",
-				lf.Q, lf.Positional, f.Q, f.Positional)
+		if lf.Q != f.Q {
+			t.Errorf("config lost: got Q=%d, want Q=%d", lf.Q, f.Q)
 		}
 	}
 }
@@ -152,12 +152,12 @@ func TestLoadSegmentedWithFilterReplace(t *testing.T) {
 	if err := SaveIndex(&buf, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(&buf, &BiBranch{Q: 2})
+	loaded, err := LoadIndex(&buf, &BiBranch{Q: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Filter().Name() != "BiBranch-nopos" {
-		t.Fatalf("filter %s, want BiBranch-nopos", loaded.Filter().Name())
+	if f := loaded.Filter(); f.Q != 3 {
+		t.Fatalf("filter %s q=%d, want q=3", f.Name(), f.Q)
 	}
 	if loaded.Size() != 30 || loaded.Live() != 29 {
 		t.Fatalf("size/live %d/%d, want 30/29", loaded.Size(), loaded.Live())
@@ -183,9 +183,10 @@ func TestSaveRejectsOtherFilters(t *testing.T) {
 }
 
 // TestLoadClassifiesCorruptVsTruncated: the loader's and the verifier's
-// contract — a bit flip anywhere in the body and any magic but TSIX5's
-// are reported as corrupt, a short file (shorter than the magic included)
-// as truncated, and neither ever loads.
+// contract — a bit flip anywhere in the body, a header whose positional
+// byte is not 1 and any magic but TSIX5's are reported as corrupt, a short
+// file (shorter than the magic included) as truncated, and neither ever
+// loads.
 func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
 	ix := NewIndex(testDataset(15, 26), NewBiBranch())
 	var buf bytes.Buffer
@@ -215,6 +216,15 @@ func TestLoadClassifiesCorruptVsTruncated(t *testing.T) {
 	// Truncations, inside the magic too: always ErrSnapshotTruncated.
 	for _, cut := range []int{0, 1, 2, 3, 4, 5, 7, payloadStart, payloadStart + 50, len(full) - 5, len(full) - 1} {
 		check(fmt.Sprintf("cut at %d", cut), full[:cut], ErrSnapshotTruncated)
+	}
+
+	// A header naming a bound the engine does not serve — a positional
+	// byte other than 1, checksums matching — is corrupt.
+	if _, err := LoadIndex(bytes.NewReader(withPositional(full, 1))); err != nil {
+		t.Fatalf("resealed pristine header refused: %v", err)
+	}
+	for _, b := range []byte{0, 2, 0xff} {
+		check(fmt.Sprintf("positional byte %d", b), withPositional(full, b), ErrSnapshotCorrupt)
 	}
 
 	// The magics of formats this loader does not read: corrupt, whatever
@@ -259,6 +269,16 @@ func frameSnapshot(f *BiBranch, next int, body []byte) []byte {
 	out := append(indexMagic[:], encodeHeader(f, next, len(body))...)
 	out = append(out, body...)
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
+}
+
+// withPositional rewrites a framed snapshot's positional byte and reseals
+// the header's checksum over it, so only the value itself can be refused.
+func withPositional(snap []byte, b byte) []byte {
+	out := append([]byte(nil), snap...)
+	h := out[len(indexMagic) : len(indexMagic)+headerLen]
+	h[4] = b
+	binary.LittleEndian.PutUint32(h[headerLen-4:], crc32.Checksum(h[:headerLen-4], castagnoli))
+	return out
 }
 
 // TestLoadBoundsLyingTreeCount: snapshots whose checksums all match but
@@ -426,5 +446,27 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		if _, err := LoadIndex(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestSnapshotFormatPinned pins the exact bytes SaveIndex writes for a
+// small index with sealed segments, a memtable and a hole: a change to the
+// TSIX5 layout, the header's filter configuration or the body's encoding
+// moves the digest, and a reader of older snapshots would then misread
+// them.
+func TestSnapshotFormatPinned(t *testing.T) {
+	all := testDataset(13, 51)
+	ix := NewIndex(all[:6], NewBiBranch(), WithMemtableSize(4), WithCompactionThreshold(-1))
+	for _, tr := range all[6:] {
+		ix.Insert(tr)
+	}
+	ix.Delete(3)
+	var buf bytes.Buffer
+	if err := SaveIndex(&buf, ix); err != nil {
+		t.Fatal(err)
+	}
+	const wantLen, wantSum = 707, "e05ef3dae413344c6f16a3d523e5110e1f6468978a482554a63e48902dd66456"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != wantLen || got != wantSum {
+		t.Fatalf("snapshot is %d bytes, sha256 %s; want %d bytes, sha256 %s", buf.Len(), got, wantLen, wantSum)
 	}
 }

@@ -94,7 +94,7 @@ func TestExplainRangeConsistency(t *testing.T) {
 func TestTightnessWithinFactor(t *testing.T) {
 	ts := testDataset(40, 83)
 	for _, q := range []int{2, 3, 4} {
-		ix := NewIndex(ts, &BiBranch{Q: q, Positional: true})
+		ix := NewIndex(ts, &BiBranch{Q: q})
 		want := branch.Factor(q)
 		query := ts[3]
 		var exK, exR *Explain

@@ -5,10 +5,11 @@
 // (refine). The lower-bound property guarantees completeness: no true
 // result is ever filtered out.
 //
-// The engine serves one filter, the paper's BiBranch, and calls it
-// directly. The nil *BiBranch is the sequential scan, the timing baseline.
-// The histogram filter of Kailing et al. is not served: the figures and
-// treesim-analyze replay Algorithm 2 over its bound.
+// The engine serves one filter, the paper's BiBranch with the positional
+// bound, and calls it directly. The nil *BiBranch is the sequential scan,
+// the timing baseline. The baselines the paper improves on — the histogram
+// filter of Kailing et al. and the plain ⌈BDist/Factor⌉ bound — are not
+// served: the figures and treesim-analyze replay Algorithm 2 over them.
 package search
 
 import (
@@ -25,22 +26,22 @@ import (
 )
 
 // ParseFilter resolves a filter name as the command-line tools spell it:
-// bibranch, bibranch-nopos, bibranch-qN, or none — the sequential scan,
-// which is the nil filter. q is the branch level of the two bibranch
-// spellings that do not carry one. Every spelling's level must lie in
-// [branch.MinQ, branch.MaxQ]: a snapshot stores no other.
+// bibranch, bibranch-qN, or none — the sequential scan, which is the nil
+// filter. q is the branch level of the spelling that does not carry one.
+// Every spelling's level must lie in [branch.MinQ, branch.MaxQ]: a
+// snapshot stores no other.
 func ParseFilter(name string, q int) (*BiBranch, error) {
-	f := &BiBranch{Q: q, Positional: name != "bibranch-nopos"}
+	f := &BiBranch{Q: q}
 	switch name {
 	case "none":
 		return nil, nil
-	case "bibranch", "bibranch-nopos":
+	case "bibranch":
 	default:
 		level, ok := strings.CutPrefix(name, "bibranch-q")
 		n, err := strconv.Atoi(level)
 		if !ok || err != nil {
-			return nil, fmt.Errorf("unknown filter %q (want bibranch, bibranch-nopos, bibranch-qN or none; "+
-				"treesim-analyze replays the histo baseline)", name)
+			return nil, fmt.Errorf("unknown filter %q (want bibranch, bibranch-qN or none; "+
+				"treesim-analyze replays the histo and bibranch-nopos baselines)", name)
 		}
 		f.Q = n
 	}
@@ -50,18 +51,14 @@ func ParseFilter(name string, q int) (*BiBranch, error) {
 	return f, nil
 }
 
-// BiBranch is the paper's filter: q-level binary branch vectors with,
-// optionally, the positional lower bound of Section 4.2–4.3. The nil
-// *BiBranch is the sequential scan: it keeps nothing, and its bounder is
-// nil, whose every bound is zero.
+// BiBranch is the paper's filter: q-level binary branch vectors with the
+// positional lower bound of Section 4.2–4.3. The nil *BiBranch is the
+// sequential scan: it keeps nothing, and its bounder is nil, whose every
+// bound is zero.
 type BiBranch struct {
 	// Q is the branch level, in [branch.MinQ, branch.MaxQ]. The zero value
 	// means 2.
 	Q int
-	// Positional selects the positional optimistic bound (SearchLBound /
-	// RangeLowerBound); when false the plain ceil(BDist/Factor(q)) bound
-	// is used — the ablation of DESIGN.md.
-	Positional bool
 
 	space    *branch.Space
 	profiles []*branch.Profile
@@ -92,18 +89,15 @@ func (f *BiBranch) seal() {
 
 // NewBiBranch returns the standard configuration of the paper: two-level
 // branches with the positional bound.
-func NewBiBranch() *BiBranch { return &BiBranch{Q: 2, Positional: true} }
+func NewBiBranch() *BiBranch { return &BiBranch{Q: 2} }
 
 // Name identifies the filter in statistics and experiment output; the nil
 // filter is "Sequential".
 func (f *BiBranch) Name() string {
-	switch {
-	case f == nil:
+	if f == nil {
 		return "Sequential"
-	case f.Positional:
-		return "BiBranch"
 	}
-	return "BiBranch-nopos"
+	return "BiBranch"
 }
 
 // Index profiles a segment's dataset into flat per-block arrays and builds
@@ -131,7 +125,7 @@ func (f *BiBranch) Fresh() *BiBranch {
 	if f == nil {
 		return nil
 	}
-	return &BiBranch{Q: f.Q, Positional: f.Positional}
+	return &BiBranch{Q: f.Q}
 }
 
 // snapshotAt freezes the first n profiles. The branch space is shared — it
@@ -143,7 +137,7 @@ func (f *BiBranch) snapshotAt(n int, seal bool) *BiBranch {
 	if f == nil {
 		return nil
 	}
-	g := &BiBranch{Q: f.Q, Positional: f.Positional, space: f.space, profiles: f.profiles[:n:n]}
+	g := &BiBranch{Q: f.Q, space: f.space, profiles: f.profiles[:n:n]}
 	if seal {
 		g.seal()
 	}
@@ -158,27 +152,22 @@ func (f *BiBranch) snapshotAt(n int, seal bool) *BiBranch {
 // label overlap in the second; the dense labels the query carries twice or
 // more are kept for ExactLabel. The labels are counted off the query tree,
 // not its profile, which lacks the branches the space never saw although
-// their root labels may be known. The non-positional ablation sweeps no
-// labels.
+// their root labels may be known.
 func (f *BiBranch) Query(q *tree.Tree, acc []int32) *biBranchBounder {
 	if f == nil {
 		return nil
 	}
-	b := &biBranchBounder{f: f, qp: f.space.QueryProfile(q), factor: f.Factor()}
-	if f.Positional {
-		b.seq = &querySeqs{space: f.space, q: q}
-	}
+	b := &biBranchBounder{f: f, qp: f.space.QueryProfile(q), factor: f.Factor(),
+		seq: &querySeqs{space: f.space, q: q}}
 	if f.post != nil {
 		n := len(f.profiles)
 		b.ov = acc[:n]
 		f.post.Overlaps(b.qp, b.ov)
-		if f.Positional {
-			var buf [16]branch.LabelCount
-			ql := f.space.QueryLabels(q, buf[:0])
-			b.lov = acc[n : 2*n]
-			b.lbase = f.post.LabelOverlaps(ql, b.lov)
-			b.dense = f.post.DenseCounts(ql, b.denseBuf[:0])
-		}
+		var buf [16]branch.LabelCount
+		ql := f.space.QueryLabels(q, buf[:0])
+		b.lov = acc[n : 2*n]
+		b.lbase = f.post.LabelOverlaps(ql, b.lov)
+		b.dense = f.post.DenseCounts(ql, b.denseBuf[:0])
 	}
 	return b
 }
@@ -227,7 +216,7 @@ type biBranchBounder struct {
 	dense    []invfile.DenseCount
 	denseBuf [8]invfile.DenseCount
 	// seq is the query's side of the sequence tier, which bounders over
-	// one space share; nil in the non-positional ablation.
+	// one space share.
 	seq *querySeqs
 }
 
@@ -271,11 +260,6 @@ func (b *biBranchBounder) BDist(i int) int {
 	return branch.BDist(b.qp, b.f.profiles[i])
 }
 
-// plain returns ⌈BDist/Factor⌉, the non-positional bound.
-func (b *biBranchBounder) plain(i int) int {
-	return (b.BDist(i) + b.factor - 1) / b.factor
-}
-
 // label returns the label-histogram bound ⌈L1/2⌉ for a label overlap of at
 // most ov with tree i, L1 ≥ |q| + |t| − 2·ov: one edit operation changes
 // L1 by at most 2.
@@ -285,9 +269,8 @@ func (b *biBranchBounder) label(i int, ov int32) int {
 }
 
 // columns reports whether the bounder's segment has the cheap tiers'
-// columns — the size column, the branch overlaps and, but in the
-// non-positional ablation, the label overlaps — so that levels bounds it:
-// a sealed segment with postings.
+// columns — the size column, the branch overlaps and the label overlaps —
+// so that levels bounds it: a sealed segment with postings.
 func (b *biBranchBounder) columns() bool { return b != nil && b.ov != nil }
 
 // colTiers is the cheap tiers' arithmetic over a segment's columns, with
@@ -336,20 +319,11 @@ func larger(a, b int) int {
 // [lo, hi) it writes the tree's level — the largest of its size, BDist and
 // swept label tiers — to out[i−lo] and counts the three in h, which it
 // returns; no call, pointer chase or tombstone probe per tree. Every bound
-// is exact. The non-positional ablation has only the BDist tier.
+// is exact.
 func (b *biBranchBounder) levels(lo, hi int, out []int32, h tierCounts) tierCounts {
 	sizes := b.f.sizes[lo:hi]
-	ov, out := b.ov[lo:hi][:len(sizes)], out[:len(sizes)]
+	ov, lov, out := b.ov[lo:hi][:len(sizes)], b.lov[lo:hi][:len(sizes)], out[:len(sizes)]
 	c := b.colTiers()
-	if b.lov == nil {
-		for i, ts := range sizes {
-			_, bdist, _ := c.at(int(ts), int(ov[i]), 0)
-			out[i] = int32(bdist)
-			h = h.add(0, bdist, bdist)
-		}
-		return h
-	}
-	lov := b.lov[lo:hi][:len(sizes)]
 	// The counts grow outside the loop that fills them: a tree whose level
 	// they lack room for stops it, and the loop resumes at that tree.
 	for i := 0; i < len(sizes); {
@@ -375,10 +349,6 @@ func (b *biBranchBounder) levels(lo, hi int, out []int32, h tierCounts) tierCoun
 // swept returns tree i's three cheap tiers off its segment's columns, as
 // levels computes them: for the one tree EXPLAIN wants the deciding tier of.
 func (b *biBranchBounder) swept(i int) (size, bdist, label int) {
-	if b.lov == nil {
-		_, bdist, _ = b.colTiers().at(int(b.f.sizes[i]), int(b.ov[i]), 0)
-		return 0, bdist, 0
-	}
 	return b.colTiers().at(int(b.f.sizes[i]), int(b.ov[i]), int(b.lov[i]))
 }
 
@@ -390,17 +360,14 @@ func (b *biBranchBounder) swept(i int) (size, bdist, label int) {
 // vectors, and, where the segment has a label tier, the label-histogram
 // bound ⌈L1/2⌉ (Kailing et al.) as swept (so the tests hold the columns
 // to it); the first two neither above KNNBound(i) nor — when at most tau —
-// above RangeBound(i, tau). The non-positional ablation is the plain bound
-// by definition, so it has neither a size nor a label tier.
+// above RangeBound(i, tau).
 func (b *biBranchBounder) CheapBounds(i int) (size, bdist, label int) {
 	if b == nil {
 		return 0, 0, 0
 	}
 	t := b.f.profiles[i]
-	if b.f.Positional {
-		if size = b.qp.Size - t.Size; size < 0 {
-			size = -size
-		}
+	if size = b.qp.Size - t.Size; size < 0 {
+		size = -size
 	}
 	bdist = (branch.BDist(b.qp, t) + b.factor - 1) / b.factor
 	if b.lov == nil {
@@ -433,40 +400,30 @@ func (b *biBranchBounder) ExactLabel(i int) int {
 // The positional search starts at key, which is at least the tree's
 // ⌈BDist/Factor⌉ tier, and stops at t.
 func (b *biBranchBounder) Full(i, key, t int) int {
-	switch {
-	case b == nil:
+	if b == nil {
 		return key
-	case b.f.Positional:
-		return branch.SearchLBoundWithin(b.qp, b.f.profiles[i], key, t)
 	}
-	return max(key, b.plain(i))
+	return branch.SearchLBoundWithin(b.qp, b.f.profiles[i], key, t)
 }
 
 // KNNBound returns the filter's full lower bound L ≤ EDist(query, tree i),
 // the optimistic bound of Algorithm 2.
 func (b *biBranchBounder) KNNBound(i int) int {
-	switch {
-	case b == nil:
+	if b == nil {
 		return 0
-	case b.f.Positional:
-		return branch.SearchLBound(b.qp, b.f.profiles[i])
 	}
-	return b.plain(i)
+	return branch.SearchLBound(b.qp, b.f.profiles[i])
 }
 
 // RangeBound returns a value L such that L > tau implies EDist(query,
-// tree i) > tau; range queries prune on it. Without positions it is
-// KNNBound; the positional filter tightens it at a known threshold
-// (Section 4.3).
+// tree i) > tau; range queries prune on it. It tightens KNNBound at a
+// known threshold (Section 4.3).
 func (b *biBranchBounder) RangeBound(i, tau int) int {
-	switch {
-	case b == nil:
+	if b == nil {
 		return 0
-	case b.f.Positional:
-		lb, _ := branch.RangeLowerBoundWithin(b.qp, b.f.profiles[i], tau)
-		return lb
 	}
-	return b.plain(i)
+	lb, _ := branch.RangeLowerBoundWithin(b.qp, b.f.profiles[i], tau)
+	return lb
 }
 
 // Sequence returns the sequence tier, Guha et al.'s bound on the number of
@@ -477,9 +434,9 @@ func (b *biBranchBounder) RangeBound(i, tau int) int {
 // every cost model the filter serves, so it bounds the edit distance too.
 // It costs O(|t| + k²) and the slides along equal labels, so the engine
 // asks for it last, at the threshold of the moment. buf is the caller's
-// working memory. The non-positional ablation has no such tier: zero.
+// working memory.
 func (b *biBranchBounder) Sequence(i, k int, buf *seqBuf) int {
-	if b == nil || b.seq == nil {
+	if b == nil {
 		return 0
 	}
 	qs, t := b.seq.load(), b.f.profiles[i]

@@ -58,6 +58,8 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add(save(stars))
 	f.Add(save(gone))
 	f.Add(past)
+	// A header naming the non-positional bound, checksums matching.
+	f.Add(withPositional(v5, 0))
 	// Magics the loader must reject whatever follows them: a well-formed
 	// body here, garbage below.
 	for _, magic := range []string{"TSIX1\x00", "TSIX2\x00", "TSIX3\x00", "TSIX4\x00"} {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"treesim/internal/datagen"
@@ -21,8 +22,7 @@ func testDataset(n int, seed int64) []*tree.Tree {
 func allFilters() []*BiBranch {
 	return []*BiBranch{
 		NewBiBranch(),
-		&BiBranch{Q: 2, Positional: false},
-		&BiBranch{Q: 3, Positional: true},
+		&BiBranch{Q: 3},
 		nil, // the sequential scan
 	}
 }
@@ -355,7 +355,7 @@ func dists(rs []Result) []int {
 }
 
 func TestFilterNames(t *testing.T) {
-	want := []string{"BiBranch", "BiBranch-nopos", "BiBranch", "Sequential"}
+	want := []string{"BiBranch", "BiBranch", "Sequential"}
 	for i, f := range allFilters() {
 		if f.Name() != want[i] {
 			t.Errorf("filter %d: Name = %q, want %q", i, f.Name(), want[i])
@@ -368,27 +368,30 @@ func TestFilterNames(t *testing.T) {
 // in every spelling, so a server never writes a snapshot it cannot load.
 func TestParseFilter(t *testing.T) {
 	for name, want := range map[string]*BiBranch{
-		"bibranch":       {Q: 3, Positional: true},
-		"bibranch-nopos": {Q: 3},
-		"bibranch-q4":    {Q: 4, Positional: true},
-		"bibranch-q16":   {Q: 16, Positional: true},
-		"none":           nil,
+		"bibranch":     {Q: 3},
+		"bibranch-q4":  {Q: 4},
+		"bibranch-q16": {Q: 16},
+		"none":         nil,
 	} {
 		got, err := ParseFilter(name, 3)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("ParseFilter(%q, 3) = %#v, %v; want %#v", name, got, err, want)
 		}
 	}
-	for _, name := range []string{"", "bogus", "seq", "histo", "bibranch-q", "bibranch-q1", "bibranch-q17", "bibranch-q3x", "BiBranch"} {
+	for _, name := range []string{"", "bogus", "seq", "histo", "bibranch-nopos", "bibranch-q", "bibranch-q1", "bibranch-q17", "bibranch-q3x", "BiBranch"} {
 		if f, err := ParseFilter(name, 2); err == nil {
 			t.Errorf("ParseFilter(%q) = %#v, want an error", name, f)
 		}
 	}
+	// The replayed baselines are refused with a pointer to where they live.
+	for _, name := range []string{"histo", "bibranch-nopos"} {
+		if _, err := ParseFilter(name, 2); err == nil || !strings.Contains(err.Error(), "treesim-analyze") {
+			t.Errorf("ParseFilter(%q) error %v does not point to treesim-analyze", name, err)
+		}
+	}
 	for _, q := range []int{0, 1, 17} {
-		for _, name := range []string{"bibranch", "bibranch-nopos"} {
-			if f, err := ParseFilter(name, q); err == nil {
-				t.Errorf("ParseFilter(%q, %d) = %#v, want an error", name, q, f)
-			}
+		if f, err := ParseFilter("bibranch", q); err == nil {
+			t.Errorf("ParseFilter(bibranch, %d) = %#v, want an error", q, f)
 		}
 	}
 }
@@ -396,7 +399,7 @@ func TestParseFilter(t *testing.T) {
 // TestBiBranchDefaultQ: the zero value of Q selects the paper's two-level
 // branches.
 func TestBiBranchDefaultQ(t *testing.T) {
-	f := &BiBranch{Positional: true}
+	f := &BiBranch{}
 	f.Index(testDataset(5, 30))
 	if f.space.Q() != 2 {
 		t.Errorf("default Q resolved to %d", f.space.Q())
@@ -441,7 +444,7 @@ func TestKNNDistancesExact(t *testing.T) {
 func TestParallelProfilesMatchSerial(t *testing.T) {
 	ts := testDataset(100, 44)
 	ixP := NewIndex(ts, NewBiBranch()) // parallel build inside Index
-	ixS := NewIndex(ts, &BiBranch{Q: 2, Positional: true})
+	ixS := NewIndex(ts, NewBiBranch())
 	for _, q := range []*tree.Tree{ts[7], ts[77]} {
 		a, _, _ := ixP.KNN(context.Background(), q, 5)
 		b, _, _ := ixS.KNN(context.Background(), q, 5)

@@ -208,13 +208,13 @@ func newSegBounders(qc *qcut, q *tree.Tree, acc []int32) segBounders {
 	for si, sg := range qc.segs {
 		b := payloadOf(sg).filter.Query(q, acc[2*qc.starts[si]:2*qc.starts[si+1]])
 		sb[si] = b
-		if b == nil || b.seq == nil {
+		if b == nil {
 			continue
 		}
 		// Segments over one branch space share the query's side of the
 		// sequence tier, so it is computed once per space.
 		for _, o := range sb[:si] {
-			if o.seq != nil && o.f.space == b.f.space {
+			if o.f.space == b.f.space {
 				b.seq = o.seq
 				break
 			}

@@ -137,7 +137,7 @@ const (
 	ErrCodeInvalidTree      = "invalid_tree"      // a tree field failed to parse or was empty
 	ErrCodeInvalidArgument  = "invalid_argument"  // a scalar parameter is out of range (k, tau, op, id, batch size)
 	ErrCodeNotFound         = "not_found"         // the referenced resource does not exist
-	ErrCodeDeadlineExceeded = "deadline_exceeded" // the request deadline expired mid-query
+	ErrCodeDeadlineExceeded = "deadline_exceeded" // the request deadline expired mid-query (504) or before the body arrived (408)
 	ErrCodeCanceled         = "canceled"          // the client went away mid-query
 	ErrCodeOverloaded       = "overloaded"        // admission control refused the request; retry later
 	ErrCodeNotDurable       = "not_durable"       // the durable write path is failing (WAL append or degraded mode); retry

@@ -112,8 +112,7 @@ func (s *Server) runQuery(ctx context.Context, op string, q *tree.Tree, k, tau i
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	var req KNNRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err.Error(), requestID(w))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.K <= 0 {
@@ -125,8 +124,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 	var req RangeRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err.Error(), requestID(w))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Tau < 0 {
@@ -176,8 +174,7 @@ const maxDistCells = 1 << 22
 
 func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	var req DistRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err.Error(), requestID(w))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	t1, err := parseTree("t1", req.T1)
@@ -205,8 +202,7 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err.Error(), requestID(w))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Op != "knn" && req.Op != "range" {
@@ -304,8 +300,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req InsertRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err.Error(), requestID(w))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	t, err := parseTree("tree", req.Tree)

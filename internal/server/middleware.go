@@ -3,8 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"strings"
 	"time"
@@ -230,17 +232,26 @@ func writeError(w http.ResponseWriter, status int, code, msg, rid string) {
 // requestID returns the ID the middleware assigned to this response.
 func requestID(w http.ResponseWriter) string { return w.Header().Get("X-Request-Id") }
 
-// decodeJSON parses the request body into v, returning a client-facing
-// error message on failure. On success it clears the read deadline
-// admission set: left set, net/http's background read would cancel the
-// request context when it passes, and a query that outlives its timeout
-// would answer 499 instead of 504. On failure the deadline stays, so that
-// net/http's discard of an unread body after the handler cannot wait on a
-// slow client without one.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+// decodeJSON parses the request body into v and reports whether it could.
+// When it could not, it has answered the request: 408 deadline_exceeded
+// when the body did not arrive before the read deadline, 400
+// invalid_request for any other failure. On success it clears the read
+// deadline admission set: left set, net/http's background read would
+// cancel the request context when it passes, and a query that outlives
+// its timeout would answer 499 instead of 504. On failure the deadline
+// stays, so that net/http's discard of an unread body after the handler
+// cannot wait on a slow client without one.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %v", err)
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			writeError(w, http.StatusRequestTimeout, ErrCodeDeadlineExceeded,
+				fmt.Sprintf("request body not received in time: %v", err), requestID(w))
+		} else {
+			writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, fmt.Sprintf("invalid JSON body: %v", err), requestID(w))
+		}
+		return false
 	}
 	_ = http.NewResponseController(w).SetReadDeadline(time.Time{}) // fails as admission's does
-	return nil
+	return true
 }

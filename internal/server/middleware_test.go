@@ -161,7 +161,8 @@ func TestPanicRecovery(t *testing.T) {
 
 // TestSlowBodyReleasesSlot: a client that declares a body and sends one
 // byte of it holds its admission slot only until QueryTimeout, not for as
-// long as it keeps the connection open, and is answered then.
+// long as it keeps the connection open, and is answered then: 408
+// deadline_exceeded, for its request timed out and was not malformed.
 func TestSlowBodyReleasesSlot(t *testing.T) {
 	cfg := quietConfig()
 	cfg.MaxInFlight = 1
@@ -205,9 +206,12 @@ func TestSlowBodyReleasesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the slow client got no answer: %v", err)
 	}
+	var e ErrorResponse
+	derr := json.NewDecoder(resp.Body).Decode(&e)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !resp.Close {
-		t.Fatalf("the slow client got status %d, close %v; want 400 and the connection closed", resp.StatusCode, resp.Close)
+	if resp.StatusCode != http.StatusRequestTimeout || !resp.Close || derr != nil || e.Error.Code != ErrCodeDeadlineExceeded {
+		t.Fatalf("the slow client got status %d, close %v, error %+v (%v); want 408 %s and the connection closed",
+			resp.StatusCode, resp.Close, e.Error, derr, ErrCodeDeadlineExceeded)
 	}
 }
 

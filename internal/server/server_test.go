@@ -298,6 +298,11 @@ func TestBadRequests(t *testing.T) {
 		code string
 	}{
 		{"/v1/knn", `{bad json`, 400, ErrCodeInvalidRequest},
+		{"/v1/range", `{bad json`, 400, ErrCodeInvalidRequest},
+		{"/v1/dist", `{bad json`, 400, ErrCodeInvalidRequest},
+		{"/v1/batch", `{bad json`, 400, ErrCodeInvalidRequest},
+		{"/v1/trees", `{bad json`, 400, ErrCodeInvalidRequest},
+		{"/v1/knn", `{"tree":`, 400, ErrCodeInvalidRequest},
 		{"/v1/knn", `{"tree":"a(b","k":3}`, 400, ErrCodeInvalidTree},
 		{"/v1/knn", `{"tree":"a(b)","k":0}`, 400, ErrCodeInvalidArgument},
 		{"/v1/knn", `{"tree":"","k":3}`, 400, ErrCodeInvalidTree},

@@ -66,12 +66,6 @@ func (p *Pool) Stats() (requests, hits, physicalReads int64) {
 	return p.requests, p.hits, p.pager.Reads()
 }
 
-// ResetStats zeroes the request/hit counters (physical reads are owned by
-// the pager and keep accumulating).
-func (p *Pool) ResetStats() {
-	p.requests, p.hits = 0, 0
-}
-
 // Drop empties the pool, forcing subsequent requests to hit the pager.
 func (p *Pool) Drop() {
 	p.frames = make(map[int64]*list.Element, p.capacity)

@@ -84,13 +84,14 @@ func TestRecordsSpanPages(t *testing.T) {
 func TestBufferPoolCounts(t *testing.T) {
 	ts := storeDataset(200)
 	s := createStore(t, ts, 4)
-	s.Pool().ResetStats()
+	req0, hits0, phys0 := s.Pool().Stats()
 
 	// First scan: mostly misses.
 	if _, err := s.ReadAll(); err != nil {
 		t.Fatal(err)
 	}
 	req1, hits1, phys1 := s.Pool().Stats()
+	req1, hits1, phys1 = req1-req0, hits1-hits0, phys1-phys0
 	if req1 == 0 || phys1 == 0 {
 		t.Fatal("no I/O recorded")
 	}

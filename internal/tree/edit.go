@@ -98,17 +98,6 @@ func Insert(t *Tree, parent *Node, pos, count int, label string) (*Node, error) 
 	return n, nil
 }
 
-// InsertRoot places a new node labeled label above the current root; the
-// old root (if any) becomes its only child. It returns the new root.
-func InsertRoot(t *Tree, label string) *Node {
-	n := &Node{Label: label}
-	if !t.IsEmpty() {
-		n.Children = []*Node{t.Root}
-	}
-	t.Root = n
-	return n
-}
-
 func contains(root, target *Node) bool {
 	if root == target {
 		return true

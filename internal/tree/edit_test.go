@@ -92,19 +92,6 @@ func TestInsertBounds(t *testing.T) {
 	}
 }
 
-func TestInsertRoot(t *testing.T) {
-	tr := MustParse("a(b)")
-	InsertRoot(tr, "r")
-	if got := tr.String(); got != "r(a(b))" {
-		t.Errorf("after InsertRoot: %q", got)
-	}
-	e := New(nil)
-	InsertRoot(e, "r")
-	if got := e.String(); got != "r" {
-		t.Errorf("InsertRoot on empty tree: %q", got)
-	}
-}
-
 // TestInsertDeleteInverse checks that insert and delete are inverse
 // operations, as the complementarity argument of Theorem 3.2 requires.
 func TestInsertDeleteInverse(t *testing.T) {

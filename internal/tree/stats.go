@@ -46,53 +46,3 @@ func (t *Tree) HeightCounts() map[int]int {
 	rec(t.Root)
 	return m
 }
-
-// DepthCounts returns, for every depth d (root has depth 1), the number of
-// nodes at that depth.
-func (t *Tree) DepthCounts() map[int]int {
-	m := make(map[int]int)
-	if t.IsEmpty() {
-		return m
-	}
-	var rec func(n *Node, d int)
-	rec = func(n *Node, d int) {
-		m[d]++
-		for _, c := range n.Children {
-			rec(c, d+1)
-		}
-	}
-	rec(t.Root, 1)
-	return m
-}
-
-// AvgDepth returns the average node depth (root has depth 1); 0 for the
-// empty tree. The paper reports DBLP's average depth as 2.902 under this
-// convention minus one (edge count); AvgDepth uses node count on the path.
-func (t *Tree) AvgDepth() float64 {
-	if t.IsEmpty() {
-		return 0
-	}
-	sum, n := 0, 0
-	var rec func(nd *Node, d int)
-	rec = func(nd *Node, d int) {
-		sum += d
-		n++
-		for _, c := range nd.Children {
-			rec(c, d+1)
-		}
-	}
-	rec(t.Root, 1)
-	return float64(sum) / float64(n)
-}
-
-// MaxDegree returns the largest fanout in the tree.
-func (t *Tree) MaxDegree() int {
-	max := 0
-	t.Walk(func(n *Node) bool {
-		if len(n.Children) > max {
-			max = len(n.Children)
-		}
-		return true
-	})
-	return max
-}

@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"math"
 	"reflect"
 	"testing"
 )
@@ -32,34 +31,6 @@ func TestHeightCounts(t *testing.T) {
 	}
 }
 
-func TestDepthCounts(t *testing.T) {
-	got := paperT2().DepthCounts()
-	// T2 = a(b(c,d,b(e)),c,d,e): depth1 a; depth2 b,c,d,e; depth3 c,d,b; depth4 e.
-	want := map[int]int{1: 1, 2: 4, 3: 3, 4: 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DepthCounts = %v, want %v", got, want)
-	}
-}
-
-func TestAvgDepth(t *testing.T) {
-	// a(b): depths 1,2 → 1.5
-	if got := MustParse("a(b)").AvgDepth(); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("AvgDepth = %g, want 1.5", got)
-	}
-	if got := New(nil).AvgDepth(); got != 0 {
-		t.Errorf("AvgDepth(empty) = %g, want 0", got)
-	}
-}
-
-func TestMaxDegree(t *testing.T) {
-	if got := paperT2().MaxDegree(); got != 4 {
-		t.Errorf("MaxDegree = %d, want 4", got)
-	}
-	if got := New(nil).MaxDegree(); got != 0 {
-		t.Errorf("MaxDegree(empty) = %d, want 0", got)
-	}
-}
-
 // TestHistogramSumsEqualSize: every histogram distributes exactly the |T|
 // nodes.
 func TestHistogramSumsEqualSize(t *testing.T) {
@@ -77,9 +48,6 @@ func TestHistogramSumsEqualSize(t *testing.T) {
 		}
 		if s := sum(tr.HeightCounts()); s != n {
 			t.Errorf("height histogram sums to %d, want %d", s, n)
-		}
-		if s := sum(tr.DepthCounts()); s != n {
-			t.Errorf("depth histogram sums to %d, want %d", s, n)
 		}
 		ls := 0
 		for _, v := range tr.LabelCounts() {

@@ -47,39 +47,6 @@ func (t *Tree) PostOrder() []*Node {
 	return out
 }
 
-// BreadthFirst returns the nodes of the tree level by level, left to right
-// within each level.
-func (t *Tree) BreadthFirst() []*Node {
-	if t.IsEmpty() {
-		return nil
-	}
-	out := make([]*Node, 0, t.Size())
-	queue := []*Node{t.Root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		out = append(out, n)
-		queue = append(queue, n.Children...)
-	}
-	return out
-}
-
-// Parents returns a map from every node to its parent. The root maps to nil.
-func (t *Tree) Parents() map[*Node]*Node {
-	p := make(map[*Node]*Node, t.Size())
-	if t.IsEmpty() {
-		return p
-	}
-	p[t.Root] = nil
-	t.Walk(func(n *Node) bool {
-		for _, c := range n.Children {
-			p[c] = n
-		}
-		return true
-	})
-	return p
-}
-
 // Positions holds the 1-based preorder and postorder position of each node,
 // in the node order of PreOrder. Proposition 4.1 of the paper shows that in
 // any edit-distance mapping with cost < l, mapped nodes' preorder (and

@@ -29,13 +29,6 @@ func TestPostOrder(t *testing.T) {
 	}
 }
 
-func TestBreadthFirst(t *testing.T) {
-	got := labelsOf(MustParse("a(b(d,e),c(f))").BreadthFirst())
-	if got != "abcdef" {
-		t.Errorf("BFS = %q, want %q", got, "abcdef")
-	}
-}
-
 func TestWalkPrune(t *testing.T) {
 	tr := MustParse("a(b(c,d),e)")
 	var visited []string
@@ -75,25 +68,9 @@ func TestNumberMatchesPaperFigure2(t *testing.T) {
 	})
 }
 
-func TestParents(t *testing.T) {
-	tr := MustParse("a(b(c),d)")
-	p := tr.Parents()
-	if p[tr.Root] != nil {
-		t.Error("root should have nil parent")
-	}
-	b := tr.Root.Children[0]
-	c := b.Children[0]
-	if p[b] != tr.Root || p[c] != b || p[tr.Root.Children[1]] != tr.Root {
-		t.Error("wrong parent assignment")
-	}
-	if len(p) != 4 {
-		t.Errorf("parents map has %d entries, want 4", len(p))
-	}
-}
-
 func TestEmptyTraversals(t *testing.T) {
 	e := New(nil)
-	if len(e.PreOrder()) != 0 || len(e.PostOrder()) != 0 || len(e.BreadthFirst()) != 0 {
+	if len(e.PreOrder()) != 0 || len(e.PostOrder()) != 0 {
 		t.Error("empty tree traversals should be empty")
 	}
 	pos := e.Number()

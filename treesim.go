@@ -214,23 +214,22 @@ func WithCompactionThreshold(n int) IndexOption { return search.WithCompactionTh
 func WithExplain(dst **Explain) QueryOption { return search.WithExplain(dst) }
 
 // BiBranchFilter is the paper's filter: q-level binary branch vectors
-// with, optionally, the positional lower bound. The nil *BiBranchFilter is
-// the sequential scan.
+// with the positional lower bound. The nil *BiBranchFilter is the
+// sequential scan.
 type BiBranchFilter = search.BiBranch
 
 // NewBiBranchFilter returns the paper's filter: two-level binary branches
 // with the positional optimistic bound.
 func NewBiBranchFilter() *BiBranchFilter { return search.NewBiBranch() }
 
-// NewBiBranchFilterQ returns a binary branch filter at level q in [2, 16],
-// optionally without the positional bound (plain ceil(BDist/factor)
-// filtering). It panics outside that range, where no binary branch
+// NewBiBranchFilterQ returns the positional binary branch filter at level q
+// in [2, 16]. It panics outside that range, where no binary branch
 // structure exists (Definition 2) or no snapshot could store the level.
-func NewBiBranchFilterQ(q int, positional bool) *BiBranchFilter {
+func NewBiBranchFilterQ(q int) *BiBranchFilter {
 	if q < branch.MinQ || q > branch.MaxQ {
 		panic(fmt.Sprintf("treesim: binary branch level q must be in [%d, %d] (got %d)", branch.MinQ, branch.MaxQ, q))
 	}
-	return &search.BiBranch{Q: q, Positional: positional}
+	return &search.BiBranch{Q: q}
 }
 
 // Similarity joins.

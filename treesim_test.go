@@ -42,7 +42,7 @@ func TestFacadeSearch(t *testing.T) {
 	}
 	data := GenerateDataset(spec, 100, 10, 7)
 	for _, f := range []*BiBranchFilter{
-		NewBiBranchFilter(), NewBiBranchFilterQ(3, false), nil,
+		NewBiBranchFilter(), NewBiBranchFilterQ(3), nil,
 	} {
 		ix := NewIndex(data, f)
 		res, stats, _ := ix.KNN(context.Background(), data[5], 3)
@@ -190,14 +190,14 @@ func TestBiBranchFilterQValidation(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewBiBranchFilterQ(%d, true) did not panic", q)
+					t.Errorf("NewBiBranchFilterQ(%d) did not panic", q)
 				}
 			}()
-			NewBiBranchFilterQ(q, true)
+			NewBiBranchFilterQ(q)
 		}()
 	}
 	for _, q := range []int{2, 16} {
-		if f := NewBiBranchFilterQ(q, true); f == nil {
+		if f := NewBiBranchFilterQ(q); f == nil {
 			t.Fatalf("NewBiBranchFilterQ(%d) rejected a valid level", q)
 		}
 	}

@@ -420,9 +420,12 @@ func BenchmarkAblationPositional(b *testing.B) {
 	spec := datagen.Spec{FanoutMean: 4, FanoutStd: 0.5, SizeMean: 50, SizeStd: 2, Labels: 8, Decay: 0.05}
 	ts := datagen.New(spec, 5).Dataset(300, 15)
 	q := ts[42]
-	f := search.NewBiBranch()
-	f.Index(ts)
-	positional := func(q *tree.Tree) func(int) int { return f.Query(q, make([]int32, 2*len(ts))).KNNBound }
+	space := branch.NewSpace(2)
+	ps := space.ProfileAllParallel(ts, 0)
+	positional := func(q *tree.Tree) func(int) int {
+		qp := space.QueryProfile(q)
+		return func(i int) int { return branch.SearchLBound(qp, ps[i]) }
+	}
 	op := experiments.Query{KNN: true, K: 3}
 	for _, c := range []struct {
 		name  string

@@ -231,9 +231,13 @@ func loadDataset(c config) ([]*tree.Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		ts := make([]*tree.Tree, ix.Size())
-		for i := range ts {
-			ts[i] = ix.Tree(i)
+		// The live trees only: a recorded query's Stats.Dataset counts
+		// no deleted tree either.
+		ts := make([]*tree.Tree, 0, ix.Live())
+		for i := 0; i < ix.Size(); i++ {
+			if t, ok := ix.TreeAt(i); ok {
+				ts = append(ts, t)
+			}
 		}
 		return ts, nil
 	}

@@ -11,6 +11,7 @@ import (
 
 	"treesim/internal/datagen"
 	"treesim/internal/qlog"
+	"treesim/internal/search"
 )
 
 // writeWorkload builds a tiny dataset + recorded workload on disk and
@@ -210,5 +211,51 @@ func TestAnalyzeLimit(t *testing.T) {
 	}
 	if rep.Records != 4 || rep.Filters[0].Queries != 4 {
 		t.Fatalf("limit ignored: %d records, %d queries", rep.Records, rep.Filters[0].Queries)
+	}
+}
+
+// TestAnalyzeIndexWithDeletes: an index file with a deleted tree replays
+// over its live trees, so a workload recorded over them draws no
+// dataset-size warning.
+func TestAnalyzeIndexWithDeletes(t *testing.T) {
+	dir := t.TempDir()
+	ts := datagen.New(datagen.Spec{FanoutMean: 2, FanoutStd: 1, SizeMean: 6, SizeStd: 2, Labels: 4, Decay: 0.1}, 3).Dataset(3, 3)
+	ix := search.NewIndex(ts, search.NewBiBranch())
+	ix.Delete(1)
+	var snap bytes.Buffer
+	if err := search.SaveIndex(&snap, ix); err != nil {
+		t.Fatal(err)
+	}
+	idx, qlogPath, out := filepath.Join(dir, "ix.tsix"), filepath.Join(dir, "q.jsonl"), filepath.Join(dir, "r.json")
+	if err := os.WriteFile(idx, snap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := qlog.Open(qlogPath, qlog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := qlog.Record{Op: "knn", Tree: ts[0].String(), K: 1}
+	rec.Stats.Dataset = ix.Live()
+	if err := w.Record(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-qlog", qlogPath, "-index", idx, "-filters", "bibranch", "-out", out}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Dataset != 2 || strings.Contains(stderr.String(), "warning") {
+		t.Errorf("replayed over %d trees, want the 2 live ones; stderr: %s", rep.Dataset, stderr.String())
 	}
 }

@@ -81,27 +81,43 @@ type dataFlags struct {
 	queryIndex          int
 	filter              string
 	q                   int
+	fs                  *flag.FlagSet
 }
 
 func (d *dataFlags) register(fs *flag.FlagSet) {
+	d.fs = fs
 	fs.StringVar(&d.data, "data", "", "dataset file in line format")
 	fs.StringVar(&d.xmlDir, "xml", "", "directory of XML documents (alternative to -data)")
 	fs.StringVar(&d.index, "index", "", "saved index file (alternative to -data/-xml; see 'treesim index')")
 	fs.StringVar(&d.query, "query", "", "query tree in canonical text format")
 	fs.IntVar(&d.queryIndex, "query-index", -1, "use dataset tree i as the query")
-	fs.StringVar(&d.filter, "filter", "bibranch", "filter: bibranch, bibranch-qN, none")
+	fs.StringVar(&d.filter, "filter", "bibranch", "filter: bibranch, bibranch-qN, none (with -index: replaces the file's filter when set, as -q does)")
 	fs.IntVar(&d.q, "q", 2, "binary branch level of bibranch")
 }
 
 // buildIndex loads or builds the search index and resolves the query tree.
 func (d *dataFlags) buildIndex() (*search.Index, *tree.Tree, error) {
 	if d.index != "" {
+		// The index file's filter answers unless -filter or -q is set.
+		var opts []search.IndexOption
+		explicit := false
+		d.fs.Visit(func(fl *flag.Flag) { explicit = explicit || fl.Name == "filter" || fl.Name == "q" })
+		if explicit {
+			flt, err := search.ParseFilter(d.filter, d.q)
+			if err != nil {
+				return nil, nil, err
+			}
+			if flt == nil {
+				return nil, nil, fmt.Errorf("filter %q cannot replace an index file's filter; scan from -data or -xml", d.filter)
+			}
+			opts = append(opts, flt)
+		}
 		f, err := os.Open(d.index)
 		if err != nil {
 			return nil, nil, err
 		}
 		defer f.Close()
-		ix, err := search.LoadIndex(f)
+		ix, err := search.LoadIndex(f, opts...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -110,7 +126,10 @@ func (d *dataFlags) buildIndex() (*search.Index, *tree.Tree, error) {
 			return nil, nil, err
 		}
 		if q == nil {
-			q = ix.Tree(d.queryIndex)
+			var ok bool
+			if q, ok = ix.TreeAt(d.queryIndex); !ok {
+				return nil, nil, fmt.Errorf("-query-index %d: tree %d was deleted from the index", d.queryIndex, d.queryIndex)
+			}
 		}
 		return ix, q, nil
 	}

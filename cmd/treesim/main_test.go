@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,8 @@ import (
 
 	"treesim/internal/datagen"
 	"treesim/internal/dataset"
+	"treesim/internal/search"
+	"treesim/internal/tree"
 )
 
 // writeTestData generates a small dataset file for CLI tests.
@@ -263,5 +266,82 @@ func TestBadIndexFileError(t *testing.T) {
 	err := runKNN([]string{"-index", data, "-query", "a(b)"})
 	if err == nil || !contains(err.Error(), "magic") {
 		t.Errorf("bad index file: error %v", err)
+	}
+}
+
+// writeIndexWithDelete saves a 3-tree index whose tree 1 is deleted.
+func writeIndexWithDelete(t *testing.T) string {
+	t.Helper()
+	ix := search.NewIndex([]*tree.Tree{tree.MustParse("a(b)"), tree.MustParse("a(c)"), tree.MustParse("a(b,c)")}, search.NewBiBranch())
+	ix.Delete(1)
+	path := filepath.Join(t.TempDir(), "ix.tsix")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := search.SaveIndex(f, ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestQueryIndexDeletedTree: from an index file, -query-index names a
+// live tree, or the query is refused with an error.
+func TestQueryIndexDeletedTree(t *testing.T) {
+	idx := writeIndexWithDelete(t)
+	for _, run := range []func([]string) error{runKNN, runRange} {
+		if err := run([]string{"-index", idx, "-query-index", "1"}); err == nil || !contains(err.Error(), "deleted") {
+			t.Errorf("deleted -query-index: error %v", err)
+		}
+		if err := run([]string{"-index", idx, "-query-index", "3"}); err == nil || !contains(err.Error(), "-query-index") {
+			t.Errorf("out-of-range -query-index: error %v", err)
+		}
+	}
+	out := captureStdout(t, func() {
+		if err := runKNN([]string{"-index", idx, "-query-index", "2", "-k", "1"}); err != nil {
+			t.Error(err)
+		}
+	})
+	if !contains(out, "dist=0  id=2") {
+		t.Errorf("knn from a live -query-index:\n%s", out)
+	}
+}
+
+// TestIndexFilterFlags: with -index the file's filter answers unless
+// -filter or -q is set, which then replaces it; an unknown name and the
+// sequential scan, which an index file cannot hold, are refused.
+func TestIndexFilterFlags(t *testing.T) {
+	idx := writeIndexWithDelete(t)
+	for _, c := range []struct {
+		args    []string
+		q       int
+		wantErr string
+	}{
+		{nil, 2, ""},
+		{[]string{"-filter", "bibranch-q3"}, 3, ""},
+		{[]string{"-q", "4"}, 4, ""},
+		{[]string{"-filter", "bogus"}, 0, "unknown filter"},
+		{[]string{"-filter", "none"}, 0, "cannot replace"},
+	} {
+		fs := flag.NewFlagSet("knn", flag.ContinueOnError)
+		var df dataFlags
+		df.register(fs)
+		if err := fs.Parse(append([]string{"-index", idx, "-query-index", "0"}, c.args...)); err != nil {
+			t.Fatal(err)
+		}
+		ix, _, err := df.buildIndex()
+		switch {
+		case c.wantErr != "":
+			if err == nil || !contains(err.Error(), c.wantErr) {
+				t.Errorf("%v: error %v, want %q", c.args, err, c.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%v: %v", c.args, err)
+		case ix.Filter().Q != c.q:
+			t.Errorf("%v: index answers at q=%d, want %d", c.args, ix.Filter().Q, c.q)
+		}
 	}
 }

@@ -17,14 +17,6 @@ func TestFactor(t *testing.T) {
 	}
 }
 
-func TestWindowLen(t *testing.T) {
-	for q, want := range map[int]int{2: 3, 3: 7, 4: 15} {
-		if got := NewSpace(q).WindowLen(); got != want {
-			t.Errorf("WindowLen(q=%d) = %d, want %d", q, got, want)
-		}
-	}
-}
-
 func TestNewSpaceRejectsQ1(t *testing.T) {
 	defer func() {
 		if recover() == nil {

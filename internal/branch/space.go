@@ -85,10 +85,6 @@ func (s *Space) Size() int {
 	return len(s.keys)
 }
 
-// WindowLen returns the number of labels in one branch window: 2^q − 1
-// (the node count of a perfect binary tree with q levels).
-func (s *Space) WindowLen() int { return (1 << uint(s.q)) - 1 }
-
 // intern returns the dimension of the branch encoded by key, assigning a
 // fresh dimension on first sight. The key bytes are copied only then. The
 // caller holds the write lock or is the only user the space has yet.

@@ -34,7 +34,7 @@ func AblationPositional(cfg Config) *Table {
 	pos := search.NewIndex(ts, search.NewBiBranch())
 	plain := PlainBound(ts, 2)
 	row := func(label string, op Query) Row {
-		va := cfg.measure(pos, op.indexBound(pos), ts, qs, op)
+		va := cfg.measure(pos, op.filterBound(pos.Filter(), ts), ts, qs, op)
 		ra := cfg.measure(nil, plain, ts, qs, op)
 		return Row{X: label, BiBranchPct: va.pct, HistoPct: ra.pct, BiBranchTime: va.time}
 	}
@@ -82,8 +82,8 @@ func AblationQ(cfg Config) *Table {
 // ablationRow measures the variant (→ BiBranch column) and the reference
 // (→ Histo column) over the query set, as a figure row measures its filters.
 func (c Config) ablationRow(label string, ts, qs []*tree.Tree, op Query, variant, reference *search.Index) Row {
-	va := c.measure(variant, op.indexBound(variant), ts, qs, op)
-	ra := c.measure(reference, op.indexBound(reference), ts, qs, op)
+	va := c.measure(variant, op.filterBound(variant.Filter(), ts), ts, qs, op)
+	ra := c.measure(reference, op.filterBound(reference.Filter(), ts), ts, qs, op)
 	return Row{
 		X:            label,
 		BiBranchPct:  va.pct,

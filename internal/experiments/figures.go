@@ -53,9 +53,9 @@ func (c Config) knnRow(x string, ts []*tree.Tree, k int, rng *rand.Rand) Row {
 // not served, so its row is the replay alone.
 func (c Config) row(x string, ts, qs []*tree.Tree, op Query) Row {
 	bi, sq := search.NewIndex(ts, search.NewBiBranch()), search.NewIndex(ts)
-	bib := c.measure(bi, op.indexBound(bi), ts, qs, op)
+	bib := c.measure(bi, op.filterBound(bi.Filter(), ts), ts, qs, op)
 	his := c.measure(nil, HistoBound(ts), ts, qs, op)
-	seq := c.measure(sq, op.indexBound(sq), ts, qs, op)
+	seq := c.measure(sq, op.filterBound(nil, ts), ts, qs, op)
 	return Row{
 		X:            x,
 		BiBranchPct:  bib.pct,

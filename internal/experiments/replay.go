@@ -45,16 +45,25 @@ func (op Query) Engine(ix *search.Index, q *tree.Tree) ([]search.Result, search.
 // bound between q and tree i that the query prunes on.
 type Bound func(q *tree.Tree) func(i int) int
 
-// indexBound is the bound of ix's filter, over ix's dataset as one segment,
-// that op prunes on: the k-NN bound, or the range bound at op.Tau.
-func (op Query) indexBound(ix *search.Index) Bound {
-	f, n := ix.Filter(), ix.Size()
-	return func(q *tree.Tree) func(int) int {
-		b := f.Query(q, make([]int32, 2*n))
+// filterBound is the bound of the engine's filter f over ts, profiled in a
+// fresh space of f's level, that op prunes on: the positional k-NN bound,
+// or the range bound at op.Tau; zero for every tree under the nil filter,
+// the sequential scan.
+func (op Query) filterBound(f *search.BiBranch, ts []*tree.Tree) Bound {
+	if f == nil {
+		return func(*tree.Tree) func(int) int { return func(int) int { return 0 } }
+	}
+	space := branch.NewSpace(max(f.Q, branch.MinQ))
+	ps := space.ProfileAllParallel(ts, 0)
+	return func(qt *tree.Tree) func(int) int {
+		qp := space.QueryProfile(qt)
 		if op.KNN {
-			return b.KNNBound
+			return func(i int) int { return branch.SearchLBound(qp, ps[i]) }
 		}
-		return func(i int) int { return b.RangeBound(i, op.Tau) }
+		return func(i int) int {
+			lb, _ := branch.RangeLowerBoundWithin(qp, ps[i], op.Tau)
+			return lb
+		}
 	}
 }
 

@@ -134,11 +134,6 @@ func clampBins(m map[int]int, bins int) map[int]int {
 	return out
 }
 
-// ProfileAll profiles every tree of a dataset in order, unbounded.
-func ProfileAll(ts []*tree.Tree) []*Profile {
-	return ProfileAllConfig(ts, Config{})
-}
-
 // ProfileAllConfig profiles every tree with the given folding.
 func ProfileAllConfig(ts []*tree.Tree, cfg Config) []*Profile {
 	out := make([]*Profile, len(ts))

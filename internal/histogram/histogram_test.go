@@ -156,13 +156,6 @@ func TestEqualSpaceSplit(t *testing.T) {
 	}
 }
 
-func TestProfileAll(t *testing.T) {
-	ps := ProfileAll([]*tree.Tree{paperT1(), paperT2()})
-	if len(ps) != 2 || ps[0].Size != 8 || ps[1].Size != 9 {
-		t.Error("ProfileAll order or content wrong")
-	}
-}
-
 func TestEmptyTree(t *testing.T) {
 	e := NewProfileConfig(tree.New(nil), Config{})
 	p := NewProfileConfig(paperT1(), Config{})

@@ -32,7 +32,7 @@ func TestBoundedRefineInvariance(t *testing.T) {
 	// ⌊log₂((|q|+|t|)/8)⌋ + 3 runs per pair at most, none above FullCells.
 	searchRuns := int64(bits.Len(uint(2*largest/8)) + 2)
 	for _, f := range allFilters() {
-		ix := NewIndex(ts, f.Fresh())
+		ix := NewIndex(ts, f)
 		for qi, q := range queries {
 			for _, k := range []int{1, 5, 12} {
 				want := bruteKNNAnswers(trees, q, k)

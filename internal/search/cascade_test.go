@@ -66,7 +66,7 @@ func sweptLabels(ix *Index, q *tree.Tree) map[int]int {
 				carriers[l]++
 			}
 		}
-		swept := p.filter.post != nil
+		swept := p.post != nil
 		for i, t := range p.trees {
 			if !swept {
 				out[sg.ID(i)] = 0
@@ -95,7 +95,7 @@ func exactTier(ix *Index, q *tree.Tree) map[int]int {
 	out := map[int]int{}
 	for _, sg := range ix.cut().segs {
 		p := payloadOf(sg)
-		swept := p.filter.post != nil
+		swept := p.post != nil
 		for i, t := range p.trees {
 			out[sg.ID(i)] = 0
 			if swept {
@@ -418,7 +418,7 @@ func checkCascade(t *testing.T, name string, ix *Index, visible map[int]*tree.Tr
 func TestFunnelEveryFilter(t *testing.T) {
 	ts := testDataset(80, 93)
 	for _, f := range allFilters() {
-		ix := NewIndex(ts, f.Fresh())
+		ix := NewIndex(ts, f)
 		for _, q := range []*tree.Tree{ts[5], ts[61]} {
 			_, ks, _ := ix.KNN(context.Background(), q, 4)
 			_, rs, _ := ix.Range(context.Background(), q, 3)
@@ -515,13 +515,13 @@ func checkSequenceReported(t *testing.T, name string, st Stats, ex *Explain, fil
 }
 
 // TestQueriesDoNotGrowTheSpace: a thousand queries full of labels the
-// dataset has never seen leave the filter's vocabulary where indexing put
-// it, and bound exactly as an interning query profile would.
+// dataset has never seen leave the segment's branch vocabulary where
+// indexing put it, and bound exactly as an interning query profile would.
 func TestQueriesDoNotGrowTheSpace(t *testing.T) {
 	ts := testDataset(40, 94)
-	f := NewBiBranch()
-	ix := NewIndex(ts, f)
-	vocab := f.space.Size()
+	ix := NewIndex(ts, NewBiBranch())
+	p := payloadOf(ix.cut().segs[0])
+	vocab := p.space.Size()
 	for i := 0; i < 1000; i++ {
 		q := tree.MustParse(fmt.Sprintf("fresh%d(b,novel%d(c),d)", i, i))
 		if _, _, err := ix.KNN(context.Background(), q, 3); err != nil {
@@ -531,18 +531,18 @@ func TestQueriesDoNotGrowTheSpace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.space.Size(); got != vocab {
+	if got := p.space.Size(); got != vocab {
 		t.Fatalf("space grew from %d to %d dimensions under queries", vocab, got)
 	}
 
 	q := tree.MustParse("fresh(l1(l2,novel),l3)")
-	b := f.Query(q, make([]int32, 2*len(f.profiles)))
-	interned := f.space.Profile(q) // grows the space; last, on purpose
-	for i, p := range f.profiles {
-		if got, want := b.BDist(i), branch.BDist(interned, p); got != want {
+	b := p.bounder(q, make([]int32, 2*len(p.profiles)))
+	interned := p.space.Profile(q) // grows the space; last, on purpose
+	for i, pr := range p.profiles {
+		if got, want := b.BDist(i), branch.BDist(interned, pr); got != want {
 			t.Fatalf("tree %d: BDist %d through the lookup profile, %d interned", i, got, want)
 		}
-		if got, want := b.KNNBound(i), branch.SearchLBound(interned, p); got != want {
+		if got, want := b.KNNBound(i), branch.SearchLBound(interned, pr); got != want {
 			t.Fatalf("tree %d: bound %d through the lookup profile, %d interned", i, got, want)
 		}
 	}
@@ -580,12 +580,11 @@ func checkSwept(t *testing.T, name string, ix *Index, queries []*tree.Tree) {
 		qh := labelHist(q)
 		for si, sg := range cut.segs {
 			p := payloadOf(sg)
-			f := p.filter
-			if inMem := si >= sealed; (f.post == nil) != inMem {
-				t.Fatalf("%s: segment %d of %d (%d sealed) has postings %v", name, si, len(cut.segs), sealed, f.post != nil)
+			if inMem := si >= sealed; (p.post == nil) != inMem {
+				t.Fatalf("%s: segment %d of %d (%d sealed) has postings %v", name, si, len(cut.segs), sealed, p.post != nil)
 			}
 			b := prims[si]
-			for i, pr := range f.profiles {
+			for i, pr := range p.profiles {
 				want := branch.BDist(b.qp, pr)
 				_, bd, lb := b.CheapBounds(i)
 				if got := b.BDist(i); got != want || bd != (want+b.factor-1)/b.factor {

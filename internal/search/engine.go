@@ -19,7 +19,7 @@ import (
 // taking a consistent cut of the store — the sealed segments plus a frozen
 // memtable snapshot — and flattens them into one global position domain
 // [0, n); positions ascend with dataset ids. The filter stage bounds that
-// domain in one pass, each position by its own segment's filter; the
+// domain in one pass, each position by its own segment's profiles; the
 // refine stage verifies the trees it hands out one after another, and a
 // k-NN query's k-th-best distance, which only falls, prunes every later
 // verification. Tombstoned positions are found once per run of positions,

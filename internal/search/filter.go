@@ -52,39 +52,15 @@ func ParseFilter(name string, q int) (*BiBranch, error) {
 }
 
 // BiBranch is the paper's filter: q-level binary branch vectors with the
-// positional lower bound of Section 4.2–4.3. The nil *BiBranch is the
-// sequential scan: it keeps nothing, and its bounder is nil, whose every
-// bound is zero.
+// positional lower bound of Section 4.2–4.3. It is a configuration only:
+// each segment builds its own branch space, profiles and postings under it
+// (see segPayload), so one value may configure any number of indexes. The
+// nil *BiBranch is the sequential scan, whose bounder is nil and whose
+// every bound is zero.
 type BiBranch struct {
 	// Q is the branch level, in [branch.MinQ, branch.MaxQ]. The zero value
 	// means 2.
 	Q int
-
-	space    *branch.Space
-	profiles []*branch.Profile
-	// post is the inverted file over profiles (Algorithm 1) that a sealed
-	// segment's BDist and label tiers sweep, and sizes[i] is profiles[i].Size,
-	// the column the size tier reads beside the sweep; both nil in the
-	// memtable, which grows by Append, merge-joins per tree instead and has
-	// no label tier.
-	post  *invfile.Index
-	sizes []int32
-}
-
-// seal builds what a sealed segment's filter keeps beside its profiles:
-// the inverted file its BDist and label tiers sweep, and the size column
-// its size tier reads, 4 bytes a tree — neither for an empty segment, or
-// one too large for a posting's tree bits, which then bounds tree by tree
-// like the memtable.
-func (f *BiBranch) seal() {
-	if len(f.profiles) == 0 || len(f.profiles) > invfile.MaxTrees {
-		return
-	}
-	f.post = invfile.Build(f.profiles)
-	f.sizes = make([]int32, len(f.profiles))
-	for i, p := range f.profiles {
-		f.sizes[i] = int32(p.Size)
-	}
 }
 
 // NewBiBranch returns the standard configuration of the paper: two-level
@@ -98,78 +74,6 @@ func (f *BiBranch) Name() string {
 		return "Sequential"
 	}
 	return "BiBranch"
-}
-
-// Index profiles a segment's dataset into flat per-block arrays and builds
-// the postings over them.
-func (f *BiBranch) Index(ts []*tree.Tree) {
-	if f == nil {
-		return
-	}
-	f.space = branch.NewSpace(f.level())
-	f.profiles = f.space.ProfileAllParallel(ts, 0)
-	f.seal()
-}
-
-// Append profiles one more tree into the space: an insert into the
-// memtable, whose filter alone grows and has no postings.
-func (f *BiBranch) Append(t *tree.Tree) {
-	if f != nil {
-		f.profiles = append(f.profiles, f.space.Profile(t))
-	}
-}
-
-// Fresh returns an empty filter of the same configuration, ready to Index
-// a new dataset: a new memtable, or a compacted segment.
-func (f *BiBranch) Fresh() *BiBranch {
-	if f == nil {
-		return nil
-	}
-	return &BiBranch{Q: f.Q}
-}
-
-// snapshotAt freezes the first n profiles. The branch space is shared — it
-// is internally synchronized and only ever grows — and the profile slice
-// is capped at n, so appends to the live filter never show through. A seal
-// also builds the postings and the size column: under the store's lock,
-// once per MemtableSize inserts.
-func (f *BiBranch) snapshotAt(n int, seal bool) *BiBranch {
-	if f == nil {
-		return nil
-	}
-	g := &BiBranch{Q: f.Q, space: f.space, profiles: f.profiles[:n:n]}
-	if seal {
-		g.seal()
-	}
-	return g
-}
-
-// Query returns the query's bounder, with acc, two entries per indexed
-// tree, as its working memory. The query is profiled by lookup only, so
-// queries never grow the space. Where the filter has postings, one sweep
-// over the query's branch lists leaves every tree's branch overlap in the
-// first half of acc, and one over its label lists a bound on every tree's
-// label overlap in the second; the dense labels the query carries twice or
-// more are kept for ExactLabel. The labels are counted off the query tree,
-// not its profile, which lacks the branches the space never saw although
-// their root labels may be known.
-func (f *BiBranch) Query(q *tree.Tree, acc []int32) *biBranchBounder {
-	if f == nil {
-		return nil
-	}
-	b := &biBranchBounder{f: f, qp: f.space.QueryProfile(q), factor: f.Factor(),
-		seq: &querySeqs{space: f.space, q: q}}
-	if f.post != nil {
-		n := len(f.profiles)
-		b.ov = acc[:n]
-		f.post.Overlaps(b.qp, b.ov)
-		var buf [16]branch.LabelCount
-		ql := f.space.QueryLabels(q, buf[:0])
-		b.lov = acc[n : 2*n]
-		b.lbase = f.post.LabelOverlaps(ql, b.lov)
-		b.dense = f.post.DenseCounts(ql, b.denseBuf[:0])
-	}
-	return b
 }
 
 // Factor returns the proven worst-case BDist/EDist ratio 4(q-1)+1
@@ -190,17 +94,46 @@ func (f *BiBranch) level() int {
 	return f.Q
 }
 
+// bounder returns the query's bounder over the segment, with acc, two
+// entries per tree of the segment, as its working memory; nil under the
+// sequential scan. The query is profiled by lookup only, so queries never
+// grow the space. Where the segment has postings, one sweep over the
+// query's branch lists leaves every tree's branch overlap in the first
+// half of acc, and one over its label lists a bound on every tree's label
+// overlap in the second; the dense labels the query carries twice or more
+// are kept for ExactLabel. The labels are counted off the query tree, not
+// its profile, which lacks the branches the space never saw although their
+// root labels may be known.
+func (p *segPayload) bounder(q *tree.Tree, acc []int32) *biBranchBounder {
+	if p.space == nil {
+		return nil
+	}
+	b := &biBranchBounder{p: p, qp: p.space.QueryProfile(q), factor: branch.Factor(p.space.Q()),
+		seq: querySeqs{space: p.space, q: q}}
+	if p.post != nil {
+		n := len(p.profiles)
+		b.ov = acc[:n]
+		p.post.Overlaps(b.qp, b.ov)
+		var buf [16]branch.LabelCount
+		ql := p.space.QueryLabels(q, buf[:0])
+		b.lov = acc[n : 2*n]
+		b.lbase = p.post.LabelOverlaps(ql, b.lov)
+		b.dense = p.post.DenseCounts(ql, b.denseBuf[:0])
+	}
+	return b
+}
+
 // biBranchBounder bounds the edit distance between one query and a
 // segment's trees by the tiers of the engine's cascade, each sound: three
 // cheap tiers every tree gets, then the exact label tier, the full bound
 // and the sequence tier for the trees the tiers before leave standing.
 // The full bound dominates the size and BDist tiers but not the label
 // tiers, so the engine keys a tree by the largest bound it computed. It is
-// read-only after Query but for the query's sequences, loaded on first
+// read-only after bounder but for the query's sequences, loaded on first
 // use; one query's goroutine is its only reader. The nil bounder, the
 // sequential scan's, gives zero for every tier.
 type biBranchBounder struct {
-	f      *BiBranch
+	p      *segPayload
 	qp     *branch.Profile
 	factor int
 	// ov[i] is the branch overlap with tree i, swept from the segment's
@@ -215,9 +148,8 @@ type biBranchBounder struct {
 	lbase    int32
 	dense    []invfile.DenseCount
 	denseBuf [8]invfile.DenseCount
-	// seq is the query's side of the sequence tier, which bounders over
-	// one space share.
-	seq *querySeqs
+	// seq is the query's side of the sequence tier.
+	seq querySeqs
 }
 
 // querySeqs is the query's side of the sequence tier in one branch space:
@@ -255,16 +187,16 @@ type seqBuf struct {
 // segment without postings.
 func (b *biBranchBounder) BDist(i int) int {
 	if b.ov != nil {
-		return b.qp.Size + b.f.profiles[i].Size - 2*int(b.ov[i])
+		return b.qp.Size + b.p.profiles[i].Size - 2*int(b.ov[i])
 	}
-	return branch.BDist(b.qp, b.f.profiles[i])
+	return branch.BDist(b.qp, b.p.profiles[i])
 }
 
 // label returns the label-histogram bound ⌈L1/2⌉ for a label overlap of at
 // most ov with tree i, L1 ≥ |q| + |t| − 2·ov: one edit operation changes
 // L1 by at most 2.
 func (b *biBranchBounder) label(i int, ov int32) int {
-	l1 := b.qp.Size + b.f.profiles[i].Size - 2*int(ov)
+	l1 := b.qp.Size + b.p.profiles[i].Size - 2*int(ov)
 	return max(0, (l1+1)/2)
 }
 
@@ -321,7 +253,7 @@ func larger(a, b int) int {
 // returns; no call, pointer chase or tombstone probe per tree. Every bound
 // is exact.
 func (b *biBranchBounder) levels(lo, hi int, out []int32, h tierCounts) tierCounts {
-	sizes := b.f.sizes[lo:hi]
+	sizes := b.p.sizes[lo:hi]
 	ov, lov, out := b.ov[lo:hi][:len(sizes)], b.lov[lo:hi][:len(sizes)], out[:len(sizes)]
 	c := b.colTiers()
 	// The counts grow outside the loop that fills them: a tree whose level
@@ -349,7 +281,7 @@ func (b *biBranchBounder) levels(lo, hi int, out []int32, h tierCounts) tierCoun
 // swept returns tree i's three cheap tiers off its segment's columns, as
 // levels computes them: for the one tree EXPLAIN wants the deciding tier of.
 func (b *biBranchBounder) swept(i int) (size, bdist, label int) {
-	return b.colTiers().at(int(b.f.sizes[i]), int(b.ov[i]), int(b.lov[i]))
+	return b.colTiers().at(int(b.p.sizes[i]), int(b.ov[i]), int(b.lov[i]))
 }
 
 // CheapBounds returns the cheap tiers' exact lower bounds on EDist(query,
@@ -365,7 +297,7 @@ func (b *biBranchBounder) CheapBounds(i int) (size, bdist, label int) {
 	if b == nil {
 		return 0, 0, 0
 	}
-	t := b.f.profiles[i]
+	t := b.p.profiles[i]
 	if size = b.qp.Size - t.Size; size < 0 {
 		size = -size
 	}
@@ -387,7 +319,7 @@ func (b *biBranchBounder) ExactLabel(i int) int {
 	if b == nil || b.lov == nil {
 		return 0
 	}
-	return b.label(i, b.lbase+b.lov[i]-b.f.post.Excess(b.dense, i))
+	return b.label(i, b.lbase+b.lov[i]-b.p.post.Excess(b.dense, i))
 }
 
 // Full returns the full bound the scan tightens tree i's key with at
@@ -403,7 +335,7 @@ func (b *biBranchBounder) Full(i, key, t int) int {
 	if b == nil {
 		return key
 	}
-	return branch.SearchLBoundWithin(b.qp, b.f.profiles[i], key, t)
+	return branch.SearchLBoundWithin(b.qp, b.p.profiles[i], key, t)
 }
 
 // KNNBound returns the filter's full lower bound L ≤ EDist(query, tree i),
@@ -412,7 +344,7 @@ func (b *biBranchBounder) KNNBound(i int) int {
 	if b == nil {
 		return 0
 	}
-	return branch.SearchLBound(b.qp, b.f.profiles[i])
+	return branch.SearchLBound(b.qp, b.p.profiles[i])
 }
 
 // RangeBound returns a value L such that L > tau implies EDist(query,
@@ -422,7 +354,7 @@ func (b *biBranchBounder) RangeBound(i, tau int) int {
 	if b == nil {
 		return 0
 	}
-	lb, _ := branch.RangeLowerBoundWithin(b.qp, b.f.profiles[i], tau)
+	lb, _ := branch.RangeLowerBoundWithin(b.qp, b.p.profiles[i], tau)
 	return lb
 }
 
@@ -439,7 +371,7 @@ func (b *biBranchBounder) Sequence(i, k int, buf *seqBuf) int {
 	if b == nil {
 		return 0
 	}
-	qs, t := b.seq.load(), b.f.profiles[i]
+	qs, t := b.seq.load(), b.p.profiles[i]
 	buf.ids = slices.Grow(buf.ids[:0], t.Size)[:t.Size]
 	t.LabelSequence(qs.root, buf.ids, false)
 	post, diags := editdist.SeqDist(qs.post, buf.ids, k, buf.diags)

@@ -148,9 +148,7 @@ func FuzzExactLabelTier(f *testing.F) {
 		}
 		q := bush(ts[int(qi)%len(ts)], int(qgrow%400))
 
-		bf := NewBiBranch()
-		bf.Index(ts)
-		b := bf.Query(q, make([]int32, 2*len(ts)))
+		b := newPayload(NewBiBranch(), ts, true).bounder(q, make([]int32, 2*len(ts)))
 		qh := labelHist(q)
 		hs := make([]map[string]int, len(ts))
 		carriers := map[string]int{}
@@ -217,11 +215,10 @@ func FuzzSequenceTier(f *testing.F) {
 		var buf seqBuf
 		for si, sg := range cut.segs {
 			p := payloadOf(sg)
-			bf := p.filter
-			root, _ := bf.space.Roots()
+			root, _ := p.space.Roots()
 			b := prims[si]
 			for i, tr := range p.trees {
-				pr := bf.profiles[i]
+				pr := p.profiles[i]
 				ids, names := map[int32]string{}, map[string]int32{}
 				for _, order := range []struct {
 					preorder bool

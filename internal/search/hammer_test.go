@@ -175,3 +175,58 @@ func TestHammerCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterSharedAcrossIndexes: a filter is a configuration, so one value
+// may configure any number of indexes. While a second NewIndex and a
+// LoadIndex take the value the first index was built with, and after they
+// have, the first index answers as an index built from a value of its own
+// would, with the same Stats but for the times; the other two answer as
+// their own fresh indexes do. Run with -race, it also proves that building
+// from a shared value writes nothing a query of another index reads.
+func TestFilterSharedAcrossIndexes(t *testing.T) {
+	ts, other := testDataset(50, 95), testDataset(30, 96)
+	f := NewBiBranch()
+	first := NewIndex(ts, f)
+	var snap bytes.Buffer
+	if err := SaveIndex(&snap, NewIndex(other, NewBiBranch())); err != nil {
+		t.Fatal(err)
+	}
+	same := func(name string, ix, want *Index, qs []*tree.Tree) {
+		for _, q := range qs {
+			for _, run := range []func(*Index) ([]Result, Stats, error){
+				func(ix *Index) ([]Result, Stats, error) { return ix.KNN(context.Background(), q, 4) },
+				func(ix *Index) ([]Result, Stats, error) { return ix.Range(context.Background(), q, 6) },
+			} {
+				got, gst, err := run(ix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, st, _ := run(want)
+				gst.FilterTime, gst.RefineTime, st.FilterTime, st.RefineTime = 0, 0, 0, 0
+				if !reflect.DeepEqual(got, res) || !reflect.DeepEqual(gst, st) {
+					t.Errorf("%s: answers %v with %+v, a fresh index %v with %+v", name, got, gst, res, st)
+				}
+			}
+		}
+	}
+	fresh := NewIndex(ts, NewBiBranch())
+	var second, loaded *Index
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); second = NewIndex(other, f) }()
+	go func() {
+		defer wg.Done()
+		var err error
+		if loaded, err = LoadIndex(&snap, f); err != nil {
+			t.Error(err)
+		}
+	}()
+	same("first, during the builds", first, fresh, ts[:10])
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	same("first, after the builds", first, fresh, ts)
+	same("second", second, NewIndex(other, NewBiBranch()), other[:10])
+	same("loaded", loaded, NewIndex(other, NewBiBranch()), other[:10])
+}

@@ -119,8 +119,9 @@ func (s Stats) String() string {
 // Index is a similarity-searchable tree collection with a storage
 // lifecycle: the dataset lives in a segmented, epoch-based store
 // (internal/segstore) — inserts land in a small mutable memtable, sealed
-// segments are immutable with their own pre-built filters, deletes are
-// tombstones, and background compaction merges segments back into one.
+// segments are immutable with their own pre-built profiles and postings,
+// deletes are tombstones, and background compaction merges segments back
+// into one.
 //
 // An Index is safe for concurrent use, and reads don't block writes:
 // queries snapshot the segment list and run the engine across its segments,
@@ -129,7 +130,7 @@ func (s Stats) String() string {
 // ids are assigned monotonically and never reused; results across any
 // segment layout are identical (see the segment-layout invariance tests).
 type Index struct {
-	filter *BiBranch // the configured prototype (also the initial segment's filter); nil: sequential scan
+	filter *BiBranch // the filter configuration every segment is indexed under; nil: sequential scan
 	cost   editdist.CostModel
 
 	store        *segstore.Store
@@ -160,16 +161,16 @@ func NewIndex(ts []*tree.Tree, opts ...IndexOption) *Index {
 
 // build indexes trees, whose dataset ids are ids (nil: 0, 1, …), under f
 // as one sealed segment, and returns an index over it whose next insert
-// gets id next. f becomes the index's prototype filter.
+// gets id next. The index keeps a copy of f, so the caller's value stays
+// its own.
 func build(cfg indexConfig, f *BiBranch, ids []int, trees []*tree.Tree, next int) *Index {
-	// Index the prototype before the store exists: the memtable hook
-	// derives its filter from the (then fully resolved) prototype
-	// configuration.
+	if f != nil {
+		c := *f
+		f = &c
+	}
 	var segs []*segstore.Segment
 	if len(trees) > 0 {
 		segs = []*segstore.Segment{newSegment(ids, trees, f)}
-	} else {
-		f.Index(nil)
 	}
 	ix := &Index{
 		filter: f,
@@ -198,25 +199,21 @@ func (ix *Index) Live() int { return ix.store.Stats().Live }
 func (ix *Index) StoreStats() segstore.Stats { return ix.store.Stats() }
 
 // Insert appends a tree, returning its dataset id: the tree lands in the
-// memtable segment, whose filter of the configured family grows by one
-// Append. The error is always nil and remains in the signature for
-// compatibility.
+// memtable segment, which profiles it into its own branch space. The error
+// is always nil and remains in the signature for compatibility.
 //
 // Insert is safe to call concurrently with queries — it never blocks on
 // them. When the insert fills the memtable, the memtable is sealed within
 // the call, under the store's lock: the seal builds the new segment's
-// postings and size column (BiBranch.snapshotAt → invfile.Build), whose
-// arrays are sized by the index-wide branch and label vocabulary, not by
-// the segment — one seal of 64 DBLP records beside 10 000 others took
-// 350–470 µs (ROADMAP item 16 makes it proportional to the segment). A
-// background compaction then starts if the sealed-segment count reached
-// the configured threshold.
+// postings and size column (segPayload.seal → invfile.Build) over the
+// memtable's branch space, which every memtable starts empty, so the
+// seal's cost follows the segment, not the index. A seal insert of 64
+// DBLP records beside 10 000 others took a median of 40–60 µs over 200
+// seals, a plain insert 1.6–3.0 µs (2-vCPU Xeon). A background
+// compaction then starts if the sealed-segment count reached the
+// configured threshold.
 func (ix *Index) Insert(t *tree.Tree) (int, error) {
-	id, sealed := ix.store.Insert(func(id int, mem any) {
-		m := mem.(*segPayload)
-		m.filter.Append(t)
-		m.trees = append(m.trees, t)
-	})
+	id, sealed := ix.store.Insert(func(id int, mem any) { mem.(*segPayload).add(t) })
 	if sealed {
 		ix.maybeCompact()
 	}
@@ -258,13 +255,14 @@ func (ix *Index) Tree(i int) *tree.Tree {
 	return t
 }
 
-// Filter returns the index's filter prototype; nil is the sequential scan.
+// Filter returns the filter configuration every segment of the index is
+// indexed under; nil is the sequential scan.
 func (ix *Index) Filter() *BiBranch { return ix.filter }
 
 // KNN returns the k nearest neighbors of q by tree edit distance,
 // implementing Algorithm 2 over the segmented store: lower bounds are
 // computed for every visible tree (each segment bounded by its own
-// filter), candidates are verified in ascending bound order, and the scan
+// profiles), candidates are verified in ascending bound order, and the scan
 // stops as soon as the next bound exceeds the current k-th distance. The
 // result is sorted by ascending distance (ties by ascending ID) and is
 // identical for every segment configuration.

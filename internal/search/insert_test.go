@@ -13,7 +13,7 @@ import (
 func TestInsertMatchesRebuild(t *testing.T) {
 	all := testDataset(60, 51)
 	for _, f := range allFilters() {
-		incr := NewIndex(all[:30], f.Fresh())
+		incr := NewIndex(all[:30], f)
 		for i, tr := range all[30:] {
 			id, err := incr.Insert(tr)
 			if err != nil {

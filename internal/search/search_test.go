@@ -263,7 +263,7 @@ func TestCustomCostModel(t *testing.T) {
 	} {
 		seq := NewIndex(ts, WithCostModel(tc.model))
 		for _, f := range allFilters() {
-			ix := NewIndex(ts, f.Fresh(), WithCostModel(tc.model))
+			ix := NewIndex(ts, f, WithCostModel(tc.model))
 			want := "Sequential"
 			if tc.keepFilter {
 				want = f.Name()
@@ -399,13 +399,12 @@ func TestParseFilter(t *testing.T) {
 // TestBiBranchDefaultQ: the zero value of Q selects the paper's two-level
 // branches.
 func TestBiBranchDefaultQ(t *testing.T) {
-	f := &BiBranch{}
-	f.Index(testDataset(5, 30))
-	if f.space.Q() != 2 {
-		t.Errorf("default Q resolved to %d", f.space.Q())
+	p := payloadOf(NewIndex(testDataset(5, 30), &BiBranch{}).cut().segs[0])
+	if p.space.Q() != 2 {
+		t.Errorf("default Q resolved to %d", p.space.Q())
 	}
-	if len(f.profiles) != 5 {
-		t.Errorf("%d profiles, want 5", len(f.profiles))
+	if len(p.profiles) != 5 {
+		t.Errorf("%d profiles, want 5", len(p.profiles))
 	}
 }
 

@@ -4,44 +4,98 @@ import (
 	"sync"
 	"time"
 
+	"treesim/internal/branch"
+	"treesim/internal/invfile"
 	"treesim/internal/segstore"
 	"treesim/internal/tree"
 )
 
 // The glue between the search layer and the segmented store: what a
 // segment payload is, how the memtable grows and freezes, and how
-// compaction rebuilds the index's configured filter per segment.
+// compaction rebuilds a segment under the index's filter configuration.
 //
-// Every sealed segment carries its own trees and its own filter over
-// them; the memtable carries a fresh filter of the configured family that
-// grows by one Append per insert. A seal freezes the memtable's filter
-// and builds what a sealed segment keeps (BiBranch's postings); a
-// segment's filter is built with the parallel index build only at
-// compaction, off the write path, and at snapshot load.
+// Every segment carries its own trees and its own branch space and
+// profiles over them; the memtable's grow by one add per insert. A seal
+// freezes a prefix of the memtable and builds what a sealed segment keeps
+// beside its profiles (the postings and the size column); a segment is
+// profiled with the parallel build only at compaction, off the write path,
+// and at snapshot load.
 
-// segPayload is what a segment carries: its trees and the filter over
-// them. A sealed segment's payload is immutable; the memtable's is mutated
-// only under the store's mutation lock, and snapshots freeze prefix slices
-// of it.
+// segPayload is what a segment carries: its trees and, unless the index
+// scans sequentially, the filter's data over them — the branch space the
+// segment's trees are profiled in, their profiles, and for a sealed
+// segment the inverted file (Algorithm 1) its BDist and label tiers sweep
+// and the size column its size tier reads beside the sweep, sizes[i] =
+// profiles[i].Size. The memtable has neither: it merge-joins tree by tree
+// and has no label tier. A sealed segment's payload is immutable; the
+// memtable's is mutated only under the store's mutation lock, and
+// snapshots freeze prefixes of it.
 type segPayload struct {
-	trees  []*tree.Tree
-	filter *BiBranch
+	trees    []*tree.Tree
+	space    *branch.Space // nil: the sequential scan
+	profiles []*branch.Profile
+	post     *invfile.Index
+	sizes    []int32
+}
+
+// newPayload profiles trees under f in a new branch space of f's level,
+// sealing the segment when seal is set.
+func newPayload(f *BiBranch, trees []*tree.Tree, seal bool) *segPayload {
+	p := &segPayload{trees: trees}
+	if f != nil {
+		p.space = branch.NewSpace(f.level())
+		p.profiles = p.space.ProfileAllParallel(trees, 0)
+		if seal {
+			p.seal()
+		}
+	}
+	return p
+}
+
+// add profiles one more tree into the memtable's space.
+func (p *segPayload) add(t *tree.Tree) {
+	p.trees = append(p.trees, t)
+	if p.space != nil {
+		p.profiles = append(p.profiles, p.space.Profile(t))
+	}
+}
+
+// prefix freezes the memtable's first n trees. The branch space is shared —
+// it is internally synchronized and only ever grows — and the slices are
+// capped at n, so later adds never show through. A seal also builds the
+// postings and the size column: under the store's lock, once per
+// MemtableSize inserts.
+func (p *segPayload) prefix(n int, seal bool) *segPayload {
+	g := &segPayload{trees: p.trees[:n:n], space: p.space}
+	if p.space != nil {
+		g.profiles = p.profiles[:n:n]
+		if seal {
+			g.seal()
+		}
+	}
+	return g
+}
+
+// seal builds the postings and the size column, 4 bytes a tree — neither
+// for an empty segment, or one too large for a posting's tree bits, which
+// then bounds tree by tree like the memtable.
+func (p *segPayload) seal() {
+	if len(p.profiles) == 0 || len(p.profiles) > invfile.MaxTrees {
+		return
+	}
+	p.post = invfile.Build(p.profiles)
+	p.sizes = make([]int32, len(p.profiles))
+	for i, pr := range p.profiles {
+		p.sizes[i] = int32(pr.Size)
+	}
 }
 
 // segHooks builds the store hooks over the index's filter configuration.
 func (ix *Index) segHooks() segstore.Hooks {
 	return segstore.Hooks{
-		NewMem: func(base int) any {
-			f := ix.filter.Fresh()
-			f.Index(nil)
-			return &segPayload{filter: f}
-		},
+		NewMem: func(base int) any { return newPayload(ix.filter, nil, false) },
 		Snapshot: func(mem any, n int, seal bool) any {
-			m := mem.(*segPayload)
-			return &segPayload{
-				trees:  m.trees[:n:n],
-				filter: m.filter.snapshotAt(n, seal),
-			}
+			return mem.(*segPayload).prefix(n, seal)
 		},
 	}
 }
@@ -63,7 +117,7 @@ type CompactionStats struct {
 }
 
 // Compact merges every sealed segment (the memtable is untouched) into
-// one, rebuilding the configured filter over the survivors with the
+// one, profiling the survivors under the configured filter with the
 // parallel index build and dropping tombstoned entries. It reports false
 // when there was nothing to do or another compaction was in flight. Safe
 // to call concurrently with everything else; queries switch to the merged
@@ -72,7 +126,7 @@ func (ix *Index) Compact() bool {
 	var cs CompactionStats
 	start := time.Now()
 	done := ix.store.Compact(func(segs []*segstore.Segment, tombs *segstore.Tombstones) *segstore.Segment {
-		merged := mergeLive(segs, tombs, ix.filter.Fresh())
+		merged := mergeLive(segs, tombs, ix.filter)
 		cs.Inputs = len(segs)
 		for _, sg := range segs {
 			cs.InputTrees += sg.Len()
@@ -92,7 +146,7 @@ func (ix *Index) Compact() bool {
 }
 
 // mergeLive gathers the untombstoned entries of segs, ascending by id, into
-// one segment over which it indexes f; nil when none survive.
+// one segment indexed under f; nil when none survive.
 func mergeLive(segs []*segstore.Segment, tombs *segstore.Tombstones, f *BiBranch) *segstore.Segment {
 	var ids []int
 	var trees []*tree.Tree
@@ -111,12 +165,11 @@ func mergeLive(segs []*segstore.Segment, tombs *segstore.Tombstones, f *BiBranch
 	return newSegment(ids, trees, f)
 }
 
-// newSegment indexes f over trees and wraps them as a sealed segment
+// newSegment indexes trees under f and wraps them as a sealed segment
 // holding ids, ascending (nil: 0, 1, …), in the contiguous form when they
-// have no holes. The parallel filter build is the merge kernel.
+// have no holes. The parallel profile build is the merge kernel.
 func newSegment(ids []int, trees []*tree.Tree, f *BiBranch) *segstore.Segment {
-	f.Index(trees)
-	sg := &segstore.Segment{N: len(trees), IDs: ids, Payload: &segPayload{trees: trees, filter: f}}
+	sg := &segstore.Segment{N: len(trees), IDs: ids, Payload: newPayload(f, trees, true)}
 	if len(ids) > 0 && ids[len(ids)-1]-ids[0] == len(ids)-1 {
 		sg.Base, sg.IDs = ids[0], nil
 	}
@@ -197,28 +250,16 @@ func (qc *qcut) treeOf(si, local int) *tree.Tree {
 // segBounders is a query's per-segment bounder set, nil ones under the
 // sequential scan: one query profile per segment, created up front, each
 // segment's postings swept into its range of the query's accumulator, and
-// the query's label sequences once per branch space, when a tree first
-// reaches the sequence tier. The query's filter pass and refine stage read
-// it on the query's goroutine: every bounder is read-only but for those
+// the query's label sequences per segment, when a tree of it first reaches
+// the sequence tier. The query's filter pass and refine stage read it on
+// the query's goroutine: every bounder is read-only but for those
 // sequences.
 type segBounders []*biBranchBounder
 
 func newSegBounders(qc *qcut, q *tree.Tree, acc []int32) segBounders {
 	sb := make(segBounders, len(qc.segs))
 	for si, sg := range qc.segs {
-		b := payloadOf(sg).filter.Query(q, acc[2*qc.starts[si]:2*qc.starts[si+1]])
-		sb[si] = b
-		if b == nil {
-			continue
-		}
-		// Segments over one branch space share the query's side of the
-		// sequence tier, so it is computed once per space.
-		for _, o := range sb[:si] {
-			if o.f.space == b.f.space {
-				b.seq = o.seq
-				break
-			}
-		}
+		sb[si] = payloadOf(sg).bounder(q, acc[2*qc.starts[si]:2*qc.starts[si+1]])
 	}
 	return sb
 }

@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
+	"treesim/internal/branch"
 	"treesim/internal/editdist"
 	"treesim/internal/tree"
 )
@@ -71,19 +74,19 @@ func TestSegmentLayoutInvariance(t *testing.T) {
 	}
 	queries := append([]*tree.Tree{all[0], all[27], all[50]}, testDataset(2, 72)...)
 
-	layouts := map[string]func(mk func() *BiBranch) *Index{
-		"one-segment": func(mk func() *BiBranch) *Index {
-			return NewIndex(all, mk())
+	layouts := map[string]func(f *BiBranch) *Index{
+		"one-segment": func(f *BiBranch) *Index {
+			return NewIndex(all, f)
 		},
-		"multi-segment": func(mk func() *BiBranch) *Index {
-			ix := NewIndex(all[:10], mk(), WithMemtableSize(7), WithCompactionThreshold(-1))
+		"multi-segment": func(f *BiBranch) *Index {
+			ix := NewIndex(all[:10], f, WithMemtableSize(7), WithCompactionThreshold(-1))
 			for _, tr := range all[10:] {
 				ix.Insert(tr)
 			}
 			return ix
 		},
-		"compacted": func(mk func() *BiBranch) *Index {
-			ix := NewIndex(all[:10], mk(), WithMemtableSize(7), WithCompactionThreshold(-1))
+		"compacted": func(f *BiBranch) *Index {
+			ix := NewIndex(all[:10], f, WithMemtableSize(7), WithCompactionThreshold(-1))
 			for _, tr := range all[10:] {
 				ix.Insert(tr)
 			}
@@ -96,10 +99,9 @@ func TestSegmentLayoutInvariance(t *testing.T) {
 	}
 
 	for fi, f := range allFilters() {
-		mk := f.Fresh
 		for lname, build := range layouts {
 			name := fmt.Sprintf("%s#%d/%s", f.Name(), fi, lname)
-			ix := build(mk)
+			ix := build(f)
 			for _, id := range deleted {
 				if !ix.Delete(id) {
 					t.Fatalf("%s: delete %d refused", name, id)
@@ -199,4 +201,32 @@ func TestEpochAdvancesOnWrites(t *testing.T) {
 	if ix.StoreStats().Epoch <= e3 {
 		t.Fatal("compaction did not advance the epoch")
 	}
+}
+
+// TestCompactionFreesTheBuild: once compaction replaces the segment an
+// index was built with, nothing the index holds reaches that segment's
+// branch space, profiles or postings: the collector frees them.
+func TestCompactionFreesTheBuild(t *testing.T) {
+	ts := testDataset(40, 97)
+	ix := NewIndex(ts, NewBiBranch(), WithCompactionThreshold(-1))
+	freed := make(chan struct{})
+	runtime.SetFinalizer(payloadOf(ix.cut().segs[0]).space, func(*branch.Space) { close(freed) })
+	for id := range ts {
+		ix.Delete(id)
+	}
+	ix.Insert(ts[0])
+	ix.Seal()
+	if !ix.Compact() {
+		t.Fatal("compaction did not run")
+	}
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(ix)
+	t.Fatal("the built segment's branch space is still reachable after compaction")
 }

@@ -214,8 +214,10 @@ func WithCompactionThreshold(n int) IndexOption { return search.WithCompactionTh
 func WithExplain(dst **Explain) QueryOption { return search.WithExplain(dst) }
 
 // BiBranchFilter is the paper's filter: q-level binary branch vectors
-// with the positional lower bound. The nil *BiBranchFilter is the
-// sequential scan.
+// with the positional lower bound. It is a configuration, the branch level
+// Q: every index, and every segment of one, builds its own branch vectors
+// and inverted file under it, so one value may configure any number of
+// indexes. The nil *BiBranchFilter is the sequential scan.
 type BiBranchFilter = search.BiBranch
 
 // NewBiBranchFilter returns the paper's filter: two-level binary branches

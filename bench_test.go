@@ -218,8 +218,9 @@ func BenchmarkVectorConstruction(b *testing.B) {
 // survivors, a positional bound and the sequence tier: a range query's at
 // τ, a k-NN query's lazily during refinement (Stats.FilterTime counts
 // them). The -memtable rows hold the last 1 023 trees in the memtable, one
-// insert short of the default seal, which merge-joins per tree, in full
-// for both kinds, and has no label tier. The dblp rows are DBLP-like records
+// insert short of the default seal, which has no postings: it fills the
+// same two overlap columns, exactly, in one pass over its profiles, and the
+// same kernel reads them. The dblp rows are DBLP-like records
 // queried by variants of records, as the mixed_rw workload queries them:
 // there the label tier, not BDist, decides most trees, and the sequence
 // tier most of the trees the others leave, which verified reads. The l2
@@ -483,7 +484,7 @@ func BenchmarkAblationMatching(b *testing.B) {
 // sweep over the packed inverted lists of the query's branches
 // (internal/invfile, what a sealed segment's BDist tier runs) and a pass
 // turning each overlap into BDist, or a merge-join of the query's vector
-// with each tree's (what the memtable's runs). The 2000 rows time one
+// with each tree's, the pairwise way (branch.BDist). The 2000 rows time one
 // query; the 8000 rows are range_scan's shape, n = 8 000 in clusters of
 // 10, cycling 16 queries a few random edits from dataset trees, as that
 // workload draws them. ns/posting divides a sweep's time by the postings

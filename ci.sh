@@ -78,13 +78,14 @@ for stage; do
         # Concurrent-query + compaction hammer: many queries on one index at
         # once, each on its own goroutine, checked against a fresh index;
         # the storage engine's epoch-snapshot certificate (concurrent
-        # inserts, deletes, queries, compactions, snapshot writes); a
-        # k-NN list whose Stats must repeat run after run; and one filter
-        # value building two indexes while the first answers — under the race
-        # detector on their own so a failure names the engine, not a random
-        # package.
+        # inserts, deletes, queries, compactions, snapshot writes); queries
+        # beside inserts, whose memtable columns read a branch space the
+        # inserts grow; a k-NN list whose Stats must repeat run after run;
+        # and one filter value building two indexes while the first
+        # answers — under the race detector on their own so a failure
+        # names the engine, not a random package.
         echo "== concurrent-query + compaction hammer (-race)"
-        go test -race -count=2 -run 'Hammer|ExplainBoundsRepeatable|FilterSharedAcrossIndexes' ./internal/search
+        go test -race -count=2 -run 'Hammer|ConcurrentInsertQuery|ExplainBoundsRepeatable|FilterSharedAcrossIndexes' ./internal/search
         ;;
     chaos)
         # Chaos matrix: every durability operation (insert, delete, seal,

@@ -12,8 +12,8 @@
 // count above the four bits reads the exact counts. Every sealed
 // segment of the search index carries one, built when the segment is
 // indexed, sealed, compacted or loaded from a snapshot, and its filter's
-// BDist tier reads the sweep; only the memtable, which grows by one tree
-// per insert, merge-joins per tree.
+// BDist and label tiers read the sweep; the memtable, which grows by one
+// tree per insert, has none and fills the same overlaps off its profiles.
 //
 // Beside the branch lists sit label lists, for the label-histogram bound
 // of Kailing et al. (the paper's Histo baseline): one edit operation

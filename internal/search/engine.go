@@ -39,17 +39,16 @@ import (
 // each sealed segment sweeps the postings of the query's branches and of
 // its labels once into its range of a pooled per-query accumulator, which
 // every later reader of the tiers — the filter pass, the lazy tiers, the
-// tightness sample — looks up by position. The filter pass runs the three
-// cheap tiers (cheapPass): over a sealed segment, a kernel reads the
-// segment's size column and the two swept columns and writes every tree's
-// level and counts (biBranchBounder.levels), with no call, pointer chase
-// or tombstone probe per tree. The sweep credits every carrier of a dense
-// label with the query's full count of it; the exact label tier takes
-// back the excess from the label's count column, for a tree the cheap
-// tiers leave standing. Only the memtable, which has no postings,
-// merge-joins two flat branch vectors per tree, and has no label tier; it
-// has the sequence tier, which needs only the profiles. Every cheap bound
-// is exact.
+// tightness sample — looks up by position. A segment without postings, the
+// memtable, fills the same range in one pass over its profiles, exactly
+// (segPayload.fill). The filter pass runs the three cheap tiers
+// (cheapPass): over every segment, one kernel reads the segment's size
+// column and the two overlap columns and writes every tree's level and
+// counts (biBranchBounder.levels), with no call, pointer chase or
+// tombstone probe per tree. The sweep credits every carrier of a dense
+// label with the query's full count of it; the exact label tier takes back
+// the excess from the label's count column, for a tree the cheap tiers
+// leave standing. Every cheap bound is exact.
 //
 // Both query kinds are then one scan (Algorithm 2; see scan), which stands
 // a tree down at the threshold: a range query's tau, which never moves, or
@@ -125,9 +124,9 @@ func (ix *Index) query(ctx context.Context, q *tree.Tree, k, tau int, ex *Explai
 	// no-ops, so untraced queries pay one nil check per stage).
 	span := obs.FromContext(ctx)
 
-	// Every segment's postings sweep into the query's accumulator, which
+	// Every segment fills its columns of the query's accumulator, which
 	// the bounders read until the last verification.
-	acc := getAcc(2 * cut.n)
+	acc := getAcc(&accPool, 2*cut.n)
 	defer accPool.Put(acc)
 
 	start := time.Now()
@@ -260,6 +259,7 @@ type scanBufs struct {
 	// cheap[pos] is position pos's level, −1 for a tombstoned position.
 	cheap []int32
 	hist  tierCounts // the visible trees' counts
+	dead  []int      // the tombstoned locals of a segment, or of a run of one
 	// found, offs and sorted are gather's: the positions a pass found, the
 	// counting sort's offsets and its output.
 	found, offs, sorted []int32
@@ -306,15 +306,6 @@ const (
 	byLevel
 )
 
-// add counts one more tree.
-func (h tierCounts) add(size, bdist, level int) tierCounts {
-	h = h.fit(level)
-	h[3*size+bySize]++
-	h[3*bdist+byBDist]++
-	h[3*level+byLevel]++
-	return h
-}
-
 // fit returns h with room for the counts of level.
 func (h tierCounts) fit(level int) tierCounts {
 	if n := 3*level + 3; n > len(h) {
@@ -341,8 +332,8 @@ func (h tierCounts) above(tier, v int) (n int) {
 // and the histograms, checking the context every ctxCheckEvery positions.
 func (ix *Index) filterPass(ctx context.Context, cut *qcut, q *tree.Tree, acc []int32) (*scan, error) {
 	bufs := getScanBufs(cut.n)
-	sc := &scan{cut: cut, prims: newSegBounders(cut, q, acc), scanBufs: bufs}
-	p := cheapPass{cut: cut, prims: sc.prims, h: bufs.hist}
+	sc := &scan{cut: cut, prims: newSegBounders(cut, q, acc, &bufs.dead), scanBufs: bufs}
+	p := cheapPass{cut: cut, prims: sc.prims, h: bufs.hist, dead: bufs.dead}
 	for at := 0; at < cut.n; at += ctxCheckEvery {
 		if ctx.Err() != nil {
 			scanPool.Put(bufs)
@@ -351,16 +342,14 @@ func (ix *Index) filterPass(ctx context.Context, cut *qcut, q *tree.Tree, acc []
 		end := min(at+ctxCheckEvery, cut.n)
 		p.run(at, end, sc.cheap[at:end])
 	}
-	bufs.hist = p.h
+	bufs.hist, bufs.dead = p.h, p.dead
 	return sc, nil
 }
 
 // cheapPass is the filter pass's walk of the cheap tiers: it
-// bounds runs of positions segment by segment, over a segment's columns
-// where it has them (biBranchBounder.levels) and tree by tree, by
-// CheapBounds, where it has none — the memtable, the sequential scan — and
-// takes each run's tombstoned positions out once, off the sorted set,
-// instead of probing it per position.
+// bounds runs of positions segment by segment, over each segment's columns
+// (biBranchBounder.levels), and takes each run's tombstoned positions out
+// once, off the sorted set, instead of probing it per position.
 type cheapPass struct {
 	cut   *qcut
 	prims segBounders
@@ -391,18 +380,16 @@ func (p *cheapPass) run(lo, hi int, out []int32) {
 }
 
 // bound bounds the visible locals [lo, hi) of bounder b's segment into h,
-// writing their levels to out.
+// writing their levels to out: all 0 under the sequential scan.
 func (p *cheapPass) bound(b *biBranchBounder, lo, hi int, out []int32) {
-	if b.columns() {
+	if b != nil {
 		p.h = b.levels(lo, hi, out, p.h)
 		return
 	}
-	for i := lo; i < hi; i++ {
-		size, bdist, label := b.CheapBounds(i)
-		bdist = max(size, bdist)
-		level := max(bdist, label)
-		out[i-lo] = int32(level)
-		p.h = p.h.add(size, bdist, level)
+	clear(out[:hi-lo])
+	p.h = p.h.fit(0)
+	for tier := range 3 {
+		p.h[tier] += int32(hi - lo)
 	}
 }
 
@@ -674,12 +661,7 @@ func (sc *scan) decidingBounds(worst int) []int {
 // segment down at worst: the first of its size, BDist and swept label
 // tiers above worst, exact.
 func deciding(b *biBranchBounder, i, worst int) int {
-	var size, bdist, label int
-	if b.columns() {
-		size, bdist, label = b.swept(i)
-	} else {
-		size, bdist, label = b.CheapBounds(i)
-	}
+	size, bdist, label := b.swept(i)
 	switch {
 	case size > worst:
 		return size

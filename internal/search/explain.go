@@ -20,9 +20,9 @@ import (
 
 // tightnessCap bounds how many tightness samples one query collects —
 // enough for the tightness histogram without measurably taxing the refine
-// loop (each sample reads the BDist the filter swept, or merge-joins two
-// branch vectors in the memtable, orders of magnitude cheaper than the
-// edit distance already paid for the pair).
+// loop (each sample reads the branch overlap the filter pass filled in,
+// orders of magnitude cheaper than the edit distance already paid for the
+// pair).
 const tightnessCap = 16
 
 // statsTightnessCap bounds Stats.Tightness growth under Add, so

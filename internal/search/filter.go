@@ -97,30 +97,74 @@ func (f *BiBranch) level() int {
 // bounder returns the query's bounder over the segment, with acc, two
 // entries per tree of the segment, as its working memory; nil under the
 // sequential scan. The query is profiled by lookup only, so queries never
-// grow the space. Where the segment has postings, one sweep over the
-// query's branch lists leaves every tree's branch overlap in the first
-// half of acc, and one over its label lists a bound on every tree's label
-// overlap in the second; the dense labels the query carries twice or more
-// are kept for ExactLabel. The labels are counted off the query tree, not
-// its profile, which lacks the branches the space never saw although their
-// root labels may be known.
-func (p *segPayload) bounder(q *tree.Tree, acc []int32) *biBranchBounder {
+// grow the space. Every tree's branch overlap goes to the first half of
+// acc and a bound on its label overlap to the second, the columns levels
+// reads. Where the segment has postings, one sweep over the query's branch
+// lists and one over its label lists fill them, and the dense labels the
+// query carries twice or more are kept for ExactLabel; where it has none
+// (the memtable, or a segment past invfile.MaxTrees), fill does it off the
+// profiles, exactly, but for the tombstoned locals dead returns, ascending,
+// whose columns nothing reads. The labels are counted off the query tree,
+// not its profile, which lacks the branches the space never saw although
+// their root labels may be known.
+func (p *segPayload) bounder(q *tree.Tree, acc []int32, dead func() []int) *biBranchBounder {
 	if p.space == nil {
 		return nil
 	}
+	n := len(p.profiles)
 	b := &biBranchBounder{p: p, qp: p.space.QueryProfile(q), factor: branch.Factor(p.space.Q()),
-		seq: querySeqs{space: p.space, q: q}}
-	if p.post != nil {
-		n := len(p.profiles)
-		b.ov = acc[:n]
-		p.post.Overlaps(b.qp, b.ov)
-		var buf [16]branch.LabelCount
-		ql := p.space.QueryLabels(q, buf[:0])
-		b.lov = acc[n : 2*n]
-		b.lbase = p.post.LabelOverlaps(ql, b.lov)
-		b.dense = p.post.DenseCounts(ql, b.denseBuf[:0])
+		seq: querySeqs{space: p.space, q: q}, ov: acc[:n], lov: acc[n : 2*n]}
+	if p.post == nil {
+		p.fill(q, b.qp, b.ov, b.lov, dead())
+		return b
 	}
+	var buf [16]branch.LabelCount
+	ql := p.space.QueryLabels(q, buf[:0])
+	p.post.Overlaps(b.qp, b.ov)
+	b.lbase = p.post.LabelOverlaps(ql, b.lov)
+	b.dense = p.post.DenseCounts(ql, b.denseBuf[:0])
 	return b
+}
+
+// fill sets ov[i] to tree i's branch overlap Σ_d min(q_d, t_d) with the
+// query profile qp and lov[i] to its label overlap Σ_l min(q_l, t_l) with
+// the query q, in one pass over the segment's profiles but the locals dead
+// (a memtable that takes inserts and deletes piles them up): the query's
+// counts are scattered into arrays indexed by dimension and by root label,
+// and each tree sums min over its own dimensions, drawing a label's count
+// down as its dimensions take it. The roots are taken after the query
+// profile, so they cover its dimensions, and before its labels: a label
+// numbered past them roots no dimension of the segment's trees.
+func (p *segPayload) fill(q *tree.Tree, qp *branch.Profile, ov, lov []int32, dead []int) {
+	root, labels := p.space.Roots()
+	var buf [16]branch.LabelCount
+	ql := p.space.QueryLabels(q, buf[:0])
+	for len(ql) > 0 && int(ql[len(ql)-1].Label) >= labels {
+		ql = ql[:len(ql)-1] // labels ascend
+	}
+	sp := getAcc(&fillPool, len(root)+labels)
+	defer fillPool.Put(sp)
+	clear(*sp)
+	dim, left := (*sp)[:len(root)], (*sp)[len(root):]
+	for i, d := range qp.Dims() {
+		dim[d] = int32(qp.Count(i))
+	}
+	for i, t := range p.profiles {
+		if len(dead) > 0 && dead[0] == i {
+			dead = dead[1:]
+			continue
+		}
+		for _, lc := range ql {
+			left[lc.Label] = lc.Count
+		}
+		var o, lo int32
+		for j, d := range t.Dims() {
+			c, l := int32(t.Count(j)), root[d]
+			take := min(left[l], c)
+			o, lo, left[l] = o+min(dim[d], c), lo+take, left[l]-take
+		}
+		ov[i], lov[i] = o, lo
+	}
 }
 
 // biBranchBounder bounds the edit distance between one query and a
@@ -136,14 +180,13 @@ type biBranchBounder struct {
 	p      *segPayload
 	qp     *branch.Profile
 	factor int
-	// ov[i] is the branch overlap with tree i, swept from the segment's
-	// postings; nil where the segment has none.
+	// ov[i] is the branch overlap with tree i.
 	ov []int32
-	// lbase + lov[i] bounds the label overlap with tree i from above,
-	// swept from the segment's label postings; lov is nil where the
-	// segment has no label tier. dense are the segment's dense labels the
-	// query carries 2 to 255 times, whose count columns correct that bound
-	// to the exact overlap; most queries have a few, so denseBuf holds them.
+	// lbase + lov[i] bounds the label overlap with tree i from above, exact
+	// where the segment has no postings. dense are the segment's dense
+	// labels the query carries 2 to 255 times, whose count columns correct
+	// the swept bound to the exact overlap; most queries have a few, so
+	// denseBuf holds them.
 	lov      []int32
 	lbase    int32
 	dense    []invfile.DenseCount
@@ -183,34 +226,17 @@ type seqBuf struct {
 
 // BDist returns the raw binary branch distance to tree i — the BDist
 // tier's quantity, and what the tightness metric relates to the exact edit
-// distance: |q| + |t| − 2·overlap off the sweep, or a merge-join in a
-// segment without postings.
+// distance: |q| + |t| − 2·overlap.
 func (b *biBranchBounder) BDist(i int) int {
-	if b.ov != nil {
-		return b.qp.Size + b.p.profiles[i].Size - 2*int(b.ov[i])
-	}
-	return branch.BDist(b.qp, b.p.profiles[i])
+	return b.qp.Size + int(b.p.sizes[i]) - 2*int(b.ov[i])
 }
-
-// label returns the label-histogram bound ⌈L1/2⌉ for a label overlap of at
-// most ov with tree i, L1 ≥ |q| + |t| − 2·ov: one edit operation changes
-// L1 by at most 2.
-func (b *biBranchBounder) label(i int, ov int32) int {
-	l1 := b.qp.Size + b.p.profiles[i].Size - 2*int(ov)
-	return max(0, (l1+1)/2)
-}
-
-// columns reports whether the bounder's segment has the cheap tiers'
-// columns — the size column, the branch overlaps and the label overlaps —
-// so that levels bounds it: a sealed segment with postings.
-func (b *biBranchBounder) columns() bool { return b != nil && b.ov != nil }
 
 // colTiers is the cheap tiers' arithmetic over a segment's columns, with
 // the query's side of each bound folded into one constant: for a tree of
-// size ts whose branch overlap with the query is ov and whose swept label
-// overlap is lov, the size bound ||q|−|t||, ⌈BDist/Factor⌉ with BDist =
-// |q| + |t| − 2·ov, and ⌈L1/2⌉ over L1 ≥ |q| + |t| − 2·lov (one edit
-// operation changes L1 by at most 2). No step branches, so a loop over
+// size ts whose branch overlap with the query is ov and whose label
+// overlap is at most lbase + lov, the size bound ||q|−|t||, ⌈BDist/Factor⌉
+// with BDist = |q| + |t| − 2·ov, and ⌈L1/2⌉ over L1 ≥ |q| + |t| −
+// 2·(lbase + lov) (one edit operation changes L1 by at most 2). No step branches, so a loop over
 // the trees has no branch to mispredict.
 type colTiers struct {
 	qs    int    // |q|
@@ -246,12 +272,12 @@ func larger(a, b int) int {
 	return a - d&(d>>63)
 }
 
-// levels is the cheap tiers over a segment's columns (see columns), the
-// one kernel of both query kinds' filter pass: for every tree i in
+// levels is the cheap tiers over a segment's columns — its size column
+// and the query's two overlap columns (see bounder) — the one kernel of
+// both query kinds' filter pass, whatever the segment: for every tree i in
 // [lo, hi) it writes the tree's level — the largest of its size, BDist and
-// swept label tiers — to out[i−lo] and counts the three in h, which it
-// returns; no call, pointer chase or tombstone probe per tree. Every bound
-// is exact.
+// label tiers — to out[i−lo] and counts the three in h, which it returns;
+// no call, pointer chase or tombstone probe per tree. Every bound is exact.
 func (b *biBranchBounder) levels(lo, hi int, out []int32, h tierCounts) tierCounts {
 	sizes := b.p.sizes[lo:hi]
 	ov, lov, out := b.ov[lo:hi][:len(sizes)], b.lov[lo:hi][:len(sizes)], out[:len(sizes)]
@@ -279,47 +305,26 @@ func (b *biBranchBounder) levels(lo, hi int, out []int32, h tierCounts) tierCoun
 }
 
 // swept returns tree i's three cheap tiers off its segment's columns, as
-// levels computes them: for the one tree EXPLAIN wants the deciding tier of.
+// levels computes them: for the trees EXPLAIN wants the deciding tier of.
 func (b *biBranchBounder) swept(i int) (size, bdist, label int) {
 	return b.colTiers().at(int(b.p.sizes[i]), int(b.ov[i]), int(b.lov[i]))
 }
 
-// CheapBounds returns the cheap tiers' exact lower bounds on EDist(query,
-// tree i) tree by tree, which the engine asks for only in a segment
-// without columns — the memtable, and a sealed segment too large for
-// postings — where levels cannot run: the size bound ||q|−|t||, the plain
-// branch-distance bound ⌈BDist/Factor⌉ by a merge-join of the two branch
-// vectors, and, where the segment has a label tier, the label-histogram
-// bound ⌈L1/2⌉ (Kailing et al.) as swept (so the tests hold the columns
-// to it); the first two neither above KNNBound(i) nor — when at most tau —
-// above RangeBound(i, tau).
-func (b *biBranchBounder) CheapBounds(i int) (size, bdist, label int) {
-	if b == nil {
-		return 0, 0, 0
-	}
-	t := b.p.profiles[i]
-	if size = b.qp.Size - t.Size; size < 0 {
-		size = -size
-	}
-	bdist = (branch.BDist(b.qp, t) + b.factor - 1) / b.factor
-	if b.lov == nil {
-		return size, bdist, 0
-	}
-	return size, bdist, b.label(i, b.lbase+b.lov[i])
-}
-
 // ExactLabel returns the label tier with every label credited exactly,
-// ⌈(|q| + |t| − 2·Σ_l min(q_l, t_l))/2⌉: the swept overlap less what it
-// over-credited tree i on the query's dense labels, read off their count
-// columns (exact unless the query carries a dense label more than 255
-// times, and then still sound). It costs a column read per dense label the
-// query carries twice or more, so the engine reads it only for the trees
-// the cheap tiers leave standing. Without a label tier it is zero.
+// ⌈L1/2⌉ with L1 = |q| + |t| − 2·Σ_l min(q_l, t_l) (one edit operation
+// changes the label histograms' L1 distance by at most 2): the swept
+// overlap less what it over-credited tree i on the query's dense labels,
+// read off their count columns (exact unless the query carries a dense
+// label more than 255 times, and then still sound). It costs a column read
+// per dense label the query carries twice or more, so the engine reads it
+// only for the trees the cheap tiers leave standing. A segment without
+// postings has no dense labels, and its overlap is exact already.
 func (b *biBranchBounder) ExactLabel(i int) int {
-	if b == nil || b.lov == nil {
+	if b == nil {
 		return 0
 	}
-	return b.label(i, b.lbase+b.lov[i]-b.p.post.Excess(b.dense, i))
+	l1 := b.qp.Size + int(b.p.sizes[i]) - 2*int(b.lbase+b.lov[i]-b.p.post.Excess(b.dense, i))
+	return max(0, (l1+1)/2)
 }
 
 // Full returns the full bound the scan tightens tree i's key with at

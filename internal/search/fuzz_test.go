@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"treesim/internal/branch"
 	"treesim/internal/datagen"
 	"treesim/internal/editdist"
 	"treesim/internal/tree"
@@ -148,7 +149,7 @@ func FuzzExactLabelTier(f *testing.F) {
 		}
 		q := bush(ts[int(qi)%len(ts)], int(qgrow%400))
 
-		b := newPayload(NewBiBranch(), ts, true).bounder(q, make([]int32, 2*len(ts)))
+		b := newPayload(NewBiBranch(), ts, true).bounder(q, make([]int32, 2*len(ts)), nil)
 		qh := labelHist(q)
 		hs := make([]map[string]int, len(ts))
 		carriers := map[string]int{}
@@ -167,7 +168,7 @@ func FuzzExactLabelTier(f *testing.F) {
 					ov += min(qh[l], tc)
 				}
 			}
-			_, _, swept := b.CheapBounds(i)
+			_, _, swept := b.swept(i)
 			if got, want := b.ExactLabel(i), labelBound(q.Size(), tr.Size(), ov); got != want || got < swept {
 				t.Fatalf("tree %d: exact label tier %d, brute %d, swept %d\n q %s\n t %s", i, got, want, swept, q, tr)
 			}
@@ -211,7 +212,7 @@ func FuzzSequenceTier(f *testing.F) {
 		}
 
 		cut := ix.cut()
-		prims := newSegBounders(cut, q, make([]int32, 2*cut.n))
+		prims := newSegBounders(cut, q, make([]int32, 2*cut.n), new([]int))
 		var buf seqBuf
 		for si, sg := range cut.segs {
 			p := payloadOf(sg)
@@ -264,8 +265,9 @@ func FuzzSequenceTier(f *testing.F) {
 // segment — the base one, sealed memtables, a compacted one that lists its
 // ids, a live memtable — and deletes at the first and last id of sealed
 // segments, on adjacent ids and in the memtable. Every visible position's
-// level is the largest of its CheapBounds — which
-// merge-joins, so the sweep is checked against the join — and every
+// columns read its three cheap tiers as cheapTiers defines them — the
+// BDist tier by a merge-join, so the sweep and the memtable's fill are
+// checked against the join — and its level is the largest of them, every
 // tombstoned one's −1; the counts are a per-tree recount's; and a range
 // scan at tau and a k-NN scan, at its final k-th distance, have the
 // funnel, candidates and EXPLAIN's deciding bounds of the cascade run tree
@@ -330,6 +332,7 @@ func FuzzCheapLevels(f *testing.F) {
 			t.Fatal(err)
 		}
 		var hist tierCounts
+		swept := sweptLabels(ix, q)
 		for pos := 0; pos < cut.n; pos++ {
 			si, local, id := cut.locate(pos)
 			b := sc.prims[si]
@@ -339,15 +342,13 @@ func FuzzCheapLevels(f *testing.F) {
 				}
 				continue
 			}
-			size, bdist, label := b.CheapBounds(local)
-			if b.columns() {
-				if s, bd, l := b.swept(local); s != size || bd != bdist || l != label {
-					t.Fatalf("segment %d local %d: columns read %d %d %d, CheapBounds %d %d %d", si, local, s, bd, l, size, bdist, label)
-				}
+			size, bdist, label := cheapTiers(b, local, swept[id])
+			if s, bd, l := b.swept(local); s != size || bd != bdist || l != label {
+				t.Fatalf("segment %d local %d: columns read %d %d %d, by definition %d %d %d", si, local, s, bd, l, size, bdist, label)
 			}
 			level := max(size, bdist, label)
 			if int(sc.cheap[pos]) != level {
-				t.Fatalf("id %d (segment %d local %d): level %d, CheapBounds %d %d %d",
+				t.Fatalf("id %d (segment %d local %d): level %d, by definition %d %d %d",
 					id, si, local, sc.cheap[pos], size, bdist, label)
 			}
 			hist = hist.add(size, max(size, bdist), level)
@@ -393,7 +394,7 @@ func FuzzCheapLevels(f *testing.F) {
 					continue
 				}
 				b := sc.prims[si]
-				size, bdist, label := b.CheapBounds(local)
+				size, bdist, label := cheapTiers(b, local, swept[id])
 				full := b.KNNBound(local)
 				if k == 0 {
 					full = b.RangeBound(local, tau)
@@ -452,4 +453,21 @@ func FuzzCheapLevels(f *testing.F) {
 			scanPool.Put(sc.scanBufs)
 		}
 	})
+}
+
+// cheapTiers is tree i of bounder b's segment's three cheap tiers by their
+// definitions: ||q|−|t||, ⌈BDist/Factor⌉ off a merge-join of the two
+// branch vectors, and the swept label tier, label (see sweptLabels).
+func cheapTiers(b *biBranchBounder, i, label int) (size, bdist, lb int) {
+	t := b.p.profiles[i]
+	return max(b.qp.Size-t.Size, t.Size-b.qp.Size), (branch.BDist(b.qp, t) + b.factor - 1) / b.factor, label
+}
+
+// add counts one more tree.
+func (h tierCounts) add(size, bdist, level int) tierCounts {
+	h = h.fit(level)
+	h[3*size+bySize]++
+	h[3*bdist+byBDist]++
+	h[3*level+byLevel]++
+	return h
 }

@@ -205,7 +205,7 @@ func (ix *Index) StoreStats() segstore.Stats { return ix.store.Stats() }
 // Insert is safe to call concurrently with queries — it never blocks on
 // them. When the insert fills the memtable, the memtable is sealed within
 // the call, under the store's lock: the seal builds the new segment's
-// postings and size column (segPayload.seal → invfile.Build) over the
+// postings (segPayload.seal → invfile.Build) over the
 // memtable's branch space, which every memtable starts empty, so the
 // seal's cost follows the segment, not the index. A seal insert of 64
 // DBLP records beside 10 000 others took a median of 40–60 µs over 200

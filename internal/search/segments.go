@@ -14,20 +14,19 @@ import (
 // segment payload is, how the memtable grows and freezes, and how
 // compaction rebuilds a segment under the index's filter configuration.
 //
-// Every segment carries its own trees and its own branch space and
-// profiles over them; the memtable's grow by one add per insert. A seal
-// freezes a prefix of the memtable and builds what a sealed segment keeps
-// beside its profiles (the postings and the size column); a segment is
-// profiled with the parallel build only at compaction, off the write path,
-// and at snapshot load.
+// Every segment carries its own trees and its own branch space, profiles
+// and size column over them; the memtable's grow by one add per insert. A
+// seal freezes a prefix of the memtable and builds what a sealed segment
+// keeps beside them, the postings; a segment is profiled with the parallel
+// build only at compaction, off the write path, and at snapshot load.
 
 // segPayload is what a segment carries: its trees and, unless the index
 // scans sequentially, the filter's data over them — the branch space the
-// segment's trees are profiled in, their profiles, and for a sealed
-// segment the inverted file (Algorithm 1) its BDist and label tiers sweep
-// and the size column its size tier reads beside the sweep, sizes[i] =
-// profiles[i].Size. The memtable has neither: it merge-joins tree by tree
-// and has no label tier. A sealed segment's payload is immutable; the
+// segment's trees are profiled in, their profiles, the size column the size
+// tier reads, sizes[i] = profiles[i].Size, and for a sealed segment the
+// inverted file (Algorithm 1) its BDist and label tiers sweep. Only the
+// bounder tells the two apart: without postings it fills the same columns
+// off the profiles. A sealed segment's payload is immutable; the
 // memtable's is mutated only under the store's mutation lock, and
 // snapshots freeze prefixes of it.
 type segPayload struct {
@@ -45,6 +44,10 @@ func newPayload(f *BiBranch, trees []*tree.Tree, seal bool) *segPayload {
 	if f != nil {
 		p.space = branch.NewSpace(f.level())
 		p.profiles = p.space.ProfileAllParallel(trees, 0)
+		p.sizes = make([]int32, len(trees))
+		for i, pr := range p.profiles {
+			p.sizes[i] = int32(pr.Size)
+		}
 		if seal {
 			p.seal()
 		}
@@ -56,19 +59,19 @@ func newPayload(f *BiBranch, trees []*tree.Tree, seal bool) *segPayload {
 func (p *segPayload) add(t *tree.Tree) {
 	p.trees = append(p.trees, t)
 	if p.space != nil {
-		p.profiles = append(p.profiles, p.space.Profile(t))
+		pr := p.space.Profile(t)
+		p.profiles, p.sizes = append(p.profiles, pr), append(p.sizes, int32(pr.Size))
 	}
 }
 
 // prefix freezes the memtable's first n trees. The branch space is shared —
 // it is internally synchronized and only ever grows — and the slices are
 // capped at n, so later adds never show through. A seal also builds the
-// postings and the size column: under the store's lock, once per
-// MemtableSize inserts.
+// postings: under the store's lock, once per MemtableSize inserts.
 func (p *segPayload) prefix(n int, seal bool) *segPayload {
 	g := &segPayload{trees: p.trees[:n:n], space: p.space}
 	if p.space != nil {
-		g.profiles = p.profiles[:n:n]
+		g.profiles, g.sizes = p.profiles[:n:n], p.sizes[:n:n]
 		if seal {
 			g.seal()
 		}
@@ -76,17 +79,12 @@ func (p *segPayload) prefix(n int, seal bool) *segPayload {
 	return g
 }
 
-// seal builds the postings and the size column, 4 bytes a tree — neither
-// for an empty segment, or one too large for a posting's tree bits, which
-// then bounds tree by tree like the memtable.
+// seal builds the postings — none for an empty segment, or one too large
+// for a posting's tree bits, which the bounder then fills like the
+// memtable.
 func (p *segPayload) seal() {
-	if len(p.profiles) == 0 || len(p.profiles) > invfile.MaxTrees {
-		return
-	}
-	p.post = invfile.Build(p.profiles)
-	p.sizes = make([]int32, len(p.profiles))
-	for i, pr := range p.profiles {
-		p.sizes[i] = int32(pr.Size)
+	if len(p.profiles) > 0 && len(p.profiles) <= invfile.MaxTrees {
+		p.post = invfile.Build(p.profiles)
 	}
 }
 
@@ -249,32 +247,40 @@ func (qc *qcut) treeOf(si, local int) *tree.Tree {
 
 // segBounders is a query's per-segment bounder set, nil ones under the
 // sequential scan: one query profile per segment, created up front, each
-// segment's postings swept into its range of the query's accumulator, and
+// segment's columns filled into its range of the query's accumulator, and
 // the query's label sequences per segment, when a tree of it first reaches
 // the sequence tier. The query's filter pass and refine stage read it on
 // the query's goroutine: every bounder is read-only but for those
 // sequences.
 type segBounders []*biBranchBounder
 
-func newSegBounders(qc *qcut, q *tree.Tree, acc []int32) segBounders {
+// newSegBounders builds a query's bounders over the cut, each with its
+// segment's range of acc; *dead is working memory for a segment's
+// tombstoned locals, which only a bounder that fills its columns asks for.
+func newSegBounders(qc *qcut, q *tree.Tree, acc []int32, dead *[]int) segBounders {
 	sb := make(segBounders, len(qc.segs))
 	for si, sg := range qc.segs {
-		sb[si] = payloadOf(sg).bounder(q, acc[2*qc.starts[si]:2*qc.starts[si+1]])
+		locals := func() []int {
+			*dead = qc.tombs.Locals(sg, 0, sg.Len(), (*dead)[:0])
+			return *dead
+		}
+		sb[si] = payloadOf(sg).bounder(q, acc[2*qc.starts[si]:2*qc.starts[si+1]], locals)
 	}
 	return sb
 }
 
 // accPool recycles the queries' accumulators, two int32s per position of a
-// cut (the branch and the label sweep), so a sweep allocates nothing in the
-// steady state. A query puts its accumulator back when it returns, when no
-// bounder reads it any more.
-var accPool sync.Pool
+// cut (the branch and the label overlaps), and fillPool the memtable fill's
+// scratch, so a query's columns allocate nothing in the steady state. A
+// query puts its accumulator back when it returns, when no bounder reads it
+// any more.
+var accPool, fillPool sync.Pool
 
-// getAcc returns an accumulator of n entries: 2·cut.n for a query. A new
-// one has room for a few more, so a dataset that grows by inserts does not
-// outgrow every pooled one at once.
-func getAcc(n int) *[]int32 {
-	if p, ok := accPool.Get().(*[]int32); ok && cap(*p) >= n {
+// getAcc returns an int32 slice of n entries from pool: 2·cut.n for a
+// query's accumulator. A new one has room for a few more, so a dataset that
+// grows by inserts does not outgrow every pooled one at once.
+func getAcc(pool *sync.Pool, n int) *[]int32 {
+	if p, ok := pool.Get().(*[]int32); ok && cap(*p) >= n {
 		*p = (*p)[:n]
 		return p
 	}

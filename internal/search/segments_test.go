@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -55,9 +56,12 @@ func bruteRangeAnswers(trees map[int]*tree.Tree, q *tree.Tree, tau int) []Result
 
 // TestSegmentLayoutInvariance is the storage engine's core correctness
 // property: the physical layout of the dataset — one base segment, many
-// small segments before compaction, one merged segment after — never
-// changes a query's (dist, id) answers, for every filter family, with
-// tombstoned ids never appearing.
+// small segments before compaction, a large live memtable, one merged
+// segment after — never changes a query's (dist, id) answers, for every
+// filter family, with tombstoned ids never appearing. Nor does it change
+// the work: every segment, the memtable included, runs the same tiers
+// exactly, so every Stats field but the two times equals the one-segment
+// layout's.
 func TestSegmentLayoutInvariance(t *testing.T) {
 	const n = 60
 	all := testDataset(n, 71)
@@ -85,6 +89,13 @@ func TestSegmentLayoutInvariance(t *testing.T) {
 			}
 			return ix
 		},
+		"memtable": func(f *BiBranch) *Index {
+			ix := NewIndex(all[:10], f, WithMemtableSize(2*n), WithCompactionThreshold(-1))
+			for _, tr := range all[10:] {
+				ix.Insert(tr)
+			}
+			return ix
+		},
 		"compacted": func(f *BiBranch) *Index {
 			ix := NewIndex(all[:10], f, WithMemtableSize(7), WithCompactionThreshold(-1))
 			for _, tr := range all[10:] {
@@ -98,8 +109,17 @@ func TestSegmentLayoutInvariance(t *testing.T) {
 		},
 	}
 
+	// untimed is a query's Stats but for the two times.
+	untimed := func(st Stats) Stats {
+		st.FilterTime, st.RefineTime = 0, 0
+		return st
+	}
+	names := []string{"one-segment", "multi-segment", "memtable", "compacted"}
 	for fi, f := range allFilters() {
-		for lname, build := range layouts {
+		// The one-segment layout's Stats by query, k-NN then range.
+		var base [][2]Stats
+		for _, lname := range names {
+			build := layouts[lname]
 			name := fmt.Sprintf("%s#%d/%s", f.Name(), fi, lname)
 			ix := build(f)
 			for _, id := range deleted {
@@ -118,13 +138,19 @@ func TestSegmentLayoutInvariance(t *testing.T) {
 				t.Fatalf("%s: live %d, want %d", name, ix.Live(), n-len(deleted))
 			}
 			for qi, q := range queries {
-				got, _, _ := ix.KNN(context.Background(), q, 5)
+				got, kst, _ := ix.KNN(context.Background(), q, 5)
 				want := bruteKNNAnswers(visible, q, 5)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: query %d KNN = %v, want %v", name, qi, got, want)
 				}
-				gr, _, _ := ix.Range(context.Background(), q, 3)
+				gr, rst, _ := ix.Range(context.Background(), q, 3)
 				wr := bruteRangeAnswers(visible, q, 3)
+				st := [2]Stats{untimed(kst), untimed(rst)}
+				if lname == "one-segment" {
+					base = append(base, st)
+				} else if !reflect.DeepEqual(st, base[qi]) {
+					t.Fatalf("%s: query %d Stats (k-NN, range)\n%#v\none segment\n%#v", name, qi, st, base[qi])
+				}
 				if len(gr) == 0 && len(wr) == 0 {
 					continue
 				}
@@ -229,4 +255,29 @@ func TestCompactionFreesTheBuild(t *testing.T) {
 	}
 	runtime.KeepAlive(ix)
 	t.Fatal("the built segment's branch space is still reachable after compaction")
+}
+
+// TestMemtableFillAllocs: filling a memtable's columns allocates nothing
+// once the pooled scratch has grown to its space, and the columns are the
+// exact overlaps whichever scratch the pool hands out.
+func TestMemtableFillAllocs(t *testing.T) {
+	ts := testDataset(40, 76)
+	p := newPayload(NewBiBranch(), nil, false)
+	for _, tr := range ts {
+		p.add(tr)
+	}
+	q := ts[3]
+	qp := p.space.QueryProfile(q)
+	ov, lov := make([]int32, len(ts)), make([]int32, len(ts))
+	p.fill(q, qp, ov, lov, nil)
+	if ov[3] != int32(q.Size()) || lov[3] != int32(q.Size()) {
+		t.Fatalf("the query against itself: overlaps %d and %d, size %d", ov[3], lov[3], q.Size())
+	}
+	want := slices.Concat(ov, lov)
+	if n := testing.AllocsPerRun(50, func() { p.fill(q, qp, ov, lov, nil) }); n != 0 && !raceEnabled {
+		t.Fatalf("a fill allocated %.1f times", n)
+	}
+	if got := slices.Concat(ov, lov); !slices.Equal(got, want) {
+		t.Fatalf("refilled columns %v, first fill %v", got, want)
+	}
 }

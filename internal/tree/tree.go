@@ -153,29 +153,45 @@ func nodesEqual(a, b *Node) bool {
 // Validate checks the structural invariants of the tree: no nil nodes and no
 // node reachable through two different paths (which would make the structure
 // a DAG or introduce a cycle). It returns a descriptive error on the first
-// violation found.
+// violation found, naming the offending node by its path of child indexes
+// from the root. The walk is iterative and builds that path only for the
+// error, so a deep chain costs O(n), not a stack frame and a path string
+// per node.
 func (t *Tree) Validate() error {
 	if t.IsEmpty() {
 		return nil
 	}
-	seen := make(map[*Node]bool)
-	var walk func(n *Node, path string) error
-	walk = func(n *Node, path string) error {
-		if n == nil {
-			return fmt.Errorf("tree: nil node at %s", path)
-		}
-		if seen[n] {
-			return fmt.Errorf("tree: node %q at %s is reachable twice", n.Label, path)
-		}
-		seen[n] = true
-		for i, c := range n.Children {
-			if err := walk(c, fmt.Sprintf("%s.%d", path, i)); err != nil {
-				return err
-			}
-		}
-		return nil
+	// The frames on the stack are the path to the node in hand: each one's
+	// next child to visit, the last visited one's index one below.
+	type frame struct {
+		n    *Node
+		next int
 	}
-	return walk(t.Root, "root")
+	seen := map[*Node]bool{t.Root: true}
+	stack := []frame{{n: t.Root}}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.next == len(f.n.Children) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		c := f.n.Children[f.next]
+		f.next++
+		if c == nil || seen[c] {
+			var path strings.Builder
+			path.WriteString("root")
+			for _, f := range stack {
+				fmt.Fprintf(&path, ".%d", f.next-1)
+			}
+			if c == nil {
+				return fmt.Errorf("tree: nil node at %s", path.String())
+			}
+			return fmt.Errorf("tree: node %q at %s is reachable twice", c.Label, path.String())
+		}
+		seen[c] = true
+		stack = append(stack, frame{n: c})
+	}
+	return nil
 }
 
 // String renders the tree in the canonical text format understood by Parse,

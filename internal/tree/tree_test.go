@@ -1,6 +1,9 @@
 package tree
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // paperT1 and paperT2 are the example trees of Fig. 1 of the paper,
 // reconstructed from the node numbering of Fig. 2:
@@ -113,6 +116,40 @@ func TestValidate(t *testing.T) {
 	withNil := New(&Node{Label: "r", Children: []*Node{nil}})
 	if err := withNil.Validate(); err == nil {
 		t.Error("nil child not detected")
+	}
+
+	// Deeper down, each error names the offending node's path.
+	shared = NewNode("x")
+	dag = New(NewNode("r", NewNode("a"), NewNode("b", NewNode("c", shared), shared)))
+	if err := dag.Validate(); err == nil || err.Error() != `tree: node "x" at root.1.1 is reachable twice` {
+		t.Errorf("shared node: %v", err)
+	}
+	withNil = New(NewNode("r", NewNode("a"), &Node{Label: "b", Children: []*Node{NewNode("c"), nil}}))
+	if err := withNil.Validate(); err == nil || err.Error() != "tree: nil node at root.1.1" {
+		t.Errorf("nil child: %v", err)
+	}
+}
+
+// TestValidateHugeChain: a 10⁵-node chain validates in memory linear in
+// its size. A path string built per node, as a recursive walk did, costs
+// O(depth) bytes a node: gigabytes here.
+func TestValidateHugeChain(t *testing.T) {
+	const n = 100_000
+	root := NewNode("a")
+	for at, i := root, 1; i < n; i++ {
+		at.Children = []*Node{NewNode("a")}
+		at = at.Children[0]
+	}
+	chain := New(root)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := chain.Validate()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perNode := (after.TotalAlloc - before.TotalAlloc) / n; perNode > 256 {
+		t.Fatalf("Validate allocated %d bytes a node on a %d-node chain", perNode, n)
 	}
 }
 

@@ -197,6 +197,7 @@ func (s *Server) instrument(endpoint string, limited bool, h http.HandlerFunc) h
 				return
 			}
 			defer s.sem.release()
+			s.admitted.Add(1)
 			if s.cfg.QueryTimeout > 0 {
 				// The slot is held until the handler returns, and the query
 				// context does not bound reading the body: a client that

@@ -171,6 +171,7 @@ type Server struct {
 
 	ready     atomic.Bool   // readyz: accepting traffic
 	reqSeq    atomic.Uint64 // request-ID counter
+	admitted  atomic.Uint64 // query requests that took an admission slot
 	inserts   atomic.Uint64 // total inserts accepted
 	deletes   atomic.Uint64 // total deletes accepted
 	saved     atomic.Uint64 // value of inserts+deletes at the last snapshot

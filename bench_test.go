@@ -211,9 +211,11 @@ func BenchmarkVectorConstruction(b *testing.B) {
 // tree, for the two query kinds at growing dataset sizes on the paper's
 // default spec, and reports per query what the filter leaves: the share
 // of the trees the cheap tiers prune, the candidates and the
-// verifications, each read once per query of the set outside the timed
-// loop. Over an indexed segment both kinds read every tree's BDist and
-// label overlap off one sweep each of the segment's postings, so the
+// verifications, and what refining them took — the verifications the
+// alignment certificate answered and the DP cells the rest computed —
+// each read once per query of the set outside the timed loop. Over an
+// indexed segment both kinds read every tree's BDist and label overlap
+// off one sweep each of the segment's postings, so the
 // per-tree work left is the size tier, two lookups and, for the few
 // survivors, a positional bound and the sequence tier: a range query's at
 // τ, a k-NN query's lazily during refinement (Stats.FilterTime counts
@@ -238,12 +240,15 @@ func BenchmarkFilterStage(b *testing.B) {
 		b.Run(name+"/"+intName(n), func(b *testing.B) {
 			// Per query of the set, not per iteration: b.N cycles the set,
 			// so a mean over the iterations would move with b.N.
-			var cheap, candidates, verified int
+			var cheap, candidates, verified, certified int
+			var cells int64
 			for _, q := range queries {
 				st := query(q)
 				cheap += st.Pruned.Size + st.Pruned.BDist + st.Pruned.Label
 				candidates += st.Candidates
 				verified += st.Verified
+				certified += st.Certified
+				cells += st.DPCells
 			}
 			b.ResetTimer()
 			var filter time.Duration
@@ -255,6 +260,8 @@ func BenchmarkFilterStage(b *testing.B) {
 			b.ReportMetric(float64(cheap)/nq/float64(n), "cheap-pruned")
 			b.ReportMetric(float64(candidates)/nq, "candidates")
 			b.ReportMetric(float64(verified)/nq, "verified")
+			b.ReportMetric(float64(certified)/nq, "certified")
+			b.ReportMetric(float64(cells)/nq, "dp-cells")
 		})
 	}
 	rangeq := func(ix *search.Index, tau int) func(q *tree.Tree) search.Stats {

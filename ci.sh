@@ -104,6 +104,7 @@ for stage; do
         fuzz FuzzBoundCascade ./internal/branch
         fuzz FuzzProfileKernel ./internal/branch
         fuzz FuzzDistanceWithin ./internal/editdist
+        fuzz FuzzCertify ./internal/editdist
         fuzz FuzzLoadIndex ./internal/search
         fuzz FuzzExactLabelTier ./internal/search
         fuzz FuzzSequenceTier ./internal/search

@@ -34,16 +34,19 @@ import (
 //     as a pre-check (Metrics.Precheck).
 //
 //     The alignment certificate (certify.go) closes the step under
-//     UnitCost, when the band is below both sizes: the postorder pass
-//     keeps its frontiers, and when its distance c is within the band and
-//     at least the preorder one, certify walks the optimal alignments of
-//     the postorder sequences, depth first and within a budget of steps,
-//     for one whose aligned pairs keep ancestry. Such an alignment is a
-//     Tai mapping of cost c, and c lower-bounds the distance, so the call
-//     returns (c, true) with no kernel run (Metrics.Certified). A pair at
-//     its postorder distance always has one — its optimal mapping, read
-//     as an alignment — so only the budget, or a distance above c, leaves
-//     such a pair to the kernel.
+//     UnitCost, when the band is below both sizes: both passes keep their
+//     frontiers, and when both distances are within the band, certify
+//     walks the optimal alignments of the sequences of the larger one, c —
+//     the postorder ones on a tie, else the preorder ones, read reversed as
+//     the mirrored trees' postorder — depth first and within a budget of
+//     steps, for one whose aligned pairs keep ancestry. Such an alignment
+//     is a Tai mapping of cost c, and c lower-bounds the distance, so the
+//     call returns (c, true) with no kernel run (Metrics.Certified). A pair
+//     at that distance always has one — its optimal mapping, read as an
+//     alignment — so only the budget, or a distance above c, leaves such a
+//     pair to the kernel. A walk that exhausts the alignments, rather than
+//     its budget, proves the distance above c: the floor c+1 rejects the
+//     pair like the sequence bound when it passes the band.
 //
 //  2. A region-count band (Touzet's k-relevance, CPM 2005) of width
 //     band = cutoff/minOpCost, the most nodes a mapping of cost ≤ cutoff
@@ -75,11 +78,14 @@ import (
 //     query's first k verifications). It guesses a band k in operations —
 //     the largest of the pre-check's bound over cmin and the two sequence
 //     distances, the preorder one computed only while the postorder one
-//     leaves the search a band to try (the postorder pass at the search's
-//     last band, which may certify the pair outright) — and runs the
-//     kernel at band k with the largest cutoff that band admits,
-//     (k+1)·cmin − 1, doubling k until a run returns a value within its
-//     cutoff. The candidate is decomposed once; only the kernel reruns.
+//     leaves the search a band to try, or the certificate's floor (both
+//     passes at the search's last band, which may certify the pair
+//     outright) — and runs the kernel at band k with the largest cutoff
+//     that band admits, (k+1)·cmin − 1, until a run returns a value within
+//     its cutoff: after the first failed run it tries k+1, since a pair
+//     the bounds miss is mostly only one or two operations further, and
+//     then doubles k. The candidate is decomposed once; only the kernel
+//     reruns.
 //     Past band (|q|+|t|)/searchSpan the failed runs would cost more than
 //     the band saves — unrelated pairs sit there — so the search hands the
 //     pair to the band-off program.
@@ -96,9 +102,10 @@ import (
 // overshoot it, so bounded calls certify only `cutoff+1`.
 // So does the sequence bound: a sequence distance above band means every
 // script has at least band+1 operations, costing at least
-// cmin·(cutoff/cmin + 1) > cutoff. A certified value is exact whatever the
-// cutoff: a Tai mapping of cost c is a script of cost c, the postorder
-// distance c bounds every script from below, and c ≤ band ≤ cutoff.
+// cmin·(cutoff/cmin + 1) > cutoff; and so does the floor, which no script
+// of c operations meets. A certified value is exact whatever the cutoff:
+// a Tai mapping of cost c is a script of cost c, the sequence distance c
+// bounds every script from below, and c ≤ band ≤ cutoff.
 // The band and the pre-checks need a positive per-operation minimum cost
 // (see MinOpCoster); without one the band is |T1|+|T2|, which restricts
 // nothing, and only row abandoning — sound for any costs ≥ 0 — remains, and
@@ -166,9 +173,10 @@ func abs(x int) int {
 const searchSpan = 8
 
 // search is mechanism 4 for a pair with no cutoff: starting from the
-// largest of the pre-check's and the two label sequences' lower bounds, in
-// operations, it runs the kernel at band k with the largest cutoff that
-// band admits, (k+1)·cmin − 1, doubling k until a run certifies its cutoff.
+// largest of the pre-check's and the sequence bound's lower bounds (the
+// certificate's floor among them), in operations, it runs the kernel at
+// band k with the largest cutoff that band admits, (k+1)·cmin − 1, then at
+// k+1, then doubling k, until a run certifies its cutoff.
 // It returns (d, true) with that run's exact distance, or false once the
 // band would pass top = (|q|+|t|)/searchSpan, the last band tried, leaving
 // the pair to the band-off program. Each run's cells are added to m.
@@ -183,7 +191,8 @@ func (q *Query) search(s *scratch, b *decomp, lb int, m *Metrics) (int, bool) {
 		m.Certified = true
 		return seq, true
 	}
-	for k = max(k, seq); k <= top; k = min(2*k, top) {
+	k = max(k, seq)
+	for step := 1; k <= top; step = k {
 		cutoff := (k+1)*q.cmin - 1
 		if d := q.run(b, cutoff, k, m); d <= cutoff {
 			return d, true
@@ -191,28 +200,48 @@ func (q *Query) search(s *scratch, b *decomp, lb int, m *Metrics) (int, bool) {
 		if k == top {
 			break
 		}
+		k = min(k+step, top)
 	}
 	return 0, false
 }
 
-// seqBound is the sequence bound of the query against b in operations,
-// capped at k+1: the postorder sequences' distance and, only when that is
-// within k, the preorder sequences' too. exact reports that the bound is
-// the pair's distance, by the alignment certificate (certify.go): tried
-// only where it pays (certifies) and the postorder distance is the larger.
+// seqBound is the sequence bound of the query against b (s.t, mirrored in
+// s.mirror) in operations, capped at k+1: the postorder sequences'
+// distance and, only when that is within k, the preorder sequences' too.
+// Where the certificate pays (certifies) and both are within k, the larger
+// order's optimal alignments are walked (certify.go): a mapping makes the
+// bound the pair's distance (exact), and a walk that exhausts them raises
+// it by one.
 func (q *Query) seqBound(s *scratch, b *decomp, k int) (seq int, exact bool) {
-	cert := q.certifies(b.n, k)
-	var post int
-	if cert {
-		post = s.cert.alignDist(q.d.id[1:], b.id[1:], k)
-	} else {
-		post = s.seqDist(q.d.id[1:], b.id[1:], k)
+	if !q.certifies(b.n, k) {
+		post := s.seqDist(q.d.id[1:], b.id[1:], k)
+		if post > k {
+			return post, false
+		}
+		return max(post, s.seqDist(q.mirror.id[1:], s.mirror.id[1:], k)), false
 	}
+	c := &s.cert
+	post := c.alignDist(postorder, q.d.id[1:], b.id[1:], k)
 	if post > k {
 		return post, false
 	}
-	pre := s.seqDist(q.d.preid[1:], b.preid[1:], k)
-	return max(post, pre), cert && post >= pre && s.cert.certify(q.d, b, post)
+	pre := c.alignDist(preorder, q.mirror.id[1:], s.mirror.id[1:], k)
+	if pre > k {
+		return pre, false
+	}
+	c.roots = b.gatherParent(c.roots)
+	o, qa, tb, dist := postorder, q.d, b, post
+	if pre > post {
+		b.mirrorParents(&s.mirror)
+		o, qa, tb, dist = preorder, &q.mirror, &s.mirror, pre
+	}
+	switch c.certify(o, qa, tb, dist) {
+	case mapped:
+		return dist, true
+	case exhausted:
+		return dist + 1, false
+	}
+	return dist, false
 }
 
 // seqDist is SeqDist on the scratch's diagonals.
@@ -267,13 +296,15 @@ func SeqDist(a, b []int32, k int, diags []int) (int, []int) {
 }
 
 // scratch is one Within call's working memory, pooled: load's stack, the
-// candidate's per-slot label counts, the candidate's decomposition, the
-// sequence bound's diagonals, and the alignment certificate's memory.
+// candidate's per-slot label counts, the candidate's decomposition and its
+// mirror, the sequence bound's diagonals, and the alignment certificate's
+// memory.
 type scratch struct {
 	stack   []frame
 	seen    []int32 // per query slot: the candidate's count so far; zero between calls
 	t       decomp
-	overlap int // Σ over labels of min(count in query, count in t)
+	mirror  decomp // t mirrored: its id always, its parent links for a mirrored walk
+	overlap int    // Σ over labels of min(count in query, count in t)
 	diags   []int
 	cert    certScratch
 }
@@ -290,20 +321,21 @@ func (s *scratch) release() {
 	clear(s.t.label)
 	s.t.label = s.t.label[:0]
 	c := &s.cert
-	if max(cap(s.stack), cap(s.seen), cap(s.t.label), cap(s.diags)/2, cap(c.partA), cap(c.partB), cap(c.path)/2) <= maxPooledNodes &&
-		cap(c.rows) <= maxPooledCells {
+	if max(cap(s.stack), cap(s.seen), cap(s.t.label), cap(s.mirror.id), cap(s.mirror.parent), cap(s.diags)/2,
+		cap(c.partA), cap(c.partB), cap(c.path)/2) <= maxPooledNodes &&
+		max(cap(c.rows[postorder]), cap(c.rows[preorder])) <= maxPooledCells {
 		scratchPool.Put(s)
 	}
 }
 
 // decompose fills the scratch's decomposition with t, labelled by the
 // query's slots — −1 for a label the query lacks — in postorder (id) and
-// in preorder (preid), and sets overlap to its label overlap with the
-// query. Nothing is allocated once the pool is warm.
+// in its mirror's postorder (mirror.id), and sets overlap to its label
+// overlap with the query. Nothing is allocated once the pool is warm.
 func (s *scratch) decompose(t *tree.Tree, q *Query) *decomp {
-	d := &s.t
+	d, mi := &s.t, &s.mirror
 	s.stack = d.load(t, s.stack)
-	d.id, d.preid = grow(d.id, d.n+1), grow(d.preid, d.n+1)
+	d.id, mi.id, mi.n = grow(d.id, d.n+1), grow(mi.id, d.n+1), d.n
 	s.seen = grow(s.seen, len(q.count))
 	s.overlap = 0
 	for y := 1; y <= d.n; y++ {
@@ -313,7 +345,7 @@ func (s *scratch) decompose(t *tree.Tree, q *Query) *decomp {
 		} else if s.seen[slot]++; s.seen[slot] <= q.count[slot] {
 			s.overlap++ // pairs with a query occurrence not yet paired
 		}
-		d.id[y], d.preid[d.pre[y]] = slot, slot
+		d.id[y], mi.id[d.n+1-d.pre[y]] = slot, slot
 	}
 	for _, slot := range d.id[1:] {
 		if slot >= 0 {

@@ -331,15 +331,22 @@ func TestDistanceWithinMetrics(t *testing.T) {
 		t.Fatalf("no cutoff: touched %d of %d cells, want strictly fewer (and some)", full.Cells, full.FullCells)
 	}
 
+	// Both sequence distances are 0, and the one alignment of cost 0
+	// breaks ancestry: the walk exhausts it, and the floor of 1 rejects
+	// the pair at cutoff 0 with no DP. At cutoff 1 the DP has to abort.
+	var fl Metrics
+	if lb, ok := DistanceWithin(t1, t2, 0, WithMetrics(&fl)); ok || lb != 1 || !fl.Precheck || fl.Cells != 0 {
+		t.Fatalf("cutoff 0: (%d, %v, %+v), want (1, false) by the certificate's floor, with no cells", lb, ok, fl)
+	}
 	var m Metrics
-	if _, ok := DistanceWithin(t1, t2, 0, WithMetrics(&m)); ok {
-		t.Fatalf("distance %d reported within cutoff 0", d)
+	if _, ok := DistanceWithin(t1, t2, 1, WithMetrics(&m)); ok {
+		t.Fatalf("distance %d reported within cutoff 1", d)
 	}
 	if m.Precheck || !m.Aborted {
-		t.Fatalf("cutoff 0: precheck=%v aborted=%v, want DP abort", m.Precheck, m.Aborted)
+		t.Fatalf("cutoff 1: precheck=%v aborted=%v, want DP abort", m.Precheck, m.Aborted)
 	}
 	if m.Cells == 0 || m.Cells >= m.FullCells {
-		t.Fatalf("cutoff 0: touched %d of %d cells, want strictly fewer (and some)", m.Cells, m.FullCells)
+		t.Fatalf("cutoff 1: touched %d of %d cells, want strictly fewer (and some)", m.Cells, m.FullCells)
 	}
 
 	// Within the cutoff: exact distance, still banded below the full count.
@@ -385,12 +392,14 @@ func TestDistanceWithinMetrics(t *testing.T) {
 // cells the bounded program touches must stay under each row's bound. The
 // shares are ≈ 0.0 % on small random pairs at τ=4, where the pre-checks
 // and the alignment certificate decide every pair; on knn_bigtree's
-// 150-node within-cluster pairs, ≈ 0.2 % at the cutoff its queries settle
-// at, ≈ 1.4 % with no cutoff at all (a k-NN query's first k
-// verifications, where the doubling search does the bounding) and ≈ 0.3 %
+// 150-node within-cluster pairs, ≈ 0.0 % at the cutoff its queries settle
+// at, ≈ 0.3 % with no cutoff at all (a k-NN query's first k
+// verifications, where the doubling search does the bounding) and ≈ 0.0 %
 // at one below each pair's own distance (the k-NN abort regime, where the
-// sequence bound rejects most pairs before the tree DP). Before the
-// certificate the first three were ≈ 1.0, 2.4 and 3.0 %.
+// sequence bound and the certificate's floor reject the pairs before the
+// tree DP). With the postorder certificate alone the three 150-node rows
+// were ≈ 0.2, 1.4 and 0.3 %. Before the certificate the first three were
+// ≈ 1.0, 2.4 and 3.0 %.
 func TestDistanceWithinCellsGate(t *testing.T) {
 	spec := datagen.Spec{FanoutMean: 3, FanoutStd: 1, SizeMean: 20, SizeStd: 6, Labels: 6, Decay: 0.1}
 	ts := datagen.New(spec, 23).Dataset(30, 5)
@@ -501,6 +510,21 @@ func farPairs(tb testing.TB, spec string, seed int64, n int) [][2]*tree.Tree {
 	return pairs
 }
 
+// kernelPairs returns n within-cluster pairs of knn_bigtree's spec whose
+// distance exceeds both sequence distances: neither walk of the
+// certificate can settle them, so the kernel decides each.
+func kernelPairs(tb testing.TB, n int) [][2]*tree.Tree {
+	var out [][2]*tree.Tree
+	for seed := int64(11); len(out) < n; seed++ {
+		for _, p := range clusterPairs(tb, bigSpec, seed, 8) {
+			if len(out) < n && Distance(p[0], p[1]) > SequenceLowerBound(p[0], p[1]) {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}
+
 // BenchmarkDistanceWithin is the editdist rung; an op is one verified pair,
 // so ns/op and B/op are per pair. DistanceWithin (preparing the first tree
 // per pair) on small refine-sized pairs at a realistic cutoff and with none,
@@ -512,7 +536,9 @@ func farPairs(tb testing.TB, spec string, seed int64, n int) [][2]*tree.Tree {
 // band-off program holds near that program's cost. The prepared rows verify
 // as the search engine does, each pair's first tree prepared once outside
 // the timer and Query.Within called per candidate, so they time the
-// verification alone. Then what mixed_rw's refine stage does — one
+// verification alone; prepared/big/kernel is the same with pairs no
+// certificate settles (kernelPairs), so its ns/cell is the kernel's own.
+// Then what mixed_rw's refine stage does — one
 // prepared DBLP record against 10 000 records at τ=4, most of them
 // rejected by the pre-checks — and what preparing a record costs once per
 // request. Each verifying case reports DP cells per pair, when there are
@@ -547,6 +573,7 @@ func BenchmarkDistanceWithin(b *testing.B) {
 	}{
 		{"prepared/big/τ=14", big, 14},
 		{"prepared/big/full", big, math.MaxInt},
+		{"prepared/big/kernel", kernelPairs(b, 16), math.MaxInt},
 		{"prepared/small/full", small, math.MaxInt},
 	} {
 		qs := make([]*Query, len(bc.pairs))

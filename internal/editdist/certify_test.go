@@ -10,13 +10,19 @@ import (
 )
 
 // refCertify is the alignment certificate by the textbook: the full
-// (|q|+1)×(|t|+1) Levenshtein table of the postorder label sequences, its
-// optimal alignments walked back from the last cell depth first — aligning
-// first, then deleting, then inserting — and each aligned pair checked
-// against every pair taken before it for ancestry, read off the trees'
-// parent links. Like certify it gives up after budget steps, a step being
-// a move or a return from a cell with no move left.
-func refCertify(t1, t2 *tree.Tree, budget int) bool {
+// (|q|+1)×(|t|+1) Levenshtein table of the postorder label sequences — of
+// the mirrored trees' for the preorder order — its optimal alignments
+// walked back from the last cell depth first — aligning first, then
+// deleting, then inserting — and each aligned pair checked against every
+// pair taken before it for ancestry, read off the trees' parent links.
+// Like certify it gives up after budget steps, a step being a move or a
+// return from a cell with no move left, and it tells a walk that found a
+// mapping from one that ran out of alignments and one that ran out of
+// steps.
+func refCertify(t1, t2 *tree.Tree, budget int, o order) outcome {
+	if o == preorder {
+		t1, t2 = mirrorTree(t1), mirrorTree(t2)
+	}
 	a, b := labelsOf(t1.PostOrder()), labelsOf(t2.PostOrder())
 	var unit UnitCost
 	dist := make([][]int, len(a)+1)
@@ -32,10 +38,10 @@ func refCertify(t1, t2 *tree.Tree, budget int) bool {
 	}
 	anc1, anc2 := ancestry(t1), ancestry(t2)
 	var pairs [][2]int
-	steps, spent := 0, false
+	steps, broke := 0, false
 	step := func() bool {
 		if steps == budget {
-			spent = true
+			broke = true
 			return false
 		}
 		steps++
@@ -58,20 +64,42 @@ func refCertify(t1, t2 *tree.Tree, budget int) bool {
 			}
 			pairs = pairs[:len(pairs)-1]
 		}
-		if !spent && x > 0 && dist[x-1][y]+1 == here {
+		if !broke && x > 0 && dist[x-1][y]+1 == here {
 			if !step() || walk(x-1, y) {
-				return !spent
+				return !broke
 			}
 		}
-		if !spent && y > 0 && dist[x][y-1]+1 == here {
+		if !broke && y > 0 && dist[x][y-1]+1 == here {
 			if !step() || walk(x, y-1) {
-				return !spent
+				return !broke
 			}
 		}
 		step()
 		return false
 	}
-	return walk(len(a), len(b)) && !spent
+	switch found := walk(len(a), len(b)); {
+	case broke:
+		return spent
+	case found:
+		return mapped
+	}
+	return exhausted
+}
+
+// mirrorTree returns a copy of t with every node's children reversed.
+func mirrorTree(t *tree.Tree) *tree.Tree {
+	var rec func(n *tree.Node) *tree.Node
+	rec = func(n *tree.Node) *tree.Node {
+		m := &tree.Node{Label: n.Label}
+		for i := len(n.Children) - 1; i >= 0; i-- {
+			m.Children = append(m.Children, rec(n.Children[i]))
+		}
+		return m
+	}
+	if t.IsEmpty() {
+		return tree.New(nil)
+	}
+	return tree.New(rec(t.Root))
 }
 
 // ancestry returns whether the u-th node of t in postorder (0-based) is a
@@ -94,12 +122,13 @@ func ancestry(t *tree.Tree) func(u, v int) bool {
 	}
 }
 
-// TestAlignDistCertify: alignDist is the unbanded postorder distance,
-// capped at k+1, for every k up to past it, as SeqDist is; and from its
-// rows certify decides exactly what the textbook walk through the full
-// table decides, budget included — on small trees over two labels, whose
-// sequences have many optimal alignments, on degenerate shapes and on
-// within-cluster pairs.
+// TestAlignDistCertify: in each order alignDist is the unbanded sequence
+// distance, capped at k+1, for every k up to past it, as SeqDist is, each
+// order keeping its own frontiers; and from those certify ends each walk
+// as the textbook walk through the full table ends it — a mapping, the
+// optimal alignments exhausted, or the budget spent — on small trees over
+// two labels, whose sequences have many optimal alignments, on degenerate
+// shapes and on within-cluster pairs.
 func TestAlignDistCertify(t *testing.T) {
 	trees := []*tree.Tree{chain(9, fuzzLabels), star(9, fuzzLabels), leftHeavy(11), rightHeavy(8),
 		tree.MustParse("x(y,a(z))"), tree.MustParse("a(b(c),d(e,f))"), tree.New(nil)}
@@ -111,88 +140,198 @@ func TestAlignDistCertify(t *testing.T) {
 		trees = append(trees, p[0], p[1])
 	}
 	s := new(scratch)
-	certified, refused := 0, 0
+	var ends [2][3]int // by order and outcome
 	for _, t1 := range trees {
 		q := Prepare(t1)
 		for _, t2 := range trees {
-			post, _ := refSeqBound(t1, t2)
+			post, pre := refSeqBound(t1, t2)
 			b := s.decompose(t2, q)
-			for k := 0; k <= post+2; k++ {
-				if got := s.cert.alignDist(q.d.id[1:], b.id[1:], k); got != min(post, k+1) {
-					t.Fatalf("alignDist(%q, %q, %d) = %d, want %d", t1, t2, k, got, min(post, k+1))
+			orders := []struct {
+				o    order
+				a, b *decomp
+				dist int
+			}{{postorder, q.d, b, post}, {preorder, &q.mirror, &s.mirror, pre}}
+			for _, c := range orders {
+				for k := 0; k <= c.dist+2; k++ {
+					if got := s.cert.alignDist(c.o, c.a.id[1:], c.b.id[1:], k); got != min(c.dist, k+1) {
+						t.Fatalf("order %d: alignDist(%q, %q, %d) = %d, want %d", c.o, t1, t2, k, got, min(c.dist, k+1))
+					}
 				}
 			}
 			if q.d.n == 0 || b.n == 0 {
 				continue
 			}
-			want := refCertify(t1, t2, certifyBudget*(q.d.n+b.n))
-			if got := s.cert.certify(q.d, b, post); got != want {
-				t.Fatalf("certify(%q, %q) = %v, reference %v", t1, t2, got, want)
-			}
-			if want {
-				certified++
-			} else {
-				refused++
+			s.cert.roots = b.gatherParent(s.cert.roots)
+			b.mirrorParents(&s.mirror)
+			for _, c := range orders {
+				want := refCertify(t1, t2, certifyBudget*(q.d.n+b.n), c.o)
+				if got := s.cert.certify(c.o, c.a, c.b, c.dist); got != want {
+					t.Fatalf("order %d: certify(%q, %q) = %d, reference %d", c.o, t1, t2, got, want)
+				}
+				ends[c.o][want]++
 			}
 		}
 	}
-	if certified == 0 || refused == 0 {
-		t.Fatalf("%d pairs certified, %d refused: want both sides checked", certified, refused)
+	for o, byEnd := range ends {
+		if byEnd[mapped] == 0 || byEnd[exhausted] == 0 || byEnd[spent] == 0 {
+			t.Fatalf("order %d: %d walks mapped, %d exhausted, %d spent: want every end checked", o, byEnd[mapped], byEnd[exhausted], byEnd[spent])
+		}
 	}
+	t.Logf("walks mapped, exhausted, spent by order: %v", ends)
 }
 
-// TestCertificate holds each side of the certificate to the textbook
+// TestCertificate holds each end of the certificate to the textbook
 // program, at the distance, one above it and with no cutoff: a certified
 // pair is answered exactly with no cells, and every other pair reaches the
-// kernel for the same exact answer. Certified: a leaf deleted, whose first
-// traced alignment is the mapping; and an inner node deleted amid a run of
-// its label, where the walk must come back from aligned pairs that break
-// ancestry. Not certified: a pair at its postorder distance whose mapping
-// lies past the walk's budget; a pair further apart than its postorder
-// distance, so no optimal alignment is a mapping; a pair whose preorder
-// distance is the larger; and a model that is not UnitCost, even one of
+// kernel for the same exact answer. Certified, by the postorder walk: a
+// leaf deleted, whose first traced alignment is the mapping; and an inner
+// node deleted amid a run of its label, where the walk must come back from
+// aligned pairs that break ancestry. By the mirrored walk: a pair whose
+// preorder distance is the larger. Not certified: a pair at its postorder
+// distance, or at its larger preorder one, whose mapping lies past the
+// walk's budget, which proves no floor, so the kernel decides at that
+// distance; a pair further apart than its postorder distance, or than its
+// larger preorder one, so no optimal alignment is a mapping — the walk
+// exhausts them, and the floor one above rejects the pair at the sequence
+// distance before any cell; and a model that is not UnitCost, even one of
 // unit costs.
 func TestCertificate(t *testing.T) {
 	m1, m2 := mirrored(2)
+	mp := tree.MustParse
 	unitLike := bandedWeighted{weighted{rel: 1, ins: 1, del: 1}}
 	for _, c := range []struct {
-		name      string
-		t1, t2    *tree.Tree
-		cost      CostModel
-		certified bool
+		name   string
+		t1, t2 *tree.Tree
+		cost   CostModel
+		o      order   // the larger sequence distance's order, postorder on a tie
+		end    outcome // how its walk ends
 	}{
-		{"leaf deleted", tree.MustParse("a(b(c,d),e(f),g)"), tree.MustParse("a(b(c),e(f),g)"), UnitCost{}, true},
-		{"walked back", tree.MustParse("b(a,b(a,b),b,b)"), tree.MustParse("b(a,a,b,b,b)"), UnitCost{}, true},
-		{"over budget", tree.MustParse("b(b(a,b(b(b))))"), tree.MustParse("b(a,b(b(b)))"), UnitCost{}, false},
-		{"no mapping", m1, m2, UnitCost{}, false},
-		{"pre above post", tree.MustParse("a(b(b(a(b,a),b)),a)"), tree.MustParse("a(b(b(b,a(b),b)),a)"), UnitCost{}, false},
-		{"unit-cost model", tree.MustParse("a(b(c,d),e(f),g)"), tree.MustParse("a(b(c),e(f),g)"), unitLike, false},
+		{"leaf deleted", mp("a(b(c,d),e(f),g)"), mp("a(b(c),e(f),g)"), UnitCost{}, postorder, mapped},
+		{"walked back", mp("b(a,b(a,b),b,b)"), mp("b(a,a,b,b,b)"), UnitCost{}, postorder, mapped},
+		{"over budget", mp("b(b(a,b(b(b))))"), mp("b(a,b(b(b)))"), UnitCost{}, postorder, spent},
+		{"no mapping", m1, m2, UnitCost{}, postorder, exhausted},
+		{"pre above post", mp("a(b(b(a(b,a),b)),a)"), mp("a(b(b(b,a(b),b)),a)"), UnitCost{}, preorder, mapped},
+		{"mirror over budget", mp("b(a(a(a(b))),b)"), mp("b(b,b(b(a)),a)"), UnitCost{}, preorder, spent},
+		{"mirror with no mapping", mp("a(b(b,a),a)"), mp("b(a(b,b))"), UnitCost{}, preorder, exhausted},
+		{"unit-cost model", mp("a(b(c,d),e(f),g)"), mp("a(b(c),e(f),g)"), unitLike, postorder, mapped},
 	} {
 		full := textbookDistance(c.t1, c.t2, c.cost)
 		post, pre := refSeqBound(c.t1, c.t2)
+		seq := max(post, pre)
+		if (pre > post) != (c.o == preorder) {
+			t.Fatalf("%s: post %d, pre %d; want the larger in order %d", c.name, post, pre, c.o)
+		}
 		budget := certifyBudget * (c.t1.Size() + c.t2.Size())
-		switch c.name {
-		case "over budget":
-			if post != full || pre > post || !refCertify(c.t1, c.t2, 1<<30) || refCertify(c.t1, c.t2, budget) {
-				t.Fatalf("%s: want a mapping at the postorder distance %d (distance %d, pre %d) past a budget of %d steps",
-					c.name, post, full, pre, budget)
+		if end := refCertify(c.t1, c.t2, budget, c.o); end != c.end {
+			t.Fatalf("%s: the reference walk ends %d, want %d", c.name, end, c.end)
+		}
+		switch c.end {
+		case mapped:
+			if full != seq {
+				t.Fatalf("%s: distance %d, sequence distance %d; a mapping makes them equal", c.name, full, seq)
 			}
-		case "no mapping":
-			if post >= full || refCertify(c.t1, c.t2, 1<<30) {
-				t.Fatalf("%s: postorder distance %d, distance %d; want the first below the second", c.name, post, full)
+		case spent:
+			// A mapping lies past the budget: nothing proves a floor.
+			if full != seq || refCertify(c.t1, c.t2, 1<<30, c.o) != mapped {
+				t.Fatalf("%s: want a mapping at the sequence distance %d (distance %d) past a budget of %d steps",
+					c.name, seq, full, budget)
 			}
-		case "pre above post":
-			if pre <= post {
-				t.Fatalf("%s: pre %d, post %d; want pre > post", c.name, pre, post)
+		case exhausted:
+			if full <= seq {
+				t.Fatalf("%s: sequence distance %d, distance %d; want the first below the second", c.name, seq, full)
 			}
 		}
+		_, unit := c.cost.(UnitCost)
+		certified := unit && c.end == mapped
 		for _, cutoff := range []int{full, full + 1, math.MaxInt} {
 			var m Metrics
 			d, ok := DistanceWithin(c.t1, c.t2, cutoff, WithCost(c.cost), WithMetrics(&m))
-			if d != full || !ok || m.Certified != c.certified || (m.Cells == 0) != c.certified {
+			if d != full || !ok || m.Certified != certified || (m.Cells == 0) != certified {
 				t.Errorf("%s at cutoff %d: (%d, %v, %+v); want (%d, true), certified %v with cells only without it",
-					c.name, cutoff, d, ok, m, full, c.certified)
+					c.name, cutoff, d, ok, m, full, certified)
 			}
 		}
+		if !unit || c.end != exhausted {
+			continue
+		}
+		// At the sequence distance only the floor rejects: neither the
+		// pre-checks nor the sequence bound exceed it.
+		a, b := refDecompose(c.t1), refDecompose(c.t2)
+		if lb := refPrecheckBound(c.t1, c.t2, a, b, 1); lb > seq {
+			t.Fatalf("%s: the pre-checks bound %d above the sequence distance %d", c.name, lb, seq)
+		}
+		var m Metrics
+		if d, ok := DistanceWithin(c.t1, c.t2, seq, WithMetrics(&m)); ok || d != seq+1 || !m.Precheck || m.Cells != 0 {
+			t.Errorf("%s at cutoff %d: (%d, %v, %+v); want (%d, false) by the floor, with no cells", c.name, seq, d, ok, m, seq+1)
+		}
 	}
+}
+
+// FuzzCertify holds both walks, on decoded trees over two labels, to the
+// full-table walk (refCertify) and to the textbook distance: each order's
+// alignDist finds its sequence distance, certify ends as the reference
+// ends within the budget, and with a far larger one a mapping makes that
+// distance the tree distance while exhausted alignments put the tree
+// distance above it — the certificate and the floor.
+func FuzzCertify(f *testing.F) {
+	mp := tree.MustParse
+	for _, p := range [][2]string{
+		{"b(a,b(a,b),b,b)", "b(a,a,b,b,b)"},
+		{"b(b(a,b(b(b))))", "b(a,b(b(b)))"},
+		{"a(b(b(a(b,a),b)),a)", "a(b(b(b,a(b),b)),a)"},
+		{"b(a(a(a(b))),b)", "b(b,b(b(a)),a)"},
+		{"a(b(b,a),a)", "b(a(b,b))"},
+		{"b(b(a,b,b,b))", "a(a(b,b),b)"},
+		{"a(b(b(a(b))))", "a(a(a(b(b)),a),b)"},
+	} {
+		f.Add(append(fuzzTree(mp(p[0])), fuzzTree(mp(p[1]))...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &fuzzSrc{data}
+		t1, t2 := twoLabels(src.tree()), twoLabels(src.tree())
+		if t1.IsEmpty() || t2.IsEmpty() {
+			return
+		}
+		full := textbookDistance(t1, t2, UnitCost{})
+		post, pre := refSeqBound(t1, t2)
+		q, s := Prepare(t1), new(scratch)
+		b := s.decompose(t2, q)
+		s.cert.roots = b.gatherParent(s.cert.roots)
+		b.mirrorParents(&s.mirror)
+		budget := certifyBudget * (q.d.n + b.n)
+		for _, c := range []struct {
+			o    order
+			a, b *decomp
+			dist int
+		}{{postorder, q.d, b, post}, {preorder, &q.mirror, &s.mirror, pre}} {
+			if got := s.cert.alignDist(c.o, c.a.id[1:], c.b.id[1:], c.dist); got != c.dist {
+				t.Fatalf("order %d: alignDist(%q, %q) = %d, want %d", c.o, t1, t2, got, c.dist)
+			}
+			if got, want := s.cert.certify(c.o, c.a, c.b, c.dist), refCertify(t1, t2, budget, c.o); got != want {
+				t.Fatalf("order %d: certify(%q, %q) = %d, reference %d", c.o, t1, t2, got, want)
+			}
+			switch refCertify(t1, t2, 1<<16, c.o) {
+			case mapped:
+				if full != c.dist {
+					t.Fatalf("order %d: a mapping of cost %d, but the distance of %q and %q is %d", c.o, c.dist, t1, t2, full)
+				}
+			case exhausted:
+				if full <= c.dist {
+					t.Fatalf("order %d: no mapping of cost %d, but the distance of %q and %q is %d", c.o, c.dist, t1, t2, full)
+				}
+			}
+		}
+	})
+}
+
+// twoLabels relabels a decoded tree over the labels a and b, "c" reading
+// as "a": two labels give the sequences the most optimal alignments.
+func twoLabels(t *tree.Tree) *tree.Tree {
+	t.Walk(func(n *tree.Node) bool {
+		if n.Label == "c" {
+			n.Label = "a"
+		}
+		return true
+	})
+	return t
 }

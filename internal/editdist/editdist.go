@@ -14,7 +14,8 @@
 // (see bounded.go, kernel.go); with no cutoff the same kernel runs as a
 // doubling search over cutoffs. Under unit costs the sequence bound can
 // also settle a pair exactly with no tree DP: when an optimal alignment of
-// the two postorder label sequences is a Tai mapping, its cost is the
+// the two postorder label sequences — or of the two preorder ones, which
+// are the mirrored trees' postorder — is a Tai mapping, its cost is the
 // distance (certify.go).
 // A caller verifying one tree against many prepares it once (Prepare) and
 // asks Query.Within per candidate: each candidate is read once, into a
@@ -102,6 +103,7 @@ func DistanceWithin(t1, t2 *tree.Tree, cutoff int, opts ...Option) (int, bool) {
 // built, so any number of goroutines may call Within on it at once.
 type Query struct {
 	d      *decomp // d.id holds each node's label slot
+	mirror decomp  // the query mirrored, for the preorder pass (decomp.mirrorParents)
 	height int
 	keys   int64 // Σ over keyroots k of |subtree(k)|: FullCells is this times the candidate's
 	slot   map[string]int32
@@ -127,10 +129,7 @@ func prepare(t *tree.Tree, cfg *config) *Query {
 		d: d, height: d.height, keys: d.keys, slot: make(map[string]int32, d.n), count: make([]int32, 0, d.n),
 		cost: cfg.cost, cmin: MinOpCost(cfg.cost), cutoff: cfg.cutoff,
 	}
-	if _, q.unit = cfg.cost.(UnitCost); q.unit {
-		d.gatherParent(nil)
-	}
-	d.id, d.preid = make([]int32, d.n+1), make([]int32, d.n+1)
+	q.mirror.n, q.mirror.id, d.id = d.n, make([]int32, d.n+1), make([]int32, d.n+1)
 	for i := 1; i <= d.n; i++ {
 		s, ok := q.slot[d.label[i]]
 		if !ok {
@@ -139,7 +138,11 @@ func prepare(t *tree.Tree, cfg *config) *Query {
 			q.count = append(q.count, 0)
 		}
 		q.count[s]++
-		d.id[i], d.preid[d.pre[i]] = s, s
+		d.id[i], q.mirror.id[d.n+1-d.pre[i]] = s, s
+	}
+	if _, q.unit = cfg.cost.(UnitCost); q.unit {
+		d.gatherParent(nil)
+		d.mirrorParents(&q.mirror)
 	}
 	return q
 }
@@ -235,15 +238,36 @@ type decomp struct {
 	// candidate label the query lacks. The kernel compares these under
 	// UnitCost instead of strings.
 	id []int32
-	// pre[i] is node i's preorder index, and preid[p] the id of the p-th
-	// node in preorder: the two label sequences of the sequence bound are
-	// id[1:] and preid[1:].
-	pre   []int
-	preid []int32
+	// pre[i] is node i's preorder index.
+	pre []int
 	// parent[i] is the postorder index of node i's parent, 0 for the
 	// root; filled by gatherParent for the alignment certificate and the
 	// constrained distance.
 	parent []int
+}
+
+// The preorder pass reads a tree's mirror image, every node's children
+// reversed: its postorder is the tree's preorder reversed, node x being
+// the mirror's node n+1−pre[x], and reversing both sequences keeps their
+// distance. So one array, the mirror's id, serves the preorder sequence
+// bound and the certificate's mirrored walk (certify.go), and the walk
+// reads the mirror's parent links as it reads the tree's. A mirror decomp
+// holds only n, id and parent.
+
+// mirrorParents fills m.parent, the mirror's parent links, from d's: the
+// mirror's node n+1−pre[x] has parent n+1−pre[parent[x]], the root none.
+// d.parent must be filled.
+func (d *decomp) mirrorParents(m *decomp) {
+	n := d.n
+	m.parent = grow(m.parent, n+1)
+	m.parent[0] = 0
+	for x := 1; x <= n; x++ {
+		p := 0
+		if d.parent[x] != 0 {
+			p = n + 1 - d.pre[d.parent[x]]
+		}
+		m.parent[n+1-d.pre[x]] = p
+	}
 }
 
 // frame is a node whose children load is still visiting; load keeps its

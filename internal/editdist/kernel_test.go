@@ -356,13 +356,22 @@ func FuzzDistanceWithin(f *testing.F) {
 	// The alignment certificate: a leaf deleted, which it certifies at
 	// once; an inner node deleted amid a run of its label, which it
 	// certifies after walking back; the same in a longer run, whose
-	// mapping lies past its budget; and a pair whose preorder distance is
-	// the larger.
+	// mapping lies past its budget; a pair whose preorder distance is the
+	// larger, which the mirrored walk certifies; the mirrored walk out of
+	// budget, and exhausted, whose floor rejects the pair at its preorder
+	// distance 3; and postorder walks that exhaust the alignments of a
+	// pair at distance post + 1, rejected by the floor at cutoff post, and
+	// at post + 2, where the floor is within the cutoff and the search
+	// starts at it.
 	mp := tree.MustParse
 	f.Add(fuzzInput(mp("a(b(c,a),c(b),a)"), mp("a(b(c),c(b),a)"), 1, 0, mp("a(b(c,a),c(b,b),a)")))
 	f.Add(fuzzInput(mp("b(a,b(a,b),b,b)"), mp("b(a,a,b,b,b)"), 1, 0, mp("b(a,b(a,b,b),b)")))
 	f.Add(fuzzInput(mp("b(b(a,b(b(b))))"), mp("b(a,b(b(b)))"), 1, 0, mp("b(b(a,b(b)))")))
 	f.Add(fuzzInput(mp("a(b(b(a(b,a),b)),a)"), mp("a(b(b(b,a(b),b)),a)"), 2, 0))
+	f.Add(fuzzInput(mp("b(a(a(a(b))),b)"), mp("b(b,b(b(a)),a)"), 5, 0, mp("b(b,b(b(a),a))")))
+	f.Add(fuzzInput(mp("a(b(b,a),a)"), mp("b(a(b,b))"), 3, 0, mp("a(b(b,a))")))
+	f.Add(fuzzInput(mp("b(b(a,b,b,b))"), mp("a(a(b,b),b)"), 3, 0))
+	f.Add(fuzzInput(mp("a(b(b(a(b))))"), mp("a(a(a(b(b)),a),b)"), 4, 0))
 	// 24 nodes by random attachment, then mode 7: three decoded edits of
 	// the first tree; cutoff 3, scale 1.
 	f.Add([]byte{24 + 50, 1, 5, 9, 13, 17, 3, 7, 2, 0, 1, 4, 8, 11, 3, 6, 0, 2, 9, 1, 5, 7, 3, 1, 2, 7, 1, 9, 2, 0, 4, 1, 2, 2, 5, 3, 1})

@@ -84,13 +84,15 @@ type Metrics struct {
 	FullCells int64
 	// Precheck reports that the distance was proven to exceed the cutoff
 	// before the tree DP ran: by an O(n) pre-check (size, height, or
-	// label-histogram delta) or by the sequence bound (the postorder or
-	// preorder label sequences further apart than the band). An exact
-	// answer reports it false.
+	// label-histogram delta), by the sequence bound (the postorder or
+	// preorder label sequences further apart than the band) or by the
+	// certificate's floor (a walk that exhausted the optimal alignments
+	// at the band; see certify.go). An exact answer reports it false.
 	Precheck bool
 	// Certified reports that the exact distance was proven without the
-	// tree DP: an optimal alignment of the postorder label sequences was
-	// also a Tai mapping (UnitCost only; see certify.go), so Cells is 0.
+	// tree DP: an optimal alignment of the postorder, or of the preorder,
+	// label sequences was also a Tai mapping (UnitCost only; see
+	// certify.go), so Cells is 0.
 	Certified bool
 	// Aborted reports that the DP proved the distance exceeds the cutoff
 	// without computing it exactly (band restriction and/or frontier-row

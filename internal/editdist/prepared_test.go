@@ -90,13 +90,15 @@ func refFullCells(a, b *decomp) int64 {
 // queries were prepared. A bounded call with a per-operation minimum
 // rejects, as a pre-check, a pair whose postorder or preorder label
 // sequences are further apart (by the unbanded StringDistance) than the
-// band. Under UnitCost, with the band below both sizes, a pair whose
-// postorder distance is within it and at least the preorder one is
-// certified at that distance when the reference traceback finds a mapping
-// (refCertify). With no cutoff it is that certificate at band
-// (|q|+|t|)/searchSpan, then the doubling search as a loop of its own
-// bounded calls, seeded by the larger of those two distances, then the
-// band-off run.
+// band. Under UnitCost, with the band below both sizes and both distances
+// within it, the reference traceback (refCertify) walks the order of the
+// larger distance, postorder on a tie: a mapping certifies the pair at
+// that distance, and a walk that exhausts the optimal alignments raises
+// the bound by one, which rejects the pair as a pre-check when it passes
+// the band. With no cutoff it is that bound at band (|q|+|t|)/searchSpan,
+// then the doubling search as a loop of its own bounded calls, seeded by
+// the bound, stepping by one after its first failed run and doubling
+// after that, then the band-off run.
 func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) {
 	a, b := refDecompose(t1), refDecompose(t2)
 	m := Metrics{FullCells: refFullCells(a, b)}
@@ -117,25 +119,42 @@ func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) 
 		}
 		post, pre := refSeqBound(t1, t2)
 		_, unit := c.(UnitCost)
-		certified := func(k int) bool {
-			return unit && k < min(a.n, b.n) && post <= k && post >= pre && refCertify(t1, t2, certifyBudget*(a.n+b.n))
+		seqBound := func(k int) (seq int, exact bool) {
+			seq = max(post, pre)
+			if !unit || k >= min(a.n, b.n) || seq > k {
+				return seq, false
+			}
+			o := postorder
+			if pre > post {
+				o = preorder
+			}
+			switch refCertify(t1, t2, certifyBudget*(a.n+b.n), o) {
+			case mapped:
+				return seq, true
+			case exhausted:
+				return seq + 1, false
+			}
+			return seq, false
 		}
 		if cutoff < unreachable {
 			band = min(band, cutoff/cmin)
-			if max(post, pre) > band {
+			seq, exact := seqBound(band)
+			if seq > band {
 				m.Precheck = true
 				return cutoff + 1, false, m
 			}
-			if certified(band) {
+			if exact {
 				m.Certified = true
-				return post, true, m
+				return seq, true, m
 			}
 		} else if top := band / searchSpan; max(1, lb/cmin) <= top && cmin <= unreachable/(top+1) {
-			if certified(top) {
+			seq, exact := seqBound(top)
+			if exact {
 				m.Certified = true
-				return post, true, m
+				return seq, true, m
 			}
-			for k := max(1, lb/cmin, min(max(post, pre), top+1)); k <= top; k = min(2*k, top) {
+			k := max(1, lb/cmin, min(seq, top+1))
+			for step := 1; k <= top; step = k {
 				d, ok, tm := refWithin(t1, t2, (k+1)*cmin-1, c)
 				m.Cells += tm.Cells
 				if ok {
@@ -144,6 +163,7 @@ func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) 
 				if k == top {
 					break
 				}
+				k = min(k+step, top)
 			}
 		}
 	}
@@ -177,7 +197,8 @@ func refWithin(t1, t2 *tree.Tree, cutoff int, c CostModel) (int, bool, Metrics) 
 // tree — in shuffled order at every cutoff, gives the reference
 // pipeline's (d, ok, Metrics) exactly; and the iterative decomposition
 // equals the recursive one on every tree, its preorder indices putting the
-// labels in preorder.
+// labels in preorder, and its mirror holds the mirrored tree's postorder
+// labels and parent links.
 func TestWithinMatchesReference(t *testing.T) {
 	trees := dblp.New(3).Dataset(150)
 	for _, p := range append(benchPairs(12), clusterPairs(t, midSpec, 7, 3)...) {
@@ -199,6 +220,17 @@ func TestWithinMatchesReference(t *testing.T) {
 		}
 		if want := labelsOf(tr.PreOrder()); !slices.Equal(pre[1:], want) {
 			t.Fatalf("decompose(%q) preorder labels %q, want %q", tr, pre[1:], want)
+		}
+		// The prepared mirror is the mirrored tree's postorder: its labels
+		// and its parent links.
+		q, mt := Prepare(tr), refDecompose(mirrorTree(tr))
+		mt.gatherParent(nil)
+		labels := make([]string, q.mirror.n+1)
+		for i := 1; i <= q.mirror.n; i++ {
+			labels[i] = got.label[1+slices.Index(q.d.id[1:], q.mirror.id[i])]
+		}
+		if !slices.Equal(labels, mt.label) || !slices.Equal(q.mirror.parent, mt.parent) {
+			t.Fatalf("Prepare(%q) mirror: labels %q, parents %v; mirrored tree's %q, %v", tr, labels, q.mirror.parent, mt.label, mt.parent)
 		}
 	}
 	cutoffs := []int{-1, 0, 2, 4, 6, math.MaxInt}
@@ -254,7 +286,7 @@ func TestPostorderDist(t *testing.T) {
 				order string
 				a, b  []int32
 				want  int
-			}{{"postorder", q.d.id[1:], b.id[1:], post}, {"preorder", q.d.preid[1:], b.preid[1:], pre}} {
+			}{{"postorder", q.d.id[1:], b.id[1:], post}, {"preorder", q.mirror.id[1:], s.mirror.id[1:], pre}} {
 				for k := 0; k <= c.want+2; k++ {
 					if got := s.seqDist(c.a, c.b, k); got != min(c.want, k+1) {
 						t.Fatalf("%s seqDist(%q, %q, %d) = %d, want %d", c.order, t1, t2, k, got, min(c.want, k+1))
@@ -267,8 +299,9 @@ func TestPostorderDist(t *testing.T) {
 
 // TestWithinZeroAllocs: a prepared query allocates nothing per candidate
 // once the pools are warm — neither for a pair the pre-checks reject nor
-// for one the alignment certificate decides nor for one the kernel decides
-// nor for one the search answers with no cutoff, with or without a Metrics
+// for one the certificate's floor rejects nor for one the alignment
+// certificate decides, by either walk, nor for one the kernel decides nor
+// for one the search answers with no cutoff, with or without a Metrics
 // sink.
 func TestWithinZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -297,14 +330,32 @@ func TestWithinZeroAllocs(t *testing.T) {
 	if rejected == nil || certified == nil || survivor == nil {
 		t.Fatalf("workload has no rejected (%v), certified (%v) or kernel-decided (%v) candidate", rejected, certified, survivor)
 	}
+	// TestCertificate's pairs: one the mirrored walk certifies at its
+	// preorder distance 2, and one whose mirrored walk exhausts the
+	// alignments of cost 3, so the floor rejects it at that cutoff.
+	mp := tree.MustParse
+	mirrorQ, floorQ := Prepare(mp("a(b(b(a(b,a),b)),a)")), Prepare(mp("a(b(b,a),a)"))
 	for _, c := range []struct {
-		name   string
-		t      *tree.Tree
-		cutoff int
-	}{{"rejected", rejected, 4}, {"certified", certified, 4}, {"survivor", survivor, 12}, {"searched", survivor, noCutoff}} {
+		name                string
+		q                   *Query
+		t                   *tree.Tree
+		cutoff              int
+		precheck, certified bool
+	}{
+		{"rejected", q, rejected, 4, true, false},
+		{"certified", q, certified, 4, false, true},
+		{"mirror-certified", mirrorQ, mp("a(b(b(b,a(b),b)),a)"), 2, false, true},
+		{"floor-rejected", floorQ, mp("b(a(b,b))"), 3, true, false},
+		{"survivor", q, survivor, 12, false, false},
+		{"searched", q, survivor, noCutoff, false, false},
+	} {
 		var m Metrics
+		c.q.Within(c.t, c.cutoff, &m)
+		if m.Precheck != c.precheck || m.Certified != c.certified {
+			t.Fatalf("%s: %+v, want precheck %v, certified %v", c.name, m, c.precheck, c.certified)
+		}
 		for _, sink := range []*Metrics{&m, nil} {
-			run := func() { q.Within(c.t, c.cutoff, sink) }
+			run := func() { c.q.Within(c.t, c.cutoff, sink) }
 			run()
 			if n := testing.AllocsPerRun(50, run); n != 0 {
 				t.Errorf("%s (sink %v): %v allocations per Within, want 0", c.name, sink != nil, n)

@@ -9,7 +9,8 @@ import "treesim/internal/tree"
 // as one tree-distance evaluation, which is exactly the scalability problem
 // the binary branch embedding avoids; it is included as a baseline. The
 // verifier runs the same program banded at its cutoff (bounded.go); here
-// the band covers every cell.
+// the band covers every cell, past where the alignment certificate is
+// tried, so no walk raises the bound to its floor.
 func SequenceLowerBound(t1, t2 *tree.Tree) int {
 	q := Prepare(t1)
 	s := new(scratch)

@@ -142,8 +142,9 @@ type Explain struct {
 	AccessedFraction float64 `json:"accessed_fraction"`
 	// RefineAborted and PrecheckRejects break down how many of the
 	// Verified attempts the bounded verifier cut short: DP early aborts
-	// and rejections before the tree DP, by an O(n) pre-check or the
-	// sequence bound (both zero under full refine).
+	// and rejections before the tree DP, by an O(n) pre-check, the
+	// sequence bound or the certificate's floor (both zero under full
+	// refine).
 	RefineAborted   int `json:"refine_aborted"`
 	PrecheckRejects int `json:"precheck_rejects"`
 	// DPCells is the dynamic-programming cells the refine stage computed;

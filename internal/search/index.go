@@ -40,11 +40,11 @@ type Stats struct {
 	Pruned Funnel
 	// Bounded-verification breakdown: of the Verified attempts,
 	// PrecheckRejects were disproven before the tree DP, by an O(n)
-	// pre-check or the sequence bound, RefineAborted by the DP
-	// abandoning early once the distance provably exceeded the live
-	// cutoff, and Certified were answered exactly with no DP, by an
-	// alignment of the postorder label sequences that is also a tree
-	// mapping (editdist.Metrics.Certified). DPCells is the
+	// pre-check, the sequence bound or the certificate's floor,
+	// RefineAborted by the DP abandoning early once the distance provably
+	// exceeded the live cutoff, and Certified were answered exactly with
+	// no DP, by an alignment of the postorder or preorder label sequences
+	// that is also a tree mapping (editdist.Metrics.Certified). DPCells is the
 	// dynamic-programming cells actually computed across the query's
 	// verifications, every run of a k-NN query's cutoff-free doubling
 	// searches included; DPCellsFull is what the band-off program would
